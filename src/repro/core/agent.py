@@ -71,7 +71,7 @@ class AgentInstance:
     __slots__ = ("agent_id", "spec", "name", "site_name", "briefcase", "state",
                  "system", "parent_id", "meet_parent", "meet_ended", "generator",
                  "result", "error", "steps", "started_at", "finished_at",
-                 "visited", "children")
+                 "finished", "visited", "children")
 
     def __init__(self, spec: AgentSpec, site_name: str,
                  parent_id: Optional[str] = None, meet_parent: Optional[str] = None):
@@ -81,6 +81,10 @@ class AgentInstance:
         self.site_name = site_name
         self.briefcase = spec.briefcase
         self.state = AgentState.CREATED
+        #: True once the agent reached a terminal state (set by ``mark_done``
+        #: / ``mark_failed`` / ``mark_killed`` together with ``state``; a plain
+        #: attribute because the kernel reads it several times per step)
+        self.finished = False
         self.system = spec.system
         #: agent that spawned this one (None for kernel launches)
         self.parent_id = parent_id
@@ -103,11 +107,6 @@ class AgentInstance:
     # -- state helpers -----------------------------------------------------------
 
     @property
-    def finished(self) -> bool:
-        """True once the agent reached a terminal state."""
-        return AgentState.is_terminal(self.state)
-
-    @property
     def ok(self) -> bool:
         """True if the agent finished normally."""
         return self.state == AgentState.DONE
@@ -120,16 +119,19 @@ class AgentInstance:
 
     def mark_done(self, result: Any, at: float) -> None:
         self.state = AgentState.DONE
+        self.finished = True
         self.result = result
         self.finished_at = at
 
     def mark_failed(self, error: BaseException, at: float) -> None:
         self.state = AgentState.FAILED
+        self.finished = True
         self.error = error
         self.finished_at = at
 
     def mark_killed(self, at: float, reason: str = "site crash") -> None:
         self.state = AgentState.KILLED
+        self.finished = True
         self.error = RuntimeError(reason)
         self.finished_at = at
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.core.errors import BriefcaseError, MissingFolderError
-from repro.core.folder import Folder
+from repro.core.folder import Folder, _decode, _encode
 
 __all__ = ["Briefcase"]
 
@@ -94,24 +94,29 @@ class Briefcase:
     # Very common pattern in agent code: a folder holding a single value that
     # acts as a named argument.  These helpers keep that pattern short.
 
+    # They run several times per agent step, so they work on the folder's
+    # stored element list directly rather than through its stack methods.
+
     def put(self, folder_name: str, element: Any) -> None:
         """Push *element* onto *folder_name*, creating the folder if needed."""
-        self.folder(folder_name, create=True).push(element)
+        folder = self._folders.get(folder_name)
+        if folder is None:
+            folder = self._folders[folder_name] = Folder(folder_name)
+        folder._elements.append(_encode(element))
 
     def set(self, folder_name: str, element: Any) -> None:
         """Make *folder_name* contain exactly *element* (replacing prior contents)."""
-        folder = self.folder(folder_name, create=True)
-        folder.clear()
-        folder.push(element)
+        folder = self._folders.get(folder_name)
+        if folder is None:
+            folder = self._folders[folder_name] = Folder(folder_name)
+        folder._elements = [_encode(element)]
 
     def get(self, folder_name: str, default: Any = None) -> Any:
         """Return the top element of *folder_name*, or *default* if absent/empty."""
-        if not self.has(folder_name):
+        folder = self._folders.get(folder_name)
+        if folder is None or not folder._elements:
             return default
-        folder = self.folder(folder_name)
-        if not folder:
-            return default
-        return folder.peek()
+        return _decode(folder._elements[-1])
 
     def take(self, folder_name: str) -> Any:
         """Pop and return the top element of *folder_name* (must exist)."""
@@ -166,7 +171,7 @@ class Briefcase:
     def wire_size(self) -> int:
         """Bytes this briefcase occupies when shipped between sites."""
         framing = 32
-        return framing + sum(folder.wire_size() for folder in self._folders.values())
+        return framing + sum(map(Folder.wire_size, self._folders.values()))
 
     # -- dunders -----------------------------------------------------------------
 

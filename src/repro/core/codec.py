@@ -19,9 +19,11 @@ Two CODE representations are supported:
     evaluating shipped script text, and the demonstration of the
     "different machine language" property.
 
-The briefcase itself is shipped via its :meth:`~repro.core.briefcase.Briefcase.to_wire`
-form wrapped with :func:`pack_briefcase` / :func:`unpack_briefcase`; its
-wire size feeds the bandwidth model.
+The briefcase itself is shipped by :func:`pack_briefcase` /
+:func:`unpack_briefcase` as one flat pickle of ``(version, [(folder name,
+stored elements), ...])`` — the elements are already ``bytes``, so nothing
+is re-encoded; its wire size (the briefcase's own model, not the pickle
+length) feeds the bandwidth model.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ import pickle
 from typing import Any, Callable, Dict, Optional
 
 from repro.core.briefcase import CODE_FOLDER, Briefcase
-from repro.core.errors import CodecError, CodeCompilationError, UnknownBehaviourError
+from repro.core.errors import (CodecError, CodeCompilationError, TacomaError,
+                               UnknownBehaviourError)
+from repro.core.folder import Folder
 from repro.core.registry import BehaviourRegistry, default_registry
 
 __all__ = [
@@ -135,14 +139,16 @@ def attach_code(briefcase: Briefcase, behaviour: Any,
 # Briefcase wire format
 # ---------------------------------------------------------------------------
 
-_WIRE_VERSION = 1
+_WIRE_VERSION = 2
 
 
 def pack_briefcase(briefcase: Briefcase) -> bytes:
     """Serialise a briefcase for transmission between sites."""
     try:
-        return pickle.dumps({"version": _WIRE_VERSION, "briefcase": briefcase.to_wire()},
-                            protocol=pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps(
+            (_WIRE_VERSION, [(folder.name, folder.raw_elements())
+                             for folder in briefcase.folders()]),
+            protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise CodecError(f"briefcase could not be serialised: {exc}") from exc
 
@@ -153,9 +159,14 @@ def unpack_briefcase(payload: bytes) -> Briefcase:
         wrapper = pickle.loads(payload)
     except Exception as exc:
         raise CodecError(f"briefcase payload could not be decoded: {exc}") from exc
-    if not isinstance(wrapper, dict) or wrapper.get("version") != _WIRE_VERSION:
+    if (type(wrapper) is not tuple or len(wrapper) != 2
+            or wrapper[0] != _WIRE_VERSION):
         raise CodecError("briefcase payload has an unknown wire version")
-    return Briefcase.from_wire(wrapper["briefcase"])
+    try:
+        return Briefcase([Folder.from_stored(name, elements)
+                          for name, elements in wrapper[1]])
+    except (TacomaError, TypeError, ValueError) as exc:
+        raise CodecError(f"briefcase payload is malformed: {exc}") from exc
 
 
 def wire_size_of(briefcase: Briefcase) -> int:

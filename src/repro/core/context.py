@@ -10,6 +10,7 @@ rexec" idiom of the paper.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.core.briefcase import CONTACT_FOLDER, HOST_FOLDER, Briefcase
@@ -57,9 +58,14 @@ class AgentContext:
         self._kernel = kernel
         self._site = site
         self._instance = instance
-        # Deterministic per-agent stream derived from the kernel seed and the
-        # agent id, so repeated runs are reproducible.
-        self.rng = random.Random(f"{kernel.config.rng_seed}:{instance.agent_id}")
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """Deterministic per-agent stream derived from the kernel seed and the
+        agent id, so repeated runs are reproducible.  Seeded on first use:
+        most agents never draw, and a string seed costs a SHA-512."""
+        return random.Random(
+            f"{self._kernel.config.rng_seed}:{self._instance.agent_id}")
 
     # -- identity and environment -------------------------------------------------
 

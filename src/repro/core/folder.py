@@ -31,9 +31,12 @@ _TEXT_TAG = b"T"
 
 def _encode(element: Any) -> bytes:
     """Encode *element* into the tagged byte representation stored in folders."""
-    if isinstance(element, bytes):
+    kind = type(element)  # exact types first: no isinstance call for the common cases
+    if kind is bytes:
         return _RAW_TAG + element
-    if isinstance(element, bytearray):
+    if kind is str:
+        return _TEXT_TAG + element.encode("utf-8")
+    if isinstance(element, (bytes, bytearray)):
         return _RAW_TAG + bytes(element)
     if isinstance(element, str):
         return _TEXT_TAG + element.encode("utf-8")
@@ -46,13 +49,13 @@ def _encode(element: Any) -> bytes:
 
 def _decode(stored: bytes) -> Any:
     """Decode a tagged byte element back into the Python value that was stored."""
-    tag, payload = stored[:1], stored[1:]
+    tag = stored[:1]
+    if tag == _TEXT_TAG:  # first: most reads are named string arguments
+        return str(stored[1:], "utf-8")
     if tag == _RAW_TAG:
-        return payload
-    if tag == _TEXT_TAG:
-        return payload.decode("utf-8")
+        return stored[1:]
     if tag == _PICKLE_TAG:
-        return pickle.loads(payload)
+        return pickle.loads(stored[1:])
     raise FolderError(f"corrupt folder element (unknown tag {tag!r})")
 
 
@@ -78,10 +81,8 @@ class Folder:
         if not name or not isinstance(name, str):
             raise FolderError("folder name must be a non-empty string")
         self.name = name
-        self._elements: List[bytes] = []
-        if elements is not None:
-            for element in elements:
-                self.push(element)
+        self._elements: List[bytes] = (
+            [] if elements is None else [_encode(element) for element in elements])
 
     # -- stack discipline ---------------------------------------------------
 
@@ -127,8 +128,7 @@ class Folder:
 
     def extend(self, elements: Iterable[Any]) -> None:
         """Push every element of *elements* in order."""
-        for element in elements:
-            self.push(element)
+        self._elements.extend([_encode(element) for element in elements])
 
     def elements(self) -> List[Any]:
         """Return all elements, oldest first, decoded to their original values."""
@@ -151,7 +151,8 @@ class Folder:
         clone (copying an immutable ``bytes`` object is free — CPython
         returns the same object).
         """
-        clone = Folder(self.name)
+        clone = Folder.__new__(Folder)  # the name was validated when self was built
+        clone.name = self.name
         clone._elements = [stored if type(stored) is bytes else bytes(stored)
                            for stored in self._elements]
         return clone
@@ -167,9 +168,9 @@ class Folder:
         """
         framing_per_element = 4
         framing_per_folder = 16 + len(self.name.encode("utf-8"))
-        return framing_per_folder + sum(
-            len(stored) + framing_per_element for stored in self._elements
-        )
+        elements = self._elements
+        return (framing_per_folder + sum(map(len, elements))
+                + framing_per_element * len(elements))
 
     # -- dunder conveniences --------------------------------------------------
 
@@ -201,9 +202,18 @@ class Folder:
     @classmethod
     def from_wire(cls, payload: dict) -> "Folder":
         """Rebuild a folder from :meth:`to_wire` output."""
-        folder = cls(payload["name"])
-        elements = payload["elements"]
-        if not all(isinstance(element, bytes) for element in elements):
-            raise FolderError("wire payload for a folder must contain bytes elements")
-        folder._elements = list(elements)
+        return cls.from_stored(payload["name"], list(payload["elements"]))
+
+    @classmethod
+    def from_stored(cls, name: str, elements: List[bytes]) -> "Folder":
+        """A folder around already-encoded *elements* (adopted, not copied).
+
+        The inverse of ``(folder.name, folder.raw_elements())``: the name is
+        validated as usual and *elements* must be a list of ``bytes``.
+        """
+        folder = cls(name)
+        if type(elements) is not list or not all(
+                isinstance(element, bytes) for element in elements):
+            raise FolderError("wire payload for a folder must be a list of bytes elements")
+        folder._elements = elements
         return folder

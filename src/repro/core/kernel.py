@@ -28,7 +28,8 @@ import itertools
 import random
 from collections import ChainMap, deque
 from dataclasses import dataclass
-from types import MappingProxyType
+from functools import partial
+from types import GeneratorType, MappingProxyType
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Union)
 
@@ -1136,8 +1137,8 @@ class Kernel:
             self._obs_trace_launch(spec.briefcase, site_name)
         instance = AgentInstance(spec, site_name)
         self._register(instance)
-        self.loop.schedule(delay, lambda: self._start(instance),
-                           label=f"start-{instance.agent_id}")
+        self.loop.schedule(delay, partial(self._start, instance),
+                           label=("start", instance.agent_id))
         return instance.agent_id
 
     def launch_many(self, requests: Sequence[tuple], delay: float = 0.0) -> List[str]:
@@ -1178,8 +1179,8 @@ class Kernel:
             self._register(instance)
             instances.append(instance)
         self.loop.schedule_many(
-            [(delay, (lambda inst=instance: self._start(inst)),
-              f"start-{instance.agent_id}") for instance in instances])
+            [(delay, partial(self._start, instance),
+              ("start", instance.agent_id)) for instance in instances])
         return [instance.agent_id for instance in instances]
 
     def _launch_many_sharded(self, requests: Sequence[tuple],
@@ -1590,7 +1591,8 @@ class Kernel:
         except Exception as error:  # behaviour blew up before yielding anything
             self._fail(instance, error)
             return
-        if outcome is not None and hasattr(outcome, "send") and hasattr(outcome, "throw"):
+        if type(outcome) is GeneratorType or (
+                hasattr(outcome, "send") and hasattr(outcome, "throw")):
             instance.generator = outcome
             self._resume(instance, None)
         else:
@@ -1626,29 +1628,27 @@ class Kernel:
         self._dispatch(instance, request)
 
     def _dispatch(self, instance: AgentInstance, request: Any) -> None:
-        if isinstance(request, Meet):
-            self._do_meet(instance, request)
-        elif isinstance(request, EndMeet):
-            self._do_end_meet(instance, request)
-        elif isinstance(request, Sleep):
-            self._do_sleep(instance, request)
-        elif isinstance(request, Spawn):
-            self._do_spawn(instance, request)
-        elif isinstance(request, Transmit):
-            self._do_transmit(instance, request)
-        elif isinstance(request, Terminate):
-            self._finish(instance, request.result)
-        elif isinstance(request, Syscall):  # a Syscall subclass we do not handle
-            self._throw_back(instance, SyscallError(f"unsupported syscall {request!r}"))
-        else:
-            self._throw_back(instance, SyscallError(
-                f"agents must yield Syscall objects, got {type(request).__name__}"))
+        handlers = self._SYSCALL_HANDLERS
+        handler = handlers.get(type(request))
+        if handler is None:
+            # Not one of the syscall classes itself: a subclass dispatches as
+            # its nearest handled base (reaching Syscall: nothing handles it).
+            handler = next((handlers[base] for base in type(request).__mro__
+                            if base in handlers), Kernel._do_not_a_syscall)
+        handler(self, instance, request)
+
+    def _do_unsupported(self, instance: AgentInstance, request: Syscall) -> None:
+        self._throw_back(instance, SyscallError(f"unsupported syscall {request!r}"))
+
+    def _do_not_a_syscall(self, instance: AgentInstance, request: Any) -> None:
+        self._throw_back(instance, SyscallError(
+            f"agents must yield Syscall objects, got {type(request).__name__}"))
 
     def _throw_back(self, instance: AgentInstance, error: Exception) -> None:
         """Deliver an error to the agent on its next step."""
         self.loop.schedule(self.config.step_cost,
-                           lambda: self._resume(instance, error=error),
-                           label=f"error-{instance.agent_id}")
+                           partial(self._resume, instance, error=error),
+                           label=("error", instance.agent_id))
 
     # -- individual syscalls ----------------------------------------------------------
 
@@ -1674,20 +1674,20 @@ class Kernel:
         caller.mark_waiting()
         self.meets += 1
         self.loop.schedule(self.config.meet_overhead + self.config.step_cost,
-                           lambda: self._start(callee),
-                           label=f"meet-{caller.agent_id}-{request.agent_name}")
+                           partial(self._start, callee),
+                           label=("meet", caller.agent_id, request.agent_name))
 
     def _do_end_meet(self, callee: AgentInstance, request: EndMeet) -> None:
         self._release_meet_parent(callee, request.value)
         # The callee keeps running concurrently with its (former) caller.
-        self.loop.schedule(self.config.step_cost, lambda: self._resume(callee, None),
-                           label=f"continue-{callee.agent_id}")
+        self.loop.schedule(self.config.step_cost, partial(self._resume, callee),
+                           label=("continue", callee.agent_id))
 
     def _do_sleep(self, instance: AgentInstance, request: Sleep) -> None:
         instance.mark_waiting()
         delay = max(0.0, float(request.duration)) + self.config.step_cost
-        self.loop.schedule(delay, lambda: self._resume(instance, None),
-                           label=f"wake-{instance.agent_id}")
+        self.loop.schedule(delay, partial(self._resume, instance),
+                           label=("wake", instance.agent_id))
 
     def _do_spawn(self, parent: AgentInstance, request: Spawn) -> None:
         site = self.sites[parent.site_name]
@@ -1716,10 +1716,10 @@ class Kernel:
         self._register(child)
         parent.children.append(child.agent_id)
         self.loop.schedule_many((
-            (self.config.spawn_overhead, lambda: self._start(child),
-             f"spawn-{child.agent_id}"),
-            (self.config.step_cost, lambda: self._resume(parent, child.agent_id),
-             f"spawned-{parent.agent_id}"),
+            (self.config.spawn_overhead, partial(self._start, child),
+             ("spawn", child.agent_id)),
+            (self.config.step_cost, partial(self._resume, parent, child.agent_id),
+             ("spawned", parent.agent_id)),
         ))
 
     def _do_transmit(self, sender: AgentInstance, request: Transmit) -> None:
@@ -1752,8 +1752,17 @@ class Kernel:
         event = self.transport.post(message)
         accepted = event is not None
         self.loop.schedule(self.config.transmit_overhead + self.config.step_cost,
-                           lambda: self._resume(sender, accepted),
-                           label=f"transmitted-{sender.agent_id}")
+                           partial(self._resume, sender, accepted),
+                           label=("transmitted", sender.agent_id))
+
+    def _do_terminate(self, instance: AgentInstance, request: Terminate) -> None:
+        self._finish(instance, request.result)
+
+    #: exact syscall type -> handler (see :meth:`_dispatch`)
+    _SYSCALL_HANDLERS = {
+        Meet: _do_meet, EndMeet: _do_end_meet, Sleep: _do_sleep, Spawn: _do_spawn,
+        Transmit: _do_transmit, Terminate: _do_terminate, Syscall: _do_unsupported,
+    }
 
     # -- completion paths ---------------------------------------------------------------
 
@@ -1789,8 +1798,8 @@ class Kernel:
             return
         result = MeetResult(value=value, briefcase=callee.briefcase,
                             agent_id=callee.agent_id)
-        self.loop.schedule(self.config.step_cost, lambda: self._resume(parent, result),
-                           label=f"meet-return-{parent.agent_id}")
+        self.loop.schedule(self.config.step_cost, partial(self._resume, parent, result),
+                           label=("meet-return", parent.agent_id))
 
     def _release_meet_parent_on_abnormal_end(self, callee: AgentInstance,
                                              error: Exception) -> None:
@@ -1800,8 +1809,8 @@ class Kernel:
         parent = self.table.get(callee.meet_parent)
         if parent is None or parent.finished:
             return
-        self.loop.schedule(self.config.step_cost, lambda: self._resume(parent, error=error),
-                           label=f"meet-error-{parent.agent_id}")
+        self.loop.schedule(self.config.step_cost, partial(self._resume, parent, error=error),
+                           label=("meet-error", parent.agent_id))
 
     # ------------------------------------------------------------------
     # network arrivals
@@ -1898,8 +1907,8 @@ class Kernel:
         instance = AgentInstance(spec, site.name)
         self._register(instance)
         self.arrivals += 1
-        self.loop.schedule(self.config.meet_overhead, lambda: self._start(instance),
-                           label=f"arrival-{instance.agent_id}")
+        self.loop.schedule(self.config.meet_overhead, partial(self._start, instance),
+                           label=("arrival", instance.agent_id))
 
     def __repr__(self) -> str:
         return (f"Kernel({len(self.sites)} sites, transport={self.transport.name!r}, "

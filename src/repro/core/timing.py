@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import time
 from typing import (Any, Callable, Iterable, List, Optional, Protocol,
-                    Sequence, runtime_checkable)
+                    Sequence, Tuple, Union, runtime_checkable)
 
-__all__ = ["Clock", "ScheduledEvent", "Scheduler", "default_timer",
-           "PAST_EPSILON"]
+__all__ = ["Clock", "Label", "ScheduledEvent", "Scheduler", "default_timer",
+           "PAST_EPSILON", "TIME_EPSILON"]
 
 #: timestamps this far in the past are forgiven (float jitter from callers
 #: computing ``now + dt - dt``); anything older is a scheduling bug under
@@ -48,6 +48,16 @@ __all__ = ["Clock", "ScheduledEvent", "Scheduler", "default_timer",
 #: moves between computing a deadline and scheduling it — and clamps late
 #: timestamps to "now" instead.
 PAST_EPSILON = 1e-9
+
+#: float slack when an event time is compared with a run horizon ("due by
+#: T" includes T plus this) or with the clock ("backwards" means by more
+#: than this) — three orders tighter than :data:`PAST_EPSILON` because these
+#: compare values the scheduler computed itself, not caller arithmetic.
+TIME_EPSILON = 1e-12
+
+#: an event label: a string, or a tuple of parts that is joined with "-"
+#: only if the event is printed (hot callers skip the per-event formatting)
+Label = Union[str, Tuple[Any, ...]]
 
 #: the process-wide wall-clock timer: monotonic, high-resolution seconds.
 #: The single default behind every ``timer=`` parameter in the codebase.
@@ -115,7 +125,7 @@ class Scheduler(Protocol):
         ...
 
     def schedule(self, delay: float, callback: Callable[[], Any],
-                 label: str = "") -> ScheduledEvent:
+                 label: Label = "") -> ScheduledEvent:
         """Run *callback* after *delay* seconds."""
         ...
 
@@ -124,7 +134,7 @@ class Scheduler(Protocol):
         ...
 
     def schedule_at(self, timestamp: float, callback: Callable[[], Any],
-                    label: str = "") -> ScheduledEvent:
+                    label: Label = "") -> ScheduledEvent:
         """Run *callback* at absolute time *timestamp*."""
         ...
 

@@ -5,20 +5,38 @@ schedules — runs on one :class:`EventLoop`.  Time is simulated seconds
 (floats).  Events at the same timestamp fire in the order they were
 scheduled, which keeps runs deterministic for a fixed random seed.
 
-The loop is a kernel hot path: high-population workloads schedule one or
-more events per agent step, so :class:`Event` is a ``__slots__`` class
-(not a dataclass) and cancellation uses lazy deletion with periodic
-compaction — ``pending`` is an O(1) counter and cancelled entries are
-purged in bulk once they outnumber half the heap instead of being paid
-for on every pop.
+The loop is the kernel's hottest path (one or more events per agent
+step), so its fixed costs are kept out of the interpreter:
+
+* **Heap entries are ``(time, seq, event)`` tuples.**  ``heapq`` orders
+  them by comparing a float and, on ties, an int — both in C.  ``seq`` is
+  unique, so a comparison never reaches the :class:`Event` itself, which
+  therefore defines no ordering of its own.
+* **One drain loop.**  :meth:`EventLoop.run`, :meth:`~EventLoop.run_until`
+  and :meth:`~EventLoop.step` are the same loop (:meth:`EventLoop._drain`)
+  with a different horizon and budget: peek the head, drop it if
+  cancelled, stop if it lies beyond the horizon, otherwise pop, advance
+  the clock and fire — no per-event method calls besides the clock's.
+* **Lazy cancellation.**  :class:`Event` is a ``__slots__`` class;
+  cancelling marks it and leaves the entry in place, ``pending`` is an
+  O(1) counter, and cancelled entries are purged in bulk (in place) once
+  they outnumber half the heap instead of being paid for on every pop.
+* **Lazy labels.**  A label is a string or a tuple of parts; parts are
+  joined with ``-`` only if the event is ever printed, so hot callers
+  pass ``("wake", agent_id)`` instead of formatting a string per event.
 
 :class:`SimClock` and :class:`EventLoop` are the *deterministic*
 implementations of the :class:`~repro.core.timing.Clock` and
 :class:`~repro.core.timing.Scheduler` protocols — the
 ``KernelConfig(backend="sim")`` default.  The wall-clock pair lives in
-:mod:`repro.rt` (:class:`~repro.rt.AsyncioScheduler` subclasses
-:class:`EventLoop`, keeping the heap and cancellation bookkeeping and
-replacing only how the gaps between events pass).
+:mod:`repro.rt`: :class:`~repro.rt.AsyncioScheduler` subclasses
+:class:`EventLoop`, keeping the heap, ``schedule*``, cancellation and
+``step()``, and overrides ``run``/``run_until`` (a real sleep up to
+:meth:`EventLoop.next_event_time` before each ``step()``) and
+``schedule_at`` (late deadlines are clamped, not rejected).  The drain
+loop reaches the clock only through ``clock.now`` and
+``clock._advance_to``, so it runs unchanged over a
+:class:`~repro.rt.WallClock`.
 """
 
 from __future__ import annotations
@@ -27,48 +45,49 @@ import heapq
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import KernelError
-# Canonical home is repro.core.timing; re-exported here because the
-# epsilon has always been part of this module's public surface.
-from repro.core.timing import PAST_EPSILON
+from repro.core.timing import PAST_EPSILON, TIME_EPSILON, Label
 
-__all__ = ["Event", "EventLoop", "SimClock", "PAST_EPSILON"]
+__all__ = ["Event", "EventLoop", "SimClock"]
 
 
 class SimClock:
-    """Monotonic simulated clock, advanced only by the event loop."""
+    """Monotonic simulated clock, advanced only by the event loop.
 
-    __slots__ = ("_now",)
+    ``now`` — current simulated time in seconds — is a plain attribute, not
+    a property: it is read several times per event.  Only
+    :meth:`_advance_to` writes it.
+    """
+
+    __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0):
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+        self.now = float(start)
 
     def _advance_to(self, timestamp: float) -> None:
-        if timestamp < self._now - 1e-12:
+        if timestamp > self.now:
+            self.now = timestamp
+        elif timestamp < self.now - TIME_EPSILON:
             raise KernelError(
-                f"clock cannot move backwards ({timestamp} < {self._now})")
-        self._now = max(self._now, timestamp)
+                f"clock cannot move backwards ({timestamp} < {self.now})")
 
     def __repr__(self) -> str:
-        return f"SimClock(now={self._now:.6f})"
+        return f"SimClock(now={self.now:.6f})"
 
 
 class Event:
-    """A scheduled callback.  Ordering is (time, sequence number).
+    """A scheduled callback: the cancellable handle ``schedule`` returns.
 
-    Plain ``__slots__`` class rather than a dataclass: millions of these
-    are created per benchmark run and the slot layout roughly halves the
+    Firing order is (time, sequence number), carried by the heap entry
+    ``(time, seq, event)`` rather than by comparing events.  Plain
+    ``__slots__`` class rather than a dataclass: millions of these are
+    created per benchmark run and the slot layout roughly halves the
     per-event memory and construction cost.
     """
 
     __slots__ = ("time", "seq", "callback", "label", "cancelled", "_loop")
 
     def __init__(self, time: float, seq: int, callback: Callable[[], Any],
-                 label: str = "", cancelled: bool = False,
+                 label: Label = "", cancelled: bool = False,
                  _loop: Optional["EventLoop"] = None):
         self.time = time
         self.seq = seq
@@ -91,25 +110,15 @@ class Event:
         if loop is not None:
             loop._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __le__(self, other: "Event") -> bool:
-        return (self.time, self.seq) <= (other.time, other.seq)
-
-    def __gt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) > (other.time, other.seq)
-
-    def __ge__(self, other: "Event") -> bool:
-        return (self.time, self.seq) >= (other.time, other.seq)
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "armed"
-        return f"Event(t={self.time:.6f}, seq={self.seq}, {state}, {self.label!r})"
+        label = self.label
+        if not isinstance(label, str):
+            label = "-".join(map(str, label))
+        return f"Event(t={self.time:.6f}, seq={self.seq}, {state}, {label!r})"
 
 
-#: one ``schedule_many`` entry: (delay, callback) or (delay, callback, label)
-ScheduleEntry = Tuple
+_INFINITY = float("inf")
 
 
 class EventLoop:
@@ -126,7 +135,9 @@ class EventLoop:
 
     def __init__(self, clock: Optional[SimClock] = None):
         self.clock = clock if clock is not None else SimClock()
-        self._heap: List[Event] = []
+        #: ``(time, seq, event)`` entries; ``seq`` is unique, so ordering
+        #: is decided in C before a comparison could reach the event
+        self._heap: List[Tuple[float, int, Event]] = []
         self._next_seq = 0
         self._processed = 0
         #: not-yet-cancelled events still queued (kept O(1) for ``pending``)
@@ -136,14 +147,16 @@ class EventLoop:
 
     # -- scheduling -------------------------------------------------------------
 
-    def schedule(self, delay: float, callback: Callable[[], Any], label: str = "") -> Event:
+    def schedule(self, delay: float, callback: Callable[[], Any],
+                 label: Label = "") -> Event:
         """Run *callback* after *delay* simulated seconds; return a cancellable handle."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which would corrupt the heap order
             raise KernelError(f"cannot schedule an event {delay} seconds in the past")
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event(self.clock.now + delay, seq, callback, label, _loop=self)
-        heapq.heappush(self._heap, event)
+        time = self.clock.now + delay
+        event = Event(time, seq, callback, label, False, self)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
@@ -156,29 +169,31 @@ class EventLoop:
         ``len(entries)`` sift-downs.
         """
         now = self.clock.now
-        events: List[Event] = []
+        seq = self._next_seq
+        batch: List[Tuple[float, int, Event]] = []
         for entry in entries:
             delay = entry[0]
-            if delay < 0:
+            if not delay >= 0:
                 raise KernelError(f"cannot schedule an event {delay} seconds in the past")
-            label = entry[2] if len(entry) > 2 else ""
-            seq = self._next_seq
-            self._next_seq = seq + 1
-            events.append(Event(now + delay, seq, entry[1], label, _loop=self))
-        if not events:
-            return events
+            time = now + delay
+            batch.append((time, seq, Event(
+                time, seq, entry[1], entry[2] if len(entry) > 2 else "", False, self)))
+            seq += 1
+        self._next_seq = seq
+        heap = self._heap
         # Bulk heapify beats repeated pushes once the batch is a sizeable
         # fraction of the heap; for the common 2-3 event batch, push.
-        if len(events) > 8 and len(events) * 4 >= len(self._heap):
-            self._heap.extend(events)
-            heapq.heapify(self._heap)
+        if len(batch) > 8 and len(batch) * 4 >= len(heap):
+            heap.extend(batch)
+            heapq.heapify(heap)
         else:
-            for event in events:
-                heapq.heappush(self._heap, event)
-        self._live += len(events)
-        return events
+            for item in batch:
+                heapq.heappush(heap, item)
+        self._live += len(batch)
+        return [item[2] for item in batch]
 
-    def schedule_at(self, timestamp: float, callback: Callable[[], Any], label: str = "") -> Event:
+    def schedule_at(self, timestamp: float, callback: Callable[[], Any],
+                    label: Label = "") -> Event:
         """Run *callback* at absolute simulated time *timestamp*.
 
         Timestamps within :data:`PAST_EPSILON` of the current time are
@@ -187,7 +202,7 @@ class EventLoop:
         bugs (see ``schedule``, which has always rejected negative delays).
         """
         delta = timestamp - self.clock.now
-        if delta < -PAST_EPSILON:
+        if not delta >= -PAST_EPSILON:
             raise KernelError(
                 f"cannot schedule an event at {timestamp}: "
                 f"it is {-delta} seconds in the past (now={self.clock.now})")
@@ -203,8 +218,12 @@ class EventLoop:
             self._compact()
 
     def _compact(self) -> None:
-        """Purge cancelled entries and rebuild the heap in one O(n) pass."""
-        self._heap = [event for event in self._heap if not event.cancelled]
+        """Purge cancelled entries and rebuild the heap in one O(n) pass.
+
+        In place: a cancel can run inside a callback, while :meth:`_drain`
+        holds a reference to the list.
+        """
+        self._heap[:] = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._dead = 0
 
@@ -225,31 +244,43 @@ class EventLoop:
         """Number of events executed so far."""
         return self._processed
 
-    def step(self) -> bool:
-        """Execute the next event.  Returns False when the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+    def _drain(self, horizon: float, max_events: Optional[int]) -> int:
+        """Fire queued events with time <= *horizon*, at most *max_events*.
+
+        The one loop behind :meth:`run`, :meth:`run_until` and :meth:`step`.
+        Returns the number of events fired; the clock is left at the last
+        one (callers decide whether to carry it on to the horizon).
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        advance = self.clock._advance_to
+        limit = horizon + TIME_EPSILON
+        budget = -1 if max_events is None else max(0, max_events)
+        executed = 0
+        while heap and executed != budget:
+            time, _, event = heap[0]
             if event.cancelled:
+                pop(heap)
                 self._dead -= 1
                 continue
+            if time > limit:
+                break
+            pop(heap)
             event._loop = None  # off the heap: late cancels must not count
             self._live -= 1
-            self.clock._advance_to(event.time)
+            advance(time)
             self._processed += 1
+            executed += 1
             event.callback()
-            return True
-        return False
+        return executed
+
+    def step(self) -> bool:
+        """Execute the next event.  Returns False when the queue is empty."""
+        return self._drain(_INFINITY, 1) == 1
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the queue drains (or *max_events* fire).  Returns events run."""
-        executed = 0
-        while self._heap:
-            if max_events is not None and executed >= max_events:
-                break
-            if not self.step():
-                break
-            executed += 1
-        return executed
+        return self._drain(_INFINITY, max_events)
 
     def run_until(self, timestamp: float, max_events: Optional[int] = None) -> int:
         """Run events with time <= *timestamp*; the clock ends at *timestamp*.
@@ -259,19 +290,10 @@ class EventLoop:
         last event left it — advancing it to *timestamp* anyway would strand
         those events in the past and poison the next ``step``.
         """
-        executed = 0
-        while self._heap:
-            if max_events is not None and executed >= max_events:
-                upcoming = self._peek()
-                if upcoming is not None and upcoming.time <= timestamp + 1e-12:
-                    return executed
-                break
-            upcoming = self._peek()
-            if upcoming is None or upcoming.time > timestamp + 1e-12:
-                break
-            self.step()
-            executed += 1
-        self.clock._advance_to(max(self.clock.now, timestamp))
+        executed = self._drain(timestamp, max_events)
+        upcoming = self.next_event_time()
+        if upcoming is None or upcoming > timestamp + TIME_EPSILON:
+            self.clock._advance_to(max(self.clock.now, timestamp))
         return executed
 
     def next_event_time(self) -> Optional[float]:
@@ -280,14 +302,11 @@ class EventLoop:
         The shard coordinator polls this each synchronisation round to
         compute every shard's lower bound before granting horizons.
         """
-        upcoming = self._peek()
-        return upcoming.time if upcoming is not None else None
-
-    def _peek(self) -> Optional[Event]:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
             self._dead -= 1
-        return self._heap[0] if self._heap else None
+        return heap[0][0] if heap else None
 
     def __repr__(self) -> str:
         return (f"EventLoop(now={self.clock.now:.6f}, pending={self.pending}, "

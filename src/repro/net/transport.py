@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import abc
 import random
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import NoRouteError, SiteDownError, TransportError
@@ -325,7 +326,7 @@ class Transport(abc.ABC):
             outbox.flush_event.cancel()
         outbox.flush_event = self.loop.schedule_at(
             due, lambda: self._flush_outbox(key, cause=cause),
-            label=f"{self.name}-flush-{outbox.source}-{outbox.destination}")
+            label=(self.name, "flush", outbox.source, outbox.destination))
 
     def post(self, message: Message) -> Optional[ScheduledEvent]:
         """Hand *message* to the delivery fabric.
@@ -559,8 +560,8 @@ class Transport(abc.ABC):
             # sync safe: the arrival timestamp is fixed the moment the
             # message leaves, before any horizon beyond it can be granted.
             return self.boundary.dispatch(message, delay)
-        return self.loop.schedule(delay, lambda: self._deliver(message),
-                                  label=f"{self.name}-deliver-{message.message_id}")
+        return self.loop.schedule(delay, partial(self._deliver, message),
+                                  label=(self.name, "deliver", message.message_id))
 
     # -- delivery --------------------------------------------------------------------
 

@@ -28,7 +28,7 @@ _SAMPLE_SPACE = float(2 ** 32)
 class Tracer:
     """Records spans for one kernel (one engine, or the classic kernel)."""
 
-    __slots__ = ("clock", "sink", "sample", "wall_timer", "enabled", "_seq")
+    __slots__ = ("clock", "sink", "sample", "wall_timer", "active", "_seq")
 
     def __init__(self, clock=None, sink=None, sample: float = 1.0,
                  wall_timer: Optional[Callable[[], float]] = None,
@@ -39,7 +39,9 @@ class Tracer:
         self.sample = float(sample)
         #: when set (realtime backend) spans get wall_start / wall_end stamps
         self.wall_timer = wall_timer
-        self.enabled = bool(enabled)
+        #: the one-attribute hot-path guard (a plain attribute: the kernel
+        #: reads it ten times per courier life with tracing off)
+        self.active = bool(enabled)
         #: per-tracer span counter used for anonymous keys; consumed in
         #: engine event order, so deterministic across execution backends
         self._seq = 0
@@ -50,11 +52,6 @@ class Tracer:
         return cls(enabled=False, sink=_NULL_SINK)
 
     # -- predicates ------------------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        """The one-attribute hot-path guard."""
-        return self.enabled
 
     def sampled(self, trace_id: str) -> bool:
         """Deterministic per-trace sampling decision (CRC-32 of the id)."""
@@ -159,15 +156,11 @@ class SpanMirror:
     :class:`TracerView` reads process shards exactly like in-process ones.
     """
 
-    __slots__ = ("_spans", "enabled")
+    __slots__ = ("_spans", "active")
 
     def __init__(self, enabled: bool = False):
         self._spans: List[Dict[str, Any]] = []
-        self.enabled = enabled
-
-    @property
-    def active(self) -> bool:
-        return self.enabled
+        self.active = enabled
 
     def absorb(self, spans: Sequence[Dict[str, Any]]) -> None:
         self._spans.extend(spans)

@@ -33,7 +33,7 @@ import asyncio
 from typing import Any, Callable, Optional
 
 from repro.core.errors import KernelError
-from repro.core.timing import default_timer
+from repro.core.timing import TIME_EPSILON, Label, default_timer
 from repro.net.simclock import Event, EventLoop
 
 __all__ = ["AsyncioScheduler", "WallClock"]
@@ -80,9 +80,9 @@ class AsyncioScheduler(EventLoop):
     The heap, sequence numbers, cancellation and ``step()`` execution are
     inherited unchanged — only :meth:`run` and :meth:`run_until` differ:
     they drive the heap from a private ``asyncio`` event loop, awaiting
-    ``asyncio.sleep(dt)`` until the earliest event is due and then firing
-    it synchronously.  One event at a time, in ``(time, seq)`` order,
-    exactly like the sim loop.
+    ``asyncio.sleep(dt)`` until :meth:`next_event_time` is due and then
+    firing that event synchronously with ``step()``.  One event at a
+    time, in ``(time, seq)`` order, exactly like the sim loop.
 
     The owned asyncio loop is created lazily on first run and released by
     :meth:`close` (idempotent; the kernel calls it from ``Kernel.close``).
@@ -100,16 +100,18 @@ class AsyncioScheduler(EventLoop):
     # -- scheduling ------------------------------------------------------------
 
     def schedule_at(self, timestamp: float, callback: Callable[[], Any],
-                    label: str = "") -> Event:
+                    label: Label = "") -> Event:
         """Run *callback* at wall time *timestamp*, or immediately if past.
 
         Wall time moves between a caller computing a deadline and this
         call, so a slightly-past timestamp is reality, not a bug: the
         event is clamped to "now" and fires as soon as possible.  (The
         sim loop's strict past-check stays — determinism makes lateness
-        diagnosable there.)
+        diagnosable there.)  A NaN timestamp is still rejected: ``max``
+        keeps its first argument when the comparison is unordered, so the
+        NaN reaches ``schedule``'s guard.
         """
-        return self.schedule(max(0.0, timestamp - self.clock.now),
+        return self.schedule(max(timestamp - self.clock.now, 0.0),
                              callback, label)
 
     # -- execution -------------------------------------------------------------
@@ -140,25 +142,23 @@ class AsyncioScheduler(EventLoop):
                               "cannot run after close()")
         if self._aio is None:
             self._aio = asyncio.new_event_loop()
-        return self._aio.run_until_complete(self._drain(horizon, max_events))
+        return self._aio.run_until_complete(
+            self._drain_realtime(horizon, max_events))
 
-    async def _drain(self, horizon: Optional[float],
-                     max_events: Optional[int]) -> int:
+    async def _drain_realtime(self, horizon: Optional[float],
+                              max_events: Optional[int]) -> int:
         executed = 0
         while True:
+            upcoming = self.next_event_time()
+            due = (upcoming is not None
+                   and (horizon is None or upcoming <= horizon + TIME_EPSILON))
             if max_events is not None and executed >= max_events:
-                upcoming = self._peek()
-                if (upcoming is not None
-                        and (horizon is None
-                             or upcoming.time <= horizon + 1e-12)):
+                if due:
                     return executed  # due events remain: clock stays put
                 break  # nothing due: the horizon may still be slept out
-            upcoming = self._peek()
-            if upcoming is None:
+            if not due:
                 break
-            if horizon is not None and upcoming.time > horizon + 1e-12:
-                break
-            gap = upcoming.time - self.clock.now
+            gap = upcoming - self.clock.now
             if gap > _DUE_SLACK:
                 await asyncio.sleep(gap)
                 continue  # re-peek: the sleep may have been undershot

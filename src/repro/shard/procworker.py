@@ -214,7 +214,7 @@ class _Worker:
             loop.schedule_at(
                 max(arrival, now),
                 lambda m=message: transport._deliver(m),
-                label=f"shard-handoff-{message.message_id}")
+                label=("shard-handoff", message.message_id))
 
     def cmd_run_to(self, horizon, budget, handoffs):
         self._deliver_handoffs(handoffs)

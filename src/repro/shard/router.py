@@ -183,7 +183,7 @@ class MailRouter:
         return dest.loop.schedule_at(
             max(arrival, dest_now),
             lambda: dest.transport._deliver(message),
-            label=f"shard-handoff-{message.message_id}")
+            label=("shard-handoff", message.message_id))
 
     def drain_inboxes(self) -> int:
         """Schedule every parked handoff on its owner's loop.
@@ -215,7 +215,7 @@ class MailRouter:
                 dest.loop.schedule_at(
                     max(arrival, dest_now),
                     lambda m=message, d=dest: d.transport._deliver(m),
-                    label=f"shard-handoff-{message.message_id}")
+                    label=("shard-handoff", message.message_id))
             drained += len(batch)
         return drained
 

@@ -209,7 +209,7 @@ class SiteStore:
         """Arm the group-commit event *delay* out (at most one armed at a time)."""
         if self._commit_event is None:
             self._commit_event = self.loop.schedule(
-                delay, self._commit, label=f"store-commit-{self.site.name}")
+                delay, self._commit, label=("store-commit", self.site.name))
 
     def _rearm_commit(self, at: float) -> bool:
         """Pull the armed commit event forward to absolute time *at*.
@@ -249,7 +249,7 @@ class SiteStore:
                 attrs={"records": len(captures),
                        "bytes": self._captures_bytes(captures)})
         self._finalize_event = self.loop.schedule(
-            cost, self._finalize, label=f"store-fsync-{self.site.name}")
+            cost, self._finalize, label=("store-fsync", self.site.name))
         return cost
 
     def _commit(self) -> None:

@@ -129,6 +129,60 @@ class TestBriefcaseWireFormat:
         with pytest.raises(CodecError):
             unpack_briefcase(payload)
 
+    def test_unpack_previous_flat_or_dict_layouts_are_a_version_error(self):
+        import pickle
+        for wrapper in ((1, []), {"version": 2, "briefcase": {"folders": []}},
+                        (2,), [2, []]):
+            with pytest.raises(CodecError):
+                unpack_briefcase(pickle.dumps(wrapper))
+
+    def test_unpack_truncated_payload_raises(self):
+        payload = pack_briefcase(Briefcase([Folder("A", [b"x" * 64, "text"])]))
+        for cut in (1, len(payload) // 2, len(payload) - 1):
+            with pytest.raises(CodecError):
+                unpack_briefcase(payload[:cut])
+
+    @pytest.mark.parametrize("folders", [
+        [("A", ["not-bytes"])],          # a str element
+        [("A", [b"R-ok", 7])],           # one bad element among good ones
+        [("A", (b"R-ok",))],             # elements not a list
+        [("", [b"R-ok"])],               # the folder-name check still runs
+        [("A", [b"R-1"]), ("A", [b"R-2"])],  # duplicate folder names
+        [("A",)],                        # malformed entry
+        7,                               # not a folder list at all
+    ])
+    def test_unpack_validates_what_it_rebuilds(self, folders):
+        import pickle
+        with pytest.raises(CodecError):
+            unpack_briefcase(pickle.dumps((2, folders)))
+
+    def test_smuggled_non_bytes_element_is_caught_on_arrival(self):
+        briefcase = Briefcase([Folder("A", [b"fine"])])
+        briefcase.folder("A")._elements.append("smuggled past push()")
+        with pytest.raises(CodecError):
+            unpack_briefcase(pack_briefcase(briefcase))
+
+    def test_unpacked_folders_do_not_share_element_lists(self):
+        briefcase = Briefcase([Folder("A", [b"one"])])
+        rebuilt = unpack_briefcase(pack_briefcase(briefcase))
+        rebuilt.put("A", b"two")
+        assert len(briefcase.folder("A")) == 1 and len(rebuilt.folder("A")) == 2
+
+    @pytest.mark.parametrize("briefcase, expected", [
+        (Briefcase(), 32),
+        (Briefcase([Folder("A", [])]), 49),
+        (Briefcase([Folder("A", [b"raw"])]), 57),
+        (Briefcase([Folder("ÅÄ", ["text", "ünï"])]), 71),
+        (Briefcase([Folder("N", [7]), Folder("D", [{"x": [1, 2]}])]), 108),
+        (Briefcase([Folder("HOST", ["site-9"]), Folder("CONTACT", ["ag_py"]),
+                    Folder("REPORT", [b"\0" * 1000, bytearray(b"ab")])]), 1130),
+    ])
+    def test_wire_size_literals(self, briefcase, expected):
+        # The modelled bytes are the bandwidth experiments' currency: pinned
+        # as literals so a codec speed-up cannot move them by one byte.
+        assert briefcase.wire_size() == wire_size_of(briefcase) == expected
+        assert unpack_briefcase(pack_briefcase(briefcase)).wire_size() == expected
+
     def test_wire_size_matches_briefcase_model(self):
         briefcase = Briefcase([Folder("A", ["x" * 100])])
         assert wire_size_of(briefcase) == briefcase.wire_size()

@@ -78,6 +78,43 @@ class TestEnvironment:
         assert len(first) == 3
         assert all(0.0 <= value < 1.0 for value in first)
 
+    def test_rng_stream_is_seeded_from_kernel_seed_and_agent_id(self):
+        import random
+
+        def probe(ctx, bc):
+            yield ctx.sleep(0)
+            return ctx.agent_id, [ctx.rng.random() for _ in range(3)], ctx.rng.getrandbits(64)
+
+        agent_id, floats, bits = run_probe(
+            Kernel(lan(["a"]), config=KernelConfig(rng_seed=9)), probe)
+        reference = random.Random(f"9:{agent_id}")
+        assert floats == [reference.random() for _ in range(3)]
+        assert bits == reference.getrandbits(64)
+
+    def test_rng_is_not_built_until_a_behaviour_draws(self, kernel, monkeypatch):
+        import random
+        built = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr("repro.core.context.random.Random", CountingRandom)
+
+        def abstainer(ctx, bc):
+            yield ctx.sleep(0)
+            return "no draw"
+
+        def gambler(ctx, bc):
+            yield ctx.sleep(0)
+            return ctx.rng.random() + ctx.rng.random()
+
+        assert run_probe(kernel, abstainer) == "no draw"
+        assert built == []
+        run_probe(kernel, gambler)
+        assert len(built) == 1  # one stream per agent, built on first access
+
     def test_cabinet_access_creates_on_demand(self, kernel):
         def probe(ctx, bc):
             assert not ctx.has_cabinet("fresh")

@@ -8,7 +8,7 @@ from repro.core import Briefcase, Kernel, KernelConfig
 from repro.core.agent import AgentState
 from repro.core.errors import (KernelError, MeetError, SyscallError, UnknownAgentError,
                                UnknownSiteError)
-from repro.core.syscalls import Syscall
+from repro.core.syscalls import Meet, Sleep, Syscall, Terminate
 from repro.net import RshTransport, TcpTransport, lan
 
 
@@ -270,6 +270,37 @@ class TestSyscalls:
         agent_id = kernel.launch("a", agent)
         kernel.run()
         assert kernel.result_of(agent_id) == "unsupported"
+
+    def test_subclassed_syscalls_dispatch_as_their_base(self, kernel):
+        # Dispatch is keyed on the exact type first; a subclass must still
+        # reach its base's handler (and the most derived handled base wins).
+        class Nap(Sleep):
+            pass
+
+        class PoliteMeet(Meet):
+            pass
+
+        class LastWords(Terminate):
+            pass
+
+        def service(ctx, bc):
+            yield ctx.end_meet("served")
+
+        kernel.install_agent("a", "service", service)
+
+        def agent(ctx, bc):
+            before = ctx.now
+            yield Nap(0.25)
+            slept = ctx.now - before
+            result = yield PoliteMeet("service", Briefcase())
+            yield LastWords((slept, result.value))
+            return "unreachable"
+
+        agent_id = kernel.launch("a", agent)
+        kernel.run()
+        slept, served = kernel.result_of(agent_id)
+        assert slept >= 0.25 and served == "served"
+        assert kernel.meets == 1
 
     def test_runaway_agent_is_killed(self):
         kernel = Kernel(lan(["a"]), config=KernelConfig(max_agent_steps=50, rng_seed=1))

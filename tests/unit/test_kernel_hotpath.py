@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Briefcase, Kernel, KernelConfig
+from repro.core import Briefcase, Folder, Kernel, KernelConfig
 from repro.core.agent import AgentState
+from repro.core.codec import pack_briefcase
 from repro.core.registry import register_behaviour
 from repro.net import lan
 from repro.net.message import Message, MessageKind
@@ -209,6 +210,34 @@ class TestUndeliverableLedger:
                           kind=MessageKind.STATUS, payload={})
         kernel._on_message("nowhere", message)
         assert kernel.undeliverable == 1
+
+    def test_malformed_briefcase_payloads_are_counted_not_raised(self, kernel):
+        import pickle
+        good = pack_briefcase(Briefcase([Folder("X", [1])]))
+        bad_payloads = [
+            pickle.dumps((2, [("X", ["not-bytes"])])),   # non-bytes element
+            pickle.dumps((999, [])),                     # wrong wire version
+            good[:len(good) // 2],                       # truncated in flight
+        ]
+        for raw in bad_payloads:
+            kernel._on_message("b", Message(
+                source="a", destination="b", kind=MessageKind.AGENT_TRANSFER,
+                payload={"contact": "ag_py", "briefcase": raw}))
+        assert kernel.undeliverable == kernel.site("b").undeliverable == 3
+        assert kernel.arrivals == 0 and kernel.launched == 0
+
+    def test_smuggled_element_travels_the_wire_and_lands_undeliverable(self, kernel):
+        def sender(ctx, bc):
+            payload = Briefcase([Folder("X", [b"fine"])])
+            payload.folder("X")._elements.append("smuggled past push()")
+            accepted = yield ctx.transmit("b", "ag_py", payload)
+            return accepted
+
+        agent_id = kernel.launch("a", sender, system=True)
+        kernel.run()
+        assert kernel.result_of(agent_id) is True   # the network took it
+        assert kernel.undeliverable == 1 and kernel.arrivals == 0
+        assert kernel.stats.messages_delivered == 1
 
     def test_healthy_delivery_is_not_counted(self, kernel):
         def sender(ctx, bc):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import KernelError
-from repro.net.simclock import PAST_EPSILON, Event, EventLoop, SimClock
+from repro.core.timing import PAST_EPSILON
+from repro.net.simclock import Event, EventLoop, SimClock
 
 
 class TestSimClock:
@@ -213,12 +214,43 @@ class TestEventLoop:
     def test_step_on_empty_loop_returns_false(self):
         assert EventLoop().step() is False
 
-    def test_event_ordering(self):
-        early = Event(time=1.0, seq=0, callback=lambda: None)
-        late = Event(time=2.0, seq=1, callback=lambda: None)
-        assert early < late
-        assert late > early
-        assert early <= late
+    def test_heap_entries_order_by_time_then_seq_not_by_event(self):
+        # Ordering lives in the (time, seq, event) entry and is decided in C;
+        # the handle itself is deliberately unordered.
+        loop = EventLoop()
+        late = loop.schedule(2.0, lambda: None)
+        early = loop.schedule(1.0, lambda: None)
+        tie = loop.schedule(1.0, lambda: None)
+        assert sorted(loop._heap) == [(1.0, early.seq, early), (1.0, tie.seq, tie),
+                                      (2.0, late.seq, late)]
+        with pytest.raises(TypeError):
+            early < late  # noqa: B015
+
+    @pytest.mark.parametrize("how", ["schedule", "schedule_many", "schedule_at"])
+    def test_nan_times_are_rejected(self, how):
+        # NaN passed the old ``delay < 0`` guard and fired at an arbitrary
+        # position; as a tuple key it would silently break the heap invariant.
+        loop = EventLoop()
+        fired = []
+        loop.schedule(0.5, lambda: fired.append("half"))
+        nan = float("nan")
+        with pytest.raises(KernelError):
+            if how == "schedule":
+                loop.schedule(nan, lambda: fired.append("nan"))
+            elif how == "schedule_many":
+                loop.schedule_many([(0.1, lambda: fired.append("ok")),
+                                    (nan, lambda: fired.append("nan"))])
+            else:
+                loop.schedule_at(nan, lambda: fired.append("nan"))
+        assert loop.pending == 1
+        loop.run()
+        assert fired == ["half"] and loop.now == 0.5
+
+    def test_labels_are_formatted_only_when_printed(self):
+        loop = EventLoop()
+        assert "'wake-agent-000007'" in repr(
+            loop.schedule(0.1, lambda: None, label=("wake", "agent-000007")))
+        assert "'plain'" in repr(loop.schedule(0.1, lambda: None, label="plain"))
 
     def test_event_is_slotted(self):
         event = Event(time=1.0, seq=0, callback=lambda: None)

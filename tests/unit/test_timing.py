@@ -10,8 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import KernelError
-from repro.core.timing import (PAST_EPSILON, Clock, ScheduledEvent, Scheduler,
-                               default_timer)
+from repro.core.timing import (PAST_EPSILON, TIME_EPSILON, Clock, ScheduledEvent,
+                               Scheduler, default_timer)
 from repro.net import simclock
 from repro.net.simclock import EventLoop, SimClock
 from repro.rt import AsyncioScheduler, WallClock
@@ -28,11 +28,11 @@ def test_default_timer_is_monotonic_seconds():
     assert second >= first
 
 
-def test_past_epsilon_reexported_from_simclock():
-    # PAST_EPSILON moved to repro.core.timing; the historical simclock
-    # import path must keep working.
-    assert simclock.PAST_EPSILON == PAST_EPSILON
-    assert "PAST_EPSILON" in simclock.__all__
+def test_epsilons_live_in_timing_only():
+    # repro.core.timing is the one home of the tolerances; the historical
+    # simclock re-export is gone.
+    assert "PAST_EPSILON" not in simclock.__all__
+    assert 0 < TIME_EPSILON < PAST_EPSILON
 
 
 def test_sim_pair_satisfies_the_protocols():
