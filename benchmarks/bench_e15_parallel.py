@@ -26,7 +26,7 @@ Two claims:
   result, not a failure.
 
 Per-round coordination overhead (round wall-time minus the slowest burst:
-pool hops, inbox drains, worker round-trips) is broken out per arm, and
+pool hops, worker round-trips) is broken out per arm, and
 every number lands in ``benchmarks/results/e15_parallel.json``.
 
 Run with ``--smoke`` for the CI sanity pass (tiny populations, inproc +
@@ -127,7 +127,7 @@ def test_e15_parallel_backends(parallel_sweep, smoke, emit_report,
                    "of an (arm, shards) cell: the backend changes where "
                    "bursts execute, never what the simulation does")
     table.add_note("'overhead s' is per-round coordination: round wall-time "
-                   "minus the slowest burst (pool hops, inbox drains, worker "
+                   "minus the slowest burst (pool hops, worker "
                    "round-trips)")
     if cpus < MIN_CPUS_FOR_SPEEDUP:
         table.add_note(f"host has {cpus} CPU(s): the wall-clock speedup "

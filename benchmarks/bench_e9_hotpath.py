@@ -11,7 +11,7 @@ Two measurements:
 * **query cost vs. history** — a kernel with a fixed resident population
   is driven through ever more launch/finish history; the per-query cost
   of the indexed path stays flat while the brute-force ledger scan (the
-  pre-index implementation, kept as ``Kernel._agents_at_scan`` for
+  pre-index implementation, kept as ``Engine._agents_at_scan`` for
   verification) grows linearly.  The acceptance gate asserts the indexed
   path is ≥5x faster at the 10k-agent point.
 * **end-to-end throughput** — the 10k-agent / 20-site load-balancing
@@ -79,7 +79,7 @@ def query_cost_rows():
         indexed_us = _time_per_query(kernel.site_load, sites, repetitions=500)
         scan_us = _time_per_query(
             lambda name: kernel.site(name).load_metric(
-                len(kernel._agents_at_scan(name))),
+                len(kernel.engines[0]._agents_at_scan(name))),
             sites, repetitions=20)
         rows.append((history, kernel.launched, RESIDENTS, indexed_us, scan_us))
     return rows
@@ -95,7 +95,7 @@ def test_e9_query_cost_independent_of_history(query_cost_rows, emit_report):
         table.add_row(history, launched, residents, round(indexed_us, 3),
                       round(scan_us, 3), round(scan_us / indexed_us, 1))
     table.add_note("scan is the pre-index implementation "
-                   "(kept as Kernel._agents_at_scan for verification)")
+                   "(kept as Engine._agents_at_scan for verification)")
     emit_report(report)
 
     # The indexed path only sees residents: its cost must not track history.
@@ -123,7 +123,7 @@ def test_e9_high_population_throughput(benchmark, emit_report):
     sites = params.site_names()
     scan_us = _time_per_query(
         lambda name: kernel.site(name).load_metric(
-            len(kernel._agents_at_scan(name))),
+            len(kernel.engines[0]._agents_at_scan(name))),
         sites, repetitions=20)
     modelled_scan_wall = indexed_wall + result.load_queries * scan_us / 1e6
 

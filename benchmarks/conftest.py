@@ -1,6 +1,7 @@
 """Shared fixtures for the experiment benchmarks.
 
-Every benchmark module regenerates one experiment of EXPERIMENTS.md: it
+Every benchmark module regenerates one experiment (described in its own
+docstring; the performance ledger is separate, see ``ledger/README.md``): it
 builds the experiment's table(s) once per session (the sweep is the
 expensive part), prints them (visible with ``-s``), saves them under
 ``benchmarks/results/``, and lets pytest-benchmark time one representative

@@ -80,7 +80,7 @@ def build_and_run(shards: int, backend: str = "inproc") -> Kernel:
 def main() -> None:
     # shard_backend picks how the per-round shard bursts execute:
     # "inproc" (serial, bit-identical reference), "thread" (persistent
-    # pool + locked handoff inboxes), or "process" (spawned workers).
+    # pool), or "process" (spawned workers).
     # The kernel is a context manager; exiting the block tears down the
     # shard engines (worker threads/processes) via Kernel.close().
     with build_and_run(shards=SHARDS, backend="thread") as sharded:

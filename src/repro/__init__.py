@@ -11,7 +11,8 @@ The package layout mirrors the paper:
 * :mod:`repro.scheduling` — brokers, monitors, tickets, protected agents (section 4);
 * :mod:`repro.fault` — rear guards and fault-tolerant moves (section 5);
 * :mod:`repro.apps` — StormCast and the agent-based mail system (section 6);
-* :mod:`repro.bench` — shared benchmark harness for EXPERIMENTS.md.
+* :mod:`repro.bench` — shared harness of the experiment benchmarks
+  (``benchmarks/bench_e*.py``).
 """
 
 from repro.core import Briefcase, FileCabinet, Folder, Kernel, KernelConfig

@@ -1,7 +1,8 @@
 """Shared benchmark harness: metrics, tables, and the reusable workloads.
 
 Every benchmark under ``benchmarks/`` builds its rows from these helpers so
-that EXPERIMENTS.md and the benchmark output stay in the same format.
+that every experiment's output stays in the same format (the performance
+ledger, ``benchmarks/ledger/``, deliberately shares none of this).
 """
 
 from repro.bench.baselines import (DATA_SERVER_NAME, DATA_SINK_NAME, PULL_CABINET,

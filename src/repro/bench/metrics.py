@@ -1,4 +1,4 @@
-"""Metric helpers shared by the benchmark harness and EXPERIMENTS.md tables.
+"""Metric helpers shared by the benchmark harness and its experiment tables.
 
 Everything here is plain arithmetic over the counters the kernel and the
 network statistics expose — kept separate so benchmark scripts stay focused

@@ -1,11 +1,11 @@
-"""Plain-text experiment tables, printed the way EXPERIMENTS.md records them.
+"""Plain-text experiment tables, one format for every experiment benchmark.
 
 The paper has no numeric tables of its own (it is a position paper), so the
-reproduction defines its experiment tables in EXPERIMENTS.md and every
-benchmark regenerates one of them through this tiny reporter: fixed-width
-columns, one row per parameter point, printed to stdout so
-``pytest benchmarks/ --benchmark-only -s`` shows the same rows the document
-quotes.
+reproduction defines its experiment tables in the docstrings of
+``benchmarks/bench_e*.py`` and every benchmark regenerates its own through
+this tiny reporter: fixed-width columns, one row per parameter point,
+printed to stdout so ``pytest benchmarks/bench_e*.py -s`` shows them (and
+saved under ``benchmarks/results/``).
 """
 
 from __future__ import annotations

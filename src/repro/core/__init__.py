@@ -23,6 +23,7 @@ from repro.core.cabinet import FileCabinet
 from repro.core.codec import (attach_code, behaviour_from_code, code_for, code_from_source,
                               pack_briefcase, unpack_briefcase, wire_size_of)
 from repro.core.context import AgentContext
+from repro.core.engine import Engine
 from repro.core.folder import Folder
 from repro.core.kernel import Kernel, KernelConfig
 from repro.core.lifecycle import (AgentRecord, AgentTable, KeepAll, KeepCounts,
@@ -44,7 +45,7 @@ __all__ = [
     "BehaviourRegistry", "default_registry", "register_behaviour", "resolve_behaviour",
     "code_for", "code_from_source", "attach_code", "behaviour_from_code",
     "pack_briefcase", "unpack_briefcase", "wire_size_of",
-    "Site", "Kernel", "KernelConfig",
+    "Site", "Kernel", "KernelConfig", "Engine",
     "AgentTable", "AgentRecord", "RetentionPolicy",
     "KeepAll", "KeepResults", "KeepCounts", "make_retention",
 ]

@@ -1,7 +1,8 @@
 """Network and kernel statistics counters.
 
-Every experiment in EXPERIMENTS.md reads its numbers from a
-:class:`NetworkStats` (bytes, messages, hops) or from the kernel's agent
+Every experiment (the ``benchmarks/bench_e*.py`` docstrings describe them;
+``benchmarks/ledger/README.md`` the performance ledger) reads its numbers
+from a :class:`NetworkStats` (bytes, messages, hops) or from the kernel's agent
 ledger, so the counters live in one small, well-tested module.
 """
 
@@ -310,21 +311,16 @@ class NetworkStats:
         self.state_lost_folders += folders
         self.state_lost_records += records
 
-    def record_shard_handoff(self, size: int, late: bool = False) -> None:
-        """Count one message handed across a shard boundary."""
+    def record_shard_handoff(self, size: int) -> None:
+        """Count one message handed across a shard boundary (origin side)."""
         self.shard_handoffs += 1
         self.shard_handoff_bytes += size
-        if late:
-            self.shard_late_arrivals += 1
 
     def record_shard_late_arrival(self) -> None:
         """Count a handoff clamped into the destination shard's past.
 
-        The direct (in-process) handoff path counts lateness on the origin
-        shard at dispatch time; the queued paths (thread inboxes, process
-        workers) only learn it destination-side at enqueue time and record
-        it there.  Either way each late arrival is counted exactly once, so
-        merged totals agree across backends.
+        Lateness is judged destination-side, against the owning engine's
+        clock at the moment it schedules the handoff.
         """
         self.shard_late_arrivals += 1
 

@@ -2,13 +2,14 @@
 
 The paper's TACOMA system ran agents across many independent Unix hosts;
 this package lets the reproduction do the same with its simulation.  With
-``KernelConfig(shards=N)`` the :class:`~repro.core.kernel.Kernel` becomes
-a facade over a :class:`ShardSet`: sites are partitioned across N shard
-engines (deterministic CRC-32 hash or an explicit placement map), each
-with its own :class:`~repro.net.simclock.EventLoop`, transport and
-ledgers, advanced in conservative synchronisation rounds
-(:class:`ClockSync`) with cross-shard traffic handed over by the
-:class:`MailRouter` through a shard-boundary transport adapter.
+``KernelConfig(shards=N)`` the :class:`~repro.core.kernel.Kernel` facade
+runs N :class:`~repro.core.engine.Engine` objects under a
+:class:`ShardSet`: sites are partitioned across them (deterministic CRC-32
+hash or an explicit placement map), each with its own
+:class:`~repro.net.simclock.EventLoop`, transport and ledgers, advanced in
+conservative synchronisation rounds (:class:`ClockSync`), with cross-shard
+traffic spooled at send time by a :class:`ShardBoundary` transport adapter
+and routed to its owner by the coordinator between rounds.
 
 >>> from repro.core import Kernel, KernelConfig
 >>> from repro.net import lan
@@ -22,24 +23,23 @@ execute (:mod:`repro.shard.backend`): ``inproc`` (serial, the default),
 (long-lived spawn workers, real multi-core parallelism).  All three are
 property-tested to produce identical simulation results.
 
-``shards=1`` (the default) never builds any of this: the kernel runs the
-classic single event loop, behaviourally identical to every prior release.
+``shards=1`` (the default) never builds any of this: it is the same facade
+over one engine, which has nothing to coordinate and runs its loop directly.
 """
 
 from repro.shard.backend import (BACKENDS, InprocBackend, ShardBackend,
-                                 ThreadBackend, make_backend,
+                                 ThreadBackend, build_engines, make_backend,
                                  process_backend_available)
 from repro.shard.clocksync import MIN_LOOKAHEAD, ClockSync
 from repro.shard.placement import default_shard_of, resolve_placement
 from repro.shard.procworker import ProcessBackend, WorkerSpec
-from repro.shard.router import MailRouter, ShardBoundary, ShardContext
+from repro.shard.router import ShardBoundary
 from repro.shard.shardset import Shard, ShardSet
 
 __all__ = [
     "BACKENDS", "InprocBackend", "ShardBackend", "ThreadBackend",
-    "make_backend", "process_backend_available",
-    "ClockSync", "MIN_LOOKAHEAD",
-    "MailRouter", "ShardBoundary", "ShardContext",
+    "build_engines", "make_backend", "process_backend_available",
+    "ClockSync", "MIN_LOOKAHEAD", "ShardBoundary",
     "ProcessBackend", "WorkerSpec",
     "Shard", "ShardSet",
     "default_shard_of", "resolve_placement",

@@ -1,147 +1,100 @@
 """Shard execution backends: where each round's bursts actually run.
 
-PR 6's sharded kernel *modelled* parallel hosts — E14's aggregate
-throughput divided total events by the slowest shard's busy time while
-everything still executed serially on one thread.  The backend seam makes
-the model real: the :class:`~repro.shard.shardset.ShardSet` computes
-horizons and builds a per-round **burst plan** (which shards run, to which
-horizon), and the backend decides where those bursts execute:
+A sharded kernel's engines all run the same code
+(:meth:`Engine.run_to <repro.core.engine.Engine.run_to>`: schedule the
+handed-over mail, run the loop to the horizon, return what was spooled for
+other shards).  The :class:`~repro.shard.shardset.ShardSet` decides *what*
+runs — horizons, the per-round burst plan, the routing of handoffs between
+rounds — and the backend decides only *where* each ``run_to`` executes:
 
 ``inproc``
-    Today's serial round loop, bit-identical to PR 6.  The baseline every
-    other backend is property-tested against.
+    Here, one burst after another on the coordinator thread.  The
+    baseline every other backend is property-tested against.
 
 ``thread``
-    One persistent worker thread per shard (a ``ThreadPoolExecutor``).
+    In a persistent pool thread, one per shard (a ``ThreadPoolExecutor``).
     Shards share no mutable state during a round: each burst touches only
-    its own engine, and cross-shard handoffs go through the
-    :class:`~repro.shard.router.MailRouter`'s per-owning-shard locked
-    inboxes, drained by the coordinator at the next round start
-    (:meth:`begin_round`).  Conservative horizons — not locks — remain the
-    correctness mechanism; the locks only make the *enqueue* safe.  Under
-    CPython's GIL this parallelises the loop's C-level work (heap ops,
-    pickling) but not pure-Python event callbacks — it is the stepping
-    stone that proves the seam, while ``process`` delivers real cores.
+    its own engine and the handoffs it was handed.  Conservative horizons —
+    not locks — are the correctness mechanism.  Under CPython's GIL this
+    parallelises the loop's C-level work (heap ops, pickling) but not
+    pure-Python event callbacks — it is the stepping stone that proves the
+    seam, while ``process`` delivers real cores.
 
 ``process``
-    One long-lived spawn worker per shard
-    (:class:`~repro.shard.procworker.ProcessBackend`): the coordinator
-    sends ``run_to(horizon, budget)`` commands over pipes and receives
-    ``(events, busy, now, next_event_time, handoffs)`` replies; facade
-    views are served from per-run state digests.
+    Across a pipe, in one long-lived spawn worker per shard
+    (:class:`~repro.shard.procworker.ProcessBackend`): the same calls,
+    pickled; facade views are served from per-run state digests.
 
 Budget semantics are part of the contract: ``run(max_events)`` consumes
-one *global* budget in shard order, so any backend given a finite budget
-executes that round serially — identical stop points on every backend is
-what the budget-stop tests pin.
+one *global* budget in shard order, so the coordinator runs a budgeted
+round one :meth:`~ShardBackend.run_to` at a time on every backend —
+identical stop points everywhere is what the budget-stop tests pin.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import KernelError
 from repro.core.timing import default_timer
 
 __all__ = ["BACKENDS", "InprocBackend", "ShardBackend", "ThreadBackend",
-           "make_backend", "process_backend_available"]
+           "build_engines", "make_backend", "process_backend_available"]
 
 #: the valid ``KernelConfig.shard_backend`` values
 BACKENDS = ("inproc", "thread", "process")
 
+#: one burst's outcome: (events executed, busy seconds, outbound handoffs)
+Burst = Tuple[int, float, list]
+
 
 class ShardBackend:
-    """Executes one round's per-shard bursts; subclasses pick the substrate.
+    """Runs engine bursts here, serially, unless a subclass says elsewhere.
 
-    The coordinator calls, per :meth:`ShardSet.run <repro.shard.shardset.
-    ShardSet.run>` round: :meth:`begin_round` (make queued cross-shard
-    traffic visible to its owners), then :meth:`run_bursts` with the burst
-    plan, plus :meth:`advance_clock` for shards idle this round; once per
-    ``run()`` call it calls :meth:`finish_run` (distributed backends pull
-    state digests here) and, at kernel shutdown, :meth:`close`.
+    The coordinator calls :meth:`run_round` with each unbudgeted round's
+    plan (or :meth:`run_to` burst by burst under an event budget), once per
+    ``run()`` call :meth:`finish_run`, and at kernel shutdown :meth:`close`.
     """
 
     name = "abstract"
-    #: True when shard engines live out-of-process: the facade must serve
-    #: stats/table/site views from digests instead of direct engine access
-    distributed = False
+    #: whether handoffs taken by the coordinator are scheduled in this
+    #: process and so count toward ``ShardSet.handoffs_drained``; the
+    #: process backend's ride the pipe and were never part of that number
+    drains_in_process = True
 
     def __init__(self, timer: Callable[[], float] = default_timer):
         self.timer = timer
 
-    # -- per-round hooks --------------------------------------------------------
+    def run_to(self, shard, horizon: Optional[float], budget: Optional[int],
+               handoffs: Sequence) -> Burst:
+        """One timed burst of *shard*'s engine; horizon ``None`` = drain."""
+        start = self.timer()
+        executed, outbound = shard.engine.run_to(horizon, budget, handoffs)
+        return executed, self.timer() - start, outbound
 
-    def begin_round(self) -> int:
-        """Deliver queued cross-shard handoffs; returns how many moved."""
-        return 0
+    def run_round(self, plans: Sequence[tuple]) -> List[Burst]:
+        """Run every ``(shard, horizon, handoffs)`` burst of one round."""
+        return [self.run_to(shard, horizon, None, handoffs)
+                for shard, horizon, handoffs in plans]
 
-    def run_bursts(self, plans: List[Tuple[object, Optional[float]]],
-                   budget: Optional[int]) -> Tuple[int, float]:
-        """Run every ``(shard, horizon)`` burst; horizon ``None`` = drain.
-
-        Returns ``(events_executed, max_single_burst_seconds)``; the
-        coordinator derives per-round overhead as round wall-time minus the
-        slowest burst.  A finite *budget* forces serial shard-order
-        execution so the global stop point matches ``inproc`` exactly.
-        """
-        raise NotImplementedError
-
-    def advance_clock(self, shard, target: float) -> None:
-        """Move an idle shard's clock to *target* (never backwards).
-
-        Replicates the clock advance ``run_until`` would have performed,
-        without charging the shard busy time for a zero-event burst.
-        """
-        clock = shard.engine.loop.clock
-        clock._advance_to(max(clock.now, target))
-
-    # -- lifecycle --------------------------------------------------------------
-
-    def finish_run(self) -> None:
-        """Called once when ``ShardSet.run`` returns control to the caller."""
+    def finish_run(self, flushes: Sequence[tuple]) -> None:
+        """``ShardSet.run`` is returning: land every ``(shard, clock target,
+        leftover handoffs)``."""
+        for shard, target, handoffs in flushes:
+            shard.engine.advance_clock(target, handoffs)
 
     def close(self) -> None:
         """Release worker threads / processes (idempotent)."""
-
-    # -- shared helpers ---------------------------------------------------------
-
-    def _burst(self, shard, horizon: Optional[float],
-               budget: Optional[int]) -> Tuple[int, float]:
-        loop = shard.engine.loop
-        start = self.timer()
-        if horizon is None:
-            executed = loop.run(max_events=budget)
-        else:
-            executed = loop.run_until(horizon, max_events=budget)
-        elapsed = self.timer() - start
-        shard.busy_seconds += elapsed
-        return executed, elapsed
-
-    def _serial(self, plans, budget: Optional[int]) -> Tuple[int, float]:
-        total = 0
-        busy_max = 0.0
-        for shard, horizon in plans:
-            remaining = None if budget is None else budget - total
-            if remaining is not None and remaining <= 0:
-                break
-            executed, elapsed = self._burst(shard, horizon, remaining)
-            total += executed
-            if elapsed > busy_max:
-                busy_max = elapsed
-        return total, busy_max
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
 
 class InprocBackend(ShardBackend):
-    """The serial PR 6 round loop: every burst on the coordinator thread."""
+    """The serial baseline: every burst on the coordinator thread."""
 
     name = "inproc"
-
-    def run_bursts(self, plans, budget):
-        return self._serial(plans, budget)
 
 
 class ThreadBackend(ShardBackend):
@@ -149,42 +102,28 @@ class ThreadBackend(ShardBackend):
 
     The pool is created lazily on the first parallel round and reused for
     the kernel's lifetime (persistent workers, no per-round thread spawn
-    cost).  Single-shard plans and budgeted runs fall back to the serial
-    path — a budget must be consumed in shard order, and one burst gains
-    nothing from a pool hop.
+    cost).  A single-burst round runs on the coordinator thread — one
+    burst gains nothing from a pool hop.
     """
 
     name = "thread"
 
-    def __init__(self, router, n_shards: int,
+    def __init__(self, n_shards: int,
                  timer: Callable[[], float] = default_timer):
         super().__init__(timer)
-        self.router = router
         self.n_shards = int(n_shards)
         self._executor: Optional[ThreadPoolExecutor] = None
 
-    def begin_round(self) -> int:
-        return self.router.drain_inboxes()
-
-    def run_bursts(self, plans, budget):
-        if not plans:
-            return 0, 0.0
-        if budget is not None or len(plans) == 1:
-            return self._serial(plans, budget)
+    def run_round(self, plans):
+        if len(plans) < 2:
+            return super().run_round(plans)
         if self._executor is None:
             self._executor = ThreadPoolExecutor(
                 max_workers=self.n_shards,
                 thread_name_prefix="repro-shard")
-        futures = [self._executor.submit(self._burst, shard, horizon, None)
-                   for shard, horizon in plans]
-        total = 0
-        busy_max = 0.0
-        for future in futures:
-            executed, elapsed = future.result()
-            total += executed
-            if elapsed > busy_max:
-                busy_max = elapsed
-        return total, busy_max
+        futures = [self._executor.submit(self.run_to, shard, horizon, None, handoffs)
+                   for shard, horizon, handoffs in plans]
+        return [future.result() for future in futures]
 
     def close(self) -> None:
         if self._executor is not None:
@@ -192,26 +131,48 @@ class ThreadBackend(ShardBackend):
             self._executor = None
 
 
-def make_backend(name: str, router=None, n_shards: int = 0,
+def make_backend(name: str, n_shards: int = 0,
                  timer: Callable[[], float] = default_timer) -> ShardBackend:
-    """Resolve a ``KernelConfig.shard_backend`` name to a backend instance.
+    """Resolve an in-process ``KernelConfig.shard_backend`` name.
 
-    ``process`` is constructed directly by the kernel facade (it needs the
-    full worker build spec, not just the router); asking for it here names
-    the entry point so the error is actionable.
+    ``process`` comes with its engines (:func:`build_engines`: it needs the
+    full worker build spec, not just a shard count); asking for it here
+    names the entry point so the error is actionable.
     """
     if name == "inproc":
         return InprocBackend(timer)
     if name == "thread":
-        if router is None or n_shards <= 0:
-            raise KernelError("thread backend needs a router and shard count")
-        return ThreadBackend(router, n_shards, timer)
+        if n_shards <= 0:
+            raise KernelError("thread backend needs a shard count")
+        return ThreadBackend(n_shards, timer)
     if name == "process":
         raise KernelError(
-            "the process backend is built by the Kernel facade "
+            "the process backend is built with its engines by build_engines() "
             "(repro.shard.procworker.ProcessBackend), not make_backend()")
     raise KernelError(
         f"unknown shard_backend {name!r}; expected one of {BACKENDS}")
+
+
+def build_engines(topology, config, transport, install_system_agents,
+                  registry, retention, placement):
+    """``(engines, backend)`` for a sharded kernel, per ``config.shard_backend``.
+
+    In-process backends get real :class:`~repro.core.engine.Engine` objects
+    sharing *topology* and the live *placement* map; ``process`` gets one
+    :class:`~repro.shard.procworker.ProcessEngineProxy` per spawned worker,
+    each worker holding copies.
+    """
+    if config.shard_backend == "process":
+        from repro.shard.procworker import ProcessBackend
+        backend = ProcessBackend.spawn(topology, config, transport,
+                                       install_system_agents, registry,
+                                       retention, placement)
+        return backend.proxies, backend
+    from repro.core.engine import Engine
+    engines = [Engine(topology, config, transport, install_system_agents,
+                      registry, retention, shard_id=shard_id, placement=placement)
+               for shard_id in range(config.shards)]
+    return engines, make_backend(config.shard_backend, config.shards)
 
 
 # -- process-backend availability probe ----------------------------------------

@@ -24,8 +24,8 @@ floor (``KernelConfig.flow_window_min``): a batchable message parks in an
 outbox for at least the minimum flow window before it can leave, so the
 windows widen the horizon.  The bonus is optimistic for traffic that
 bypasses the fabric (``AGENT_TRANSFER`` is never batched), which is why
-the :class:`~repro.shard.router.MailRouter` clamps and counts late
-arrivals; with the default ``flow_window_min = 0`` the sync is purely
+the owning engine clamps and counts late arrivals when it schedules a
+handoff; with the default ``flow_window_min = 0`` the sync is purely
 conservative and the clamp never fires.
 
 Progress: the shard with the globally minimal ``T`` always receives a
@@ -54,7 +54,9 @@ class ClockSync:
                  shards: int, flow_bonus: float = 0.0,
                  min_lookahead: float = MIN_LOOKAHEAD):
         self._topology = topology
-        self._placement = placement  # shared with the MailRouter (live view)
+        #: site name -> shard id: the kernel facade's live map (late sites
+        #: appear in it), which the coordinator also routes handoffs by
+        self.placement = placement
         self._shards = shards
         self.flow_bonus = max(0.0, float(flow_bonus))
         self.min_lookahead = float(min_lookahead)
@@ -97,7 +99,7 @@ class ClockSync:
         shortest paths over the whole site graph — the difference between
         a per-edit blip and a multi-second stall on the 2k-site fabric.
         """
-        placement = self._placement
+        placement = self.placement
         size = self._shards
         dist = [[math.inf] * size for _ in range(size)]
         for i in range(size):

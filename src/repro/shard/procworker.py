@@ -1,34 +1,32 @@
 """The process shard backend: one long-lived spawn worker per shard.
 
 This is the backend that turns the E14 parallel-host *model* into real
-wall-clock speedup on multi-core hosts — each shard engine is a full
-:class:`~repro.core.kernel.Kernel` living in its own interpreter, so
-pure-Python event execution escapes the GIL entirely.
+wall-clock speedup on multi-core hosts — each shard's
+:class:`~repro.core.engine.Engine` lives in its own interpreter, so
+pure-Python event execution escapes the GIL entirely.  It is the same
+class the in-process backends run, spoken to through the same
+:data:`~repro.core.engine.ENGINE_PROTOCOL`; only the calls are pickled.
 
 Wire protocol (pickle over ``multiprocessing`` pipes, one command in /
 one reply out, strictly alternating per worker):
 
-* coordinator -> worker: ``(command, *operands)`` tuples.  The core
-  command is ``("run_to", horizon, budget, handoffs)`` — deliver the
-  listed cross-shard handoffs, run the loop to *horizon* under *budget*,
-  and reply with ``(executed, busy_seconds, outbound_handoffs, dirty)``.
-  The rest are state mirroring (``digest``, ``advance_clock``) and facade
-  delegation (``call``, ``transport``, ``partition``, ``add_site``, ...).
-* worker -> coordinator: ``("ok", (value, now, next_event_time))`` or
-  ``("error", summary, traceback)``.  Every reply carries the worker's
-  clock and next-event time so the coordinator's
+* coordinator -> worker: ``("call", method, args, kwargs)`` for any
+  protocol method — ``run_to(horizon, budget, handoffs)`` each round,
+  ``launch``/``crash_site``/``add_site``/... between rounds — plus
+  ``("digest",)`` (state mirroring) and ``("stop",)``.
+* worker -> coordinator: ``("ok", (value, now, next_event_time,
+  seconds))`` or ``("error", summary, traceback)``.  Every reply carries
+  the worker's clock and next-event time so the coordinator's
   :class:`MirrorLoop` never goes stale after a command that scheduled
   events (a ``launch`` between rounds must move the mirrored next-event
-  time, or the coordinator would believe the cluster idle and stop).
+  time, or the coordinator would believe the cluster idle and stop), and
+  the seconds the call took in the worker (a burst's busy time, without
+  the pipe).
 
-Cross-shard mail is pickled at the boundary: a worker spools outbound
-``(arrival, message)`` pairs during its burst (the
-:class:`WorkerRouter`), ships them with its reply, and the coordinator
-routes each to the destination proxy's pending list; they ride the next
-command to that worker.  Arrival timestamps are fixed at send time and
-are at least every granted horizon (the same argument that makes the
-thread backend's inbox deferral safe), so a handoff can never be needed
-before it has crossed.
+Cross-shard mail is pickled with the calls: ``run_to`` returns what the
+burst spooled for other shards, the coordinator routes it, and it rides
+the owner's next ``run_to``/``advance_clock`` — exactly the in-process
+path (see :mod:`repro.shard.router`).
 
 Facade views (``stats``, ``table``, ``sites``, ``event_log``) are served
 from per-run **state digests**: after each ``ShardSet.run`` the
@@ -51,19 +49,23 @@ from __future__ import annotations
 import importlib
 import importlib.machinery
 import multiprocessing
+import pickle
 import random
 import sys
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import partial
+from types import SimpleNamespace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.errors import KernelError, UnknownSiteError
+from repro.core.engine import ENGINE_PROTOCOL, Engine
+from repro.core.errors import KernelError
 from repro.core.lifecycle import AgentRecord, make_retention
-from repro.core.timing import PAST_EPSILON, default_timer
+from repro.core.registry import default_registry
+from repro.core.timing import default_timer
 from repro.net.stats import NetworkStats
 from repro.obs import MetricsRegistry, SpanMirror
 from repro.shard.backend import ShardBackend
-from repro.shard.router import ShardBoundary, ShardContext
 from repro.store.policy import resolve_policy
 
 __all__ = ["ProcessBackend", "ProcessEngineProxy", "WorkerSpec",
@@ -78,8 +80,8 @@ __all__ = ["ProcessBackend", "ProcessEngineProxy", "WorkerSpec",
 class WorkerSpec:
     """Everything a spawn worker needs to rebuild its shard engine.
 
-    Must pickle cleanly — the facade probes that before spawning anything
-    so a bad config fails fast with a useful error instead of a cryptic
+    Must pickle cleanly — :meth:`ProcessBackend.spawn` probes that before
+    starting anything, so a bad config fails fast with a useful error instead of a cryptic
     mid-spawn traceback.
     """
 
@@ -89,7 +91,6 @@ class WorkerSpec:
     config: Any
     install_system_agents: bool
     retention: Any
-    owned: FrozenSet[str]
     placement: Dict[str, int]
     #: modules imported before the engine is built, so behaviours that are
     #: registered at import time exist in the worker's default registry
@@ -131,65 +132,18 @@ def preload_module_names(registry) -> Tuple[str, ...]:
 # worker side (runs in the spawned child)
 # ==============================================================================
 
-class WorkerRouter:
-    """Worker-side stand-in for the MailRouter: placement + outbound spool.
-
-    The engine's transport consults a normal :class:`ShardBoundary` over
-    this router, so the send-time handoff semantics are identical to the
-    in-process backends; the only difference is that a dispatched message
-    lands in ``outbound`` (to ride the next reply) instead of directly on
-    the destination loop.
-    """
-
-    def __init__(self, shard_id: int, placement: Dict[str, int]):
-        self.shard_id = shard_id
-        self.placement = dict(placement)
-        self.engine = None  # late-bound: the worker's engine kernel
-        self.outbound: List[Tuple[float, Any]] = []
-        self.topology_dirty = False
-
-    def boundary_for(self, shard_id: int) -> ShardBoundary:
-        return ShardBoundary(self, shard_id)
-
-    def clock_sync_invalidate(self) -> None:
-        # Reported to the coordinator with the next reply; the real
-        # ClockSync lives coordinator-side.
-        self.topology_dirty = True
-
-    def assign(self, site_name: str, shard_id: int) -> None:
-        self.placement[site_name] = shard_id
-
-    def unassign(self, site_name: str) -> None:
-        self.placement.pop(site_name, None)
-
-    def dispatch(self, origin_shard: int, message, delay: float):
-        from repro.shard.router import _record_handoff_span
-        arrival = self.engine.loop.now + delay
-        _record_handoff_span(self.engine, origin_shard,
-                             self.placement[message.destination], message,
-                             arrival)
-        self.engine.stats.record_shard_handoff(message.size_bytes())
-        entry = (arrival, message)
-        self.outbound.append(entry)
-        return entry
-
-
 class _Worker:
     """The command loop around one shard engine (child process)."""
 
     def __init__(self, conn, spec: WorkerSpec):
         for module in spec.preload_modules:
             importlib.import_module(module)
-        from repro.core.kernel import Kernel  # after preloads, like the parent
         self.conn = conn
-        self.router = WorkerRouter(spec.shard_id, spec.placement)
-        self.kernel = Kernel(
-            topology=spec.topology, transport=spec.transport,
-            config=spec.config,
+        self.engine = Engine(
+            spec.topology, spec.config, spec.transport,
             install_system_agents=spec.install_system_agents,
-            retention=spec.retention,
-            _shard_ctx=ShardContext(spec.shard_id, spec.owned, self.router))
-        self.router.engine = self.kernel
+            retention=spec.retention, shard_id=spec.shard_id,
+            placement=dict(spec.placement))
         #: agent_id -> last (state, steps, site) shipped, for table deltas
         self._sent_markers: Dict[str, tuple] = {}
         self._event_log_sent = 0
@@ -197,86 +151,14 @@ class _Worker:
 
     # -- command handlers -------------------------------------------------------
 
-    def _deliver_handoffs(self, handoffs: Sequence[Tuple[float, Any]]) -> None:
-        if not handoffs:
-            return
-        loop = self.kernel.loop
-        transport = self.kernel.transport
-        stats = self.kernel.stats
-        now = loop.now
-        # Stable arrival sort: the coordinator appends in (origin, seq)
-        # order, so this yields the same total order as the thread
-        # backend's inbox drain.
-        handoffs = sorted(handoffs, key=lambda entry: entry[0])
-        for arrival, message in handoffs:
-            if arrival < now - PAST_EPSILON:
-                stats.record_shard_late_arrival()
-            loop.schedule_at(
-                max(arrival, now),
-                lambda m=message: transport._deliver(m),
-                label=("shard-handoff", message.message_id))
-
-    def cmd_run_to(self, horizon, budget, handoffs):
-        self._deliver_handoffs(handoffs)
-        loop = self.kernel.loop
-        start = default_timer()
-        if horizon is None:
-            executed = loop.run(max_events=budget)
-        else:
-            executed = loop.run_until(horizon, max_events=budget)
-        busy = default_timer() - start
-        outbound, self.router.outbound = self.router.outbound, []
-        dirty, self.router.topology_dirty = self.router.topology_dirty, False
-        return (executed, busy, outbound, dirty)
-
-    def cmd_advance_clock(self, target, handoffs):
-        self._deliver_handoffs(handoffs)
-        clock = self.kernel.loop.clock
-        clock._advance_to(max(clock.now, target))
-        return None
-
     def cmd_call(self, method, args, kwargs):
-        return getattr(self.kernel, method)(*args, **kwargs)
-
-    def cmd_transport(self, method, args, kwargs):
-        getattr(self.kernel.transport, method)(*args, **kwargs)
-        return None
-
-    def cmd_partition(self, groups):
-        self.kernel.topology.set_partition(groups)
-        self.kernel.transport.flush_outboxes(only_unroutable=True,
-                                             cause="partition")
-        return None
-
-    def cmd_heal(self):
-        self.kernel.topology.heal_partition()
-        return None
-
-    def cmd_add_site(self, name, links, install_system_agents, owner):
-        self.router.assign(name, owner)
-        try:
-            self.kernel.add_site(name, links=links,
-                                 install_system_agents=install_system_agents)
-        except BaseException:
-            self.router.unassign(name)
-            raise
-        return None
-
-    def cmd_site_assigned(self, name, links, owner):
-        """A site joined on another shard: mirror placement + topology."""
-        self.router.assign(name, owner)
-        topology = self.kernel.topology
-        if not topology.has_site(name):
-            topology.add_site(name)
-        for link in links:
-            peer, spec = link if isinstance(link, tuple) else (link, None)
-            topology.add_link(name, peer, spec)
-        self.router.topology_dirty = True
-        return None
+        if method not in ENGINE_PROTOCOL:
+            raise KernelError(f"{method!r} is not part of the engine protocol")
+        return getattr(self.engine, method)(*args, **kwargs)
 
     def cmd_digest(self):
-        kernel = self.kernel
-        table = kernel.table
+        engine = self.engine
+        table = engine.table
         new_records: List[AgentRecord] = []
         for agent_id, entry in table.entries.items():
             marker = (entry.state, entry.steps, entry.site_name)
@@ -291,17 +173,17 @@ class _Worker:
             del self._sent_markers[agent_id]
         sites = {name: (site.alive, site.resident_count(), site.undeliverable,
                         site.background_load, site.capacity)
-                 for name, site in kernel.sites.items()}
+                 for name, site in engine.sites.items()}
         # Absolute-sequence deltas: the bounded EventLog / span ring may
         # have dropped old entries, so positional slicing would misalign.
         self._event_log_sent, new_events = \
-            kernel.event_log.since(self._event_log_sent)
-        self._span_seq, new_spans = kernel.obs.since(self._span_seq)
+            engine.event_log.since(self._event_log_sent)
+        self._span_seq, new_spans = engine.obs.since(self._span_seq)
         return {
-            "stats": kernel.stats.export_state(),
-            "processed": kernel.loop.processed,
-            "counters": (kernel.meets, kernel.transmits, kernel.arrivals,
-                         kernel.undeliverable),
+            "stats": engine.stats.export_state(),
+            "processed": engine.loop.processed,
+            "counters": (engine.meets, engine.transmits, engine.arrivals,
+                         engine.undeliverable),
             "table_new": new_records,
             "table_evicted": evicted,
             "table_counts": table.state_counts(),
@@ -309,35 +191,26 @@ class _Worker:
             "sites": sites,
             "event_log": new_events,
             "spans": new_spans,
-            "metrics": kernel.metrics.export_state(),
+            "metrics": engine.metrics.export_state(),
         }
 
     # -- the loop ---------------------------------------------------------------
 
     def serve(self) -> None:
-        handlers = {
-            "run_to": self.cmd_run_to,
-            "advance_clock": self.cmd_advance_clock,
-            "call": self.cmd_call,
-            "transport": self.cmd_transport,
-            "partition": self.cmd_partition,
-            "heal": self.cmd_heal,
-            "add_site": self.cmd_add_site,
-            "site_assigned": self.cmd_site_assigned,
-            "digest": self.cmd_digest,
-        }
-        loop = None
+        handlers = {"call": self.cmd_call, "digest": self.cmd_digest}
+        loop = self.engine.loop
         while True:
             command = self.conn.recv()
             name = command[0]
             if name == "stop":
-                self.conn.send(("ok", (None, self.kernel.loop.now, None)))
+                self.conn.send(("ok", (None, loop.now, None, 0.0)))
                 return
             try:
+                start = default_timer()
                 value = handlers[name](*command[1:])
-                loop = self.kernel.loop
-                reply = ("ok", (value, loop.now, loop.next_event_time()))
-            except BaseException as error:
+                seconds = default_timer() - start
+                reply = ("ok", (value, loop.now, loop.next_event_time(), seconds))
+            except Exception as error:
                 reply = ("error", f"{type(error).__name__}: {error}",
                          traceback.format_exc())
             try:
@@ -355,8 +228,9 @@ def worker_main(conn, spec: WorkerSpec) -> None:  # pragma: no cover - child
     except EOFError:
         pass  # coordinator went away; nothing to clean up, state is ours
     except BaseException:
-        # Construction failed: push the traceback so the first recv in the
-        # parent produces an actionable error.
+        # Construction failed (or the worker was interrupted): push the
+        # traceback so the next recv in the parent produces an actionable
+        # error.
         try:
             conn.send(("error", "worker startup failed", traceback.format_exc()))
         except Exception:
@@ -392,36 +266,27 @@ class MirrorLoop:
     """Coordinator-side mirror of a worker's event-loop clock and queue head.
 
     ``now``/``next_event_time``/``processed`` are refreshed from every
-    worker reply; pending (not yet shipped) cross-shard handoffs count
-    toward ``next_event_time`` so horizon computation and the run loop's
-    termination test see them.  Scheduling raises: events live worker-side.
+    worker reply.  Scheduling raises: events live worker-side.
     """
 
-    def __init__(self, proxy: "ProcessEngineProxy"):
-        self._proxy = proxy
+    def __init__(self, shard_id: int):
+        self.shard_id = shard_id
         self.now = 0.0
         self._next: Optional[float] = None
         self.processed = 0
         self.clock = _MirrorClock(self)
 
-    def apply(self, now: float, next_time: Optional[float],
-              executed: int = 0) -> None:
+    def apply(self, now: float, next_time: Optional[float]) -> None:
         if now > self.now:
             self.now = now
         self._next = next_time
-        self.processed += executed
 
     def advance_local(self, timestamp: float) -> None:
         if timestamp > self.now:
             self.now = timestamp
 
     def next_event_time(self) -> Optional[float]:
-        best = self._next
-        for arrival, _message in self._proxy.pending:
-            at = max(arrival, self.now)
-            if best is None or at < best:
-                best = at
-        return best
+        return self._next
 
     def _no_schedule(self, *_args, **_kwargs):
         raise KernelError(
@@ -434,31 +299,8 @@ class MirrorLoop:
     schedule_many = _no_schedule
 
     def __repr__(self) -> str:
-        return (f"MirrorLoop(shard={self._proxy.shard_id}, now={self.now:.6f}, "
+        return (f"MirrorLoop(shard={self.shard_id}, now={self.now:.6f}, "
                 f"processed={self.processed})")
-
-
-class MirrorTransport:
-    """Facade-visible transport handle: control RPCs only, no sends."""
-
-    def __init__(self, proxy: "ProcessEngineProxy", name: str):
-        self._proxy = proxy
-        self.name = name
-
-    def on_site_down(self, site_name: str) -> None:
-        self._proxy._request("transport", "on_site_down", (site_name,), {})
-
-    def on_site_up(self, site_name: str) -> None:
-        self._proxy._request("transport", "on_site_up", (site_name,), {})
-
-    def flush_outboxes(self, only_unroutable: bool = False,
-                       cause: str = "manual") -> None:
-        self._proxy._request("transport", "flush_outboxes", (),
-                             {"only_unroutable": only_unroutable,
-                              "cause": cause})
-
-    def __repr__(self) -> str:
-        return f"MirrorTransport({self.name!r}, shard={self._proxy.shard_id})"
 
 
 class SiteMirror:
@@ -606,28 +448,29 @@ class _WorkerHandle:
 
 
 class ProcessEngineProxy:
-    """The facade-visible 'engine' for one worker process.
+    """The facade-visible engine for one worker process.
 
-    Presents the slice of the engine-kernel surface the sharded facade
-    touches: delegation methods become RPCs, state attributes are mirrors
-    refreshed from worker replies and per-run digests.
+    Every :data:`~repro.core.engine.ENGINE_PROTOCOL` method is forwarded as
+    a ``call`` command; the state attributes are mirrors refreshed from
+    worker replies and per-run digests.
     """
 
-    def __init__(self, backend: "ProcessBackend", handle: _WorkerHandle,
-                 spec: WorkerSpec, transport_name: str):
-        self.backend = backend
+    def __init__(self, handle: _WorkerHandle, spec: WorkerSpec,
+                 transport_name: str):
         self.handle = handle
         self.shard_id = spec.shard_id
-        self.loop = MirrorLoop(self)
+        self.loop = MirrorLoop(spec.shard_id)
         self.stats = NetworkStats()
         self.table = ShardTableMirror(
             spec.retention if spec.retention is not None
             else spec.config.retention)
         self.sites: Dict[str, SiteMirror] = {
-            name: SiteMirror(name) for name in sorted(spec.owned)}
+            name: SiteMirror(name) for name, owner in sorted(spec.placement.items())
+            if owner == spec.shard_id}
         self.stores: Dict[str, Any] = {}
         self.durability = resolve_policy(spec.config.durability)
-        self.transport = MirrorTransport(self, transport_name)
+        #: what ``kernel.transport`` introspection sees; sends live worker-side
+        self.transport = SimpleNamespace(name=transport_name)
         # Coordinator-side placeholder matching the engine's seed derivation;
         # the authoritative stream lives in the worker.
         self.rng = random.Random(spec.config.rng_seed + spec.shard_id)
@@ -641,75 +484,47 @@ class ProcessEngineProxy:
         self.transmits = 0
         self.arrivals = 0
         self.undeliverable = 0
-        #: cross-shard handoffs awaiting shipment with the next command
-        self.pending: List[Tuple[float, Any]] = []
 
-    # -- plumbing ---------------------------------------------------------------
+    # -- the protocol, forwarded ------------------------------------------------
 
-    def take_pending(self) -> List[Tuple[float, Any]]:
-        pending, self.pending = self.pending, []
-        return pending
+    def post(self, method: str, *args, **kwargs) -> None:
+        """Send a protocol call without waiting (pair with :meth:`collect`)."""
+        self.handle.send(("call", method, args, kwargs))
 
-    def _request(self, *command):
-        value, now, next_time = self.handle.request(*command)
+    def collect(self):
+        """``(value, worker seconds)`` of the oldest uncollected call."""
+        value, now, next_time, seconds = self.handle.recv()
         self.loop.apply(now, next_time)
-        return value
+        return value, seconds
 
-    # -- facade delegation surface ----------------------------------------------
+    def _call(self, method: str, *args, **kwargs):
+        self.post(method, *args, **kwargs)
+        return self.collect()[0]
 
-    def launch(self, site_name, behaviour, briefcase=None, name=None,
-               system=False, delay=0.0):
-        return self._request("call", "launch", (site_name, behaviour, briefcase),
-                             {"name": name, "system": system, "delay": delay})
+    def __getattr__(self, name: str):
+        if name in ENGINE_PROTOCOL:
+            return partial(self._call, name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
 
-    def launch_many(self, requests, delay=0.0):
-        return self._request("call", "launch_many", (list(requests),),
-                             {"delay": delay})
+    # The few calls that also keep a coordinator-side mirror current.
 
-    def install_agent(self, site_name, name, behaviour, system=False,
-                      replace=False):
-        return self._request("call", "install_agent",
-                             (site_name, name, behaviour),
-                             {"system": system, "replace": replace})
+    def add_site(self, name, links=(), install_system_agents=None) -> None:
+        self._call("add_site", name, links, install_system_agents)
+        self.sites[name] = SiteMirror(name)
 
-    def crash_site(self, name):
-        self._request("call", "crash_site", (name,), {})
-        mirror = self.sites.get(name)
-        if mirror is not None:
-            mirror.alive = False
+    def crash_site(self, name) -> bool:
+        went_down = self._call("crash_site", name)
+        self.sites[name].alive = False
+        return went_down
 
-    def recover_site(self, name):
-        self._request("call", "recover_site", (name,), {})
-        if not self.durability.durable:
-            # Instant recovery under policy "none"; durable replays finish
-            # worker-side and the mirror refreshes at the next digest.
-            mirror = self.sites.get(name)
-            if mirror is not None:
-                mirror.alive = True
-
-    def make_durable(self, cabinet_name, sites=None):
-        return self._request("call", "make_durable", (cabinet_name,),
-                             {"sites": sites})
-
-    def log_event(self, agent_id, site_name, message):
-        self._request("call", "log_event", (agent_id, site_name, message), {})
-
-    def add_site(self, name, links=(), install_system_agents=None,
-                 owner: Optional[int] = None) -> SiteMirror:
-        self._request("add_site", name, list(links), install_system_agents,
-                      self.shard_id if owner is None else owner)
-        mirror = SiteMirror(name)
-        self.sites[name] = mirror
-        return mirror
-
-    def site_assigned(self, name, links, owner):
-        self._request("site_assigned", name, list(links), owner)
-
-    def partition(self, groups):
-        self._request("partition", [list(group) for group in groups])
-
-    def heal_partition(self):
-        self._request("heal")
+    def recover_site(self, name) -> bool:
+        # A durable replay finishes worker-side; the mirror then refreshes
+        # at the next digest.
+        is_up = self._call("recover_site", name)
+        if is_up:
+            self.sites[name].alive = True
+        return is_up
 
     def on_site_added(self, callback):
         raise KernelError(
@@ -750,21 +565,16 @@ class ProcessEngineProxy:
 
 
 class ProcessBackend(ShardBackend):
-    """Spawns one worker per shard and drives rounds over pipes."""
+    """Runs each shard's bursts across a pipe, in its own spawn worker."""
 
     name = "process"
-    distributed = True
+    drains_in_process = False
 
     def __init__(self, specs: Sequence[WorkerSpec], transport_name: str,
                  timer=default_timer):
         super().__init__(timer)
         self._handles: List[_WorkerHandle] = []
         self.proxies: List[ProcessEngineProxy] = []
-        #: shared with the facade's MailRouter so late-joining sites route
-        self.placement: Dict[str, int] = {}
-        #: coordinator ClockSync, set by the facade; workers report
-        #: topology growth and the dirty flag propagates here
-        self.clock_sync = None
         self._closed = False
         ctx = multiprocessing.get_context("spawn")
         try:
@@ -778,68 +588,65 @@ class ProcessBackend(ShardBackend):
                 handle = _WorkerHandle(spec.shard_id, parent_conn, process)
                 self._handles.append(handle)
                 self.proxies.append(
-                    ProcessEngineProxy(self, handle, spec, transport_name))
+                    ProcessEngineProxy(handle, spec, transport_name))
         except BaseException:
             self.close()
             raise
 
+    @classmethod
+    def spawn(cls, topology, config, transport, install_system_agents,
+              registry, retention, placement) -> "ProcessBackend":
+        """One worker per shard, each rebuilding its engine from a spec."""
+        if registry is not default_registry():
+            raise KernelError(
+                "shard_backend='process' rebuilds behaviours from the "
+                "process-wide default registry in each worker; a custom "
+                "registry instance cannot cross the process boundary (use "
+                "shard_backend='thread' or register behaviours in the "
+                "default registry)")
+        try:
+            pickle.dumps((config, retention, transport, topology))
+        except Exception as error:
+            raise KernelError(
+                "shard_backend='process' ships the topology, config and "
+                f"transport to spawn workers, but pickling failed: {error} "
+                "(pass the transport by name, keep LinkSpec-based "
+                "topologies, and avoid closures in the config)") from None
+        transport_name = (transport if isinstance(transport, str)
+                          else getattr(transport, "name", transport.__name__))
+        preload = preload_module_names(registry)
+        return cls([WorkerSpec(
+            shard_id=shard_id, topology=topology, transport=transport,
+            config=config, install_system_agents=install_system_agents,
+            retention=retention, placement=placement, preload_modules=preload)
+            for shard_id in range(config.shards)], transport_name)
+
     # -- round execution --------------------------------------------------------
 
-    def run_bursts(self, plans, budget):
-        if not plans:
-            return 0, 0.0
-        if budget is not None or len(plans) == 1:
-            total = 0
-            busy_max = 0.0
-            for shard, horizon in plans:
-                remaining = None if budget is None else budget - total
-                if remaining is not None and remaining <= 0:
-                    break
-                proxy = shard.engine
-                proxy.handle.send(
-                    ("run_to", horizon, remaining, proxy.take_pending()))
-                executed, busy = self._collect(shard)
-                total += executed
-                if busy > busy_max:
-                    busy_max = busy
-            return total, busy_max
-        for shard, horizon in plans:
-            proxy = shard.engine
-            proxy.handle.send(("run_to", horizon, None, proxy.take_pending()))
-        total = 0
-        busy_max = 0.0
-        for shard, _horizon in plans:
-            executed, busy = self._collect(shard)
-            total += executed
-            if busy > busy_max:
-                busy_max = busy
-        return total, busy_max
+    def _collect(self, shard):
+        (executed, outbound), busy = shard.engine.collect()
+        shard.engine.loop.processed += executed
+        return executed, busy, outbound
 
-    def _collect(self, shard) -> Tuple[int, float]:
-        proxy = shard.engine
-        (executed, busy, outbound, dirty), now, next_time = \
-            proxy.handle.recv()
-        proxy.loop.apply(now, next_time, executed)
-        shard.busy_seconds += busy
-        if dirty and self.clock_sync is not None:
-            self.clock_sync.invalidate()
-        for arrival, message in outbound:
-            owner = self.placement[message.destination]
-            self.proxies[owner].pending.append((arrival, message))
-        return executed, busy
+    def run_to(self, shard, horizon, budget, handoffs):
+        shard.engine.post("run_to", horizon, budget, handoffs)
+        return self._collect(shard)
 
-    def finish_run(self) -> None:
-        """Push lagging clocks + parked handoffs, then pull state digests."""
-        for proxy in self.proxies:
-            proxy.handle.send(
-                ("advance_clock", proxy.loop.now, proxy.take_pending()))
-        for proxy in self.proxies:
-            _value, now, next_time = proxy.handle.recv()
-            proxy.loop.apply(now, next_time)
+    def run_round(self, plans):
+        for shard, horizon, handoffs in plans:
+            shard.engine.post("run_to", horizon, None, handoffs)
+        return [self._collect(shard) for shard, _horizon, _handoffs in plans]
+
+    def finish_run(self, flushes) -> None:
+        """Land worker clocks + leftover handoffs, then pull state digests."""
+        for shard, target, handoffs in flushes:
+            shard.engine.post("advance_clock", target, handoffs)
+        for shard, _target, _handoffs in flushes:
+            shard.engine.collect()
         for proxy in self.proxies:
             proxy.handle.send(("digest",))
         for proxy in self.proxies:
-            digest, now, next_time = proxy.handle.recv()
+            digest, now, next_time, _seconds = proxy.handle.recv()
             proxy.loop.apply(now, next_time)
             proxy.apply_digest(digest)
 

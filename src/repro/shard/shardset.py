@@ -1,24 +1,28 @@
-"""The shard coordinator: N engine kernels advanced in conservative rounds.
+"""The shard coordinator: N engines advanced in conservative rounds.
 
-The :class:`ShardSet` is what the sharded :class:`~repro.core.kernel.Kernel`
-facade delegates ``run()`` to.  Each round it:
+The :class:`ShardSet` is what the :class:`~repro.core.kernel.Kernel` facade
+delegates ``run()`` to when it has more than one engine.  Each round it:
 
-1. lets the backend deliver queued cross-shard traffic
-   (:meth:`~repro.shard.backend.ShardBackend.begin_round`),
-2. reads every shard's next-event time and asks the
+1. reads every shard's next-event time — the engine's own queue head or
+   the earliest handoff pending for it, whichever is sooner — and asks the
    :class:`~repro.shard.clocksync.ClockSync` for safe horizons,
-3. builds the round's **burst plan** — shards with an event due before
-   their horizon — and hands it to the execution backend
-   (:mod:`repro.shard.backend`: serial ``inproc``, ``thread`` pool, or
-   ``process`` workers).  Shards whose next event lies beyond their
-   horizon only get their clock advanced; they are *not* charged busy
-   time for a zero-event burst (the PR 6 accounting bracketed every
-   ``run_until`` call, inflating the parallel-host model on small rounds).
+2. builds the round's **burst plan** — shards with an event due before
+   their horizon — and has the execution backend
+   (:mod:`repro.shard.backend`) call each planned engine's
+   ``run_to(horizon, budget, handoffs)``, handing over the mail pending for
+   it.  Shards whose next event lies beyond their horizon only get their
+   clock advanced; they are *not* charged busy time for a zero-event burst,
+3. routes the ``(arrival, message)`` pairs each burst spooled to their
+   owners' pending lists, in shard order.  Routing happens here, on the
+   coordinator, strictly between rounds — a pending list is read only by
+   its owner's next burst — so no backend needs a lock, and every backend
+   delivers the same mail in the same order.
 
 Rounds repeat until every queue drains, every next event lies beyond
-``until``, or the global ``max_events`` budget is exhausted.  The budget
-is global — shards share it in shard order, which forces serial execution
-on every backend — and exhausting it leaves every clock exactly where its
+``until``, or the global ``max_events`` budget is exhausted; whatever is
+still pending then rides a final ``advance_clock`` to its owner.  The
+budget is global — shards share it in shard order, one burst at a time on
+every backend — and exhausting it leaves every clock exactly where its
 last event fired, mirroring the single-loop ``run_until`` semantics.
 
 Timing uses an injectable ``timer`` (default
@@ -39,9 +43,9 @@ __all__ = ["Shard", "ShardSet"]
 
 
 class Shard:
-    """One shard: an engine kernel plus its coordination bookkeeping."""
+    """One shard: an engine plus its coordination bookkeeping."""
 
-    __slots__ = ("shard_id", "engine", "busy_seconds")
+    __slots__ = ("shard_id", "engine", "busy_seconds", "pending")
 
     def __init__(self, shard_id: int, engine):
         self.shard_id = shard_id
@@ -49,6 +53,19 @@ class Shard:
         #: wall-clock seconds this shard's loop spent executing events
         #: (accumulated around every run burst; the E14 scaling metric)
         self.busy_seconds = 0.0
+        #: ``(arrival, message)`` handoffs routed here, awaiting the
+        #: engine's next ``run_to``/``advance_clock``
+        self.pending: List[Tuple[float, object]] = []
+
+    def next_event_time(self) -> Optional[float]:
+        """The engine's queue head or its earliest pending handoff."""
+        loop = self.engine.loop
+        at = loop.next_event_time()
+        if self.pending:
+            arrival = max(min(entry[0] for entry in self.pending), loop.now)
+            if at is None or arrival < at:
+                at = arrival
+        return at
 
     @property
     def sites(self) -> int:
@@ -79,14 +96,15 @@ class ShardSet:
         #: horizons, and building burst plans between bursts
         self.sync_seconds = 0.0
         #: wall-clock seconds of per-round dispatch overhead: round wall
-        #: time minus the slowest burst (pool hops, inbox drains, worker
-        #: round-trips).  inproc rounds pay total-minus-max serialisation
-        #: here too, so E15 can break coordination cost out of the speedup.
+        #: time minus the slowest burst (pool hops, worker round-trips).
+        #: Serial rounds pay total-minus-max serialisation here too, so
+        #: E15 can break coordination cost out of the speedup.
         self.overhead_seconds = 0.0
-        #: cross-shard messages delivered via deferred inbox/worker paths
+        #: handoffs this coordinator handed to engines in its own process
+        #: (see :attr:`ShardBackend.drains_in_process`)
         self.handoffs_drained = 0
-        #: the facade's own tracer (repro.obs), set by Kernel._init_facade
-        #: when observability is on; records one span per run() drive
+        #: the facade's own tracer (repro.obs), set by the Kernel when
+        #: observability is on; records one span per run() drive
         self.obs = None
 
     # -- clocks -----------------------------------------------------------------
@@ -97,8 +115,20 @@ class ShardSet:
         return min(shard.engine.loop.now for shard in self.shards)
 
     def next_event_times(self) -> Dict[int, Optional[float]]:
-        return {shard.shard_id: shard.engine.loop.next_event_time()
-                for shard in self.shards}
+        return {shard.shard_id: shard.next_event_time() for shard in self.shards}
+
+    # -- handoffs ---------------------------------------------------------------
+
+    def _take(self, shard: Shard) -> List[Tuple[float, object]]:
+        handoffs, shard.pending = shard.pending, []
+        if self.backend.drains_in_process:
+            self.handoffs_drained += len(handoffs)
+        return handoffs
+
+    def _route(self, outbound) -> None:
+        placement = self.clock_sync.placement
+        for entry in outbound:
+            self.shards[placement[entry[1].destination]].pending.append(entry)
 
     # -- running ----------------------------------------------------------------
 
@@ -129,7 +159,6 @@ class ShardSet:
                 budget_stopped = True
                 break
             sync_start = timer()
-            self.handoffs_drained += backend.begin_round()
             next_times = self.next_event_times()
             live = [at for at in next_times.values() if at is not None]
             if not live:
@@ -147,24 +176,47 @@ class ShardSet:
                 if until is not None:
                     horizon = until if horizon is None else min(horizon, until)
                 if horizon is not None and at > horizon + 1e-12:
-                    # Nothing due this round: advance the clock exactly
-                    # as run_until would, but charge no busy time.
-                    backend.advance_clock(shard, horizon)
+                    # Nothing due this round (its pending mail included):
+                    # advance the clock exactly as run_until would, but
+                    # charge no busy time.
+                    clock = shard.engine.loop.clock
+                    clock._advance_to(max(clock.now, horizon))
                     continue
                 plans.append((shard, horizon))
             self.sync_seconds += timer() - sync_start
-            remaining = None if max_events is None else max_events - total
             round_start = timer()
-            executed, busy_max = backend.run_bursts(plans, remaining)
+            if max_events is None:
+                bursts = backend.run_round(
+                    [(shard, horizon, self._take(shard))
+                     for shard, horizon in plans])
+            else:
+                # One global budget, consumed in shard order: one burst at
+                # a time, so the stop point is the same on every backend.
+                bursts = []
+                remaining = max_events - total
+                for shard, horizon in plans:
+                    if remaining <= 0:
+                        break
+                    bursts.append(backend.run_to(shard, horizon, remaining,
+                                                 self._take(shard)))
+                    remaining -= bursts[-1][0]
+            busy_max = 0.0
+            for (shard, _horizon), (executed, busy, outbound) in zip(plans, bursts):
+                total += executed
+                shard.busy_seconds += busy
+                if busy > busy_max:
+                    busy_max = busy
+                self._route(outbound)
             self.overhead_seconds += max(
                 0.0, (timer() - round_start) - busy_max)
-            total += executed
-        if until is not None and not budget_stopped:
-            # Clean finish: every shard's clock lands on the target, exactly
-            # like the single-loop run_until (events beyond it stay queued).
-            for shard in self.shards:
-                backend.advance_clock(shard, until)
-        backend.finish_run()
+        # Whatever is still pending rides a final advance_clock to its owner,
+        # so no engine's queue lies about its future; on a clean finish every
+        # clock lands on the target, exactly like the single-loop run_until
+        # (events beyond it stay queued).
+        land_on_until = until is not None and not budget_stopped
+        backend.finish_run(
+            [(shard, until if land_on_until else shard.engine.loop.now,
+              self._take(shard)) for shard in self.shards])
         if obs is not None:
             obs.finish(run_span, events=total,
                        rounds=self.rounds - run_span.attrs["rounds_before"],

@@ -117,7 +117,7 @@ register_behaviour("index_worker", _index_worker, replace=True)
 def _assert_index_matches_brute_force(kernel):
     for name in kernel.site_names():
         indexed = sorted(agent.agent_id for agent in kernel.agents_at(name))
-        brute = sorted(agent.agent_id for agent in kernel._agents_at_scan(name))
+        brute = sorted(agent.agent_id for agent in kernel.engines[0]._agents_at_scan(name))
         assert indexed == brute
         assert kernel.site(name).resident_count() == len(brute)
 

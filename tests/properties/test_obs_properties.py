@@ -10,7 +10,7 @@ thread interleavings and process boundaries must never leak into a trace.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Briefcase, Kernel, KernelConfig
@@ -84,6 +84,9 @@ def tree_shapes(spans):
        n_agents=st.integers(min_value=1, max_value=6),
        hops=st.integers(min_value=0, max_value=3),
        shards=st.integers(min_value=2, max_value=4))
+# Cross-shard arrivals due at the same instant as local events: span keys
+# match only if every backend schedules a handoff at the same point.
+@example(seed=0, n_sites=5, n_agents=5, hops=1, shards=2)
 def test_thread_backend_yields_identical_span_trees(seed, n_sites, n_agents,
                                                     hops, shards):
     inproc = run_traced(seed, n_sites, n_agents, hops, shards, "inproc")

@@ -646,7 +646,7 @@ class TestShardedRunSemantics:
         kernel = self._build()
         kernel.run(until=0.25)
         assert kernel.now == pytest.approx(0.25)
-        for engine in kernel._engines:
+        for engine in kernel.engines:
             # No shard's clock passes the target, and on a clean finish
             # every one of them lands exactly on it.
             assert engine.loop.now == pytest.approx(0.25)
@@ -657,7 +657,7 @@ class TestShardedRunSemantics:
     def test_until_never_overshoots_even_mid_burst(self):
         kernel = self._build()
         kernel.run(until=0.123)
-        for engine in kernel._engines:
+        for engine in kernel.engines:
             assert engine.loop.now <= 0.123 + 1e-9
 
     def test_max_events_is_one_global_budget(self):
@@ -717,9 +717,40 @@ class TestKernelContextManager:
             kernel.launch("a", _noop_behaviour)
             kernel.run()
             assert kernel.completed == 1
-        # The thread pool was shut down by close(); running again lazily
-        # rebuilds it, so the kernel object stays usable.
+        # The thread pool was shut down by close(); closing again is a no-op.
         kernel.close()
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"shards": 2, "shard_backend": "thread"},
+        {"shards": 2, "shard_backend": "process"},
+    ], ids=["classic", "thread", "process"])
+    def test_use_after_close_fails_the_same_way_everywhere(self, overrides):
+        from repro.shard import process_backend_available
+        if (overrides.get("shard_backend") == "process"
+                and not process_backend_available()):
+            pytest.skip("multiprocessing spawn unavailable")
+        kernel = Kernel(lan(["a", "b", "c", "d"]),
+                        config=KernelConfig(rng_seed=5, **overrides))
+        kernel.launch("a", "courier", name="before")
+        kernel.run()
+        spans = kernel.trace_spans()
+        kernel.close()
+        for call in (lambda: kernel.run(),
+                     lambda: kernel.launch("a", "courier"),
+                     lambda: kernel.launch_many([("a", "courier")]),
+                     lambda: kernel.install_agent("a", "noop", _noop_behaviour),
+                     lambda: kernel.add_site("e", links=["a"]),
+                     lambda: kernel.crash_site("a"),
+                     lambda: kernel.recover_site("a")):
+            with pytest.raises(KernelError, match="kernel is closed"):
+                call()
+        # Reads keep working on a closed kernel.
+        before, = kernel.agents_named("before")
+        assert before.ok
+        assert kernel.counters()["launched"] == kernel.launched >= 1
+        assert kernel.stats.snapshot()["messages_sent"] >= 0
+        assert kernel.trace_spans() == spans
+        assert "e" not in kernel.sites
 
     def test_close_propagates_exceptions_but_still_closes(self):
         kernel = Kernel(lan(["a"]), install_system_agents=False,

@@ -13,6 +13,7 @@ import pytest
 from repro.core import Briefcase, Folder, Kernel, KernelConfig
 from repro.core.agent import AgentState
 from repro.core.codec import pack_briefcase
+from repro.core.engine import Engine
 from repro.core.registry import register_behaviour
 from repro.net import lan
 from repro.net.message import Message, MessageKind
@@ -24,12 +25,20 @@ def kernel():
                   config=KernelConfig(rng_seed=11))
 
 
+@pytest.fixture
+def engine():
+    """An engine built directly: its internals are what these tests pin."""
+    return Engine(lan(["a", "b", "c"], latency=0.05),
+                  KernelConfig(rng_seed=11), transport="tcp")
+
+
 def _assert_index_matches_scan(kernel):
-    for name in kernel.site_names():
-        indexed = {agent.agent_id for agent in kernel.agents_at(name)}
-        brute = {agent.agent_id for agent in kernel._agents_at_scan(name)}
+    engine = kernel.engines[0] if isinstance(kernel, Kernel) else kernel
+    for name in engine.site_names():
+        indexed = {agent.agent_id for agent in engine.agents_at(name)}
+        brute = {agent.agent_id for agent in engine._agents_at_scan(name)}
         assert indexed == brute
-        assert kernel.site(name).resident_count() == len(brute)
+        assert engine.site(name).resident_count() == len(brute)
 
 
 class TestResidentIndex:
@@ -135,32 +144,32 @@ class TestResidentIndex:
 
 
 class TestCodeElementMemo:
-    def test_registered_behaviour_is_memoised_per_copy(self, kernel):
+    def test_registered_behaviour_is_memoised_per_copy(self, engine):
         def roamer(ctx, bc):
             yield ctx.sleep(0)
 
         register_behaviour("hotpath_roamer", roamer, replace=True)
-        first = kernel._best_effort_code("hotpath_roamer", roamer)
-        second = kernel._best_effort_code("hotpath_roamer", roamer)
+        first = engine._best_effort_code("hotpath_roamer", roamer)
+        second = engine._best_effort_code("hotpath_roamer", roamer)
         assert first == {"kind": "registered", "name": "hotpath_roamer"}
         assert second == first
         # Copies are independent: an agent rewriting its element cannot
         # poison the cache for its siblings.
         assert second is not first
         second["name"] = "mutated"
-        assert kernel._best_effort_code("hotpath_roamer", roamer)["name"] == \
+        assert engine._best_effort_code("hotpath_roamer", roamer)["name"] == \
             "hotpath_roamer"
 
-    def test_unregistered_miss_is_invalidated_by_registration(self, kernel):
+    def test_unregistered_miss_is_invalidated_by_registration(self, engine):
         def local_only(ctx, bc):
             yield ctx.sleep(0)
 
-        assert kernel._best_effort_code(local_only, local_only) is None
+        assert engine._best_effort_code(local_only, local_only) is None
         register_behaviour("hotpath_late", local_only, replace=True)
-        element = kernel._best_effort_code(local_only, local_only)
+        element = engine._best_effort_code(local_only, local_only)
         assert element == {"kind": "registered", "name": "hotpath_late"}
 
-    def test_replace_registration_invalidates_stale_entries(self, kernel):
+    def test_replace_registration_invalidates_stale_entries(self, engine):
         def original(ctx, bc):
             yield ctx.sleep(0)
 
@@ -168,20 +177,20 @@ class TestCodeElementMemo:
             yield ctx.sleep(0)
 
         register_behaviour("hotpath_swap", original, replace=True)
-        assert kernel._best_effort_code(original, original) == \
+        assert engine._best_effort_code(original, original) == \
             {"kind": "registered", "name": "hotpath_swap"}
         # Rebinding the name (registry size unchanged) must not leave a
         # cached element shipping 'original' under a name that now resolves
         # to 'replacement' at the destination.
         register_behaviour("hotpath_swap", replacement, replace=True)
-        assert kernel._best_effort_code(original, original) is None
-        assert kernel._best_effort_code(replacement, replacement) == \
+        assert engine._best_effort_code(original, original) is None
+        assert engine._best_effort_code(replacement, replacement) == \
             {"kind": "registered", "name": "hotpath_swap"}
 
-    def test_cache_is_size_capped(self, kernel):
-        for index in range(kernel._CODE_CACHE_MAX + 10):
-            kernel._best_effort_code(f"no-such-behaviour-{index}", None)
-        assert len(kernel._code_cache) <= kernel._CODE_CACHE_MAX
+    def test_cache_is_size_capped(self, engine):
+        for index in range(engine._CODE_CACHE_MAX + 10):
+            engine._best_effort_code(f"no-such-behaviour-{index}", None)
+        assert len(engine._code_cache) <= engine._CODE_CACHE_MAX
 
 
 class TestUndeliverableLedger:
@@ -205,13 +214,13 @@ class TestUndeliverableLedger:
         assert kernel.undeliverable == 1
         assert kernel.site("b").undeliverable == 1
 
-    def test_message_to_unregistered_site_is_counted(self, kernel):
+    def test_message_to_unregistered_site_is_counted(self, engine):
         message = Message(source="a", destination="nowhere",
                           kind=MessageKind.STATUS, payload={})
-        kernel._on_message("nowhere", message)
-        assert kernel.undeliverable == 1
+        engine._on_message("nowhere", message)
+        assert engine.undeliverable == 1
 
-    def test_malformed_briefcase_payloads_are_counted_not_raised(self, kernel):
+    def test_malformed_briefcase_payloads_are_counted_not_raised(self, engine):
         import pickle
         good = pack_briefcase(Briefcase([Folder("X", [1])]))
         bad_payloads = [
@@ -220,11 +229,11 @@ class TestUndeliverableLedger:
             good[:len(good) // 2],                       # truncated in flight
         ]
         for raw in bad_payloads:
-            kernel._on_message("b", Message(
+            engine._on_message("b", Message(
                 source="a", destination="b", kind=MessageKind.AGENT_TRANSFER,
                 payload={"contact": "ag_py", "briefcase": raw}))
-        assert kernel.undeliverable == kernel.site("b").undeliverable == 3
-        assert kernel.arrivals == 0 and kernel.launched == 0
+        assert engine.undeliverable == engine.site("b").undeliverable == 3
+        assert engine.arrivals == 0 and engine.launched == 0
 
     def test_smuggled_element_travels_the_wire_and_lands_undeliverable(self, kernel):
         def sender(ctx, bc):

@@ -153,7 +153,8 @@ class TestNetworkStats:
     def test_shard_handoff_counters(self):
         stats = NetworkStats()
         stats.record_shard_handoff(200)
-        stats.record_shard_handoff(300, late=True)
+        stats.record_shard_handoff(300)
+        stats.record_shard_late_arrival()
         assert stats.shard_handoffs == 2
         assert stats.shard_handoff_bytes == 500
         assert stats.shard_late_arrivals == 1

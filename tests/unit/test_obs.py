@@ -348,7 +348,7 @@ def test_sharded_log_event_routes_to_owning_shard():
     kernel = Kernel(lan(["a", "b", "c", "d"]),
                     config=KernelConfig(shards=2))
     kernel.log_event("agent-1", "d", "note at d")
-    owner = kernel._engines[kernel._router.placement["d"]]
+    owner = next(engine for engine in kernel.engines if "d" in engine.sites)
     assert any(entry[2] == "d" and entry[3] == "note at d"
                for entry in owner.event_log)
     assert any(entry[3] == "note at d" for entry in kernel.event_log)

@@ -1,6 +1,7 @@
 """Unit tests for repro.shard.backend: the shard execution backend seam.
 
-Covers backend resolution, the thread backend's inbox handoff router, the
+Covers backend resolution, the engine protocol and the single handoff path
+(spooled at send, routed by the coordinator, scheduled by the owner), the
 ShardSet's fake-timer cost attribution (busy vs sync vs overhead — the
 PR 6 busy-time fix), the ClockSync dirty-flag coalescing contract, budget
 semantics across backends, the facade's ``shard_summary``/``close``
@@ -15,13 +16,15 @@ import pickle
 import pytest
 
 from repro.core import Kernel, KernelConfig
+from repro.core.engine import ENGINE_PROTOCOL, Engine
 from repro.core.errors import KernelError
+from repro.core.timing import default_timer
 from repro.net import lan
-from repro.net.simclock import EventLoop
+from repro.net.message import Message, MessageKind
 from repro.net.stats import NetworkStats
 from repro.net.topology import LinkSpec, NoRouteError, switched_fabric
-from repro.shard import (BACKENDS, ClockSync, InprocBackend, MailRouter,
-                         Shard, ShardSet, ThreadBackend, make_backend,
+from repro.shard import (BACKENDS, ClockSync, InprocBackend, Shard, ShardSet,
+                         ThreadBackend, make_backend,
                          process_backend_available)
 
 
@@ -31,6 +34,12 @@ def sharded_kernel(backend, site_count=8, shards=4, seed=7):
                     config=KernelConfig(rng_seed=seed, shards=shards,
                                         shard_backend=backend))
     return kernel, names
+
+
+#: the facade is one code path for any engine count: the surface cases
+#: below run at N=1 and N=2 under the same assertions.  (Looped in the test
+#: bodies rather than parametrised so the test ids stay stable.)
+ENGINE_COUNTS = (1, 2)
 
 
 def run_churn(backend, max_events=None, site_count=8, shards=4, waves=2):
@@ -51,12 +60,11 @@ def run_churn(backend, max_events=None, site_count=8, shards=4, waves=2):
 class TestBackendResolution:
     def test_make_backend_names(self):
         assert isinstance(make_backend("inproc"), InprocBackend)
-        router = MailRouter({"a": 0}, inbox_handoffs=True)
-        thread = make_backend("thread", router, 2)
+        thread = make_backend("thread", 2)
         assert isinstance(thread, ThreadBackend)
         thread.close()
 
-    def test_thread_backend_needs_router(self):
+    def test_thread_backend_needs_a_shard_count(self):
         with pytest.raises(KernelError):
             make_backend("thread")
 
@@ -84,80 +92,146 @@ class TestBackendResolution:
 
 
 # ---------------------------------------------------------------------------
-# the thread backend's inbox router
+# the engine protocol
 # ---------------------------------------------------------------------------
 
-class _FakeTransport:
+class _RecordingHandle:
+    """Stands in for a worker pipe: records commands, replies at once."""
+
     def __init__(self):
-        self.delivered = []
+        self.sent = []
 
-    def _deliver(self, message):
-        self.delivered.append(message)
+    def send(self, command):
+        self.sent.append(command)
 
-
-class _FakeEngine:
-    def __init__(self):
-        self.loop = EventLoop()
-        self.transport = _FakeTransport()
-        self.stats = NetworkStats()
+    def recv(self):
+        return (None, 0.0, None, 0.0)
 
 
-class _FakeMessage:
-    def __init__(self, destination, message_id, size=10):
-        self.destination = destination
-        self.message_id = message_id
-        self._size = size
+class TestEngineProtocol:
+    def test_every_protocol_name_is_an_engine_method(self):
+        for name in ENGINE_PROTOCOL:
+            assert callable(getattr(Engine, name)), name
 
-    def size_bytes(self):
-        return self._size
+    def test_process_proxy_forwards_exactly_the_protocol(self):
+        from repro.shard.procworker import ProcessEngineProxy, WorkerSpec
+        spec = WorkerSpec(shard_id=0, topology=None, transport="tcp",
+                          config=KernelConfig(), install_system_agents=True,
+                          retention=None, placement={"a": 0, "b": 1})
+        handle = _RecordingHandle()
+        proxy = ProcessEngineProxy(handle, spec, "tcp")
+        assert set(proxy.sites) == {"a"}
+        callbacks = ("on_site_added", "on_site_recovered")
+        for name in ENGINE_PROTOCOL:
+            if name in callbacks:  # a callable cannot cross the pipe
+                with pytest.raises(KernelError, match="process boundary"):
+                    getattr(proxy, name)(lambda site: None)
+                continue
+            getattr(proxy, name)("a")
+            assert handle.sent[-1][:2] == ("call", name)
+        assert len(handle.sent) == len(ENGINE_PROTOCOL) - len(callbacks)
+        with pytest.raises(AttributeError):
+            proxy.not_in_the_protocol
+
+    def test_worker_refuses_calls_outside_the_protocol(self):
+        from repro.shard.procworker import WorkerSpec, _Worker
+        worker = _Worker(None, WorkerSpec(
+            shard_id=0, topology=lan(["a", "b"]), transport="tcp",
+            config=KernelConfig(), install_system_agents=False,
+            retention=None, placement={"a": 0, "b": 1}))
+        assert isinstance(worker.engine, Engine)
+        assert worker.cmd_call("log_event", ("probe", "a", "hello"), {}) is None
+        with pytest.raises(KernelError, match="engine protocol"):
+            worker.cmd_call("close", (), {})
+
+
+# ---------------------------------------------------------------------------
+# the one handoff path: spooled at send, routed between rounds, scheduled by
+# the owner (here driven by hand, on engines built directly)
+# ---------------------------------------------------------------------------
+
+def two_engine_set(timer=default_timer, latency=0.5):
+    """Two directly-built engines ("a" on 0, "b" on 1) under a ShardSet."""
+    topology = lan(["a", "b"], latency=latency)
+    placement = {"a": 0, "b": 1}
+    engines = [Engine(topology, KernelConfig(), install_system_agents=False,
+                      shard_id=shard_id, placement=placement)
+               for shard_id in range(2)]
+    shards = [Shard(shard_id, engine) for shard_id, engine in enumerate(engines)]
+    clock_sync = ClockSync(topology, placement, shards=2)
+    return ShardSet(shards, clock_sync, backend=InprocBackend(timer),
+                    timer=timer), engines
+
+
+def _status(message_id):
+    message = Message(source="a", destination="b", kind=MessageKind.STATUS,
+                      payload={"id": message_id})
+    message.sent_at = 0.0
+    return message
 
 
 class TestInboxRouter:
-    def make_router(self):
-        router = MailRouter({"a": 0, "b": 1}, inbox_handoffs=True)
-        engines = [_FakeEngine(), _FakeEngine()]
-        router.attach_engines(engines)
-        return router, engines
+    def dispatch(self, engine, message_id, delay):
+        return engine.transport.boundary.dispatch(_status(message_id), delay)
+
+    def delivered(self, engine):
+        return [payload["id"] for payload
+                in engine.site("b").cabinet("_messages").elements(MessageKind.STATUS)]
 
     def test_dispatch_parks_in_owner_inbox(self):
-        router, engines = self.make_router()
-        message = _FakeMessage("b", "m1")
-        router.dispatch(0, message, delay=0.5)
+        shard_set, engines = two_engine_set()
+        assert engines[0].transport.boundary.is_remote("b")
+        assert not engines[0].transport.boundary.is_remote("a")
+        self.dispatch(engines[0], "m1", delay=0.5)
+        _executed, outbound = engines[0].run_to(0.0)
+        shard_set._route(outbound)
+        assert engines[0].outbound == []
+        assert [arrival for arrival, _ in shard_set.shards[1].pending] == [0.5]
         assert engines[1].loop.next_event_time() is None  # not scheduled yet
+        assert shard_set.shards[1].next_event_time() == pytest.approx(0.5)
         assert engines[0].stats.shard_handoffs == 1
-        assert engines[0].stats.shard_handoff_bytes == 10
+        assert engines[0].stats.shard_handoff_bytes > 0
 
     def test_drain_schedules_on_owner_loop(self):
-        router, engines = self.make_router()
-        router.dispatch(0, _FakeMessage("b", "m1"), delay=0.5)
-        assert router.drain_inboxes() == 1
+        shard_set, engines = two_engine_set()
+        self.dispatch(engines[0], "m1", delay=0.5)
+        shard_set._route(engines[0].run_to(0.0)[1])
+        handoffs = shard_set._take(shard_set.shards[1])
+        assert len(handoffs) == shard_set.handoffs_drained == 1
+        engines[1].advance_clock(0.0, handoffs)
         assert engines[1].loop.next_event_time() == pytest.approx(0.5)
-        engines[1].loop.run()
-        assert [m.message_id for m in engines[1].transport.delivered] == ["m1"]
+        engines[1].run_to()
+        assert self.delivered(engines[1]) == ["m1"]
 
     def test_same_timestamp_handoffs_drain_in_dispatch_order(self):
-        # The deterministic total order: (arrival, origin, per-origin seq),
-        # independent of which thread appended first.
-        router, engines = self.make_router()
+        # The deterministic total order: (arrival, origin, send order); an
+        # earlier arrival sent later still goes first.
+        shard_set, engines = two_engine_set()
         for index in range(4):
-            router.dispatch(0, _FakeMessage("b", f"m{index}"), delay=0.25)
-        router.drain_inboxes()
-        engines[1].loop.run()
-        assert [m.message_id for m in engines[1].transport.delivered] \
-            == ["m0", "m1", "m2", "m3"]
+            self.dispatch(engines[0], f"m{index}", delay=0.25)
+        self.dispatch(engines[0], "early", delay=0.125)
+        shard_set._route(engines[0].run_to(0.0)[1])
+        engines[1].run_to(None, None, shard_set._take(shard_set.shards[1]))
+        assert self.delivered(engines[1]) == ["early", "m0", "m1", "m2", "m3"]
 
     def test_late_arrival_clamped_and_counted(self):
-        router, engines = self.make_router()
-        router.dispatch(0, _FakeMessage("b", "late"), delay=0.1)
-        engines[1].loop.clock._advance_to(5.0)  # owner's round already passed
-        router.drain_inboxes()
+        shard_set, engines = two_engine_set()
+        self.dispatch(engines[0], "late", delay=0.1)
+        shard_set._route(engines[0].run_to(0.0)[1])
+        engines[1].advance_clock(5.0)  # owner's round already passed
+        engines[1].advance_clock(5.0, shard_set._take(shard_set.shards[1]))
         assert engines[1].stats.shard_late_arrivals == 1
+        assert engines[0].stats.shard_late_arrivals == 0  # judged by the owner
         assert engines[1].loop.next_event_time() == pytest.approx(5.0)
 
-    def test_drain_is_a_noop_in_direct_mode(self):
-        router = MailRouter({"a": 0, "b": 1})  # direct (inproc) mode
-        router.attach_engines([_FakeEngine(), _FakeEngine()])
-        assert router.drain_inboxes() == 0
+    def test_coordinator_carries_mail_between_rounds(self):
+        shard_set, engines = two_engine_set()
+        engines[0].loop.schedule_at(
+            0.1, lambda: self.dispatch(engines[0], "m1", delay=0.5))
+        assert shard_set.run() == 2  # the send, then the delivery
+        assert self.delivered(engines[1]) == ["m1"]
+        assert shard_set.handoffs_drained == 1
+        assert all(not shard.pending for shard in shard_set.shards)
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +249,9 @@ class _TickTimer:
         return self.t
 
 
-class _LoopEngine:
-    """Just enough engine for a ShardSet: a real EventLoop, nothing else."""
-
-    def __init__(self):
-        self.loop = EventLoop()
-        self.sites = {}
-
-
 def two_shard_set(timer):
-    topology = lan(["a", "b"], latency=0.5)
-    placement = {"a": 0, "b": 1}
-    clock_sync = ClockSync(topology, placement, shards=2)
-    shards = [Shard(0, _LoopEngine()), Shard(1, _LoopEngine())]
-    shard_set = ShardSet(shards, clock_sync,
-                         backend=InprocBackend(timer), timer=timer)
-    return shard_set, shards
+    shard_set, _engines = two_engine_set(timer)
+    return shard_set, shard_set.shards
 
 
 class TestCostAttribution:
@@ -248,7 +309,7 @@ class TestClockSyncDirtyFlag:
 
     def test_facade_add_sites_coalesce_rebuilds(self):
         kernel, names = sharded_kernel("inproc")
-        sync = kernel._clock_sync
+        sync = kernel.shard_set.clock_sync
         kernel.launch(names[0], "courier")
         kernel.run()  # horizons computed: first lazy rebuild happens here
         before = sync.rebuilds
@@ -316,12 +377,35 @@ class TestBudgetStop:
 
 class TestFacadeSurface:
     def test_thread_matches_inproc_on_churn(self):
-        inproc, inproc_counters = run_churn("inproc")
-        threaded, threaded_counters = run_churn("thread")
-        assert threaded_counters == inproc_counters
-        assert threaded.events == inproc.events
-        assert threaded.handoffs == inproc.handoffs
-        assert threaded.sim_seconds == inproc.sim_seconds
+        for shards in ENGINE_COUNTS + (4,):
+            inproc, inproc_counters = run_churn("inproc", shards=shards)
+            threaded, threaded_counters = run_churn("thread", shards=shards)
+            assert threaded_counters == inproc_counters
+            assert threaded.events == inproc.events
+            assert threaded.handoffs == inproc.handoffs
+            assert threaded.sim_seconds == inproc.sim_seconds
+            assert (inproc.handoffs > 0) == (shards > 1)
+
+    def test_thread_bursts_share_nothing_under_a_short_switch_interval(self):
+        # More pool threads than cores, switching every few bytecodes: a
+        # burst touching anything but its own engine and the mail it was
+        # handed would lose an update and break the match with inproc.
+        import sys
+
+        def outcome(backend):
+            result, counters = run_churn(backend, site_count=16, shards=8,
+                                         waves=4)
+            return (counters, result.events, result.handoffs, result.rounds,
+                    result.late_arrivals, result.sim_seconds)
+
+        reference = outcome("inproc")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert outcome("thread") == reference
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_shard_summary_surfaces_coordination_ledger(self):
         from repro.bench.workloads import ShardedChurnParams, \
@@ -341,17 +425,33 @@ class TestFacadeSurface:
         kernel.close()
 
     def test_shard_summary_on_classic_kernel(self):
-        kernel = Kernel(lan(["a", "b"]))
-        summary = kernel.shard_summary()
-        assert summary == {"shards": 1, "backend": None, "shard_handoffs": 0,
-                           "shard_handoff_bytes": 0, "shard_late_arrivals": 0}
-        kernel.close()  # no-op, must not raise
+        # One engine has nothing to coordinate, whatever backend is named.
+        for backend in ("inproc", "thread"):
+            kernel, _names = sharded_kernel(backend, shards=1)
+            summary = kernel.shard_summary()
+            assert summary == {"shards": 1, "backend": None,
+                               "shard_handoffs": 0, "shard_handoff_bytes": 0,
+                               "shard_late_arrivals": 0}
+            assert kernel.shard_set is None
+            kernel.close()
+
+    def test_summary_keys_common_to_every_engine_count(self):
+        for shards in ENGINE_COUNTS:
+            kernel, names = sharded_kernel("inproc", shards=shards)
+            kernel.launch(names[0], "courier")
+            kernel.run()
+            summary = kernel.shard_summary()
+            assert summary["shards"] == shards == len(kernel.engines)
+            assert summary["shard_late_arrivals"] == 0
+            assert summary["shard_handoffs"] == kernel.stats.shard_handoffs
+            kernel.close()
 
     def test_close_is_idempotent(self):
-        kernel, _names = sharded_kernel("thread")
-        kernel.run(until=0.01)
-        kernel.close()
-        kernel.close()
+        for shards in ENGINE_COUNTS:
+            kernel, _names = sharded_kernel("thread", shards=shards)
+            kernel.run(until=0.01)
+            kernel.close()
+            kernel.close()
 
 
 # ---------------------------------------------------------------------------
