@@ -1,9 +1,10 @@
 """Setuptools shim.
 
-The canonical metadata lives in pyproject.toml; this file exists so that
-``pip install -e . --no-use-pep517`` (and plain ``python setup.py develop``)
-work in offline environments that lack the ``wheel`` package required by
-PEP 517 editable builds.
+This file is the package's only metadata (the tree has no pyproject.toml),
+so ``pip install -e . --no-use-pep517`` (and plain ``python setup.py
+develop``) work in offline environments that lack the ``wheel`` package
+required by PEP 517 editable builds.  Tests, tools and the benchmark do not
+need an install: they run from the checkout with ``PYTHONPATH=src``.
 """
 
 from setuptools import find_packages, setup

@@ -12,6 +12,11 @@ This implementation keeps folders in a dict plus a per-folder element index
 the diffusion agent are O(1), and offers :meth:`flush` / :meth:`load` for
 persistence.  The deliberately large :meth:`move_cost` is what experiment
 E3 measures against the briefcase's cheap wire size.
+
+Access-side structures like that index are the asymmetry the paper
+sanctions: a briefcase stays a flat list of bytes because it must be cheap
+to move, a cabinet may keep whatever makes reads cheap because it stays
+put.  :meth:`derived` extends the same licence to the cabinet's readers.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ class FileCabinet:
         self.site = site
         self._folders: Dict[str, Folder] = {}
         self._index: Dict[str, Dict[str, int]] = {}
+        #: per-folder read-side state kept by readers (see :meth:`derived`);
+        #: lives and dies with ``_index``
+        self._derived: Dict[str, Dict[Any, Any]] = {}
         #: number of lookups served; used by the access-cost model in E3
         self.access_count = 0
         #: mutation hook installed by a durable SiteStore (see repro.store);
@@ -80,6 +88,7 @@ class FileCabinet:
             self._reindex(folder_name)
         else:
             self._index.pop(folder_name, None)
+            self._derived.pop(folder_name, None)
         self._notify(folder_name)
 
     def _notify(self, folder_name: str) -> None:
@@ -114,6 +123,7 @@ class FileCabinet:
             raise MissingFolderError(
                 f"cabinet {self.name!r} has no folder named {name!r}") from None
         self._index.pop(name, None)
+        self._derived.pop(name, None)
         self._notify(name)
         return folder
 
@@ -129,6 +139,7 @@ class FileCabinet:
         """
         self._folders.clear()
         self._index.clear()
+        self._derived.clear()
 
     def names(self) -> List[str]:
         """All folder names in the cabinet."""
@@ -144,7 +155,7 @@ class FileCabinet:
         """Push *element* into *folder_name*, creating the folder if needed."""
         folder = self.folder(folder_name, create=True)
         folder.push(element)
-        self._index_element(folder_name, folder.raw_elements()[-1])
+        self._index_element(folder_name, folder._elements[-1])  # noqa: SLF001
         self._notify(folder_name)
 
     def get(self, folder_name: str, default: Any = None) -> Any:
@@ -175,6 +186,23 @@ class FileCabinet:
         if folder_name not in self._folders:
             return []
         return self._folders[folder_name].elements()
+
+    def derived(self, folder_name: str) -> Dict[Any, Any]:
+        """Scratch dict for state a reader derives from *folder_name*'s elements.
+
+        A reader that would otherwise decode the whole folder on every call
+        (the rear guards' release log) parks what it worked out here and
+        next time decodes only what ``put`` appended since.  The dict is
+        valid exactly as long as the folder has only been appended to: it is
+        dropped wherever the element index is rebuilt or dropped (``add``,
+        ``touch``, ``deposit``, ``remove``, ``clear``), so after a direct
+        edit or a crash-recovery restore the reader starts from the stored
+        bytes again.  It is never journaled, flushed, sized or moved.
+        """
+        derived = self._derived.get(folder_name)
+        if derived is None:
+            derived = self._derived[folder_name] = {}
+        return derived
 
     # -- briefcase interchange ------------------------------------------------------
 
@@ -283,6 +311,7 @@ class FileCabinet:
             key = _digest(stored)
             index[key] = index.get(key, 0) + 1
         self._index[folder_name] = index
+        self._derived.pop(folder_name, None)
 
     def _index_element(self, folder_name: str, stored: bytes) -> None:
         key = _digest(stored)

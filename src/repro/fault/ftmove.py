@@ -215,9 +215,10 @@ def ft_visitor_behaviour(ctx: AgentContext, briefcase: Briefcase):
         # briefcase, so the snapshot taken right after it is exactly what a
         # relaunch must re-ship.
         jump = ctx.jump(briefcase, next_site)
-        snapshot = briefcase.copy()
+        snapshot_wire = briefcase.to_wire()
         yield ctx.spawn(rear_guard_behaviour,
-                        guard_snapshot(ft_id, next_seq, snapshot, per_hop, max_relaunches,
+                        guard_snapshot(ft_id, next_seq, snapshot_wire, per_hop,
+                                       max_relaunches,
                                        view_assisted=bool(briefcase.get("VIEW_ASSISTED",
                                                                         False)),
                                        ack_aware=True),
@@ -236,7 +237,7 @@ def ft_visitor_behaviour(ctx: AgentContext, briefcase: Briefcase):
             # barrier commits the batch immediately instead of sitting out
             # the commit window — the wait logged below is what E13 reads
             # to price checkpoint latency per hop.
-            record_checkpoint(cabinet, ft_id, next_seq, snapshot.to_wire(),
+            record_checkpoint(cabinet, ft_id, next_seq, snapshot_wire,
                               per_hop, max_relaunches)
             barrier_from = ctx.now
             ckpt_span = None

@@ -32,7 +32,8 @@ clone its own computation id suffix (see ``ftmove.fan_out_ids``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import math
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.briefcase import Briefcase
 from repro.core.context import AgentContext
@@ -77,13 +78,15 @@ GUARD_GROUP = "ft_sites"
 CHECKPOINTS_FOLDER = "checkpoints"
 
 
-def guard_snapshot(ft_id: str, protects_seq: int, shipped_briefcase: Briefcase,
+def guard_snapshot(ft_id: str, protects_seq: int,
+                   shipped_briefcase: Union[Briefcase, dict],
                    per_hop_time: float, max_relaunches: int = 2,
                    view_assisted: bool = False, ack_aware: bool = False) -> Briefcase:
     """Build the briefcase a rear guard is spawned with.
 
     ``shipped_briefcase`` is the exact briefcase being sent for hop
-    *protects_seq*; the guard stores its wire form so a relaunch re-creates
+    *protects_seq* (or its ``to_wire()`` form, when the caller has already
+    built one); the guard stores the wire form so a relaunch re-creates
     that hop byte-for-byte.  With ``view_assisted`` the guard also watches
     the local Horus suspicion folder (see
     :func:`install_horus_guard_detection`) and relaunches as soon as the
@@ -97,7 +100,8 @@ def guard_snapshot(ft_id: str, protects_seq: int, shipped_briefcase: Briefcase,
     guard = Briefcase()
     guard.set(_GUARD_FT_ID, ft_id)
     guard.set(_GUARD_PROTECTS, int(protects_seq))
-    guard.set(_GUARD_SNAPSHOT, shipped_briefcase.to_wire())
+    guard.set(_GUARD_SNAPSHOT, shipped_briefcase.to_wire()
+              if isinstance(shipped_briefcase, Briefcase) else shipped_briefcase)
     guard.set(_GUARD_PER_HOP, float(per_hop_time))
     guard.set(_GUARD_MAX_RELAUNCH, int(max_relaunches))
     guard.set(_GUARD_VIEW_ASSISTED, bool(view_assisted))
@@ -224,16 +228,62 @@ def release_agent_behaviour(ctx: AgentContext, briefcase: Briefcase):
     return recorded
 
 
+def _folded_notices(cabinet, folder_name: str, fold) -> Dict[str, object]:
+    """Per-``ft_id`` marks folded from an append-only notice log, on read.
+
+    ``releases`` and ``relaunch_acks`` only ever grow by ``cabinet.put``,
+    and every guard at the site polls them, so the marks are kept in the
+    cabinet's derived-state slot and each call decodes just the notices
+    filed since the previous one.  Whatever breaks "only grew" (``touch``,
+    ``remove``, a crash, the recovery restore) drops the slot, and the next
+    call re-derives the marks from the stored bytes.  Notices that are not
+    dicts or name no ``ft_id`` match no guard and are skipped.
+    """
+    if not cabinet.has(folder_name):
+        return {}
+    folder = cabinet.folder(folder_name)
+    derived = cabinet.derived(folder_name)
+    folded = derived.get("folded", 0)
+    if len(folder) > folded:
+        marks = derived.setdefault("marks", {})
+        # from_stored adopts the unread tail as-is: nothing older is decoded.
+        unread = Folder.from_stored(folder_name, folder.raw_elements()[folded:])
+        for notice in unread.elements():
+            if isinstance(notice, dict) and "ft_id" in notice:
+                fold(marks, notice)
+        derived["folded"] = len(folder)
+    return derived.get("marks", {})
+
+
+def _fold_release(reached: Dict[str, float], notice: dict) -> None:
+    """``reached[ft_id]``: the furthest hop any release reports (inf once done)."""
+    hop = math.inf if notice.get("done") else int(notice.get("reached_seq", -1))
+    reached[notice["ft_id"]] = max(hop, reached.get(notice["ft_id"], -math.inf))
+
+
+def _fold_relaunch_ack(acks: Dict[str, List[Tuple[int, float]]], notice: dict) -> None:
+    """``acks[ft_id]``: ``(seq, at)`` of every landing acknowledgement."""
+    acks.setdefault(notice["ft_id"], []).append(
+        (int(notice.get("seq", -1)), float(notice.get("at", 0.0))))
+
+
 def _released(cabinet, ft_id: str, protects_seq: int) -> bool:
     """Has a release arrived that retires a guard protecting *protects_seq*?"""
-    for notice in cabinet.elements("releases"):
-        if not isinstance(notice, dict) or notice.get("ft_id") != ft_id:
-            continue
-        if notice.get("done"):
-            return True
-        if int(notice.get("reached_seq", -1)) >= protects_seq + 1:
-            return True
-    return False
+    reached = _folded_notices(cabinet, "releases", _fold_release)
+    return reached.get(ft_id, -math.inf) >= protects_seq + 1
+
+
+def _relaunch_acked(cabinet, ft_id: str, protects_seq: int, since: float) -> bool:
+    """Did a twin acknowledge landing for this guard's hop after *since*?"""
+    acks = _folded_notices(cabinet, "relaunch_acks", _fold_relaunch_ack)
+    return any(seq >= protects_seq and at >= since for seq, at in acks.get(ft_id, ()))
+
+
+def _checkpoint_head(checkpoint) -> Optional[Tuple[str, int]]:
+    """``(ft_id, protects_seq)`` of a parked checkpoint; None if it is not one."""
+    if isinstance(checkpoint, dict) and "ft_id" in checkpoint:
+        return checkpoint["ft_id"], int(checkpoint.get("protects_seq", 0))
+    return None
 
 
 def prune_released_checkpoints(cabinet) -> int:
@@ -247,30 +297,31 @@ def prune_released_checkpoints(cabinet) -> int:
     so pruning directly bounds the simulated cost of each checkpoint
     barrier too.  Called whenever new releases are recorded; returns how
     many checkpoints were retired.
+
+    A checkpoint is a whole briefcase snapshot and pruning looks at two
+    integers of it, so each stored element is decoded once: its head is
+    remembered under the stored bytes themselves (which cannot go stale) in
+    the cabinet's derived-state slot, and retiring drops stored elements —
+    the survivors are never re-encoded.
     """
     if not cabinet.has(CHECKPOINTS_FOLDER):
         return 0
-    checkpoints = cabinet.elements(CHECKPOINTS_FOLDER)
-    keep = [checkpoint for checkpoint in checkpoints
-            if not (isinstance(checkpoint, dict) and "ft_id" in checkpoint
-                    and _released(cabinet, checkpoint["ft_id"],
-                                  int(checkpoint.get("protects_seq", 0))))]
-    pruned = len(checkpoints) - len(keep)
+    stored = cabinet.folder(CHECKPOINTS_FOLDER).raw_elements()
+    heads = cabinet.derived(CHECKPOINTS_FOLDER)
+    unread = [element for element in stored if element not in heads]
+    heads.update(zip(unread, map(
+        _checkpoint_head, Folder.from_stored(CHECKPOINTS_FOLDER, unread).elements())))
+    survivors = [element for element in stored
+                 if heads[element] is None or not _released(cabinet, *heads[element])]
+    pruned = len(stored) - len(survivors)
     if pruned:
-        cabinet.folder(CHECKPOINTS_FOLDER).replace(keep)
-        cabinet.touch(CHECKPOINTS_FOLDER)
+        # One reindex and one journal entry for the folder.  That drops the
+        # slot with the index, so the memo is re-seeded from the survivors
+        # and stays bounded by the live checkpoints.
+        cabinet.add(Folder.from_stored(CHECKPOINTS_FOLDER, survivors), replace=True)
+        cabinet.derived(CHECKPOINTS_FOLDER).update(
+            (element, heads[element]) for element in survivors)
     return pruned
-
-
-def _relaunch_acked(cabinet, ft_id: str, protects_seq: int, since: float) -> bool:
-    """Did a twin acknowledge landing for this guard's hop after *since*?"""
-    for notice in cabinet.elements("relaunch_acks"):
-        if not isinstance(notice, dict) or notice.get("ft_id") != ft_id:
-            continue
-        if (int(notice.get("seq", -1)) >= protects_seq
-                and float(notice.get("at", 0.0)) >= since):
-            return True
-    return False
 
 
 def rear_guard_behaviour(ctx: AgentContext, briefcase: Briefcase):
@@ -297,7 +348,9 @@ def rear_guard_behaviour(ctx: AgentContext, briefcase: Briefcase):
     view_assisted = bool(briefcase.get(_GUARD_VIEW_ASSISTED, False))
     ack_aware = bool(briefcase.get(_GUARD_ACK_AWARE, False))
     snapshot_wire = briefcase.get(_GUARD_SNAPSHOT)
-    protected_target = snapshot_wire and Briefcase.from_wire(snapshot_wire).get("TARGET_SITE")
+    #: where the protected hop was headed — only a view-assisted guard asks
+    protected_target = (Briefcase.from_wire(snapshot_wire).get("TARGET_SITE")
+                        if view_assisted and snapshot_wire else None)
 
     cabinet = ctx.cabinet(REARGUARD_CABINET)
     detector = TimeoutDetector(per_hop_time=per_hop, remaining_hops=2)
@@ -377,7 +430,9 @@ def _relaunch(ctx: AgentContext, snapshot_wire: dict):
 
     attempt_order = list(dict.fromkeys(candidates))  # preserve order, drop dupes
     for index, candidate in enumerate(attempt_order):
-        shipment = Briefcase.from_wire(snapshot_wire)
+        # Every attempt edits and ships its own briefcase; the first takes
+        # the one the candidates were read from.
+        shipment = snapshot if index == 0 else Briefcase.from_wire(snapshot_wire)
         if candidate != target:
             # Rebuild the itinerary without the hops we are skipping over.
             remaining = attempt_order[index + 1:]

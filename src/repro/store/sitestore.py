@@ -169,7 +169,7 @@ class SiteStore:
     @staticmethod
     def _captures_bytes(captures: List[Capture]) -> int:
         """Payload bytes the captured folder states carry (deletions are free)."""
-        return sum(sum(len(element) for element in elements)
+        return sum(sum(map(len, elements))
                    for _, _, elements in captures if elements)
 
     def _dirty_bytes_estimate(self) -> int:
@@ -185,8 +185,7 @@ class SiteStore:
             if self.site.has_cabinet(cabinet_name):
                 cabinet = self.site.cabinet(cabinet_name)
                 if cabinet.has(folder_name):
-                    total += sum(len(element) for element
-                                 in cabinet.folder(folder_name).raw_elements())
+                    total += sum(map(len, cabinet.folder(folder_name).raw_elements()))
         return total
 
     @property
@@ -234,7 +233,8 @@ class SiteStore:
         when :meth:`_finalize` runs, and they cover every mutation journaled
         up to now (``_inflight_through``).
         """
-        cost = self._write_cost(len(captures), self._captures_bytes(captures))
+        size_bytes = self._captures_bytes(captures)
+        cost = self._write_cost(len(captures), size_bytes)
         self._inflight = captures
         self._inflight_through = self._mutation_counter
         self._inflight_done_at = self.loop.now + cost
@@ -246,8 +246,7 @@ class SiteStore:
                 infra_trace_id("store", self.site.name), "wal-commit",
                 self.obs.next_key(self.site.name), kind="store",
                 site=self.site.name,
-                attrs={"records": len(captures),
-                       "bytes": self._captures_bytes(captures)})
+                attrs={"records": len(captures), "bytes": size_bytes})
         self._finalize_event = self.loop.schedule(
             cost, self._finalize, label=("store-fsync", self.site.name))
         return cost

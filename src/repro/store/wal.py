@@ -57,7 +57,7 @@ class WalRecord:
         self.folder = folder
         #: raw stored elements at commit time; None records a deletion
         self.elements = elements
-        self.size_bytes = sum(len(item) for item in elements) if elements else 0
+        self.size_bytes = sum(map(len, elements)) if elements else 0
         self.committed_at = committed_at
 
     def __repr__(self) -> str:

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Kernel, KernelConfig
+from repro.core import Briefcase, Kernel, KernelConfig
 from repro.fault import (CHECKPOINTS_FOLDER, REARGUARD_CABINET, completions,
-                         launch_ft_computation)
+                         guard_snapshot, launch_ft_computation, rear_guard_behaviour)
+from repro.fault.rearguard import _released
+from repro.fault.recovery import (REVIVED_FOLDER, install_checkpoint_recovery,
+                                  record_checkpoint)
 from repro.net import FailureSchedule, lan
 
 SITES = ["h", "s1", "s2", "d"]
@@ -196,6 +199,40 @@ class TestCheckpointedGuards:
                     if "revived rear guard" in entry[3]]
         # At least one checkpoint was revived on both recovery rounds.
         assert len(revivals) >= 2
+
+    def test_recovered_site_reads_releases_from_the_restored_bytes(self):
+        """The release marks guards poll are derived state, never journaled:
+        a recovered site re-derives them from what the store restored.  A
+        release that was durable before the crash still retires its
+        checkpoint (no revival, and a fresh guard sees it); one that died
+        in the commit window is gone, so its checkpoint is revived."""
+        kernel = make_kernel()
+        install_checkpoint_recovery(kernel)
+        cabinet = kernel.site("s1").cabinet(REARGUARD_CABINET)
+        wire = Briefcase().to_wire()
+        record_checkpoint(cabinet, "ft-kept", 2, wire, 3.0, 2)
+        record_checkpoint(cabinet, "ft-lost", 2, wire, 3.0, 2)
+        cabinet.put("releases", {"ft_id": "ft-kept", "reached_seq": 3, "done": False})
+        kernel.run(until=1.0)                  # the group commit lands
+        assert kernel.store("s1").dirty_count == 0
+        cabinet.put("releases", {"ft_id": "ft-lost", "reached_seq": 3, "done": False})
+        # Both marks are folded in memory when the site goes down.
+        assert _released(cabinet, "ft-kept", 2) and _released(cabinet, "ft-lost", 2)
+
+        kernel.crash_site("s1")                # inside ft-lost's commit window
+        assert not _released(cabinet, "ft-kept", 2)      # volatile state is gone
+        kernel.recover_site("s1")
+        kernel.run(until=kernel.now + 5.0)     # replay completes; revival sweep runs
+        assert kernel.stats.recoveries == 1
+
+        cabinet = kernel.site("s1").cabinet(REARGUARD_CABINET)
+        assert _released(cabinet, "ft-kept", 2)
+        assert not _released(cabinet, "ft-lost", 2)
+        assert cabinet.elements(REVIVED_FOLDER) == ["ft-lost:2"]
+        guard = kernel.launch("s1", rear_guard_behaviour,
+                              guard_snapshot("ft-kept", 2, wire, 3.0), name="late-guard")
+        kernel.run(until=kernel.now + 1.0)
+        assert kernel.result_of(guard) == "released"
 
     def test_partitioned_guard_site_keeps_checkpointing(self):
         """A partition cannot stop local durability: the isolated guard

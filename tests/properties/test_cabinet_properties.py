@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Briefcase, FileCabinet, Folder
+from repro.store.snapshot import capture_cabinet, restore_cabinet
 
 element_strategy = st.one_of(st.binary(max_size=32), st.text(max_size=16), st.integers())
 
@@ -72,3 +73,50 @@ def test_move_cost_dominates_storage(elements):
     assert cabinet.move_cost() >= cabinet.storage_size()
     if elements:
         assert cabinet.move_cost() >= FileCabinet.MOVE_COST_FACTOR
+
+
+@given(st.lists(element_strategy, max_size=12), st.lists(element_strategy, max_size=12),
+       element_strategy)
+def test_put_indexes_exactly_the_element_it_stored(before, after, probe):
+    # put() indexes the stored bytes it just appended (no folder copy): the
+    # index must match membership whether the folder started out indexed by
+    # add()/deposit() or grew by put() alone, duplicates included.
+    cabinet = FileCabinet("c")
+    cabinet.deposit(Briefcase([Folder("X", before)]))
+    for element in after:
+        cabinet.put("X", element)
+        assert cabinet.contains_element("X", element)
+    assert cabinet.contains_element("X", probe) == (probe in before + after)
+    rebuilt = FileCabinet("c")
+    rebuilt.add(Folder("X", before + after))
+    assert cabinet._index == rebuilt._index
+
+
+@given(st.lists(element_strategy, min_size=1, max_size=8),
+       st.sampled_from(["touch", "remove", "clear", "add", "deposit", "restore"]))
+def test_derived_state_lives_and_dies_with_the_index(elements, edit):
+    cabinet = FileCabinet("c")
+    cabinet.put("X", elements[0])
+    cabinet.derived("X")["seen"] = 1
+    cabinet.derived("Y")["seen"] = 1       # a slot may precede its folder
+    for element in elements[1:]:
+        cabinet.put("X", element)          # appends leave it alone
+    assert cabinet.derived("X") == {"seen": 1}
+    size = cabinet.storage_size()
+    if edit == "touch":
+        cabinet.touch("X")
+    elif edit == "remove":
+        cabinet.remove("X")
+    elif edit == "clear":
+        cabinet.clear()
+    elif edit == "add":
+        cabinet.add(Folder("X", elements), replace=True)
+    elif edit == "deposit":
+        cabinet.deposit(Briefcase([Folder("X", elements)]))
+    else:
+        restore_cabinet(cabinet, capture_cabinet(cabinet))
+    assert cabinet.derived("X") == {}
+    if edit in ("touch", "add", "restore"):
+        assert cabinet.storage_size() == size      # never counted as stored
+    cabinet.touch("Y")                     # touching a missing folder drops its slot
+    assert cabinet.derived("Y") == {}

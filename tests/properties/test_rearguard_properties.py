@@ -1,8 +1,13 @@
-"""Property-based test for the headline fault-tolerance invariant.
+"""Property-based tests for the rear guards.
 
-Whatever single intermediate site crashes, and whenever it crashes during
-the run, a rear-guard-protected computation whose origin and delivery sites
-stay up completes **exactly once** — never zero times, never twice.
+The headline fault-tolerance invariant: whatever single intermediate site
+crashes, and whenever it crashes during the run, a rear-guard-protected
+computation whose origin and delivery sites stay up completes **exactly
+once** — never zero times, never twice.
+
+And the read side of the ``rearguard`` cabinet: the incrementally folded
+release/ack marks and the byte-level checkpoint pruner agree with a full
+scan of the stored elements after any interleaving of cabinet operations.
 """
 
 from __future__ import annotations
@@ -10,9 +15,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Kernel, KernelConfig
-from repro.fault import completions, launch_ft_computation
+from repro.core import Briefcase, FileCabinet, Folder, Kernel, KernelConfig
+from repro.fault import (CHECKPOINTS_FOLDER, REARGUARD_CABINET, completions,
+                         launch_ft_computation, prune_released_checkpoints)
+from repro.fault.rearguard import _relaunch_acked, _released
+from repro.fault.recovery import record_checkpoint
 from repro.net import FailureSchedule, ring
+from repro.store.snapshot import capture_cabinet, restore_cabinet
 
 SITES = [f"s{i}" for i in range(6)]
 
@@ -39,3 +48,140 @@ def test_single_intermediate_crash_still_completes_exactly_once(victim, crash_at
     visited = [entry["site"] for entry in records[0]["results"]]
     assert visited[0] == SITES[0]
     assert visited[-1] == SITES[-1]
+
+
+# ---------------------------------------------------------------------------
+# The rearguard cabinet's read side is derived state (folded on read, kept in
+# FileCabinet.derived): whatever is done to the cabinet, it must answer what
+# a full scan of the stored bytes answers.  The full-scan bodies below are
+# the reference implementations; src/ no longer has them.
+# ---------------------------------------------------------------------------
+
+FT_IDS = ["ft-a", "ft-b", "ft-c"]
+NOTICE_FOLDERS = ["releases", "relaunch_acks"]
+SNAPSHOT_WIRE = Briefcase([Folder("PAYLOAD", [b"x" * 64, "text", {"k": 1}])]).to_wire()
+
+
+def scan_released(cabinet, ft_id, protects_seq):
+    for notice in cabinet.elements("releases"):
+        if not isinstance(notice, dict) or "ft_id" not in notice:
+            continue
+        if notice["ft_id"] != ft_id:
+            continue
+        if notice.get("done"):
+            return True
+        if int(notice.get("reached_seq", -1)) >= protects_seq + 1:
+            return True
+    return False
+
+
+def scan_relaunch_acked(cabinet, ft_id, protects_seq, since):
+    for notice in cabinet.elements("relaunch_acks"):
+        if not isinstance(notice, dict) or "ft_id" not in notice:
+            continue
+        if notice["ft_id"] != ft_id:
+            continue
+        if (int(notice.get("seq", -1)) >= protects_seq
+                and float(notice.get("at", 0.0)) >= since):
+            return True
+    return False
+
+
+def scan_prune(cabinet):
+    """(survivors' stored bytes, the folder a decode-all/re-encode prune leaves)."""
+    stored = (cabinet.folder(CHECKPOINTS_FOLDER).raw_elements()
+              if cabinet.has(CHECKPOINTS_FOLDER) else [])
+    checkpoints = cabinet.elements(CHECKPOINTS_FOLDER)
+    keep = [not (isinstance(checkpoint, dict) and "ft_id" in checkpoint
+                 and scan_released(cabinet, checkpoint["ft_id"],
+                                   int(checkpoint.get("protects_seq", 0))))
+            for checkpoint in checkpoints]
+    survivors = [element for element, kept in zip(stored, keep) if kept]
+    reencoded = Folder(CHECKPOINTS_FOLDER, [checkpoint for checkpoint, kept
+                                            in zip(checkpoints, keep) if kept])
+    return survivors, reencoded.raw_elements()
+
+
+seqs = st.integers(min_value=-2, max_value=7)
+malformed = st.one_of(st.none(), st.text(max_size=4), st.integers(),
+                      st.just({"reached_seq": 9, "done": True}),   # names no ft_id
+                      st.just([{"ft_id": "ft-a", "done": True}]))
+release_notices = st.one_of(
+    malformed,
+    st.fixed_dictionaries(
+        {"ft_id": st.sampled_from(FT_IDS)},
+        optional={"reached_seq": st.one_of(seqs, seqs.map(str), seqs.map(float)),
+                  "done": st.sampled_from([True, False, 0, 1, None]),
+                  "released_seqs": st.lists(seqs, max_size=2)}))
+ack_notices = st.one_of(
+    malformed,
+    st.fixed_dictionaries(
+        {"ft_id": st.sampled_from(FT_IDS)},
+        optional={"seq": st.one_of(seqs, seqs.map(str)),
+                  "at": st.one_of(st.floats(min_value=0.0, max_value=4.0),
+                                  st.integers(min_value=0, max_value=4)),
+                  "ack": st.just(True)}))
+steps = st.one_of(
+    st.tuples(st.just("release"), release_notices),
+    st.tuples(st.just("ack"), ack_notices),
+    st.tuples(st.just("checkpoint"), st.sampled_from(FT_IDS), seqs),
+    st.tuples(st.just("junk-checkpoint"), malformed),
+    st.tuples(st.just("prune")),
+    st.tuples(st.just("touch"), st.sampled_from(NOTICE_FOLDERS + [CHECKPOINTS_FOLDER])),
+    st.tuples(st.just("remove"), st.sampled_from(NOTICE_FOLDERS + [CHECKPOINTS_FOLDER])),
+    st.tuples(st.just("drop-newest"), st.sampled_from(NOTICE_FOLDERS)),
+    st.tuples(st.just("restore")),
+)
+
+
+def apply_step(cabinet, step):
+    kind = step[0]
+    if kind == "release":
+        cabinet.put("releases", step[1])
+    elif kind == "ack":
+        cabinet.put("relaunch_acks", step[1])
+    elif kind == "checkpoint":
+        record_checkpoint(cabinet, step[1], step[2], SNAPSHOT_WIRE, 0.5, 2)
+    elif kind == "junk-checkpoint":
+        cabinet.put(CHECKPOINTS_FOLDER, step[1])
+    elif kind == "prune":
+        survivors, reencoded = scan_prune(cabinet)
+        before = len(cabinet.elements(CHECKPOINTS_FOLDER))
+        assert prune_released_checkpoints(cabinet) == before - len(survivors)
+        after = (cabinet.folder(CHECKPOINTS_FOLDER).raw_elements()
+                 if cabinet.has(CHECKPOINTS_FOLDER) else [])
+        assert after == survivors == reencoded
+    elif kind == "touch":
+        cabinet.touch(step[1])
+    elif kind == "remove":
+        if cabinet.has(step[1]):
+            cabinet.remove(step[1])
+    elif kind == "drop-newest":
+        # A direct Folder edit, reconciled the documented way (touch).
+        if cabinet.has(step[1]) and cabinet.folder(step[1]):
+            cabinet.folder(step[1]).pop()
+            cabinet.touch(step[1])
+    elif kind == "restore":
+        # What crash recovery does: clear, then re-add byte-exact folders.
+        image = capture_cabinet(cabinet)
+        restore_cabinet(cabinet, image)
+        assert capture_cabinet(cabinet) == image
+
+
+@given(st.lists(steps, min_size=5, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_rearguard_reads_match_a_full_scan_after_every_step(script):
+    cabinet = FileCabinet(REARGUARD_CABINET)
+    for step in script:
+        apply_step(cabinet, step)
+        for ft_id in FT_IDS:
+            for protects_seq in range(-3, 8):
+                assert (_released(cabinet, ft_id, protects_seq)
+                        == scan_released(cabinet, ft_id, protects_seq)), (step, ft_id)
+                for since in (0.0, 1.5, 4.0):
+                    assert (_relaunch_acked(cabinet, ft_id, protects_seq, since)
+                            == scan_relaunch_acked(cabinet, ft_id, protects_seq, since))
+    survivors, _ = scan_prune(cabinet)
+    prune_released_checkpoints(cabinet)
+    assert (cabinet.folder(CHECKPOINTS_FOLDER).raw_elements()
+            if cabinet.has(CHECKPOINTS_FOLDER) else []) == survivors

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Briefcase, Folder, Kernel, KernelConfig
+from repro.core import Briefcase, FileCabinet, Folder, Kernel, KernelConfig
 from repro.core.codec import code_for
-from repro.fault.rearguard import (REARGUARD_CABINET, RELEASE_AGENT_NAME, guard_snapshot,
+from repro.fault.rearguard import (CHECKPOINTS_FOLDER, REARGUARD_CABINET, RELEASE_AGENT_NAME,
+                                   _relaunch_acked, _released, guard_snapshot,
                                    install_fault_agents, make_release_folder, pending_guards,
-                                   rear_guard_behaviour, release_agent_behaviour)
+                                   prune_released_checkpoints, rear_guard_behaviour,
+                                   release_agent_behaviour)
+from repro.fault.recovery import record_checkpoint
 from repro.net import lan
 
 
@@ -221,3 +224,76 @@ class TestRearGuard:
         outcomes = pending_guards(kernel)
         assert len(outcomes) == 2
         assert {entry["guard_site"] for entry in outcomes} == {"a", "b"}
+
+
+class TestIncrementalReads:
+    """The rearguard cabinet is read incrementally: a poll decodes what was
+    filed since the previous poll, not the whole log; a prune decodes each
+    parked snapshot once.  Counted at ``repro.core.folder._decode`` — every
+    stored element becomes a value there — never by timing."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        import repro.core.folder as folder_module
+        real, values = folder_module._decode, []
+
+        def counting(stored):
+            value = real(stored)
+            values.append(value)
+            return value
+
+        monkeypatch.setattr(folder_module, "_decode", counting)
+        return values
+
+    def test_polls_decode_each_release_notice_once(self, decoded):
+        cabinet = FileCabinet(REARGUARD_CABINET)
+        unrelated, polls = 60, 40
+        for index in range(unrelated):
+            cabinet.put("releases", {"ft_id": f"other-{index}", "reached_seq": 9,
+                                     "done": False})
+        for _ in range(polls):
+            assert not _released(cabinet, "ft-1", 1)
+        assert len(decoded) == unrelated          # not polls * unrelated
+        cabinet.put("releases", {"ft_id": "ft-1", "reached_seq": 2, "done": False})
+        assert _released(cabinet, "ft-1", 1)
+        assert not _released(cabinet, "ft-1", 2)
+        assert len(decoded) == unrelated + 1
+
+    def test_ack_polls_decode_each_ack_once(self, decoded):
+        cabinet = FileCabinet(REARGUARD_CABINET)
+        for index in range(10):
+            cabinet.put("relaunch_acks", {"ft_id": "ft-1", "seq": 1, "at": float(index),
+                                          "ack": True})
+        for _ in range(20):
+            assert _relaunch_acked(cabinet, "ft-1", 1, since=9.0)
+            assert not _relaunch_acked(cabinet, "ft-1", 1, since=9.5)
+            assert not _relaunch_acked(cabinet, "ft-1", 2, since=0.0)
+        assert len(decoded) == 10
+
+    def test_prune_decodes_each_parked_snapshot_once(self, decoded):
+        cabinet = FileCabinet(REARGUARD_CABINET)
+        wire = make_snapshot().to_wire()
+        parked = 12
+        for seq in range(parked):
+            record_checkpoint(cabinet, "ft-1", seq, wire, 0.5, 2)
+
+        def snapshots_decoded():
+            return sum(isinstance(value, dict) and "snapshot_wire" in value
+                       for value in decoded)
+
+        assert prune_released_checkpoints(cabinet) == 0
+        assert snapshots_decoded() == parked      # first sight of each
+        del decoded[:]
+        stored = cabinet.folder(CHECKPOINTS_FOLDER).raw_elements()
+        assert prune_released_checkpoints(cabinet) == 0
+        assert decoded == []                      # no new release: nothing to read
+
+        cabinet.put("releases", {"ft_id": "ft-1", "reached_seq": 3, "done": False})
+        assert prune_released_checkpoints(cabinet) == 3   # hops 0, 1, 2
+        assert snapshots_decoded() == 0 and len(decoded) == 1   # the notice only
+        survivors = cabinet.folder(CHECKPOINTS_FOLDER).raw_elements()
+        assert all(kept is original for kept, original in zip(survivors, stored[3:]))
+        del decoded[:]
+        record_checkpoint(cabinet, "ft-1", parked, wire, 0.5, 2)
+        assert prune_released_checkpoints(cabinet) == 0
+        assert snapshots_decoded() == 1           # only the newcomer
