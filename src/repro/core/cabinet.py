@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.core.briefcase import Briefcase
@@ -258,6 +257,8 @@ class FileCabinet:
         leave a torn cabinet file nor litter the directory: the previous
         flush, if any, stays intact.
         """
+        import tempfile  # only flush needs it; keeps it off every site's cold start
+
         tmp_path = None
         try:
             os.makedirs(directory, exist_ok=True)

@@ -311,8 +311,11 @@ def prune_released_checkpoints(cabinet) -> int:
     unread = [element for element in stored if element not in heads]
     heads.update(zip(unread, map(
         _checkpoint_head, Folder.from_stored(CHECKPOINTS_FOLDER, unread).elements())))
+    # Fold the release log once per prune, not once per parked checkpoint.
+    reached = _folded_notices(cabinet, "releases", _fold_release)
     survivors = [element for element in stored
-                 if heads[element] is None or not _released(cabinet, *heads[element])]
+                 if (head := heads[element]) is None
+                 or reached.get(head[0], -math.inf) < head[1] + 1]
     pruned = len(stored) - len(survivors)
     if pruned:
         # One reindex and one journal entry for the folder.  That drops the

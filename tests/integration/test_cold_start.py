@@ -1,0 +1,61 @@
+"""What a fresh interpreter sees: cold-start imports and hash-seed independence.
+
+Both need a process of their own: what ``sys.modules`` holds and what
+``PYTHONHASHSEED`` was are fixed once an interpreter is running.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import repro
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+SIZE_REPORT = os.path.join(os.path.dirname(SRC), "tools", "size_report.py")
+
+
+def run_fresh(script: str, hash_seed: str) -> str:
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_importing_the_kernel_packages_loads_nothing_third_party():
+    # A site pays its imports before its first meet, and so does every shard
+    # worker; the kernel packages need the standard library only.  The size
+    # report counts, in a fresh interpreter, what importing them loads; this
+    # is the guard that keeps a graph or array library from creeping back in,
+    # whether or not one happens to be installed where the tests run.
+    report = subprocess.run([sys.executable, SIZE_REPORT], capture_output=True, text=True,
+                            timeout=60)
+    assert report.returncode == 0, report.stderr
+    numbers = dict(field.split("=") for field in report.stdout.split()[1:])
+    assert numbers["third_party"] == "0", report.stdout
+    assert int(numbers["import_modules"]) > 0
+
+
+TIED_ROUTES = """
+from repro.net.topology import LinkSpec, Topology, ring
+
+names = ["tromso", "cornell", "ithaca", "oslo", "bergen", "narvik", "alta", "vadso"]
+topo = ring(names, latency=0.005)            # even ring: two equal ways to the far side
+spec = LinkSpec(latency=0.005)
+for i, a in enumerate(names):                # plus chords, all of one latency
+    topo.add_link(a, names[(i + 3) % len(names)], spec)
+topo.mark_down("oslo")
+for a in names:
+    for b in names:
+        if "oslo" not in (a, b):
+            print(a, b, topo.path(a, b), topo.path_cost(a, b, 4096))
+"""
+
+
+def test_equal_latency_routes_do_not_depend_on_the_hash_seed():
+    first = run_fresh(TIED_ROUTES, hash_seed="1")
+    second = run_fresh(TIED_ROUTES, hash_seed="4242")
+    assert first.count("\n") == 49
+    assert first == second

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
+import repro.net.topology as topology_module
 from repro.core.errors import NoRouteError, UnknownSiteError
 from repro.net.topology import (LinkSpec, Topology, lan, random_topology, ring, star,
-                                two_clusters)
+                                switched_fabric, two_clusters)
 
 
 class TestTopologyBasics:
@@ -40,6 +43,53 @@ class TestTopologyBasics:
         with pytest.raises(NoRouteError):
             topo.link("a", "b")
 
+    def test_add_link_creates_sites_not_added_yet(self):
+        topo = Topology()
+        topo.add_site("a")
+        topo.add_link("b", "c")
+        assert topo.sites() == ["a", "b", "c"]
+        assert topo.neighbors("b") == ["c"] and topo.neighbors("c") == ["b"]
+
+    def test_readding_a_link_replaces_its_spec(self):
+        topo = lan(["a", "b", "c"], latency=0.002)
+        topo.add_link("b", "a", LinkSpec(latency=0.5))
+        assert topo.link("a", "b").latency == topo.link("b", "a").latency == 0.5
+        assert topo.neighbors("a") == ["b", "c"]
+        assert [(a, b) for a, b, _ in topo.links()] == [("a", "b"), ("a", "c"), ("b", "c")]
+        assert topo.path("a", "b") == ["a", "c", "b"]       # the direct link is now the slow way
+
+    def test_links_yields_each_undirected_link_once_with_its_spec(self):
+        topo = ring(["a", "b", "c", "d"], latency=0.007)
+        listed = list(topo.links())
+        assert [(a, b) for a, b, _ in listed] == [("a", "b"), ("a", "d"), ("b", "c"), ("c", "d")]
+        assert all(spec is topo.link(a, b) for a, b, spec in listed)
+
+    def test_len_contains_repr_and_insertion_order(self):
+        topo = Topology()
+        for name in ("zeta", "alpha", "mid"):
+            topo.add_site(name)
+        topo.add_site("alpha")                              # adding again changes nothing
+        topo.add_link("mid", "zeta")
+        topo.mark_down("zeta")
+        assert topo.sites() == ["zeta", "alpha", "mid"]
+        assert len(topo) == 3
+        assert "alpha" in topo and "ghost" not in topo
+        assert repr(topo) == "Topology(3 sites, 1 links, down=['zeta'])"
+
+    def test_pickle_round_trip(self):
+        # The process shard backend ships one Topology to every worker.
+        topo = two_clusters(["t1", "t2", "t3"], ["c1", "c2"])
+        topo.mark_down("t3")
+        topo.set_partition([["t1"], ["c2"]])
+        topo.path_cost("t2", "c1", 100)
+        copy = pickle.loads(pickle.dumps(topo))
+        assert copy.sites() == topo.sites()
+        assert ([(a, b, vars(spec)) for a, b, spec in copy.links()]
+                == [(a, b, vars(spec)) for a, b, spec in topo.links()])
+        assert copy.is_down("t3") and copy.partitioned("t1", "c2")
+        assert copy.path("t2", "c2") == topo.path("t2", "c2")
+        assert copy.path_cost("t2", "c1", 100) == topo.path_cost("t2", "c1", 100)
+
 
 class TestRouting:
     def test_path_to_self_is_trivial(self):
@@ -56,6 +106,17 @@ class TestRouting:
         path = topo.path("a", "c")
         assert path[0] == "a" and path[-1] == "c"
         assert len(path) == 3   # two hops either way round the ring
+
+    def test_equal_latency_routes_resolve_by_construction_order(self):
+        # a-b-c and a-d-c cost the same; the route goes by whichever of a's
+        # links was added first, whatever the sites are called.
+        for first, second in (("b", "d"), ("d", "b")):
+            topo = Topology()
+            for mid in (first, second):
+                topo.add_link("a", mid)
+                topo.add_link(mid, "c")
+            assert topo.path("a", "c") == ["a", first, "c"]
+            assert topo.path("c", "a") == ["c", first, "a"]
 
     def test_path_cost_scales_with_size(self):
         topo = lan(["a", "b"], latency=0.01, bandwidth=1000.0)
@@ -80,6 +141,22 @@ class TestRouting:
         assert topo.can_communicate("a", "b")
         topo.mark_down("b")
         assert not topo.can_communicate("a", "b")
+
+    def test_a_miss_on_a_large_fabric_settles_a_small_share_of_the_sites(self, monkeypatch):
+        # Counts, not time: a route miss must not visit the whole graph.  One
+        # site is settled per heap pop, so counting pops bounds the settles.
+        hosts = [f"h{i:04d}" for i in range(2000)]
+        topo = switched_fabric(hosts)
+        heappop = topology_module.heappop
+        pops = []
+
+        def counting_pop(heap):
+            pops.append(1)
+            return heappop(heap)
+
+        monkeypatch.setattr(topology_module, "heappop", counting_pop)
+        assert topo.path("h0017", "h1983") == ["h0017", "sw00", "sw39", "h1983"]
+        assert 0 < len(pops) < len(topo) // 10
 
 
 class TestFailuresAndPartitions:

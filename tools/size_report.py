@@ -2,16 +2,23 @@
 """Print the size numbers ROADMAP aim 2 tracks, as one line.
 
     SIZE src_lines=... config_fields=... kernel_public=... shards_branches=...
+         import_modules=... third_party=...   (same line)
 
 ``src_lines`` is ``wc -l`` over ``src/repro/**/*.py``; ``config_fields`` the
 fields of ``KernelConfig``; ``kernel_public`` the public names on the
 ``Kernel`` class; ``shards_branches`` the lines of ``src/repro/core/`` that
-test for the sharded case (``_shards is`` / ``distributed``).  CI prints it
-after tier-1; CHANGES.md records parent -> change per PR.
+test for the sharded case (``_shards is`` / ``distributed``).  The last two
+are what a site pays before its first ``meet``: ``import_modules`` is
+``len(sys.modules)`` in a fresh interpreter after importing ``repro.core``,
+``repro.net``, ``repro.fault`` and ``repro.sysagents``; ``third_party`` the
+top-level packages that import pulled in from a ``site-packages`` /
+``dist-packages`` directory.  CI prints the line after tier-1; CHANGES.md
+records parent -> change per PR.
 """
 
 import dataclasses
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -20,8 +27,26 @@ sys.path.insert(0, str(SRC))
 from repro.core import Kernel, KernelConfig  # noqa: E402
 
 
+COLD_START = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import repro.core, repro.net, repro.fault, repro.sysagents
+installed = {name.split(".")[0] for name in set(sys.modules) - before
+             if any(part in (getattr(sys.modules[name], "__file__", None) or "")
+                    for part in ("site-packages", "dist-packages"))}
+print(f"import_modules={len(sys.modules)} third_party={len(installed)}")
+"""
+
+
 def lines_of(path: pathlib.Path) -> list:
     return path.read_text(encoding="utf-8").splitlines()
+
+
+def cold_start() -> str:
+    """The two cold-start numbers, counted in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-c", COLD_START, str(SRC)], check=True,
+                          capture_output=True, text=True).stdout.strip()
 
 
 if __name__ == "__main__":
@@ -32,4 +57,5 @@ if __name__ == "__main__":
           f"src_lines={sum(len(lines_of(path)) for path in sources)}",
           f"config_fields={len(dataclasses.fields(KernelConfig))}",
           f"kernel_public={sum(not name.startswith('_') for name in dir(Kernel))}",
-          f"shards_branches={sum('_shards is' in line or 'distributed' in line for line in core)}")
+          f"shards_branches={sum('_shards is' in line or 'distributed' in line for line in core)}",
+          cold_start())
