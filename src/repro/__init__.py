@@ -11,8 +11,8 @@ The package layout mirrors the paper:
 * :mod:`repro.scheduling` — brokers, monitors, tickets, protected agents (section 4);
 * :mod:`repro.fault` — rear guards and fault-tolerant moves (section 5);
 * :mod:`repro.apps` — StormCast and the agent-based mail system (section 6);
-* :mod:`repro.bench` — shared harness of the experiment benchmarks
-  (``benchmarks/bench_e*.py``).
+* :mod:`repro.bench` — seeded scenarios and client-server baselines the tests
+  and examples compare (performance is measured by ``benchmarks/ledger/``).
 """
 
 from repro.core import Briefcase, FileCabinet, Folder, Kernel, KernelConfig

@@ -5,8 +5,8 @@ servers, raw data may have to be sent from one site to another if, for
 example, the client obtains its computing cycles from a different site than
 it obtains its data."  Here the hub (the client) asks every sensor site
 (the servers) for its full raw reading series, and the expert system runs
-centrally over the transferred data.  Experiment E1 compares the bytes this
-puts on the wire against the mobile collector of
+centrally over the transferred data.  ``tests/unit/test_stormcast_pipeline.py``
+compares the bytes this puts on the wire against the mobile collector of
 :mod:`repro.apps.stormcast.collector`.
 """
 
@@ -38,7 +38,7 @@ def weather_server_behaviour(ctx: AgentContext, briefcase: Briefcase):
     The request arrives as a courier delivery carrying a ``REQUEST`` folder
     with the hub's name.  The response is one (large) ``RAW_READINGS``
     folder sent back through the courier — every byte of padding crosses
-    the network, which is precisely the cost E1 measures.
+    the network, which is precisely the cost the comparison measures.
     """
     request = None
     if briefcase.has("REQUEST"):
@@ -108,8 +108,8 @@ def _baseline_client_behaviour(ctx: AgentContext, briefcase: Briefcase):
         yield ctx.send_folder(request, site, WEATHER_SERVER_NAME)
 
     # 2. Wait until every site has responded (or the poll budget runs out —
-    #    crashed sensor sites simply never answer, which is itself a finding
-    #    experiment E8 reports).
+    #    crashed sensor sites simply never answer, and the summary then
+    #    covers one site fewer).
     polls = 0
     while polls < max_polls:
         responded = set(cabinet.elements("responded"))

@@ -111,7 +111,7 @@ class StormExpert:
         # Normalise by the number of *storm-relevant* observations so a
         # pre-filtered evidence set and the full raw series produce the same
         # verdict (this is what makes the agent pipeline and the
-        # client-server baseline comparable in E1/E8).
+        # client-server baseline issue identical alerts).
         relevant = [reading for reading in readings if reading.is_storm_precursor()]
         denominator = max(1, len(relevant))
         score = total / denominator

@@ -1,9 +1,9 @@
 """StormCast workload driver: one call per pipeline, matched parameters.
 
-Experiments E1 and E8 both need "run StormCast with the mobile collector"
-and "run StormCast client-server" under identical sensor data, topology and
-transport, and then compare bytes on the wire, time to prediction, and the
-predictions themselves.  This module packages that.
+Tests and ``examples/stormcast_prediction.py`` need "run StormCast with the
+mobile collector" and "run StormCast client-server" under identical sensor
+data, topology and transport, and then compare bytes on the wire, time to
+prediction, and the predictions themselves.  This module packages that.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class StormCastParams:
     #: WAN-ish links between hub and sensors make the bandwidth story visible
     link_latency: float = 0.02
     link_bandwidth: float = 250_000.0
-    #: optional failure schedule applied to the run (E8 failure variant)
+    #: optional failure schedule applied to the run (a sensor site down)
     failures: Optional[FailureSchedule] = None
     run_until: float = 300.0
     #: lifecycle-ledger retention: the pipeline is a long-running workload
@@ -120,7 +120,7 @@ def run_agent_pipeline(params: StormCastParams, n_collectors: int = 1) -> StormC
     """Run StormCast with the mobile filtering collector(s).
 
     With ``n_collectors > 1`` the sensor sites are partitioned and visited
-    by parallel collectors (the E8c ablation); the forecast is complete when
+    by parallel collectors; the forecast is complete when
     the *last* collector has delivered its evidence to the hub expert.
     """
     kernel = build_stormcast_kernel(params)

@@ -1,15 +1,15 @@
-"""Shared benchmark harness: metrics, tables, and the reusable workloads.
+"""Reusable seeded scenarios, their client-server baselines, and summary statistics.
 
-Every benchmark under ``benchmarks/`` builds its rows from these helpers so
-that every experiment's output stays in the same format (the performance
-ledger, ``benchmarks/ledger/``, deliberately shares none of this).
+Tier-1 tests and the examples drive the paper's comparisons through these
+helpers (mobile agent vs. client-server gathering, itineraries per
+transport, churn, fan-in, mixed traffic, sharded churn).  The performance
+ledger, ``benchmarks/ledger/``, deliberately shares none of this.
 """
 
 from repro.bench.baselines import (DATA_SERVER_NAME, DATA_SINK_NAME, PULL_CABINET,
                                    install_data_servers, launch_pull_client, pull_summary)
 from repro.bench.metrics import (bytes_human, coefficient_of_variation, jains_fairness,
                                  load_imbalance, percentile, ratio, speedup, summarize)
-from repro.bench.report import Report, Table, run_stamp
 from repro.bench.workloads import (CHURN_WORKER_NAME, DATA_CABINET,
                                    FANIN_COLLECTOR_NAME, FANIN_SENDER_NAME,
                                    GATHER_AGENT_NAME, POPULATION_WORKER_NAME,
@@ -29,7 +29,6 @@ from repro.bench.workloads import (CHURN_WORKER_NAME, DATA_CABINET,
 __all__ = [
     "summarize", "percentile", "ratio", "speedup", "jains_fairness",
     "coefficient_of_variation", "load_imbalance", "bytes_human",
-    "Report", "Table", "run_stamp",
     "DataGatherParams", "GatherResult", "build_gather_kernel", "populate_data_sites",
     "run_agent_gather", "run_client_server_gather",
     "ItineraryParams", "ItineraryResult", "run_itinerary",

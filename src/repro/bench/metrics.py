@@ -70,8 +70,8 @@ def speedup(baseline: float, candidate: float) -> float:
 def jains_fairness(values: Sequence[float]) -> float:
     """Jain's fairness index of a load distribution (1.0 = perfectly even).
 
-    The standard metric for "how balanced is the assignment" — experiment
-    E5 reports it per scheduling policy.
+    The standard metric for "how balanced is the assignment", read per
+    scheduling policy by the scheduling tests and ``examples/load_balancing.py``.
     """
     data = [float(value) for value in values]
     if not data:

@@ -1,17 +1,19 @@
-"""Shared benchmark workloads: data gathering and itinerant hop sweeps.
+"""Shared seeded scenarios: data gathering and itinerant hop sweeps.
 
-Two workload families are used by several experiments:
+Two scenario families are used by several tests:
 
-* **data gathering** (E1, and the ablations): N sites each hold a dataset
-  of which only a fraction is relevant; either a mobile agent filters at
-  each site and carries the relevant records home, or a central client
-  pulls every raw record over the network.  This is the distilled version
+* **data gathering** (``test_bench_workloads.py::TestGatherModes``): N sites
+  each hold a dataset of which only a fraction is relevant; either a mobile
+  agent filters at each site and carries the relevant records home, or a
+  central client pulls every raw record over the network.  This is the distilled version
   of the StormCast bandwidth argument, with the selectivity and record size
   as explicit sweep parameters.
-* **itineraries** (E7): an agent that simply hops through K sites carrying
-  a payload of B bytes, used to measure per-transport migration cost.
+* **itineraries** (``test_transports_endtoend.py``): an agent that simply
+  hops through K sites carrying a payload of B bytes, used to measure
+  per-transport migration cost.
 
-Two more back the delivery-fabric / lifecycle-ledger benchmark (E10):
+Two more exercise the delivery fabric and the lifecycle ledger (the
+sim-vs-realtime parity tests run both):
 
 * **agent churn**: waves of short-lived agents carrying briefcase ballast,
   used to compare the lifecycle ledger's retention policies at steady state;
@@ -70,7 +72,7 @@ GATHER_RESULTS_CABINET = "gather_results"
 
 @dataclass
 class DataGatherParams:
-    """One data-gathering configuration (the E1 sweep point)."""
+    """One data-gathering configuration (one point of a selectivity sweep)."""
 
     n_sites: int = 8
     records_per_site: int = 100
@@ -246,12 +248,12 @@ def run_client_server_gather(params: DataGatherParams) -> GatherResult:
 
 
 # ---------------------------------------------------------------------------
-# high-population load-balancing workload — E9
+# high-population load-balancing workload
 # ---------------------------------------------------------------------------
 
 @dataclass
 class HighPopulationParams:
-    """The E9 throughput scenario: thousands of short agents over many sites.
+    """The high-population scenario: thousands of short agents over many sites.
 
     A launcher balances each wave of agents onto the currently least-loaded
     sites (one ``site_load`` probe per site per placement, exactly what the
@@ -302,7 +304,7 @@ register_behaviour(POPULATION_WORKER_NAME, _population_worker, replace=True)
 
 def execute_high_population(params: HighPopulationParams):
     """Run the scenario; returns ``(kernel, result)`` so callers can inspect
-    the populated kernel (the E9 benchmark times queries against it)."""
+    the populated kernel (its resident index, its ledger)."""
     sites = params.site_names()
     kernel = Kernel(lan(sites, latency=params.link_latency,
                         bandwidth=params.link_bandwidth),
@@ -359,7 +361,7 @@ def run_high_population(params: HighPopulationParams) -> HighPopulationResult:
 
 
 # ---------------------------------------------------------------------------
-# agent churn workload — E10a (lifecycle ledger retention)
+# agent churn workload (lifecycle ledger retention)
 # ---------------------------------------------------------------------------
 
 #: registered name of the churn worker
@@ -368,7 +370,7 @@ CHURN_WORKER_NAME = "churn_worker"
 
 @dataclass
 class AgentChurnParams:
-    """The E10a retention scenario: sustained churn of short-lived agents.
+    """The retention scenario: sustained churn of short-lived agents.
 
     Each worker carries *ballast_bytes* of briefcase payload, which is
     exactly the state the ``keep-results`` retention policy sheds when the
@@ -478,7 +480,7 @@ def run_agent_churn(params: AgentChurnParams) -> AgentChurnResult:
 
 
 # ---------------------------------------------------------------------------
-# courier fan-in workload — E10b (delivery-fabric batching)
+# courier fan-in workload (delivery-fabric batching)
 # ---------------------------------------------------------------------------
 
 #: name the collector contact runs under at the hub
@@ -491,7 +493,7 @@ FANIN_CABINET = "fanin"
 
 @dataclass
 class CourierFanInParams:
-    """The E10b batching scenario: N sites courier folders into one hub.
+    """The batching scenario: N sites courier folders into one hub.
 
     With ``batch_window == 0`` every folder is one wire message (the
     pre-fabric behaviour); with a positive window, each sender site's
@@ -635,7 +637,7 @@ def run_courier_fan_in(params: CourierFanInParams) -> CourierFanInResult:
 
 
 # ---------------------------------------------------------------------------
-# itinerary (hop sweep) workload — E7
+# itinerary (hop sweep) workload
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -719,7 +721,7 @@ def run_itinerary(params: ItineraryParams) -> ItineraryResult:
 
 
 # ---------------------------------------------------------------------------
-# mixed hot/cold traffic workload — E13a (adaptive per-destination windows)
+# mixed hot/cold traffic workload (adaptive per-destination windows)
 # ---------------------------------------------------------------------------
 
 #: name the latency-measuring collector contact runs under at the hub
@@ -732,7 +734,7 @@ MIXED_CABINET = "mixed_fanin"
 
 @dataclass
 class MixedTrafficParams:
-    """The E13a flow-control scenario: one hot pair plus several trickles.
+    """The flow-control scenario: one hot pair plus several trickles.
 
     Hot senders fire folders at the hub nearly back to back; trickle
     senders space theirs far apart.  No single fixed flush window suits
@@ -874,7 +876,7 @@ def run_mixed_traffic(params: MixedTrafficParams) -> MixedTrafficResult:
 
 
 # ---------------------------------------------------------------------------
-# sharded churn workload — E14 (multi-kernel scaling)
+# sharded churn workload (multi-kernel scaling)
 # ---------------------------------------------------------------------------
 
 #: registered name of the churn-plus-courier worker
@@ -887,7 +889,7 @@ SHARD_MAIL_CABINET = "shardmail"
 
 @dataclass
 class ShardedChurnParams:
-    """The E14 scaling scenario: site-spanning churn on a large LAN.
+    """The sharding scenario: site-spanning churn on a large LAN.
 
     Waves of short-lived workers each do local work and then courier one
     report folder to a peer site half-way around the site list — under
@@ -907,13 +909,13 @@ class ShardedChurnParams:
     transport: str = "tcp"
     seed: int = 41
     #: shard execution backend ("inproc", "thread", "process"); inert when
-    #: ``shards`` is None (E15 sweeps this, E14 keeps the inproc default)
+    #: ``shards`` is None (the backend-parity tests sweep this)
     backend: str = "inproc"
     #: "lan" (full mesh — quadratic edges, fine to ~200 sites) or "fabric"
-    #: (:func:`~repro.net.topology.switched_fabric` — the scaled E15 arm)
+    #: (:func:`~repro.net.topology.switched_fabric` — scales to thousands)
     topology: str = "lan"
     hosts_per_switch: int = 50
-    #: observability knobs (E17 measures their overhead on this workload):
+    #: observability knobs:
     #: obs_enabled turns the repro.obs tracing layer on, obs_sample is the
     #: per-trace sampling rate handed to KernelConfig
     obs_enabled: bool = False
@@ -953,8 +955,8 @@ class ShardedChurnResult:
     counters: Dict[str, int] = field(default_factory=dict)
     #: which execution backend ran the shard bursts ("inproc" when unsharded)
     backend: str = "inproc"
-    #: real end-to-end wall-clock of the run() calls — the E15 metric the
-    #: parallel-host *model* (busy_seconds) is finally measured against
+    #: real end-to-end wall-clock of the run() calls — what the
+    #: parallel-host *model* (busy_seconds) is measured against
     wall_seconds: float = 0.0
     #: per-round coordination overhead (round wall-time minus slowest burst)
     overhead_seconds: float = 0.0
@@ -966,7 +968,7 @@ class ShardedChurnResult:
 
     @property
     def wall_throughput(self) -> float:
-        """Events per real wall-clock second — what E15 actually races."""
+        """Events per real wall-clock second."""
         return self.events / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
 

@@ -13,9 +13,10 @@ participant behaviours the experiments use:
   site, pays out of the wallet in its briefcase, consumes the service,
   documents its side, and carries the audit records home.
 
-Both sides support the cheating modes the paper worries about, so the E4
-experiment can show that the validation agent stops double spending and
-that audits attribute the remaining frauds correctly:
+Both sides support the cheating modes the paper worries about, so
+``tests/integration/test_commerce.py`` can show that the validation agent
+stops double spending and that audits attribute the remaining frauds
+correctly:
 
 * customer ``"double_spend"`` — pays with copies of already-spent ECUs;
 * customer ``"claim_paid"`` — pays nothing but documents a payment;

@@ -37,7 +37,7 @@ class Mint:
         #: serials that were once valid and have been retired (spent)
         self._retired: Dict[int, int] = {}
         self._lock = threading.Lock()
-        # Ledger counters for experiment E4.
+        # Ledger counters (what the commerce tests and audits read).
         self.issued_count = 0
         self.validated_count = 0
         self.rejected_count = 0

@@ -10,8 +10,8 @@ flushed to disk when permanence is required" (section 6).
 This implementation keeps folders in a dict plus a per-folder element index
 (element digest -> positions) so membership queries used by agents such as
 the diffusion agent are O(1), and offers :meth:`flush` / :meth:`load` for
-persistence.  The deliberately large :meth:`move_cost` is what experiment
-E3 measures against the briefcase's cheap wire size.
+persistence.  The deliberately large :meth:`move_cost` stands against the
+briefcase's cheap wire size (``tests/unit/test_cabinet.py::TestCostModel``).
 
 Access-side structures like that index are the asymmetry the paper
 sanctions: a briefcase stays a flat list of bytes because it must be cheap
@@ -62,7 +62,7 @@ class FileCabinet:
         #: per-folder read-side state kept by readers (see :meth:`derived`);
         #: lives and dies with ``_index``
         self._derived: Dict[str, Dict[Any, Any]] = {}
-        #: number of lookups served; used by the access-cost model in E3
+        #: number of lookups served
         self.access_count = 0
         #: mutation hook installed by a durable SiteStore (see repro.store);
         #: called with the folder name on every cabinet-level mutation

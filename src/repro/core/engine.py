@@ -206,7 +206,7 @@ class LedgerQueries:
         return self.stores.get(site_name)
 
     def store_summary(self) -> Dict[str, Any]:
-        """Aggregate durability ledger (what the E12 report prints).
+        """Aggregate durability ledger (the ledger's ``store.*`` counters read it).
 
         Reads the metrics registry — which re-exposes the stats snapshot
         as its ``"net"`` source — selected by prefix, so a durability

@@ -164,7 +164,7 @@ class Folder:
 
         The model charges the encoded element bytes plus a small fixed
         per-element and per-folder framing overhead.  This is what every
-        bandwidth experiment (E1, E3, E7) measures.
+        bytes-on-the-wire comparison measures.
         """
         framing_per_element = 4
         framing_per_folder = 16 + len(self.name.encode("utf-8"))

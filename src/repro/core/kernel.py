@@ -393,7 +393,7 @@ class Kernel(LedgerQueries):
         return self._coordinator
 
     def shard_summary(self) -> Dict[str, Any]:
-        """Cross-shard coordination ledger (what the E15 report prints).
+        """Cross-shard coordination ledger (the ledger's ``shard.*`` counters read it).
 
         Works on any kernel: with one engine it reports ``shards=1,
         backend=None`` with all-zero handoff counters, so benchmark code

@@ -10,9 +10,9 @@ Two itinerant agents walk the same kind of itinerary:
   site currently hosting the agent (or a lost transfer) silently kills the
   whole computation.
 
-Experiment E6 launches both over the same failure schedules and compares
-completion rates, duplicate completions, and the message overhead the
-guards add.
+``tests/integration/test_fault_endtoend.py`` launches both over the same
+failure schedules and compares completion rates and duplicate completions;
+``tests/unit/test_ftmove.py`` bounds the message overhead the guards add.
 """
 
 from __future__ import annotations
@@ -187,7 +187,8 @@ def ft_visitor_behaviour(ctx: AgentContext, briefcase: Briefcase):
         return "duplicate-hop"
     cabinet.put("done_markers", f"{marker}@{ctx.site_crash_count}")
     # Logged only for hops that actually execute (absorbed duplicates cost
-    # a message, not work): E12 reads these events to count re-executed hops.
+    # a message, not work): test_durability_endtoend.py reads these events
+    # to count re-executed hops.
     ctx.log(f"hop-exec {ft_id} seq={seq}")
     # The hop span is keyed by the itinerary position (``hop{seq}``), not a
     # counter, so the same hop re-executed after a crash keeps one identity
@@ -235,8 +236,8 @@ def ft_visitor_behaviour(ctx: AgentContext, briefcase: Briefcase):
             # checkpoint must genuinely be durable before the jump.  With
             # the store's commit governor piggybacking (the default), the
             # barrier commits the batch immediately instead of sitting out
-            # the commit window — the wait logged below is what E13 reads
-            # to price checkpoint latency per hop.
+            # the commit window — the wait logged below is the checkpoint
+            # latency per hop (the ``ft-ckpt`` span when tracing is on).
             record_checkpoint(cabinet, ft_id, next_seq, snapshot_wire,
                               per_hop, max_relaunches)
             barrier_from = ctx.now
@@ -293,7 +294,7 @@ def ft_visitor_behaviour(ctx: AgentContext, briefcase: Briefcase):
 # ---------------------------------------------------------------------------
 
 def plain_visitor_behaviour(ctx: AgentContext, briefcase: Briefcase):
-    """The same itinerary walk with no rear guards (E6 baseline)."""
+    """The same itinerary walk with no rear guards (the unprotected baseline)."""
     ft_id = briefcase.get("FT_ID", "plain-unnamed")
     seq = int(briefcase.get("SEQ", 0))
     ctx.log(f"hop-exec {ft_id} seq={seq}")

@@ -1,8 +1,8 @@
 """Failure injection: crash/recover schedules, partitions, and random crash models.
 
 Section 5 of the paper assumes "sites in a computer network will fail".
-The fault-tolerance experiments (E6, E8) drive the kernel through these
-schedules.  A :class:`FailureSchedule` is a declarative list of failure
+The fault-tolerance tests and the ``ft_durable`` ledger workload drive the
+kernel through these schedules.  A :class:`FailureSchedule` is a declarative list of failure
 actions bound to simulated times; :class:`RandomCrasher` crashes random
 sites at random times, which is what the rear-guard sweeps use.
 """

@@ -1,8 +1,8 @@
 """Network and kernel statistics counters.
 
-Every experiment (the ``benchmarks/bench_e*.py`` docstrings describe them;
-``benchmarks/ledger/README.md`` the performance ledger) reads its numbers
-from a :class:`NetworkStats` (bytes, messages, hops) or from the kernel's agent
+Every comparison the tests make, and the performance ledger
+(``benchmarks/ledger/README.md``), reads its numbers from a
+:class:`NetworkStats` (bytes, messages, hops) or from the kernel's agent
 ledger, so the counters live in one small, well-tested module.
 """
 
@@ -182,7 +182,7 @@ class NetworkStats:
     latencies: LatencySketch = field(default_factory=LatencySketch)
 
     # Durable-store counters (repro.store): the durability cost model and
-    # the crash/recovery ledger the E12 experiment reads.
+    # the crash/recovery ledger ``store_summary()`` reports.
     #: cabinet mutations journaled by durable site stores
     wal_appends: int = 0
     #: group commits / explicit flushes (each pays one fsync)

@@ -408,7 +408,7 @@ def switched_fabric(host_names: Sequence[str], hosts_per_switch: int = 50,
 def random_topology(n_sites: int, edge_probability: float = 0.3,
                     seed: Optional[int] = None, latency_range: Tuple[float, float] = (0.002, 0.020),
                     bandwidth: float = 1_250_000.0) -> Topology:
-    """A connected Erdős–Rényi-style topology used by the diffusion experiment (E2)."""
+    """A connected Erdős–Rényi-style topology (what the diffusion tests flood)."""
     rng = random.Random(seed)
     names = [f"site{i:02d}" for i in range(n_sites)]
     topo = Topology()

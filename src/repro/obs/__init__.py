@@ -26,12 +26,12 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, Metric
 from repro.obs.sinks import JsonlSink, RealtimeSink, RingSink, TeeSink
 from repro.obs.span import (Span, TRACE_ID_FOLDER, TRACE_PARENT_FOLDER,
                             infra_trace_id, span_id)
-from repro.obs.tracer import SpanMirror, Tracer, TracerView
+from repro.obs.tracer import Tracer, TracerView
 
 __all__ = [
     "Span", "TRACE_ID_FOLDER", "TRACE_PARENT_FOLDER", "span_id",
     "infra_trace_id",
-    "Tracer", "TracerView", "SpanMirror",
+    "Tracer", "TracerView",
     "RingSink", "JsonlSink", "RealtimeSink", "TeeSink",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "MetricsView",
 ]

@@ -196,6 +196,19 @@ class MetricsRegistry:
 
     # -- reading ---------------------------------------------------------------
 
+    def collect_sources(self, skip=()) -> Dict[str, Any]:
+        """What the registered sources read now, merged into one dict.
+
+        The part-level read :class:`MetricsView` sums and a process shard
+        worker ships in its digest; *skip* names sources the caller obtains
+        another way.
+        """
+        out: Dict[str, Any] = {}
+        for name, source in self._sources.items():
+            if name not in skip:
+                out.update(source())
+        return out
+
     def collect_own(self) -> Dict[str, Any]:
         """Owned instruments only (no sources) as a flat JSON-able dict."""
         out: Dict[str, Any] = {}
@@ -209,9 +222,7 @@ class MetricsRegistry:
 
     def collect(self, prefix: Optional[str] = None) -> Dict[str, Any]:
         """Sources merged with owned instruments, optionally prefix-filtered."""
-        out: Dict[str, Any] = {}
-        for source in self._sources.values():
-            out.update(source())
+        out = self.collect_sources()
         out.update(self.collect_own())
         if prefix is None:
             return out
@@ -256,9 +267,11 @@ class MetricsView:
     """Merged read-only registry view (the sharded facade's ``metrics``).
 
     Counters and histograms sum across parts; gauges sum too (every gauge
-    in the system is an additive quantity like backlog or pair counts).
-    Registered facade-level sources (the merged ``StatsView`` snapshot)
-    are consulted exactly like on a classic kernel, so
+    in the system is an additive quantity like backlog or pair counts),
+    and so do the values of the sources each part registered (flow clamps,
+    tcp connections, ...).  A source registered on the view itself (the
+    merged ``StatsView`` snapshot, whose values are not all additive)
+    stands in for the parts' sources of that name, so
     ``kernel.metrics.collect()`` has one shape everywhere.
     """
 
@@ -294,6 +307,9 @@ class MetricsView:
 
     def collect(self, prefix: Optional[str] = None) -> Dict[str, Any]:
         out: Dict[str, Any] = {}
+        for part in self._parts:
+            for key, value in part.collect_sources(skip=self._sources).items():
+                out[key] = out.get(key, 0) + value
         for source in self._sources.values():
             out.update(source())
         out.update(self.collect_own())

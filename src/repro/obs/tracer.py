@@ -2,8 +2,9 @@
 
 Hot-path contract: every instrumentation point is guarded by a single
 attribute read (``if tracer.active:``), and a disabled tracer allocates
-nothing — the "near-zero cost when sampling is off" half of the E17
-overhead claim.
+nothing — tracing must cost next to nothing while sampling is off (the
+ledger's ``churn`` arm runs with it off and carries that cost in
+``obs.self_us_per_unit``).
 
 Determinism contract: sampling decisions hash the trace id (CRC-32), and
 anonymous span keys come from a per-tracer event-order counter — both
@@ -19,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.obs.sinks import RingSink
 from repro.obs.span import Span, span_id
 
-__all__ = ["Tracer", "TracerView", "SpanMirror"]
+__all__ = ["Tracer", "TracerView"]
 
 #: CRC-32 sampling: a trace is kept when crc32(trace_id) < sample * 2**32
 _SAMPLE_SPACE = float(2 ** 32)
@@ -146,30 +147,6 @@ class _NullSink:
 
 
 _NULL_SINK = _NullSink()
-
-
-class SpanMirror:
-    """Coordinator-side stand-in for a process worker's tracer.
-
-    The worker records spans into its own ring; each state digest ships
-    the delta and :meth:`absorb` accumulates it here, so the facade's
-    :class:`TracerView` reads process shards exactly like in-process ones.
-    """
-
-    __slots__ = ("_spans", "active")
-
-    def __init__(self, enabled: bool = False):
-        self._spans: List[Dict[str, Any]] = []
-        self.active = enabled
-
-    def absorb(self, spans: Sequence[Dict[str, Any]]) -> None:
-        self._spans.extend(spans)
-
-    def export(self) -> List[Dict[str, Any]]:
-        return list(self._spans)
-
-    def close(self) -> None:
-        pass
 
 
 class TracerView:

@@ -6,7 +6,7 @@ experiments need around it:
 * :mod:`~repro.scheduling.broker` — the matchmaker broker agent;
 * :mod:`~repro.scheduling.monitor` — per-site load monitors reporting to brokers;
 * :mod:`~repro.scheduling.ticket` — the ticket-issuing agent gating access;
-* :mod:`~repro.scheduling.policies` — the assignment policies E5 compares;
+* :mod:`~repro.scheduling.policies` — the assignment policies a broker can apply;
 * :mod:`~repro.scheduling.routing` — broker-to-broker gossip ("like WAN routing");
 * :mod:`~repro.scheduling.protected` — broker-mediated access to protected agents;
 * :mod:`~repro.scheduling.service` — providers, mobile clients, and the

@@ -5,7 +5,7 @@ providers, so that requests can be distributed amongst service providers
 based on load and capacity."  A policy is a pure function that, given the
 candidate providers and what the broker currently believes about site load,
 picks one provider.  Keeping policies pure makes them trivially unit- and
-property-testable, and lets experiment E5 sweep over them.
+property-testable, and lets one workload be run under each of them.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ class WeightedCapacityPolicy(Policy):
         return providers[-1]
 
 
-#: the policies experiment E5 sweeps over, by name
+#: every assignment policy, by name
 POLICY_NAMES = ("least-loaded", "random", "round-robin", "weighted-capacity")
 
 

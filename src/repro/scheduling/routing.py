@@ -8,10 +8,10 @@ network."
 The reproduction implements the distance-vector-flavoured scheme the remark
 suggests: each broker periodically gossips its load table and provider
 database to the other brokers it knows about, and receivers merge entries
-whose reports are newer than their own.  Experiment E5b measures how
-quickly load information converges across brokers as a function of the
-gossip interval, which is the "routing protocol" question the paper leaves
-open.
+whose reports are newer than their own.  :func:`gossip_convergence`
+measures how far load information has converged across brokers (coverage
+and staleness per gossip interval), which is the "routing protocol"
+question the paper leaves open.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def make_gossip_behaviour(peer_broker_sites: Sequence[str], interval: float = 1.
 
 
 def gossip_convergence(broker_states: Dict[str, BrokerState]) -> Dict[str, float]:
-    """How far apart the brokers' load tables are (experiment E5b metric).
+    """How far apart the brokers' load tables are.
 
     Returns, per monitored site, the spread (max - min) of the ``reported_at``
     timestamps across brokers that know about the site, plus the fraction of

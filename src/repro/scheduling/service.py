@@ -1,6 +1,7 @@
 """Service providers and scheduled clients: the workload side of paper section 4.
 
-These are the pieces experiment E5 launches around the broker machinery:
+These are the pieces ``tests/integration/test_scheduling_endtoend.py`` and
+``examples/load_balancing.py`` launch around the broker machinery:
 
 * :func:`make_compute_service_behaviour` — a provider installed at a site.
   Each request costs ``work / capacity`` simulated seconds, so slow sites
@@ -190,7 +191,7 @@ class SchedulingDeployment:
     monitor_agent_ids: List[str] = field(default_factory=list)
 
     def provider_job_counts(self) -> Dict[str, int]:
-        """Jobs executed per provider site (the load-balance metric of E5)."""
+        """Jobs executed per provider site (what the policy comparisons read)."""
         counts = {}
         for site in self.provider_sites:
             cabinet = self.kernel.site(site).cabinet(SERVICE_CABINET)

@@ -1,10 +1,10 @@
 """The process shard backend: one long-lived spawn worker per shard.
 
-This is the backend that turns the E14 parallel-host *model* into real
-wall-clock speedup on multi-core hosts — each shard's
-:class:`~repro.core.engine.Engine` lives in its own interpreter, so
-pure-Python event execution escapes the GIL entirely.  It is the same
-class the in-process backends run, spoken to through the same
+This is the backend that turns the parallel-host *model* (events over the
+slowest shard's busy time) into real wall-clock parallelism on multi-core
+hosts — each shard's :class:`~repro.core.engine.Engine` lives in its own
+interpreter, so pure-Python event execution escapes the GIL entirely.  It
+is the same class the in-process backends run, spoken to through the same
 :data:`~repro.core.engine.ENGINE_PROTOCOL`; only the calls are pickled.
 
 Wire protocol (pickle over ``multiprocessing`` pipes, one command in /
@@ -58,13 +58,13 @@ from functools import partial
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.engine import ENGINE_PROTOCOL, Engine
+from repro.core.engine import ENGINE_PROTOCOL, Engine, EventLog
 from repro.core.errors import KernelError
 from repro.core.lifecycle import AgentRecord, make_retention
 from repro.core.registry import default_registry
 from repro.core.timing import default_timer
 from repro.net.stats import NetworkStats
-from repro.obs import MetricsRegistry, SpanMirror
+from repro.obs import MetricsRegistry, RingSink, Tracer
 from repro.shard.backend import ShardBackend
 from repro.store.policy import resolve_policy
 
@@ -192,6 +192,8 @@ class _Worker:
             "event_log": new_events,
             "spans": new_spans,
             "metrics": engine.metrics.export_state(),
+            # "net" is the stats state above; the rest read worker-side objects.
+            "metric_sources": engine.metrics.collect_sources(skip=("net",)),
         }
 
     # -- the loop ---------------------------------------------------------------
@@ -424,6 +426,15 @@ class _WorkerHandle:
     def send(self, command: tuple) -> None:
         try:
             self.conn.send(command)
+        except (pickle.PicklingError, AttributeError, TypeError) as error:
+            # Raised while pickling, before anything is written: the pipe
+            # still alternates command and reply.
+            call = command[1] if command[0] == "call" else command[0]
+            raise KernelError(
+                f"shard {self.shard_id}: cannot send {call!r} to the worker "
+                f"process, an argument does not pickle: {error} (register "
+                f"behaviours in an importable module and pass them by name, "
+                f"or use shard_backend='thread' or 'inproc')") from None
         except (BrokenPipeError, OSError) as error:
             raise KernelError(
                 f"shard {self.shard_id} worker is gone "
@@ -474,11 +485,12 @@ class ProcessEngineProxy:
         # Coordinator-side placeholder matching the engine's seed derivation;
         # the authoritative stream lives in the worker.
         self.rng = random.Random(spec.config.rng_seed + spec.shard_id)
-        self.event_log: List[tuple] = []
-        #: span mirror + metrics mirror, refreshed from per-run digests so
-        #: the facade's TracerView/MetricsView read process shards exactly
-        #: like in-process engines
-        self.obs = SpanMirror(enabled=spec.config.obs_enabled)
+        #: event log, spans and metrics, refreshed from per-run digests into
+        #: the classes an engine uses (same bounds), so the facade's merged
+        #: views read process shards exactly like in-process engines
+        self.event_log = EventLog(spec.config.event_log_max)
+        self.obs = (Tracer(sink=RingSink(spec.config.obs_ring))
+                    if spec.config.obs_enabled else Tracer.disabled())
         self.metrics = MetricsRegistry()
         self.meets = 0
         self.transmits = 0
@@ -556,8 +568,10 @@ class ProcessEngineProxy:
             mirror.background_load = background_load
             mirror.capacity = capacity
         self.event_log.extend(digest["event_log"])
-        self.obs.absorb(digest["spans"])
+        for span in digest["spans"]:
+            self.obs.sink.emit(span)
         self.metrics.load_state(digest["metrics"])
+        self.metrics.register("worker", digest["metric_sources"].copy)
 
     def __repr__(self) -> str:
         return (f"ProcessEngineProxy(shard={self.shard_id}, "

@@ -51,7 +51,8 @@ class Shard:
         self.shard_id = shard_id
         self.engine = engine
         #: wall-clock seconds this shard's loop spent executing events
-        #: (accumulated around every run burst; the E14 scaling metric)
+        #: (accumulated around every run burst; the slowest shard's is the
+        #: denominator of the parallel-host throughput model)
         self.busy_seconds = 0.0
         #: ``(arrival, message)`` handoffs routed here, awaiting the
         #: engine's next ``run_to``/``advance_clock``
@@ -90,7 +91,7 @@ class ShardSet:
         self.clock_sync = clock_sync
         self.backend = backend if backend is not None else InprocBackend(timer)
         self.timer = timer
-        #: synchronisation rounds executed (telemetry for E14/E15)
+        #: synchronisation rounds executed (``shard.rounds`` in the ledger)
         self.rounds = 0
         #: wall-clock seconds spent reading next-event times, computing
         #: horizons, and building burst plans between bursts
@@ -98,7 +99,8 @@ class ShardSet:
         #: wall-clock seconds of per-round dispatch overhead: round wall
         #: time minus the slowest burst (pool hops, worker round-trips).
         #: Serial rounds pay total-minus-max serialisation here too, so
-        #: E15 can break coordination cost out of the speedup.
+        #: coordination cost can be read apart from burst time
+        #: (``shard.coord_overhead_s`` in the ledger).
         self.overhead_seconds = 0.0
         #: handoffs this coordinator handed to engines in its own process
         #: (see :attr:`ShardBackend.drains_in_process`)

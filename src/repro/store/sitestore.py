@@ -369,8 +369,8 @@ class SiteStore:
         Under ``wal-group-commit`` with the governor's piggybacking on
         (the default), a barrier that would otherwise sit out the commit
         window triggers the commit immediately — the wait collapses to the
-        batched write+fsync, which is the checkpoint-latency win the E13
-        experiment measures.
+        batched write+fsync (``tests/unit/test_store.py::TestBarrier`` pins
+        both waits).
         """
         if mark is None:
             mark = self._mutation_counter

@@ -12,8 +12,8 @@ Paper section 2 introduces the flooding example twice:
   appears in the set difference of the site-local SITES folder and the
   briefcase SITES folder."
 
-Both variants are implemented so experiment E2 can compare them.  The
-briefcase layout:
+Both variants are implemented so ``tests/unit/test_diffusion.py`` can
+compare them.  The briefcase layout:
 
 * ``SITES`` — the sites the *sender* already knows to be covered (clones
   extend this as they go);
@@ -95,9 +95,9 @@ def diffusion_behaviour(ctx: AgentContext, briefcase: Briefcase):
 def naive_flood_behaviour(ctx: AgentContext, briefcase: Briefcase):
     """Flood by cloning at every neighbour with no visit record (paper's anti-pattern).
 
-    A TTL folder bounds the explosion so the experiment terminates; each
-    clone decrements it.  The number of agent transfers generated is the
-    quantity E2 contrasts with the diffusion agent.
+    A TTL folder bounds the explosion so the run terminates; each clone
+    decrements it.  The number of agent transfers generated is the quantity
+    the tests contrast with the diffusion agent's.
     """
     yield from _deliver_locally(ctx, briefcase)
 

@@ -18,8 +18,8 @@ settings.load_profile("repro")
 def pytest_configure(config) -> None:
     config.addinivalue_line(
         "markers",
-        "realtime: runs the wall-clock backend (real sleeps; selected in "
-        "the CI realtime smoke step with -m realtime)")
+        "realtime: runs the wall-clock backend (real sleeps; select with "
+        "-m realtime, skip with -m 'not realtime')")
 
 
 @pytest.fixture

@@ -12,6 +12,10 @@ right, driven through the public kernel API:
   recover it, policy "none" loses it;
 * an ``ft-relaunch`` envelope dropped by a partition mid-batch — the
   guard's next timeout re-sends without burning its relaunch budget.
+
+And the two numbers that justify the store at all: what permanence costs
+when nothing fails, and what it saves when every intermediate site goes
+down together (``TestPriceAndPayoff``).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from repro.fault import (CHECKPOINTS_FOLDER, REARGUARD_CABINET, completions,
 from repro.fault.rearguard import _released
 from repro.fault.recovery import (REVIVED_FOLDER, install_checkpoint_recovery,
                                   record_checkpoint)
-from repro.net import FailureSchedule, lan
+from repro.net import FailureSchedule, RandomCrasher, lan
 
 SITES = ["h", "s1", "s2", "d"]
 HOME, DELIVERY = "h", "d"
@@ -260,6 +264,94 @@ class TestCheckpointedGuards:
         revivals = [entry for entry in kernel.event_log
                     if "revived rear guard" in entry[3] and entry[2] == "s1"]
         assert revivals
+
+
+def run_outage_sweep(policy, outage, n_computations=4, seed=11):
+    """Staggered protected computations over an 8-site LAN under *policy*.
+
+    With *outage*, every intermediate site crashes once inside a 0.2 s
+    window while the computations are mid-itinerary and recovers 6 s later
+    — the correlated loss plain rear guards cannot cover.  Under ``"none"``
+    nothing durable remembers a lost computation, so the harness does what
+    an operator would: re-run it from the origin under a fresh id, up to
+    three rounds.  Returns the outcome per logical computation.
+    """
+    sites = [f"n{i}" for i in range(8)]
+    home, delivery = sites[0], sites[-1]
+    kernel = Kernel(lan(sites), transport="tcp",
+                    config=KernelConfig(rng_seed=seed, durability=policy,
+                                        store_commit_window=0.05))
+    for index, name in enumerate(sites):
+        kernel.site(name).cabinet("data").put("VALUE", index)
+
+    def launch(ft_id, delay=0.0):
+        launch_ft_computation(kernel, home, sites[1:], ft_id=ft_id, per_hop=0.5,
+                              max_relaunches=4, work_seconds=0.25, delay=delay,
+                              durable_checkpoints=policy != "none")
+
+    def base_of(ft_id):
+        return str(ft_id).split("/retry-")[0]
+
+    bases = [f"sweep-{index}" for index in range(n_computations)]
+    for index, base in enumerate(bases):
+        launch(base, delay=0.05 * index)
+    if outage:
+        RandomCrasher(1.0, window=(1.2, 1.4), recover_after=6.0,
+                      protect=[home, delivery], seed=seed).install(kernel)
+    kernel.run(until=40.0)
+    restarts = 0
+    for round_number in (1, 2, 3):
+        if policy == "none":
+            done = {base_of(record["ft_id"])
+                    for record in completions(kernel, delivery)}
+            for base in bases:
+                if base not in done:
+                    launch(f"{base}/retry-{round_number}")
+                    restarts += 1
+        kernel.run(until=40.0 + 20.0 * round_number)
+
+    records = completions(kernel, delivery)
+    per_base = [sum(1 for record in records if base_of(record["ft_id"]) == base)
+                for base in bases]
+    # Work redone: every execution of a hop past the first, per computation.
+    executed = [message.split(" ")[1:] for _at, _agent, _site, message
+                in kernel.event_log if message.startswith("hop-exec ")]
+    hops = [(base_of(ft_id), seq) for ft_id, seq in executed]
+    return {"completions": per_base, "restarts": restarts,
+            "re_executed": len(hops) - len(set(hops)),
+            "finished_at": max(record["completed_at"] for record in records),
+            "store": kernel.store_summary()}
+
+
+class TestPriceAndPayoff:
+    def test_durable_policies_pay_simulated_time_when_nothing_fails(self):
+        """Permanence is not free: group commits, fsyncs and checkpoint
+        barriers make the same itinerary finish later than under "none"."""
+        outcomes = {policy: run_outage_sweep(policy, outage=False)
+                    for policy in ("none", "flush-on-demand", "wal-group-commit")}
+        for policy, outcome in outcomes.items():
+            assert outcome["completions"] == [1, 1, 1, 1], policy
+        for policy in ("flush-on-demand", "wal-group-commit"):
+            assert outcomes[policy]["finished_at"] > outcomes["none"]["finished_at"]
+            assert outcomes[policy]["store"]["wal_commits"] > 0, policy
+
+    def test_checkpoints_redo_less_work_than_origin_restarts(self):
+        """Same seeded outage, two recoveries: "none" re-runs lost
+        itineraries from the origin, wal-group-commit revives guards from
+        durable checkpoints and resumes — every computation exactly once,
+        fewer hops executed twice, no durable folder lost."""
+        plain = run_outage_sweep("none", outage=True)
+        durable = run_outage_sweep("wal-group-commit", outage=True)
+        assert plain["restarts"] > 0          # the outage really lost some
+        assert all(count >= 1 for count in plain["completions"])
+        assert durable["restarts"] == 0
+        assert durable["completions"] == [1, 1, 1, 1]
+        assert durable["re_executed"] < plain["re_executed"]
+        store = durable["store"]
+        assert store["state_lost_folders"] > 0     # volatile state did die
+        assert store["recoveries"] > 0
+        assert store["recovery_seconds"] > 0
+        assert store["durable_folders_lost"] == 0
 
 
 class TestTwinAbsorption:

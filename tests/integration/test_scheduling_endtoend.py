@@ -61,6 +61,25 @@ class TestSchedulingEndToEnd:
 
         assert makespan("least-loaded") < makespan("round-robin")
 
+    def test_least_loaded_tracks_capacity_where_round_robin_is_blind(self):
+        """Paper section 4: requests are distributed "based on load and
+        capacity".  The load-aware split is closer to the 4:2:1 capacities
+        than the even one, which pushes more work onto the slow site."""
+        capacities = {spec["site"]: spec["capacity"] for spec in PROVIDERS}
+
+        def split(policy):
+            _, deployment, _ = run_workload(policy)
+            jobs = deployment.provider_job_counts()
+            error = sum(abs(jobs.get(site, 0) / sum(jobs.values())
+                            - capacity / sum(capacities.values()))
+                        for site, capacity in capacities.items())
+            return jobs, error
+
+        aware_jobs, aware_error = split("least-loaded")
+        blind_jobs, blind_error = split("round-robin")
+        assert aware_error < blind_error
+        assert blind_jobs["slow"] > aware_jobs["slow"]
+
     def test_ticketed_deployment_serves_and_redeems(self):
         _, deployment, outcomes = run_workload("least-loaded", n_clients=8,
                                                with_tickets=True)

@@ -33,6 +33,34 @@ class TestTransportsEndToEnd:
         assert results["rsh"].duration > results["horus"].duration
         assert results["rsh"].mean_hop_time > 2 * results["tcp"].mean_hop_time
 
+    def test_rsh_penalty_does_not_amortise_with_hop_count(self):
+        """A fresh remote interpreter per transfer is paid at every hop: the
+        gap to the cached-connection transports is as wide at 16 hops as at 2."""
+        for hops in (2, 16):
+            durations = {transport: run_itinerary(ItineraryParams(
+                transport=transport, hops=hops, payload_bytes=1024, seed=3)).duration
+                for transport in TRANSPORTS}
+            assert durations["rsh"] > 3 * durations["tcp"], hops
+            assert durations["rsh"] > 3 * durations["horus"], hops
+
+    def test_bandwidth_dominates_as_the_agent_grows(self):
+        """Per-hop time rises with the agent's size on every transport, and
+        the two cached-connection transports converge: their fixed per-hop
+        difference shrinks next to payload / bandwidth."""
+        payloads = (256, 4_096, 65_536)
+        hop_time = {(transport, payload): run_itinerary(ItineraryParams(
+            transport=transport, hops=8, payload_bytes=payload, seed=3)).mean_hop_time
+            for transport in TRANSPORTS for payload in payloads}
+        for transport in TRANSPORTS:
+            times = [hop_time[transport, payload] for payload in payloads]
+            assert times == sorted(times), transport
+
+        def gap(payload):
+            tcp, horus = hop_time["tcp", payload], hop_time["horus", payload]
+            return abs(tcp - horus) / max(tcp, horus)
+
+        assert gap(payloads[-1]) < gap(payloads[0])
+
     def test_repeated_traffic_amortises_connection_setup_on_tcp(self):
         first = run_itinerary(ItineraryParams(transport="tcp", hops=2, payload_bytes=256,
                                               n_sites=3, seed=5))

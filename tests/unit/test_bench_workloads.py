@@ -6,8 +6,8 @@ import pytest
 
 from repro.bench import (DataGatherParams, HighPopulationParams, ItineraryParams,
                          build_gather_kernel, execute_high_population,
-                         populate_data_sites, run_agent_gather, run_client_server_gather,
-                         run_high_population, run_itinerary)
+                         populate_data_sites, ratio, run_agent_gather,
+                         run_client_server_gather, run_high_population, run_itinerary)
 from repro.bench.workloads import DATA_CABINET, RECORDS_FOLDER
 
 
@@ -83,6 +83,28 @@ class TestGatherModes:
         agent = run_agent_gather(params)
         assert agent.relevant_found == 0
         assert agent.sites_covered == 3
+
+    @pytest.mark.parametrize("record_bytes", [128, 512, 2048])
+    def test_agent_advantage_falls_with_selectivity_to_a_crossover(self, record_bytes):
+        """Paper section 1: moving the agent saves bandwidth when little of
+        the data is relevant.  The advantage (server bytes / agent bytes) is
+        large at 1% selectivity, shrinks as more records are relevant, and
+        is gone when everything is: the agent then carries all it gathered
+        from site to site."""
+        def advantage(selectivity):
+            params = DataGatherParams(n_sites=8, records_per_site=100,
+                                      record_bytes=record_bytes,
+                                      selectivity=selectivity, seed=13)
+            return ratio(run_client_server_gather(params).bytes_on_wire,
+                         run_agent_gather(params).bytes_on_wire)
+
+        factors = {selectivity: advantage(selectivity)
+                   for selectivity in (0.01, 0.05, 0.5, 1.0)}
+        assert factors[0.01] > 8
+        if record_bytes >= 512:
+            assert factors[0.05] > 3
+        assert factors[0.01] > factors[0.05] > factors[0.5] > factors[1.0]
+        assert factors[1.0] < 2.0
 
 
 class TestItineraries:

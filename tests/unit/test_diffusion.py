@@ -103,7 +103,7 @@ class TestDiffusion:
 
 class TestNaiveFlood:
     def test_generates_more_transfers_than_diffusion(self):
-        """E2's headline: visit records bound the agent population."""
+        """Paper section 2: visit records bound the agent population."""
         topo = random_topology(8, edge_probability=0.6, seed=9)
         origin = topo.sites()[0]
 

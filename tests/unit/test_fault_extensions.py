@@ -152,6 +152,13 @@ class TestParallelCollectors:
         parallel = run_agent_pipeline(self.PARAMS, n_collectors=3)
         assert parallel.duration < single.duration
 
+    def test_parallel_collectors_cost_few_extra_bytes(self):
+        # Each collector carries only its own partition's evidence; what
+        # grows with the count is one hub delivery per collector.
+        single = run_agent_pipeline(self.PARAMS, n_collectors=1)
+        parallel = run_agent_pipeline(self.PARAMS, n_collectors=6)
+        assert parallel.bytes_on_wire < 2 * single.bytes_on_wire
+
     def test_more_collectors_than_sites_is_capped(self):
         result = run_agent_pipeline(self.PARAMS, n_collectors=50)
         assert result.sites_covered == self.PARAMS.n_sensors

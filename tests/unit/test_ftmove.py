@@ -58,6 +58,24 @@ class TestHappyPath:
 
         assert kernel_ft.stats.messages_sent > kernel_plain.stats.messages_sent
 
+    def test_ft_message_overhead_is_bounded_without_failures(self):
+        """What the guards cost when nothing fails: releases (and an
+        occasional spurious relaunch) on top of the migrations, a small
+        multiple of the unprotected run's messages."""
+        def messages(launch, **kwargs):
+            kernel, names = make_kernel(sites=8, seed=11, topology="lan")
+            for index in range(5):
+                rotation = index % 6
+                middle = names[1:-1][rotation:] + names[1:-1][:rotation]
+                launch(kernel, names[0], middle + names[-1:], work_seconds=0.25,
+                       delay=0.05 * index, **kwargs)
+            kernel.run(until=500.0)
+            return kernel.stats.messages_sent
+
+        protected = messages(launch_ft_computation, per_hop=0.5, max_relaunches=4)
+        plain = messages(launch_plain_computation)
+        assert 1.0 < protected / plain < 6.0
+
     def test_custom_task_agent_is_met_at_each_site(self):
         kernel, names = make_kernel(sites=4)
 
@@ -155,19 +173,35 @@ class TestReleasesOnTheFabric:
         outcomes = {entry["outcome"] for entry in pending_guards(kernel)}
         assert outcomes == {"released"}
 
-    def test_guarded_computations_complete_exactly_once_on_the_fabric(self):
+    @staticmethod
+    def run_staggered(batched):
+        """Four guarded computations over one itinerary while s3 is down."""
         kernel, names = make_kernel()
-        kernel.transport.configure_batching(0.1, max_messages=4, deadline=0.4)
+        if batched:
+            kernel.transport.configure_batching(0.1, max_messages=4, deadline=0.4)
         ids = [launch_ft_computation(kernel, "s0", names[1:], per_hop=0.3,
                                      delay=0.05 * index)
                for index in range(4)]
         FailureSchedule().crash("s3", at=0.05).recover("s3", at=100.0).install(kernel)
         kernel.run(until=300.0)
-        for ft_id in ids:
-            assert len(completions(kernel, names[-1], ft_id)) == 1, ft_id
+        return kernel, [len(completions(kernel, names[-1], ft_id)) for ft_id in ids]
+
+    def test_guarded_computations_complete_exactly_once_on_the_fabric(self):
+        kernel, per_id = self.run_staggered(batched=True)
+        assert per_id == [1, 1, 1, 1]
         # Guard traffic genuinely coalesced on the wire.
         assert kernel.stats.batches > 0
         assert kernel.stats.batched_messages > 0
+
+    def test_guards_on_the_fabric_put_fewer_messages_on_the_wire(self):
+        """Batching the protection traffic costs no completions and saves
+        wire messages: consecutive computations release the same guard
+        sites, so their notices share envelopes."""
+        unbatched, unbatched_per_id = self.run_staggered(batched=False)
+        fabric, fabric_per_id = self.run_staggered(batched=True)
+        assert fabric_per_id == unbatched_per_id == [1, 1, 1, 1]
+        assert unbatched.stats.batches == 0
+        assert fabric.stats.messages_sent < unbatched.stats.messages_sent
 
 
 class TestHelpers:

@@ -198,6 +198,50 @@ def test_metrics_view_merges_shards():
     assert collected["lat"]["count"] == 2
 
 
+def _courier_metrics(shards, backend="inproc"):
+    """``(kernel.metrics.collect(), [engine.metrics.collect(), ...])`` after
+    six couriers crossed a 6-site LAN through the batching fabric."""
+    from repro.bench.workloads import (SHARD_COURIER_NAME, SHARD_SINK_NAME,
+                                       _shard_sink)
+    names = [f"s{i}" for i in range(6)]
+    kernel = Kernel(lan(names, latency=0.002), transport="tcp",
+                    config=KernelConfig(rng_seed=7, shards=shards,
+                                        shard_backend=backend,
+                                        delivery_batch_window=0.01,
+                                        flow_window_min=0.005,
+                                        flow_window_max=0.05))
+    kernel.install_agent(None, SHARD_SINK_NAME, _shard_sink)
+    for index, name in enumerate(names):
+        briefcase = Briefcase()
+        briefcase.set("WORK", 0.01)
+        briefcase.set("PEER", names[(index + 3) % len(names)])
+        briefcase.set("BYTES", 16)
+        kernel.launch(name, SHARD_COURIER_NAME, briefcase)
+    kernel.run()
+    collected = kernel.metrics.collect()
+    per_engine = [engine.metrics.collect() for engine in kernel.engines]
+    kernel.close()
+    return collected, per_engine
+
+
+@pytest.mark.parametrize("backend", ["inproc", "thread", "process"])
+def test_metrics_collect_keeps_engine_sources_on_every_backend(backend):
+    """The flow and transport sources each engine registers survive the
+    merge: same keys as one engine, values summed over the engines."""
+    from repro.shard import process_backend_available
+    if backend == "process" and not process_backend_available():
+        pytest.skip("multiprocessing spawn does not work on this host")
+    single, _ = _courier_metrics(shards=1)
+    merged, per_engine = _courier_metrics(shards=2, backend=backend)
+    assert set(merged) == set(single)
+    for key in ("flow_pairs_tracked", "flow_window_clamped_min",
+                "flow_window_clamped_max", "tcp_connections_open",
+                "tcp_connects_total"):
+        assert merged[key] == sum(part[key] for part in per_engine), key
+    assert merged["flow_pairs_tracked"] == single["flow_pairs_tracked"] > 0
+    assert merged["tcp_connects_total"] > 0
+
+
 # -- event log --------------------------------------------------------------
 
 
@@ -342,6 +386,39 @@ def test_dump_trace_matches_live_jsonl(tmp_path):
         written = [json.loads(line) for line in handle if line.strip()]
     assert [span["span_id"] for span in written] == \
         [span["span_id"] for span in live]
+
+
+def test_ft_itinerary_reconstructs_from_one_jsonl_dump(tmp_path):
+    """A rear-guarded itinerary on two shards with durable checkpoints: the
+    whole journey — launch, one hop span per site, a migration between
+    consecutive sites, checkpoint barrier waits, guard releases, delivery —
+    reads back from the facade's single JSONL file, with the WAL commits
+    beside it under their own pseudo-trace ids."""
+    from repro.fault import launch_ft_computation
+    path = str(tmp_path / "trace.jsonl")
+    sites = ["alpha", "beta", "gamma", "delta"]
+    kernel = Kernel(lan(sites), config=KernelConfig(
+        shards=2, obs_enabled=True, obs_path=path,
+        durability="wal-group-commit"))
+    launch_ft_computation(kernel, sites[0], sites[1:], ft_id="ft-traced",
+                          durable_checkpoints=True)
+    kernel.run(until=120.0)
+    live = kernel.trace_spans()
+    kernel.close()
+
+    dumped = load_trace(path)
+    assert len(dumped) == len(live)
+    assert "ft-traced" in trace_ids(dumped)
+    rows = hop_timeline(dumped, "ft-traced")
+    names = [row["name"] for row in rows]
+    assert names[0] == "launch"
+    assert names.count("ft-hop") == len(sites)
+    assert names.count("migration") == len(sites) - 1
+    assert "ft-ckpt" in names and "ft-release" in names
+    last_hop = [row for row in rows if row["name"] == "ft-hop"][-1]
+    assert last_hop["attrs"]["status"] == "delivered"
+    assert any(span["name"] == "wal-commit" for span in dumped
+               if span["trace_id"].startswith("~"))
 
 
 def test_sharded_log_event_routes_to_owning_shard():

@@ -146,6 +146,28 @@ class TestMonitorAndGossip:
         })
         assert convergence["__coverage__"] == pytest.approx(1.0)
 
+    def test_faster_gossip_costs_more_messages(self):
+        """Fresher load tables at the second broker are paid for in
+        broker-to-broker traffic over the same six simulated seconds."""
+        from repro.scheduling import BROKER_AGENT_NAME, make_broker_behaviour
+
+        def messages(gossip_interval):
+            kernel = make_kernel(sites=("b1", "b2", "s1", "s2", "s3"))
+            for broker_site in ("b1", "b2"):
+                kernel.install_agent(broker_site, BROKER_AGENT_NAME,
+                                     make_broker_behaviour(), replace=True)
+            for worker in ("s1", "s2", "s3"):      # monitors report to b1 only
+                kernel.launch(worker, make_monitor_behaviour(["b1"], interval=0.5,
+                                                             rounds=10))
+            kernel.launch("b1", make_gossip_behaviour(["b2"], rounds=10,
+                                                      interval=gossip_interval))
+            kernel.run(until=6.0)
+            state_b2 = BrokerState(kernel.site("b2").cabinet(BROKER_CABINET))
+            assert {"s1", "s2", "s3"} <= set(state_b2.loads())
+            return kernel.stats.messages_sent
+
+        assert messages(0.5) > messages(1.0) > messages(2.0)
+
 
 class TestDeployment:
     def test_install_scheduling_serves_clients_end_to_end(self):

@@ -562,3 +562,56 @@ class TestProcessFacade:
         modules = preload_module_names(registry)
         assert "example_loaded_from_a_file_path" not in modules
         assert "repro.bench.workloads" in modules
+
+    def test_digest_fed_log_and_spans_keep_the_configured_bounds(self):
+        """``event_log_max`` and ``obs_ring`` bound what the coordinator
+        retains per engine too: after repeated runs it holds what the
+        in-process engines hold, not everything the digests ever shipped."""
+        from repro.bench.workloads import (SHARD_COURIER_NAME,
+                                           SHARD_SINK_NAME, _shard_sink)
+        from repro.core import Briefcase
+
+        def retained(backend):
+            names = [f"s{i}" for i in range(4)]
+            kernel = Kernel(lan(names, latency=0.002), transport="tcp",
+                            config=KernelConfig(
+                                rng_seed=7, shards=2, shard_backend=backend,
+                                shard_placement={"s0": 0, "s1": 0,
+                                                 "s2": 1, "s3": 1},
+                                event_log_max=3, obs_ring=4,
+                                obs_enabled=True))
+            kernel.install_agent(None, SHARD_SINK_NAME, _shard_sink)
+            for round_number in range(10):
+                site = names[round_number % len(names)]
+                for line in range(5):
+                    kernel.log_event("operator", site,
+                                     f"round {round_number} line {line}")
+                briefcase = Briefcase()
+                briefcase.set("WORK", 0.01)
+                briefcase.set("PEER", names[(round_number + 1) % len(names)])
+                briefcase.set("BYTES", 16)
+                kernel.launch(site, SHARD_COURIER_NAME, briefcase)
+                if round_number == 5:
+                    kernel.crash_site(names[3])
+                    kernel.recover_site(names[3])
+                kernel.run()
+            logs = [list(engine.event_log) for engine in kernel.engines]
+            spans = [engine.obs.export() for engine in kernel.engines]
+            kernel.close()
+            return logs, spans
+
+        logs, spans = retained("process")
+        assert [len(log) for log in logs] == [3, 3]
+        assert [len(ring) for ring in spans] == [4, 4]
+        assert (logs, spans) == retained("inproc")
+
+    def test_unpicklable_behaviour_raises_a_kernel_error_and_the_pipe_survives(self):
+        kernel, names = sharded_kernel("process", site_count=4, shards=2)
+        with pytest.raises(KernelError, match=r"'launch'.*does not pickle"):
+            kernel.launch(names[0], lambda ctx, bc: (yield ctx.sleep(0)))
+        # Nothing was written for the failed call: the next command and its
+        # reply still pair up, and the kernel runs.
+        kernel.launch(names[0], "courier")
+        assert kernel.run() > 0
+        assert kernel.counters()["launched"] == 1
+        kernel.close()

@@ -64,7 +64,7 @@ class TestPrediction:
         assert prediction.warning_level in ("calm", "watch")
 
     def test_prediction_is_insensitive_to_calm_padding(self):
-        """Filtered evidence and the full raw series must agree (E1/E8 comparability)."""
+        """Filtered evidence and the full raw series must agree (so the two pipelines can be compared)."""
         expert = StormExpert()
         storm = [reading(wind=33.0, pressure=960.0, humidity=95.0) for _ in range(4)]
         calm = [reading() for _ in range(200)]

@@ -2,18 +2,19 @@
 """Print the size numbers ROADMAP aim 2 tracks, as one line.
 
     SIZE src_lines=... config_fields=... kernel_public=... shards_branches=...
-         import_modules=... third_party=...   (same line)
+         bench_files=... import_modules=... third_party=...   (same line)
 
 ``src_lines`` is ``wc -l`` over ``src/repro/**/*.py``; ``config_fields`` the
 fields of ``KernelConfig``; ``kernel_public`` the public names on the
 ``Kernel`` class; ``shards_branches`` the lines of ``src/repro/core/`` that
-test for the sharded case (``_shards is`` / ``distributed``).  The last two
-are what a site pays before its first ``meet``: ``import_modules`` is
-``len(sys.modules)`` in a fresh interpreter after importing ``repro.core``,
-``repro.net``, ``repro.fault`` and ``repro.sysagents``; ``third_party`` the
-top-level packages that import pulled in from a ``site-packages`` /
-``dist-packages`` directory.  CI prints the line after tier-1; CHANGES.md
-records parent -> change per PR.
+test for the sharded case (``_shards is`` / ``distributed``); ``bench_files``
+the Python files under ``benchmarks/`` outside ``ledger/`` (the ledger is the
+repo's one benchmark, so 0).  The last two are what a site pays before its
+first ``meet``: ``import_modules`` is ``len(sys.modules)`` in a fresh
+interpreter after importing ``repro.core``, ``repro.net``, ``repro.fault``
+and ``repro.sysagents``; ``third_party`` the top-level packages that import
+pulled in from a ``site-packages`` / ``dist-packages`` directory.  CI prints
+the line after tier-1; CHANGES.md records parent -> change per PR.
 """
 
 import dataclasses
@@ -21,7 +22,8 @@ import pathlib
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 from repro.core import Kernel, KernelConfig  # noqa: E402
@@ -53,9 +55,13 @@ if __name__ == "__main__":
     sources = sorted((SRC / "repro").rglob("*.py"))
     core = [line for path in sources if path.parent.name == "core"
             for line in lines_of(path)]
+    benchmarks = ROOT / "benchmarks"
+    stray = [path for path in benchmarks.rglob("*.py")
+             if benchmarks / "ledger" not in path.parents]
     print("SIZE",
           f"src_lines={sum(len(lines_of(path)) for path in sources)}",
           f"config_fields={len(dataclasses.fields(KernelConfig))}",
           f"kernel_public={sum(not name.startswith('_') for name in dir(Kernel))}",
           f"shards_branches={sum('_shards is' in line or 'distributed' in line for line in core)}",
+          f"bench_files={len(stray)}",
           cold_start())
