@@ -16,7 +16,7 @@ This package is the paper's primary contribution.  A typical program:
 """
 
 from repro.core import errors
-from repro.core.agent import AgentInstance, AgentSpec, AgentState
+from repro.core.agent import AgentInstance, AgentState
 from repro.core.briefcase import (CODE_FOLDER, CONTACT_FOLDER, HOST_FOLDER, SITES_FOLDER,
                                   Briefcase)
 from repro.core.cabinet import FileCabinet
@@ -40,7 +40,7 @@ __all__ = [
     "errors",
     "Folder", "Briefcase", "FileCabinet",
     "CODE_FOLDER", "HOST_FOLDER", "CONTACT_FOLDER", "SITES_FOLDER",
-    "AgentSpec", "AgentInstance", "AgentState", "AgentContext",
+    "AgentInstance", "AgentState", "AgentContext",
     "Meet", "MeetResult", "EndMeet", "Sleep", "Spawn", "Transmit", "Terminate",
     "BehaviourRegistry", "default_registry", "register_behaviour", "resolve_behaviour",
     "code_for", "code_from_source", "attach_code", "behaviour_from_code",

@@ -1,20 +1,21 @@
-"""Agent model: specifications, running instances, and lifecycle states.
+"""Agent model: running instances and lifecycle states.
 
 An *agent* in TACOMA is just code plus a briefcase; at runtime the kernel
-wraps that in an :class:`AgentInstance`, which owns the behaviour generator
-and the bookkeeping the experiments read (steps executed, sites visited,
-result, failure cause).
+wraps that in an :class:`AgentInstance`, which holds what the agent was
+started from (behaviour, CODE element, briefcase, place), owns the
+behaviour generator, and keeps the bookkeeping the experiments read (steps
+executed, sites visited, result, failure cause).  The engine is their only
+producer, so no separate "specification" object precedes an instance.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.briefcase import Briefcase
 
-__all__ = ["AgentState", "AgentSpec", "AgentInstance"]
+__all__ = ["AgentState", "AgentInstance"]
 
 _agent_counter = itertools.count(1)
 
@@ -37,23 +38,6 @@ class AgentState:
         return state in cls.TERMINAL
 
 
-@dataclass
-class AgentSpec:
-    """What is needed to start an agent: a behaviour, a briefcase, a place.
-
-    ``code_element`` is the shippable description of the behaviour (see
-    :mod:`repro.core.codec`); it is what ``ctx.jump`` re-attaches to the
-    briefcase when the agent moves.
-    """
-
-    behaviour: Callable
-    briefcase: Briefcase = field(default_factory=Briefcase)
-    name: Optional[str] = None
-    site: Optional[str] = None
-    code_element: Optional[Dict[str, Any]] = None
-    system: bool = False
-
-
 class AgentInstance:
     """A running (or finished) agent at a site.
 
@@ -61,31 +45,43 @@ class AgentInstance:
     ledger when collecting results, and through ``ctx`` while running.
 
     A ``__slots__`` class: high-population workloads keep hundreds of
-    thousands of these alive at once, and the slot layout roughly halves
-    the per-instance overhead.  Terminal instances can be archived into
+    thousands of these alive at once (forever, under the default
+    ``keep-all`` retention), so an instance is one object: the ``visited``
+    and ``children`` lists exist only once somebody reads them.
+    Terminal instances can be archived into
     compact :class:`~repro.core.lifecycle.AgentRecord` objects by the
     lifecycle ledger's retention policies; records duck-type the read-only
     surface below (``state``, ``result``, ``finished``, ``ok``, ...).
+
+    ``code_element`` is the shippable description of ``behaviour`` (see
+    :mod:`repro.core.codec`), which ``ctx.jump`` re-attaches to the briefcase
+    when the agent moves; ``launch_name`` is the name the agent was started
+    under, or None when ``name`` had to fall back to the agent id.
     """
 
-    __slots__ = ("agent_id", "spec", "name", "site_name", "briefcase", "state",
-                 "system", "parent_id", "meet_parent", "meet_ended", "generator",
-                 "result", "error", "steps", "started_at", "finished_at",
-                 "finished", "visited", "children")
+    __slots__ = ("agent_id", "behaviour", "code_element", "launch_name", "name",
+                 "site_name", "briefcase", "state", "system", "parent_id",
+                 "meet_parent", "meet_ended", "generator", "result", "error",
+                 "steps", "started_at", "finished_at", "finished", "_visited",
+                 "_children")
 
-    def __init__(self, spec: AgentSpec, site_name: str,
+    def __init__(self, behaviour: Callable, site_name: str,
+                 briefcase: Optional[Briefcase] = None, name: Optional[str] = None,
+                 code_element: Optional[Dict[str, Any]] = None, system: bool = False,
                  parent_id: Optional[str] = None, meet_parent: Optional[str] = None):
         self.agent_id = f"agent-{next(_agent_counter):06d}"
-        self.spec = spec
-        self.name = spec.name or self.agent_id
+        self.behaviour = behaviour
+        self.code_element = code_element
+        self.launch_name = name
+        self.name = name or self.agent_id
         self.site_name = site_name
-        self.briefcase = spec.briefcase
+        self.briefcase = briefcase if briefcase is not None else Briefcase()
         self.state = AgentState.CREATED
         #: True once the agent reached a terminal state (set by ``mark_done``
         #: / ``mark_failed`` / ``mark_killed`` together with ``state``; a plain
         #: attribute because the kernel reads it several times per step)
         self.finished = False
-        self.system = spec.system
+        self.system = system
         #: agent that spawned this one (None for kernel launches)
         self.parent_id = parent_id
         #: agent currently blocked in a meet on this agent (None outside meets)
@@ -99,10 +95,24 @@ class AgentInstance:
         self.steps = 0
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        #: every site this logical agent has executed at (itinerary trace)
-        self.visited: List[str] = [site_name]
-        #: ids of agents this one spawned or met
-        self.children: List[str] = []
+        self._visited: Optional[List[str]] = None
+        self._children: Optional[List[str]] = None
+
+    @property
+    def visited(self) -> List[str]:
+        """Every site this logical agent has executed at (itinerary trace)."""
+        visited = self._visited
+        if visited is None:
+            visited = self._visited = [self.site_name]
+        return visited
+
+    @property
+    def children(self) -> List[str]:
+        """Ids of the agents this one spawned or met."""
+        children = self._children
+        if children is None:
+            children = self._children = []
+        return children
 
     # -- state helpers -----------------------------------------------------------
 

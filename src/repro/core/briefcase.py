@@ -4,16 +4,26 @@ Paper section 2: "our implementations associate with each agent a
 *briefcase*, which contains a collection of named folders."  The briefcase
 is also the argument list of a ``meet`` — each folder is one argument.
 
-Briefcases must be cheap to ship, so they are a flat mapping from folder
-name to :class:`~repro.core.folder.Folder` with no auxiliary indexes.
+Briefcases must be cheap to ship and to carry, so they are a flat mapping,
+with no auxiliary indexes, from folder name to a
+:class:`~repro.core.folder.Folder` — or, for a folder of exactly one element
+that nobody has asked for as an object yet (every named scalar argument:
+``HOST``, ``CONTACT``, ``SEQ`` ...), to that one stored ``bytes`` element
+itself: section 2's "list of elements, each ... an uninterpreted sequence of
+bits", kept as the bits it already is, in a ``dict`` the cyclic collector
+need not track.  The ``Folder`` is built the first time one is asked for
+(``folder``, ``folders``, ``remove``, ``split``, ``merge``, iteration) or a
+second element is ``put``, and then stays, so a held handle keeps observing
+later edits.  Nothing observable depends on which form a folder is in.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import BriefcaseError, MissingFolderError
-from repro.core.folder import Folder, _decode, _encode
+from repro.core.folder import (ELEMENT_FRAMING, FOLDER_FRAMING, Folder, _check_name,
+                               _decode, _encode, _immutable)
 
 __all__ = ["Briefcase"]
 
@@ -37,7 +47,8 @@ class Briefcase:
     __slots__ = ("_folders",)
 
     def __init__(self, folders: Optional[Iterable[Folder]] = None):
-        self._folders: Dict[str, Folder] = {}
+        #: name -> Folder, or (exactly ``bytes``) the one element of an inline folder
+        self._folders: Dict[str, Union[Folder, bytes]] = {}
         if folders is not None:
             for folder in folders:
                 self.add(folder)
@@ -60,22 +71,24 @@ class Briefcase:
         common idiom for agents accumulating results as they roam.
         """
         try:
-            return self._folders[name]
+            folder = self._folders[name]
         except KeyError:
             if create:
                 return self.add(Folder(name))
             raise MissingFolderError(f"briefcase has no folder named {name!r}") from None
+        if type(folder) is bytes:  # first touch: its object, in the same position
+            folder = self._folders[name] = Folder.from_stored(name, [folder])
+        return folder
 
     def remove(self, name: str) -> Folder:
         """Remove and return the folder called *name*."""
-        try:
-            return self._folders.pop(name)
-        except KeyError:
-            raise MissingFolderError(f"briefcase has no folder named {name!r}") from None
+        folder = self.folder(name)
+        del self._folders[name]
+        return folder
 
     def discard(self, name: str) -> Optional[Folder]:
         """Remove the folder called *name* if present; return it or ``None``."""
-        return self._folders.pop(name, None)
+        return self.remove(name) if name in self._folders else None
 
     def has(self, name: str) -> bool:
         """True if a folder called *name* is present."""
@@ -87,33 +100,44 @@ class Briefcase:
 
     def folders(self) -> List[Folder]:
         """The folders themselves, in insertion order."""
-        return list(self._folders.values())
+        return [self.folder(name) for name in list(self._folders)]
 
     # -- element conveniences ---------------------------------------------------
     #
     # Very common pattern in agent code: a folder holding a single value that
     # acts as a named argument.  These helpers keep that pattern short.
 
-    # They run several times per agent step, so they work on the folder's
-    # stored element list directly rather than through its stack methods.
+    # They run several times per agent step, so they work on the stored form
+    # directly (the inline element, or the folder's element list) rather than
+    # through the folder's stack methods; a folder they create starts inline.
 
     def put(self, folder_name: str, element: Any) -> None:
         """Push *element* onto *folder_name*, creating the folder if needed."""
         folder = self._folders.get(folder_name)
         if folder is None:
-            folder = self._folders[folder_name] = Folder(folder_name)
+            _check_name(folder_name)
+            self._folders[folder_name] = _encode(element)
+            return
+        if type(folder) is bytes:  # a second element: the list is real now
+            folder = self.folder(folder_name)
         folder._elements.append(_encode(element))
 
     def set(self, folder_name: str, element: Any) -> None:
         """Make *folder_name* contain exactly *element* (replacing prior contents)."""
         folder = self._folders.get(folder_name)
         if folder is None:
-            folder = self._folders[folder_name] = Folder(folder_name)
-        folder._elements = [_encode(element)]
+            _check_name(folder_name)
+        elif type(folder) is not bytes:
+            # In place: whoever holds this Folder keeps seeing the contents.
+            folder._elements = [_encode(element)]
+            return
+        self._folders[folder_name] = _encode(element)
 
     def get(self, folder_name: str, default: Any = None) -> Any:
         """Return the top element of *folder_name*, or *default* if absent/empty."""
         folder = self._folders.get(folder_name)
+        if type(folder) is bytes:
+            return _decode(folder)
         if folder is None or not folder._elements:
             return default
         return _decode(folder._elements[-1])
@@ -131,20 +155,14 @@ class Briefcase:
         the other folder are appended, unless *replace* is set, in which case
         the other folder wins wholesale.
 
-        Both paths copy what they take: the append path used to splice the
-        other folder's stored element objects straight into ``mine``, so a
-        mutable stored buffer (anything that slipped past the bytes
-        normalisation) was shared between the two briefcases — while the
-        replace path always copied.  Merged elements are now normalised to
-        immutable ``bytes``, matching the folder contract.
+        Both paths copy what they take, normalised to immutable ``bytes``
+        (the folder contract), so a mutable stored buffer that slipped past
+        the normalisation is never shared between the two briefcases.
         """
         for folder in other.folders():
             if folder.name in self._folders and not replace:
-                mine = self._folders[folder.name]
-                for stored in folder.raw_elements():
-                    # noqa: SLF001 - same-class access
-                    mine._elements.append(stored if type(stored) is bytes
-                                          else bytes(stored))
+                self.folder(folder.name)._elements.extend(  # noqa: SLF001
+                    _immutable(folder._elements))
             else:
                 self._folders[folder.name] = folder.copy()
 
@@ -158,8 +176,9 @@ class Briefcase:
     def copy(self) -> "Briefcase":
         """Deep-enough copy: folders are copied, elements are immutable bytes."""
         clone = Briefcase()
-        for folder in self._folders.values():
-            clone.add(folder.copy())
+        clone._folders = {
+            name: folder if type(folder) is bytes else folder.copy()
+            for name, folder in self._folders.items()}
         return clone
 
     def clear(self) -> None:
@@ -169,9 +188,16 @@ class Briefcase:
     # -- size model -----------------------------------------------------------------
 
     def wire_size(self) -> int:
-        """Bytes this briefcase occupies when shipped between sites."""
-        framing = 32
-        return framing + sum(map(Folder.wire_size, self._folders.values()))
+        """Bytes this briefcase occupies when shipped between sites (what the
+        network is charged — not the length of the pickle that carries it)."""
+        total = 32  # briefcase framing
+        for name, folder in self._folders.items():
+            if type(folder) is bytes:
+                total += (FOLDER_FRAMING + len(name.encode("utf-8"))
+                          + len(folder) + ELEMENT_FRAMING)
+            else:
+                total += folder.wire_size()
+        return total
 
     # -- dunders -----------------------------------------------------------------
 
@@ -187,21 +213,46 @@ class Briefcase:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Briefcase):
             return NotImplemented
-        return self._folders == other._folders
+        return dict(self.stored_items()) == dict(other.stored_items())
 
     def __repr__(self) -> str:
         return f"Briefcase({', '.join(self._folders) or 'empty'})"
 
     # -- wire representation -----------------------------------------------------
+    #
+    # Both wire forms (the dict below, the flat pickle of repro.core.codec) go
+    # through this one pair, so shipping a briefcase never builds a Folder.
+
+    def stored_items(self) -> List[Tuple[str, List[bytes]]]:
+        """``(folder name, fresh list of stored elements)`` pairs, in order."""
+        return [(name, [folder] if type(folder) is bytes else folder.raw_elements())
+                for name, folder in self._folders.items()]
+
+    @classmethod
+    def from_stored_items(cls, items: Iterable[Tuple[str, List[bytes]]]) -> "Briefcase":
+        """The inverse of :meth:`stored_items` (element lists are adopted),
+        validating as ``add(Folder.from_stored(...))`` per pair would."""
+        briefcase = cls()
+        folders = briefcase._folders
+        for name, elements in items:
+            _check_name(name)
+            if name in folders:
+                raise BriefcaseError(f"briefcase already has a folder named {name!r}")
+            if (type(elements) is list and len(elements) == 1
+                    and type(elements[0]) is bytes):
+                folders[name] = elements[0]
+            else:
+                folders[name] = Folder.from_stored(name, elements)
+        return briefcase
 
     def to_wire(self) -> dict:
         """Plain-dict representation used by the codec."""
-        return {"folders": [folder.to_wire() for folder in self._folders.values()]}
+        return {"folders": [{"name": name, "elements": elements}
+                            for name, elements in self.stored_items()]}
 
     @classmethod
     def from_wire(cls, payload: dict) -> "Briefcase":
         """Rebuild a briefcase from :meth:`to_wire` output."""
-        briefcase = cls()
-        for folder_payload in payload["folders"]:
-            briefcase.add(Folder.from_wire(folder_payload))
-        return briefcase
+        return cls.from_stored_items(
+            (folder["name"], list(folder["elements"]))
+            for folder in payload["folders"])

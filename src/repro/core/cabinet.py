@@ -8,33 +8,32 @@ optimised for access at the cost of being expensive to move, and "can be
 flushed to disk when permanence is required" (section 6).
 
 This implementation keeps folders in a dict plus a per-folder element index
-(element digest -> positions) so membership queries used by agents such as
-the diffusion agent are O(1), and offers :meth:`flush` / :meth:`load` for
-persistence.  The deliberately large :meth:`move_cost` stands against the
+(the set of a folder's stored elements) so membership queries used by agents
+such as the diffusion agent are O(1), and offers :meth:`flush` / :meth:`load`
+for persistence.  The deliberately large :meth:`move_cost` stands against the
 briefcase's cheap wire size (``tests/unit/test_cabinet.py::TestCostModel``).
 
 Access-side structures like that index are the asymmetry the paper
 sanctions: a briefcase stays a flat list of bytes because it must be cheap
 to move, a cabinet may keep whatever makes reads cheap because it stays
-put.  :meth:`derived` extends the same licence to the cabinet's readers.
+put.  The index is *derived* state: built from the stored bytes on a
+folder's first ``contains_element``, kept up by ``put`` from then on, dropped
+by any other edit — so a folder that is only appended to (a mailbox, a
+release log, parked checkpoints) never pays for it.  :meth:`derived` extends
+the same licence, and the same lifetime, to the cabinet's readers.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
 from repro.core.briefcase import Briefcase
 from repro.core.errors import CabinetError, CabinetPersistenceError, MissingFolderError
-from repro.core.folder import Folder
+from repro.core.folder import Folder, _encode, _immutable
 
 __all__ = ["FileCabinet"]
-
-
-def _digest(stored: bytes) -> str:
-    return hashlib.sha1(stored).hexdigest()
 
 
 class FileCabinet:
@@ -43,7 +42,7 @@ class FileCabinet:
     The cabinet mirrors the briefcase API (``folder``, ``put``, ``get``,
     ``has`` ...) so agent code can treat "local storage" and "carried
     storage" uniformly, which is exactly the symmetry the paper points out.
-    On top of that it maintains an element index per folder so that
+    On top of that it keeps an element index per queried folder so that
     :meth:`contains_element` — the operation the diffusion agent's
     "have I visited this site already?" check needs — does not scan lists.
     """
@@ -58,12 +57,11 @@ class FileCabinet:
         self.name = name
         self.site = site
         self._folders: Dict[str, Folder] = {}
-        self._index: Dict[str, Dict[str, int]] = {}
+        #: folder name -> set of its stored elements, once it has been queried
+        self._index: Dict[str, Set[bytes]] = {}
         #: per-folder read-side state kept by readers (see :meth:`derived`);
-        #: lives and dies with ``_index``
+        #: dies with ``_index``
         self._derived: Dict[str, Dict[Any, Any]] = {}
-        #: number of lookups served
-        self.access_count = 0
         #: mutation hook installed by a durable SiteStore (see repro.store);
         #: called with the folder name on every cabinet-level mutation
         self._store_hook: Optional[Callable[[str], None]] = None
@@ -81,13 +79,9 @@ class FileCabinet:
         self._store_hook = hook
 
     def touch(self, folder_name: str) -> None:
-        """Reconcile a direct Folder edit: rebuild the element index and
-        mark the folder dirty for the durable store."""
-        if folder_name in self._folders:
-            self._reindex(folder_name)
-        else:
-            self._index.pop(folder_name, None)
-            self._derived.pop(folder_name, None)
+        """Reconcile a direct Folder edit: drop what was derived from the
+        old contents and mark the folder dirty for the durable store."""
+        self._forget(folder_name)
         self._notify(folder_name)
 
     def _notify(self, folder_name: str) -> None:
@@ -97,17 +91,16 @@ class FileCabinet:
     # -- folder access (briefcase-compatible surface) ---------------------------
 
     def add(self, folder: Folder, replace: bool = False) -> Folder:
-        """Add *folder* to the cabinet (indexing its elements)."""
+        """Add *folder* to the cabinet."""
         if folder.name in self._folders and not replace:
             raise CabinetError(f"cabinet already has a folder named {folder.name!r}")
         self._folders[folder.name] = folder
-        self._reindex(folder.name)
+        self._forget(folder.name)
         self._notify(folder.name)
         return folder
 
     def folder(self, name: str, create: bool = False) -> Folder:
         """Return (optionally creating) the folder called *name*."""
-        self.access_count += 1
         if name in self._folders:
             return self._folders[name]
         if create:
@@ -121,8 +114,7 @@ class FileCabinet:
         except KeyError:
             raise MissingFolderError(
                 f"cabinet {self.name!r} has no folder named {name!r}") from None
-        self._index.pop(name, None)
-        self._derived.pop(name, None)
+        self._forget(name)
         self._notify(name)
         return folder
 
@@ -154,7 +146,9 @@ class FileCabinet:
         """Push *element* into *folder_name*, creating the folder if needed."""
         folder = self.folder(folder_name, create=True)
         folder.push(element)
-        self._index_element(folder_name, folder._elements[-1])  # noqa: SLF001
+        index = self._index.get(folder_name)
+        if index is not None:
+            index.add(folder._elements[-1])  # noqa: SLF001
         self._notify(folder_name)
 
     def get(self, folder_name: str, default: Any = None) -> Any:
@@ -172,13 +166,13 @@ class FileCabinet:
         This is the primitive the flooding/diffusion example relies on to
         terminate instead of cloning without bound.
         """
-        self.access_count += 1
-        if folder_name not in self._folders:
+        folder = self._folders.get(folder_name)
+        if folder is None:
             return False
-        probe = Folder("_probe")
-        probe.push(element)
-        key = _digest(probe.raw_elements()[0])
-        return self._index.get(folder_name, {}).get(key, 0) > 0
+        index = self._index.get(folder_name)
+        if index is None:
+            index = self._index[folder_name] = set(folder._elements)  # noqa: SLF001
+        return _encode(element) in index
 
     def elements(self, folder_name: str) -> List[Any]:
         """All elements of *folder_name* (empty list if the folder is missing)."""
@@ -193,7 +187,7 @@ class FileCabinet:
         (the rear guards' release log) parks what it worked out here and
         next time decodes only what ``put`` appended since.  The dict is
         valid exactly as long as the folder has only been appended to: it is
-        dropped wherever the element index is rebuilt or dropped (``add``,
+        dropped wherever the element index is (``add``,
         ``touch``, ``deposit``, ``remove``, ``clear``), so after a direct
         edit or a crash-recovery restore the reader starts from the stored
         bytes again.  It is never journaled, flushed, sized or moved.
@@ -208,20 +202,20 @@ class FileCabinet:
     def deposit(self, briefcase: Briefcase, names: Optional[Iterable[str]] = None) -> None:
         """Copy folders from a briefcase into the cabinet (merging by name).
 
-        This is how an agent "leaves information behind" at a site.
+        This is how an agent "leaves information behind" at a site.  Like
+        :meth:`Briefcase.merge`, it normalises what it copies to ``bytes``.
         """
         wanted = set(names) if names is not None else None
-        for folder in briefcase.folders():
-            if wanted is not None and folder.name not in wanted:
+        for name, elements in briefcase.stored_items():
+            if wanted is not None and name not in wanted:
                 continue
-            if folder.name in self._folders:
-                mine = self._folders[folder.name]
-                for stored in folder.raw_elements():
-                    mine._elements.append(stored)  # noqa: SLF001
+            mine = self._folders.get(name)
+            if mine is None:
+                self._folders[name] = Folder.from_stored(name, _immutable(elements))
             else:
-                self._folders[folder.name] = folder.copy()
-            self._reindex(folder.name)
-            self._notify(folder.name)
+                mine._elements.extend(_immutable(elements))  # noqa: SLF001
+            self._forget(name)
+            self._notify(name)
 
     def withdraw(self, names: Iterable[str]) -> Briefcase:
         """Copy the named folders out into a fresh briefcase (cabinet keeps them)."""
@@ -306,18 +300,10 @@ class FileCabinet:
 
     # -- internals -----------------------------------------------------------------
 
-    def _reindex(self, folder_name: str) -> None:
-        index: Dict[str, int] = {}
-        for stored in self._folders[folder_name].raw_elements():
-            key = _digest(stored)
-            index[key] = index.get(key, 0) + 1
-        self._index[folder_name] = index
+    def _forget(self, folder_name: str) -> None:
+        """Drop everything derived from *folder_name*'s previous contents."""
+        self._index.pop(folder_name, None)
         self._derived.pop(folder_name, None)
-
-    def _index_element(self, folder_name: str, stored: bytes) -> None:
-        key = _digest(stored)
-        index = self._index.setdefault(folder_name, {})
-        index[key] = index.get(key, 0) + 1
 
     # -- dunders ---------------------------------------------------------------------
 

@@ -34,7 +34,6 @@ from typing import Any, Callable, Dict, Optional
 from repro.core.briefcase import CODE_FOLDER, Briefcase
 from repro.core.errors import (CodecError, CodeCompilationError, TacomaError,
                                UnknownBehaviourError)
-from repro.core.folder import Folder
 from repro.core.registry import BehaviourRegistry, default_registry
 
 __all__ = [
@@ -145,10 +144,8 @@ _WIRE_VERSION = 2
 def pack_briefcase(briefcase: Briefcase) -> bytes:
     """Serialise a briefcase for transmission between sites."""
     try:
-        return pickle.dumps(
-            (_WIRE_VERSION, [(folder.name, folder.raw_elements())
-                             for folder in briefcase.folders()]),
-            protocol=pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps((_WIRE_VERSION, briefcase.stored_items()),
+                            protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise CodecError(f"briefcase could not be serialised: {exc}") from exc
 
@@ -163,8 +160,7 @@ def unpack_briefcase(payload: bytes) -> Briefcase:
             or wrapper[0] != _WIRE_VERSION):
         raise CodecError("briefcase payload has an unknown wire version")
     try:
-        return Briefcase([Folder.from_stored(name, elements)
-                          for name, elements in wrapper[1]])
+        return Briefcase.from_stored_items(wrapper[1])
     except (TacomaError, TypeError, ValueError) as exc:
         raise CodecError(f"briefcase payload is malformed: {exc}") from exc
 

@@ -231,12 +231,12 @@ class AgentContext:
         current site after the meet with rexec returns — itinerant agents
         normally ``return`` right after yielding a jump.
         """
-        code_element = self._instance.spec.code_element
+        code_element = self._instance.code_element
         if code_element is not None:
             briefcase.set("CODE", code_element)
         elif not briefcase.has("CODE"):
             # Last resort: try to derive a code element from the behaviour.
-            attach_code(briefcase, self._instance.spec.behaviour, self._kernel.registry)
+            attach_code(briefcase, self._instance.behaviour, self._kernel.registry)
         briefcase.set(HOST_FOLDER, host)
         briefcase.set(CONTACT_FOLDER, contact)
         return Meet("rexec", briefcase)

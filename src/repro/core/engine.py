@@ -31,13 +31,12 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from functools import partial
 from operator import itemgetter
 from types import GeneratorType, MappingProxyType
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Tuple, Union)
 
-from repro.core.agent import AgentInstance, AgentSpec, AgentState
+from repro.core.agent import AgentInstance, AgentState
 from repro.core.briefcase import Briefcase
 from repro.core.codec import (code_element_copy, code_element_of, pack_briefcase,
                               unpack_briefcase, wire_size_of)
@@ -314,7 +313,7 @@ class LedgerQueries:
         """The result of a finished agent (raises if it failed or is unfinished).
 
         Works for archived records too: ``keep-results`` retention drops the
-        briefcase and spec of a terminal agent but keeps the result readable.
+        briefcase and behaviour of a terminal agent but keeps the result readable.
         """
         instance = self.agent(agent_id)
         if instance.state == AgentState.DONE:
@@ -686,8 +685,8 @@ class Engine(LedgerQueries):
         trace_id = instance.briefcase.get(TRACE_ID_FOLDER)
         if trace_id is None:
             return
-        attrs = ({"agent": instance.spec.name}
-                 if instance.spec.name is not None else None)
+        attrs = ({"agent": instance.launch_name}
+                 if instance.launch_name is not None else None)
         self._obs_runs[instance.agent_id] = self.obs.begin(
             trace_id, "run", self.obs.next_key(instance.site_name),
             parent_id=instance.briefcase.get(TRACE_PARENT_FOLDER),
@@ -741,20 +740,16 @@ class Engine(LedgerQueries):
                               f"in the past")
         site = self.site(site_name)
         resolved, resolved_system = self._resolve_behaviour(site, behaviour)
-        spec = AgentSpec(
-            behaviour=resolved,
-            briefcase=briefcase if briefcase is not None else Briefcase(),
-            name=name or (behaviour if isinstance(behaviour, str) else None),
-            site=site_name,
-            code_element=self._best_effort_code(behaviour, resolved),
-            system=system or resolved_system,
-        )
+        instance = AgentInstance(
+            resolved, site_name, briefcase,
+            name or (behaviour if isinstance(behaviour, str) else None),
+            self._best_effort_code(behaviour, resolved),
+            system or resolved_system)
         if self.obs.active:
-            self._obs_trace_launch(spec.briefcase, site_name)
-        instance = AgentInstance(spec, site_name)
+            self._obs_trace_launch(instance.briefcase, site_name)
         self._register(instance)
-        self.loop.schedule(delay, partial(self._start, instance),
-                           label=("start", instance.agent_id))
+        self.loop.schedule(delay, self._start, ("start", instance.agent_id),
+                           (instance,))
         return instance.agent_id
 
     def launch_many(self, requests: Sequence[tuple], delay: float = 0.0) -> List[str]:
@@ -771,30 +766,23 @@ class Engine(LedgerQueries):
         if delay < 0:
             raise KernelError(f"cannot schedule agent starts {delay} seconds "
                               f"in the past")
-        specs: List[tuple] = []
+        instances: List[AgentInstance] = []
         for request in requests:
             site_name, behaviour = request[0], request[1]
-            briefcase = request[2] if len(request) > 2 else None
             site = self.site(site_name)
             resolved, resolved_system = self._resolve_behaviour(site, behaviour)
-            specs.append((site_name, AgentSpec(
-                behaviour=resolved,
-                briefcase=briefcase if briefcase is not None else Briefcase(),
-                name=behaviour if isinstance(behaviour, str) else None,
-                site=site_name,
-                code_element=self._best_effort_code(behaviour, resolved),
-                system=resolved_system,
-            )))
-        instances: List[AgentInstance] = []
-        for site_name, spec in specs:
+            instances.append(AgentInstance(
+                resolved, site_name, request[2] if len(request) > 2 else None,
+                behaviour if isinstance(behaviour, str) else None,
+                self._best_effort_code(behaviour, resolved), resolved_system))
+        for instance in instances:
             if self.obs.active:
-                self._obs_trace_launch(spec.briefcase, site_name)
-            instance = AgentInstance(spec, site_name)
+                self._obs_trace_launch(instance.briefcase, instance.site_name)
             self._register(instance)
-            instances.append(instance)
+        start = self._start
         self.loop.schedule_many(
-            [(delay, partial(self._start, instance),
-              ("start", instance.agent_id)) for instance in instances])
+            [(delay, start, ("start", instance.agent_id), (instance,))
+             for instance in instances])
         return [instance.agent_id for instance in instances]
 
     def _resolve_behaviour(self, site: Site, behaviour: Union[str, Callable]):
@@ -907,8 +895,8 @@ class Engine(LedgerQueries):
         for arrival, message in sorted(handoffs, key=itemgetter(0)):
             if arrival < now - PAST_EPSILON:
                 self.stats.record_shard_late_arrival()
-            loop.schedule_at(max(arrival, now), partial(deliver, message),
-                             label=("shard-handoff", message.message_id))
+            loop.schedule_at(max(arrival, now), deliver,
+                             ("shard-handoff", message.message_id), (message,))
 
     def log_event(self, agent_id: str, site_name: str, message: str) -> None:
         """Append a line to the event log (agents call this via ctx.log)."""
@@ -1072,7 +1060,7 @@ class Engine(LedgerQueries):
             self._obs_begin_run(instance)
         context = AgentContext(self, site, instance)
         try:
-            outcome = instance.spec.behaviour(context, instance.briefcase)
+            outcome = instance.behaviour(context, instance.briefcase)
         except Exception as error:  # behaviour blew up before yielding anything
             self._fail(instance, error)
             return
@@ -1131,9 +1119,8 @@ class Engine(LedgerQueries):
 
     def _throw_back(self, instance: AgentInstance, error: Exception) -> None:
         """Deliver an error to the agent on its next step."""
-        self.loop.schedule(self.config.step_cost,
-                           partial(self._resume, instance, error=error),
-                           label=("error", instance.agent_id))
+        self.loop.schedule(self.config.step_cost, self._resume,
+                           ("error", instance.agent_id), (instance, None, error))
 
     # -- individual syscalls ----------------------------------------------------------
 
@@ -1144,35 +1131,29 @@ class Engine(LedgerQueries):
         except UnknownAgentError as error:
             self._throw_back(caller, MeetError(str(error)))
             return
-        spec = AgentSpec(
-            behaviour=behaviour,
-            briefcase=request.briefcase,
-            name=request.agent_name,
-            site=site.name,
-            code_element=self._best_effort_code(request.agent_name, behaviour),
-            system=is_system,
-        )
-        callee = AgentInstance(spec, site.name, parent_id=caller.agent_id,
-                               meet_parent=caller.agent_id)
+        callee = AgentInstance(
+            behaviour, site.name, request.briefcase, request.agent_name,
+            self._best_effort_code(request.agent_name, behaviour), is_system,
+            parent_id=caller.agent_id, meet_parent=caller.agent_id)
         self._register(callee)
         caller.children.append(callee.agent_id)
         caller.mark_waiting()
         self.meets += 1
         self.loop.schedule(self.config.meet_overhead + self.config.step_cost,
-                           partial(self._start, callee),
-                           label=("meet", caller.agent_id, request.agent_name))
+                           self._start,
+                           ("meet", caller.agent_id, request.agent_name), (callee,))
 
     def _do_end_meet(self, callee: AgentInstance, request: EndMeet) -> None:
         self._release_meet_parent(callee, request.value)
         # The callee keeps running concurrently with its (former) caller.
-        self.loop.schedule(self.config.step_cost, partial(self._resume, callee),
-                           label=("continue", callee.agent_id))
+        self.loop.schedule(self.config.step_cost, self._resume,
+                           ("continue", callee.agent_id), (callee,))
 
     def _do_sleep(self, instance: AgentInstance, request: Sleep) -> None:
         instance.mark_waiting()
         delay = max(0.0, float(request.duration)) + self.config.step_cost
-        self.loop.schedule(delay, partial(self._resume, instance),
-                           label=("wake", instance.agent_id))
+        self.loop.schedule(delay, self._resume, ("wake", instance.agent_id),
+                           (instance,))
 
     def _do_spawn(self, parent: AgentInstance, request: Spawn) -> None:
         site = self.sites[parent.site_name]
@@ -1188,23 +1169,18 @@ class Engine(LedgerQueries):
                 return
         code_element = getattr(request, "code_element", None) or \
             self._best_effort_code(request.behaviour, behaviour)
-        spec = AgentSpec(
-            behaviour=behaviour,
-            briefcase=request.briefcase,
-            name=request.name or (request.behaviour
-                                  if isinstance(request.behaviour, str) else None),
-            site=site.name,
-            code_element=code_element,
-            system=is_system,
-        )
-        child = AgentInstance(spec, site.name, parent_id=parent.agent_id)
+        child = AgentInstance(
+            behaviour, site.name, request.briefcase,
+            request.name or (request.behaviour
+                             if isinstance(request.behaviour, str) else None),
+            code_element, is_system, parent_id=parent.agent_id)
         self._register(child)
         parent.children.append(child.agent_id)
         self.loop.schedule_many((
-            (self.config.spawn_overhead, partial(self._start, child),
-             ("spawn", child.agent_id)),
-            (self.config.step_cost, partial(self._resume, parent, child.agent_id),
-             ("spawned", parent.agent_id)),
+            (self.config.spawn_overhead, self._start,
+             ("spawn", child.agent_id), (child,)),
+            (self.config.step_cost, self._resume,
+             ("spawned", parent.agent_id), (parent, child.agent_id)),
         ))
 
     def _do_transmit(self, sender: AgentInstance, request: Transmit) -> None:
@@ -1237,8 +1213,8 @@ class Engine(LedgerQueries):
         event = self.transport.post(message)
         accepted = event is not None
         self.loop.schedule(self.config.transmit_overhead + self.config.step_cost,
-                           partial(self._resume, sender, accepted),
-                           label=("transmitted", sender.agent_id))
+                           self._resume, ("transmitted", sender.agent_id),
+                           (sender, accepted))
 
     def _do_terminate(self, instance: AgentInstance, request: Terminate) -> None:
         self._finish(instance, request.result)
@@ -1283,8 +1259,8 @@ class Engine(LedgerQueries):
             return
         result = MeetResult(value=value, briefcase=callee.briefcase,
                             agent_id=callee.agent_id)
-        self.loop.schedule(self.config.step_cost, partial(self._resume, parent, result),
-                           label=("meet-return", parent.agent_id))
+        self.loop.schedule(self.config.step_cost, self._resume,
+                           ("meet-return", parent.agent_id), (parent, result))
 
     def _release_meet_parent_on_abnormal_end(self, callee: AgentInstance,
                                              error: Exception) -> None:
@@ -1294,8 +1270,8 @@ class Engine(LedgerQueries):
         parent = self.table.get(callee.meet_parent)
         if parent is None or parent.finished:
             return
-        self.loop.schedule(self.config.step_cost, partial(self._resume, parent, error=error),
-                           label=("meet-error", parent.agent_id))
+        self.loop.schedule(self.config.step_cost, self._resume,
+                           ("meet-error", parent.agent_id), (parent, None, error))
 
     # ------------------------------------------------------------------
     # network arrivals
@@ -1379,21 +1355,15 @@ class Engine(LedgerQueries):
                            f"arrival for unknown contact {contact!r} dropped")
             return
         behaviour, is_system = site.resolve(contact)
-        spec = AgentSpec(
-            behaviour=behaviour,
-            briefcase=briefcase,
-            name=contact,
-            site=site.name,
-            code_element=self._best_effort_code(contact, behaviour),
-            system=is_system,
-        )
         if self.obs.active and message.trace is not None:
             self._obs_record_arrival(site, message, briefcase)
-        instance = AgentInstance(spec, site.name)
+        instance = AgentInstance(behaviour, site.name, briefcase, contact,
+                                 self._best_effort_code(contact, behaviour),
+                                 is_system)
         self._register(instance)
         self.arrivals += 1
-        self.loop.schedule(self.config.meet_overhead, partial(self._start, instance),
-                           label=("arrival", instance.agent_id))
+        self.loop.schedule(self.config.meet_overhead, self._start,
+                           ("arrival", instance.agent_id), (instance,))
 
     def __repr__(self) -> str:
         return (f"Engine({self.shard_id}, {len(self.sites)} sites, "

@@ -28,6 +28,22 @@ _RAW_TAG = b"R"
 _PICKLE_TAG = b"P"
 _TEXT_TAG = b"T"
 
+#: the size model's fixed charges (a briefcase charges an inline folder the same)
+FOLDER_FRAMING = 16
+ELEMENT_FRAMING = 4
+
+
+def _check_name(name: Any) -> None:
+    """A folder name is a non-empty string (with or without a Folder object)."""
+    if not name or not isinstance(name, str):
+        raise FolderError("folder name must be a non-empty string")
+
+
+def _immutable(elements: Iterable[bytes]) -> List[bytes]:
+    """Stored *elements* as a fresh list of immutable ``bytes``: a mutable
+    buffer smuggled into the source is copied (an exact ``bytes`` is shared)."""
+    return [stored if type(stored) is bytes else bytes(stored) for stored in elements]
+
 
 def _encode(element: Any) -> bytes:
     """Encode *element* into the tagged byte representation stored in folders."""
@@ -78,8 +94,7 @@ class Folder:
     __slots__ = ("name", "_elements")
 
     def __init__(self, name: str, elements: Optional[Iterable[Any]] = None):
-        if not name or not isinstance(name, str):
-            raise FolderError("folder name must be a non-empty string")
+        _check_name(name)
         self.name = name
         self._elements: List[bytes] = (
             [] if elements is None else [_encode(element) for element in elements])
@@ -153,8 +168,7 @@ class Folder:
         """
         clone = Folder.__new__(Folder)  # the name was validated when self was built
         clone.name = self.name
-        clone._elements = [stored if type(stored) is bytes else bytes(stored)
-                           for stored in self._elements]
+        clone._elements = _immutable(self._elements)
         return clone
 
     # -- size model ----------------------------------------------------------
@@ -166,11 +180,9 @@ class Folder:
         per-element and per-folder framing overhead.  This is what every
         bytes-on-the-wire comparison measures.
         """
-        framing_per_element = 4
-        framing_per_folder = 16 + len(self.name.encode("utf-8"))
         elements = self._elements
-        return (framing_per_folder + sum(map(len, elements))
-                + framing_per_element * len(elements))
+        return (FOLDER_FRAMING + len(self.name.encode("utf-8"))
+                + sum(map(len, elements)) + ELEMENT_FRAMING * len(elements))
 
     # -- dunder conveniences --------------------------------------------------
 

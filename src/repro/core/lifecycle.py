@@ -2,7 +2,7 @@
 
 The kernel used to keep every :class:`~repro.core.agent.AgentInstance` ever
 launched in one flat dict.  That was fine for the paper-scale experiments,
-but a million-agent churn workload pins a briefcase, a spec and a closed
+but a million-agent churn workload pins a briefcase, a behaviour and a closed
 generator frame per agent forever, and name lookups scan the whole history.
 The :class:`AgentTable` extracts that bookkeeping into a subsystem:
 
@@ -15,7 +15,7 @@ The :class:`AgentTable` extracts that bookkeeping into a subsystem:
   applies the configured :class:`RetentionPolicy`;
 * **retention** — ``keep-all`` keeps the full instance (the historical
   behaviour), ``keep-results`` archives terminal agents into compact
-  :class:`AgentRecord` objects (dropping briefcases, specs and generator
+  :class:`AgentRecord` objects (dropping briefcases, behaviours and generator
   references while keeping results readable), and ``keep-counts`` evicts
   all but the most recent N terminal agents so the ledger itself stays
   bounded;
@@ -49,7 +49,7 @@ class AgentRecord:
 
     Keeps only what result-collection and post-mortem queries read: identity,
     final state, result/error, timing and the itinerary trace.  The
-    briefcase, the spec (behaviour callable, code element) and the generator
+    briefcase, the behaviour callable, its code element and the generator
     reference are deliberately dropped — they are what make a retired
     :class:`AgentInstance` expensive to retain.
 
@@ -72,7 +72,8 @@ class AgentRecord:
         self.parent_id = instance.parent_id
         self.started_at = instance.started_at
         self.finished_at = instance.finished_at
-        self.visited = tuple(instance.visited)
+        visited = instance._visited  # noqa: SLF001 - do not build it to copy it
+        self.visited = (instance.site_name,) if visited is None else tuple(visited)
 
     @property
     def finished(self) -> bool:
@@ -130,7 +131,7 @@ class KeepResults(RetentionPolicy):
     """Archive terminal agents into compact :class:`AgentRecord` objects.
 
     ``result_of``/``agent``/``agents_named`` keep working for every agent
-    ever launched, but the briefcase, spec and generator no longer pin
+    ever launched, but the briefcase, behaviour and generator no longer pin
     memory once the agent is terminal.
     """
 

@@ -104,7 +104,8 @@ class Scheduler(Protocol):
     migrations, delivery latencies, heartbeats, group commits — is a
     callback scheduled here.  Same-timestamp events fire in scheduling
     order, which is what keeps the sim backend deterministic and the
-    realtime backend faithful to it.
+    realtime backend faithful to it.  An event fires as ``callback(*args)``:
+    a bound method plus a tuple, not a closure or ``partial`` per event.
     """
 
     clock: Clock
@@ -124,18 +125,18 @@ class Scheduler(Protocol):
         """Events executed so far."""
         ...
 
-    def schedule(self, delay: float, callback: Callable[[], Any],
-                 label: Label = "") -> ScheduledEvent:
-        """Run *callback* after *delay* seconds."""
+    def schedule(self, delay: float, callback: Callable[..., Any],
+                 label: Label = "", args: tuple = ()) -> ScheduledEvent:
+        """Run ``callback(*args)`` after *delay* seconds."""
         ...
 
     def schedule_many(self, entries: Iterable[Sequence]) -> List[ScheduledEvent]:
-        """Schedule a batch of ``(delay, callback[, label])`` entries."""
+        """Schedule a batch of ``(delay, callback[, label[, args]])`` entries."""
         ...
 
-    def schedule_at(self, timestamp: float, callback: Callable[[], Any],
-                    label: Label = "") -> ScheduledEvent:
-        """Run *callback* at absolute time *timestamp*."""
+    def schedule_at(self, timestamp: float, callback: Callable[..., Any],
+                    label: Label = "", args: tuple = ()) -> ScheduledEvent:
+        """Run ``callback(*args)`` at absolute time *timestamp*."""
         ...
 
     def step(self) -> bool:

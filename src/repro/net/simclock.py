@@ -24,6 +24,9 @@ step), so its fixed costs are kept out of the interpreter:
 * **Lazy labels.**  A label is a string or a tuple of parts; parts are
   joined with ``-`` only if the event is ever printed, so hot callers
   pass ``("wake", agent_id)`` instead of formatting a string per event.
+* **No ``partial`` per event.**  An event is ``(callback, args)`` and fires
+  as ``callback(*args)``: hot callers pass a bound method and a tuple where
+  a ``functools.partial`` would be one more collector-tracked object each.
 
 :class:`SimClock` and :class:`EventLoop` are the *deterministic*
 implementations of the :class:`~repro.core.timing.Clock` and
@@ -84,14 +87,15 @@ class Event:
     per-event memory and construction cost.
     """
 
-    __slots__ = ("time", "seq", "callback", "label", "cancelled", "_loop")
+    __slots__ = ("time", "seq", "callback", "args", "label", "cancelled", "_loop")
 
-    def __init__(self, time: float, seq: int, callback: Callable[[], Any],
+    def __init__(self, time: float, seq: int, callback: Callable[..., Any],
                  label: Label = "", cancelled: bool = False,
-                 _loop: Optional["EventLoop"] = None):
+                 _loop: Optional["EventLoop"] = None, args: tuple = ()):
         self.time = time
         self.seq = seq
         self.callback = callback
+        self.args = args
         self.label = label
         self.cancelled = cancelled
         self._loop = _loop
@@ -115,7 +119,9 @@ class Event:
         label = self.label
         if not isinstance(label, str):
             label = "-".join(map(str, label))
-        return f"Event(t={self.time:.6f}, seq={self.seq}, {state}, {label!r})"
+        # Without a label, what the event will be called with is all that names it.
+        args = f", args={self.args!r}" if self.args and not label else ""
+        return f"Event(t={self.time:.6f}, seq={self.seq}, {state}, {label!r}{args})"
 
 
 _INFINITY = float("inf")
@@ -147,21 +153,22 @@ class EventLoop:
 
     # -- scheduling -------------------------------------------------------------
 
-    def schedule(self, delay: float, callback: Callable[[], Any],
-                 label: Label = "") -> Event:
-        """Run *callback* after *delay* simulated seconds; return a cancellable handle."""
+    def schedule(self, delay: float, callback: Callable[..., Any],
+                 label: Label = "", args: tuple = ()) -> Event:
+        """Run ``callback(*args)`` after *delay* simulated seconds; return a
+        cancellable handle."""
         if not delay >= 0:  # also rejects NaN, which would corrupt the heap order
             raise KernelError(f"cannot schedule an event {delay} seconds in the past")
         seq = self._next_seq
         self._next_seq = seq + 1
         time = self.clock.now + delay
-        event = Event(time, seq, callback, label, False, self)
+        event = Event(time, seq, callback, label, False, self, args)
         heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
     def schedule_many(self, entries: Iterable[Sequence]) -> List[Event]:
-        """Schedule a batch of ``(delay, callback[, label])`` entries at once.
+        """Schedule a batch of ``(delay, callback[, label[, args]])`` entries at once.
 
         The kernel uses this on the meet/spawn hot paths where one syscall
         produces several events: the per-call validation and bookkeeping is
@@ -176,8 +183,10 @@ class EventLoop:
             if not delay >= 0:
                 raise KernelError(f"cannot schedule an event {delay} seconds in the past")
             time = now + delay
+            extras = len(entry)
             batch.append((time, seq, Event(
-                time, seq, entry[1], entry[2] if len(entry) > 2 else "", False, self)))
+                time, seq, entry[1], entry[2] if extras > 2 else "", False, self,
+                entry[3] if extras > 3 else ())))
             seq += 1
         self._next_seq = seq
         heap = self._heap
@@ -192,9 +201,9 @@ class EventLoop:
         self._live += len(batch)
         return [item[2] for item in batch]
 
-    def schedule_at(self, timestamp: float, callback: Callable[[], Any],
-                    label: Label = "") -> Event:
-        """Run *callback* at absolute simulated time *timestamp*.
+    def schedule_at(self, timestamp: float, callback: Callable[..., Any],
+                    label: Label = "", args: tuple = ()) -> Event:
+        """Run ``callback(*args)`` at absolute simulated time *timestamp*.
 
         Timestamps within :data:`PAST_EPSILON` of the current time are
         clamped to "now" (tolerating float jitter); anything genuinely in
@@ -206,7 +215,7 @@ class EventLoop:
             raise KernelError(
                 f"cannot schedule an event at {timestamp}: "
                 f"it is {-delta} seconds in the past (now={self.clock.now})")
-        return self.schedule(max(0.0, delta), callback, label)
+        return self.schedule(max(0.0, delta), callback, label, args)
 
     # -- lazy-deletion bookkeeping ----------------------------------------------
 
@@ -271,7 +280,7 @@ class EventLoop:
             advance(time)
             self._processed += 1
             executed += 1
-            event.callback()
+            event.callback(*event.args)
         return executed
 
     def step(self) -> bool:

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import abc
 import random
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import NoRouteError, SiteDownError, TransportError
@@ -560,8 +559,9 @@ class Transport(abc.ABC):
             # sync safe: the arrival timestamp is fixed the moment the
             # message leaves, before any horizon beyond it can be granted.
             return self.boundary.dispatch(message, delay)
-        return self.loop.schedule(delay, partial(self._deliver, message),
-                                  label=(self.name, "deliver", message.message_id))
+        return self.loop.schedule(delay, self._deliver,
+                                  (self.name, "deliver", message.message_id),
+                                  (message,))
 
     # -- delivery --------------------------------------------------------------------
 

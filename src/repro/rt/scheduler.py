@@ -99,9 +99,9 @@ class AsyncioScheduler(EventLoop):
 
     # -- scheduling ------------------------------------------------------------
 
-    def schedule_at(self, timestamp: float, callback: Callable[[], Any],
-                    label: Label = "") -> Event:
-        """Run *callback* at wall time *timestamp*, or immediately if past.
+    def schedule_at(self, timestamp: float, callback: Callable[..., Any],
+                    label: Label = "", args: tuple = ()) -> Event:
+        """Run ``callback(*args)`` at wall time *timestamp*, or immediately if past.
 
         Wall time moves between a caller computing a deadline and this
         call, so a slightly-past timestamp is reality, not a bug: the
@@ -112,7 +112,7 @@ class AsyncioScheduler(EventLoop):
         NaN reaches ``schedule``'s guard.
         """
         return self.schedule(max(timestamp - self.clock.now, 0.0),
-                             callback, label)
+                             callback, label, args)
 
     # -- execution -------------------------------------------------------------
 

@@ -38,8 +38,9 @@ def capture_cabinet(cabinet: FileCabinet) -> CabinetImage:
 def restore_cabinet(cabinet: FileCabinet, image: CabinetImage) -> int:
     """Rebuild *cabinet*'s contents from *image*; returns folders restored.
 
-    The cabinet is cleared first, then every imaged folder is re-added so
-    the cabinet's element indexes are rebuilt consistently.
+    The cabinet is cleared first — its element indexes and readers'
+    derived state with it, to be rebuilt from the restored bytes on their
+    next use — then every imaged folder is re-added.
     """
     cabinet.clear()
     for folder_name, elements in image.items():

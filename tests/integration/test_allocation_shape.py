@@ -1,0 +1,149 @@
+"""What an agent life leaves behind for the cyclic collector, held as counts.
+
+The collector's cost is set by how many *tracked* objects a run creates and
+keeps (every young collection walks the new ones, every full one walks them
+all), and under the default ``keep-all`` retention everything a finished
+agent still references stays for the life of the kernel.  Wall-clock cannot
+be asserted in tier-1; these counts can, and they repeat exactly.  Public API
+only — what is counted is whatever the library allocates, by any means.
+``tools/hot_functions.py <workload> --gc`` prints the same numbers for a
+ledger workload.
+"""
+
+from __future__ import annotations
+
+import collections
+import functools
+import gc
+
+from repro.core import Briefcase, Folder, Kernel, KernelConfig
+from repro.net import switched_fabric
+from repro.net.simclock import Event
+
+SITES = [f"h{index:02d}" for index in range(8)]
+LIVES_PER_COURIER = 3       # the courier behaviour, the courier system agent, the sink
+
+
+def sink(ctx, briefcase):
+    elements = briefcase.folder(briefcase.get("PAYLOAD_NAME")).elements()
+    ctx.cabinet("mail").put("received", {"from": briefcase.get("SENDER_SITE"),
+                                         "at": ctx.now})
+    yield ctx.sleep(0)
+    return len(elements)
+
+
+def courier(ctx, briefcase):
+    yield ctx.sleep(briefcase.get("WORK"))
+    report = Folder("REPORT", [{"from": ctx.site_name,
+                                "payload": briefcase.get("PAYLOAD")}])
+    yield ctx.send_folder(report, briefcase.get("PEER"), "sink")
+    return ctx.site_name
+
+
+def fabric_kernel() -> Kernel:
+    kernel = Kernel(switched_fabric(SITES, hosts_per_switch=4), transport="tcp",
+                    config=KernelConfig(rng_seed=7))
+    assert kernel.table.retention.name == "keep-all"
+    kernel.install_agent(None, "sink", sink)
+    # Launched by name, as populations are: unnamed agents each get a name
+    # index entry of their own (one more dict per life, here 4.7 in all).
+    kernel.install_agent(None, "courier-life", courier)
+    return kernel
+
+
+def launch_couriers(kernel: Kernel, count: int) -> None:
+    requests = []
+    for index in range(count):
+        briefcase = Briefcase()
+        briefcase.set("WORK", 0.005 + 0.0001 * index)
+        briefcase.set("PEER", SITES[(index + 3) % len(SITES)])
+        briefcase.set("PAYLOAD", b"\0" * 256)
+        requests.append((SITES[index % len(SITES)], "courier-life", briefcase))
+    kernel.launch_many(requests)
+
+
+def tracked_by_type() -> collections.Counter:
+    gc.collect()
+    return collections.Counter(type(obj).__name__ for obj in gc.get_objects())
+
+
+def test_an_agent_life_keeps_at_most_five_tracked_objects():
+    kernel = fabric_kernel()
+    launch_couriers(kernel, len(SITES))     # warm-up: routes, connections, cabinets
+    kernel.run()
+    lives_before = kernel.counters()["launched"]
+    before = tracked_by_type()
+    launch_couriers(kernel, 200)
+    kernel.run()
+    after = tracked_by_type()
+    counters = kernel.counters()
+    lives = counters["launched"] - lives_before
+    assert lives == 200 * LIVES_PER_COURIER == counters["completed"] - lives_before
+    after.subtract(before)
+    growth = sum(after.values())
+    # 12.7 per life when every folder was a Folder plus a list and every
+    # instance carried a spec and two lists; 4.3 now: the instance, its
+    # briefcase, and the one folder somebody asked for as an object.
+    assert growth <= 5 * lives, (
+        f"{growth / lives:.2f} tracked survivors per agent life: "
+        f"{[(kind, count) for kind, count in after.most_common(8) if count > 0]}")
+    kernel.close()
+
+
+def events_on(loop) -> list:
+    """Every Event within reach of *loop*'s own state (its heap entries)."""
+    found, frontier = [], [loop]
+    for _ in range(4):                      # loop -> __dict__ -> heap -> entry -> event
+        frontier = [referent for obj in frontier
+                    for referent in gc.get_referents(obj)
+                    if isinstance(referent, (dict, list, tuple, Event))]
+        found.extend(obj for obj in frontier if isinstance(obj, Event))
+    return found
+
+
+def test_queued_events_carry_arguments_not_partials():
+    kernel = fabric_kernel()
+    launch_couriers(kernel, 40)
+    seen = 0
+    for horizon in (0.0, 0.006, 0.008, 0.010):   # starts, wakes, meets, deliveries
+        kernel.run(until=horizon)
+        queued = [event for event in events_on(kernel.loop) if not event.cancelled]
+        assert len(queued) >= kernel.loop.pending > 0
+        for event in queued:
+            assert not isinstance(event.callback, functools.partial), event
+            assert not any(isinstance(arg, functools.partial) for arg in event.args)
+        seen += sum(bool(event.args) for event in queued)
+    assert seen > 0                         # and the arguments really ride on the event
+    kernel.run()
+    assert kernel.counters()["completed"] == 40 * LIVES_PER_COURIER
+    kernel.close()
+
+
+def test_a_queried_cabinet_folder_answers_correctly_across_crash_and_recovery():
+    # The element index is derived state: dropped with the rest of a crashed
+    # site's volatile state, rebuilt from the restored bytes when next asked.
+    kernel = Kernel(switched_fabric(SITES, hosts_per_switch=4), transport="tcp",
+                    config=KernelConfig(rng_seed=7, durability="wal-group-commit",
+                                        store_commit_window=0.05))
+    kernel.make_durable("marks", sites=["h00"])
+    marks = kernel.site("h00").cabinet("marks")
+    for visitor in ("alpha", "beta"):
+        marks.put("VISITED", visitor)
+    assert marks.contains_element("VISITED", "alpha")
+    assert not marks.contains_element("VISITED", "gamma")
+    marks.put("VISITED", "gamma")           # kept up once somebody has asked
+    assert marks.contains_element("VISITED", "gamma")
+    kernel.run(until=1.0)                   # group commit
+    marks.put("VISITED", "never-committed")
+    kernel.crash_site("h00")
+    kernel.recover_site("h00")
+    kernel.run(until=30.0)
+    assert kernel.site("h00").alive
+    marks = kernel.site("h00").cabinet("marks")
+    assert marks.elements("VISITED") == ["alpha", "beta", "gamma"]
+    for visitor, expected in (("alpha", True), ("gamma", True),
+                              ("never-committed", False), ("delta", False)):
+        assert marks.contains_element("VISITED", visitor) is expected
+    marks.put("VISITED", "delta")
+    assert marks.contains_element("VISITED", "delta")
+    kernel.close()

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import pickle
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import Briefcase, Folder
 from repro.core.codec import pack_briefcase, unpack_briefcase, wire_size_of
+from repro.core.errors import (BriefcaseError, FolderError, MissingFolderError,
+                               TacomaError)
 
 element_strategy = st.one_of(
     st.binary(max_size=48),
@@ -78,3 +84,259 @@ def test_split_then_merge_restores_every_element(briefcase):
 def test_names_match_folders(briefcase):
     assert briefcase.names() == [folder.name for folder in briefcase.folders()]
     assert len(briefcase) == len(briefcase.names())
+
+
+# ---------------------------------------------------------------------------
+# inline / eager equivalence
+# ---------------------------------------------------------------------------
+#
+# A briefcase holds a one-element folder nobody has asked for as an object
+# as that one stored element (see repro.core.briefcase).  Nothing observable
+# may depend on it, so random programs over the whole API run against the
+# real Briefcase and against the representation it replaced — every folder a
+# Folder object from the start — which survives only here, as the oracle.
+
+class EagerBriefcase:
+    """The oracle: a plain ``Dict[str, Folder]``, no inline form."""
+
+    def __init__(self, folders=()):
+        self.folders = {folder.name: folder for folder in folders}
+
+    def add(self, folder, replace=False):
+        if folder.name in self.folders and not replace:
+            raise BriefcaseError(folder.name)
+        self.folders[folder.name] = folder
+        return folder
+
+    def folder(self, name, create=False):
+        if name not in self.folders:
+            if not create:
+                raise MissingFolderError(name)
+            self.folders[name] = Folder(name)
+        return self.folders[name]
+
+    def put(self, name, element):
+        self.folder(name, create=True).push(element)
+
+    def set(self, name, element):
+        self.folder(name, create=True).replace([element])
+
+    def get(self, name, default=None):
+        folder = self.folders.get(name)
+        return folder.peek() if folder else default
+
+    def take(self, name):
+        return self.folder(name).pop()
+
+    def has(self, name):
+        return name in self.folders
+
+    def remove(self, name):
+        self.folder(name)
+        return self.folders.pop(name)
+
+    def discard(self, name):
+        return self.folders.pop(name, None)
+
+    def merge(self, other, replace=False):
+        for folder in other.folders.values():
+            if folder.name in self.folders and not replace:
+                # the very same stored objects, as Briefcase.merge shares them
+                self.folders[folder.name]._elements.extend(folder._elements)
+            else:
+                self.folders[folder.name] = folder.copy()
+
+    def split(self, names):
+        return EagerBriefcase([self.remove(name) for name in names])
+
+    def copy(self):
+        return EagerBriefcase([folder.copy() for folder in self.folders.values()])
+
+    def stored_items(self):
+        return [(name, folder.raw_elements()) for name, folder in self.folders.items()]
+
+    def wire_size(self):
+        return 32 + sum(folder.wire_size() for folder in self.folders.values())
+
+    def pack(self):
+        return pickle.dumps((2, self.stored_items()), protocol=pickle.HIGHEST_PROTOCOL)
+
+    def to_wire(self):
+        return {"folders": [folder.to_wire() for folder in self.folders.values()]}
+
+
+def view(value):
+    """What an operation returned, comparable across the two representations."""
+    if isinstance(value, Folder):
+        return ("folder", value.name, value.raw_elements())
+    if isinstance(value, (Briefcase, EagerBriefcase)):
+        return ("briefcase", value.stored_items())
+    return value
+
+
+# Few names, so programs keep hitting the same folders; one is not ASCII
+# because the size model charges the UTF-8 length of a name.
+names = st.sampled_from(["A", "B", "HOST", "Ω-ö"])
+slots = st.integers(min_value=0, max_value=1)
+
+
+class InlineEagerEquivalence(RuleBasedStateMachine):
+    """Two briefcases (so merge/split/copy have a partner), each kept twice."""
+
+    def __init__(self):
+        super().__init__()
+        self.pairs = [[Briefcase(), EagerBriefcase()], [Briefcase(), EagerBriefcase()]]
+        #: (Folder handle from the Briefcase, the oracle's handle) taken so far
+        self.handles = []
+
+    def both(self, slot, call):
+        """Run *call* on the briefcase and the oracle in *slot*: same result
+        or the same error.  Returns the two raw results (None if it raised)."""
+        results, outcomes = [], []
+        for briefcase in self.pairs[slot]:
+            try:
+                results.append(call(briefcase))
+                outcomes.append(("returned", view(results[-1])))
+            except TacomaError as error:
+                results.append(None)
+                outcomes.append(("raised", type(error)))
+        assert outcomes[0] == outcomes[1]
+        return results
+
+    @rule(slot=slots, name=names, elements=st.lists(element_strategy, max_size=3),
+          replace=st.booleans())
+    def add(self, slot, name, elements, replace):
+        self.both(slot, lambda bc: bc.add(Folder(name, elements), replace))
+
+    @rule(slot=slots, name=names, create=st.booleans())
+    def folder(self, slot, name, create):
+        mine, theirs = self.both(slot, lambda bc: bc.folder(name, create))
+        if mine is not None:
+            assert self.pairs[slot][0].folder(name) is mine
+            self.handles.append((mine, theirs))
+
+    @rule(slot=slots, name=names, element=element_strategy)
+    def put(self, slot, name, element):
+        self.both(slot, lambda bc: bc.put(name, element))
+
+    @rule(slot=slots, name=names, element=element_strategy)
+    def set(self, slot, name, element):
+        self.both(slot, lambda bc: bc.set(name, element))
+
+    @rule(slot=slots, name=names)
+    def read(self, slot, name):
+        self.both(slot, lambda bc: (bc.has(name), bc.get(name), bc.get(name, "absent")))
+
+    @rule(slot=slots, name=names)
+    def take(self, slot, name):
+        self.both(slot, lambda bc: bc.take(name))
+
+    @rule(slot=slots, name=names)
+    def remove(self, slot, name):
+        self.both(slot, lambda bc: bc.remove(name))
+
+    @rule(slot=slots, name=names)
+    def discard(self, slot, name):
+        self.both(slot, lambda bc: bc.discard(name))
+
+    @rule(data=st.data(), element=element_strategy)
+    def push_through_a_handle(self, data, element):
+        if self.handles:
+            for handle in data.draw(st.sampled_from(self.handles)):
+                handle.push(element)
+
+    @rule(slot=slots, replace=st.booleans())
+    def merge(self, slot, replace):
+        (mine, theirs), (other_mine, other_theirs) = self.pairs[slot], self.pairs[1 - slot]
+        mine.merge(other_mine, replace)
+        theirs.merge(other_theirs, replace)
+
+    @rule(slot=slots, wanted=st.lists(names, max_size=3, unique=True))
+    def split_into_the_other(self, slot, wanted):
+        extracted = self.both(slot, lambda bc: bc.split(wanted))
+        if extracted[0] is not None:
+            self.pairs[1 - slot] = extracted
+
+    @rule(slot=slots)
+    def copy_over_the_other(self, slot):
+        self.pairs[1 - slot] = self.both(slot, lambda bc: bc.copy())
+
+    @rule(slot=slots)
+    def ship_packed(self, slot):
+        mine, theirs = self.pairs[slot]
+        shipped = pickle.loads(theirs.pack())[1]
+        self.pairs[slot] = [
+            unpack_briefcase(pack_briefcase(mine)),
+            EagerBriefcase([Folder.from_stored(name, elements)
+                            for name, elements in shipped])]
+
+    @rule(slot=slots)
+    def ship_as_wire_dict(self, slot):
+        mine, theirs = self.pairs[slot]
+        self.pairs[slot] = [
+            Briefcase.from_wire(mine.to_wire()),
+            EagerBriefcase([Folder.from_wire(folder)
+                            for folder in theirs.to_wire()["folders"]])]
+
+    @invariant()
+    def the_two_agree(self):
+        # Only through readers that never ask for a Folder: the check must
+        # not itself turn the inline folders into objects.
+        for mine, theirs in self.pairs:
+            assert mine.names() == list(theirs.folders)
+            assert len(mine) == len(theirs.folders)
+            assert mine.stored_items() == theirs.stored_items()
+            assert mine.wire_size() == theirs.wire_size() == wire_size_of(mine)
+            assert pack_briefcase(mine) == theirs.pack()
+            assert mine.to_wire() == theirs.to_wire()
+        (a, eager_a), (b, eager_b) = self.pairs
+        assert (a == b) == (eager_a.folders == eager_b.folders)
+        assert a == a.copy()
+        for mine, theirs in self.handles:
+            assert mine.raw_elements() == theirs.raw_elements()
+
+
+TestInlineEagerEquivalence = InlineEagerEquivalence.TestCase
+TestInlineEagerEquivalence.settings = settings(
+    max_examples=120, stateful_step_count=30, deadline=None)
+
+
+def test_a_folder_gets_its_object_on_first_touch_and_keeps_it():
+    # White box, once: what the machine above runs really has both forms.
+    briefcase = Briefcase()
+    briefcase.set("HOST", "tromso")
+    briefcase.put("SEQ", 1)
+    assert all(type(slot) is bytes for slot in briefcase._folders.values())
+    assert unpack_briefcase(pack_briefcase(briefcase))._folders == briefcase._folders
+    briefcase.get("HOST"), briefcase.has("SEQ"), briefcase.wire_size(), briefcase.copy()
+    assert all(type(slot) is bytes for slot in briefcase._folders.values())
+    handle = briefcase.folder("HOST")
+    briefcase.put("SEQ", 2)                      # a second element: a real list
+    assert [type(slot) for slot in briefcase._folders.values()] == [Folder, Folder]
+    briefcase.set("HOST", "cornell")             # edits the object it already has
+    assert briefcase.folder("HOST") is handle and handle.elements() == ["cornell"]
+    assert briefcase.names() == ["HOST", "SEQ"]  # materialising keeps the order
+
+
+@pytest.mark.parametrize("name", ["", None, 7, b"HOST"])
+def test_set_and_put_still_validate_the_name_of_a_folder_they_create(name):
+    briefcase = Briefcase()
+    with pytest.raises(FolderError):
+        briefcase.set(name, 1)
+    with pytest.raises(FolderError):
+        briefcase.put(name, 1)
+    assert len(briefcase) == 0
+
+
+def test_a_briefcase_in_both_forms_survives_pickle():
+    # The process shard backend ships launch briefcases to its workers so.
+    briefcase = Briefcase([Folder("EMPTY"), Folder("MANY", [1, "two", b"3"])])
+    briefcase.set("HOST", "tromso")
+    briefcase.set("TOUCHED", 4)
+    briefcase.folder("TOUCHED")
+    assert {type(slot) for slot in briefcase._folders.values()} == {bytes, Folder}
+    clone = pickle.loads(pickle.dumps(briefcase))
+    assert clone == briefcase and clone.names() == briefcase.names()
+    assert pack_briefcase(clone) == pack_briefcase(briefcase)
+    clone.put("HOST", "cornell")
+    assert briefcase.get("HOST") == "tromso"

@@ -20,7 +20,7 @@ def test_contains_element_matches_membership(elements, probe):
     for element in elements:
         cabinet.put("X", element)
     expected = probe in elements
-    # The digest index must agree with a linear scan of the decoded values.
+    # The element index must agree with a linear scan of the decoded values.
     assert cabinet.contains_element("X", probe) == expected
 
 
@@ -79,8 +79,8 @@ def test_move_cost_dominates_storage(elements):
        element_strategy)
 def test_put_indexes_exactly_the_element_it_stored(before, after, probe):
     # put() indexes the stored bytes it just appended (no folder copy): the
-    # index must match membership whether the folder started out indexed by
-    # add()/deposit() or grew by put() alone, duplicates included.
+    # index a query built part-way and put() kept up must equal the one a
+    # query builds from the finished folder, duplicates included.
     cabinet = FileCabinet("c")
     cabinet.deposit(Briefcase([Folder("X", before)]))
     for element in after:
@@ -89,7 +89,48 @@ def test_put_indexes_exactly_the_element_it_stored(before, after, probe):
     assert cabinet.contains_element("X", probe) == (probe in before + after)
     rebuilt = FileCabinet("c")
     rebuilt.add(Folder("X", before + after))
+    assert rebuilt._index == {}                      # nobody has asked yet
+    rebuilt.contains_element("X", probe)
     assert cabinet._index == rebuilt._index
+
+
+@given(st.lists(element_strategy, min_size=1, max_size=10),
+       st.lists(st.tuples(
+           st.sampled_from(["put", "touch", "remove", "deposit", "add", "recover",
+                            "query"]),
+           element_strategy), max_size=12),
+       element_strategy)
+def test_the_index_is_derived_state(initial, edits, probe):
+    # A folder that was only ever put to has no index entry; one that was
+    # queried keeps answering exactly what a scan of the decoded elements
+    # answers, whatever happens to the folder in between — every other edit
+    # drops the entry and the next query rebuilds it from the stored bytes.
+    cabinet = FileCabinet("c")
+    for element in initial:
+        cabinet.put("QUIET", element)
+        cabinet.put("ASKED", element)
+    assert cabinet._index == {}
+    assert cabinet.contains_element("ASKED", initial[0])
+    for edit, element in edits:
+        if edit == "put":
+            cabinet.put("ASKED", element)
+        elif edit == "touch":
+            if cabinet.has("ASKED"):
+                cabinet.folder("ASKED").push(element)  # behind the cabinet's back
+            cabinet.touch("ASKED")
+        elif edit == "remove":
+            if cabinet.has("ASKED"):
+                cabinet.remove("ASKED")
+        elif edit == "deposit":
+            cabinet.deposit(Briefcase([Folder("ASKED", [element])]))
+        elif edit == "add":
+            cabinet.add(Folder("ASKED", [element]), replace=True)
+        elif edit == "recover":  # crash -> recover: clear, then restore the image
+            restore_cabinet(cabinet, capture_cabinet(cabinet))
+        for candidate in (element, probe):
+            assert (cabinet.contains_element("ASKED", candidate)
+                    == (candidate in cabinet.elements("ASKED")))
+    assert "QUIET" not in cabinet._index
 
 
 @given(st.lists(element_strategy, min_size=1, max_size=8),

@@ -52,7 +52,7 @@ def run_workload(seed: int, n_sites: int, n_agents: int, hops: int,
         kernel.launch(names[index % n_sites], hopper, briefcase)
     kernel.run()
     completed = sorted(
-        (instance.spec.name or "", instance.site_name, repr(instance.result))
+        (instance.launch_name or "", instance.site_name, repr(instance.result))
         for instance in kernel.table.entries.values()
         if instance.state == AgentState.DONE)
     kernel.close()

@@ -9,7 +9,12 @@ loop is running) and every way of draining (``step``, ``run``,
 loop and on a model that keeps a plain list and sorts it.  After every
 operation the two must agree on what fired and in which order — exact
 ``(time, seq)`` order, ties in scheduling order — on the clock, and on
-``pending``/``processed``.
+``pending``/``processed``.  Events carry their arguments: two in three are
+scheduled as one shared bound method plus an ``args`` tuple naming the event
+(through every entry point, and every ``schedule_many`` entry shape), the
+third as a closure with no ``args``, and what a firing records is what its
+callback *received* — so an event fired with another's arguments, or a
+cancelled one fired at all, breaks the agreement.
 
 The same programs run against :class:`~repro.rt.AsyncioScheduler` with an
 injected fake timer (and a fake ``asyncio.sleep`` that advances it), which
@@ -49,9 +54,14 @@ operations = st.one_of(
 )
 
 
+def args_of(seq, on_fire=None):
+    """The ``args`` event number *seq* is scheduled with (none: a closure)."""
+    return () if seq % 3 == 0 else (seq, on_fire)
+
+
 class Model:
-    """The specification: a list of [time, seq, state, on_fire, handle_cancelled],
-    sorted on demand."""
+    """The specification: a list of [time, seq, state, on_fire,
+    handle_cancelled, args], sorted on demand."""
 
     def __init__(self):
         self.now = 0.0
@@ -59,8 +69,9 @@ class Model:
         self.fired = []
 
     def add(self, delay, on_fire=None):
-        self.entries.append(
-            [self.now + delay, len(self.entries), "pending", on_fire, False])
+        seq = len(self.entries)
+        self.entries.append([self.now + delay, seq, "pending", on_fire, False,
+                             args_of(seq, on_fire)])
 
     def queue(self):
         return sorted(entry for entry in self.entries if entry[2] == "pending")
@@ -106,28 +117,33 @@ class Subject:
         self.events = []
         self.fired = []
 
-    def callback(self, on_fire=None):
-        seq = len(self.events)
+    def fire(self, seq, on_fire=None):
+        self.fired.append(seq)
+        if on_fire == "cancel_most":
+            self.cancel_most()
+        elif on_fire is not None:
+            self.schedule(on_fire)
 
-        def fire():
-            self.fired.append(seq)
-            if on_fire == "cancel_most":
-                self.cancel_most()
-            elif on_fire is not None:
-                self.events.append(self.loop.schedule(on_fire, self.callback()))
-        return fire
+    def callback(self, seq, on_fire=None):
+        """``(callback, args)`` for event number *seq*."""
+        args = args_of(seq, on_fire)
+        if args:
+            return self.fire, args
+        return (lambda: self.fire(seq, on_fire)), ()
 
     def schedule(self, delay, on_fire=None):
-        self.events.append(self.loop.schedule(delay, self.callback(on_fire)))
+        callback, args = self.callback(len(self.events), on_fire)
+        self.events.append(self.loop.schedule(delay, callback, args=args))
 
     def schedule_many(self, batch):
         entries = []
-        for delay in batch:
-            # callback() numbers by len(self.events): reserve the slot first
-            entries.append((delay, self.callback()))
-            self.events.append(None)
-        events = self.loop.schedule_many(entries)
-        self.events[len(self.events) - len(events):] = events
+        for seq, delay in enumerate(batch, start=len(self.events)):
+            callback, args = self.callback(seq)
+            # every entry shape: bare, labelled, labelled with args
+            entries.append((delay, callback, ("many", seq), args) if args
+                           else (delay, callback, "many") if seq % 2
+                           else (delay, callback))
+        self.events.extend(self.loop.schedule_many(entries))
 
     def cancel_most(self):
         for seq, event in enumerate(self.events):
@@ -147,8 +163,9 @@ def apply(model: Model, subject: Subject, operation) -> None:
         subject.schedule_many(argument)
     elif kind == "schedule_at":
         model.add(argument)
+        callback, args = subject.callback(len(subject.events))
         subject.events.append(
-            loop.schedule_at(loop.now + argument, subject.callback()))
+            loop.schedule_at(loop.now + argument, callback, "at", args))
     elif kind == "schedule_spawner":
         model.add(argument[0], on_fire=argument[1])
         subject.schedule(argument[0], on_fire=argument[1])
@@ -188,6 +205,7 @@ def check(model: Model, subject: Subject) -> None:
     for event, entry in zip(subject.events, model.entries):
         assert (event.time, event.seq) == (entry[0], entry[1])
         assert event.cancelled is entry[4]
+        assert event.args == entry[5]
 
 
 #: a program that provably takes the bulk-heapify branch, compacts the heap

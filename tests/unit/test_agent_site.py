@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Briefcase
-from repro.core.agent import AgentInstance, AgentSpec, AgentState
+from repro.core.agent import AgentInstance, AgentState
 from repro.core.errors import UnknownAgentError
 from repro.core.site import Site
 from repro.net.message import Message, MessageKind
@@ -28,7 +28,7 @@ class TestAgentState:
 
 class TestAgentInstance:
     def make(self, **kwargs):
-        return AgentInstance(AgentSpec(behaviour=noop, briefcase=Briefcase(), **kwargs), "alpha")
+        return AgentInstance(noop, "alpha", Briefcase(), **kwargs)
 
     def test_ids_are_unique(self):
         assert self.make().agent_id != self.make().agent_id
@@ -68,7 +68,7 @@ class TestAgentInstance:
 
     def test_meet_parent_tracking(self):
         parent = self.make()
-        child = AgentInstance(AgentSpec(behaviour=noop), "alpha",
+        child = AgentInstance(noop, "alpha",
                               parent_id=parent.agent_id, meet_parent=parent.agent_id)
         assert child.meet_parent == parent.agent_id
         assert child.meet_ended is False

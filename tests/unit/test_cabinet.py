@@ -64,14 +64,6 @@ class TestBasicAccess:
         assert "A" in cabinet
         assert len(cabinet) == 2
 
-    def test_access_count_increases_on_lookups(self):
-        cabinet = FileCabinet("c")
-        cabinet.put("A", 1)
-        before = cabinet.access_count
-        cabinet.get("A")
-        cabinet.contains_element("A", 1)
-        assert cabinet.access_count > before
-
 
 class TestElementIndex:
     def test_contains_element_after_put(self):
@@ -112,6 +104,26 @@ class TestBriefcaseInterchange:
         cabinet.deposit(Briefcase([Folder("RESULTS", [1])]))
         assert cabinet.elements("RESULTS") == [0, 1]
         assert cabinet.contains_element("RESULTS", 1)
+
+    def test_deposit_normalises_stored_elements_like_merge(self):
+        # A mutable buffer that slipped past the bytes normalisation (a
+        # raw-tagged bytearray, as a hand-built wire payload might carry)
+        # used to be appended as-is: shared with the briefcase, and — now
+        # that the element index is keyed by the stored element itself —
+        # unhashable when contains_element builds the index.
+        source = Briefcase([Folder("DATA", [b"one"])])
+        raw = bytearray(b"Rmutable")
+        source.folder("DATA")._elements.append(raw)
+        merged, fresh = FileCabinet("merged"), FileCabinet("fresh")
+        merged.put("DATA", b"zero")
+        for cabinet in (merged, fresh):
+            cabinet.deposit(source)
+        raw[1:] = b"CHANGED!"
+        for cabinet in (merged, fresh):
+            assert all(type(stored) is bytes
+                       for stored in cabinet.folder("DATA").raw_elements())
+            assert cabinet.contains_element("DATA", b"mutable")
+            assert not cabinet.contains_element("DATA", b"CHANGED!")
 
     def test_deposit_with_name_filter(self):
         cabinet = FileCabinet("c")

@@ -252,6 +252,25 @@ class TestEventLoop:
             loop.schedule(0.1, lambda: None, label=("wake", "agent-000007")))
         assert "'plain'" in repr(loop.schedule(0.1, lambda: None, label="plain"))
 
+    def test_events_fire_their_callback_with_their_args(self):
+        loop = EventLoop()
+        fired = []
+        loop.schedule(0.2, fired.append, args=("schedule",))
+        loop.schedule_at(0.3, fired.append, "labelled", ("schedule_at",))
+        loop.schedule_many([(0.1, fired.append, "first", ("many",)),
+                            (0.4, lambda: fired.append("no args"), "last"),
+                            (0.5, lambda: fired.append("bare"))])
+        loop.run()
+        assert fired == ["many", "schedule", "schedule_at", "no args", "bare"]
+
+    def test_repr_shows_args_only_when_there_is_no_label(self):
+        loop = EventLoop()
+        assert "args=('agent-000007',)" in repr(
+            loop.schedule(0.1, print, args=("agent-000007",)))
+        assert "args" not in repr(
+            loop.schedule(0.1, print, ("wake", "agent-000007"), ("agent-000007",)))
+        assert "args" not in repr(loop.schedule(0.1, lambda: None))
+
     def test_event_is_slotted(self):
         event = Event(time=1.0, seq=0, callback=lambda: None)
         assert not hasattr(event, "__dict__")
