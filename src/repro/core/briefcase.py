@@ -15,6 +15,10 @@ need not track.  The ``Folder`` is built the first time one is asked for
 (``folder``, ``folders``, ``remove``, ``split``, ``merge``, iteration) or a
 second element is ``put``, and then stays, so a held handle keeps observing
 later edits.  Nothing observable depends on which form a folder is in.
+
+Stored elements are immutable, so a move never copies them: a message carries
+:meth:`Briefcase.snapshot` (the same names and elements under its own ``dict``)
+and every arrival rebuilds with the validating :meth:`Briefcase.from_stored_items`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import BriefcaseError, MissingFolderError
 from repro.core.folder import (ELEMENT_FRAMING, FOLDER_FRAMING, Folder, _check_name,
-                               _decode, _encode, _immutable)
+                               _decode, _encode, _immutable, _is_stored)
 
 __all__ = ["Briefcase"]
 
@@ -220,13 +224,26 @@ class Briefcase:
 
     # -- wire representation -----------------------------------------------------
     #
-    # Both wire forms (the dict below, the flat pickle of repro.core.codec) go
-    # through this one pair, so shipping a briefcase never builds a Folder.
+    # Every wire form (a message's snapshot, the dict below, the flat pickle of
+    # repro.core.codec) is read with stored_items and rebuilt — and validated —
+    # by from_stored_items, so shipping a briefcase never builds a Folder.
 
     def stored_items(self) -> List[Tuple[str, List[bytes]]]:
         """``(folder name, fresh list of stored elements)`` pairs, in order."""
         return [(name, [folder] if type(folder) is bytes else folder.raw_elements())
                 for name, folder in self._folders.items()]
+
+    def snapshot(self) -> "Briefcase":
+        """What a message carries: an independent, *unchecked* briefcase over the
+        same names and stored elements; a one-element folder travels inline."""
+        clone = Briefcase()
+        for name, elements in self.stored_items():
+            if len(elements) == 1 and _is_stored(elements[0]):
+                clone._folders[name] = elements[0]
+            else:
+                clone._folders[name] = folder = Folder(name)
+                folder._elements = elements
+        return clone
 
     @classmethod
     def from_stored_items(cls, items: Iterable[Tuple[str, List[bytes]]]) -> "Briefcase":
@@ -239,7 +256,7 @@ class Briefcase:
             if name in folders:
                 raise BriefcaseError(f"briefcase already has a folder named {name!r}")
             if (type(elements) is list and len(elements) == 1
-                    and type(elements[0]) is bytes):
+                    and _is_stored(elements[0])):
                 folders[name] = elements[0]
             else:
                 folders[name] = Folder.from_stored(name, elements)

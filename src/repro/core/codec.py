@@ -19,11 +19,13 @@ Two CODE representations are supported:
     evaluating shipped script text, and the demonstration of the
     "different machine language" property.
 
-The briefcase itself is shipped by :func:`pack_briefcase` /
-:func:`unpack_briefcase` as one flat pickle of ``(version, [(folder name,
-stored elements), ...])`` — the elements are already ``bytes``, so nothing
-is re-encoded; its wire size (the briefcase's own model, not the pickle
-length) feeds the bandwidth model.
+Inside a process nothing is serialised to move a briefcase: a message carries
+:meth:`~repro.core.briefcase.Briefcase.snapshot` (the sender's stored elements,
+shared) and :func:`receive_briefcase` builds the receiver's own from it.
+:func:`pack_briefcase` — one flat pickle of ``(version, [(folder name, stored
+elements), ...])`` — carries a payload that has to be ``bytes``, which
+``receive_briefcase`` takes too.  Either way the network is charged the
+briefcase's size model, never a carrier's length.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.core.registry import BehaviourRegistry, default_registry
 
 __all__ = [
     "code_for", "code_from_source", "behaviour_from_code", "code_element_of",
-    "code_element_copy", "pack_briefcase", "unpack_briefcase", "attach_code",
+    "pack_briefcase", "unpack_briefcase", "receive_briefcase", "attach_code",
     "wire_size_of",
 ]
 
@@ -78,17 +80,6 @@ def code_element_of(behaviour: Any,
         raise UnknownBehaviourError(
             f"behaviour {behaviour!r} is not registered; register it or ship source")
     raise CodecError(f"cannot derive a CODE element from {behaviour!r}")
-
-
-def code_element_copy(element: Optional[Dict[str, str]]) -> Optional[Dict[str, str]]:
-    """An independent copy of a CODE element (or ``None``).
-
-    CODE elements are flat string dicts, so a shallow copy is a full copy.
-    The kernel memoises :func:`code_element_of` results per behaviour and
-    hands each agent its own copy, so one agent rewriting its element (e.g.
-    switching to shipped source) cannot leak into its siblings.
-    """
-    return dict(element) if element is not None else None
 
 
 def behaviour_from_code(code_element: Dict[str, Any],
@@ -152,15 +143,26 @@ def pack_briefcase(briefcase: Briefcase) -> bytes:
 
 def unpack_briefcase(payload: bytes) -> Briefcase:
     """Rebuild a briefcase from :func:`pack_briefcase` output."""
+    return receive_briefcase(payload)
+
+
+def receive_briefcase(carried: Any) -> Briefcase:
+    """The receiver's own briefcase from what a message *carried* — a
+    :meth:`~Briefcase.snapshot` (one may be delivered twice: only elements are
+    shared) or packed ``bytes`` — validated: names, duplicates, element types."""
+    if isinstance(carried, Briefcase):
+        items = carried.stored_items()
+    else:
+        try:
+            wrapper = pickle.loads(carried)
+        except Exception as exc:
+            raise CodecError(f"briefcase payload could not be decoded: {exc}") from exc
+        if (type(wrapper) is not tuple or len(wrapper) != 2
+                or wrapper[0] != _WIRE_VERSION):
+            raise CodecError("briefcase payload has an unknown wire version")
+        items = wrapper[1]
     try:
-        wrapper = pickle.loads(payload)
-    except Exception as exc:
-        raise CodecError(f"briefcase payload could not be decoded: {exc}") from exc
-    if (type(wrapper) is not tuple or len(wrapper) != 2
-            or wrapper[0] != _WIRE_VERSION):
-        raise CodecError("briefcase payload has an unknown wire version")
-    try:
-        return Briefcase.from_stored_items(wrapper[1])
+        return Briefcase.from_stored_items(items)
     except (TacomaError, TypeError, ValueError) as exc:
         raise CodecError(f"briefcase payload is malformed: {exc}") from exc
 

@@ -38,8 +38,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping,
 
 from repro.core.agent import AgentInstance, AgentState
 from repro.core.briefcase import Briefcase
-from repro.core.codec import (code_element_copy, code_element_of, pack_briefcase,
-                              unpack_briefcase, wire_size_of)
+from repro.core.codec import code_element_of, receive_briefcase, wire_size_of
 from repro.core.context import AgentContext
 from repro.core.errors import (KernelError, MeetError, SyscallError, UnknownAgentError,
                                UnknownSiteError)
@@ -812,7 +811,8 @@ class Engine(LedgerQueries):
         unregistered callables — is cached per (original, resolved) pair.
         Any registry mutation (register, replace, unregister) bumps the
         registry version and flushes the memo, so cached elements can never
-        name a behaviour the registry has since rebound.
+        name a behaviour the registry has since rebound.  Every instance of a
+        pair holds the *same* element, read-only (``ctx.jump`` only encodes it).
         """
         if self._code_cache_version != self.registry.version:
             self._code_cache.clear()
@@ -824,7 +824,7 @@ class Engine(LedgerQueries):
             key = None
         else:
             if cached is not self._CODE_UNSET:
-                return code_element_copy(cached)
+                return cached
         element: Optional[dict] = None
         for candidate in (original, resolved):
             try:
@@ -835,7 +835,7 @@ class Engine(LedgerQueries):
         if key is not None:
             if len(self._code_cache) >= self._CODE_CACHE_MAX:
                 self._code_cache.clear()
-            self._code_cache[key] = code_element_copy(element)
+            self._code_cache[key] = element
         return element
 
     def _register(self, instance: AgentInstance) -> None:
@@ -1192,14 +1192,13 @@ class Engine(LedgerQueries):
             self._throw_back(sender, SyscallError(
                 f"transmit to unknown site {request.destination!r}"))
             return
-        payload_bytes = pack_briefcase(request.briefcase)
-        declared = wire_size_of(request.briefcase)
         message = Message(
             source=sender.site_name,
             destination=request.destination,
             kind=request.kind,
-            payload={"contact": request.contact, "briefcase": payload_bytes},
-            declared_size=declared,
+            payload={"contact": request.contact,
+                     "briefcase": request.briefcase.snapshot()},
+            declared_size=wire_size_of(request.briefcase),
         )
         if self.obs.active:
             trace_id = request.briefcase.get(TRACE_ID_FOLDER)
@@ -1337,14 +1336,11 @@ class Engine(LedgerQueries):
     def _accept_agent_transfer(self, site: Site, message: Message) -> None:
         payload = message.payload
         contact = payload.get("contact")
-        raw = payload.get("briefcase")
-        if contact is None or raw is None:
-            site.undeliverable += 1
-            self.undeliverable += 1
-            return
         try:
-            briefcase = unpack_briefcase(raw)
+            briefcase = receive_briefcase(payload.get("briefcase"))
         except Exception:
+            briefcase = None
+        if contact is None or briefcase is None:
             site.undeliverable += 1
             self.undeliverable += 1
             return

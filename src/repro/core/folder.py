@@ -39,10 +39,16 @@ def _check_name(name: Any) -> None:
         raise FolderError("folder name must be a non-empty string")
 
 
+def _is_stored(element: Any) -> bool:
+    """The one test of a stored element: exactly ``bytes``.  Elements are shared, not
+    copied, so a ``bytearray`` (mutable) or a ``bytes`` subclass (anything) is not one."""
+    return type(element) is bytes
+
+
 def _immutable(elements: Iterable[bytes]) -> List[bytes]:
     """Stored *elements* as a fresh list of immutable ``bytes``: a mutable
     buffer smuggled into the source is copied (an exact ``bytes`` is shared)."""
-    return [stored if type(stored) is bytes else bytes(stored) for stored in elements]
+    return [stored if _is_stored(stored) else bytes(stored) for stored in elements]
 
 
 def _encode(element: Any) -> bytes:
@@ -224,8 +230,7 @@ class Folder:
         validated as usual and *elements* must be a list of ``bytes``.
         """
         folder = cls(name)
-        if type(elements) is not list or not all(
-                isinstance(element, bytes) for element in elements):
+        if type(elements) is not list or not all(map(_is_stored, elements)):
             raise FolderError("wire payload for a folder must be a list of bytes elements")
         folder._elements = elements
         return folder

@@ -61,19 +61,21 @@ class AgentRecord:
     __slots__ = ("agent_id", "name", "site_name", "state", "result", "error",
                  "steps", "parent_id", "started_at", "finished_at", "visited")
 
-    def __init__(self, instance: AgentInstance):
-        self.agent_id = instance.agent_id
-        self.name = instance.name
-        self.site_name = instance.site_name
-        self.state = instance.state
-        self.result = instance.result
-        self.error = instance.error
-        self.steps = instance.steps
-        self.parent_id = instance.parent_id
-        self.started_at = instance.started_at
-        self.finished_at = instance.finished_at
-        visited = instance._visited  # noqa: SLF001 - do not build it to copy it
-        self.visited = (instance.site_name,) if visited is None else tuple(visited)
+    def __init__(self, source: Union[AgentInstance, tuple]):
+        """From a terminal instance, or a :meth:`row` (what a shard worker ships)."""
+        (self.agent_id, self.name, self.site_name, self.state, self.result,
+         self.error, self.steps, self.parent_id, self.started_at, self.finished_at,
+         self.visited) = source if type(source) is tuple else self.row(source)
+
+    @staticmethod
+    def row(entry: "LedgerEntry") -> tuple:
+        """The fields a record of *entry* holds, in ``__slots__`` order."""
+        # An instance's list is read where it lies: do not build it to copy it.
+        visited = entry.visited if isinstance(entry, AgentRecord) else entry._visited
+        return (entry.agent_id, entry.name, entry.site_name, entry.state,
+                entry.result, entry.error, entry.steps, entry.parent_id,
+                entry.started_at, entry.finished_at,
+                (entry.site_name,) if visited is None else tuple(visited))
 
     @property
     def finished(self) -> bool:
@@ -230,6 +232,8 @@ class AgentTable:
         self.archived = 0
         #: terminal entries dropped from the ledger entirely
         self.evicted = 0
+        #: retained entries that are compact records (ledger_entry_kinds)
+        self._records = 0
 
     # -- registration / retirement -------------------------------------------------
 
@@ -266,6 +270,7 @@ class AgentTable:
             self.entries[instance.agent_id] = entry
             self._by_name[instance.name][instance.agent_id] = entry
             self.archived += 1
+            self._records += isinstance(entry, AgentRecord)
         if self.retention.tracks_terminal_order:
             self.terminal_order.append(instance.agent_id)
             self.retention.enforce(self)
@@ -283,7 +288,7 @@ class AgentTable:
         return None
 
     def _discard(self, agent_id: str, name: str) -> None:
-        self.entries.pop(agent_id, None)
+        self._records -= isinstance(self.entries.pop(agent_id, None), AgentRecord)
         named = self._by_name.get(name)
         if named is not None:
             named.pop(agent_id, None)
@@ -334,9 +339,8 @@ class AgentTable:
 
     def ledger_entry_kinds(self) -> Dict[str, int]:
         """How many retained entries are live instances vs compact records."""
-        records = sum(1 for entry in self.entries.values()
-                      if isinstance(entry, AgentRecord))
-        return {"instances": len(self.entries) - records, "records": records}
+        return {"instances": len(self.entries) - self._records,
+                "records": self._records}
 
     def __repr__(self) -> str:
         return (f"AgentTable(retention={self.retention.name!r}, "

@@ -1,9 +1,9 @@
 """Wire messages exchanged between sites.
 
 Transports move :class:`Message` objects.  The payload is an opaque dict
-(typically a serialised briefcase plus control fields); the size model used
-for latency/bandwidth accounting lives here so every transport charges the
-same way.
+(typically control fields plus the briefcase being moved); the size model
+used for latency/bandwidth accounting lives here so every transport charges
+the same way.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ class Message:
     source: str
     destination: str
     kind: str
+    #: contact-addressed kinds carry ``{"contact": name, "briefcase": b}``: the
+    #: sender's ``Briefcase.snapshot()`` (or, out of process, ``pack_briefcase`` bytes)
     payload: Dict[str, Any] = field(default_factory=dict)
     #: explicit payload size in bytes; when None the size is estimated from
     #: the payload via :meth:`size_bytes`.

@@ -31,10 +31,10 @@ path (see :mod:`repro.shard.router`).
 Facade views (``stats``, ``table``, ``sites``, ``event_log``) are served
 from per-run **state digests**: after each ``ShardSet.run`` the
 coordinator pulls one digest per worker — full stats state, new/changed
-:class:`~repro.core.lifecycle.AgentRecord` deltas, site flags, appended
-event-log lines — and refreshes the proxy mirrors.  Mid-run the mirrors
-lag by design; everything tests read (counters, results) is read after
-``run()`` returns.
+:class:`~repro.core.lifecycle.AgentRecord` deltas (as ``row`` tuples), site
+flags, appended event-log lines — and refreshes the proxy mirrors.  Mid-run
+the mirrors lag by design; everything tests read (counters, results) is read
+after ``run()`` returns.
 
 Known limits (all raise a clear ``KernelError``): behaviours must be
 picklable or registered in importable modules (the worker re-imports the
@@ -144,8 +144,9 @@ class _Worker:
             install_system_agents=spec.install_system_agents,
             retention=spec.retention, shard_id=spec.shard_id,
             placement=dict(spec.placement))
-        #: agent_id -> last (state, steps, site) shipped, for table deltas
-        self._sent_markers: Dict[str, tuple] = {}
+        #: agent_id -> last (state, steps, site) shipped, for table deltas; None
+        #: once shipped terminal: it cannot change again, the id is all we keep
+        self._sent_markers: Dict[str, Optional[tuple]] = {}
         self._event_log_sent = 0
         self._span_seq = 0
 
@@ -159,13 +160,13 @@ class _Worker:
     def cmd_digest(self):
         engine = self.engine
         table = engine.table
-        new_records: List[AgentRecord] = []
+        #: rows, not records: plain tuples pickle several times faster
+        new_rows: List[tuple] = []
         for agent_id, entry in table.entries.items():
-            marker = (entry.state, entry.steps, entry.site_name)
-            if self._sent_markers.get(agent_id) != marker:
-                record = entry if isinstance(entry, AgentRecord) \
-                    else AgentRecord(entry)
-                new_records.append(record)
+            marker = None if entry.finished else (
+                entry.state, entry.steps, entry.site_name)
+            if self._sent_markers.get(agent_id, ()) != marker:  # (): never shipped
+                new_rows.append(AgentRecord.row(entry))
                 self._sent_markers[agent_id] = marker
         evicted = [agent_id for agent_id in self._sent_markers
                    if agent_id not in table.entries]
@@ -184,7 +185,7 @@ class _Worker:
             "processed": engine.loop.processed,
             "counters": (engine.meets, engine.transmits, engine.arrivals,
                          engine.undeliverable),
-            "table_new": new_records,
+            "table_new": new_rows,
             "table_evicted": evicted,
             "table_counts": table.state_counts(),
             "table_kinds": table.ledger_entry_kinds(),
@@ -349,23 +350,23 @@ class ShardTableMirror:
     Implements exactly the part surface
     :class:`~repro.core.lifecycle.MergedAgentTable` consumes, so the
     facade's ``kernel.table`` works identically on the process backend.
-    Counters come from the worker's own ``state_counts()`` (authoritative),
-    entries are :class:`AgentRecord` snapshots.
+    Counters and length come from the worker's own ``state_counts()``; entries
+    are :class:`AgentRecord` snapshots, built from the shipped rows on first read.
     """
 
     def __init__(self, retention):
         self.retention = make_retention(retention)
-        self.entries: Dict[str, AgentRecord] = {}
+        self._entries: Dict[str, AgentRecord] = {}
         self._by_name: Dict[str, Dict[str, AgentRecord]] = {}
+        #: rows applied since the last read, oldest first
+        self._rows: List[tuple] = []
         self._counts = {"launched": 0, "active": 0, "completed": 0,
                         "failed": 0, "killed": 0, "archived": 0,
                         "evicted": 0, "retained": 0}
         self._kinds = {"instances": 0, "records": 0}
 
-    def apply(self, new_records, evicted, counts, kinds) -> None:
-        for record in new_records:
-            self.entries[record.agent_id] = record
-            self._by_name.setdefault(record.name, {})[record.agent_id] = record
+    def apply(self, new_rows, evicted, counts, kinds) -> None:
+        self._rows.extend(new_rows)
         for agent_id in evicted:
             entry = self.entries.pop(agent_id, None)
             if entry is not None:
@@ -377,12 +378,25 @@ class ShardTableMirror:
         self._counts = dict(counts)
         self._kinds = dict(kinds)
 
+    def _build(self) -> None:
+        """Turn the rows applied since the last read into indexed records."""
+        rows, self._rows = self._rows, []
+        for row in rows:
+            record = AgentRecord(row)
+            self._entries[record.agent_id] = record
+            self._by_name.setdefault(record.name, {})[record.agent_id] = record
+
+    @property
+    def entries(self) -> Dict[str, AgentRecord]:
+        self._build()
+        return self._entries
+
     def named(self, name: str) -> List[AgentRecord]:
-        named = self._by_name.get(name)
-        return list(named.values()) if named else []
+        self._build()
+        return list(self._by_name.get(name, {}).values())
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._counts["retained"]
 
     def __contains__(self, agent_id: str) -> bool:
         return agent_id in self.entries
@@ -409,7 +423,7 @@ class ShardTableMirror:
         return dict(self._kinds)
 
     def __repr__(self) -> str:
-        return (f"ShardTableMirror(retained={len(self.entries)}, "
+        return (f"ShardTableMirror(retained={len(self)}, "
                 f"launched={self._counts['launched']})")
 
 

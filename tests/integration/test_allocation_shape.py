@@ -6,8 +6,8 @@ all), and under the default ``keep-all`` retention everything a finished
 agent still references stays for the life of the kernel.  Wall-clock cannot
 be asserted in tier-1; these counts can, and they repeat exactly.  Public API
 only — what is counted is whatever the library allocates, by any means.
-``tools/hot_functions.py <workload> --gc`` prints the same numbers for a
-ledger workload.
+``tools/hot_functions.py <workload> --gc`` (tracked objects) and ``--mem``
+(retained bytes, shared elements) print the same numbers for a ledger workload.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import collections
 import functools
 import gc
+import sys
 
 from repro.core import Briefcase, Folder, Kernel, KernelConfig
 from repro.net import switched_fabric
@@ -146,4 +147,51 @@ def test_a_queried_cabinet_folder_answers_correctly_across_crash_and_recovery():
         assert marks.contains_element("VISITED", visitor) is expected
     marks.put("VISITED", "delta")
     assert marks.contains_element("VISITED", "delta")
+    kernel.close()
+
+
+def retained_payload_bytes(kernel: Kernel) -> int:
+    """Bytes of every distinct folder name, stored element and CODE element
+    the ledger's instances still reference (an object shared is counted once)."""
+    held = {}
+    for instance in kernel.agents.values():
+        held[id(instance.code_element)] = instance.code_element
+        for name, elements in instance.briefcase.stored_items():
+            held[id(name)] = name
+            held.update((id(element), element) for element in elements)
+    return sum(sys.getsizeof(obj) for obj in held.values())
+
+
+def test_a_delivery_moves_its_elements_and_a_name_has_one_code_element():
+    kernel = fabric_kernel()
+    launch_couriers(kernel, len(SITES))
+    kernel.run()
+    lives_before, bytes_before = kernel.counters()["launched"], retained_payload_bytes(kernel)
+    launch_couriers(kernel, 200)             # every PEER is another site: all cross the wire
+    kernel.run()
+    lives = kernel.counters()["launched"] - lives_before
+    assert kernel.counters()["arrivals"] == 200 + len(SITES) and lives == 600
+
+    def report_of(instance):
+        return next((name, elements[0])
+                    for name, elements in instance.briefcase.stored_items()
+                    if name == "REPORT")
+
+    # The sink holds the very element (and folder name) the courier system
+    # agent was handed, not a second copy of the bits made for the wire.
+    sent = {id(element): name
+            for name, element in map(report_of, kernel.agents_named("courier"))}
+    sinks = kernel.agents_named("sink")
+    assert len(sinks) == 200 + len(SITES) == len(sent)
+    for sink_life in sinks:
+        name, element = report_of(sink_life)
+        assert sent.pop(id(element)) is name
+    # One CODE element per launch name, not a dict per life.
+    for name in ("courier-life", "courier", "sink"):
+        assert len({id(agent.code_element) for agent in kernel.agents_named(name)}) == 1
+    per_life = (retained_payload_bytes(kernel) - bytes_before) / lives
+    # 657 B per life when every transmit was a pickle round trip (a second
+    # REPORT, fresh names) and every instance had a CODE dict of its own; 303
+    # now: PAYLOAD, one REPORT and the small arguments of three lives.
+    assert per_life <= 330, f"{per_life:.0f} retained payload bytes per agent life"
     kernel.close()

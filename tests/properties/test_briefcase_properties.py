@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import Briefcase, Folder
-from repro.core.codec import pack_briefcase, unpack_briefcase, wire_size_of
+from repro.core.codec import (pack_briefcase, receive_briefcase, unpack_briefcase,
+                              wire_size_of)
 from repro.core.errors import (BriefcaseError, FolderError, MissingFolderError,
                                TacomaError)
 
@@ -271,6 +272,14 @@ class InlineEagerEquivalence(RuleBasedStateMachine):
                             for name, elements in shipped])]
 
     @rule(slot=slots)
+    def ship_as_snapshot(self, slot):
+        # The in-engine wire.  It moves the very same stored objects, which a
+        # later pack can tell from equal ones (pickle memoises by identity),
+        # so the oracle's counterpart is its copy, not its pack -> unpack.
+        mine, theirs = self.pairs[slot]
+        self.pairs[slot] = [receive_briefcase(mine.snapshot()), theirs.copy()]
+
+    @rule(slot=slots)
     def ship_as_wire_dict(self, slot):
         mine, theirs = self.pairs[slot]
         self.pairs[slot] = [
@@ -340,3 +349,73 @@ def test_a_briefcase_in_both_forms_survives_pickle():
     assert pack_briefcase(clone) == pack_briefcase(briefcase)
     clone.put("HOST", "cornell")
     assert briefcase.get("HOST") == "tromso"
+
+
+# ---------------------------------------------------------------------------
+# the in-engine wire: snapshot -> receive
+# ---------------------------------------------------------------------------
+#
+# A message carries Briefcase.snapshot() and the arrival builds the receiver's
+# briefcase with receive_briefcase: three independent briefcases over one copy
+# of the stored bits.  pack -> unpack, which used to be that wire, is the oracle.
+
+@st.composite
+def briefcases_in_every_form(draw):
+    """Inline, touched (one element, has its object), multi-element and empty."""
+    briefcase = Briefcase()
+    for name in draw(st.lists(folder_name_strategy, max_size=6, unique=True)):
+        form = draw(st.sampled_from(["inline", "touched", "many", "empty"]))
+        if form in ("inline", "touched"):
+            briefcase.set(name, draw(element_strategy))
+            if form == "touched":
+                briefcase.folder(name)
+        else:
+            briefcase.add(Folder(name, draw(st.lists(
+                element_strategy, min_size=2, max_size=5)) if form == "many" else None))
+    return briefcase
+
+
+def mutate(draw, briefcase):
+    """One edit drawn from every way a briefcase's contents can change."""
+    names = briefcase.names() + ["NEW_FOLDER_XYZ"]
+    name = draw(st.sampled_from(names))
+    edit = draw(st.sampled_from(["put", "set", "remove", "push", "pop"]))
+    if edit == "put":
+        briefcase.put(name, draw(element_strategy))
+    elif edit == "set":
+        briefcase.set(name, draw(element_strategy))
+    elif edit == "push":
+        briefcase.folder(name, create=True).push(draw(element_strategy))
+    elif briefcase.has(name) and edit == "remove":
+        briefcase.remove(name)
+    elif briefcase.has(name) and briefcase.folder(name):
+        briefcase.folder(name).pop()
+
+
+@given(briefcases_in_every_form(), st.data())
+def test_receive_of_a_snapshot_is_unpack_of_a_pack_over_the_same_elements(sender, data):
+    oracle = unpack_briefcase(pack_briefcase(sender))
+    before = oracle.stored_items()
+    carried = sender.snapshot()
+    receiver, again = receive_briefcase(carried), receive_briefcase(carried)
+    parties = [sender, carried, receiver, again]     # one message, delivered twice
+    for party in parties:
+        assert party == oracle and party.names() == oracle.names()
+        assert party.stored_items() == before
+        assert party.wire_size() == oracle.wire_size()
+    # Moved, not copied: every name and every stored element is the sender's object.
+    for theirs in (carried.stored_items(), receiver.stored_items()):
+        for (name, elements), (their_name, their_elements) in zip(
+                sender.stored_items(), theirs):
+            assert their_name is name
+            assert all(a is b for a, b in zip(elements, their_elements))
+    # A one-element folder is received inline, as unpack leaves it.
+    assert ({name for name, slot in receiver._folders.items() if type(slot) is bytes}
+            == {name for name, slot in oracle._folders.items() if type(slot) is bytes})
+    # And nothing else is shared: an edit to any party is invisible to the rest.
+    for index in data.draw(st.permutations(range(len(parties)))):
+        mutate(data.draw, parties[index])
+        if parties[index].stored_items() == before:  # e.g. set to what it held
+            parties[index].put("NEW_FOLDER_XYZ", b"")
+        parties[index] = None
+        assert all(party.stored_items() == before for party in parties if party)

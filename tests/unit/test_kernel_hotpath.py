@@ -144,21 +144,18 @@ class TestResidentIndex:
 
 
 class TestCodeElementMemo:
-    def test_registered_behaviour_is_memoised_per_copy(self, engine):
+    def test_registered_behaviour_is_memoised_and_shared(self, engine):
         def roamer(ctx, bc):
             yield ctx.sleep(0)
 
         register_behaviour("hotpath_roamer", roamer, replace=True)
         first = engine._best_effort_code("hotpath_roamer", roamer)
-        second = engine._best_effort_code("hotpath_roamer", roamer)
         assert first == {"kind": "registered", "name": "hotpath_roamer"}
-        assert second == first
-        # Copies are independent: an agent rewriting its element cannot
-        # poison the cache for its siblings.
-        assert second is not first
-        second["name"] = "mutated"
-        assert engine._best_effort_code("hotpath_roamer", roamer)["name"] == \
-            "hotpath_roamer"
+        # One element per (reference, behaviour), read-only by contract: every
+        # life launched under the name holds it, none owns a dict of its own.
+        assert engine._best_effort_code("hotpath_roamer", roamer) is first
+        ids = engine.launch_many([("a", "hotpath_roamer"), ("b", "hotpath_roamer")])
+        assert all(engine.table.get(agent_id).code_element is first for agent_id in ids)
 
     def test_unregistered_miss_is_invalidated_by_registration(self, engine):
         def local_only(ctx, bc):
@@ -235,18 +232,24 @@ class TestUndeliverableLedger:
         assert engine.undeliverable == engine.site("b").undeliverable == 3
         assert engine.arrivals == 0 and engine.launched == 0
 
-    def test_smuggled_element_travels_the_wire_and_lands_undeliverable(self, kernel):
-        def sender(ctx, bc):
-            payload = Briefcase([Folder("X", [b"fine"])])
-            payload.folder("X")._elements.append("smuggled past push()")
-            accepted = yield ctx.transmit("b", "ag_py", payload)
-            return accepted
+    def test_smuggled_element_travels_the_wire_and_lands_undeliverable(self):
+        # Not a stored element: a str, a mutable buffer, a bytes subclass —
+        # beside a good element or (the inline candidate) alone in its folder.
+        tagged = type("TaggedBytes", (bytes,), {})(b"a subclass")
+        for smuggled in ("smuggled past push()", bytearray(b"mutable"), tagged):
+            for beside in ([b"fine"], []):
+                def sender(ctx, bc):
+                    payload = Briefcase([Folder("X", beside)])
+                    payload.folder("X")._elements.append(smuggled)
+                    accepted = yield ctx.transmit("b", "ag_py", payload)
+                    return accepted
 
-        agent_id = kernel.launch("a", sender, system=True)
-        kernel.run()
-        assert kernel.result_of(agent_id) is True   # the network took it
-        assert kernel.undeliverable == 1 and kernel.arrivals == 0
-        assert kernel.stats.messages_delivered == 1
+                kernel = Kernel(lan(["a", "b"], latency=0.05), transport="tcp")
+                agent_id = kernel.launch("a", sender, system=True)
+                kernel.run()
+                assert kernel.result_of(agent_id) is True   # the network took it
+                assert kernel.undeliverable == 1 and kernel.arrivals == 0
+                assert kernel.stats.messages_delivered == 1
 
     def test_healthy_delivery_is_not_counted(self, kernel):
         def sender(ctx, bc):

@@ -218,6 +218,34 @@ class TestTableUnit:
         assert counts["active"] == 0
         assert counts["retained"] == 2
 
+    @pytest.mark.parametrize("retention", ["keep-all", "keep-results",
+                                           "keep-counts:3", "keep-counts:0"])
+    def test_entry_kinds_are_counted_not_scanned_and_match_a_scan(self, retention):
+        kernel = make_kernel(retention=retention)
+        for step in range(4):
+            for index in range(3):
+                briefcase = Briefcase()
+                briefcase.set("WORK", 0.01 + 0.02 * index)
+                kernel.launch("abc"[index], _worker if index else _broken, briefcase)
+            kernel.run(until=0.03 * (step + 1))     # some terminal, some still live
+            entries = kernel.table.entries.values()
+            records = sum(isinstance(entry, AgentRecord) for entry in entries)
+            assert kernel.table.ledger_entry_kinds() == {
+                "instances": len(entries) - records, "records": records}
+
+    def test_a_record_round_trips_through_its_row(self):
+        kernel = make_kernel()
+        briefcase = Briefcase()
+        briefcase.set("N", [1, 2])
+        done = kernel.agent(kernel.launch("a", _worker, briefcase, name="rowed"))
+        kernel.run()
+        row = AgentRecord.row(done)
+        assert len(row) == len(AgentRecord.__slots__) and done._visited is None
+        for record in (AgentRecord(done), AgentRecord(row)):
+            assert AgentRecord.row(record) == row
+            assert [getattr(record, slot) for slot in AgentRecord.__slots__] == list(row)
+        assert (row[1], row[3], row[4], row[-1]) == ("rowed", AgentState.DONE, [1, 2], ("a",))
+
     def test_site_handshake_keeps_resident_index_exact(self):
         kernel = make_kernel()
 

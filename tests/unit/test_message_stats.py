@@ -22,6 +22,26 @@ class TestMessage:
         assert large.size_bytes() > small.size_bytes()
         assert small.size_bytes() > Message.HEADER_BYTES
 
+    def test_an_undeclared_snapshot_payload_sizes_deterministically(self):
+        import pickle
+
+        from repro.core import Briefcase, Folder
+
+        def sized(carried):
+            return Message(source="a", destination="b", kind=MessageKind.FOLDER_DELIVERY,
+                           payload={"contact": "sink", "briefcase": carried}).size_bytes()
+
+        briefcase = Briefcase([Folder("MANY", [1, "two", b"3"]), Folder("EMPTY")])
+        briefcase.set("HOST", "tromso")
+        size = sized(briefcase.snapshot())
+        # Estimated from the payload, not the 256-byte could-not-pickle fallback...
+        assert size > Message.HEADER_BYTES + briefcase.wire_size() - 32
+        assert size != Message.HEADER_BYTES + 256
+        # ... and the same for every snapshot, touched or not, here or past a pipe.
+        briefcase.folder("HOST")
+        assert sized(briefcase.snapshot()) == size
+        assert sized(pickle.loads(pickle.dumps(briefcase.snapshot()))) == size
+
     def test_message_ids_are_unique(self):
         a = Message(source="a", destination="b", kind=MessageKind.DATA)
         b = Message(source="a", destination="b", kind=MessageKind.DATA)

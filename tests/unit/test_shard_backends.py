@@ -15,7 +15,7 @@ import pickle
 
 import pytest
 
-from repro.core import Kernel, KernelConfig
+from repro.core import Briefcase, Folder, Kernel, KernelConfig
 from repro.core.engine import ENGINE_PROTOCOL, Engine
 from repro.core.errors import KernelError
 from repro.core.timing import default_timer
@@ -145,6 +145,59 @@ class TestEngineProtocol:
             worker.cmd_call("close", (), {})
 
 
+    def test_worker_digests_ship_rows_and_keep_markers_for_live_agents_only(self):
+        from repro.core.lifecycle import AgentRecord
+        from repro.shard.procworker import ShardTableMirror, WorkerSpec, _Worker
+
+        def life(ctx, bc):
+            yield ctx.sleep(bc.get("WORK"))
+            return ctx.site_name
+
+        def launch(work):
+            briefcase = Briefcase()
+            briefcase.set("WORK", work)
+            return worker.engine.launch("a", life, briefcase, name="life")
+
+        def digest_into_mirror():
+            digest = worker.cmd_digest()
+            assert all(type(row) is tuple for row in digest["table_new"])
+            mirror.apply(digest["table_new"], digest["table_evicted"],
+                         digest["table_counts"], digest["table_kinds"])
+            return [row[0] for row in digest["table_new"]], digest["table_evicted"]
+
+        def rows(table):
+            return {agent_id: AgentRecord.row(entry)
+                    for agent_id, entry in table.entries.items()}
+
+        worker = _Worker(None, WorkerSpec(
+            shard_id=0, topology=lan(["a", "b"]), transport="tcp",
+            config=KernelConfig(retention="keep-counts:2"),
+            install_system_agents=False, retention=None, placement={"a": 0, "b": 1}))
+        mirror = ShardTableMirror("keep-counts:2")
+        table = worker.engine.table
+        sleeper, first = launch(10.0), launch(0.01)
+        worker.engine.run_to(1.0)
+        assert digest_into_mirror() == ([sleeper, first], [])
+        # A terminal entry cannot change again: an id is all the worker keeps.
+        assert worker._sent_markers == {sleeper: ("waiting", 1, "a"), first: None}
+        # Rows, until somebody reads an entry; the length needs none built.
+        assert len(mirror) == 2 and not mirror._entries and len(mirror._rows) == 2
+        assert rows(mirror) == rows(table) and not mirror._rows
+        assert [entry.agent_id for entry in mirror.named("life")] == [sleeper, first]
+        assert digest_into_mirror() == ([], [])                  # nothing changed
+        later = [launch(0.01) for _ in range(3)]
+        worker.engine.run_to(2.0)                                # evicts first and later[0]
+        assert digest_into_mirror() == (later[1:], [first])
+        assert rows(mirror) == rows(table) and len(mirror) == len(table) == 3
+        assert mirror.ledger_entry_kinds() == table.ledger_entry_kinds()
+        worker.engine.run_to(20.0)                               # the sleeper ends
+        assert digest_into_mirror() == ([sleeper], [later[1]])
+        assert worker._sent_markers == {sleeper: None, later[2]: None}
+        assert rows(mirror) == rows(table) and later[1] not in mirror
+        assert ([entry.agent_id for entry in mirror.named("life")]
+                == [entry.agent_id for entry in table.named("life")] == [sleeper, later[2]])
+
+
 # ---------------------------------------------------------------------------
 # the one handoff path: spooled at send, routed between rounds, scheduled by
 # the owner (here driven by hand, on engines built directly)
@@ -191,6 +244,37 @@ class TestInboxRouter:
         assert shard_set.shards[1].next_event_time() == pytest.approx(0.5)
         assert engines[0].stats.shard_handoffs == 1
         assert engines[0].stats.shard_handoff_bytes > 0
+
+    def test_a_handoff_is_the_snapshot_itself_and_only_a_pipe_copies_it(self):
+        """What a process worker pickles is the message with its snapshot,
+        once; engines in one process hand the stored elements over as is."""
+        def keeper(ctx, bc):
+            yield ctx.sleep(0)
+
+        def sender(ctx, bc):
+            accepted = yield ctx.transmit("b", "keeper", bc)
+            return accepted
+
+        for through_a_pipe in (False, True):
+            _shard_set, engines = two_engine_set()
+            engines[1].install_agent("b", "keeper", keeper)
+            carried = Briefcase([Folder("MANY", [1, "two"])])
+            carried.set("ONE", b"x" * 100)
+            sent_id = engines[0].launch("a", sender, carried, system=True)
+            _executed, outbound = engines[0].run_to(None)
+            (_arrival, message), = outbound
+            assert type(message.payload["briefcase"]) is Briefcase
+            if through_a_pipe:
+                outbound = pickle.loads(pickle.dumps(outbound))
+            engines[1].run_to(None, None, outbound)
+            assert engines[1].arrivals == 1 and engines[1].undeliverable == 0
+            sent = engines[0].table.get(sent_id).briefcase.stored_items()
+            (kept,) = engines[1].table.named("keeper")
+            assert kept.briefcase.stored_items() == sent
+            for (_name, elements), (_, kept_elements) in zip(
+                    sent, kept.briefcase.stored_items()):
+                assert all((a is b) is not through_a_pipe
+                           for a, b in zip(elements, kept_elements))
 
     def test_drain_schedules_on_owner_loop(self):
         shard_set, engines = two_engine_set()

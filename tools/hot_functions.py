@@ -5,6 +5,7 @@
     python3 tools/hot_functions.py ft_durable --seed 11 --top 30
     python3 tools/hot_functions.py ft_durable --callers 'pickle.loads|elements'
     python3 tools/hot_functions.py churn --gc
+    python3 tools/hot_functions.py churn --mem
 
 The ledger's per-layer table says which *layer* a run's time is in; this
 says which functions, so that finding the next hot spot needs no ad-hoc
@@ -24,6 +25,18 @@ ending in one line that can be diffed between two commits::
 
 The counts repeat exactly for a given workload, seed and population; the
 seconds (and so ``gc_share``) are this host's, this run's.
+
+With ``--mem`` it runs the region the same way and reports what it leaves on
+the heap: bytes (``sys.getsizeof``) of everything the ledger entries and the
+sites' cabinets added in the region still reference, per unit, by owner (the
+name an agent was launched under) and type, each object counted once however
+many briefcases share it — and how the stored folder elements are shared::
+
+    RETAINED churn bytes_per_unit=6616 payload_copies_per_unit=2.00 shared_elements=6000
+
+``payload_copies_per_unit`` counts the distinct stored elements of at least
+64 bytes (where the bits outweigh a ``bytes`` header) that the region's
+briefcases hold; ``shared_elements`` those any two briefcases both reference.
 
 It only reads ``benchmarks/ledger/ledger_workloads.py``
 (``WORKLOADS[name].generate/build/drive`` and ``FULL``/``QUICK``), needs no
@@ -136,6 +149,76 @@ def alloc_report(name: str, workload, inputs, top: int) -> None:
           f"collections={runs[0]}/{runs[1]}/{runs[2]}")
 
 
+#: what the retained-bytes walk sizes and follows; anything else an entry
+#: references (behaviours, classes, exceptions) is code or shared by everyone
+PLAIN_DATA = (str, bytes, bytearray, int, float, dict, list, tuple, set, frozenset)
+PAYLOAD_BYTES = 64
+
+
+def retained(kernel):
+    """``({(owner, type name): bytes}, {id: [stored element, briefcases holding
+    it]})`` for the ledger entries and site cabinets of *kernel*."""
+    from repro.core import Briefcase, Folder
+    from repro.core.agent import AgentInstance
+    from repro.core.cabinet import FileCabinet
+    from repro.core.lifecycle import AgentRecord
+    followed = PLAIN_DATA + (Briefcase, Folder, AgentInstance, AgentRecord, FileCabinet)
+    sizes, elements, seen = collections.Counter(), {}, set()
+
+    def walk(root, owner):
+        stack = [root]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or not isinstance(obj, followed):
+                continue
+            seen.add(id(obj))
+            sizes[owner, type(obj).__name__] += sys.getsizeof(obj)
+            stack.extend(gc.get_referents(obj))
+
+    for engine in kernel.engines:
+        for entry in engine.table.entries.values():
+            walk(entry, entry.name)
+            briefcase = getattr(entry, "briefcase", None)  # an archived record has none
+            held = {id(element): element
+                    for _name, stored in (briefcase.stored_items() if briefcase else ())
+                    for element in stored}
+            for key, element in held.items():  # once per briefcase holding it
+                elements.setdefault(key, [element, 0])[1] += 1
+        for site in engine.sites.values():
+            if hasattr(site, "cabinets"):  # a process shard's are in its worker
+                walk(site.cabinets(), "(site cabinets)")
+    return sizes, elements
+
+
+def mem_report(name: str, workload, inputs, top: int) -> None:
+    """What one repetition's measured region leaves on the heap, and who holds it."""
+    kernel = workload.build(inputs)
+    try:
+        sizes_before, elements_before = retained(kernel)
+        started = time.perf_counter()
+        workload.drive(kernel, inputs)
+        wall_s = time.perf_counter() - started
+        sizes, elements = retained(kernel)
+    finally:
+        kernel.close()
+    units = inputs["units"]
+    sizes.subtract(sizes_before)
+    added = [entry for key, entry in elements.items() if key not in elements_before]
+    payloads = sum(len(element) >= PAYLOAD_BYTES for element, _holders in added)
+    shared = sum(holders > 1 for _element, holders in added)
+    total = sum(sizes.values())
+    print(f"{wall_s:.3f} s region, {units} units, no profiler attached")
+    print(f"  {total / 2 ** 20:.1f} MiB retained by ledger entries and site cabinets "
+          f"({total / units:.0f} bytes per unit)")
+    for (owner, kind), size in sizes.most_common(top):
+        if size * 2 >= units:  # rounds to at least a byte per unit
+            print(f"  {size / units:9.0f} per unit  {owner}: {kind}")
+    print(f"  {len(added)} stored elements in briefcases, {payloads} of "
+          f">= {PAYLOAD_BYTES} bytes, {shared} held by more than one briefcase")
+    print(f"RETAINED {name} bytes_per_unit={total / units:.0f} "
+          f"payload_copies_per_unit={payloads / units:.2f} shared_elements={shared}")
+
+
 def main(argv=None) -> int:
     sys.path[:0] = [str(REPO / "benchmarks" / "ledger"), str(REPO / "src")]
     import ledger_workloads
@@ -144,22 +227,25 @@ def main(argv=None) -> int:
     parser.add_argument("workload", choices=sorted(ledger_workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--top", type=int, metavar="N",
-                        help="functions to list (default 20; with --gc: "
-                             "surviving types, default 10)")
+                        help="functions to list (default 20; with --gc or --mem: "
+                             "surviving types / owners, default 10)")
     parser.add_argument("--callers", type=re.compile, metavar="PATTERN",
                         help="also print the caller edges of matching functions")
     parser.add_argument("--gc", action="store_true",
                         help="no profiler: collector runs and surviving "
                              "tracked objects of the region instead")
+    parser.add_argument("--mem", action="store_true",
+                        help="no profiler: bytes the region leaves retained, by "
+                             "owner and type, and how stored elements are shared")
     parser.add_argument("--quick", action="store_true",
                         help="the ledger's tiny self-test populations")
     args = parser.parse_args(argv)
     workload = ledger_workloads.WORKLOADS[args.workload]
     inputs = workload.generate(
         args.seed, ledger_workloads.QUICK if args.quick else ledger_workloads.FULL)
-    if args.gc:
-        alloc_report(args.workload, workload, inputs,
-                     10 if args.top is None else args.top)
+    if args.gc or args.mem:
+        (alloc_report if args.gc else mem_report)(
+            args.workload, workload, inputs, 10 if args.top is None else args.top)
     else:
         report(profile(workload, inputs),
                20 if args.top is None else args.top, args.callers)
