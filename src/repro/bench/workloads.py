@@ -405,7 +405,7 @@ class AgentChurnResult:
     agents_completed: int
     sim_seconds: float
     #: per-wave snapshots of the ledger: launched so far, entries retained,
-    #: full instances retained, compact records retained
+    #: instances retained, compact records retained
     checkpoints: List[Dict[str, int]] = field(default_factory=list)
     #: agent ids sampled from the earliest wave (for result_of probes)
     sample_ids: List[str] = field(default_factory=list)

@@ -47,8 +47,12 @@ class AgentInstance:
     A ``__slots__`` class: high-population workloads keep hundreds of
     thousands of these alive at once (forever, under the default
     ``keep-all`` retention), so an instance is one object: the ``visited``
-    and ``children`` lists exist only once somebody reads them.
-    Terminal instances can be archived into
+    and ``children`` lists exist only once somebody reads them.  Retirement
+    (:meth:`~repro.core.lifecycle.AgentTable.retire`) sets ``briefcase``,
+    ``behaviour`` and ``code_element`` to None: a finished agent keeps its
+    record (id, state, result, error, itinerary, children), not its luggage;
+    a waiting meet caller is handed the briefcase before that.  Terminal
+    instances can be archived into
     compact :class:`~repro.core.lifecycle.AgentRecord` objects by the
     lifecycle ledger's retention policies; records duck-type the read-only
     surface below (``state``, ``result``, ``finished``, ``ok``, ...).

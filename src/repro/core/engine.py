@@ -843,7 +843,7 @@ class Engine(LedgerQueries):
         self.table.register(instance, self.sites.get(instance.site_name))
 
     def _retire(self, instance: AgentInstance) -> None:
-        """Hand a terminal instance to the ledger: unindex, count, archive."""
+        """Hand a terminal instance to the ledger: unindex, count, shed, archive."""
         self.table.retire(instance, self.sites.get(instance.site_name))
 
     # ------------------------------------------------------------------
@@ -1233,8 +1233,9 @@ class Engine(LedgerQueries):
         instance.close_generator()
         if self.obs.active:
             self._obs_end_run(instance, "done")
-        self._retire(instance)
+        # The caller gets the briefcase back before retirement sheds it.
         self._release_meet_parent(instance, result)
+        self._retire(instance)
 
     def _fail(self, instance: AgentInstance, error: BaseException) -> None:
         if instance.finished:

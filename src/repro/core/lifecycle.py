@@ -1,22 +1,24 @@
 """Agent lifecycle ledger: the :class:`AgentTable` and its retention policies.
 
 The kernel used to keep every :class:`~repro.core.agent.AgentInstance` ever
-launched in one flat dict.  That was fine for the paper-scale experiments,
-but a million-agent churn workload pins a briefcase, a behaviour and a closed
-generator frame per agent forever, and name lookups scan the whole history.
-The :class:`AgentTable` extracts that bookkeeping into a subsystem:
+launched in one flat dict, each still holding the briefcase and behaviour it
+finished with: a million-agent churn workload pinned a briefcase per agent
+forever, and name lookups scanned the whole history.  The
+:class:`AgentTable` extracts that bookkeeping into a subsystem:
 
 * **registration** — instances enter the table exactly once; the table also
   performs the per-site resident-index handshake (``site.add_resident`` on
   registration, ``site.remove_resident`` on retirement) so the index can
   never disagree with the ledger;
 * **retirement** — every terminal path (finish, fail, kill) funnels through
-  :meth:`AgentTable.retire`, which updates the O(1) state counters and then
-  applies the configured :class:`RetentionPolicy`;
-* **retention** — ``keep-all`` keeps the full instance (the historical
-  behaviour), ``keep-results`` archives terminal agents into compact
-  :class:`AgentRecord` objects (dropping briefcases, behaviours and generator
-  references while keeping results readable), and ``keep-counts`` evicts
+  :meth:`AgentTable.retire`, which updates the O(1) state counters, sheds
+  what only a running agent reads (briefcase, behaviour, CODE element, the
+  frames a failure's traceback holds) and then applies the configured
+  :class:`RetentionPolicy`;
+* **retention** — ``keep-all`` keeps the shed instance itself (the same
+  object, its result, error, itinerary and children), ``keep-results``
+  replaces it with a compact :class:`AgentRecord` (smaller again: no
+  children, no meet or system bookkeeping), and ``keep-counts`` evicts
   all but the most recent N terminal agents so the ledger itself stays
   bounded;
 * **indexes** — a name index makes ``agents_named`` O(instances with that
@@ -48,10 +50,10 @@ class AgentRecord:
     """Compact archive of a terminal agent.
 
     Keeps only what result-collection and post-mortem queries read: identity,
-    final state, result/error, timing and the itinerary trace.  The
-    briefcase, the behaviour callable, its code element and the generator
-    reference are deliberately dropped — they are what make a retired
-    :class:`AgentInstance` expensive to retain.
+    final state, result/error, timing and the itinerary trace.  Retirement
+    has already shed the briefcase, behaviour, CODE element and generator of
+    every terminal instance; a record also leaves out its children, launch
+    name and meet/system bookkeeping.
 
     Records duck-type the read-only surface of an instance (``state``,
     ``result``, ``finished``, ``site_name``...), so ledger consumers do not
@@ -121,7 +123,7 @@ class RetentionPolicy:
 
 
 class KeepAll(RetentionPolicy):
-    """Retain the full instance forever — the historical kernel behaviour."""
+    """Retain every terminal instance, as retirement left it, forever."""
 
     name = "keep-all"
 
@@ -133,8 +135,7 @@ class KeepResults(RetentionPolicy):
     """Archive terminal agents into compact :class:`AgentRecord` objects.
 
     ``result_of``/``agent``/``agents_named`` keep working for every agent
-    ever launched, but the briefcase, behaviour and generator no longer pin
-    memory once the agent is terminal.
+    ever launched, from an entry smaller than the shed instance itself.
     """
 
     name = "keep-results"
@@ -246,7 +247,7 @@ class AgentTable:
             site.add_resident(instance)
 
     def retire(self, instance: AgentInstance, site: Optional["Site"]) -> None:
-        """Process a terminal instance: unindex, count, apply retention.
+        """Process a terminal instance: unindex, count, shed, apply retention.
 
         Every terminal path (finish, fail, kill) must come through here
         exactly once; callers guard with ``instance.finished`` before
@@ -261,6 +262,16 @@ class AgentTable:
             self.failed += 1
         elif state == AgentState.KILLED:
             self.killed += 1
+        # Whatever the policy keeps, a finished agent is its record: what
+        # only a running agent reads goes here, the one place every end
+        # passes.  A failure's traceback would pin the behaviour's finished
+        # frame and its locals, the briefcase among them; the still
+        # executing frames it starts from are skipped.
+        instance.briefcase = instance.behaviour = instance.code_element = None
+        error = instance.error
+        if error is not None and error.__traceback__ is not None:
+            import traceback  # a raised failure's cost: not on the import path
+            traceback.clear_frames(error.__traceback__)
         entry = self.retention.archive(instance)
         if entry is None:
             self._discard(instance.agent_id, instance.name)

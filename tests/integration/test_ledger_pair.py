@@ -1,0 +1,53 @@
+"""``tools/ledger_pair.py``, the paired-repetition runner, held to a null control.
+
+One tree on both sides at the ledger's ``--quick`` populations: the pair
+runs, every end-to-end metric is summarised per side, the trajectory row is
+written, and no fingerprint input moved.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import pathlib
+import subprocess
+import sys
+
+import repro
+
+REPO = pathlib.Path(repro.__file__).resolve().parents[2]
+TOOL = REPO / "tools" / "ledger_pair.py"
+METRICS = ("setup_s", "units_per_s", "cpu_us_per_unit", "peak_rss_mb", "sim_makespan_s")
+
+
+def test_one_tree_on_both_sides_moves_no_key(tmp_path):
+    trajectory = tmp_path / "BENCH_ledger.json"
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(REPO), str(REPO), "--workload", "churn",
+         "--quick", "--pairs", "1", "--pr", "0", "--append", str(trajectory)],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "moved keys: 0" in done.stdout, done.stdout
+    assert all(f"  {metric} " in done.stdout for metric in METRICS), done.stdout
+    (row,) = json.loads(trajectory.read_text())
+    assert (row["pr"], row["source"], row["seeds"]) == (0, "ledger_pair", [7])
+    assert row["size"].startswith("SIZE src_lines=")
+    entry = row["workloads"]["churn"]["7"]
+    assert entry["moved_keys"] == [] and entry["fingerprint"] == entry["parent_fingerprint"]
+    assert set(entry["change"]) == set(entry["parent"]) == set(entry["wins"]) == set(METRICS)
+    assert entry["change"]["sim_makespan_s"] == entry["parent"]["sim_makespan_s"]
+    assert entry["alloc"].startswith("ALLOC churn survivors_per_unit=")
+    assert entry["retained"].startswith("RETAINED churn bytes_per_unit=")
+
+
+def test_moved_keys_are_the_fingerprint_inputs_that_differ():
+    spec = importlib.util.spec_from_file_location("ledger_pair", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    parent = {"events": 9, "counters": {"archived": 0, "launched": 3},
+              "counts": {"bytes_sent": 10, "latency_p50": 0.5}}
+    change = {"events": 9, "counters": {"archived": 3, "launched": 3},
+              "counts": {"bytes_sent": 10, "latency_p50": 0.7}}
+    # latency_p50 is a float: not hashed into sim_fingerprint, not a moved key.
+    assert tool.moved_keys(parent, change) == ["counters.archived (0 -> 3)"]
+    assert tool.moved_keys(parent, dict(parent, events=10)) == ["events (9 -> 10)"]

@@ -7,14 +7,19 @@ raised).
 
 from __future__ import annotations
 
+import gc
+import traceback
+import weakref
+
 import pytest
 
 from repro.core import Briefcase, Kernel, KernelConfig
-from repro.core.agent import AgentState
+from repro.core.agent import AgentInstance, AgentState
 from repro.core.errors import KernelError, UnknownAgentError
 from repro.core.lifecycle import (AgentRecord, AgentTable, KeepAll, KeepCounts,
                                   KeepResults, make_retention)
 from repro.net import lan
+from repro.shard import process_backend_available
 
 
 def _worker(ctx, bc):
@@ -60,13 +65,21 @@ class TestRetentionParsing:
 
 class TestKeepAll:
     def test_default_kernel_retains_full_instances(self):
+        # "All" is every ledger entry, each the instance itself; what only a
+        # running agent reads was shed when it retired, its record was not.
         kernel = make_kernel()
-        agent_id = kernel.launch("a", _worker)
+        briefcase = Briefcase()
+        briefcase.set("BALLAST", b"\0" * 1024)
+        agent_id = kernel.launch("a", _worker, briefcase, name="kept")
         kernel.run()
         instance = kernel.agent(agent_id)
-        assert not isinstance(instance, AgentRecord)
-        assert instance.briefcase is not None
+        assert type(instance) is AgentInstance
+        assert instance.briefcase is None and instance.behaviour is None
+        assert instance.code_element is None and instance.generator is None
         assert kernel.result_of(agent_id) == "a"
+        assert (instance.visited, instance.children, instance.launch_name) == (
+            ["a"], [], "kept")
+        assert kernel.counters()["archived"] == 0
 
     def test_counters_balance(self):
         kernel = make_kernel()
@@ -261,6 +274,131 @@ class TestTableUnit:
     def test_repr_mentions_retention(self):
         table = AgentTable("keep-results")
         assert "keep-results" in repr(table)
+
+
+def _child(ctx, bc):
+    yield ctx.sleep(0)
+
+
+def _ends_by(ctx, bc):
+    """Spawn one child, then end the way the HOW folder says."""
+    yield ctx.spawn(_child)
+    how = bc.get("HOW")
+    bc.set("SEEN", how)
+    if how == "failed":
+        raise RuntimeError("boom")
+    if how == "terminate":
+        yield ctx.terminate("terminated")
+    while how in ("crashed", "runaway"):
+        yield ctx.sleep(0.01)
+    return "done"
+
+
+#: how an agent ends -> (its site, its final state, its result)
+ENDINGS = {
+    "done": ("a", AgentState.DONE, "done"),
+    "failed": ("a", AgentState.FAILED, None),
+    "terminate": ("b", AgentState.DONE, "terminated"),
+    "crashed": ("c", AgentState.KILLED, None),      # crash_site
+    "runaway": ("b", AgentState.KILLED, None),      # the step budget
+}
+
+
+@pytest.fixture(scope="module", params=["inproc", "process"])
+def ended(request):
+    """One agent per ending on a two-engine kernel of each backend:
+    ``(ledger entries by ending, whether every entry has shed)``."""
+    if request.param == "process" and not process_backend_available():
+        pytest.skip("multiprocessing spawn unavailable")
+    kernel = Kernel(lan(["a", "b", "c"]), transport="tcp", config=KernelConfig(
+        rng_seed=7, shards=2, shard_backend=request.param, max_agent_steps=20))
+    ids = {}
+    for how, (site, _state, _result) in ENDINGS.items():
+        briefcase = Briefcase()
+        briefcase.set("HOW", how)
+        briefcase.set("BALLAST", b"\0" * 256)
+        ids[how] = kernel.launch(site, _ends_by, briefcase, name=f"ends-{how}")
+    kernel.run(until=0.1)
+    kernel.crash_site("c")
+    kernel.run()
+    entries = {how: kernel.agent(agent_id) for how, agent_id in ids.items()}
+    shed = all(getattr(entry, slot, None) is None for entry in kernel.agents.values()
+               for slot in ("briefcase", "behaviour", "code_element"))
+    assert kernel.counters()["launched"] == 2 * len(ENDINGS)     # each with a child
+    kernel.close()
+    return entries, shed
+
+
+class TestRetirementSheds:
+    @pytest.mark.parametrize("how", list(ENDINGS))
+    def test_every_end_sheds_the_luggage_and_keeps_the_record(self, ended, how):
+        entries, shed = ended
+        entry = entries[how]
+        site, state, result = ENDINGS[how]
+        assert shed
+        assert entry.finished and entry.state == state
+        assert entry.result == result
+        assert (entry.error is None) == (state == AgentState.DONE)
+        if how == "runaway":
+            assert "step budget" in str(entry.error)
+        assert list(entry.visited) == [site]
+        if isinstance(entry, AgentInstance):    # in-process: the entry is the instance
+            assert entry.briefcase is None and entry.behaviour is None
+            assert entry.code_element is None
+            assert len(entry.children) == 1 and entry.launch_name == f"ends-{how}"
+        else:                                   # a process engine ships records
+            assert isinstance(entry, AgentRecord) and entry.name == f"ends-{how}"
+
+    @pytest.mark.parametrize("retention", ["keep-all", "keep-results"])
+    def test_a_meet_caller_gets_the_briefcase_the_callee_finished_with(self, retention):
+        kernel = make_kernel(retention=retention)
+
+        def service(ctx, bc):
+            bc.set("ANSWER", 42)
+            bc.put("LOG", "first")
+            bc.put("LOG", "second")
+            bc.remove("QUESTION")
+            yield ctx.sleep(0)
+            return "served"         # ending, not end_meet, releases the caller
+
+        def client(ctx, bc):
+            request = Briefcase()
+            request.set("QUESTION", "six by nine")
+            met = yield ctx.meet("service", request)
+            return (met.value, met.briefcase.names(), met.briefcase.get("ANSWER"),
+                    met.briefcase.folder("LOG").elements())
+
+        kernel.install_agent("a", "service", service)
+        agent_id = kernel.launch("a", client)
+        kernel.run()
+        assert kernel.result_of(agent_id) == (
+            "served", ["ANSWER", "LOG"], 42, ["first", "second"])
+        (callee,) = kernel.agents_named("service")
+        assert callee.ok and getattr(callee, "briefcase", None) is None
+
+    @pytest.mark.parametrize("retention", ["keep-all", "keep-results", "keep-counts:3"])
+    def test_a_failure_keeps_its_error_not_its_frame_locals(self, retention):
+        held = []
+
+        class Ballast:
+            pass
+
+        def fails_holding(ctx, bc):
+            ballast = Ballast()
+            held.append(weakref.ref(ballast))
+            yield ctx.sleep(0)
+            raise RuntimeError("boom")
+
+        kernel = make_kernel(retention=retention)
+        agent_id = kernel.launch("a", fails_holding)
+        kernel.run()
+        gc.collect()
+        assert held[0]() is None
+        error = kernel.agent(agent_id).error
+        assert repr(error) == "RuntimeError('boom')"
+        shown = "".join(traceback.format_exception(type(error), error,
+                                                   error.__traceback__))
+        assert "in fails_holding" in shown and 'raise RuntimeError("boom")' in shown
 
 
 class TestLaunchDelayValidation:

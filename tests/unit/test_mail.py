@@ -205,7 +205,7 @@ class TestBuildMailKernel:
         assert any(letter["subject"] == "hello"
                    for letter in mail.inbox("cornell", "fred"))
         # Terminal agents were archived into compact records, not retained
-        # as full instances.
+        # as instances.
         kinds = mail.kernel.table.ledger_entry_kinds()
         assert kinds["records"] > 0
         assert kinds["instances"] == 0

@@ -248,7 +248,10 @@ class TestInboxRouter:
     def test_a_handoff_is_the_snapshot_itself_and_only_a_pipe_copies_it(self):
         """What a process worker pickles is the message with its snapshot,
         once; engines in one process hand the stored elements over as is."""
+        kept = []
+
         def keeper(ctx, bc):
+            kept.append(bc)             # a finished agent's entry holds none
             yield ctx.sleep(0)
 
         def sender(ctx, bc):
@@ -256,11 +259,12 @@ class TestInboxRouter:
             return accepted
 
         for through_a_pipe in (False, True):
+            kept.clear()
             _shard_set, engines = two_engine_set()
             engines[1].install_agent("b", "keeper", keeper)
             carried = Briefcase([Folder("MANY", [1, "two"])])
             carried.set("ONE", b"x" * 100)
-            sent_id = engines[0].launch("a", sender, carried, system=True)
+            engines[0].launch("a", sender, carried, system=True)
             _executed, outbound = engines[0].run_to(None)
             (_arrival, message), = outbound
             assert type(message.payload["briefcase"]) is Briefcase
@@ -268,11 +272,11 @@ class TestInboxRouter:
                 outbound = pickle.loads(pickle.dumps(outbound))
             engines[1].run_to(None, None, outbound)
             assert engines[1].arrivals == 1 and engines[1].undeliverable == 0
-            sent = engines[0].table.get(sent_id).briefcase.stored_items()
-            (kept,) = engines[1].table.named("keeper")
-            assert kept.briefcase.stored_items() == sent
+            sent = carried.stored_items()           # the sender ran with this one
+            (received,) = kept
+            assert received.stored_items() == sent
             for (_name, elements), (_, kept_elements) in zip(
-                    sent, kept.briefcase.stored_items()):
+                    sent, received.stored_items()):
                 assert all((a is b) is not through_a_pipe
                            for a, b in zip(elements, kept_elements))
 

@@ -21,7 +21,7 @@ generation (``gc.callbacks``), their share of the region's wall time, and the
 collector-tracked objects that survive the region, per unit and by type —
 ending in one line that can be diffed between two commits::
 
-    ALLOC churn survivors_per_unit=13.0 gc_share=0.098 collections=170/16/1
+    ALLOC churn survivors_per_unit=4.0 gc_share=0.053 collections=121/11/0
 
 The counts repeat exactly for a given workload, seed and population; the
 seconds (and so ``gc_share``) are this host's, this run's.
@@ -32,7 +32,7 @@ sites' cabinets added in the region still reference, per unit, by owner (the
 name an agent was launched under) and type, each object counted once however
 many briefcases share it — and how the stored folder elements are shared::
 
-    RETAINED churn bytes_per_unit=6616 payload_copies_per_unit=2.00 shared_elements=6000
+    RETAINED churn bytes_per_unit=1007 payload_copies_per_unit=0.00 shared_elements=0
 
 ``payload_copies_per_unit`` counts the distinct stored elements of at least
 64 bytes (where the bits outweigh a ``bytes`` header) that the region's
@@ -178,7 +178,9 @@ def retained(kernel):
     for engine in kernel.engines:
         for entry in engine.table.entries.values():
             walk(entry, entry.name)
-            briefcase = getattr(entry, "briefcase", None)  # an archived record has none
+            # None once retired (a record has no slot for it): only the
+            # ledger's still running agents hold stored elements
+            briefcase = getattr(entry, "briefcase", None)
             held = {id(element): element
                     for _name, stored in (briefcase.stored_items() if briefcase else ())
                     for element in stored}

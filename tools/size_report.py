@@ -10,10 +10,12 @@ fields of ``KernelConfig``; ``kernel_public`` the public names on the
 test for the sharded case (``_shards is`` / ``distributed``); ``bench_files``
 the Python files under ``benchmarks/`` outside ``ledger/`` (the ledger is the
 repo's one benchmark, so 0).  The last two are what a site pays before its
-first ``meet``: ``import_modules`` is ``len(sys.modules)`` in a fresh
-interpreter after importing ``repro.core``, ``repro.net``, ``repro.fault``
-and ``repro.sysagents``; ``third_party`` the top-level packages that import
-pulled in from a ``site-packages`` / ``dist-packages`` directory.  CI prints
+first ``meet``: ``import_modules`` is how many modules importing
+``repro.core``, ``repro.net``, ``repro.fault`` and ``repro.sysagents`` adds
+to ``sys.modules`` in a fresh interpreter (not its length: what site ``.pth``
+files preload differs by host, so the total would too); ``third_party`` the
+top-level packages among them that came from a ``site-packages`` /
+``dist-packages`` directory.  CI prints
 the line after tier-1; CHANGES.md records parent -> change per PR.
 """
 
@@ -34,10 +36,11 @@ import sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
 import repro.core, repro.net, repro.fault, repro.sysagents
-installed = {name.split(".")[0] for name in set(sys.modules) - before
+added = set(sys.modules) - before
+installed = {name.split(".")[0] for name in added
              if any(part in (getattr(sys.modules[name], "__file__", None) or "")
                     for part in ("site-packages", "dist-packages"))}
-print(f"import_modules={len(sys.modules)} third_party={len(installed)}")
+print(f"import_modules={len(added)} third_party={len(installed)}")
 """
 
 
