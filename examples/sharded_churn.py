@@ -8,10 +8,14 @@ map used here), each with its own event loop and transport.  A
 conservative clock sync — lookahead derived from the topology's link
 latencies — advances every shard only as far as its neighbours cannot
 affect, and the mail router hands cross-shard folders over at send time.
-``KernelConfig(shard_backend=...)`` chooses how the per-round shard
-bursts execute: serially (``"inproc"``), on a thread pool
-(``"thread"``, used below), or on spawned worker processes
-(``"process"``).
+``KernelConfig(shard_backend=...)`` chooses where the per-round shard
+bursts execute: serially (``"inproc"``, the default, used below) or on
+spawned worker processes (``"process"``).  This example stays on
+``inproc``: its behaviours are functions defined in this file, and a
+spawn worker can only unpickle a function whose module it can import by
+name, which a script loaded from a file path (as ``tests/`` loads every
+example) is not.  Behaviours meant for ``process`` live in an importable
+module, as ``repro.bench.workloads``'s do.
 
 The example runs a churn of courier agents whose report destinations sit
 on *other* shards, then shows the two properties that matter:
@@ -60,10 +64,9 @@ def courier(ctx: AgentContext, briefcase: Briefcase):
     return ctx.site_name
 
 
-def build_and_run(shards: int, backend: str = "inproc") -> Kernel:
+def build_and_run(shards: int) -> Kernel:
     config = KernelConfig(rng_seed=11, shards=shards,
-                          shard_placement=PLACEMENT if shards > 1 else None,
-                          shard_backend=backend)
+                          shard_placement=PLACEMENT if shards > 1 else None)
     kernel = Kernel(lan(SITES), transport="tcp", config=config)
     kernel.install_agent(None, "report_sink", report_sink)
     for index in range(N_COURIERS):
@@ -78,13 +81,10 @@ def build_and_run(shards: int, backend: str = "inproc") -> Kernel:
 
 
 def main() -> None:
-    # shard_backend picks how the per-round shard bursts execute:
-    # "inproc" (serial, bit-identical reference), "thread" (persistent
-    # pool), or "process" (spawned workers).
     # The kernel is a context manager; exiting the block tears down the
-    # shard engines (worker threads/processes) via Kernel.close().
-    with build_and_run(shards=SHARDS, backend="thread") as sharded:
-        print(f"{len(SITES)} sites on {SHARDS} shards (thread backend), "
+    # shard engines via Kernel.close().
+    with build_and_run(shards=SHARDS) as sharded:
+        print(f"{len(SITES)} sites on {SHARDS} shards (inproc backend), "
               f"{N_COURIERS} couriers, "
               f"every report crossing a rack (= shard) boundary\n")
 

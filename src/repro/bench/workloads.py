@@ -908,7 +908,7 @@ class ShardedChurnParams:
     shards: Optional[int] = None
     transport: str = "tcp"
     seed: int = 41
-    #: shard execution backend ("inproc", "thread", "process"); inert when
+    #: shard execution backend (one of ``repro.shard.BACKENDS``); inert when
     #: ``shards`` is None (the backend-parity tests sweep this)
     backend: str = "inproc"
     #: "lan" (full mesh — quadratic edges, fine to ~200 sites) or "fabric"

@@ -128,9 +128,9 @@ class KernelConfig:
     #: placed by a stable CRC-32 hash of their name
     shard_placement: Optional[Dict[str, int]] = None
     #: where each synchronisation round's shard bursts execute: "inproc"
-    #: (serial, the default), "thread" (a persistent pool, one worker per
-    #: shard), or "process" (long-lived spawn workers — real multi-core
-    #: parallelism; see :mod:`repro.shard.backend`).  Inert at shards=1.
+    #: (serial, the default) or "process" (long-lived spawn workers — real
+    #: multi-core parallelism; see :mod:`repro.shard.backend`).  Inert at
+    #: shards=1.
     shard_backend: str = "inproc"
     #: execution backend of the event loop itself: "sim" (the default —
     #: the deterministic discrete-event EventLoop/SimClock pair, time
@@ -422,8 +422,8 @@ class Kernel(LedgerQueries):
         Idempotent — call it unconditionally when done with a kernel (or
         use the kernel as a context manager, which calls it on exit).
         Several engines: the facade writes ``obs_path`` (engines only
-        ring-buffer their spans) and shuts the backend's worker
-        threads/processes down.  One engine: it closes its site stores'
+        ring-buffer their spans) and shuts the backend's worker processes
+        down.  One engine: it closes its site stores'
         WAL sinks, its trace sink and, under ``backend="realtime"``, the
         owned asyncio loop.  A closed kernel still answers reads
         (``counters``, ``result_of``, ``stats``, ``trace_spans``) but

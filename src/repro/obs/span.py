@@ -8,10 +8,10 @@ parent/child causality inside a *trace*.
 Identity is **content-derived and deterministic**: a span id is
 ``"{trace_id}/{name}#{key}"`` where the key comes from semantic state
 that is identical on every execution backend (hop sequence numbers,
-site names, per-engine event-order counters).  Wall times, process-local
-object ids and thread interleavings never leak into identity, which is
-what lets the property suite assert *identical span trees* across
-``shard_backend=inproc|thread|process``.
+site names, per-engine event-order counters).  Wall times and
+process-local object ids never leak into identity, which is what lets the
+property suite assert *identical span trees* across
+``shard_backend=inproc|process``.
 
 Trace context travels **in the agent's briefcase** as two plain string
 folders (:data:`TRACE_ID_FOLDER`, :data:`TRACE_PARENT_FOLDER`), so it

@@ -18,18 +18,16 @@ and routed to its owner by the coordinator between rounds.
 >>> kernel.run()  # doctest: +SKIP
 
 ``KernelConfig(shard_backend=...)`` selects where each round's bursts
-execute (:mod:`repro.shard.backend`): ``inproc`` (serial, the default),
-``thread`` (a persistent pool, one worker per shard), or ``process``
-(long-lived spawn workers, real multi-core parallelism).  All three are
-property-tested to produce identical simulation results.
+execute (:mod:`repro.shard.backend`): ``inproc`` (serial, the default) or
+``process`` (long-lived spawn workers, real multi-core parallelism).  Both
+are property-tested to produce identical simulation results.
 
 ``shards=1`` (the default) never builds any of this: it is the same facade
 over one engine, which has nothing to coordinate and runs its loop directly.
 """
 
 from repro.shard.backend import (BACKENDS, InprocBackend, ShardBackend,
-                                 ThreadBackend, build_engines, make_backend,
-                                 process_backend_available)
+                                 build_engines, process_backend_available)
 from repro.shard.clocksync import MIN_LOOKAHEAD, ClockSync
 from repro.shard.placement import default_shard_of, resolve_placement
 from repro.shard.procworker import ProcessBackend, WorkerSpec
@@ -37,8 +35,8 @@ from repro.shard.router import ShardBoundary
 from repro.shard.shardset import Shard, ShardSet
 
 __all__ = [
-    "BACKENDS", "InprocBackend", "ShardBackend", "ThreadBackend",
-    "build_engines", "make_backend", "process_backend_available",
+    "BACKENDS", "InprocBackend", "ShardBackend",
+    "build_engines", "process_backend_available",
     "ClockSync", "MIN_LOOKAHEAD", "ShardBoundary",
     "ProcessBackend", "WorkerSpec",
     "Shard", "ShardSet",

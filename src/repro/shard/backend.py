@@ -9,16 +9,7 @@ rounds — and the backend decides only *where* each ``run_to`` executes:
 
 ``inproc``
     Here, one burst after another on the coordinator thread.  The
-    baseline every other backend is property-tested against.
-
-``thread``
-    In a persistent pool thread, one per shard (a ``ThreadPoolExecutor``).
-    Shards share no mutable state during a round: each burst touches only
-    its own engine and the handoffs it was handed.  Conservative horizons —
-    not locks — are the correctness mechanism.  Under CPython's GIL this
-    parallelises the loop's C-level work (heap ops, pickling) but not
-    pure-Python event callbacks — it is the stepping stone that proves the
-    seam, while ``process`` delivers real cores.
+    baseline the process backend is property-tested against.
 
 ``process``
     Across a pipe, in one long-lived spawn worker per shard
@@ -33,17 +24,15 @@ identical stop points everywhere is what the budget-stop tests pin.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.errors import KernelError
 from repro.core.timing import default_timer
 
-__all__ = ["BACKENDS", "InprocBackend", "ShardBackend", "ThreadBackend",
-           "build_engines", "make_backend", "process_backend_available"]
+__all__ = ["BACKENDS", "InprocBackend", "ShardBackend", "build_engines",
+           "process_backend_available"]
 
 #: the valid ``KernelConfig.shard_backend`` values
-BACKENDS = ("inproc", "thread", "process")
+BACKENDS = ("inproc", "process")
 
 #: one burst's outcome: (events executed, busy seconds, outbound handoffs)
 Burst = Tuple[int, float, list]
@@ -58,10 +47,6 @@ class ShardBackend:
     """
 
     name = "abstract"
-    #: whether handoffs taken by the coordinator are scheduled in this
-    #: process and so count toward ``ShardSet.handoffs_drained``; the
-    #: process backend's ride the pipe and were never part of that number
-    drains_in_process = True
 
     def __init__(self, timer: Callable[[], float] = default_timer):
         self.timer = timer
@@ -85,7 +70,7 @@ class ShardBackend:
             shard.engine.advance_clock(target, handoffs)
 
     def close(self) -> None:
-        """Release worker threads / processes (idempotent)."""
+        """Release worker processes (idempotent)."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -97,67 +82,11 @@ class InprocBackend(ShardBackend):
     name = "inproc"
 
 
-class ThreadBackend(ShardBackend):
-    """One persistent worker thread per shard.
-
-    The pool is created lazily on the first parallel round and reused for
-    the kernel's lifetime (persistent workers, no per-round thread spawn
-    cost).  A single-burst round runs on the coordinator thread — one
-    burst gains nothing from a pool hop.
-    """
-
-    name = "thread"
-
-    def __init__(self, n_shards: int,
-                 timer: Callable[[], float] = default_timer):
-        super().__init__(timer)
-        self.n_shards = int(n_shards)
-        self._executor: Optional[ThreadPoolExecutor] = None
-
-    def run_round(self, plans):
-        if len(plans) < 2:
-            return super().run_round(plans)
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.n_shards,
-                thread_name_prefix="repro-shard")
-        futures = [self._executor.submit(self.run_to, shard, horizon, None, handoffs)
-                   for shard, horizon, handoffs in plans]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-
-def make_backend(name: str, n_shards: int = 0,
-                 timer: Callable[[], float] = default_timer) -> ShardBackend:
-    """Resolve an in-process ``KernelConfig.shard_backend`` name.
-
-    ``process`` comes with its engines (:func:`build_engines`: it needs the
-    full worker build spec, not just a shard count); asking for it here
-    names the entry point so the error is actionable.
-    """
-    if name == "inproc":
-        return InprocBackend(timer)
-    if name == "thread":
-        if n_shards <= 0:
-            raise KernelError("thread backend needs a shard count")
-        return ThreadBackend(n_shards, timer)
-    if name == "process":
-        raise KernelError(
-            "the process backend is built with its engines by build_engines() "
-            "(repro.shard.procworker.ProcessBackend), not make_backend()")
-    raise KernelError(
-        f"unknown shard_backend {name!r}; expected one of {BACKENDS}")
-
-
 def build_engines(topology, config, transport, install_system_agents,
                   registry, retention, placement):
     """``(engines, backend)`` for a sharded kernel, per ``config.shard_backend``.
 
-    In-process backends get real :class:`~repro.core.engine.Engine` objects
+    ``inproc`` gets real :class:`~repro.core.engine.Engine` objects
     sharing *topology* and the live *placement* map; ``process`` gets one
     :class:`~repro.shard.procworker.ProcessEngineProxy` per spawned worker,
     each worker holding copies.
@@ -172,7 +101,7 @@ def build_engines(topology, config, transport, install_system_agents,
     engines = [Engine(topology, config, transport, install_system_agents,
                       registry, retention, shard_id=shard_id, placement=placement)
                for shard_id in range(config.shards)]
-    return engines, make_backend(config.shard_backend, config.shards)
+    return engines, InprocBackend()
 
 
 # -- process-backend availability probe ----------------------------------------

@@ -79,10 +79,9 @@ class ClockSync:
         before the next horizon is granted.
 
         Any number of invalidations between rounds coalesce into a single
-        :meth:`rebuild` at the next horizon grant.  Safe to call from shard
-        worker threads mid-round (a single bool store); the rebuild itself
-        only ever runs on the coordinator between rounds, which is what
-        keeps horizon computation read-only while bursts execute.
+        :meth:`rebuild` at the next horizon grant.  The rebuild only ever
+        runs on the coordinator between rounds, which is what keeps horizon
+        computation read-only while bursts execute.
         """
         self._dirty = True
 

@@ -295,7 +295,7 @@ class MirrorLoop:
         raise KernelError(
             "the process shard backend keeps event loops worker-side; "
             "coordinator code cannot schedule events on a shard "
-            "(use shard_backend='thread' or 'inproc' for loop-level access)")
+            "(use shard_backend='inproc' for loop-level access)")
 
     schedule = _no_schedule
     schedule_at = _no_schedule
@@ -332,7 +332,7 @@ class SiteMirror:
             f"site {self.name!r} lives in a shard worker process; the "
             f"coordinator serves digests (alive/load/counters) only — "
             f"per-agent residents() / cabinet() queries need "
-            f"shard_backend='thread' or 'inproc'")
+            f"shard_backend='inproc'")
 
     residents = _digest_only
     cabinet = _digest_only
@@ -448,7 +448,7 @@ class _WorkerHandle:
                 f"shard {self.shard_id}: cannot send {call!r} to the worker "
                 f"process, an argument does not pickle: {error} (register "
                 f"behaviours in an importable module and pass them by name, "
-                f"or use shard_backend='thread' or 'inproc')") from None
+                f"or use shard_backend='inproc')") from None
         except (BrokenPipeError, OSError) as error:
             raise KernelError(
                 f"shard {self.shard_id} worker is gone "
@@ -555,12 +555,12 @@ class ProcessEngineProxy:
     def on_site_added(self, callback):
         raise KernelError(
             "on_site_added subscriptions cannot cross the process boundary; "
-            "use shard_backend='thread' or 'inproc'")
+            "use shard_backend='inproc'")
 
     def on_site_recovered(self, callback):
         raise KernelError(
             "on_site_recovered subscriptions cannot cross the process "
-            "boundary; use shard_backend='thread' or 'inproc'")
+            "boundary; use shard_backend='inproc'")
 
     # -- digest application -----------------------------------------------------
 
@@ -596,7 +596,6 @@ class ProcessBackend(ShardBackend):
     """Runs each shard's bursts across a pipe, in its own spawn worker."""
 
     name = "process"
-    drains_in_process = False
 
     def __init__(self, specs: Sequence[WorkerSpec], transport_name: str,
                  timer=default_timer):
@@ -630,7 +629,7 @@ class ProcessBackend(ShardBackend):
                 "shard_backend='process' rebuilds behaviours from the "
                 "process-wide default registry in each worker; a custom "
                 "registry instance cannot cross the process boundary (use "
-                "shard_backend='thread' or register behaviours in the "
+                "shard_backend='inproc' or register behaviours in the "
                 "default registry)")
         try:
             pickle.dumps((config, retention, transport, topology))

@@ -97,13 +97,14 @@ class ShardSet:
         #: horizons, and building burst plans between bursts
         self.sync_seconds = 0.0
         #: wall-clock seconds of per-round dispatch overhead: round wall
-        #: time minus the slowest burst (pool hops, worker round-trips).
+        #: time minus the slowest burst (worker round-trips).
         #: Serial rounds pay total-minus-max serialisation here too, so
         #: coordination cost can be read apart from burst time
         #: (``shard.coord_overhead_s`` in the ledger).
         self.overhead_seconds = 0.0
-        #: handoffs this coordinator handed to engines in its own process
-        #: (see :attr:`ShardBackend.drains_in_process`)
+        #: handoffs this coordinator handed to their owning engines: the
+        #: delivery-side count of what the sending engines count as
+        #: ``shard_handoffs``; the two agree whenever ``run`` returns
         self.handoffs_drained = 0
         #: the facade's own tracer (repro.obs), set by the Kernel when
         #: observability is on; records one span per run() drive
@@ -123,8 +124,7 @@ class ShardSet:
 
     def _take(self, shard: Shard) -> List[Tuple[float, object]]:
         handoffs, shard.pending = shard.pending, []
-        if self.backend.drains_in_process:
-            self.handoffs_drained += len(handoffs)
+        self.handoffs_drained += len(handoffs)
         return handoffs
 
     def _route(self, outbound) -> None:
@@ -226,7 +226,7 @@ class ShardSet:
         return total
 
     def close(self) -> None:
-        """Shut down the execution backend (worker threads / processes)."""
+        """Shut down the execution backend (its worker processes, if any)."""
         self.backend.close()
 
     # -- telemetry --------------------------------------------------------------

@@ -84,24 +84,27 @@ def test_sharding_is_deterministic_across_repeats(seed, shards):
     assert first == second
 
 
-@settings(max_examples=12, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000),
-       n_sites=st.integers(min_value=4, max_value=10),
-       n_agents=st.integers(min_value=1, max_value=8),
-       hops=st.integers(min_value=0, max_value=3),
-       shards=st.integers(min_value=2, max_value=5))
-def test_thread_backend_matches_inproc(seed, n_sites, n_agents, hops, shards):
-    """The thread backend is a pure execution change: same counters, same
-    completed agents, same results, on any seeded churn."""
-    inproc = run_workload(seed, n_sites, n_agents, hops, shards,
-                          backend="inproc")
-    threaded = run_workload(seed, n_sites, n_agents, hops, shards,
-                            backend="thread")
-    assert threaded == inproc
+def fingerprint_inputs(backend: str, seed: int):
+    """What the ledger's ``sim_fingerprint`` hashes, for a seeded churn on
+    three shards: events, counters, and every integer of the stats, store
+    and shard summaries; plus the run's result."""
+    from repro.bench.workloads import ShardedChurnParams, execute_sharded_churn
+    kernel, result = execute_sharded_churn(ShardedChurnParams(
+        n_sites=12, n_agents=48, wave_size=16, shards=3, seed=seed,
+        backend=backend))
+    numbers = {"events": result.events, "counters": kernel.counters()}
+    for source in (kernel.stats.snapshot(), kernel.store_summary(),
+                   kernel.shard_summary()):
+        numbers.update((key, value) for key, value in source.items()
+                       if type(value) is int)
+    kernel.close()
+    return numbers, result
 
 
 def test_process_backend_matches_inproc():
-    """Process workers produce the same simulation as the serial loop.
+    """Backends differ only in where a burst runs: process workers give the
+    same simulation as the serial loop, down to every number the ledger
+    fingerprints.
 
     Not hypothesis-driven (each example spawns real processes) and built
     on the registered workload behaviours — spawn children re-import the
@@ -109,22 +112,16 @@ def test_process_backend_matches_inproc():
     """
     import pytest
 
-    from repro.bench.workloads import ShardedChurnParams, run_sharded_churn
     from repro.shard import process_backend_available
 
     if not process_backend_available():
         pytest.skip("multiprocessing spawn does not work on this host")
     for seed in (3, 41):
-        results = {
-            backend: run_sharded_churn(ShardedChurnParams(
-                n_sites=12, n_agents=48, wave_size=16, shards=3,
-                seed=seed, backend=backend))
-            for backend in ("inproc", "process")}
-        reference = results["inproc"]
-        outcome = results["process"]
-        assert outcome.events == reference.events
-        assert outcome.counters == reference.counters
-        assert outcome.handoffs == reference.handoffs
-        assert outcome.sim_seconds == reference.sim_seconds
+        reference, expected = fingerprint_inputs("inproc", seed)
+        numbers, outcome = fingerprint_inputs("process", seed)
+        assert numbers == reference, seed
+        assert reference["handoffs_drained"] == reference["shard_handoffs"] > 0
+        assert outcome.handoffs == expected.handoffs
+        assert outcome.sim_seconds == expected.sim_seconds
         assert outcome.late_arrivals == 0
         assert outcome.agents_completed == outcome.agents_launched

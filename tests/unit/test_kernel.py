@@ -712,25 +712,27 @@ class TestKernelContextManager:
             kernel.close()
 
     def test_sharded_kernel_context_manager_closes_backend(self):
-        config = KernelConfig(rng_seed=5, shards=2, shard_backend="thread")
+        from repro.shard import process_backend_available
+        if not process_backend_available():
+            pytest.skip("multiprocessing spawn unavailable")
+        config = KernelConfig(rng_seed=5, shards=2, shard_backend="process")
         with Kernel(lan(["a", "b", "c", "d"]), config=config) as kernel:
-            kernel.launch("a", _noop_behaviour)
+            kernel.launch("a", "courier")
             kernel.run()
             assert kernel.completed == 1
-        # The thread pool was shut down by close(); closing again is a no-op.
+        # close() stopped every worker; closing again is a no-op.
+        assert not any(handle.process.is_alive()
+                       for handle in kernel.shard_set.backend._handles)
         kernel.close()
 
-    @pytest.mark.parametrize("overrides", [
-        {}, {"shards": 2, "shard_backend": "thread"},
-        {"shards": 2, "shard_backend": "process"},
-    ], ids=["classic", "thread", "process"])
-    def test_use_after_close_fails_the_same_way_everywhere(self, overrides):
-        from repro.shard import process_backend_available
-        if (overrides.get("shard_backend") == "process"
-                and not process_backend_available()):
-            pytest.skip("multiprocessing spawn unavailable")
+    # shards=1 never builds a backend, so only one classic case.
+    @pytest.mark.parametrize("shards, backend", [
+        (1, "inproc"), (2, "inproc"), (2, "process"),
+    ], ids=["classic", "inproc", "process"], indirect=["backend"])
+    def test_use_after_close_fails_the_same_way_everywhere(self, shards, backend):
         kernel = Kernel(lan(["a", "b", "c", "d"]),
-                        config=KernelConfig(rng_seed=5, **overrides))
+                        config=KernelConfig(rng_seed=5, shards=shards,
+                                            shard_backend=backend))
         kernel.launch("a", "courier", name="before")
         kernel.run()
         spans = kernel.trace_spans()

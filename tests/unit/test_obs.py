@@ -224,13 +224,9 @@ def _courier_metrics(shards, backend="inproc"):
     return collected, per_engine
 
 
-@pytest.mark.parametrize("backend", ["inproc", "thread", "process"])
 def test_metrics_collect_keeps_engine_sources_on_every_backend(backend):
     """The flow and transport sources each engine registers survive the
     merge: same keys as one engine, values summed over the engines."""
-    from repro.shard import process_backend_available
-    if backend == "process" and not process_backend_available():
-        pytest.skip("multiprocessing spawn does not work on this host")
     single, _ = _courier_metrics(shards=1)
     merged, per_engine = _courier_metrics(shards=2, backend=backend)
     assert set(merged) == set(single)

@@ -8,6 +8,8 @@ entry points.
 from __future__ import annotations
 
 import importlib
+import pathlib
+import re
 
 import pytest
 
@@ -88,3 +90,40 @@ def test_error_hierarchy_has_a_single_root():
             continue
         assert issubclass(exc_type, errors.TacomaError), (
             f"{exc_type.__name__} must derive from TacomaError")
+
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
+CLAIM_TABLE = (REPO / "docs" / "architecture.md").read_text(
+    encoding="utf-8").split("### Paper claim → tier-1 test", 1)[1]
+CLAIM_ROWS = [line for line in CLAIM_TABLE.splitlines()
+              if line.startswith("| §")]
+
+
+def test_paper_claim_table_covers_every_section():
+    """docs/architecture.md's "Paper claim -> tier-1 test" table keeps a row
+    for each of the paper's sections §1-§6."""
+    assert len(CLAIM_ROWS) >= 10
+    assert ({row.split("|")[1].strip() for row in CLAIM_ROWS}
+            == {f"§{section}" for section in range(1, 7)})
+
+
+@pytest.mark.parametrize("row", CLAIM_ROWS, ids=[
+    f"row{index}" for index in range(1, len(CLAIM_ROWS) + 1)])
+def test_every_paper_claim_names_tests_that_exist(row, monkeypatch):
+    """Every path a claim row names exists, and every ``path::Name`` (or a
+    bare ``TestX`` following one) is defined in that test module, so no
+    claim points at nothing."""
+    module = None
+    for ref in re.findall(r"`([^`]+)`", row.split("|")[3]):
+        path, *names = ref.split("::")
+        if "/" not in path:             # a bare name: the last module's
+            names = [path]
+        else:
+            assert (REPO / path).exists(), ref
+            if path.startswith("tests/"):
+                monkeypatch.syspath_prepend(str((REPO / path).parent))
+                module = importlib.import_module(pathlib.Path(path).stem)
+        target = module
+        for name in names:
+            assert hasattr(target, name), ref
+            target = getattr(target, name)

@@ -406,17 +406,12 @@ class TestSameTimestampOrder:
             probe = kernel.agents_named("probe")
             return sink_run.started_at, (probe[0].result if probe else None)
 
-    def test_local_event_and_cross_shard_arrival_at_the_same_instant(self):
-        from repro.shard import process_backend_available
+    def test_local_event_and_cross_shard_arrival_at_the_same_instant(self, backend):
         arrival, _ = self._run("inproc")
-        backends = ["inproc", "thread"]
-        if process_backend_available():
-            backends.append("process")
         # b schedules the probe's wake-up in the very round a sends the
         # report, for the very instant the report is due.  The report
         # reaches b's queue with b's next burst, so the wake-up was queued
         # first and fires first: the probe counts only itself, not yet the
         # sink agent the delivery creates.  (A backend that put the handoff
         # on b's loop at send time would reverse this.)
-        for backend in backends:
-            assert self._run(backend, wake_at=arrival) == (arrival, 1), backend
+        assert self._run(backend, wake_at=arrival) == (arrival, 1)

@@ -24,7 +24,6 @@ from repro.net.message import Message, MessageKind
 from repro.net.stats import NetworkStats
 from repro.net.topology import LinkSpec, NoRouteError, switched_fabric
 from repro.shard import (BACKENDS, ClockSync, InprocBackend, Shard, ShardSet,
-                         ThreadBackend, make_backend,
                          process_backend_available)
 
 
@@ -42,42 +41,14 @@ def sharded_kernel(backend, site_count=8, shards=4, seed=7):
 ENGINE_COUNTS = (1, 2)
 
 
-def run_churn(backend, max_events=None, site_count=8, shards=4, waves=2):
-    """Deterministic cross-shard churn via the registered bench behaviours."""
-    from repro.bench.workloads import ShardedChurnParams, execute_sharded_churn
-    kernel, result = execute_sharded_churn(ShardedChurnParams(
-        n_sites=site_count, n_agents=8 * waves, wave_size=8, shards=shards,
-        seed=11, backend=backend))
-    counters = kernel.counters()
-    kernel.close()
-    return result, counters
-
-
 # ---------------------------------------------------------------------------
 # backend resolution
 # ---------------------------------------------------------------------------
 
 class TestBackendResolution:
-    def test_make_backend_names(self):
-        assert isinstance(make_backend("inproc"), InprocBackend)
-        thread = make_backend("thread", 2)
-        assert isinstance(thread, ThreadBackend)
-        thread.close()
-
-    def test_thread_backend_needs_a_shard_count(self):
-        with pytest.raises(KernelError):
-            make_backend("thread")
-
-    def test_process_backend_not_built_here(self):
-        with pytest.raises(KernelError, match="procworker"):
-            make_backend("process")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(KernelError, match="unknown shard_backend"):
-            make_backend("fibers")
-
     def test_kernel_config_validates_backend(self):
-        with pytest.raises(KernelError, match="unknown shard_backend"):
+        with pytest.raises(KernelError, match=r"unknown shard_backend.*"
+                           r"one of \('inproc', 'process'\)"):
             Kernel(lan(["a", "b"]),
                    config=KernelConfig(shards=2, shard_backend="fibers"))
 
@@ -88,7 +59,7 @@ class TestBackendResolution:
             Kernel(lan(["a"]), config=KernelConfig(shard_backend="nope"))
 
     def test_every_declared_backend_is_a_string(self):
-        assert BACKENDS == ("inproc", "thread", "process")
+        assert BACKENDS == ("inproc", "process")
 
 
 # ---------------------------------------------------------------------------
@@ -416,35 +387,11 @@ class TestClockSyncDirtyFlag:
 # ---------------------------------------------------------------------------
 
 class TestBudgetStop:
-    @pytest.mark.parametrize("backend", ["inproc", "thread"])
     def test_budget_stops_at_same_point_and_resumes(self, backend):
         # Launch, stop after exactly 5 events, resume to quiescence.
         from repro.bench.workloads import (SHARD_COURIER_NAME,
                                            SHARD_SINK_NAME, _shard_sink)
-        from repro.core import Briefcase
         kernel, names = sharded_kernel(backend)
-        kernel.install_agent(None, SHARD_SINK_NAME, _shard_sink)
-        for index in range(8):
-            briefcase = Briefcase()
-            briefcase.set("WORK", 0.01)
-            briefcase.set("PEER", names[(index + 5) % len(names)])
-            briefcase.set("BYTES", 16)
-            kernel.launch(names[index % len(names)], SHARD_COURIER_NAME,
-                          briefcase)
-        first = kernel.run(max_events=5)
-        assert first == 5
-        remaining = kernel.run()
-        assert remaining > 0
-        assert kernel.counters()["completed"] == 24  # couriers, transfers, sinks
-        kernel.close()
-
-    @pytest.mark.skipif(not process_backend_available(),
-                        reason="multiprocessing spawn unavailable")
-    def test_process_budget_stop(self):
-        from repro.bench.workloads import (SHARD_COURIER_NAME,
-                                           SHARD_SINK_NAME, _shard_sink)
-        from repro.core import Briefcase
-        kernel, names = sharded_kernel("process")
         kernel.install_agent(None, SHARD_SINK_NAME, _shard_sink)
         for index in range(8):
             briefcase = Briefcase()
@@ -455,7 +402,7 @@ class TestBudgetStop:
                           briefcase)
         assert kernel.run(max_events=5) == 5
         assert kernel.run() > 0
-        assert kernel.counters()["completed"] == 24
+        assert kernel.counters()["completed"] == 24  # couriers, transfers, sinks
         kernel.close()
 
 
@@ -464,46 +411,17 @@ class TestBudgetStop:
 # ---------------------------------------------------------------------------
 
 class TestFacadeSurface:
-    def test_thread_matches_inproc_on_churn(self):
-        for shards in ENGINE_COUNTS + (4,):
-            inproc, inproc_counters = run_churn("inproc", shards=shards)
-            threaded, threaded_counters = run_churn("thread", shards=shards)
-            assert threaded_counters == inproc_counters
-            assert threaded.events == inproc.events
-            assert threaded.handoffs == inproc.handoffs
-            assert threaded.sim_seconds == inproc.sim_seconds
-            assert (inproc.handoffs > 0) == (shards > 1)
-
-    def test_thread_bursts_share_nothing_under_a_short_switch_interval(self):
-        # More pool threads than cores, switching every few bytecodes: a
-        # burst touching anything but its own engine and the mail it was
-        # handed would lose an update and break the match with inproc.
-        import sys
-
-        def outcome(backend):
-            result, counters = run_churn(backend, site_count=16, shards=8,
-                                         waves=4)
-            return (counters, result.events, result.handoffs, result.rounds,
-                    result.late_arrivals, result.sim_seconds)
-
-        reference = outcome("inproc")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                assert outcome("thread") == reference
-        finally:
-            sys.setswitchinterval(interval)
-
+    @pytest.mark.skipif(not process_backend_available(),
+                        reason="multiprocessing spawn unavailable")
     def test_shard_summary_surfaces_coordination_ledger(self):
         from repro.bench.workloads import ShardedChurnParams, \
             execute_sharded_churn
         kernel, _result = execute_sharded_churn(ShardedChurnParams(
             n_sites=8, n_agents=16, wave_size=8, shards=4, seed=11,
-            backend="thread"))
+            backend="process"))
         summary = kernel.shard_summary()
         assert summary["shards"] == 4
-        assert summary["backend"] == "thread"
+        assert summary["backend"] == "process"
         assert summary["shard_handoffs"] > 0
         assert summary["shard_handoff_bytes"] > 0
         assert summary["shard_late_arrivals"] == 0
@@ -514,7 +432,7 @@ class TestFacadeSurface:
 
     def test_shard_summary_on_classic_kernel(self):
         # One engine has nothing to coordinate, whatever backend is named.
-        for backend in ("inproc", "thread"):
+        for backend in BACKENDS:
             kernel, _names = sharded_kernel(backend, shards=1)
             summary = kernel.shard_summary()
             assert summary == {"shards": 1, "backend": None,
@@ -536,7 +454,7 @@ class TestFacadeSurface:
 
     def test_close_is_idempotent(self):
         for shards in ENGINE_COUNTS:
-            kernel, _names = sharded_kernel("thread", shards=shards)
+            kernel, _names = sharded_kernel("inproc", shards=shards)
             kernel.run(until=0.01)
             kernel.close()
             kernel.close()
