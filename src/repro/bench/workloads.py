@@ -498,21 +498,12 @@ class CourierFanInParams:
     With ``batch_window == 0`` every folder is one wire message (the
     pre-fabric behaviour); with a positive window, each sender site's
     folders coalesce per flush window into one batched message.
-    ``serialize_setup`` applies the source-serialized setup cost model (one
-    rsh fork / handshake at a time per site) under which batching pays in
-    simulated time as well as in messages and header bytes.
     """
 
     n_senders: int = 20
     deliveries_per_sender: int = 50
     payload_bytes: int = 200
     batch_window: float = 0.0
-    #: adaptive-flush knobs (0 = disabled): flush early at this many
-    #: messages / payload bytes, and cap a sliding window at this deadline
-    batch_max_messages: int = 0
-    batch_max_bytes: int = 0
-    batch_deadline: float = 0.0
-    serialize_setup: bool = True
     transport: str = "rsh"
     hub_name: str = "hub"
     seed: int = 23
@@ -540,8 +531,6 @@ class CourierFanInResult:
     bytes_on_wire: int
     header_bytes_saved: int
     sim_seconds: float
-    #: flushes fired by a size/byte threshold or deadline, not the window
-    early_flushes: int = 0
     #: which execution backend produced this outcome
     backend: str = "sim"
     #: real seconds spent inside kernel.run()
@@ -596,11 +585,7 @@ def run_courier_fan_in(params: CourierFanInParams) -> CourierFanInResult:
                 config=KernelConfig(
                     rng_seed=params.seed,
                     backend=params.backend,
-                    delivery_batch_window=params.batch_window,
-                    delivery_batch_max_messages=params.batch_max_messages,
-                    delivery_batch_max_bytes=params.batch_max_bytes,
-                    delivery_batch_deadline=params.batch_deadline,
-                    serialize_transport_setup=params.serialize_setup)) as kernel:
+                    delivery_batch_window=params.batch_window)) as kernel:
         kernel.install_agent(params.hub_name, FANIN_COLLECTOR_NAME,
                              _fanin_collector)
         for site in senders:
@@ -628,7 +613,6 @@ def run_courier_fan_in(params: CourierFanInParams) -> CourierFanInResult:
             bytes_on_wire=kernel.stats.bytes_sent,
             header_bytes_saved=kernel.stats.header_bytes_saved,
             sim_seconds=kernel.now,
-            early_flushes=kernel.stats.early_flushes,
             backend=params.backend,
             wall_seconds=wall,
             events=events,

@@ -47,7 +47,6 @@ from repro.core.registry import BehaviourRegistry, default_registry
 from repro.core.site import Site
 from repro.core.syscalls import EndMeet, Meet, MeetResult, Sleep, Spawn, Syscall, Terminate, Transmit
 from repro.core.timing import PAST_EPSILON
-from repro.flow import CommitGovernor
 from repro.net.horus import HorusTransport
 from repro.net.message import Message, MessageKind
 from repro.net.rsh import RshTransport
@@ -408,24 +407,15 @@ class Engine(LedgerQueries):
         #: same order wherever it executes, so assigned ids match too
         self._obs_trace_seq = 0
         if (self.config.delivery_batch_window != 0
-                or self.config.serialize_transport_setup
-                or self.config.delivery_batch_max_messages != 0
-                or self.config.delivery_batch_max_bytes != 0
-                or self.config.delivery_batch_deadline != 0
                 or self.config.flow_window_min != 0
                 or self.config.flow_window_max != 0):
             # != 0 (not > 0) so a negative knob reaches configure_batching
             # and raises there instead of silently running with batching off.
             self.transport.configure_batching(
                 self.config.delivery_batch_window,
-                serialize_setup=self.config.serialize_transport_setup,
-                max_messages=self.config.delivery_batch_max_messages,
-                max_bytes=self.config.delivery_batch_max_bytes,
-                deadline=self.config.delivery_batch_deadline,
                 window_min=self.config.flow_window_min,
                 window_max=self.config.flow_window_max,
-                target_batch=self.config.flow_target_batch,
-                ewma_alpha=self.config.flow_ewma_alpha)
+                target_batch=self.config.flow_target_batch)
 
         self.sites: Dict[str, Site] = {}
         #: callbacks fired (with the site name) when a site joins late via
@@ -543,7 +533,6 @@ class Engine(LedgerQueries):
             recovery_base=self.config.store_recovery_base,
             snapshot_threshold=self.config.store_snapshot_threshold,
         )
-        governor = CommitGovernor(piggyback=self.config.store_barrier_piggyback)
         sink = None
         if self.config.store_realtime_dir is not None:
             import os
@@ -556,8 +545,7 @@ class Engine(LedgerQueries):
             sink.latency_observe = self.metrics.histogram(
                 "wal_fsync_wall_seconds").observe
         store = SiteStore(site, self.loop, self.durability, costs, self.stats,
-                          log_event=self.log_event, governor=governor,
-                          sink=sink, obs=self.obs)
+                          log_event=self.log_event, sink=sink, obs=self.obs)
         site.attach_store(store)
         self.stores[site.name] = store
 

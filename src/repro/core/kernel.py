@@ -70,14 +70,6 @@ class KernelConfig:
     #: delivery-fabric flush window in simulated seconds; 0 disables
     #: batching and preserves one-wire-message-per-folder behaviour
     delivery_batch_window: float = 0.0
-    #: flush an outbox early once it holds this many messages (0 = no limit)
-    delivery_batch_max_messages: int = 0
-    #: flush an outbox early once it queues this many payload bytes (0 = no limit)
-    delivery_batch_max_bytes: int = 0
-    #: hard deadline (seconds): with > 0 the flush window slides with
-    #: traffic but an outbox never waits longer than this past its first
-    #: queued message (0 = fixed window, no sliding)
-    delivery_batch_deadline: float = 0.0
     #: adaptive per-destination windows (repro.flow): with flow_window_max
     #: > 0, each (source, destination) pair's flush window is sized from
     #: its observed arrival rate — hot pairs tight, trickle pairs wide —
@@ -88,11 +80,6 @@ class KernelConfig:
     flow_window_max: float = 0.0
     #: how many messages an adaptive window should ideally coalesce
     flow_target_batch: int = 8
-    #: EWMA smoothing factor of the per-pair rate estimators
-    flow_ewma_alpha: float = 0.2
-    #: serialize per-message transport setup at each source site (the cost
-    #: model under which batching pays in simulated time, not just bytes)
-    serialize_transport_setup: bool = False
     #: durability policy of the per-site stores: "none" (legacy free
     #: permanence, the default), "flush-on-demand", "wal-group-commit", or
     #: a DurabilityPolicy instance (see :mod:`repro.store`)
@@ -108,10 +95,6 @@ class KernelConfig:
     #: group-commit window: how long the WAL batches dirty state before
     #: syncing (wal-group-commit only)
     store_commit_window: float = 0.05
-    #: let a pending durability barrier (wait_until_durable, the FT layer's
-    #: pre-jump checkpoints) trigger the group commit immediately instead
-    #: of waiting out the commit window (see repro.flow.CommitGovernor)
-    store_barrier_piggyback: bool = True
     #: seconds charged per snapshot folder / redo record replayed at recovery
     store_replay_latency: float = 0.0005
     #: fixed cost of beginning a recovery replay
@@ -207,18 +190,9 @@ class KernelConfig:
             raise KernelError(f"event_log_max must be >= 0 (0 = unbounded), "
                               f"got {self.event_log_max}")
         if self.delivery_batch_window == 0 and (
-                self.delivery_batch_max_messages > 0
-                or self.delivery_batch_max_bytes > 0
-                or self.delivery_batch_deadline > 0):
-            # The window is the fabric's master switch; thresholds or a
-            # deadline without it would silently never fire.
-            raise KernelError(
-                "delivery_batch_max_messages/_max_bytes/_deadline require a "
-                "positive delivery_batch_window (the fabric is off at 0)")
-        if self.delivery_batch_window == 0 and (
                 self.flow_window_min > 0 or self.flow_window_max > 0):
-            # Same guard for the adaptive bounds: with the fabric off, no
-            # outbox exists for the flow controller to size.
+            # The window is the fabric's master switch: with the fabric
+            # off, no outbox exists for the flow controller to size.
             raise KernelError(
                 "flow_window_min/_max require a positive "
                 "delivery_batch_window (the fabric is off at 0)")
@@ -227,9 +201,6 @@ class KernelConfig:
             # caught even while the fabric is off.
             raise KernelError(f"flow_target_batch must be > 0, got "
                               f"{self.flow_target_batch}")
-        if not 0.0 < self.flow_ewma_alpha <= 1.0:
-            raise KernelError(f"flow_ewma_alpha must be in (0, 1], got "
-                              f"{self.flow_ewma_alpha}")
         if self.flow_window_min > 0 >= self.flow_window_max:
             # A floor with no ceiling is silently inert (adaptive mode is
             # keyed on flow_window_max > 0); refuse rather than ignore it.
@@ -536,6 +507,7 @@ class Kernel(LedgerQueries):
         so callers can opt in unconditionally and pay nothing when
         durability is off.
         """
+        self._check_open()
         by_owner: Dict[int, List[str]] = {}
         for site_name in (sites if sites is not None else self.site_names()):
             by_owner.setdefault(self._owner_id(site_name), []).append(site_name)
@@ -677,6 +649,7 @@ class Kernel(LedgerQueries):
         than silently surviving the partition.  Same-side outboxes are left
         coalescing undisturbed.
         """
+        self._check_open()
         groups = [list(group) for group in groups]
         self.topology.set_partition(groups)
         for engine in self._engines:
@@ -685,6 +658,7 @@ class Kernel(LedgerQueries):
 
     def heal_partition(self) -> None:
         """Heal any active partition."""
+        self._check_open()
         self.topology.heal_partition()
         for engine in self._engines:
             engine.heal_partition()

@@ -233,11 +233,11 @@ def ft_visitor_behaviour(ctx: AgentContext, briefcase: Briefcase):
             # instead of losing it (see repro.fault.recovery).  The barrier
             # is looped against a journal mark: an estimate can come up
             # short when the commit batch grows after pricing, and the
-            # checkpoint must genuinely be durable before the jump.  With
-            # the store's commit governor piggybacking (the default), the
-            # barrier commits the batch immediately instead of sitting out
-            # the commit window — the wait logged below is the checkpoint
-            # latency per hop (the ``ft-ckpt`` span when tracing is on).
+            # checkpoint must genuinely be durable before the jump.  A
+            # barrier always piggybacks on the group commit: it commits the
+            # batch immediately instead of sitting out the commit window —
+            # the wait logged below is the checkpoint latency per hop (the
+            # ``ft-ckpt`` span when tracing is on).
             record_checkpoint(cabinet, ft_id, next_seq, snapshot_wire,
                               per_hop, max_relaunches)
             barrier_from = ctx.now

@@ -13,19 +13,18 @@ is the shared layer all of them now consume:
   ``setup_delay`` with it and the WAL prices group commits with it, so
   "what does a byte cost" has exactly one definition per resource.
 * :class:`RateEstimator` — an EWMA estimator of per-destination message
-  and byte arrival rates, fed from live outbox traffic.
+  and byte arrival rates, fed from live outbox traffic.  Its smoothing
+  factor is the constant :data:`EWMA_ALPHA`.
 * :class:`FlowController` — per-(source, destination) adaptive batch
   windows derived from those rates: a hot pair fills a batch quickly and
   gets a tight window (bounded latency, still big batches), a trickle
   pair gets a wide one (it needs the time to coalesce anything at all).
   The delivery fabric (:mod:`repro.net.transport`) asks it for every
   outbox's window instead of using one global knob.
-* :class:`CommitGovernor` — whether the durable store's group commit may
-  fire early: normally dirty state coalesces for the cost table's
-  ``commit_window``, but a pending durability barrier (an agent blocked
-  on ``wait_until_durable``, e.g. a pre-jump checkpoint) *piggybacks* —
-  the in-flight batch commits immediately instead of waiting out the
-  window, cutting checkpoint latency on every fault-tolerant hop.
+
+The disk-side twin of the flush window — the store's group-commit window,
+and the pending durability barrier that always cuts it short — lives with
+the store (:meth:`repro.store.SiteStore.barrier`).
 
 Nothing in here knows about messages, cabinets or sites: the layer is
 pure rates, windows and prices, which is what lets the net and store
@@ -34,12 +33,10 @@ layers share it.
 
 from repro.flow.controller import FlowController, FlowState
 from repro.flow.cost import CostModel
-from repro.flow.governor import CommitGovernor
-from repro.flow.rates import RateEstimator
+from repro.flow.rates import EWMA_ALPHA, RateEstimator
 
 __all__ = [
     "CostModel",
-    "RateEstimator",
+    "RateEstimator", "EWMA_ALPHA",
     "FlowController", "FlowState",
-    "CommitGovernor",
 ]

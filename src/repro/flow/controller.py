@@ -49,8 +49,7 @@ class FlowController:
     """Sizes each (source, destination) pair's batch window from its traffic."""
 
     def __init__(self, base_window: float = 0.0, window_min: float = 0.0,
-                 window_max: float = 0.0, target_batch: int = 8,
-                 alpha: float = 0.2):
+                 window_max: float = 0.0, target_batch: int = 8):
         #: the fixed/global window: used verbatim when adaptive mode is off,
         #: and as the seed window for pairs with no rate estimate yet
         self.base_window = base_window
@@ -59,8 +58,6 @@ class FlowController:
         self.window_max = window_max
         #: how many messages a window should ideally coalesce
         self.target_batch = target_batch
-        #: EWMA smoothing factor handed to new estimators
-        self.alpha = alpha
         self._flows: Dict[FlowKey, FlowState] = {}
         #: how often a derived window hit the floor / ceiling (the signal
         #: that the configured bounds, not the traffic, are setting windows)
@@ -77,15 +74,14 @@ class FlowController:
     def configure(self, base_window: Optional[float] = None,
                   window_min: Optional[float] = None,
                   window_max: Optional[float] = None,
-                  target_batch: Optional[int] = None,
-                  alpha: Optional[float] = None) -> None:
+                  target_batch: Optional[int] = None) -> None:
         """Update the controller's parameters (None = keep the current value).
 
-        Validation (non-negative bounds, min <= max, alpha in (0, 1]) is
-        the caller's job — the transport raises ``TransportError`` and the
-        kernel ``KernelError`` with their layer's diagnostics — but the
-        controller still refuses an inverted window range outright, since
-        running with one would make every clamp nonsensical.
+        Validation (non-negative bounds, min <= max) is the caller's job —
+        the transport raises ``TransportError`` and the kernel
+        ``KernelError`` with their layer's diagnostics — but the controller
+        still refuses an inverted window range outright, since running with
+        one would make every clamp nonsensical.
         """
         new_min = self.window_min if window_min is None else float(window_min)
         new_max = self.window_max if window_max is None else float(window_max)
@@ -99,10 +95,6 @@ class FlowController:
         self.window_max = new_max
         if target_batch is not None:
             self.target_batch = int(target_batch)
-        if alpha is not None:
-            self.alpha = float(alpha)
-            for state in self._flows.values():
-                state.estimator.alpha = self.alpha
         # Re-derive every live window under the new rules so a resize takes
         # effect immediately (the transport reconciles armed outboxes right
         # after), not only at each pair's next post.
@@ -119,7 +111,7 @@ class FlowController:
         state = self._flows.get(key)
         if state is None:
             state = self._flows[key] = FlowState(
-                RateEstimator(self.alpha), self._clamp(self.base_window))
+                RateEstimator(), self._clamp(self.base_window))
         state.estimator.observe(now, size_bytes)
         if self.adaptive:
             rate = state.estimator.message_rate

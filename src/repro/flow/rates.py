@@ -14,24 +14,23 @@ from __future__ import annotations
 
 from typing import Optional
 
-__all__ = ["RateEstimator"]
+__all__ = ["RateEstimator", "EWMA_ALPHA"]
 
 #: floor on an observed inter-arrival gap: two posts in the same simulated
 #: instant are "infinitely hot", not a division by zero
 MIN_GAP = 1e-9
 
+#: EWMA smoothing factor: the weight of the newest observation
+EWMA_ALPHA = 0.2
+
 
 class RateEstimator:
     """EWMA message and byte arrival rates for one traffic stream."""
 
-    __slots__ = ("alpha", "events", "bytes_total", "_last_at", "_mean_gap",
+    __slots__ = ("events", "bytes_total", "_last_at", "_mean_gap",
                  "_mean_bytes")
 
-    def __init__(self, alpha: float = 0.2):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"EWMA alpha must be in (0, 1], got {alpha}")
-        #: EWMA smoothing factor: weight of the newest observation
-        self.alpha = alpha
+    def __init__(self):
         #: total observations ever fed in
         self.events = 0
         #: total payload bytes ever fed in
@@ -47,13 +46,13 @@ class RateEstimator:
         if self.events == 1:
             self._mean_bytes = float(size_bytes)
         else:
-            self._mean_bytes += self.alpha * (size_bytes - self._mean_bytes)
+            self._mean_bytes += EWMA_ALPHA * (size_bytes - self._mean_bytes)
         if self._last_at is not None:
             gap = max(now - self._last_at, MIN_GAP)
             if self._mean_gap is None:
                 self._mean_gap = gap
             else:
-                self._mean_gap += self.alpha * (gap - self._mean_gap)
+                self._mean_gap += EWMA_ALPHA * (gap - self._mean_gap)
         self._last_at = now
 
     @property

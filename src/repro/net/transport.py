@@ -17,24 +17,21 @@ paper's couriers save bandwidth by shipping only the payload folder instead
 of the whole agent.  Batching is off by default (``batch_window=0``); the
 kernel enables it from ``KernelConfig.delivery_batch_window``.
 
-The fabric is *adaptive*: besides the flush window, an outbox ships early
-the moment it holds ``batch_max_messages`` messages or
-``batch_max_bytes`` of queued payload (a hot pair never waits out the
-window once the batch is full), and with ``batch_deadline`` set the window
-*slides* — each new message extends the flush by the pair's window to keep
-coalescing a burst, but never past ``first message + batch_deadline``.
-Every flush is recorded in ``NetworkStats.flush_causes`` under the trigger
-that fired it (``window`` / ``size`` / ``bytes`` / ``deadline`` /
+One rule ships an outbox: its window fires.  Otherwise it leaves only when
+something outside the fabric forces it — a reconfiguration, a partition,
+an explicit flush — and every flush is recorded in
+``NetworkStats.flush_causes`` under that cause (``window`` /
 ``reconfigure`` / ``partition`` / ``manual``).
 
-Window sizing itself is delegated to the flow-control layer
-(:mod:`repro.flow`): a per-(source, destination)
+The window is fixed (``batch_window``) or *adaptive*.  Sizing is delegated
+to the flow-control layer (:mod:`repro.flow`): a per-(source, destination)
 :class:`~repro.flow.controller.FlowController` watches each pair's
 arrival rate (EWMA, fed from every ``post``) and — when adaptive mode is
 on (``window_max > 0``) — sizes that pair's window between
-``window_min``/``window_max`` so hot pairs get tight windows and trickle
-pairs wide ones, replacing the single global knob.  Per-pair window/rate
-telemetry is published through ``NetworkStats.flow_windows``.
+``window_min``/``window_max`` so hot pairs get tight windows (a full batch
+ships soon) and trickle pairs wide ones (``window_max`` bounds how long
+they wait).  Per-pair window/rate telemetry is published through
+``NetworkStats.flow_windows``.
 
 Concrete transports: :class:`~repro.net.rsh.RshTransport`,
 :class:`~repro.net.tcp.TcpTransport` and
@@ -73,26 +70,24 @@ BATCHABLE_KINDS = (MessageKind.FOLDER_DELIVERY, MessageKind.STATUS,
 class Outbox:
     """Pending batchable messages for one (source, destination) pair.
 
-    The first message to enter an empty outbox arms a flush event
-    ``batch_window`` seconds out; everything posted to the same pair before
-    the flush rides in the same batch.  The outbox also tracks when it was
-    first filled and how much payload it holds, so the adaptive triggers
-    (size / byte threshold, hard deadline) can fire without re-scanning.
+    An outbox is created by the first message posted to an idle pair and
+    popped by its flush.  That message arms a flush event ``batch_window``
+    seconds out; everything posted to the same pair before the flush rides
+    in the same batch.  The outbox remembers when it was created, so an
+    adaptive window that changes re-prices the flush from the first message.
     """
 
     __slots__ = ("source", "destination", "messages", "flush_event",
-                 "first_queued_at", "queued_body_bytes")
+                 "first_queued_at")
 
-    def __init__(self, source: str, destination: str):
+    def __init__(self, source: str, destination: str, first_queued_at: float):
         self.source = source
         self.destination = destination
         self.messages: List[Message] = []
         #: the armed flush event (None once flushed or dropped)
         self.flush_event: Optional[ScheduledEvent] = None
-        #: when the first pending message entered (None while empty)
-        self.first_queued_at: Optional[float] = None
-        #: payload bytes (excluding framing) currently queued
-        self.queued_body_bytes: int = 0
+        #: when the first pending message entered
+        self.first_queued_at = first_queued_at
 
     def __len__(self) -> int:
         return len(self.messages)
@@ -128,21 +123,8 @@ class Transport(abc.ABC):
         self.flow = FlowController()
         #: message kinds the fabric may coalesce
         self.batch_kinds: Tuple[str, ...] = BATCHABLE_KINDS
-        #: flush early once an outbox holds this many messages (0 = no limit)
-        self.batch_max_messages: int = 0
-        #: flush early once an outbox queues this many payload bytes (0 = no limit)
-        self.batch_max_bytes: int = 0
-        #: with > 0, the window slides (each post re-arms the flush
-        #: ``batch_window`` out) but never past first-message + deadline
-        self.batch_deadline: float = 0.0
         #: pending outboxes keyed by (source, destination)
         self._outboxes: Dict[Tuple[str, str], Outbox] = {}
-        #: when True, per-message setup delays serialize at the source (one
-        #: rsh fork / connection handshake at a time), which is the cost the
-        #: fabric amortises; off by default to preserve the historical
-        #: infinitely-parallel-source model
-        self.serialize_setup: bool = False
-        self._source_busy_until: Dict[str, float] = {}
         #: shard-boundary adapter (repro.shard); when set, messages whose
         #: destination lives on another shard are handed to that shard's
         #: event loop instead of being scheduled locally
@@ -191,7 +173,6 @@ class Transport(abc.ABC):
         """
         for key in [key for key in self._outboxes if site_name in key]:
             self._drop_outbox(key)
-        self._source_busy_until.pop(site_name, None)
         self.flow.reset_site(site_name)
         self.stats.reset_flow_for_site(site_name)
 
@@ -202,36 +183,21 @@ class Transport(abc.ABC):
 
     def configure_batching(self, batch_window: float,
                            batch_kinds: Optional[Tuple[str, ...]] = None,
-                           serialize_setup: Optional[bool] = None,
-                           max_messages: Optional[int] = None,
-                           max_bytes: Optional[int] = None,
-                           deadline: Optional[float] = None,
                            window_min: Optional[float] = None,
                            window_max: Optional[float] = None,
-                           target_batch: Optional[int] = None,
-                           ewma_alpha: Optional[float] = None) -> None:
+                           target_batch: Optional[int] = None) -> None:
         """Turn the delivery fabric on/off and tune what/how it coalesces.
 
-        ``max_messages`` / ``max_bytes`` flush an outbox early the moment it
-        fills (0 disables the threshold); ``deadline`` > 0 makes the window
-        slide with traffic, capped at first-message + deadline.
         ``window_max`` > 0 turns on adaptive per-destination windows
         (:mod:`repro.flow`): each pair's window is sized from its observed
         arrival rate to coalesce about ``target_batch`` messages, clamped
-        into ``[window_min, window_max]``; ``ewma_alpha`` tunes how fast
-        the rate estimate tracks.  Outboxes armed under the previous
-        configuration are reconciled immediately: shrinking or zeroing the
-        window (or tightening a threshold) never leaves messages waiting
-        out a flush event armed under the old rules.
+        into ``[window_min, window_max]``.  Outboxes armed under the
+        previous configuration are reconciled immediately: shrinking or
+        zeroing the window never leaves messages waiting out a flush event
+        armed under the old rules.
         """
         if batch_window < 0:
             raise TransportError(f"batch window must be >= 0, got {batch_window}")
-        if max_messages is not None and max_messages < 0:
-            raise TransportError(f"max_messages must be >= 0, got {max_messages}")
-        if max_bytes is not None and max_bytes < 0:
-            raise TransportError(f"max_bytes must be >= 0, got {max_bytes}")
-        if deadline is not None and deadline < 0:
-            raise TransportError(f"deadline must be >= 0, got {deadline}")
         if window_min is not None and window_min < 0:
             raise TransportError(f"window_min must be >= 0, got {window_min}")
         if window_max is not None and window_max < 0:
@@ -247,21 +213,10 @@ class Transport(abc.ABC):
                                  f"window_max {effective_max}")
         if target_batch is not None and target_batch <= 0:
             raise TransportError(f"target_batch must be > 0, got {target_batch}")
-        if ewma_alpha is not None and not 0.0 < ewma_alpha <= 1.0:
-            raise TransportError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
         self.flow.configure(base_window=batch_window, window_min=window_min,
-                            window_max=window_max, target_batch=target_batch,
-                            alpha=ewma_alpha)
+                            window_max=window_max, target_batch=target_batch)
         if batch_kinds is not None:
             self.batch_kinds = tuple(batch_kinds)
-        if serialize_setup is not None:
-            self.serialize_setup = serialize_setup
-        if max_messages is not None:
-            self.batch_max_messages = int(max_messages)
-        if max_bytes is not None:
-            self.batch_max_bytes = int(max_bytes)
-        if deadline is not None:
-            self.batch_deadline = float(deadline)
         self._reconcile_outboxes()
 
     def _reconcile_outboxes(self) -> None:
@@ -271,8 +226,8 @@ class Transport(abc.ABC):
         window: zeroing the window stranded pending messages until the old
         (possibly distant) flush fired, and shrinking it silently kept the
         old, longer wait.  Each pending outbox is now either flushed at once
-        (fabric off, threshold already exceeded, or its recomputed due time
-        has passed) or re-armed at the due time the new rules imply.
+        (fabric off, or its recomputed due time has passed) or re-armed at
+        the due time the new rules imply.
         """
         for key in list(self._outboxes):
             outbox = self._outboxes.get(key)
@@ -286,45 +241,23 @@ class Transport(abc.ABC):
                 continue
             if (self.batch_window <= 0
                     or any(message.kind not in self.batch_kinds
-                           for message in outbox.messages)
-                    or self._threshold_cause(outbox) is not None):
+                           for message in outbox.messages)):
                 self._flush_outbox(key, cause="reconfigure")
                 continue
-            first = outbox.first_queued_at if outbox.first_queued_at is not None \
-                else self.loop.now
-            window = self.flow.window_for(key)
-            due, cause = first + window, "window"
-            if self.batch_deadline > 0:
-                # Sliding mode: the window runs from the *last* post (so a
-                # reconfigure with unchanged rules re-arms the flush where
-                # it already was, not in the past), capped at the deadline.
-                last = outbox.messages[-1].sent_at
-                cap = first + self.batch_deadline
-                due, cause = last + window, "window"
-                if due >= cap:
-                    due, cause = cap, "deadline"
+            due = outbox.first_queued_at + self.flow.window_for(key)
             if due <= self.loop.now:
                 self._flush_outbox(key, cause="reconfigure")
             else:
-                self._arm_flush(outbox, key, due, cause=cause)
+                self._arm_flush(outbox, key, due)
 
-    def _threshold_cause(self, outbox: Outbox) -> Optional[str]:
-        """The early-flush threshold *outbox* has reached, if any."""
-        if 0 < self.batch_max_messages <= len(outbox.messages):
-            return "size"
-        if 0 < self.batch_max_bytes <= outbox.queued_body_bytes:
-            return "bytes"
-        return None
-
-    def _arm_flush(self, outbox: Outbox, key: Tuple[str, str], due: float,
-                   cause: str) -> None:
-        """(Re-)arm an outbox's flush event to fire at absolute time *due*."""
+    def _arm_flush(self, outbox: Outbox, key: Tuple[str, str], due: float) -> None:
+        """(Re-)arm an outbox's window flush to fire at absolute time *due*."""
         if outbox.flush_event is not None:
             if abs(outbox.flush_event.time - due) <= 1e-12:
                 return
             outbox.flush_event.cancel()
         outbox.flush_event = self.loop.schedule_at(
-            due, lambda: self._flush_outbox(key, cause=cause),
+            due, lambda: self._flush_outbox(key, cause="window"),
             label=(self.name, "flush", outbox.source, outbox.destination))
 
     def post(self, message: Message) -> Optional[ScheduledEvent]:
@@ -335,8 +268,8 @@ class Transport(abc.ABC):
         ``batch_window`` is 0) goes straight to :meth:`send`.  Returns the
         event that will move the message (its own delivery, or the outbox
         flush it joined), or ``None`` when it was dropped immediately.  An
-        outbox reaching a size or byte threshold ships on the spot — the
-        returned event is then the batch's delivery event.
+        adaptive window tightened below the time already waited ships the
+        batch on the spot — the returned event is then its delivery event.
         """
         if self.batch_window <= 0 or message.kind not in self.batch_kinds:
             return self.send(message)
@@ -354,45 +287,24 @@ class Transport(abc.ABC):
         key = (source, destination)
         outbox = self._outboxes.get(key)
         if outbox is None:
-            outbox = self._outboxes[key] = Outbox(source, destination)
+            outbox = self._outboxes[key] = Outbox(source, destination, self.loop.now)
         message.sent_at = self.loop.now
-        if outbox.first_queued_at is None:
-            outbox.first_queued_at = self.loop.now
         outbox.messages.append(message)
-        outbox.queued_body_bytes += message.body_bytes()
         if self.flow.adaptive:
-            # observe() just re-derived (and clamped) the pair's window.
+            # observe() just re-derived (and clamped) the pair's window, so
+            # every post re-prices the flush: due is first-message + the
+            # *current* window.  A window tightened below the time already
+            # waited ships now.
             window = self.flow.observe(key, self.loop.now,
                                        message.body_bytes()).window
-        else:
-            # Fixed mode: no per-pair estimation — the EWMA would never be
-            # read, and this is the fabric's per-post hot path.
-            window = self.flow.base_window
-        threshold = self._threshold_cause(outbox)
-        if threshold is not None:
-            # The pair is hot and the batch is full: ship now rather than
-            # waiting out the window.
-            return self._flush_outbox(key, cause=threshold)
-        if self.batch_deadline > 0:
-            # Sliding window: this post extends the flush, capped at the
-            # hard deadline measured from the first queued message.
-            cap = outbox.first_queued_at + self.batch_deadline
-            due = self.loop.now + window
-            if due < cap:
-                self._arm_flush(outbox, key, due, cause="window")
-            else:
-                self._arm_flush(outbox, key, cap, cause="deadline")
-        elif self.flow.adaptive:
-            # The pair's window tracks its rate, so every post re-prices
-            # the flush: due is first-message + the *current* window.  A
-            # window tightened below the time already waited ships now.
             due = outbox.first_queued_at + window
             if due <= self.loop.now:
                 return self._flush_outbox(key, cause="window")
-            self._arm_flush(outbox, key, due, cause="window")
+            self._arm_flush(outbox, key, due)
         elif outbox.flush_event is None:
-            self._arm_flush(outbox, key, self.loop.now + window,
-                            cause="window")
+            # Fixed mode: no per-pair estimation — the EWMA would never be
+            # read, and this is the fabric's per-post hot path.
+            self._arm_flush(outbox, key, self.loop.now + self.flow.base_window)
         return outbox.flush_event
 
     def _flush_outbox(self, key: Tuple[str, str],
@@ -540,18 +452,7 @@ class Transport(abc.ABC):
             return None
 
         message.hops = hops
-        setup = self.setup_delay(message)
-        if self.serialize_setup:
-            # The source can only run one setup at a time (fork one rsh,
-            # perform one handshake); later messages queue behind it.  This
-            # is the serial cost a batch envelope pays once instead of N
-            # times.
-            now = self.loop.now
-            start = max(now, self._source_busy_until.get(source, now))
-            self._source_busy_until[source] = start + setup
-            delay = (start - now) + setup + transfer
-        else:
-            delay = setup + transfer
+        delay = self.setup_delay(message) + transfer
         if self.boundary is not None and self.boundary.is_remote(destination):
             # Cross-shard: hand over at send time so the arrival lands on
             # the owning shard's loop.  Doing this here (rather than at the

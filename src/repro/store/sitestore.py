@@ -18,12 +18,12 @@ when dirty state becomes durable:
 Write costs come from the shared flow-control layer: the disk is a
 :class:`~repro.flow.CostModel` (per-record base + bytes-proportional term
 + one fsync per sync), so a commit's price scales with the payload bytes
-its redo records carry, not just their count.  Commit *timing* is owned by
-a :class:`~repro.flow.CommitGovernor`: normally the full
-``commit_window``, but a pending durability barrier (an agent blocked in
-``wait_until_durable`` — e.g. the FT layer's pre-jump checkpoint)
-*piggybacks* on the group commit, shipping the in-flight batch
-immediately instead of waiting out the window.
+its redo records carry, not just their count.  Commit *timing* is the
+full ``commit_window``, except that a barrier always piggybacks: a pending
+durability barrier (an agent blocked in ``wait_until_durable`` — e.g. the
+FT layer's pre-jump checkpoint) ships the dirty batch immediately instead
+of waiting out the window, since further coalescing only adds latency to
+an agent that is already blocked.
 
 Crash and recovery are driven by the kernel: :meth:`on_crash` discards all
 volatile cabinet state (durable cabinets are rebuilt later, non-durable
@@ -39,7 +39,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import StoreError
 from repro.core.timing import Scheduler
-from repro.flow import CommitGovernor
 from repro.store.policy import DurabilityPolicy, StoreCosts
 from repro.store.snapshot import (CabinetImage, capture_cabinet, capture_folder,
                                   image_folder_count, restore_cabinet)
@@ -57,7 +56,6 @@ class SiteStore:
     def __init__(self, site, loop: Scheduler, policy: DurabilityPolicy,
                  costs: StoreCosts, stats,
                  log_event: Optional[Callable[[str, str, str], None]] = None,
-                 governor: Optional[CommitGovernor] = None,
                  sink: Optional[WalSink] = None, obs=None):
         if not policy.durable:
             raise StoreError("a SiteStore needs a durable policy; "
@@ -70,9 +68,6 @@ class SiteStore:
         self.sink = sink if sink is not None else WalSink()
         self.policy = policy
         self.costs = costs
-        #: whether a pending durability barrier commits the batch early;
-        #: the commit window itself stays on ``costs`` (read live)
-        self.governor = governor if governor is not None else CommitGovernor()
         self.stats = stats
         self._log = log_event or (lambda agent, site_name, message: None)
         #: the owning kernel's tracer (repro.obs); None or disabled keeps
@@ -366,11 +361,10 @@ class SiteStore:
         on its write+fsync.  With no *mark*, everything pending right now
         is awaited.  Flush-on-demand policies start the flush themselves.
 
-        Under ``wal-group-commit`` with the governor's piggybacking on
-        (the default), a barrier that would otherwise sit out the commit
-        window triggers the commit immediately — the wait collapses to the
-        batched write+fsync (``tests/unit/test_store.py::TestBarrier`` pins
-        both waits).
+        Under ``wal-group-commit`` a barrier always piggybacks: one that
+        would otherwise sit out the commit window triggers the commit
+        immediately — the wait collapses to the batched write+fsync
+        (``tests/unit/test_store.py::TestBarrier`` pins it).
         """
         if mark is None:
             mark = self._mutation_counter
@@ -381,12 +375,9 @@ class SiteStore:
         if not self.policy.group_commit:
             # The mark is still sitting in the dirty set: flush it.
             return self.flush()
-        if self.governor.piggyback:
-            self._piggyback_commit()
-            if self._inflight is not None and mark <= self._inflight_through:
-                return max(0.0, self._inflight_done_at - self.loop.now)
-        elif self._dirty:  # defensive: dirty state must always have a commit armed
-            self._arm_commit(self.costs.commit_window)
+        self._piggyback_commit()
+        if self._inflight is not None and mark <= self._inflight_through:
+            return max(0.0, self._inflight_done_at - self.loop.now)
         candidates = []
         if self._inflight is not None:
             candidates.append(self._inflight_done_at)

@@ -39,6 +39,8 @@ def test_importing_the_kernel_packages_loads_nothing_third_party():
     # Same tool, same line: performance is measured in benchmarks/ledger/
     # only; a second benchmark harness beside it does not grow back unnoticed.
     assert numbers["bench_files"] == "0", report.stdout
+    # Aim 2's second tracked number closes the line.
+    assert list(numbers)[-1] == "test_lines" and int(numbers["test_lines"]) > 0
 
 
 TIED_ROUTES = """

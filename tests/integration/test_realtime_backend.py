@@ -63,7 +63,7 @@ def test_store_realtime_dir_requires_realtime(tmp_path):
 
 def test_courier_fan_in_parity():
     shape = dict(n_senders=3, deliveries_per_sender=3, payload_bytes=64,
-                 transport="tcp", serialize_setup=False, link_latency=0.002)
+                 transport="tcp", link_latency=0.002)
     sim = run_courier_fan_in(CourierFanInParams(backend="sim", **shape))
     realtime = run_courier_fan_in(
         CourierFanInParams(backend="realtime", **shape))
@@ -85,7 +85,7 @@ def test_fan_in_with_batching_parity():
     # The delivery fabric's flush windows are scheduler events too: the
     # realtime backend must coalesce exactly like the sim backend.
     shape = dict(n_senders=3, deliveries_per_sender=4, payload_bytes=64,
-                 transport="tcp", serialize_setup=False, link_latency=0.002,
+                 transport="tcp", link_latency=0.002,
                  batch_window=0.01)
     sim = run_courier_fan_in(CourierFanInParams(backend="sim", **shape))
     realtime = run_courier_fan_in(

@@ -239,34 +239,6 @@ class TestFailureSemantics:
         assert kernel.site("b").undeliverable == 3
 
 
-class TestSerializedSetup:
-    def test_setup_serializes_at_the_source(self):
-        loop_free = make_kernel(window=0.0)
-        serialized = make_kernel(window=0.0, serialize_transport_setup=True)
-        for kernel in (loop_free, serialized):
-            install_receiver(kernel)
-            transmit_n(kernel, 10)
-            kernel.run()
-            assert kernel.arrivals == 10
-        # Ten serialized setups take longer than ten concurrent ones.
-        assert serialized.now > loop_free.now
-
-    def test_batching_beats_serialized_setup(self):
-        # rsh pays a ~0.12s fork per wire message: 20 serialized forks
-        # dwarf the flush window, so one envelope wins on simulated time.
-        unbatched = make_kernel(window=0.0, transport="rsh",
-                                serialize_transport_setup=True)
-        batched = make_kernel(window=0.05, transport="rsh",
-                              serialize_transport_setup=True)
-        for kernel in (unbatched, batched):
-            install_receiver(kernel)
-            transmit_n(kernel, 20)
-            kernel.run()
-            assert kernel.arrivals == 20
-        assert batched.stats.messages_sent < unbatched.stats.messages_sent
-        assert batched.now < unbatched.now
-
-
 class TestMessageSizeCache:
     def test_size_is_computed_once(self):
         message = Message(source="a", destination="b", kind=MessageKind.DATA,
@@ -297,82 +269,73 @@ class TestMessageSizeCache:
             unbatched.stats.bytes_sent - 2 * Message.HEADER_BYTES
 
 
-class TestAdaptiveFlush:
-    def test_size_threshold_ships_before_the_window(self):
-        kernel = make_kernel(window=10.0, delivery_batch_max_messages=3)
-        install_receiver(kernel)
-        transmit_n(kernel, 3)
-        kernel.run(until=0.05)
-        # The batch is already on the wire long before the 10 s window.
-        assert kernel.stats.messages_sent == 1
-        assert kernel.stats.flush_causes["size"] == 1
-        assert kernel.transport.pending_outbox_messages() == 0
-        kernel.run()
-        assert kernel.arrivals == 3
-        assert kernel.stats.batches == 1
-        assert kernel.stats.batched_messages == 3
+class TestTheWindowIsTheOnlyTrigger:
+    """An outbox ships when its window fires — never because it filled up or
+    because traffic kept arriving."""
 
-    def test_size_threshold_splits_a_stream_into_full_batches(self):
-        kernel = make_kernel(window=10.0, delivery_batch_max_messages=2)
+    def test_a_full_outbox_waits_for_its_window(self):
+        kernel = make_kernel(window=0.2)
         install_receiver(kernel)
-        transmit_n(kernel, 6)
+        transmit_n(kernel, 50)
+        kernel.run(until=0.15)
+        assert kernel.transport.pending_outbox_messages() == 50
         kernel.run()
-        assert kernel.arrivals == 6
-        assert kernel.stats.batches == 3            # three full batches of 2
-        assert kernel.stats.flush_causes["size"] == 3
-        assert kernel.stats.messages_sent == 3
+        assert (kernel.arrivals, kernel.stats.batches) == (50, 1)
+        assert kernel.stats.flush_causes == {"window": 1}
 
-    def test_byte_threshold_ships_before_the_window(self):
-        from repro.core.codec import wire_size_of
-        probe = Briefcase()
-        probe.set("X", 0)
-        one_message = wire_size_of(probe)
-        kernel = make_kernel(window=10.0,
-                             delivery_batch_max_bytes=one_message + 1)
-        install_receiver(kernel)
-        transmit_n(kernel, 2)
-        kernel.run(until=0.05)
-        # The second message tripped the byte threshold.
-        assert kernel.stats.messages_sent == 1
-        assert kernel.stats.flush_causes["bytes"] == 1
-        kernel.run()
-        assert kernel.arrivals == 2
-        assert kernel.stats.batches == 1
-
-    def test_sliding_window_extends_with_traffic(self):
-        # deadline > 0 turns the window into a sliding one: the second
-        # message (inside the first window) postpones the flush.
-        kernel = make_kernel(window=0.2, delivery_batch_deadline=5.0)
+    def test_a_fixed_window_does_not_slide_with_traffic(self):
+        # The second message joins the first window's batch; it does not
+        # postpone the flush past first-message + window.
+        kernel = make_kernel(window=0.2)
         install_receiver(kernel)
         transmit_spaced(kernel, 2, gap=0.15)
-        kernel.run(until=0.30)     # a fixed window would have flushed at ~0.2
-        assert kernel.stats.messages_sent == 0
-        kernel.run()
-        assert kernel.stats.messages_sent == 1
-        assert kernel.stats.batches == 1
-        assert kernel.arrivals == 2
+        kernel.run(until=0.25)
+        assert kernel.transport.pending_outbox_messages() == 0
+        assert (kernel.stats.messages_sent, kernel.stats.batches) == (1, 1)
 
-    def test_deadline_caps_a_sliding_window(self):
-        # Steady traffic keeps extending the window; the hard deadline
-        # bounds the wait from the first queued message.
-        kernel = make_kernel(window=0.2, delivery_batch_deadline=0.5)
+    def test_a_stream_ships_one_batch_per_window(self):
+        kernel = make_kernel(window=0.25)
         install_receiver(kernel)
         transmit_spaced(kernel, 6, gap=0.1)
-        kernel.run(until=0.45)
-        assert kernel.stats.messages_sent == 0      # still sliding
         kernel.run()
-        assert kernel.stats.flush_causes["deadline"] == 1
-        assert kernel.stats.messages_sent <= 2      # deadline batch + the tail
-        assert kernel.arrivals == 6
+        assert (kernel.arrivals, kernel.stats.batched_messages) == (6, 6)
+        assert kernel.stats.flush_causes == {"window": 2}   # two windows of three
 
-    def test_threshold_flush_event_is_the_batch_delivery(self):
-        # post() returns the shipped batch's event on a threshold flush, so
-        # the sender still sees "accepted".
-        kernel = make_kernel(window=10.0, delivery_batch_max_messages=2)
+    def test_window_max_bounds_a_cold_pair_wait(self):
+        # A lone message on a pair with no rate yet waits its seed window
+        # clamped to window_max, however wide target_batch would make it.
+        kernel = make_kernel(window=5.0, flow_window_min=0.01,
+                             flow_window_max=0.3, flow_target_batch=1000)
         install_receiver(kernel)
-        sender = transmit_n(kernel, 2)
-        kernel.run()
-        assert kernel.result_of(sender) == [True, True]
+        transmit_n(kernel, 1)
+        kernel.run(until=0.25)
+        assert kernel.transport.pending_outbox_messages() == 1
+        kernel.run(until=0.35)
+        assert kernel.stats.messages_sent == 1
+
+    def test_early_flushes_reads_zero_whatever_ships_the_outbox(self):
+        kernel = make_kernel(window=10.0)
+        install_receiver(kernel, site="b")
+        transmit_n(kernel, 2, destination="b")
+        transmit_n(kernel, 2, destination="c")
+        kernel.run(until=0.01)
+        kernel.partition([["a", "b"], ["c"]])       # ships a->c
+        kernel.heal_partition()
+        kernel.transport.flush_outboxes()           # ships a->b
+        transmit_n(kernel, 2, destination="b")
+        kernel.run(until=0.02)
+        kernel.transport.configure_batching(0.0)    # ships the new a->b
+        snapshot = kernel.stats.snapshot()
+        assert snapshot["flush_causes"] == {"partition": 1, "manual": 1,
+                                            "reconfigure": 1}
+        assert snapshot["early_flushes"] == 0
+
+    def test_the_retired_batching_knobs_are_refused(self):
+        kernel = make_kernel(window=0.1)
+        for knob in ("max_messages", "max_bytes", "deadline", "serialize_setup",
+                     "ewma_alpha"):
+            with pytest.raises(TypeError):
+                kernel.transport.configure_batching(0.1, **{knob: 1})
 
 
 class TestReconfigureReconciliation:
@@ -414,49 +377,28 @@ class TestReconfigureReconciliation:
         assert kernel.stats.messages_sent == sent_after_flush
         assert kernel.arrivals == 2
 
-    def test_reconfigure_with_unchanged_rules_keeps_sliding_outboxes(self):
-        # Reconfiguring must be idempotent: repeating the identical sliding
-        # configuration mid-burst must not flush an outbox that the rules
-        # say should keep coalescing until last-post + window.
-        kernel = make_kernel(window=0.2, delivery_batch_deadline=5.0)
+    def test_reconfigure_with_unchanged_rules_keeps_armed_outboxes(self):
+        # Reconfiguring must be idempotent: repeating the identical
+        # configuration mid-window must not flush an outbox that the rules
+        # say should keep coalescing until first-post + window.
+        kernel = make_kernel(window=10.0)
         install_receiver(kernel)
-        transmit_spaced(kernel, 2, gap=0.15)
-        kernel.run(until=0.25)      # both posted; sliding due is ~0.35
+        transmit_n(kernel, 2)
+        kernel.run(until=0.01)
         assert kernel.transport.pending_outbox_messages() == 2
-        kernel.transport.configure_batching(0.2, deadline=5.0)
+        kernel.transport.configure_batching(10.0)
         assert kernel.transport.pending_outbox_messages() == 2  # not flushed
         kernel.run()
         assert kernel.stats.messages_sent == 1
         assert kernel.stats.batches == 1
         assert kernel.arrivals == 2
 
-    def test_tightened_threshold_flushes_already_full_outboxes(self):
-        kernel = make_kernel(window=10.0)
-        install_receiver(kernel)
-        transmit_n(kernel, 4)
-        kernel.run(until=0.01)
-        kernel.transport.configure_batching(10.0, max_messages=3)
-        # 4 pending >= the new threshold: the batch left immediately.
-        assert kernel.transport.pending_outbox_messages() == 0
-        kernel.run()
-        assert kernel.arrivals == 4
-
-    def test_negative_adaptive_knobs_rejected(self):
-        from repro.core.errors import TransportError
-        kernel = make_kernel(window=0.0)
-        with pytest.raises(TransportError):
-            kernel.transport.configure_batching(0.1, max_messages=-1)
-        with pytest.raises(TransportError):
-            kernel.transport.configure_batching(0.1, max_bytes=-1)
-        with pytest.raises(TransportError):
-            kernel.transport.configure_batching(0.1, deadline=-0.5)
-
 
 class TestCrashDuringArmedFlush:
-    def test_crash_while_armed_below_threshold_drops_per_message(self):
+    def test_crash_while_armed_drops_per_message(self):
         # Site crash between arming and the flush event firing: the same
         # per-message accounting as _drop_outbox.
-        kernel = make_kernel(window=10.0, delivery_batch_max_messages=5)
+        kernel = make_kernel(window=10.0)
         install_receiver(kernel)
         transmit_n(kernel, 3)
         kernel.run(until=0.01)
@@ -468,15 +410,17 @@ class TestCrashDuringArmedFlush:
         assert kernel.stats.messages_dropped == dropped_before + 3  # no double count
         assert kernel.arrivals == 0
 
-    def test_crash_after_threshold_trigger_counts_per_message(self):
-        # The threshold fired and the batch is in flight when the
-        # destination dies: in-flight loss counts each coalesced message,
-        # matching what _drop_outbox would have charged.
-        kernel = make_kernel(window=10.0, delivery_batch_max_messages=3)
+    def test_crash_after_a_tightened_window_ships_counts_per_message(self):
+        # The hot pair's adaptive window tightened far below the 10 s seed
+        # and the batch is in flight when the destination dies: in-flight
+        # loss counts each coalesced message, matching what _drop_outbox
+        # would have charged.
+        kernel = make_kernel(window=10.0, flow_window_min=0.001,
+                             flow_window_max=10.0, flow_target_batch=3)
         install_receiver(kernel)
         transmit_n(kernel, 3)
         kernel.run(until=0.01)
-        assert kernel.stats.messages_sent == 1      # early flush already shipped
+        assert kernel.stats.messages_sent == 1      # the batch already shipped
         assert kernel.transport.pending_outbox_messages() == 0
         dropped_before = kernel.stats.messages_dropped
         kernel.site("b").mark_crashed()
@@ -486,7 +430,7 @@ class TestCrashDuringArmedFlush:
         assert kernel.arrivals == 0
 
     def test_partition_mid_batch_does_not_double_count_drops(self):
-        kernel = make_kernel(window=10.0, delivery_batch_max_messages=5)
+        kernel = make_kernel(window=10.0)
         install_receiver(kernel)
         transmit_n(kernel, 3)
         kernel.run(until=0.01)
@@ -539,12 +483,14 @@ class TestAdaptiveWindows:
         # A pair that was idle long enough to look like a trickle gets a
         # wide window; when a burst re-rates it mid-batch, the recomputed
         # due time (first message + new tight window) may already be in
-        # the past — the batch must ship, not strand.
+        # the past — the batch must ship, not strand.  post() then hands back
+        # the batch's delivery event, so the sender still sees "accepted".
         kernel = make_kernel(window=1.0, flow_window_min=0.01,
                              flow_window_max=1.0, flow_target_batch=2)
         install_receiver(kernel)
-        transmit_n(kernel, 8)
+        sender = transmit_n(kernel, 8)
         kernel.run()
+        assert kernel.result_of(sender) == [True] * 8
         assert kernel.arrivals == 8
         assert kernel.transport.pending_outbox_messages() == 0
 
@@ -732,8 +678,6 @@ class TestAdaptiveReconfigureRaces:
                                                 window_max=1.0)
         with pytest.raises(TransportError):
             kernel.transport.configure_batching(0.1, target_batch=0)
-        with pytest.raises(TransportError):
-            kernel.transport.configure_batching(0.1, ewma_alpha=1.5)
 
 
 class TestConfigureBatching:

@@ -178,7 +178,7 @@ class TestReleasesOnTheFabric:
         """Four guarded computations over one itinerary while s3 is down."""
         kernel, names = make_kernel()
         if batched:
-            kernel.transport.configure_batching(0.1, max_messages=4, deadline=0.4)
+            kernel.transport.configure_batching(0.1)
         ids = [launch_ft_computation(kernel, "s0", names[1:], per_hop=0.3,
                                      delay=0.05 * index)
                for index in range(4)]

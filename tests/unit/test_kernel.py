@@ -558,20 +558,9 @@ class TestLateSiteRegistration:
         assert not site.is_installed("rexec")
         assert site.is_installed("rexec") == bare_kernel.site("a").is_installed("rexec")
 
-    def test_adaptive_knobs_without_a_window_are_rejected(self):
-        from repro.net import lan
-        for knobs in ({"delivery_batch_max_messages": 4},
-                      {"delivery_batch_max_bytes": 1024},
-                      {"delivery_batch_deadline": 0.5}):
-            with pytest.raises(KernelError):
-                Kernel(lan(["a", "b"]), config=KernelConfig(**knobs))
-        # With a window they are accepted.
-        Kernel(lan(["a", "b"]), config=KernelConfig(
-            delivery_batch_window=0.1, delivery_batch_max_messages=4))
-
     def test_flow_knobs_without_a_window_are_rejected(self):
-        # Same guard as the thresholds: flow bounds size per-pair windows
-        # of a fabric that must be on for any outbox to exist.
+        # Flow bounds size per-pair windows of a fabric that must be on
+        # for any outbox to exist.
         from repro.net import lan
         for knobs in ({"flow_window_min": 0.05},
                       {"flow_window_max": 1.0},
@@ -581,12 +570,11 @@ class TestLateSiteRegistration:
         # With the fabric on they are accepted and reach the transport.
         kernel = Kernel(lan(["a", "b"]), config=KernelConfig(
             delivery_batch_window=0.1, flow_window_min=0.05,
-            flow_window_max=1.0, flow_target_batch=4, flow_ewma_alpha=0.5))
+            flow_window_max=1.0, flow_target_batch=4))
         assert kernel.transport.flow.adaptive
         assert kernel.transport.flow.window_min == 0.05
         assert kernel.transport.flow.window_max == 1.0
         assert kernel.transport.flow.target_batch == 4
-        assert kernel.transport.flow.alpha == 0.5
 
     def test_inverted_flow_window_bounds_are_rejected(self):
         from repro.net import lan
@@ -604,17 +592,14 @@ class TestLateSiteRegistration:
                 delivery_batch_window=0.1, flow_window_min=0.05))
 
     def test_flow_tuning_typos_are_caught_even_with_the_fabric_off(self):
-        # target_batch/ewma_alpha are validated unconditionally — a typo
-        # must not lie dormant until someone later enables the window.
+        # target_batch is validated unconditionally — a typo must not lie
+        # dormant until someone later enables the window.
         from repro.net import lan
         with pytest.raises(KernelError):
             Kernel(lan(["a", "b"]), config=KernelConfig(flow_target_batch=0))
-        with pytest.raises(KernelError):
-            Kernel(lan(["a", "b"]), config=KernelConfig(flow_ewma_alpha=7.0))
 
     def test_negative_flow_bounds_are_rejected(self):
-        # Negative knobs reach configure_batching and raise there, exactly
-        # like the negative threshold knobs.
+        # Negative knobs reach configure_batching and raise there.
         from repro.core.errors import TransportError
         from repro.net import lan
         with pytest.raises(TransportError):
@@ -743,7 +728,10 @@ class TestKernelContextManager:
                      lambda: kernel.install_agent("a", "noop", _noop_behaviour),
                      lambda: kernel.add_site("e", links=["a"]),
                      lambda: kernel.crash_site("a"),
-                     lambda: kernel.recover_site("a")):
+                     lambda: kernel.recover_site("a"),
+                     lambda: kernel.partition([["a"], ["b", "c", "d"]]),
+                     lambda: kernel.heal_partition(),
+                     lambda: kernel.make_durable("m")):
             with pytest.raises(KernelError, match="kernel is closed"):
                 call()
         # Reads keep working on a closed kernel.
@@ -753,6 +741,7 @@ class TestKernelContextManager:
         assert kernel.stats.snapshot()["messages_sent"] >= 0
         assert kernel.trace_spans() == spans
         assert "e" not in kernel.sites
+        assert not kernel.topology.partitioned("a", "b")
 
     def test_close_propagates_exceptions_but_still_closes(self):
         kernel = Kernel(lan(["a"]), install_system_agents=False,

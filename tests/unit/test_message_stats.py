@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.net.message import Message, MessageKind
-from repro.net.stats import LinkStats, NetworkStats, StatsView
+from repro.net.stats import LatencySketch, LinkStats, NetworkStats, StatsView
 
 
 class TestMessage:
@@ -129,9 +129,9 @@ class TestNetworkStats:
         # snapshot carries a plain copy now.
         stats = NetworkStats()
         stats.record_flush("window")
-        stats.record_flush("size")
-        stats.record_flush("size")
-        assert stats.snapshot()["flush_causes"] == {"window": 1, "size": 2}
+        stats.record_flush("partition")
+        stats.record_flush("partition")
+        assert stats.snapshot()["flush_causes"] == {"window": 1, "partition": 2}
 
     def test_flow_telemetry_recording_and_reset(self):
         stats = NetworkStats()
@@ -209,6 +209,14 @@ class TestNetworkStats:
         assert fresh["flush_causes"] == {"window": 1}
 
 
+def delivered(latencies) -> NetworkStats:
+    """Stats that recorded one delivery per latency in *latencies*."""
+    stats = NetworkStats()
+    for latency in latencies:
+        stats.record_delivery(10, latency)
+    return stats
+
+
 class TestStatsView:
     """The sharded facade's merged read view over per-shard stats."""
 
@@ -220,7 +228,7 @@ class TestStatsView:
         right.record_send("c", "d", MessageKind.STATUS, 50)
         right.record_send("c", "b", MessageKind.DATA, 70)
         right.record_delivery(50, 0.030)
-        right.record_flush("size")
+        right.record_flush("partition")
         right.record_shard_handoff(70)
         return left, right
 
@@ -231,7 +239,7 @@ class TestStatsView:
         assert view.bytes_sent == left.bytes_sent + right.bytes_sent
         assert view.shard_handoffs == 1
         assert view.per_kind == {MessageKind.DATA: 2, MessageKind.STATUS: 1}
-        assert view.flush_causes == {"window": 1, "size": 1}
+        assert view.flush_causes == {"window": 1, "partition": 1}
         assert view.mean_latency() == pytest.approx(0.020)
 
     def test_snapshot_matches_network_stats_shape(self):
@@ -241,6 +249,61 @@ class TestStatsView:
         assert set(snapshot) == set(reference)
         assert snapshot["messages_sent"] == 3
         assert snapshot["per_kind"] == {MessageKind.DATA: 2, MessageKind.STATUS: 1}
+
+    def test_merged_percentiles_weigh_every_part_by_its_count(self):
+        # Both parts' reservoirs are full, so the merged sample must split
+        # its capacity by the deliveries each part recorded, in either
+        # order; filling it from the first part reported that part's
+        # percentiles as the whole cluster's.
+        for fast_count, slow_count in ((5_000, 5_000), (5_000, 15_000)):
+            fast, slow = delivered([1.0] * fast_count), delivered([3.0] * slow_count)
+            for parts in ([fast, slow], [slow, fast]):
+                merged = StatsView(parts).latencies
+                sample = merged.sample
+                assert len(sample) == merged.capacity
+                assert sample.count(1.0) == round(
+                    merged.capacity * fast_count / (fast_count + slow_count))
+                assert merged.percentile(0.01) == 1.0
+                assert merged.percentile(0.99) == 3.0
+
+    def test_merged_samples_that_fit_keep_every_value(self):
+        fast = LatencySketch(values=[1.0] * 100)
+        fast.merge_from(LatencySketch(values=[3.0, 2.0] * 50))
+        assert fast.sample == [1.0] * 100 + [3.0, 2.0] * 50
+        assert (fast.count, fast.mean(), fast.min, fast.max) == (200, 1.75, 1.0, 3.0)
+
+    def test_an_unfilled_part_still_gets_only_its_share(self):
+        # 100 deliveries beside 10,000: the small part's whole sample fits,
+        # but it recorded under 1% of the traffic and keeps that share.
+        for first, second in ((100, 10_000), (10_000, 100)):
+            merged = StatsView([delivered([1.0] * first),
+                                delivered([3.0] * second)]).latencies
+            assert len(merged.sample) == merged.capacity
+            assert merged.sample.count(1.0) == round(
+                merged.capacity * first / (first + second))
+
+    def test_an_empty_part_leaves_the_merge_unchanged(self):
+        busy = delivered([index / 1000 for index in range(10_000)])
+        for parts in ([NetworkStats(), busy], [busy, NetworkStats()]):
+            merged = StatsView(parts).latencies
+            assert (merged.sample, merged.count) == (busy.latencies.sample, 10_000)
+
+    def test_three_parts_each_weigh_by_their_count(self):
+        merged = StatsView([delivered([1.0] * 4_000), delivered([2.0] * 8_000),
+                            delivered([3.0] * 12_000)]).latencies
+        sample = merged.sample
+        assert len(sample) == merged.capacity
+        for latency, fraction in ((1.0, 1 / 6), (2.0, 2 / 6), (3.0, 3 / 6)):
+            assert abs(sample.count(latency) - merged.capacity * fraction) <= 1
+        assert [merged.percentile(q) for q in (0.1, 0.4, 0.9)] == [1.0, 2.0, 3.0]
+
+    def test_merging_is_deterministic(self):
+        def view():
+            return StatsView([delivered([index * 0.002 for index in range(3_000)]),
+                              delivered([10 + index * 0.001 for index in range(6_000)])])
+
+        assert view().latencies.sample == view().latencies.sample
+        assert view().snapshot()["latency_p50"] == view().snapshot()["latency_p50"]
 
     def test_reset_fans_out(self):
         left, right = self._parts()

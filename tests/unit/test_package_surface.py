@@ -7,9 +7,13 @@ entry points.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -92,11 +96,51 @@ def test_error_hierarchy_has_a_single_root():
             f"{exc_type.__name__} must derive from TacomaError")
 
 
+#: every KernelConfig field, in declaration order.  A new knob means editing
+#: this list: the field count is one of the size numbers kept going down.
+KERNEL_CONFIG_FIELDS = [
+    "step_cost", "meet_overhead", "spawn_overhead", "transmit_overhead",
+    "max_agent_steps", "rng_seed", "retention",
+    "delivery_batch_window", "flow_window_min", "flow_window_max",
+    "flow_target_batch",
+    "durability", "store_write_latency", "store_write_byte_latency",
+    "store_fsync_latency", "store_commit_window", "store_replay_latency",
+    "store_recovery_base", "store_snapshot_threshold",
+    "shards", "shard_placement", "shard_backend", "backend",
+    "store_realtime_dir",
+    "obs_enabled", "obs_sample", "obs_ring", "obs_path", "event_log_max",
+]
+
+
+def test_kernel_config_fields_are_exactly_the_listed_knobs():
+    from repro.core import KernelConfig
+    assert [spec.name for spec in dataclasses.fields(KernelConfig)] == KERNEL_CONFIG_FIELDS
+
+
 REPO = pathlib.Path(__file__).resolve().parents[2]
 CLAIM_TABLE = (REPO / "docs" / "architecture.md").read_text(
     encoding="utf-8").split("### Paper claim → tier-1 test", 1)[1]
 CLAIM_ROWS = [line for line in CLAIM_TABLE.splitlines()
               if line.startswith("| §")]
+
+
+def cited_refs(row: str) -> list:
+    """The backquoted references in a claim row's "held by" column."""
+    return re.findall(r"`([^`]+)`", row.split("|")[3])
+
+
+@pytest.fixture(scope="module")
+def collected_ids() -> list:
+    """Node ids pytest collects from every test module the claim table cites."""
+    paths = sorted({ref.split("::")[0] for row in CLAIM_ROWS
+                    for ref in cited_refs(row) if ref.startswith("tests/")})
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider", *paths],
+        cwd=REPO, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    return [line for line in done.stdout.splitlines() if "::" in line]
 
 
 def test_paper_claim_table_covers_every_section():
@@ -107,23 +151,45 @@ def test_paper_claim_table_covers_every_section():
             == {f"§{section}" for section in range(1, 7)})
 
 
-@pytest.mark.parametrize("row", CLAIM_ROWS, ids=[
-    f"row{index}" for index in range(1, len(CLAIM_ROWS) + 1)])
-def test_every_paper_claim_names_tests_that_exist(row, monkeypatch):
-    """Every path a claim row names exists, and every ``path::Name`` (or a
-    bare ``TestX`` following one) is defined in that test module, so no
-    claim points at nothing."""
-    module = None
-    for ref in re.findall(r"`([^`]+)`", row.split("|")[3]):
+def unresolved_refs(row: str, collected_ids: list) -> list:
+    """The references of a claim row that point at nothing.
+
+    A reference is ``path``, ``path::Name`` or a bare ``TestX`` naming a
+    class of the module cited before it.  It resolves when its path exists
+    and, for a test module, when pytest collects at least one test under it.
+    """
+    unresolved, module = [], None
+    for ref in cited_refs(row):
         path, *names = ref.split("::")
         if "/" not in path:             # a bare name: the last module's
-            names = [path]
-        else:
-            assert (REPO / path).exists(), ref
-            if path.startswith("tests/"):
-                monkeypatch.syspath_prepend(str((REPO / path).parent))
-                module = importlib.import_module(pathlib.Path(path).stem)
-        target = module
-        for name in names:
-            assert hasattr(target, name), ref
-            target = getattr(target, name)
+            path, names = module or "", [path]
+        elif (REPO / path).exists():
+            module = path
+        node = "::".join([path, *names])
+        if not path or not (REPO / path).exists() or path.startswith("tests/") and not any(
+                node_id == node or node_id.startswith((node + "::", node + "["))
+                for node_id in collected_ids):
+            unresolved.append(ref)
+    return unresolved
+
+
+@pytest.mark.parametrize("row", CLAIM_ROWS, ids=[
+    f"row{index}" for index in range(1, len(CLAIM_ROWS) + 1)])
+def test_every_paper_claim_names_tests_that_exist(row, collected_ids):
+    """Every path a claim row names exists, and every test module, class or
+    test it cites resolves to at least one test pytest collects, so no claim
+    points at nothing."""
+    assert unresolved_refs(row, collected_ids) == []
+
+
+def test_the_claim_check_reports_references_that_point_at_nothing(collected_ids):
+    # The check above must be able to fail: a missing module, a class or a
+    # test the module does not define, and a bare name with no module before
+    # it are each reported, while the live references beside them are not.
+    row = ("| §9 | a claim | `TestOrphan`, `tests/unit/test_no_such_module.py`, "
+           "`tests/unit/test_store.py::TestBarrier`, `TestNoSuchClass`, "
+           "`TestBarrierMarks`, `tests/unit/test_store.py::test_no_such_test`, "
+           "`src/repro/core/kernel.py` |")
+    assert unresolved_refs(row, collected_ids) == [
+        "TestOrphan", "tests/unit/test_no_such_module.py", "TestNoSuchClass",
+        "tests/unit/test_store.py::test_no_such_test"]

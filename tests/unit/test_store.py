@@ -293,18 +293,20 @@ class TestBarrier:
         assert kernel.stats.wal_commits == 1
         assert "f" in kernel.store("a").durable_state()["m"]
 
-    def test_barrier_without_piggyback_waits_out_the_commit_window(self):
-        kernel = make_kernel(store_commit_window=0.5, store_fsync_latency=0.1,
-                             store_write_byte_latency=0.0,
-                             store_barrier_piggyback=False)
-        kernel.make_durable("m", sites=["a"])
-        kernel.site("a").cabinet("m").put("f", 1)
-        barrier = kernel.store("a").barrier()
-        # window + one redo record's write + fsync, measured from now (t=0).
-        assert barrier == pytest.approx(0.5 + 0.0002 + 0.1)
-        assert kernel.stats.wal_barrier_piggybacks == 0
-        kernel.run(until=barrier + 0.01)
-        assert kernel.store("a").barrier() == 0.0
+    def test_a_barrier_never_waits_on_the_commit_window(self):
+        # The wait is the batched write + fsync whatever the window is.
+        waits = []
+        for window in (0.0, 0.5, 50.0):
+            kernel = make_kernel(store_commit_window=window,
+                                 store_fsync_latency=0.1,
+                                 store_write_byte_latency=0.0)
+            kernel.make_durable("m", sites=["a"])
+            kernel.site("a").cabinet("m").put("f", 1)
+            waits.append(kernel.store("a").barrier())
+            assert kernel.stats.wal_barrier_piggybacks == 1
+            kernel.run(until=waits[-1] + 0.01)
+            assert "f" in kernel.store("a").durable_state()["m"]
+        assert waits == [pytest.approx(0.0002 + 0.1)] * 3
 
     def test_barrier_is_zero_with_nothing_pending(self):
         kernel = make_kernel()
@@ -334,19 +336,21 @@ class TestBarrierMarks:
         # The batch covering the caller's mark can grow after the barrier
         # is priced, pushing its fsync later than the estimate; the mark
         # API must keep reporting a positive wait until it truly committed.
-        # Piggybacking is off: this pins the window-wait estimation path
-        # (with it on, the first barrier call would commit immediately).
+        # The mark sits in the dirty tail behind an in-flight sync, so the
+        # barrier can only queue the tail's commit for when the disk frees,
+        # and the tail keeps growing until then.
         kernel = make_kernel(store_commit_window=0.5, store_write_latency=0.1,
-                             store_fsync_latency=0.1,
-                             store_barrier_piggyback=False)
+                             store_fsync_latency=0.1)
         kernel.make_durable("m", sites=["a"])
         cabinet = kernel.site("a").cabinet("m")
-        cabinet.put("mine", 1)
         store = kernel.store("a")
+        cabinet.put("first", 1)
+        store.barrier()                       # its sync holds the disk until ~0.2
+        cabinet.put("mine", 1)
         mark = store.mutation_mark()
-        estimate = store.barrier(mark)        # priced for a 1-record batch
-        # Five more folders join the same batch before the commit fires.
-        kernel.loop.schedule(0.3, lambda: [cabinet.put(f"other-{i}", i)
+        estimate = store.barrier(mark)        # priced for a 1-record tail
+        # Five more folders join the tail before its commit fires.
+        kernel.loop.schedule(0.1, lambda: [cabinet.put(f"other-{i}", i)
                                            for i in range(5)])
         kernel.run(until=estimate)
         assert not store.is_durable(mark)     # the estimate came up short
@@ -425,18 +429,22 @@ class TestStoreSummaryTelemetry:
         assert summary["wal_barrier_piggybacks"] == 1
         assert kernel.stats.snapshot()["wal_barrier_piggybacks"] == 1
 
-    def test_zero_window_with_piggyback_off_counts_no_piggybacks(self):
-        # Regression: the piggyback guard must test the governor's flag,
-        # not the returned delay — a zero commit window with piggybacking
-        # disabled used to run the piggyback path and count it.
-        kernel = make_kernel(store_commit_window=0.0,
-                             store_barrier_piggyback=False)
+    def test_a_barrier_that_moves_no_commit_counts_no_piggyback(self):
+        # Behind an in-flight sync, the dirty tail's commit is already due
+        # the moment the disk frees, so a barrier there accelerates nothing:
+        # only the first barrier, which started the sync, is counted.
+        kernel = make_kernel(store_commit_window=0.0, store_fsync_latency=0.1)
         kernel.make_durable("m", sites=["a"])
-        kernel.site("a").cabinet("m").put("f", 1)
-        kernel.store("a").barrier()
-        assert kernel.stats.wal_barrier_piggybacks == 0
+        cabinet = kernel.site("a").cabinet("m")
+        store = kernel.store("a")
+        cabinet.put("first", 1)
+        store.barrier()
+        cabinet.put("second", 2)
+        assert store.barrier() > 0.1
+        assert kernel.stats.wal_barrier_piggybacks == 1
         kernel.run(until=1.0)
-        assert "f" in kernel.store("a").durable_state()["m"]
+        assert {"first", "second"} <= set(store.durable_state()["m"])
+        assert kernel.stats.wal_commits == 2
 
 
 class TestSnapshotCompaction:

@@ -2,9 +2,11 @@
 """Print the size numbers ROADMAP aim 2 tracks, as one line.
 
     SIZE src_lines=... config_fields=... kernel_public=... shards_branches=...
-         bench_files=... import_modules=... third_party=...   (same line)
+         bench_files=... import_modules=... third_party=... test_lines=...
+         (same line)
 
-``src_lines`` is ``wc -l`` over ``src/repro/**/*.py``; ``config_fields`` the
+``src_lines`` is ``wc -l`` over ``src/repro/**/*.py`` and ``test_lines`` the
+same over ``tests/**/*.py`` (aim 2 wants both down); ``config_fields`` the
 fields of ``KernelConfig``; ``kernel_public`` the public names on the
 ``Kernel`` class; ``shards_branches`` the lines of ``src/repro/core/`` that
 test for the sharded case (``_shards is`` / ``distributed``); ``bench_files``
@@ -67,4 +69,5 @@ if __name__ == "__main__":
           f"kernel_public={sum(not name.startswith('_') for name in dir(Kernel))}",
           f"shards_branches={sum('_shards is' in line or 'distributed' in line for line in core)}",
           f"bench_files={len(stray)}",
-          cold_start())
+          cold_start(),
+          f"test_lines={sum(len(lines_of(path)) for path in (ROOT / 'tests').rglob('*.py'))}")
