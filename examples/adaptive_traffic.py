@@ -23,34 +23,71 @@ Run with::
 
 from __future__ import annotations
 
-from repro.bench.workloads import MixedTrafficParams, run_mixed_traffic
+from typing import List, Tuple
 
-#: two hot senders, six trickle senders, all couriering to one hub
-WORKLOAD = dict(n_hot=2, hot_deliveries=40, hot_gap=0.002, n_trickle=6,
-                trickle_deliveries=8, trickle_gap=0.35, payload_bytes=200)
+from repro.core import Briefcase, Folder, Kernel, KernelConfig
+from repro.net import star
+
+#: (senders, folders each, seconds between two folders): two hot senders,
+#: six trickle senders, all couriering to one hub
+HOT = (2, 40, 0.002)
+TRICKLE = (6, 8, 0.35)
+FOLDERS = HOT[0] * HOT[1] + TRICKLE[0] * TRICKLE[1]
 FIXED_WINDOWS = (0.0, 0.02, 0.05, 0.15, 0.6)
-ADAPTIVE = dict(batch_window=0.02, flow_window_min=0.01, flow_window_max=0.6,
+ADAPTIVE = dict(delivery_batch_window=0.02, flow_window_min=0.01, flow_window_max=0.6,
                 flow_target_batch=6)
+
+
+def collector(ctx, briefcase: Briefcase):
+    """Hub contact: file each folder's queue-to-arrival latency."""
+    payload_name = briefcase.get("PAYLOAD_NAME")
+    for element in briefcase.folder(payload_name).elements():
+        ctx.cabinet("latency").put("seconds", ctx.now - element["queued_at"])
+    yield ctx.sleep(0)
+
+
+def sender(ctx, briefcase: Briefcase):
+    """Courier COUNT stamped 200-byte folders to the hub, GAP seconds apart."""
+    for index in range(briefcase.get("COUNT")):
+        folder = Folder("REPORT", [{"from": ctx.site_name, "seq": index,
+                                    "queued_at": ctx.now, "payload": b"\0" * 200}])
+        yield ctx.send_folder(folder, "hub", "collector")
+        yield ctx.sleep(briefcase.get("GAP"))
+
+
+def mixed_traffic(**fabric) -> Tuple[Kernel, List[float]]:
+    """Run the hot and trickle senders under the ``KernelConfig`` *fabric*
+    knobs; returns the kernel and every folder's delivery latency, sorted."""
+    senders = [(f"{kind}{index:02d}", count, gap)
+               for kind, (n, count, gap) in (("hot", HOT), ("cold", TRICKLE))
+               for index in range(n)]
+    kernel = Kernel(star("hub", [name for name, _, _ in senders], latency=0.01,
+                         bandwidth=250_000.0),
+                    transport="tcp", config=KernelConfig(rng_seed=31, **fabric))
+    kernel.install_agent("hub", "collector", collector)
+    for site, count, gap in senders:
+        briefcase = Briefcase()
+        briefcase.set("COUNT", count)
+        briefcase.set("GAP", gap)
+        kernel.launch(site, sender, briefcase)
+    kernel.run()
+    return kernel, sorted(kernel.site("hub").cabinet("latency").elements("seconds"))
 
 
 def main() -> None:
     print(f"{'fabric':<14} {'folders':>8} {'wire msgs':>10} {'batches':>8} "
           f"{'p50 latency':>12} {'mean latency':>13}")
-    arms = {}
-    for window in FIXED_WINDOWS:
-        label = "off" if window == 0 else f"fixed {window:g}s"
-        arms[label] = run_mixed_traffic(
-            MixedTrafficParams(batch_window=window, **WORKLOAD))
-    arms["adaptive"] = run_mixed_traffic(
-        MixedTrafficParams(**ADAPTIVE, **WORKLOAD))
-    for label, result in arms.items():
-        print(f"{label:<14} {result.folders_received:>5}/{result.folders_expected}"
-              f" {result.wire_messages:>10} {result.batches:>8} "
-              f"{result.p50_latency:>11.4f}s {result.mean_latency:>12.4f}s")
+    arms = {("off" if window == 0 else f"fixed {window:g}s"):
+            mixed_traffic(delivery_batch_window=window) for window in FIXED_WINDOWS}
+    arms["adaptive"] = mixed_traffic(**ADAPTIVE)
+    for label, (kernel, latencies) in arms.items():
+        print(f"{label:<14} {len(latencies):>5}/{FOLDERS}"
+              f" {kernel.stats.messages_sent:>10} {kernel.stats.batches:>8} "
+              f"{latencies[len(latencies) // 2]:>11.4f}s "
+              f"{sum(latencies) / len(latencies):>12.4f}s")
 
-    adaptive = arms["adaptive"]
     print("\nConverged per-pair windows (repro.flow telemetry):")
-    for pair, info in sorted(adaptive.flow_windows.items()):
+    for pair, info in sorted(arms["adaptive"][0].stats.flow_snapshot().items()):
         print(f"  {pair:<14} window={info['window']:.3f}s "
               f"rate={info['message_rate']:7.1f} msg/s")
     print("\nHot pairs run tight windows (full batches, low latency); trickle")

@@ -14,10 +14,10 @@ Run with::
 
 from __future__ import annotations
 
-from repro.bench import jains_fairness
 from repro.core import Briefcase, Kernel, KernelConfig
 from repro.net import lan
-from repro.scheduling import CLIENT_BEHAVIOUR_NAME, POLICY_NAMES, install_scheduling
+from repro.scheduling import (CLIENT_BEHAVIOUR_NAME, POLICY_NAMES, install_scheduling,
+                              jains_fairness)
 
 
 def run_policy(policy: str, n_clients: int = 30):

@@ -15,7 +15,7 @@ spawned worker processes (``"process"``).  This example stays on
 spawn worker can only unpickle a function whose module it can import by
 name, which a script loaded from a file path (as ``tests/`` loads every
 example) is not.  Behaviours meant for ``process`` live in an importable
-module, as ``repro.bench.workloads``'s do.
+module, as the test suite's ``tests/scenarios.py`` couriers do.
 
 The example runs a churn of courier agents whose report destinations sit
 on *other* shards, then shows the two properties that matter:

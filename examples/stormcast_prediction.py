@@ -16,7 +16,15 @@ Run with::
 from __future__ import annotations
 
 from repro.apps.stormcast import StormCastParams, run_agent_pipeline, run_client_server
-from repro.bench import bytes_human
+
+
+def bytes_human(count: float) -> str:
+    """Readable byte count for the report rows (1.5 KB, 3.2 MB, ...)."""
+    for unit in ("B", "KB", "MB", "GB"):
+        if abs(count) < 1024.0:
+            return f"{int(count)} {unit}" if unit == "B" else f"{count:.1f} {unit}"
+        count /= 1024.0
+    return f"{count:.1f} TB"
 
 
 def main() -> None:

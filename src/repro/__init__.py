@@ -5,14 +5,12 @@ The package layout mirrors the paper:
 * :mod:`repro.core` — folders, briefcases, file cabinets, ``meet``, the kernel (section 2);
 * :mod:`repro.net` — the simulated network, the rsh/TCP/Horus transports (section 6);
 * :mod:`repro.flow` — flow control and cost models shared by the network and the
-  durable store (adaptive batch windows, bytes-proportional pricing, commit governance);
+  durable store (adaptive batch windows, bytes-proportional pricing);
 * :mod:`repro.sysagents` — ``ag_py``, ``rexec``, courier, diffusion (sections 2, 6);
 * :mod:`repro.cash` — electronic cash, validation, audits (section 3);
 * :mod:`repro.scheduling` — brokers, monitors, tickets, protected agents (section 4);
 * :mod:`repro.fault` — rear guards and fault-tolerant moves (section 5);
-* :mod:`repro.apps` — StormCast and the agent-based mail system (section 6);
-* :mod:`repro.bench` — seeded scenarios and client-server baselines the tests
-  and examples compare (performance is measured by ``benchmarks/ledger/``).
+* :mod:`repro.apps` — StormCast and the agent-based mail system (section 6).
 """
 
 from repro.core import Briefcase, FileCabinet, Folder, Kernel, KernelConfig

@@ -47,13 +47,15 @@ __all__ = [
 
 
 class AgentRecord:
-    """Compact archive of a terminal agent.
+    """Compact read-only view of an agent: identity, state, result and trace.
 
     Keeps only what result-collection and post-mortem queries read: identity,
-    final state, result/error, timing and the itinerary trace.  Retirement
-    has already shed the briefcase, behaviour, CODE element and generator of
-    every terminal instance; a record also leaves out its children, launch
-    name and meet/system bookkeeping.
+    state, result/error, timing and the itinerary trace.  The ledger archives
+    terminal agents as records; retirement has already shed the briefcase,
+    behaviour, CODE element and generator of every terminal instance, and a
+    record also leaves out its children, launch name and meet/system
+    bookkeeping.  A process shard's coordinator also builds records for
+    agents still running in the worker, from the rows its digests ship.
 
     Records duck-type the read-only surface of an instance (``state``,
     ``result``, ``finished``, ``site_name``...), so ledger consumers do not
@@ -81,8 +83,8 @@ class AgentRecord:
 
     @property
     def finished(self) -> bool:
-        """Records only exist for terminal agents."""
-        return True
+        """True once the recorded state is terminal."""
+        return AgentState.is_terminal(self.state)
 
     @property
     def ok(self) -> bool:

@@ -6,7 +6,8 @@ experiments need around it:
 * :mod:`~repro.scheduling.broker` — the matchmaker broker agent;
 * :mod:`~repro.scheduling.monitor` — per-site load monitors reporting to brokers;
 * :mod:`~repro.scheduling.ticket` — the ticket-issuing agent gating access;
-* :mod:`~repro.scheduling.policies` — the assignment policies a broker can apply;
+* :mod:`~repro.scheduling.policies` — the assignment policies a broker can apply,
+  and Jain's index of how fairly one spread the work;
 * :mod:`~repro.scheduling.routing` — broker-to-broker gossip ("like WAN routing");
 * :mod:`~repro.scheduling.protected` — broker-mediated access to protected agents;
 * :mod:`~repro.scheduling.service` — providers, mobile clients, and the
@@ -20,7 +21,7 @@ from repro.scheduling.monitor import (LOAD_REPORT_FOLDER, MONITOR_AGENT_NAME,
                                       make_monitor_behaviour)
 from repro.scheduling.policies import (POLICY_NAMES, LeastLoadedPolicy, LoadEstimate, Policy,
                                        ProviderInfo, RandomPolicy, RoundRobinPolicy,
-                                       WeightedCapacityPolicy, make_policy)
+                                       WeightedCapacityPolicy, jains_fairness, make_policy)
 from repro.scheduling.protected import (GUARDIAN_CABINET, admit_all, admit_authorized,
                                         admit_rate_limited, make_guardian_behaviour)
 from repro.scheduling.routing import (GOSSIP_AGENT_NAME, gossip_convergence,
@@ -38,6 +39,7 @@ __all__ = [
     "MONITOR_AGENT_NAME", "LOAD_REPORT_FOLDER", "make_monitor_behaviour",
     "Policy", "LeastLoadedPolicy", "RandomPolicy", "RoundRobinPolicy",
     "WeightedCapacityPolicy", "ProviderInfo", "LoadEstimate", "make_policy", "POLICY_NAMES",
+    "jains_fairness",
     "Ticket", "TicketIssuer", "make_ticket_behaviour", "TICKET_AGENT_NAME",
     "make_guardian_behaviour", "admit_all", "admit_authorized", "admit_rate_limited",
     "GUARDIAN_CABINET",

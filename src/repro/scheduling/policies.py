@@ -19,7 +19,7 @@ from repro.core.errors import NoProviderError, SchedulingError
 __all__ = [
     "ProviderInfo", "LoadEstimate", "Policy",
     "LeastLoadedPolicy", "RandomPolicy", "RoundRobinPolicy", "WeightedCapacityPolicy",
-    "make_policy", "POLICY_NAMES",
+    "make_policy", "POLICY_NAMES", "jains_fairness",
 ]
 
 
@@ -173,3 +173,19 @@ def make_policy(name: str) -> Policy:
     except KeyError:
         raise SchedulingError(
             f"unknown policy {name!r}; choose from {sorted(table)}") from None
+
+
+def jains_fairness(values: Sequence[float]) -> float:
+    """Jain's fairness index of a load distribution (1.0 = perfectly even).
+
+    How evenly a policy spread the work: ``examples/load_balancing.py``
+    reads it per policy from the providers' job counts.
+    """
+    data = [float(value) for value in values]
+    scale = max((abs(value) for value in data), default=0.0)
+    if scale == 0:
+        return 1.0
+    # The index is scale-invariant; normalising keeps the squares out of
+    # the subnormal range, where underflow can push the ratio above 1.
+    data = [value / scale for value in data]
+    return sum(data) ** 2 / (len(data) * sum(value * value for value in data))

@@ -457,7 +457,9 @@ class _WorkerHandle:
     def recv(self):
         try:
             reply = self.conn.recv()
-        except EOFError:
+        except (EOFError, OSError):
+            # EOF: the worker closed its end; a reset (OSError): it died
+            # with a command still unread in the pipe.
             raise KernelError(
                 f"shard {self.shard_id} worker died "
                 f"(exitcode={self.process.exitcode})") from None

@@ -7,13 +7,11 @@ by pytest) to keep them honest.
 
 from __future__ import annotations
 
-import importlib.util
 import os
-import sys
 
 import pytest
 
-EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
+from scenarios import EXAMPLES_DIR, load_example
 
 EXAMPLES = [
     "quickstart.py",
@@ -27,16 +25,6 @@ EXAMPLES = [
     "sharded_churn.py",
     "tracing_an_itinerary.py",
 ]
-
-
-def load_example(filename: str):
-    path = os.path.abspath(os.path.join(EXAMPLES_DIR, filename))
-    name = f"example_{filename[:-3]}"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("filename", EXAMPLES)

@@ -14,12 +14,11 @@ import os
 
 import pytest
 
-from repro.bench.workloads import (AgentChurnParams, CourierFanInParams,
-                                   run_agent_churn, run_courier_fan_in)
 from repro.core import Kernel, KernelConfig
 from repro.core.errors import KernelError
 from repro.net import lan
 from repro.rt import read_wal_file
+from scenarios import MAIL_CABINET, agent_churn, courier_fan_in
 
 pytestmark = pytest.mark.realtime
 
@@ -61,39 +60,39 @@ def test_store_realtime_dir_requires_realtime(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def folders_at_hub(kernel) -> int:
+    return len(kernel.site("hub").cabinet(MAIL_CABINET).elements("received"))
+
+
 def test_courier_fan_in_parity():
     shape = dict(n_senders=3, deliveries_per_sender=3, payload_bytes=64,
-                 transport="tcp", link_latency=0.002)
-    sim = run_courier_fan_in(CourierFanInParams(backend="sim", **shape))
-    realtime = run_courier_fan_in(
-        CourierFanInParams(backend="realtime", **shape))
+                 link_latency=0.002)
+    sim, sim_events, _ = courier_fan_in(backend="sim", **shape)
+    realtime, events, wall = courier_fan_in(backend="realtime", **shape)
 
-    assert sim.folders_received == 9  # pin the workload itself
-    assert realtime.folders_received == sim.folders_received
-    assert realtime.deliveries_requested == sim.deliveries_requested
-    assert realtime.wire_messages == sim.wire_messages
-    assert realtime.bytes_on_wire == sim.bytes_on_wire
-    assert realtime.events == sim.events
-    assert realtime.counters == sim.counters
-    assert realtime.counters["undeliverable"] == 0
+    assert folders_at_hub(sim) == 9  # pin the workload itself
+    assert folders_at_hub(realtime) == folders_at_hub(sim)
+    assert realtime.stats.messages_sent == sim.stats.messages_sent
+    assert realtime.stats.bytes_sent == sim.stats.bytes_sent
+    assert events == sim_events
+    assert realtime.counters() == sim.counters()
+    assert realtime.counters()["undeliverable"] == 0
     # The realtime run really slept ~ the workload horizon, bounded for CI.
-    assert realtime.wall_seconds >= 0.5 * sim.sim_seconds
-    assert realtime.wall_seconds < WALL_TOLERANCE_SECONDS
+    assert wall >= 0.5 * sim.now
+    assert wall < WALL_TOLERANCE_SECONDS
 
 
 def test_fan_in_with_batching_parity():
     # The delivery fabric's flush windows are scheduler events too: the
     # realtime backend must coalesce exactly like the sim backend.
     shape = dict(n_senders=3, deliveries_per_sender=4, payload_bytes=64,
-                 transport="tcp", link_latency=0.002,
-                 batch_window=0.01)
-    sim = run_courier_fan_in(CourierFanInParams(backend="sim", **shape))
-    realtime = run_courier_fan_in(
-        CourierFanInParams(backend="realtime", **shape))
-    assert realtime.folders_received == sim.folders_received == 12
-    assert realtime.counters == sim.counters
-    assert realtime.batches > 0  # batching actually engaged
-    assert realtime.wall_seconds < WALL_TOLERANCE_SECONDS
+                 link_latency=0.002, batch_window=0.01)
+    sim, _, _ = courier_fan_in(backend="sim", **shape)
+    realtime, _, wall = courier_fan_in(backend="realtime", **shape)
+    assert folders_at_hub(realtime) == folders_at_hub(sim) == 12
+    assert realtime.counters() == sim.counters()
+    assert realtime.stats.batches > 0  # batching actually engaged
+    assert wall < WALL_TOLERANCE_SECONDS
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +103,17 @@ def test_fan_in_with_batching_parity():
 def test_agent_churn_parity():
     shape = dict(n_sites=3, n_agents=24, wave_size=8, work_seconds=0.002,
                  ballast_bytes=64, retention="keep-results", seed=19)
-    sim = run_agent_churn(AgentChurnParams(backend="sim", **shape))
-    realtime = run_agent_churn(AgentChurnParams(backend="realtime", **shape))
+    sim, sim_waves = agent_churn(backend="sim", **shape)
+    realtime, waves = agent_churn(backend="realtime", **shape)
 
-    assert sim.agents_completed == sim.agents_launched == 24
-    assert realtime.agents_launched == sim.agents_launched
-    assert realtime.agents_completed == sim.agents_completed
-    assert realtime.retained_entries == sim.retained_entries
-    assert realtime.retained_records == sim.retained_records
-    assert realtime.evicted == sim.evicted
+    assert sim.completed == sim.launched == 24
+    assert realtime.launched == sim.launched
+    assert realtime.completed == sim.completed
+    assert len(realtime.table) == len(sim.table)
+    assert realtime.table.ledger_entry_kinds() == sim.table.ledger_entry_kinds()
+    assert realtime.table.evicted == sim.table.evicted
     # Same ledger trajectory wave by wave, not just at the end.
-    assert ([(c["launched"], c["retained"]) for c in realtime.checkpoints]
-            == [(c["launched"], c["retained"]) for c in sim.checkpoints])
+    assert waves == sim_waves
 
 
 # ---------------------------------------------------------------------------

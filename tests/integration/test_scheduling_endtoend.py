@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import jains_fairness
 from repro.core import Briefcase, Kernel, KernelConfig
 from repro.net import lan
-from repro.scheduling import CLIENT_BEHAVIOUR_NAME, install_scheduling
+from repro.scheduling import CLIENT_BEHAVIOUR_NAME, install_scheduling, jains_fairness
 
 PROVIDERS = [
     {"site": "fast", "capacity": 4.0},

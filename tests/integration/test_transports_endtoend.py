@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import ItineraryParams, run_itinerary
 from repro.core import Briefcase, Kernel, KernelConfig
 from repro.net import HorusTransport, lan
+from scenarios import itinerary
 
 
 TRANSPORTS = ("rsh", "tcp", "horus")
@@ -14,42 +14,42 @@ TRANSPORTS = ("rsh", "tcp", "horus")
 
 class TestTransportsEndToEnd:
     def test_itinerary_completes_identically_on_every_transport(self):
-        results = {transport: run_itinerary(ItineraryParams(transport=transport, hops=8,
-                                                            payload_bytes=2048, seed=3))
-                   for transport in TRANSPORTS}
-        hops = {result.hops_completed for result in results.values()}
-        assert hops == {8}
+        kernels = [itinerary(transport=transport, hops=8, payload_bytes=2048, seed=3)[0]
+                   for transport in TRANSPORTS]
+        assert {kernel.stats.migrations for kernel in kernels} == {8}
         # Same logical workload, same bytes shipped per migration (modulo
         # framing), regardless of transport.
-        byte_counts = [result.migration_bytes for result in results.values()]
+        byte_counts = [kernel.stats.migration_bytes for kernel in kernels]
         assert max(byte_counts) - min(byte_counts) < 0.05 * max(byte_counts)
 
     def test_transport_cost_ordering_matches_the_paper(self):
         """rsh (process start per hop) is the slow one; cached channels win."""
-        results = {transport: run_itinerary(ItineraryParams(transport=transport, hops=10,
-                                                            payload_bytes=1024, seed=4))
-                   for transport in TRANSPORTS}
-        assert results["rsh"].duration > results["tcp"].duration
-        assert results["rsh"].duration > results["horus"].duration
-        assert results["rsh"].mean_hop_time > 2 * results["tcp"].mean_hop_time
+        runs = {transport: itinerary(transport=transport, hops=10, payload_bytes=1024,
+                                     seed=4)
+                for transport in TRANSPORTS}
+        makespan = {transport: kernel.now for transport, (kernel, _) in runs.items()}
+        hop_time = {transport: mean for transport, (_, mean) in runs.items()}
+        assert makespan["rsh"] > makespan["tcp"]
+        assert makespan["rsh"] > makespan["horus"]
+        assert hop_time["rsh"] > 2 * hop_time["tcp"]
 
     def test_rsh_penalty_does_not_amortise_with_hop_count(self):
         """A fresh remote interpreter per transfer is paid at every hop: the
         gap to the cached-connection transports is as wide at 16 hops as at 2."""
         for hops in (2, 16):
-            durations = {transport: run_itinerary(ItineraryParams(
-                transport=transport, hops=hops, payload_bytes=1024, seed=3)).duration
-                for transport in TRANSPORTS}
-            assert durations["rsh"] > 3 * durations["tcp"], hops
-            assert durations["rsh"] > 3 * durations["horus"], hops
+            hop_time = {transport: itinerary(transport=transport, hops=hops,
+                                             payload_bytes=1024, seed=3)[1]
+                        for transport in TRANSPORTS}
+            assert hop_time["rsh"] > 3 * hop_time["tcp"], hops
+            assert hop_time["rsh"] > 3 * hop_time["horus"], hops
 
     def test_bandwidth_dominates_as_the_agent_grows(self):
         """Per-hop time rises with the agent's size on every transport, and
         the two cached-connection transports converge: their fixed per-hop
         difference shrinks next to payload / bandwidth."""
         payloads = (256, 4_096, 65_536)
-        hop_time = {(transport, payload): run_itinerary(ItineraryParams(
-            transport=transport, hops=8, payload_bytes=payload, seed=3)).mean_hop_time
+        hop_time = {(transport, payload): itinerary(
+            transport=transport, hops=8, payload_bytes=payload, seed=3)[1]
             for transport in TRANSPORTS for payload in payloads}
         for transport in TRANSPORTS:
             times = [hop_time[transport, payload] for payload in payloads]
@@ -62,13 +62,11 @@ class TestTransportsEndToEnd:
         assert gap(payloads[-1]) < gap(payloads[0])
 
     def test_repeated_traffic_amortises_connection_setup_on_tcp(self):
-        first = run_itinerary(ItineraryParams(transport="tcp", hops=2, payload_bytes=256,
-                                              n_sites=3, seed=5))
-        repeat = run_itinerary(ItineraryParams(transport="tcp", hops=12, payload_bytes=256,
-                                               n_sites=3, seed=5))
+        _, first = itinerary(hops=2, payload_bytes=256, n_sites=3, seed=5)
+        _, repeat = itinerary(hops=12, payload_bytes=256, n_sites=3, seed=5)
         # With only 3 sites, the 12-hop tour reuses established connections,
         # so the mean per-hop time drops below the 2-hop (all-cold) tour.
-        assert repeat.mean_hop_time < first.mean_hop_time
+        assert repeat < first
 
     def test_horus_group_survives_member_crash_during_agent_workload(self):
         kernel = Kernel(lan(["a", "b", "c", "d"]), transport="horus",

@@ -14,6 +14,7 @@ from repro.core import Briefcase, Kernel, KernelConfig
 from repro.core.agent import AgentState
 from repro.core.folder import Folder
 from repro.net import lan
+from scenarios import sharded_churn
 
 
 def sink(ctx, bc):
@@ -87,18 +88,16 @@ def test_sharding_is_deterministic_across_repeats(seed, shards):
 def fingerprint_inputs(backend: str, seed: int):
     """What the ledger's ``sim_fingerprint`` hashes, for a seeded churn on
     three shards: events, counters, and every integer of the stats, store
-    and shard summaries; plus the run's result."""
-    from repro.bench.workloads import ShardedChurnParams, execute_sharded_churn
-    kernel, result = execute_sharded_churn(ShardedChurnParams(
-        n_sites=12, n_agents=48, wave_size=16, shards=3, seed=seed,
-        backend=backend))
-    numbers = {"events": result.events, "counters": kernel.counters()}
+    and shard summaries; plus the simulated end time."""
+    kernel, events = sharded_churn(n_sites=12, n_agents=48, wave_size=16, shards=3,
+                                   seed=seed, backend=backend)
+    numbers = {"events": events, "counters": kernel.counters(), "now": kernel.now}
     for source in (kernel.stats.snapshot(), kernel.store_summary(),
                    kernel.shard_summary()):
         numbers.update((key, value) for key, value in source.items()
                        if type(value) is int)
     kernel.close()
-    return numbers, result
+    return numbers
 
 
 def test_process_backend_matches_inproc():
@@ -107,8 +106,8 @@ def test_process_backend_matches_inproc():
     fingerprints.
 
     Not hypothesis-driven (each example spawns real processes) and built
-    on the registered workload behaviours — spawn children re-import the
-    registry's modules, so test-local closures cannot cross.
+    on the behaviours ``tests/scenarios.py`` registers — spawn children
+    re-import the registry's modules, so test-local closures cannot cross.
     """
     import pytest
 
@@ -117,11 +116,9 @@ def test_process_backend_matches_inproc():
     if not process_backend_available():
         pytest.skip("multiprocessing spawn does not work on this host")
     for seed in (3, 41):
-        reference, expected = fingerprint_inputs("inproc", seed)
-        numbers, outcome = fingerprint_inputs("process", seed)
-        assert numbers == reference, seed
+        reference = fingerprint_inputs("inproc", seed)
+        assert fingerprint_inputs("process", seed) == reference, seed
         assert reference["handoffs_drained"] == reference["shard_handoffs"] > 0
-        assert outcome.handoffs == expected.handoffs
-        assert outcome.sim_seconds == expected.sim_seconds
-        assert outcome.late_arrivals == 0
-        assert outcome.agents_completed == outcome.agents_launched
+        assert reference["shard_late_arrivals"] == 0
+        counters = reference["counters"]
+        assert counters["completed"] == counters["launched"]

@@ -1,25 +1,23 @@
-"""Unit tests for the client-server pull baseline agents (repro.bench.baselines)."""
+"""Unit tests for the client-server pull baseline of the gathering scenario."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import (DataGatherParams, build_gather_kernel, install_data_servers,
-                         launch_pull_client, pull_summary)
-from repro.bench.baselines import (DATA_SERVER_NAME, DATA_SINK_NAME, PULL_CABINET,
-                                   data_server_behaviour)
 from repro.core import Briefcase, Folder, Kernel, KernelConfig
 from repro.net import FailureSchedule, lan
+from scenarios import (DATA_CABINET, DATA_SERVER_NAME, GATHER_CABINET, HOME, RECORDS_FOLDER,
+                       data_sites, gather_kernel, gather_summary, install_data_servers,
+                       launch_pull_client)
 
-
-PARAMS = DataGatherParams(n_sites=3, records_per_site=20, record_bytes=100,
-                          selectivity=0.2, seed=9, topology="lan")
+PARAMS = dict(n_sites=3, records_per_site=20, record_bytes=100, selectivity=0.2, seed=9,
+              topology="lan")
 
 
 @pytest.fixture
 def kernel():
-    kernel = build_gather_kernel(PARAMS)
-    install_data_servers(kernel, PARAMS.home_name, PARAMS.data_site_names())
+    kernel = gather_kernel(**PARAMS)
+    install_data_servers(kernel)
     return kernel
 
 
@@ -35,50 +33,48 @@ class TestDataServer:
         assert kernel.stats.messages_sent == 0
 
     def test_served_records_are_tagged_with_their_origin(self, kernel):
-        request = Folder("REQUEST", [{"home": PARAMS.home_name, "requested_at": 0.0}])
+        request = Folder("REQUEST", [{"home": HOME}])
 
         def requester(ctx, bc):
             result = yield ctx.send_folder(request, "data01", DATA_SERVER_NAME)
             return result.value
 
-        kernel.launch(PARAMS.home_name, requester)
+        kernel.launch(HOME, requester)
         kernel.run()
-        cabinet = kernel.site(PARAMS.home_name).cabinet(PULL_CABINET)
+        cabinet = kernel.site(HOME).cabinet(GATHER_CABINET)
         assert cabinet.elements("responded") == ["data01"]
-        assert len(cabinet.elements("raw")) == PARAMS.records_per_site
+        assert len(cabinet.elements("raw")) == PARAMS["records_per_site"]
 
 
 class TestPullClient:
     def test_full_pull_gathers_everything(self, kernel):
-        launch_pull_client(kernel, PARAMS.home_name, PARAMS.data_site_names())
-        kernel.run(until=PARAMS.run_until)
-        summary = pull_summary(kernel, PARAMS.home_name)
-        assert summary["sites_responded"] == PARAMS.n_sites
-        assert summary["records_received"] == PARAMS.n_sites * PARAMS.records_per_site
+        launch_pull_client(kernel)
+        kernel.run(until=600.0)
+        summary = gather_summary(kernel)
+        assert summary["sites_covered"] == PARAMS["n_sites"]
+        assert summary["records_total"] == PARAMS["n_sites"] * PARAMS["records_per_site"]
         assert summary["relevant_found"] > 0
 
     def test_pull_summary_empty_before_any_run(self):
-        kernel = Kernel(lan(["home"]), config=KernelConfig(rng_seed=1))
-        assert pull_summary(kernel, "home") == {}
+        kernel = Kernel(lan([HOME]), config=KernelConfig(rng_seed=1))
+        assert gather_summary(kernel) == {}
 
     def test_crashed_data_site_is_reported_as_missing(self, kernel):
         FailureSchedule().crash("data02", at=0.0).install(kernel)
-        launch_pull_client(kernel, PARAMS.home_name, PARAMS.data_site_names(),
-                           poll_interval=0.05, max_polls=20)
-        kernel.run(until=PARAMS.run_until)
-        summary = pull_summary(kernel, PARAMS.home_name)
-        assert summary["sites_responded"] == PARAMS.n_sites - 1
-        assert summary["records_received"] == (PARAMS.n_sites - 1) * PARAMS.records_per_site
+        launch_pull_client(kernel, poll_interval=0.05, max_polls=20)
+        kernel.run(until=600.0)
+        summary = gather_summary(kernel)
+        assert summary["sites_covered"] == PARAMS["n_sites"] - 1
+        assert summary["records_total"] == (PARAMS["n_sites"] - 1) * PARAMS["records_per_site"]
         # The client burned its poll budget waiting for the dead site.
         assert summary["polls"] == 20
 
     def test_pull_does_not_modify_the_data_sites(self, kernel):
-        from repro.bench.workloads import DATA_CABINET, RECORDS_FOLDER
-        before = {site: len(kernel.site(site).cabinet(DATA_CABINET).folder(RECORDS_FOLDER,
-                                                                           create=True))
-                  for site in PARAMS.data_site_names()}
-        launch_pull_client(kernel, PARAMS.home_name, PARAMS.data_site_names())
-        kernel.run(until=PARAMS.run_until)
-        after = {site: len(kernel.site(site).cabinet(DATA_CABINET).folder(RECORDS_FOLDER))
-                 for site in PARAMS.data_site_names()}
-        assert before == after
+        def sizes():
+            return {site: len(kernel.site(site).cabinet(DATA_CABINET).folder(RECORDS_FOLDER))
+                    for site in data_sites(kernel)}
+
+        before = sizes()
+        launch_pull_client(kernel)
+        kernel.run(until=600.0)
+        assert sizes() == before

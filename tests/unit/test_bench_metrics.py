@@ -1,73 +1,14 @@
-"""Unit tests for the benchmark metric helpers."""
+"""Unit tests for the two report helpers outside the kernel: Jain's fairness
+index (``repro.scheduling``) and the byte formatter of the StormCast example."""
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
-from repro.bench.metrics import (bytes_human, coefficient_of_variation, jains_fairness,
-                                 load_imbalance, percentile, ratio, speedup, summarize)
+from repro.scheduling import jains_fairness
+from scenarios import load_example
 
-
-class TestSummarize:
-    def test_empty_sample(self):
-        summary = summarize([])
-        assert summary["count"] == 0
-        assert summary["mean"] == 0.0
-
-    def test_single_value(self):
-        summary = summarize([4.0])
-        assert summary["mean"] == 4.0
-        assert summary["median"] == 4.0
-        assert summary["stdev"] == 0.0
-
-    def test_basic_statistics(self):
-        summary = summarize([1, 2, 3, 4, 5])
-        assert summary["count"] == 5
-        assert summary["mean"] == pytest.approx(3.0)
-        assert summary["median"] == 3.0
-        assert summary["min"] == 1.0
-        assert summary["max"] == 5.0
-        assert summary["stdev"] > 0
-
-    def test_p95_close_to_max(self):
-        summary = summarize(list(range(100)))
-        assert 90 <= summary["p95"] <= 99
-
-
-class TestPercentile:
-    def test_empty_is_zero(self):
-        assert percentile([], 50) == 0.0
-
-    def test_single_value(self):
-        assert percentile([7.0], 95) == 7.0
-
-    def test_bounds(self):
-        data = [1, 2, 3, 4]
-        assert percentile(data, 0) == 1
-        assert percentile(data, 100) == 4
-
-    def test_median_interpolation(self):
-        assert percentile([1, 2, 3, 4], 50) == pytest.approx(2.5)
-
-    def test_invalid_pct_raises(self):
-        with pytest.raises(ValueError):
-            percentile([1, 2], 150)
-
-
-class TestRatios:
-    def test_ratio_normal(self):
-        assert ratio(10, 4) == pytest.approx(2.5)
-
-    def test_ratio_zero_over_zero_is_one(self):
-        assert ratio(0, 0) == 1.0
-
-    def test_ratio_something_over_zero_is_inf(self):
-        assert math.isinf(ratio(5, 0))
-
-    def test_speedup_is_baseline_over_candidate(self):
-        assert speedup(baseline=10.0, candidate=2.0) == pytest.approx(5.0)
+bytes_human = load_example("stormcast_prediction.py").bytes_human
 
 
 class TestFairness:
@@ -83,16 +24,6 @@ class TestFairness:
 
     def test_fairness_is_scale_invariant(self):
         assert jains_fairness([1, 2, 3]) == pytest.approx(jains_fairness([10, 20, 30]))
-
-    def test_coefficient_of_variation(self):
-        assert coefficient_of_variation([5, 5, 5]) == pytest.approx(0.0)
-        assert coefficient_of_variation([0, 10]) == pytest.approx(1.0)
-        assert coefficient_of_variation([]) == 0.0
-
-    def test_load_imbalance(self):
-        assert load_imbalance({"a": 4, "b": 4}) == pytest.approx(1.0)
-        assert load_imbalance({"a": 8, "b": 0}) == pytest.approx(2.0)
-        assert load_imbalance({}) == 1.0
 
 
 class TestBytesHuman:

@@ -1,45 +1,40 @@
-"""Unit tests for the shared benchmark workloads (gathering and itineraries)."""
+"""Unit tests for the seeded scenarios: gathering, itineraries, couriers,
+high population."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import (DataGatherParams, HighPopulationParams, ItineraryParams,
-                         build_gather_kernel, execute_high_population,
-                         populate_data_sites, ratio, run_agent_gather,
-                         run_client_server_gather, run_high_population, run_itinerary)
-from repro.bench.workloads import DATA_CABINET, RECORDS_FOLDER
+from scenarios import (DATA_CABINET, MAIL_CABINET, RECORDS_FOLDER, agent_gather,
+                       client_server_gather, courier_fan_in, data_sites, gather_kernel,
+                       gather_summary, high_population, itinerary, populate_data_sites,
+                       sharded_churn)
+
+SMALL = dict(n_sites=4, records_per_site=40, record_bytes=200, selectivity=0.1, seed=23)
 
 
-SMALL = DataGatherParams(n_sites=4, records_per_site=40, record_bytes=200,
-                         selectivity=0.1, seed=23)
+def relevant_ids(kernel, site):
+    return [record["id"] for record in
+            kernel.site(site).cabinet(DATA_CABINET).elements(RECORDS_FOLDER)
+            if record["relevant"]]
 
 
 class TestPopulation:
     def test_populate_counts_relevant_records(self):
-        kernel = build_gather_kernel(SMALL)
+        kernel = gather_kernel(**SMALL)
         total = 0
-        for site in SMALL.data_site_names():
+        for site in data_sites(kernel):
             records = kernel.site(site).cabinet(DATA_CABINET).elements(RECORDS_FOLDER)
-            assert len(records) == SMALL.records_per_site
-            total += sum(1 for record in records if record["relevant"])
-        assert 0 < total < SMALL.n_sites * SMALL.records_per_site
+            assert len(records) == SMALL["records_per_site"]
+            total += len(relevant_ids(kernel, site))
+        assert 0 < total < SMALL["n_sites"] * SMALL["records_per_site"]
 
     def test_population_is_deterministic_per_seed(self):
-        kernel_a = build_gather_kernel(SMALL)
-        kernel_b = build_gather_kernel(SMALL)
-        site = SMALL.data_site_names()[0]
-        ids_a = [record["id"] for record in
-                 kernel_a.site(site).cabinet(DATA_CABINET).elements(RECORDS_FOLDER)
-                 if record["relevant"]]
-        ids_b = [record["id"] for record in
-                 kernel_b.site(site).cabinet(DATA_CABINET).elements(RECORDS_FOLDER)
-                 if record["relevant"]]
-        assert ids_a == ids_b
+        kernel_a, kernel_b = gather_kernel(**SMALL), gather_kernel(**SMALL)
+        assert relevant_ids(kernel_a, "data00") == relevant_ids(kernel_b, "data00")
 
     def test_populate_returns_planted_count(self):
-        kernel = build_gather_kernel(DataGatherParams(n_sites=2, records_per_site=10,
-                                                      selectivity=0.0, seed=1))
+        kernel = gather_kernel(n_sites=2, records_per_site=10, selectivity=0.0, seed=1)
         planted = populate_data_sites(kernel, ["data00"], 50, 10, selectivity=1.0, seed=2)
         assert planted == 50
 
@@ -47,42 +42,39 @@ class TestPopulation:
 class TestTopologyKinds:
     @pytest.mark.parametrize("kind", ["star", "lan", "ring", "two_clusters"])
     def test_every_topology_kind_builds_and_runs(self, kind):
-        params = DataGatherParams(n_sites=4, records_per_site=10, record_bytes=50,
-                                  selectivity=0.2, topology=kind, seed=5)
-        result = run_agent_gather(params)
-        assert result.sites_covered == 4
+        kernel = agent_gather(n_sites=4, records_per_site=10, record_bytes=50,
+                              selectivity=0.2, topology=kind, seed=5)
+        assert gather_summary(kernel)["sites_covered"] == 4
 
     def test_unknown_topology_raises(self):
         with pytest.raises(ValueError):
-            run_agent_gather(DataGatherParams(topology="moebius"))
+            agent_gather(topology="moebius")
 
 
 class TestGatherModes:
     def test_both_modes_find_the_same_relevant_records(self):
-        agent = run_agent_gather(SMALL)
-        server = run_client_server_gather(SMALL)
-        assert agent.relevant_found == server.relevant_found > 0
+        agent = gather_summary(agent_gather(**SMALL))
+        server = gather_summary(client_server_gather(**SMALL))
+        assert agent["relevant_found"] == server["relevant_found"] > 0
 
     def test_agent_mode_moves_fewer_bytes(self):
-        agent = run_agent_gather(SMALL)
-        server = run_client_server_gather(SMALL)
-        assert agent.bytes_on_wire < server.bytes_on_wire
+        agent, server = agent_gather(**SMALL), client_server_gather(**SMALL)
+        assert agent.stats.bytes_sent < server.stats.bytes_sent
 
     def test_agent_mode_migrates_client_server_does_not(self):
-        assert run_agent_gather(SMALL).migrations > 0
-        assert run_client_server_gather(SMALL).migrations == 0
+        assert agent_gather(**SMALL).stats.migrations > 0
+        assert client_server_gather(**SMALL).stats.migrations == 0
 
     def test_record_counts_are_reported(self):
-        agent = run_agent_gather(SMALL)
-        assert agent.records_total == SMALL.n_sites * SMALL.records_per_site
-        server = run_client_server_gather(SMALL)
-        assert server.records_total == SMALL.n_sites * SMALL.records_per_site
+        total = SMALL["n_sites"] * SMALL["records_per_site"]
+        assert gather_summary(agent_gather(**SMALL))["records_total"] == total
+        assert gather_summary(client_server_gather(**SMALL))["records_total"] == total
 
     def test_zero_selectivity_yields_nothing_but_still_covers_sites(self):
-        params = DataGatherParams(n_sites=3, records_per_site=20, selectivity=0.0, seed=3)
-        agent = run_agent_gather(params)
-        assert agent.relevant_found == 0
-        assert agent.sites_covered == 3
+        summary = gather_summary(agent_gather(n_sites=3, records_per_site=20,
+                                              selectivity=0.0, seed=3))
+        assert summary["relevant_found"] == 0
+        assert summary["sites_covered"] == 3
 
     @pytest.mark.parametrize("record_bytes", [128, 512, 2048])
     def test_agent_advantage_falls_with_selectivity_to_a_crossover(self, record_bytes):
@@ -92,11 +84,10 @@ class TestGatherModes:
         is gone when everything is: the agent then carries all it gathered
         from site to site."""
         def advantage(selectivity):
-            params = DataGatherParams(n_sites=8, records_per_site=100,
-                                      record_bytes=record_bytes,
-                                      selectivity=selectivity, seed=13)
-            return ratio(run_client_server_gather(params).bytes_on_wire,
-                         run_agent_gather(params).bytes_on_wire)
+            params = dict(n_sites=8, records_per_site=100, record_bytes=record_bytes,
+                          selectivity=selectivity, seed=13)
+            return (client_server_gather(**params).stats.bytes_sent
+                    / agent_gather(**params).stats.bytes_sent)
 
         factors = {selectivity: advantage(selectivity)
                    for selectivity in (0.01, 0.05, 0.5, 1.0)}
@@ -110,51 +101,69 @@ class TestGatherModes:
 class TestItineraries:
     @pytest.mark.parametrize("transport", ["rsh", "tcp", "horus"])
     def test_itinerary_completes_on_every_transport(self, transport):
-        result = run_itinerary(ItineraryParams(transport=transport, hops=5,
-                                               payload_bytes=512, n_sites=6))
-        assert result.hops_completed == 5
-        assert result.duration > 0
-        assert result.mean_hop_time > 0
+        kernel, mean_hop_time = itinerary(transport=transport, hops=5, payload_bytes=512,
+                                          n_sites=6)
+        assert kernel.stats.migrations == 5
+        assert kernel.now > 0
+        assert mean_hop_time > 0
 
     def test_rsh_hops_are_slowest(self):
-        results = {transport: run_itinerary(ItineraryParams(transport=transport, hops=6,
-                                                            payload_bytes=512))
-                   for transport in ("rsh", "tcp", "horus")}
-        assert results["rsh"].mean_hop_time > results["tcp"].mean_hop_time
-        assert results["rsh"].mean_hop_time > results["horus"].mean_hop_time
+        hop_time = {transport: itinerary(transport=transport, hops=6, payload_bytes=512)[1]
+                    for transport in ("rsh", "tcp", "horus")}
+        assert hop_time["rsh"] > hop_time["tcp"]
+        assert hop_time["rsh"] > hop_time["horus"]
 
     def test_bigger_payload_means_more_bytes(self):
-        small = run_itinerary(ItineraryParams(transport="tcp", hops=4, payload_bytes=100))
-        large = run_itinerary(ItineraryParams(transport="tcp", hops=4, payload_bytes=50_000))
-        assert large.migration_bytes > small.migration_bytes
-        assert large.mean_hop_time > small.mean_hop_time
+        small, small_hop = itinerary(hops=4, payload_bytes=100)
+        large, large_hop = itinerary(hops=4, payload_bytes=50_000)
+        assert large.stats.migration_bytes > small.stats.migration_bytes
+        assert large_hop > small_hop
 
     def test_more_hops_take_longer(self):
-        short = run_itinerary(ItineraryParams(transport="tcp", hops=3))
-        long = run_itinerary(ItineraryParams(transport="tcp", hops=12))
-        assert long.duration > short.duration
-        assert long.hops_completed == 12
+        short, _ = itinerary(hops=3)
+        long, _ = itinerary(hops=12)
+        assert long.now > short.now
+        assert long.stats.migrations == 12
+
+
+class TestCouriers:
+    def test_the_hub_sink_files_every_report_with_its_sender(self):
+        kernel, events, _wall = courier_fan_in(backend="sim", n_senders=3,
+                                               deliveries_per_sender=4, payload_bytes=32,
+                                               link_latency=0.002)
+        received = kernel.site("hub").cabinet(MAIL_CABINET).elements("received")
+        assert sorted(report["from"] for report in received) == sorted(
+            f"sender{index:02d}" for index in range(3) for _ in range(4))
+        assert events > 0
+
+    def test_sharded_churn_reports_cross_shards_and_all_arrive(self):
+        kernel, _events = sharded_churn(shards=2, backend="inproc", n_sites=8,
+                                        n_agents=24, wave_size=8, seed=5)
+        filed = sum(len(kernel.site(name).cabinet(MAIL_CABINET).elements("received"))
+                    for name in kernel.site_names())
+        assert filed == 24
+        assert kernel.stats.shard_handoffs > 0
+        kernel.close()
 
 
 class TestHighPopulation:
-    SMALL = HighPopulationParams(n_sites=6, n_agents=300, wave_size=60,
-                                 work_seconds=0.02, seed=9)
+    SMALL = dict(n_sites=6, n_agents=300, wave_size=60, work_seconds=0.02, seed=9)
 
     def test_every_agent_completes(self):
-        result = run_high_population(self.SMALL)
-        assert result.agents_launched == 300
-        assert result.agents_completed == 300
-        assert result.sim_seconds > 0
+        kernel, _spread, _peak, _probes = high_population(**self.SMALL)
+        assert kernel.launched == 300
+        assert kernel.completed == 300
+        assert kernel.now > 0
 
     def test_balancer_spreads_the_population(self):
-        result = run_high_population(self.SMALL)
+        _kernel, spread, _peak, probes = high_population(**self.SMALL)
         # Perfectly divisible workload on identical sites: near-even spread.
-        assert result.placement_spread <= 2
-        assert result.load_queries == 300 * 6
+        assert spread <= 2
+        assert probes == 300 * 6
 
     def test_index_is_clean_after_the_run(self):
-        kernel, result = execute_high_population(self.SMALL)
+        kernel, _spread, peak, _probes = high_population(**self.SMALL)
         for name in kernel.site_names():
             assert kernel.agents_at(name) == []
             assert kernel.site(name).resident_count() == 0
-        assert result.peak_residents > 0
+        assert peak > 0

@@ -9,6 +9,7 @@ from repro.core import Briefcase, Kernel, KernelConfig
 from repro.net import lan
 from repro.net.message import Message, MessageKind
 from repro.net.transport import BATCHABLE_KINDS
+from scenarios import load_example
 
 
 def make_kernel(window=0.1, transport="tcp", **config_kwargs):
@@ -539,39 +540,36 @@ class TestAdaptiveWindows:
         window is too wide for the hot pairs or too tight for the trickle
         ones, so every fixed setting loses to per-pair windows on wire
         messages or on p50 delivery latency."""
-        from repro.bench.workloads import MixedTrafficParams, run_mixed_traffic
-        traffic = dict(n_hot=2, hot_deliveries=40, hot_gap=0.002, n_trickle=6,
-                       trickle_deliveries=8, trickle_gap=0.35, payload_bytes=200)
-        bounds = dict(flow_window_min=0.01, flow_window_max=0.6)
-        fixed_arms = [run_mixed_traffic(MixedTrafficParams(batch_window=window,
-                                                           **traffic))
-                      for window in (0.0, 0.02, 0.05, 0.15, 0.6)]
-        adaptive = run_mixed_traffic(MixedTrafficParams(
-            batch_window=0.02, flow_target_batch=6, **bounds, **traffic))
-        for outcome in fixed_arms + [adaptive]:
-            assert outcome.folders_received == outcome.folders_expected
+        example = load_example("adaptive_traffic.py")
 
-        def beats(fixed):
-            return (adaptive.wire_messages < fixed.wire_messages,
-                    adaptive.p50_latency < fixed.p50_latency)
+        def outcome(**fabric):
+            kernel, latencies = example.mixed_traffic(**fabric)
+            assert len(latencies) == example.FOLDERS
+            return kernel.stats.messages_sent, latencies[len(latencies) // 2], kernel
 
-        assert all(any(beats(fixed)) for fixed in fixed_arms)
-        assert any(all(beats(fixed)) for fixed in fixed_arms)
+        fixed_arms = [outcome(delivery_batch_window=window)[:2]
+                      for window in example.FIXED_WINDOWS]
+        wire_messages, p50, kernel = outcome(**example.ADAPTIVE)
+
+        def beats(fixed_wire_messages, fixed_p50):
+            return wire_messages < fixed_wire_messages, p50 < fixed_p50
+
+        assert all(any(beats(*fixed)) for fixed in fixed_arms)
+        assert any(all(beats(*fixed)) for fixed in fixed_arms)
         # Against the cheapest fixed window that still meets a 0.1 s p50:
         # fewer wire messages at equal or lower latency.
-        best_fixed = min((fixed for fixed in fixed_arms if fixed.p50_latency <= 0.1),
-                         key=lambda fixed: fixed.wire_messages)
-        assert adaptive.wire_messages < best_fixed.wire_messages
-        assert adaptive.p50_latency <= best_fixed.p50_latency
+        best_wire_messages, best_p50 = min(fixed for fixed in fixed_arms if fixed[1] <= 0.1)
+        assert wire_messages < best_wire_messages
+        assert p50 <= best_p50
         # The converged windows tell why: hot pairs tight, trickle pairs wide.
         windows = {pair: info["window"]
-                   for pair, info in adaptive.flow_windows.items()}
+                   for pair, info in kernel.stats.flow_snapshot().items()}
         hot = [window for pair, window in windows.items() if pair.startswith("hot")]
         trickle = [window for pair, window in windows.items()
                    if pair.startswith("cold")]
         assert hot and trickle and max(hot) < min(trickle)
-        assert all(bounds["flow_window_min"] <= window <= bounds["flow_window_max"]
-                   for window in hot + trickle)
+        assert all(example.ADAPTIVE["flow_window_min"] <= window
+                   <= example.ADAPTIVE["flow_window_max"] for window in hot + trickle)
 
 
 class TestAdaptiveReconfigureRaces:

@@ -259,6 +259,30 @@ class TestTableUnit:
             assert [getattr(record, slot) for slot in AgentRecord.__slots__] == list(row)
         assert (row[1], row[3], row[4], row[-1]) == ("rowed", AgentState.DONE, [1, 2], ("a",))
 
+    @pytest.mark.parametrize("state, finished", [
+        ("created", False), ("running", False), ("waiting", False),
+        ("done", True), ("failed", True), ("killed", True)])
+    def test_a_record_is_finished_exactly_when_its_state_is_terminal(self, state, finished):
+        row = ("agent-1", "n", "a", state, None, None, 0, None, 0.0, None, ("a",))
+        assert AgentRecord(row).finished is finished
+
+    def test_a_live_agent_does_not_read_as_finished_on_any_backend(self, backend):
+        # A process shard's coordinator builds records of running agents from
+        # digest rows: they must read as live, as the engine's instances do.
+        with Kernel(lan(["a", "b"]), transport="tcp", config=KernelConfig(
+                rng_seed=7, shards=2, shard_backend=backend)) as kernel:
+            briefcase = Briefcase()
+            briefcase.set("WORK", 5.0)
+            agent_id = kernel.launch("a", _worker, briefcase)
+            kernel.run(until=1.0)
+            live = kernel.agent(agent_id)
+            assert (live.state, live.finished) == (AgentState.WAITING, False)
+            assert [entry.agent_id for entry in kernel.agents.values()
+                    if not entry.finished] == [agent_id]
+            kernel.run()
+            done = kernel.agent(agent_id)
+            assert (done.state, done.finished) == (AgentState.DONE, True)
+
     def test_site_handshake_keeps_resident_index_exact(self):
         kernel = make_kernel()
 

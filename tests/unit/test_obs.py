@@ -22,6 +22,7 @@ from repro.obs import (Counter, Gauge, Histogram, JsonlSink, MetricsRegistry,
                        infra_trace_id, span_id)
 from repro.obs.report import (breakdown, build_trees, hop_timeline, load_trace,
                               percentile, trace_ids)
+from scenarios import COURIER_NAME, SINK_NAME, courier_briefcase, report_sink
 
 
 class FakeClock:
@@ -201,8 +202,6 @@ def test_metrics_view_merges_shards():
 def _courier_metrics(shards, backend="inproc"):
     """``(kernel.metrics.collect(), [engine.metrics.collect(), ...])`` after
     six couriers crossed a 6-site LAN through the batching fabric."""
-    from repro.bench.workloads import (SHARD_COURIER_NAME, SHARD_SINK_NAME,
-                                       _shard_sink)
     names = [f"s{i}" for i in range(6)]
     kernel = Kernel(lan(names, latency=0.002), transport="tcp",
                     config=KernelConfig(rng_seed=7, shards=shards,
@@ -210,13 +209,10 @@ def _courier_metrics(shards, backend="inproc"):
                                         delivery_batch_window=0.01,
                                         flow_window_min=0.005,
                                         flow_window_max=0.05))
-    kernel.install_agent(None, SHARD_SINK_NAME, _shard_sink)
+    kernel.install_agent(None, SINK_NAME, report_sink)
     for index, name in enumerate(names):
-        briefcase = Briefcase()
-        briefcase.set("WORK", 0.01)
-        briefcase.set("PEER", names[(index + 3) % len(names)])
-        briefcase.set("BYTES", 16)
-        kernel.launch(name, SHARD_COURIER_NAME, briefcase)
+        kernel.launch(name, COURIER_NAME, courier_briefcase(
+            names[(index + 3) % len(names)], work=0.01, payload_bytes=16))
     kernel.run()
     collected = kernel.metrics.collect()
     per_engine = [engine.metrics.collect() for engine in kernel.engines]

@@ -11,6 +11,7 @@ import dataclasses
 import importlib
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -19,21 +20,26 @@ import pytest
 
 import repro
 
-PACKAGES = [
-    "repro",
-    "repro.core",
-    "repro.net",
-    "repro.sysagents",
-    "repro.cash",
-    "repro.scheduling",
-    "repro.fault",
-    "repro.shard",
-    "repro.rt",
-    "repro.obs",
-    "repro.apps.stormcast",
-    "repro.apps.mail",
-    "repro.bench",
-]
+#: ``repro`` and every package under it on disk
+PACKAGES = ["repro"] + sorted(info.name for info in pkgutil.walk_packages(
+    repro.__path__, "repro.") if info.ispkg)
+
+
+def test_the_package_list_is_read_from_disk():
+    assert {"repro.core", "repro.flow", "repro.store", "repro.apps",
+            "repro.apps.mail"} <= set(PACKAGES)
+
+
+def exports(module, name: str) -> bool:
+    """Whether ``from module import *`` binds *name*: an attribute of the
+    module, or a submodule the star import loads."""
+    if hasattr(module, name):
+        return True
+    try:
+        importlib.import_module(f"{module.__name__}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)
@@ -42,7 +48,13 @@ def test_every_advertised_name_is_importable(package_name):
     exported = getattr(module, "__all__", None)
     assert exported, f"{package_name} should declare __all__"
     for name in exported:
-        assert hasattr(module, name), f"{package_name}.__all__ lists missing name {name!r}"
+        assert exports(module, name), f"{package_name}.__all__ lists missing name {name!r}"
+
+
+def test_a_submodule_name_is_exported_and_an_unknown_name_is_not():
+    import repro.apps
+    assert exports(repro.apps, "mail")
+    assert not exports(repro.apps, "no_such_app")
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)

@@ -25,6 +25,7 @@ from repro.net.stats import NetworkStats
 from repro.net.topology import LinkSpec, NoRouteError, switched_fabric
 from repro.shard import (BACKENDS, ClockSync, InprocBackend, Shard, ShardSet,
                          process_backend_available)
+from scenarios import COURIER_NAME, SINK_NAME, courier_briefcase, report_sink, sharded_churn
 
 
 def sharded_kernel(backend, site_count=8, shards=4, seed=7):
@@ -389,17 +390,11 @@ class TestClockSyncDirtyFlag:
 class TestBudgetStop:
     def test_budget_stops_at_same_point_and_resumes(self, backend):
         # Launch, stop after exactly 5 events, resume to quiescence.
-        from repro.bench.workloads import (SHARD_COURIER_NAME,
-                                           SHARD_SINK_NAME, _shard_sink)
         kernel, names = sharded_kernel(backend)
-        kernel.install_agent(None, SHARD_SINK_NAME, _shard_sink)
+        kernel.install_agent(None, SINK_NAME, report_sink)
         for index in range(8):
-            briefcase = Briefcase()
-            briefcase.set("WORK", 0.01)
-            briefcase.set("PEER", names[(index + 5) % len(names)])
-            briefcase.set("BYTES", 16)
-            kernel.launch(names[index % len(names)], SHARD_COURIER_NAME,
-                          briefcase)
+            kernel.launch(names[index % len(names)], COURIER_NAME, courier_briefcase(
+                names[(index + 5) % len(names)], work=0.01, payload_bytes=16))
         assert kernel.run(max_events=5) == 5
         assert kernel.run() > 0
         assert kernel.counters()["completed"] == 24  # couriers, transfers, sinks
@@ -414,11 +409,8 @@ class TestFacadeSurface:
     @pytest.mark.skipif(not process_backend_available(),
                         reason="multiprocessing spawn unavailable")
     def test_shard_summary_surfaces_coordination_ledger(self):
-        from repro.bench.workloads import ShardedChurnParams, \
-            execute_sharded_churn
-        kernel, _result = execute_sharded_churn(ShardedChurnParams(
-            n_sites=8, n_agents=16, wave_size=8, shards=4, seed=11,
-            backend="process"))
+        kernel, _events = sharded_churn(n_sites=8, n_agents=16, wave_size=8, shards=4,
+                                        seed=11, backend="process")
         summary = kernel.shard_summary()
         assert summary["shards"] == 4
         assert summary["backend"] == "process"
@@ -520,6 +512,26 @@ class TestRouteCacheAndFabric:
         assert cost > 0
 
 
+class TestWorkerHandle:
+    @pytest.mark.parametrize("unread_command", [False, True], ids=["eof", "reset"])
+    def test_a_dead_worker_pipe_raises_a_kernel_error(self, unread_command):
+        # A worker that closed its end reads as EOF; one that died with a
+        # command still unread in its end resets the connection instead.
+        import multiprocessing
+        from types import SimpleNamespace
+
+        from repro.shard.procworker import _WorkerHandle
+
+        coordinator, worker = multiprocessing.Pipe()
+        if unread_command:
+            coordinator.send(("call", "now"))
+        worker.close()
+        handle = _WorkerHandle(3, coordinator, SimpleNamespace(exitcode=1))
+        with pytest.raises(KernelError, match=r"shard 3 worker died \(exitcode=1\)"):
+            handle.recv()
+        coordinator.close()
+
+
 # ---------------------------------------------------------------------------
 # process backend odds and ends (gated on spawn availability)
 # ---------------------------------------------------------------------------
@@ -528,9 +540,8 @@ class TestRouteCacheAndFabric:
                     reason="multiprocessing spawn unavailable")
 class TestProcessFacade:
     def test_crash_and_recover_cross_worker(self):
-        from repro.bench.workloads import SHARD_SINK_NAME, _shard_sink
         kernel, names = sharded_kernel("process", site_count=6, shards=3)
-        kernel.install_agent(None, SHARD_SINK_NAME, _shard_sink)
+        kernel.install_agent(None, SINK_NAME, report_sink)
         kernel.crash_site(names[0])
         assert not kernel.sites[names[0]].alive
         kernel.recover_site(names[0])
@@ -563,20 +574,15 @@ class TestProcessFacade:
         stray.__module__ = "example_loaded_from_a_file_path"
         registry = BehaviourRegistry()
         registry.register("stray", stray)
-        from repro.bench.workloads import _shard_sink
-        registry.register("sink", _shard_sink)
+        registry.register("sink", report_sink)
         modules = preload_module_names(registry)
         assert "example_loaded_from_a_file_path" not in modules
-        assert "repro.bench.workloads" in modules
+        assert "scenarios" in modules
 
     def test_digest_fed_log_and_spans_keep_the_configured_bounds(self):
         """``event_log_max`` and ``obs_ring`` bound what the coordinator
         retains per engine too: after repeated runs it holds what the
         in-process engines hold, not everything the digests ever shipped."""
-        from repro.bench.workloads import (SHARD_COURIER_NAME,
-                                           SHARD_SINK_NAME, _shard_sink)
-        from repro.core import Briefcase
-
         def retained(backend):
             names = [f"s{i}" for i in range(4)]
             kernel = Kernel(lan(names, latency=0.002), transport="tcp",
@@ -586,17 +592,14 @@ class TestProcessFacade:
                                                  "s2": 1, "s3": 1},
                                 event_log_max=3, obs_ring=4,
                                 obs_enabled=True))
-            kernel.install_agent(None, SHARD_SINK_NAME, _shard_sink)
+            kernel.install_agent(None, SINK_NAME, report_sink)
             for round_number in range(10):
                 site = names[round_number % len(names)]
                 for line in range(5):
                     kernel.log_event("operator", site,
                                      f"round {round_number} line {line}")
-                briefcase = Briefcase()
-                briefcase.set("WORK", 0.01)
-                briefcase.set("PEER", names[(round_number + 1) % len(names)])
-                briefcase.set("BYTES", 16)
-                kernel.launch(site, SHARD_COURIER_NAME, briefcase)
+                kernel.launch(site, COURIER_NAME, courier_briefcase(
+                    names[(round_number + 1) % len(names)], work=0.01, payload_bytes=16))
                 if round_number == 5:
                     kernel.crash_site(names[3])
                     kernel.recover_site(names[3])
