@@ -51,7 +51,7 @@ from repro.net.horus import HorusTransport
 from repro.net.message import Message, MessageKind
 from repro.net.rsh import RshTransport
 from repro.net.simclock import EventLoop
-from repro.net.stats import NetworkStats
+from repro.net.stats import LatencySketch, NetworkStats
 from repro.net.tcp import TcpTransport
 from repro.net.topology import Topology
 from repro.net.transport import Transport
@@ -397,9 +397,13 @@ class Engine(LedgerQueries):
         if transport_metrics is not None:  # tcp/horus publish extra telemetry
             self.metrics.register("transport", transport_metrics)
         if self.config.backend == "realtime":
-            # Wall-clock honesty metrics: how late the scheduler wakes.
-            self.loop.lag_observe = self.metrics.histogram(
-                "rt_sleep_lag_seconds").observe
+            #: wall-clock honesty metrics by name: how late the scheduler
+            #: wakes, and each group commit's fsync as durable stores attach
+            self.wall_latencies: Dict[str, LatencySketch] = {
+                "rt_sleep_lag_seconds": LatencySketch()}
+            self.loop.lag_observe = self.wall_latencies["rt_sleep_lag_seconds"].record
+            self.metrics.register("wall", lambda: {
+                name: sketch.summary() for name, sketch in self.wall_latencies.items()})
         #: open "run" spans by agent id / open recovery spans by site name
         self._obs_runs: Dict[str, Any] = {}
         self._obs_recovery: Dict[str, Any] = {}
@@ -542,8 +546,8 @@ class Engine(LedgerQueries):
             sink = FileWalSink(os.path.join(self.config.store_realtime_dir,
                                             f"{site.name}.wal"))
             # Measured flush+fsync wall latency per group commit.
-            sink.latency_observe = self.metrics.histogram(
-                "wal_fsync_wall_seconds").observe
+            sink.latency_observe = self.wall_latencies.setdefault(
+                "wal_fsync_wall_seconds", LatencySketch()).record
         store = SiteStore(site, self.loop, self.durability, costs, self.stats,
                           log_event=self.log_event, sink=sink, obs=self.obs)
         site.attach_store(store)

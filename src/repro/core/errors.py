@@ -92,15 +92,6 @@ class SyscallError(KernelError):
     """An agent yielded a malformed or disallowed syscall."""
 
 
-class AgentCrashedError(KernelError):
-    """An agent raised an unhandled exception while executing."""
-
-    def __init__(self, agent_id: str, cause: BaseException):
-        super().__init__(f"agent {agent_id} crashed: {cause!r}")
-        self.agent_id = agent_id
-        self.cause = cause
-
-
 # ---------------------------------------------------------------------------
 # Network errors
 # ---------------------------------------------------------------------------
@@ -141,10 +132,6 @@ class InsufficientFundsError(CashError):
     """A wallet does not hold enough valid ECUs for the requested payment."""
 
 
-class AuditViolation(CashError):
-    """The auditor found a contract violation in an exchange record."""
-
-
 # ---------------------------------------------------------------------------
 # Scheduling errors
 # ---------------------------------------------------------------------------
@@ -167,7 +154,3 @@ class TicketError(SchedulingError):
 
 class FaultToleranceError(TacomaError):
     """A rear-guard / recovery operation failed."""
-
-
-class ComputationLostError(FaultToleranceError):
-    """A mobile computation could not be recovered after a failure."""

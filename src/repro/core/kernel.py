@@ -39,7 +39,7 @@ from repro.core.site import Site
 from repro.net.stats import StatsView
 from repro.net.topology import Topology, lan
 from repro.net.transport import Transport
-from repro.obs import MetricsView, Tracer, TracerView
+from repro.obs import MetricsRegistry, Tracer, TracerView
 from repro.store.policy import DurabilityPolicy
 
 __all__ = ["Kernel", "KernelConfig", "EventLog"]
@@ -333,7 +333,7 @@ class Kernel(LedgerQueries):
                                  MergedEventLog)
         self.obs = _view_of([engine.obs for engine in engines],
                            lambda parts: TracerView(parts, own=facade_tracer))
-        self.metrics = _view_of([engine.metrics for engine in engines], self._metrics_view)
+        self.metrics = _view_of([engine.metrics for engine in engines], self._merged_metrics)
         #: engine 0 anchors the pieces that need a single identity: failure
         #: schedules ride its clock, and code that introspects
         #: ``kernel.transport`` sees its transport
@@ -342,10 +342,20 @@ class Kernel(LedgerQueries):
         self.rng = engines[0].rng
         self.durability: DurabilityPolicy = engines[0].durability
 
-    def _metrics_view(self, parts: Sequence) -> MetricsView:
-        view = MetricsView(parts)
-        view.register("net", self.stats.snapshot)
-        return view
+    def _merged_metrics(self, parts: Sequence[MetricsRegistry]) -> MetricsRegistry:
+        """The merged stats snapshot (whose values are not all additive),
+        beside every other source the engines registered, summed."""
+        def engine_sources() -> Dict[str, Any]:
+            summed: Dict[str, Any] = {}
+            for part in parts:
+                for key, value in part.collect(skip=("net",)).items():
+                    summed[key] = summed.get(key, 0) + value
+            return summed
+
+        registry = MetricsRegistry()
+        registry.register("engines", engine_sources)
+        registry.register("net", self.stats.snapshot)
+        return registry
 
     meets = _summed("meets", "Meets begun.")
     transmits = _summed("transmits", "Briefcases handed to a transport.")

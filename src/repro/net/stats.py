@@ -3,7 +3,10 @@
 Every comparison the tests make, and the performance ledger
 (``benchmarks/ledger/README.md``), reads its numbers from a
 :class:`NetworkStats` (bytes, messages, hops) or from the kernel's agent
-ledger, so the counters live in one small, well-tested module.
+ledger, so the counters live in one small, well-tested module.  A
+:class:`NetworkStats` is plain picklable state: a process shard worker ships
+its engine's whole object in each digest, and the coordinator copies it into
+its mirror in place.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ class LatencySketch:
 
     __slots__ = ("capacity", "count", "total", "min", "max", "_sample", "_rng")
 
-    def __init__(self, capacity: int = 4096, values: Optional[Sequence[float]] = None):
+    def __init__(self, capacity: int = 4096):
         self.capacity = max(1, int(capacity))
         self.count = 0
         self.total = 0.0
@@ -52,9 +55,6 @@ class LatencySketch:
         self.max: Optional[float] = None
         self._sample: List[float] = []
         self._rng = random.Random(0x5EED)
-        if values is not None:
-            for value in values:
-                self.record(value)
 
     # -- recording ----------------------------------------------------------
 
@@ -71,9 +71,6 @@ class LatencySketch:
             slot = self._rng.randrange(self.count)
             if slot < self.capacity:
                 self._sample[slot] = value
-
-    # list-era compatibility: ``stats.latencies.append(x)`` keeps working
-    append = record
 
     # -- reading ------------------------------------------------------------
 
@@ -96,6 +93,12 @@ class LatencySketch:
         rank = max(0, min(len(ordered) - 1,
                           int(round(q * (len(ordered) - 1)))))
         return ordered[rank]
+
+    def summary(self) -> Dict[str, Optional[float]]:
+        """Count, total, extremes, mean, p50 and p99 as one JSON-able dict."""
+        return {"count": self.count, "total": self.total, "min": self.min,
+                "max": self.max, "mean": self.mean(),
+                "p50": self.percentile(0.50), "p99": self.percentile(0.99)}
 
     def merge_from(self, other: "LatencySketch") -> None:
         """Fold another sketch in: exact moments add, samples combine.
@@ -121,41 +124,6 @@ class LatencySketch:
             self.min = other.min
         if other.max is not None and (self.max is None or other.max > self.max):
             self.max = other.max
-
-    # -- state transfer (process shard backend) ------------------------------
-
-    def to_state(self) -> Dict[str, object]:
-        """Plain picklable dict for shard digests."""
-        return {"capacity": self.capacity, "count": self.count,
-                "total": self.total, "min": self.min, "max": self.max,
-                "sample": list(self._sample),
-                "rng_state": self._rng.getstate()}
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "LatencySketch":
-        sketch = cls(capacity=state["capacity"])
-        sketch.count = state["count"]
-        sketch.total = state["total"]
-        sketch.min = state["min"]
-        sketch.max = state["max"]
-        sketch._sample = list(state["sample"])
-        rng_state = state.get("rng_state")
-        if rng_state is not None:
-            sketch._rng.setstate(rng_state)
-        return sketch
-
-    # -- dunders -------------------------------------------------------------
-
-    def __len__(self) -> int:
-        """Number of *recorded* values (list-era ``len`` compatibility)."""
-        return self.count
-
-    def __bool__(self) -> bool:
-        return self.count > 0
-
-    def __iter__(self):
-        """Iterate the retained sample (not the full stream)."""
-        return iter(self._sample)
 
     def __repr__(self) -> str:
         return (f"LatencySketch(n={self.count}, mean="
@@ -415,57 +383,6 @@ class NetworkStats:
             "delivery_ratio": self.delivery_ratio(),
         }
 
-    # -- state transfer (process shard backend) -------------------------------
-
-    def export_state(self) -> Dict[str, object]:
-        """Every counter as one picklable plain-dict.
-
-        The process shard backend's workers ship their stats to the
-        coordinator in state digests; ``defaultdict`` fields (whose lambda
-        factories do not pickle) are flattened to plain dicts, containers
-        are copied so the exported state never aliases the live counters.
-        """
-        state: Dict[str, object] = {}
-        for spec in dataclasses.fields(NetworkStats):
-            value = getattr(self, spec.name)
-            if isinstance(value, LatencySketch):
-                value = value.to_state()
-            elif isinstance(value, dict):
-                value = dict(value)
-            elif isinstance(value, list):
-                value = list(value)
-            state[spec.name] = value
-        return state
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        """Replace every counter from an :meth:`export_state` dict.
-
-        Each shard's stats are owned entirely by one worker, so a mirror is
-        refreshed by whole-state replacement — no merge arithmetic, no
-        drift.  Unknown keys are ignored so digests stay forward-compatible.
-        """
-        for spec in dataclasses.fields(NetworkStats):
-            if spec.name not in state:
-                continue
-            value = state[spec.name]
-            if spec.name == "latencies":
-                # accept both sketch-state dicts and list-era plain lists
-                value = (LatencySketch.from_state(value)
-                         if isinstance(value, dict)
-                         else LatencySketch(values=value))
-            elif spec.name in ("flush_causes", "per_kind", "per_kind_bytes"):
-                value = defaultdict(int, value)
-            elif isinstance(value, dict):
-                value = dict(value)
-            elif isinstance(value, list):
-                value = list(value)
-            setattr(self, spec.name, value)
-
-    def reset(self) -> None:
-        """Zero every counter (used between benchmark repetitions)."""
-        self.__init__()  # noqa: PLC2801 - simple and explicit for a dataclass
-
-
 #: NetworkStats fields that merge by summation across shards (everything that
 #: is not one of the container fields merged structurally by StatsView).
 _MERGED_CONTAINER_FIELDS = ("flush_causes", "flow_windows", "per_kind",
@@ -483,8 +400,7 @@ class StatsView:
     ``stats.messages_sent``, reports walking ``stats.snapshot()`` — reads
     cluster-wide totals without knowing about shards.  Scalar counters sum
     across shards; container fields (per-kind, per-link, flow telemetry,
-    latencies) merge structurally.  The view is read-only in spirit: it
-    never records, and ``reset()`` fans out to every underlying shard.
+    latencies) merge structurally.  The view is read-only: it never records.
     """
 
     def __init__(self, parts: Sequence[NetworkStats]):
@@ -558,8 +474,3 @@ class StatsView:
     bytes_for_kind = NetworkStats.bytes_for_kind
     flow_snapshot = NetworkStats.flow_snapshot
     snapshot = NetworkStats.snapshot
-
-    def reset(self) -> None:
-        """Zero every underlying shard's counters."""
-        for part in self._parts:
-            part.reset()

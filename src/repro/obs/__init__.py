@@ -1,4 +1,4 @@
-"""Observability: causal tracing and a metrics pipeline (`repro.obs`).
+"""Observability: causal tracing and one metrics read (`repro.obs`).
 
 The paper's unit of work is the *itinerary* — an agent hopping site to
 site with a briefcase and rear guards — and this package makes one
@@ -12,18 +12,19 @@ visible end to end:
   :class:`TracerView` the sharded facade exposes.
 * :mod:`repro.obs.sinks` — pluggable span sinks: in-memory ring buffer
   (default, near-zero cost when tracing is off), JSONL file sink, and a
-  wall-stamping realtime wrapper.
-* :mod:`repro.obs.metrics` — counters / gauges / bounded histograms
-  behind one ``register()`` seam; ``NetworkStats`` is re-exposed through
-  it so shard digests, ``store_summary`` and benchmark JSON read from
-  one place.
+  fan-out tee.
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, one ``collect()``
+  over named sources.  It stores nothing: ``NetworkStats`` is the one
+  counter store and registers as the ``"net"`` source, beside the flow and
+  transport telemetry, so shard digests, ``store_summary`` and benchmark
+  JSON read from one place.
 * :mod:`repro.obs.report` — turns a JSONL trace into per-itinerary hop
   timelines and per-(source, destination) / per-subsystem p50/p99
   breakdowns (also a CLI: ``python -m repro.obs.report trace.jsonl``).
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, MetricsView
-from repro.obs.sinks import JsonlSink, RealtimeSink, RingSink, TeeSink
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.sinks import JsonlSink, RingSink, TeeSink
 from repro.obs.span import (Span, TRACE_ID_FOLDER, TRACE_PARENT_FOLDER,
                             infra_trace_id, span_id)
 from repro.obs.tracer import Tracer, TracerView
@@ -32,6 +33,6 @@ __all__ = [
     "Span", "TRACE_ID_FOLDER", "TRACE_PARENT_FOLDER", "span_id",
     "infra_trace_id",
     "Tracer", "TracerView",
-    "RingSink", "JsonlSink", "RealtimeSink", "TeeSink",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "MetricsView",
+    "RingSink", "JsonlSink", "TeeSink",
+    "MetricsRegistry",
 ]

@@ -7,9 +7,6 @@ so sinks compose freely and everything they hold is picklable:
   absolute emit counter so the process shard backend can ship *new*
   spans in each state digest (:meth:`RingSink.since`).
 * :class:`JsonlSink` — one JSON object per line, append-only file.
-* :class:`RealtimeSink` — wrapper stamping the wall-clock emit time on
-  every span (``"wall_emitted"``), so observed setup/fsync latencies can
-  later feed back into sim :class:`~repro.flow.cost.CostModel` prices.
 * :class:`TeeSink` — fan a span out to several sinks (ring + file).
 """
 
@@ -18,11 +15,9 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.core.timing import default_timer
-
-__all__ = ["RingSink", "JsonlSink", "RealtimeSink", "TeeSink"]
+__all__ = ["RingSink", "JsonlSink", "TeeSink"]
 
 
 class RingSink:
@@ -93,35 +88,6 @@ class JsonlSink:
                 self._handle.close()
             finally:
                 self._handle = None
-
-
-class RealtimeSink:
-    """Stamp the wall-clock emit time on every span, then forward it.
-
-    Under the realtime backend the tracer already stamps ``wall_start`` /
-    ``wall_end`` around each span; this wrapper additionally records when
-    the span *reached the sink* — the number report's ``observed_costs``
-    uses to turn measured setup/fsync latencies into sim prices.
-    """
-
-    __slots__ = ("inner", "timer")
-
-    def __init__(self, inner, timer: Callable[[], float] = default_timer):
-        self.inner = inner
-        self.timer = timer
-
-    def emit(self, span: Dict[str, Any]) -> None:
-        span["wall_emitted"] = self.timer()
-        self.inner.emit(span)
-
-    def export(self) -> List[Dict[str, Any]]:
-        return self.inner.export()
-
-    def since(self, seq: int):
-        return self.inner.since(seq)
-
-    def close(self) -> None:
-        self.inner.close()
 
 
 class TeeSink:

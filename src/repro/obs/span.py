@@ -107,19 +107,6 @@ class Span:
             out["wall_end"] = self.wall_end
         return out
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Span":
-        """Rebuild a span from :meth:`to_dict` output (report-side)."""
-        return cls(payload["trace_id"], payload["span_id"], payload["name"],
-                   parent_id=payload.get("parent_id"),
-                   kind=payload.get("kind", ""), site=payload.get("site", ""),
-                   source=payload.get("source", ""),
-                   destination=payload.get("destination", ""),
-                   start=payload.get("start", 0.0), end=payload.get("end"),
-                   attrs=payload.get("attrs"),
-                   wall_start=payload.get("wall_start"),
-                   wall_end=payload.get("wall_end"))
-
     def __repr__(self) -> str:
         return (f"Span({self.span_id} kind={self.kind} site={self.site!r} "
                 f"[{self.start:.6g}, {self.start if self.end is None else self.end:.6g}])")

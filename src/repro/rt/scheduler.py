@@ -92,7 +92,7 @@ class AsyncioScheduler(EventLoop):
         super().__init__(clock=WallClock(timer))
         self._aio: Optional[asyncio.AbstractEventLoop] = None
         self._closed = False
-        #: optional metrics hook (the kernel wires a histogram's ``observe``
+        #: optional metrics hook (the kernel wires a sketch's ``record``
         #: here): called with each fired event's wake lag in seconds — how
         #: far past its scheduled time the wall clock was when it ran
         self.lag_observe: Optional[Callable[[float], None]] = None

@@ -40,7 +40,7 @@ class FileWalSink(WalSink):
         self.fsync = fsync
         self.commits = 0
         self.records_written = 0
-        #: optional metrics hook (the kernel wires a histogram's ``observe``
+        #: optional metrics hook (the kernel wires a sketch's ``record``
         #: here): called with each commit's measured flush+fsync seconds
         self.latency_observe: Optional[Callable[[float], None]] = None
         self._handle = open(self.path, "ab")

@@ -28,20 +28,37 @@ burst spooled for other shards, the coordinator routes it, and it rides
 the owner's next ``run_to``/``advance_clock`` — exactly the in-process
 path (see :mod:`repro.shard.router`).
 
-Facade views (``stats``, ``table``, ``sites``, ``event_log``) are served
-from per-run **state digests**: after each ``ShardSet.run`` the
-coordinator pulls one digest per worker — full stats state, new/changed
-:class:`~repro.core.lifecycle.AgentRecord` deltas (as ``row`` tuples), site
-flags, appended event-log lines — and refreshes the proxy mirrors.  Mid-run
-the mirrors lag by design; everything tests read (counters, results) is read
-after ``run()`` returns.
+Facade views (``stats``, ``table``, ``sites``, ``event_log``, ``obs``,
+``metrics``) are served from per-run **state digests**: after each
+``ShardSet.run`` the coordinator pulls one digest per worker and refreshes
+the proxy mirrors.  A digest carries:
+
+* the engine's :class:`~repro.net.stats.NetworkStats` object itself (it
+  pickles whole), copied into the proxy's in place;
+* the loop's processed count and the four event counters;
+* new/changed :class:`~repro.core.lifecycle.AgentRecord` deltas (as ``row``
+  tuples), evicted ids, and the table's counts;
+* per-site flags (alive, residents, undeliverable, load, capacity); the
+  facade's topology follows ``alive``, so a durable replay that completes
+  worker-side marks the site up there too;
+* the event-log lines and spans appended since the last digest;
+* what the engine's other metric sources (flow, transport) read now.
+
+Mid-run the mirrors lag by design; everything tests read (counters,
+results) is read after ``run()`` returns.
 
 Known limits (all raise a clear ``KernelError``): behaviours must be
 picklable or registered in importable modules (the worker re-imports the
 registry's modules; ``__main__``-only behaviours cannot rehydrate),
 coordinator-side event scheduling on ``kernel.loop`` is unavailable, and
 so are ``on_site_added``/``on_site_recovered`` subscriptions and per-agent
-site queries (``residents()``/``cabinet()``).
+site queries (``residents()``/``cabinet()``).  One does not raise: a worker's
+copy of the topology never learns that a site another worker hosts crashed
+(``peer_down``/``peer_up`` reach its transport only), so traffic to that
+site still crosses the boundary as a handoff where an in-process engine
+drops it at send.  ``shard_handoffs``, ``shard_handoff_bytes`` and
+``shard_late_arrivals`` then differ from ``inproc``; ``counters()`` do not.
+The fix needs a recovery notice sent through the handoff path.
 """
 
 from __future__ import annotations
@@ -181,7 +198,8 @@ class _Worker:
             engine.event_log.since(self._event_log_sent)
         self._span_seq, new_spans = engine.obs.since(self._span_seq)
         return {
-            "stats": engine.stats.export_state(),
+            # The live object: it pickles whole, defaultdicts and sketch RNG too.
+            "stats": engine.stats,
             "processed": engine.loop.processed,
             "counters": (engine.meets, engine.transmits, engine.arrivals,
                          engine.undeliverable),
@@ -192,9 +210,8 @@ class _Worker:
             "sites": sites,
             "event_log": new_events,
             "spans": new_spans,
-            "metrics": engine.metrics.export_state(),
-            # "net" is the stats state above; the rest read worker-side objects.
-            "metric_sources": engine.metrics.collect_sources(skip=("net",)),
+            # "net" is the stats above; the rest read worker-side objects.
+            "metric_sources": engine.metrics.collect(skip=("net",)),
         }
 
     # -- the loop ---------------------------------------------------------------
@@ -488,6 +505,8 @@ class ProcessEngineProxy:
         self.shard_id = spec.shard_id
         self.loop = MirrorLoop(spec.shard_id)
         self.stats = NetworkStats()
+        #: the facade's topology: it follows the site flags each digest carries
+        self.topology = spec.topology
         self.table = ShardTableMirror(
             spec.retention if spec.retention is not None
             else spec.config.retention)
@@ -501,9 +520,9 @@ class ProcessEngineProxy:
         # Coordinator-side placeholder matching the engine's seed derivation;
         # the authoritative stream lives in the worker.
         self.rng = random.Random(spec.config.rng_seed + spec.shard_id)
-        #: event log, spans and metrics, refreshed from per-run digests into
-        #: the classes an engine uses (same bounds), so the facade's merged
-        #: views read process shards exactly like in-process engines
+        #: event log, spans and metric sources, refreshed from per-run digests
+        #: into the classes an engine uses (same bounds), so the facade's
+        #: merged views read process shards exactly like in-process engines
         self.event_log = EventLog(spec.config.event_log_max)
         self.obs = (Tracer(sink=RingSink(spec.config.obs_ring))
                     if spec.config.obs_enabled else Tracer.disabled())
@@ -567,7 +586,8 @@ class ProcessEngineProxy:
     # -- digest application -----------------------------------------------------
 
     def apply_digest(self, digest: Dict[str, Any]) -> None:
-        self.stats.load_state(digest["stats"])
+        # In place: the facade's StatsView holds this object.
+        vars(self.stats).update(vars(digest["stats"]))
         self.loop.processed = digest["processed"]
         (self.meets, self.transmits,
          self.arrivals, self.undeliverable) = digest["counters"]
@@ -579,6 +599,10 @@ class ProcessEngineProxy:
             if mirror is None:
                 mirror = self.sites[name] = SiteMirror(name)
             mirror.alive = alive
+            if alive == self.topology.is_down(name):
+                # A durable replay completed worker-side: mark the facade's
+                # topology as the engine marked its own.
+                (self.topology.mark_up if alive else self.topology.mark_down)(name)
             mirror._resident_count = residents
             mirror.undeliverable = undeliverable
             mirror.background_load = background_load
@@ -586,7 +610,6 @@ class ProcessEngineProxy:
         self.event_log.extend(digest["event_log"])
         for span in digest["spans"]:
             self.obs.sink.emit(span)
-        self.metrics.load_state(digest["metrics"])
         self.metrics.register("worker", digest["metric_sources"].copy)
 
     def __repr__(self) -> str:

@@ -162,3 +162,19 @@ def test_realtime_wal_crash_discards_unsynced_state(tmp_path):
     # close() released the file handles (idempotent close covered too)
     assert kernel.store("a").sink._handle is None
     kernel.close()
+
+
+def test_wall_latency_distributions_reach_kernel_metrics(tmp_path):
+    """Scheduler sleep lag and group-commit fsync time are the two bounded
+    distributions only a realtime kernel fills; ``kernel.metrics`` reads
+    them as sketch summaries beside the counters."""
+    with _realtime_store_kernel(tmp_path) as kernel:
+        kernel.make_durable("ledger")
+        kernel.site("a").cabinet("ledger").put("f1", {"v": 1})
+        kernel.run(until=kernel.now + 0.2)
+        collected = kernel.metrics.collect()
+    for name in ("rt_sleep_lag_seconds", "wal_fsync_wall_seconds"):
+        summary = collected[name]
+        assert set(summary) == {"count", "total", "min", "max", "mean", "p50", "p99"}
+        assert summary["count"] > 0, name
+        assert 0.0 <= summary["min"] <= summary["p50"] <= summary["p99"] <= summary["max"]

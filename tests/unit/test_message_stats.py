@@ -157,19 +157,6 @@ class TestNetworkStats:
         assert stats.wal_bytes_committed == 4_096
         assert stats.wal_barrier_piggybacks == 1
 
-    def test_reset_zeroes_everything(self):
-        stats = NetworkStats()
-        stats.record_send("a", "b", MessageKind.DATA, 10)
-        stats.record_migration(10)
-        stats.record_flow("a", "b", window=0.1, message_rate=1.0, bytes_rate=1.0)
-        stats.record_barrier_piggyback()
-        stats.reset()
-        assert stats.messages_sent == 0
-        assert stats.migrations == 0
-        assert stats.per_link == {}
-        assert stats.flow_windows == {}
-        assert stats.wal_barrier_piggybacks == 0
-
     def test_shard_handoff_counters(self):
         stats = NetworkStats()
         stats.record_shard_handoff(200)
@@ -207,6 +194,34 @@ class TestNetworkStats:
         fresh = stats.snapshot()
         assert fresh["per_kind"] == {MessageKind.DATA: 1}
         assert fresh["flush_causes"] == {"window": 1}
+
+
+def sketch_of(values) -> LatencySketch:
+    sketch = LatencySketch()
+    for value in values:
+        sketch.record(value)
+    return sketch
+
+
+class TestLatencySketch:
+    def test_summary_reads_moments_and_percentiles(self):
+        assert LatencySketch().summary() == {
+            "count": 0, "total": 0.0, "min": None, "max": None,
+            "mean": None, "p50": None, "p99": None}
+        summary = sketch_of([0.004, 0.001, 0.002, 10.0]).summary()
+        assert (summary["count"], summary["min"], summary["max"]) == (4, 0.001, 10.0)
+        assert summary["total"] == pytest.approx(10.007)
+        assert summary["mean"] == pytest.approx(10.007 / 4)
+        assert summary["p50"] == 0.004 and summary["p99"] == 10.0
+
+    def test_the_sample_is_bounded_and_the_moments_stay_exact(self):
+        sketch = LatencySketch(capacity=100)
+        for index in range(10_000):
+            sketch.record(index / 1000)
+        assert len(sketch.sample) == 100 and sketch.count == 10_000
+        assert (sketch.min, sketch.max) == (0.0, 9.999)
+        assert sketch.mean() == pytest.approx(4.9995)
+        assert 0.0 <= sketch.percentile(0.5) <= 9.999
 
 
 def delivered(latencies) -> NetworkStats:
@@ -267,8 +282,8 @@ class TestStatsView:
                 assert merged.percentile(0.99) == 3.0
 
     def test_merged_samples_that_fit_keep_every_value(self):
-        fast = LatencySketch(values=[1.0] * 100)
-        fast.merge_from(LatencySketch(values=[3.0, 2.0] * 50))
+        fast = sketch_of([1.0] * 100)
+        fast.merge_from(sketch_of([3.0, 2.0] * 50))
         assert fast.sample == [1.0] * 100 + [3.0, 2.0] * 50
         assert (fast.count, fast.mean(), fast.min, fast.max) == (200, 1.75, 1.0, 3.0)
 
@@ -304,13 +319,6 @@ class TestStatsView:
 
         assert view().latencies.sample == view().latencies.sample
         assert view().snapshot()["latency_p50"] == view().snapshot()["latency_p50"]
-
-    def test_reset_fans_out(self):
-        left, right = self._parts()
-        view = StatsView([left, right])
-        view.reset()
-        assert left.messages_sent == 0 and right.messages_sent == 0
-        assert view.messages_sent == 0
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):

@@ -3,7 +3,7 @@
 The cross-backend span-tree parity and realtime wall-stamp invariants
 live in ``tests/properties/test_obs_properties.py``; this file pins the
 building blocks — deterministic identity, bounded sinks, the registry's
-digest round-trip, and the report analyzer's reconstruction primitives.
+named sources, and the report analyzer's reconstruction primitives.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import pytest
 from repro.core import Briefcase, Kernel, KernelConfig
 from repro.core.kernel import EventLog
 from repro.net import lan
-from repro.obs import (Counter, Gauge, Histogram, JsonlSink, MetricsRegistry,
-                       MetricsView, RealtimeSink, RingSink, TeeSink, Tracer,
+from repro.obs import (JsonlSink, MetricsRegistry, RingSink, TeeSink, Tracer,
                        infra_trace_id, span_id)
 from repro.obs.report import (breakdown, build_trees, hop_timeline, load_trace,
                               percentile, trace_ids)
@@ -118,85 +117,30 @@ def test_jsonl_sink_round_trips_through_load_trace():
             ["t/a#1", "t/b#2"]
 
 
-def test_realtime_sink_stamps_emit_time_and_tee_fans_out():
+def test_tee_sink_fans_out():
     left, right = RingSink(), RingSink()
-    sink = RealtimeSink(TeeSink([left, right]), timer=lambda: 42.0)
+    sink = TeeSink([left, right])
     sink.emit({"span_id": "s"})
     for ring in (left, right):
-        [span] = ring.export()
-        assert span["wall_emitted"] == 42.0
+        assert ring.export() == [{"span_id": "s"}]
+    assert sink.export() == [{"span_id": "s"}]
+    assert sink.since(0) == (1, [{"span_id": "s"}])
 
 
 # -- metrics ----------------------------------------------------------------
 
 
-def test_counter_gauge_histogram_basics():
-    counter = Counter("hops")
-    counter.inc()
-    counter.inc(4)
-    assert counter.value == 5
-    gauge = Gauge("depth")
-    gauge.set(7)
-    assert gauge.value == 7
-    assert Gauge("live", fn=lambda: 3.5).value == 3.5
-    histogram = Histogram("lat")
-    for value in (0.001, 0.002, 0.004, 10.0):
-        histogram.observe(value)
-    assert histogram.count == 4
-    assert histogram.quantile(0.5) is not None
-    assert histogram.summary()["count"] == 4
-
-
-def test_histogram_merge_accumulates_buckets():
-    left, right = Histogram("lat"), Histogram("lat")
-    left.observe(0.01)
-    right.observe(0.02)
-    right.observe(100.0)
-    left.merge_from(right)
-    assert left.count == 3
-    assert left.quantile(0.99) >= left.quantile(0.5)
-
-
-def test_registry_get_or_create_and_sources():
+def test_registry_collects_named_sources():
     registry = MetricsRegistry()
-    assert registry.counter("sends") is registry.counter("sends")
-    registry.counter("sends").inc(3)
-    registry.register("net", lambda: {"bytes_total": 128})
-    collected = registry.collect()
-    assert collected["sends"] == 3 and collected["bytes_total"] == 128
-    assert "bytes_total" not in registry.collect_own()
+    registry.register("net", lambda: {"bytes_total": 128, "sends": 3})
+    registry.register("flow", lambda: {"flow_pairs_tracked": 2})
+    assert registry.collect() == {"bytes_total": 128, "sends": 3,
+                                  "flow_pairs_tracked": 2}
     assert registry.collect(prefix="bytes_") == {"bytes_total": 128}
-    registry.unregister("net")
-    assert "bytes_total" not in registry.collect()
-
-
-def test_registry_state_round_trip_excludes_sources():
-    worker = MetricsRegistry()
-    worker.counter("sends").inc(2)
-    worker.gauge("depth").set(1.0)
-    worker.histogram("lat").observe(0.005)
-    worker.register("net", lambda: {"unpicklable": object()})
-    mirror = MetricsRegistry()
-    mirror.load_state(worker.export_state())
-    assert mirror.collect_own()["sends"] == 2
-    assert mirror.histogram("lat").count == 1
-    assert "unpicklable" not in mirror.collect()
-    # Digests are cumulative snapshots: reloading must not double-count.
-    worker.counter("sends").inc()
-    mirror.load_state(worker.export_state())
-    assert mirror.collect_own()["sends"] == 3
-
-
-def test_metrics_view_merges_shards():
-    parts = [MetricsRegistry(), MetricsRegistry()]
-    parts[0].counter("sends").inc(2)
-    parts[1].counter("sends").inc(3)
-    parts[0].histogram("lat").observe(0.001)
-    parts[1].histogram("lat").observe(0.1)
-    view = MetricsView(parts)
-    collected = view.collect()
-    assert collected["sends"] == 5
-    assert collected["lat"]["count"] == 2
+    assert registry.collect(skip=("net",)) == {"flow_pairs_tracked": 2}
+    # Sources are re-read on every collect; registering a name replaces it.
+    registry.register("flow", lambda: {"flow_pairs_tracked": 5})
+    assert registry.collect()["flow_pairs_tracked"] == 5
 
 
 def _courier_metrics(shards, backend="inproc"):

@@ -3,7 +3,7 @@
 
     SIZE src_lines=... config_fields=... kernel_public=... shards_branches=...
          bench_files=... import_modules=... third_party=... test_lines=...
-         example_lines=... (same line)
+         example_lines=... package_public=... (same line)
 
 ``src_lines`` is ``wc -l`` over ``src/repro/**/*.py``, ``test_lines`` the
 same over ``tests/**/*.py`` and ``example_lines`` over ``examples/*.py``
@@ -19,12 +19,16 @@ first ``meet``: ``import_modules`` is how many modules importing
 to ``sys.modules`` in a fresh interpreter (not its length: what site ``.pth``
 files preload differs by host, so the total would too); ``third_party`` the
 top-level packages among them that came from a ``site-packages`` /
-``dist-packages`` directory.  CI prints
+``dist-packages`` directory.  ``package_public`` is the public surface of
+the whole package: ``len(__all__)`` summed over ``repro`` and every package
+under it (``kernel_public`` counts one class only).  CI prints
 the line after tier-1; CHANGES.md records parent -> change per PR.
 """
 
 import dataclasses
+import importlib
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -32,6 +36,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
+import repro  # noqa: E402
 from repro.core import Kernel, KernelConfig  # noqa: E402
 
 
@@ -50,6 +55,14 @@ print(f"import_modules={len(added)} third_party={len(installed)}")
 
 def lines_of(path: pathlib.Path) -> list:
     return path.read_text(encoding="utf-8").splitlines()
+
+
+def package_public() -> int:
+    """``len(__all__)`` over ``repro`` and every package under it."""
+    packages = ["repro"] + [info.name for info in pkgutil.walk_packages(
+        repro.__path__, "repro.") if info.ispkg]
+    return sum(len(getattr(importlib.import_module(name), "__all__", ()))
+               for name in packages)
 
 
 def cold_start() -> str:
@@ -73,4 +86,5 @@ if __name__ == "__main__":
           f"bench_files={len(stray)}",
           cold_start(),
           f"test_lines={sum(len(lines_of(path)) for path in (ROOT / 'tests').rglob('*.py'))}",
-          f"example_lines={sum(len(lines_of(path)) for path in (ROOT / 'examples').glob('*.py'))}")
+          f"example_lines={sum(len(lines_of(path)) for path in (ROOT / 'examples').glob('*.py'))}",
+          f"package_public={package_public()}")
