@@ -213,12 +213,11 @@ def ft_visitor_behaviour(ctx: AgentContext, briefcase: Briefcase):
         guards_folder.push({"site": ctx.site_name, "protects_seq": next_seq})
 
         # Building the jump syscall attaches CODE/HOST/CONTACT to the
-        # briefcase, so the snapshot taken right after it is exactly what a
-        # relaunch must re-ship.
+        # briefcase, so the guard snapshot taken right after it is exactly
+        # what a relaunch must re-ship.
         jump = ctx.jump(briefcase, next_site)
-        snapshot_wire = briefcase.to_wire()
         yield ctx.spawn(rear_guard_behaviour,
-                        guard_snapshot(ft_id, next_seq, snapshot_wire, per_hop,
+                        guard_snapshot(ft_id, next_seq, briefcase, per_hop,
                                        max_relaunches,
                                        view_assisted=bool(briefcase.get("VIEW_ASSISTED",
                                                                         False)),
@@ -238,7 +237,7 @@ def ft_visitor_behaviour(ctx: AgentContext, briefcase: Briefcase):
             # batch immediately instead of sitting out the commit window —
             # the wait logged below is the checkpoint latency per hop (the
             # ``ft-ckpt`` span when tracing is on).
-            record_checkpoint(cabinet, ft_id, next_seq, snapshot_wire,
+            record_checkpoint(cabinet, ft_id, next_seq, briefcase.to_wire(),
                               per_hop, max_relaunches)
             barrier_from = ctx.now
             ckpt_span = None

@@ -11,7 +11,7 @@ travelling agent — one-behind chaining:
 
 * before the agent jumps from site ``S_k`` to ``S_{k+1}`` (hop ``k+1``) it
   spawns a guard at ``S_k`` holding a *snapshot* of exactly the briefcase
-  being shipped;
+  being shipped (its stored elements, shared and never re-encoded);
 * when the agent lands at hop ``j`` it sends a release notice to every
   guard protecting a hop ``<= j - 1`` (those guards have seen the
   computation move two sites past them and can retire);
@@ -32,6 +32,7 @@ clone its own computation id suffix (see ``ftmove.fan_out_ids``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -59,14 +60,11 @@ RELEASE_AGENT_NAME = "rear_guard_release"
 #: site-local cabinet the fault-tolerance machinery records into
 REARGUARD_CABINET = "rearguard"
 
-# Folder names inside a guard's own briefcase.
-_GUARD_FT_ID = "GUARD_FT_ID"
-_GUARD_PROTECTS = "GUARD_PROTECTS_SEQ"
-_GUARD_SNAPSHOT = "GUARD_SNAPSHOT"
-_GUARD_PER_HOP = "GUARD_PER_HOP"
-_GUARD_MAX_RELAUNCH = "GUARD_MAX_RELAUNCHES"
-_GUARD_VIEW_ASSISTED = "GUARD_VIEW_ASSISTED"
-_GUARD_ACK_AWARE = "GUARD_ACK_AWARE"
+# A guard's own briefcase: its parameters as one element, and the shipment's
+# stored elements in folder order -- not as top-level folders, whose TRACE_ID
+# would make the guard a traced run.
+_GUARD = "GUARD"
+_GUARD_SHIPMENT = "GUARD_SHIPMENT"
 
 #: folder (in the rearguard cabinet) where Horus view-change suspicions land
 SUSPICIONS_FOLDER = "suspicions"
@@ -85,9 +83,10 @@ def guard_snapshot(ft_id: str, protects_seq: int,
     """Build the briefcase a rear guard is spawned with.
 
     ``shipped_briefcase`` is the exact briefcase being sent for hop
-    *protects_seq* (or its ``to_wire()`` form, when the caller has already
-    built one); the guard stores the wire form so a relaunch re-creates
-    that hop byte-for-byte.  With ``view_assisted`` the guard also watches
+    *protects_seq* (or its ``to_wire()`` form, as a durable checkpoint
+    holds it); the guard keeps its stored elements, the same ``bytes``
+    objects, so a relaunch re-creates that hop byte-for-byte without
+    pickling anything.  With ``view_assisted`` the guard also watches
     the local Horus suspicion folder (see
     :func:`install_horus_guard_detection`) and relaunches as soon as the
     protected hop's destination drops out of the site group, instead of
@@ -97,16 +96,24 @@ def guard_snapshot(ft_id: str, protects_seq: int,
     relaunch budget; leave it False for payloads that never ack, so the
     exactly-``max_relaunches`` budget semantics stay pinned.
     """
+    items = (shipped_briefcase.stored_items()
+             if isinstance(shipped_briefcase, Briefcase) else
+             [(folder["name"], folder["elements"])
+              for folder in shipped_briefcase["folders"]])
     guard = Briefcase()
-    guard.set(_GUARD_FT_ID, ft_id)
-    guard.set(_GUARD_PROTECTS, int(protects_seq))
-    guard.set(_GUARD_SNAPSHOT, shipped_briefcase.to_wire()
-              if isinstance(shipped_briefcase, Briefcase) else shipped_briefcase)
-    guard.set(_GUARD_PER_HOP, float(per_hop_time))
-    guard.set(_GUARD_MAX_RELAUNCH, int(max_relaunches))
-    guard.set(_GUARD_VIEW_ASSISTED, bool(view_assisted))
-    guard.set(_GUARD_ACK_AWARE, bool(ack_aware))
+    guard.set(_GUARD, (ft_id, int(protects_seq), float(per_hop_time), int(max_relaunches),
+                       bool(view_assisted), bool(ack_aware),
+                       [(name, len(elements)) for name, elements in items]))
+    guard.add(Folder.from_stored(
+        _GUARD_SHIPMENT, [element for _, elements in items for element in elements]))
     return guard
+
+
+def _shipment(guard: Briefcase) -> Briefcase:
+    """The briefcase *guard* protects, rebuilt over its stored elements."""
+    stored = iter(guard.folder(_GUARD_SHIPMENT).raw_elements())
+    return Briefcase.from_stored_items((name, list(itertools.islice(stored, count)))
+                                       for name, count in guard.get(_GUARD)[-1])
 
 
 def install_horus_guard_detection(kernel, group_name: str = GUARD_GROUP) -> None:
@@ -344,16 +351,10 @@ def rear_guard_behaviour(ctx: AgentContext, briefcase: Briefcase):
     network's fault, not evidence the computation keeps dying.  Re-sends
     are bounded separately and recorded under ``relaunch_retries``.
     """
-    ft_id = briefcase.get(_GUARD_FT_ID)
-    protects_seq = int(briefcase.get(_GUARD_PROTECTS, 0))
-    per_hop = float(briefcase.get(_GUARD_PER_HOP, 0.5))
-    max_relaunches = int(briefcase.get(_GUARD_MAX_RELAUNCH, 2))
-    view_assisted = bool(briefcase.get(_GUARD_VIEW_ASSISTED, False))
-    ack_aware = bool(briefcase.get(_GUARD_ACK_AWARE, False))
-    snapshot_wire = briefcase.get(_GUARD_SNAPSHOT)
+    (ft_id, protects_seq, per_hop, max_relaunches, view_assisted,
+     ack_aware) = briefcase.get(_GUARD)[:-1]   # the layout is re-read per relaunch
     #: where the protected hop was headed — only a view-assisted guard asks
-    protected_target = (Briefcase.from_wire(snapshot_wire).get("TARGET_SITE")
-                        if view_assisted and snapshot_wire else None)
+    protected_target = _shipment(briefcase).get("TARGET_SITE") if view_assisted else None
 
     cabinet = ctx.cabinet(REARGUARD_CABINET)
     detector = TimeoutDetector(per_hop_time=per_hop, remaining_hops=2)
@@ -389,10 +390,10 @@ def rear_guard_behaviour(ctx: AgentContext, briefcase: Briefcase):
                 awaiting_since = None
             retry = (ack_aware and awaiting_since is not None
                      and resends < max_resends)
-            if not retry and (relaunches >= max_relaunches or snapshot_wire is None):
+            if not retry and relaunches >= max_relaunches:
                 outcome = "gave-up"
                 break
-            sent = yield from _relaunch(ctx, snapshot_wire)
+            sent = yield from _relaunch(ctx, briefcase)
             if retry:
                 resends += 1
                 cabinet.put("relaunch_retries", {
@@ -414,8 +415,8 @@ def rear_guard_behaviour(ctx: AgentContext, briefcase: Briefcase):
     return outcome
 
 
-def _relaunch(ctx: AgentContext, snapshot_wire: dict):
-    """Re-ship the snapshot briefcase; skip ahead if the target is unreachable.
+def _relaunch(ctx: AgentContext, guard: Briefcase):
+    """Re-ship the guarded briefcase; skip ahead if the target is unreachable.
 
     The snapshot carries ``TARGET_SITE`` (the hop it was shipped for) and
     ``ITINERARY`` (the hops after that).  The guard tries the original
@@ -423,7 +424,7 @@ def _relaunch(ctx: AgentContext, snapshot_wire: dict):
     skip to the next itinerary entry, recording the skip so the relaunched
     agent knows which hops were abandoned.
     """
-    snapshot = Briefcase.from_wire(snapshot_wire)
+    snapshot = _shipment(guard)
     candidates: List[str] = []
     target = snapshot.get("TARGET_SITE")
     if target is not None:
@@ -435,7 +436,7 @@ def _relaunch(ctx: AgentContext, snapshot_wire: dict):
     for index, candidate in enumerate(attempt_order):
         # Every attempt edits and ships its own briefcase; the first takes
         # the one the candidates were read from.
-        shipment = snapshot if index == 0 else Briefcase.from_wire(snapshot_wire)
+        shipment = snapshot if index == 0 else _shipment(guard)
         if candidate != target:
             # Rebuild the itinerary without the hops we are skipping over.
             remaining = attempt_order[index + 1:]

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.briefcase import Briefcase
 from repro.fault.rearguard import (CHECKPOINTS_FOLDER, REARGUARD_CABINET, _released,
                                    guard_snapshot, install_fault_agents,
                                    rear_guard_behaviour)
@@ -121,8 +120,7 @@ def revive_checkpoints(kernel, site_name: str) -> int:
                for agent in kernel.agents_named(name)):
             continue
         cabinet.put(REVIVED_FOLDER, f"{ft_id}:{protects_seq}")
-        snapshot = Briefcase.from_wire(checkpoint["snapshot_wire"])
-        guard = guard_snapshot(ft_id, protects_seq, snapshot,
+        guard = guard_snapshot(ft_id, protects_seq, checkpoint["snapshot_wire"],
                                float(checkpoint.get("per_hop", 0.5)),
                                int(checkpoint.get("max_relaunches", 2)),
                                ack_aware=True)

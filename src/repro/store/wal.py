@@ -13,8 +13,8 @@ priced ``write_latency * N + write_byte_latency * B + fsync_latency``
 through the shared :class:`~repro.flow.CostModel` (see
 :meth:`~repro.store.policy.StoreCosts.wal_cost_model`), so
 :attr:`WalRecord.size_bytes` is load-bearing, not just telemetry.
-:meth:`WriteAheadLog.fold_into` lets the snapshot layer compact old
-records into base images (see :mod:`repro.store.snapshot`).
+:meth:`WriteAheadLog.fold_into` lets the snapshot layer compact the
+committed states into base images (see :mod:`repro.store.snapshot`).
 """
 
 from __future__ import annotations
@@ -86,11 +86,19 @@ class WalSink:
 
 
 class WriteAheadLog:
-    """An append-only list of committed redo records for one site."""
+    """One site's committed redo state: the last state per folder, since
+    replay reads nothing else, plus the records and payload bytes committed
+    since the last fold, which price recovery and trigger compaction.
+    :meth:`commit` still returns a :class:`WalRecord` per captured folder,
+    for the sink and the stats."""
 
     def __init__(self) -> None:
-        self._records: List[WalRecord] = []
-        self._next_seq = 1
+        #: (cabinet, folder) -> last committed elements (None = deleted)
+        self._states: FolderStates = {}
+        #: records committed since the last fold (``len(wal)``)
+        self._pending = 0
+        #: payload bytes committed since the last fold
+        self.bytes_pending = 0
         #: total records ever committed (survives compaction, for ledgers)
         self.total_committed = 0
 
@@ -98,52 +106,42 @@ class WriteAheadLog:
 
     def commit(self, captures: Iterable[Tuple[str, str, Optional[Tuple[bytes, ...]]]],
                at: float) -> List[WalRecord]:
-        """Append one group commit's captured folder states; returns the records."""
+        """Apply one group commit's captured folder states; returns the records."""
         records = []
         for cabinet, folder, elements in captures:
-            record = WalRecord(self._next_seq, cabinet, folder, elements, at)
-            self._next_seq += 1
-            self._records.append(record)
+            self._pending += 1
+            self.total_committed += 1
+            record = WalRecord(self.total_committed, cabinet, folder, elements, at)
+            self._states[cabinet, folder] = elements
+            self.bytes_pending += record.size_bytes
             records.append(record)
-        self.total_committed += len(records)
         return records
 
     # -- reading -----------------------------------------------------------
 
-    @property
-    def records(self) -> List[WalRecord]:
-        """The committed redo records not yet folded into a snapshot."""
-        return self._records
-
-    @property
-    def bytes_pending(self) -> int:
-        """Payload bytes across the records awaiting compaction."""
-        return sum(record.size_bytes for record in self._records)
-
     def __len__(self) -> int:
-        return len(self._records)
+        """Records committed since the last fold."""
+        return self._pending
 
     def replay_states(self) -> FolderStates:
-        """Collapse the redo records into final per-folder states (last wins)."""
-        states: FolderStates = {}
-        for record in self._records:
-            states[(record.cabinet, record.folder)] = record.elements
-        return states
+        """The final per-folder states (last wins), in first-commit order."""
+        return dict(self._states)
 
     # -- compaction --------------------------------------------------------
 
     def fold_into(self, images: Dict[str, Dict[str, Tuple[bytes, ...]]]) -> int:
-        """Apply every record to the base *images* and truncate the log.
+        """Apply the folded states to the base *images* and empty the log.
 
         Returns the number of records folded.  ``images`` maps cabinet name
-        to ``{folder name: raw elements}``; a deletion record removes the
-        folder from the image.
+        to ``{folder name: raw elements}``; a deletion removes the folder
+        from the image.
         """
-        folded = len(self._records)
-        apply_states(self.replay_states(), images)
-        self._records = []
+        folded = self._pending
+        apply_states(self._states, images)
+        self._states = {}
+        self._pending = self.bytes_pending = 0
         return folded
 
     def __repr__(self) -> str:
-        return (f"WriteAheadLog({len(self._records)} records pending replay, "
+        return (f"WriteAheadLog({self._pending} records pending replay, "
                 f"{self.total_committed} ever committed)")

@@ -2,13 +2,15 @@
 
 One tree on both sides at the ledger's ``--quick`` populations: the pair
 runs, every end-to-end metric is summarised per side, the trajectory row is
-written, and no fingerprint input moved.
+written, and no fingerprint input moved.  The ``CALLS`` line the row carries
+is exact: it repeats over runs and hash seeds.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -38,6 +40,24 @@ def test_one_tree_on_both_sides_moves_no_key(tmp_path):
     assert entry["change"]["sim_makespan_s"] == entry["parent"]["sim_makespan_s"]
     assert entry["alloc"].startswith("ALLOC churn survivors_per_unit=")
     assert entry["retained"].startswith("RETAINED churn bytes_per_unit=")
+    assert entry["calls"] == entry["parent_calls"]
+    assert entry["calls"].startswith("CALLS churn calls_per_unit=")
+
+
+def test_calls_per_unit_repeats_across_runs_and_hash_seeds():
+    def calls(hash_seed):
+        done = subprocess.run(
+            [sys.executable, str(REPO / "tools" / "hot_functions.py"), "churn", "--quick",
+             "--calls"], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed))
+        assert done.returncode == 0, done.stderr
+        line = done.stdout.strip().splitlines()[-1]
+        assert line.startswith("CALLS churn calls_per_unit=") and " stdlib=" in line, line
+        return line
+
+    # The whole line: the total and every layer's share of it.
+    runs = [calls(hash_seed) for hash_seed in ("0", "0", "1", "4242")]
+    assert runs == runs[:1] * len(runs), runs
 
 
 def test_moved_keys_are_the_fingerprint_inputs_that_differ():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core import Briefcase, FileCabinet, Folder, Kernel, KernelConfig
@@ -11,8 +13,10 @@ from repro.fault.rearguard import (CHECKPOINTS_FOLDER, REARGUARD_CABINET, RELEAS
                                    install_fault_agents, make_release_folder, pending_guards,
                                    prune_released_checkpoints, rear_guard_behaviour,
                                    release_agent_behaviour)
+from repro.fault.ftmove import completions, launch_ft_computation
 from repro.fault.recovery import record_checkpoint
-from repro.net import lan
+from repro.net import FailureSchedule, lan
+from repro.sysagents.rexec import rexec_behaviour
 
 
 @pytest.fixture
@@ -224,6 +228,107 @@ class TestRearGuard:
         outcomes = pending_guards(kernel)
         assert len(outcomes) == 2
         assert {entry["guard_site"] for entry in outcomes} == {"a", "b"}
+
+
+class TestGuardHoldsTheShipment:
+    """A guard's briefcase holds one parameter element and the shipment's
+    stored elements, shared and never pickled; the shipment is rebuilt only
+    when the guard relaunches."""
+
+    #: the folders a relaunch adds or edits; every other one ships as shipped
+    RELAUNCH_EDITS = {"RELAUNCHED", "ACK_GUARD_SITE", "HOST", "CONTACT", "KIND",
+                      "ITINERARY", "SKIPPED", "TARGET_SITE"}
+
+    def test_a_relaunch_ships_the_stored_elements_the_visitor_shipped(self):
+        kernel = Kernel(lan(["s0", "s1", "s2", "s3"]), transport="tcp",
+                        config=KernelConfig(rng_seed=7))
+        shipped = []    # every briefcase rexec was asked to move, as stored
+
+        def recording_rexec(ctx, briefcase):
+            shipped.append(dict(briefcase.stored_items()))
+            return (yield from rexec_behaviour(ctx, briefcase))
+
+        kernel.install_agent(None, "rexec", recording_rexec, system=True, replace=True)
+        ft_id = launch_ft_computation(kernel, "s0", ["s1", "s2", "s3"], per_hop=0.3)
+        FailureSchedule().crash("s2", at=0.05).recover("s2", at=100.0).install(kernel)
+        kernel.run(until=200.0)
+        assert len(completions(kernel, "s3", ft_id)) == 1
+
+        def seq(items):
+            return Briefcase.from_stored_items(
+                (name, list(elements)) for name, elements in items.items()).get("SEQ")
+
+        visitor = {seq(items): items for items in shipped if "RELAUNCHED" not in items}
+        relaunches = [items for items in shipped if "RELAUNCHED" in items]
+        assert any("SKIPPED" in items for items in relaunches)   # s2 was skipped
+        for relaunch in relaunches:
+            original = visitor[seq(relaunch)]
+            assert set(original) <= set(relaunch)
+            assert set(relaunch) - set(original) <= self.RELAUNCH_EDITS
+            for name in set(original) - self.RELAUNCH_EDITS:
+                assert len(relaunch[name]) == len(original[name]), name
+                assert all(held is sent for held, sent
+                           in zip(relaunch[name], original[name])), name
+
+    def test_spawning_and_starting_a_guard_pickles_nothing_the_size_of_the_shipment(
+            self, kernel, monkeypatch):
+        shipment = make_snapshot()
+        shipment.set("PAYLOAD", b"\0" * 4096)
+        dumped, loaded = [], []
+        real_dumps, real_loads = pickle.dumps, pickle.loads
+
+        def dumps(value, *args, **kwargs):
+            data = real_dumps(value, *args, **kwargs)
+            dumped.append(len(data))
+            return data
+
+        def loads(data, *args, **kwargs):
+            loaded.append(len(data))
+            return real_loads(data, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", dumps)
+        monkeypatch.setattr(pickle, "loads", loads)
+
+        def visitor(ctx, briefcase):
+            yield ctx.spawn(rear_guard_behaviour,
+                            guard_snapshot("ft-1", 1, shipment, per_hop_time=5.0),
+                            name="guard")
+
+        kernel.launch("a", visitor)
+        kernel.run(until=1.0)    # the guard is polling, its deadline far off
+        assert [agent.finished for agent in kernel.agents_named("guard")] == [False]
+        assert dumped and loaded             # its parameters, once each way
+        assert max(dumped + loaded) < 1024
+
+    def test_the_shipment_stays_below_the_top_level_of_the_guard(self):
+        shipment = make_snapshot()
+        shipment.set("TRACE_ID", "ft-1")
+        guard = guard_snapshot("ft-1", 1, shipment, per_hop_time=0.5)
+        assert guard.names() == ["GUARD", "GUARD_SHIPMENT"]
+        held = guard.folder("GUARD_SHIPMENT").raw_elements()
+        sent = [element for _, elements in shipment.stored_items() for element in elements]
+        assert len(held) == len(sent) and all(a is b for a, b in zip(held, sent))
+
+    def test_a_traced_computation_has_no_run_span_for_a_rear_guard(self):
+        kernel = Kernel(lan(["s0", "s1", "s2"]), transport="tcp",
+                        config=KernelConfig(rng_seed=7, obs_enabled=True))
+        ft_id = launch_ft_computation(kernel, "s0", ["s1", "s2"], per_hop=0.3)
+        kernel.run(until=50.0)
+        assert len(completions(kernel, "s2", ft_id)) == 1
+        assert kernel.agents_named(f"rear-guard-{ft_id}-1")
+        runs = [span for span in kernel.trace_spans() if span["name"] == "run"]
+        assert runs
+        assert not [span for span in runs
+                    if str(span.get("attrs", {}).get("agent")).startswith("rear-guard")]
+
+    def test_guard_snapshot_takes_a_wire_dict_as_it_takes_the_briefcase(self):
+        shipment = make_snapshot()
+        wire = shipment.to_wire()
+        from_wire = guard_snapshot("ft-1", 1, wire, per_hop_time=0.5)
+        assert from_wire == guard_snapshot("ft-1", 1, shipment, per_hop_time=0.5)
+        held = from_wire.folder("GUARD_SHIPMENT").raw_elements()
+        sent = [element for folder in wire["folders"] for element in folder["elements"]]
+        assert len(held) == len(sent) and all(a is b for a, b in zip(held, sent))
 
 
 class TestIncrementalReads:

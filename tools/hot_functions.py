@@ -6,6 +6,7 @@
     python3 tools/hot_functions.py ft_durable --callers 'pickle.loads|elements'
     python3 tools/hot_functions.py churn --gc
     python3 tools/hot_functions.py churn --mem
+    python3 tools/hot_functions.py churn --calls
 
 The ledger's per-layer table says which *layer* a run's time is in; this
 says which functions, so that finding the next hot spot needs no ad-hoc
@@ -32,11 +33,23 @@ sites' cabinets added in the region still reference, per unit, by owner (the
 name an agent was launched under) and type, each object counted once however
 many briefcases share it — and how the stored folder elements are shared::
 
-    RETAINED churn bytes_per_unit=1007 payload_copies_per_unit=0.00 shared_elements=0
+    RETAINED churn bytes_per_unit=1104 payload_copies_per_unit=0.00 shared_elements=0 store_bytes_per_unit=0
 
 ``payload_copies_per_unit`` counts the distinct stored elements of at least
 64 bytes (where the bits outweigh a ``bytes`` header) that the region's
 briefcases hold; ``shared_elements`` those any two briefcases both reference.
+``store_bytes_per_unit`` is what only the sites' durable stores hold beyond
+that (WAL states and base images; an element a cabinet also holds is counted
+under the cabinet) and is not part of ``bytes_per_unit``.
+
+With ``--calls`` it profiles the region as the default mode does and counts
+calls instead of timing them: every function's primitive calls, summed per
+ledger layer (``ledger_layers.layer_of``; code outside ``src/repro`` and the
+ledger is ``stdlib``), per unit.  Unlike the seconds, the counts repeat
+exactly for a workload, seed and population, whatever the host or
+``PYTHONHASHSEED``::
+
+    CALLS churn calls_per_unit=432.33 core.codec=95.00 core.kernel=105.00 ... stdlib=163.33
 
 It only reads ``benchmarks/ledger/ledger_workloads.py``
 (``WORKLOADS[name].generate/build/drive`` and ``FULL``/``QUICK``), needs no
@@ -71,7 +84,7 @@ def where(func) -> str:
     return f"{filename}:{line}({name})"
 
 
-def profile(workload, inputs) -> pstats.Stats:
+def profile(workload, inputs) -> cProfile.Profile:
     """One repetition's measured region under cProfile."""
     kernel = workload.build(inputs)
     profiler = cProfile.Profile()
@@ -81,7 +94,25 @@ def profile(workload, inputs) -> pstats.Stats:
         profiler.disable()
     finally:
         kernel.close()
-    return pstats.Stats(profiler)
+    return profiler
+
+
+def calls_report(name: str, profiler: cProfile.Profile, units: int) -> None:
+    """The region's primitive calls per unit, in total and by ledger layer.
+
+    Read from the profiler's own entries, one per code object: ``pstats``
+    keys a function by file, line and name, so two generated ``__init__``s
+    compiled from ``<string>`` collapse into whichever entry comes last, and
+    which one that is varies from run to run.
+    """
+    from ledger_layers import layer_of
+    repro_dir = str(REPO / "src" / "repro") + os.sep
+    calls = collections.Counter()
+    for entry in profiler.getstats():
+        filename = getattr(entry.code, "co_filename", "~")  # a str for builtins
+        calls[layer_of(filename, repro_dir) or "stdlib"] += entry.callcount - entry.reccallcount
+    layers = " ".join(f"{layer}={count / units:.2f}" for layer, count in sorted(calls.items()))
+    print(f"CALLS {name} calls_per_unit={sum(calls.values()) / units:.2f} {layers}")
 
 
 def report(stats: pstats.Stats, top: int, callers) -> None:
@@ -155,14 +186,21 @@ PLAIN_DATA = (str, bytes, bytearray, int, float, dict, list, tuple, set, frozens
 PAYLOAD_BYTES = 64
 
 
+#: the owner the sites' durable stores are sized under, after everything else
+STORES = "(site stores)"
+
+
 def retained(kernel):
     """``({(owner, type name): bytes}, {id: [stored element, briefcases holding
-    it]})`` for the ledger entries and site cabinets of *kernel*."""
+    it]})`` for the ledger entries, site cabinets and site stores of *kernel*."""
     from repro.core import Briefcase, Folder
     from repro.core.agent import AgentInstance
     from repro.core.cabinet import FileCabinet
     from repro.core.lifecycle import AgentRecord
-    followed = PLAIN_DATA + (Briefcase, Folder, AgentInstance, AgentRecord, FileCabinet)
+    from repro.store import WalRecord, WriteAheadLog
+    # WalRecord: what a log that kept its records held, for measuring older trees
+    followed = PLAIN_DATA + (Briefcase, Folder, AgentInstance, AgentRecord, FileCabinet,
+                             WriteAheadLog, WalRecord)
     sizes, elements, seen = collections.Counter(), {}, set()
 
     def walk(root, owner):
@@ -188,7 +226,14 @@ def retained(kernel):
                 elements.setdefault(key, [element, 0])[1] += 1
         for site in engine.sites.values():
             if hasattr(site, "cabinets"):  # a process shard's are in its worker
-                walk(site.cabinets(), "(site cabinets)")
+                # Root the walk at objects that outlive it: a list freed after
+                # one site's walk can come back at the same id for the next.
+                for cabinet in site.cabinets():
+                    walk(cabinet, "(site cabinets)")
+    for engine in kernel.engines:  # last: what cabinets hold is counted already
+        for store in getattr(engine, "stores", {}).values():
+            walk(store.wal, STORES)
+            walk(store.images, STORES)
     return sizes, elements
 
 
@@ -208,17 +253,20 @@ def mem_report(name: str, workload, inputs, top: int) -> None:
     added = [entry for key, entry in elements.items() if key not in elements_before]
     payloads = sum(len(element) >= PAYLOAD_BYTES for element, _holders in added)
     shared = sum(holders > 1 for _element, holders in added)
-    total = sum(sizes.values())
+    store = sum(size for (owner, _kind), size in sizes.items() if owner == STORES)
+    total = sum(sizes.values()) - store
     print(f"{wall_s:.3f} s region, {units} units, no profiler attached")
     print(f"  {total / 2 ** 20:.1f} MiB retained by ledger entries and site cabinets "
-          f"({total / units:.0f} bytes per unit)")
+          f"({total / units:.0f} bytes per unit), {store / 2 ** 20:.1f} MiB more by "
+          f"site stores only")
     for (owner, kind), size in sizes.most_common(top):
         if size * 2 >= units:  # rounds to at least a byte per unit
             print(f"  {size / units:9.0f} per unit  {owner}: {kind}")
     print(f"  {len(added)} stored elements in briefcases, {payloads} of "
           f">= {PAYLOAD_BYTES} bytes, {shared} held by more than one briefcase")
     print(f"RETAINED {name} bytes_per_unit={total / units:.0f} "
-          f"payload_copies_per_unit={payloads / units:.2f} shared_elements={shared}")
+          f"payload_copies_per_unit={payloads / units:.2f} shared_elements={shared} "
+          f"store_bytes_per_unit={store / units:.0f}")
 
 
 def main(argv=None) -> int:
@@ -239,6 +287,9 @@ def main(argv=None) -> int:
     parser.add_argument("--mem", action="store_true",
                         help="no profiler: bytes the region leaves retained, by "
                              "owner and type, and how stored elements are shared")
+    parser.add_argument("--calls", action="store_true",
+                        help="primitive calls per unit by ledger layer instead of "
+                             "times: one CALLS line")
     parser.add_argument("--quick", action="store_true",
                         help="the ledger's tiny self-test populations")
     args = parser.parse_args(argv)
@@ -248,8 +299,10 @@ def main(argv=None) -> int:
     if args.gc or args.mem:
         (alloc_report if args.gc else mem_report)(
             args.workload, workload, inputs, 10 if args.top is None else args.top)
+    elif args.calls:
+        calls_report(args.workload, profile(workload, inputs), inputs["units"])
     else:
-        report(profile(workload, inputs),
+        report(pstats.Stats(profile(workload, inputs)),
                20 if args.top is None else args.top, args.callers)
     return 0
 

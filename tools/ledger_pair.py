@@ -22,8 +22,10 @@ moved (``events``, ``counters.<key>``, integer ``counts.<key>``).
 ``--pr``: both trees' git SHAs (``dirty`` when the change tree has
 uncommitted edits), the host, and per workload and seed the change side's
 median / q1 / q3 / n of each metric beside the parent's, the wins, the
-fingerprint, and the change tree's ``ALLOC`` and ``RETAINED`` lines
-(``tools/hot_functions.py --gc`` / ``--mem``); the row also carries its
+fingerprint, the change tree's ``ALLOC`` and ``RETAINED`` lines
+(``tools/hot_functions.py --gc`` / ``--mem``) and both trees' ``CALLS`` lines
+(``--calls``, counted for each tree by the change tree's copy of the tool, so
+a parent older than the flag is measured too); the row also carries its
 ``SIZE`` line (``tools/size_report.py``).  Appending to a PR that already
 has a row merges into it.  Needs no ``PYTHONPATH``.
 """
@@ -43,6 +45,10 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 END_TO_END = {metric["name"]: metric["better"] for metric in
               json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
 REP_TIMEOUT_S = 100
+#: ``python3 -c`` program: run TOOLS/hot_functions.py over the sources of TREE
+#: (its two leading arguments) with the remaining arguments
+ON_TREE = ("import pathlib, sys; sys.path.insert(0, sys.argv.pop(1)); import hot_functions; "
+           "hot_functions.REPO = pathlib.Path(sys.argv.pop(1)); sys.exit(hot_functions.main())")
 
 
 def run_rep(tree: pathlib.Path, workload: str, seed: int, quick: bool) -> dict:
@@ -148,9 +154,9 @@ def compare(trees: dict, workload: str, seed: int, pairs: int, quick: bool) -> d
     return entry
 
 
-def last_line(tree: pathlib.Path, script: str, *args: str) -> str:
-    """The last line a ``tools/`` script of *tree* prints."""
-    done = subprocess.run([sys.executable, str(tree / "tools" / script), *args], cwd=tree,
+def last_line(tree: pathlib.Path, *args: str) -> str:
+    """The last line ``python3 ARGS`` prints, run in *tree*."""
+    done = subprocess.run([sys.executable, *args], cwd=tree,
                           capture_output=True, text=True, check=True)
     return done.stdout.strip().splitlines()[-1]
 
@@ -193,12 +199,17 @@ def append(path: pathlib.Path, pr: int, trees: dict, seed: int, measured: dict,
     row.update(sha=change["sha"], dirty=change["dirty"], parent_sha=parent["sha"],
                host={"nproc": os.cpu_count(), "python": platform.python_version(),
                      "platform": platform.platform()},
-               size=last_line(trees["change"], "size_report.py"))
-    quick_flag = ("--quick",) if quick else ()
+               size=last_line(trees["change"], str(trees["change"] / "tools" / "size_report.py")))
+    tools = trees["change"] / "tools"
     for workload, entry in measured.items():
+        args = (workload, "--seed", str(seed)) + (("--quick",) if quick else ())
         for key, flag in (("alloc", "--gc"), ("retained", "--mem")):
-            entry[key] = last_line(trees["change"], "hot_functions.py", workload,
-                                   "--seed", str(seed), flag, "--top", "0", *quick_flag)
+            entry[key] = last_line(trees["change"], str(tools / "hot_functions.py"), *args,
+                                   flag, "--top", "0")
+        for key, side in (("parent_calls", "parent"), ("calls", "change")):
+            entry[key] = last_line(trees[side], "-c", ON_TREE, str(tools), str(trees[side]),
+                                   *args, "--calls")
+        print(f"  {entry['parent_calls']}\n  {entry['calls']}")
         row["workloads"].setdefault(workload, {})[str(seed)] = entry
     row["seeds"] = sorted({int(seed) for by_seed in row["workloads"].values()
                            for seed in by_seed})
