@@ -28,9 +28,7 @@ another engine leaves through ``outbound`` (see :meth:`Engine.run_to`).
 
 from __future__ import annotations
 
-import itertools
 import random
-from collections import deque
 from operator import itemgetter
 from types import GeneratorType, MappingProxyType
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping,
@@ -56,14 +54,14 @@ from repro.net.tcp import TcpTransport
 from repro.net.topology import Topology
 from repro.net.transport import Transport
 from repro.obs import (TRACE_ID_FOLDER, TRACE_PARENT_FOLDER, MetricsRegistry,
-                       Tracer, infra_trace_id)
+                       RingSink, Tracer, infra_trace_id)
 from repro.store.policy import StoreCosts, resolve_policy
 from repro.store.sitestore import SiteStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.core.kernel import KernelConfig
 
-__all__ = ["ENGINE_PROTOCOL", "Engine", "EventLog", "LedgerQueries"]
+__all__ = ["ENGINE_PROTOCOL", "Engine", "LedgerQueries"]
 
 #: the transports selectable by name (paper section 6's three rexec variants)
 TRANSPORTS = {
@@ -76,7 +74,7 @@ TRANSPORTS = {
 #: hence every method a shard worker's command loop accepts and a
 #: ProcessEngineProxy forwards.  Besides these an engine is read through
 #: its state attributes (``loop``, ``stats``, ``table``, ``sites``,
-#: ``stores``, ``obs``, ``metrics``, ``event_log`` and the four counters).
+#: ``stores``, ``obs``, ``metrics``, ``ring`` and the four counters).
 ENGINE_PROTOCOL = (
     # control
     "launch", "launch_many", "install_agent", "make_durable", "log_event",
@@ -110,77 +108,11 @@ def record_site(topology: Topology, placement: Optional[Dict[str, int]],
         topology.add_link(name, peer, spec)
 
 
-class EventLog:
-    """The kernel event log, bounded by ``KernelConfig.event_log_max``.
-
-    A drop-in replacement for the unbounded list the kernel used to keep:
-    append/iterate/len/index/slice all work and entries stay
-    ``(time, agent_id, site_name, message)`` tuples.  Past the cap the
-    oldest entries are dropped (``dropped`` counts them) while ``total``
-    keeps the absolute sequence, so digest readers ask for "everything
-    past sequence N" (:meth:`since`) and survive drops.
-    """
-
-    __slots__ = ("max_entries", "dropped", "total", "_entries")
-
-    def __init__(self, max_entries: int = 0, entries: Iterable = ()):
-        self.max_entries = int(max_entries)
-        self._entries = deque(
-            entries, maxlen=self.max_entries if self.max_entries > 0 else None)
-        self.dropped = 0
-        self.total = len(self._entries)
-
-    def append(self, entry: tuple) -> None:
-        if 0 < self.max_entries <= len(self._entries):
-            self.dropped += 1
-        self._entries.append(entry)
-        self.total += 1
-
-    def extend(self, entries: Iterable) -> None:
-        for entry in entries:
-            self.append(entry)
-
-    def since(self, seq: int):
-        """``(new_seq, entries)``: every entry past absolute index *seq*.
-
-        When *seq* predates the retained window (the cap overtook a slow
-        reader), the returned entries start at the oldest retained one.
-        """
-        first_retained = self.total - len(self._entries)
-        skip = max(0, seq - first_retained)
-        if skip == 0:
-            fresh = list(self._entries)
-        else:
-            fresh = list(itertools.islice(self._entries, skip, None))
-        return self.total, fresh
-
-    def clear(self) -> None:
-        """Drop the retained entries (the absolute sequence never rewinds)."""
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._entries)[index]
-        return self._entries[index]
-
-    def __repr__(self) -> str:
-        return f"EventLog({len(self._entries)} retained, {self.dropped} dropped)"
-
-
 class LedgerQueries:
     """The read-only queries, defined once over the ledger attributes.
 
     Everything here reads ``sites``, ``topology``, ``stores``, ``table``,
-    ``metrics``, ``obs``, ``durability`` and the four event counters and
+    ``metrics``, ``ring``, ``durability`` and the four event counters and
     nothing else, so it serves an :class:`Engine` (its own ledgers) and the
     :class:`~repro.core.kernel.Kernel` facade (merged views over its
     engines' ledgers — or, with one engine, that engine's) alike.
@@ -218,9 +150,15 @@ class LedgerQueries:
         summary["policy"] = self.durability.name
         return summary
 
+    @property
+    def event_log(self) -> List[tuple]:
+        """Every retained log line, ``(at, agent_id, site, message)``, oldest
+        first (several engines: merged in time order)."""
+        return self.ring.lines()
+
     def trace_spans(self) -> List[Dict[str, Any]]:
         """Every recorded span as dicts, oldest first (several engines: merged)."""
-        return self.obs.export()
+        return self.ring.export()
 
     def dump_trace(self, path: str) -> int:
         """Write every recorded span to *path* as JSONL; returns the count.
@@ -385,6 +323,9 @@ class Engine(LedgerQueries):
         if placement is not None:
             from repro.shard.router import ShardBoundary
             self.transport.boundary = ShardBoundary(self)
+        #: this engine's one bounded record ring: log lines, and spans
+        #: when obs_enabled (``event_log`` and ``trace_spans`` read it)
+        self.ring = RingSink(self.config.obs_ring)
         #: this engine's tracer (repro.obs) — disabled unless obs_enabled
         self.obs = self._make_tracer()
         self.transport.obs = self.obs
@@ -445,7 +386,6 @@ class Engine(LedgerQueries):
         #: kernel's agent-facing API delegates here)
         self.table = AgentTable(retention if retention is not None
                                 else self.config.retention)
-        self.event_log = EventLog(self.config.event_log_max)
         #: memo for _best_effort_code: deriving a CODE element per
         #: launch/meet/arrival re-ran registry reverse lookups (and raised
         #: exceptions for unregistered callables) on every hot-path call.
@@ -487,18 +427,19 @@ class Engine(LedgerQueries):
         """Build this engine's tracer from the ``obs_*`` config knobs.
 
         Disabled (the default) returns the no-op tracer: every
-        instrumentation point then costs one attribute read.  One of
-        several engines always records into a ring buffer — the facade
-        merges them (``dump_trace``) — so ``obs_path`` opens a live JSONL
-        file only on a whole-simulation engine.  Under
+        instrumentation point then costs one attribute read.  Spans land
+        in the engine's record ring; one of several engines records there
+        only — the facade merges the rings (``dump_trace``) — so
+        ``obs_path`` opens a live JSONL file only on a whole-simulation
+        engine.  Under
         ``backend="realtime"`` spans additionally
         carry monotonic wall-clock stamps, the feed-back path from
         observed latencies to sim cost-model prices.
         """
         if not self.config.obs_enabled:
             return Tracer.disabled()
-        from repro.obs import JsonlSink, RingSink, TeeSink
-        sink = RingSink(self.config.obs_ring)
+        from repro.obs import JsonlSink, TeeSink
+        sink = self.ring
         if self.config.obs_path is not None and self.placement is None:
             sink = TeeSink([sink, JsonlSink(self.config.obs_path)])
         wall_timer = None
@@ -892,7 +833,7 @@ class Engine(LedgerQueries):
 
     def log_event(self, agent_id: str, site_name: str, message: str) -> None:
         """Append a line to the event log (agents call this via ctx.log)."""
-        self.event_log.append((self.loop.now, agent_id, site_name, message))
+        self.ring.emit((self.loop.now, agent_id, site_name, message))
 
     # ------------------------------------------------------------------
     # failure injection

@@ -10,7 +10,7 @@ to know.
 
 * ``KernelConfig(shards=1)`` (the default) is simply N = 1: one engine
   owns every site, ``run()`` calls it directly, and the kernel's ledgers
-  (``stats``, ``table``, ``sites``, ``event_log`` ...) *are* that engine's.
+  (``stats``, ``table``, ``sites``, ``ring`` ...) *are* that engine's.
 * With ``shards=N`` the sites are partitioned over N engines advanced in
   conservative synchronisation rounds by a :class:`~repro.shard.ShardSet`
   coordinator, the ledgers are merged views, and
@@ -23,7 +23,6 @@ talks to them through :data:`~repro.core.engine.ENGINE_PROTOCOL` alone.
 
 from __future__ import annotations
 
-import itertools
 from collections import ChainMap
 from dataclasses import dataclass
 from operator import itemgetter
@@ -31,7 +30,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
 from repro.core.briefcase import Briefcase
-from repro.core.engine import Engine, EventLog, LedgerQueries, record_site, resolve_links
+from repro.core.engine import Engine, LedgerQueries, record_site, resolve_links
 from repro.core.errors import KernelError, UnknownSiteError
 from repro.core.lifecycle import MergedAgentTable, RetentionPolicy
 from repro.core.registry import BehaviourRegistry, default_registry
@@ -39,10 +38,10 @@ from repro.core.site import Site
 from repro.net.stats import StatsView
 from repro.net.topology import Topology, lan
 from repro.net.transport import Transport
-from repro.obs import MetricsRegistry, Tracer, TracerView
+from repro.obs import MetricsRegistry, RingSink, Tracer
 from repro.store.policy import DurabilityPolicy
 
-__all__ = ["Kernel", "KernelConfig", "EventLog"]
+__all__ = ["Kernel", "KernelConfig"]
 
 
 @dataclass
@@ -134,15 +133,14 @@ class KernelConfig:
     #: fraction of traces recorded, decided per trace id by a
     #: deterministic CRC-32 hash (1.0 = everything, 0.0 = guard cost only)
     obs_sample: float = 1.0
-    #: capacity of the in-memory span ring buffer (per kernel/shard)
-    obs_ring: int = 65536
+    #: capacity of each engine's record ring: its log lines
+    #: (``kernel.event_log``) and, with obs_enabled, its spans share it,
+    #: and past it the oldest record of either kind is dropped
+    obs_ring: int = 265_536
     #: JSONL file finished spans are appended to.  With one engine the
     #: file is written live; with several the facade writes it at
     #: ``close()`` by merging every engine's ring (none opens the file itself)
     obs_path: Optional[str] = None
-    #: cap on retained kernel event-log lines; past it the oldest are
-    #: dropped (counted in ``event_log.dropped``).  0 = unbounded.
-    event_log_max: int = 200_000
 
 
     def validate(self) -> None:
@@ -186,9 +184,6 @@ class KernelConfig:
                               f"{self.obs_sample}")
         if self.obs_ring < 1:
             raise KernelError(f"obs_ring must be >= 1, got {self.obs_ring}")
-        if self.event_log_max < 0:
-            raise KernelError(f"event_log_max must be >= 0 (0 = unbounded), "
-                              f"got {self.event_log_max}")
         if self.delivery_batch_window == 0 and (
                 self.flow_window_min > 0 or self.flow_window_max > 0):
             # The window is the fabric's master switch: with the fabric
@@ -213,29 +208,29 @@ class KernelConfig:
                 f"exceed flow_window_max ({self.flow_window_max})")
 
 
-class MergedEventLog:
-    """Read-only merge of several engines' event logs, in time order.
+class MergedRing:
+    """Read-only merge of several engines' record rings.
 
-    Entries with equal stamps keep engine order, then each engine's own
-    order.  Merged afresh on every read: the logs keep growing.
+    Log lines come back in time order (equal stamps keep engine order, then
+    each engine's own), spans by ``(start, span_id)``.  Merged afresh on
+    every read: the rings keep growing.
     """
 
-    __slots__ = ("_logs",)
+    __slots__ = ("_rings",)
 
-    def __init__(self, logs: Sequence):
-        self._logs = list(logs)
+    def __init__(self, rings: Sequence[RingSink]):
+        self._rings = list(rings)
 
-    def _in_time_order(self) -> List[tuple]:
-        return sorted(itertools.chain(*self._logs), key=itemgetter(0))
+    def lines(self) -> List[tuple]:
+        merged = [line for ring in self._rings for line in ring.lines()]
+        merged.sort(key=itemgetter(0))
+        return merged
 
-    def __iter__(self):
-        return iter(self._in_time_order())
-
-    def __len__(self) -> int:
-        return sum(len(log) for log in self._logs)
-
-    def __getitem__(self, index):
-        return self._in_time_order()[index]
+    def export(self) -> List[Dict[str, Any]]:
+        merged = [span for ring in self._rings for span in ring.export()]
+        merged.sort(key=lambda span: (span.get("start", 0.0),
+                                      span.get("span_id", "")))
+        return merged
 
 
 def _view_of(parts: Sequence, merge: Callable[[Sequence], Any]):
@@ -288,12 +283,12 @@ class Kernel(LedgerQueries):
         #: called when a late site or link may have shortened a path
         #: between engines (the coordinator's lookahead must be rebuilt)
         self._topology_grew: Callable[[], None] = lambda: None
-        facade_tracer = None
         if self.config.shards == 1:
             #: site name -> id of the engine hosting it (live: add_site grows it)
             self._placement: Dict[str, int] = dict.fromkeys(self.topology.sites(), 0)
             engines = [Engine(self.topology, self.config, transport,
                               install_system_agents, self.registry, retention)]
+            self.obs = engines[0].obs
         else:
             from repro.shard import (ClockSync, Shard, ShardSet, build_engines,
                                      resolve_placement)
@@ -314,12 +309,14 @@ class Kernel(LedgerQueries):
             self._coordinator = ShardSet(
                 [Shard(shard_id, engine) for shard_id, engine in enumerate(engines)],
                 clock_sync, backend=backend)
+            #: the facade's own tracer: sync-round spans ride the
+            #: coordinator's clock (the slowest engine's)
+            self.obs = Tracer.disabled()
             if self.config.obs_enabled:
-                # The facade's own tracer: sync-round spans ride the
-                # coordinator's clock (the slowest engine's).
-                facade_tracer = Tracer(clock=self._coordinator,
-                                       sample=self.config.obs_sample)
-                self._coordinator.obs = facade_tracer
+                self.obs = Tracer(clock=self._coordinator,
+                                  sink=RingSink(self.config.obs_ring),
+                                  sample=self.config.obs_sample)
+                self._coordinator.obs = self.obs
         self._engines: Tuple[Engine, ...] = tuple(engines)
 
         # One API over 1..N engines: the ledgers callers read.
@@ -329,10 +326,10 @@ class Kernel(LedgerQueries):
                              lambda parts: ChainMap(*parts))
         self.stores = _view_of([engine.stores for engine in engines],
                               lambda parts: ChainMap(*parts))
-        self.event_log = _view_of([engine.event_log for engine in engines],
-                                 MergedEventLog)
-        self.obs = _view_of([engine.obs for engine in engines],
-                           lambda parts: TracerView(parts, own=facade_tracer))
+        rings = [engine.ring for engine in engines]
+        if self._coordinator is not None and self.obs.active:
+            rings.append(self.obs.sink)
+        self.ring = _view_of(rings, MergedRing)
         self.metrics = _view_of([engine.metrics for engine in engines], self._merged_metrics)
         #: engine 0 anchors the pieces that need a single identity: failure
         #: schedules ride its clock, and code that introspects

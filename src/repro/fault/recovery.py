@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.fault.rearguard import (CHECKPOINTS_FOLDER, REARGUARD_CABINET, _released,
-                                   guard_snapshot, install_fault_agents,
-                                   rear_guard_behaviour)
+from repro.fault.rearguard import (CHECKPOINTS_FOLDER, REARGUARD_CABINET,
+                                   _checkpoint_head, _released, guard_snapshot,
+                                   install_fault_agents, rear_guard_behaviour)
 
 __all__ = ["CHECKPOINTS_FOLDER", "REVIVED_FOLDER", "record_checkpoint",
            "install_checkpoint_recovery", "enable_durable_protection",
@@ -63,15 +63,20 @@ def record_checkpoint(cabinet, ft_id: str, protects_seq: int, snapshot_wire: dic
     """File a durable checkpoint for hop *protects_seq* of computation *ft_id*.
 
     The snapshot is byte-identical to the one the hop's rear guard holds,
-    so a revival re-ships exactly what the guard would have.
+    so a revival re-ships exactly what the guard would have.  Its head is
+    seeded into the memo :func:`~repro.fault.rearguard.prune_released_checkpoints`
+    keeps, so the prune never decodes the whole-briefcase checkpoint just filed.
     """
-    cabinet.put(CHECKPOINTS_FOLDER, {
+    checkpoint = {
         "ft_id": ft_id,
         "protects_seq": int(protects_seq),
         "snapshot_wire": snapshot_wire,
         "per_hop": float(per_hop),
         "max_relaunches": int(max_relaunches),
-    })
+    }
+    cabinet.put(CHECKPOINTS_FOLDER, checkpoint)
+    stored = cabinet.folder(CHECKPOINTS_FOLDER).raw_elements()[-1]
+    cabinet.derived(CHECKPOINTS_FOLDER)[stored] = _checkpoint_head(checkpoint)
 
 
 def enable_durable_protection(kernel) -> int:

@@ -8,11 +8,10 @@ visible end to end:
   agent's briefcase (``TRACE_ID`` / ``TRACE_PARENT`` folders), so
   causality survives batching envelopes, cross-shard handoffs on every
   backend (including pickled process pipes), and agent migration itself.
-* :mod:`repro.obs.tracer` — per-kernel :class:`Tracer` plus the merged
-  :class:`TracerView` the sharded facade exposes.
-* :mod:`repro.obs.sinks` — pluggable span sinks: in-memory ring buffer
-  (default, near-zero cost when tracing is off), JSONL file sink, and a
-  fan-out tee.
+* :mod:`repro.obs.tracer` — the per-engine :class:`Tracer`.
+* :mod:`repro.obs.sinks` — pluggable span sinks: the in-memory ring
+  (each engine's one record ring, which its log lines share whether
+  tracing is on or off), JSONL file sink, and a fan-out tee.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, one ``collect()``
   over named sources.  It stores nothing: ``NetworkStats`` is the one
   counter store and registers as the ``"net"`` source, beside the flow and
@@ -27,12 +26,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import JsonlSink, RingSink, TeeSink
 from repro.obs.span import (Span, TRACE_ID_FOLDER, TRACE_PARENT_FOLDER,
                             infra_trace_id, span_id)
-from repro.obs.tracer import Tracer, TracerView
+from repro.obs.tracer import Tracer
 
 __all__ = [
     "Span", "TRACE_ID_FOLDER", "TRACE_PARENT_FOLDER", "span_id",
     "infra_trace_id",
-    "Tracer", "TracerView",
+    "Tracer",
     "RingSink", "JsonlSink", "TeeSink",
     "MetricsRegistry",
 ]

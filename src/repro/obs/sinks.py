@@ -1,11 +1,13 @@
 """Span sinks: where finished spans go.
 
 Every sink consumes plain dicts (:meth:`repro.obs.span.Span.to_dict`),
-so sinks compose freely and everything they hold is picklable:
+so sinks compose freely and everything they hold is picklable (the ring
+also holds its engine's log lines, plain tuples):
 
-* :class:`RingSink` — bounded in-memory ring, the default.  Keeps an
+* :class:`RingSink` — bounded in-memory ring, the default, and each
+  engine's one record store: log lines share it with spans.  Keeps an
   absolute emit counter so the process shard backend can ship *new*
-  spans in each state digest (:meth:`RingSink.since`).
+  records in each state digest (:meth:`RingSink.since`).
 * :class:`JsonlSink` — one JSON object per line, append-only file.
 * :class:`TeeSink` — fan a span out to several sinks (ring + file).
 """
@@ -21,45 +23,54 @@ __all__ = ["RingSink", "JsonlSink", "TeeSink"]
 
 
 class RingSink:
-    """Bounded in-memory span store (drop-oldest)."""
+    """An engine's one bounded record ring (drop-oldest).
 
-    __slots__ = ("capacity", "_spans", "total", "dropped")
+    Two kinds of record share it, in the order they happened: log lines,
+    ``(at, agent_id, site, message)`` tuples from ``log_event``/``ctx.log``,
+    and (when tracing is on) finished spans as dicts.  :meth:`lines` reads
+    the first kind, :meth:`export` the second.
+    """
+
+    __slots__ = ("capacity", "_records", "total")
 
     def __init__(self, capacity: int = 65536):
         self.capacity = max(1, int(capacity))
-        self._spans: deque = deque(maxlen=self.capacity)
-        #: spans ever emitted (absolute; never decreases)
+        self._records: deque = deque(maxlen=self.capacity)
+        #: records ever emitted (absolute; never decreases)
         self.total = 0
-        #: spans the ring dropped to stay within capacity
-        self.dropped = 0
 
-    def emit(self, span: Dict[str, Any]) -> None:
-        if len(self._spans) == self.capacity:
-            self.dropped += 1
-        self._spans.append(span)
+    def emit(self, record) -> None:
+        self._records.append(record)
         self.total += 1
+
+    @property
+    def dropped(self) -> int:
+        """Records the ring dropped to stay within capacity."""
+        return self.total - len(self._records)
 
     def export(self) -> List[Dict[str, Any]]:
         """Every retained span, oldest first."""
-        return list(self._spans)
+        return [record for record in self._records if type(record) is dict]
 
-    def since(self, seq: int) -> Tuple[int, List[Dict[str, Any]]]:
-        """Spans with absolute index >= *seq* still retained, plus the new seq.
+    def lines(self) -> List[tuple]:
+        """Every retained log line, oldest first."""
+        return [record for record in self._records if type(record) is tuple]
+
+    def since(self, seq: int) -> Tuple[int, list]:
+        """Records with absolute index >= *seq* still retained, plus the new seq.
 
         The digest protocol: a worker calls ``since(sent)`` each round and
-        ships the delta.  Spans that fell off the ring between digests are
-        simply gone (the ring bounds memory, not completeness).
+        ships the delta.  Records that fell off the ring between digests
+        are simply gone (the ring bounds memory, not completeness).
         """
-        first_retained = self.total - len(self._spans)
-        skip = max(0, seq - first_retained)
-        fresh = list(itertools.islice(self._spans, skip, None))
-        return self.total, fresh
+        skip = max(0, seq - self.dropped)
+        return self.total, list(itertools.islice(self._records, skip, None))
 
     def close(self) -> None:  # pragma: no cover - protocol completeness
         pass
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._records)
 
 
 class JsonlSink:
@@ -108,12 +119,6 @@ class TeeSink:
             if spans:
                 return spans
         return []
-
-    def since(self, seq: int):
-        for sink in self.sinks:
-            if hasattr(sink, "since"):
-                return sink.since(seq)
-        return seq, []
 
     def close(self) -> None:
         for sink in self.sinks:

@@ -1,4 +1,4 @@
-"""Tracers: per-kernel span recording, and the merged facade view.
+"""Tracers: per-engine span recording.
 
 Hot-path contract: every instrumentation point is guarded by a single
 attribute read (``if tracer.active:``), and a disabled tracer allocates
@@ -15,12 +15,12 @@ the same event sequence on every backend (the PR 7 invariant).
 from __future__ import annotations
 
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.sinks import RingSink
 from repro.obs.span import Span, span_id
 
-__all__ = ["Tracer", "TracerView"]
+__all__ = ["Tracer"]
 
 #: CRC-32 sampling: a trace is kept when crc32(trace_id) < sample * 2**32
 _SAMPLE_SPACE = float(2 ** 32)
@@ -118,12 +118,6 @@ class Tracer:
         """Every span the sink retains, oldest first."""
         return self.sink.export()
 
-    def since(self, seq: int):
-        """Delta export for state digests (see :meth:`RingSink.since`)."""
-        if hasattr(self.sink, "since"):
-            return self.sink.since(seq)
-        return seq, []
-
     def close(self) -> None:
         self.sink.close()
 
@@ -139,52 +133,8 @@ class _NullSink:
     def export(self) -> List[Dict[str, Any]]:
         return []
 
-    def since(self, seq: int):
-        return seq, []
-
     def close(self) -> None:
         pass
 
 
 _NULL_SINK = _NullSink()
-
-
-class TracerView:
-    """Merged read-only view over several tracers (the sharded facade).
-
-    ``export()`` interleaves every part's spans in (start, span_id) order
-    so a facade trace dump reads exactly like a classic kernel's.
-    """
-
-    __slots__ = ("_parts", "_own")
-
-    def __init__(self, parts: Sequence, own: Optional[Tracer] = None):
-        self._parts = list(parts)
-        self._own = own
-
-    @property
-    def active(self) -> bool:
-        if self._own is not None and self._own.active:
-            return True
-        return any(part.active for part in self._parts)
-
-    @property
-    def own(self) -> Optional[Tracer]:
-        """The facade's own tracer (sync-round spans), if any."""
-        return self._own
-
-    def export(self) -> List[Dict[str, Any]]:
-        merged: List[Dict[str, Any]] = []
-        for part in self._parts:
-            merged.extend(part.export())
-        if self._own is not None:
-            merged.extend(self._own.export())
-        merged.sort(key=lambda span: (span.get("start", 0.0),
-                                      span.get("span_id", "")))
-        return merged
-
-    def close(self) -> None:
-        for part in self._parts:
-            part.close()
-        if self._own is not None:
-            self._own.close()

@@ -14,8 +14,10 @@ one reply out, strictly alternating per worker):
   protocol method — ``run_to(horizon, budget, handoffs)`` each round,
   ``launch``/``crash_site``/``add_site``/... between rounds — plus
   ``("digest",)`` (state mirroring) and ``("stop",)``.
-* worker -> coordinator: ``("ok", (value, now, next_event_time,
-  seconds))`` or ``("error", summary, traceback)``.  Every reply carries
+* worker -> coordinator: first, once its engine is built, a ready
+  ``("ok", (None, now, next_event_time, 0.0))`` (or the startup error);
+  then ``("ok", (value, now, next_event_time, seconds))`` or
+  ``("error", summary, traceback)`` per command.  Every reply carries
   the worker's clock and next-event time so the coordinator's
   :class:`MirrorLoop` never goes stale after a command that scheduled
   events (a ``launch`` between rounds must move the mirrored next-event
@@ -28,10 +30,10 @@ burst spooled for other shards, the coordinator routes it, and it rides
 the owner's next ``run_to``/``advance_clock`` — exactly the in-process
 path (see :mod:`repro.shard.router`).
 
-Facade views (``stats``, ``table``, ``sites``, ``event_log``, ``obs``,
-``metrics``) are served from per-run **state digests**: after each
-``ShardSet.run`` the coordinator pulls one digest per worker and refreshes
-the proxy mirrors.  A digest carries:
+Facade views (``stats``, ``table``, ``sites``, ``event_log``,
+``trace_spans``, ``metrics``) are served from per-run **state digests**:
+after each ``ShardSet.run`` the coordinator pulls one digest per worker
+and refreshes the proxy mirrors.  A digest carries:
 
 * the engine's :class:`~repro.net.stats.NetworkStats` object itself (it
   pickles whole), copied into the proxy's in place;
@@ -41,7 +43,8 @@ the proxy mirrors.  A digest carries:
 * per-site flags (alive, residents, undeliverable, load, capacity); the
   facade's topology follows ``alive``, so a durable replay that completes
   worker-side marks the site up there too;
-* the event-log lines and spans appended since the last digest;
+* the records (log lines, and spans) appended to the engine's ring since
+  the last digest;
 * what the engine's other metric sources (flow, transport) read now.
 
 Mid-run the mirrors lag by design; everything tests read (counters,
@@ -75,13 +78,13 @@ from functools import partial
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.engine import ENGINE_PROTOCOL, Engine, EventLog
+from repro.core.engine import ENGINE_PROTOCOL, Engine
 from repro.core.errors import KernelError
 from repro.core.lifecycle import AgentRecord, make_retention
 from repro.core.registry import default_registry
 from repro.core.timing import default_timer
 from repro.net.stats import NetworkStats
-from repro.obs import MetricsRegistry, RingSink, Tracer
+from repro.obs import MetricsRegistry, RingSink
 from repro.shard.backend import ShardBackend
 from repro.store.policy import resolve_policy
 
@@ -164,8 +167,7 @@ class _Worker:
         #: agent_id -> last (state, steps, site) shipped, for table deltas; None
         #: once shipped terminal: it cannot change again, the id is all we keep
         self._sent_markers: Dict[str, Optional[tuple]] = {}
-        self._event_log_sent = 0
-        self._span_seq = 0
+        self._ring_sent = 0
 
     # -- command handlers -------------------------------------------------------
 
@@ -192,11 +194,9 @@ class _Worker:
         sites = {name: (site.alive, site.resident_count(), site.undeliverable,
                         site.background_load, site.capacity)
                  for name, site in engine.sites.items()}
-        # Absolute-sequence deltas: the bounded EventLog / span ring may
-        # have dropped old entries, so positional slicing would misalign.
-        self._event_log_sent, new_events = \
-            engine.event_log.since(self._event_log_sent)
-        self._span_seq, new_spans = engine.obs.since(self._span_seq)
+        # An absolute-sequence delta: the bounded ring may have dropped
+        # old records, so positional slicing would misalign.
+        self._ring_sent, new_records = engine.ring.since(self._ring_sent)
         return {
             # The live object: it pickles whole, defaultdicts and sketch RNG too.
             "stats": engine.stats,
@@ -208,8 +208,7 @@ class _Worker:
             "table_counts": table.state_counts(),
             "table_kinds": table.ledger_entry_kinds(),
             "sites": sites,
-            "event_log": new_events,
-            "spans": new_spans,
+            "ring": new_records,
             # "net" is the stats above; the rest read worker-side objects.
             "metric_sources": engine.metrics.collect(skip=("net",)),
         }
@@ -219,6 +218,8 @@ class _Worker:
     def serve(self) -> None:
         handlers = {"call": self.cmd_call, "digest": self.cmd_digest}
         loop = self.engine.loop
+        # The start-up handshake: the engine is built.
+        self.conn.send(("ok", (None, loop.now, loop.next_event_time(), 0.0)))
         while True:
             command = self.conn.recv()
             name = command[0]
@@ -447,12 +448,14 @@ class ShardTableMirror:
 class _WorkerHandle:
     """One worker's pipe + process, with error-translating request helpers."""
 
-    __slots__ = ("shard_id", "conn", "process")
+    __slots__ = ("shard_id", "conn", "process", "replied")
 
     def __init__(self, shard_id: int, conn, process):
         self.shard_id = shard_id
         self.conn = conn
         self.process = process
+        #: whether any reply (the start-up handshake first) ever came
+        self.replied = False
 
     def send(self, command: tuple) -> None:
         try:
@@ -476,10 +479,18 @@ class _WorkerHandle:
             reply = self.conn.recv()
         except (EOFError, OSError):
             # EOF: the worker closed its end; a reset (OSError): it died
-            # with a command still unread in the pipe.
+            # with a command still unread in the pipe.  Either way it is
+            # exiting: join it so the exit code is real, not None.
+            self.process.join(timeout=5)
+            cause = "" if self.replied else (
+                " before its first reply; a spawn worker re-imports the "
+                "parent's __main__ module, so a script must build a "
+                "process-sharded Kernel under `if __name__ == "
+                "\"__main__\":`")
             raise KernelError(
                 f"shard {self.shard_id} worker died "
-                f"(exitcode={self.process.exitcode})") from None
+                f"(exitcode={self.process.exitcode}){cause}") from None
+        self.replied = True
         if reply[0] == "error":
             detail = f"\n{reply[2]}" if reply[2] else ""
             raise KernelError(
@@ -520,12 +531,10 @@ class ProcessEngineProxy:
         # Coordinator-side placeholder matching the engine's seed derivation;
         # the authoritative stream lives in the worker.
         self.rng = random.Random(spec.config.rng_seed + spec.shard_id)
-        #: event log, spans and metric sources, refreshed from per-run digests
-        #: into the classes an engine uses (same bounds), so the facade's
+        #: the record ring and metric sources, refreshed from per-run digests
+        #: into the classes an engine uses (same bound), so the facade's
         #: merged views read process shards exactly like in-process engines
-        self.event_log = EventLog(spec.config.event_log_max)
-        self.obs = (Tracer(sink=RingSink(spec.config.obs_ring))
-                    if spec.config.obs_enabled else Tracer.disabled())
+        self.ring = RingSink(spec.config.obs_ring)
         self.metrics = MetricsRegistry()
         self.meets = 0
         self.transmits = 0
@@ -607,9 +616,8 @@ class ProcessEngineProxy:
             mirror.undeliverable = undeliverable
             mirror.background_load = background_load
             mirror.capacity = capacity
-        self.event_log.extend(digest["event_log"])
-        for span in digest["spans"]:
-            self.obs.sink.emit(span)
+        for record in digest["ring"]:
+            self.ring.emit(record)
         self.metrics.register("worker", digest["metric_sources"].copy)
 
     def __repr__(self) -> str:
@@ -641,6 +649,10 @@ class ProcessBackend(ShardBackend):
                 self._handles.append(handle)
                 self.proxies.append(
                     ProcessEngineProxy(handle, spec, transport_name))
+            # Every worker starts at once; wait for each one's handshake so
+            # a worker that cannot start fails the Kernel(...) call itself.
+            for proxy in self.proxies:
+                proxy.collect()
         except BaseException:
             self.close()
             raise

@@ -15,6 +15,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import repro
 
 REPO = pathlib.Path(repro.__file__).resolve().parents[2]
@@ -42,17 +44,20 @@ def test_one_tree_on_both_sides_moves_no_key(tmp_path):
     assert entry["retained"].startswith("RETAINED churn bytes_per_unit=")
     assert entry["calls"] == entry["parent_calls"]
     assert entry["calls"].startswith("CALLS churn calls_per_unit=")
+    assert entry["host_ref_us"] > 0 and entry["parent_host_ref_us"] > 0
+    assert "  host_ref_us parent " in done.stdout, done.stdout
 
 
-def test_calls_per_unit_repeats_across_runs_and_hash_seeds():
+@pytest.mark.parametrize("workload", ["churn", "ft_durable"])
+def test_calls_per_unit_repeats_across_runs_and_hash_seeds(workload):
     def calls(hash_seed):
         done = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "hot_functions.py"), "churn", "--quick",
+            [sys.executable, str(REPO / "tools" / "hot_functions.py"), workload, "--quick",
              "--calls"], capture_output=True, text=True, timeout=120,
             env=dict(os.environ, PYTHONHASHSEED=hash_seed))
         assert done.returncode == 0, done.stderr
         line = done.stdout.strip().splitlines()[-1]
-        assert line.startswith("CALLS churn calls_per_unit=") and " stdlib=" in line, line
+        assert line.startswith(f"CALLS {workload} calls_per_unit=") and " stdlib=" in line, line
         return line
 
     # The whole line: the total and every layer's share of it.

@@ -15,7 +15,6 @@ import tempfile
 import pytest
 
 from repro.core import Briefcase, Kernel, KernelConfig
-from repro.core.kernel import EventLog
 from repro.net import lan
 from repro.obs import (JsonlSink, MetricsRegistry, RingSink, TeeSink, Tracer,
                        infra_trace_id, span_id)
@@ -93,16 +92,22 @@ def test_wall_timer_stamps_start_and_end():
 
 
 def test_ring_sink_bounds_and_since():
-    ring = RingSink(capacity=3)
-    for i in range(5):
-        ring.emit({"i": i})
-    assert ring.total == 5 and ring.dropped == 2 and len(ring) == 3
-    assert [span["i"] for span in ring.export()] == [2, 3, 4]
-    # A reader at seq 1 lost span 1 to the ring; it gets the retained tail.
+    # Log lines and spans share one ring, in the order they were emitted.
+    ring = RingSink(capacity=4)
+    for i in range(3):
+        ring.emit((float(i), f"a{i}", "site", "msg"))
+        ring.emit({"span_id": f"s{i}"})
+    # Six records in, four kept: the oldest line and span went first.
+    assert ring.total == 6 and ring.dropped == 2 and len(ring) == 4
+    assert [line[0] for line in ring.lines()] == [1.0, 2.0]
+    assert [span["span_id"] for span in ring.export()] == ["s1", "s2"]
+    # A reader at seq 1 lost record 1 to the ring; it gets the retained tail.
     seq, fresh = ring.since(1)
-    assert seq == 5 and [span["i"] for span in fresh] == [2, 3, 4]
-    seq, fresh = ring.since(seq)
-    assert fresh == []
+    assert seq == 6 and fresh == [(1.0, "a1", "site", "msg"), {"span_id": "s1"},
+                                  (2.0, "a2", "site", "msg"), {"span_id": "s2"}]
+    seq, fresh = ring.since(5)
+    assert fresh == [{"span_id": "s2"}]
+    assert ring.since(seq) == (6, [])
 
 
 def test_jsonl_sink_round_trips_through_load_trace():
@@ -124,7 +129,6 @@ def test_tee_sink_fans_out():
     for ring in (left, right):
         assert ring.export() == [{"span_id": "s"}]
     assert sink.export() == [{"span_id": "s"}]
-    assert sink.since(0) == (1, [{"span_id": "s"}])
 
 
 # -- metrics ----------------------------------------------------------------
@@ -178,28 +182,37 @@ def test_metrics_collect_keeps_engine_sources_on_every_backend(backend):
     assert merged["tcp_connects_total"] > 0
 
 
-# -- event log --------------------------------------------------------------
+# -- event log: log lines in the record ring ---------------------------------
 
 
-def test_event_log_bounds_and_since():
-    log = EventLog(max_entries=3)
-    for i in range(5):
-        log.append((float(i), f"a{i}", "site", "msg"))
-    assert len(log) == 3 and log.total == 5 and log.dropped == 2
-    seq, fresh = log.since(0)
-    assert seq == 5 and [entry[0] for entry in fresh] == [2.0, 3.0, 4.0]
-    seq, fresh = log.since(4)
-    assert [entry[0] for entry in fresh] == [4.0]
-    assert log.since(seq) == (5, [])
-
-
-def test_event_log_max_config_reaches_kernel():
-    kernel = Kernel(lan(["a"]), config=KernelConfig(event_log_max=2))
+def test_obs_ring_bounds_the_kernel_event_log():
+    kernel = Kernel(lan(["a"]), config=KernelConfig(obs_ring=2))
     for i in range(4):
         kernel.log_event("agent", "a", f"line {i}")
-    assert len(kernel.event_log) == 2
-    assert kernel.event_log.total == 4
+    assert [line[3] for line in kernel.event_log] == ["line 2", "line 3"]
+    assert kernel.ring.total == 4
     kernel.close()
+
+
+def test_log_lines_stay_out_of_the_trace(tmp_path):
+    """Lines and spans share the ring, but the trace (export, dump, the
+    live JSONL file) holds spans only and the event log lines only."""
+    path = str(tmp_path / "trace.jsonl")
+    kernel = Kernel(lan(["a", "b"]),
+                    config=KernelConfig(obs_enabled=True, obs_path=path))
+    briefcase = Briefcase()
+    briefcase.set("DEST", "b")
+    kernel.launch("a", visitor, briefcase)
+    kernel.log_event("operator", "a", "note")
+    kernel.run()
+    spans = kernel.trace_spans()
+    kernel.close()
+    assert spans and all(isinstance(span, dict) for span in spans)
+    assert len(kernel.ring) == len(spans) + len(kernel.event_log)
+    assert ("operator", "a", "note") in [line[1:] for line in kernel.event_log]
+    assert len(load_trace(path)) == len(spans)
+    dumped = str(tmp_path / "dump.jsonl")
+    assert kernel.dump_trace(dumped) == len(spans)
 
 
 # -- report analyzer --------------------------------------------------------

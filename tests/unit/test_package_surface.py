@@ -120,7 +120,7 @@ KERNEL_CONFIG_FIELDS = [
     "store_recovery_base", "store_snapshot_threshold",
     "shards", "shard_placement", "shard_backend", "backend",
     "store_realtime_dir",
-    "obs_enabled", "obs_sample", "obs_ring", "obs_path", "event_log_max",
+    "obs_enabled", "obs_sample", "obs_ring", "obs_path",
 ]
 
 

@@ -375,7 +375,8 @@ class TestIncrementalReads:
             assert not _relaunch_acked(cabinet, "ft-1", 2, since=0.0)
         assert len(decoded) == 10
 
-    def test_prune_decodes_each_parked_snapshot_once(self, decoded):
+    def test_prune_decodes_no_filed_snapshot_and_each_restored_one_once(self, decoded):
+        from repro.store.snapshot import capture_cabinet, restore_cabinet
         cabinet = FileCabinet(REARGUARD_CABINET)
         wire = make_snapshot().to_wire()
         parked = 12
@@ -387,11 +388,8 @@ class TestIncrementalReads:
                        for value in decoded)
 
         assert prune_released_checkpoints(cabinet) == 0
-        assert snapshots_decoded() == parked      # first sight of each
-        del decoded[:]
+        assert decoded == []                      # filing seeded every head
         stored = cabinet.folder(CHECKPOINTS_FOLDER).raw_elements()
-        assert prune_released_checkpoints(cabinet) == 0
-        assert decoded == []                      # no new release: nothing to read
 
         cabinet.put("releases", {"ft_id": "ft-1", "reached_seq": 3, "done": False})
         assert prune_released_checkpoints(cabinet) == 3   # hops 0, 1, 2
@@ -401,4 +399,13 @@ class TestIncrementalReads:
         del decoded[:]
         record_checkpoint(cabinet, "ft-1", parked, wire, 0.5, 2)
         assert prune_released_checkpoints(cabinet) == 0
-        assert snapshots_decoded() == 1           # only the newcomer
+        assert decoded == []                      # nor the newcomer
+
+        # A crash-recovery restore drops the memo with the index: each
+        # restored snapshot is decoded once, then never again.
+        restore_cabinet(cabinet, capture_cabinet(cabinet))
+        assert prune_released_checkpoints(cabinet) == 0
+        assert snapshots_decoded() == parked - 3 + 1
+        del decoded[:]
+        assert prune_released_checkpoints(cabinet) == 0
+        assert snapshots_decoded() == 0

@@ -218,7 +218,7 @@ class TestFacadeConstruction:
         kernel, _ = sharded_kernel(shards=1)
         engine, = kernel.engines
         for view in ("stats", "table", "sites", "stores", "obs", "metrics",
-                     "event_log", "loop", "transport"):
+                     "ring", "loop", "transport"):
             assert getattr(kernel, view) is getattr(engine, view), view
         assert engine.transport.boundary is None
 

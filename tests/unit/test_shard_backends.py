@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import pickle
+import re
 
 import pytest
 
@@ -529,10 +530,41 @@ class TestWorkerHandle:
         if unread_command:
             coordinator.send(("call", "now"))
         worker.close()
-        handle = _WorkerHandle(3, coordinator, SimpleNamespace(exitcode=1))
+        handle = _WorkerHandle(3, coordinator, SimpleNamespace(
+            exitcode=1, join=lambda timeout=None: None))
         with pytest.raises(KernelError, match=r"shard 3 worker died \(exitcode=1\)"):
             handle.recv()
         coordinator.close()
+
+    def test_a_worker_dead_at_bootstrap_fails_the_kernel_constructor(self, tmp_path):
+        """A script without a ``__main__`` guard: each spawn worker re-runs
+        it, cannot start a process while bootstrapping, and exits.  The
+        parent's ``Kernel(...)`` raises, naming the worker, its real exit
+        code and the likely cause, instead of returning a kernel whose
+        first call fails."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        if not process_backend_available():
+            pytest.skip("multiprocessing spawn does not work on this host")
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from repro.core import Kernel, KernelConfig\n"
+            "from repro.net import lan\n"
+            "kernel = Kernel(lan(['a', 'b', 'c', 'd']), config=KernelConfig(\n"
+            "    shards=2, shard_backend='process'))\n"
+            "print('constructed')\n"
+            "kernel.close()\n", encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode != 0
+        assert "constructed" not in done.stdout
+        assert re.search(r"KernelError: shard \d worker died \(exitcode=1\) "
+                         r"before its first reply.*__main__", done.stderr), done.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +692,10 @@ class TestProcessFacade:
         assert "example_loaded_from_a_file_path" not in modules
         assert "scenarios" in modules
 
-    def test_digest_fed_log_and_spans_keep_the_configured_bounds(self):
-        """``event_log_max`` and ``obs_ring`` bound what the coordinator
-        retains per engine too: after repeated runs it holds what the
-        in-process engines hold, not everything the digests ever shipped."""
+    def test_digest_fed_ring_keeps_the_configured_bound(self):
+        """``obs_ring`` bounds what the coordinator retains per engine too:
+        after repeated runs it holds what the in-process engines hold, log
+        lines and spans alike, not everything the digests ever shipped."""
         def retained(backend):
             names = [f"s{i}" for i in range(4)]
             kernel = Kernel(lan(names, latency=0.002), transport="tcp",
@@ -671,8 +703,7 @@ class TestProcessFacade:
                                 rng_seed=7, shards=2, shard_backend=backend,
                                 shard_placement={"s0": 0, "s1": 0,
                                                  "s2": 1, "s3": 1},
-                                event_log_max=3, obs_ring=4,
-                                obs_enabled=True))
+                                obs_ring=7, obs_enabled=True))
             kernel.install_agent(None, SINK_NAME, report_sink)
             for round_number in range(10):
                 site = names[round_number % len(names)]
@@ -685,15 +716,15 @@ class TestProcessFacade:
                     kernel.crash_site(names[3])
                     kernel.recover_site(names[3])
                 kernel.run()
-            logs = [list(engine.event_log) for engine in kernel.engines]
-            spans = [engine.obs.export() for engine in kernel.engines]
+            rings = [(engine.ring.lines(), engine.ring.export())
+                     for engine in kernel.engines]
             kernel.close()
-            return logs, spans
+            return rings
 
-        logs, spans = retained("process")
-        assert [len(log) for log in logs] == [3, 3]
-        assert [len(ring) for ring in spans] == [4, 4]
-        assert (logs, spans) == retained("inproc")
+        rings = retained("process")
+        assert [len(lines) + len(spans) for lines, spans in rings] == [7, 7]
+        assert all(lines and spans for lines, spans in rings)
+        assert rings == retained("inproc")
 
     def test_unpicklable_behaviour_raises_a_kernel_error_and_the_pipe_survives(self):
         kernel, names = sharded_kernel("process", site_count=4, shards=2)

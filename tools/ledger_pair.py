@@ -16,13 +16,17 @@ lands on both sides.  It prints every pair's five end-to-end metrics (those
 ``BENCHMARK.json`` lists), parent -> change; then per side their median
 [q1, q3] and in how many pairs the change was better; then each side's
 ``sim_fingerprint`` and, where they differ, the fingerprint inputs that
-moved (``events``, ``counters.<key>``, integer ``counts.<key>``).
+moved (``events``, ``counters.<key>``, integer ``counts.<key>``); last each
+side's median ``host_ref_us``: before every repetition this process times
+one fixed pure-Python loop, in CPU microseconds.  It reads the host's
+weather (a slow spell moves it and the time columns together) and is never
+a basis for a claim.
 
 ``--append FILE`` records the run in the JSON trajectory FILE, one row per
 ``--pr``: both trees' git SHAs (``dirty`` when the change tree has
 uncommitted edits), the host, and per workload and seed the change side's
-median / q1 / q3 / n of each metric beside the parent's, the wins, the
-fingerprint, the change tree's ``ALLOC`` and ``RETAINED`` lines
+median / q1 / q3 / n of each metric beside the parent's, the wins, both
+sides' ``host_ref_us``, the fingerprint, the change tree's ``ALLOC`` and ``RETAINED`` lines
 (``tools/hot_functions.py --gc`` / ``--mem``) and both trees' ``CALLS`` lines
 (``--calls``, counted for each tree by the change tree's copy of the tool, so
 a parent older than the flag is measured too); the row also carries its
@@ -39,12 +43,15 @@ import signal
 import statistics
 import subprocess
 import sys
+import time
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 #: metric -> "lower" | "higher", in the benchmark's own order
 END_TO_END = {metric["name"]: metric["better"] for metric in
               json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
 REP_TIMEOUT_S = 100
+#: iterations of the loop ``host_ref_us`` times
+HOST_REF_LOOPS = 200_000
 #: ``python3 -c`` program: run TOOLS/hot_functions.py over the sources of TREE
 #: (its two leading arguments) with the remaining arguments
 ON_TREE = ("import pathlib, sys; sys.path.insert(0, sys.argv.pop(1)); import hot_functions; "
@@ -71,6 +78,15 @@ def run_rep(tree: pathlib.Path, workload: str, seed: int, quick: bool) -> dict:
     if child.returncode != 0:
         sys.exit(f"{tree}: {workload} repetition exited {child.returncode}\n{err}")
     return json.loads(out.strip().splitlines()[-1])
+
+
+def host_ref_us() -> float:
+    """CPU microseconds one fixed pure-Python loop takes in this process, now."""
+    start = time.process_time()
+    total = 0
+    for index in range(HOST_REF_LOOPS):
+        total += index * index % 7
+    return (time.process_time() - start) * 1e6
 
 
 def end_to_end(rep: dict) -> dict:
@@ -116,9 +132,11 @@ def compare(trees: dict, workload: str, seed: int, pairs: int, quick: bool) -> d
     print(f"== {workload} seed={seed} pairs={pairs}{'  [--quick: NOT comparable]' * quick}"
           f"  parent={trees['parent']}  change={trees['change']}")
     reps = {"parent": [], "change": []}
+    refs = {"parent": [], "change": []}
     for index in range(pairs):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         for side in order:
+            refs[side].append(host_ref_us())
             reps[side].append(run_rep(trees[side], workload, seed, quick))
         parent, change = (end_to_end(reps[side][-1]) for side in ("parent", "change"))
         print(f"  pair {index + 1:2d} (first: {order[0]}) " + "  ".join(
@@ -151,6 +169,10 @@ def compare(trees: dict, workload: str, seed: int, pairs: int, quick: bool) -> d
           f"{entry['fingerprint']}  moved keys: {len(entry['moved_keys'])}")
     for key in entry["moved_keys"]:
         print(f"    {key}")
+    entry["parent_host_ref_us"], entry["host_ref_us"] = (
+        float(f"{statistics.median(refs[side]):.6g}") for side in ("parent", "change"))
+    print(f"  host_ref_us parent {entry['parent_host_ref_us']:.6g}  change "
+          f"{entry['host_ref_us']:.6g}  (host weather, not a claim)")
     return entry
 
 
