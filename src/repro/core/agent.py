@@ -10,14 +10,11 @@ producer, so no separate "specification" object precedes an instance.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.briefcase import Briefcase
 
 __all__ = ["AgentState", "AgentInstance"]
-
-_agent_counter = itertools.count(1)
 
 
 class AgentState:
@@ -60,7 +57,9 @@ class AgentInstance:
     ``code_element`` is the shippable description of ``behaviour`` (see
     :mod:`repro.core.codec`), which ``ctx.jump`` re-attaches to the briefcase
     when the agent moves; ``launch_name`` is the name the agent was started
-    under, or None when ``name`` had to fall back to the agent id.
+    under, or None when ``name`` had to fall back to the agent id.  The
+    engine that creates the instance mints ``agent_id`` from its own
+    counter.
     """
 
     __slots__ = ("agent_id", "behaviour", "code_element", "launch_name", "name",
@@ -69,11 +68,11 @@ class AgentInstance:
                  "steps", "started_at", "finished_at", "finished", "_visited",
                  "_children")
 
-    def __init__(self, behaviour: Callable, site_name: str,
+    def __init__(self, agent_id: str, behaviour: Callable, site_name: str,
                  briefcase: Optional[Briefcase] = None, name: Optional[str] = None,
                  code_element: Optional[Dict[str, Any]] = None, system: bool = False,
                  parent_id: Optional[str] = None, meet_parent: Optional[str] = None):
-        self.agent_id = f"agent-{next(_agent_counter):06d}"
+        self.agent_id = agent_id
         self.behaviour = behaviour
         self.code_element = code_element
         self.launch_name = name

@@ -28,6 +28,7 @@ another engine leaves through ``outbound`` (see :meth:`Engine.run_to`).
 
 from __future__ import annotations
 
+import itertools
 import random
 from operator import itemgetter
 from types import GeneratorType, MappingProxyType
@@ -111,7 +112,7 @@ def record_site(topology: Topology, placement: Optional[Dict[str, int]],
 class LedgerQueries:
     """The read-only queries, defined once over the ledger attributes.
 
-    Everything here reads ``sites``, ``topology``, ``stores``, ``table``,
+    Everything here reads ``sites``, ``topology``, ``table``,
     ``metrics``, ``ring``, ``durability`` and the four event counters and
     nothing else, so it serves an :class:`Engine` (its own ledgers) and the
     :class:`~repro.core.kernel.Kernel` facade (merged views over its
@@ -131,8 +132,7 @@ class LedgerQueries:
 
     def store(self, site_name: str) -> Optional[SiteStore]:
         """The durable store of *site_name*, or None under policy "none"."""
-        self.site(site_name)  # raise UnknownSiteError for bad names
-        return self.stores.get(site_name)
+        return self.site(site_name).store
 
     def store_summary(self) -> Dict[str, Any]:
         """Aggregate durability ledger (the ledger's ``store.*`` counters read it).
@@ -313,9 +313,10 @@ class Engine(LedgerQueries):
         self.loop = self._make_loop()
         self.stats = NetworkStats()
         self.registry = registry or default_registry()
-        # Engines offset the seed by their id so they do not mirror each
-        # other's random streams; engine 0 keeps the configured seed exactly.
-        self.rng = random.Random(self.config.rng_seed + shard_id)
+        #: engine *s* of N numbers its agents s+1, s+1+N, ...: ids are
+        #: unique cluster-wide and the same on every shard backend
+        self._agent_ids = map("agent-{:06d}".format,
+                              itertools.count(shard_id + 1, config.shards))
         self.transport = self._make_transport(transport)
         #: ``(arrival, message)`` pairs bound for sites on other engines,
         #: spooled by the transport's boundary and taken by :meth:`run_to`
@@ -673,7 +674,7 @@ class Engine(LedgerQueries):
         site = self.site(site_name)
         resolved, resolved_system = self._resolve_behaviour(site, behaviour)
         instance = AgentInstance(
-            resolved, site_name, briefcase,
+            next(self._agent_ids), resolved, site_name, briefcase,
             name or (behaviour if isinstance(behaviour, str) else None),
             self._best_effort_code(behaviour, resolved),
             system or resolved_system)
@@ -704,7 +705,8 @@ class Engine(LedgerQueries):
             site = self.site(site_name)
             resolved, resolved_system = self._resolve_behaviour(site, behaviour)
             instances.append(AgentInstance(
-                resolved, site_name, request[2] if len(request) > 2 else None,
+                next(self._agent_ids), resolved, site_name,
+                request[2] if len(request) > 2 else None,
                 behaviour if isinstance(behaviour, str) else None,
                 self._best_effort_code(behaviour, resolved), resolved_system))
         for instance in instances:
@@ -1065,8 +1067,9 @@ class Engine(LedgerQueries):
             self._throw_back(caller, MeetError(str(error)))
             return
         callee = AgentInstance(
-            behaviour, site.name, request.briefcase, request.agent_name,
-            self._best_effort_code(request.agent_name, behaviour), is_system,
+            next(self._agent_ids), behaviour, site.name, request.briefcase,
+            request.agent_name, self._best_effort_code(request.agent_name, behaviour),
+            is_system,
             parent_id=caller.agent_id, meet_parent=caller.agent_id)
         self._register(callee)
         caller.children.append(callee.agent_id)
@@ -1103,7 +1106,7 @@ class Engine(LedgerQueries):
         code_element = getattr(request, "code_element", None) or \
             self._best_effort_code(request.behaviour, behaviour)
         child = AgentInstance(
-            behaviour, site.name, request.briefcase,
+            next(self._agent_ids), behaviour, site.name, request.briefcase,
             request.name or (request.behaviour
                              if isinstance(request.behaviour, str) else None),
             code_element, is_system, parent_id=parent.agent_id)
@@ -1287,9 +1290,9 @@ class Engine(LedgerQueries):
         behaviour, is_system = site.resolve(contact)
         if self.obs.active and message.trace is not None:
             self._obs_record_arrival(site, message, briefcase)
-        instance = AgentInstance(behaviour, site.name, briefcase, contact,
-                                 self._best_effort_code(contact, behaviour),
-                                 is_system)
+        instance = AgentInstance(next(self._agent_ids), behaviour, site.name,
+                                 briefcase, contact,
+                                 self._best_effort_code(contact, behaviour), is_system)
         self._register(instance)
         self.arrivals += 1
         self.loop.schedule(self.config.meet_overhead, self._start,

@@ -336,7 +336,6 @@ class Kernel(LedgerQueries):
         #: ``kernel.transport`` sees its transport
         self.loop = engines[0].loop
         self.transport = engines[0].transport
-        self.rng = engines[0].rng
         self.durability: DurabilityPolicy = engines[0].durability
 
     def _merged_metrics(self, parts: Sequence[MetricsRegistry]) -> MetricsRegistry:

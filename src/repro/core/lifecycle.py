@@ -308,6 +308,24 @@ class AgentTable:
             if not named:
                 del self._by_name[name]
 
+    def absorb(self, rows: Sequence[tuple], evicted: Sequence[str],
+               counters: Dict[str, int]) -> None:
+        """Apply one shard worker's digest of its own table.
+
+        Drops the *evicted* ids, enters a record per shipped
+        :meth:`AgentRecord.row` (new or changed since the last digest) and
+        takes the worker table's int attributes, so the counters, ``len``
+        and ``ledger_entry_kinds`` read here are the worker's.
+        """
+        entries = self.entries
+        for agent_id in evicted:
+            self._discard(agent_id, entries[agent_id].name)
+        for row in rows:
+            record = AgentRecord(row)
+            entries[record.agent_id] = record
+            self._by_name.setdefault(record.name, {})[record.agent_id] = record
+        vars(self).update(counters)
+
     # -- lookups -------------------------------------------------------------------
 
     def get(self, agent_id: str) -> Optional[LedgerEntry]:
@@ -366,10 +384,10 @@ class MergedAgentTable:
 
     The sharded kernel facade exposes one of these as ``kernel.table`` so
     ``agents_named`` / ``result_of`` / ``counters`` stay one API: lookups
-    fan out to the shard tables (agent ids are unique cluster-wide, so at
-    most one table answers), counters sum, and ``named()`` concatenates in
-    shard order then launch order.  Registration and retirement always
-    happen on the owning shard's own table — this view never mutates.
+    fan out to the shard tables (engines mint ids from disjoint counters,
+    so at most one table answers), counters sum, and ``named()``
+    concatenates in shard order then launch order.  Registration and
+    retirement happen on the owning shard's table; this view never mutates.
     """
 
     def __init__(self, parts: Sequence[AgentTable]):

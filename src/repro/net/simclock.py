@@ -210,12 +210,21 @@ class EventLoop:
         the past raises — silently rewriting history hid real scheduling
         bugs (see ``schedule``, which has always rejected negative delays).
         """
-        delta = timestamp - self.clock.now
+        now = self.clock.now
+        delta = timestamp - now
         if not delta >= -PAST_EPSILON:
             raise KernelError(
                 f"cannot schedule an event at {timestamp}: "
-                f"it is {-delta} seconds in the past (now={self.clock.now})")
-        return self.schedule(max(0.0, delta), callback, label, args)
+                f"it is {-delta} seconds in the past (now={now})")
+        # At the timestamp itself: ``now + delta`` can round an ulp off, and
+        # differently on two engines' clocks handed the same arrival.
+        time = timestamp if delta > 0 else now
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        event = Event(time, seq, callback, label, False, self, args)
+        heapq.heappush(self._heap, (time, seq, event))
+        self._live += 1
+        return event
 
     # -- lazy-deletion bookkeeping ----------------------------------------------
 

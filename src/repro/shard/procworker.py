@@ -33,29 +33,30 @@ path (see :mod:`repro.shard.router`).
 Facade views (``stats``, ``table``, ``sites``, ``event_log``,
 ``trace_spans``, ``metrics``) are served from per-run **state digests**:
 after each ``ShardSet.run`` the coordinator pulls one digest per worker
-and refreshes the proxy mirrors.  A digest carries:
+and refreshes, in place, the classes an engine keeps.  A digest carries:
 
-* the engine's :class:`~repro.net.stats.NetworkStats` object itself (it
-  pickles whole), copied into the proxy's in place;
-* the loop's processed count and the four event counters;
-* new/changed :class:`~repro.core.lifecycle.AgentRecord` deltas (as ``row``
-  tuples), evicted ids, and the table's counts;
-* per-site flags (alive, residents, undeliverable, load, capacity); the
-  facade's topology follows ``alive``, so a durable replay that completes
-  worker-side marks the site up there too;
-* the records (log lines, and spans) appended to the engine's ring since
-  the last digest;
-* what the engine's other metric sources (flow, transport) read now.
+* the engine's :class:`~repro.net.stats.NetworkStats` whole, and the four
+  event counters;
+* ``"table": (rows, evicted, counters)`` for :meth:`AgentTable.absorb
+  <repro.core.lifecycle.AgentTable.absorb>`: a record row per entry new or
+  changed since the last digest, the ids evicted since, and the worker
+  table's int attributes;
+* per-site ``(alive, residents, undeliverable, load, capacity)``;
+* the ring's records since the last digest, and what the other metric
+  sources (flow, transport) read now.
 
-Mid-run the mirrors lag by design; everything tests read (counters,
-results) is read after ``run()`` returns.
+``processed`` needs none: the coordinator sums the bursts it collects.
+Views lag mid-run by design and refresh when ``run()`` returns, so the
+agents a ``crash_site`` between runs kills show in ``counters()`` only
+after the next ``run()``; an in-process engine shows them at once.
 
 Known limits (all raise a clear ``KernelError``): behaviours must be
 picklable or registered in importable modules (the worker re-imports the
 registry's modules; ``__main__``-only behaviours cannot rehydrate),
 coordinator-side event scheduling on ``kernel.loop`` is unavailable, and
-so are ``on_site_added``/``on_site_recovered`` subscriptions and per-agent
-site queries (``residents()``/``cabinet()``).  One does not raise: a worker's
+so are ``on_site_added``/``on_site_recovered`` subscriptions and
+worker-side site state (``residents()``, ``cabinet()``, ``kernel.store()``
+under a durable policy).  One does not raise: a worker's
 copy of the topology never learns that a site another worker hosts crashed
 (``peer_down``/``peer_up`` reach its transport only), so traffic to that
 site still crosses the boundary as a handoff where an in-process engine
@@ -70,7 +71,6 @@ import importlib
 import importlib.machinery
 import multiprocessing
 import pickle
-import random
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -80,9 +80,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine import ENGINE_PROTOCOL, Engine
 from repro.core.errors import KernelError
-from repro.core.lifecycle import AgentRecord, make_retention
+from repro.core.lifecycle import AgentRecord, AgentTable
 from repro.core.registry import default_registry
+from repro.core.site import Site
 from repro.core.timing import default_timer
+from repro.net.simclock import SimClock
 from repro.net.stats import NetworkStats
 from repro.obs import MetricsRegistry, RingSink
 from repro.shard.backend import ShardBackend
@@ -191,6 +193,8 @@ class _Worker:
                    if agent_id not in table.entries]
         for agent_id in evicted:
             del self._sent_markers[agent_id]
+        counters = {key: value for key, value in vars(table).items()
+                    if type(value) is int}
         sites = {name: (site.alive, site.resident_count(), site.undeliverable,
                         site.background_load, site.capacity)
                  for name, site in engine.sites.items()}
@@ -200,13 +204,9 @@ class _Worker:
         return {
             # The live object: it pickles whole, defaultdicts and sketch RNG too.
             "stats": engine.stats,
-            "processed": engine.loop.processed,
             "counters": (engine.meets, engine.transmits, engine.arrivals,
                          engine.undeliverable),
-            "table_new": new_rows,
-            "table_evicted": evicted,
-            "table_counts": table.state_counts(),
-            "table_kinds": table.ledger_entry_kinds(),
+            "table": (new_rows, evicted, counters),
             "sites": sites,
             "ring": new_records,
             # "net" is the stats above; the rest read worker-side objects.
@@ -267,44 +267,29 @@ def worker_main(conn, spec: WorkerSpec) -> None:  # pragma: no cover - child
 # coordinator side: mirrors + proxy + backend
 # ==============================================================================
 
-class _MirrorClock:
-    """Duck-types SimClock over the mirror (advances are coordinator-local)."""
-
-    __slots__ = ("_loop",)
-
-    def __init__(self, loop: "MirrorLoop"):
-        self._loop = loop
-
-    @property
-    def now(self) -> float:
-        return self._loop.now
-
-    def _advance_to(self, timestamp: float) -> None:
-        self._loop.advance_local(timestamp)
-
-
 class MirrorLoop:
-    """Coordinator-side mirror of a worker's event-loop clock and queue head.
-
-    ``now``/``next_event_time``/``processed`` are refreshed from every
-    worker reply.  Scheduling raises: events live worker-side.
-    """
+    """Coordinator-side view of a worker's event-loop clock and queue head:
+    ``clock`` and ``next_event_time`` follow every worker reply,
+    ``processed`` every burst.  Scheduling raises: events live worker-side,
+    and an empty heap here would answer silently wrong."""
 
     def __init__(self, shard_id: int):
         self.shard_id = shard_id
-        self.now = 0.0
+        #: advanced here too: the coordinator lands idle shards on a horizon
+        self.clock = SimClock()
         self._next: Optional[float] = None
         self.processed = 0
-        self.clock = _MirrorClock(self)
+
+    @property
+    def now(self) -> float:
+        return self.clock.now
 
     def apply(self, now: float, next_time: Optional[float]) -> None:
-        if now > self.now:
-            self.now = now
+        # Never backwards: a clock the coordinator advanced locally is
+        # ahead of the worker's until the next advance_clock lands it.
+        if now > self.clock.now:
+            self.clock.now = now
         self._next = next_time
-
-    def advance_local(self, timestamp: float) -> None:
-        if timestamp > self.now:
-            self.now = timestamp
 
     def next_event_time(self) -> Optional[float]:
         return self._next
@@ -325,31 +310,44 @@ class MirrorLoop:
 
 
 class SiteMirror:
-    """Digest-backed read view of one worker-owned site."""
+    """Digest-backed read view of one worker-owned site.
 
-    __slots__ = ("name", "alive", "undeliverable", "background_load",
-                 "capacity", "_resident_count")
+    ``alive`` reads the facade's topology, which ``Kernel.crash_site`` /
+    ``recover_site`` mark, and a digest when a worker finishes a replay.
+    What lives only worker-side (residents, cabinets, a durable store)
+    raises rather than answering empty."""
 
-    def __init__(self, name: str):
+    __slots__ = ("name", "undeliverable", "background_load", "capacity",
+                 "_resident_count", "_topology", "_durable")
+
+    def __init__(self, name: str, topology, durable: bool):
         self.name = name
-        self.alive = True
-        self.undeliverable = 0
-        self.background_load = 0.0
-        self.capacity = 1.0
-        self._resident_count = 0
+        (self._resident_count, self.undeliverable,
+         self.background_load, self.capacity) = (0, 0, 0.0, 1.0)
+        self._topology = topology
+        self._durable = durable
+
+    @property
+    def alive(self) -> bool:
+        return not self._topology.is_down(self.name)
+
+    @property
+    def store(self) -> None:
+        """None under policy "none"; a durable store cannot be read here."""
+        if self._durable:
+            self._digest_only()
+        return None
 
     def resident_count(self) -> int:
         return self._resident_count
 
-    def load_metric(self, active_agents: int) -> float:
-        capacity = self.capacity if self.capacity > 0 else 1e-9
-        return (active_agents + self.background_load) / capacity
+    load_metric = Site.load_metric
 
     def _digest_only(self, *_args, **_kwargs):
         raise KernelError(
             f"site {self.name!r} lives in a shard worker process; the "
             f"coordinator serves digests (alive/load/counters) only — "
-            f"per-agent residents() / cabinet() queries need "
+            f"residents() / cabinet() / store() queries need "
             f"shard_backend='inproc'")
 
     residents = _digest_only
@@ -362,91 +360,8 @@ class SiteMirror:
         return f"SiteMirror({self.name!r}, {state}, residents~{self._resident_count})"
 
 
-class ShardTableMirror:
-    """One worker's AgentTable, reconstructed from record deltas.
-
-    Implements exactly the part surface
-    :class:`~repro.core.lifecycle.MergedAgentTable` consumes, so the
-    facade's ``kernel.table`` works identically on the process backend.
-    Counters and length come from the worker's own ``state_counts()``; entries
-    are :class:`AgentRecord` snapshots, built from the shipped rows on first read.
-    """
-
-    def __init__(self, retention):
-        self.retention = make_retention(retention)
-        self._entries: Dict[str, AgentRecord] = {}
-        self._by_name: Dict[str, Dict[str, AgentRecord]] = {}
-        #: rows applied since the last read, oldest first
-        self._rows: List[tuple] = []
-        self._counts = {"launched": 0, "active": 0, "completed": 0,
-                        "failed": 0, "killed": 0, "archived": 0,
-                        "evicted": 0, "retained": 0}
-        self._kinds = {"instances": 0, "records": 0}
-
-    def apply(self, new_rows, evicted, counts, kinds) -> None:
-        self._rows.extend(new_rows)
-        for agent_id in evicted:
-            entry = self.entries.pop(agent_id, None)
-            if entry is not None:
-                named = self._by_name.get(entry.name)
-                if named is not None:
-                    named.pop(agent_id, None)
-                    if not named:
-                        del self._by_name[entry.name]
-        self._counts = dict(counts)
-        self._kinds = dict(kinds)
-
-    def _build(self) -> None:
-        """Turn the rows applied since the last read into indexed records."""
-        rows, self._rows = self._rows, []
-        for row in rows:
-            record = AgentRecord(row)
-            self._entries[record.agent_id] = record
-            self._by_name.setdefault(record.name, {})[record.agent_id] = record
-
-    @property
-    def entries(self) -> Dict[str, AgentRecord]:
-        self._build()
-        return self._entries
-
-    def named(self, name: str) -> List[AgentRecord]:
-        self._build()
-        return list(self._by_name.get(name, {}).values())
-
-    def __len__(self) -> int:
-        return self._counts["retained"]
-
-    def __contains__(self, agent_id: str) -> bool:
-        return agent_id in self.entries
-
-    def __getattr__(self, name: str) -> int:
-        if name in ("launched", "completed", "failed", "killed",
-                    "archived", "evicted"):
-            return self.__dict__["_counts"].get(name, 0)
-        raise AttributeError(f"{type(self).__name__} has no attribute {name!r}")
-
-    @property
-    def terminal(self) -> int:
-        counts = self._counts
-        return counts["completed"] + counts["failed"] + counts["killed"]
-
-    @property
-    def active(self) -> int:
-        return self._counts["launched"] - self.terminal
-
-    def state_counts(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def ledger_entry_kinds(self) -> Dict[str, int]:
-        return dict(self._kinds)
-
-    def __repr__(self) -> str:
-        return (f"ShardTableMirror(retained={len(self)}, "
-                f"launched={self._counts['launched']})")
-
-
 class _WorkerHandle:
-    """One worker's pipe + process, with error-translating request helpers."""
+    """One worker's pipe + process, with error-translating send/recv."""
 
     __slots__ = ("shard_id", "conn", "process", "replied")
 
@@ -497,10 +412,6 @@ class _WorkerHandle:
                 f"shard {self.shard_id} worker failed: {reply[1]}{detail}")
         return reply[1]
 
-    def request(self, *command):
-        self.send(command)
-        return self.recv()
-
 
 class ProcessEngineProxy:
     """The facade-visible engine for one worker process.
@@ -516,30 +427,23 @@ class ProcessEngineProxy:
         self.shard_id = spec.shard_id
         self.loop = MirrorLoop(spec.shard_id)
         self.stats = NetworkStats()
-        #: the facade's topology: it follows the site flags each digest carries
+        #: the facade's topology: the sites' ``alive`` reads it
         self.topology = spec.topology
-        self.table = ShardTableMirror(
-            spec.retention if spec.retention is not None
-            else spec.config.retention)
+        self.durability = resolve_policy(spec.config.durability)
+        self.table = AgentTable(spec.retention if spec.retention is not None
+                                else spec.config.retention)
         self.sites: Dict[str, SiteMirror] = {
-            name: SiteMirror(name) for name, owner in sorted(spec.placement.items())
+            name: self._site_mirror(name)
+            for name, owner in sorted(spec.placement.items())
             if owner == spec.shard_id}
         self.stores: Dict[str, Any] = {}
-        self.durability = resolve_policy(spec.config.durability)
         #: what ``kernel.transport`` introspection sees; sends live worker-side
         self.transport = SimpleNamespace(name=transport_name)
-        # Coordinator-side placeholder matching the engine's seed derivation;
-        # the authoritative stream lives in the worker.
-        self.rng = random.Random(spec.config.rng_seed + spec.shard_id)
-        #: the record ring and metric sources, refreshed from per-run digests
-        #: into the classes an engine uses (same bound), so the facade's
-        #: merged views read process shards exactly like in-process engines
+        #: with the table: the classes an engine keeps (same bounds), so the
+        #: facade's merged views read process shards like in-process engines
         self.ring = RingSink(spec.config.obs_ring)
         self.metrics = MetricsRegistry()
-        self.meets = 0
-        self.transmits = 0
-        self.arrivals = 0
-        self.undeliverable = 0
+        self.meets = self.transmits = self.arrivals = self.undeliverable = 0
 
     # -- the protocol, forwarded ------------------------------------------------
 
@@ -563,59 +467,37 @@ class ProcessEngineProxy:
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}")
 
-    # The few calls that also keep a coordinator-side mirror current.
+    def _site_mirror(self, name: str) -> SiteMirror:
+        return SiteMirror(name, self.topology, self.durability.durable)
 
     def add_site(self, name, links=(), install_system_agents=None) -> None:
         self._call("add_site", name, links, install_system_agents)
-        self.sites[name] = SiteMirror(name)
+        self.sites[name] = self._site_mirror(name)
 
-    def crash_site(self, name) -> bool:
-        went_down = self._call("crash_site", name)
-        self.sites[name].alive = False
-        return went_down
-
-    def recover_site(self, name) -> bool:
-        # A durable replay finishes worker-side; the mirror then refreshes
-        # at the next digest.
-        is_up = self._call("recover_site", name)
-        if is_up:
-            self.sites[name].alive = True
-        return is_up
-
-    def on_site_added(self, callback):
+    def _no_subscription(self, callback):
         raise KernelError(
-            "on_site_added subscriptions cannot cross the process boundary; "
-            "use shard_backend='inproc'")
+            "on_site_added/on_site_recovered subscriptions cannot cross the "
+            "process boundary; use shard_backend='inproc'")
 
-    def on_site_recovered(self, callback):
-        raise KernelError(
-            "on_site_recovered subscriptions cannot cross the process "
-            "boundary; use shard_backend='inproc'")
+    on_site_added = on_site_recovered = _no_subscription
 
     # -- digest application -----------------------------------------------------
 
     def apply_digest(self, digest: Dict[str, Any]) -> None:
         # In place: the facade's StatsView holds this object.
         vars(self.stats).update(vars(digest["stats"]))
-        self.loop.processed = digest["processed"]
         (self.meets, self.transmits,
          self.arrivals, self.undeliverable) = digest["counters"]
-        self.table.apply(digest["table_new"], digest["table_evicted"],
-                         digest["table_counts"], digest["table_kinds"])
-        for name, (alive, residents, undeliverable,
-                   background_load, capacity) in digest["sites"].items():
-            mirror = self.sites.get(name)
-            if mirror is None:
-                mirror = self.sites[name] = SiteMirror(name)
-            mirror.alive = alive
-            if alive == self.topology.is_down(name):
+        self.table.absorb(*digest["table"])
+        topology = self.topology
+        for name, (alive, *flags) in digest["sites"].items():
+            if alive == topology.is_down(name):
                 # A durable replay completed worker-side: mark the facade's
                 # topology as the engine marked its own.
-                (self.topology.mark_up if alive else self.topology.mark_down)(name)
-            mirror._resident_count = residents
-            mirror.undeliverable = undeliverable
-            mirror.background_load = background_load
-            mirror.capacity = capacity
+                (topology.mark_up if alive else topology.mark_down)(name)
+            mirror = self.sites[name]
+            (mirror._resident_count, mirror.undeliverable,
+             mirror.background_load, mirror.capacity) = flags
         for record in digest["ring"]:
             self.ring.emit(record)
         self.metrics.register("worker", digest["metric_sources"].copy)
@@ -710,9 +592,7 @@ class ProcessBackend(ShardBackend):
         for proxy in self.proxies:
             proxy.handle.send(("digest",))
         for proxy in self.proxies:
-            digest, now, next_time, _seconds = proxy.handle.recv()
-            proxy.loop.apply(now, next_time)
-            proxy.apply_digest(digest)
+            proxy.apply_digest(proxy.collect()[0])
 
     # -- lifecycle --------------------------------------------------------------
 

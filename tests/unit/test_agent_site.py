@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from repro.core import Briefcase
+from repro.core import Briefcase, KernelConfig
 from repro.core.agent import AgentInstance, AgentState
+from repro.core.engine import Engine
 from repro.core.errors import UnknownAgentError
 from repro.core.site import Site
+from repro.net import lan
 from repro.net.message import Message, MessageKind
 
 
@@ -27,11 +31,16 @@ class TestAgentState:
 
 
 class TestAgentInstance:
+    ids = itertools.count(1)
+
     def make(self, **kwargs):
-        return AgentInstance(noop, "alpha", Briefcase(), **kwargs)
+        return AgentInstance(f"agent-{next(self.ids):06d}", noop, "alpha",
+                             Briefcase(), **kwargs)
 
     def test_ids_are_unique(self):
-        assert self.make().agent_id != self.make().agent_id
+        # The engine that creates an instance mints its id.
+        engine = Engine(lan(["alpha"]), KernelConfig(), install_system_agents=False)
+        assert engine.launch("alpha", noop) != engine.launch("alpha", noop)
 
     def test_name_defaults_to_agent_id(self):
         instance = self.make()
@@ -68,7 +77,7 @@ class TestAgentInstance:
 
     def test_meet_parent_tracking(self):
         parent = self.make()
-        child = AgentInstance(noop, "alpha",
+        child = AgentInstance("agent-child", noop, "alpha",
                               parent_id=parent.agent_id, meet_parent=parent.agent_id)
         assert child.meet_parent == parent.agent_id
         assert child.meet_ended is False

@@ -401,7 +401,8 @@ class TestSameTimestampOrder:
                 briefcase.set("UNTIL", wake_at)
                 kernel.launch("b", headcount_at, briefcase, name="probe")
             kernel.run()
-            # Read back by name: agent ids are per-process counters.
+            # Read back by name: the courier's arrival creates the sink
+            # agent, so no launch returned its id.
             sink_run, = kernel.agents_named("sink")
             probe = kernel.agents_named("probe")
             return sink_run.started_at, (probe[0].result if probe else None)

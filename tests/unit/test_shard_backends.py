@@ -5,8 +5,9 @@ Covers backend resolution, the engine protocol and the single handoff path
 ShardSet's fake-timer cost attribution (busy vs sync vs overhead — the
 PR 6 busy-time fix), the ClockSync dirty-flag coalescing contract, budget
 semantics across backends, the facade's ``shard_summary``/``close``
-surface, and the serialisation plumbing the process backend rides on
-(stats pickling, topology route caching).
+surface, every agent-ledger read compared across backends, and the
+serialisation plumbing the process backend rides on (stats pickling,
+topology route caching).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 
 from repro.core import Briefcase, Folder, Kernel, KernelConfig
 from repro.core.engine import ENGINE_PROTOCOL, Engine
+from repro.core.lifecycle import AgentRecord
 from repro.core.errors import KernelError
 from repro.core.timing import default_timer
 from repro.net import lan
@@ -27,7 +29,9 @@ from repro.net.stats import NetworkStats, StatsView
 from repro.net.topology import LinkSpec, NoRouteError, switched_fabric
 from repro.shard import (BACKENDS, ClockSync, InprocBackend, Shard, ShardSet,
                          process_backend_available)
-from scenarios import COURIER_NAME, SINK_NAME, courier_briefcase, report_sink, sharded_churn
+from repro.store.sitestore import SiteStore
+from scenarios import (COURIER_NAME, SINK_NAME, courier_briefcase, report_sink,
+                       sharded_churn, worker)
 
 
 def sharded_kernel(backend, site_count=8, shards=4, seed=7):
@@ -120,8 +124,8 @@ class TestEngineProtocol:
 
 
     def test_worker_digests_ship_rows_and_keep_markers_for_live_agents_only(self):
-        from repro.core.lifecycle import AgentRecord
-        from repro.shard.procworker import ShardTableMirror, WorkerSpec, _Worker
+        from repro.core.lifecycle import AgentRecord, AgentTable
+        from repro.shard.procworker import WorkerSpec, _Worker
 
         def life(ctx, bc):
             yield ctx.sleep(bc.get("WORK"))
@@ -133,11 +137,11 @@ class TestEngineProtocol:
             return worker.engine.launch("a", life, briefcase, name="life")
 
         def digest_into_mirror():
-            digest = worker.cmd_digest()
-            assert all(type(row) is tuple for row in digest["table_new"])
-            mirror.apply(digest["table_new"], digest["table_evicted"],
-                         digest["table_counts"], digest["table_kinds"])
-            return [row[0] for row in digest["table_new"]], digest["table_evicted"]
+            new_rows, evicted, counters = worker.cmd_digest()["table"]
+            assert all(type(row) is tuple for row in new_rows)
+            mirror.absorb(new_rows, evicted, counters)
+            assert mirror.state_counts() == table.state_counts()
+            return [row[0] for row in new_rows], evicted
 
         def rows(table):
             return {agent_id: AgentRecord.row(entry)
@@ -147,16 +151,14 @@ class TestEngineProtocol:
             shard_id=0, topology=lan(["a", "b"]), transport="tcp",
             config=KernelConfig(retention="keep-counts:2"),
             install_system_agents=False, retention=None, placement={"a": 0, "b": 1}))
-        mirror = ShardTableMirror("keep-counts:2")
+        mirror = AgentTable("keep-counts:2")
         table = worker.engine.table
         sleeper, first = launch(10.0), launch(0.01)
         worker.engine.run_to(1.0)
         assert digest_into_mirror() == ([sleeper, first], [])
         # A terminal entry cannot change again: an id is all the worker keeps.
         assert worker._sent_markers == {sleeper: ("waiting", 1, "a"), first: None}
-        # Rows, until somebody reads an entry; the length needs none built.
-        assert len(mirror) == 2 and not mirror._entries and len(mirror._rows) == 2
-        assert rows(mirror) == rows(table) and not mirror._rows
+        assert len(mirror) == 2 and rows(mirror) == rows(table)
         assert [entry.agent_id for entry in mirror.named("life")] == [sleeper, first]
         assert digest_into_mirror() == ([], [])                  # nothing changed
         later = [launch(0.01) for _ in range(3)]
@@ -571,12 +573,12 @@ class TestWorkerHandle:
 # crash and recovery, inproc vs process
 # ---------------------------------------------------------------------------
 
-def crash_kernel(backend, durability):
+def crash_kernel(backend, durability, **config):
     """Four sites, "d" alone on shard 0 and "a".."c" on shard 1."""
     kernel = Kernel(lan(["a", "b", "c", "d"], latency=0.002), transport="tcp",
                     config=KernelConfig(rng_seed=7, shards=2, shard_backend=backend,
                                         shard_placement={"a": 1, "b": 1, "c": 1, "d": 0},
-                                        durability=durability))
+                                        durability=durability, **config))
     kernel.install_agent(None, SINK_NAME, report_sink)
     return kernel
 
@@ -629,6 +631,100 @@ def test_couriers_to_a_crashed_peer_count_alike_on_both_backends():
 def test_couriers_to_a_crashed_peer_move_the_same_shard_stats_on_both_backends():
     assert (couriers_to_a_crashed_peer("process")[1]
             == couriers_to_a_crashed_peer("inproc")[1])
+
+
+# ---------------------------------------------------------------------------
+# the agent ledger, inproc vs process
+# ---------------------------------------------------------------------------
+
+def work_briefcase(seconds):
+    briefcase = Briefcase()
+    briefcase.set("WORK", seconds)
+    return briefcase
+
+
+def test_agent_ids_are_unique_across_engines(backend):
+    kernel = crash_kernel(backend, "none")
+    at_d, at_a = (kernel.launch(site, worker, work_briefcase(1.0))
+                  for site in ("d", "a"))
+    kernel.run()
+    assert at_d != at_a
+    assert [kernel.agent(at_d).site_name, kernel.agent(at_a).site_name] == ["d", "a"]
+    assert len(kernel.table.entries) == len(kernel.table) == 2
+    kernel.close()
+
+
+def test_a_durable_store_is_read_in_process_only(backend):
+    kernel = crash_kernel(backend, "wal-group-commit")
+    if backend == "inproc":
+        assert isinstance(kernel.store("c"), SiteStore)
+    else:
+        # None would claim policy "none"; the store lives in the worker.
+        with pytest.raises(KernelError, match="shard_backend='inproc'"):
+            kernel.store("c")
+    kernel.close()
+    kernel = crash_kernel(backend, "none")
+    assert kernel.store("c") is None
+    kernel.close()
+
+
+#: the launch names whose entries ``agents_named`` is compared by
+LEDGER_NAMES = (COURIER_NAME, SINK_NAME, "itinerant", "doomed")
+
+
+def ledger_reads(kernel):
+    """What a caller reads of the ledger: every entry's row (errors by repr,
+    as exceptions compare by identity), the table's counts and name index,
+    each site's flags and load, each engine's event count, and the clock."""
+    def rows(entries):
+        return [row[:5] + (repr(row[5]),) + row[6:]
+                for row in map(AgentRecord.row, entries)]
+
+    return {
+        "rows": rows(kernel.table.entries.values()),
+        "counts": kernel.table.state_counts(),
+        "kinds": kernel.table.ledger_entry_kinds(),
+        "named": {name: rows(kernel.agents_named(name)) for name in LEDGER_NAMES},
+        "sites": {name: (kernel.site(name).alive, kernel.site(name).resident_count(),
+                         kernel.site(name).undeliverable, kernel.site_load(name))
+                  for name in kernel.site_names()},
+        "processed": [engine.loop.processed for engine in kernel.engines],
+        "now": kernel.now,
+    }
+
+
+def ledger_script(backend, retention):
+    """:func:`ledger_reads` mid-flight, then after "c" crashes and recovers
+    and a final ``run()``: couriers and an itinerant cross the shards, one
+    agent fails, one dies in the crash."""
+    kernel = crash_kernel(backend, "wal-group-commit", retention=retention)
+    for site, peer in (("d", "c"), ("a", "d"), ("b", "c")):
+        kernel.launch(site, COURIER_NAME, courier_briefcase(
+            peer, work=0.05, count=2, payload_bytes=64))
+    kernel.launch("c", worker, work_briefcase(5.0), name="doomed")
+    kernel.launch("a", worker, Briefcase(), name="doomed")  # no WORK: fails
+    tour = Briefcase()
+    tour.folder("TOUR", create=True).extend(["a", "c", "d", "b"])
+    kernel.launch("d", "itinerant", tour)
+    kernel.run(until=0.1)
+    reads = [ledger_reads(kernel)]
+    kernel.crash_site("c")
+    kernel.recover_site("c")
+    kernel.run()
+    reads.append(ledger_reads(kernel))
+    kernel.close()
+    return reads
+
+
+@pytest.mark.skipif(not process_backend_available(),
+                    reason="multiprocessing spawn unavailable")
+@pytest.mark.parametrize("retention", ["keep-all", "keep-results", "keep-counts:3"])
+def test_ledger_reads_match_across_backends(retention):
+    process = ledger_script("process", retention)
+    assert process == ledger_script("inproc", retention)
+    mid_flight, final = process
+    assert mid_flight["counts"]["active"] > 0
+    assert final["counts"]["killed"] == 1 and final["counts"]["failed"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Print the size numbers ROADMAP aim 2 tracks, as one line.
 
-    SIZE src_lines=... config_fields=... kernel_public=... shards_branches=...
-         bench_files=... import_modules=... third_party=... test_lines=...
-         example_lines=... package_public=... (same line)
+    SIZE src_lines=... core_lines=... config_fields=... kernel_public=...
+         shards_branches=... bench_files=... import_modules=... third_party=...
+         test_lines=... example_lines=... package_public=... (same line)
 
-``src_lines`` is ``wc -l`` over ``src/repro/**/*.py``, ``test_lines`` the
+``src_lines`` is ``wc -l`` over ``src/repro/**/*.py``; ``core_lines`` the
+part of it in the kernel facade, the engine and the shard package
+(``core/kernel.py`` + ``core/engine.py`` + ``shard/*.py``); ``test_lines`` the
 same over ``tests/**/*.py`` and ``example_lines`` over ``examples/*.py``
 (aim 2 wants the first two down, and their sum with the third, so that code
 moved out of ``src/`` into a test or an example still shows); ``config_fields`` the
@@ -34,6 +36,9 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+#: the engine and its coordination: what ``core_lines`` counts
+CORE_FILES = [SRC / "repro" / "core" / "kernel.py", SRC / "repro" / "core" / "engine.py",
+              *sorted((SRC / "repro" / "shard").glob("*.py"))]
 sys.path.insert(0, str(SRC))
 
 import repro  # noqa: E402
@@ -80,6 +85,7 @@ if __name__ == "__main__":
              if benchmarks / "ledger" not in path.parents]
     print("SIZE",
           f"src_lines={sum(len(lines_of(path)) for path in sources)}",
+          f"core_lines={sum(len(lines_of(path)) for path in CORE_FILES)}",
           f"config_fields={len(dataclasses.fields(KernelConfig))}",
           f"kernel_public={sum(not name.startswith('_') for name in dir(Kernel))}",
           f"shards_branches={sum('_shards is' in line or 'distributed' in line for line in core)}",
