@@ -7,8 +7,8 @@ interpreter, so pure-Python event execution escapes the GIL entirely.  It
 is the same class the in-process backends run, spoken to through the same
 :data:`~repro.core.engine.ENGINE_PROTOCOL`; only the calls are pickled.
 
-Wire protocol (pickle over ``multiprocessing`` pipes, one command in /
-one reply out, strictly alternating per worker):
+Wire protocol (pickled messages over ``multiprocessing`` pipes, one
+command in / one reply out, strictly alternating per worker):
 
 * coordinator -> worker: ``("call", method, args, kwargs)`` for any
   protocol method — ``run_to(horizon, budget, handoffs)`` each round,
@@ -17,13 +17,30 @@ one reply out, strictly alternating per worker):
 * worker -> coordinator: first, once its engine is built, a ready
   ``("ok", (None, now, next_event_time, 0.0))`` (or the startup error);
   then ``("ok", (value, now, next_event_time, seconds))`` or
-  ``("error", summary, traceback)`` per command.  Every reply carries
+  ``("error", error, traceback)`` per command.  Every reply carries
   the worker's clock and next-event time so the coordinator's
   :class:`MirrorLoop` never goes stale after a command that scheduled
   events (a ``launch`` between rounds must move the mirrored next-event
   time, or the coordinator would believe the cluster idle and stop), and
   the seconds the call took in the worker (a burst's busy time, without
-  the pipe).
+  the pipe).  An error reply carries the exception itself when it
+  survives a pickle round trip in the worker, so the coordinator raises
+  the type an in-process engine would (its ``__cause__`` holds the
+  worker's traceback); otherwise a ``"Type: message"`` summary, raised as
+  a :class:`KernelError`.
+
+Both ends speak through a :class:`_FrameStream`: ``pickle.dump`` writes a
+message straight into the pipe, one ``send_bytes`` per pickle frame (64 KiB
+at most, or one large ``bytes`` element alone), and ``pickle.load`` pulls
+those frames back one ``recv_bytes`` at a time.  No message is ever held
+whole as bytes — a 2 MB ``launch_many`` share would otherwise sit as one
+buffer next to the objects it carries, in both processes.  A send that
+fails part-way (an argument or a reply value does not pickle) writes one
+empty frame, the abort marker: the receiver drops the partial message and
+reads on, so command and reply still alternate after a pickling failure of
+any size.  A message that pickles is loadable at the other end by
+construction (same code, same modules), which is what keeps the frames
+aligned: a load that failed part-way would misread every message after it.
 
 Cross-shard mail is pickled with the calls: ``run_to`` returns what the
 burst spooled for other shards, the coordinator routes it, and it rides
@@ -67,6 +84,7 @@ The fix needs a recovery notice sent through the handoff path.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import importlib.machinery
 import multiprocessing
@@ -95,7 +113,7 @@ __all__ = ["ProcessBackend", "ProcessEngineProxy", "WorkerSpec",
 
 
 # ==============================================================================
-# shared: the worker build spec
+# shared: the worker build spec and the pipe stream
 # ==============================================================================
 
 @dataclass
@@ -150,6 +168,77 @@ def preload_module_names(registry) -> Tuple[str, ...]:
     return tuple(sorted(modules))
 
 
+class _Aborted(Exception):
+    """The sender gave up on the message being read (an empty frame came)."""
+
+
+class _FrameStream:
+    """One end of a worker pipe, pickling messages straight through it.
+
+    ``send`` hands each pickle frame to ``conn.send_bytes`` as the pickler
+    produces it, and ``recv`` has the unpickler pull them with
+    ``conn.recv_bytes``, so neither end builds a whole message as bytes.
+    """
+
+    __slots__ = ("conn", "_frame")
+
+    def __init__(self, conn):
+        self.conn = conn
+        #: what is left of the last frame received
+        self._frame = memoryview(b"")
+
+    def send(self, message) -> None:
+        try:
+            pickle.dump(message, self, protocol=pickle.HIGHEST_PROTOCOL)
+        except BaseException:
+            # Frames may be out already: the abort marker tells the
+            # receiver to drop them.  (On a broken pipe it fails too, and
+            # the error to raise is the first one.)
+            with contextlib.suppress(OSError):
+                self.conn.send_bytes(b"")
+            raise
+
+    def recv(self):
+        while True:
+            try:
+                return pickle.load(self)
+            except _Aborted:
+                self._frame = memoryview(b"")
+
+    # -- the file protocol pickle drives ------------------------------------------
+
+    def write(self, frame) -> None:
+        if frame:  # an empty frame is the abort marker
+            self.conn.send_bytes(frame)
+
+    def _pull(self) -> memoryview:
+        frame = self.conn.recv_bytes()
+        if not frame:
+            raise _Aborted
+        return memoryview(frame)
+
+    def read(self, size: int) -> memoryview:
+        if len(self._frame) < size:  # the rest is in the frames to come
+            parts, missing = [self._frame], size - len(self._frame)
+            while missing > 0:
+                parts.append(self._pull())
+                missing -= len(parts[-1])
+            self._frame = memoryview(b"".join(parts))
+        chunk, self._frame = self._frame[:size], self._frame[size:]
+        return chunk
+
+    def readinto(self, buffer) -> int:
+        size = len(buffer)
+        buffer[:size] = self.read(size)
+        return size
+
+    def readline(self) -> bytes:
+        line = bytearray()
+        while not line.endswith(b"\n"):
+            line += self.read(1)
+        return bytes(line)
+
+
 # ==============================================================================
 # worker side (runs in the spawned child)
 # ==============================================================================
@@ -157,10 +246,10 @@ def preload_module_names(registry) -> Tuple[str, ...]:
 class _Worker:
     """The command loop around one shard engine (child process)."""
 
-    def __init__(self, conn, spec: WorkerSpec):
+    def __init__(self, stream: _FrameStream, spec: WorkerSpec):
         for module in spec.preload_modules:
             importlib.import_module(module)
-        self.conn = conn
+        self.stream = stream
         self.engine = Engine(
             spec.topology, spec.config, spec.transport,
             install_system_agents=spec.install_system_agents,
@@ -218,13 +307,14 @@ class _Worker:
     def serve(self) -> None:
         handlers = {"call": self.cmd_call, "digest": self.cmd_digest}
         loop = self.engine.loop
+        stream = self.stream
         # The start-up handshake: the engine is built.
-        self.conn.send(("ok", (None, loop.now, loop.next_event_time(), 0.0)))
+        stream.send(("ok", (None, loop.now, loop.next_event_time(), 0.0)))
         while True:
-            command = self.conn.recv()
+            command = stream.recv()
             name = command[0]
             if name == "stop":
-                self.conn.send(("ok", (None, loop.now, None, 0.0)))
+                stream.send(("ok", (None, loop.now, None, 0.0)))
                 return
             try:
                 start = default_timer()
@@ -232,35 +322,44 @@ class _Worker:
                 seconds = default_timer() - start
                 reply = ("ok", (value, loop.now, loop.next_event_time(), seconds))
             except Exception as error:
-                reply = ("error", f"{type(error).__name__}: {error}",
-                         traceback.format_exc())
+                reply = ("error", _portable(error), traceback.format_exc())
             try:
-                self.conn.send(reply)
+                stream.send(reply)
             except Exception as error:
                 # Unpicklable reply value: report instead of dying silently.
-                self.conn.send(("error",
-                                f"unpicklable reply to {name!r}: {error}", ""))
+                stream.send(("error", f"unpicklable reply to {name!r}: {error}", ""))
+
+
+def _portable(error: Exception):
+    """*error* itself if it survives a pickle round trip, else its summary:
+    a reply the coordinator failed to load would misalign the stream."""
+    try:
+        pickle.loads(pickle.dumps(error, protocol=pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        return f"{type(error).__name__}: {error}"
+    return error
 
 
 def worker_main(conn, spec: WorkerSpec) -> None:  # pragma: no cover - child
     """Entry point of a spawned shard worker."""
+    stream = _FrameStream(conn)
+    worker = None
     try:
-        _Worker(conn, spec).serve()
+        worker = _Worker(stream, spec)
+        worker.serve()
     except EOFError:
         pass  # coordinator went away; nothing to clean up, state is ours
-    except BaseException:
-        # Construction failed (or the worker was interrupted): push the
-        # traceback so the next recv in the parent produces an actionable
-        # error.
-        try:
-            conn.send(("error", "worker startup failed", traceback.format_exc()))
-        except Exception:
-            pass
+    except BaseException as error:
+        # Construction failed, or the loop was interrupted (SystemExit out of
+        # a behaviour, a signal): push the traceback so the next recv in the
+        # parent produces an actionable error.
+        summary = ("worker startup failed" if worker is None
+                   else f"worker stopped: {type(error).__name__}: {error}")
+        with contextlib.suppress(Exception):
+            stream.send(("error", summary, traceback.format_exc()))
     finally:
-        try:
+        with contextlib.suppress(Exception):
             conn.close()
-        except Exception:
-            pass
 
 
 # ==============================================================================
@@ -363,21 +462,21 @@ class SiteMirror:
 class _WorkerHandle:
     """One worker's pipe + process, with error-translating send/recv."""
 
-    __slots__ = ("shard_id", "conn", "process", "replied")
+    __slots__ = ("shard_id", "stream", "process", "replied")
 
     def __init__(self, shard_id: int, conn, process):
         self.shard_id = shard_id
-        self.conn = conn
+        self.stream = _FrameStream(conn)
         self.process = process
         #: whether any reply (the start-up handshake first) ever came
         self.replied = False
 
     def send(self, command: tuple) -> None:
         try:
-            self.conn.send(command)
+            self.stream.send(command)
         except (pickle.PicklingError, AttributeError, TypeError) as error:
-            # Raised while pickling, before anything is written: the pipe
-            # still alternates command and reply.
+            # The stream aborted the message: the worker drops whatever
+            # frames got out, and the pipe still alternates command and reply.
             call = command[1] if command[0] == "call" else command[0]
             raise KernelError(
                 f"shard {self.shard_id}: cannot send {call!r} to the worker "
@@ -391,7 +490,7 @@ class _WorkerHandle:
 
     def recv(self):
         try:
-            reply = self.conn.recv()
+            reply = self.stream.recv()
         except (EOFError, OSError):
             # EOF: the worker closed its end; a reset (OSError): it died
             # with a command still unread in the pipe.  Either way it is
@@ -407,9 +506,12 @@ class _WorkerHandle:
                 f"(exitcode={self.process.exitcode}){cause}") from None
         self.replied = True
         if reply[0] == "error":
-            detail = f"\n{reply[2]}" if reply[2] else ""
+            _tag, error, trace = reply
+            if isinstance(error, BaseException):
+                raise error from KernelError(f"shard {self.shard_id} worker: {trace}")
+            detail = f"\n{trace}" if trace else ""
             raise KernelError(
-                f"shard {self.shard_id} worker failed: {reply[1]}{detail}")
+                f"shard {self.shard_id} worker failed: {error}{detail}")
         return reply[1]
 
 
@@ -507,6 +609,21 @@ class ProcessEngineProxy:
                 f"sites={len(self.sites)}, now={self.loop.now:.4f})")
 
 
+def _collect_each(collect, items) -> list:
+    """``[collect(item) for item in items]``, but every item's reply is read
+    before the first error is raised: a reply left unread in its pipe would
+    answer the next command sent there."""
+    results, errors = [], []
+    for item in items:
+        try:
+            results.append(collect(item))
+        except Exception as error:
+            errors.append(error)
+    if errors:
+        raise errors[0]
+    return results
+
+
 class ProcessBackend(ShardBackend):
     """Runs each shard's bursts across a pipe, in its own spawn worker."""
 
@@ -581,18 +698,17 @@ class ProcessBackend(ShardBackend):
     def run_round(self, plans):
         for shard, horizon, handoffs in plans:
             shard.engine.post("run_to", horizon, None, handoffs)
-        return [self._collect(shard) for shard, _horizon, _handoffs in plans]
+        return _collect_each(self._collect, [shard for shard, _horizon, _handoffs in plans])
 
     def finish_run(self, flushes) -> None:
         """Land worker clocks + leftover handoffs, then pull state digests."""
         for shard, target, handoffs in flushes:
             shard.engine.post("advance_clock", target, handoffs)
-        for shard, _target, _handoffs in flushes:
-            shard.engine.collect()
+        _collect_each(ProcessEngineProxy.collect,
+                      [shard.engine for shard, _target, _handoffs in flushes])
         for proxy in self.proxies:
             proxy.handle.send(("digest",))
-        for proxy in self.proxies:
-            proxy.apply_digest(proxy.collect()[0])
+        _collect_each(lambda proxy: proxy.apply_digest(proxy.collect()[0]), self.proxies)
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -601,19 +717,15 @@ class ProcessBackend(ShardBackend):
             return
         self._closed = True
         for handle in self._handles:
-            try:
-                handle.conn.send(("stop",))
-            except Exception:
-                pass
+            with contextlib.suppress(Exception):
+                handle.stream.send(("stop",))
         for handle in self._handles:
             handle.process.join(timeout=5)
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=5)
-            try:
-                handle.conn.close()
-            except Exception:
-                pass
+            with contextlib.suppress(Exception):
+                handle.stream.conn.close()
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "live"

@@ -3,7 +3,8 @@
 One tree on both sides at the ledger's ``--quick`` populations: the pair
 runs, every end-to-end metric is summarised per side, the trajectory row is
 written, and no fingerprint input moved.  The ``CALLS`` line the row carries
-is exact: it repeats over runs and hash seeds.
+is exact: it repeats over runs and hash seeds.  ``hot_functions.py --rss``
+reads both processes a ``churn_shards2`` memory claim can be in.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -63,6 +65,22 @@ def test_calls_per_unit_repeats_across_runs_and_hash_seeds(workload):
     # The whole line: the total and every layer's share of it.
     runs = [calls(hash_seed) for hash_seed in ("0", "0", "1", "4242")]
     assert runs == runs[:1] * len(runs), runs
+
+
+def test_rss_line_reads_the_coordinator_and_its_largest_worker():
+    from repro.shard import process_backend_available
+
+    if not process_backend_available():
+        pytest.skip("multiprocessing spawn does not work on this host")
+    done = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "hot_functions.py"), "churn_shards2",
+         "--quick", "--rss"], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    line = done.stdout.strip().splitlines()[-1]
+    match = re.fullmatch(r"RSS churn_shards2 self_mb=(\d+\.\d) children_mb=(\d+\.\d)", line)
+    assert match, line
+    # A reaped shard worker is a whole interpreter with repro imported.
+    assert float(match[1]) > 8 and float(match[2]) > 8, line
 
 
 def test_moved_keys_are_the_fingerprint_inputs_that_differ():

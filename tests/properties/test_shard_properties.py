@@ -3,9 +3,16 @@
 The sharded kernel is a performance structure — the same seed and
 workload must produce identical counters and the same completed agents
 whether the sites run on one event loop or are partitioned across many.
+The process backend's pipe stream must deliver every message that pickled,
+whole and in order, however many frames it took and whatever failed
+part-way between them.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import operator
+import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +21,7 @@ from repro.core import Briefcase, Kernel, KernelConfig
 from repro.core.agent import AgentState
 from repro.core.folder import Folder
 from repro.net import lan
+from repro.shard.procworker import _FrameStream
 from scenarios import sharded_churn
 
 
@@ -122,3 +130,79 @@ def test_process_backend_matches_inproc():
         assert reference["shard_late_arrivals"] == 0
         counters = reference["counters"]
         assert counters["completed"] == counters["launched"]
+
+
+# ---------------------------------------------------------------------------
+# the process backend's pipe stream
+# ---------------------------------------------------------------------------
+
+KIB = 1024
+#: how long the receiver waits for a message to start before giving up
+READ_TIMEOUT_S = 10.0
+
+#: plain data of 0-300 KiB, so a message can span several 64 KiB frames
+#: and a large ``bytes`` element goes out as a frame of its own
+PAYLOAD_LEAVES = st.one_of(
+    st.integers(min_value=0, max_value=300 * KIB).map(bytes),
+    st.builds(operator.mul, st.sampled_from("a\xe9\u20ac\U0001f600"),
+              st.integers(min_value=0, max_value=75 * KIB)),
+    st.integers(), st.none())
+PAYLOADS = st.lists(st.recursive(
+    PAYLOAD_LEAVES,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=4), max_size=3)
+
+
+def exchange(messages):
+    """Send *messages* through one stream of an in-process pipe while the
+    other end reads: ``(what pickled, what was received)``."""
+    sending, receiving = multiprocessing.Pipe()
+    sender, receiver = _FrameStream(sending), _FrameStream(receiving)
+    sent = []
+
+    def send_all():
+        try:
+            for message in messages:
+                try:
+                    sender.send(message)
+                except TypeError:  # the lock, after 64 KiB went out
+                    continue
+                except OSError:  # the receiver gave up
+                    return
+                sent.append(message)
+        finally:
+            sending.close()  # EOF ends the reading
+
+    thread = threading.Thread(target=send_all, daemon=True)
+    thread.start()
+    received = []
+    try:
+        while receiving.poll(READ_TIMEOUT_S):
+            received.append(receiver.recv())
+    except EOFError:
+        pass
+    finally:
+        receiving.close()
+        thread.join(READ_TIMEOUT_S)
+    assert not thread.is_alive()
+    return sent, received
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(PAYLOADS, st.booleans()), min_size=1, max_size=5))
+def test_the_stream_delivers_exactly_the_messages_that_pickled(drawn):
+    """Each message holds its payload twice, so the second is a reference
+    into the unpickler's memo: a receiver that read on from a dropped
+    message into the next would resolve it against the wrong memo."""
+    messages, expected = [], []
+    for index, (payload, fails) in enumerate(drawn):
+        if fails:
+            payload = payload + [bytes(64 * KIB), threading.Lock()]
+        message = (index, payload, payload)
+        messages.append(message)
+        if not fails:
+            expected.append(message)
+    sent, received = exchange(messages)
+    assert sent == expected
+    assert received == expected

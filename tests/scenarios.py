@@ -14,7 +14,9 @@ holds ``tests/``, so this module imports there as ``scenarios`` too.
 * **high population**: waves of short agents, each placed on the least
   loaded site;
 * **agent churn** and **courier fan-in**: the sim-vs-realtime parity runs;
-* **sharded churn**: couriers whose reports cross shard boundaries.
+* **sharded churn**: couriers whose reports cross shard boundaries;
+* **failing agents**: behaviours that make a burst, a worker or a reply fail,
+  for the error paths of the shard backends.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import List, Sequence
 
 from repro.core import Briefcase, Folder, Kernel, KernelConfig
 from repro.core.registry import register_behaviour
+from repro.core.syscalls import Sleep
 from repro.core.timing import default_timer
 from repro.net import lan, ring, star, two_clusters
 
@@ -93,6 +96,40 @@ def worker(ctx, briefcase: Briefcase):
     """One unit of churn: work WORK seconds, finish."""
     yield ctx.sleep(float(briefcase.get("WORK")))
     return ctx.site_name
+
+
+# ---------------------------------------------------------------------------
+# failing agents (shard-backend error paths)
+# ---------------------------------------------------------------------------
+
+#: registered name of an agent whose sleep the kernel cannot schedule
+BAD_SLEEPER_NAME = "bad_sleeper"
+#: registered name of an agent that raises SystemExit, which no kernel catches
+QUITTER_NAME = "quitter"
+#: registered name of an agent whose result is 200 KiB, then an unpicklable lambda
+UNPICKLABLE_RESULT_NAME = "unpicklable_result"
+
+
+def bad_sleeper(ctx, briefcase: Briefcase):
+    """Ask to sleep ``"soon"``: the kernel's ``float()`` raises out of ``run()``."""
+    yield Sleep("soon")
+
+
+def quitter(ctx, briefcase: Briefcase):
+    """Sleep, then raise SystemExit out of the engine running the agent."""
+    yield ctx.sleep(0.1)
+    raise SystemExit(3)
+
+
+def unpicklable_result(ctx, briefcase: Briefcase):
+    """Finish with 200 distinct KiB-sized elements and a lambda last."""
+    yield ctx.sleep(0)
+    return [bytes(1024) for _ in range(200)] + [lambda: None]
+
+
+register_behaviour(BAD_SLEEPER_NAME, bad_sleeper, replace=True)
+register_behaviour(QUITTER_NAME, quitter, replace=True)
+register_behaviour(UNPICKLABLE_RESULT_NAME, unpicklable_result, replace=True)
 
 
 # ---------------------------------------------------------------------------

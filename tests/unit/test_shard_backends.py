@@ -30,7 +30,8 @@ from repro.net.topology import LinkSpec, NoRouteError, switched_fabric
 from repro.shard import (BACKENDS, ClockSync, InprocBackend, Shard, ShardSet,
                          process_backend_available)
 from repro.store.sitestore import SiteStore
-from scenarios import (COURIER_NAME, SINK_NAME, courier_briefcase, report_sink,
+from scenarios import (BAD_SLEEPER_NAME, COURIER_NAME, QUITTER_NAME, SINK_NAME,
+                       UNPICKLABLE_RESULT_NAME, courier_briefcase, report_sink,
                        sharded_churn, worker)
 
 
@@ -727,6 +728,63 @@ def test_ledger_reads_match_across_backends(retention):
     assert final["counts"]["killed"] == 1 and final["counts"]["failed"] == 1
 
 
+def failed_burst_script(backend):
+    """A round in which "d"'s burst (shard 0) raises while "a"'s (shard 1)
+    runs; then a launch on shard 1 and a clean ``run()``."""
+    kernel = crash_kernel(backend, "none")
+    kernel.launch("a", COURIER_NAME, courier_briefcase("b", work=0.5))
+    kernel.launch("d", BAD_SLEEPER_NAME)
+    with pytest.raises(Exception, match="could not convert string to float: 'soon'"):
+        kernel.run()
+    agent_id = kernel.launch("c", COURIER_NAME, courier_briefcase("b"))
+    assert isinstance(agent_id, str) and agent_id.startswith("agent-")
+    kernel.run()
+    outcome = (agent_id, kernel.counters(), kernel.result_of(agent_id))
+    kernel.close()
+    return outcome
+
+
+def test_a_failed_burst_leaves_no_reply_unread(backend):
+    """The healthy shard's reply to the failed round is read by that round,
+    not by the next command sent to its worker."""
+    outcome = failed_burst_script(backend)
+    assert outcome == failed_burst_script("inproc")
+    # Both couriers' reports were met; only the bad sleeper is left hanging.
+    assert outcome[1]["meets"] == 2 and outcome[1]["active"] == 1
+    assert outcome[2] == "c"
+
+
+#: calls that raise inside an engine, through the facade
+ENGINE_ERRORS = {
+    "unknown-launch": lambda kernel: kernel.launch("a", "no_such_behaviour"),
+    "unknown-launch_many": lambda kernel: kernel.launch_many(
+        [("a", COURIER_NAME, courier_briefcase("b")), ("b", "no_such_behaviour")]),
+    "negative-delay": lambda kernel: kernel.launch("a", COURIER_NAME, delay=-1.0),
+    "bad-sleep": lambda kernel: (kernel.launch("d", BAD_SLEEPER_NAME), kernel.run()),
+}
+
+
+def engine_error(backend, case):
+    kernel = crash_kernel(backend, "none")
+    try:
+        with pytest.raises(Exception) as caught:
+            ENGINE_ERRORS[case](kernel)
+    finally:
+        kernel.close()
+    return caught.value
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_ERRORS))
+def test_an_engine_error_keeps_its_type_and_message(backend, case):
+    error = engine_error(backend, case)
+    expected = engine_error("inproc", case)
+    assert (type(error), str(error)) == (type(expected), str(expected))
+    if backend == "process":
+        # Where it was raised: the worker's traceback, as the cause.
+        assert isinstance(error.__cause__, KernelError)
+        assert re.match(r"shard [01] worker: Traceback", str(error.__cause__))
+
+
 # ---------------------------------------------------------------------------
 # process backend odds and ends (gated on spawn availability)
 # ---------------------------------------------------------------------------
@@ -826,9 +884,50 @@ class TestProcessFacade:
         kernel, names = sharded_kernel("process", site_count=4, shards=2)
         with pytest.raises(KernelError, match=r"'launch'.*does not pickle"):
             kernel.launch(names[0], lambda ctx, bc: (yield ctx.sleep(0)))
-        # Nothing was written for the failed call: the next command and its
-        # reply still pair up, and the kernel runs.
+        # The worker dropped whatever frames of the failed call got out: the
+        # next command and its reply still pair up, and the kernel runs.
         kernel.launch(names[0], "courier")
         assert kernel.run() > 0
         assert kernel.counters()["launched"] == 1
+        kernel.close()
+
+    def test_a_share_that_fails_after_its_first_frames_leaves_the_pipe_paired(self):
+        """The lambda comes after more than 64 KiB of the share were written
+        to the pipe: the abort marker tells the worker to drop them."""
+        kernel = crash_kernel("process", "none")
+        blob = Briefcase()
+        blob.set("BLOB", bytes(200 * 1024))
+        requests = [("a", COURIER_NAME, courier_briefcase("b")) for _ in range(500)]
+        requests += [("a", "courier", blob), ("b", lambda ctx, bc: (yield ctx.sleep(0)))]
+        with pytest.raises(KernelError, match=r"'launch_many'.*does not pickle"):
+            kernel.launch_many(requests)
+        # Its second "c" pickles as a reference into the first: a worker that
+        # read the share's frames and this batch as one message would
+        # resolve it against the share's memo.
+        ids = kernel.launch_many([("c", COURIER_NAME, courier_briefcase("b"))
+                                  for _ in range(2)])
+        assert kernel.run() > 0
+        assert [kernel.result_of(agent_id) for agent_id in ids] == ["c", "c"]
+        assert len(kernel.agents_named(COURIER_NAME)) == 2  # none of the share
+        kernel.close()
+
+    def test_a_reply_that_fails_after_its_first_frames_leaves_the_pipe_paired(self):
+        """Worker to coordinator: a digest that stops pickling after 200 KiB
+        is dropped, the error said, and the next call answered."""
+        kernel = crash_kernel("process", "none")
+        kernel.launch("a", UNPICKLABLE_RESULT_NAME)
+        with pytest.raises(KernelError, match=r"shard 1 worker failed: "
+                                              r"unpicklable reply to 'digest'"):
+            kernel.run()
+        agent_id = kernel.launch("c", COURIER_NAME, courier_briefcase("b"))
+        assert kernel.run() > 0
+        assert kernel.result_of(agent_id) == "c"
+        kernel.close()
+
+    def test_a_worker_stopped_after_its_handshake_says_so(self):
+        kernel = crash_kernel("process", "none")
+        kernel.launch("a", QUITTER_NAME)
+        with pytest.raises(KernelError, match=r"shard 1 worker failed: "
+                                              r"worker stopped: SystemExit"):
+            kernel.run()
         kernel.close()

@@ -7,6 +7,7 @@
     python3 tools/hot_functions.py churn --gc
     python3 tools/hot_functions.py churn --mem
     python3 tools/hot_functions.py churn --calls
+    python3 tools/hot_functions.py churn_shards2 --rss
 
 The ledger's per-layer table says which *layer* a run's time is in; this
 says which functions, so that finding the next hot spot needs no ad-hoc
@@ -51,11 +52,24 @@ exactly for a workload, seed and population, whatever the host or
 
     CALLS churn calls_per_unit=432.33 core.codec=95.00 core.kernel=105.00 ... stdlib=163.33
 
+With ``--rss`` it runs the region the same way as ``--gc``, closes the kernel
+(which reaps ``churn_shards2``'s workers), and prints the peak resident sets
+the ledger's ``peak_rss_mb`` adds up: this process's ``ru_maxrss`` and that of
+its largest reaped child, so a memory change can be placed in the coordinator
+or in a worker::
+
+    RSS churn_shards2 self_mb=34.0 children_mb=29.7
+
+Like ``peak_rss_mb`` they cover the whole process life, input generation and
+imports included, and move with the host's allocator and Python build.  A
+launcher script that execs the interpreter (a version-manager shim) leaves
+the children it reaped in ``children_mb``: a few MiB on one-engine workloads.
+
 It only reads ``benchmarks/ledger/ledger_workloads.py``
 (``WORKLOADS[name].generate/build/drive`` and ``FULL``/``QUICK``), needs no
-``PYTHONPATH``, and covers this process only (not ``churn_shards2``'s
-workers).  Profiled times are 2-3x untraced ones and under-weigh C code;
-measure a change with the ledger, not with this.
+``PYTHONPATH``, and except for ``--rss`` covers this process only (not
+``churn_shards2``'s workers).  Profiled times are 2-3x untraced ones and
+under-weigh C code; measure a change with the ledger, not with this.
 """
 
 import argparse
@@ -66,6 +80,7 @@ import os
 import pathlib
 import pstats
 import re
+import resource
 import sys
 import time
 
@@ -269,6 +284,18 @@ def mem_report(name: str, workload, inputs, top: int) -> None:
           f"store_bytes_per_unit={store / units:.0f}")
 
 
+def rss_report(name: str, workload, inputs) -> None:
+    """Peak resident sets of this process and of its largest reaped child."""
+    kernel = workload.build(inputs)
+    try:
+        workload.drive(kernel, inputs)
+    finally:
+        kernel.close()
+    self_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    children_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    print(f"RSS {name} self_mb={self_kib / 1024:.1f} children_mb={children_kib / 1024:.1f}")
+
+
 def main(argv=None) -> int:
     sys.path[:0] = [str(REPO / "benchmarks" / "ledger"), str(REPO / "src")]
     import ledger_workloads
@@ -290,6 +317,9 @@ def main(argv=None) -> int:
     parser.add_argument("--calls", action="store_true",
                         help="primitive calls per unit by ledger layer instead of "
                              "times: one CALLS line")
+    parser.add_argument("--rss", action="store_true",
+                        help="no profiler: peak resident sets of this process and "
+                             "of its largest child (a shard worker): one RSS line")
     parser.add_argument("--quick", action="store_true",
                         help="the ledger's tiny self-test populations")
     args = parser.parse_args(argv)
@@ -299,6 +329,8 @@ def main(argv=None) -> int:
     if args.gc or args.mem:
         (alloc_report if args.gc else mem_report)(
             args.workload, workload, inputs, 10 if args.top is None else args.top)
+    elif args.rss:
+        rss_report(args.workload, workload, inputs)
     elif args.calls:
         calls_report(args.workload, profile(workload, inputs), inputs["units"])
     else:
