@@ -42,8 +42,8 @@ def main() -> None:
 
     sites = ["tromso", "oslo", "ithaca", "cornell"]
     # The kernel is a context manager: close() runs on exit (releasing
-    # store/backend resources — a no-op here, but the habit scales to
-    # sharded and realtime kernels where it matters).
+    # shard workers and trace files — a no-op here, but the habit scales
+    # to sharded and traced kernels where it matters).
     with Kernel(lan(sites), transport="tcp",
                 config=KernelConfig(rng_seed=1)) as kernel:
         briefcase = Briefcase()

@@ -33,10 +33,10 @@ from repro.core.registry import (BehaviourRegistry, default_registry, register_b
 from repro.core.site import Site
 from repro.core.syscalls import (EndMeet, Meet, MeetResult, Sleep, Spawn, Terminate,
                                  Transmit)
-from repro.core.timing import Clock, ScheduledEvent, Scheduler, default_timer
+from repro.core.timing import default_timer
 
 __all__ = [
-    "Clock", "Scheduler", "ScheduledEvent", "default_timer",
+    "default_timer",
     "errors",
     "Folder", "Briefcase", "FileCabinet",
     "CODE_FOLDER", "HOST_FOLDER", "CONTACT_FOLDER", "SITES_FOLDER",

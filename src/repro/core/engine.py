@@ -1,10 +1,7 @@
 """The TACOMA engine: everything one event loop does.
 
-An :class:`Engine` owns one event loop — the deterministic discrete-event
-:class:`~repro.net.simclock.EventLoop` under ``KernelConfig(backend="sim")``,
-or :class:`repro.rt.AsyncioScheduler` on wall clock under
-``backend="realtime"`` (both implement the
-:class:`~repro.core.timing.Scheduler` protocol) — one
+An :class:`Engine` owns one deterministic discrete-event
+:class:`~repro.net.simclock.EventLoop`, one
 :class:`~repro.net.transport.Transport`, and the sites placed on it:
 
 * it creates one :class:`~repro.core.site.Site` per site it owns and
@@ -50,7 +47,7 @@ from repro.net.horus import HorusTransport
 from repro.net.message import Message, MessageKind
 from repro.net.rsh import RshTransport
 from repro.net.simclock import EventLoop
-from repro.net.stats import LatencySketch, NetworkStats
+from repro.net.stats import NetworkStats
 from repro.net.tcp import TcpTransport
 from repro.net.topology import Topology
 from repro.net.transport import Transport
@@ -63,6 +60,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from repro.core.kernel import KernelConfig
 
 __all__ = ["ENGINE_PROTOCOL", "Engine", "LedgerQueries"]
+
+#: simulated seconds charged for creating a new agent locally
+SPAWN_OVERHEAD = 0.001
+#: simulated seconds charged for handing a briefcase to the transport
+TRANSMIT_OVERHEAD = 0.0005
 
 #: the transports selectable by name (paper section 6's three rexec variants)
 TRANSPORTS = {
@@ -310,7 +312,7 @@ class Engine(LedgerQueries):
         self.topology = topology
         self.shard_id = shard_id
         self.placement = placement
-        self.loop = self._make_loop()
+        self.loop = EventLoop()
         self.stats = NetworkStats()
         self.registry = registry or default_registry()
         #: engine *s* of N numbers its agents s+1, s+1+N, ...: ids are
@@ -338,14 +340,6 @@ class Engine(LedgerQueries):
         transport_metrics = getattr(self.transport, "metrics", None)
         if transport_metrics is not None:  # tcp/horus publish extra telemetry
             self.metrics.register("transport", transport_metrics)
-        if self.config.backend == "realtime":
-            #: wall-clock honesty metrics by name: how late the scheduler
-            #: wakes, and each group commit's fsync as durable stores attach
-            self.wall_latencies: Dict[str, LatencySketch] = {
-                "rt_sleep_lag_seconds": LatencySketch()}
-            self.loop.lag_observe = self.wall_latencies["rt_sleep_lag_seconds"].record
-            self.metrics.register("wall", lambda: {
-                name: sketch.summary() for name, sketch in self.wall_latencies.items()})
         #: open "run" spans by agent id / open recovery spans by site name
         self._obs_runs: Dict[str, Any] = {}
         self._obs_recovery: Dict[str, Any] = {}
@@ -411,19 +405,6 @@ class Engine(LedgerQueries):
             for site in self.sites.values():
                 install_standard_agents(site)
 
-    def _make_loop(self) -> EventLoop:
-        """Build the event loop the configured backend runs on.
-
-        ``"sim"`` is the deterministic discrete-event loop; ``"realtime"``
-        is :class:`repro.rt.AsyncioScheduler` — same heap and ordering,
-        real sleeps between events.  Imported lazily so the sim backend
-        never touches :mod:`asyncio`.
-        """
-        if self.config.backend == "realtime":
-            from repro.rt import AsyncioScheduler
-            return AsyncioScheduler()
-        return EventLoop()
-
     def _make_tracer(self) -> Tracer:
         """Build this engine's tracer from the ``obs_*`` config knobs.
 
@@ -432,10 +413,7 @@ class Engine(LedgerQueries):
         in the engine's record ring; one of several engines records there
         only — the facade merges the rings (``dump_trace``) — so
         ``obs_path`` opens a live JSONL file only on a whole-simulation
-        engine.  Under
-        ``backend="realtime"`` spans additionally
-        carry monotonic wall-clock stamps, the feed-back path from
-        observed latencies to sim cost-model prices.
+        engine.
         """
         if not self.config.obs_enabled:
             return Tracer.disabled()
@@ -443,12 +421,7 @@ class Engine(LedgerQueries):
         sink = self.ring
         if self.config.obs_path is not None and self.placement is None:
             sink = TeeSink([sink, JsonlSink(self.config.obs_path)])
-        wall_timer = None
-        if self.config.backend == "realtime":
-            from timeit import default_timer
-            wall_timer = default_timer
-        return Tracer(clock=self.loop, sink=sink,
-                      sample=self.config.obs_sample, wall_timer=wall_timer)
+        return Tracer(clock=self.loop, sink=sink, sample=self.config.obs_sample)
 
     def _make_transport(self, transport: Union[str, Transport, type]) -> Transport:
         if isinstance(transport, Transport):
@@ -475,23 +448,11 @@ class Engine(LedgerQueries):
             write_byte_latency=self.config.store_write_byte_latency,
             fsync_latency=self.config.store_fsync_latency,
             commit_window=self.config.store_commit_window,
-            replay_latency=self.config.store_replay_latency,
             recovery_base=self.config.store_recovery_base,
             snapshot_threshold=self.config.store_snapshot_threshold,
         )
-        sink = None
-        if self.config.store_realtime_dir is not None:
-            import os
-
-            from repro.rt import FileWalSink
-            os.makedirs(self.config.store_realtime_dir, exist_ok=True)
-            sink = FileWalSink(os.path.join(self.config.store_realtime_dir,
-                                            f"{site.name}.wal"))
-            # Measured flush+fsync wall latency per group commit.
-            sink.latency_observe = self.wall_latencies.setdefault(
-                "wal_fsync_wall_seconds", LatencySketch()).record
         store = SiteStore(site, self.loop, self.durability, costs, self.stats,
-                          log_event=self.log_event, sink=sink, obs=self.obs)
+                          log_event=self.log_event, obs=self.obs)
         site.attach_store(store)
         self.stores[site.name] = store
 
@@ -500,13 +461,8 @@ class Engine(LedgerQueries):
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release what this engine holds: WAL sinks, trace sink, asyncio loop."""
-        for store in self.stores.values():
-            store.close()
+        """Release what this engine holds: its trace sink."""
         self.obs.close()
-        loop_close = getattr(self.loop, "close", None)
-        if loop_close is not None:
-            loop_close()
 
     def add_site(self, name: str, links: Sequence = (),
                  install_system_agents: Optional[bool] = None) -> None:
@@ -1113,7 +1069,7 @@ class Engine(LedgerQueries):
         self._register(child)
         parent.children.append(child.agent_id)
         self.loop.schedule_many((
-            (self.config.spawn_overhead, self._start,
+            (SPAWN_OVERHEAD, self._start,
              ("spawn", child.agent_id), (child,)),
             (self.config.step_cost, self._resume,
              ("spawned", parent.agent_id), (parent, child.agent_id)),
@@ -1147,7 +1103,7 @@ class Engine(LedgerQueries):
         # destination; everything else is sent immediately.
         event = self.transport.post(message)
         accepted = event is not None
-        self.loop.schedule(self.config.transmit_overhead + self.config.step_cost,
+        self.loop.schedule(TRANSMIT_OVERHEAD + self.config.step_cost,
                            self._resume, ("transmitted", sender.agent_id),
                            (sender, accepted))
 

@@ -52,10 +52,6 @@ class KernelConfig:
     step_cost: float = 0.0005
     #: extra cost of setting up a meet (argument marshalling, dispatch)
     meet_overhead: float = 0.001
-    #: cost of creating a new top-level agent locally
-    spawn_overhead: float = 0.001
-    #: local cost of handing a briefcase to the transport
-    transmit_overhead: float = 0.0005
     #: an agent exceeding this many steps is killed as a runaway (section 3
     #: motivates limiting runaway agents; the step budget is the kernel-side
     #: safety net, electronic cash is the economic one)
@@ -94,8 +90,6 @@ class KernelConfig:
     #: group-commit window: how long the WAL batches dirty state before
     #: syncing (wal-group-commit only)
     store_commit_window: float = 0.05
-    #: seconds charged per snapshot folder / redo record replayed at recovery
-    store_replay_latency: float = 0.0005
     #: fixed cost of beginning a recovery replay
     store_recovery_base: float = 0.05
     #: committed redo records tolerated before compaction folds them into
@@ -114,19 +108,6 @@ class KernelConfig:
     #: multi-core parallelism; see :mod:`repro.shard.backend`).  Inert at
     #: shards=1.
     shard_backend: str = "inproc"
-    #: execution backend of the event loop itself: "sim" (the default —
-    #: the deterministic discrete-event EventLoop/SimClock pair, time
-    #: advances only as events fire) or "realtime" (repro.rt's
-    #: AsyncioScheduler — the same heap of events, but every gap to the
-    #: next due event is a real asyncio sleep, so delivery latencies,
-    #: heartbeats and commit windows really elapse).  Realtime requires
-    #: shards=1 and rejects shard_backend="process".
-    backend: str = "sim"
-    #: directory for real on-disk WAL mirrors, one ``<site>.wal`` file
-    #: per site, fsynced per group commit (realtime + a durable policy
-    #: only; see :class:`repro.rt.FileWalSink`).  None keeps the WAL
-    #: purely logical.
-    store_realtime_dir: Optional[str] = None
     #: causal tracing (repro.obs): off by default — every instrumentation
     #: point then costs a single attribute read
     obs_enabled: bool = False
@@ -159,26 +140,6 @@ class KernelConfig:
             raise KernelError(
                 f"unknown shard_backend {self.shard_backend!r}; "
                 f"expected one of {BACKENDS}")
-        if self.backend not in ("sim", "realtime"):
-            raise KernelError(
-                f"unknown backend {self.backend!r}; "
-                "expected 'sim' or 'realtime'")
-        if self.backend == "realtime":
-            if self.shards != 1:
-                raise KernelError(
-                    "backend='realtime' requires shards=1: the realtime "
-                    "scheduler drives a single wall-clock event loop "
-                    "(shard the sim backend instead, or run one realtime "
-                    "kernel per host)")
-            if self.shard_backend == "process":
-                raise KernelError(
-                    "backend='realtime' cannot use shard_backend='process': "
-                    "spawned shard workers and the wall-clock scheduler "
-                    "are mutually exclusive (keep the default 'inproc')")
-        elif self.store_realtime_dir is not None:
-            raise KernelError(
-                "store_realtime_dir requires backend='realtime': the sim "
-                "backend keeps the WAL purely logical (priced, not paid)")
         if not 0.0 <= self.obs_sample <= 1.0:
             raise KernelError(f"obs_sample must be in [0.0, 1.0], got "
                               f"{self.obs_sample}")
@@ -394,17 +355,15 @@ class Kernel(LedgerQueries):
         return summary
 
     def close(self) -> None:
-        """Release held resources: shard workers, WAL sinks, asyncio loops.
+        """Release held resources: shard workers and the trace sink.
 
         Idempotent — call it unconditionally when done with a kernel (or
         use the kernel as a context manager, which calls it on exit).
         Several engines: the facade writes ``obs_path`` (engines only
         ring-buffer their spans) and shuts the backend's worker processes
-        down.  One engine: it closes its site stores'
-        WAL sinks, its trace sink and, under ``backend="realtime"``, the
-        owned asyncio loop.  A closed kernel still answers reads
-        (``counters``, ``result_of``, ``stats``, ``trace_spans``) but
-        refuses to run, launch or change its sites.
+        down.  One engine: it closes its trace sink.  A closed kernel
+        still answers reads (``counters``, ``result_of``, ``stats``,
+        ``trace_spans``) but refuses to run, launch or change its sites.
         """
         if self._closed:
             return

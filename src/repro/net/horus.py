@@ -82,10 +82,8 @@ class HorusTransport(Transport):
     CONNECT_SETUP = 0.030
     #: protocol-stack overhead per message on an established channel
     ESTABLISHED_SETUP = 0.004
-    #: how long after a crash surviving members install the next view.
-    #: Scheduled on the kernel's Scheduler, so under backend="realtime"
-    #: the failure-detection timeout runs off a real timer — survivors
-    #: install the new view 150 wall-clock milliseconds after the crash.
+    #: how long after a crash surviving members install the next view
+    #: (simulated seconds, scheduled on the kernel's event loop)
     DETECTION_DELAY = 0.150
 
     #: shared cost-model view: per-message protocol-stack base, plus one

@@ -28,18 +28,8 @@ step), so its fixed costs are kept out of the interpreter:
   as ``callback(*args)``: hot callers pass a bound method and a tuple where
   a ``functools.partial`` would be one more collector-tracked object each.
 
-:class:`SimClock` and :class:`EventLoop` are the *deterministic*
-implementations of the :class:`~repro.core.timing.Clock` and
-:class:`~repro.core.timing.Scheduler` protocols — the
-``KernelConfig(backend="sim")`` default.  The wall-clock pair lives in
-:mod:`repro.rt`: :class:`~repro.rt.AsyncioScheduler` subclasses
-:class:`EventLoop`, keeping the heap, ``schedule*``, cancellation and
-``step()``, and overrides ``run``/``run_until`` (a real sleep up to
-:meth:`EventLoop.next_event_time` before each ``step()``) and
-``schedule_at`` (late deadlines are clamped, not rejected).  The drain
-loop reaches the clock only through ``clock.now`` and
-``clock._advance_to``, so it runs unchanged over a
-:class:`~repro.rt.WallClock`.
+Every engine runs on one :class:`EventLoop`; there is no other
+execution backend.
 """
 
 from __future__ import annotations
@@ -139,8 +129,8 @@ class EventLoop:
     #: compaction is skipped below this heap size (not worth the churn)
     _COMPACT_MIN = 64
 
-    def __init__(self, clock: Optional[SimClock] = None):
-        self.clock = clock if clock is not None else SimClock()
+    def __init__(self):
+        self.clock = SimClock()
         #: ``(time, seq, event)`` entries; ``seq`` is unique, so ordering
         #: is decided in C before a comparison could reach the event
         self._heap: List[Tuple[float, int, Event]] = []

@@ -7,10 +7,8 @@ by later messages, so the setup cost is paid once per (source, destination)
 pair rather than once per transfer.  Connections involving a site are torn
 down when that site crashes.
 
-Setup and delivery delays are scheduled on the kernel's
-:class:`~repro.core.timing.Scheduler`: under the sim backend they are
-priced simulated seconds; under ``backend="realtime"`` the same delays
-really elapse on the wall clock.
+Setup and delivery delays are priced simulated seconds, scheduled on the
+kernel's :class:`~repro.net.simclock.EventLoop`.
 """
 
 from __future__ import annotations

@@ -45,9 +45,9 @@ import random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import NoRouteError, SiteDownError, TransportError
-from repro.core.timing import ScheduledEvent, Scheduler
 from repro.flow import FlowController
 from repro.net.message import Message, MessageKind
+from repro.net.simclock import Event, EventLoop
 from repro.net.stats import NetworkStats
 from repro.net.topology import Topology
 
@@ -85,7 +85,7 @@ class Outbox:
         self.destination = destination
         self.messages: List[Message] = []
         #: the armed flush event (None once flushed or dropped)
-        self.flush_event: Optional[ScheduledEvent] = None
+        self.flush_event: Optional[Event] = None
         #: when the first pending message entered
         self.first_queued_at = first_queued_at
 
@@ -110,7 +110,7 @@ class Transport(abc.ABC):
     #: human-readable transport name, used in benchmark output
     name = "abstract"
 
-    def __init__(self, loop: Scheduler, topology: Topology,
+    def __init__(self, loop: EventLoop, topology: Topology,
                  stats: Optional[NetworkStats] = None,
                  rng: Optional[random.Random] = None):
         self.loop = loop
@@ -260,7 +260,7 @@ class Transport(abc.ABC):
             due, lambda: self._flush_outbox(key, cause="window"),
             label=(self.name, "flush", outbox.source, outbox.destination))
 
-    def post(self, message: Message) -> Optional[ScheduledEvent]:
+    def post(self, message: Message) -> Optional[Event]:
         """Hand *message* to the delivery fabric.
 
         Batchable kinds are coalesced into the per-destination outbox when
@@ -308,7 +308,7 @@ class Transport(abc.ABC):
         return outbox.flush_event
 
     def _flush_outbox(self, key: Tuple[str, str],
-                      cause: str = "window") -> Optional[ScheduledEvent]:
+                      cause: str = "window") -> Optional[Event]:
         """Ship an outbox's pending messages as one batched wire message."""
         outbox = self._outboxes.pop(key, None)
         if outbox is None or not outbox.messages:
@@ -417,7 +417,7 @@ class Transport(abc.ABC):
 
     # -- sending --------------------------------------------------------------------
 
-    def send(self, message: Message) -> Optional[ScheduledEvent]:
+    def send(self, message: Message) -> Optional[Event]:
         """Queue *message* for delivery.
 
         Returns the scheduled delivery event, or ``None`` when the message

@@ -2,14 +2,13 @@
 
 The numbers live where they are counted — :class:`~repro.net.stats.NetworkStats`
 for everything the paper's claims are judged by, the flow controller and the
-tcp/Horus transports for their own telemetry, two
-:class:`~repro.net.stats.LatencySketch` distributions under the realtime
-backend.  Each registers once (:meth:`MetricsRegistry.register`) and
-``collect()`` returns what they all read now as one flat JSON-able dict,
-which is what ``Kernel.store_summary``, shard digests and benchmark JSON
-read.  The registry stores nothing itself, so it has no state to merge or
-ship: a sharded facade's registry has two sources of its own (the merged
-stats snapshot and the engines' other sources, summed).
+tcp/Horus transports for their own telemetry.  Each registers once
+(:meth:`MetricsRegistry.register`) and ``collect()`` returns what they all
+read now as one flat JSON-able dict, which is what
+``Kernel.store_summary``, shard digests and benchmark JSON read.  The
+registry stores nothing itself, so it has no state to merge or ship: a
+sharded facade's registry has two sources of its own (the merged stats
+snapshot and the engines' other sources, summed).
 """
 
 from __future__ import annotations

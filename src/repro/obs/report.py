@@ -8,10 +8,6 @@ turn a span dump into the two views the experiments need:
   rear-guard releases, and the migrations between hops;
 * **p50/p99 breakdowns** — spans grouped per (source, destination) pair,
   per subsystem (``kind``), or per span name.
-
-When spans carry wall-clock stamps (realtime backend),
-:func:`observed_costs` extracts measured per-operation wall latencies —
-the feed-back path from observation to sim ``CostModel`` prices.
 """
 
 from __future__ import annotations
@@ -22,8 +18,7 @@ from collections import defaultdict
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["load_trace", "build_trees", "trace_ids", "hop_timeline",
-           "format_timeline", "breakdown", "percentile", "observed_costs",
-           "main"]
+           "format_timeline", "breakdown", "percentile", "main"]
 
 
 def load_trace(path: str) -> List[Dict[str, Any]]:
@@ -134,9 +129,6 @@ def hop_timeline(spans: Iterable[Dict[str, Any]],
                 row["destination"] = span["destination"]
             if span.get("attrs"):
                 row["attrs"] = span["attrs"]
-            if span.get("wall_start") is not None:
-                row["wall_start"] = span["wall_start"]
-                row["wall_end"] = span.get("wall_end")
             rows.append(row)
     return rows
 
@@ -209,30 +201,6 @@ def breakdown(spans: Iterable[Dict[str, Any]],
     return out
 
 
-def observed_costs(spans: Iterable[Dict[str, Any]]
-                   ) -> Dict[str, Dict[str, Any]]:
-    """Measured wall-clock latency per span name (realtime traces only).
-
-    Spans without wall stamps are ignored.  The result — e.g. mean
-    observed ``wal-commit`` (fsync) or ``migration`` (setup+transfer)
-    wall seconds — is what a calibration pass feeds back into the sim
-    :class:`~repro.flow.cost.CostModel` prices.
-    """
-    groups: Dict[str, List[float]] = defaultdict(list)
-    for span in spans:
-        wall_start = span.get("wall_start")
-        wall_end = span.get("wall_end")
-        if wall_start is None or wall_end is None:
-            continue
-        groups[span["name"]].append(wall_end - wall_start)
-    return {name: {
-        "count": len(walls),
-        "mean": sum(walls) / len(walls),
-        "p50": percentile(walls, 0.50),
-        "p99": percentile(walls, 0.99),
-    } for name, walls in sorted(groups.items())}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI: print timelines + breakdowns for a JSONL trace file."""
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -250,6 +218,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             wanted = rest.pop(0)
         elif flag == "--by" and rest:
             by = rest.pop(0)
+            if by not in _BREAKDOWN_KEYS:
+                print(f"unknown --by key {by!r}; one of "
+                      f"{', '.join(sorted(_BREAKDOWN_KEYS))}", file=sys.stderr)
+                return 2
         else:
             print(f"unknown argument {flag!r}", file=sys.stderr)
             return 2
@@ -267,12 +239,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{key:<28} n={stats['count']:<7} total={stats['total']:.6f} "
               f"mean={stats['mean']:.6f} p50={stats['p50']:.6f} "
               f"p99={stats['p99']:.6f}")
-    costs = observed_costs(spans)
-    if costs:
-        print("\n== observed wall-clock costs (realtime spans) ==")
-        for name, stats in costs.items():
-            print(f"{name:<28} n={stats['count']:<7} "
-                  f"mean={stats['mean']:.6f}s p99={stats['p99']:.6f}s")
     return 0
 
 

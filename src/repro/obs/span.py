@@ -2,14 +2,13 @@
 
 A *span* covers one operation — an FT hop, a WAL group commit, a fabric
 flush, a shard handoff, an agent migration — with a start/end in
-simulated time, optional wall-clock stamps (realtime backend), and
-parent/child causality inside a *trace*.
+simulated time and parent/child causality inside a *trace*.
 
 Identity is **content-derived and deterministic**: a span id is
 ``"{trace_id}/{name}#{key}"`` where the key comes from semantic state
 that is identical on every execution backend (hop sequence numbers,
-site names, per-engine event-order counters).  Wall times and
-process-local object ids never leak into identity, which is what lets the
+site names, per-engine event-order counters).  Process-local object
+ids never leak into identity, which is what lets the
 property suite assert *identical span trees* across
 ``shard_backend=inproc|process``.
 
@@ -52,16 +51,13 @@ class Span:
     """One timed operation.  Mutable until finished, then emitted to a sink."""
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "kind", "site",
-                 "source", "destination", "start", "end", "attrs",
-                 "wall_start", "wall_end")
+                 "source", "destination", "start", "end", "attrs")
 
     def __init__(self, trace_id: str, sid: str, name: str,
                  parent_id: Optional[str] = None, kind: str = "",
                  site: str = "", source: str = "", destination: str = "",
                  start: float = 0.0, end: Optional[float] = None,
-                 attrs: Optional[Dict[str, Any]] = None,
-                 wall_start: Optional[float] = None,
-                 wall_end: Optional[float] = None):
+                 attrs: Optional[Dict[str, Any]] = None):
         self.trace_id = trace_id
         self.span_id = sid
         self.parent_id = parent_id
@@ -73,8 +69,6 @@ class Span:
         self.start = start
         self.end = end
         self.attrs = attrs
-        self.wall_start = wall_start
-        self.wall_end = wall_end
 
     @property
     def duration(self) -> float:
@@ -101,10 +95,6 @@ class Span:
             out["destination"] = self.destination
         if self.attrs:
             out["attrs"] = dict(self.attrs)
-        if self.wall_start is not None:
-            out["wall_start"] = self.wall_start
-        if self.wall_end is not None:
-            out["wall_end"] = self.wall_end
         return out
 
     def __repr__(self) -> str:

@@ -15,7 +15,7 @@ the same event sequence on every backend (the PR 7 invariant).
 from __future__ import annotations
 
 import zlib
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.obs.sinks import RingSink
 from repro.obs.span import Span, span_id
@@ -29,17 +29,14 @@ _SAMPLE_SPACE = float(2 ** 32)
 class Tracer:
     """Records spans for one kernel (one engine, or the classic kernel)."""
 
-    __slots__ = ("clock", "sink", "sample", "wall_timer", "active", "_seq")
+    __slots__ = ("clock", "sink", "sample", "active", "_seq")
 
     def __init__(self, clock=None, sink=None, sample: float = 1.0,
-                 wall_timer: Optional[Callable[[], float]] = None,
                  enabled: bool = True):
         #: anything with a ``.now`` attribute (the kernel's event loop)
         self.clock = clock
         self.sink = sink if sink is not None else RingSink()
         self.sample = float(sample)
-        #: when set (realtime backend) spans get wall_start / wall_end stamps
-        self.wall_timer = wall_timer
         #: the one-attribute hot-path guard (a plain attribute: the kernel
         #: reads it ten times per courier life with tracing off)
         self.active = bool(enabled)
@@ -74,20 +71,15 @@ class Tracer:
               source: str = "", destination: str = "",
               attrs: Optional[Dict[str, Any]] = None) -> Span:
         """Open a span now; finish it with :meth:`finish`."""
-        span = Span(trace_id, span_id(trace_id, name, key), name,
+        return Span(trace_id, span_id(trace_id, name, key), name,
                     parent_id=parent_id, kind=kind, site=site, source=source,
                     destination=destination,
                     start=self.clock.now if self.clock is not None else 0.0,
                     attrs=attrs)
-        if self.wall_timer is not None:
-            span.wall_start = self.wall_timer()
-        return span
 
     def finish(self, span: Span, **attrs: Any) -> Span:
         """Close *span* now and emit it to the sink."""
         span.end = self.clock.now if self.clock is not None else span.start
-        if self.wall_timer is not None:
-            span.wall_end = self.wall_timer()
         if attrs:
             if span.attrs is None:
                 span.attrs = attrs
@@ -106,9 +98,6 @@ class Tracer:
                     parent_id=parent_id, kind=kind, site=site, source=source,
                     destination=destination, start=start,
                     end=start if end is None else end, attrs=attrs)
-        if self.wall_timer is not None:
-            span.wall_end = self.wall_timer()
-            span.wall_start = span.wall_end
         self.sink.emit(span.to_dict())
         return span
 

@@ -35,14 +35,16 @@ the site refuses traffic.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import StoreError
-from repro.core.timing import Scheduler
 from repro.store.policy import DurabilityPolicy, StoreCosts
 from repro.store.snapshot import (CabinetImage, capture_cabinet, capture_folder,
                                   image_folder_count, restore_cabinet)
-from repro.store.wal import WalSink, WriteAheadLog, apply_states
+from repro.store.wal import WriteAheadLog, apply_states
+
+if TYPE_CHECKING:  # a runtime import cycles back through repro.core.engine
+    from repro.net.simclock import Event, EventLoop
 
 __all__ = ["SiteStore"]
 
@@ -53,19 +55,15 @@ Capture = Tuple[str, str, Optional[Tuple[bytes, ...]]]
 class SiteStore:
     """Durable storage for one site's file cabinets."""
 
-    def __init__(self, site, loop: Scheduler, policy: DurabilityPolicy,
+    def __init__(self, site, loop: "EventLoop", policy: DurabilityPolicy,
                  costs: StoreCosts, stats,
                  log_event: Optional[Callable[[str, str, str], None]] = None,
-                 sink: Optional[WalSink] = None, obs=None):
+                 obs=None):
         if not policy.durable:
             raise StoreError("a SiteStore needs a durable policy; "
                              "policy 'none' builds no stores")
         self.site = site
-        #: any Scheduler: the sim EventLoop or the realtime AsyncioScheduler
         self.loop = loop
-        #: where committed records additionally land (no-op under sim;
-        #: a real fsynced file under realtime with store_realtime_dir)
-        self.sink = sink if sink is not None else WalSink()
         self.policy = policy
         self.costs = costs
         self.stats = stats
@@ -83,11 +81,11 @@ class SiteStore:
 
         #: (cabinet, folder) pairs mutated since the last capture, in order
         self._dirty: Dict[Tuple[str, str], None] = {}
-        self._commit_event = None
+        self._commit_event: Optional["Event"] = None
         #: captures whose batched write+fsync is still in progress
         self._inflight: Optional[List[Capture]] = None
         self._inflight_done_at = 0.0
-        self._finalize_event = None
+        self._finalize_event: Optional["Event"] = None
         #: monotonic journal position: bumped per mutation; a capture
         #: records the position it covers, and _durable_through advances
         #: when its sync completes — the exact predicate behind barriers
@@ -270,7 +268,6 @@ class SiteStore:
             self.obs.finish(self._obs_sync_span, status="committed")
             self._obs_sync_span = None
         self._durable_through = self._inflight_through
-        self.sink.commit(records)
         self.stats.record_wal_commit(
             len(records), sum(record.size_bytes for record in records))
         self._maybe_compact()
@@ -477,10 +474,6 @@ class SiteStore:
         self.stats.record_recovery(self._recovery_delay, restored,
                                    folders_lost=max(0, expected - restored))
         return restored
-
-    def close(self) -> None:
-        """Release the WAL sink's resources (idempotent; kernel-driven)."""
-        self.sink.close()
 
     # ------------------------------------------------------------------
     # introspection

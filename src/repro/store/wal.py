@@ -19,9 +19,9 @@ committed states into base images (see :mod:`repro.store.snapshot`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["WalRecord", "WalSink", "WriteAheadLog", "apply_states"]
+__all__ = ["WalRecord", "WriteAheadLog", "apply_states"]
 
 #: a collapsed per-folder state map: (cabinet, folder) -> elements (None = deleted)
 FolderStates = Dict[Tuple[str, str], Optional[Tuple[bytes, ...]]]
@@ -66,31 +66,12 @@ class WalRecord:
                 f"{self.size_bytes}B @ {self.committed_at:.4f})")
 
 
-class WalSink:
-    """Where committed redo records additionally land, beyond the logical log.
-
-    The base class is the no-op used by the sim backend: commits are
-    priced by the cost model, nothing touches the filesystem.  The
-    realtime backend substitutes :class:`repro.rt.FileWalSink`, which
-    appends each group commit to a real file and pays a real ``fsync``.
-    The sink is a write-only mirror — recovery always replays the
-    logical :class:`WriteAheadLog`, so swapping sinks can never change
-    crash/recovery semantics.
-    """
-
-    def commit(self, records: Sequence["WalRecord"]) -> None:
-        """One group commit's records became durable."""
-
-    def close(self) -> None:
-        """Release any held resources; idempotent."""
-
-
 class WriteAheadLog:
     """One site's committed redo state: the last state per folder, since
     replay reads nothing else, plus the records and payload bytes committed
     since the last fold, which price recovery and trigger compaction.
     :meth:`commit` still returns a :class:`WalRecord` per captured folder,
-    for the sink and the stats."""
+    for the stats."""
 
     def __init__(self) -> None:
         #: (cabinet, folder) -> last committed elements (None = deleted)

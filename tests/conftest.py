@@ -16,13 +16,6 @@ settings.register_profile("repro", deadline=None)
 settings.load_profile("repro")
 
 
-def pytest_configure(config) -> None:
-    config.addinivalue_line(
-        "markers",
-        "realtime: runs the wall-clock backend (real sleeps; select with "
-        "-m realtime, skip with -m 'not realtime')")
-
-
 @pytest.fixture
 def lan_kernel() -> Kernel:
     """A 4-site fully connected LAN kernel with the standard system agents."""

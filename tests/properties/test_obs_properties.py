@@ -131,27 +131,3 @@ def test_process_backend_yields_identical_span_trees():
     assert agent_spans(process) == agent_spans(inproc)
     assert tree_shapes(process) == tree_shapes(inproc)
 
-
-def test_realtime_spans_carry_monotonic_wall_timestamps():
-    """Under ``backend="realtime"`` every span gets wall stamps, closed in
-    emission order — the raw material for feeding observed latencies back
-    into the sim cost model."""
-    kernel = Kernel(lan(["a", "b"], latency=0.002),
-                    config=KernelConfig(backend="realtime",
-                                        obs_enabled=True))
-    kernel.install_agent(None, "obs_collector", obs_collector)
-    briefcase = Briefcase()
-    briefcase.folder("ITINERARY", create=True).push("b")
-    briefcase.set("SINK", "b")
-    kernel.launch("a", "obs_fanin", briefcase)
-    kernel.run(until=2.0)
-    spans = kernel.obs.sink.export()   # raw ring: emission order
-    kernel.close()
-    assert spans, "realtime run recorded no spans"
-    assert {"launch", "run", "migration"} <= {span["name"] for span in spans}
-    for span in spans:
-        assert span.get("wall_end") is not None, span["span_id"]
-        wall_start = span.get("wall_start", span["wall_end"])
-        assert span["wall_end"] >= wall_start, span["span_id"]
-    emitted = [span["wall_end"] for span in spans]
-    assert emitted == sorted(emitted), "spans must close in wall order"

@@ -15,23 +15,14 @@ scheduled as one shared bound method plus an ``args`` tuple naming the event
 third as a closure with no ``args``, and what a firing records is what its
 callback *received* — so an event fired with another's arguments, or a
 cancelled one fired at all, breaks the agreement.
-
-The same programs run against :class:`~repro.rt.AsyncioScheduler` with an
-injected fake timer (and a fake ``asyncio.sleep`` that advances it), which
-inherits the heap and ``step()`` and brings its own ``run``/``run_until``.
 """
 
 from __future__ import annotations
 
-import asyncio
-from unittest import mock
-
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net.simclock import EventLoop
-from repro.rt import AsyncioScheduler
 
 # Dyadic delays: sums stay exact in floating point, and ties are frequent.
 delays = st.integers(min_value=0, max_value=16).map(lambda n: n * 0.125)
@@ -275,35 +266,3 @@ def test_run_run_until_and_step_agree_event_for_event(program):
     assert (by_run.loop.processed == by_step.loop.processed
             == by_horizon.loop.processed == len(by_run.fired))
 
-
-class FakeTimer:
-    """A wall clock that only moves when something (fake-)sleeps."""
-
-    def __init__(self):
-        self.seconds = 0.0
-
-    def __call__(self) -> float:
-        return self.seconds
-
-    async def sleep(self, duration: float) -> None:
-        self.seconds += duration
-
-
-@pytest.mark.realtime
-@settings(max_examples=60)
-@given(st.lists(operations, max_size=30))
-@example(COMPACTING)
-def test_asyncio_scheduler_matches_the_same_model(program):
-    timer = FakeTimer()
-    scheduler = AsyncioScheduler(timer=timer)
-    model, subject = Model(), Subject(scheduler)
-    try:
-        with mock.patch.object(asyncio, "sleep", timer.sleep):
-            for operation in program:
-                apply(model, subject, operation)
-                check(model, subject)
-            scheduler.run()
-            model.drain(float("inf"), None)
-            check(model, subject)
-    finally:
-        scheduler.close()

@@ -5,10 +5,6 @@ each folder, plus the record count and payload bytes since the last fold.
 Whatever sequence of commits, deletions and folds it sees, it must answer
 exactly what a log that kept every record answers; the list-of-records
 model below is that reference, and ``src/`` no longer has it.
-
-The on-disk mirror is checked against the same states: a ``FileWalSink``
-file read back and collapsed last-wins is the logical log, and a file cut
-at any byte reads back as a prefix of the committed records.
 """
 
 from __future__ import annotations
@@ -18,7 +14,6 @@ from typing import Dict, List, Optional, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rt import FileWalSink, read_wal_file
 from repro.store import WriteAheadLog
 from repro.store.wal import WalRecord, apply_states
 
@@ -94,35 +89,3 @@ def test_replay_states_is_a_copy():
     wal.replay_states().clear()
     assert wal.replay_states() == {("cab", "f"): (b"one",)}
 
-
-COMMITS = [
-    [("cab", "f1", (b"a" * 40,)), ("cab", "f2", (b"b", b"c"))],
-    [("cab", "f1", None)],
-    [("cab", "f2", (b"d" * 100,)), ("other", "f1", ())],
-    [("cab", "f1", (b"e",)), ("other", "f1", (b"f" * 7, b"g"))],
-]
-
-
-def test_a_wal_file_reads_back_as_the_logical_log_and_tears_to_a_record_prefix(tmp_path):
-    path = tmp_path / "site.wal"
-    wal, sink, committed = WriteAheadLog(), FileWalSink(str(path), fsync=False), []
-    for at, batch in enumerate(COMMITS):
-        records = wal.commit(batch, at=float(at))
-        sink.commit(records)
-        committed.extend(records)
-    sink.close()
-
-    assert list(map(as_tuple, read_wal_file(str(path)))) == list(map(as_tuple, committed))
-    assert collapse(read_wal_file(str(path))) == wal.replay_states()
-
-    data = path.read_bytes()
-    torn = tmp_path / "torn.wal"
-    longest = 0
-    for cut in range(len(data) + 1):
-        torn.write_bytes(data[:cut])
-        read = read_wal_file(str(torn))
-        assert list(map(as_tuple, read)) == list(map(as_tuple, committed[:len(read)]))
-        assert len(read) >= longest     # a longer file never loses a record
-        longest = len(read)
-        assert collapse(read) == collapse(committed[:len(read)])
-    assert longest == len(committed)

@@ -13,7 +13,7 @@ holds ``tests/``, so this module imports there as ``scenarios`` too.
   bytes;
 * **high population**: waves of short agents, each placed on the least
   loaded site;
-* **agent churn** and **courier fan-in**: the sim-vs-realtime parity runs;
+* **courier fan-in**: every sender couriers its reports to one hub;
 * **sharded churn**: couriers whose reports cross shard boundaries;
 * **failing agents**: behaviours that make a burst, a worker or a reply fail,
   for the error paths of the shard backends.
@@ -30,7 +30,6 @@ from typing import List, Sequence
 from repro.core import Briefcase, Folder, Kernel, KernelConfig
 from repro.core.registry import register_behaviour
 from repro.core.syscalls import Sleep
-from repro.core.timing import default_timer
 from repro.net import lan, ring, star, two_clusters
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "examples")
@@ -380,48 +379,20 @@ def high_population(*, n_sites: int, n_agents: int, wave_size: int, work_seconds
     return kernel, max(placements.values()) - min(placements.values()), peak, probes
 
 
-def agent_churn(*, backend: str, n_sites: int, n_agents: int, wave_size: int,
-                work_seconds: float, ballast_bytes: int, retention: str, seed: int):
-    """Waves of short agents carrying *ballast_bytes*, each wave drained before
-    the next; returns the (closed) kernel and, per wave, ``(launched,
-    ledger entries retained)``."""
-    sites = [f"churn{i:02d}" for i in range(n_sites)]
-    checkpoints = []
-    with Kernel(lan(sites), transport="tcp",
-                config=KernelConfig(rng_seed=seed, retention=retention,
-                                    backend=backend)) as kernel:
-        for start in range(0, n_agents, wave_size):
-            requests = []
-            for slot in range(start, min(start + wave_size, n_agents)):
-                briefcase = Briefcase()
-                briefcase.set("WORK", work_seconds)
-                briefcase.set("BALLAST", b"\0" * ballast_bytes)
-                requests.append((sites[slot % n_sites], worker, briefcase))
-            kernel.launch_many(requests)
-            kernel.run()
-            checkpoints.append((kernel.launched, len(kernel.table)))
-    return kernel, checkpoints
-
-
-def courier_fan_in(*, backend: str, n_senders: int, deliveries_per_sender: int,
-                   payload_bytes: int, link_latency: float, batch_window: float = 0.0,
-                   seed: int = 23):
+def courier_fan_in(*, n_senders: int, deliveries_per_sender: int,
+                   payload_bytes: int, link_latency: float, seed: int = 23):
     """Every sender couriers its reports to the sink at ``hub``; returns the
-    (closed) kernel, the events run and the wall seconds ``run()`` took (under
-    ``backend="realtime"`` the link latencies really elapse)."""
+    (closed) kernel and the events run."""
     senders = [f"sender{i:02d}" for i in range(n_senders)]
     with Kernel(star("hub", senders, latency=link_latency, bandwidth=250_000.0),
                 transport="tcp",
-                config=KernelConfig(rng_seed=seed, backend=backend,
-                                    delivery_batch_window=batch_window)) as kernel:
+                config=KernelConfig(rng_seed=seed)) as kernel:
         kernel.install_agent("hub", SINK_NAME, report_sink)
         for site in senders:
             kernel.launch(site, COURIER_NAME, courier_briefcase(
                 "hub", count=deliveries_per_sender, payload_bytes=payload_bytes))
-        start = default_timer()
         events = kernel.run()
-        wall = default_timer() - start
-    return kernel, events, wall
+    return kernel, events
 
 
 def sharded_churn(*, shards: int, backend: str, n_sites: int, n_agents: int,

@@ -128,9 +128,8 @@ class TestItineraries:
 
 class TestCouriers:
     def test_the_hub_sink_files_every_report_with_its_sender(self):
-        kernel, events, _wall = courier_fan_in(backend="sim", n_senders=3,
-                                               deliveries_per_sender=4, payload_bytes=32,
-                                               link_latency=0.002)
+        kernel, events = courier_fan_in(n_senders=3, deliveries_per_sender=4,
+                                        payload_bytes=32, link_latency=0.002)
         received = kernel.site("hub").cabinet(MAIL_CABINET).elements("received")
         assert sorted(report["from"] for report in received) == sorted(
             f"sender{index:02d}" for index in range(3) for _ in range(4))

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import Briefcase, Kernel, KernelConfig
 from repro.core.agent import AgentState
+from repro.core.engine import SPAWN_OVERHEAD, TRANSMIT_OVERHEAD
 from repro.core.errors import (KernelError, MeetError, SyscallError, UnknownAgentError,
                                UnknownSiteError)
 from repro.core.syscalls import Meet, Sleep, Syscall, Terminate
@@ -198,6 +199,43 @@ class TestSyscalls:
         assert kernel.result_of(child_id) == "child-done"
         assert child_results == [7]
         assert child_id in kernel.agent(parent_id).children
+
+    def test_spawned_child_starts_spawn_overhead_after_the_request(self, kernel):
+        marks = {}
+
+        def child(ctx, bc):
+            marks["child"] = ctx.now
+            yield ctx.sleep(0)
+
+        def parent(ctx, bc):
+            marks["asked"] = ctx.now
+            yield ctx.spawn(child)
+            marks["resumed"] = ctx.now
+
+        kernel.launch("a", parent)
+        kernel.run()
+        assert marks["child"] - marks["asked"] == pytest.approx(SPAWN_OVERHEAD)
+        assert marks["resumed"] - marks["asked"] == pytest.approx(
+            kernel.config.step_cost)
+
+    def test_transmit_resumes_the_sender_after_transmit_overhead(self, kernel):
+        marks = {}
+
+        def receiver(ctx, bc):
+            yield ctx.sleep(0)
+
+        def sender(ctx, bc):
+            marks["asked"] = ctx.now
+            accepted = yield ctx.transmit("b", "receiver", Briefcase())
+            marks["resumed"] = ctx.now
+            return accepted
+
+        kernel.install_agent("b", "receiver", receiver)
+        sender_id = kernel.launch("a", sender, system=True)
+        kernel.run()
+        assert kernel.result_of(sender_id)
+        assert marks["resumed"] - marks["asked"] == pytest.approx(
+            TRANSMIT_OVERHEAD + kernel.config.step_cost)
 
     def test_spawn_by_unknown_name_delivers_error_to_parent(self, kernel):
         def parent(ctx, bc):
@@ -749,7 +787,8 @@ class TestKernelContextManager:
         with pytest.raises(RuntimeError, match="boom"):
             with kernel:
                 raise RuntimeError("boom")
-        assert kernel.store("a").sink is not None  # close ran without error
+        with pytest.raises(KernelError, match="kernel is closed"):
+            kernel.run()
 
 
 def _noop_behaviour(ctx, briefcase):

@@ -1,9 +1,9 @@
 """Unit tests for repro.obs: spans, tracers, sinks, metrics, report.
 
-The cross-backend span-tree parity and realtime wall-stamp invariants
-live in ``tests/properties/test_obs_properties.py``; this file pins the
-building blocks — deterministic identity, bounded sinks, the registry's
-named sources, and the report analyzer's reconstruction primitives.
+The cross-backend span-tree parity invariants live in
+``tests/properties/test_obs_properties.py``; this file pins the building
+blocks — deterministic identity, bounded sinks, the registry's named
+sources, and the report analyzer's reconstruction primitives and CLI.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from repro.core import Briefcase, Kernel, KernelConfig
 from repro.net import lan
 from repro.obs import (JsonlSink, MetricsRegistry, RingSink, TeeSink, Tracer,
                        infra_trace_id, span_id)
-from repro.obs.report import (breakdown, build_trees, hop_timeline, load_trace,
-                              percentile, trace_ids)
+from repro.obs.report import (breakdown, build_trees, format_timeline, hop_timeline,
+                              load_trace, main, percentile, trace_ids)
 from scenarios import COURIER_NAME, SINK_NAME, courier_briefcase, report_sink
 
 
@@ -77,15 +77,6 @@ def test_sampling_is_deterministic_and_roughly_proportional():
     assert 0.10 < len(kept) / len(ids) < 0.40
     assert all(Tracer(sample=1.0).sampled(tid) for tid in ids)
     assert not any(Tracer(sample=0.0).sampled(tid) for tid in ids)
-
-
-def test_wall_timer_stamps_start_and_end():
-    ticks = iter([10.0, 11.0])
-    tracer = Tracer(clock=FakeClock(), wall_timer=lambda: next(ticks))
-    span = tracer.begin("t", "work", "k")
-    tracer.finish(span)
-    [exported] = tracer.export()
-    assert exported["wall_start"] == 10.0 and exported["wall_end"] == 11.0
 
 
 # -- sinks ------------------------------------------------------------------
@@ -335,6 +326,146 @@ def test_dump_trace_matches_live_jsonl(tmp_path):
         written = [json.loads(line) for line in handle if line.strip()]
     assert [span["span_id"] for span in written] == \
         [span["span_id"] for span in live]
+
+
+def _migration_trace(tmp_path) -> str:
+    """A JSONL trace of one traced migration, written live by a sim kernel."""
+    path = str(tmp_path / "trace.jsonl")
+    kernel = Kernel(lan(["a", "b"]),
+                    config=KernelConfig(obs_enabled=True, obs_path=path))
+    briefcase = Briefcase()
+    briefcase.set("DEST", "b")
+    kernel.launch("a", visitor, briefcase)
+    kernel.run()
+    kernel.close()
+    return path
+
+
+def test_report_cli_prints_timelines_and_breakdowns(tmp_path, capsys):
+    path = _migration_trace(tmp_path)
+    spans = load_trace(path)
+    [trace] = trace_ids(spans)
+
+    assert main([path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"{len(spans)} spans in {path}\n")
+    assert f"== trace {trace} ({len(spans)} spans) ==" in out
+    assert "== breakdown by subsystem (sim seconds) ==" in out
+
+    assert main([path, "--by", "name"]) == 0
+    out = capsys.readouterr().out
+    assert "== breakdown by name (sim seconds) ==" in out
+    for name in ("launch", "migration", "run"):
+        assert any(line.startswith(name + " ") for line in out.splitlines()), name
+
+
+def test_report_cli_rejects_an_unknown_breakdown_key_before_printing(tmp_path, capsys):
+    path = _migration_trace(tmp_path)
+    assert main([path, "--by", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'bogus'" in captured.err
+    assert "name, pair, site, subsystem" in captured.err
+
+
+def test_report_cli_without_arguments_prints_usage_and_fails(capsys):
+    assert main([]) == 2
+    assert capsys.readouterr().out.startswith("usage: python -m repro.obs.report")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_report_cli_help_prints_usage_and_succeeds(flag, capsys):
+    assert main([flag]) == 0
+    assert capsys.readouterr().out.startswith("usage: python -m repro.obs.report")
+
+
+@pytest.mark.parametrize("extra, bad", [
+    (["--frobnicate"], "--frobnicate"),
+    (["--by"], "--by"),          # a flag missing its value
+    (["--trace"], "--trace"),
+    (["other.jsonl"], "other.jsonl"),
+], ids=["unknown-flag", "by-without-key", "trace-without-id", "second-path"])
+def test_report_cli_rejects_malformed_arguments_before_reading(extra, bad, capsys):
+    # The trace path does not exist: arguments are checked before it is read.
+    assert main(["missing.jsonl", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown argument {bad!r}" in captured.err
+
+
+@pytest.mark.parametrize("by", ["pair", "subsystem", "name", "site"])
+def test_report_cli_prints_one_row_per_breakdown_key(by, tmp_path, capsys):
+    path = _migration_trace(tmp_path)
+    expected = breakdown(load_trace(path), by=by)
+    assert expected, f"the migration trace has no {by!r} keys"
+    assert main([path, "--by", by]) == 0
+    section = capsys.readouterr().out.split(
+        f"== breakdown by {by} (sim seconds) ==\n", 1)[1]
+    rows = section.splitlines()
+    assert [row.split()[0] for row in rows] == list(expected)
+    for row, stats in zip(rows, expected.values()):
+        assert f"n={stats['count']} " in row
+
+
+def test_report_cli_trace_flag_prints_only_that_trace(tmp_path, capsys):
+    path = _migration_trace(tmp_path)
+    spans = load_trace(path)
+    infra = sorted(set(trace_ids(spans, include_infra=True)) - set(trace_ids(spans)))
+    [agent_trace] = trace_ids(spans)
+    wanted = infra[0] if infra else agent_trace
+    assert main([path, "--trace", wanted]) == 0
+    out = capsys.readouterr().out
+    headers = [line for line in out.splitlines() if line.startswith("== trace ")]
+    count = sum(1 for span in spans if span["trace_id"] == wanted)
+    assert headers == [f"== trace {wanted} ({count} spans) =="]
+
+
+def test_report_cli_unknown_trace_prints_no_timeline(tmp_path, capsys):
+    path = _migration_trace(tmp_path)
+    assert main([path, "--trace", "no-such-trace"]) == 0
+    out = capsys.readouterr().out
+    assert "== trace " not in out
+    assert "== breakdown by subsystem (sim seconds) ==" in out
+
+
+def test_format_timeline_renders_depth_route_and_attrs():
+    root = _span("t", "launch", "root", site="a")
+    hop = _span("t", "migration", "m1", parent=root["span_id"], start=0.25,
+                end=1.0, source="a", destination="b", attrs={"seq": 2, "bytes": 9})
+    lines = format_timeline(hop_timeline([root, hop], "t")).splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("    0.000000s  launch")
+    assert " a " in lines[0] and lines[0].endswith("+0.000000s")
+    assert lines[1].startswith("      0.250000s  migration")   # indented one level
+    assert "a->b" in lines[1]
+    assert lines[1].endswith("+0.750000s bytes=9 seq=2")       # attrs sorted by key
+
+
+def test_hop_timeline_rows_carry_only_sim_time_fields():
+    root = _span("t", "launch", "root", site="a")
+    hop = _span("t", "migration", "m1", parent=root["span_id"], start=0.5,
+                end=2.0, source="a", destination="b", attrs={"seq": 1})
+    base = {"depth", "name", "span_id", "parent_id", "site", "start", "end",
+            "duration"}
+    root_row, hop_row = hop_timeline([hop, root], "t")
+    assert set(root_row) == base
+    assert set(hop_row) == base | {"source", "destination", "attrs"}
+
+
+def test_span_dicts_carry_only_sim_time_fields():
+    tracer = Tracer(clock=FakeClock(3.0))
+    span = tracer.begin("t", "work", "k", site="a")
+    assert set(span.to_dict()) == {"trace_id", "span_id", "parent_id", "name",
+                                   "kind", "site", "start", "end"}
+    assert span.to_dict()["end"] == 3.0    # unfinished: end reads as start
+    assert span.duration == 0.0
+
+
+def test_kernel_metrics_read_only_simulated_sources():
+    kernel = Kernel(lan(["a", "b"]), transport="tcp")
+    engine, = kernel._engines
+    assert list(engine.metrics._sources) == ["net", "flow", "transport"]
+    kernel.close()
 
 
 def test_ft_itinerary_reconstructs_from_one_jsonl_dump(tmp_path):

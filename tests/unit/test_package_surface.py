@@ -111,15 +111,13 @@ def test_error_hierarchy_has_a_single_root():
 #: every KernelConfig field, in declaration order.  A new knob means editing
 #: this list: the field count is one of the size numbers kept going down.
 KERNEL_CONFIG_FIELDS = [
-    "step_cost", "meet_overhead", "spawn_overhead", "transmit_overhead",
-    "max_agent_steps", "rng_seed", "retention",
+    "step_cost", "meet_overhead", "max_agent_steps", "rng_seed", "retention",
     "delivery_batch_window", "flow_window_min", "flow_window_max",
     "flow_target_batch",
     "durability", "store_write_latency", "store_write_byte_latency",
-    "store_fsync_latency", "store_commit_window", "store_replay_latency",
+    "store_fsync_latency", "store_commit_window",
     "store_recovery_base", "store_snapshot_threshold",
-    "shards", "shard_placement", "shard_backend", "backend",
-    "store_realtime_dir",
+    "shards", "shard_placement", "shard_backend",
     "obs_enabled", "obs_sample", "obs_ring", "obs_path",
 ]
 
@@ -127,6 +125,21 @@ KERNEL_CONFIG_FIELDS = [
 def test_kernel_config_fields_are_exactly_the_listed_knobs():
     from repro.core import KernelConfig
     assert [spec.name for spec in dataclasses.fields(KernelConfig)] == KERNEL_CONFIG_FIELDS
+
+
+#: knobs that were retired: the realtime backend's two, and three costs no
+#: caller ever set (now ``engine.SPAWN_OVERHEAD``, ``engine.TRANSMIT_OVERHEAD``
+#: and ``StoreCosts.replay_latency``).
+RETIRED_KERNEL_CONFIG_FIELDS = ["backend", "store_realtime_dir", "spawn_overhead",
+                                "transmit_overhead", "store_replay_latency"]
+
+
+@pytest.mark.parametrize("knob", RETIRED_KERNEL_CONFIG_FIELDS)
+def test_a_retired_knob_is_refused_not_ignored(knob):
+    from repro.core import KernelConfig
+    assert knob not in KERNEL_CONFIG_FIELDS
+    with pytest.raises(TypeError, match=knob):
+        KernelConfig(**{knob: None})
 
 
 REPO = pathlib.Path(__file__).resolve().parents[2]

@@ -9,6 +9,7 @@ from repro.core.errors import StoreError
 from repro.net import lan
 from repro.store import (FlushOnDemand, NoDurability, WalGroupCommit, WriteAheadLog,
                          resolve_policy)
+from repro.store.policy import StoreCosts
 
 
 def make_kernel(policy="wal-group-commit", **knobs):
@@ -131,6 +132,24 @@ class TestCrashRecovery:
         assert kernel.stats.recoveries == 1
         assert kernel.stats.recovery_seconds > 0
         assert kernel.stats.durable_folders_restored >= 1
+
+    def test_replay_charges_replay_latency_per_committed_record(self):
+        def recovery_seconds(folders):
+            kernel = make_kernel(store_commit_window=0.1, store_recovery_base=1.0)
+            kernel.make_durable("m", sites=["a"])
+            for index in range(folders):
+                kernel.site("a").cabinet("m").put(f"f{index}", index)
+            kernel.run(until=1.0)
+            assert len(kernel.store("a").wal) == folders
+            kernel.crash_site("a")
+            kernel.recover_site("a")
+            kernel.run(until=10.0)
+            return kernel.stats.recovery_seconds
+
+        per_record = StoreCosts().replay_latency
+        assert per_record == 0.0005
+        assert recovery_seconds(1) == pytest.approx(1.0 + per_record)
+        assert recovery_seconds(4) == pytest.approx(1.0 + 4 * per_record)
 
     def test_site_refuses_traffic_while_replaying(self):
         kernel = make_kernel(store_commit_window=0.1,
