@@ -23,8 +23,9 @@ on *other* shards, then shows the two properties that matter:
 * **equivalence** — the same workload under ``shards=1`` produces exactly
   the same counters (sharding changes where events run, never what
   happens), and
-* **telemetry** — per-shard busy time, sync rounds, and cross-shard
-  handoff counts from ``kernel.shard_set`` and ``kernel.stats``.
+* **telemetry** — per-engine event counts, sync rounds, and cross-shard
+  handoff counts from ``kernel.engines``, ``kernel.shard_summary()`` and
+  ``kernel.stats``.
 
 Run with::
 
@@ -88,20 +89,19 @@ def main() -> None:
               f"{N_COURIERS} couriers, "
               f"every report crossing a rack (= shard) boundary\n")
 
-        print("Per-shard telemetry (kernel.shard_set):")
-        for shard in sharded.shard_set.shards:
-            print(f"  shard {shard.shard_id}: {shard.sites} sites, "
-                  f"{shard.events_processed} events, "
-                  f"t={shard.engine.loop.now:.4f}s")
+        print("Per-shard telemetry (kernel.engines):")
+        for engine in sharded.engines:
+            print(f"  shard {engine.shard_id}: {len(engine.sites)} sites, "
+                  f"{engine.loop.processed} events, "
+                  f"t={engine.loop.now:.4f}s")
         snapshot = sharded.stats.snapshot()
-        print(f"  sync rounds: {sharded.shard_set.rounds}, "
+        summary = sharded.shard_summary()
+        print(f"  sync rounds: {summary['rounds']}, "
               f"cross-shard handoffs: {snapshot['shard_handoffs']} "
               f"({snapshot['shard_handoff_bytes']} bytes), "
               f"late arrivals: {snapshot['shard_late_arrivals']} "
               "(always 0: the sync is conservative)")
-        summary = sharded.shard_summary()
         print(f"  shard_summary: backend={summary['backend']}, "
-              f"rounds={summary['rounds']}, "
               f"handoffs_drained={summary['handoffs_drained']}\n")
         sharded_counters = sharded.counters()
 

@@ -7,6 +7,7 @@ as the mailing-list transport), all against a running kernel.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from repro.apps.mail.letter import LETTER_AGENT_NAME, make_letter
@@ -48,8 +49,9 @@ def build_mail_kernel(sites: Optional[Sequence[str]] = None,
                        else ["tromso", "cornell", "sanfrancisco"])
     if config is None:
         config = KernelConfig(rng_seed=11 if seed is None else seed)
-    kernel = Kernel(topology, transport=transport, config=config,
-                    retention=retention)
+    # A copy: the caller's config is left as it was handed in.
+    kernel = Kernel(topology, transport=transport,
+                    config=dataclasses.replace(config, retention=retention))
     kernel.make_durable(MAILBOX_CABINET)   # no-op under policy "none"
     return kernel
 

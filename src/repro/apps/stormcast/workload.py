@@ -88,8 +88,8 @@ def build_stormcast_kernel(params: StormCastParams) -> Kernel:
                               bandwidth=params.link_bandwidth)
     kernel = Kernel(topology, transport=params.transport,
                     config=KernelConfig(rng_seed=params.seed,
-                                        durability=params.durability),
-                    retention=params.retention)
+                                        durability=params.durability,
+                                        retention=params.retention))
     # The measurement record is what a weather service must not lose: the
     # collections/predictions at the hub opt into the durable store
     # (no-ops under policy "none").

@@ -38,7 +38,7 @@ from repro.core.codec import code_element_of, receive_briefcase, wire_size_of
 from repro.core.context import AgentContext
 from repro.core.errors import (KernelError, MeetError, SyscallError, UnknownAgentError,
                                UnknownSiteError)
-from repro.core.lifecycle import AgentTable, RetentionPolicy
+from repro.core.lifecycle import AgentTable
 from repro.core.registry import BehaviourRegistry, default_registry
 from repro.core.site import Site
 from repro.core.syscalls import EndMeet, Meet, MeetResult, Sleep, Spawn, Syscall, Terminate, Transmit
@@ -114,9 +114,9 @@ def record_site(topology: Topology, placement: Optional[Dict[str, int]],
 class LedgerQueries:
     """The read-only queries, defined once over the ledger attributes.
 
-    Everything here reads ``sites``, ``topology``, ``table``,
-    ``metrics``, ``ring``, ``durability`` and the four event counters and
-    nothing else, so it serves an :class:`Engine` (its own ledgers) and the
+    Everything here reads ``sites``, ``topology``, ``table``, ``metrics``,
+    ``ring`` and ``durability`` and nothing else, so it serves an
+    :class:`Engine` (its own ledgers) and the
     :class:`~repro.core.kernel.Kernel` facade (merged views over its
     engines' ledgers — or, with one engine, that engine's) alike.
     """
@@ -177,24 +177,6 @@ class LedgerQueries:
                 handle.write("\n")
         return len(spans)
 
-    def agents_at(self, site_name: str, active_only: bool = True) -> List[AgentInstance]:
-        """Agent instances located at *site_name*.
-
-        The active (default) query reads the site's live resident index —
-        O(residents at the site).  The historical query (``active_only=
-        False``) still scans the full ledger, since terminal agents are
-        dropped from the index the moment they finish.
-        """
-        if active_only:
-            site = self.sites.get(site_name)
-            return site.residents() if site is not None else []
-        return self._agents_at_scan(site_name, active_only=False)
-
-    def _agents_at_scan(self, site_name: str, active_only: bool = True) -> List[AgentInstance]:
-        """Brute-force O(all agents) scan; the reference the index is checked against."""
-        return [agent for agent in self.table.entries.values()
-                if agent.site_name == site_name and (not active_only or not agent.finished)]
-
     def site_load(self, site_name: str) -> float:
         """The load metric of a site (what monitor agents report to brokers)."""
         site = self.site(site_name)
@@ -211,26 +193,6 @@ class LedgerQueries:
         the table's name index and state counters.
         """
         return MappingProxyType(self.table.entries)
-
-    @property
-    def launched(self) -> int:
-        """Total agents ever registered (top-level, meet callees, arrivals)."""
-        return self.table.launched
-
-    @property
-    def completed(self) -> int:
-        """Agents that finished normally."""
-        return self.table.completed
-
-    @property
-    def failed(self) -> int:
-        """Agents whose behaviour raised."""
-        return self.table.failed
-
-    @property
-    def killed(self) -> int:
-        """Agents terminated from outside (crashes, runaway enforcement)."""
-        return self.table.killed
 
     def agent(self, agent_id: str) -> AgentInstance:
         """The instance (or archived record) with the given id."""
@@ -262,20 +224,6 @@ class LedgerQueries:
             raise KernelError(f"agent {agent_id} was killed: {instance.error!r}")
         raise KernelError(f"agent {agent_id} has not finished (state={instance.state})")
 
-    def counters(self) -> Dict[str, int]:
-        """Snapshot of the kernel ledger used by tests and benchmark reports.
-
-        Agent-state counts come from the lifecycle table's O(1) snapshot;
-        nothing here scans agent history.
-        """
-        return {
-            **self.table.state_counts(),
-            "meets": self.meets,
-            "transmits": self.transmits,
-            "arrivals": self.arrivals,
-            "undeliverable": self.undeliverable,
-        }
-
 
 class Engine(LedgerQueries):
     """One event loop, one transport, and the sites placed on them.
@@ -291,7 +239,7 @@ class Engine(LedgerQueries):
     transport:
         ``"rsh"``, ``"tcp"``, ``"horus"``, a Transport subclass, or an
         already-constructed Transport instance.
-    install_system_agents, registry, retention:
+    install_system_agents, registry:
         As on :class:`~repro.core.kernel.Kernel`.
     shard_id, placement:
         With *placement* (site name -> engine id, the facade's live map)
@@ -305,7 +253,6 @@ class Engine(LedgerQueries):
                  transport: Union[str, Transport, type] = "tcp",
                  install_system_agents: bool = True,
                  registry: Optional[BehaviourRegistry] = None,
-                 retention: Union[str, RetentionPolicy, None] = None,
                  shard_id: int = 0,
                  placement: Optional[Dict[str, int]] = None):
         self.config = config
@@ -379,8 +326,7 @@ class Engine(LedgerQueries):
 
         #: the lifecycle ledger: registration, indexes, retention (the
         #: kernel's agent-facing API delegates here)
-        self.table = AgentTable(retention if retention is not None
-                                else self.config.retention)
+        self.table = AgentTable(self.config.retention)
         #: memo for _best_effort_code: deriving a CODE element per
         #: launch/meet/arrival re-ran registry reverse lookups (and raised
         #: exceptions for unregistered callables) on every hot-path call.
@@ -389,10 +335,8 @@ class Engine(LedgerQueries):
         self._code_cache: Dict[Any, Optional[dict]] = {}
         self._code_cache_version = self.registry.version
 
-        # Ledger counters read by experiments and tests.  The agent-state
-        # counters (launched/completed/failed/killed) live in the lifecycle
-        # table and are exposed below as properties; these four are kernel
-        # events the table does not see.
+        # The kernel events the lifecycle table does not see; counters()
+        # reports them beside the table's agent-state counts.
         self.meets = 0
         self.transmits = 0
         self.arrivals = 0
@@ -404,6 +348,17 @@ class Engine(LedgerQueries):
             from repro.sysagents import install_standard_agents
             for site in self.sites.values():
                 install_standard_agents(site)
+
+    def counters(self) -> Dict[str, int]:
+        """Snapshot of this engine's ledger: the lifecycle table's O(1)
+        agent-state counts plus the four event counters."""
+        return {
+            **self.table.state_counts(),
+            "meets": self.meets,
+            "transmits": self.transmits,
+            "arrivals": self.arrivals,
+            "undeliverable": self.undeliverable,
+        }
 
     def _make_tracer(self) -> Tracer:
         """Build this engine's tracer from the ``obs_*`` config knobs.
@@ -448,8 +403,6 @@ class Engine(LedgerQueries):
             write_byte_latency=self.config.store_write_byte_latency,
             fsync_latency=self.config.store_fsync_latency,
             commit_window=self.config.store_commit_window,
-            recovery_base=self.config.store_recovery_base,
-            snapshot_threshold=self.config.store_snapshot_threshold,
         )
         store = SiteStore(site, self.loop, self.durability, costs, self.stats,
                           log_event=self.log_event, obs=self.obs)
@@ -785,7 +738,7 @@ class Engine(LedgerQueries):
         deliver = self.transport._deliver
         for arrival, message in sorted(handoffs, key=itemgetter(0)):
             if arrival < now - PAST_EPSILON:
-                self.stats.record_shard_late_arrival()
+                self.stats.shard_late_arrivals += 1
             loop.schedule_at(max(arrival, now), deliver,
                              ("shard-handoff", message.message_id), (message,))
 
@@ -1258,4 +1211,3 @@ class Engine(LedgerQueries):
         return (f"Engine({self.shard_id}, {len(self.sites)} sites, "
                 f"transport={self.transport.name!r}, "
                 f"agents={len(self.table)}, t={self.loop.now:.4f})")
-

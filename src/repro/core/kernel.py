@@ -60,7 +60,8 @@ class KernelConfig:
     rng_seed: int = 42
     #: terminal-agent retention policy of the lifecycle ledger: "keep-all",
     #: "keep-results", "keep-counts[:N]" or a RetentionPolicy instance (see
-    #: :mod:`repro.core.lifecycle`)
+    #: :mod:`repro.core.lifecycle`).  Each engine enforces it on its own
+    #: table, so keep-counts keeps N terminal agents *per engine*
     retention: Union[str, "RetentionPolicy"] = "keep-all"
     #: delivery-fabric flush window in simulated seconds; 0 disables
     #: batching and preserves one-wire-message-per-folder behaviour
@@ -90,11 +91,6 @@ class KernelConfig:
     #: group-commit window: how long the WAL batches dirty state before
     #: syncing (wal-group-commit only)
     store_commit_window: float = 0.05
-    #: fixed cost of beginning a recovery replay
-    store_recovery_base: float = 0.05
-    #: committed redo records tolerated before compaction folds them into
-    #: the base snapshot images
-    store_snapshot_threshold: int = 256
     #: number of shards the simulation is partitioned into.  1 (default)
     #: runs the classic single event loop; with N > 1 the kernel becomes a
     #: facade over N shard engines advanced under conservative clock sync
@@ -133,6 +129,13 @@ class KernelConfig:
         ``Transport.configure_batching``, the public runtime entry point
         that owns those checks.
         """
+        for name in ("step_cost", "meet_overhead", "store_write_latency",
+                     "store_write_byte_latency", "store_fsync_latency",
+                     "store_commit_window"):
+            # Each is a delay the engine schedules; a negative one would
+            # fail mid-run as "an event in the past" without naming the knob.
+            if getattr(self, name) < 0:
+                raise KernelError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.shards < 1:
             raise KernelError(f"shards must be >= 1, got {self.shards}")
         from repro.shard.backend import BACKENDS
@@ -199,11 +202,6 @@ def _view_of(parts: Sequence, merge: Callable[[Sequence], Any]):
     return parts[0] if len(parts) == 1 else merge(parts)
 
 
-def _summed(name: str, doc: str) -> property:
-    return property(lambda self: sum(getattr(engine, name)
-                                     for engine in self._engines), doc=doc)
-
-
 class Kernel(LedgerQueries):
     """A running TACOMA system: sites + network + agents.
 
@@ -223,17 +221,13 @@ class Kernel(LedgerQueries):
     registry:
         Behaviour registry used to resolve names; defaults to the
         process-wide registry.
-    retention:
-        Terminal-agent retention policy for the lifecycle ledger; overrides
-        ``config.retention`` when given (see :mod:`repro.core.lifecycle`).
     """
 
     def __init__(self, topology: Optional[Topology] = None,
                  transport: Union[str, Transport, type] = "tcp",
                  config: Optional[KernelConfig] = None,
                  install_system_agents: bool = True,
-                 registry: Optional[BehaviourRegistry] = None,
-                 retention: Union[str, RetentionPolicy, None] = None):
+                 registry: Optional[BehaviourRegistry] = None):
         self.config = config or KernelConfig()
         self.config.validate()
         self.topology = topology if topology is not None else lan(["alpha", "beta", "gamma"])
@@ -248,7 +242,7 @@ class Kernel(LedgerQueries):
             #: site name -> id of the engine hosting it (live: add_site grows it)
             self._placement: Dict[str, int] = dict.fromkeys(self.topology.sites(), 0)
             engines = [Engine(self.topology, self.config, transport,
-                              install_system_agents, self.registry, retention)]
+                              install_system_agents, self.registry)]
             self.obs = engines[0].obs
         else:
             from repro.shard import (ClockSync, Shard, ShardSet, build_engines,
@@ -262,7 +256,7 @@ class Kernel(LedgerQueries):
                 self.config.shard_placement)
             engines, backend = build_engines(
                 self.topology, self.config, transport, install_system_agents,
-                self.registry, retention, self._placement)
+                self.registry, self._placement)
             clock_sync = ClockSync(self.topology, self._placement,
                                    shards=self.config.shards,
                                    flow_bonus=self.config.flow_window_min)
@@ -314,21 +308,21 @@ class Kernel(LedgerQueries):
         registry.register("net", self.stats.snapshot)
         return registry
 
-    meets = _summed("meets", "Meets begun.")
-    transmits = _summed("transmits", "Briefcases handed to a transport.")
-    arrivals = _summed("arrivals", "Agents re-animated from the network.")
-    undeliverable = _summed("undeliverable",
-                            "Messages that reached a site no agent could take them at.")
-
     @property
     def engines(self) -> Tuple[Engine, ...]:
         """The engines behind this kernel, by id (read-only)."""
         return self._engines
 
-    @property
-    def shard_set(self):
-        """The ShardSet coordinating several engines, or None with one engine."""
-        return self._coordinator
+    def counters(self) -> Dict[str, int]:
+        """Snapshot of the kernel ledger: the lifecycle table's O(1)
+        agent-state counts (nothing scans agent history) plus the four
+        event counters — meets begun, briefcases handed to a transport,
+        agents re-animated from the network, and messages that reached a
+        site no agent could take them at — summed over the engines."""
+        counts = self.table.state_counts()
+        for name in ("meets", "transmits", "arrivals", "undeliverable"):
+            counts[name] = sum(getattr(engine, name) for engine in self._engines)
+        return counts
 
     def shard_summary(self) -> Dict[str, Any]:
         """Cross-shard coordination ledger (the ledger's ``shard.*`` counters read it).

@@ -241,10 +241,6 @@ class NetworkStats:
         self.batched_messages += coalesced
         self.header_bytes_saved += header_bytes_saved
 
-    def record_flush(self, cause: str) -> None:
-        """Count one delivery-fabric outbox flush, keyed by what triggered it."""
-        self.flush_causes[cause] += 1
-
     def record_flow(self, source: str, destination: str, window: float,
                     message_rate: float, bytes_rate: float) -> None:
         """Publish the latest adaptive window/rate estimate for one pair."""
@@ -259,19 +255,11 @@ class NetworkStats:
         for key in [key for key in self.flow_windows if site_name in key]:
             del self.flow_windows[key]
 
-    def record_wal_append(self) -> None:
-        """Count one journaled cabinet mutation."""
-        self.wal_appends += 1
-
     def record_wal_commit(self, records: int, size_bytes: int = 0) -> None:
         """Count one group commit / flush making *records* redo records durable."""
         self.wal_commits += 1
         self.wal_records_committed += records
         self.wal_bytes_committed += size_bytes
-
-    def record_barrier_piggyback(self) -> None:
-        """Count one group commit a pending durability barrier fired early."""
-        self.wal_barrier_piggybacks += 1
 
     def record_store_snapshot(self, folded: int) -> None:
         """Count one WAL compaction (folding *folded* records into snapshots)."""
@@ -295,14 +283,6 @@ class NetworkStats:
         """Count one message handed across a shard boundary (origin side)."""
         self.shard_handoffs += 1
         self.shard_handoff_bytes += size
-
-    def record_shard_late_arrival(self) -> None:
-        """Count a handoff clamped into the destination shard's past.
-
-        Lateness is judged destination-side, against the owning engine's
-        clock at the moment it schedules the handoff.
-        """
-        self.shard_late_arrivals += 1
 
     # -- reading -------------------------------------------------------------
 

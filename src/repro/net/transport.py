@@ -316,7 +316,7 @@ class Transport(abc.ABC):
         if outbox.flush_event is not None:
             outbox.flush_event.cancel()
             outbox.flush_event = None
-        self.stats.record_flush(cause)
+        self.stats.flush_causes[cause] += 1
         if self.flow.adaptive:
             # Publish the pair's window/rate telemetry once per flush (not
             # per post — that would allocate on the fabric's hot path).

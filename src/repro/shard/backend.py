@@ -83,7 +83,7 @@ class InprocBackend(ShardBackend):
 
 
 def build_engines(topology, config, transport, install_system_agents,
-                  registry, retention, placement):
+                  registry, placement):
     """``(engines, backend)`` for a sharded kernel, per ``config.shard_backend``.
 
     ``inproc`` gets real :class:`~repro.core.engine.Engine` objects
@@ -95,11 +95,11 @@ def build_engines(topology, config, transport, install_system_agents,
         from repro.shard.procworker import ProcessBackend
         backend = ProcessBackend.spawn(topology, config, transport,
                                        install_system_agents, registry,
-                                       retention, placement)
+                                       placement)
         return backend.proxies, backend
     from repro.core.engine import Engine
     engines = [Engine(topology, config, transport, install_system_agents,
-                      registry, retention, shard_id=shard_id, placement=placement)
+                      registry, shard_id=shard_id, placement=placement)
                for shard_id in range(config.shards)]
     return engines, InprocBackend()
 

@@ -130,7 +130,6 @@ class WorkerSpec:
     transport: Any  # a transport name or class (instances are rejected upstream)
     config: Any
     install_system_agents: bool
-    retention: Any
     placement: Dict[str, int]
     #: modules imported before the engine is built, so behaviours that are
     #: registered at import time exist in the worker's default registry
@@ -253,8 +252,7 @@ class _Worker:
         self.engine = Engine(
             spec.topology, spec.config, spec.transport,
             install_system_agents=spec.install_system_agents,
-            retention=spec.retention, shard_id=spec.shard_id,
-            placement=dict(spec.placement))
+            shard_id=spec.shard_id, placement=dict(spec.placement))
         #: agent_id -> last (state, steps, site) shipped, for table deltas; None
         #: once shipped terminal: it cannot change again, the id is all we keep
         self._sent_markers: Dict[str, Optional[tuple]] = {}
@@ -532,8 +530,7 @@ class ProcessEngineProxy:
         #: the facade's topology: the sites' ``alive`` reads it
         self.topology = spec.topology
         self.durability = resolve_policy(spec.config.durability)
-        self.table = AgentTable(spec.retention if spec.retention is not None
-                                else spec.config.retention)
+        self.table = AgentTable(spec.config.retention)
         self.sites: Dict[str, SiteMirror] = {
             name: self._site_mirror(name)
             for name, owner in sorted(spec.placement.items())
@@ -658,7 +655,7 @@ class ProcessBackend(ShardBackend):
 
     @classmethod
     def spawn(cls, topology, config, transport, install_system_agents,
-              registry, retention, placement) -> "ProcessBackend":
+              registry, placement) -> "ProcessBackend":
         """One worker per shard, each rebuilding its engine from a spec."""
         if registry is not default_registry():
             raise KernelError(
@@ -668,7 +665,7 @@ class ProcessBackend(ShardBackend):
                 "shard_backend='inproc' or register behaviours in the "
                 "default registry)")
         try:
-            pickle.dumps((config, retention, transport, topology))
+            pickle.dumps((config, transport, topology))
         except Exception as error:
             raise KernelError(
                 "shard_backend='process' ships the topology, config and "
@@ -681,7 +678,7 @@ class ProcessBackend(ShardBackend):
         return cls([WorkerSpec(
             shard_id=shard_id, topology=topology, transport=transport,
             config=config, install_system_agents=install_system_agents,
-            retention=retention, placement=placement, preload_modules=preload)
+            placement=placement, preload_modules=preload)
             for shard_id in range(config.shards)], transport_name)
 
     # -- round execution --------------------------------------------------------

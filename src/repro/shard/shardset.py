@@ -72,10 +72,6 @@ class Shard:
     def sites(self) -> int:
         return len(self.engine.sites)
 
-    @property
-    def events_processed(self) -> int:
-        return self.engine.loop.processed
-
     def __repr__(self) -> str:
         return (f"Shard({self.shard_id}, sites={self.sites}, "
                 f"t={self.engine.loop.now:.4f})")

@@ -35,7 +35,11 @@ __all__ = ["DurabilityPolicy", "NoDurability", "FlushOnDemand", "WalGroupCommit"
 
 @dataclass(frozen=True)
 class StoreCosts:
-    """Simulated-time prices of the durable store (from ``KernelConfig``)."""
+    """Simulated-time prices of the durable store.
+
+    The four write-side prices come from ``KernelConfig``'s ``store_*``
+    knobs; the replay and compaction prices below them are constants.
+    """
 
     #: seconds charged per WAL record written at commit/flush time
     write_latency: float = 0.0002

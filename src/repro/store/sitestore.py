@@ -131,7 +131,7 @@ class SiteStore:
         """A durable cabinet mutated: journal it per the policy."""
         if self._restoring or not self.policy.tracks_mutations:
             return
-        self.stats.record_wal_append()
+        self.stats.wal_appends += 1
         self._mutation_counter += 1
         self._dirty[(cabinet_name, folder_name)] = None
         if self.policy.group_commit:
@@ -333,12 +333,12 @@ class SiteStore:
             # a commit already due at (or before) the disk's completion
             # was not accelerated by this barrier.
             if self._rearm_commit(self._inflight_done_at):
-                self.stats.record_barrier_piggyback()
+                self.stats.wal_barrier_piggybacks += 1
             return
         if self._commit_event is not None:
             self._commit_event.cancel()
             self._commit_event = None
-        self.stats.record_barrier_piggyback()
+        self.stats.wal_barrier_piggybacks += 1
         self._start_sync(self._capture_dirty())
 
     def barrier(self, mark: Optional[int] = None) -> float:

@@ -150,8 +150,8 @@ class TestHighPopulation:
 
     def test_every_agent_completes(self):
         kernel, _spread, _peak, _probes = high_population(**self.SMALL)
-        assert kernel.launched == 300
-        assert kernel.completed == 300
+        assert kernel.counters()["launched"] == 300
+        assert kernel.counters()["completed"] == 300
         assert kernel.now > 0
 
     def test_balancer_spreads_the_population(self):
@@ -163,6 +163,6 @@ class TestHighPopulation:
     def test_index_is_clean_after_the_run(self):
         kernel, _spread, peak, _probes = high_population(**self.SMALL)
         for name in kernel.site_names():
-            assert kernel.agents_at(name) == []
+            assert kernel.site(name).residents() == []
             assert kernel.site(name).resident_count() == 0
         assert peak > 0

@@ -131,7 +131,7 @@ class TestDeliveryFailures:
         assert kernel.result_of(agent_id) is True
         assert received == []
         assert kernel.stats.messages_dropped == dropped_before + 1
-        assert kernel.arrivals == 0
+        assert kernel.counters()["arrivals"] == 0
 
     def test_delivery_to_recovered_site_works(self, kernel):
         received = install_receiver(kernel)
@@ -161,7 +161,7 @@ class TestSameSiteFastPath:
         assert kernel.result_of(agent_id) is True
         assert received == ["DOC"]
         assert kernel.stats.messages_sent == 0
-        assert kernel.transmits == 0
+        assert kernel.counters()["transmits"] == 0
 
     def test_same_site_delivery_to_missing_contact_raises_in_courier(self, kernel):
         # No receiver installed at "a": the local meet fails and the courier

@@ -73,8 +73,8 @@ class TestBatching:
         assert kernel.stats.messages_sent == 1
         assert kernel.stats.batches == 1
         assert kernel.stats.batched_messages == 4
-        assert kernel.arrivals == 4          # every folder reached its contact
-        assert kernel.undeliverable == 0
+        assert kernel.counters()["arrivals"] == 4          # every folder reached its contact
+        assert kernel.counters()["undeliverable"] == 0
 
     def test_batch_saves_header_bytes(self):
         kernel = make_kernel(window=0.1)
@@ -100,7 +100,7 @@ class TestBatching:
         kernel.run()
         assert kernel.stats.messages_sent == 2      # one batch per destination
         assert kernel.stats.batches == 2
-        assert kernel.arrivals == 4
+        assert kernel.counters()["arrivals"] == 4
 
     def test_single_message_window_ships_unwrapped(self):
         kernel = make_kernel(window=0.05)
@@ -110,7 +110,7 @@ class TestBatching:
         assert kernel.stats.messages_sent == 1
         assert kernel.stats.batches == 0             # no envelope was needed
         assert kernel.stats.per_kind[MessageKind.FOLDER_DELIVERY] == 1
-        assert kernel.arrivals == 1
+        assert kernel.counters()["arrivals"] == 1
 
     def test_non_batchable_kinds_bypass_the_fabric(self):
         kernel = make_kernel(window=0.5)
@@ -127,7 +127,7 @@ class TestBatching:
         kernel.run()
         assert kernel.stats.messages_sent == 4
         assert kernel.stats.batches == 0
-        assert kernel.arrivals == 4
+        assert kernel.counters()["arrivals"] == 4
 
     def test_agent_transfers_are_never_batched(self):
         assert MessageKind.AGENT_TRANSFER not in BATCHABLE_KINDS
@@ -145,7 +145,7 @@ class TestBatching:
         assert kernel.stats.messages_sent == 1
         # STATUS payloads carrying a contact execute it like a folder
         # delivery instead of rotting in the message cabinet.
-        assert kernel.arrivals == 3
+        assert kernel.counters()["arrivals"] == 3
 
 
 class TestFailureSemantics:
@@ -160,7 +160,7 @@ class TestFailureSemantics:
         assert kernel.transport.pending_outbox_messages() == 0
         assert kernel.stats.messages_dropped == dropped_before + 3
         kernel.run()
-        assert kernel.arrivals == 0
+        assert kernel.counters()["arrivals"] == 0
 
     def test_crash_of_source_drops_pending_outbox(self):
         kernel = make_kernel(window=10.0)
@@ -171,7 +171,7 @@ class TestFailureSemantics:
         kernel.crash_site("a")
         assert kernel.transport.pending_outbox_messages() == 0
         kernel.run()
-        assert kernel.arrivals == 0
+        assert kernel.counters()["arrivals"] == 0
 
     def test_partition_flushes_and_drops_cross_partition_batches(self):
         kernel = make_kernel(window=10.0)
@@ -186,7 +186,7 @@ class TestFailureSemantics:
         # The batch was flushed into the partitioned network and dropped;
         # the loss ledger counts every coalesced message, not one envelope.
         assert kernel.stats.messages_dropped == dropped_before + 3
-        assert kernel.arrivals == 0
+        assert kernel.counters()["arrivals"] == 0
         kernel.heal_partition()
 
     def test_partition_leaves_same_side_outboxes_coalescing(self):
@@ -199,7 +199,7 @@ class TestFailureSemantics:
         # coalescing until the window fires, then delivers normally.
         assert kernel.transport.pending_outbox_messages() == 3
         kernel.run()
-        assert kernel.arrivals == 3
+        assert kernel.counters()["arrivals"] == 3
         kernel.heal_partition()
 
     def test_destination_down_at_post_time_is_refused_like_unbatched(self):
@@ -213,7 +213,7 @@ class TestFailureSemantics:
         kernel.run()
         assert kernel.result_of(sender) == [False] * 3
         assert kernel.transport.pending_outbox_messages() == 0
-        assert kernel.arrivals == 0
+        assert kernel.counters()["arrivals"] == 0
 
     def test_in_flight_batch_loss_counts_every_coalesced_message(self):
         kernel = make_kernel(window=0.01)
@@ -225,7 +225,7 @@ class TestFailureSemantics:
         kernel.topology.mark_down("b")        # ...and now the link too
         kernel.run()
         assert kernel.stats.messages_dropped == dropped_before + 3
-        assert kernel.arrivals == 0
+        assert kernel.counters()["arrivals"] == 0
 
     def test_batch_to_kernel_dead_site_counts_every_coalesced_message(self):
         kernel = make_kernel(window=0.1)
@@ -236,7 +236,7 @@ class TestFailureSemantics:
         # a site the kernel cannot serve and every folder in it is lost.
         kernel.site("b").mark_crashed()
         kernel.run()
-        assert kernel.undeliverable == 3
+        assert kernel.counters()["undeliverable"] == 3
         assert kernel.site("b").undeliverable == 3
 
 
@@ -263,7 +263,7 @@ class TestMessageSizeCache:
             install_receiver(kernel)
             transmit_n(kernel, 3)
             kernel.run()
-            assert kernel.arrivals == 3
+            assert kernel.counters()["arrivals"] == 3
         # Identical payload traffic; the envelope pays exactly one header
         # where the unbatched wire paid three.
         assert batched.stats.bytes_sent == \
@@ -281,7 +281,7 @@ class TestTheWindowIsTheOnlyTrigger:
         kernel.run(until=0.15)
         assert kernel.transport.pending_outbox_messages() == 50
         kernel.run()
-        assert (kernel.arrivals, kernel.stats.batches) == (50, 1)
+        assert (kernel.counters()["arrivals"], kernel.stats.batches) == (50, 1)
         assert kernel.stats.flush_causes == {"window": 1}
 
     def test_a_fixed_window_does_not_slide_with_traffic(self):
@@ -299,7 +299,7 @@ class TestTheWindowIsTheOnlyTrigger:
         install_receiver(kernel)
         transmit_spaced(kernel, 6, gap=0.1)
         kernel.run()
-        assert (kernel.arrivals, kernel.stats.batched_messages) == (6, 6)
+        assert (kernel.counters()["arrivals"], kernel.stats.batched_messages) == (6, 6)
         assert kernel.stats.flush_causes == {"window": 2}   # two windows of three
 
     def test_window_max_bounds_a_cold_pair_wait(self):
@@ -353,7 +353,7 @@ class TestReconfigureReconciliation:
         assert kernel.stats.messages_sent == 1      # shipped now, as one batch
         assert kernel.stats.flush_causes["reconfigure"] == 1
         kernel.run()
-        assert kernel.arrivals == 3
+        assert kernel.counters()["arrivals"] == 3
         assert kernel.stats.messages_dropped == 0   # flushed, not dropped
 
     def test_shrinking_the_window_rearms_armed_outboxes(self):
@@ -364,7 +364,7 @@ class TestReconfigureReconciliation:
         kernel.transport.configure_batching(0.05)
         kernel.run(until=0.5)
         # The flush fired on the new 0.05 s window, not the old 10 s one.
-        assert kernel.arrivals == 2
+        assert kernel.counters()["arrivals"] == 2
         assert kernel.stats.batches == 1
 
     def test_stale_flush_event_after_reconfigure_is_a_no_op(self):
@@ -376,7 +376,7 @@ class TestReconfigureReconciliation:
         sent_after_flush = kernel.stats.messages_sent
         kernel.run()    # drains everything, including the old armed event
         assert kernel.stats.messages_sent == sent_after_flush
-        assert kernel.arrivals == 2
+        assert kernel.counters()["arrivals"] == 2
 
     def test_reconfigure_with_unchanged_rules_keeps_armed_outboxes(self):
         # Reconfiguring must be idempotent: repeating the identical
@@ -392,7 +392,7 @@ class TestReconfigureReconciliation:
         kernel.run()
         assert kernel.stats.messages_sent == 1
         assert kernel.stats.batches == 1
-        assert kernel.arrivals == 2
+        assert kernel.counters()["arrivals"] == 2
 
 
 class TestCrashDuringArmedFlush:
@@ -409,7 +409,7 @@ class TestCrashDuringArmedFlush:
         assert kernel.stats.messages_dropped == dropped_before + 3
         kernel.run()
         assert kernel.stats.messages_dropped == dropped_before + 3  # no double count
-        assert kernel.arrivals == 0
+        assert kernel.counters()["arrivals"] == 0
 
     def test_crash_after_a_tightened_window_ships_counts_per_message(self):
         # The hot pair's adaptive window tightened far below the 10 s seed
@@ -428,7 +428,7 @@ class TestCrashDuringArmedFlush:
         kernel.topology.mark_down("b")
         kernel.run()
         assert kernel.stats.messages_dropped == dropped_before + 3
-        assert kernel.arrivals == 0
+        assert kernel.counters()["arrivals"] == 0
 
     def test_partition_mid_batch_does_not_double_count_drops(self):
         kernel = make_kernel(window=10.0)
@@ -442,7 +442,7 @@ class TestCrashDuringArmedFlush:
         # (now stale) armed flush event must not both charge the loss.
         assert kernel.stats.messages_dropped == dropped_before + 3
         assert kernel.stats.flush_causes["partition"] == 1
-        assert kernel.arrivals == 0
+        assert kernel.counters()["arrivals"] == 0
         kernel.heal_partition()
 
 
@@ -455,7 +455,7 @@ class TestAdaptiveWindows:
         install_receiver(kernel)
         transmit_spaced(kernel, 20, gap=0.005)
         kernel.run()
-        assert kernel.arrivals == 20
+        assert kernel.counters()["arrivals"] == 20
         telemetry = kernel.transport.flow_telemetry()
         info = telemetry[("a", "b")]
         # ~150+ msg/s stream: the window collapses well below the 0.5 seed.
@@ -470,7 +470,7 @@ class TestAdaptiveWindows:
         install_receiver(kernel)
         transmit_spaced(kernel, 6, gap=0.4)
         kernel.run()
-        assert kernel.arrivals == 6
+        assert kernel.counters()["arrivals"] == 6
         info = kernel.transport.flow_telemetry()[("a", "b")]
         # ~2.5 msg/s: the ideal window (target/rate ~ 1.6s) is far above
         # the 0.05 s base the pair would otherwise run, within the cap.
@@ -492,7 +492,7 @@ class TestAdaptiveWindows:
         sender = transmit_n(kernel, 8)
         kernel.run()
         assert kernel.result_of(sender) == [True] * 8
-        assert kernel.arrivals == 8
+        assert kernel.counters()["arrivals"] == 8
         assert kernel.transport.pending_outbox_messages() == 0
 
     def test_per_destination_windows_are_independent(self):
@@ -590,7 +590,7 @@ class TestAdaptiveReconfigureRaces:
         assert kernel.transport.pending_outbox_messages() == 0
         assert kernel.stats.flush_causes["reconfigure"] == 1
         kernel.run()
-        assert kernel.arrivals == 3
+        assert kernel.counters()["arrivals"] == 3
         assert kernel.stats.messages_dropped == 0
 
     def test_widening_bounds_mid_window_rearms_not_drops(self):
@@ -603,7 +603,7 @@ class TestAdaptiveReconfigureRaces:
                                             window_max=5.0)
         # Still pending (re-armed on the recomputed window), nothing lost.
         kernel.run()
-        assert kernel.arrivals == 2
+        assert kernel.counters()["arrivals"] == 2
         assert kernel.stats.messages_dropped == 0
         assert kernel.stats.batches == 1
 
@@ -621,13 +621,13 @@ class TestAdaptiveReconfigureRaces:
         assert ("a", "b") not in kernel.stats.flow_windows
         # ...and so is the armed outbox (no stale flush event fires later).
         assert kernel.transport.pending_outbox_messages() == 0
-        arrivals_at_crash = kernel.arrivals
+        arrivals_at_crash = kernel.counters()["arrivals"]
         batches_at_crash = kernel.stats.batches
         kernel.run(until=2.0)
         # The sender's later posts are refused at post time (destination
         # down): nothing new arrives, no stale flush ships a batch, and no
         # flow state is re-learned for the dead pair.
-        assert kernel.arrivals == arrivals_at_crash
+        assert kernel.counters()["arrivals"] == arrivals_at_crash
         assert kernel.stats.batches == batches_at_crash
         assert ("a", "b") not in kernel.transport.flow_telemetry()
 
@@ -657,7 +657,7 @@ class TestAdaptiveReconfigureRaces:
         install_receiver(kernel)
         transmit_n(kernel, 5)
         kernel.run()
-        assert kernel.arrivals == 5
+        assert kernel.counters()["arrivals"] == 5
         assert kernel.transport.flow_telemetry() == {}
         assert kernel.stats.flow_windows == {}
 
@@ -693,4 +693,4 @@ class TestConfigureBatching:
         assert kernel.transport.flush_outboxes() == 1
         assert kernel.transport.flush_outboxes() == 0
         kernel.run()
-        assert kernel.arrivals == 2
+        assert kernel.counters()["arrivals"] == 2

@@ -57,6 +57,17 @@ class TestConstruction:
         with pytest.raises(UnknownSiteError):
             kernel.site("ghost")
 
+    @pytest.mark.parametrize("knob", [
+        "step_cost", "meet_overhead", "store_write_latency",
+        "store_write_byte_latency", "store_fsync_latency",
+        "store_commit_window"])
+    def test_a_negative_cost_is_rejected_naming_the_knob(self, knob):
+        # Each is a delay the engine schedules: a negative one used to build
+        # a kernel that failed mid-run with "an event in the past".
+        config = KernelConfig(durability="wal-group-commit", **{knob: -1.0})
+        with pytest.raises(KernelError, match=f"{knob} must be >= 0"):
+            Kernel(lan(["a", "b"]), config=config)
+
 
 class TestLaunchingAndResults:
     def test_launch_callable_and_read_result(self, kernel):
@@ -127,7 +138,7 @@ class TestLaunchingAndResults:
         agent_id = kernel.launch("a", immediately_broken)
         kernel.run()
         assert kernel.agent(agent_id).state == AgentState.FAILED
-        assert kernel.failed == 1
+        assert kernel.counters()["failed"] == 1
 
     def test_unknown_agent_id_raises(self, kernel):
         with pytest.raises(UnknownAgentError):
@@ -338,7 +349,7 @@ class TestSyscalls:
         kernel.run()
         slept, served = kernel.result_of(agent_id)
         assert slept >= 0.25 and served == "served"
-        assert kernel.meets == 1
+        assert kernel.counters()["meets"] == 1
 
     def test_runaway_agent_is_killed(self):
         kernel = Kernel(lan(["a"]), config=KernelConfig(max_agent_steps=50, rng_seed=1))
@@ -350,7 +361,7 @@ class TestSyscalls:
         agent_id = kernel.launch("a", runaway)
         kernel.run(max_events=5000)
         assert kernel.agent(agent_id).state == AgentState.KILLED
-        assert kernel.killed == 1
+        assert kernel.counters()["killed"] == 1
 
 
 class TestMeetSemantics:
@@ -414,7 +425,7 @@ class TestMeetSemantics:
         agent_id = kernel.launch("a", client)
         kernel.run()
         assert kernel.result_of(agent_id) == "callee-failed"
-        assert kernel.failed == 1
+        assert kernel.counters()["failed"] == 1
 
     def test_callee_continues_after_end_meet(self, kernel):
         def service(ctx, bc):
@@ -472,7 +483,7 @@ class TestMeetSemantics:
 
         kernel.launch("a", client)
         kernel.run()
-        assert kernel.meets == 2
+        assert kernel.counters()["meets"] == 2
 
 
 class TestFailureInjection:
@@ -534,7 +545,7 @@ class TestFailureInjection:
         kernel.launch("a", sleeper)
         kernel.run(until=1.0)
         assert kernel.site_load("a") == pytest.approx(2.0)
-        assert len(kernel.agents_at("a")) == 2
+        assert len(kernel.site("a").residents()) == 2
 
     def test_event_log_records_agent_messages(self, kernel):
         def chatty(ctx, bc):
@@ -566,8 +577,8 @@ class TestLateSiteRegistration:
         register_behaviour("late_site_hopper", hopper, replace=True)
         kernel.launch("a", "late_site_hopper", Briefcase())
         kernel.run()
-        assert kernel.arrivals == 1
-        assert kernel.agents_at("d", active_only=False)
+        assert kernel.counters()["arrivals"] == 1
+        assert any(agent.site_name == "d" for agent in kernel.agents.values())
 
     def test_add_site_rejects_duplicates_and_unknown_peers(self, kernel):
         with pytest.raises(KernelError):
@@ -673,9 +684,9 @@ class TestShardedRunSemantics:
             # No shard's clock passes the target, and on a clean finish
             # every one of them lands exactly on it.
             assert engine.loop.now == pytest.approx(0.25)
-        assert kernel.completed == 0  # the tickers need 0.5s
+        assert kernel.counters()["completed"] == 0  # the tickers need 0.5s
         kernel.run()
-        assert kernel.completed == kernel.launched
+        assert kernel.counters()["completed"] == kernel.counters()["launched"]
 
     def test_until_never_overshoots_even_mid_burst(self):
         kernel = self._build()
@@ -694,7 +705,7 @@ class TestShardedRunSemantics:
         assert total > 10
         # Resuming after the budget finishes the run with the remainder.
         assert budgeted.run() == total - 10
-        assert budgeted.completed == budgeted.launched
+        assert budgeted.counters()["completed"] == budgeted.counters()["launched"]
 
     def test_budget_exhaustion_leaves_clocks_on_their_last_event(self):
         kernel = self._build()
@@ -702,7 +713,7 @@ class TestShardedRunSemantics:
         # At least one shard is mid-stream; nobody was advanced past the
         # events it still has queued (resuming would otherwise raise).
         assert kernel.run() > 0
-        assert kernel.completed == kernel.launched
+        assert kernel.counters()["completed"] == kernel.counters()["launched"]
 
     def test_sharded_run_matches_classic_run_exactly(self):
         sharded = self._build(shards=4)
@@ -723,7 +734,7 @@ class TestKernelContextManager:
         with Kernel(lan(["a", "b"]), config=KernelConfig(rng_seed=3)) as kernel:
             agent_id = kernel.launch("a", _noop_behaviour)
             kernel.run()
-        assert kernel.completed == 1
+        assert kernel.counters()["completed"] == 1
         assert kernel.result_of(agent_id) == "done"
         kernel.close()  # idempotent after __exit__
 
@@ -742,10 +753,10 @@ class TestKernelContextManager:
         with Kernel(lan(["a", "b", "c", "d"]), config=config) as kernel:
             kernel.launch("a", "courier")
             kernel.run()
-            assert kernel.completed == 1
+            assert kernel.counters()["completed"] == 1
         # close() stopped every worker; closing again is a no-op.
         assert not any(handle.process.is_alive()
-                       for handle in kernel.shard_set.backend._handles)
+                       for handle in kernel._coordinator.backend._handles)
         kernel.close()
 
     # shards=1 never builds a backend, so only one classic case.
@@ -775,7 +786,7 @@ class TestKernelContextManager:
         # Reads keep working on a closed kernel.
         before, = kernel.agents_named("before")
         assert before.ok
-        assert kernel.counters()["launched"] == kernel.launched >= 1
+        assert kernel.counters()["launched"] == kernel.counters()["launched"] >= 1
         assert kernel.stats.snapshot()["messages_sent"] >= 0
         assert kernel.trace_spans() == spans
         assert "e" not in kernel.sites

@@ -32,11 +32,17 @@ def engine():
                   KernelConfig(rng_seed=11), transport="tcp")
 
 
+def _agents_at_scan(ledger, site_name, active_only=True):
+    """Brute-force O(all agents) scan: the reference the index is checked against."""
+    return [agent for agent in ledger.agents.values()
+            if agent.site_name == site_name and (not active_only or not agent.finished)]
+
+
 def _assert_index_matches_scan(kernel):
     engine = kernel.engines[0] if isinstance(kernel, Kernel) else kernel
     for name in engine.site_names():
-        indexed = {agent.agent_id for agent in engine.agents_at(name)}
-        brute = {agent.agent_id for agent in engine._agents_at_scan(name)}
+        indexed = {agent.agent_id for agent in engine.site(name).residents()}
+        brute = {agent.agent_id for agent in _agents_at_scan(engine, name)}
         assert indexed == brute
         assert engine.site(name).resident_count() == len(brute)
 
@@ -55,8 +61,8 @@ class TestResidentIndex:
         kernel.run()
         _assert_index_matches_scan(kernel)
         for name in kernel.site_names():
-            assert kernel.agents_at(name) == []
-            assert len(kernel.agents_at(name, active_only=False)) == 3
+            assert kernel.site(name).residents() == []
+            assert len(_agents_at_scan(kernel, name, active_only=False)) == 3
 
     def test_site_load_uses_resident_count(self, kernel):
         def sleeper(ctx, bc):
@@ -78,14 +84,11 @@ class TestResidentIndex:
         assert kernel.site("b").resident_count() == 3
         kernel.crash_site("b")
         assert kernel.site("b").resident_count() == 0
-        assert kernel.agents_at("b") == []
-        assert kernel.killed == 3
+        assert kernel.site("b").residents() == []
+        assert kernel.counters()["killed"] == 3
         kernel.recover_site("b")
         assert kernel.site("b").resident_count() == 0
         _assert_index_matches_scan(kernel)
-
-    def test_agents_at_unknown_site_is_empty(self, kernel):
-        assert kernel.agents_at("ghost") == []
 
     def test_launch_many_starts_every_agent(self, kernel):
         def worker(ctx, bc):
@@ -102,7 +105,7 @@ class TestResidentIndex:
         _assert_index_matches_scan(kernel)
         kernel.run()
         assert [kernel.result_of(agent_id) for agent_id in ids] == list(range(12))
-        assert kernel.launched == 12
+        assert kernel.counters()["launched"] == 12
 
     def test_launch_many_is_atomic_on_bad_entries(self, kernel):
         def worker(ctx, bc):
@@ -115,7 +118,7 @@ class TestResidentIndex:
             kernel.launch_many([("a", worker)], delay=-0.1)
         # A bad entry (or delay) must not leave earlier ones half-launched
         # (registered and indexed, but never scheduled to start).
-        assert kernel.launched == 0
+        assert kernel.counters()["launched"] == 0
         assert kernel.agents == {}
         assert kernel.site("a").resident_count() == 0
 
@@ -202,20 +205,20 @@ class TestUndeliverableLedger:
 
         kernel.launch("a", sender, system=True)
         kernel.run(until=0.01)          # transmit done, delivery in flight
-        assert kernel.undeliverable == 0
+        assert kernel.counters()["undeliverable"] == 0
         # The kernel at b stops serving while the network keeps routing to
         # it (crash_site would also partition the topology, which makes the
         # transport drop the message before it ever reaches the site).
         kernel.site("b").mark_crashed()
         kernel.run()
-        assert kernel.undeliverable == 1
+        assert kernel.counters()["undeliverable"] == 1
         assert kernel.site("b").undeliverable == 1
 
     def test_message_to_unregistered_site_is_counted(self, engine):
         message = Message(source="a", destination="nowhere",
                           kind=MessageKind.STATUS, payload={})
         engine._on_message("nowhere", message)
-        assert engine.undeliverable == 1
+        assert engine.counters()["undeliverable"] == 1
 
     def test_malformed_briefcase_payloads_are_counted_not_raised(self, engine):
         import pickle
@@ -229,8 +232,8 @@ class TestUndeliverableLedger:
             engine._on_message("b", Message(
                 source="a", destination="b", kind=MessageKind.AGENT_TRANSFER,
                 payload={"contact": "ag_py", "briefcase": raw}))
-        assert engine.undeliverable == engine.site("b").undeliverable == 3
-        assert engine.arrivals == 0 and engine.launched == 0
+        assert engine.counters()["undeliverable"] == engine.site("b").undeliverable == 3
+        assert engine.counters()["arrivals"] == 0 and engine.counters()["launched"] == 0
 
     def test_smuggled_element_travels_the_wire_and_lands_undeliverable(self):
         # Not a stored element: a str, a mutable buffer, a bytes subclass —
@@ -248,7 +251,8 @@ class TestUndeliverableLedger:
                 agent_id = kernel.launch("a", sender, system=True)
                 kernel.run()
                 assert kernel.result_of(agent_id) is True   # the network took it
-                assert kernel.undeliverable == 1 and kernel.arrivals == 0
+                counters = kernel.counters()
+                assert counters["undeliverable"] == 1 and counters["arrivals"] == 0
                 assert kernel.stats.messages_delivered == 1
 
     def test_healthy_delivery_is_not_counted(self, kernel):
@@ -260,8 +264,8 @@ class TestUndeliverableLedger:
 
         kernel.launch("a", sender, system=True)
         kernel.run()
-        assert kernel.undeliverable == 0
-        assert kernel.arrivals == 1
+        assert kernel.counters()["undeliverable"] == 0
+        assert kernel.counters()["arrivals"] == 1
 
 
 class TestGeneratorCleanup:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.apps.mail import (LETTER_AGENT_NAME, MAILBOX_AGENT_NAME, MailSystem, inbox_of,
@@ -225,3 +227,17 @@ class TestBuildMailKernel:
     def test_build_seed_reaches_the_kernel(self):
         mail = MailSystem.build(["a", "b"], seed=99)
         assert mail.kernel.config.rng_seed == 99
+
+    def test_build_leaves_the_callers_config_as_it_was(self):
+        # The app's retention reaches the kernel through a copy of the config.
+        config = KernelConfig(rng_seed=5, meet_overhead=0.002)
+        before = dataclasses.asdict(config)
+        mail = MailSystem.build(["a", "b"], config=config)
+        assert dataclasses.asdict(config) == before
+        assert config.retention == "keep-all"
+        assert mail.kernel.config.meet_overhead == 0.002
+        assert mail.kernel.table.retention.name == "keep-results"
+        mail.send("dag", "a", "fred", "b", "hello", "body")
+        mail.kernel.run(until=30.0)
+        assert mail.delivered_count() == 1
+        assert mail.kernel.table.ledger_entry_kinds()["instances"] == 0

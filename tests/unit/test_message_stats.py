@@ -128,9 +128,9 @@ class TestNetworkStats:
         # Benchmarks used to reach into the private defaultdict; the
         # snapshot carries a plain copy now.
         stats = NetworkStats()
-        stats.record_flush("window")
-        stats.record_flush("partition")
-        stats.record_flush("partition")
+        stats.flush_causes["window"] += 1
+        stats.flush_causes["partition"] += 1
+        stats.flush_causes["partition"] += 1
         assert stats.snapshot()["flush_causes"] == {"window": 1, "partition": 2}
 
     def test_flow_telemetry_recording_and_reset(self):
@@ -151,7 +151,7 @@ class TestNetworkStats:
         stats = NetworkStats()
         stats.record_wal_commit(3, size_bytes=4_096)
         stats.record_wal_commit(1)              # bytes default to 0
-        stats.record_barrier_piggyback()
+        stats.wal_barrier_piggybacks += 1
         assert stats.wal_commits == 2
         assert stats.wal_records_committed == 4
         assert stats.wal_bytes_committed == 4_096
@@ -161,7 +161,7 @@ class TestNetworkStats:
         stats = NetworkStats()
         stats.record_shard_handoff(200)
         stats.record_shard_handoff(300)
-        stats.record_shard_late_arrival()
+        stats.shard_late_arrivals += 1
         assert stats.shard_handoffs == 2
         assert stats.shard_handoff_bytes == 500
         assert stats.shard_late_arrivals == 1
@@ -177,7 +177,7 @@ class TestNetworkStats:
         stats = NetworkStats()
         stats.record_send("a", "b", MessageKind.DATA, 10)
         stats.record_delivery(10, 0.02)
-        stats.record_flush("window")
+        stats.flush_causes["window"] += 1
         stats.record_flow("a", "b", window=0.05, message_rate=1.0,
                           bytes_rate=10.0)
         snapshot = stats.snapshot()
@@ -239,11 +239,11 @@ class TestStatsView:
         left, right = NetworkStats(), NetworkStats()
         left.record_send("a", "b", MessageKind.DATA, 100)
         left.record_delivery(100, 0.010)
-        left.record_flush("window")
+        left.flush_causes["window"] += 1
         right.record_send("c", "d", MessageKind.STATUS, 50)
         right.record_send("c", "b", MessageKind.DATA, 70)
         right.record_delivery(50, 0.030)
-        right.record_flush("partition")
+        right.flush_causes["partition"] += 1
         right.record_shard_handoff(70)
         return left, right
 

@@ -131,7 +131,7 @@ class TestTollCollection:
         kernel.run(max_events=200_000)
         assert kernel.stats.migrations == 5
         assert toll_revenue(kernel) == 5
-        assert kernel.killed == 0       # stopped by its wallet, not by the kernel
+        assert kernel.counters()["killed"] == 0       # stopped by its wallet, not by the kernel
 
     def test_step_budget_alone_does_not_contain_a_hopping_runaway(self):
         """Why the paper reaches for cash: every hop starts a fresh instance
@@ -142,7 +142,7 @@ class TestTollCollection:
                         config=KernelConfig(rng_seed=2, max_agent_steps=400))
         kernel.launch("s0", "metered_runaway", Briefcase())
         kernel.run(max_events=10_000)
-        assert kernel.killed == 0
+        assert kernel.counters()["killed"] == 0
         assert kernel.stats.migrations > 20 * 5
 
     def test_unfunded_agent_never_leaves_its_site(self, world):

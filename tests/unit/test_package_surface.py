@@ -116,7 +116,6 @@ KERNEL_CONFIG_FIELDS = [
     "flow_target_batch",
     "durability", "store_write_latency", "store_write_byte_latency",
     "store_fsync_latency", "store_commit_window",
-    "store_recovery_base", "store_snapshot_threshold",
     "shards", "shard_placement", "shard_backend",
     "obs_enabled", "obs_sample", "obs_ring", "obs_path",
 ]
@@ -127,11 +126,13 @@ def test_kernel_config_fields_are_exactly_the_listed_knobs():
     assert [spec.name for spec in dataclasses.fields(KernelConfig)] == KERNEL_CONFIG_FIELDS
 
 
-#: knobs that were retired: the realtime backend's two, and three costs no
-#: caller ever set (now ``engine.SPAWN_OVERHEAD``, ``engine.TRANSMIT_OVERHEAD``
-#: and ``StoreCosts.replay_latency``).
+#: knobs that were retired: the realtime backend's two, and five costs no
+#: caller but a test ever set (now ``engine.SPAWN_OVERHEAD``,
+#: ``engine.TRANSMIT_OVERHEAD`` and ``StoreCosts.replay_latency``,
+#: ``recovery_base`` and ``snapshot_threshold``).
 RETIRED_KERNEL_CONFIG_FIELDS = ["backend", "store_realtime_dir", "spawn_overhead",
-                                "transmit_overhead", "store_replay_latency"]
+                                "transmit_overhead", "store_replay_latency",
+                                "store_recovery_base", "store_snapshot_threshold"]
 
 
 @pytest.mark.parametrize("knob", RETIRED_KERNEL_CONFIG_FIELDS)
@@ -140,6 +141,41 @@ def test_a_retired_knob_is_refused_not_ignored(knob):
     assert knob not in KERNEL_CONFIG_FIELDS
     with pytest.raises(TypeError, match=knob):
         KernelConfig(**{knob: None})
+
+
+#: every public name on the ``Kernel`` facade, sorted.  ``tools/size_report.py``
+#: counts them as ``kernel_public``: a new name means editing this list.
+KERNEL_PUBLIC_NAMES = [
+    "add_site", "agent", "agents", "agents_named", "close", "counters",
+    "crash_site", "dump_trace", "engines", "event_log", "heal_partition",
+    "install_agent", "launch", "launch_many", "log_event", "make_durable",
+    "now", "on_site_added", "on_site_recovered", "partition", "recover_site",
+    "result_of", "run", "shard_summary", "site", "site_load", "site_names",
+    "store", "store_summary", "trace_spans",
+]
+
+
+def test_kernel_public_names_are_exactly_the_listed_ones():
+    from repro.core import Kernel
+    assert [name for name in dir(Kernel) if not name.startswith("_")] == KERNEL_PUBLIC_NAMES
+
+
+#: second read paths that were retired: the eight ledger counts are read
+#: through ``counters()`` only, the live residents of a site through
+#: ``site(name).residents()``, and the coordinator through ``engines`` and
+#: ``shard_summary()``.
+RETIRED_KERNEL_NAMES = ["launched", "completed", "failed", "killed", "meets",
+                        "transmits", "arrivals", "undeliverable", "agents_at",
+                        "shard_set"]
+
+
+@pytest.mark.parametrize("name", RETIRED_KERNEL_NAMES)
+def test_a_retired_kernel_name_is_gone(name):
+    from repro.core import Kernel
+    assert name not in KERNEL_PUBLIC_NAMES
+    assert not hasattr(Kernel, name)
+    with Kernel(install_system_agents=False) as kernel:
+        assert not hasattr(kernel, name)
 
 
 REPO = pathlib.Path(__file__).resolve().parents[2]

@@ -198,13 +198,13 @@ class TestFacadeConstruction:
             for name, shard_id in placement.items():
                 assert name in kernel.engines[shard_id].sites
 
-    def test_shard_set_exposed_and_none_on_classic(self):
+    def test_coordinator_rounds_reported_only_when_sharded(self):
         kernel, _ = sharded_kernel(shards=2)
-        assert kernel.shard_set is not None
-        assert len(kernel.shard_set.shards) == 2
+        assert len(kernel.engines) == 2
+        assert kernel.shard_summary()["rounds"] == 0
         classic = Kernel(lan(["a", "b"]), transport="tcp")
-        assert classic.shard_set is None
         assert len(classic.engines) == 1
+        assert "rounds" not in classic.shard_summary()
 
     def test_engines_are_read_only(self):
         for shards in ENGINE_COUNTS:
@@ -244,7 +244,7 @@ class TestFacadeConstruction:
                 kernel.launch("nowhere", courier, Briefcase())
             with pytest.raises(UnknownSiteError):
                 kernel.launch_many([("s0", courier), ("nowhere", courier)])
-            assert kernel.launched == 0  # site names are checked up front
+            assert kernel.counters()["launched"] == 0  # site names are checked up front
 
 
 class TestCrossShardTraffic:
@@ -268,8 +268,8 @@ class TestCrossShardTraffic:
         kernel, names = sharded_kernel()
         pairs = self._cross_pairs(kernel, names)
         self._run_couriers(kernel, names, pairs)
-        assert kernel.completed == kernel.launched
-        assert kernel.meets == len(pairs)
+        assert kernel.counters()["completed"] == kernel.counters()["launched"]
+        assert kernel.counters()["meets"] == len(pairs)
         assert kernel.stats.shard_handoffs == len(pairs)
         assert kernel.stats.shard_handoff_bytes > 0
         for _home, peer in pairs:
@@ -285,13 +285,10 @@ class TestCrossShardTraffic:
         kernel, names = sharded_kernel()
         pairs = self._cross_pairs(kernel, names)
         self._run_couriers(kernel, names, pairs)
-        assert kernel.launched == sum(engine.launched
-                                      for engine in kernel.engines)
-        assert kernel.meets == sum(engine.meets
-                                   for engine in kernel.engines)
         counters = kernel.counters()
-        assert counters["launched"] == kernel.launched
-        assert counters["completed"] == kernel.completed
+        assert counters == {key: sum(engine.counters()[key] for engine in kernel.engines)
+                            for key in counters}
+        assert counters["meets"] == len(pairs)
 
     def test_event_log_merges_in_time_order(self):
         kernel, names = sharded_kernel()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import Kernel, KernelConfig
@@ -12,9 +14,15 @@ from repro.store import (FlushOnDemand, NoDurability, WalGroupCommit, WriteAhead
 from repro.store.policy import StoreCosts
 
 
-def make_kernel(policy="wal-group-commit", **knobs):
+def make_kernel(policy="wal-group-commit", costs=None, **knobs):
+    """A kernel over sites a, b, c; *costs* overrides ``StoreCosts`` fields
+    (``recovery_base``, ``snapshot_threshold``) on every store."""
     config = KernelConfig(rng_seed=3, durability=policy, **knobs)
-    return Kernel(lan(["a", "b", "c"]), transport="tcp", config=config)
+    kernel = Kernel(lan(["a", "b", "c"]), transport="tcp", config=config)
+    if costs:
+        for store in kernel.stores.values():
+            store.costs = dataclasses.replace(store.costs, **costs)
+    return kernel
 
 
 class TestPolicyResolution:
@@ -135,7 +143,7 @@ class TestCrashRecovery:
 
     def test_replay_charges_replay_latency_per_committed_record(self):
         def recovery_seconds(folders):
-            kernel = make_kernel(store_commit_window=0.1, store_recovery_base=1.0)
+            kernel = make_kernel(store_commit_window=0.1, costs={"recovery_base": 1.0})
             kernel.make_durable("m", sites=["a"])
             for index in range(folders):
                 kernel.site("a").cabinet("m").put(f"f{index}", index)
@@ -153,7 +161,7 @@ class TestCrashRecovery:
 
     def test_site_refuses_traffic_while_replaying(self):
         kernel = make_kernel(store_commit_window=0.1,
-                             store_recovery_base=2.0)
+                             costs={"recovery_base": 2.0})
         kernel.make_durable("m", sites=["a"])
         kernel.site("a").cabinet("m").put("f", 1)
         kernel.run(until=1.0)
@@ -170,14 +178,14 @@ class TestCrashRecovery:
         from repro.core import Briefcase
         kernel.launch("b", sender, Briefcase())
         kernel.run(until=1.5)                  # replay (>= 2s) still underway
-        dropped_before = kernel.stats.messages_dropped + kernel.undeliverable
+        dropped_before = kernel.stats.messages_dropped + kernel.counters()["undeliverable"]
         assert dropped_before > 0              # the transfer did not get in
         kernel.run(until=10.0)
         assert kernel.site("a").alive
 
     def test_crash_during_recovery_aborts_and_recovers_later(self):
         kernel = make_kernel(store_commit_window=0.1,
-                             store_recovery_base=3.0)
+                             costs={"recovery_base": 3.0})
         kernel.make_durable("m", sites=["a"])
         kernel.site("a").cabinet("m").put("f", "precious")
         kernel.run(until=1.0)
@@ -194,7 +202,7 @@ class TestCrashRecovery:
         assert kernel.site("a").cabinet("m").elements("f") == ["precious"]
 
     def test_recover_site_is_idempotent_while_replaying(self):
-        kernel = make_kernel(store_recovery_base=2.0)
+        kernel = make_kernel(costs={"recovery_base": 2.0})
         kernel.make_durable("m", sites=["a"])
         kernel.crash_site("a")
         kernel.recover_site("a")
@@ -469,7 +477,7 @@ class TestStoreSummaryTelemetry:
 class TestSnapshotCompaction:
     def test_wal_folds_into_snapshot_past_threshold(self):
         kernel = make_kernel(store_commit_window=0.01,
-                             store_snapshot_threshold=5)
+                             costs={"snapshot_threshold": 5})
         kernel.make_durable("m", sites=["a"])
         cabinet = kernel.site("a").cabinet("m")
         for index in range(10):

@@ -99,6 +99,17 @@ class TestRetentionDefault:
         kernel = build_stormcast_kernel(params)
         assert kernel.table.retention.name == "keep-results"
 
+    def test_params_retention_reaches_the_kernel_config_and_params_stay(self):
+        import dataclasses
+        from repro.apps.stormcast import StormCastParams, build_stormcast_kernel
+        params = StormCastParams(n_sensors=3, samples_per_site=20,
+                                 retention="keep-all")
+        before = dataclasses.asdict(params)
+        kernel = build_stormcast_kernel(params)
+        assert dataclasses.asdict(params) == before
+        assert kernel.config.retention == "keep-all"
+        assert kernel.table.retention.name == "keep-all"
+
     def test_pipeline_results_unaffected_by_retention(self):
         from repro.apps.stormcast import StormCastParams, run_agent_pipeline
         base = dict(n_sensors=4, samples_per_site=60, storm_rate=0.05,

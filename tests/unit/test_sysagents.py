@@ -118,7 +118,7 @@ class TestRexec:
             return result.value
 
         assert run_client(kernel, client) is False
-        assert kernel.undeliverable == 0     # refused at the source, never sent
+        assert kernel.counters()["undeliverable"] == 0     # refused at the source, never sent
 
     def test_successful_transfer_starts_contact_at_destination(self, kernel):
         def remote_task(ctx, bc):
@@ -138,7 +138,7 @@ class TestRexec:
 
         assert run_client(kernel, client) is True
         assert kernel.site("b").cabinet("proof").get("ran_at") == "b"
-        assert kernel.arrivals == 1
+        assert kernel.counters()["arrivals"] == 1
 
     def test_arrival_for_unknown_contact_is_undeliverable(self, kernel):
         def client(ctx, bc):
@@ -149,7 +149,7 @@ class TestRexec:
             return result.value
 
         assert run_client(kernel, client) is True     # handed to the network fine
-        assert kernel.undeliverable == 1
+        assert kernel.counters()["undeliverable"] == 1
         assert kernel.site("b").undeliverable == 1
 
 
