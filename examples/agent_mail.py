@@ -21,9 +21,9 @@ from repro.net import FailureSchedule, two_clusters
 
 def main() -> None:
     # Two LANs (Tromso and Cornell) joined by one slow transatlantic link —
-    # the paper's own deployment.  MailSystem.build applies the mail
-    # defaults (keep-results retention: letters are churn, outcomes live in
-    # the mailbox cabinets).
+    # the paper's own deployment.  MailSystem.build installs a mailbox at
+    # every site: letters are churn, their outcomes live in the mailbox
+    # cabinets.
     topology = two_clusters(["tromso", "narvik", "bergen"], ["cornell", "ithaca"])
     mail = MailSystem.build(topology=topology, config=KernelConfig(rng_seed=4))
     kernel = mail.kernel

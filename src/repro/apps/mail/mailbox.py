@@ -54,7 +54,7 @@ def mailbox_behaviour(ctx: AgentContext, briefcase: Briefcase):
         # policies sync in the background, "none" is a no-op).  Flushing
         # after end_meet keeps delivery latency out of the sender's meet.
         store = ctx.store
-        if filed and store is not None and not store.policy.group_commit:
+        if filed and store is not None and not store.group_commit:
             yield from wait_until_durable(ctx)
         return filed
 
@@ -106,7 +106,7 @@ def mailbox_behaviour(ctx: AgentContext, briefcase: Briefcase):
         briefcase.set("DELETED", deleted)
         yield ctx.end_meet(deleted)
         store = ctx.store
-        if deleted and store is not None and not store.policy.group_commit:
+        if deleted and store is not None and not store.group_commit:
             yield from wait_until_durable(ctx)
         return deleted
 

@@ -7,7 +7,6 @@ as the mailing-list transport), all against a running kernel.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from repro.apps.mail.letter import LETTER_AGENT_NAME, make_letter
@@ -23,17 +22,13 @@ __all__ = ["MailSystem", "build_mail_kernel"]
 def build_mail_kernel(sites: Optional[Sequence[str]] = None,
                       topology: Optional[Topology] = None,
                       transport: str = "tcp", seed: Optional[int] = None,
-                      retention: str = "keep-results",
                       config: Optional[KernelConfig] = None) -> Kernel:
     """A kernel configured for a long-running mail deployment.
 
     Mail is churn: every letter is a short-lived agent (plus its couriers
     and mailbox meets), and every observable outcome is read back through
     the mailbox cabinets or ``Kernel.result_of`` — never from a terminal
-    agent's briefcase.  The lifecycle ledger therefore defaults to the
-    ``keep-results`` retention policy, archiving terminal agents into
-    compact records so a mail site's memory does not grow with every
-    letter ever sent.
+    agent's briefcase, which the lifecycle ledger does not keep.
 
     The mailbox cabinets are the system's spool: when the kernel runs with
     a durability policy other than "none" they are opted into the durable
@@ -49,9 +44,7 @@ def build_mail_kernel(sites: Optional[Sequence[str]] = None,
                        else ["tromso", "cornell", "sanfrancisco"])
     if config is None:
         config = KernelConfig(rng_seed=11 if seed is None else seed)
-    # A copy: the caller's config is left as it was handed in.
-    kernel = Kernel(topology, transport=transport,
-                    config=dataclasses.replace(config, retention=retention))
+    kernel = Kernel(topology, transport=transport, config=config)
     kernel.make_durable(MAILBOX_CABINET)   # no-op under policy "none"
     return kernel
 
@@ -74,12 +67,12 @@ class MailSystem:
     @classmethod
     def build(cls, sites: Optional[Sequence[str]] = None,
               topology: Optional[Topology] = None, transport: str = "tcp",
-              seed: Optional[int] = None, retention: str = "keep-results",
+              seed: Optional[int] = None,
               config: Optional[KernelConfig] = None) -> "MailSystem":
         """A MailSystem over a fresh :func:`build_mail_kernel` kernel."""
         return cls(build_mail_kernel(sites=sites, topology=topology,
                                      transport=transport, seed=seed,
-                                     retention=retention, config=config))
+                                     config=config))
 
     # -- sending ---------------------------------------------------------------
 

@@ -45,11 +45,6 @@ class StormCastParams:
     #: optional failure schedule applied to the run (a sensor site down)
     failures: Optional[FailureSchedule] = None
     run_until: float = 300.0
-    #: lifecycle-ledger retention: the pipeline is a long-running workload
-    #: (collectors, couriers and expert meets churn constantly) and reads
-    #: its outputs from cabinets / ``result_of`` only, so terminal agents
-    #: are archived into compact records by default
-    retention: str = "keep-results"
     #: durability policy of the per-site stores; with anything other than
     #: "none" the sensor readings and the hub's collection/prediction
     #: cabinets ride the durable store (see :mod:`repro.store`)
@@ -88,8 +83,7 @@ def build_stormcast_kernel(params: StormCastParams) -> Kernel:
                               bandwidth=params.link_bandwidth)
     kernel = Kernel(topology, transport=params.transport,
                     config=KernelConfig(rng_seed=params.seed,
-                                        durability=params.durability,
-                                        retention=params.retention))
+                                        durability=params.durability))
     # The measurement record is what a weather service must not lose: the
     # collections/predictions at the hub opt into the durable store
     # (no-ops under policy "none").

@@ -26,8 +26,7 @@ from repro.core.context import AgentContext
 from repro.core.engine import Engine
 from repro.core.folder import Folder
 from repro.core.kernel import Kernel, KernelConfig
-from repro.core.lifecycle import (AgentRecord, AgentTable, KeepAll, KeepCounts,
-                                  KeepResults, RetentionPolicy, make_retention)
+from repro.core.lifecycle import AgentRecord, AgentTable
 from repro.core.registry import (BehaviourRegistry, default_registry, register_behaviour,
                                  resolve_behaviour)
 from repro.core.site import Site
@@ -46,6 +45,5 @@ __all__ = [
     "code_for", "code_from_source", "attach_code", "behaviour_from_code",
     "pack_briefcase", "unpack_briefcase", "wire_size_of",
     "Site", "Kernel", "KernelConfig", "Engine",
-    "AgentTable", "AgentRecord", "RetentionPolicy",
-    "KeepAll", "KeepResults", "KeepCounts", "make_retention",
+    "AgentTable", "AgentRecord",
 ]

@@ -42,17 +42,17 @@ class AgentInstance:
     ledger when collecting results, and through ``ctx`` while running.
 
     A ``__slots__`` class: high-population workloads keep hundreds of
-    thousands of these alive at once (forever, under the default
-    ``keep-all`` retention), so an instance is one object: the ``visited``
-    and ``children`` lists exist only once somebody reads them.  Retirement
+    thousands of these alive at once, so an instance is one object: the
+    ``visited`` list exists only once somebody reads it.  Retirement
     (:meth:`~repro.core.lifecycle.AgentTable.retire`) sets ``briefcase``,
-    ``behaviour`` and ``code_element`` to None: a finished agent keeps its
-    record (id, state, result, error, itinerary, children), not its luggage;
-    a waiting meet caller is handed the briefcase before that.  Terminal
-    instances can be archived into
-    compact :class:`~repro.core.lifecycle.AgentRecord` objects by the
-    lifecycle ledger's retention policies; records duck-type the read-only
-    surface below (``state``, ``result``, ``finished``, ``ok``, ...).
+    ``behaviour`` and ``code_element`` to None and replaces the instance in
+    the ledger with a compact :class:`~repro.core.lifecycle.AgentRecord`
+    (id, state, result, error, itinerary): a finished agent keeps its
+    record, not its luggage; a waiting meet caller is handed the briefcase
+    before that.  Records duck-type the read-only surface below
+    (``state``, ``result``, ``finished``, ``ok``, ...).  The spawn and meet
+    edges live on the other end: a child's ``parent_id``, a callee's
+    ``meet_parent``.
 
     ``code_element`` is the shippable description of ``behaviour`` (see
     :mod:`repro.core.codec`), which ``ctx.jump`` re-attaches to the briefcase
@@ -65,8 +65,7 @@ class AgentInstance:
     __slots__ = ("agent_id", "behaviour", "code_element", "launch_name", "name",
                  "site_name", "briefcase", "state", "system", "parent_id",
                  "meet_parent", "meet_ended", "generator", "result", "error",
-                 "steps", "started_at", "finished_at", "finished", "_visited",
-                 "_children")
+                 "steps", "started_at", "finished_at", "finished", "_visited")
 
     def __init__(self, agent_id: str, behaviour: Callable, site_name: str,
                  briefcase: Optional[Briefcase] = None, name: Optional[str] = None,
@@ -99,7 +98,6 @@ class AgentInstance:
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self._visited: Optional[List[str]] = None
-        self._children: Optional[List[str]] = None
 
     @property
     def visited(self) -> List[str]:
@@ -108,14 +106,6 @@ class AgentInstance:
         if visited is None:
             visited = self._visited = [self.site_name]
         return visited
-
-    @property
-    def children(self) -> List[str]:
-        """Ids of the agents this one spawned or met."""
-        children = self._children
-        if children is None:
-            children = self._children = []
-        return children
 
     # -- state helpers -----------------------------------------------------------
 

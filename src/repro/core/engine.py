@@ -53,7 +53,7 @@ from repro.net.topology import Topology
 from repro.net.transport import Transport
 from repro.obs import (TRACE_ID_FOLDER, TRACE_PARENT_FOLDER, MetricsRegistry,
                        RingSink, Tracer, infra_trace_id)
-from repro.store.policy import StoreCosts, resolve_policy
+from repro.store.policy import StoreCosts
 from repro.store.sitestore import SiteStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -115,7 +115,7 @@ class LedgerQueries:
     """The read-only queries, defined once over the ledger attributes.
 
     Everything here reads ``sites``, ``topology``, ``table``, ``metrics``,
-    ``ring`` and ``durability`` and nothing else, so it serves an
+    ``ring`` and ``config`` and nothing else, so it serves an
     :class:`Engine` (its own ledgers) and the
     :class:`~repro.core.kernel.Kernel` facade (merged views over its
     engines' ledgers — or, with one engine, that engine's) alike.
@@ -149,7 +149,7 @@ class LedgerQueries:
             key: value for key, value in self.metrics.collect().items()
             if key.startswith(("wal_", "store_", "recover", "durable_",
                                "state_lost_"))}
-        summary["policy"] = self.durability.name
+        summary["policy"] = self.config.durability
         return summary
 
     @property
@@ -187,15 +187,15 @@ class LedgerQueries:
         """A read-only view of the lifecycle ledger's entries.
 
         Values are live :class:`AgentInstance` objects, or compact
-        :class:`~repro.core.lifecycle.AgentRecord` archives for terminal
-        agents under the ``keep-results``/``keep-counts`` retention policies.
+        :class:`~repro.core.lifecycle.AgentRecord` objects for terminal
+        agents (and, on a process shard's coordinator, live ones).
         A mapping proxy, not the dict itself: external mutation would desync
         the table's name index and state counters.
         """
         return MappingProxyType(self.table.entries)
 
     def agent(self, agent_id: str) -> AgentInstance:
-        """The instance (or archived record) with the given id."""
+        """The live instance or the record with the given id."""
         entry = self.table.get(agent_id)
         if entry is None:
             raise UnknownAgentError(f"unknown agent id {agent_id!r}")
@@ -212,8 +212,8 @@ class LedgerQueries:
     def result_of(self, agent_id: str) -> Any:
         """The result of a finished agent (raises if it failed or is unfinished).
 
-        Works for archived records too: ``keep-results`` retention drops the
-        briefcase and behaviour of a terminal agent but keeps the result readable.
+        Reads the terminal agent's record: retirement drops the briefcase
+        and behaviour but keeps the result and error.
         """
         instance = self.agent(agent_id)
         if instance.state == AgentState.DONE:
@@ -312,9 +312,7 @@ class Engine(LedgerQueries):
         #: callbacks fired (with the site name) once a recovery completes
         #: and the site accepts traffic again (checkpoint revival uses this)
         self._site_recovered_hooks: List[Callable[[str], None]] = []
-        #: the resolved durability policy; "none" builds no stores at all
-        self.durability = resolve_policy(self.config.durability)
-        #: per-site durable stores (empty when the policy is "none")
+        #: per-site durable stores (empty under durability "none")
         self.stores: Dict[str, SiteStore] = {}
         for name in self.topology.sites():
             if placement is not None and placement[name] != shard_id:
@@ -324,7 +322,7 @@ class Engine(LedgerQueries):
             self.transport.register_endpoint(name, self._make_site_handler(name))
             self._attach_store(site)
 
-        #: the lifecycle ledger: registration, indexes, retention (the
+        #: the lifecycle ledger: registration, indexes, records (the
         #: kernel's agent-facing API delegates here)
         self.table = AgentTable(self.config.retention)
         #: memo for _best_effort_code: deriving a CODE element per
@@ -396,7 +394,7 @@ class Engine(LedgerQueries):
 
     def _attach_store(self, site: Site) -> None:
         """Build and attach the site's durable store (no-op for policy "none")."""
-        if not self.durability.durable:
+        if self.config.durability == "none":
             return
         costs = StoreCosts(
             write_latency=self.config.store_write_latency,
@@ -404,7 +402,7 @@ class Engine(LedgerQueries):
             fsync_latency=self.config.store_fsync_latency,
             commit_window=self.config.store_commit_window,
         )
-        store = SiteStore(site, self.loop, self.durability, costs, self.stats,
+        store = SiteStore(site, self.loop, self.config.durability, costs, self.stats,
                           log_event=self.log_event, obs=self.obs)
         site.attach_store(store)
         self.stores[site.name] = store
@@ -981,7 +979,6 @@ class Engine(LedgerQueries):
             is_system,
             parent_id=caller.agent_id, meet_parent=caller.agent_id)
         self._register(callee)
-        caller.children.append(callee.agent_id)
         caller.mark_waiting()
         self.meets += 1
         self.loop.schedule(self.config.meet_overhead + self.config.step_cost,
@@ -1020,7 +1017,6 @@ class Engine(LedgerQueries):
                              if isinstance(request.behaviour, str) else None),
             code_element, is_system, parent_id=parent.agent_id)
         self._register(child)
-        parent.children.append(child.agent_id)
         self.loop.schedule_many((
             (SPAWN_OVERHEAD, self._start,
              ("spawn", child.agent_id), (child,)),

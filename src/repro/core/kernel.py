@@ -32,14 +32,14 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
 from repro.core.briefcase import Briefcase
 from repro.core.engine import Engine, LedgerQueries, record_site, resolve_links
 from repro.core.errors import KernelError, UnknownSiteError
-from repro.core.lifecycle import MergedAgentTable, RetentionPolicy
+from repro.core.lifecycle import MergedAgentTable
 from repro.core.registry import BehaviourRegistry, default_registry
 from repro.core.site import Site
 from repro.net.stats import StatsView
 from repro.net.topology import Topology, lan
 from repro.net.transport import Transport
 from repro.obs import MetricsRegistry, RingSink, Tracer
-from repro.store.policy import DurabilityPolicy
+from repro.store.sitestore import DURABILITY
 
 __all__ = ["Kernel", "KernelConfig"]
 
@@ -58,11 +58,11 @@ class KernelConfig:
     max_agent_steps: int = 1_000_000
     #: seed for every random stream derived by the kernel
     rng_seed: int = 42
-    #: terminal-agent retention policy of the lifecycle ledger: "keep-all",
-    #: "keep-results", "keep-counts[:N]" or a RetentionPolicy instance (see
-    #: :mod:`repro.core.lifecycle`).  Each engine enforces it on its own
-    #: table, so keep-counts keeps N terminal agents *per engine*
-    retention: Union[str, "RetentionPolicy"] = "keep-all"
+    #: how many terminal-agent records the lifecycle ledger keeps: None
+    #: keeps every one, N the most recent N (see
+    #: :mod:`repro.core.lifecycle`).  Each engine bounds its own table, so
+    #: N is *per engine*
+    retention: Optional[int] = None
     #: delivery-fabric flush window in simulated seconds; 0 disables
     #: batching and preserves one-wire-message-per-folder behaviour
     delivery_batch_window: float = 0.0
@@ -77,9 +77,9 @@ class KernelConfig:
     #: how many messages an adaptive window should ideally coalesce
     flow_target_batch: int = 8
     #: durability policy of the per-site stores: "none" (legacy free
-    #: permanence, the default), "flush-on-demand", "wal-group-commit", or
-    #: a DurabilityPolicy instance (see :mod:`repro.store`)
-    durability: Union[str, "DurabilityPolicy"] = "none"
+    #: permanence, the default), "flush-on-demand" or "wal-group-commit"
+    #: (see :mod:`repro.store.sitestore`)
+    durability: str = "none"
     #: seconds charged per WAL record written at commit/flush time
     store_write_latency: float = 0.0002
     #: seconds charged per payload byte a WAL record carries (the
@@ -136,6 +136,17 @@ class KernelConfig:
             # fail mid-run as "an event in the past" without naming the knob.
             if getattr(self, name) < 0:
                 raise KernelError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.max_agent_steps < 1:
+            # 0 would kill every agent on its first step as a "runaway".
+            raise KernelError(f"max_agent_steps must be >= 1, got "
+                              f"{self.max_agent_steps}")
+        if self.retention is not None and (
+                type(self.retention) is not int or self.retention < 0):
+            raise KernelError(f"retention must be None or an int >= 0, got "
+                              f"{self.retention!r}")
+        if self.durability not in DURABILITY:
+            raise KernelError(f"unknown durability {self.durability!r}; "
+                              f"expected one of {DURABILITY}")
         if self.shards < 1:
             raise KernelError(f"shards must be >= 1, got {self.shards}")
         from repro.shard.backend import BACKENDS
@@ -291,7 +302,6 @@ class Kernel(LedgerQueries):
         #: ``kernel.transport`` sees its transport
         self.loop = engines[0].loop
         self.transport = engines[0].transport
-        self.durability: DurabilityPolicy = engines[0].durability
 
     def _merged_metrics(self, parts: Sequence[MetricsRegistry]) -> MetricsRegistry:
         """The merged stats snapshot (whose values are not all additive),

@@ -106,7 +106,6 @@ from repro.net.simclock import SimClock
 from repro.net.stats import NetworkStats
 from repro.obs import MetricsRegistry, RingSink
 from repro.shard.backend import ShardBackend
-from repro.store.policy import resolve_policy
 
 __all__ = ["ProcessBackend", "ProcessEngineProxy", "WorkerSpec",
            "preload_module_names", "worker_main"]
@@ -529,7 +528,7 @@ class ProcessEngineProxy:
         self.stats = NetworkStats()
         #: the facade's topology: the sites' ``alive`` reads it
         self.topology = spec.topology
-        self.durability = resolve_policy(spec.config.durability)
+        self._durable = spec.config.durability != "none"
         self.table = AgentTable(spec.config.retention)
         self.sites: Dict[str, SiteMirror] = {
             name: self._site_mirror(name)
@@ -567,7 +566,7 @@ class ProcessEngineProxy:
             f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _site_mirror(self, name: str) -> SiteMirror:
-        return SiteMirror(name, self.topology, self.durability.durable)
+        return SiteMirror(name, self.topology, self._durable)
 
     def add_site(self, name, links=(), install_system_agents=None) -> None:
         self._call("add_site", name, links, install_system_agents)

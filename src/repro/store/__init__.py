@@ -15,10 +15,11 @@ owns one store holding
 * snapshot/compaction (:mod:`repro.store.snapshot`) folding old redo
   records into per-cabinet base images so recovery does not replay history
   forever;
-* a pluggable :class:`DurabilityPolicy` (:mod:`repro.store.policy`):
+* a durability policy, ``KernelConfig.durability``, named by a string:
   ``none`` (the legacy free-permanence model), ``flush-on-demand``
   (explicit synchronous checkpoints) and ``wal-group-commit`` (journal
-  every cabinet mutation, commit in batches).
+  every cabinet mutation, commit in batches), priced by
+  :class:`StoreCosts` (:mod:`repro.store.policy`).
 
 Crash semantics become honest end to end: ``Kernel.crash_site`` discards
 un-logged cabinet state (emitting a ``state lost`` kernel event),
@@ -27,15 +28,13 @@ delay before the site accepts traffic, and the durability counters are
 surfaced in :class:`~repro.net.stats.NetworkStats`.
 """
 
-from repro.store.policy import (POLICIES, DurabilityPolicy, FlushOnDemand, NoDurability,
-                                StoreCosts, WalGroupCommit, resolve_policy)
+from repro.store.policy import StoreCosts
 from repro.store.sitestore import SiteStore
 from repro.store.snapshot import CabinetImage, capture_cabinet, restore_cabinet
 from repro.store.wal import WalRecord, WriteAheadLog
 
 __all__ = [
-    "DurabilityPolicy", "NoDurability", "FlushOnDemand", "WalGroupCommit",
-    "POLICIES", "resolve_policy", "StoreCosts",
+    "StoreCosts",
     "WalRecord", "WriteAheadLog",
     "CabinetImage", "capture_cabinet", "restore_cabinet",
     "SiteStore",

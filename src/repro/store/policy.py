@@ -1,36 +1,18 @@
-"""Durability policies and the store cost model.
+"""The store cost model: what the durable store charges in simulated time.
 
-A policy decides *when* cabinet state becomes durable; the
-:class:`~repro.store.sitestore.SiteStore` provides the mechanisms (dirty
-tracking, group commit, snapshots, replay).  Three policies ship with the
-system:
-
-``none``
-    The legacy model: no store is built at all, cabinets survive crashes
-    for free.  Kept as the explicit baseline so experiments can price it.
-``flush-on-demand``
-    Mutations are tracked but volatile until someone calls
-    :meth:`SiteStore.flush` (or yields a durability barrier).  The flush is
-    synchronous: the caller is charged write latency per dirty folder plus
-    one fsync.
-``wal-group-commit``
-    Every cabinet mutation is journaled; an armed group-commit event fires
-    ``commit_window`` simulated seconds after the first dirty mutation and
-    makes the whole batch durable for one fsync.
-
-Custom policies subclass :class:`DurabilityPolicy` and can be passed
-directly as ``KernelConfig.durability``.
+:class:`StoreCosts` prices WAL writes, fsyncs, group-commit windows,
+recovery replay and compaction.  *When* cabinet state becomes durable is
+``KernelConfig.durability``, a name that
+:class:`~repro.store.sitestore.SiteStore` interprets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from repro.flow import CostModel
 
-__all__ = ["DurabilityPolicy", "NoDurability", "FlushOnDemand", "WalGroupCommit",
-           "POLICIES", "resolve_policy", "StoreCosts"]
+__all__ = ["StoreCosts"]
 
 
 @dataclass(frozen=True)
@@ -70,71 +52,3 @@ class StoreCosts:
         return CostModel(base=self.write_latency,
                          per_byte=self.write_byte_latency,
                          sync=self.fsync_latency)
-
-
-class DurabilityPolicy:
-    """Base class: what a site store does about cabinet mutations.
-
-    Attributes
-    ----------
-    durable:
-        False only for :class:`NoDurability`; the kernel builds no stores
-        when the policy is not durable.
-    tracks_mutations:
-        Mutations of durable cabinets mark folders dirty (needed by both
-        explicit flushes and the WAL).
-    group_commit:
-        Dirty folders arm a group-commit event ``commit_window`` out; the
-        batch becomes durable when the commit's write+fsync completes.
-    """
-
-    name = "abstract"
-    durable = True
-    tracks_mutations = True
-    group_commit = False
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.name!r})"
-
-
-class NoDurability(DurabilityPolicy):
-    """Legacy free permanence: no store, cabinets survive crashes unpriced."""
-
-    name = "none"
-    durable = False
-    tracks_mutations = False
-
-
-class FlushOnDemand(DurabilityPolicy):
-    """State becomes durable only at explicit, synchronous flush points."""
-
-    name = "flush-on-demand"
-
-
-class WalGroupCommit(DurabilityPolicy):
-    """Journal every mutation; group-commit batches on the simulated clock."""
-
-    name = "wal-group-commit"
-    group_commit = True
-
-
-POLICIES = {
-    NoDurability.name: NoDurability,
-    FlushOnDemand.name: FlushOnDemand,
-    WalGroupCommit.name: WalGroupCommit,
-}
-
-
-def resolve_policy(spec: Union[str, DurabilityPolicy, None]) -> DurabilityPolicy:
-    """Resolve a ``KernelConfig.durability`` value to a policy instance."""
-    if spec is None:
-        return NoDurability()
-    if isinstance(spec, DurabilityPolicy):
-        return spec
-    if isinstance(spec, str):
-        try:
-            return POLICIES[spec]()
-        except KeyError:
-            raise ValueError(f"unknown durability policy {spec!r}; "
-                             f"choose from {sorted(POLICIES)}") from None
-    raise ValueError(f"cannot build a durability policy from {spec!r}")

@@ -3,9 +3,12 @@
 One :class:`SiteStore` sits beside each :class:`~repro.core.site.Site`
 when the kernel runs with a durable policy.  Cabinets opt in through
 :meth:`make_durable`; their mutations (routed through the cabinet API)
-mark folders dirty, and the configured :class:`DurabilityPolicy` decides
-when dirty state becomes durable:
+mark folders dirty, and ``KernelConfig.durability`` — one of
+:data:`DURABILITY` — decides when dirty state becomes durable:
 
+* ``none`` — the legacy model: no store is built at all and cabinets
+  survive crashes for free, kept as the explicit baseline experiments
+  price the others against.
 * ``wal-group-commit`` — the first dirty mutation arms a commit event
   ``commit_window`` simulated seconds out; when it fires, the dirty
   folders are captured into WAL redo records and become durable once the
@@ -38,7 +41,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import StoreError
-from repro.store.policy import DurabilityPolicy, StoreCosts
+from repro.store.policy import StoreCosts
 from repro.store.snapshot import (CabinetImage, capture_cabinet, capture_folder,
                                   image_folder_count, restore_cabinet)
 from repro.store.wal import WriteAheadLog, apply_states
@@ -46,7 +49,11 @@ from repro.store.wal import WriteAheadLog, apply_states
 if TYPE_CHECKING:  # a runtime import cycles back through repro.core.engine
     from repro.net.simclock import Event, EventLoop
 
-__all__ = ["SiteStore"]
+__all__ = ["DURABILITY", "SiteStore"]
+
+#: the durability policies ``KernelConfig.durability`` names; the first,
+#: "none", builds no store at all
+DURABILITY = ("none", "flush-on-demand", "wal-group-commit")
 
 #: a captured folder state awaiting (or part of) a commit
 Capture = Tuple[str, str, Optional[Tuple[bytes, ...]]]
@@ -55,16 +62,19 @@ Capture = Tuple[str, str, Optional[Tuple[bytes, ...]]]
 class SiteStore:
     """Durable storage for one site's file cabinets."""
 
-    def __init__(self, site, loop: "EventLoop", policy: DurabilityPolicy,
+    def __init__(self, site, loop: "EventLoop", policy: str,
                  costs: StoreCosts, stats,
                  log_event: Optional[Callable[[str, str, str], None]] = None,
                  obs=None):
-        if not policy.durable:
-            raise StoreError("a SiteStore needs a durable policy; "
-                             "policy 'none' builds no stores")
+        if policy not in DURABILITY[1:]:
+            raise StoreError(f"a SiteStore needs a durable policy, got "
+                             f"{policy!r}; policy 'none' builds no stores")
         self.site = site
         self.loop = loop
         self.policy = policy
+        #: dirty folders arm a group-commit event ``commit_window`` out;
+        #: otherwise they wait for an explicit :meth:`flush`
+        self.group_commit = policy == "wal-group-commit"
         self.costs = costs
         self.stats = stats
         self._log = log_event or (lambda agent, site_name, message: None)
@@ -129,12 +139,12 @@ class SiteStore:
 
     def _on_mutation(self, cabinet_name: str, folder_name: str) -> None:
         """A durable cabinet mutated: journal it per the policy."""
-        if self._restoring or not self.policy.tracks_mutations:
+        if self._restoring:
             return
         self.stats.wal_appends += 1
         self._mutation_counter += 1
         self._dirty[(cabinet_name, folder_name)] = None
-        if self.policy.group_commit:
+        if self.group_commit:
             self._arm_commit(self.costs.commit_window)
 
     @property
@@ -369,7 +379,7 @@ class SiteStore:
             return 0.0
         if self._inflight is not None and mark <= self._inflight_through:
             return max(0.0, self._inflight_done_at - self.loop.now)
-        if not self.policy.group_commit:
+        if not self.group_commit:
             # The mark is still sitting in the dirty set: flush it.
             return self.flush()
         self._piggyback_commit()
@@ -487,6 +497,6 @@ class SiteStore:
         return merged
 
     def __repr__(self) -> str:
-        return (f"SiteStore({self.site.name!r}, policy={self.policy.name!r}, "
+        return (f"SiteStore({self.site.name!r}, policy={self.policy!r}, "
                 f"{len(self.durable_cabinets)} durable cabinets, "
                 f"{len(self.wal)} WAL records, {len(self._dirty)} dirty)")

@@ -2,9 +2,9 @@
 
 The collector's cost is set by how many *tracked* objects a run creates and
 keeps (every young collection walks the new ones, every full one walks them
-all), and under the default ``keep-all`` retention every finished agent's
-instance stays for the life of the kernel — its record, without the
-briefcase, behaviour and CODE element retirement sheds.  Wall-clock cannot
+all), and by default every finished agent's record stays for the life of the
+kernel — its identity, result and itinerary, none of the briefcase,
+behaviour and CODE element retirement sheds.  Wall-clock cannot
 be asserted in tier-1; these counts can, and they repeat exactly.  Public API
 only — what is counted is whatever the library allocates, by any means, and
 a briefcase whose elements are compared is one a test behaviour kept, not
@@ -20,7 +20,7 @@ import functools
 import gc
 import sys
 
-from repro.core import Briefcase, Folder, Kernel, KernelConfig
+from repro.core import AgentRecord, Briefcase, Folder, Kernel, KernelConfig
 from repro.net import switched_fabric
 from repro.net.simclock import Event
 
@@ -47,7 +47,6 @@ def courier(ctx, briefcase):
 def fabric_kernel(sink_behaviour=sink, courier_behaviour=courier) -> Kernel:
     kernel = Kernel(switched_fabric(SITES, hosts_per_switch=4), transport="tcp",
                     config=KernelConfig(rng_seed=7))
-    assert kernel.table.retention.name == "keep-all"
     kernel.install_agent(None, "sink", sink_behaviour)
     # Launched by name, as populations are: unnamed agents each get a name
     # index entry of their own (one more dict per life).
@@ -83,12 +82,15 @@ def test_an_agent_life_keeps_at_most_two_tracked_objects():
     counters = kernel.counters()
     lives = counters["launched"] - lives_before
     assert lives == 200 * LIVES_PER_COURIER == counters["completed"] - lives_before
+    assert counters["retained"] == counters["launched"]
+    assert all(type(entry) is AgentRecord for entry in kernel.agents.values())
     after.subtract(before)
     growth = sum(after.values())
     # 12.7 per life when every folder was a Folder plus a list and every
     # instance carried a spec and two lists; 4.4 while a finished instance
     # kept its briefcase and the one folder somebody asked for as an object;
-    # 1.36 now: the instance, and one courier's list of the agents it met.
+    # 1.36 while the ledger kept the instance and a courier its list of the
+    # agents it met; 1.04 now: the record.
     assert growth <= 2 * lives, (
         f"{growth / lives:.2f} tracked survivors per agent life: "
         f"{[(kind, count) for kind, count in after.most_common(8) if count > 0]}")
@@ -156,13 +158,16 @@ def test_a_queried_cabinet_folder_answers_correctly_across_crash_and_recovery():
 
 def retained_payload_bytes(kernel: Kernel) -> int:
     """Bytes of every distinct folder name, stored element and CODE element
-    the ledger's entries still reference (an object shared is counted once)."""
+    the ledger's entries still reference (an object shared is counted once;
+    a record holds none of them)."""
     held = {}
     for entry in kernel.agents.values():
-        if entry.code_element is not None:
-            held[id(entry.code_element)] = entry.code_element
-        for name, elements in (entry.briefcase.stored_items()
-                               if entry.briefcase is not None else ()):
+        code_element = getattr(entry, "code_element", None)
+        if code_element is not None:
+            held[id(code_element)] = code_element
+        briefcase = getattr(entry, "briefcase", None)
+        for name, elements in (briefcase.stored_items()
+                               if briefcase is not None else ()):
             held[id(name)] = name
             held.update((id(element), element) for element in elements)
     return sum(sys.getsizeof(obj) for obj in held.values())

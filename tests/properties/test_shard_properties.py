@@ -60,10 +60,12 @@ def run_workload(seed: int, n_sites: int, n_agents: int, hops: int,
         briefcase.set("SINK", names[(index + n_sites // 2) % n_sites])
         kernel.launch(names[index % n_sites], hopper, briefcase)
     kernel.run()
+    # An unnamed agent's name is its id, and ids depend on the shard count.
     completed = sorted(
-        (instance.launch_name or "", instance.site_name, repr(instance.result))
-        for instance in kernel.table.entries.values()
-        if instance.state == AgentState.DONE)
+        ("" if record.name == record.agent_id else record.name, record.site_name,
+         repr(record.result))
+        for record in kernel.table.entries.values()
+        if record.state == AgentState.DONE)
     kernel.close()
     return kernel.counters(), completed
 

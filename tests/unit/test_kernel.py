@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.core import Briefcase, Kernel, KernelConfig
@@ -67,6 +69,22 @@ class TestConstruction:
         config = KernelConfig(durability="wal-group-commit", **{knob: -1.0})
         with pytest.raises(KernelError, match=f"{knob} must be >= 0"):
             Kernel(lan(["a", "b"]), config=config)
+
+    @pytest.mark.parametrize("knob, value", [
+        ("retention", "keep-al"), ("retention", "keep-counts:x"),
+        ("retention", -1), ("retention", True), ("retention", 2.5),
+        ("durability", "wal"), ("durability", None),
+        ("max_agent_steps", 0), ("max_agent_steps", -5)])
+    def test_a_mis_set_policy_knob_fails_before_any_engine_exists(
+            self, knob, value, backend):
+        # These used to surface as a ValueError from inside an engine (after
+        # process workers had spawned), or, for max_agent_steps, as every
+        # agent killed as a "runaway".
+        workers = set(multiprocessing.active_children())
+        config = KernelConfig(shards=2, shard_backend=backend, **{knob: value})
+        with pytest.raises(KernelError, match=knob):
+            Kernel(lan(["a", "b"]), config=config)
+        assert set(multiprocessing.active_children()) <= workers
 
 
 class TestLaunchingAndResults:
@@ -209,7 +227,7 @@ class TestSyscalls:
         child_id = kernel.result_of(parent_id)
         assert kernel.result_of(child_id) == "child-done"
         assert child_results == [7]
-        assert child_id in kernel.agent(parent_id).children
+        assert kernel.agent(child_id).parent_id == parent_id
 
     def test_spawned_child_starts_spawn_overhead_after_the_request(self, kernel):
         marks = {}

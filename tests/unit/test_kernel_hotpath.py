@@ -279,12 +279,13 @@ class TestGeneratorCleanup:
                 cleaned.append(ctx.agent_id)
 
         agent_id = kernel.launch("a", holder)
+        instance = kernel.agent(agent_id)       # the ledger keeps a record once it ends
         kernel.run(until=0.1)
         assert cleaned == []
         kernel.crash_site("a")
         assert cleaned == [agent_id]
         assert kernel.agent(agent_id).state == AgentState.KILLED
-        assert kernel.agent(agent_id).generator is None
+        assert instance.generator is None
 
     def test_runaway_kill_runs_finally_blocks(self):
         kernel = Kernel(lan(["a", "b"]), transport="tcp",
@@ -314,10 +315,11 @@ class TestGeneratorCleanup:
                 cleaned.append(True)
 
         agent_id = kernel.launch("a", early_exit)
+        instance = kernel.agent(agent_id)
         kernel.run()
         assert kernel.result_of(agent_id) == "early"
         assert cleaned == [True]
-        assert kernel.agent(agent_id).generator is None
+        assert instance.generator is None
 
     def test_start_at_dead_site_kills_cleanly(self, kernel):
         def worker(ctx, bc):

@@ -1,4 +1,4 @@
-"""Unit tests for the lifecycle ledger: AgentTable, retention policies, indexes.
+"""Unit tests for the lifecycle ledger: AgentTable, records, retention, indexes.
 
 Also holds the regression test for ``Kernel.launch`` accepting a negative
 delay (it used to silently schedule into the past while ``launch_many``
@@ -16,8 +16,7 @@ import pytest
 from repro.core import Briefcase, Kernel, KernelConfig
 from repro.core.agent import AgentInstance, AgentState
 from repro.core.errors import KernelError, UnknownAgentError
-from repro.core.lifecycle import (AgentRecord, AgentTable, KeepAll, KeepCounts,
-                                  KeepResults, make_retention)
+from repro.core.lifecycle import AgentRecord, AgentTable
 from repro.net import lan
 from repro.shard import process_backend_available
 
@@ -32,53 +31,37 @@ def _broken(ctx, bc):
     raise RuntimeError("boom")
 
 
-def make_kernel(retention="keep-all", **config_kwargs):
+def make_kernel(retention=None, **config_kwargs):
     return Kernel(lan(["a", "b", "c"]), transport="tcp",
                   config=KernelConfig(rng_seed=7, retention=retention, **config_kwargs))
 
 
-class TestRetentionParsing:
-    def test_strings_resolve_to_policies(self):
-        assert isinstance(make_retention("keep-all"), KeepAll)
-        assert isinstance(make_retention("keep-results"), KeepResults)
-        assert isinstance(make_retention("keep-counts"), KeepCounts)
-        assert make_retention("keep-counts:123").max_terminal == 123
-        assert isinstance(make_retention(None), KeepAll)
-
-    def test_policy_instances_pass_through(self):
-        policy = KeepCounts(max_terminal=5)
-        assert make_retention(policy) is policy
-
-    def test_unknown_policy_raises(self):
-        with pytest.raises(ValueError):
-            make_retention("keep-nothing")
-
-    def test_argument_on_argless_policy_raises(self):
-        with pytest.raises(ValueError):
-            make_retention("keep-all:5")
-
-    def test_negative_bound_raises(self):
-        with pytest.raises(ValueError):
-            KeepCounts(max_terminal=-1)
-
-
-class TestKeepAll:
-    def test_default_kernel_retains_full_instances(self):
-        # "All" is every ledger entry, each the instance itself; what only a
-        # running agent reads was shed when it retired, its record was not.
+class TestRecords:
+    def test_a_finished_agent_is_a_compact_record(self):
         kernel = make_kernel()
         briefcase = Briefcase()
+        briefcase.set("N", 42)
         briefcase.set("BALLAST", b"\0" * 1024)
         agent_id = kernel.launch("a", _worker, briefcase, name="kept")
         kernel.run()
-        instance = kernel.agent(agent_id)
-        assert type(instance) is AgentInstance
-        assert instance.briefcase is None and instance.behaviour is None
-        assert instance.code_element is None and instance.generator is None
-        assert kernel.result_of(agent_id) == "a"
-        assert (instance.visited, instance.children, instance.launch_name) == (
-            ["a"], [], "kept")
-        assert kernel.counters()["archived"] == 0
+        record = kernel.agent(agent_id)
+        assert type(record) is AgentRecord
+        assert record.finished and record.ok
+        assert kernel.result_of(agent_id) == 42
+        assert (record.name, record.visited) == ("kept", ("a",))
+        # The expensive state is genuinely gone from the ledger entry.
+        assert not hasattr(record, "briefcase")
+        assert not hasattr(record, "behaviour")
+        assert not hasattr(record, "generator")
+
+    def test_failed_agents_keep_their_error(self):
+        kernel = make_kernel()
+        agent_id = kernel.launch("a", _broken)
+        kernel.run()
+        record = kernel.agent(agent_id)
+        assert record.state == AgentState.FAILED
+        with pytest.raises(KernelError, match="boom"):
+            kernel.result_of(agent_id)
 
     def test_counters_balance(self):
         kernel = make_kernel()
@@ -89,45 +72,10 @@ class TestKeepAll:
         counters = kernel.counters()
         assert counters["completed"] + counters["failed"] + counters["killed"] == \
             counters["launched"] == 7
-        assert counters["archived"] == 0
-        assert counters["retained"] == 7
-
-
-class TestKeepResults:
-    def test_terminal_agents_become_compact_records(self):
-        kernel = make_kernel(retention="keep-results")
-        briefcase = Briefcase()
-        briefcase.set("N", 42)
-        briefcase.set("BALLAST", b"\0" * 1024)
-        agent_id = kernel.launch("a", _worker, briefcase)
-        kernel.run()
-        record = kernel.agent(agent_id)
-        assert isinstance(record, AgentRecord)
-        assert record.finished and record.ok
-        assert kernel.result_of(agent_id) == 42
-        # The expensive state is genuinely gone from the archived entry.
-        assert not hasattr(record, "briefcase")
-        assert not hasattr(record, "spec")
-        assert not hasattr(record, "generator")
-
-    def test_failed_agents_keep_their_error(self):
-        kernel = make_kernel(retention="keep-results")
-        agent_id = kernel.launch("a", _broken)
-        kernel.run()
-        record = kernel.agent(agent_id)
-        assert record.state == AgentState.FAILED
-        with pytest.raises(KernelError, match="boom"):
-            kernel.result_of(agent_id)
-
-    def test_config_retention_selects_the_policy(self):
-        kernel = Kernel(lan(["a", "b"]), transport="tcp",
-                        config=KernelConfig(rng_seed=1, retention="keep-results"))
-        agent_id = kernel.launch("a", _worker)
-        kernel.run()
-        assert isinstance(kernel.agent(agent_id), AgentRecord)
+        assert counters["retained"] == 7 and counters["evicted"] == 0
 
     def test_meets_work_under_archival(self):
-        kernel = make_kernel(retention="keep-results")
+        kernel = make_kernel()
 
         def service(ctx, bc):
             yield ctx.end_meet("answer")
@@ -142,7 +90,7 @@ class TestKeepResults:
         assert kernel.result_of(agent_id) == "answer"
 
     def test_historical_site_scan_sees_records(self):
-        kernel = make_kernel(retention="keep-results")
+        kernel = make_kernel()
         kernel.launch("a", _worker)
         kernel.launch("a", _worker)
         kernel.run()
@@ -153,7 +101,7 @@ class TestKeepResults:
 
 class TestKeepCounts:
     def test_ledger_is_bounded_and_counters_stay_exact(self):
-        kernel = make_kernel(retention="keep-counts:5")
+        kernel = make_kernel(retention=5)
         ids = [kernel.launch("a", _worker) for _ in range(20)]
         kernel.run()
         assert kernel.counters()["completed"] == 20
@@ -164,7 +112,7 @@ class TestKeepCounts:
             assert kernel.result_of(agent_id) == "a"
 
     def test_evicted_agent_lookup_raises(self):
-        kernel = make_kernel(retention="keep-counts:2")
+        kernel = make_kernel(retention=2)
         first = kernel.launch("a", _worker)
         for _ in range(5):
             kernel.launch("a", _worker)
@@ -175,7 +123,7 @@ class TestKeepCounts:
             kernel.result_of(first)
 
     def test_eviction_prunes_the_name_index(self):
-        kernel = make_kernel(retention="keep-counts:3")
+        kernel = make_kernel(retention=3)
         for _ in range(10):
             kernel.launch("a", _worker, name="droplet")
         kernel.run()
@@ -184,14 +132,14 @@ class TestKeepCounts:
         assert all(isinstance(entry, AgentRecord) for entry in named)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "keep-counts:N is enforced per engine: each engine's table keeps N "
+        "retention=N is enforced per engine: each engine's table keeps N "
         "terminal agents, so two engines retain up to 2N and counters() "
         "depends on the shard count"))
     def test_keep_counts_ledger_does_not_depend_on_the_shard_count(self):
         def counters(shards):
             kernel = Kernel(lan([f"s{index}" for index in range(6)]), transport="tcp",
                             config=KernelConfig(rng_seed=7, shards=shards,
-                                                retention="keep-counts:3"))
+                                                retention=3))
             for index in range(24):
                 kernel.launch(f"s{index % 6}", _worker)
             kernel.run()
@@ -247,9 +195,8 @@ class TestTableUnit:
         assert counts["active"] == 0
         assert counts["retained"] == 2
 
-    @pytest.mark.parametrize("retention", ["keep-all", "keep-results",
-                                           "keep-counts:3", "keep-counts:0"])
-    def test_entry_kinds_are_counted_not_scanned_and_match_a_scan(self, retention):
+    @pytest.mark.parametrize("retention", [None, 3, 0])
+    def test_an_entry_is_a_record_exactly_when_its_agent_finished(self, retention):
         kernel = make_kernel(retention=retention)
         for step in range(4):
             for index in range(3):
@@ -257,10 +204,12 @@ class TestTableUnit:
                 briefcase.set("WORK", 0.01 + 0.02 * index)
                 kernel.launch("abc"[index], _worker if index else _broken, briefcase)
             kernel.run(until=0.03 * (step + 1))     # some terminal, some still live
-            entries = kernel.table.entries.values()
-            records = sum(isinstance(entry, AgentRecord) for entry in entries)
-            assert kernel.table.ledger_entry_kinds() == {
-                "instances": len(entries) - records, "records": records}
+            entries = list(kernel.table.entries.values())
+            assert [type(entry) for entry in entries] == [
+                AgentRecord if entry.finished else AgentInstance for entry in entries]
+            assert sum(entry.finished for entry in entries) == (
+                kernel.table.terminal if retention is None
+                else min(retention, kernel.table.terminal))
 
     def test_a_record_round_trips_through_its_row(self):
         kernel = make_kernel()
@@ -312,8 +261,7 @@ class TestTableUnit:
         assert not kernel.site("a").has_resident(agent_id)
 
     def test_repr_mentions_retention(self):
-        table = AgentTable("keep-results")
-        assert "keep-results" in repr(table)
+        assert "retention=3" in repr(AgentTable(3))
 
 
 def _child(ctx, bc):
@@ -347,7 +295,7 @@ ENDINGS = {
 @pytest.fixture(scope="module", params=["inproc", "process"])
 def ended(request):
     """One agent per ending on a two-engine kernel of each backend:
-    ``(ledger entries by ending, whether every entry has shed)``."""
+    ``(ledger entries by ending, whether every instance still held has shed)``."""
     if request.param == "process" and not process_backend_available():
         pytest.skip("multiprocessing spawn unavailable")
     kernel = Kernel(lan(["a", "b", "c"]), transport="tcp", config=KernelConfig(
@@ -358,12 +306,16 @@ def ended(request):
         briefcase.set("HOW", how)
         briefcase.set("BALLAST", b"\0" * 256)
         ids[how] = kernel.launch(site, _ends_by, briefcase, name=f"ends-{how}")
+    # An in-process caller can hold an instance past its end (a process
+    # shard's live entries are records built from digests).
+    held = ([kernel.agent(agent_id) for agent_id in ids.values()]
+            if request.param == "inproc" else [])
     kernel.run(until=0.1)
     kernel.crash_site("c")
     kernel.run()
     entries = {how: kernel.agent(agent_id) for how, agent_id in ids.items()}
-    shed = all(getattr(entry, slot, None) is None for entry in kernel.agents.values()
-               for slot in ("briefcase", "behaviour", "code_element"))
+    shed = all(getattr(instance, slot) is None for instance in held
+               for slot in ("briefcase", "behaviour", "code_element", "generator"))
     assert kernel.counters()["launched"] == 2 * len(ENDINGS)     # each with a child
     kernel.close()
     return entries, shed
@@ -381,17 +333,11 @@ class TestRetirementSheds:
         assert (entry.error is None) == (state == AgentState.DONE)
         if how == "runaway":
             assert "step budget" in str(entry.error)
-        assert list(entry.visited) == [site]
-        if isinstance(entry, AgentInstance):    # in-process: the entry is the instance
-            assert entry.briefcase is None and entry.behaviour is None
-            assert entry.code_element is None
-            assert len(entry.children) == 1 and entry.launch_name == f"ends-{how}"
-        else:                                   # a process engine ships records
-            assert isinstance(entry, AgentRecord) and entry.name == f"ends-{how}"
+        assert entry.visited == (site,)
+        assert type(entry) is AgentRecord and entry.name == f"ends-{how}"
 
-    @pytest.mark.parametrize("retention", ["keep-all", "keep-results"])
-    def test_a_meet_caller_gets_the_briefcase_the_callee_finished_with(self, retention):
-        kernel = make_kernel(retention=retention)
+    def test_a_meet_caller_gets_the_briefcase_the_callee_finished_with(self):
+        kernel = make_kernel()
 
         def service(ctx, bc):
             bc.set("ANSWER", 42)
@@ -414,9 +360,9 @@ class TestRetirementSheds:
         assert kernel.result_of(agent_id) == (
             "served", ["ANSWER", "LOG"], 42, ["first", "second"])
         (callee,) = kernel.agents_named("service")
-        assert callee.ok and getattr(callee, "briefcase", None) is None
+        assert callee.ok and type(callee) is AgentRecord
 
-    @pytest.mark.parametrize("retention", ["keep-all", "keep-results", "keep-counts:3"])
+    @pytest.mark.parametrize("retention", [None, 3])
     def test_a_failure_keeps_its_error_not_its_frame_locals(self, retention):
         held = []
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.apps.mail import (LETTER_AGENT_NAME, MAILBOX_AGENT_NAME, MailSystem, inbox_of,
                              install_mailboxes, make_letter)
-from repro.core import Briefcase, Kernel, KernelConfig
+from repro.core import AgentRecord, Briefcase, Kernel, KernelConfig
 from repro.net import FailureSchedule, lan, two_clusters
 
 
@@ -195,28 +195,22 @@ class TestBroadcast:
 
 
 class TestBuildMailKernel:
-    def test_build_defaults_to_keep_results_retention(self):
+    def test_build_keeps_records_of_finished_agents(self):
         mail = MailSystem.build(["tromso", "cornell"])
-        assert mail.kernel.table.retention.name == "keep-results"
-
         mail.send("dag", "tromso", "fred", "cornell", "hello", "body")
         mail.kernel.run(until=30.0)
         # The long-running-deployment contract: outcomes are read through
-        # the mailbox cabinets, and they survive instance archival.
+        # the mailbox cabinets, and they survive the letter agents' ends.
         assert mail.delivered_count() == 1
         assert any(letter["subject"] == "hello"
                    for letter in mail.inbox("cornell", "fred"))
-        # Terminal agents were archived into compact records, not retained
-        # as instances.
-        kinds = mail.kernel.table.ledger_entry_kinds()
-        assert kinds["records"] > 0
-        assert kinds["instances"] == 0
+        entries = mail.kernel.agents.values()
+        assert any(entry.finished for entry in entries)
+        assert all(type(entry) is AgentRecord for entry in entries if entry.finished)
 
-    def test_build_accepts_topology_and_retention_override(self):
-        mail = MailSystem.build(topology=two_clusters(["a", "b"], ["c", "d"]),
-                                retention="keep-all")
+    def test_build_accepts_topology(self):
+        mail = MailSystem.build(topology=two_clusters(["a", "b"], ["c", "d"]))
         assert sorted(mail.kernel.site_names()) == ["a", "b", "c", "d"]
-        assert mail.kernel.table.retention.name == "keep-all"
 
     def test_build_rejects_seed_alongside_explicit_config(self):
         # A seed next to a full config would be silently ignored.
@@ -229,15 +223,11 @@ class TestBuildMailKernel:
         assert mail.kernel.config.rng_seed == 99
 
     def test_build_leaves_the_callers_config_as_it_was(self):
-        # The app's retention reaches the kernel through a copy of the config.
         config = KernelConfig(rng_seed=5, meet_overhead=0.002)
         before = dataclasses.asdict(config)
         mail = MailSystem.build(["a", "b"], config=config)
-        assert dataclasses.asdict(config) == before
-        assert config.retention == "keep-all"
         assert mail.kernel.config.meet_overhead == 0.002
-        assert mail.kernel.table.retention.name == "keep-results"
         mail.send("dag", "a", "fred", "b", "hello", "body")
         mail.kernel.run(until=30.0)
         assert mail.delivered_count() == 1
-        assert mail.kernel.table.ledger_entry_kinds()["instances"] == 0
+        assert dataclasses.asdict(config) == before

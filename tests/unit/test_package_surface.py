@@ -162,11 +162,11 @@ def test_kernel_public_names_are_exactly_the_listed_ones():
 
 #: second read paths that were retired: the eight ledger counts are read
 #: through ``counters()`` only, the live residents of a site through
-#: ``site(name).residents()``, and the coordinator through ``engines`` and
-#: ``shard_summary()``.
+#: ``site(name).residents()``, the coordinator through ``engines`` and
+#: ``shard_summary()``, and the durability policy through ``config``.
 RETIRED_KERNEL_NAMES = ["launched", "completed", "failed", "killed", "meets",
                         "transmits", "arrivals", "undeliverable", "agents_at",
-                        "shard_set"]
+                        "shard_set", "durability"]
 
 
 @pytest.mark.parametrize("name", RETIRED_KERNEL_NAMES)
@@ -176,6 +176,31 @@ def test_a_retired_kernel_name_is_gone(name):
     assert not hasattr(Kernel, name)
     with Kernel(install_system_agents=False) as kernel:
         assert not hasattr(kernel, name)
+
+
+def test_a_retired_counter_is_gone():
+    # ``archived`` always equalled completed + failed + killed once every
+    # finished agent became a record.
+    from repro.core import Kernel
+    with Kernel(install_system_agents=False) as kernel:
+        assert "archived" not in kernel.counters()
+
+
+#: exports retired with the two policy class hierarchies: retention is None
+#: or an int and durability one of three names, both checked values.
+RETIRED_EXPORTS = [
+    *(("repro.core", name) for name in (
+        "RetentionPolicy", "KeepAll", "KeepResults", "KeepCounts", "make_retention")),
+    *(("repro.store", name) for name in (
+        "DurabilityPolicy", "NoDurability", "FlushOnDemand", "WalGroupCommit",
+        "POLICIES", "resolve_policy")),
+]
+
+
+@pytest.mark.parametrize("package_name, name", RETIRED_EXPORTS)
+def test_a_retired_export_is_gone(package_name, name):
+    module = importlib.import_module(package_name)
+    assert name not in module.__all__ and not hasattr(module, name)
 
 
 REPO = pathlib.Path(__file__).resolve().parents[2]

@@ -150,9 +150,9 @@ class TestEngineProtocol:
 
         worker = _Worker(None, WorkerSpec(
             shard_id=0, topology=lan(["a", "b"]), transport="tcp",
-            config=KernelConfig(retention="keep-counts:2"),
+            config=KernelConfig(retention=2),
             install_system_agents=False, placement={"a": 0, "b": 1}))
-        mirror = AgentTable("keep-counts:2")
+        mirror = AgentTable(2)
         table = worker.engine.table
         sleeper, first = launch(10.0), launch(0.01)
         worker.engine.run_to(1.0)
@@ -166,7 +166,6 @@ class TestEngineProtocol:
         worker.engine.run_to(2.0)                                # evicts first and later[0]
         assert digest_into_mirror() == (later[1:], [first])
         assert rows(mirror) == rows(table) and len(mirror) == len(table) == 3
-        assert mirror.ledger_entry_kinds() == table.ledger_entry_kinds()
         worker.engine.run_to(20.0)                               # the sleeper ends
         assert digest_into_mirror() == ([sleeper], [later[1]])
         assert worker._sent_markers == {sleeper: None, later[2]: None}
@@ -575,10 +574,10 @@ class TestWorkerHandle:
 # crash and recovery, inproc vs process
 # ---------------------------------------------------------------------------
 
-def crash_kernel(backend, durability, **config):
-    """Four sites, "d" alone on shard 0 and "a".."c" on shard 1."""
+def crash_kernel(backend, durability, shards=2, **config):
+    """Four sites, "d" alone on shard 0 and "a".."c" on shard 1 (at shards=2)."""
     kernel = Kernel(lan(["a", "b", "c", "d"], latency=0.002), transport="tcp",
-                    config=KernelConfig(rng_seed=7, shards=2, shard_backend=backend,
+                    config=KernelConfig(rng_seed=7, shards=shards, shard_backend=backend,
                                         shard_placement={"a": 1, "b": 1, "c": 1, "d": 0},
                                         durability=durability, **config))
     kernel.install_agent(None, SINK_NAME, report_sink)
@@ -676,16 +675,19 @@ LEDGER_NAMES = (COURIER_NAME, SINK_NAME, "itinerant", "doomed")
 
 def ledger_reads(kernel):
     """What a caller reads of the ledger: every entry's row (errors by repr,
-    as exceptions compare by identity), the table's counts and name index,
-    each site's flags and load, each engine's event count, and the clock."""
+    as exceptions compare by identity), the type and public names of every
+    finished entry, the table's counts and name index, each site's flags
+    and load, each engine's event count, and the clock."""
     def rows(entries):
         return [row[:5] + (repr(row[5]),) + row[6:]
                 for row in map(AgentRecord.row, entries)]
 
     return {
         "rows": rows(kernel.table.entries.values()),
+        "finished": {(type(entry), tuple(name for name in dir(entry)
+                                          if not name.startswith("_")))
+                     for entry in kernel.table.entries.values() if entry.finished},
         "counts": kernel.table.state_counts(),
-        "kinds": kernel.table.ledger_entry_kinds(),
         "named": {name: rows(kernel.agents_named(name)) for name in LEDGER_NAMES},
         "sites": {name: (kernel.site(name).alive, kernel.site(name).resident_count(),
                          kernel.site(name).undeliverable, kernel.site_load(name))
@@ -695,11 +697,11 @@ def ledger_reads(kernel):
     }
 
 
-def ledger_script(backend, retention):
+def ledger_script(backend, retention, shards=2):
     """:func:`ledger_reads` mid-flight, then after "c" crashes and recovers
     and a final ``run()``: couriers and an itinerant cross the shards, one
     agent fails, one dies in the crash."""
-    kernel = crash_kernel(backend, "wal-group-commit", retention=retention)
+    kernel = crash_kernel(backend, "wal-group-commit", shards, retention=retention)
     for site, peer in (("d", "c"), ("a", "d"), ("b", "c")):
         kernel.launch(site, COURIER_NAME, courier_briefcase(
             peer, work=0.05, count=2, payload_bytes=64))
@@ -720,13 +722,24 @@ def ledger_script(backend, retention):
 
 @pytest.mark.skipif(not process_backend_available(),
                     reason="multiprocessing spawn unavailable")
-@pytest.mark.parametrize("retention", ["keep-all", "keep-results", "keep-counts:3"])
+@pytest.mark.parametrize("retention", [None, 3])
 def test_ledger_reads_match_across_backends(retention):
     process = ledger_script("process", retention)
     assert process == ledger_script("inproc", retention)
     mid_flight, final = process
     assert mid_flight["counts"]["active"] > 0
     assert final["counts"]["killed"] == 1 and final["counts"]["failed"] == 1
+    # One engine: a finished agent has the same form, and the script's own
+    # agents the same rows but for their ids (minted per engine).
+    for reads, alone in zip(process, ledger_script("inproc", retention, shards=1)):
+        assert reads["finished"] == alone["finished"] == {
+            (AgentRecord, ("agent_id", "error", "finished", "finished_at", "name",
+                           "ok", "parent_id", "result", "row", "site_name",
+                           "started_at", "state", "steps", "visited"))}
+        if retention is None:       # a bound is per engine: it evicts per shard count
+            for name in ("itinerant", "doomed"):
+                assert ([row[1:7] + row[8:] for row in reads["named"][name]]
+                        == [row[1:7] + row[8:] for row in alone["named"][name]])
 
 
 def failed_burst_script(backend):

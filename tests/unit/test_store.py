@@ -7,10 +7,9 @@ import dataclasses
 import pytest
 
 from repro.core import Kernel, KernelConfig
-from repro.core.errors import StoreError
+from repro.core.errors import KernelError, StoreError
 from repro.net import lan
-from repro.store import (FlushOnDemand, NoDurability, WalGroupCommit, WriteAheadLog,
-                         resolve_policy)
+from repro.store import WriteAheadLog
 from repro.store.policy import StoreCosts
 
 
@@ -26,18 +25,17 @@ def make_kernel(policy="wal-group-commit", costs=None, **knobs):
 
 
 class TestPolicyResolution:
-    def test_names_resolve(self):
-        assert isinstance(resolve_policy("none"), NoDurability)
-        assert isinstance(resolve_policy("flush-on-demand"), FlushOnDemand)
-        assert isinstance(resolve_policy("wal-group-commit"), WalGroupCommit)
-
-    def test_instance_passes_through(self):
-        policy = WalGroupCommit()
-        assert resolve_policy(policy) is policy
+    @pytest.mark.parametrize("policy, group_commit", [
+        ("flush-on-demand", False), ("wal-group-commit", True)])
+    def test_names_resolve(self, policy, group_commit):
+        kernel = make_kernel(policy)
+        assert kernel.store_summary()["policy"] == policy
+        assert [(store.policy, store.group_commit) for store in kernel.stores.values()] \
+            == [(policy, group_commit)] * 3
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ValueError):
-            resolve_policy("fsync-maybe")
+        with pytest.raises(KernelError, match="durability"):
+            make_kernel("fsync-maybe")
 
     def test_none_policy_builds_no_stores(self):
         kernel = make_kernel("none")
@@ -47,10 +45,9 @@ class TestPolicyResolution:
 
     def test_store_requires_durable_policy(self):
         from repro.store import SiteStore
-        from repro.store.policy import StoreCosts
         kernel = make_kernel("none")
         with pytest.raises(StoreError):
-            SiteStore(kernel.site("a"), kernel.loop, NoDurability(), StoreCosts(),
+            SiteStore(kernel.site("a"), kernel.loop, "none", StoreCosts(),
                       kernel.stats)
 
 

@@ -91,31 +91,14 @@ class TestComparison:
         assert run_agent_pipeline(SMALL).migrations >= SMALL.n_sensors
 
 
-class TestRetentionDefault:
-    def test_pipeline_kernel_defaults_to_keep_results(self):
-        from repro.apps.stormcast import StormCastParams, build_stormcast_kernel
-        params = StormCastParams(n_sensors=3, samples_per_site=20)
-        assert params.retention == "keep-results"
-        kernel = build_stormcast_kernel(params)
-        assert kernel.table.retention.name == "keep-results"
-
-    def test_params_retention_reaches_the_kernel_config_and_params_stay(self):
+class TestBuildKernel:
+    def test_params_durability_reaches_the_kernel_config_and_params_stay(self):
         import dataclasses
         from repro.apps.stormcast import StormCastParams, build_stormcast_kernel
         params = StormCastParams(n_sensors=3, samples_per_site=20,
-                                 retention="keep-all")
+                                 durability="wal-group-commit")
         before = dataclasses.asdict(params)
         kernel = build_stormcast_kernel(params)
         assert dataclasses.asdict(params) == before
-        assert kernel.config.retention == "keep-all"
-        assert kernel.table.retention.name == "keep-all"
-
-    def test_pipeline_results_unaffected_by_retention(self):
-        from repro.apps.stormcast import StormCastParams, run_agent_pipeline
-        base = dict(n_sensors=4, samples_per_site=60, storm_rate=0.05,
-                    raw_payload_bytes=128, seed=5)
-        archived = run_agent_pipeline(StormCastParams(**base))
-        keep_all = run_agent_pipeline(StormCastParams(retention="keep-all", **base))
-        # Archival changes what the ledger retains, never the forecast.
-        assert archived.alert_stations() == keep_all.alert_stations()
-        assert archived.bytes_on_wire == keep_all.bytes_on_wire
+        assert kernel.config.durability == "wal-group-commit"
+        assert kernel.config.retention is None
