@@ -51,8 +51,8 @@ from repro.net.stats import NetworkStats
 from repro.net.tcp import TcpTransport
 from repro.net.topology import Topology
 from repro.net.transport import Transport
-from repro.obs import (TRACE_ID_FOLDER, TRACE_PARENT_FOLDER, MetricsRegistry,
-                       RingSink, Tracer, infra_trace_id)
+from repro.obs import (TRACE_ID_FOLDER, TRACE_PARENT_FOLDER, RingSink, Tracer,
+                       infra_trace_id)
 from repro.store.policy import StoreCosts
 from repro.store.sitestore import SiteStore
 
@@ -77,7 +77,7 @@ TRANSPORTS = {
 #: hence every method a shard worker's command loop accepts and a
 #: ProcessEngineProxy forwards.  Besides these an engine is read through
 #: its state attributes (``loop``, ``stats``, ``table``, ``sites``,
-#: ``stores``, ``obs``, ``metrics``, ``ring`` and the four counters).
+#: ``stores``, ``obs`` and ``ring``).
 ENGINE_PROTOCOL = (
     # control
     "launch", "launch_many", "install_agent", "make_durable", "log_event",
@@ -114,7 +114,7 @@ def record_site(topology: Topology, placement: Optional[Dict[str, int]],
 class LedgerQueries:
     """The read-only queries, defined once over the ledger attributes.
 
-    Everything here reads ``sites``, ``topology``, ``table``, ``metrics``,
+    Everything here reads ``sites``, ``topology``, ``table``, ``stats``,
     ``ring`` and ``config`` and nothing else, so it serves an
     :class:`Engine` (its own ledgers) and the
     :class:`~repro.core.kernel.Kernel` facade (merged views over its
@@ -136,17 +136,31 @@ class LedgerQueries:
         """The durable store of *site_name*, or None under policy "none"."""
         return self.site(site_name).store
 
+    def counters(self) -> Dict[str, int]:
+        """Snapshot of the kernel ledger: the lifecycle table's O(1)
+        agent-state counts (nothing scans agent history) plus the four
+        event counters ``stats`` keeps — meets begun, briefcases handed to
+        a transport, agents re-animated from the network, and messages
+        that reached a site no agent could take them at (several engines:
+        summed)."""
+        stats = self.stats
+        return {
+            **self.table.state_counts(),
+            "meets": stats.meets,
+            "transmits": stats.transmits,
+            "arrivals": stats.arrivals,
+            "undeliverable": stats.undeliverable,
+        }
+
     def store_summary(self) -> Dict[str, Any]:
         """Aggregate durability ledger (the ledger's ``store.*`` counters read it).
 
-        Reads the metrics registry — which re-exposes the stats snapshot
-        as its ``"net"`` source — selected by prefix, so a durability
-        counter added to :class:`NetworkStats` *or* registered directly
-        with ``kernel.metrics`` shows up here without a second list to
-        maintain.
+        The stats snapshot selected by prefix, so a durability counter
+        added to :class:`NetworkStats` shows up here without a second list
+        to maintain.
         """
         summary: Dict[str, Any] = {
-            key: value for key, value in self.metrics.collect().items()
+            key: value for key, value in self.stats.snapshot().items()
             if key.startswith(("wal_", "store_", "recover", "durable_",
                                "state_lost_"))}
         summary["policy"] = self.config.durability
@@ -279,25 +293,15 @@ class Engine(LedgerQueries):
         #: this engine's tracer (repro.obs) — disabled unless obs_enabled
         self.obs = self._make_tracer()
         self.transport.obs = self.obs
-        #: the metrics seam: every number the kernel publishes reads from
-        #: here (store_summary, shard digests, benchmark JSON alike)
-        self.metrics = MetricsRegistry()
-        self.metrics.register("net", self.stats.snapshot)
-        self.metrics.register("flow", self.transport.flow.metrics)
-        transport_metrics = getattr(self.transport, "metrics", None)
-        if transport_metrics is not None:  # tcp/horus publish extra telemetry
-            self.metrics.register("transport", transport_metrics)
         #: open "run" spans by agent id / open recovery spans by site name
         self._obs_runs: Dict[str, Any] = {}
         self._obs_recovery: Dict[str, Any] = {}
         #: per-engine trace-id counter; launches reach each engine in the
         #: same order wherever it executes, so assigned ids match too
         self._obs_trace_seq = 0
-        if (self.config.delivery_batch_window != 0
-                or self.config.flow_window_min != 0
-                or self.config.flow_window_max != 0):
-            # != 0 (not > 0) so a negative knob reaches configure_batching
-            # and raises there instead of silently running with batching off.
+        if self.config.delivery_batch_window > 0:
+            # The fabric's master switch: validate() refuses flow windows
+            # without it, and every negative window.
             self.transport.configure_batching(
                 self.config.delivery_batch_window,
                 window_min=self.config.flow_window_min,
@@ -333,30 +337,12 @@ class Engine(LedgerQueries):
         self._code_cache: Dict[Any, Optional[dict]] = {}
         self._code_cache_version = self.registry.version
 
-        # The kernel events the lifecycle table does not see; counters()
-        # reports them beside the table's agent-state counts.
-        self.meets = 0
-        self.transmits = 0
-        self.arrivals = 0
-        self.undeliverable = 0
-
         #: remembered so late-joined sites (add_site) match the population
         self._install_system_agents = install_system_agents
         if install_system_agents:
             from repro.sysagents import install_standard_agents
             for site in self.sites.values():
                 install_standard_agents(site)
-
-    def counters(self) -> Dict[str, int]:
-        """Snapshot of this engine's ledger: the lifecycle table's O(1)
-        agent-state counts plus the four event counters."""
-        return {
-            **self.table.state_counts(),
-            "meets": self.meets,
-            "transmits": self.transmits,
-            "arrivals": self.arrivals,
-            "undeliverable": self.undeliverable,
-        }
 
     def _make_tracer(self) -> Tracer:
         """Build this engine's tracer from the ``obs_*`` config knobs.
@@ -396,12 +382,7 @@ class Engine(LedgerQueries):
         """Build and attach the site's durable store (no-op for policy "none")."""
         if self.config.durability == "none":
             return
-        costs = StoreCosts(
-            write_latency=self.config.store_write_latency,
-            write_byte_latency=self.config.store_write_byte_latency,
-            fsync_latency=self.config.store_fsync_latency,
-            commit_window=self.config.store_commit_window,
-        )
+        costs = StoreCosts(commit_window=self.config.store_commit_window)
         store = SiteStore(site, self.loop, self.config.durability, costs, self.stats,
                           log_event=self.log_event, obs=self.obs)
         site.attach_store(store)
@@ -980,7 +961,7 @@ class Engine(LedgerQueries):
             parent_id=caller.agent_id, meet_parent=caller.agent_id)
         self._register(callee)
         caller.mark_waiting()
-        self.meets += 1
+        self.stats.meets += 1
         self.loop.schedule(self.config.meet_overhead + self.config.step_cost,
                            self._start,
                            ("meet", caller.agent_id, request.agent_name), (callee,))
@@ -1046,7 +1027,7 @@ class Engine(LedgerQueries):
             if trace_id is not None:
                 message.trace = (trace_id,
                                  request.briefcase.get(TRACE_PARENT_FOLDER))
-        self.transmits += 1
+        self.stats.transmits += 1
         # Through the delivery fabric: batchable kinds (folder deliveries,
         # status reports) may coalesce with other traffic to the same
         # destination; everything else is sent immediately.
@@ -1135,7 +1116,7 @@ class Engine(LedgerQueries):
                      if message.kind == MessageKind.BATCH else 1)
             if site is not None:
                 site.undeliverable += count
-            self.undeliverable += count
+            self.stats.undeliverable += count
             self.log_event("kernel", site_name,
                            f"message {message.kind!r} dropped: site unavailable")
             return
@@ -1184,11 +1165,11 @@ class Engine(LedgerQueries):
             briefcase = None
         if contact is None or briefcase is None:
             site.undeliverable += 1
-            self.undeliverable += 1
+            self.stats.undeliverable += 1
             return
         if not site.is_installed(contact):
             site.undeliverable += 1
-            self.undeliverable += 1
+            self.stats.undeliverable += 1
             self.log_event("kernel", site.name,
                            f"arrival for unknown contact {contact!r} dropped")
             return
@@ -1199,7 +1180,7 @@ class Engine(LedgerQueries):
                                  briefcase, contact,
                                  self._best_effort_code(contact, behaviour), is_system)
         self._register(instance)
-        self.arrivals += 1
+        self.stats.arrivals += 1
         self.loop.schedule(self.config.meet_overhead, self._start,
                            ("arrival", instance.agent_id), (instance,))
 

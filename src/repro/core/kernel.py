@@ -23,6 +23,7 @@ talks to them through :data:`~repro.core.engine.ENGINE_PROTOCOL` alone.
 
 from __future__ import annotations
 
+import math
 from collections import ChainMap
 from dataclasses import dataclass
 from operator import itemgetter
@@ -38,7 +39,7 @@ from repro.core.site import Site
 from repro.net.stats import StatsView
 from repro.net.topology import Topology, lan
 from repro.net.transport import Transport
-from repro.obs import MetricsRegistry, RingSink, Tracer
+from repro.obs import RingSink, Tracer
 from repro.store.sitestore import DURABILITY
 
 __all__ = ["Kernel", "KernelConfig"]
@@ -80,14 +81,6 @@ class KernelConfig:
     #: permanence, the default), "flush-on-demand" or "wal-group-commit"
     #: (see :mod:`repro.store.sitestore`)
     durability: str = "none"
-    #: seconds charged per WAL record written at commit/flush time
-    store_write_latency: float = 0.0002
-    #: seconds charged per payload byte a WAL record carries (the
-    #: bytes-proportional term of the disk cost model; the default models
-    #: a ~100 MB/s log device)
-    store_write_byte_latency: float = 0.00000001
-    #: seconds charged per fsync (one per group commit or explicit flush)
-    store_fsync_latency: float = 0.004
     #: group-commit window: how long the WAL batches dirty state before
     #: syncing (wal-group-commit only)
     store_commit_window: float = 0.05
@@ -121,21 +114,30 @@ class KernelConfig:
 
 
     def validate(self) -> None:
-        """Check every range and cross-field rule; raises :class:`KernelError`.
+        """Check every type, range and cross-field rule; raises :class:`KernelError`.
 
         The :class:`Kernel` facade calls this once, before it builds any
         engine (engines and shard workers trust the config they are
-        handed).  Negative batching knobs are deliberately left to
-        ``Transport.configure_batching``, the public runtime entry point
-        that owns those checks.
+        handed), so a mis-set knob fails naming its field before a process
+        worker spawns.
         """
-        for name in ("step_cost", "meet_overhead", "store_write_latency",
-                     "store_write_byte_latency", "store_fsync_latency",
-                     "store_commit_window"):
-            # Each is a delay the engine schedules; a negative one would
-            # fail mid-run as "an event in the past" without naming the knob.
-            if getattr(self, name) < 0:
-                raise KernelError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("shards", "max_agent_steps", "flow_target_batch",
+                     "obs_ring", "rng_seed"):
+            # A float would be truncated (or raise a bare TypeError deep in
+            # an engine), and a bool would pass as 0 or 1.
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise KernelError(f"{name} must be an int, got {value!r}")
+        for name in ("step_cost", "meet_overhead", "store_commit_window",
+                     "delivery_batch_window", "flow_window_min",
+                     "flow_window_max"):
+            # Each is a delay the engine schedules or a window it waits out:
+            # a negative or NaN one would fail mid-run as "an event in the
+            # past", an infinite one would push the clock to infinity.
+            value = getattr(self, name)
+            if (not isinstance(value, (int, float)) or not value >= 0
+                    or not math.isfinite(value)):
+                raise KernelError(f"{name} must be >= 0 and finite, got {value!r}")
         if self.max_agent_steps < 1:
             # 0 would kill every agent on its first step as a "runaway".
             raise KernelError(f"max_agent_steps must be >= 1, got "
@@ -296,43 +298,16 @@ class Kernel(LedgerQueries):
         if self._coordinator is not None and self.obs.active:
             rings.append(self.obs.sink)
         self.ring = _view_of(rings, MergedRing)
-        self.metrics = _view_of([engine.metrics for engine in engines], self._merged_metrics)
         #: engine 0 anchors the pieces that need a single identity: failure
         #: schedules ride its clock, and code that introspects
         #: ``kernel.transport`` sees its transport
         self.loop = engines[0].loop
         self.transport = engines[0].transport
 
-    def _merged_metrics(self, parts: Sequence[MetricsRegistry]) -> MetricsRegistry:
-        """The merged stats snapshot (whose values are not all additive),
-        beside every other source the engines registered, summed."""
-        def engine_sources() -> Dict[str, Any]:
-            summed: Dict[str, Any] = {}
-            for part in parts:
-                for key, value in part.collect(skip=("net",)).items():
-                    summed[key] = summed.get(key, 0) + value
-            return summed
-
-        registry = MetricsRegistry()
-        registry.register("engines", engine_sources)
-        registry.register("net", self.stats.snapshot)
-        return registry
-
     @property
     def engines(self) -> Tuple[Engine, ...]:
         """The engines behind this kernel, by id (read-only)."""
         return self._engines
-
-    def counters(self) -> Dict[str, int]:
-        """Snapshot of the kernel ledger: the lifecycle table's O(1)
-        agent-state counts (nothing scans agent history) plus the four
-        event counters — meets begun, briefcases handed to a transport,
-        agents re-animated from the network, and messages that reached a
-        site no agent could take them at — summed over the engines."""
-        counts = self.table.state_counts()
-        for name in ("meets", "transmits", "arrivals", "undeliverable"):
-            counts[name] = sum(getattr(engine, name) for engine in self._engines)
-        return counts
 
     def shard_summary(self) -> Dict[str, Any]:
         """Cross-shard coordination ledger (the ledger's ``shard.*`` counters read it).

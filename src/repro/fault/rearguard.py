@@ -299,7 +299,7 @@ def prune_released_checkpoints(cabinet) -> int:
     Checkpoints accumulate one entry per protected hop; without pruning, a
     long-running durable workload grows the folder (and every WAL record
     re-serializing it) without bound.  Under the bytes-proportional WAL
-    cost model (``store_write_byte_latency``) that growth is no longer
+    cost model (``StoreCosts.write_byte_latency``) that growth is no longer
     just memory: every group commit re-prices the folder's full payload,
     so pruning directly bounds the simulated cost of each checkpoint
     barrier too.  Called whenever new releases are recorded; returns how

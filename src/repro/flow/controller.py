@@ -59,10 +59,6 @@ class FlowController:
         #: how many messages a window should ideally coalesce
         self.target_batch = target_batch
         self._flows: Dict[FlowKey, FlowState] = {}
-        #: how often a derived window hit the floor / ceiling (the signal
-        #: that the configured bounds, not the traffic, are setting windows)
-        self.clamped_min = 0
-        self.clamped_max = 0
 
     # -- configuration -----------------------------------------------------
 
@@ -134,20 +130,10 @@ class FlowController:
         if not self.adaptive:
             return window
         if window < self.window_min:
-            self.clamped_min += 1
             return self.window_min
         if window > self.window_max:
-            self.clamped_max += 1
             return self.window_max
         return window
-
-    def metrics(self) -> Dict[str, float]:
-        """Registry source (``kernel.metrics``): clamp counters + pair count."""
-        return {
-            "flow_window_clamped_min": self.clamped_min,
-            "flow_window_clamped_max": self.clamped_max,
-            "flow_pairs_tracked": len(self._flows),
-        }
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -157,16 +157,6 @@ class HorusTransport(Transport):
         self._group(name)  # existence check
         self._observers.setdefault(name, []).append(observer)
 
-    def metrics(self) -> Dict[str, int]:
-        """Registry source (``kernel.metrics``): membership/multicast telemetry."""
-        return {
-            "horus_channels_open": len(self._channels),
-            "horus_groups": len(self._groups),
-            "horus_views_installed": sum(len(group.history)
-                                         for group in self._groups.values()),
-            "horus_multicast_copies": sum(self.multicasts_delivered.values()),
-        }
-
     # ------------------------------------------------------------------
     # multicast
     # ------------------------------------------------------------------

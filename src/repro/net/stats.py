@@ -2,11 +2,11 @@
 
 Every comparison the tests make, and the performance ledger
 (``benchmarks/ledger/README.md``), reads its numbers from a
-:class:`NetworkStats` (bytes, messages, hops) or from the kernel's agent
-ledger, so the counters live in one small, well-tested module.  A
-:class:`NetworkStats` is plain picklable state: a process shard worker ships
-its engine's whole object in each digest, and the coordinator copies it into
-its mirror in place.
+:class:`NetworkStats` (bytes, messages, hops, meets, arrivals, WAL commits)
+or from the kernel's agent ledger, so the counters live in one small,
+well-tested module.  A :class:`NetworkStats` is plain picklable state: a
+process shard worker ships its engine's whole object in each digest, and
+the coordinator copies it into its mirror in place.
 """
 
 from __future__ import annotations
@@ -133,7 +133,19 @@ class LatencySketch:
 
 @dataclass
 class NetworkStats:
-    """Aggregate counters for everything that crossed the simulated network."""
+    """Aggregate counters for everything that crossed the simulated network,
+    and for the kernel events the agent ledger does not see."""
+
+    # Kernel event counters: ``counters()`` reports them beside the agent
+    # ledger's state counts; ``snapshot()`` leaves them out.
+    #: meets begun
+    meets: int = 0
+    #: briefcases handed to a transport
+    transmits: int = 0
+    #: agents re-animated from the network
+    arrivals: int = 0
+    #: messages that reached a site no agent could take them at
+    undeliverable: int = 0
 
     messages_sent: int = 0
     messages_delivered: int = 0

@@ -61,13 +61,6 @@ class TcpTransport(Transport):
         """Number of currently established connections."""
         return len(self._connections)
 
-    def metrics(self) -> Dict[str, int]:
-        """Registry source (``kernel.metrics``): connection-reuse telemetry."""
-        return {
-            "tcp_connections_open": len(self._connections),
-            "tcp_connects_total": sum(self.connects.values()),
-        }
-
     @staticmethod
     def _pair(a: str, b: str) -> Tuple[str, str]:
         return (a, b) if a <= b else (b, a)

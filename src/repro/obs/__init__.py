@@ -1,4 +1,4 @@
-"""Observability: causal tracing and one metrics read (`repro.obs`).
+"""Observability: causal tracing (`repro.obs`).
 
 The paper's unit of work is the *itinerary* — an agent hopping site to
 site with a briefcase and rear guards — and this package makes one
@@ -12,17 +12,15 @@ visible end to end:
 * :mod:`repro.obs.sinks` — pluggable span sinks: the in-memory ring
   (each engine's one record ring, which its log lines share whether
   tracing is on or off), JSONL file sink, and a fan-out tee.
-* :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, one ``collect()``
-  over named sources.  It stores nothing: ``NetworkStats`` is the one
-  counter store and registers as the ``"net"`` source, beside the flow and
-  transport telemetry, so shard digests, ``store_summary`` and benchmark
-  JSON read from one place.
 * :mod:`repro.obs.report` — turns a JSONL trace into per-itinerary hop
   timelines and per-(source, destination) / per-subsystem p50/p99
   breakdowns (also a CLI: ``python -m repro.obs.report trace.jsonl``).
+
+Counters are not kept here: every engine counter lives in its
+:class:`~repro.net.stats.NetworkStats` or its agent table, read through
+``kernel.stats`` and ``kernel.counters()``.
 """
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import JsonlSink, RingSink, TeeSink
 from repro.obs.span import (Span, TRACE_ID_FOLDER, TRACE_PARENT_FOLDER,
                             infra_trace_id, span_id)
@@ -33,5 +31,4 @@ __all__ = [
     "infra_trace_id",
     "Tracer",
     "RingSink", "JsonlSink", "TeeSink",
-    "MetricsRegistry",
 ]

@@ -48,19 +48,18 @@ the owner's next ``run_to``/``advance_clock`` — exactly the in-process
 path (see :mod:`repro.shard.router`).
 
 Facade views (``stats``, ``table``, ``sites``, ``event_log``,
-``trace_spans``, ``metrics``) are served from per-run **state digests**:
-after each ``ShardSet.run`` the coordinator pulls one digest per worker
-and refreshes, in place, the classes an engine keeps.  A digest carries:
+``trace_spans``) are served from per-run **state digests**: after each
+``ShardSet.run`` the coordinator pulls one digest per worker and
+refreshes, in place, the classes an engine keeps.  A digest carries:
 
-* the engine's :class:`~repro.net.stats.NetworkStats` whole, and the four
-  event counters;
+* the engine's :class:`~repro.net.stats.NetworkStats` whole (the four
+  event counters ``counters()`` reports among its fields);
 * ``"table": (rows, evicted, counters)`` for :meth:`AgentTable.absorb
   <repro.core.lifecycle.AgentTable.absorb>`: a record row per entry new or
   changed since the last digest, the ids evicted since, and the worker
   table's int attributes;
 * per-site ``(alive, residents, undeliverable, load, capacity)``;
-* the ring's records since the last digest, and what the other metric
-  sources (flow, transport) read now.
+* the ring's records since the last digest.
 
 ``processed`` needs none: the coordinator sums the bursts it collects.
 Views lag mid-run by design and refresh when ``run()`` returns, so the
@@ -104,7 +103,7 @@ from repro.core.site import Site
 from repro.core.timing import default_timer
 from repro.net.simclock import SimClock
 from repro.net.stats import NetworkStats
-from repro.obs import MetricsRegistry, RingSink
+from repro.obs import RingSink
 from repro.shard.backend import ShardBackend
 
 __all__ = ["ProcessBackend", "ProcessEngineProxy", "WorkerSpec",
@@ -290,13 +289,9 @@ class _Worker:
         return {
             # The live object: it pickles whole, defaultdicts and sketch RNG too.
             "stats": engine.stats,
-            "counters": (engine.meets, engine.transmits, engine.arrivals,
-                         engine.undeliverable),
             "table": (new_rows, evicted, counters),
             "sites": sites,
             "ring": new_records,
-            # "net" is the stats above; the rest read worker-side objects.
-            "metric_sources": engine.metrics.collect(skip=("net",)),
         }
 
     # -- the loop ---------------------------------------------------------------
@@ -540,8 +535,6 @@ class ProcessEngineProxy:
         #: with the table: the classes an engine keeps (same bounds), so the
         #: facade's merged views read process shards like in-process engines
         self.ring = RingSink(spec.config.obs_ring)
-        self.metrics = MetricsRegistry()
-        self.meets = self.transmits = self.arrivals = self.undeliverable = 0
 
     # -- the protocol, forwarded ------------------------------------------------
 
@@ -584,8 +577,6 @@ class ProcessEngineProxy:
     def apply_digest(self, digest: Dict[str, Any]) -> None:
         # In place: the facade's StatsView holds this object.
         vars(self.stats).update(vars(digest["stats"]))
-        (self.meets, self.transmits,
-         self.arrivals, self.undeliverable) = digest["counters"]
         self.table.absorb(*digest["table"])
         topology = self.topology
         for name, (alive, *flags) in digest["sites"].items():
@@ -598,7 +589,6 @@ class ProcessEngineProxy:
              mirror.background_load, mirror.capacity) = flags
         for record in digest["ring"]:
             self.ring.emit(record)
-        self.metrics.register("worker", digest["metric_sources"].copy)
 
     def __repr__(self) -> str:
         return (f"ProcessEngineProxy(shard={self.shard_id}, "

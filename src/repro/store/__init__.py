@@ -31,11 +31,11 @@ surfaced in :class:`~repro.net.stats.NetworkStats`.
 from repro.store.policy import StoreCosts
 from repro.store.sitestore import SiteStore
 from repro.store.snapshot import CabinetImage, capture_cabinet, restore_cabinet
-from repro.store.wal import WalRecord, WriteAheadLog
+from repro.store.wal import WriteAheadLog
 
 __all__ = [
     "StoreCosts",
-    "WalRecord", "WriteAheadLog",
+    "WriteAheadLog",
     "CabinetImage", "capture_cabinet", "restore_cabinet",
     "SiteStore",
 ]

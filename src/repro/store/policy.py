@@ -19,8 +19,9 @@ __all__ = ["StoreCosts"]
 class StoreCosts:
     """Simulated-time prices of the durable store.
 
-    The four write-side prices come from ``KernelConfig``'s ``store_*``
-    knobs; the replay and compaction prices below them are constants.
+    ``commit_window`` comes from ``KernelConfig.store_commit_window``;
+    every other price is this class's default (a test swaps a store's
+    ``costs`` to change one).
     """
 
     #: seconds charged per WAL record written at commit/flush time

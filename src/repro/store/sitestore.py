@@ -94,6 +94,8 @@ class SiteStore:
         self._commit_event: Optional["Event"] = None
         #: captures whose batched write+fsync is still in progress
         self._inflight: Optional[List[Capture]] = None
+        #: the payload bytes those captures carry
+        self._inflight_bytes = 0
         self._inflight_done_at = 0.0
         self._finalize_event: Optional["Event"] = None
         #: monotonic journal position: bumped per mutation; a capture
@@ -239,6 +241,7 @@ class SiteStore:
         size_bytes = self._captures_bytes(captures)
         cost = self._write_cost(len(captures), size_bytes)
         self._inflight = captures
+        self._inflight_bytes = size_bytes
         self._inflight_through = self._mutation_counter
         self._inflight_done_at = self.loop.now + cost
         if self.obs is not None and self.obs.active:
@@ -270,16 +273,16 @@ class SiteStore:
     def _finalize(self) -> None:
         """The batched write+fsync completed: the records are durable."""
         self._finalize_event = None
-        if self._inflight is None:  # crashed while syncing
+        captures = self._inflight
+        if captures is None:  # crashed while syncing
             return
-        records = self.wal.commit(self._inflight, at=self.loop.now)
+        self.wal.commit(captures, self._inflight_bytes)
         self._inflight = None
         if self._obs_sync_span is not None:
             self.obs.finish(self._obs_sync_span, status="committed")
             self._obs_sync_span = None
         self._durable_through = self._inflight_through
-        self.stats.record_wal_commit(
-            len(records), sum(record.size_bytes for record in records))
+        self.stats.record_wal_commit(len(captures), self._inflight_bytes)
         self._maybe_compact()
 
     def flush(self) -> float:

@@ -11,17 +11,17 @@ Sizes are tracked because the store's cost model charges
 bytes-proportional work: a commit of N records carrying B payload bytes is
 priced ``write_latency * N + write_byte_latency * B + fsync_latency``
 through the shared :class:`~repro.flow.CostModel` (see
-:meth:`~repro.store.policy.StoreCosts.wal_cost_model`), so
-:attr:`WalRecord.size_bytes` is load-bearing, not just telemetry.
+:meth:`~repro.store.policy.StoreCosts.wal_cost_model`), so the payload
+bytes a commit carries are load-bearing, not just telemetry.
 :meth:`WriteAheadLog.fold_into` lets the snapshot layer compact the
 committed states into base images (see :mod:`repro.store.snapshot`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-__all__ = ["WalRecord", "WriteAheadLog", "apply_states"]
+__all__ = ["WriteAheadLog", "apply_states"]
 
 #: a collapsed per-folder state map: (cabinet, folder) -> elements (None = deleted)
 FolderStates = Dict[Tuple[str, str], Optional[Tuple[bytes, ...]]]
@@ -44,34 +44,10 @@ def apply_states(states: FolderStates,
             image[folder] = elements
 
 
-class WalRecord:
-    """One committed redo record: the durable state of one folder."""
-
-    __slots__ = ("seq", "cabinet", "folder", "elements", "size_bytes",
-                 "committed_at")
-
-    def __init__(self, seq: int, cabinet: str, folder: str,
-                 elements: Optional[Tuple[bytes, ...]], committed_at: float):
-        self.seq = seq
-        self.cabinet = cabinet
-        self.folder = folder
-        #: raw stored elements at commit time; None records a deletion
-        self.elements = elements
-        self.size_bytes = sum(map(len, elements)) if elements else 0
-        self.committed_at = committed_at
-
-    def __repr__(self) -> str:
-        what = "DEL" if self.elements is None else f"{len(self.elements)} elems"
-        return (f"WalRecord(#{self.seq} {self.cabinet}/{self.folder}: {what}, "
-                f"{self.size_bytes}B @ {self.committed_at:.4f})")
-
-
 class WriteAheadLog:
     """One site's committed redo state: the last state per folder, since
     replay reads nothing else, plus the records and payload bytes committed
-    since the last fold, which price recovery and trigger compaction.
-    :meth:`commit` still returns a :class:`WalRecord` per captured folder,
-    for the stats."""
+    since the last fold, which price recovery and trigger compaction."""
 
     def __init__(self) -> None:
         #: (cabinet, folder) -> last committed elements (None = deleted)
@@ -86,17 +62,14 @@ class WriteAheadLog:
     # -- writing -----------------------------------------------------------
 
     def commit(self, captures: Iterable[Tuple[str, str, Optional[Tuple[bytes, ...]]]],
-               at: float) -> List[WalRecord]:
-        """Apply one group commit's captured folder states; returns the records."""
-        records = []
+               size_bytes: int) -> None:
+        """Apply one group commit's captured folder states, which carry
+        *size_bytes* of payload (deletions carry none)."""
         for cabinet, folder, elements in captures:
+            self._states[cabinet, folder] = elements
             self._pending += 1
             self.total_committed += 1
-            record = WalRecord(self.total_committed, cabinet, folder, elements, at)
-            self._states[cabinet, folder] = elements
-            self.bytes_pending += record.size_bytes
-            records.append(record)
-        return records
+        self.bytes_pending += size_bytes
 
     # -- reading -----------------------------------------------------------
 

@@ -9,13 +9,25 @@ model below is that reference, and ``src/`` no longer has it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.store import WriteAheadLog
-from repro.store.wal import WalRecord, apply_states
+from repro.store.wal import apply_states
+
+
+class Record(NamedTuple):
+    """One committed redo record: the state of one folder at commit time."""
+
+    cabinet: str
+    folder: str
+    elements: Optional[Tuple[bytes, ...]]
+
+    @property
+    def size_bytes(self) -> int:
+        return sum(map(len, self.elements)) if self.elements else 0
 
 
 def collapse(records) -> Dict[Tuple[str, str], Optional[Tuple[bytes, ...]]]:
@@ -26,24 +38,15 @@ def collapse(records) -> Dict[Tuple[str, str], Optional[Tuple[bytes, ...]]]:
     return states
 
 
-def as_tuple(record: WalRecord):
-    return (record.seq, record.cabinet, record.folder, record.elements,
-            record.size_bytes, record.committed_at)
-
-
 class RecordListModel:
     """A write-ahead log that keeps every record until a fold."""
 
     def __init__(self) -> None:
-        self.records: List[WalRecord] = []
-        self.next_seq = 1
+        self.records: List[Record] = []
         self.total_committed = 0
 
-    def commit(self, captures, at: float) -> List[WalRecord]:
-        records = []
-        for cabinet, folder, elements in captures:
-            records.append(WalRecord(self.next_seq, cabinet, folder, elements, at))
-            self.next_seq += 1
+    def commit(self, captures) -> List[Record]:
+        records = [Record(*capture) for capture in captures]
         self.records.extend(records)
         self.total_committed += len(records)
         return records
@@ -68,14 +71,14 @@ def test_the_collapsed_log_answers_what_the_record_list_answers(operations):
     wal, model = WriteAheadLog(), RecordListModel()
     images: Dict[str, Dict[str, Tuple[bytes, ...]]] = {"cab": {"f1": (b"base",)}}
     model_images = {"cab": dict(images["cab"])}
-    for at, operation in enumerate(operations):
+    for operation in operations:
         if operation == "fold":
             assert wal.fold_into(images) == model.fold_into(model_images)
             assert images == model_images
             assert all(list(images[name]) == list(model_images[name]) for name in images)
         else:
-            assert (list(map(as_tuple, wal.commit(operation, at=float(at))))
-                    == list(map(as_tuple, model.commit(operation, at=float(at)))))
+            records = model.commit(operation)
+            wal.commit(operation, sum(record.size_bytes for record in records))
         # Order too: recovery restores folders in this order.
         assert list(wal.replay_states().items()) == list(collapse(model.records).items())
         assert len(wal) == len(model.records)
@@ -85,7 +88,7 @@ def test_the_collapsed_log_answers_what_the_record_list_answers(operations):
 
 def test_replay_states_is_a_copy():
     wal = WriteAheadLog()
-    wal.commit([("cab", "f", (b"one",))], at=1.0)
+    wal.commit([("cab", "f", (b"one",))], 3)
     wal.replay_states().clear()
     assert wal.replay_states() == {("cab", "f"): (b"one",)}
 

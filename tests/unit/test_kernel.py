@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 
 import pytest
@@ -60,9 +61,7 @@ class TestConstruction:
             kernel.site("ghost")
 
     @pytest.mark.parametrize("knob", [
-        "step_cost", "meet_overhead", "store_write_latency",
-        "store_write_byte_latency", "store_fsync_latency",
-        "store_commit_window"])
+        "step_cost", "meet_overhead", "store_commit_window"])
     def test_a_negative_cost_is_rejected_naming_the_knob(self, knob):
         # Each is a delay the engine schedules: a negative one used to build
         # a kernel that failed mid-run with "an event in the past".
@@ -74,15 +73,34 @@ class TestConstruction:
         ("retention", "keep-al"), ("retention", "keep-counts:x"),
         ("retention", -1), ("retention", True), ("retention", 2.5),
         ("durability", "wal"), ("durability", None),
-        ("max_agent_steps", 0), ("max_agent_steps", -5)])
+        ("max_agent_steps", 0), ("max_agent_steps", -5),
+        ("max_agent_steps", 2.5), ("flow_target_batch", 2.5),
+        ("obs_ring", 10.5), ("obs_ring", True), ("rng_seed", "x"),
+        ("store_commit_window", math.nan), ("step_cost", math.inf),
+        ("meet_overhead", "0.1"), ("delivery_batch_window", math.nan),
+        ("delivery_batch_window", -1.0), ("flow_window_min", -1.0),
+        ("flow_window_max", -1.0)])
     def test_a_mis_set_policy_knob_fails_before_any_engine_exists(
             self, knob, value, backend):
-        # These used to surface as a ValueError from inside an engine (after
-        # process workers had spawned), or, for max_agent_steps, as every
-        # agent killed as a "runaway".
+        # These used to surface as a ValueError or TypeError from inside an
+        # engine (after process workers had spawned), as a value silently
+        # truncated, as every agent killed as a "runaway" (max_agent_steps
+        # 0), as "an event in the past" mid-run (a NaN delay) or as a clock
+        # run to infinity (step_cost inf).
         workers = set(multiprocessing.active_children())
         config = KernelConfig(shards=2, shard_backend=backend, **{knob: value})
         with pytest.raises(KernelError, match=knob):
+            Kernel(lan(["a", "b"]), config=config)
+        assert set(multiprocessing.active_children()) <= workers
+
+    @pytest.mark.parametrize("value", [True, 2.0, 0, "2"])
+    def test_a_mis_set_shard_count_fails_before_any_engine_exists(
+            self, value, backend):
+        # shards=True used to run one engine, shards=2.0 to raise a bare
+        # TypeError.
+        workers = set(multiprocessing.active_children())
+        config = KernelConfig(shards=value, shard_backend=backend)
+        with pytest.raises(KernelError, match="shards"):
             Kernel(lan(["a", "b"]), config=config)
         assert set(multiprocessing.active_children()) <= workers
 
@@ -666,15 +684,16 @@ class TestLateSiteRegistration:
             Kernel(lan(["a", "b"]), config=KernelConfig(flow_target_batch=0))
 
     def test_negative_flow_bounds_are_rejected(self):
-        # Negative knobs reach configure_batching and raise there.
-        from repro.core.errors import TransportError
+        # Refused by validate(), naming the field, before any engine exists.
         from repro.net import lan
-        with pytest.raises(TransportError):
+        with pytest.raises(KernelError, match="flow_window_min"):
             Kernel(lan(["a", "b"]), config=KernelConfig(
                 delivery_batch_window=0.1, flow_window_min=-0.5))
-        with pytest.raises(TransportError):
+        with pytest.raises(KernelError, match="flow_window_max"):
             Kernel(lan(["a", "b"]), config=KernelConfig(
                 delivery_batch_window=0.1, flow_window_max=-1.0))
+        with pytest.raises(KernelError, match="delivery_batch_window"):
+            Kernel(lan(["a", "b"]), config=KernelConfig(delivery_batch_window=-1.0))
 
 
 class TestShardedRunSemantics:

@@ -1,9 +1,9 @@
-"""Unit tests for repro.obs: spans, tracers, sinks, metrics, report.
+"""Unit tests for repro.obs: spans, tracers, sinks, report.
 
 The cross-backend span-tree parity invariants live in
 ``tests/properties/test_obs_properties.py``; this file pins the building
-blocks — deterministic identity, bounded sinks, the registry's named
-sources, and the report analyzer's reconstruction primitives and CLI.
+blocks — deterministic identity, bounded sinks, and the report analyzer's
+reconstruction primitives and CLI.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ import pytest
 
 from repro.core import Briefcase, Kernel, KernelConfig
 from repro.net import lan
-from repro.obs import (JsonlSink, MetricsRegistry, RingSink, TeeSink, Tracer,
-                       infra_trace_id, span_id)
+from repro.obs import JsonlSink, RingSink, TeeSink, Tracer, infra_trace_id, span_id
 from repro.obs.report import (breakdown, build_trees, format_timeline, hop_timeline,
                               load_trace, main, percentile, trace_ids)
-from scenarios import COURIER_NAME, SINK_NAME, courier_briefcase, report_sink
 
 
 class FakeClock:
@@ -120,57 +118,6 @@ def test_tee_sink_fans_out():
     for ring in (left, right):
         assert ring.export() == [{"span_id": "s"}]
     assert sink.export() == [{"span_id": "s"}]
-
-
-# -- metrics ----------------------------------------------------------------
-
-
-def test_registry_collects_named_sources():
-    registry = MetricsRegistry()
-    registry.register("net", lambda: {"bytes_total": 128, "sends": 3})
-    registry.register("flow", lambda: {"flow_pairs_tracked": 2})
-    assert registry.collect() == {"bytes_total": 128, "sends": 3,
-                                  "flow_pairs_tracked": 2}
-    assert registry.collect(prefix="bytes_") == {"bytes_total": 128}
-    assert registry.collect(skip=("net",)) == {"flow_pairs_tracked": 2}
-    # Sources are re-read on every collect; registering a name replaces it.
-    registry.register("flow", lambda: {"flow_pairs_tracked": 5})
-    assert registry.collect()["flow_pairs_tracked"] == 5
-
-
-def _courier_metrics(shards, backend="inproc"):
-    """``(kernel.metrics.collect(), [engine.metrics.collect(), ...])`` after
-    six couriers crossed a 6-site LAN through the batching fabric."""
-    names = [f"s{i}" for i in range(6)]
-    kernel = Kernel(lan(names, latency=0.002), transport="tcp",
-                    config=KernelConfig(rng_seed=7, shards=shards,
-                                        shard_backend=backend,
-                                        delivery_batch_window=0.01,
-                                        flow_window_min=0.005,
-                                        flow_window_max=0.05))
-    kernel.install_agent(None, SINK_NAME, report_sink)
-    for index, name in enumerate(names):
-        kernel.launch(name, COURIER_NAME, courier_briefcase(
-            names[(index + 3) % len(names)], work=0.01, payload_bytes=16))
-    kernel.run()
-    collected = kernel.metrics.collect()
-    per_engine = [engine.metrics.collect() for engine in kernel.engines]
-    kernel.close()
-    return collected, per_engine
-
-
-def test_metrics_collect_keeps_engine_sources_on_every_backend(backend):
-    """The flow and transport sources each engine registers survive the
-    merge: same keys as one engine, values summed over the engines."""
-    single, _ = _courier_metrics(shards=1)
-    merged, per_engine = _courier_metrics(shards=2, backend=backend)
-    assert set(merged) == set(single)
-    for key in ("flow_pairs_tracked", "flow_window_clamped_min",
-                "flow_window_clamped_max", "tcp_connections_open",
-                "tcp_connects_total"):
-        assert merged[key] == sum(part[key] for part in per_engine), key
-    assert merged["flow_pairs_tracked"] == single["flow_pairs_tracked"] > 0
-    assert merged["tcp_connects_total"] > 0
 
 
 # -- event log: log lines in the record ring ---------------------------------
@@ -459,13 +406,6 @@ def test_span_dicts_carry_only_sim_time_fields():
                                    "kind", "site", "start", "end"}
     assert span.to_dict()["end"] == 3.0    # unfinished: end reads as start
     assert span.duration == 0.0
-
-
-def test_kernel_metrics_read_only_simulated_sources():
-    kernel = Kernel(lan(["a", "b"]), transport="tcp")
-    engine, = kernel._engines
-    assert list(engine.metrics._sources) == ["net", "flow", "transport"]
-    kernel.close()
 
 
 def test_ft_itinerary_reconstructs_from_one_jsonl_dump(tmp_path):

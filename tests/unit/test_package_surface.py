@@ -114,8 +114,7 @@ KERNEL_CONFIG_FIELDS = [
     "step_cost", "meet_overhead", "max_agent_steps", "rng_seed", "retention",
     "delivery_batch_window", "flow_window_min", "flow_window_max",
     "flow_target_batch",
-    "durability", "store_write_latency", "store_write_byte_latency",
-    "store_fsync_latency", "store_commit_window",
+    "durability", "store_commit_window",
     "shards", "shard_placement", "shard_backend",
     "obs_enabled", "obs_sample", "obs_ring", "obs_path",
 ]
@@ -124,15 +123,19 @@ KERNEL_CONFIG_FIELDS = [
 def test_kernel_config_fields_are_exactly_the_listed_knobs():
     from repro.core import KernelConfig
     assert [spec.name for spec in dataclasses.fields(KernelConfig)] == KERNEL_CONFIG_FIELDS
+    assert len(KERNEL_CONFIG_FIELDS) == 18
 
 
-#: knobs that were retired: the realtime backend's two, and five costs no
+#: knobs that were retired: the realtime backend's two, and eight costs no
 #: caller but a test ever set (now ``engine.SPAWN_OVERHEAD``,
 #: ``engine.TRANSMIT_OVERHEAD`` and ``StoreCosts.replay_latency``,
-#: ``recovery_base`` and ``snapshot_threshold``).
+#: ``recovery_base``, ``snapshot_threshold``, ``write_latency``,
+#: ``write_byte_latency`` and ``fsync_latency``).
 RETIRED_KERNEL_CONFIG_FIELDS = ["backend", "store_realtime_dir", "spawn_overhead",
                                 "transmit_overhead", "store_replay_latency",
-                                "store_recovery_base", "store_snapshot_threshold"]
+                                "store_recovery_base", "store_snapshot_threshold",
+                                "store_write_latency", "store_write_byte_latency",
+                                "store_fsync_latency"]
 
 
 @pytest.mark.parametrize("knob", RETIRED_KERNEL_CONFIG_FIELDS)
@@ -163,10 +166,11 @@ def test_kernel_public_names_are_exactly_the_listed_ones():
 #: second read paths that were retired: the eight ledger counts are read
 #: through ``counters()`` only, the live residents of a site through
 #: ``site(name).residents()``, the coordinator through ``engines`` and
-#: ``shard_summary()``, and the durability policy through ``config``.
+#: ``shard_summary()``, the durability policy through ``config``, and
+#: every counter through ``stats`` and ``counters()`` (no metrics registry).
 RETIRED_KERNEL_NAMES = ["launched", "completed", "failed", "killed", "meets",
                         "transmits", "arrivals", "undeliverable", "agents_at",
-                        "shard_set", "durability"]
+                        "shard_set", "durability", "metrics"]
 
 
 @pytest.mark.parametrize("name", RETIRED_KERNEL_NAMES)
@@ -186,14 +190,17 @@ def test_a_retired_counter_is_gone():
         assert "archived" not in kernel.counters()
 
 
-#: exports retired with the two policy class hierarchies: retention is None
-#: or an int and durability one of three names, both checked values.
+#: exports retired with the two policy class hierarchies (retention is None
+#: or an int and durability one of three names, both checked values), the
+#: metrics registry (every counter lives in ``NetworkStats`` or the agent
+#: table) and the WAL's per-folder record (the log keeps last-wins states).
 RETIRED_EXPORTS = [
     *(("repro.core", name) for name in (
         "RetentionPolicy", "KeepAll", "KeepResults", "KeepCounts", "make_retention")),
     *(("repro.store", name) for name in (
         "DurabilityPolicy", "NoDurability", "FlushOnDemand", "WalGroupCommit",
-        "POLICIES", "resolve_policy")),
+        "POLICIES", "resolve_policy", "WalRecord")),
+    ("repro.obs", "MetricsRegistry"),
 ]
 
 

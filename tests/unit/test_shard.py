@@ -217,7 +217,7 @@ class TestFacadeConstruction:
         # "A merged view over one part is the part."
         kernel, _ = sharded_kernel(shards=1)
         engine, = kernel.engines
-        for view in ("stats", "table", "sites", "stores", "obs", "metrics",
+        for view in ("stats", "table", "sites", "stores", "obs",
                      "ring", "loop", "transport"):
             assert getattr(kernel, view) is getattr(engine, view), view
         assert engine.transport.boundary is None

@@ -30,9 +30,9 @@ from repro.net.topology import LinkSpec, NoRouteError, switched_fabric
 from repro.shard import (BACKENDS, ClockSync, InprocBackend, Shard, ShardSet,
                          process_backend_available)
 from repro.store.sitestore import SiteStore
-from scenarios import (BAD_SLEEPER_NAME, COURIER_NAME, QUITTER_NAME, SINK_NAME,
-                       UNPICKLABLE_RESULT_NAME, courier_briefcase, report_sink,
-                       sharded_churn, worker)
+from scenarios import (BAD_SLEEPER_NAME, COURIER_NAME, MAIL_CABINET, QUITTER_NAME,
+                       SINK_NAME, UNPICKLABLE_RESULT_NAME, courier_briefcase,
+                       report_sink, sharded_churn, worker)
 
 
 def sharded_kernel(backend, site_count=8, shards=4, seed=7):
@@ -697,11 +697,14 @@ def ledger_reads(kernel):
     }
 
 
-def ledger_script(backend, retention, shards=2):
-    """:func:`ledger_reads` mid-flight, then after "c" crashes and recovers
-    and a final ``run()``: couriers and an itinerant cross the shards, one
-    agent fails, one dies in the crash."""
+def ledger_script(backend, retention, shards=2, read=ledger_reads, durable=None):
+    """*read* (by default :func:`ledger_reads`) mid-flight, then after "c"
+    crashes and recovers and a final ``run()``: couriers and an itinerant
+    cross the shards, one agent fails, one dies in the crash.  A *durable*
+    cabinet is journaled everywhere."""
     kernel = crash_kernel(backend, "wal-group-commit", shards, retention=retention)
+    if durable is not None:
+        kernel.make_durable(durable)
     for site, peer in (("d", "c"), ("a", "d"), ("b", "c")):
         kernel.launch(site, COURIER_NAME, courier_briefcase(
             peer, work=0.05, count=2, payload_bytes=64))
@@ -711,11 +714,11 @@ def ledger_script(backend, retention, shards=2):
     tour.folder("TOUR", create=True).extend(["a", "c", "d", "b"])
     kernel.launch("d", "itinerant", tour)
     kernel.run(until=0.1)
-    reads = [ledger_reads(kernel)]
+    reads = [read(kernel)]
     kernel.crash_site("c")
     kernel.recover_site("c")
     kernel.run()
-    reads.append(ledger_reads(kernel))
+    reads.append(read(kernel))
     kernel.close()
     return reads
 
@@ -740,6 +743,46 @@ def test_ledger_reads_match_across_backends(retention):
             for name in ("itinerant", "doomed"):
                 assert ([row[1:7] + row[8:] for row in reads["named"][name]]
                         == [row[1:7] + row[8:] for row in alone["named"][name]])
+
+
+#: the kernel events ``counters()`` reports beside the agent-state counts
+EVENT_COUNTERS = ("meets", "transmits", "arrivals", "undeliverable")
+
+
+def counter_reads(kernel):
+    """Each event counter as ``stats`` holds it, as ``counters()`` reports
+    it and summed over the engines; the stats snapshot's durability keys,
+    and ``store_summary()``."""
+    durability = {key: value for key, value in kernel.stats.snapshot().items()
+                  if key.startswith(("wal_", "store_", "recover", "durable_",
+                                     "state_lost_"))}
+    return {
+        "events": {name: (getattr(kernel.stats, name), kernel.counters()[name],
+                          sum(getattr(engine.stats, name) for engine in kernel.engines))
+                   for name in EVENT_COUNTERS},
+        "durability": durability,
+        "store_summary": kernel.store_summary(),
+    }
+
+
+def test_every_counter_has_one_home(backend):
+    """The four event counters live in ``NetworkStats`` on every engine and
+    backend, and ``store_summary()`` is the snapshot's durability keys plus
+    the policy, equal on one engine and on two."""
+    alone = ledger_script("inproc", None, shards=1, read=counter_reads,
+                          durable=MAIL_CABINET)
+    sharded = ledger_script(backend, None, read=counter_reads, durable=MAIL_CABINET)
+    for reads in (*alone, *sharded):
+        for name, (in_stats, in_counters, summed) in reads["events"].items():
+            assert in_stats == in_counters == summed, name
+        assert reads["store_summary"] == {**reads["durability"],
+                                          "policy": "wal-group-commit"}
+    _, final = alone
+    assert final["events"]["meets"][0] > 0 and final["events"]["arrivals"][0] > 0
+    assert final["store_summary"]["wal_commits"] > 0
+    assert final["store_summary"]["recoveries"] == 1
+    assert [reads["store_summary"] for reads in sharded] == \
+        [reads["store_summary"] for reads in alone]
 
 
 def failed_burst_script(backend):

@@ -15,7 +15,7 @@ from repro.store.policy import StoreCosts
 
 def make_kernel(policy="wal-group-commit", costs=None, **knobs):
     """A kernel over sites a, b, c; *costs* overrides ``StoreCosts`` fields
-    (``recovery_base``, ``snapshot_threshold``) on every store."""
+    (disk prices, ``recovery_base``, ``snapshot_threshold``) on every store."""
     config = KernelConfig(rng_seed=3, durability=policy, **knobs)
     kernel = Kernel(lan(["a", "b", "c"]), transport="tcp", config=config)
     if costs:
@@ -54,15 +54,16 @@ class TestPolicyResolution:
 class TestWriteAheadLog:
     def test_commit_and_replay_last_wins(self):
         wal = WriteAheadLog()
-        wal.commit([("cab", "f", (b"one",))], at=1.0)
-        wal.commit([("cab", "f", (b"one", b"two"))], at=2.0)
+        wal.commit([("cab", "f", (b"one",))], 3)
+        wal.commit([("cab", "f", (b"one", b"two"))], 6)
         assert wal.replay_states() == {("cab", "f"): (b"one", b"two")}
-        assert wal.total_committed == 2
+        assert wal.total_committed == len(wal) == 2
+        assert wal.bytes_pending == 9
 
     def test_deletion_record_removes_from_image(self):
         wal = WriteAheadLog()
-        wal.commit([("cab", "f", (b"x",))], at=1.0)
-        wal.commit([("cab", "f", None)], at=2.0)
+        wal.commit([("cab", "f", (b"x",))], 1)
+        wal.commit([("cab", "f", None)], 0)
         images = {"cab": {"f": (b"stale",)}}
         folded = wal.fold_into(images)
         assert folded == 2
@@ -285,7 +286,7 @@ class TestFlushOnDemand:
         # Flushes arriving faster than the write+fsync completes must not
         # cancel and restart the in-flight sync: the disk drains one batch
         # at a time and everything still becomes durable.
-        kernel = make_kernel("flush-on-demand", store_fsync_latency=0.004)
+        kernel = make_kernel("flush-on-demand", costs={"fsync_latency": 0.004})
         kernel.make_durable("m", sites=["a"])
         cabinet = kernel.site("a").cabinet("m")
         store = kernel.store("a")
@@ -305,8 +306,8 @@ class TestBarrier:
     def test_barrier_piggybacks_on_the_group_commit_by_default(self):
         # A pending barrier must not sit out the commit window: the commit
         # fires immediately and the wait collapses to write + fsync.
-        kernel = make_kernel(store_commit_window=0.5, store_fsync_latency=0.1,
-                             store_write_byte_latency=0.0)
+        kernel = make_kernel(store_commit_window=0.5, costs={
+            "fsync_latency": 0.1, "write_byte_latency": 0.0})
         kernel.make_durable("m", sites=["a"])
         kernel.site("a").cabinet("m").put("f", 1)
         barrier = kernel.store("a").barrier()
@@ -321,9 +322,8 @@ class TestBarrier:
         # The wait is the batched write + fsync whatever the window is.
         waits = []
         for window in (0.0, 0.5, 50.0):
-            kernel = make_kernel(store_commit_window=window,
-                                 store_fsync_latency=0.1,
-                                 store_write_byte_latency=0.0)
+            kernel = make_kernel(store_commit_window=window, costs={
+                "fsync_latency": 0.1, "write_byte_latency": 0.0})
             kernel.make_durable("m", sites=["a"])
             kernel.site("a").cabinet("m").put("f", 1)
             waits.append(kernel.store("a").barrier())
@@ -363,8 +363,8 @@ class TestBarrierMarks:
         # The mark sits in the dirty tail behind an in-flight sync, so the
         # barrier can only queue the tail's commit for when the disk frees,
         # and the tail keeps growing until then.
-        kernel = make_kernel(store_commit_window=0.5, store_write_latency=0.1,
-                             store_fsync_latency=0.1)
+        kernel = make_kernel(store_commit_window=0.5, costs={
+            "write_latency": 0.1, "fsync_latency": 0.1})
         kernel.make_durable("m", sites=["a"])
         cabinet = kernel.site("a").cabinet("m")
         store = kernel.store("a")
@@ -386,8 +386,7 @@ class TestBarrierMarks:
     def test_overlapping_commit_defers_instead_of_clobbering_the_sync(self):
         # write+fsync outlasting the commit window must not drop the
         # in-flight batch: the next commit waits for the disk.
-        kernel = make_kernel(store_commit_window=0.05,
-                             store_fsync_latency=1.0)
+        kernel = make_kernel(store_commit_window=0.05, costs={"fsync_latency": 1.0})
         kernel.make_durable("m", sites=["a"])
         cabinet = kernel.site("a").cabinet("m")
         cabinet.put("first", 1)               # commit @0.05, fsync done @~1.05
@@ -398,8 +397,7 @@ class TestBarrierMarks:
         assert kernel.stats.wal_commits == 2  # two syncs, neither lost
 
     def test_crash_mid_sync_counts_the_inflight_folders_as_lost(self):
-        kernel = make_kernel(store_commit_window=0.05,
-                             store_fsync_latency=1.0)
+        kernel = make_kernel(store_commit_window=0.05, costs={"fsync_latency": 1.0})
         kernel.make_durable("m", sites=["a"])
         kernel.site("a").cabinet("m").put("doomed", 1)
         kernel.run(until=0.5)                 # commit fired, fsync pending
@@ -412,8 +410,8 @@ class TestBytesProportionalCosts:
     def test_flush_cost_scales_with_payload_bytes(self):
         # Identical record counts, 100x the payload: the priced flush must
         # cost measurably more (write_byte_latency is the per-byte term).
-        small = make_kernel("flush-on-demand", store_write_byte_latency=1e-6)
-        large = make_kernel("flush-on-demand", store_write_byte_latency=1e-6)
+        small = make_kernel("flush-on-demand", costs={"write_byte_latency": 1e-6})
+        large = make_kernel("flush-on-demand", costs={"write_byte_latency": 1e-6})
         for kernel, payload in ((small, 100), (large, 10_000)):
             kernel.make_durable("m", sites=["a"])
             kernel.site("a").cabinet("m").put("f", b"\0" * payload)
@@ -425,9 +423,8 @@ class TestBytesProportionalCosts:
         assert large_cost - small_cost == pytest.approx(9_900 * 1e-6, rel=0.05)
 
     def test_byte_term_zeroed_restores_flat_per_record_pricing(self):
-        kernel = make_kernel("flush-on-demand", store_write_byte_latency=0.0,
-                             store_write_latency=0.0002,
-                             store_fsync_latency=0.004)
+        kernel = make_kernel("flush-on-demand", costs={
+            "write_byte_latency": 0.0, "write_latency": 0.0002, "fsync_latency": 0.004})
         kernel.make_durable("m", sites=["a"])
         kernel.site("a").cabinet("m").put("f", b"\0" * 50_000)
         assert kernel.store("a").flush() == pytest.approx(0.0002 + 0.004)
@@ -457,7 +454,7 @@ class TestStoreSummaryTelemetry:
         # Behind an in-flight sync, the dirty tail's commit is already due
         # the moment the disk frees, so a barrier there accelerates nothing:
         # only the first barrier, which started the sync, is counted.
-        kernel = make_kernel(store_commit_window=0.0, store_fsync_latency=0.1)
+        kernel = make_kernel(store_commit_window=0.0, costs={"fsync_latency": 0.1})
         kernel.make_durable("m", sites=["a"])
         cabinet = kernel.site("a").cabinet("m")
         store = kernel.store("a")

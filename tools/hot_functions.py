@@ -212,10 +212,13 @@ def retained(kernel):
     from repro.core.agent import AgentInstance
     from repro.core.cabinet import FileCabinet
     from repro.core.lifecycle import AgentRecord
-    from repro.store import WalRecord, WriteAheadLog
-    # WalRecord: what a log that kept its records held, for measuring older trees
+    import repro.store
+    from repro.store import WriteAheadLog
     followed = PLAIN_DATA + (Briefcase, Folder, AgentInstance, AgentRecord, FileCabinet,
-                             WriteAheadLog, WalRecord)
+                             WriteAheadLog)
+    # WalRecord: what a log that kept its records held, in older trees only
+    if hasattr(repro.store, "WalRecord"):
+        followed += (repro.store.WalRecord,)
     sizes, elements, seen = collections.Counter(), {}, set()
 
     def walk(root, owner):
