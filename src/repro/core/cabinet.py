@@ -91,7 +91,9 @@ class FileCabinet:
     # -- folder access (briefcase-compatible surface) ---------------------------
 
     def add(self, folder: Folder, replace: bool = False) -> Folder:
-        """Add *folder* to the cabinet."""
+        """Add *folder*; refuse to overwrite an existing name unless *replace*."""
+        if not isinstance(folder, Folder):
+            raise CabinetError(f"expected a Folder, got {type(folder).__name__}")
         if folder.name in self._folders and not replace:
             raise CabinetError(f"cabinet already has a folder named {folder.name!r}")
         self._folders[folder.name] = folder
@@ -133,7 +135,9 @@ class FileCabinet:
         self._derived.clear()
 
     def names(self) -> List[str]:
-        """All folder names in the cabinet."""
+        """All folder names: in insertion order while live, in the durable
+        image's order after crash recovery (a folder removed and re-added
+        comes back in its old slot)."""
         return list(self._folders)
 
     def folders(self) -> List[Folder]:

@@ -708,9 +708,8 @@ class Engine(LedgerQueries):
         The sort is stable and the coordinator lists the pairs by origin
         engine, each origin's in send order, so equal arrivals are delivered
         in ``(arrival, origin, send order)`` order wherever the engines
-        execute.  An arrival in this loop's past — only possible when the
-        optimistic flow-window bonus widened the granted horizons past the
-        pure latency bound — is clamped to now and counted.
+        execute.  An arrival in this loop's past would mean a horizon was
+        granted past the latency bound; it is clamped to now and counted.
         """
         loop = self.loop
         now = loop.now

@@ -271,8 +271,7 @@ class Kernel(LedgerQueries):
                 self.topology, self.config, transport, install_system_agents,
                 self.registry, self._placement)
             clock_sync = ClockSync(self.topology, self._placement,
-                                   shards=self.config.shards,
-                                   flow_bonus=self.config.flow_window_min)
+                                   shards=self.config.shards)
             self._topology_grew = clock_sync.invalidate
             self._coordinator = ShardSet(
                 [Shard(shard_id, engine) for shard_id, engine in enumerate(engines)],

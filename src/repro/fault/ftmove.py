@@ -267,25 +267,27 @@ def ft_visitor_behaviour(ctx: AgentContext, briefcase: Briefcase):
     # rule would have covered — so each guard site gets exactly one
     # envelope from the landing instead of two release rounds.
     delivery = ctx.cabinet(RESULTS_CABINET)
-    if delivery.contains_element("completed_ids", ft_id):
-        yield from _send_releases(ctx, briefcase, ft_id, reached_seq=seq, done=True)
-        if hop_span is not None:
-            ctx.obs.finish(hop_span, status="duplicate-completion")
-        return "duplicate-completion"
-    delivery.put("completed_ids", ft_id)
-    delivery.put("completions", {
-        "ft_id": ft_id,
-        "results": briefcase.folder("RESULTS", create=True).elements(),
-        "hops": seq,
-        "skipped": briefcase.folder("SKIPPED", create=True).elements(),
-        "relaunched": bool(briefcase.get("RELAUNCHED", False)),
-        "completed_at": ctx.now,
-        "site": ctx.site_name,
-    })
+    duplicate = delivery.contains_element("completed_ids", ft_id)
+    if not duplicate:
+        delivery.put("completed_ids", ft_id)
+        delivery.put("completions", {
+            "ft_id": ft_id,
+            "results": briefcase.folder("RESULTS", create=True).elements(),
+            "hops": seq,
+            "skipped": briefcase.folder("SKIPPED", create=True).elements(),
+            "relaunched": bool(briefcase.get("RELAUNCHED", False)),
+            "completed_at": ctx.now,
+            "site": ctx.site_name,
+        })
+    if briefcase.get("DURABLE_CHECKPOINT"):
+        # The record commits before the done release retires the guards, as
+        # a checkpoint commits before its jump: a crash in the commit window
+        # would otherwise discard it with nothing left to relaunch.
+        yield from wait_until_durable(ctx)
     yield from _send_releases(ctx, briefcase, ft_id, reached_seq=seq, done=True)
     if hop_span is not None:
-        ctx.obs.finish(hop_span, status="delivered")
-    return "completed"
+        ctx.obs.finish(hop_span, status="duplicate-completion" if duplicate else "delivered")
+    return "duplicate-completion" if duplicate else "completed"
 
 
 # ---------------------------------------------------------------------------

@@ -213,9 +213,8 @@ class NetworkStats:
     #: wire bytes those handoffs carried
     shard_handoff_bytes: int = 0
     #: handoffs whose computed arrival fell behind the destination shard's
-    #: clock and were clamped to "now" (only possible when the optimistic
-    #: flow-window bonus widens lookahead past the pure latency bound; stays
-    #: 0 under the default ``flow_window_min = 0``)
+    #: clock and were clamped to "now": the conservative sync never grants a
+    #: horizon past the latency bound, so this conservation check stays 0
     shard_late_arrivals: int = 0
 
     # -- recording -----------------------------------------------------------

@@ -76,18 +76,16 @@ class RingSink:
 class JsonlSink:
     """Append spans to a file, one JSON object per line."""
 
-    __slots__ = ("path", "_handle", "written")
+    __slots__ = ("path", "_handle")
 
     def __init__(self, path: str):
         self.path = path
         self._handle = open(path, "a", encoding="utf-8")
-        self.written = 0
 
     def emit(self, span: Dict[str, Any]) -> None:
         self._handle.write(json.dumps(span, sort_keys=True,
                                       default=_json_fallback))
         self._handle.write("\n")
-        self.written += 1
 
     def export(self) -> List[Dict[str, Any]]:
         """JSONL sinks retain nothing in memory."""

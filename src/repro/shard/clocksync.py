@@ -15,18 +15,13 @@ the shortest path over the shard-level lookahead matrix itself
 (Floyd-Warshall), not just the direct entry:
 
     horizon(i) = min(  min_{k != i, T_k finite}  T_k + dist(k, i),
-                       T_i + roundtrip(i)                          ) + bonus
+                       T_i + roundtrip(i)                          )
 
 The ``T_i + roundtrip(i)`` term bounds a shard against reflections of its
 *own* messages within the round (send to ``j`` and back costs at least
-``dist(i, j) + dist(j, i)``).  The ``bonus`` is the ``repro.flow`` window
-floor (``KernelConfig.flow_window_min``): a batchable message parks in an
-outbox for at least the minimum flow window before it can leave, so the
-windows widen the horizon.  The bonus is optimistic for traffic that
-bypasses the fabric (``AGENT_TRANSFER`` is never batched), which is why
-the owning engine clamps and counts late arrivals when it schedules a
-handoff; with the default ``flow_window_min = 0`` the sync is purely
-conservative and the clamp never fires.
+``dist(i, j) + dist(j, i)``).  The sync is purely conservative: the owning
+engine still clamps and counts any handoff arriving in its past
+(``shard_late_arrivals``), as a conservation check that stays zero.
 
 Progress: the shard with the globally minimal ``T`` always receives a
 horizon strictly beyond it (every lookahead is at least ``min_lookahead``),
@@ -51,14 +46,12 @@ class ClockSync:
     """The lookahead matrix + horizon calculator of a sharded kernel."""
 
     def __init__(self, topology: Topology, placement: Mapping[str, int],
-                 shards: int, flow_bonus: float = 0.0,
-                 min_lookahead: float = MIN_LOOKAHEAD):
+                 shards: int, min_lookahead: float = MIN_LOOKAHEAD):
         self._topology = topology
         #: site name -> shard id: the kernel facade's live map (late sites
         #: appear in it), which the coordinator also routes handoffs by
         self.placement = placement
         self._shards = shards
-        self.flow_bonus = max(0.0, float(flow_bonus))
         self.min_lookahead = float(min_lookahead)
         self._dirty = True
         self._dist: List[List[float]] = []
@@ -167,9 +160,8 @@ class ClockSync:
                 reflection = own + self._roundtrip[i]
                 if reflection < bound:
                     bound = reflection
-            horizons[i] = None if bound == math.inf else bound + self.flow_bonus
+            horizons[i] = None if bound == math.inf else bound
         return horizons
 
     def __repr__(self) -> str:
-        return (f"ClockSync(shards={self._shards}, "
-                f"flow_bonus={self.flow_bonus}, dirty={self._dirty})")
+        return f"ClockSync(shards={self._shards}, dirty={self._dirty})"

@@ -177,6 +177,28 @@ class TestCheckpointedGuards:
         # Zero durable folders were lost: everything restored came back.
         assert kernel.stats.durable_folders_restored > 0
 
+    @pytest.mark.parametrize("durability, crash_points", [
+        ("wal-group-commit", range(70, 84)), ("flush-on-demand", range(56, 71))],
+        ids=["wal-group-commit", "flush-on-demand"])
+    def test_a_delivery_crash_in_the_completion_commit_window_loses_nothing(
+            self, durability, crash_points):
+        """The delivery site crashes after event n, while the completion
+        record may still be uncommitted, and recovers 2 s later.  The final
+        hop waits for the record to be durable before its done release
+        retires the guards, so the computation completes exactly once at
+        every such n."""
+        for n in crash_points:
+            kernel = make_kernel(durability)
+            ft_id = launch_ft_computation(
+                kernel, HOME, ITINERARY, per_hop=3.0, work_seconds=1.0,
+                max_relaunches=3, durable_checkpoints=True)
+            kernel.run(max_events=n)
+            kernel.crash_site(DELIVERY)
+            kernel.loop.schedule(2.0, lambda: kernel.recover_site(DELIVERY),
+                                 label="recover-delivery")
+            kernel.run(until=240.0)
+            assert len(completions(kernel, DELIVERY, ft_id)) == 1, f"crash after event {n}"
+
     def test_revival_survives_a_second_crash_of_the_same_site(self):
         """A second crash killing the revived guard must not end protection:
         the next recovery revives again (liveness decides, not a durable

@@ -4,66 +4,27 @@ from __future__ import annotations
 
 import pytest
 
+from contracts import BaseTestFolderContainer
 from repro.core import Briefcase, Folder
-from repro.core.errors import BriefcaseError, MissingFolderError
+from repro.core.errors import MissingFolderError
 
 
-class TestFolderManagement:
-    def test_add_and_fetch(self):
-        briefcase = Briefcase()
-        folder = briefcase.add(Folder("DATA", [1]))
-        assert briefcase.folder("DATA") is folder
+class TestBriefcaseContract(BaseTestFolderContainer):
+    @pytest.fixture
+    def opened(self):
+        return Briefcase(), lambda briefcase: briefcase
 
-    def test_add_rejects_non_folder(self):
-        with pytest.raises(BriefcaseError):
-            Briefcase().add("not a folder")  # type: ignore[arg-type]
 
-    def test_add_duplicate_name_refused_without_replace(self):
-        briefcase = Briefcase([Folder("X")])
-        with pytest.raises(BriefcaseError):
-            briefcase.add(Folder("X"))
+class TestBriefcaseSnapshotContract(BaseTestFolderContainer):
+    """Reopened as a move does: ``snapshot()``, rebuilt on arrival."""
 
-    def test_add_duplicate_name_with_replace(self):
-        briefcase = Briefcase([Folder("X", [1])])
-        briefcase.add(Folder("X", [2]), replace=True)
-        assert briefcase.folder("X").elements() == [2]
-
-    def test_folder_create_flag(self):
-        briefcase = Briefcase()
-        folder = briefcase.folder("NEW", create=True)
-        assert folder.name == "NEW"
-        assert briefcase.has("NEW")
-
-    def test_missing_folder_raises(self):
-        with pytest.raises(MissingFolderError):
-            Briefcase().folder("ABSENT")
-
-    def test_remove_returns_folder(self):
-        briefcase = Briefcase([Folder("X", [1])])
-        folder = briefcase.remove("X")
-        assert folder.elements() == [1]
-        assert not briefcase.has("X")
-
-    def test_remove_missing_raises(self):
-        with pytest.raises(MissingFolderError):
-            Briefcase().remove("X")
-
-    def test_discard_is_silent_for_missing(self):
-        assert Briefcase().discard("X") is None
-
-    def test_names_and_folders_preserve_insertion_order(self):
-        briefcase = Briefcase([Folder("B"), Folder("A"), Folder("C")])
-        assert briefcase.names() == ["B", "A", "C"]
-        assert [folder.name for folder in briefcase.folders()] == ["B", "A", "C"]
+    @pytest.fixture
+    def opened(self):
+        return Briefcase(), lambda briefcase: Briefcase.from_stored_items(
+            briefcase.snapshot().stored_items())
 
 
 class TestElementConveniences:
-    def test_put_appends_and_creates(self):
-        briefcase = Briefcase()
-        briefcase.put("LOG", "one")
-        briefcase.put("LOG", "two")
-        assert briefcase.folder("LOG").elements() == ["one", "two"]
-
     def test_set_replaces_contents(self):
         briefcase = Briefcase()
         briefcase.put("V", 1)
@@ -71,17 +32,8 @@ class TestElementConveniences:
         briefcase.set("V", 3)
         assert briefcase.folder("V").elements() == [3]
 
-    def test_get_returns_top_element(self):
-        briefcase = Briefcase()
-        briefcase.put("V", 1)
-        briefcase.put("V", 2)
-        assert briefcase.get("V") == 2
-
-    def test_get_default_for_missing_or_empty(self):
-        briefcase = Briefcase()
-        assert briefcase.get("V", "fallback") == "fallback"
-        briefcase.folder("V", create=True)
-        assert briefcase.get("V", "fallback") == "fallback"
+    def test_discard_is_silent_for_missing(self):
+        assert Briefcase().discard("X") is None
 
     def test_take_pops_top(self):
         briefcase = Briefcase()
@@ -158,11 +110,8 @@ class TestWholeBriefcaseOperations:
         assert Briefcase([Folder("X", [1])]) != Briefcase([Folder("X", [2])])
         assert Briefcase() != 42
 
-    def test_contains_len_iter(self):
+    def test_iter_yields_the_folders_in_order(self):
         briefcase = Briefcase([Folder("X"), Folder("Y")])
-        assert "X" in briefcase
-        assert "Z" not in briefcase
-        assert len(briefcase) == 2
         assert [folder.name for folder in briefcase] == ["X", "Y"]
 
 

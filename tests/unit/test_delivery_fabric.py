@@ -1,50 +1,18 @@
-"""Unit tests for the delivery fabric: per-destination outboxes, batching,
-crash/partition semantics, and the message size cache."""
+"""Unit tests for the delivery fabric: per-destination outboxes, crash and
+partition semantics, adaptive windows, and the message size cache.
+
+The batch envelopes and their byte and loss accounting are part of the
+transport contract (``tests/contracts.py::BaseTestTransport``), run on every
+transport by ``test_transports.py``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import Briefcase, Kernel, KernelConfig
-from repro.net import lan
+from contracts import fabric_kernel, install_receiver, transmit_n
+from repro.core import Briefcase
 from repro.net.message import Message, MessageKind
-from repro.net.transport import BATCHABLE_KINDS
 from scenarios import load_example
-
-
-def make_kernel(window=0.1, transport="tcp", **config_kwargs):
-    return Kernel(lan(["a", "b", "c"], latency=0.01), transport=transport,
-                  config=KernelConfig(rng_seed=5, delivery_batch_window=window,
-                                      **config_kwargs))
-
-
-def install_receiver(kernel, site="b", name="receiver"):
-    """A contact agent that files what it receives into a cabinet."""
-
-    def receiver(ctx, bc):
-        ctx.cabinet("received").put("payloads", dict(bc.items())
-                                    if hasattr(bc, "items") else bc.get("X"))
-        yield ctx.sleep(0)
-        return "got-it"
-
-    kernel.install_agent(site, name, receiver)
-    return receiver
-
-
-def transmit_n(kernel, n, destination="b", kind=MessageKind.FOLDER_DELIVERY,
-               source="a", contact="receiver"):
-    """Launch a system agent at *source* transmitting *n* messages at once."""
-
-    def sender(ctx, bc):
-        accepted = []
-        for index in range(n):
-            payload = Briefcase()
-            payload.set("X", index)
-            ok = yield ctx.transmit(destination, contact, payload, kind=kind)
-            accepted.append(bool(ok))
-        return accepted
-
-    return kernel.launch(source, sender, system=True)
 
 
 def transmit_spaced(kernel, n, gap, destination="b",
@@ -63,94 +31,9 @@ def transmit_spaced(kernel, n, gap, destination="b",
     return kernel.launch(source, sender, system=True)
 
 
-class TestBatching:
-    def test_same_destination_messages_coalesce_into_one_wire_message(self):
-        kernel = make_kernel(window=0.1)
-        install_receiver(kernel)
-        sender = transmit_n(kernel, 4)
-        kernel.run()
-        assert kernel.result_of(sender) == [True] * 4
-        assert kernel.stats.messages_sent == 1
-        assert kernel.stats.batches == 1
-        assert kernel.stats.batched_messages == 4
-        assert kernel.counters()["arrivals"] == 4          # every folder reached its contact
-        assert kernel.counters()["undeliverable"] == 0
-
-    def test_batch_saves_header_bytes(self):
-        kernel = make_kernel(window=0.1)
-        install_receiver(kernel)
-        transmit_n(kernel, 3)
-        kernel.run()
-        assert kernel.stats.header_bytes_saved == 2 * Message.HEADER_BYTES
-
-    def test_distinct_destinations_use_distinct_outboxes(self):
-        kernel = make_kernel(window=0.1)
-        install_receiver(kernel, site="b")
-        install_receiver(kernel, site="c")
-
-        def sender(ctx, bc):
-            for destination in ("b", "c", "b", "c"):
-                payload = Briefcase()
-                payload.set("X", destination)
-                yield ctx.transmit(destination, "receiver", payload,
-                                   kind=MessageKind.FOLDER_DELIVERY)
-            return "sent"
-
-        kernel.launch("a", sender, system=True)
-        kernel.run()
-        assert kernel.stats.messages_sent == 2      # one batch per destination
-        assert kernel.stats.batches == 2
-        assert kernel.counters()["arrivals"] == 4
-
-    def test_single_message_window_ships_unwrapped(self):
-        kernel = make_kernel(window=0.05)
-        install_receiver(kernel)
-        transmit_n(kernel, 1)
-        kernel.run()
-        assert kernel.stats.messages_sent == 1
-        assert kernel.stats.batches == 0             # no envelope was needed
-        assert kernel.stats.per_kind[MessageKind.FOLDER_DELIVERY] == 1
-        assert kernel.counters()["arrivals"] == 1
-
-    def test_non_batchable_kinds_bypass_the_fabric(self):
-        kernel = make_kernel(window=0.5)
-        transmit_n(kernel, 3, kind=MessageKind.CONTROL)
-        kernel.run(until=0.01)
-        # Control traffic is on the wire immediately, no window wait.
-        assert kernel.stats.messages_sent == 3
-        assert kernel.transport.pending_outbox_messages() == 0
-
-    def test_window_zero_means_fabric_off(self):
-        kernel = make_kernel(window=0.0)
-        install_receiver(kernel)
-        transmit_n(kernel, 4)
-        kernel.run()
-        assert kernel.stats.messages_sent == 4
-        assert kernel.stats.batches == 0
-        assert kernel.counters()["arrivals"] == 4
-
-    def test_agent_transfers_are_never_batched(self):
-        assert MessageKind.AGENT_TRANSFER not in BATCHABLE_KINDS
-        kernel = make_kernel(window=0.5)
-        transmit_n(kernel, 2, kind=MessageKind.AGENT_TRANSFER, contact="ag_py")
-        kernel.run(until=0.01)
-        assert kernel.stats.messages_sent == 2
-
-    def test_status_reports_batch_and_reach_their_contact(self):
-        kernel = make_kernel(window=0.1)
-        install_receiver(kernel)
-        sender = transmit_n(kernel, 3, kind=MessageKind.STATUS)
-        kernel.run()
-        assert kernel.result_of(sender) == [True] * 3
-        assert kernel.stats.messages_sent == 1
-        # STATUS payloads carrying a contact execute it like a folder
-        # delivery instead of rotting in the message cabinet.
-        assert kernel.counters()["arrivals"] == 3
-
-
 class TestFailureSemantics:
     def test_crash_of_destination_drops_pending_outbox(self):
-        kernel = make_kernel(window=10.0)
+        kernel = fabric_kernel(window=10.0)
         install_receiver(kernel)
         transmit_n(kernel, 3)
         kernel.run(until=0.01)     # transmits done, flush far in the future
@@ -163,7 +46,7 @@ class TestFailureSemantics:
         assert kernel.counters()["arrivals"] == 0
 
     def test_crash_of_source_drops_pending_outbox(self):
-        kernel = make_kernel(window=10.0)
+        kernel = fabric_kernel(window=10.0)
         install_receiver(kernel)
         transmit_n(kernel, 2)
         kernel.run(until=0.01)
@@ -174,7 +57,7 @@ class TestFailureSemantics:
         assert kernel.counters()["arrivals"] == 0
 
     def test_partition_flushes_and_drops_cross_partition_batches(self):
-        kernel = make_kernel(window=10.0)
+        kernel = fabric_kernel(window=10.0)
         install_receiver(kernel)
         transmit_n(kernel, 3)
         kernel.run(until=0.01)
@@ -190,7 +73,7 @@ class TestFailureSemantics:
         kernel.heal_partition()
 
     def test_partition_leaves_same_side_outboxes_coalescing(self):
-        kernel = make_kernel(window=10.0)
+        kernel = fabric_kernel(window=10.0)
         install_receiver(kernel)
         transmit_n(kernel, 3)
         kernel.run(until=0.01)
@@ -206,7 +89,7 @@ class TestFailureSemantics:
         # The fabric must not report "accepted" for a destination already
         # known to be unreachable: posting falls through to the immediate
         # path, so the sender sees the same False as with batching off.
-        kernel = make_kernel(window=10.0)
+        kernel = fabric_kernel(window=10.0)
         install_receiver(kernel)
         kernel.crash_site("b")
         sender = transmit_n(kernel, 3)
@@ -214,30 +97,6 @@ class TestFailureSemantics:
         assert kernel.result_of(sender) == [False] * 3
         assert kernel.transport.pending_outbox_messages() == 0
         assert kernel.counters()["arrivals"] == 0
-
-    def test_in_flight_batch_loss_counts_every_coalesced_message(self):
-        kernel = make_kernel(window=0.01)
-        install_receiver(kernel)
-        transmit_n(kernel, 3)
-        kernel.run(until=0.015)    # batch flushed and on the wire
-        dropped_before = kernel.stats.messages_dropped
-        kernel.site("b").mark_crashed()       # kernel side only...
-        kernel.topology.mark_down("b")        # ...and now the link too
-        kernel.run()
-        assert kernel.stats.messages_dropped == dropped_before + 3
-        assert kernel.counters()["arrivals"] == 0
-
-    def test_batch_to_kernel_dead_site_counts_every_coalesced_message(self):
-        kernel = make_kernel(window=0.1)
-        install_receiver(kernel)
-        transmit_n(kernel, 3)
-        kernel.run(until=0.05)
-        # The kernel at b dies while the link stays up: the batch arrives at
-        # a site the kernel cannot serve and every folder in it is lost.
-        kernel.site("b").mark_crashed()
-        kernel.run()
-        assert kernel.counters()["undeliverable"] == 3
-        assert kernel.site("b").undeliverable == 3
 
 
 class TestMessageSizeCache:
@@ -256,26 +115,13 @@ class TestMessageSizeCache:
         assert message.size_bytes() == Message.HEADER_BYTES + 100
         assert message.body_bytes() == 100
 
-    def test_batch_declared_size_is_sum_of_bodies_plus_one_header(self):
-        batched = make_kernel(window=0.1)
-        unbatched = make_kernel(window=0.0)
-        for kernel in (batched, unbatched):
-            install_receiver(kernel)
-            transmit_n(kernel, 3)
-            kernel.run()
-            assert kernel.counters()["arrivals"] == 3
-        # Identical payload traffic; the envelope pays exactly one header
-        # where the unbatched wire paid three.
-        assert batched.stats.bytes_sent == \
-            unbatched.stats.bytes_sent - 2 * Message.HEADER_BYTES
-
 
 class TestTheWindowIsTheOnlyTrigger:
     """An outbox ships when its window fires — never because it filled up or
     because traffic kept arriving."""
 
     def test_a_full_outbox_waits_for_its_window(self):
-        kernel = make_kernel(window=0.2)
+        kernel = fabric_kernel(window=0.2)
         install_receiver(kernel)
         transmit_n(kernel, 50)
         kernel.run(until=0.15)
@@ -287,7 +133,7 @@ class TestTheWindowIsTheOnlyTrigger:
     def test_a_fixed_window_does_not_slide_with_traffic(self):
         # The second message joins the first window's batch; it does not
         # postpone the flush past first-message + window.
-        kernel = make_kernel(window=0.2)
+        kernel = fabric_kernel(window=0.2)
         install_receiver(kernel)
         transmit_spaced(kernel, 2, gap=0.15)
         kernel.run(until=0.25)
@@ -295,7 +141,7 @@ class TestTheWindowIsTheOnlyTrigger:
         assert (kernel.stats.messages_sent, kernel.stats.batches) == (1, 1)
 
     def test_a_stream_ships_one_batch_per_window(self):
-        kernel = make_kernel(window=0.25)
+        kernel = fabric_kernel(window=0.25)
         install_receiver(kernel)
         transmit_spaced(kernel, 6, gap=0.1)
         kernel.run()
@@ -305,7 +151,7 @@ class TestTheWindowIsTheOnlyTrigger:
     def test_window_max_bounds_a_cold_pair_wait(self):
         # A lone message on a pair with no rate yet waits its seed window
         # clamped to window_max, however wide target_batch would make it.
-        kernel = make_kernel(window=5.0, flow_window_min=0.01,
+        kernel = fabric_kernel(window=5.0, flow_window_min=0.01,
                              flow_window_max=0.3, flow_target_batch=1000)
         install_receiver(kernel)
         transmit_n(kernel, 1)
@@ -315,7 +161,7 @@ class TestTheWindowIsTheOnlyTrigger:
         assert kernel.stats.messages_sent == 1
 
     def test_early_flushes_reads_zero_whatever_ships_the_outbox(self):
-        kernel = make_kernel(window=10.0)
+        kernel = fabric_kernel(window=10.0)
         install_receiver(kernel, site="b")
         transmit_n(kernel, 2, destination="b")
         transmit_n(kernel, 2, destination="c")
@@ -332,7 +178,7 @@ class TestTheWindowIsTheOnlyTrigger:
         assert snapshot["early_flushes"] == 0
 
     def test_the_retired_batching_knobs_are_refused(self):
-        kernel = make_kernel(window=0.1)
+        kernel = fabric_kernel(window=0.1)
         for knob in ("max_messages", "max_bytes", "deadline", "serialize_setup",
                      "ewma_alpha"):
             with pytest.raises(TypeError):
@@ -343,7 +189,7 @@ class TestReconfigureReconciliation:
     def test_zeroing_the_window_flushes_armed_outboxes(self):
         # Regression: turning the fabric off used to leave pending messages
         # waiting out the old (here: distant) flush event.
-        kernel = make_kernel(window=10.0)
+        kernel = fabric_kernel(window=10.0)
         install_receiver(kernel)
         transmit_n(kernel, 3)
         kernel.run(until=0.01)
@@ -357,7 +203,7 @@ class TestReconfigureReconciliation:
         assert kernel.stats.messages_dropped == 0   # flushed, not dropped
 
     def test_shrinking_the_window_rearms_armed_outboxes(self):
-        kernel = make_kernel(window=10.0)
+        kernel = fabric_kernel(window=10.0)
         install_receiver(kernel)
         transmit_n(kernel, 2)
         kernel.run(until=0.01)
@@ -368,7 +214,7 @@ class TestReconfigureReconciliation:
         assert kernel.stats.batches == 1
 
     def test_stale_flush_event_after_reconfigure_is_a_no_op(self):
-        kernel = make_kernel(window=10.0)
+        kernel = fabric_kernel(window=10.0)
         install_receiver(kernel)
         transmit_n(kernel, 2)
         kernel.run(until=0.01)
@@ -382,7 +228,7 @@ class TestReconfigureReconciliation:
         # Reconfiguring must be idempotent: repeating the identical
         # configuration mid-window must not flush an outbox that the rules
         # say should keep coalescing until first-post + window.
-        kernel = make_kernel(window=10.0)
+        kernel = fabric_kernel(window=10.0)
         install_receiver(kernel)
         transmit_n(kernel, 2)
         kernel.run(until=0.01)
@@ -399,7 +245,7 @@ class TestCrashDuringArmedFlush:
     def test_crash_while_armed_drops_per_message(self):
         # Site crash between arming and the flush event firing: the same
         # per-message accounting as _drop_outbox.
-        kernel = make_kernel(window=10.0)
+        kernel = fabric_kernel(window=10.0)
         install_receiver(kernel)
         transmit_n(kernel, 3)
         kernel.run(until=0.01)
@@ -416,7 +262,7 @@ class TestCrashDuringArmedFlush:
         # and the batch is in flight when the destination dies: in-flight
         # loss counts each coalesced message, matching what _drop_outbox
         # would have charged.
-        kernel = make_kernel(window=10.0, flow_window_min=0.001,
+        kernel = fabric_kernel(window=10.0, flow_window_min=0.001,
                              flow_window_max=10.0, flow_target_batch=3)
         install_receiver(kernel)
         transmit_n(kernel, 3)
@@ -431,7 +277,7 @@ class TestCrashDuringArmedFlush:
         assert kernel.counters()["arrivals"] == 0
 
     def test_partition_mid_batch_does_not_double_count_drops(self):
-        kernel = make_kernel(window=10.0)
+        kernel = fabric_kernel(window=10.0)
         install_receiver(kernel)
         transmit_n(kernel, 3)
         kernel.run(until=0.01)
@@ -450,7 +296,7 @@ class TestAdaptiveWindows:
     """Per-destination adaptive windows (repro.flow behind the fabric)."""
 
     def test_hot_pair_tightens_its_window_below_the_base(self):
-        kernel = make_kernel(window=0.5, flow_window_min=0.01,
+        kernel = fabric_kernel(window=0.5, flow_window_min=0.01,
                              flow_window_max=1.0, flow_target_batch=4)
         install_receiver(kernel)
         transmit_spaced(kernel, 20, gap=0.005)
@@ -465,7 +311,7 @@ class TestAdaptiveWindows:
         assert kernel.stats.batches > 2
 
     def test_trickle_pair_widens_its_window_to_the_max(self):
-        kernel = make_kernel(window=0.05, flow_window_min=0.01,
+        kernel = fabric_kernel(window=0.05, flow_window_min=0.01,
                              flow_window_max=2.0, flow_target_batch=4)
         install_receiver(kernel)
         transmit_spaced(kernel, 6, gap=0.4)
@@ -486,7 +332,7 @@ class TestAdaptiveWindows:
         # due time (first message + new tight window) may already be in
         # the past — the batch must ship, not strand.  post() then hands back
         # the batch's delivery event, so the sender still sees "accepted".
-        kernel = make_kernel(window=1.0, flow_window_min=0.01,
+        kernel = fabric_kernel(window=1.0, flow_window_min=0.01,
                              flow_window_max=1.0, flow_target_batch=2)
         install_receiver(kernel)
         sender = transmit_n(kernel, 8)
@@ -496,7 +342,7 @@ class TestAdaptiveWindows:
         assert kernel.transport.pending_outbox_messages() == 0
 
     def test_per_destination_windows_are_independent(self):
-        kernel = make_kernel(window=0.2, flow_window_min=0.01,
+        kernel = fabric_kernel(window=0.2, flow_window_min=0.01,
                              flow_window_max=1.0, flow_target_batch=4)
         install_receiver(kernel, site="b")
         install_receiver(kernel, site="c")
@@ -519,7 +365,7 @@ class TestAdaptiveWindows:
         assert telemetry[("a", "b")]["window"] < telemetry[("a", "c")]["window"]
 
     def test_stats_publish_per_pair_flow_telemetry(self):
-        kernel = make_kernel(window=0.2, flow_window_min=0.01,
+        kernel = fabric_kernel(window=0.2, flow_window_min=0.01,
                              flow_window_max=1.0)
         install_receiver(kernel)
         transmit_n(kernel, 4)
@@ -529,7 +375,7 @@ class TestAdaptiveWindows:
         info = snapshot["flow_windows"]["a->b"]
         assert {"window", "message_rate", "bytes_rate"} <= set(info)
         # Fixed-window kernels publish nothing (the telemetry is adaptive).
-        fixed = make_kernel(window=0.2)
+        fixed = fabric_kernel(window=0.2)
         install_receiver(fixed)
         transmit_n(fixed, 4)
         fixed.run()
@@ -577,7 +423,7 @@ class TestAdaptiveReconfigureRaces:
     recovery mid-window: flow state must reset, with no stale flushes."""
 
     def test_resizing_bounds_while_an_outbox_is_armed_reconciles_it(self):
-        kernel = make_kernel(window=5.0, flow_window_min=0.5,
+        kernel = fabric_kernel(window=5.0, flow_window_min=0.5,
                              flow_window_max=10.0, flow_target_batch=50)
         install_receiver(kernel)
         transmit_n(kernel, 3)
@@ -594,7 +440,7 @@ class TestAdaptiveReconfigureRaces:
         assert kernel.stats.messages_dropped == 0
 
     def test_widening_bounds_mid_window_rearms_not_drops(self):
-        kernel = make_kernel(window=0.2, flow_window_min=0.1,
+        kernel = fabric_kernel(window=0.2, flow_window_min=0.1,
                              flow_window_max=0.3)
         install_receiver(kernel)
         transmit_n(kernel, 2)
@@ -608,7 +454,7 @@ class TestAdaptiveReconfigureRaces:
         assert kernel.stats.batches == 1
 
     def test_destination_crash_mid_window_resets_flow_state(self):
-        kernel = make_kernel(window=0.5, flow_window_min=0.01,
+        kernel = fabric_kernel(window=0.5, flow_window_min=0.01,
                              flow_window_max=1.0, flow_target_batch=4)
         install_receiver(kernel)
         transmit_spaced(kernel, 20, gap=0.005)
@@ -632,7 +478,7 @@ class TestAdaptiveReconfigureRaces:
         assert ("a", "b") not in kernel.transport.flow_telemetry()
 
     def test_recovered_destination_starts_from_the_seed_window(self):
-        kernel = make_kernel(window=0.5, flow_window_min=0.01,
+        kernel = fabric_kernel(window=0.5, flow_window_min=0.01,
                              flow_window_max=1.0, flow_target_batch=4)
         install_receiver(kernel)
         transmit_spaced(kernel, 10, gap=0.005)
@@ -653,7 +499,7 @@ class TestAdaptiveReconfigureRaces:
     def test_fixed_mode_does_no_flow_estimation_on_the_hot_path(self):
         # With adaptive windows off, post() must not build per-pair EWMA
         # state that nothing will ever read.
-        kernel = make_kernel(window=0.1)
+        kernel = fabric_kernel(window=0.1)
         install_receiver(kernel)
         transmit_n(kernel, 5)
         kernel.run()
@@ -663,7 +509,7 @@ class TestAdaptiveReconfigureRaces:
 
     def test_flow_knob_validation_at_the_transport(self):
         from repro.core.errors import TransportError
-        kernel = make_kernel(window=0.0)
+        kernel = fabric_kernel(window=0.0)
         with pytest.raises(TransportError):
             kernel.transport.configure_batching(0.1, window_min=-0.1)
         with pytest.raises(TransportError):
@@ -680,13 +526,13 @@ class TestAdaptiveReconfigureRaces:
 
 class TestConfigureBatching:
     def test_negative_window_rejected(self):
-        kernel = make_kernel(window=0.0)
+        kernel = fabric_kernel(window=0.0)
         from repro.core.errors import TransportError
         with pytest.raises(TransportError):
             kernel.transport.configure_batching(-1.0)
 
     def test_flush_outboxes_is_idempotent(self):
-        kernel = make_kernel(window=10.0)
+        kernel = fabric_kernel(window=10.0)
         install_receiver(kernel)
         transmit_n(kernel, 2)
         kernel.run(until=0.01)

@@ -1,21 +1,19 @@
 """Unit tests for the lifecycle ledger: AgentTable, records, retention, indexes.
 
-Also holds the regression test for ``Kernel.launch`` accepting a negative
-delay (it used to silently schedule into the past while ``launch_many``
-raised).
+The retention contract (``tests/contracts.py::BaseTestRetention``) runs here
+on ``retention=None`` and ``retention=N``.  Also holds the regression test
+for ``Kernel.launch`` accepting a negative delay (it used to silently
+schedule into the past while ``launch_many`` raised).
 """
 
 from __future__ import annotations
 
-import gc
-import traceback
-import weakref
-
 import pytest
 
+from contracts import BaseTestRetention
 from repro.core import Briefcase, Kernel, KernelConfig
-from repro.core.agent import AgentInstance, AgentState
-from repro.core.errors import KernelError, UnknownAgentError
+from repro.core.agent import AgentState
+from repro.core.errors import KernelError
 from repro.core.lifecycle import AgentRecord, AgentTable
 from repro.net import lan
 from repro.shard import process_backend_available
@@ -63,17 +61,6 @@ class TestRecords:
         with pytest.raises(KernelError, match="boom"):
             kernel.result_of(agent_id)
 
-    def test_counters_balance(self):
-        kernel = make_kernel()
-        for index in range(6):
-            kernel.launch("abc"[index % 3], _worker)
-        kernel.launch("a", _broken)
-        kernel.run()
-        counters = kernel.counters()
-        assert counters["completed"] + counters["failed"] + counters["killed"] == \
-            counters["launched"] == 7
-        assert counters["retained"] == 7 and counters["evicted"] == 0
-
     def test_meets_work_under_archival(self):
         kernel = make_kernel()
 
@@ -99,38 +86,19 @@ class TestRecords:
                     if record.site_name == "a"]) == 2
 
 
+class TestRetainEverything(BaseTestRetention):
+    @pytest.fixture
+    def retention(self):
+        return None
+
+
+class TestRetainTheLastN(BaseTestRetention):
+    @pytest.fixture(params=[3, 0])
+    def retention(self, request):
+        return request.param
+
+
 class TestKeepCounts:
-    def test_ledger_is_bounded_and_counters_stay_exact(self):
-        kernel = make_kernel(retention=5)
-        ids = [kernel.launch("a", _worker) for _ in range(20)]
-        kernel.run()
-        assert kernel.counters()["completed"] == 20
-        assert len(kernel.agents) <= 5
-        assert kernel.table.evicted == 15
-        # The survivors are the most recent terminal agents.
-        for agent_id in ids[-5:]:
-            assert kernel.result_of(agent_id) == "a"
-
-    def test_evicted_agent_lookup_raises(self):
-        kernel = make_kernel(retention=2)
-        first = kernel.launch("a", _worker)
-        for _ in range(5):
-            kernel.launch("a", _worker)
-        kernel.run()
-        with pytest.raises(UnknownAgentError):
-            kernel.agent(first)
-        with pytest.raises(UnknownAgentError):
-            kernel.result_of(first)
-
-    def test_eviction_prunes_the_name_index(self):
-        kernel = make_kernel(retention=3)
-        for _ in range(10):
-            kernel.launch("a", _worker, name="droplet")
-        kernel.run()
-        named = kernel.agents_named("droplet")
-        assert len(named) == 3
-        assert all(isinstance(entry, AgentRecord) for entry in named)
-
     @pytest.mark.xfail(strict=True, reason=(
         "retention=N is enforced per engine: each engine's table keeps N "
         "terminal agents, so two engines retain up to 2N and counters() "
@@ -149,18 +117,6 @@ class TestKeepCounts:
 
 
 class TestNameIndex:
-    def test_agents_named_matches_ledger_scan(self):
-        kernel = make_kernel()
-        for index in range(9):
-            kernel.launch("abc"[index % 3], _worker,
-                          name="even" if index % 2 == 0 else "odd")
-        kernel.run()
-        for name in ("even", "odd", "missing"):
-            indexed = [entry.agent_id for entry in kernel.agents_named(name)]
-            scanned = [agent.agent_id for agent in kernel.agents.values()
-                       if agent.name == name]
-            assert indexed == scanned
-
     def test_meet_callees_and_spawns_are_indexed(self):
         kernel = make_kernel()
 
@@ -194,22 +150,6 @@ class TestTableUnit:
         assert counts["failed"] == 1
         assert counts["active"] == 0
         assert counts["retained"] == 2
-
-    @pytest.mark.parametrize("retention", [None, 3, 0])
-    def test_an_entry_is_a_record_exactly_when_its_agent_finished(self, retention):
-        kernel = make_kernel(retention=retention)
-        for step in range(4):
-            for index in range(3):
-                briefcase = Briefcase()
-                briefcase.set("WORK", 0.01 + 0.02 * index)
-                kernel.launch("abc"[index], _worker if index else _broken, briefcase)
-            kernel.run(until=0.03 * (step + 1))     # some terminal, some still live
-            entries = list(kernel.table.entries.values())
-            assert [type(entry) for entry in entries] == [
-                AgentRecord if entry.finished else AgentInstance for entry in entries]
-            assert sum(entry.finished for entry in entries) == (
-                kernel.table.terminal if retention is None
-                else min(retention, kernel.table.terminal))
 
     def test_a_record_round_trips_through_its_row(self):
         kernel = make_kernel()
@@ -361,30 +301,6 @@ class TestRetirementSheds:
             "served", ["ANSWER", "LOG"], 42, ["first", "second"])
         (callee,) = kernel.agents_named("service")
         assert callee.ok and type(callee) is AgentRecord
-
-    @pytest.mark.parametrize("retention", [None, 3])
-    def test_a_failure_keeps_its_error_not_its_frame_locals(self, retention):
-        held = []
-
-        class Ballast:
-            pass
-
-        def fails_holding(ctx, bc):
-            ballast = Ballast()
-            held.append(weakref.ref(ballast))
-            yield ctx.sleep(0)
-            raise RuntimeError("boom")
-
-        kernel = make_kernel(retention=retention)
-        agent_id = kernel.launch("a", fails_holding)
-        kernel.run()
-        gc.collect()
-        assert held[0]() is None
-        error = kernel.agent(agent_id).error
-        assert repr(error) == "RuntimeError('boom')"
-        shown = "".join(traceback.format_exception(type(error), error,
-                                                   error.__traceback__))
-        assert "in fails_holding" in shown and 'raise RuntimeError("boom")' in shown
 
 
 class TestLaunchDelayValidation:

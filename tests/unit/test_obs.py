@@ -9,11 +9,10 @@ reconstruction primitives and CLI.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 
 import pytest
 
+from contracts import BaseTestSpanSink
 from repro.core import Briefcase, Kernel, KernelConfig
 from repro.net import lan
 from repro.obs import JsonlSink, RingSink, TeeSink, Tracer, infra_trace_id, span_id
@@ -99,25 +98,42 @@ def test_ring_sink_bounds_and_since():
     assert ring.since(seq) == (6, [])
 
 
-def test_jsonl_sink_round_trips_through_load_trace():
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "trace.jsonl")
-        sink = JsonlSink(path)
-        sink.emit({"span_id": "t/a#1", "trace_id": "t", "start": 0.0})
-        sink.emit({"span_id": "t/b#2", "trace_id": "t", "start": 1.0})
-        sink.close()
-        assert sink.written == 2
-        assert [span["span_id"] for span in load_trace(path)] == \
-            ["t/a#1", "t/b#2"]
+class TestRingSink(BaseTestSpanSink):
+    @pytest.fixture
+    def sink(self):
+        return RingSink()
+
+    @pytest.fixture
+    def recorded(self):
+        return RingSink.export
 
 
-def test_tee_sink_fans_out():
-    left, right = RingSink(), RingSink()
-    sink = TeeSink([left, right])
-    sink.emit({"span_id": "s"})
-    for ring in (left, right):
-        assert ring.export() == [{"span_id": "s"}]
-    assert sink.export() == [{"span_id": "s"}]
+class TestJsonlSink(BaseTestSpanSink):
+    @pytest.fixture
+    def sink(self, tmp_path):
+        return JsonlSink(str(tmp_path / "trace.jsonl"))
+
+    @pytest.fixture
+    def recorded(self):
+        return lambda sink: load_trace(sink.path)
+
+
+def agreed_spans(tee):
+    """What both sinks behind *tee* (a ring, then a file) recorded, or None
+    where they differ."""
+    ring, jsonl = tee.sinks
+    spans = load_trace(jsonl.path)
+    return spans if ring.export() == spans else None
+
+
+class TestTeeSink(BaseTestSpanSink):
+    @pytest.fixture
+    def sink(self, tmp_path):
+        return TeeSink([RingSink(), JsonlSink(str(tmp_path / "trace.jsonl"))])
+
+    @pytest.fixture
+    def recorded(self):
+        return agreed_spans
 
 
 # -- event log: log lines in the record ring ---------------------------------

@@ -157,16 +157,6 @@ class TestClockSync:
         horizons = sync.horizons({0: 1.0, 1: 50.0})
         assert horizons[0] is None and horizons[1] is None
 
-    def test_flow_bonus_widens_horizons(self):
-        placement = {"a": 0, "b": 1, "c": 2}
-        plain = ClockSync(self._line_topology(), placement, 3)
-        boosted = ClockSync(self._line_topology(), placement, 3,
-                            flow_bonus=0.5)
-        base = plain.horizons({0: 1.0, 1: 1.0, 2: 1.0})
-        wide = boosted.horizons({0: 1.0, 1: 1.0, 2: 1.0})
-        for shard_id in placement.values():
-            assert wide[shard_id] == pytest.approx(base[shard_id] + 0.5)
-
     def test_invalidate_rebuilds_after_topology_growth(self):
         topo = self._line_topology()
         sync = ClockSync(topo, {"a": 0, "b": 1, "c": 2}, 3)

@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from contracts import BaseTestFolderContainer
 from repro.core import Kernel, KernelConfig
 from repro.core.errors import KernelError, StoreError
 from repro.net import lan
@@ -22,6 +23,38 @@ def make_kernel(policy="wal-group-commit", costs=None, **knobs):
         for store in kernel.stores.values():
             store.costs = dataclasses.replace(store.costs, **costs)
     return kernel
+
+
+def durable_cabinet(policy):
+    """Cabinet "m", durable at site a under *policy*, and its reopen: commit
+    everything, crash the site, recover it and run the replay out."""
+    kernel = make_kernel(policy)
+    kernel.make_durable("m", sites=["a"])
+    store = kernel.store("a")
+
+    def reopen(cabinet):
+        delay = store.barrier()
+        while delay > 0:
+            kernel.run(until=kernel.now + delay)
+            delay = store.barrier()
+        kernel.crash_site("a")
+        kernel.recover_site("a")
+        kernel.run()
+        return kernel.site("a").cabinet(cabinet.name)
+
+    return kernel.site("a").cabinet("m"), reopen
+
+
+class TestDurableCabinetContractGroupCommit(BaseTestFolderContainer):
+    @pytest.fixture
+    def opened(self):
+        return durable_cabinet("wal-group-commit")
+
+
+class TestDurableCabinetContractFlushOnDemand(BaseTestFolderContainer):
+    @pytest.fixture
+    def opened(self):
+        return durable_cabinet("flush-on-demand")
 
 
 class TestPolicyResolution:

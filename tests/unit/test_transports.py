@@ -1,110 +1,33 @@
-"""Unit tests for the point-to-point transports (rsh, tcp) and the Transport base."""
+"""Unit tests for the point-to-point transports (rsh, tcp, horus): the
+transport contract on each, then each one's own cost model."""
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from repro.core.errors import TransportError
+from contracts import BaseTestTransport, agent_message, make_transport
+from repro.net.horus import HorusTransport
 from repro.net.message import Message, MessageKind
 from repro.net.rsh import RshTransport
-from repro.net.simclock import EventLoop
-from repro.net.stats import NetworkStats
 from repro.net.tcp import TcpTransport
-from repro.net.topology import LinkSpec, Topology, lan
 
 
-def make_transport(transport_cls, topology=None, seed=0):
-    loop = EventLoop()
-    topology = topology or lan(["a", "b", "c"])
-    stats = NetworkStats()
-    transport = transport_cls(loop, topology, stats, rng=random.Random(seed))
-    return transport, loop, topology, stats
+class TestRshTransport(BaseTestTransport):
+    @pytest.fixture
+    def transport_cls(self):
+        return RshTransport
 
 
-def agent_message(source="a", destination="b", size=1000):
-    return Message(source=source, destination=destination,
-                   kind=MessageKind.AGENT_TRANSFER, payload={}, declared_size=size)
+class TestTcpTransport(BaseTestTransport):
+    @pytest.fixture
+    def transport_cls(self):
+        return TcpTransport
 
 
-class TestDeliveryPath:
-    def test_message_is_delivered_to_registered_handler(self):
-        transport, loop, _, stats = make_transport(TcpTransport)
-        received = []
-        transport.register_endpoint("b", received.append)
-        event = transport.send(agent_message())
-        assert event is not None
-        loop.run()
-        assert len(received) == 1
-        assert received[0].delivered_at is not None
-        assert stats.messages_delivered == 1
-        assert stats.migrations == 1   # agent transfers count as migrations
-
-    def test_unknown_source_raises(self):
-        transport, _, _, _ = make_transport(TcpTransport)
-        with pytest.raises(TransportError):
-            transport.send(agent_message(source="ghost"))
-
-    def test_unknown_destination_raises(self):
-        transport, _, _, _ = make_transport(TcpTransport)
-        with pytest.raises(TransportError):
-            transport.send(agent_message(destination="ghost"))
-
-    def test_send_from_down_site_is_dropped(self):
-        transport, loop, topology, stats = make_transport(TcpTransport)
-        topology.mark_down("a")
-        assert transport.send(agent_message()) is None
-        assert stats.messages_dropped == 1
-
-    def test_send_to_down_site_is_dropped(self):
-        transport, loop, topology, stats = make_transport(TcpTransport)
-        topology.mark_down("b")
-        assert transport.send(agent_message()) is None
-        assert stats.messages_dropped == 1
-
-    def test_destination_crash_while_in_flight_drops(self):
-        transport, loop, topology, stats = make_transport(TcpTransport)
-        received = []
-        transport.register_endpoint("b", received.append)
-        transport.send(agent_message())
-        topology.mark_down("b")      # crashes before the delivery event fires
-        loop.run()
-        assert received == []
-        assert stats.messages_dropped == 1
-
-    def test_partition_in_flight_drops(self):
-        transport, loop, topology, stats = make_transport(TcpTransport)
-        received = []
-        transport.register_endpoint("b", received.append)
-        transport.send(agent_message())
-        topology.set_partition([["a"], ["b", "c"]])
-        loop.run()
-        assert received == []
-
-    def test_unregistered_destination_counts_as_drop(self):
-        transport, loop, _, stats = make_transport(TcpTransport)
-        transport.send(agent_message())
-        loop.run()
-        assert stats.messages_dropped == 1
-
-    def test_lossy_link_drops_randomly(self):
-        topology = Topology()
-        topology.add_site("a")
-        topology.add_site("b")
-        topology.add_link("a", "b", LinkSpec(loss_rate=1.0))
-        transport, loop, _, stats = make_transport(TcpTransport, topology=topology)
-        transport.register_endpoint("b", lambda message: None)
-        assert transport.send(agent_message()) is None
-        assert stats.messages_dropped == 1
-
-    def test_unregister_endpoint(self):
-        transport, loop, _, stats = make_transport(TcpTransport)
-        transport.register_endpoint("b", lambda message: None)
-        transport.unregister_endpoint("b")
-        transport.send(agent_message())
-        loop.run()
-        assert stats.messages_delivered == 0
+class TestHorusTransport(BaseTestTransport):
+    @pytest.fixture
+    def transport_cls(self):
+        return HorusTransport
 
 
 class TestRshCostModel:
