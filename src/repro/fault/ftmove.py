@@ -267,18 +267,24 @@ def ft_visitor_behaviour(ctx: AgentContext, briefcase: Briefcase):
     # rule would have covered — so each guard site gets exactly one
     # envelope from the landing instead of two release rounds.
     delivery = ctx.cabinet(RESULTS_CABINET)
-    duplicate = delivery.contains_element("completed_ids", ft_id)
-    if not duplicate:
-        delivery.put("completed_ids", ft_id)
-        delivery.put("completions", {
-            "ft_id": ft_id,
-            "results": briefcase.folder("RESULTS", create=True).elements(),
-            "hops": seq,
-            "skipped": briefcase.folder("SKIPPED", create=True).elements(),
-            "relaunched": bool(briefcase.get("RELAUNCHED", False)),
-            "completed_at": ctx.now,
-            "site": ctx.site_name,
-        })
+    if delivery.contains_element("completed_ids", ft_id):
+        # A twin gets here only in a later crash epoch than the hop that
+        # filed the record (a same-epoch twin is absorbed by its done
+        # marker), so the record it finds survived a crash: it is durable.
+        yield from _send_releases(ctx, briefcase, ft_id, reached_seq=seq, done=True)
+        if hop_span is not None:
+            ctx.obs.finish(hop_span, status="duplicate-completion")
+        return "duplicate-completion"
+    delivery.put("completed_ids", ft_id)
+    delivery.put("completions", {
+        "ft_id": ft_id,
+        "results": briefcase.folder("RESULTS", create=True).elements(),
+        "hops": seq,
+        "skipped": briefcase.folder("SKIPPED", create=True).elements(),
+        "relaunched": bool(briefcase.get("RELAUNCHED", False)),
+        "completed_at": ctx.now,
+        "site": ctx.site_name,
+    })
     if briefcase.get("DURABLE_CHECKPOINT"):
         # The record commits before the done release retires the guards, as
         # a checkpoint commits before its jump: a crash in the commit window
@@ -286,8 +292,8 @@ def ft_visitor_behaviour(ctx: AgentContext, briefcase: Briefcase):
         yield from wait_until_durable(ctx)
     yield from _send_releases(ctx, briefcase, ft_id, reached_seq=seq, done=True)
     if hop_span is not None:
-        ctx.obs.finish(hop_span, status="duplicate-completion" if duplicate else "delivered")
-    return "duplicate-completion" if duplicate else "completed"
+        ctx.obs.finish(hop_span, status="delivered")
+    return "completed"
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import pytest
 
 from repro.core import Briefcase, Folder, Kernel, KernelConfig
 from repro.core.agent import AgentInstance
-from repro.core.errors import MissingFolderError, TacomaError, TransportError, UnknownAgentError
+from repro.core.errors import MissingFolderError, TransportError, UnknownAgentError
 from repro.core.lifecycle import AgentRecord
 from repro.net import lan
 from repro.net.message import Message, MessageKind
@@ -43,6 +43,7 @@ from repro.net.stats import NetworkStats
 from repro.net.topology import LinkSpec, Topology
 from repro.net.transport import BATCHABLE_KINDS
 from repro.obs import Tracer
+from repro.obs.report import load_trace
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +53,11 @@ from repro.obs import Tracer
 class BaseTestFolderContainer:
     """The folder surface a briefcase and a file cabinet share.
 
-    Fixture: ``opened``, a pair of a fresh empty container and its
+    Fixtures: ``opened``, a pair of a fresh empty container and its
     ``reopen``: a callable that takes the container and returns the one its
     folders are read back into (itself, a copy, a file reloaded, a site
-    recovered from its store).  Order is checked only while the container
+    recovered from its store); ``error``, the :class:`~repro.core.errors.TacomaError` subclass
+    the container raises for an ``add`` it refuses.  Order is checked only while the container
     is live.  A durable cabinet recovered from its image lists a folder
     that was removed and re-added in the folder's old slot
     (:meth:`repro.core.FileCabinet.names`).
@@ -73,14 +75,14 @@ class BaseTestFolderContainer:
         folder = container.add(Folder("DATA", [1]))
         assert container.folder("DATA") is folder
 
-    def test_add_rejects_a_non_folder(self, container):
-        with pytest.raises(TacomaError, match="expected a Folder, got str"):
+    def test_add_rejects_a_non_folder(self, container, error):
+        with pytest.raises(error, match="expected a Folder, got str"):
             container.add("not a folder")  # type: ignore[arg-type]
         assert len(container) == 0
 
-    def test_add_duplicate_name_refused_without_replace(self, container):
+    def test_add_duplicate_name_refused_without_replace(self, container, error):
         container.add(Folder("X", [1]))
-        with pytest.raises(TacomaError):
+        with pytest.raises(error, match="already has a folder named 'X'"):
             container.add(Folder("X", [2]))
         assert container.folder("X").elements() == [1]
 
@@ -152,12 +154,12 @@ class BaseTestFolderContainer:
                 for name in reopened.names()} == expected
         assert len(reopened) == len(expected)
 
-    def test_a_reopened_container_keeps_the_folder_surface(self, container, reopen):
+    def test_a_reopened_container_keeps_the_folder_surface(self, container, reopen, error):
         container.put("V", 1)
         reopened = reopen(container)
         reopened.put("V", 2)
         assert reopened.get("V") == 2
-        with pytest.raises(TacomaError):
+        with pytest.raises(error):
             reopened.add(Folder("V"))
 
 
@@ -430,14 +432,21 @@ class BaseTestTransport:
 # ledger retention
 # ---------------------------------------------------------------------------
 
-def _worker(ctx, bc):
+def worker(ctx, bc):
+    """Sleeps ``WORK`` seconds (0.01 by default), returns ``N`` or its site."""
     yield ctx.sleep(float(bc.get("WORK", 0.01)))
     return bc.get("N", ctx.site_name)
 
 
-def _broken(ctx, bc):
+def broken(ctx, bc):
     yield ctx.sleep(0)
     raise RuntimeError("boom")
+
+
+def ledger_kernel(retention=None, **config_kwargs):
+    """A 3-site TCP kernel whose ledger keeps *retention* finished agents."""
+    return Kernel(lan(["a", "b", "c"]), transport="tcp",
+                  config=KernelConfig(rng_seed=7, retention=retention, **config_kwargs))
 
 
 def _numbered(number):
@@ -459,8 +468,7 @@ class BaseTestRetention:
 
     @pytest.fixture
     def kernel(self, retention):
-        return Kernel(lan(["a", "b", "c"]), transport="tcp",
-                      config=KernelConfig(rng_seed=7, retention=retention))
+        return ledger_kernel(retention)
 
     @pytest.fixture
     def kept(self, retention):
@@ -469,9 +477,9 @@ class BaseTestRetention:
 
     def test_counters_stay_exact_and_the_ledger_bounded(self, kernel, kept):
         for index in range(6):
-            kernel.launch("abc"[index % 3], _worker)
+            kernel.launch("abc"[index % 3], worker)
         for _ in range(2):
-            kernel.launch("a", _broken)
+            kernel.launch("a", broken)
         kernel.run()
         counters = kernel.counters()
         assert (counters["launched"], counters["completed"], counters["failed"],
@@ -480,7 +488,7 @@ class BaseTestRetention:
         assert len(kernel.agents) == kept(8)
 
     def test_the_most_recent_finished_agents_are_kept(self, kernel, kept):
-        ids = [kernel.launch("a", _worker, _numbered(number)) for number in range(10)]
+        ids = [kernel.launch("a", worker, _numbered(number)) for number in range(10)]
         kernel.run()
         evicted = 10 - kept(10)
         for number, agent_id in enumerate(ids):
@@ -495,7 +503,7 @@ class BaseTestRetention:
 
     def test_the_name_index_holds_what_the_ledger_holds(self, kernel, kept):
         for index in range(10):
-            kernel.launch("abc"[index % 3], _worker,
+            kernel.launch("abc"[index % 3], worker,
                           name="even" if index % 2 == 0 else "odd")
         kernel.run()
         for name in ("even", "odd", "missing"):
@@ -510,7 +518,7 @@ class BaseTestRetention:
             for index in range(3):
                 briefcase = Briefcase()
                 briefcase.set("WORK", 0.01 + 0.02 * index)
-                kernel.launch("abc"[index], _worker if index else _broken, briefcase)
+                kernel.launch("abc"[index], worker if index else broken, briefcase)
             kernel.run(until=0.03 * (step + 1))     # some terminal, some still live
             entries = list(kernel.table.entries.values())
             assert [type(entry) for entry in entries] == [
@@ -561,13 +569,31 @@ class _Clock:
 
 
 class BaseTestSpanSink:
-    """What every span sink owes: ``emit`` records span dicts in order,
-    ``export`` answers with the spans it keeps in memory (or none), and
-    ``close`` may be called more than once.
+    """What every span sink owes: ``emit`` records span dicts in order in
+    each place the sink keeps them, ``export`` answers with the spans kept
+    in memory (none when the sink keeps none there), and ``close`` may be
+    called more than once.
 
-    Fixtures: ``sink``, a fresh sink; ``recorded``, a callable that takes
-    the closed sink and returns the spans it recorded.
+    Fixtures: ``sink``, a fresh sink, which may write ``trace_path``;
+    ``keeps``, the places it keeps spans: ``"memory"`` (read by ``export``),
+    ``"file"`` (``trace_path``), or both.
     """
+
+    @pytest.fixture
+    def trace_path(self, tmp_path):
+        return str(tmp_path / "trace.jsonl")
+
+    @pytest.fixture
+    def recorded(self, keeps, trace_path):
+        """Reads the closed sink back from every place in ``keeps``: their
+        spans where all places agree, else each place's list."""
+
+        def read(sink):
+            kept = [sink.export() if place == "memory" else load_trace(trace_path)
+                    for place in keeps]
+            return kept[0] if all(spans == kept[0] for spans in kept) else kept
+
+        return read
 
     def test_emitted_spans_are_recorded_in_order(self, sink, recorded):
         for span in SPANS:
@@ -575,10 +601,10 @@ class BaseTestSpanSink:
         sink.close()
         assert recorded(sink) == SPANS
 
-    def test_export_is_what_the_sink_keeps_in_memory(self, sink):
+    def test_export_is_what_the_sink_keeps_in_memory(self, sink, keeps):
         for span in SPANS:
             sink.emit(span)
-        assert sink.export() in ([], SPANS)
+        assert sink.export() == (SPANS if "memory" in keeps else [])
         sink.close()
 
     def test_close_is_idempotent(self, sink, recorded):

@@ -6,7 +6,7 @@ import pytest
 
 from contracts import BaseTestFolderContainer
 from repro.core import Briefcase, Folder
-from repro.core.errors import MissingFolderError
+from repro.core.errors import BriefcaseError, MissingFolderError
 
 
 class TestBriefcaseContract(BaseTestFolderContainer):
@@ -14,14 +14,20 @@ class TestBriefcaseContract(BaseTestFolderContainer):
     def opened(self):
         return Briefcase(), lambda briefcase: briefcase
 
+    @pytest.fixture
+    def error(self):
+        return BriefcaseError
+
 
 class TestBriefcaseSnapshotContract(BaseTestFolderContainer):
-    """Reopened as a move does: ``snapshot()``, rebuilt on arrival."""
-
     @pytest.fixture
-    def opened(self):
+    def opened(self):  # reopened as a move does: snapshot, rebuilt on arrival
         return Briefcase(), lambda briefcase: Briefcase.from_stored_items(
             briefcase.snapshot().stored_items())
+
+    @pytest.fixture
+    def error(self):
+        return BriefcaseError
 
 
 class TestElementConveniences:

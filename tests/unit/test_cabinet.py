@@ -12,12 +12,14 @@ from repro.core.errors import CabinetError, CabinetPersistenceError
 
 
 class TestFileCabinetContract(BaseTestFolderContainer):
-    """Reopened by ``flush`` to disk and ``load`` back."""
-
     @pytest.fixture
     def opened(self, tmp_path):
         return (FileCabinet("c", site="tromso"),
                 lambda cabinet: FileCabinet.load(cabinet.flush(str(tmp_path))))
+
+    @pytest.fixture
+    def error(self):
+        return CabinetError
 
 
 class TestNaming:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from contracts import BaseTestRetention
+from contracts import BaseTestRetention, broken, ledger_kernel, worker
 from repro.core import Briefcase, Kernel, KernelConfig
 from repro.core.agent import AgentState
 from repro.core.errors import KernelError
@@ -19,28 +19,13 @@ from repro.net import lan
 from repro.shard import process_backend_available
 
 
-def _worker(ctx, bc):
-    yield ctx.sleep(float(bc.get("WORK", 0.01)))
-    return bc.get("N", ctx.site_name)
-
-
-def _broken(ctx, bc):
-    yield ctx.sleep(0)
-    raise RuntimeError("boom")
-
-
-def make_kernel(retention=None, **config_kwargs):
-    return Kernel(lan(["a", "b", "c"]), transport="tcp",
-                  config=KernelConfig(rng_seed=7, retention=retention, **config_kwargs))
-
-
 class TestRecords:
     def test_a_finished_agent_is_a_compact_record(self):
-        kernel = make_kernel()
+        kernel = ledger_kernel()
         briefcase = Briefcase()
         briefcase.set("N", 42)
         briefcase.set("BALLAST", b"\0" * 1024)
-        agent_id = kernel.launch("a", _worker, briefcase, name="kept")
+        agent_id = kernel.launch("a", worker, briefcase, name="kept")
         kernel.run()
         record = kernel.agent(agent_id)
         assert type(record) is AgentRecord
@@ -53,8 +38,8 @@ class TestRecords:
         assert not hasattr(record, "generator")
 
     def test_failed_agents_keep_their_error(self):
-        kernel = make_kernel()
-        agent_id = kernel.launch("a", _broken)
+        kernel = ledger_kernel()
+        agent_id = kernel.launch("a", broken)
         kernel.run()
         record = kernel.agent(agent_id)
         assert record.state == AgentState.FAILED
@@ -62,7 +47,7 @@ class TestRecords:
             kernel.result_of(agent_id)
 
     def test_meets_work_under_archival(self):
-        kernel = make_kernel()
+        kernel = ledger_kernel()
 
         def service(ctx, bc):
             yield ctx.end_meet("answer")
@@ -77,9 +62,9 @@ class TestRecords:
         assert kernel.result_of(agent_id) == "answer"
 
     def test_historical_site_scan_sees_records(self):
-        kernel = make_kernel()
-        kernel.launch("a", _worker)
-        kernel.launch("a", _worker)
+        kernel = ledger_kernel()
+        kernel.launch("a", worker)
+        kernel.launch("a", worker)
         kernel.run()
         assert kernel.site("a").residents() == []
         assert len([record for record in kernel.agents.values()
@@ -109,7 +94,7 @@ class TestKeepCounts:
                             config=KernelConfig(rng_seed=7, shards=shards,
                                                 retention=3))
             for index in range(24):
-                kernel.launch(f"s{index % 6}", _worker)
+                kernel.launch(f"s{index % 6}", worker)
             kernel.run()
             return kernel.counters()
 
@@ -118,7 +103,7 @@ class TestKeepCounts:
 
 class TestNameIndex:
     def test_meet_callees_and_spawns_are_indexed(self):
-        kernel = make_kernel()
+        kernel = ledger_kernel()
 
         def child(ctx, bc):
             yield ctx.sleep(0)
@@ -140,9 +125,9 @@ class TestNameIndex:
 
 class TestTableUnit:
     def test_state_counts_snapshot(self):
-        kernel = make_kernel()
-        kernel.launch("a", _worker)
-        kernel.launch("b", _broken)
+        kernel = ledger_kernel()
+        kernel.launch("a", worker)
+        kernel.launch("b", broken)
         kernel.run()
         counts = kernel.table.state_counts()
         assert counts["launched"] == 2
@@ -152,10 +137,10 @@ class TestTableUnit:
         assert counts["retained"] == 2
 
     def test_a_record_round_trips_through_its_row(self):
-        kernel = make_kernel()
+        kernel = ledger_kernel()
         briefcase = Briefcase()
         briefcase.set("N", [1, 2])
-        done = kernel.agent(kernel.launch("a", _worker, briefcase, name="rowed"))
+        done = kernel.agent(kernel.launch("a", worker, briefcase, name="rowed"))
         kernel.run()
         row = AgentRecord.row(done)
         assert len(row) == len(AgentRecord.__slots__) and done._visited is None
@@ -178,7 +163,7 @@ class TestTableUnit:
                 rng_seed=7, shards=2, shard_backend=backend)) as kernel:
             briefcase = Briefcase()
             briefcase.set("WORK", 5.0)
-            agent_id = kernel.launch("a", _worker, briefcase)
+            agent_id = kernel.launch("a", worker, briefcase)
             kernel.run(until=1.0)
             live = kernel.agent(agent_id)
             assert (live.state, live.finished) == (AgentState.WAITING, False)
@@ -189,7 +174,7 @@ class TestTableUnit:
             assert (done.state, done.finished) == (AgentState.DONE, True)
 
     def test_site_handshake_keeps_resident_index_exact(self):
-        kernel = make_kernel()
+        kernel = ledger_kernel()
 
         def sleeper(ctx, bc):
             yield ctx.sleep(5)
@@ -277,7 +262,7 @@ class TestRetirementSheds:
         assert type(entry) is AgentRecord and entry.name == f"ends-{how}"
 
     def test_a_meet_caller_gets_the_briefcase_the_callee_finished_with(self):
-        kernel = make_kernel()
+        kernel = ledger_kernel()
 
         def service(ctx, bc):
             bc.set("ANSWER", 42)
@@ -308,23 +293,23 @@ class TestLaunchDelayValidation:
     launch_many() raised; both must validate identically."""
 
     def test_launch_negative_delay_raises(self):
-        kernel = make_kernel()
+        kernel = ledger_kernel()
         with pytest.raises(KernelError):
-            kernel.launch("a", _worker, delay=-0.5)
+            kernel.launch("a", worker, delay=-0.5)
         # Nothing was registered or indexed.
         assert kernel.counters()["launched"] == 0
         assert kernel.agents == {}
         assert kernel.site("a").resident_count() == 0
 
     def test_launch_many_negative_delay_still_raises(self):
-        kernel = make_kernel()
+        kernel = ledger_kernel()
         with pytest.raises(KernelError):
-            kernel.launch_many([("a", _worker)], delay=-0.1)
+            kernel.launch_many([("a", worker)], delay=-0.1)
         assert kernel.counters()["launched"] == 0
 
     def test_zero_and_positive_delays_accepted(self):
-        kernel = make_kernel()
-        kernel.launch("a", _worker, delay=0.0)
-        kernel.launch("a", _worker, delay=1.5)
+        kernel = ledger_kernel()
+        kernel.launch("a", worker, delay=0.0)
+        kernel.launch("a", worker, delay=1.5)
         kernel.run()
         assert kernel.counters()["completed"] == 2

@@ -104,36 +104,30 @@ class TestRingSink(BaseTestSpanSink):
         return RingSink()
 
     @pytest.fixture
-    def recorded(self):
-        return RingSink.export
+    def keeps(self):
+        return ("memory",)
 
 
 class TestJsonlSink(BaseTestSpanSink):
     @pytest.fixture
-    def sink(self, tmp_path):
-        return JsonlSink(str(tmp_path / "trace.jsonl"))
+    def sink(self, trace_path):
+        return JsonlSink(trace_path)
 
     @pytest.fixture
-    def recorded(self):
-        return lambda sink: load_trace(sink.path)
-
-
-def agreed_spans(tee):
-    """What both sinks behind *tee* (a ring, then a file) recorded, or None
-    where they differ."""
-    ring, jsonl = tee.sinks
-    spans = load_trace(jsonl.path)
-    return spans if ring.export() == spans else None
+    def keeps(self):
+        return ("file",)
 
 
 class TestTeeSink(BaseTestSpanSink):
-    @pytest.fixture
-    def sink(self, tmp_path):
-        return TeeSink([RingSink(), JsonlSink(str(tmp_path / "trace.jsonl"))])
+    """File first: ``export`` skips a sink that keeps no memory."""
 
     @pytest.fixture
-    def recorded(self):
-        return agreed_spans
+    def sink(self, trace_path):
+        return TeeSink([JsonlSink(trace_path), RingSink()])
+
+    @pytest.fixture
+    def keeps(self):
+        return ("memory", "file")
 
 
 # -- event log: log lines in the record ring ---------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from contracts import BaseTestFolderContainer
 from repro.core import Kernel, KernelConfig
-from repro.core.errors import KernelError, StoreError
+from repro.core.errors import CabinetError, KernelError, StoreError
 from repro.net import lan
 from repro.store import WriteAheadLog
 from repro.store.policy import StoreCosts
@@ -50,11 +50,19 @@ class TestDurableCabinetContractGroupCommit(BaseTestFolderContainer):
     def opened(self):
         return durable_cabinet("wal-group-commit")
 
+    @pytest.fixture
+    def error(self):
+        return CabinetError
+
 
 class TestDurableCabinetContractFlushOnDemand(BaseTestFolderContainer):
     @pytest.fixture
     def opened(self):
         return durable_cabinet("flush-on-demand")
+
+    @pytest.fixture
+    def error(self):
+        return CabinetError
 
 
 class TestPolicyResolution:
