@@ -676,10 +676,12 @@ class Engine(LedgerQueries):
     def run_to(self, horizon: Optional[float] = None,
                budget: Optional[int] = None,
                handoffs: Sequence[Tuple[float, Message]] = ()):
-        """Run the event loop to *horizon* (None: until it drains).
+        """Fire this engine's events up to *horizon* (None: until it drains).
 
         *handoffs* — mail other engines spooled for sites hosted here — is
         scheduled first; at most *budget* events execute (None: no limit).
+        The clock stays on the last event fired: the coordinator lands every
+        engine's clock once, when its ``run`` ends (:meth:`advance_clock`).
         Returns ``(events executed, outbound)``: the second is what this
         burst spooled for sites hosted elsewhere, which whoever called
         hands to the owners' next ``run_to``/``advance_clock``.  An engine
@@ -687,10 +689,7 @@ class Engine(LedgerQueries):
         """
         if handoffs:
             self._accept_handoffs(handoffs)
-        if horizon is None:
-            executed = self.loop.run(max_events=budget)
-        else:
-            executed = self.loop.run_until(horizon, max_events=budget)
+        executed = self.loop.run(budget, horizon)
         outbound, self.outbound = self.outbound, []
         return executed, outbound
 

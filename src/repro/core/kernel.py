@@ -276,8 +276,8 @@ class Kernel(LedgerQueries):
             self._coordinator = ShardSet(
                 [Shard(shard_id, engine) for shard_id, engine in enumerate(engines)],
                 clock_sync, backend=backend)
-            #: the facade's own tracer: sync-round spans ride the
-            #: coordinator's clock (the slowest engine's)
+            #: the facade's own tracer: a span per ``run``, opened and
+            #: closed on the clock every engine shares between runs
             self.obs = Tracer.disabled()
             if self.config.obs_enabled:
                 self.obs = Tracer(clock=self._coordinator,
@@ -298,8 +298,8 @@ class Kernel(LedgerQueries):
             rings.append(self.obs.sink)
         self.ring = _view_of(rings, MergedRing)
         #: engine 0 anchors the pieces that need a single identity: failure
-        #: schedules ride its clock, and code that introspects
-        #: ``kernel.transport`` sees its transport
+        #: schedules' partitions and heals ride its clock, and code that
+        #: introspects ``kernel.transport`` sees its transport
         self.loop = engines[0].loop
         self.transport = engines[0].transport
 
@@ -515,16 +515,20 @@ class Kernel(LedgerQueries):
         Several engines advance in conservative synchronisation rounds:
         *until* is honoured globally (no engine's clock passes it) and
         *max_events* is one global budget shared across engines, not a
-        per-engine allowance.
+        per-engine allowance.  Clocks land where one loop's would: on
+        *until*, on a drain's last event, or where a spent budget stopped.
         """
         self._check_open()
         if self._coordinator is None:
-            return self._engines[0].run_to(until, max_events)[0]
+            loop = self._engines[0].loop
+            return (loop.run(max_events) if until is None
+                    else loop.run_until(until, max_events))
         return self._coordinator.run(until=until, max_events=max_events)
 
     @property
     def now(self) -> float:
-        """Current simulated time (several engines: the slowest one's clock)."""
+        """Current simulated time: every engine's once ``run`` returns
+        (a spent ``max_events`` budget leaves them apart: the slowest's)."""
         return min(engine.loop.now for engine in self._engines)
 
     def log_event(self, agent_id: str, site_name: str, message: str) -> None:

@@ -25,6 +25,8 @@ class _KernelLike(Protocol):
     def heal_partition(self) -> None: ...
     @property
     def loop(self): ...
+    @property
+    def engines(self): ...
     def site_names(self) -> List[str]: ...
 
 
@@ -75,10 +77,14 @@ class FailureSchedule:
         return self
 
     def install(self, kernel: _KernelLike) -> None:
-        """Schedule every action on the kernel's event loop."""
+        """Schedule every action: a crash or a recovery on the loop of the
+        engine hosting its site, a partition or a heal on ``kernel.loop``
+        (engine 0's, however many engines there are)."""
         for action in self.actions:
-            kernel.loop.schedule_at(action.at, self._make_callback(kernel, action),
-                                    label=f"failure-{action.kind}")
+            loop = next((engine.loop for engine in kernel.engines
+                         if action.site in engine.sites), kernel.loop)
+            loop.schedule_at(action.at, self._make_callback(kernel, action),
+                             label=f"failure-{action.kind}")
 
     @staticmethod
     def _make_callback(kernel: _KernelLike, action: FailureAction):

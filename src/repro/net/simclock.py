@@ -286,9 +286,12 @@ class EventLoop:
         """Execute the next event.  Returns False when the queue is empty."""
         return self._drain(_INFINITY, 1) == 1
 
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Run until the queue drains (or *max_events* fire).  Returns events run."""
-        return self._drain(_INFINITY, max_events)
+    def run(self, max_events: Optional[int] = None,
+            horizon: Optional[float] = None) -> int:
+        """Run until the queue drains, the next event lies beyond *horizon*,
+        or *max_events* fire; the clock stays on the last one fired.
+        Returns events run."""
+        return self._drain(_INFINITY if horizon is None else horizon, max_events)
 
     def run_until(self, timestamp: float, max_events: Optional[int] = None) -> int:
         """Run events with time <= *timestamp*; the clock ends at *timestamp*.

@@ -101,7 +101,6 @@ from repro.core.lifecycle import AgentRecord, AgentTable
 from repro.core.registry import default_registry
 from repro.core.site import Site
 from repro.core.timing import default_timer
-from repro.net.simclock import SimClock
 from repro.net.stats import NetworkStats
 from repro.obs import RingSink
 from repro.shard.backend import ShardBackend
@@ -360,26 +359,18 @@ def worker_main(conn, spec: WorkerSpec) -> None:  # pragma: no cover - child
 
 class MirrorLoop:
     """Coordinator-side view of a worker's event-loop clock and queue head:
-    ``clock`` and ``next_event_time`` follow every worker reply,
-    ``processed`` every burst.  Scheduling raises: events live worker-side,
-    and an empty heap here would answer silently wrong."""
+    ``now`` and ``next_event_time`` are what the worker's last reply said,
+    ``processed`` counts every burst.  Scheduling raises: events live
+    worker-side, and an empty heap here would answer silently wrong."""
 
     def __init__(self, shard_id: int):
         self.shard_id = shard_id
-        #: advanced here too: the coordinator lands idle shards on a horizon
-        self.clock = SimClock()
+        self.now = 0.0
         self._next: Optional[float] = None
         self.processed = 0
 
-    @property
-    def now(self) -> float:
-        return self.clock.now
-
     def apply(self, now: float, next_time: Optional[float]) -> None:
-        # Never backwards: a clock the coordinator advanced locally is
-        # ahead of the worker's until the next advance_clock lands it.
-        if now > self.clock.now:
-            self.clock.now = now
+        self.now = now
         self._next = next_time
 
     def next_event_time(self) -> Optional[float]:

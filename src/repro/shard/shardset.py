@@ -10,8 +10,8 @@ delegates ``run()`` to when it has more than one engine.  Each round it:
    their horizon — and has the execution backend
    (:mod:`repro.shard.backend`) call each planned engine's
    ``run_to(horizon, budget, handoffs)``, handing over the mail pending for
-   it.  Shards whose next event lies beyond their horizon only get their
-   clock advanced; they are *not* charged busy time for a zero-event burst,
+   it.  A burst fires events up to its horizon and leaves the clock on its
+   last one; a shard with nothing due sits out, clock and busy time unmoved,
 3. routes the ``(arrival, message)`` pairs each burst spooled to their
    owners' pending lists, in shard order.  Routing happens here, on the
    coordinator, strictly between rounds — a pending list is read only by
@@ -19,11 +19,14 @@ delegates ``run()`` to when it has more than one engine.  Each round it:
    delivers the same mail in the same order.
 
 Rounds repeat until every queue drains, every next event lies beyond
-``until``, or the global ``max_events`` budget is exhausted; whatever is
-still pending then rides a final ``advance_clock`` to its owner.  The
-budget is global — shards share it in shard order, one burst at a time on
-every backend — and exhausting it leaves every clock exactly where its
-last event fired, mirroring the single-loop ``run_until`` semantics.
+``until``, or the global ``max_events`` budget is exhausted.  Only then do
+the clocks move outside a burst, once each, in a final ``advance_clock``
+that also hands every engine the mail still pending for it: all land on
+``until`` when given, else on the latest engine clock (the drain's last
+event), which is where one loop's ``run_until``/``run`` leaves its clock.
+The budget is global — shards share it in shard order, one burst at a
+time on every backend — and exhausting it leaves every clock exactly
+where its last event fired.
 
 Timing uses an injectable ``timer`` (default
 :data:`repro.core.timing.default_timer`) so
@@ -110,7 +113,8 @@ class ShardSet:
 
     @property
     def now(self) -> float:
-        """The conservative global time: the slowest shard's clock."""
+        """The slowest shard's clock: every shard's, once ``run`` returns
+        (unless a budget stopped it)."""
         return min(shard.engine.loop.now for shard in self.shards)
 
     def next_event_times(self) -> Dict[int, Optional[float]]:
@@ -141,7 +145,6 @@ class ShardSet:
         total = 0
         timer = self.timer
         backend = self.backend
-        budget_stopped = False
         obs = self.obs if (self.obs is not None and self.obs.active) else None
         if obs is not None:
             from repro.obs import infra_trace_id
@@ -150,12 +153,7 @@ class ShardSet:
                 obs.next_key("run"), kind="shard",
                 attrs={"shards": len(self.shards),
                        "rounds_before": self.rounds})
-        while True:
-            if max_events is not None and total >= max_events:
-                # Budget exhausted mid-stream: clocks stay where their
-                # last event left them (matching single-loop run_until).
-                budget_stopped = True
-                break
+        while max_events is None or total < max_events:
             sync_start = timer()
             next_times = self.next_event_times()
             live = [at for at in next_times.values() if at is not None]
@@ -173,14 +171,8 @@ class ShardSet:
                 horizon = horizons[shard.shard_id]
                 if until is not None:
                     horizon = until if horizon is None else min(horizon, until)
-                if horizon is not None and at > horizon + 1e-12:
-                    # Nothing due this round (its pending mail included):
-                    # advance the clock exactly as run_until would, but
-                    # charge no busy time.
-                    clock = shard.engine.loop.clock
-                    clock._advance_to(max(clock.now, horizon))
-                    continue
-                plans.append((shard, horizon))
+                if horizon is None or at <= horizon + 1e-12:
+                    plans.append((shard, horizon))
             self.sync_seconds += timer() - sync_start
             round_start = timer()
             if max_events is None:
@@ -207,14 +199,14 @@ class ShardSet:
                 self._route(outbound)
             self.overhead_seconds += max(
                 0.0, (timer() - round_start) - busy_max)
-        # Whatever is still pending rides a final advance_clock to its owner,
-        # so no engine's queue lies about its future; on a clean finish every
-        # clock lands on the target, exactly like the single-loop run_until
-        # (events beyond it stay queued).
-        land_on_until = until is not None and not budget_stopped
-        backend.finish_run(
-            [(shard, until if land_on_until else shard.engine.loop.now,
-              self._take(shard)) for shard in self.shards])
+        # The one place a clock lands, with the mail still pending for its
+        # engine: on until, else on the drain's last event anywhere.  A spent
+        # budget lands none (advance_clock never moves a clock back).
+        spent = max_events is not None and total >= max_events
+        land = (0.0 if spent else until if until is not None
+                else max(shard.engine.loop.now for shard in self.shards))
+        backend.finish_run([(shard, land, self._take(shard))
+                            for shard in self.shards])
         if obs is not None:
             obs.finish(run_span, events=total,
                        rounds=self.rounds - run_span.attrs["rounds_before"],

@@ -20,6 +20,8 @@ import functools
 import gc
 import sys
 
+import pytest
+
 from repro.core import AgentRecord, Briefcase, Folder, Kernel, KernelConfig
 from repro.net import switched_fabric
 from repro.net.simclock import Event
@@ -108,6 +110,8 @@ def events_on(loop) -> list:
     return found
 
 
+@pytest.mark.one_engine(reason="reads kernel.loop (engine 0's loop): "
+                        "events_on(kernel.loop), kernel.loop.pending")
 def test_queued_events_carry_arguments_not_partials():
     kernel = fabric_kernel()
     launch_couriers(kernel, 40)
@@ -178,6 +182,8 @@ def report_of(briefcase: Briefcase):
                 if name == "REPORT")
 
 
+@pytest.mark.one_engine(reason="reads kernel.loop.pending (engine 0's loop) "
+                        "and the code cache of one engine")
 def test_a_delivery_moves_its_elements_and_a_name_has_one_code_element():
     handed_back, delivered = [], []
 

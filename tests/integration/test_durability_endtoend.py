@@ -82,8 +82,7 @@ class TestCommitWindowInterleavings:
         cabinet.put("entries", "committed")
         kernel.run(until=1.0)                      # first batch commits
         cabinet.put("entries", "doomed")           # arms a new commit at +0.05
-        kernel.loop.schedule(0.02, lambda: kernel.crash_site("s1"),
-                             label="crash-mid-window")
+        FailureSchedule().crash("s1", at=1.02).install(kernel)
         kernel.run(until=1.1)                      # crash fires inside the window
         assert kernel.stats.state_lost_records >= 1
         kernel.recover_site("s1")
@@ -101,8 +100,7 @@ class TestCommitWindowInterleavings:
         kernel.make_durable("ledger", sites=["s1"])
         kernel.site("s1").cabinet("ledger").put("entries", "syncing")
         # Commit fires at 0.05; the fsync completes at 0.55.  Crash between.
-        kernel.loop.schedule(0.3, lambda: kernel.crash_site("s1"),
-                             label="crash-mid-fsync")
+        FailureSchedule().crash("s1", at=0.3).install(kernel)
         kernel.run(until=2.0)
         assert kernel.stats.state_lost_records >= 1
         kernel.recover_site("s1")
@@ -194,8 +192,7 @@ class TestCheckpointedGuards:
                 max_relaunches=3, durable_checkpoints=True)
             kernel.run(max_events=n)
             kernel.crash_site(DELIVERY)
-            kernel.loop.schedule(2.0, lambda: kernel.recover_site(DELIVERY),
-                                 label="recover-delivery")
+            FailureSchedule().recover(DELIVERY, at=kernel.now + 2.0).install(kernel)
             kernel.run(until=240.0)
             assert len(completions(kernel, DELIVERY, ft_id)) == 1, f"crash after event {n}"
 

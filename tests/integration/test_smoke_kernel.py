@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.core import Briefcase, Kernel
 from repro.core.agent import AgentState
 from repro.core.codec import code_from_source
-from repro.net import lan, random_topology
+from repro.net import FailureSchedule, lan, random_topology
 
 
 def test_simple_agent_runs_and_returns(lan_kernel: Kernel):
@@ -147,7 +147,7 @@ def test_crashed_site_kills_agents_and_refuses_arrivals():
         return "woke"
 
     victim = kernel.launch("b", sleeper)
-    kernel.loop.schedule(1.0, lambda: kernel.crash_site("b"))
+    FailureSchedule().crash("b", at=1.0).install(kernel)
     kernel.run()
     assert kernel.agent(victim).state == AgentState.KILLED
     assert not kernel.site("b").alive

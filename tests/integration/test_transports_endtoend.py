@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Briefcase, Kernel, KernelConfig
-from repro.net import HorusTransport, lan
+from repro.net import FailureSchedule, HorusTransport, lan
 from scenarios import itinerary
 
 
@@ -81,7 +81,7 @@ class TestTransportsEndToEnd:
 
         for site in ("a", "b", "c", "d"):
             kernel.launch(site, worker)
-        kernel.loop.schedule(0.4, lambda: kernel.crash_site("c"))
+        FailureSchedule().crash("c", at=0.4).install(kernel)
         kernel.run()
 
         view = transport.group_view("workers")

@@ -759,9 +759,29 @@ class TestShardedRunSemantics:
         assert sharded.counters() == classic.counters()
         assert sharded.run() == classic.run()
         assert sharded.counters() == classic.counters()
-        # After quiescence each clock rests on its own shard's last event,
-        # so `now` agrees only to within one inter-event gap.
-        assert sharded.now == pytest.approx(classic.now, abs=0.05)
+        assert sharded.now == classic.now
+
+    def test_idle_engines_land_on_the_drains_last_event(self):
+        # Five of eight sites on engine 0 and one on each other engine:
+        # waves of sleepers on engine 0 leave engines 1-3 idle, and every
+        # run() still lands all four clocks where one loop's run() would.
+        names = [f"s{i}" for i in range(8)]
+        placement = {name: max(0, index - 4) for index, name in enumerate(names)}
+        kernel = Kernel(lan(names), transport="tcp",
+                        config=KernelConfig(rng_seed=3, shards=4,
+                                            shard_placement=placement))
+
+        def sleeper(ctx, bc):
+            yield ctx.sleep(0.035)
+            return ctx.now
+
+        for wave_end in (0.0355, 0.071, 0.1065):
+            agent_ids = [kernel.launch(name, sleeper) for name in names[:5]]
+            kernel.run()
+            assert kernel.now == pytest.approx(wave_end, abs=1e-12)
+            assert {engine.loop.now for engine in kernel.engines} == {kernel.now}
+            assert {kernel.result_of(agent_id)
+                    for agent_id in agent_ids} == {kernel.now}
 
 
 class TestKernelContextManager:

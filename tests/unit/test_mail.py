@@ -11,6 +11,8 @@ from repro.apps.mail import (LETTER_AGENT_NAME, MAILBOX_AGENT_NAME, MailSystem, 
 from repro.core import AgentRecord, Briefcase, Kernel, KernelConfig
 from repro.net import FailureSchedule, lan, two_clusters
 
+pytestmark = pytest.mark.usefixtures("strategy")
+
 
 @pytest.fixture
 def kernel():

@@ -57,12 +57,6 @@ def shard_of(kernel, site_name):
                 if site_name in engine.sites)
 
 
-#: the facade is one code path for any engine count: the construction
-#: cases below run at N=1 and N=2 under the same assertions.  (Looped in
-#: the test bodies rather than parametrised so the test ids stay stable.)
-ENGINE_COUNTS = (1, 2)
-
-
 class TestPlacement:
     def test_default_shard_is_deterministic_and_in_range(self):
         for name in ("alpha", "beta", "s000", "s199"):
@@ -167,10 +161,13 @@ class TestClockSync:
 
 
 class TestFacadeConstruction:
-    def test_sites_partition_exactly(self):
-        for shards in ENGINE_COUNTS + (4,):
-            kernel, names = sharded_kernel(shards=shards)
-            assert len(kernel.engines) == shards
+    # The facade is one code path for any engine count: the construction
+    # cases that take the strategy fixture hold on one engine and on two.
+
+    def test_sites_partition_exactly(self, strategy):
+        built = [sharded_kernel(shards=1), sharded_kernel(shards=4)]
+        assert [len(kernel.engines) for kernel, _ in built] == [strategy, 4]
+        for kernel, names in built:
             owned = [set(engine.sites) for engine in kernel.engines]
             assert set().union(*owned) == set(names)
             for i, left in enumerate(owned):
@@ -179,14 +176,12 @@ class TestFacadeConstruction:
             assert set(kernel.sites) == set(names)
             assert kernel.site_names() == names
 
-    def test_explicit_placement_is_honoured(self):
+    def test_explicit_placement_is_honoured(self, strategy):
         names = [f"s{i}" for i in range(4)]
-        for shards in ENGINE_COUNTS:
-            placement = {name: index % shards for index, name in enumerate(names)}
-            kernel, _ = sharded_kernel(site_count=4, shards=shards,
-                                       placement=placement)
-            for name, shard_id in placement.items():
-                assert name in kernel.engines[shard_id].sites
+        placement = {name: index % strategy for index, name in enumerate(names)}
+        kernel, _ = sharded_kernel(site_count=4, shards=1, placement=placement)
+        for name, shard_id in placement.items():
+            assert name in kernel.engines[shard_id].sites
 
     def test_coordinator_rounds_reported_only_when_sharded(self):
         kernel, _ = sharded_kernel(shards=2)
@@ -196,12 +191,11 @@ class TestFacadeConstruction:
         assert len(classic.engines) == 1
         assert "rounds" not in classic.shard_summary()
 
-    def test_engines_are_read_only(self):
-        for shards in ENGINE_COUNTS:
-            kernel, _ = sharded_kernel(shards=shards)
-            assert isinstance(kernel.engines, tuple)
-            with pytest.raises(AttributeError):
-                kernel.engines = ()
+    def test_engines_are_read_only(self, strategy):
+        kernel, _ = sharded_kernel(shards=1)
+        assert isinstance(kernel.engines, tuple)
+        with pytest.raises(AttributeError):
+            kernel.engines = ()
 
     def test_one_engine_views_are_the_engines_own(self):
         # "A merged view over one part is the part."
@@ -227,14 +221,13 @@ class TestFacadeConstruction:
         single = Kernel(lan(["a", "b"]), transport=donor.transport)
         assert single.transport is donor.transport
 
-    def test_launch_on_unknown_site_raises(self):
-        for shards in ENGINE_COUNTS:
-            kernel, _ = sharded_kernel(shards=shards)
-            with pytest.raises(UnknownSiteError):
-                kernel.launch("nowhere", courier, Briefcase())
-            with pytest.raises(UnknownSiteError):
-                kernel.launch_many([("s0", courier), ("nowhere", courier)])
-            assert kernel.counters()["launched"] == 0  # site names are checked up front
+    def test_launch_on_unknown_site_raises(self, strategy):
+        kernel, _ = sharded_kernel(shards=1)
+        with pytest.raises(UnknownSiteError):
+            kernel.launch("nowhere", courier, Briefcase())
+        with pytest.raises(UnknownSiteError):
+            kernel.launch_many([("s0", courier), ("nowhere", courier)])
+        assert kernel.counters()["launched"] == 0  # site names are checked up front
 
 
 class TestCrossShardTraffic:

@@ -327,8 +327,8 @@ class TestCostAttribution:
         shards[1].engine.loop.schedule_at(10.0, lambda: None)
         executed = shard_set.run(until=1.0)
         assert executed == 1
-        # Shard 1 never ran an event: its clock moved (first to its granted
-        # horizon, then the final until-clamp) but it was charged nothing.
+        # Shard 1 never ran an event: its clock moved once, landing on
+        # until when the run ended, and it was charged nothing.
         assert shards[1].busy_seconds == 0.0
         assert shards[1].engine.loop.clock.now == pytest.approx(1.0)
         # Shard 0's burst cost exactly one fake tick — the horizon

@@ -70,6 +70,7 @@ class TestKernelWithCustomRegistry:
         assert kernel.site("a").is_installed("rexec")
 
 
+@pytest.mark.usefixtures("strategy")
 class TestRunHorizons:
     def test_run_until_leaves_future_events_queued(self):
         kernel = Kernel(lan(["a"]), config=KernelConfig(rng_seed=1))
@@ -87,6 +88,7 @@ class TestRunHorizons:
         kernel.run()
         assert len(fired) == 1
 
+    @pytest.mark.one_engine(reason="reads kernel.loop.pending (engine 0's loop)")
     def test_run_max_events_bounds_work(self):
         kernel = Kernel(lan(["a"]), config=KernelConfig(rng_seed=1))
 
