@@ -43,6 +43,7 @@ from repro.core.registry import BehaviourRegistry, default_registry
 from repro.core.site import Site
 from repro.core.syscalls import EndMeet, Meet, MeetResult, Sleep, Spawn, Syscall, Terminate, Transmit
 from repro.core.timing import PAST_EPSILON
+from repro.flow import FlowController
 from repro.net.horus import HorusTransport
 from repro.net.message import Message, MessageKind
 from repro.net.rsh import RshTransport
@@ -183,12 +184,14 @@ class LedgerQueries:
         the :mod:`repro.obs.report` analyzer reconstructs itineraries and
         latency breakdowns from it.
         """
-        import json
+        from repro.obs import JsonlSink
         spans = self.trace_spans()
-        with open(path, "w", encoding="utf-8") as handle:
+        sink = JsonlSink(path)
+        try:
             for span in spans:
-                handle.write(json.dumps(span, sort_keys=True, default=str))
-                handle.write("\n")
+                sink.emit(span)
+        finally:
+            sink.close()
         return len(spans)
 
     def site_load(self, site_name: str) -> float:
@@ -251,8 +254,8 @@ class Engine(LedgerQueries):
         Cost/limit knobs, already validated (:meth:`KernelConfig.validate`
         is the facade's job, once, not every engine's).
     transport:
-        ``"rsh"``, ``"tcp"``, ``"horus"``, a Transport subclass, or an
-        already-constructed Transport instance.
+        ``"rsh"``, ``"tcp"``, ``"horus"`` or a Transport subclass; the
+        engine builds its one transport from it.
     install_system_agents, registry:
         As on :class:`~repro.core.kernel.Kernel`.
     shard_id, placement:
@@ -264,7 +267,7 @@ class Engine(LedgerQueries):
     """
 
     def __init__(self, topology: Topology, config: "KernelConfig",
-                 transport: Union[str, Transport, type] = "tcp",
+                 transport: Union[str, type] = "tcp",
                  install_system_agents: bool = True,
                  registry: Optional[BehaviourRegistry] = None,
                  shard_id: int = 0,
@@ -299,14 +302,6 @@ class Engine(LedgerQueries):
         #: per-engine trace-id counter; launches reach each engine in the
         #: same order wherever it executes, so assigned ids match too
         self._obs_trace_seq = 0
-        if self.config.delivery_batch_window > 0:
-            # The fabric's master switch: validate() refuses flow windows
-            # without it, and every negative window.
-            self.transport.configure_batching(
-                self.config.delivery_batch_window,
-                window_min=self.config.flow_window_min,
-                window_max=self.config.flow_window_max,
-                target_batch=self.config.flow_target_batch)
 
         self.sites: Dict[str, Site] = {}
         #: callbacks fired (with the site name) when a site joins late via
@@ -362,9 +357,9 @@ class Engine(LedgerQueries):
             sink = TeeSink([sink, JsonlSink(self.config.obs_path)])
         return Tracer(clock=self.loop, sink=sink, sample=self.config.obs_sample)
 
-    def _make_transport(self, transport: Union[str, Transport, type]) -> Transport:
-        if isinstance(transport, Transport):
-            return transport
+    def _make_transport(self, transport: Union[str, type]) -> Transport:
+        """This engine's one transport, built on its loop, stats and
+        topology, with the fabric settings of its config."""
         if isinstance(transport, str):
             try:
                 transport_cls = TRANSPORTS[transport]
@@ -374,9 +369,16 @@ class Engine(LedgerQueries):
         elif isinstance(transport, type) and issubclass(transport, Transport):
             transport_cls = transport
         else:
-            raise KernelError(f"cannot build a transport from {transport!r}")
+            # An instance would stay bound to the loop, stats and topology
+            # of whatever built it.
+            raise KernelError(f"cannot build a transport from {transport!r}; "
+                              f"pass a transport name {sorted(TRANSPORTS)} "
+                              f"or a Transport subclass")
+        config = self.config
+        flow = FlowController(config.delivery_batch_window, config.flow_window_min,
+                              config.flow_window_max, config.flow_target_batch)
         return transport_cls(self.loop, self.topology, self.stats,
-                             rng=random.Random(self.config.rng_seed + 1))
+                             rng=random.Random(config.rng_seed + 1), flow=flow)
 
     def _attach_store(self, site: Site) -> None:
         """Build and attach the site's durable store (no-op for policy "none")."""
@@ -844,7 +846,7 @@ class Engine(LedgerQueries):
         partition severed (see :meth:`Kernel.partition
         <repro.core.kernel.Kernel.partition>`)."""
         self.topology.set_partition(groups)
-        self.transport.flush_outboxes(only_unroutable=True, cause="partition")
+        self.transport.flush_unroutable()
 
     def heal_partition(self) -> None:
         """Heal any active partition of this engine's topology."""

@@ -24,7 +24,9 @@ talks to them through :data:`~repro.core.engine.ENGINE_PROTOCOL` alone.
 from __future__ import annotations
 
 import math
+import os
 from collections import ChainMap
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
@@ -38,7 +40,6 @@ from repro.core.registry import BehaviourRegistry, default_registry
 from repro.core.site import Site
 from repro.net.stats import StatsView
 from repro.net.topology import Topology, lan
-from repro.net.transport import Transport
 from repro.obs import RingSink, Tracer
 from repro.store.sitestore import DURABILITY
 
@@ -107,8 +108,9 @@ class KernelConfig:
     #: (``kernel.event_log``) and, with obs_enabled, its spans share it,
     #: and past it the oldest record of either kind is dropped
     obs_ring: int = 265_536
-    #: JSONL file finished spans are appended to.  With one engine the
-    #: file is written live; with several the facade writes it at
+    #: JSONL file this kernel's finished spans are written to, emptied
+    #: first (it never keeps an earlier kernel's spans).  With one engine
+    #: the file is written live; with several the facade writes it at
     #: ``close()`` by merging every engine's ring (none opens the file itself)
     obs_path: Optional[str] = None
 
@@ -130,13 +132,14 @@ class KernelConfig:
                 raise KernelError(f"{name} must be an int, got {value!r}")
         for name in ("step_cost", "meet_overhead", "store_commit_window",
                      "delivery_batch_window", "flow_window_min",
-                     "flow_window_max"):
-            # Each is a delay the engine schedules or a window it waits out:
-            # a negative or NaN one would fail mid-run as "an event in the
-            # past", an infinite one would push the clock to infinity.
+                     "flow_window_max", "obs_sample"):
+            # Each but the sampled fraction is a delay the engine schedules or
+            # a window it waits out: a negative or NaN one would fail mid-run
+            # as "an event in the past", an infinite one would push the clock
+            # to infinity.  A bool would pass as 0 or 1.
             value = getattr(self, name)
-            if (not isinstance(value, (int, float)) or not value >= 0
-                    or not math.isfinite(value)):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not value >= 0 or not math.isfinite(value)):
                 raise KernelError(f"{name} must be >= 0 and finite, got {value!r}")
         if self.max_agent_steps < 1:
             # 0 would kill every agent on its first step as a "runaway".
@@ -156,9 +159,24 @@ class KernelConfig:
             raise KernelError(
                 f"unknown shard_backend {self.shard_backend!r}; "
                 f"expected one of {BACKENDS}")
-        if not 0.0 <= self.obs_sample <= 1.0:
+        placement = self.shard_placement
+        if placement is not None and (
+                not isinstance(placement, Mapping)
+                or any(isinstance(owner, bool) or not isinstance(owner, int)
+                       for owner in placement.values())):
+            # A list would raise a bare ValueError while placing sites, and
+            # int() would read True or "1" as shard 1.
+            raise KernelError(f"shard_placement must map site names to int "
+                              f"shard ids, got {placement!r}")
+        if type(self.obs_enabled) is not bool:
+            raise KernelError(f"obs_enabled must be a bool, got {self.obs_enabled!r}")
+        if self.obs_sample > 1.0:
             raise KernelError(f"obs_sample must be in [0.0, 1.0], got "
                               f"{self.obs_sample}")
+        if self.obs_path is not None and not isinstance(self.obs_path, (str, os.PathLike)):
+            # open(5) writes into file descriptor 5, and closing closes it.
+            raise KernelError(f"obs_path must be None or a file path, got "
+                              f"{self.obs_path!r}")
         if self.obs_ring < 1:
             raise KernelError(f"obs_ring must be >= 1, got {self.obs_ring}")
         if self.delivery_batch_window == 0 and (
@@ -169,8 +187,8 @@ class KernelConfig:
                 "flow_window_min/_max require a positive "
                 "delivery_batch_window (the fabric is off at 0)")
         if self.flow_target_batch <= 0:
-            # Validated here (not only in configure_batching) so a typo is
-            # caught even while the fabric is off.
+            # Checked even while the fabric is off, so a typo cannot wait
+            # for the day the fabric is turned on.
             raise KernelError(f"flow_target_batch must be > 0, got "
                               f"{self.flow_target_batch}")
         if self.flow_window_min > 0 >= self.flow_window_max:
@@ -224,8 +242,9 @@ class Kernel(LedgerQueries):
         The site graph.  Defaults to a 3-site LAN, which is enough for the
         quickstart example.
     transport:
-        ``"rsh"``, ``"tcp"``, ``"horus"``, a Transport subclass, or (with
-        one engine) an already-constructed Transport instance.
+        ``"rsh"``, ``"tcp"``, ``"horus"`` or a Transport subclass: each
+        engine builds its own transport from it and the config's fabric
+        knobs.  An already-built transport is refused (``KernelError``).
     config:
         Cost/limit knobs (:class:`KernelConfig`), validated here.
     install_system_agents:
@@ -237,7 +256,7 @@ class Kernel(LedgerQueries):
     """
 
     def __init__(self, topology: Optional[Topology] = None,
-                 transport: Union[str, Transport, type] = "tcp",
+                 transport: Union[str, type] = "tcp",
                  config: Optional[KernelConfig] = None,
                  install_system_agents: bool = True,
                  registry: Optional[BehaviourRegistry] = None):
@@ -260,10 +279,6 @@ class Kernel(LedgerQueries):
         else:
             from repro.shard import (ClockSync, Shard, ShardSet, build_engines,
                                      resolve_placement)
-            if isinstance(transport, Transport):
-                raise KernelError(
-                    "a sharded kernel builds one transport per shard; pass a "
-                    "transport name or class, not a constructed instance")
             self._placement = resolve_placement(
                 self.topology.sites(), self.config.shards,
                 self.config.shard_placement)

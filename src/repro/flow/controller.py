@@ -46,18 +46,24 @@ class FlowState:
 
 
 class FlowController:
-    """Sizes each (source, destination) pair's batch window from its traffic."""
+    """Sizes each (source, destination) pair's batch window from its traffic.
+
+    The settings are fixed at construction.  Checking them (non-negative
+    windows, ``window_min <= window_max``, a positive ``target_batch``) is
+    :meth:`KernelConfig.validate <repro.core.kernel.KernelConfig.validate>`'s
+    job, done once before any engine builds a controller.
+    """
 
     def __init__(self, base_window: float = 0.0, window_min: float = 0.0,
                  window_max: float = 0.0, target_batch: int = 8):
         #: the fixed/global window: used verbatim when adaptive mode is off,
         #: and as the seed window for pairs with no rate estimate yet
-        self.base_window = base_window
+        self.base_window = float(base_window)
         #: adaptive window bounds; adaptive mode is on iff ``window_max > 0``
-        self.window_min = window_min
-        self.window_max = window_max
+        self.window_min = float(window_min)
+        self.window_max = float(window_max)
         #: how many messages a window should ideally coalesce
-        self.target_batch = target_batch
+        self.target_batch = int(target_batch)
         self._flows: Dict[FlowKey, FlowState] = {}
 
     # -- configuration -----------------------------------------------------
@@ -66,39 +72,6 @@ class FlowController:
     def adaptive(self) -> bool:
         """True when per-pair windows are derived from traffic rates."""
         return self.window_max > 0
-
-    def configure(self, base_window: Optional[float] = None,
-                  window_min: Optional[float] = None,
-                  window_max: Optional[float] = None,
-                  target_batch: Optional[int] = None) -> None:
-        """Update the controller's parameters (None = keep the current value).
-
-        Validation (non-negative bounds, min <= max) is the caller's job —
-        the transport raises ``TransportError`` and the kernel
-        ``KernelError`` with their layer's diagnostics — but the controller
-        still refuses an inverted window range outright, since running with
-        one would make every clamp nonsensical.
-        """
-        new_min = self.window_min if window_min is None else float(window_min)
-        new_max = self.window_max if window_max is None else float(window_max)
-        if new_max > 0 and new_min > new_max:
-            # Validate before assigning anything: a refused range must not
-            # leave the controller holding the bounds it just rejected.
-            raise ValueError(f"window_min {new_min} > window_max {new_max}")
-        if base_window is not None:
-            self.base_window = float(base_window)
-        self.window_min = new_min
-        self.window_max = new_max
-        if target_batch is not None:
-            self.target_batch = int(target_batch)
-        # Re-derive every live window under the new rules so a resize takes
-        # effect immediately (the transport reconciles armed outboxes right
-        # after), not only at each pair's next post.
-        for state in self._flows.values():
-            rate = state.estimator.message_rate
-            ideal = self.target_batch / rate if (self.adaptive and rate > 0) \
-                else self.base_window
-            state.window = self._clamp(ideal)
 
     # -- the hot path ------------------------------------------------------
 
@@ -122,9 +95,7 @@ class FlowController:
         state = self._flows.get(key)
         if state is None:
             return self._clamp(self.base_window)
-        # Clamp at read time too: bounds may have been reconfigured since
-        # the window was last derived from the pair's rate.
-        return self._clamp(state.window)
+        return state.window
 
     def _clamp(self, window: float) -> float:
         if not self.adaptive:
@@ -149,10 +120,6 @@ class FlowController:
         for key in stale:
             del self._flows[key]
         return len(stale)
-
-    def reset(self) -> None:
-        """Drop all flow state (tests, full reconfiguration)."""
-        self._flows.clear()
 
     # -- introspection -----------------------------------------------------
 

@@ -160,8 +160,8 @@ class NetworkStats:
     batched_messages: int = 0
     #: header bytes the fabric avoided (one envelope header replaces N)
     header_bytes_saved: int = 0
-    #: delivery-fabric outbox flushes by trigger: "window" (flush timer),
-    #: "reconfigure", "partition", "manual"
+    #: delivery-fabric outbox flushes by trigger: "window" (flush timer) or
+    #: "partition" (the pair was severed)
     flush_causes: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     #: latest flow-control telemetry per (source, destination) pair when the
     #: fabric runs adaptive windows: current window, EWMA message/byte rates

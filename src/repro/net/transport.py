@@ -14,14 +14,15 @@ traffic) addressed to the same site within a configurable flush window into
 one batched wire message.  The batch pays one framing header and one setup
 delay for the whole group — this is where batching pays, exactly as the
 paper's couriers save bandwidth by shipping only the payload folder instead
-of the whole agent.  Batching is off by default (``batch_window=0``); the
-kernel enables it from ``KernelConfig.delivery_batch_window``.
+of the whole agent.  A transport's fabric settings are fixed when it is
+built: it takes them as a :class:`~repro.flow.controller.FlowController`,
+which the engine builds from ``KernelConfig.delivery_batch_window`` and the
+``flow_*`` knobs; without one the fabric is off (``batch_window=0``).
 
 One rule ships an outbox: its window fires.  Otherwise it leaves only when
-something outside the fabric forces it — a reconfiguration, a partition,
-an explicit flush — and every flush is recorded in
+a partition severs its pair, and every flush is recorded in
 ``NetworkStats.flush_causes`` under that cause (``window`` /
-``reconfigure`` / ``partition`` / ``manual``).
+``partition``).
 
 The window is fixed (``batch_window``) or *adaptive*.  Sizing is delegated
 to the flow-control layer (:mod:`repro.flow`): a per-(source, destination)
@@ -112,7 +113,8 @@ class Transport(abc.ABC):
 
     def __init__(self, loop: EventLoop, topology: Topology,
                  stats: Optional[NetworkStats] = None,
-                 rng: Optional[random.Random] = None):
+                 rng: Optional[random.Random] = None,
+                 flow: Optional[FlowController] = None):
         self.loop = loop
         self.topology = topology
         self.stats = stats if stats is not None else NetworkStats()
@@ -120,9 +122,7 @@ class Transport(abc.ABC):
         self._handlers: Dict[str, DeliveryHandler] = {}
         #: per-destination window sizing (repro.flow); also holds the
         #: fabric's base flush window (0 = fabric off)
-        self.flow = FlowController()
-        #: message kinds the fabric may coalesce
-        self.batch_kinds: Tuple[str, ...] = BATCHABLE_KINDS
+        self.flow = flow if flow is not None else FlowController()
         #: pending outboxes keyed by (source, destination)
         self._outboxes: Dict[Tuple[str, str], Outbox] = {}
         #: shard-boundary adapter (repro.shard); when set, messages whose
@@ -140,10 +140,6 @@ class Transport(abc.ABC):
         """Attach the per-site delivery handler (the kernel does this per site)."""
         self._handlers[site_name] = handler
 
-    def unregister_endpoint(self, site_name: str) -> None:
-        """Detach a site (e.g. permanently removed)."""
-        self._handlers.pop(site_name, None)
-
     # -- the cost knob each transport provides -----------------------------------
 
     @abc.abstractmethod
@@ -154,9 +150,8 @@ class Transport(abc.ABC):
     def batch_window(self) -> float:
         """The fabric's base flush window (0 = fabric off).
 
-        Owned by the flow controller — in adaptive mode it is only the seed
-        for pairs with no traffic history; set it via
-        :meth:`configure_batching`.
+        Owned by the flow controller the transport was built with — in
+        adaptive mode it is only the seed for pairs with no traffic history.
         """
         return self.flow.base_window
 
@@ -181,75 +176,6 @@ class Transport(abc.ABC):
 
     # -- the delivery fabric -----------------------------------------------------
 
-    def configure_batching(self, batch_window: float,
-                           batch_kinds: Optional[Tuple[str, ...]] = None,
-                           window_min: Optional[float] = None,
-                           window_max: Optional[float] = None,
-                           target_batch: Optional[int] = None) -> None:
-        """Turn the delivery fabric on/off and tune what/how it coalesces.
-
-        ``window_max`` > 0 turns on adaptive per-destination windows
-        (:mod:`repro.flow`): each pair's window is sized from its observed
-        arrival rate to coalesce about ``target_batch`` messages, clamped
-        into ``[window_min, window_max]``.  Outboxes armed under the
-        previous configuration are reconciled immediately: shrinking or
-        zeroing the window never leaves messages waiting out a flush event
-        armed under the old rules.
-        """
-        if batch_window < 0:
-            raise TransportError(f"batch window must be >= 0, got {batch_window}")
-        if window_min is not None and window_min < 0:
-            raise TransportError(f"window_min must be >= 0, got {window_min}")
-        if window_max is not None and window_max < 0:
-            raise TransportError(f"window_max must be >= 0, got {window_max}")
-        effective_min = self.flow.window_min if window_min is None else window_min
-        effective_max = self.flow.window_max if window_max is None else window_max
-        if effective_min > 0 >= effective_max:
-            raise TransportError(
-                f"window_min {effective_min} requires a positive window_max "
-                f"(adaptive windows are off while window_max is 0)")
-        if effective_max > 0 and effective_min > effective_max:
-            raise TransportError(f"window_min {effective_min} must not exceed "
-                                 f"window_max {effective_max}")
-        if target_batch is not None and target_batch <= 0:
-            raise TransportError(f"target_batch must be > 0, got {target_batch}")
-        self.flow.configure(base_window=batch_window, window_min=window_min,
-                            window_max=window_max, target_batch=target_batch)
-        if batch_kinds is not None:
-            self.batch_kinds = tuple(batch_kinds)
-        self._reconcile_outboxes()
-
-    def _reconcile_outboxes(self) -> None:
-        """Re-apply the current batching rules to already-armed outboxes.
-
-        Reconfiguring used to leave stale flush events running on the old
-        window: zeroing the window stranded pending messages until the old
-        (possibly distant) flush fired, and shrinking it silently kept the
-        old, longer wait.  Each pending outbox is now either flushed at once
-        (fabric off, or its recomputed due time has passed) or re-armed at
-        the due time the new rules imply.
-        """
-        for key in list(self._outboxes):
-            outbox = self._outboxes.get(key)
-            if outbox is None:
-                continue
-            if not outbox.messages:
-                self._outboxes.pop(key)
-                if outbox.flush_event is not None:
-                    outbox.flush_event.cancel()
-                    outbox.flush_event = None
-                continue
-            if (self.batch_window <= 0
-                    or any(message.kind not in self.batch_kinds
-                           for message in outbox.messages)):
-                self._flush_outbox(key, cause="reconfigure")
-                continue
-            due = outbox.first_queued_at + self.flow.window_for(key)
-            if due <= self.loop.now:
-                self._flush_outbox(key, cause="reconfigure")
-            else:
-                self._arm_flush(outbox, key, due)
-
     def _arm_flush(self, outbox: Outbox, key: Tuple[str, str], due: float) -> None:
         """(Re-)arm an outbox's window flush to fire at absolute time *due*."""
         if outbox.flush_event is not None:
@@ -271,7 +197,7 @@ class Transport(abc.ABC):
         adaptive window tightened below the time already waited ships the
         batch on the spot — the returned event is then its delivery event.
         """
-        if self.batch_window <= 0 or message.kind not in self.batch_kinds:
+        if self.batch_window <= 0 or message.kind not in BATCHABLE_KINDS:
             return self.send(message)
         source, destination = message.source, message.destination
         if source not in self.topology:
@@ -367,30 +293,23 @@ class Transport(abc.ABC):
                 self.stats.record_drop(message.source, message.destination)
         return event
 
-    def flush_outboxes(self, only_unroutable: bool = False,
-                       cause: str = "manual") -> int:
-        """Flush pending outboxes now (partition install, shutdown, tests).
+    def flush_unroutable(self) -> None:
+        """Flush every outbox whose pair the topology can no longer route.
 
-        With ``only_unroutable=True`` (what :meth:`Kernel.partition` uses)
-        only the pairs the topology can no longer route are flushed — their
-        messages are dropped by :meth:`send` with normal drop accounting —
-        while still-routable outboxes keep coalescing undisturbed.  Returns
-        the number of outboxes flushed.
+        What :meth:`Engine.partition <repro.core.engine.Engine.partition>`
+        calls: the stranded messages are dropped by :meth:`send` with normal
+        drop accounting, under the cause ``"partition"``, while still-routable
+        outboxes keep coalescing undisturbed.
         """
-        flushed = 0
-        for key in list(self._outboxes):
-            if only_unroutable and not self._unroutable(*key):
-                continue
-            self._flush_outbox(key, cause=cause)
-            flushed += 1
-        return flushed
+        for key in [key for key in self._outboxes if self._unroutable(*key)]:
+            self._flush_outbox(key, cause="partition")
 
     def _unroutable(self, source: str, destination: str) -> bool:
         """True when the topology cannot currently route the pair.
 
         The single predicate behind both the post-time refusal and the
-        selective partition flush, so the two can never disagree about
-        which outboxes are stranded.
+        partition flush, so the two can never disagree about which outboxes
+        are stranded.
         """
         return (self.topology.is_down(source)
                 or self.topology.is_down(destination)
@@ -410,10 +329,6 @@ class Transport(abc.ABC):
     def pending_outbox_messages(self) -> int:
         """Messages currently queued in the fabric (introspection for tests)."""
         return sum(len(outbox) for outbox in self._outboxes.values())
-
-    def flow_telemetry(self) -> Dict[Tuple[str, str], Dict[str, float]]:
-        """Per-(source, destination) window/rate telemetry (see repro.flow)."""
-        return self.flow.telemetry()
 
     # -- sending --------------------------------------------------------------------
 

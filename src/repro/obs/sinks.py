@@ -8,7 +8,7 @@ also holds its engine's log lines, plain tuples):
   engine's one record store: log lines share it with spans.  Keeps an
   absolute emit counter so the process shard backend can ship *new*
   records in each state digest (:meth:`RingSink.since`).
-* :class:`JsonlSink` — one JSON object per line, append-only file.
+* :class:`JsonlSink` — one JSON object per line, in a file it starts empty.
 * :class:`TeeSink` — fan a span out to several sinks (ring + file).
 """
 
@@ -74,13 +74,17 @@ class RingSink:
 
 
 class JsonlSink:
-    """Append spans to a file, one JSON object per line."""
+    """Write spans to a file, one JSON object per line.
+
+    The file is truncated when the sink opens it, so it holds this sink's
+    spans only, never a previous run's.
+    """
 
     __slots__ = ("path", "_handle")
 
     def __init__(self, path: str):
         self.path = path
-        self._handle = open(path, "a", encoding="utf-8")
+        self._handle = open(path, "w", encoding="utf-8")
 
     def emit(self, span: Dict[str, Any]) -> None:
         self._handle.write(json.dumps(span, sort_keys=True,

@@ -124,7 +124,7 @@ class WorkerSpec:
 
     shard_id: int
     topology: Any
-    transport: Any  # a transport name or class (instances are rejected upstream)
+    transport: Any  # a transport name or class (the worker's engine refuses the rest)
     config: Any
     install_system_agents: bool
     placement: Dict[str, int]

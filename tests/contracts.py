@@ -26,6 +26,7 @@ own module.
 from __future__ import annotations
 
 import gc
+import json
 import random
 import traceback
 import weakref
@@ -294,14 +295,6 @@ class BaseTestTransport:
         transport.register_endpoint("b", lambda message: None)
         assert transport.send(agent_message()) is None
         assert stats.messages_dropped == 1
-
-    def test_unregister_endpoint(self, transport_cls):
-        transport, loop, _, stats = make_transport(transport_cls)
-        transport.register_endpoint("b", lambda message: None)
-        transport.unregister_endpoint("b")
-        transport.send(agent_message())
-        loop.run()
-        assert stats.messages_delivered == 0
 
     # -- behind the delivery fabric: batch envelopes ----------------------------
 
@@ -612,6 +605,20 @@ class BaseTestSpanSink:
         sink.close()
         sink.close()
         assert recorded(sink) == SPANS[:1]
+
+    @pytest.fixture
+    def stale_trace(self, trace_path):
+        """A trace file an earlier run left behind; requested before
+        ``sink``, so it exists when the sink is built."""
+        with open(trace_path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(SPANS[-1]) + "\n")
+
+    def test_a_sink_over_an_old_trace_file_starts_it_empty(self, stale_trace, sink,
+                                                            recorded):
+        for span in SPANS[:2]:
+            sink.emit(span)
+        sink.close()
+        assert recorded(sink) == SPANS[:2]
 
     def test_a_tracer_finishes_its_spans_into_the_sink(self, sink, recorded):
         tracer = Tracer(clock=_Clock(), sink=sink)

@@ -7,8 +7,6 @@ transport by ``test_transports.py``."""
 
 from __future__ import annotations
 
-import pytest
-
 from contracts import fabric_kernel, install_receiver, transmit_n
 from repro.core import Briefcase
 from repro.net.message import Message, MessageKind
@@ -168,77 +166,10 @@ class TestTheWindowIsTheOnlyTrigger:
         kernel.run(until=0.01)
         kernel.partition([["a", "b"], ["c"]])       # ships a->c
         kernel.heal_partition()
-        kernel.transport.flush_outboxes()           # ships a->b
-        transmit_n(kernel, 2, destination="b")
-        kernel.run(until=0.02)
-        kernel.transport.configure_batching(0.0)    # ships the new a->b
+        kernel.run()                                # a->b's window fires
         snapshot = kernel.stats.snapshot()
-        assert snapshot["flush_causes"] == {"partition": 1, "manual": 1,
-                                            "reconfigure": 1}
+        assert snapshot["flush_causes"] == {"partition": 1, "window": 1}
         assert snapshot["early_flushes"] == 0
-
-    def test_the_retired_batching_knobs_are_refused(self):
-        kernel = fabric_kernel(window=0.1)
-        for knob in ("max_messages", "max_bytes", "deadline", "serialize_setup",
-                     "ewma_alpha"):
-            with pytest.raises(TypeError):
-                kernel.transport.configure_batching(0.1, **{knob: 1})
-
-
-class TestReconfigureReconciliation:
-    def test_zeroing_the_window_flushes_armed_outboxes(self):
-        # Regression: turning the fabric off used to leave pending messages
-        # waiting out the old (here: distant) flush event.
-        kernel = fabric_kernel(window=10.0)
-        install_receiver(kernel)
-        transmit_n(kernel, 3)
-        kernel.run(until=0.01)
-        assert kernel.transport.pending_outbox_messages() == 3
-        kernel.transport.configure_batching(0.0)
-        assert kernel.transport.pending_outbox_messages() == 0
-        assert kernel.stats.messages_sent == 1      # shipped now, as one batch
-        assert kernel.stats.flush_causes["reconfigure"] == 1
-        kernel.run()
-        assert kernel.counters()["arrivals"] == 3
-        assert kernel.stats.messages_dropped == 0   # flushed, not dropped
-
-    def test_shrinking_the_window_rearms_armed_outboxes(self):
-        kernel = fabric_kernel(window=10.0)
-        install_receiver(kernel)
-        transmit_n(kernel, 2)
-        kernel.run(until=0.01)
-        kernel.transport.configure_batching(0.05)
-        kernel.run(until=0.5)
-        # The flush fired on the new 0.05 s window, not the old 10 s one.
-        assert kernel.counters()["arrivals"] == 2
-        assert kernel.stats.batches == 1
-
-    def test_stale_flush_event_after_reconfigure_is_a_no_op(self):
-        kernel = fabric_kernel(window=10.0)
-        install_receiver(kernel)
-        transmit_n(kernel, 2)
-        kernel.run(until=0.01)
-        kernel.transport.configure_batching(0.0)
-        sent_after_flush = kernel.stats.messages_sent
-        kernel.run()    # drains everything, including the old armed event
-        assert kernel.stats.messages_sent == sent_after_flush
-        assert kernel.counters()["arrivals"] == 2
-
-    def test_reconfigure_with_unchanged_rules_keeps_armed_outboxes(self):
-        # Reconfiguring must be idempotent: repeating the identical
-        # configuration mid-window must not flush an outbox that the rules
-        # say should keep coalescing until first-post + window.
-        kernel = fabric_kernel(window=10.0)
-        install_receiver(kernel)
-        transmit_n(kernel, 2)
-        kernel.run(until=0.01)
-        assert kernel.transport.pending_outbox_messages() == 2
-        kernel.transport.configure_batching(10.0)
-        assert kernel.transport.pending_outbox_messages() == 2  # not flushed
-        kernel.run()
-        assert kernel.stats.messages_sent == 1
-        assert kernel.stats.batches == 1
-        assert kernel.counters()["arrivals"] == 2
 
 
 class TestCrashDuringArmedFlush:
@@ -302,7 +233,7 @@ class TestAdaptiveWindows:
         transmit_spaced(kernel, 20, gap=0.005)
         kernel.run()
         assert kernel.counters()["arrivals"] == 20
-        telemetry = kernel.transport.flow_telemetry()
+        telemetry = kernel.transport.flow.telemetry()
         info = telemetry[("a", "b")]
         # ~150+ msg/s stream: the window collapses well below the 0.5 seed.
         assert info["window"] < 0.1
@@ -317,7 +248,7 @@ class TestAdaptiveWindows:
         transmit_spaced(kernel, 6, gap=0.4)
         kernel.run()
         assert kernel.counters()["arrivals"] == 6
-        info = kernel.transport.flow_telemetry()[("a", "b")]
+        info = kernel.transport.flow.telemetry()[("a", "b")]
         # ~2.5 msg/s: the ideal window (target/rate ~ 1.6s) is far above
         # the 0.05 s base the pair would otherwise run, within the cap.
         assert 1.0 < info["window"] <= 2.0
@@ -361,7 +292,7 @@ class TestAdaptiveWindows:
 
         kernel.launch("a", sender, system=True)
         kernel.run()
-        telemetry = kernel.transport.flow_telemetry()
+        telemetry = kernel.transport.flow.telemetry()
         assert telemetry[("a", "b")]["window"] < telemetry[("a", "c")]["window"]
 
     def test_stats_publish_per_pair_flow_telemetry(self):
@@ -418,40 +349,9 @@ class TestAdaptiveWindows:
                    <= example.ADAPTIVE["flow_window_max"] for window in hot + trickle)
 
 
-class TestAdaptiveReconfigureRaces:
-    """Resizing the adaptive bounds while outboxes are armed, and crash /
-    recovery mid-window: flow state must reset, with no stale flushes."""
-
-    def test_resizing_bounds_while_an_outbox_is_armed_reconciles_it(self):
-        kernel = fabric_kernel(window=5.0, flow_window_min=0.5,
-                             flow_window_max=10.0, flow_target_batch=50)
-        install_receiver(kernel)
-        transmit_n(kernel, 3)
-        kernel.run(until=0.01)
-        assert kernel.transport.pending_outbox_messages() == 3
-        # Tighten the band under the armed outbox: its recomputed due time
-        # (first + clamped window) is already past, so it ships at once.
-        kernel.transport.configure_batching(5.0, window_min=0.001,
-                                            window_max=0.005)
-        assert kernel.transport.pending_outbox_messages() == 0
-        assert kernel.stats.flush_causes["reconfigure"] == 1
-        kernel.run()
-        assert kernel.counters()["arrivals"] == 3
-        assert kernel.stats.messages_dropped == 0
-
-    def test_widening_bounds_mid_window_rearms_not_drops(self):
-        kernel = fabric_kernel(window=0.2, flow_window_min=0.1,
-                             flow_window_max=0.3)
-        install_receiver(kernel)
-        transmit_n(kernel, 2)
-        kernel.run(until=0.01)
-        kernel.transport.configure_batching(0.2, window_min=0.1,
-                                            window_max=5.0)
-        # Still pending (re-armed on the recomputed window), nothing lost.
-        kernel.run()
-        assert kernel.counters()["arrivals"] == 2
-        assert kernel.stats.messages_dropped == 0
-        assert kernel.stats.batches == 1
+class TestAdaptiveFlowState:
+    """Per-pair flow state: a crash mid-window resets it with no stale
+    flushes, a recovered pair re-learns it, and fixed mode never builds it."""
 
     def test_destination_crash_mid_window_resets_flow_state(self):
         kernel = fabric_kernel(window=0.5, flow_window_min=0.01,
@@ -459,11 +359,11 @@ class TestAdaptiveReconfigureRaces:
         install_receiver(kernel)
         transmit_spaced(kernel, 20, gap=0.005)
         kernel.run(until=0.04)                  # hot: tight window learned
-        assert ("a", "b") in kernel.transport.flow_telemetry()
+        assert ("a", "b") in kernel.transport.flow.telemetry()
         assert kernel.transport.pending_outbox_messages() > 0
         kernel.crash_site("b")
         # Flow state and telemetry for the pair are gone with the crash...
-        assert ("a", "b") not in kernel.transport.flow_telemetry()
+        assert ("a", "b") not in kernel.transport.flow.telemetry()
         assert ("a", "b") not in kernel.stats.flow_windows
         # ...and so is the armed outbox (no stale flush event fires later).
         assert kernel.transport.pending_outbox_messages() == 0
@@ -475,7 +375,7 @@ class TestAdaptiveReconfigureRaces:
         # flow state is re-learned for the dead pair.
         assert kernel.counters()["arrivals"] == arrivals_at_crash
         assert kernel.stats.batches == batches_at_crash
-        assert ("a", "b") not in kernel.transport.flow_telemetry()
+        assert ("a", "b") not in kernel.transport.flow.telemetry()
 
     def test_recovered_destination_starts_from_the_seed_window(self):
         kernel = fabric_kernel(window=0.5, flow_window_min=0.01,
@@ -493,7 +393,7 @@ class TestAdaptiveReconfigureRaces:
         transmit_n(kernel, 2, contact="receiver")
         kernel.run()
         assert kernel.transport.pending_outbox_messages() == 0
-        info = kernel.transport.flow_telemetry().get(("a", "b"))
+        info = kernel.transport.flow.telemetry().get(("a", "b"))
         assert info is not None and info["messages"] == 2
 
     def test_fixed_mode_does_no_flow_estimation_on_the_hot_path(self):
@@ -504,39 +404,5 @@ class TestAdaptiveReconfigureRaces:
         transmit_n(kernel, 5)
         kernel.run()
         assert kernel.counters()["arrivals"] == 5
-        assert kernel.transport.flow_telemetry() == {}
+        assert kernel.transport.flow.telemetry() == {}
         assert kernel.stats.flow_windows == {}
-
-    def test_flow_knob_validation_at_the_transport(self):
-        from repro.core.errors import TransportError
-        kernel = fabric_kernel(window=0.0)
-        with pytest.raises(TransportError):
-            kernel.transport.configure_batching(0.1, window_min=-0.1)
-        with pytest.raises(TransportError):
-            # A floor with no ceiling would be silently inert.
-            kernel.transport.configure_batching(0.1, window_min=0.5)
-        with pytest.raises(TransportError):
-            kernel.transport.configure_batching(0.1, window_max=-1.0)
-        with pytest.raises(TransportError):
-            kernel.transport.configure_batching(0.1, window_min=2.0,
-                                                window_max=1.0)
-        with pytest.raises(TransportError):
-            kernel.transport.configure_batching(0.1, target_batch=0)
-
-
-class TestConfigureBatching:
-    def test_negative_window_rejected(self):
-        kernel = fabric_kernel(window=0.0)
-        from repro.core.errors import TransportError
-        with pytest.raises(TransportError):
-            kernel.transport.configure_batching(-1.0)
-
-    def test_flush_outboxes_is_idempotent(self):
-        kernel = fabric_kernel(window=10.0)
-        install_receiver(kernel)
-        transmit_n(kernel, 2)
-        kernel.run(until=0.01)
-        assert kernel.transport.flush_outboxes() == 1
-        assert kernel.transport.flush_outboxes() == 0
-        kernel.run()
-        assert kernel.counters()["arrivals"] == 2

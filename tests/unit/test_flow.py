@@ -154,16 +154,6 @@ class TestFlowController:
         assert controller.window_for(("a", "b")) == \
             controller.window_for(("fresh", "pair"))
 
-    def test_inverted_bounds_are_refused_without_side_effects(self):
-        controller = FlowController(base_window=0.1, window_min=0.01,
-                                    window_max=1.0)
-        with pytest.raises(ValueError):
-            controller.configure(window_min=2.0, window_max=1.0)
-        # The refused range must not stick: clamps keep the old bounds.
-        assert controller.window_min == 0.01
-        assert controller.window_max == 1.0
-        assert controller.window_for(("a", "b")) == 0.1
-
     def test_telemetry_shape(self):
         controller = FlowController(base_window=0.1, window_min=0.01,
                                     window_max=1.0)

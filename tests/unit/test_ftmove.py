@@ -10,10 +10,10 @@ from repro.fault import (RESULTS_CABINET, completions, fan_out_ids, launch_ft_co
 from repro.net import FailureSchedule, lan, ring
 
 
-def make_kernel(sites=6, seed=31, topology="ring"):
+def make_kernel(sites=6, seed=31, topology="ring", **config):
     names = [f"s{i}" for i in range(sites)]
     topo = ring(names) if topology == "ring" else lan(names)
-    kernel = Kernel(topo, transport="tcp", config=KernelConfig(rng_seed=seed))
+    kernel = Kernel(topo, transport="tcp", config=KernelConfig(rng_seed=seed, **config))
     for index, name in enumerate(names):
         kernel.site(name).cabinet("data").put("VALUE", f"value-{index}")
     return kernel, names
@@ -176,9 +176,7 @@ class TestReleasesOnTheFabric:
     @staticmethod
     def run_staggered(batched):
         """Four guarded computations over one itinerary while s3 is down."""
-        kernel, names = make_kernel()
-        if batched:
-            kernel.transport.configure_batching(0.1)
+        kernel, names = make_kernel(delivery_batch_window=0.1 if batched else 0.0)
         ids = [launch_ft_computation(kernel, "s0", names[1:], per_hop=0.3,
                                      delay=0.05 * index)
                for index in range(4)]

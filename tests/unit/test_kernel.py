@@ -34,10 +34,13 @@ class TestConstruction:
         assert isinstance(Kernel(lan(["a", "b"]), transport=RshTransport).transport,
                           RshTransport)
 
-    def test_transport_by_instance(self):
-        kernel = Kernel(lan(["a", "b"]))
-        other = Kernel(lan(["a", "b"]), transport=kernel.transport)
-        assert other.transport is kernel.transport
+    def test_a_built_transport_is_refused(self, strategy):
+        # A transport built for another kernel stays bound to that kernel's
+        # loop, stats and topology: an agent's jump would queue there.
+        donor = Kernel(lan(["a", "b"]))
+        with pytest.raises(KernelError, match="pass a transport name .* or a "
+                                              "Transport subclass"):
+            Kernel(lan(["a", "b"]), transport=donor.transport)
 
     def test_unknown_transport_name_raises(self):
         with pytest.raises(KernelError):
@@ -79,14 +82,18 @@ class TestConstruction:
         ("store_commit_window", math.nan), ("step_cost", math.inf),
         ("meet_overhead", "0.1"), ("delivery_batch_window", math.nan),
         ("delivery_batch_window", -1.0), ("flow_window_min", -1.0),
-        ("flow_window_max", -1.0)])
+        ("flow_window_max", -1.0), ("obs_sample", "0.5"), ("obs_sample", True),
+        ("obs_enabled", "yes"), ("obs_path", 5), ("shard_placement", ["a"]),
+        ("shard_placement", {"a": True}), ("shard_placement", {"a": "1"})])
     def test_a_mis_set_policy_knob_fails_before_any_engine_exists(
             self, knob, value, backend):
         # These used to surface as a ValueError or TypeError from inside an
         # engine (after process workers had spawned), as a value silently
-        # truncated, as every agent killed as a "runaway" (max_agent_steps
-        # 0), as "an event in the past" mid-run (a NaN delay) or as a clock
-        # run to infinity (step_cost inf).
+        # truncated or accepted (obs_sample True, shard_placement "1"), as
+        # every agent killed as a "runaway" (max_agent_steps 0), as "an
+        # event in the past" mid-run (a NaN delay), as a clock run to
+        # infinity (step_cost inf) or as spans written into file
+        # descriptor 5 (obs_path 5).
         workers = set(multiprocessing.active_children())
         config = KernelConfig(shards=2, shard_backend=backend, **{knob: value})
         with pytest.raises(KernelError, match=knob):

@@ -2,8 +2,9 @@
 """Print the size numbers ROADMAP aim 2 tracks, as one line.
 
     SIZE src_lines=... core_lines=... config_fields=... kernel_public=...
-         shards_branches=... bench_files=... import_modules=... third_party=...
-         test_lines=... example_lines=... package_public=... (same line)
+         shards_branches=... test_only_defs=... bench_files=... import_modules=...
+         third_party=... test_lines=... example_lines=... package_public=...
+         (same line)
 
 ``src_lines`` is ``wc -l`` over ``src/repro/**/*.py``; ``core_lines`` the
 part of it in the kernel facade, the engine and the shard package
@@ -23,14 +24,21 @@ files preload differs by host, so the total would too); ``third_party`` the
 top-level packages among them that came from a ``site-packages`` /
 ``dist-packages`` directory.  ``package_public`` is the public surface of
 the whole package: ``len(__all__)`` summed over ``repro`` and every package
-under it (``kernel_public`` counts one class only).  CI prints
-the line after tier-1; CHANGES.md records parent -> change per PR.
+under it (``kernel_public`` counts one class only).  ``test_only_defs``
+counts the public top-level functions and class methods under ``src/repro``
+whose name appears in no ``.py`` file outside ``tests/`` except on its own
+``def`` line: code only the tests call (a word match, so a name shared with
+anything else outside ``tests/`` is not counted).  CI prints the line after
+tier-1; CHANGES.md records parent -> change per PR.
 """
 
+import ast
+import collections
 import dataclasses
 import importlib
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -70,6 +78,28 @@ def package_public() -> int:
                for name in packages)
 
 
+def test_only_defs() -> int:
+    """Public functions and methods of ``src/repro`` that only tests name."""
+    defs = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            defs += [(member.name, path, member.lineno) for member in members
+                     if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not member.name.startswith("_")]
+    names = {name for name, _, _ in defs}
+    #: name -> the (file, line) places outside tests/ that mention it
+    seen = collections.defaultdict(set)
+    for path in ROOT.rglob("*.py"):
+        parts = path.relative_to(ROOT).parts
+        if parts[0] in ("tests", ".git") or "__pycache__" in parts:
+            continue
+        for lineno, line in enumerate(lines_of(path), 1):
+            for word in names.intersection(re.findall(r"[A-Za-z_]\w*", line)):
+                seen[word].add((path, lineno))
+    return sum(seen[name] <= {(path, lineno)} for name, path, lineno in defs)
+
+
 def cold_start() -> str:
     """The two cold-start numbers, counted in a fresh interpreter."""
     return subprocess.run([sys.executable, "-c", COLD_START, str(SRC)], check=True,
@@ -89,6 +119,7 @@ if __name__ == "__main__":
           f"config_fields={len(dataclasses.fields(KernelConfig))}",
           f"kernel_public={sum(not name.startswith('_') for name in dir(Kernel))}",
           f"shards_branches={sum('_shards is' in line or 'distributed' in line for line in core)}",
+          f"test_only_defs={test_only_defs()}",
           f"bench_files={len(stray)}",
           cold_start(),
           f"test_lines={sum(len(lines_of(path)) for path in (ROOT / 'tests').rglob('*.py'))}",
