@@ -5,13 +5,15 @@ useful to group site-local folders.  We refer to such a grouping as a *file
 cabinet*.  File cabinets support the same operations as briefcases, but we
 expect these operations to be implemented differently" — cabinets are
 optimised for access at the cost of being expensive to move, and "can be
-flushed to disk when permanence is required" (section 6).
+flushed to disk when permanence is required" (section 6) — which is
+:mod:`repro.store`'s business: a site's durable store journals the cabinets
+made durable and rebuilds them after a crash.
 
 This implementation keeps folders in a dict plus a per-folder element index
 (the set of a folder's stored elements) so membership queries used by agents
-such as the diffusion agent are O(1), and offers :meth:`flush` / :meth:`load`
-for persistence.  The deliberately large :meth:`move_cost` stands against the
-briefcase's cheap wire size (``tests/unit/test_cabinet.py::TestCostModel``).
+such as the diffusion agent are O(1).  The deliberately large
+:meth:`move_cost` stands against the briefcase's cheap wire size
+(``tests/unit/test_cabinet.py::TestCostModel``).
 
 Access-side structures like that index are the asymmetry the paper
 sanctions: a briefcase stays a flat list of bytes because it must be cheap
@@ -25,19 +27,17 @@ the same licence, and the same lifetime, to the cabinet's readers.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
 from repro.core.briefcase import Briefcase
-from repro.core.errors import CabinetError, CabinetPersistenceError, MissingFolderError
+from repro.core.errors import CabinetError, MissingFolderError
 from repro.core.folder import Folder, _encode, _immutable
 
 __all__ = ["FileCabinet"]
 
 
 class FileCabinet:
-    """A site-local folder store with access-time indexes and disk persistence.
+    """A site-local folder store with access-time indexes.
 
     The cabinet mirrors the briefcase API (``folder``, ``put``, ``get``,
     ``has`` ...) so agent code can treat "local storage" and "carried
@@ -242,65 +242,6 @@ class FileCabinet:
         mobility for access speed (paper section 2).
         """
         return self.storage_size() * self.MOVE_COST_FACTOR
-
-    # -- persistence -----------------------------------------------------------------
-
-    def flush(self, directory: str) -> str:
-        """Write the cabinet to ``directory`` and return the file path.
-
-        The on-disk format is JSON with hex-encoded elements — simple,
-        inspectable, and independent of pickle availability at load time.
-        The write is atomic (temp file + ``os.replace``) and the temp file
-        is removed on failure, so a crash or error mid-flush can neither
-        leave a torn cabinet file nor litter the directory: the previous
-        flush, if any, stays intact.
-        """
-        import tempfile  # only flush needs it; keeps it off every site's cold start
-
-        tmp_path = None
-        try:
-            os.makedirs(directory, exist_ok=True)
-            payload = {
-                "name": self.name,
-                "site": self.site,
-                "folders": [
-                    {
-                        "name": folder.name,
-                        "elements": [stored.hex() for stored in folder.raw_elements()],
-                    }
-                    for folder in self._folders.values()
-                ],
-            }
-            path = os.path.join(directory, f"{self.name}.cabinet.json")
-            fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_path, path)
-            tmp_path = None
-            return path
-        except OSError as exc:
-            raise CabinetPersistenceError(f"flush of cabinet {self.name!r} failed: {exc}") from exc
-        finally:
-            if tmp_path is not None:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:  # pragma: no cover - best-effort cleanup
-                    pass
-
-    @classmethod
-    def load(cls, path: str) -> "FileCabinet":
-        """Rebuild a cabinet previously written by :meth:`flush`."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CabinetPersistenceError(f"load of cabinet from {path!r} failed: {exc}") from exc
-        cabinet = cls(payload["name"], site=payload.get("site"))
-        for folder_payload in payload["folders"]:
-            folder = Folder(folder_payload["name"])
-            folder._elements = [bytes.fromhex(item) for item in folder_payload["elements"]]
-            cabinet.add(folder)
-        return cabinet
 
     # -- internals -----------------------------------------------------------------
 

@@ -26,6 +26,7 @@ another engine leaves through ``outbound`` (see :meth:`Engine.run_to`).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from operator import itemgetter
 from types import GeneratorType, MappingProxyType
@@ -62,6 +63,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 
 __all__ = ["ENGINE_PROTOCOL", "Engine", "LedgerQueries"]
 
+#: simulated seconds charged per behaviour step (one yield)
+STEP_COST = 0.0005
+#: extra simulated seconds of setting up a meet (argument marshalling,
+#: dispatch); an arriving agent pays it to meet its contact
+MEET_OVERHEAD = 0.001
 #: simulated seconds charged for creating a new agent locally
 SPAWN_OVERHEAD = 0.001
 #: simulated seconds charged for handing a briefcase to the transport
@@ -89,6 +95,14 @@ ENGINE_PROTOCOL = (
     "run_to", "advance_clock",
 )
 
+
+
+def _check_start_delay(delay: float) -> None:
+    """Refuse a launch delay the loop could not schedule, before anything
+    is registered: a negative or NaN one is "in the past", an infinite one
+    would push the clock to infinity."""
+    if not 0 <= delay < math.inf:
+        raise KernelError(f"launch delay must be >= 0 and finite, got {delay!r}")
 
 
 def resolve_links(links: Sequence) -> List[tuple]:
@@ -558,9 +572,7 @@ class Engine(LedgerQueries):
         """Create a new top-level agent at a site hosted here and schedule
         it to start; returns its id (see :meth:`Kernel.launch
         <repro.core.kernel.Kernel.launch>`)."""
-        if delay < 0:
-            raise KernelError(f"cannot schedule agent starts {delay} seconds "
-                              f"in the past")
+        _check_start_delay(delay)
         site = self.site(site_name)
         resolved, resolved_system = self._resolve_behaviour(site, behaviour)
         instance = AgentInstance(
@@ -586,9 +598,7 @@ class Engine(LedgerQueries):
         is what high-population workloads (thousands of agents per wave)
         want.
         """
-        if delay < 0:
-            raise KernelError(f"cannot schedule agent starts {delay} seconds "
-                              f"in the past")
+        _check_start_delay(delay)
         instances: List[AgentInstance] = []
         for request in requests:
             site_name, behaviour = request[0], request[1]
@@ -942,7 +952,7 @@ class Engine(LedgerQueries):
 
     def _throw_back(self, instance: AgentInstance, error: Exception) -> None:
         """Deliver an error to the agent on its next step."""
-        self.loop.schedule(self.config.step_cost, self._resume,
+        self.loop.schedule(STEP_COST, self._resume,
                            ("error", instance.agent_id), (instance, None, error))
 
     # -- individual syscalls ----------------------------------------------------------
@@ -962,19 +972,19 @@ class Engine(LedgerQueries):
         self._register(callee)
         caller.mark_waiting()
         self.stats.meets += 1
-        self.loop.schedule(self.config.meet_overhead + self.config.step_cost,
+        self.loop.schedule(MEET_OVERHEAD + STEP_COST,
                            self._start,
                            ("meet", caller.agent_id, request.agent_name), (callee,))
 
     def _do_end_meet(self, callee: AgentInstance, request: EndMeet) -> None:
         self._release_meet_parent(callee, request.value)
         # The callee keeps running concurrently with its (former) caller.
-        self.loop.schedule(self.config.step_cost, self._resume,
+        self.loop.schedule(STEP_COST, self._resume,
                            ("continue", callee.agent_id), (callee,))
 
     def _do_sleep(self, instance: AgentInstance, request: Sleep) -> None:
         instance.mark_waiting()
-        delay = max(0.0, float(request.duration)) + self.config.step_cost
+        delay = max(0.0, float(request.duration)) + STEP_COST
         self.loop.schedule(delay, self._resume, ("wake", instance.agent_id),
                            (instance,))
 
@@ -1001,7 +1011,7 @@ class Engine(LedgerQueries):
         self.loop.schedule_many((
             (SPAWN_OVERHEAD, self._start,
              ("spawn", child.agent_id), (child,)),
-            (self.config.step_cost, self._resume,
+            (STEP_COST, self._resume,
              ("spawned", parent.agent_id), (parent, child.agent_id)),
         ))
 
@@ -1033,7 +1043,7 @@ class Engine(LedgerQueries):
         # destination; everything else is sent immediately.
         event = self.transport.post(message)
         accepted = event is not None
-        self.loop.schedule(TRANSMIT_OVERHEAD + self.config.step_cost,
+        self.loop.schedule(TRANSMIT_OVERHEAD + STEP_COST,
                            self._resume, ("transmitted", sender.agent_id),
                            (sender, accepted))
 
@@ -1081,7 +1091,7 @@ class Engine(LedgerQueries):
             return
         result = MeetResult(value=value, briefcase=callee.briefcase,
                             agent_id=callee.agent_id)
-        self.loop.schedule(self.config.step_cost, self._resume,
+        self.loop.schedule(STEP_COST, self._resume,
                            ("meet-return", parent.agent_id), (parent, result))
 
     def _release_meet_parent_on_abnormal_end(self, callee: AgentInstance,
@@ -1092,7 +1102,7 @@ class Engine(LedgerQueries):
         parent = self.table.get(callee.meet_parent)
         if parent is None or parent.finished:
             return
-        self.loop.schedule(self.config.step_cost, self._resume,
+        self.loop.schedule(STEP_COST, self._resume,
                            ("meet-error", parent.agent_id), (parent, None, error))
 
     # ------------------------------------------------------------------
@@ -1129,13 +1139,6 @@ class Engine(LedgerQueries):
                 sub.delivered_at = delivered_at
                 sub.hops = message.hops
                 self._on_message(site_name, sub)
-            return
-        # Site-level hooks deliberately override the default routing for
-        # their kind — including contact-addressed STATUS traffic below, so
-        # a STATUS hook at a broker site intercepts monitor load reports.
-        hook = site.message_hook(message.kind)
-        if hook is not None:
-            hook(message)
             return
         payload = message.payload
         if message.kind in (MessageKind.AGENT_TRANSFER, MessageKind.FOLDER_DELIVERY,
@@ -1181,7 +1184,7 @@ class Engine(LedgerQueries):
                                  self._best_effort_code(contact, behaviour), is_system)
         self._register(instance)
         self.stats.arrivals += 1
-        self.loop.schedule(self.config.meet_overhead, self._start,
+        self.loop.schedule(MEET_OVERHEAD, self._start,
                            ("arrival", instance.agent_id), (instance,))
 
     def __repr__(self) -> str:

@@ -40,10 +40,6 @@ class CabinetError(TacomaError):
     """A file-cabinet operation failed."""
 
 
-class CabinetPersistenceError(CabinetError):
-    """Flushing or loading a file cabinet to/from disk failed."""
-
-
 class StoreError(TacomaError):
     """A durable-store operation failed (bad policy, recovery misuse, ...)."""
 

@@ -48,12 +48,13 @@ __all__ = ["Kernel", "KernelConfig"]
 
 @dataclass
 class KernelConfig:
-    """Tunable costs and limits of the simulated kernel."""
+    """Tunable costs and limits of the simulated kernel.
 
-    #: CPU time charged per behaviour step (one yield)
-    step_cost: float = 0.0005
-    #: extra cost of setting up a meet (argument marshalling, dispatch)
-    meet_overhead: float = 0.001
+    The engine's fixed per-operation costs are constants, not knobs:
+    ``repro.core.engine.STEP_COST``, ``MEET_OVERHEAD``, ``SPAWN_OVERHEAD``
+    and ``TRANSMIT_OVERHEAD``.
+    """
+
     #: an agent exceeding this many steps is killed as a runaway (section 3
     #: motivates limiting runaway agents; the step budget is the kernel-side
     #: safety net, electronic cash is the economic one)
@@ -91,7 +92,9 @@ class KernelConfig:
     #: (see :mod:`repro.shard`)
     shards: int = 1
     #: explicit site -> shard id placement overrides; sites not listed are
-    #: placed by a stable CRC-32 hash of their name
+    #: placed by a stable CRC-32 hash of their name.  Every key must name a
+    #: site of the topology and every id lie in [0, shards), whatever the
+    #: shard count (one engine included)
     shard_placement: Optional[Dict[str, int]] = None
     #: where each synchronisation round's shard bursts execute: "inproc"
     #: (serial, the default) or "process" (long-lived spawn workers — real
@@ -130,8 +133,7 @@ class KernelConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise KernelError(f"{name} must be an int, got {value!r}")
-        for name in ("step_cost", "meet_overhead", "store_commit_window",
-                     "delivery_batch_window", "flow_window_min",
+        for name in ("store_commit_window", "delivery_batch_window", "flow_window_min",
                      "flow_window_max", "obs_sample"):
             # Each but the sampled fraction is a delay the engine schedules or
             # a window it waits out: a negative or NaN one would fail mid-run
@@ -168,6 +170,10 @@ class KernelConfig:
             # int() would read True or "1" as shard 1.
             raise KernelError(f"shard_placement must map site names to int "
                               f"shard ids, got {placement!r}")
+        for name, owner in (placement or {}).items():
+            if not 0 <= owner < self.shards:
+                raise KernelError(f"shard_placement[{name!r}] = {owner} is "
+                                  f"outside [0, {self.shards})")
         if type(self.obs_enabled) is not bool:
             raise KernelError(f"obs_enabled must be a bool, got {self.obs_enabled!r}")
         if self.obs_sample > 1.0:
@@ -263,6 +269,9 @@ class Kernel(LedgerQueries):
         self.config = config or KernelConfig()
         self.config.validate()
         self.topology = topology if topology is not None else lan(["alpha", "beta", "gamma"])
+        unknown = sorted(set(self.config.shard_placement or ()) - set(self.topology.sites()))
+        if unknown:
+            raise UnknownSiteError(f"shard_placement names unknown sites: {unknown}")
         self.registry = registry or default_registry()
         self._closed = False
         #: the ShardSet coordinating several engines; one engine needs none

@@ -3,26 +3,23 @@
 "Each site in our system runs a Tcl interpreter, which provides the place
 where agents execute" (paper section 6).  A :class:`Site` owns the
 site-local file cabinets, the table of agents installed under well-known
-names (``rexec``, ``ag_py``, the broker, ...), per-kind message hooks used
-by lower-level subsystems, and the load/capacity attributes the scheduling
-experiments manipulate.
+names (``rexec``, ``ag_py``, the broker, ...), the index of its resident
+agents, and the load/capacity attributes the scheduling experiments
+manipulate.  The engine routes the messages that arrive here by kind
+(:meth:`repro.core.engine.Engine._on_message`); a site holds no handlers.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from repro.core.cabinet import FileCabinet
 from repro.core.errors import UnknownAgentError
-from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.core.agent import AgentInstance
 
 __all__ = ["Site"]
-
-#: signature of a per-kind message hook: hook(message) -> None
-MessageHook = Callable[[Message], None]
 
 
 class Site:
@@ -41,7 +38,6 @@ class Site:
         self._cabinets: Dict[str, FileCabinet] = {}
         #: name -> (behaviour, is_system_agent)
         self._installed: Dict[str, Tuple[Callable, bool]] = {}
-        self._message_hooks: Dict[str, MessageHook] = {}
         #: total messages that arrived addressed to an unknown contact
         self.undeliverable = 0
         #: live index of resident (non-terminal) agent instances, keyed by
@@ -64,14 +60,6 @@ class Site:
                 raise UnknownAgentError(
                     f"site {self.name!r} already has an agent installed as {name!r}")
         self._installed[name] = (behaviour, system)
-
-    def uninstall(self, name: str) -> None:
-        """Remove an installed agent (no effect if absent)."""
-        self._installed.pop(name, None)
-
-    def installed_names(self) -> List[str]:
-        """Names of every agent installed at this site."""
-        return list(self._installed)
 
     def is_installed(self, name: str) -> bool:
         """True if an agent named *name* is installed here."""
@@ -99,10 +87,6 @@ class Site:
     def remove_resident(self, agent_id: str) -> None:
         """Drop an agent from the resident index (no effect if absent)."""
         self._residents.pop(agent_id, None)
-
-    def has_resident(self, agent_id: str) -> bool:
-        """True if the agent is currently indexed as resident here (O(1))."""
-        return agent_id in self._residents
 
     def residents(self) -> List["AgentInstance"]:
         """The resident (non-terminal) agent instances, in arrival order."""
@@ -136,20 +120,6 @@ class Site:
     def cabinets(self) -> List[FileCabinet]:
         """Every cabinet at this site."""
         return list(self._cabinets.values())
-
-    def flush_cabinets(self, directory: str) -> List[str]:
-        """Flush every cabinet to *directory*; returns the written paths."""
-        return [cabinet.flush(directory) for cabinet in self._cabinets.values()]
-
-    # -- message hooks -------------------------------------------------------------------
-
-    def set_message_hook(self, kind: str, hook: MessageHook) -> None:
-        """Route arriving messages of *kind* to *hook* instead of the default path."""
-        self._message_hooks[kind] = hook
-
-    def message_hook(self, kind: str) -> Optional[MessageHook]:
-        """The hook registered for *kind*, if any."""
-        return self._message_hooks.get(kind)
 
     # -- load model ---------------------------------------------------------------------
 

@@ -56,8 +56,6 @@ class ProcessGroup:
     view_id: int = 0
     #: multicast sequence number, for FIFO ordering bookkeeping
     next_seqno: int = 0
-    #: history of installed views (useful for tests and debugging)
-    history: List[GroupView] = field(default_factory=list)
 
     def view(self) -> GroupView:
         """The current view."""
@@ -131,10 +129,6 @@ class HorusTransport(Transport):
     def group_view(self, name: str) -> GroupView:
         """The current view of group *name*."""
         return self._group(name).view()
-
-    def view_history(self, name: str) -> List[GroupView]:
-        """Every view installed for group *name*, oldest first."""
-        return list(self._group(name).history)
 
     def join(self, name: str, site: str) -> GroupView:
         """Add *site* to group *name* and install a new view."""
@@ -255,7 +249,6 @@ class HorusTransport(Transport):
     def _install_view(self, group: ProcessGroup) -> GroupView:
         group.view_id += 1
         view = group.view()
-        group.history.append(view)
         # Notify members through their message handlers ...
         for member in view.members:
             message = Message(

@@ -94,12 +94,6 @@ class Message:
         """
         return self.size_bytes() - self.HEADER_BYTES
 
-    def latency_seconds(self, latency: float, bandwidth_bytes_per_s: float) -> float:
-        """Transfer time over a link with the given latency and bandwidth."""
-        if bandwidth_bytes_per_s <= 0:
-            return latency
-        return latency + self.size_bytes() / bandwidth_bytes_per_s
-
     def __repr__(self) -> str:
         return (f"Message(#{self.message_id} {self.kind} {self.source}->"
                 f"{self.destination}, {self.size_bytes()}B)")

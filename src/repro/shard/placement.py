@@ -13,8 +13,6 @@ from __future__ import annotations
 import zlib
 from typing import Dict, Iterable, Mapping, Optional
 
-from repro.core.errors import KernelError, UnknownSiteError
-
 __all__ = ["default_shard_of", "resolve_placement"]
 
 
@@ -27,28 +25,11 @@ def resolve_placement(site_names: Iterable[str], shards: int,
                       explicit: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
     """Map every site to a shard id in ``[0, shards)``.
 
-    *explicit* entries win over the hash; they must name known sites and
-    valid shard ids, and a shard left with no sites is fine (it simply
-    idles).
+    *explicit* entries win over the hash; a shard left with no sites is fine
+    (it simply idles).  The entries are trusted: ``KernelConfig.validate``
+    and the ``Kernel`` constructor refuse an id outside ``[0, shards)`` and
+    an unknown site on any shard count.
     """
-    if shards < 1:
-        raise KernelError(f"shards must be >= 1, got {shards}")
-    names = list(site_names)
-    overrides = dict(explicit or {})
-    unknown = sorted(set(overrides) - set(names))
-    if unknown:
-        raise UnknownSiteError(
-            f"shard_placement names unknown sites: {unknown}")
-    placement: Dict[str, int] = {}
-    for name in names:
-        owner = overrides.get(name)
-        if owner is None:
-            owner = default_shard_of(name, shards)
-        else:
-            owner = int(owner)
-            if not 0 <= owner < shards:
-                raise KernelError(
-                    f"shard_placement[{name!r}] = {owner} is outside "
-                    f"[0, {shards})")
-        placement[name] = owner
-    return placement
+    overrides = explicit or {}
+    return {name: overrides[name] if name in overrides
+            else default_shard_of(name, shards) for name in site_names}

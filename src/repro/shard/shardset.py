@@ -217,19 +217,6 @@ class ShardSet:
         """Shut down the execution backend (its worker processes, if any)."""
         self.backend.close()
 
-    # -- telemetry --------------------------------------------------------------
-
-    def busy_summary(self) -> Dict[str, float]:
-        """Per-shard busy wall-time plus the parallel-model aggregate."""
-        per_shard = {f"shard{shard.shard_id}": shard.busy_seconds
-                     for shard in self.shards}
-        per_shard["max_busy"] = max(
-            (shard.busy_seconds for shard in self.shards), default=0.0)
-        per_shard["total_busy"] = sum(shard.busy_seconds for shard in self.shards)
-        per_shard["sync_seconds"] = self.sync_seconds
-        per_shard["overhead_seconds"] = self.overhead_seconds
-        return per_shard
-
     def __repr__(self) -> str:
         return (f"ShardSet({len(self.shards)} shards, "
                 f"backend={self.backend.name}, rounds={self.rounds}, "

@@ -56,8 +56,8 @@ class BaseTestFolderContainer:
 
     Fixtures: ``opened``, a pair of a fresh empty container and its
     ``reopen``: a callable that takes the container and returns the one its
-    folders are read back into (itself, a copy, a file reloaded, a site
-    recovered from its store); ``error``, the :class:`~repro.core.errors.TacomaError` subclass
+    folders are read back into (itself, a copy, a site recovered from its
+    store); ``error``, the :class:`~repro.core.errors.TacomaError` subclass
     the container raises for an ``add`` it refuses.  Order is checked only while the container
     is live.  A durable cabinet recovered from its image lists a folder
     that was removed and re-added in the folder's old slot

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,16 +50,15 @@ def test_withdraw_copies_do_not_alias(elements):
 
 @given(st.lists(element_strategy, max_size=12))
 @settings(max_examples=30, deadline=None)
-def test_flush_load_round_trip(elements):
+def test_store_image_round_trip(elements):
+    # The one permanence path: a durable store keeps a cabinet's image and
+    # rebuilds the cabinet from it at recovery.
     cabinet = FileCabinet("persist", site="alpha")
     for element in elements:
         cabinet.put("DATA", element)
-    with tempfile.TemporaryDirectory() as directory:
-        path = cabinet.flush(directory)
-        loaded = FileCabinet.load(path)
-    assert loaded.elements("DATA") == cabinet.elements("DATA")
-    assert loaded.name == "persist"
-    assert loaded.site == "alpha"
+    recovered = FileCabinet("persist", site="alpha")
+    restore_cabinet(recovered, capture_cabinet(cabinet))
+    assert recovered.elements("DATA") == cabinet.elements("DATA")
 
 
 @given(st.lists(element_strategy, max_size=15))

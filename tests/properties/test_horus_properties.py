@@ -34,7 +34,8 @@ def build_transport():
 @settings(max_examples=60, deadline=None)
 def test_view_ids_strictly_increase_and_members_stay_consistent(ops):
     transport, loop, topology = build_transport()
-    transport.create_group("g", [SITES[0]])
+    history = [transport.create_group("g", [SITES[0]])]
+    transport.subscribe_views("g", history.append)
     loop.run()
     alive = set(SITES)
 
@@ -53,7 +54,6 @@ def test_view_ids_strictly_increase_and_members_stay_consistent(ops):
             alive.discard(site)
         loop.run()
 
-    history = transport.view_history("g")
     view_ids = [view.view_id for view in history]
     # Invariant 1: view identifiers are strictly increasing.
     assert view_ids == sorted(view_ids)

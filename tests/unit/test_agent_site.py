@@ -12,7 +12,6 @@ from repro.core.engine import Engine
 from repro.core.errors import UnknownAgentError
 from repro.core.site import Site
 from repro.net import lan
-from repro.net.message import Message, MessageKind
 
 
 def noop(ctx, bc):
@@ -92,7 +91,7 @@ class TestSite:
         behaviour, is_system = site.resolve("svc")
         assert behaviour is noop and is_system
         assert site.is_installed("svc")
-        assert "svc" in site.installed_names()
+        assert not site.is_installed("other")
 
     def test_install_conflict_raises(self):
         site = Site("alpha")
@@ -119,13 +118,6 @@ class TestSite:
         site.install("svc", other, replace=True)
         assert site.resolve("svc")[0] is other
 
-    def test_uninstall(self):
-        site = Site("alpha")
-        site.install("svc", noop)
-        site.uninstall("svc")
-        assert not site.is_installed("svc")
-        site.uninstall("svc")  # silent
-
     def test_resolve_unknown_raises(self):
         with pytest.raises(UnknownAgentError):
             Site("alpha").resolve("ghost")
@@ -137,13 +129,6 @@ class TestSite:
         assert site.has_cabinet("store")
         assert site.cabinet("store") is cabinet
         assert cabinet in site.cabinets()
-
-    def test_flush_cabinets(self, tmp_path):
-        site = Site("alpha")
-        site.cabinet("a").put("X", 1)
-        site.cabinet("b").put("Y", 2)
-        paths = site.flush_cabinets(str(tmp_path))
-        assert len(paths) == 2
 
     def test_load_metric_scales_with_capacity(self):
         fast = Site("fast", capacity=4.0)
@@ -170,16 +155,6 @@ class TestSite:
         assert site.alive
         # Cabinets model disk-backed storage and survive the crash.
         assert site.cabinet("store").get("X") == 1
-
-    def test_message_hooks(self):
-        site = Site("alpha")
-        seen = []
-        site.set_message_hook(MessageKind.STATUS, seen.append)
-        hook = site.message_hook(MessageKind.STATUS)
-        assert hook is not None
-        hook(Message(source="a", destination="alpha", kind=MessageKind.STATUS))
-        assert len(seen) == 1
-        assert site.message_hook("other-kind") is None
 
     def test_repr_shows_status(self):
         site = Site("alpha")

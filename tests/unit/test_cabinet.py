@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from contracts import BaseTestFolderContainer
 from repro.core import Briefcase, FileCabinet, Folder
-from repro.core.errors import CabinetError, CabinetPersistenceError
+from repro.core.errors import CabinetError
 
 
 class TestFileCabinetContract(BaseTestFolderContainer):
     @pytest.fixture
-    def opened(self, tmp_path):
-        return (FileCabinet("c", site="tromso"),
-                lambda cabinet: FileCabinet.load(cabinet.flush(str(tmp_path))))
+    def opened(self):
+        return FileCabinet("c", site="tromso"), lambda cabinet: cabinet
 
     @pytest.fixture
     def error(self):
@@ -117,72 +114,6 @@ class TestCostModel:
         cabinet = FileCabinet("c")
         cabinet.deposit(briefcase)
         assert briefcase.wire_size() < cabinet.move_cost()
-
-
-class TestPersistence:
-    def test_flush_and_load_keep_name_site_and_index(self, tmp_path):
-        # The folders themselves: TestFileCabinetContract's reopen cases.
-        cabinet = FileCabinet("weather", site="tromso")
-        cabinet.put("READINGS", {"wind": 12.0})
-        path = cabinet.flush(str(tmp_path))
-        assert os.path.exists(path)
-
-        loaded = FileCabinet.load(path)
-        assert (loaded.name, loaded.site) == ("weather", "tromso")
-        assert loaded.contains_element("READINGS", {"wind": 12.0})
-
-    def test_load_missing_file_raises(self, tmp_path):
-        with pytest.raises(CabinetPersistenceError):
-            FileCabinet.load(str(tmp_path / "nope.cabinet.json"))
-
-    def test_load_corrupt_file_raises(self, tmp_path):
-        path = tmp_path / "bad.cabinet.json"
-        path.write_text("{not json")
-        with pytest.raises(CabinetPersistenceError):
-            FileCabinet.load(str(path))
-
-    def test_flush_to_unwritable_directory_raises(self):
-        cabinet = FileCabinet("c")
-        with pytest.raises(CabinetPersistenceError):
-            cabinet.flush("/proc/definitely/not/writable")
-
-
-class TestAtomicFlush:
-    """A crash (or error) mid-flush must neither tear the cabinet file nor
-    litter the directory with temp files: the write goes to a temp file
-    that is atomically renamed on success and removed on failure."""
-
-    def test_failed_replace_keeps_previous_flush_intact(self, tmp_path, monkeypatch):
-        cabinet = FileCabinet("spool")
-        cabinet.put("letters", {"id": 1})
-        path = cabinet.flush(str(tmp_path))
-
-        cabinet.put("letters", {"id": 2})
-        monkeypatch.setattr(os, "replace",
-                            lambda *a, **k: (_ for _ in ()).throw(OSError("disk died")))
-        with pytest.raises(CabinetPersistenceError):
-            cabinet.flush(str(tmp_path))
-        monkeypatch.undo()
-
-        # The previous flush still loads, untorn — only the old contents.
-        loaded = FileCabinet.load(path)
-        assert loaded.elements("letters") == [{"id": 1}]
-
-    def test_failed_flush_leaves_no_temp_files(self, tmp_path, monkeypatch):
-        cabinet = FileCabinet("spool")
-        cabinet.put("letters", {"id": 1})
-        monkeypatch.setattr(os, "replace",
-                            lambda *a, **k: (_ for _ in ()).throw(OSError("disk died")))
-        with pytest.raises(CabinetPersistenceError):
-            cabinet.flush(str(tmp_path))
-        monkeypatch.undo()
-        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
-
-    def test_successful_flush_leaves_no_temp_files(self, tmp_path):
-        cabinet = FileCabinet("spool")
-        cabinet.put("letters", {"id": 1})
-        cabinet.flush(str(tmp_path))
-        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
 
 
 class TestTouch:

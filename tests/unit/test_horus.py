@@ -76,13 +76,16 @@ class TestGroupManagement:
         with pytest.raises(NotMemberError):
             transport.leave("g", "b")
 
-    def test_view_history_is_ordered(self, horus):
-        transport, _, _ = horus
+    def test_subscribers_see_every_later_view_in_order(self, horus):
+        transport, loop, _ = horus
         transport.create_group("g", ["a"])
+        seen = []
+        transport.subscribe_views("g", seen.append)
         transport.join("g", "b")
         transport.join("g", "c")
-        history = transport.view_history("g")
-        assert [view.view_id for view in history] == [1, 2, 3]
+        loop.run()
+        assert [(view.view_id, view.members) for view in seen] == [
+            (2, ("a", "b")), (3, ("a", "b", "c"))]
 
 
 class TestMulticast:

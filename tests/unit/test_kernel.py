@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import Briefcase, Kernel, KernelConfig
 from repro.core.agent import AgentState
-from repro.core.engine import SPAWN_OVERHEAD, TRANSMIT_OVERHEAD
+from repro.core.engine import SPAWN_OVERHEAD, STEP_COST, TRANSMIT_OVERHEAD
 from repro.core.errors import (KernelError, MeetError, SyscallError, UnknownAgentError,
                                UnknownSiteError)
 from repro.core.syscalls import Meet, Sleep, Syscall, Terminate
@@ -42,6 +42,14 @@ class TestConstruction:
                                               "Transport subclass"):
             Kernel(lan(["a", "b"]), transport=donor.transport)
 
+    @pytest.mark.parametrize("placement, error", [
+        ({"zz": 0}, UnknownSiteError), ({"a": 5}, KernelError)])
+    def test_shard_placement_follows_one_rule_on_every_engine_count(
+            self, strategy, placement, error):
+        # One engine used to accept both maps without reading them.
+        with pytest.raises(error, match="shard_placement"):
+            Kernel(lan(["a", "b"]), config=KernelConfig(shard_placement=placement))
+
     def test_unknown_transport_name_raises(self):
         with pytest.raises(KernelError):
             Kernel(lan(["a", "b"]), transport="carrier-pigeon")
@@ -63,11 +71,11 @@ class TestConstruction:
         with pytest.raises(UnknownSiteError):
             kernel.site("ghost")
 
-    @pytest.mark.parametrize("knob", [
-        "step_cost", "meet_overhead", "store_commit_window"])
+    @pytest.mark.parametrize("knob", ["store_commit_window"])
     def test_a_negative_cost_is_rejected_naming_the_knob(self, knob):
-        # Each is a delay the engine schedules: a negative one used to build
-        # a kernel that failed mid-run with "an event in the past".
+        # The commit window is a delay the engine schedules: a negative one
+        # used to build a kernel that failed mid-run with "an event in the
+        # past".
         config = KernelConfig(durability="wal-group-commit", **{knob: -1.0})
         with pytest.raises(KernelError, match=f"{knob} must be >= 0"):
             Kernel(lan(["a", "b"]), config=config)
@@ -79,8 +87,8 @@ class TestConstruction:
         ("max_agent_steps", 0), ("max_agent_steps", -5),
         ("max_agent_steps", 2.5), ("flow_target_batch", 2.5),
         ("obs_ring", 10.5), ("obs_ring", True), ("rng_seed", "x"),
-        ("store_commit_window", math.nan), ("step_cost", math.inf),
-        ("meet_overhead", "0.1"), ("delivery_batch_window", math.nan),
+        ("store_commit_window", math.nan), ("store_commit_window", math.inf),
+        ("store_commit_window", "0.1"), ("delivery_batch_window", math.nan),
         ("delivery_batch_window", -1.0), ("flow_window_min", -1.0),
         ("flow_window_max", -1.0), ("obs_sample", "0.5"), ("obs_sample", True),
         ("obs_enabled", "yes"), ("obs_path", 5), ("shard_placement", ["a"]),
@@ -92,7 +100,7 @@ class TestConstruction:
         # truncated or accepted (obs_sample True, shard_placement "1"), as
         # every agent killed as a "runaway" (max_agent_steps 0), as "an
         # event in the past" mid-run (a NaN delay), as a clock run to
-        # infinity (step_cost inf) or as spans written into file
+        # infinity (store_commit_window inf) or as spans written into file
         # descriptor 5 (obs_path 5).
         workers = set(multiprocessing.active_children())
         config = KernelConfig(shards=2, shard_backend=backend, **{knob: value})
@@ -113,6 +121,24 @@ class TestConstruction:
 
 
 class TestLaunchingAndResults:
+    @pytest.mark.parametrize("delay", [-1.0, math.nan, math.inf])
+    def test_a_refused_launch_delay_leaves_no_agent(self, strategy, delay):
+        # A NaN delay used to register the agents and then fail to schedule
+        # their starts (launch_many's atomicity broken, agents counted
+        # active forever), and an infinite one put kernel.now at inf.
+        kernel = Kernel(lan(["a", "b"]), config=KernelConfig(rng_seed=3))
+        before = kernel.counters()
+        with pytest.raises(KernelError, match="delay"):
+            kernel.launch("a", _noop_behaviour, delay=delay)
+        assert kernel.counters() == before
+        with pytest.raises(KernelError, match="delay"):
+            kernel.launch_many([("a", _noop_behaviour), ("b", _noop_behaviour)],
+                               delay=delay)
+        assert kernel.counters() == before
+        kernel.run()
+        assert kernel.counters() == before
+        assert math.isfinite(kernel.now)
+
     def test_launch_callable_and_read_result(self, kernel):
         def agent(ctx, bc):
             yield ctx.sleep(0.01)
@@ -269,8 +295,7 @@ class TestSyscalls:
         kernel.launch("a", parent)
         kernel.run()
         assert marks["child"] - marks["asked"] == pytest.approx(SPAWN_OVERHEAD)
-        assert marks["resumed"] - marks["asked"] == pytest.approx(
-            kernel.config.step_cost)
+        assert marks["resumed"] - marks["asked"] == pytest.approx(STEP_COST)
 
     def test_transmit_resumes_the_sender_after_transmit_overhead(self, kernel):
         marks = {}
@@ -289,7 +314,7 @@ class TestSyscalls:
         kernel.run()
         assert kernel.result_of(sender_id)
         assert marks["resumed"] - marks["asked"] == pytest.approx(
-            TRANSMIT_OVERHEAD + kernel.config.step_cost)
+            TRANSMIT_OVERHEAD + STEP_COST)
 
     def test_spawn_by_unknown_name_delivers_error_to_parent(self, kernel):
         def parent(ctx, bc):

@@ -181,9 +181,9 @@ class TestTableUnit:
 
         agent_id = kernel.launch("a", sleeper)
         kernel.run(until=0.1)
-        assert kernel.site("a").has_resident(agent_id)
+        assert [agent.agent_id for agent in kernel.site("a").residents()] == [agent_id]
         kernel.run()
-        assert not kernel.site("a").has_resident(agent_id)
+        assert kernel.site("a").residents() == []
 
     def test_repr_mentions_retention(self):
         assert "retention=3" in repr(AgentTable(3))

@@ -47,17 +47,6 @@ class TestMessage:
         b = Message(source="a", destination="b", kind=MessageKind.DATA)
         assert a.message_id != b.message_id
 
-    def test_latency_seconds(self):
-        message = Message(source="a", destination="b", kind=MessageKind.DATA,
-                          declared_size=1000)
-        latency = message.latency_seconds(0.01, 10_000.0)
-        assert latency == pytest.approx(0.01 + (Message.HEADER_BYTES + 1000) / 10_000.0)
-
-    def test_latency_with_zero_bandwidth_is_just_latency(self):
-        message = Message(source="a", destination="b", kind=MessageKind.DATA,
-                          declared_size=1000)
-        assert message.latency_seconds(0.02, 0.0) == 0.02
-
     def test_kinds_catalogue(self):
         assert MessageKind.AGENT_TRANSFER in MessageKind.ALL
         assert len(set(MessageKind.ALL)) == len(MessageKind.ALL)

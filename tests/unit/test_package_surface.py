@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import importlib.util
 import os
 import pathlib
 import pkgutil
@@ -111,7 +112,7 @@ def test_error_hierarchy_has_a_single_root():
 #: every KernelConfig field, in declaration order.  A new knob means editing
 #: this list: the field count is one of the size numbers kept going down.
 KERNEL_CONFIG_FIELDS = [
-    "step_cost", "meet_overhead", "max_agent_steps", "rng_seed", "retention",
+    "max_agent_steps", "rng_seed", "retention",
     "delivery_batch_window", "flow_window_min", "flow_window_max",
     "flow_target_batch",
     "durability", "store_commit_window",
@@ -123,15 +124,17 @@ KERNEL_CONFIG_FIELDS = [
 def test_kernel_config_fields_are_exactly_the_listed_knobs():
     from repro.core import KernelConfig
     assert [spec.name for spec in dataclasses.fields(KernelConfig)] == KERNEL_CONFIG_FIELDS
-    assert len(KERNEL_CONFIG_FIELDS) == 18
+    assert len(KERNEL_CONFIG_FIELDS) == 16
 
 
-#: knobs that were retired: the realtime backend's two, and eight costs no
-#: caller but a test ever set (now ``engine.SPAWN_OVERHEAD``,
+#: knobs that were retired: the realtime backend's two, and ten costs no
+#: caller but a test ever set (now ``engine.STEP_COST``,
+#: ``engine.MEET_OVERHEAD``, ``engine.SPAWN_OVERHEAD``,
 #: ``engine.TRANSMIT_OVERHEAD`` and ``StoreCosts.replay_latency``,
 #: ``recovery_base``, ``snapshot_threshold``, ``write_latency``,
 #: ``write_byte_latency`` and ``fsync_latency``).
-RETIRED_KERNEL_CONFIG_FIELDS = ["backend", "store_realtime_dir", "spawn_overhead",
+RETIRED_KERNEL_CONFIG_FIELDS = ["backend", "store_realtime_dir", "step_cost",
+                                "meet_overhead", "spawn_overhead",
                                 "transmit_overhead", "store_replay_latency",
                                 "store_recovery_base", "store_snapshot_threshold",
                                 "store_write_latency", "store_write_byte_latency",
@@ -144,6 +147,29 @@ def test_a_retired_knob_is_refused_not_ignored(knob):
     assert knob not in KERNEL_CONFIG_FIELDS
     with pytest.raises(TypeError, match=knob):
         KernelConfig(**{knob: None})
+
+
+#: the public definitions of ``src/repro`` that only tests call, sorted, each
+#: with why it stays.  ``tools/size_report.py`` counts them as
+#: ``test_only_defs``: a new one means editing this list.
+TEST_ONLY_DEFS = [
+    "FileCabinet.withdraw",              # deposit's inverse: the briefcase operations (§2)
+    "MailSystem.delivery_log",           # reads the log folder the letter agents write
+    "Mint.retired_value",                # the audit total of the retired-ECU table (§3)
+    "RateEstimator.mean_bytes",          # the second EWMA, beside the rate windows use
+    "SiteStore.dirty_count",             # folders waiting for the next group commit
+    "TcpTransport.connection_count",     # the channel cache that beats rsh (§6)
+    "Topology.can_communicate",          # path() without the NoRouteError
+    "Transport.pending_outbox_messages", # what the fabric holds between flushes
+]
+
+
+def test_test_only_definitions_are_exactly_the_listed_ones():
+    path = pathlib.Path(__file__).resolve().parents[2] / "tools" / "size_report.py"
+    spec = importlib.util.spec_from_file_location("size_report", path)
+    size_report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(size_report)
+    assert size_report.test_only_defs() == TEST_ONLY_DEFS == sorted(TEST_ONLY_DEFS)
 
 
 #: every public name on the ``Kernel`` facade, sorted.  ``tools/size_report.py``

@@ -13,9 +13,11 @@ import math
 import pytest
 
 from repro.core import Briefcase, Kernel, KernelConfig
+from repro.core.engine import STEP_COST
 from repro.core.errors import KernelError, UnknownSiteError
 from repro.core.folder import Folder
 from repro.net import FailureSchedule, lan
+from repro.net.message import MessageKind
 from repro.net.topology import LinkSpec, Topology
 from repro.net.tcp import TcpTransport
 from repro.shard import (MIN_LOOKAHEAD, ClockSync, default_shard_of,
@@ -76,13 +78,6 @@ class TestPlacement:
         assert placement["a"] == 1 and placement["b"] == 1
         assert placement["c"] == default_shard_of("c", 2)
 
-    def test_unknown_site_in_overrides_raises(self):
-        with pytest.raises(KernelError):
-            resolve_placement(["a"], 2, explicit={"ghost": 0})
-
-    def test_out_of_range_shard_raises(self):
-        with pytest.raises(KernelError):
-            resolve_placement(["a"], 2, explicit={"a": 5})
 
 
 class TestClockSync:
@@ -373,6 +368,17 @@ class TestFacadeLifecycle:
             kernel.add_site(names[0])
 
 
+def traced_report(ctx, briefcase):
+    """Transmit one report folder to PEER's sink contact on this agent's
+    trace, so the arrival records a "delivery" span (a system agent: only
+    those transmit)."""
+    yield ctx.sleep(0.01)
+    report = ctx.propagate_trace(Briefcase([Folder("REPORT", [{"from": ctx.site_name}])]))
+    report.set("PAYLOAD_NAME", "REPORT")
+    yield ctx.transmit(briefcase.get("PEER"), "sink", report,
+                       kind=MessageKind.FOLDER_DELIVERY)
+
+
 def headcount_at(ctx, briefcase):
     """How many agents are resident here the instant this one wakes."""
     yield ctx.sleep(briefcase.get("UNTIL"))
@@ -383,37 +389,48 @@ class TestSameTimestampOrder:
     """One handoff path: a tie between a local event and cross-shard mail
     breaks the same way wherever the engines execute."""
 
-    # Zero overheads make the instants exact: the sink starts at the very
-    # instant its mail arrives, and a sleep of x from time 0 wakes at x.
+    # Tracing records the report's delivery span, whose end is the instant
+    # the report reaches b (the report's bytes include its trace folders,
+    # so every run traces).
     CONFIG = dict(rng_seed=3, shards=2, shard_placement={"a": 0, "b": 1},
-                  meet_overhead=0.0, step_cost=0.0)
+                  obs_enabled=True)
 
-    def _run(self, backend, wake_at=None):
-        """Courier a report a -> b; optionally wake a head-counter on b."""
+    def _run(self, backend, sleep=None):
+        """Send a report a -> b; optionally wake a head-counter on b.
+
+        Returns the delivery instant and the head-counter's count.
+        """
         with Kernel(lan(["a", "b"], latency=0.1), transport="tcp",
                     config=KernelConfig(shard_backend=backend,
                                         **self.CONFIG)) as kernel:
             kernel.install_agent(None, "sink", sink)
             briefcase = Briefcase()
             briefcase.set("PEER", "b")
-            kernel.launch("a", courier, briefcase)
-            if wake_at is not None:
+            kernel.launch("a", traced_report, briefcase, system=True)
+            if sleep is not None:
                 briefcase = Briefcase()
-                briefcase.set("UNTIL", wake_at)
+                briefcase.set("UNTIL", sleep)
                 kernel.launch("b", headcount_at, briefcase, name="probe")
             kernel.run()
-            # Read back by name: the courier's arrival creates the sink
-            # agent, so no launch returned its id.
-            sink_run, = kernel.agents_named("sink")
+            delivery, = [span for span in kernel.trace_spans()
+                         if span["name"] == "delivery"]
             probe = kernel.agents_named("probe")
-            return sink_run.started_at, (probe[0].result if probe else None)
+            return delivery["end"], (probe[0].result if probe else None)
 
     def test_local_event_and_cross_shard_arrival_at_the_same_instant(self, backend):
         arrival, _ = self._run("inproc")
+        # The probe starts at 0 and wakes STEP_COST after its sleep: pick
+        # the sleep that puts the wake-up on the delivery instant, to the bit.
+        sleep = arrival - STEP_COST
+        while sleep + STEP_COST < arrival:
+            sleep = math.nextafter(sleep, math.inf)
+        while sleep + STEP_COST > arrival:
+            sleep = math.nextafter(sleep, -math.inf)
+        assert sleep + STEP_COST == arrival
         # b schedules the probe's wake-up in the very round a sends the
         # report, for the very instant the report is due.  The report
         # reaches b's queue with b's next burst, so the wake-up was queued
         # first and fires first: the probe counts only itself, not yet the
         # sink agent the delivery creates.  (A backend that put the handoff
         # on b's loop at send time would reverse this.)
-        assert self._run(backend, wake_at=arrival) == (arrival, 1)
+        assert self._run(backend, sleep=sleep) == (arrival, 1)

@@ -340,17 +340,6 @@ class TestCostAttribution:
         assert shard_set.overhead_seconds == pytest.approx(2.0)
         assert shard_set.rounds == 1
 
-    def test_busy_summary_reports_overhead(self):
-        timer = _TickTimer()
-        shard_set, shards = two_shard_set(timer)
-        shards[0].engine.loop.schedule_at(0.1, lambda: None)
-        shard_set.run()
-        summary = shard_set.busy_summary()
-        assert set(summary) >= {"max_busy", "total_busy", "sync_seconds",
-                                "overhead_seconds"}
-        assert summary["max_busy"] == shards[0].busy_seconds
-        assert summary["overhead_seconds"] == shard_set.overhead_seconds
-
 
 # ---------------------------------------------------------------------------
 # ClockSync dirty-flag coalescing
@@ -576,9 +565,10 @@ class TestWorkerHandle:
 
 def crash_kernel(backend, durability, shards=2, **config):
     """Four sites, "d" alone on shard 0 and "a".."c" on shard 1 (at shards=2)."""
+    placement = {"a": 1, "b": 1, "c": 1, "d": 0} if shards == 2 else None
     kernel = Kernel(lan(["a", "b", "c", "d"], latency=0.002), transport="tcp",
                     config=KernelConfig(rng_seed=7, shards=shards, shard_backend=backend,
-                                        shard_placement={"a": 1, "b": 1, "c": 1, "d": 0},
+                                        shard_placement=placement,
                                         durability=durability, **config))
     kernel.install_agent(None, SINK_NAME, report_sink)
     return kernel

@@ -28,8 +28,13 @@ under it (``kernel_public`` counts one class only).  ``test_only_defs``
 counts the public top-level functions and class methods under ``src/repro``
 whose name appears in no ``.py`` file outside ``tests/`` except on its own
 ``def`` line: code only the tests call (a word match, so a name shared with
-anything else outside ``tests/`` is not counted).  CI prints the line after
-tier-1; CHANGES.md records parent -> change per PR.
+anything else outside ``tests/`` is not counted).  Methods of ``_``-prefixed
+classes are not counted: they are internal, and a method such a class
+defines for a protocol (a file object's ``readinto`` for ``pickle``) is
+called by the standard library, not by name.
+``tests/unit/test_package_surface.py`` pins the qualified names that
+``test_only_defs()`` returns.  CI prints the line after tier-1; CHANGES.md
+records parent -> change for each change.
 """
 
 import ast
@@ -78,16 +83,23 @@ def package_public() -> int:
                for name in packages)
 
 
-def test_only_defs() -> int:
-    """Public functions and methods of ``src/repro`` that only tests name."""
+def test_only_defs() -> list:
+    """Qualified names (``Class.method`` or ``function``) of the public
+    functions and methods of ``src/repro`` that only tests name, sorted."""
     defs = []
     for path in sorted((SRC / "repro").rglob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            members = node.body if isinstance(node, ast.ClassDef) else [node]
-            defs += [(member.name, path, member.lineno) for member in members
+            if isinstance(node, ast.ClassDef):
+                if node.name.startswith("_"):
+                    continue
+                members, prefix = node.body, f"{node.name}."
+            else:
+                members, prefix = [node], ""
+            defs += [(member.name, prefix + member.name, path, member.lineno)
+                     for member in members
                      if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
                      and not member.name.startswith("_")]
-    names = {name for name, _, _ in defs}
+    names = {name for name, _, _, _ in defs}
     #: name -> the (file, line) places outside tests/ that mention it
     seen = collections.defaultdict(set)
     for path in ROOT.rglob("*.py"):
@@ -97,7 +109,8 @@ def test_only_defs() -> int:
         for lineno, line in enumerate(lines_of(path), 1):
             for word in names.intersection(re.findall(r"[A-Za-z_]\w*", line)):
                 seen[word].add((path, lineno))
-    return sum(seen[name] <= {(path, lineno)} for name, path, lineno in defs)
+    return sorted(qualified for name, qualified, path, lineno in defs
+                  if seen[name] <= {(path, lineno)})
 
 
 def cold_start() -> str:
@@ -119,7 +132,7 @@ if __name__ == "__main__":
           f"config_fields={len(dataclasses.fields(KernelConfig))}",
           f"kernel_public={sum(not name.startswith('_') for name in dir(Kernel))}",
           f"shards_branches={sum('_shards is' in line or 'distributed' in line for line in core)}",
-          f"test_only_defs={test_only_defs()}",
+          f"test_only_defs={len(test_only_defs())}",
           f"bench_files={len(stray)}",
           cold_start(),
           f"test_lines={sum(len(lines_of(path)) for path in (ROOT / 'tests').rglob('*.py'))}",
