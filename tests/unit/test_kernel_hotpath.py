@@ -3,7 +3,8 @@
 Covers the per-site resident index, the batched launch path, the memoised
 CODE-element derivation, and the bundled bugfixes: the undeliverable-message
 ledger, generator ``finally:`` execution on every terminal path, and the
-consistency of the index under crash/recover sequences.
+consistency of the index under crash/recover sequences; and how the engine
+routes an arrival by its kind.
 """
 
 from __future__ import annotations
@@ -266,6 +267,76 @@ class TestUndeliverableLedger:
         kernel.run()
         assert kernel.counters()["undeliverable"] == 0
         assert kernel.counters()["arrivals"] == 1
+
+
+def _to_b(kind, payload):
+    return Message(source="a", destination="b", kind=kind, payload=payload)
+
+
+def _addressed(contact, value):
+    """A contact-addressed payload carrying one folder ``X`` = [value]."""
+    return {"contact": contact,
+            "briefcase": pack_briefcase(Briefcase([Folder("X", [value])]))}
+
+
+class TestArrivalRouting:
+    """The engine routes every arrival by its kind alone: contact-addressed
+    traffic runs its contact, anything else waits in the site's
+    ``_messages`` cabinet, and a batch envelope routes each message it
+    carries."""
+
+    @pytest.fixture
+    def seen(self, engine):
+        seen = []
+
+        def listener(ctx, bc):
+            seen.append(bc.get("X"))
+            yield ctx.sleep(0)
+
+        engine.install_agent("b", "listener", listener)
+        return seen
+
+    def test_status_without_a_contact_waits_in_the_message_cabinet(self, engine):
+        engine._on_message("b", _to_b(MessageKind.STATUS, {"load": 0.5}))
+        assert engine.site("b").cabinet("_messages").elements(MessageKind.STATUS) == [
+            {"load": 0.5}]
+        assert engine.counters()["arrivals"] == 0
+
+    def test_contact_addressed_status_runs_its_contact(self, engine, seen):
+        engine._on_message("b", _to_b(MessageKind.STATUS, _addressed("listener", 7)))
+        engine.run_to()
+        assert seen == [7]
+        assert engine.counters()["arrivals"] == 1
+        assert engine.site("b").cabinet("_messages").elements(MessageKind.STATUS) == []
+
+    def test_a_batch_routes_each_message_by_its_own_kind(self, engine, seen):
+        envelope = _to_b(MessageKind.BATCH, {"messages": [
+            _to_b(MessageKind.DATA, {"n": 1}),
+            _to_b(MessageKind.FOLDER_DELIVERY, _addressed("listener", 2)),
+            _to_b(MessageKind.STATUS, {"n": 3})]})
+        envelope.delivered_at, envelope.hops = 0.25, 2
+        engine._on_message("b", envelope)
+        engine.run_to()
+        messages = engine.site("b").cabinet("_messages")
+        assert messages.elements(MessageKind.DATA) == [{"n": 1}]
+        assert messages.elements(MessageKind.STATUS) == [{"n": 3}]
+        assert seen == [2]
+        assert [(sub.delivered_at, sub.hops) for sub in envelope.payload["messages"]] == [
+            (0.25, 2)] * 3
+        assert engine.counters()["arrivals"] == 1
+
+    def test_a_batch_to_a_crashed_site_loses_every_message_it_carries(self, engine):
+        engine.site("b").mark_crashed()
+        engine._on_message("b", _to_b(MessageKind.BATCH, {"messages": [
+            _to_b(MessageKind.STATUS, {"n": n}) for n in range(3)]}))
+        assert engine.counters()["undeliverable"] == engine.site("b").undeliverable == 3
+
+    def test_an_arrival_for_an_uninstalled_contact_is_dropped_and_counted(self, engine):
+        engine._on_message("b", _to_b(MessageKind.FOLDER_DELIVERY, _addressed("ghost", 1)))
+        engine.run_to()
+        counters = engine.counters()
+        assert counters["undeliverable"] == engine.site("b").undeliverable == 1
+        assert counters["arrivals"] == 0 and counters["launched"] == 0
 
 
 class TestGeneratorCleanup:
