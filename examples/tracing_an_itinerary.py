@@ -45,13 +45,13 @@ def main() -> None:
             rng_seed=7,
             shards=2,                      # trace context crosses shards
             durability="wal-group-commit",  # WAL commits become infra spans
-            obs_enabled=True,
-            obs_path=trace_path))
+            obs_enabled=True))
         ft_id = launch_ft_computation(
             kernel, sites[0], sites[1:], ft_id="ft-demo", per_hop=0.25,
             durable_checkpoints=True)
         kernel.run(until=60.0)
-        kernel.close()                     # flushes the JSONL dump
+        kernel.dump_trace(trace_path)      # every recorded span, as JSONL
+        kernel.close()
 
         spans = load_trace(trace_path)
         print(f"dumped {len(spans)} spans for trace ids {trace_ids(spans)}")

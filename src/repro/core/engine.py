@@ -192,21 +192,15 @@ class LedgerQueries:
         return self.ring.export()
 
     def dump_trace(self, path: str) -> int:
-        """Write every recorded span to *path* as JSONL; returns the count.
+        """Write exactly what :meth:`trace_spans` returns to *path* as JSONL,
+        replacing the file; returns the span count.
 
-        One file per kernel however many engines run it, and wherever —
-        the :mod:`repro.obs.report` analyzer reconstructs itineraries and
-        latency breakdowns from it.
+        The one way a trace reaches disk, however many engines run the
+        kernel, and wherever: the :mod:`repro.obs.report` analyzer
+        reconstructs itineraries and latency breakdowns from the file.
         """
-        from repro.obs import JsonlSink
-        spans = self.trace_spans()
-        sink = JsonlSink(path)
-        try:
-            for span in spans:
-                sink.emit(span)
-        finally:
-            sink.close()
-        return len(spans)
+        from repro.obs.report import write_trace
+        return write_trace(path, self.trace_spans())
 
     def site_load(self, site_name: str) -> float:
         """The load metric of a site (what monitor agents report to brokers)."""
@@ -358,18 +352,11 @@ class Engine(LedgerQueries):
 
         Disabled (the default) returns the no-op tracer: every
         instrumentation point then costs one attribute read.  Spans land
-        in the engine's record ring; one of several engines records there
-        only — the facade merges the rings (``dump_trace``) — so
-        ``obs_path`` opens a live JSONL file only on a whole-simulation
-        engine.
+        in the engine's record ring.
         """
         if not self.config.obs_enabled:
             return Tracer.disabled()
-        from repro.obs import JsonlSink, TeeSink
-        sink = self.ring
-        if self.config.obs_path is not None and self.placement is None:
-            sink = TeeSink([sink, JsonlSink(self.config.obs_path)])
-        return Tracer(clock=self.loop, sink=sink, sample=self.config.obs_sample)
+        return Tracer(clock=self.loop, sink=self.ring, sample=self.config.obs_sample)
 
     def _make_transport(self, transport: Union[str, type]) -> Transport:
         """This engine's one transport, built on its loop, stats and
@@ -405,12 +392,8 @@ class Engine(LedgerQueries):
         self.stores[site.name] = store
 
     # ------------------------------------------------------------------
-    # lifecycle, sites, durable stores
+    # sites, durable stores
     # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release what this engine holds: its trace sink."""
-        self.obs.close()
 
     def add_site(self, name: str, links: Sequence = (),
                  install_system_agents: Optional[bool] = None) -> None:

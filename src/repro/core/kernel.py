@@ -24,7 +24,6 @@ talks to them through :data:`~repro.core.engine.ENGINE_PROTOCOL` alone.
 from __future__ import annotations
 
 import math
-import os
 from collections import ChainMap
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -45,6 +44,10 @@ from repro.store.sitestore import DURABILITY
 
 __all__ = ["Kernel", "KernelConfig"]
 
+#: the valid ``KernelConfig.shard_backend`` values (``repro.shard.BACKENDS``
+#: is this tuple), named here so checking a config imports no shard code
+SHARD_BACKENDS = ("inproc", "process")
+
 
 @dataclass
 class KernelConfig:
@@ -52,7 +55,8 @@ class KernelConfig:
 
     The engine's fixed per-operation costs are constants, not knobs:
     ``repro.core.engine.STEP_COST``, ``MEET_OVERHEAD``, ``SPAWN_OVERHEAD``
-    and ``TRANSMIT_OVERHEAD``.
+    and ``TRANSMIT_OVERHEAD``.  No knob names a trace file either: a trace
+    reaches disk when ``kernel.dump_trace(path)`` is called.
     """
 
     #: an agent exceeding this many steps is killed as a runaway (section 3
@@ -96,10 +100,10 @@ class KernelConfig:
     #: site of the topology and every id lie in [0, shards), whatever the
     #: shard count (one engine included)
     shard_placement: Optional[Dict[str, int]] = None
-    #: where each synchronisation round's shard bursts execute: "inproc"
-    #: (serial, the default) or "process" (long-lived spawn workers — real
-    #: multi-core parallelism; see :mod:`repro.shard.backend`).  Inert at
-    #: shards=1.
+    #: where each synchronisation round's shard bursts execute, one of
+    #: :data:`SHARD_BACKENDS`: "inproc" (serial, the default) or "process"
+    #: (long-lived spawn workers — real multi-core parallelism; see
+    #: :mod:`repro.shard.backend`).  Inert at shards=1.
     shard_backend: str = "inproc"
     #: causal tracing (repro.obs): off by default — every instrumentation
     #: point then costs a single attribute read
@@ -111,12 +115,6 @@ class KernelConfig:
     #: (``kernel.event_log``) and, with obs_enabled, its spans share it,
     #: and past it the oldest record of either kind is dropped
     obs_ring: int = 265_536
-    #: JSONL file this kernel's finished spans are written to, emptied
-    #: first (it never keeps an earlier kernel's spans).  With one engine
-    #: the file is written live; with several the facade writes it at
-    #: ``close()`` by merging every engine's ring (none opens the file itself)
-    obs_path: Optional[str] = None
-
 
     def validate(self) -> None:
         """Check every type, range and cross-field rule; raises :class:`KernelError`.
@@ -156,11 +154,10 @@ class KernelConfig:
                               f"expected one of {DURABILITY}")
         if self.shards < 1:
             raise KernelError(f"shards must be >= 1, got {self.shards}")
-        from repro.shard.backend import BACKENDS
-        if self.shard_backend not in BACKENDS:
+        if self.shard_backend not in SHARD_BACKENDS:
             raise KernelError(
                 f"unknown shard_backend {self.shard_backend!r}; "
-                f"expected one of {BACKENDS}")
+                f"expected one of {SHARD_BACKENDS}")
         placement = self.shard_placement
         if placement is not None and (
                 not isinstance(placement, Mapping)
@@ -179,10 +176,6 @@ class KernelConfig:
         if self.obs_sample > 1.0:
             raise KernelError(f"obs_sample must be in [0.0, 1.0], got "
                               f"{self.obs_sample}")
-        if self.obs_path is not None and not isinstance(self.obs_path, (str, os.PathLike)):
-            # open(5) writes into file descriptor 5, and closing closes it.
-            raise KernelError(f"obs_path must be None or a file path, got "
-                              f"{self.obs_path!r}")
         if self.obs_ring < 1:
             raise KernelError(f"obs_ring must be >= 1, got {self.obs_ring}")
         if self.delivery_batch_window == 0 and (
@@ -357,25 +350,21 @@ class Kernel(LedgerQueries):
         return summary
 
     def close(self) -> None:
-        """Release held resources: shard workers and the trace sink.
+        """Release held resources: the coordinator, if there is one, shuts
+        the backend's worker processes down.
 
         Idempotent — call it unconditionally when done with a kernel (or
-        use the kernel as a context manager, which calls it on exit).
-        Several engines: the facade writes ``obs_path`` (engines only
-        ring-buffer their spans) and shuts the backend's worker processes
-        down.  One engine: it closes its trace sink.  A closed kernel
-        still answers reads (``counters``, ``result_of``, ``stats``,
-        ``trace_spans``) but refuses to run, launch or change its sites.
+        use the kernel as a context manager, which calls it on exit).  It
+        writes nothing: a trace reaches disk through :meth:`dump_trace`.
+        A closed kernel still answers reads (``counters``, ``result_of``,
+        ``stats``, ``trace_spans``, ``dump_trace``) but refuses to run,
+        launch or change its sites.
         """
         if self._closed:
             return
         self._closed = True
-        if self._coordinator is None:
-            self._engines[0].close()
-            return
-        if self.config.obs_enabled and self.config.obs_path is not None:
-            self.dump_trace(self.config.obs_path)
-        self._coordinator.close()
+        if self._coordinator is not None:
+            self._coordinator.close()
 
     def __enter__(self) -> "Kernel":
         return self
@@ -420,7 +409,9 @@ class Kernel(LedgerQueries):
         if name in self._placement:
             raise KernelError(f"site {name!r} already exists")
         owner = (self.config.shard_placement or {}).get(name)
-        if owner is None:
+        if owner is None and self.config.shards == 1:
+            owner = 0
+        elif owner is None:
             from repro.shard import default_shard_of
             owner = default_shard_of(name, self.config.shards)
         owner = int(owner)

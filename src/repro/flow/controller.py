@@ -124,21 +124,12 @@ class FlowController:
     # -- introspection -----------------------------------------------------
 
     def state(self, key: FlowKey) -> Optional[FlowState]:
-        """The live state for *key*, or None if the pair has no history."""
-        return self._flows.get(key)
+        """The live state for *key*, or None if the pair has no history.
 
-    def telemetry(self) -> Dict[FlowKey, Dict[str, float]]:
-        """Per-pair window/rate snapshot (what the stats layer publishes)."""
-        return {
-            key: {
-                "window": state.window if self.adaptive else self.base_window,
-                "message_rate": state.estimator.message_rate,
-                "bytes_rate": state.estimator.bytes_rate,
-                "messages": state.estimator.events,
-                "bytes": state.estimator.bytes_total,
-            }
-            for key, state in self._flows.items()
-        }
+        The transport reads it at each flush and publishes the pair's
+        window and rates in ``NetworkStats.flow_windows``, the public read.
+        """
+        return self._flows.get(key)
 
     def __len__(self) -> int:
         return len(self._flows)

@@ -27,14 +27,11 @@ EWMA_ALPHA = 0.2
 class RateEstimator:
     """EWMA message and byte arrival rates for one traffic stream."""
 
-    __slots__ = ("events", "bytes_total", "_last_at", "_mean_gap",
-                 "_mean_bytes")
+    __slots__ = ("events", "_last_at", "_mean_gap", "_mean_bytes")
 
     def __init__(self):
         #: total observations ever fed in
         self.events = 0
-        #: total payload bytes ever fed in
-        self.bytes_total = 0
         self._last_at: Optional[float] = None
         self._mean_gap: Optional[float] = None
         self._mean_bytes: float = 0.0
@@ -42,7 +39,6 @@ class RateEstimator:
     def observe(self, now: float, size_bytes: int = 0) -> None:
         """Feed one arrival at simulated time *now* carrying *size_bytes*."""
         self.events += 1
-        self.bytes_total += size_bytes
         if self.events == 1:
             self._mean_bytes = float(size_bytes)
         else:

@@ -1,7 +1,10 @@
-"""Trace analyzer: JSONL trace file -> timelines and latency breakdowns.
+"""Trace files: the JSONL format's one writer and reader, and its analyzer.
 
-The functions here (and the CLI: ``python -m repro.obs.report trace.jsonl``)
-turn a span dump into the two views the experiments need:
+A trace file holds one span dict per line.  :func:`write_trace` writes it
+(``kernel.dump_trace(path)`` calls it with ``kernel.trace_spans()``) and
+:func:`load_trace` reads it back.  The other functions here (and the CLI:
+``python -m repro.obs.report trace.jsonl``) turn a span dump into the two
+views the experiments need:
 
 * **per-itinerary hop timelines** — every span of one trace in causal
   order: launch, each hop's execution, its checkpoint barrier wait, the
@@ -17,8 +20,28 @@ import sys
 from collections import defaultdict
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["load_trace", "build_trees", "trace_ids", "hop_timeline",
+__all__ = ["write_trace", "load_trace", "build_trees", "trace_ids", "hop_timeline",
            "format_timeline", "breakdown", "percentile", "main"]
+
+
+def write_trace(path: str, spans: Sequence[Dict[str, Any]]) -> int:
+    """Write *spans* to *path*, one JSON object per line; returns the count.
+
+    The file is replaced, so it holds these spans only, never an earlier
+    dump's.
+    """
+    with open(path, "w", encoding="utf-8") as handle:
+        for span in spans:
+            handle.write(json.dumps(span, sort_keys=True, default=_json_fallback) + "\n")
+    return len(spans)
+
+
+def _json_fallback(value: Any) -> Any:
+    """Encode an attr value JSON has no type for: a set as a sorted list,
+    anything else as its ``repr``."""
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    return repr(value)
 
 
 def load_trace(path: str) -> List[Dict[str, Any]]:

@@ -1,25 +1,22 @@
-"""Span sinks: where finished spans go.
+"""The span sink: where finished spans go.
 
-Every sink consumes plain dicts (:meth:`repro.obs.span.Span.to_dict`),
-so sinks compose freely and everything they hold is picklable (the ring
-also holds its engine's log lines, plain tuples):
-
-* :class:`RingSink` — bounded in-memory ring, the default, and each
-  engine's one record store: log lines share it with spans.  Keeps an
-  absolute emit counter so the process shard backend can ship *new*
-  records in each state digest (:meth:`RingSink.since`).
-* :class:`JsonlSink` — one JSON object per line, in a file it starts empty.
-* :class:`TeeSink` — fan a span out to several sinks (ring + file).
+:class:`RingSink` is a bounded in-memory ring and each engine's one record
+store: finished spans arrive as plain dicts
+(:meth:`repro.obs.span.Span.to_dict`) and its engine's log lines, plain
+tuples, share it, so everything it holds is picklable.  It keeps an
+absolute emit counter so the process shard backend can ship *new* records
+in each state digest (:meth:`RingSink.since`).  A trace reaches a file
+only through ``kernel.dump_trace(path)``, which writes what the rings hold
+with :func:`repro.obs.report.write_trace`.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from collections import deque
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
-__all__ = ["RingSink", "JsonlSink", "TeeSink"]
+__all__ = ["RingSink"]
 
 
 class RingSink:
@@ -66,69 +63,5 @@ class RingSink:
         skip = max(0, seq - self.dropped)
         return self.total, list(itertools.islice(self._records, skip, None))
 
-    def close(self) -> None:  # pragma: no cover - protocol completeness
-        pass
-
     def __len__(self) -> int:
         return len(self._records)
-
-
-class JsonlSink:
-    """Write spans to a file, one JSON object per line.
-
-    The file is truncated when the sink opens it, so it holds this sink's
-    spans only, never a previous run's.
-    """
-
-    __slots__ = ("path", "_handle")
-
-    def __init__(self, path: str):
-        self.path = path
-        self._handle = open(path, "w", encoding="utf-8")
-
-    def emit(self, span: Dict[str, Any]) -> None:
-        self._handle.write(json.dumps(span, sort_keys=True,
-                                      default=_json_fallback))
-        self._handle.write("\n")
-
-    def export(self) -> List[Dict[str, Any]]:
-        """JSONL sinks retain nothing in memory."""
-        return []
-
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                self._handle = None
-
-
-class TeeSink:
-    """Forward every span to several sinks (e.g. ring + JSONL file)."""
-
-    __slots__ = ("sinks",)
-
-    def __init__(self, sinks: Sequence):
-        self.sinks = list(sinks)
-
-    def emit(self, span: Dict[str, Any]) -> None:
-        for sink in self.sinks:
-            sink.emit(span)
-
-    def export(self) -> List[Dict[str, Any]]:
-        for sink in self.sinks:
-            spans = sink.export()
-            if spans:
-                return spans
-        return []
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
-
-
-def _json_fallback(value: Any) -> Any:
-    """Last-resort JSON encoding for exotic attr values."""
-    if isinstance(value, (set, frozenset, tuple)):
-        return sorted(value) if isinstance(value, (set, frozenset)) else list(value)
-    return repr(value)

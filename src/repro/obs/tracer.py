@@ -15,7 +15,7 @@ the same event sequence on every backend (the PR 7 invariant).
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.obs.sinks import RingSink
 from repro.obs.span import Span, span_id
@@ -101,15 +101,6 @@ class Tracer:
         self.sink.emit(span.to_dict())
         return span
 
-    # -- reading ---------------------------------------------------------------
-
-    def export(self) -> List[Dict[str, Any]]:
-        """Every span the sink retains, oldest first."""
-        return self.sink.export()
-
-    def close(self) -> None:
-        self.sink.close()
-
 
 class _NullSink:
     """Swallow everything (the disabled tracer's sink)."""
@@ -117,12 +108,6 @@ class _NullSink:
     __slots__ = ()
 
     def emit(self, span: Dict[str, Any]) -> None:  # pragma: no cover - guard
-        pass
-
-    def export(self) -> List[Dict[str, Any]]:
-        return []
-
-    def close(self) -> None:
         pass
 
 

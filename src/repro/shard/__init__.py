@@ -22,8 +22,9 @@ execute (:mod:`repro.shard.backend`): ``inproc`` (serial, the default) or
 ``process`` (long-lived spawn workers, real multi-core parallelism).  Both
 are property-tested to produce identical simulation results.
 
-``shards=1`` (the default) never builds any of this: it is the same facade
-over one engine, which has nothing to coordinate and runs its loop directly.
+``shards=1`` (the default) never imports this package, let alone builds
+any of it: it is the same facade over one engine, which has nothing to
+coordinate and runs its loop directly.
 """
 
 from repro.shard.backend import (BACKENDS, InprocBackend, ShardBackend,

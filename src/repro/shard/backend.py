@@ -26,13 +26,12 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
+# The valid ``KernelConfig.shard_backend`` values live beside that field.
+from repro.core.kernel import SHARD_BACKENDS as BACKENDS
 from repro.core.timing import default_timer
 
 __all__ = ["BACKENDS", "InprocBackend", "ShardBackend", "build_engines",
            "process_backend_available"]
-
-#: the valid ``KernelConfig.shard_backend`` values
-BACKENDS = ("inproc", "process")
 
 #: one burst's outcome: (events executed, busy seconds, outbound handoffs)
 Burst = Tuple[int, float, list]

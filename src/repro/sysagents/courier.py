@@ -52,6 +52,10 @@ def courier_behaviour(ctx: AgentContext, briefcase: Briefcase):
     delivery.add(briefcase.folder(payload_name).copy())
     delivery.set("SENDER_SITE", ctx.site_name)
     delivery.set("PAYLOAD_NAME", payload_name)
+    if ctx.obs.active:
+        # The delivery stays on the sender's trace: its network leg and the
+        # contact's run at the destination parent under the sender's span.
+        ctx.propagate_trace(delivery)
 
     if host == ctx.site_name:
         result = yield ctx.meet(contact, delivery)

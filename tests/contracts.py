@@ -20,13 +20,11 @@ own module.
 * :class:`BaseTestTransport`: the rsh, TCP and Horus transports (section 6),
   on their own and behind the delivery fabric.
 * :class:`BaseTestRetention`: the lifecycle ledger under any ``retention``.
-* :class:`BaseTestSpanSink`: the span sinks of :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import random
 import traceback
 import weakref
@@ -43,8 +41,6 @@ from repro.net.simclock import EventLoop
 from repro.net.stats import NetworkStats
 from repro.net.topology import LinkSpec, Topology
 from repro.net.transport import BATCHABLE_KINDS
-from repro.obs import Tracer
-from repro.obs.report import load_trace
 
 
 # ---------------------------------------------------------------------------
@@ -541,90 +537,3 @@ class BaseTestRetention:
         shown = "".join(traceback.format_exception(type(error), error,
                                                    error.__traceback__))
         assert "in fails_holding" in shown and 'raise RuntimeError("boom")' in shown
-
-
-# ---------------------------------------------------------------------------
-# span sinks
-# ---------------------------------------------------------------------------
-
-SPANS = [
-    {"trace_id": "t", "span_id": "t/a#1", "parent_id": None, "name": "a",
-     "start": 0.0, "end": 1.0},
-    {"trace_id": "t", "span_id": "t/b#2", "parent_id": "t/a#1", "name": "b",
-     "start": 0.5, "end": 0.75, "attrs": {"n": 1, "path": ["x", "y"]}},
-    {"trace_id": "~store:n1", "span_id": "~store:n1/sync#1", "parent_id": None,
-     "name": "sync", "start": 2.0, "end": 2.5},
-]
-
-
-class _Clock:
-    now = 1.5
-
-
-class BaseTestSpanSink:
-    """What every span sink owes: ``emit`` records span dicts in order in
-    each place the sink keeps them, ``export`` answers with the spans kept
-    in memory (none when the sink keeps none there), and ``close`` may be
-    called more than once.
-
-    Fixtures: ``sink``, a fresh sink, which may write ``trace_path``;
-    ``keeps``, the places it keeps spans: ``"memory"`` (read by ``export``),
-    ``"file"`` (``trace_path``), or both.
-    """
-
-    @pytest.fixture
-    def trace_path(self, tmp_path):
-        return str(tmp_path / "trace.jsonl")
-
-    @pytest.fixture
-    def recorded(self, keeps, trace_path):
-        """Reads the closed sink back from every place in ``keeps``: their
-        spans where all places agree, else each place's list."""
-
-        def read(sink):
-            kept = [sink.export() if place == "memory" else load_trace(trace_path)
-                    for place in keeps]
-            return kept[0] if all(spans == kept[0] for spans in kept) else kept
-
-        return read
-
-    def test_emitted_spans_are_recorded_in_order(self, sink, recorded):
-        for span in SPANS:
-            sink.emit(span)
-        sink.close()
-        assert recorded(sink) == SPANS
-
-    def test_export_is_what_the_sink_keeps_in_memory(self, sink, keeps):
-        for span in SPANS:
-            sink.emit(span)
-        assert sink.export() == (SPANS if "memory" in keeps else [])
-        sink.close()
-
-    def test_close_is_idempotent(self, sink, recorded):
-        sink.emit(SPANS[0])
-        sink.close()
-        sink.close()
-        assert recorded(sink) == SPANS[:1]
-
-    @pytest.fixture
-    def stale_trace(self, trace_path):
-        """A trace file an earlier run left behind; requested before
-        ``sink``, so it exists when the sink is built."""
-        with open(trace_path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(SPANS[-1]) + "\n")
-
-    def test_a_sink_over_an_old_trace_file_starts_it_empty(self, stale_trace, sink,
-                                                            recorded):
-        for span in SPANS[:2]:
-            sink.emit(span)
-        sink.close()
-        assert recorded(sink) == SPANS[:2]
-
-    def test_a_tracer_finishes_its_spans_into_the_sink(self, sink, recorded):
-        tracer = Tracer(clock=_Clock(), sink=sink)
-        span = tracer.begin("t", "work", "k", attrs={"a": 1})
-        tracer.finish(span, status="done")
-        sink.close()
-        [finished] = recorded(sink)
-        assert (finished["span_id"], finished["start"]) == ("t/work#k", 1.5)
-        assert finished["attrs"] == {"a": 1, "status": "done"}

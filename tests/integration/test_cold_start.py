@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import repro
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -74,3 +76,41 @@ def test_equal_latency_routes_do_not_depend_on_the_hash_seed():
     second = run_fresh(TIED_ROUTES, hash_seed="4242")
     assert first.count("\n") == 49
     assert first == second
+
+
+ONE_ENGINE_COURIER = """
+import sys
+
+from repro.core import Kernel
+from repro.core.folder import Folder
+from repro.net import lan
+
+
+def sink(ctx, briefcase):
+    yield ctx.sleep(0)
+    return "filed"
+
+
+def sender(ctx, briefcase):
+    sent = yield ctx.send_folder(Folder("REPORT", [b"x" * 64]), "c", "sink")
+    return sent.value
+
+
+kernel = Kernel(lan(["a", "b"]))
+kernel.add_site("c", links=["a"])
+kernel.install_agent(None, "sink", sink)
+agent = kernel.launch("a", sender)
+kernel.run()
+assert kernel.result_of(agent) is True
+print(sorted(name for name in sys.modules
+             if name.startswith(("repro.shard", "multiprocessing"))))
+"""
+
+
+@pytest.mark.one_engine(reason="the kernel is built in a fresh interpreter, "
+                               "which the strategy patch does not reach")
+def test_a_one_engine_kernel_imports_no_shard_code():
+    # Validating the config, placing a late site and couriering a folder
+    # need nothing from repro.shard; importing it (and multiprocessing,
+    # socket, selectors behind it) would land in every one-engine setup.
+    assert run_fresh(ONE_ENGINE_COURIER, hash_seed="0") == "[]\n"

@@ -233,11 +233,10 @@ class TestAdaptiveWindows:
         transmit_spaced(kernel, 20, gap=0.005)
         kernel.run()
         assert kernel.counters()["arrivals"] == 20
-        telemetry = kernel.transport.flow.telemetry()
-        info = telemetry[("a", "b")]
+        state = kernel.transport.flow.state(("a", "b"))
         # ~150+ msg/s stream: the window collapses well below the 0.5 seed.
-        assert info["window"] < 0.1
-        assert info["message_rate"] > 50
+        assert state.window < 0.1
+        assert state.estimator.message_rate > 50
         # ...and the tight window produced several batches instead of one.
         assert kernel.stats.batches > 2
 
@@ -248,10 +247,10 @@ class TestAdaptiveWindows:
         transmit_spaced(kernel, 6, gap=0.4)
         kernel.run()
         assert kernel.counters()["arrivals"] == 6
-        info = kernel.transport.flow.telemetry()[("a", "b")]
+        state = kernel.transport.flow.state(("a", "b"))
         # ~2.5 msg/s: the ideal window (target/rate ~ 1.6s) is far above
         # the 0.05 s base the pair would otherwise run, within the cap.
-        assert 1.0 < info["window"] <= 2.0
+        assert 1.0 < state.window <= 2.0
         # The wide window let spaced folders share wire messages where the
         # 0.05 base window would have shipped every one alone.
         assert kernel.stats.batches > 0
@@ -292,8 +291,8 @@ class TestAdaptiveWindows:
 
         kernel.launch("a", sender, system=True)
         kernel.run()
-        telemetry = kernel.transport.flow.telemetry()
-        assert telemetry[("a", "b")]["window"] < telemetry[("a", "c")]["window"]
+        windows = kernel.stats.flow_windows
+        assert windows[("a", "b")]["window"] < windows[("a", "c")]["window"]
 
     def test_stats_publish_per_pair_flow_telemetry(self):
         kernel = fabric_kernel(window=0.2, flow_window_min=0.01,
@@ -359,11 +358,12 @@ class TestAdaptiveFlowState:
         install_receiver(kernel)
         transmit_spaced(kernel, 20, gap=0.005)
         kernel.run(until=0.04)                  # hot: tight window learned
-        assert ("a", "b") in kernel.transport.flow.telemetry()
+        assert kernel.transport.flow.state(("a", "b")) is not None
+        assert ("a", "b") in kernel.stats.flow_windows
         assert kernel.transport.pending_outbox_messages() > 0
         kernel.crash_site("b")
-        # Flow state and telemetry for the pair are gone with the crash...
-        assert ("a", "b") not in kernel.transport.flow.telemetry()
+        # Flow state and its published windows are gone with the crash...
+        assert kernel.transport.flow.state(("a", "b")) is None
         assert ("a", "b") not in kernel.stats.flow_windows
         # ...and so is the armed outbox (no stale flush event fires later).
         assert kernel.transport.pending_outbox_messages() == 0
@@ -375,7 +375,7 @@ class TestAdaptiveFlowState:
         # flow state is re-learned for the dead pair.
         assert kernel.counters()["arrivals"] == arrivals_at_crash
         assert kernel.stats.batches == batches_at_crash
-        assert ("a", "b") not in kernel.transport.flow.telemetry()
+        assert kernel.transport.flow.state(("a", "b")) is None
 
     def test_recovered_destination_starts_from_the_seed_window(self):
         kernel = fabric_kernel(window=0.5, flow_window_min=0.01,
@@ -393,8 +393,8 @@ class TestAdaptiveFlowState:
         transmit_n(kernel, 2, contact="receiver")
         kernel.run()
         assert kernel.transport.pending_outbox_messages() == 0
-        info = kernel.transport.flow.telemetry().get(("a", "b"))
-        assert info is not None and info["messages"] == 2
+        state = kernel.transport.flow.state(("a", "b"))
+        assert state is not None and state.estimator.events == 2
 
     def test_fixed_mode_does_no_flow_estimation_on_the_hot_path(self):
         # With adaptive windows off, post() must not build per-pair EWMA
@@ -404,5 +404,5 @@ class TestAdaptiveFlowState:
         transmit_n(kernel, 5)
         kernel.run()
         assert kernel.counters()["arrivals"] == 5
-        assert kernel.transport.flow.telemetry() == {}
+        assert len(kernel.transport.flow) == 0
         assert kernel.stats.flow_windows == {}

@@ -100,7 +100,6 @@ class TestRateEstimator:
         estimator.observe(0.0, 10)
         estimator.observe(1.0, 30)
         assert estimator.events == 2
-        assert estimator.bytes_total == 40
 
 
 class TestFlowController:
@@ -154,14 +153,13 @@ class TestFlowController:
         assert controller.window_for(("a", "b")) == \
             controller.window_for(("fresh", "pair"))
 
-    def test_telemetry_shape(self):
+    def test_state_is_the_pair_window_and_estimator(self):
         controller = FlowController(base_window=0.1, window_min=0.01,
                                     window_max=1.0)
-        controller.observe(("a", "b"), 0.0, 64)
-        controller.observe(("a", "b"), 0.01, 64)
-        telemetry = controller.telemetry()
-        info = telemetry[("a", "b")]
-        assert set(info) == {"window", "message_rate", "bytes_rate",
-                             "messages", "bytes"}
-        assert info["messages"] == 2
-        assert info["bytes"] == 128
+        first = controller.observe(("a", "b"), 0.0, 64)
+        state = controller.observe(("a", "b"), 0.01, 64)
+        assert controller.state(("a", "b")) is state is first
+        assert state.window == controller.window_for(("a", "b"))
+        assert state.estimator.events == 2
+        assert state.estimator.bytes_rate == pytest.approx(64 * state.estimator.message_rate)
+        assert controller.state(("b", "a")) is None

@@ -91,7 +91,7 @@ class TestConstruction:
         ("store_commit_window", "0.1"), ("delivery_batch_window", math.nan),
         ("delivery_batch_window", -1.0), ("flow_window_min", -1.0),
         ("flow_window_max", -1.0), ("obs_sample", "0.5"), ("obs_sample", True),
-        ("obs_enabled", "yes"), ("obs_path", 5), ("shard_placement", ["a"]),
+        ("obs_enabled", "yes"), ("shard_placement", ["a"]),
         ("shard_placement", {"a": True}), ("shard_placement", {"a": "1"})])
     def test_a_mis_set_policy_knob_fails_before_any_engine_exists(
             self, knob, value, backend):
@@ -99,9 +99,8 @@ class TestConstruction:
         # engine (after process workers had spawned), as a value silently
         # truncated or accepted (obs_sample True, shard_placement "1"), as
         # every agent killed as a "runaway" (max_agent_steps 0), as "an
-        # event in the past" mid-run (a NaN delay), as a clock run to
-        # infinity (store_commit_window inf) or as spans written into file
-        # descriptor 5 (obs_path 5).
+        # event in the past" mid-run (a NaN delay) or as a clock run to
+        # infinity (store_commit_window inf).
         workers = set(multiprocessing.active_children())
         config = KernelConfig(shards=2, shard_backend=backend, **{knob: value})
         with pytest.raises(KernelError, match=knob):

@@ -8,16 +8,14 @@ reconstruction primitives and CLI.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from contracts import BaseTestSpanSink
 from repro.core import Briefcase, Kernel, KernelConfig
 from repro.net import lan
-from repro.obs import JsonlSink, RingSink, TeeSink, Tracer, infra_trace_id, span_id
+from repro.obs import RingSink, Tracer, infra_trace_id, span_id
 from repro.obs.report import (breakdown, build_trees, format_timeline, hop_timeline,
-                              load_trace, main, percentile, trace_ids)
+                              load_trace, main, percentile, trace_ids, write_trace)
+from repro.shard import process_backend_available
 
 
 class FakeClock:
@@ -50,8 +48,10 @@ def test_next_key_counter_is_deterministic():
 def test_disabled_tracer_is_inert():
     tracer = Tracer.disabled()
     assert not tracer.active
+    # Every disabled tracer shares one sink, which keeps nothing.
+    assert tracer.sink is Tracer.disabled().sink
+    assert type(tracer.sink).__slots__ == ()
     tracer.record("t", "noop", "k", start=0.0)
-    assert tracer.export() == []
 
 
 def test_begin_finish_stamps_clock_and_merges_attrs():
@@ -60,7 +60,7 @@ def test_begin_finish_stamps_clock_and_merges_attrs():
     span = tracer.begin("t", "work", "k", attrs={"a": 1})
     clock.now = 4.0
     tracer.finish(span, status="done")
-    [exported] = tracer.export()
+    [exported] = tracer.sink.export()
     assert exported["start"] == 1.5 and exported["end"] == 4.0
     assert exported["attrs"] == {"a": 1, "status": "done"}
     assert exported["span_id"] == "t/work#k"
@@ -98,36 +98,69 @@ def test_ring_sink_bounds_and_since():
     assert ring.since(seq) == (6, [])
 
 
-class TestRingSink(BaseTestSpanSink):
-    @pytest.fixture
-    def sink(self):
-        return RingSink()
-
-    @pytest.fixture
-    def keeps(self):
-        return ("memory",)
-
-
-class TestJsonlSink(BaseTestSpanSink):
-    @pytest.fixture
-    def sink(self, trace_path):
-        return JsonlSink(trace_path)
-
-    @pytest.fixture
-    def keeps(self):
-        return ("file",)
+SPANS = [
+    {"trace_id": "t", "span_id": "t/a#1", "parent_id": None, "name": "a",
+     "start": 0.0, "end": 1.0},
+    {"trace_id": "t", "span_id": "t/b#2", "parent_id": "t/a#1", "name": "b",
+     "start": 0.5, "end": 0.75, "attrs": {"n": 1, "path": ["x", "y"]}},
+    {"trace_id": "~store:n1", "span_id": "~store:n1/sync#1", "parent_id": None,
+     "name": "sync", "start": 2.0, "end": 2.5},
+]
 
 
-class TestTeeSink(BaseTestSpanSink):
-    """File first: ``export`` skips a sink that keeps no memory."""
+class TestRingSink:
+    """The one span sink: an engine's record ring."""
 
-    @pytest.fixture
-    def sink(self, trace_path):
-        return TeeSink([JsonlSink(trace_path), RingSink()])
+    def test_emitted_spans_are_recorded_in_order(self):
+        sink = RingSink()
+        for span in SPANS:
+            sink.emit(span)
+        assert sink.export() == SPANS
 
-    @pytest.fixture
-    def keeps(self):
-        return ("memory", "file")
+    def test_export_is_what_the_sink_keeps_in_memory(self):
+        # Log lines share the ring in emission order; export reads the spans.
+        sink = RingSink()
+        sink.emit(SPANS[0])
+        sink.emit((0.5, "agent-000001", "a", "note"))
+        sink.emit(SPANS[1])
+        assert sink.export() == SPANS[:2]
+        assert len(sink) == 3
+
+    def test_a_tracer_finishes_its_spans_into_the_sink(self):
+        sink = RingSink()
+        tracer = Tracer(clock=FakeClock(1.5), sink=sink)
+        span = tracer.begin("t", "work", "k", attrs={"a": 1})
+        tracer.finish(span, status="done")
+        [finished] = sink.export()
+        assert (finished["span_id"], finished["start"]) == ("t/work#k", 1.5)
+        assert finished["attrs"] == {"a": 1, "status": "done"}
+
+
+# -- the trace file ------------------------------------------------------------
+
+
+def test_write_trace_round_trips_spans_and_replaces_the_file(tmp_path):
+    path = str(tmp_path / "trace.jsonl")
+    assert write_trace(path, SPANS) == len(SPANS)
+    assert load_trace(path) == SPANS
+    assert write_trace(path, SPANS[:1]) == 1
+    assert load_trace(path) == SPANS[:1]
+
+
+def test_write_trace_encodes_attrs_json_has_no_type_for(tmp_path):
+    # A set comes back as a sorted list, a tuple as a list, anything else
+    # as its repr: one exotic attr value never loses the whole trace.
+    class Opaque:
+        def __repr__(self):
+            return "<opaque>"
+
+    span = dict(SPANS[0], attrs={"peers": {"c", "a", "b"}, "hop": ("a", 2),
+                                 "state": Opaque()})
+    path = str(tmp_path / "trace.jsonl")
+    write_trace(path, [span])
+    [loaded] = load_trace(path)
+    assert loaded["attrs"] == {"peers": ["a", "b", "c"], "hop": ["a", 2],
+                               "state": "<opaque>"}
 
 
 # -- event log: log lines in the record ring ---------------------------------
@@ -143,11 +176,9 @@ def test_obs_ring_bounds_the_kernel_event_log():
 
 
 def test_log_lines_stay_out_of_the_trace(tmp_path):
-    """Lines and spans share the ring, but the trace (export, dump, the
-    live JSONL file) holds spans only and the event log lines only."""
-    path = str(tmp_path / "trace.jsonl")
-    kernel = Kernel(lan(["a", "b"]),
-                    config=KernelConfig(obs_enabled=True, obs_path=path))
+    """Lines and spans share the ring, but the trace (export and the dumped
+    file) holds spans only and the event log lines only."""
+    kernel = Kernel(lan(["a", "b"]), config=KernelConfig(obs_enabled=True))
     briefcase = Briefcase()
     briefcase.set("DEST", "b")
     kernel.launch("a", visitor, briefcase)
@@ -158,9 +189,9 @@ def test_log_lines_stay_out_of_the_trace(tmp_path):
     assert spans and all(isinstance(span, dict) for span in spans)
     assert len(kernel.ring) == len(spans) + len(kernel.event_log)
     assert ("operator", "a", "note") in [line[1:] for line in kernel.event_log]
-    assert len(load_trace(path)) == len(spans)
     dumped = str(tmp_path / "dump.jsonl")
     assert kernel.dump_trace(dumped) == len(spans)
+    assert load_trace(dumped) == spans
 
 
 # -- report analyzer --------------------------------------------------------
@@ -269,31 +300,33 @@ def test_kernel_traces_one_migration_end_to_end():
     kernel.close()
 
 
-def test_dump_trace_matches_live_jsonl(tmp_path):
+@pytest.mark.skipif(not process_backend_available(),
+                    reason="multiprocessing spawn does not work on this host")
+def test_dump_trace_writes_what_process_workers_recorded(tmp_path):
+    # The spans reach the coordinator in the workers' state digests; the
+    # file holds exactly the merged stream trace_spans() reads.
+    from repro.fault import launch_ft_computation
     path = str(tmp_path / "trace.jsonl")
-    kernel = Kernel(lan(["a", "b"]),
-                    config=KernelConfig(obs_enabled=True, obs_path=path))
-    briefcase = Briefcase()
-    briefcase.set("DEST", "b")
-    kernel.launch("a", visitor, briefcase)
-    kernel.run()
-    live = kernel.trace_spans()
-    kernel.close()
-    with open(path, encoding="utf-8") as handle:
-        written = [json.loads(line) for line in handle if line.strip()]
-    assert [span["span_id"] for span in written] == \
-        [span["span_id"] for span in live]
+    sites = ["a", "b", "c", "d"]
+    with Kernel(lan(sites), config=KernelConfig(
+            obs_enabled=True, shards=2, shard_backend="process")) as kernel:
+        launch_ft_computation(kernel, sites[0], sites[1:], ft_id="ft-dumped")
+        kernel.run(until=60.0)
+        spans = kernel.trace_spans()
+        assert kernel.dump_trace(path) == len(spans)
+    assert {span["site"] for span in spans if span["name"] == "ft-hop"} == set(sites)
+    assert load_trace(path) == spans
 
 
 def _migration_trace(tmp_path) -> str:
-    """A JSONL trace of one traced migration, written live by a sim kernel."""
+    """A JSONL trace of one traced migration, dumped by a sim kernel."""
     path = str(tmp_path / "trace.jsonl")
-    kernel = Kernel(lan(["a", "b"]),
-                    config=KernelConfig(obs_enabled=True, obs_path=path))
+    kernel = Kernel(lan(["a", "b"]), config=KernelConfig(obs_enabled=True))
     briefcase = Briefcase()
     briefcase.set("DEST", "b")
     kernel.launch("a", visitor, briefcase)
     kernel.run()
+    kernel.dump_trace(path)
     kernel.close()
     return path
 
@@ -422,22 +455,21 @@ def test_ft_itinerary_reconstructs_from_one_jsonl_dump(tmp_path):
     """A rear-guarded itinerary on two shards with durable checkpoints: the
     whole journey — launch, one hop span per site, a migration between
     consecutive sites, checkpoint barrier waits, guard releases, delivery —
-    reads back from the facade's single JSONL file, with the WAL commits
+    reads back from the facade's single JSONL dump, with the WAL commits
     beside it under their own pseudo-trace ids."""
     from repro.fault import launch_ft_computation
     path = str(tmp_path / "trace.jsonl")
     sites = ["alpha", "beta", "gamma", "delta"]
     kernel = Kernel(lan(sites), config=KernelConfig(
-        shards=2, obs_enabled=True, obs_path=path,
-        durability="wal-group-commit"))
+        shards=2, obs_enabled=True, durability="wal-group-commit"))
     launch_ft_computation(kernel, sites[0], sites[1:], ft_id="ft-traced",
                           durable_checkpoints=True)
     kernel.run(until=120.0)
-    live = kernel.trace_spans()
     kernel.close()
+    kernel.dump_trace(path)
 
     dumped = load_trace(path)
-    assert len(dumped) == len(live)
+    assert dumped == kernel.trace_spans()
     assert "ft-traced" in trace_ids(dumped)
     rows = hop_timeline(dumped, "ft-traced")
     names = [row["name"] for row in rows]

@@ -117,28 +117,29 @@ KERNEL_CONFIG_FIELDS = [
     "flow_target_batch",
     "durability", "store_commit_window",
     "shards", "shard_placement", "shard_backend",
-    "obs_enabled", "obs_sample", "obs_ring", "obs_path",
+    "obs_enabled", "obs_sample", "obs_ring",
 ]
 
 
 def test_kernel_config_fields_are_exactly_the_listed_knobs():
     from repro.core import KernelConfig
     assert [spec.name for spec in dataclasses.fields(KernelConfig)] == KERNEL_CONFIG_FIELDS
-    assert len(KERNEL_CONFIG_FIELDS) == 16
+    assert len(KERNEL_CONFIG_FIELDS) == 15
 
 
-#: knobs that were retired: the realtime backend's two, and ten costs no
+#: knobs that were retired: the realtime backend's two, ten costs no
 #: caller but a test ever set (now ``engine.STEP_COST``,
 #: ``engine.MEET_OVERHEAD``, ``engine.SPAWN_OVERHEAD``,
 #: ``engine.TRANSMIT_OVERHEAD`` and ``StoreCosts.replay_latency``,
 #: ``recovery_base``, ``snapshot_threshold``, ``write_latency``,
-#: ``write_byte_latency`` and ``fsync_latency``).
+#: ``write_byte_latency`` and ``fsync_latency``), and the live trace file
+#: (a trace reaches disk through ``kernel.dump_trace(path)`` only).
 RETIRED_KERNEL_CONFIG_FIELDS = ["backend", "store_realtime_dir", "step_cost",
                                 "meet_overhead", "spawn_overhead",
                                 "transmit_overhead", "store_replay_latency",
                                 "store_recovery_base", "store_snapshot_threshold",
                                 "store_write_latency", "store_write_byte_latency",
-                                "store_fsync_latency"]
+                                "store_fsync_latency", "obs_path"]
 
 
 @pytest.mark.parametrize("knob", RETIRED_KERNEL_CONFIG_FIELDS)
