@@ -13,6 +13,7 @@ from typing import Dict, List
 
 from repro.core.briefcase import Briefcase
 from repro.core.context import AgentContext, wait_until_durable
+from repro.core.folder import Folder
 from repro.core.kernel import Kernel
 
 __all__ = ["mailbox_behaviour", "MAILBOX_AGENT_NAME", "MAILBOX_CABINET",
@@ -96,13 +97,9 @@ def mailbox_behaviour(ctx: AgentContext, briefcase: Briefcase):
             remaining = []
         deleted = len(letters) - len(remaining)
         if deleted:
-            mailbox_folder = cabinet.folder(folder_name, create=True)
-            mailbox_folder.replace(remaining)
-            # replace() mutates the Folder directly, bypassing the cabinet
-            # API: touch() re-indexes and marks the folder dirty so a
-            # durable spool journals the deletion (otherwise recovery would
-            # resurrect deleted letters).
-            cabinet.touch(folder_name)
+            # A whole-folder rewrite: a durable spool journals it, so
+            # recovery does not resurrect deleted letters.
+            cabinet.add(Folder(folder_name, remaining), replace=True)
         briefcase.set("DELETED", deleted)
         yield ctx.end_meet(deleted)
         store = ctx.store

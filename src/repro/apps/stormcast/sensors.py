@@ -127,10 +127,9 @@ class WeatherGenerator:
 def populate_sensor_site(kernel: Kernel, site_name: str, readings: Iterable[WeatherReading]) -> int:
     """Store *readings* in the site's weather cabinet; returns how many were stored."""
     cabinet = kernel.site(site_name).cabinet(SENSOR_CABINET)
-    folder = cabinet.folder(READINGS_FOLDER, create=True)
     stored = 0
     for reading in readings:
-        folder.push(reading.to_wire())
+        cabinet.put(READINGS_FOLDER, reading.to_wire())
         stored += 1
     return stored
 

@@ -94,8 +94,7 @@ def build_stormcast_kernel(params: StormCastParams) -> Kernel:
     populate_sensor_sites(kernel, sensors, params.samples_per_site, generator)
     # Sensor readings opt in *after* population: the pre-loaded readings
     # model data already on disk, so they become the cabinet's durable base
-    # image (opting in first would leave an empty image, and the direct
-    # Folder pushes in populate_sensor_site never reach the journal).
+    # image rather than journaled writes.
     kernel.make_durable(SENSOR_CABINET, sites=sensors)
     kernel.install_agent(params.hub_name, EXPERT_AGENT_NAME,
                          make_expert_behaviour(StormExpert()), replace=True)

@@ -95,8 +95,7 @@ def make_vendor_behaviour(price: int, signer: Signer,
 
         # 2. Bank the fresh (reissued) ECUs in the site-local till.
         if validation_request.has("FRESH"):
-            till_wallet = Wallet(_cabinet_briefcase(till), ECUS_FOLDER)
-            till_wallet.deposit(
+            Wallet(till).deposit(
                 [_ecu_from(record) for record in validation_request.folder("FRESH").elements()])
 
         # 3. Document the vendor's side (unless it is the denying cheat).
@@ -119,9 +118,8 @@ def make_vendor_behaviour(price: int, signer: Signer,
         # 5. Return change, if the till can make it.
         change_due = max(0, validated_total - price) if paid_enough else validated_total
         if change_due > 0 and cheat is None:
-            till_wallet = Wallet(_cabinet_briefcase(till), ECUS_FOLDER)
             try:
-                till_wallet.pay_into(briefcase, change_due, folder_name="CHANGE")
+                Wallet(till).pay_into(briefcase, change_due, folder_name="CHANGE")
             except InsufficientFundsError:
                 briefcase.set("CHANGE_OWED", change_due)
 
@@ -137,17 +135,6 @@ def make_vendor_behaviour(price: int, signer: Signer,
         return summary
 
     return vendor_behaviour
-
-
-def _cabinet_briefcase(cabinet) -> Briefcase:
-    """Adapt a cabinet to the Wallet API by wrapping its ECUS folder in a briefcase.
-
-    The wallet mutates the folder in place, and the folder object lives in
-    the cabinet, so deposits/withdrawals are durable at the site.
-    """
-    briefcase = Briefcase()
-    briefcase.add(cabinet.folder(ECUS_FOLDER, create=True))
-    return briefcase
 
 
 def _ecu_from(record):

@@ -3,16 +3,20 @@
 "Each agent stores records for the ECUs it owns.  An agent transfers funds
 by placing these records in a briefcase that is then passed to the intended
 recipient of those funds."  A :class:`Wallet` is a thin view over a folder
-(by convention named ``ECUS``) in a briefcase or cabinet: it parses the ECU
-records, selects coins for a payment, and writes the remainder back.
+(by convention named ``ECUS``) in a briefcase or a file cabinet: it parses
+the ECU records, selects coins for a payment, and writes the remainder back.
+It writes only through the API the two containers share (``put`` appends,
+``add(..., replace=True)`` rewrites), so a wallet in a durable cabinet — a
+vendor's till — journals every deposit and withdrawal.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.cash.ecu import ECU
 from repro.core.briefcase import Briefcase
+from repro.core.cabinet import FileCabinet
 from repro.core.errors import InsufficientFundsError
 from repro.core.folder import Folder
 
@@ -23,16 +27,17 @@ ECUS_FOLDER = "ECUS"
 
 
 class Wallet:
-    """A view over the ECU records stored in a briefcase folder."""
+    """A view over the ECU records stored in a briefcase or cabinet folder."""
 
-    def __init__(self, briefcase: Briefcase, folder_name: str = ECUS_FOLDER):
-        self._briefcase = briefcase
+    def __init__(self, holder: Union[Briefcase, FileCabinet],
+                 folder_name: str = ECUS_FOLDER):
+        self._holder = holder
         self._folder_name = folder_name
 
     # -- reading ------------------------------------------------------------------
 
     def _folder(self) -> Folder:
-        return self._briefcase.folder(self._folder_name, create=True)
+        return self._holder.folder(self._folder_name, create=True)
 
     def ecus(self) -> List[ECU]:
         """Every ECU currently in the wallet."""
@@ -49,16 +54,13 @@ class Wallet:
 
     def deposit(self, ecus: List[ECU]) -> None:
         """Add ECU records to the wallet."""
-        folder = self._folder()
         for ecu in ecus:
-            folder.push(ecu.to_wire())
+            self._holder.put(self._folder_name, ecu.to_wire())
 
     def replace_all(self, ecus: List[ECU]) -> None:
         """Overwrite the wallet contents with *ecus*."""
-        folder = self._folder()
-        folder.clear()
-        for ecu in ecus:
-            folder.push(ecu.to_wire())
+        self._holder.add(Folder(self._folder_name, [ecu.to_wire() for ecu in ecus]),
+                         replace=True)
 
     # -- payments ------------------------------------------------------------------
 

@@ -71,18 +71,14 @@ class FileCabinet:
     def attach_store(self, hook: Callable[[str], None]) -> None:
         """Route cabinet-level mutations to a durable store's journal.
 
-        The hook only sees mutations made through the cabinet API (``add``,
-        ``remove``, ``put``, ``deposit``, folder creation).  Code that grabs
-        a :class:`Folder` and mutates it directly must call :meth:`touch`
-        for the change to reach the journal.
+        The hook sees every change to a folder, because folders change only
+        through the cabinet API: ``put`` appends, ``add(..., replace=True)``
+        rewrites a whole folder, ``deposit`` merges, ``remove`` drops (and
+        ``folder(..., create=True)`` creates).  A :class:`Folder` got from
+        :meth:`folder` is for reading; editing it in place bypasses the
+        hook and the element index.
         """
         self._store_hook = hook
-
-    def touch(self, folder_name: str) -> None:
-        """Reconcile a direct Folder edit: drop what was derived from the
-        old contents and mark the folder dirty for the durable store."""
-        self._forget(folder_name)
-        self._notify(folder_name)
 
     def _notify(self, folder_name: str) -> None:
         if self._store_hook is not None:
@@ -192,9 +188,9 @@ class FileCabinet:
         next time decodes only what ``put`` appended since.  The dict is
         valid exactly as long as the folder has only been appended to: it is
         dropped wherever the element index is (``add``,
-        ``touch``, ``deposit``, ``remove``, ``clear``), so after a direct
-        edit or a crash-recovery restore the reader starts from the stored
-        bytes again.  It is never journaled, flushed, sized or moved.
+        ``deposit``, ``remove``, ``clear``), so after a rewrite or a
+        crash-recovery restore the reader starts from the stored bytes
+        again.  It is never journaled, flushed, sized or moved.
         """
         derived = self._derived.get(folder_name)
         if derived is None:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.cabinet import FileCabinet
+from repro.core.folder import Folder
 from repro.net.horus import GroupView, HorusTransport
 
 __all__ = ["TimeoutDetector", "Suspicion", "subscribe_horus_suspicions",
@@ -93,9 +94,7 @@ def subscribe_horus_suspicions(transport: HorusTransport, group: str,
     def observer(view: GroupView) -> None:
         previous: Sequence[str] = cabinet.get("last_members", default=[]) or []
         lost: List[str] = [member for member in previous if member not in view.members]
-        members_folder = cabinet.folder("last_members", create=True)
-        members_folder.clear()
-        members_folder.push(list(view.members))
+        cabinet.add(Folder("last_members", [list(view.members)]), replace=True)
         for site in lost:
             suspicion = Suspicion(site=site, suspected_at=0.0, source="horus-view",
                                   detail=f"dropped from view {view.view_id} of {group!r}")
@@ -106,7 +105,6 @@ def subscribe_horus_suspicions(transport: HorusTransport, group: str,
     transport.subscribe_views(group, observer)
     # Seed the baseline membership so the first view change has something to
     # diff against.
-    members_folder = cabinet.folder("last_members", create=True)
-    members_folder.clear()
-    members_folder.push(list(transport.group_view(group).members))
+    cabinet.add(Folder("last_members", [list(transport.group_view(group).members)]),
+                replace=True)
     return observer

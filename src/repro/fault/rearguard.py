@@ -167,11 +167,8 @@ def install_horus_guard_detection(kernel, group_name: str = GUARD_GROUP) -> None
             # Membership is read live from the kernel, not from a site list
             # captured at install time, so late-registered sites are judged
             # against current reality.
-            down_folder = cabinet.folder("group_down", create=True)
-            down_folder.replace([sorted(set(kernel.site_names()) - current)])
-            # replace() bypasses the cabinet API: mark the folder dirty so a
-            # durable rearguard cabinet journals the membership update.
-            cabinet.touch("group_down")
+            cabinet.add(Folder("group_down", [sorted(set(kernel.site_names()) - current)]),
+                        replace=True)
 
         return observer
 
@@ -241,10 +238,10 @@ def _folded_notices(cabinet, folder_name: str, fold) -> Dict[str, object]:
     ``releases`` and ``relaunch_acks`` only ever grow by ``cabinet.put``,
     and every guard at the site polls them, so the marks are kept in the
     cabinet's derived-state slot and each call decodes just the notices
-    filed since the previous one.  Whatever breaks "only grew" (``touch``,
-    ``remove``, a crash, the recovery restore) drops the slot, and the next
-    call re-derives the marks from the stored bytes.  Notices that are not
-    dicts or name no ``ft_id`` match no guard and are skipped.
+    filed since the previous one.  Whatever breaks "only grew" (a rewrite
+    by ``add``, ``remove``, a crash, the recovery restore) drops the slot,
+    and the next call re-derives the marks from the stored bytes.  Notices
+    that are not dicts or name no ``ft_id`` match no guard and are skipped.
     """
     if not cabinet.has(folder_name):
         return {}

@@ -28,20 +28,28 @@ def write_trace(path: str, spans: Sequence[Dict[str, Any]]) -> int:
     """Write *spans* to *path*, one JSON object per line; returns the count.
 
     The file is replaced, so it holds these spans only, never an earlier
-    dump's.
+    dump's.  Every span is encoded before the file is opened: a span that
+    cannot encode raises and leaves the earlier dump as it was.
     """
+    lines = [json.dumps(span, sort_keys=True, default=_json_fallback) + "\n"
+             for span in spans]
     with open(path, "w", encoding="utf-8") as handle:
-        for span in spans:
-            handle.write(json.dumps(span, sort_keys=True, default=_json_fallback) + "\n")
-    return len(spans)
+        handle.writelines(lines)
+    return len(lines)
 
 
 def _json_fallback(value: Any) -> Any:
-    """Encode an attr value JSON has no type for: a set as a sorted list,
-    anything else as its ``repr``."""
+    """Encode an attr value JSON has no type for: a set as a list ordered by
+    type name, then value (numbers and strings) or ``repr``, so a set of
+    mixed types encodes too; anything else as its ``repr``."""
     if isinstance(value, (set, frozenset)):
-        return sorted(value)
+        return sorted(value, key=_set_order)
     return repr(value)
+
+
+def _set_order(element: Any) -> Tuple[str, Any]:
+    kind = type(element)
+    return kind.__name__, element if kind in (int, float, str) else repr(element)
 
 
 def load_trace(path: str) -> List[Dict[str, Any]]:

@@ -40,6 +40,7 @@ from repro.core.briefcase import Briefcase
 from repro.core.cabinet import FileCabinet
 from repro.core.context import AgentContext
 from repro.core.errors import NoProviderError
+from repro.core.folder import Folder
 from repro.scheduling.policies import LoadEstimate, Policy, ProviderInfo, make_policy
 
 __all__ = [
@@ -168,9 +169,7 @@ class BrokerState:
         return dict(value) if isinstance(value, dict) else {}
 
     def _write_table(self, folder_name: str, rows: Dict[str, dict]) -> None:
-        folder = self._cabinet.folder(folder_name, create=True)
-        folder.clear()
-        folder.push(rows)
+        self._cabinet.add(Folder(folder_name, [rows]), replace=True)
 
     def _bump(self, folder_name: str, key: str = "count") -> None:
         rows = self._read_table(folder_name)

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from repro.core.briefcase import Briefcase
 from repro.core.context import AgentContext
+from repro.core.folder import Folder
 
 __all__ = [
     "make_guardian_behaviour", "AdmissionPolicy",
@@ -68,9 +69,7 @@ def admit_rate_limited(max_per_window: int, window: float = 1.0) -> AdmissionPol
         else:
             bucket["count"] += 1
             admitted = True
-        folder = cabinet.folder("rate_bucket", create=True)
-        folder.clear()
-        folder.push(bucket)
+        cabinet.add(Folder("rate_bucket", [bucket]), replace=True)
         return admitted
 
     return policy
@@ -112,8 +111,7 @@ def make_guardian_behaviour(protected_agent_name: str,
                     forwarded += 1
                 else:
                     still_pending.append(request)
-            pending_folder = cabinet.folder("pending", create=True)
-            pending_folder.replace(still_pending)
+            cabinet.add(Folder("pending", still_pending), replace=True)
             briefcase.set("FORWARDED", forwarded)
             yield ctx.end_meet(forwarded)
             return forwarded

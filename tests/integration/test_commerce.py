@@ -18,11 +18,10 @@ from repro.net import two_clusters
 PRICE = 10
 
 
-@pytest.fixture
-def marketplace():
+def open_market(config):
     """A transatlantic marketplace: shoppers in Tromsø, the vendor at Cornell."""
     kernel = Kernel(two_clusters(["tromso", "narvik"], ["cornell"]), transport="tcp",
-                    config=KernelConfig(rng_seed=77))
+                    config=config)
     mint = Mint(seed=77)
     directory = KeyDirectory()
     register_behaviour("shopper", shopper_behaviour, replace=True)
@@ -33,6 +32,11 @@ def marketplace():
                                                signer=directory.new_signer("vendor-corp")),
                          replace=True)
     return kernel, mint, directory
+
+
+@pytest.fixture
+def marketplace():
+    return open_market(KernelConfig(rng_seed=77))
 
 
 def launch_shopper(kernel, mint, directory, name, cheat=None):
@@ -61,6 +65,11 @@ def launch_shopper(kernel, mint, directory, name, cheat=None):
 def outcomes(kernel):
     return {entry["exchange_id"]: entry
             for entry in kernel.site("tromso").cabinet("purchases").elements("outcomes")}
+
+
+def till_value(kernel):
+    return sum(record["amount"]
+               for record in kernel.site("cornell").cabinet("till").elements("ECUS"))
 
 
 def test_full_marketplace_run(marketplace):
@@ -92,11 +101,9 @@ def test_full_marketplace_run(marketplace):
 
     # Money is conserved: what the honest shoppers kept plus the vendor's
     # till equals what was minted for them (the cheats added nothing real).
-    till = kernel.site("cornell").cabinet("till")
-    till_value = sum(record["amount"] for record in till.elements("ECUS"))
     kept = sum(results[f"exchange-{name}"]["remaining_balance"]
                for name in ("alice", "bob", "carol"))
-    assert till_value + kept == supply_before
+    assert till_value(kernel) + kept == supply_before
 
     # Audits: the auditor pins the trudy fraud on trudy, and clears alice.
     auditor = Auditor(directory)
@@ -129,3 +136,21 @@ def test_commerce_works_over_every_transport(marketplace):
         kernel.run(until=120.0)
         results = outcomes(kernel)
         assert results[f"exchange-traveller-{transport}"]["got_service"] is True
+
+
+def test_a_durable_till_keeps_every_sale_across_a_crash():
+    """Each sale's deposit into the vendor's till is a journaled cabinet write,
+    so a till made durable comes back from a crash holding every committed sale."""
+    kernel, mint, directory = open_market(
+        KernelConfig(rng_seed=77, durability="wal-group-commit"))
+    kernel.make_durable("till", sites=["cornell"])
+    launch_shopper(kernel, mint, directory, "alice")
+    kernel.run(until=60.0)           # the first sale, committed
+    launch_shopper(kernel, mint, directory, "bob")
+    kernel.run(until=120.0)          # the second, then long past the commit window
+    assert till_value(kernel) == 2 * PRICE
+    kernel.crash_site("cornell")
+    kernel.recover_site("cornell")
+    kernel.run(until=150.0)          # the replay completes
+    assert kernel.site("cornell").alive
+    assert till_value(kernel) == 2 * PRICE

@@ -92,7 +92,7 @@ def test_put_indexes_exactly_the_element_it_stored(before, after, probe):
 
 @given(st.lists(element_strategy, min_size=1, max_size=10),
        st.lists(st.tuples(
-           st.sampled_from(["put", "touch", "remove", "deposit", "add", "recover",
+           st.sampled_from(["put", "rewrite", "remove", "deposit", "add", "recover",
                             "query"]),
            element_strategy), max_size=12),
        element_strategy)
@@ -110,10 +110,9 @@ def test_the_index_is_derived_state(initial, edits, probe):
     for edit, element in edits:
         if edit == "put":
             cabinet.put("ASKED", element)
-        elif edit == "touch":
-            if cabinet.has("ASKED"):
-                cabinet.folder("ASKED").push(element)  # behind the cabinet's back
-            cabinet.touch("ASKED")
+        elif edit == "rewrite":  # the whole folder again, one element longer
+            cabinet.add(Folder("ASKED", cabinet.elements("ASKED") + [element]),
+                        replace=True)
         elif edit == "remove":
             if cabinet.has("ASKED"):
                 cabinet.remove("ASKED")
@@ -130,7 +129,7 @@ def test_the_index_is_derived_state(initial, edits, probe):
 
 
 @given(st.lists(element_strategy, min_size=1, max_size=8),
-       st.sampled_from(["touch", "remove", "clear", "add", "deposit", "restore"]))
+       st.sampled_from(["remove", "clear", "add", "deposit", "restore"]))
 def test_derived_state_lives_and_dies_with_the_index(elements, edit):
     cabinet = FileCabinet("c")
     cabinet.put("X", elements[0])
@@ -140,9 +139,7 @@ def test_derived_state_lives_and_dies_with_the_index(elements, edit):
         cabinet.put("X", element)          # appends leave it alone
     assert cabinet.derived("X") == {"seen": 1}
     size = cabinet.storage_size()
-    if edit == "touch":
-        cabinet.touch("X")
-    elif edit == "remove":
+    if edit == "remove":
         cabinet.remove("X")
     elif edit == "clear":
         cabinet.clear()
@@ -153,7 +150,7 @@ def test_derived_state_lives_and_dies_with_the_index(elements, edit):
     else:
         restore_cabinet(cabinet, capture_cabinet(cabinet))
     assert cabinet.derived("X") == {}
-    if edit in ("touch", "add", "restore"):
+    if edit in ("add", "restore"):
         assert cabinet.storage_size() == size      # never counted as stored
-    cabinet.touch("Y")                     # touching a missing folder drops its slot
+    cabinet.add(Folder("Y"))               # creating the folder drops its slot
     assert cabinet.derived("Y") == {}

@@ -127,7 +127,7 @@ steps = st.one_of(
     st.tuples(st.just("checkpoint"), st.sampled_from(FT_IDS), seqs),
     st.tuples(st.just("junk-checkpoint"), malformed),
     st.tuples(st.just("prune")),
-    st.tuples(st.just("touch"), st.sampled_from(NOTICE_FOLDERS + [CHECKPOINTS_FOLDER])),
+    st.tuples(st.just("rewrite"), st.sampled_from(NOTICE_FOLDERS + [CHECKPOINTS_FOLDER])),
     st.tuples(st.just("remove"), st.sampled_from(NOTICE_FOLDERS + [CHECKPOINTS_FOLDER])),
     st.tuples(st.just("drop-newest"), st.sampled_from(NOTICE_FOLDERS)),
     st.tuples(st.just("restore")),
@@ -151,16 +151,19 @@ def apply_step(cabinet, step):
         after = (cabinet.folder(CHECKPOINTS_FOLDER).raw_elements()
                  if cabinet.has(CHECKPOINTS_FOLDER) else [])
         assert after == survivors == reencoded
-    elif kind == "touch":
-        cabinet.touch(step[1])
+    elif kind == "rewrite":
+        # The same bytes again, written as a whole folder.
+        if cabinet.has(step[1]):
+            stored = cabinet.folder(step[1]).raw_elements()
+            cabinet.add(Folder.from_stored(step[1], stored), replace=True)
     elif kind == "remove":
         if cabinet.has(step[1]):
             cabinet.remove(step[1])
     elif kind == "drop-newest":
-        # A direct Folder edit, reconciled the documented way (touch).
+        # A shrinking edit breaks "only grew": rewrite without the newest.
         if cabinet.has(step[1]) and cabinet.folder(step[1]):
-            cabinet.folder(step[1]).pop()
-            cabinet.touch(step[1])
+            stored = cabinet.folder(step[1]).raw_elements()[:-1]
+            cabinet.add(Folder.from_stored(step[1], stored), replace=True)
     elif kind == "restore":
         # What crash recovery does: clear, then re-add byte-exact folders.
         image = capture_cabinet(cabinet)

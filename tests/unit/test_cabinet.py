@@ -116,22 +116,22 @@ class TestCostModel:
         assert briefcase.wire_size() < cabinet.move_cost()
 
 
-class TestTouch:
-    def test_touch_rebuilds_the_element_index_after_direct_folder_edits(self):
+class TestRewrite:
+    def test_a_rewrite_rebuilds_the_element_index(self):
         cabinet = FileCabinet("spool")
         cabinet.put("letters", {"id": 1})
         cabinet.put("letters", {"id": 2})
         assert cabinet.contains_element("letters", {"id": 1})
-        cabinet.folder("letters").replace([{"id": 2}])
-        cabinet.touch("letters")
+        cabinet.add(Folder("letters", [{"id": 2}]), replace=True)
         assert not cabinet.contains_element("letters", {"id": 1})
         assert cabinet.contains_element("letters", {"id": 2})
 
-    def test_touch_notifies_the_store_hook(self):
+    def test_a_rewrite_notifies_the_store_hook(self):
         seen = []
         cabinet = FileCabinet("spool")
         cabinet.attach_store(seen.append)
         cabinet.put("letters", {"id": 1})
-        cabinet.folder("letters").replace([])
-        cabinet.touch("letters")
-        assert seen.count("letters") >= 2     # put + touch both journal
+        seen.clear()
+        cabinet.add(Folder("letters"), replace=True)
+        assert seen == ["letters"]
+        assert cabinet.elements("letters") == []

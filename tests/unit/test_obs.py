@@ -163,6 +163,37 @@ def test_write_trace_encodes_attrs_json_has_no_type_for(tmp_path):
                                "state": "<opaque>"}
 
 
+def tagger(attrs):
+    def behaviour(ctx, briefcase):
+        ctx.obs.record("t-1", "tag", "k", ctx.now, attrs=attrs)
+        yield ctx.sleep(0)
+    return behaviour
+
+
+def test_a_mixed_type_set_attr_round_trips_through_dump_trace(tmp_path):
+    kernel = Kernel(lan(["a"]), config=KernelConfig(obs_enabled=True))
+    kernel.launch("a", tagger({"peers": {"a", 1}}), Briefcase())
+    kernel.run()
+    path = str(tmp_path / "trace.jsonl")
+    assert kernel.dump_trace(path) == len(kernel.trace_spans())
+    [tag] = [span for span in load_trace(path) if span["name"] == "tag"]
+    assert tag["attrs"] == {"peers": [1, "a"]}        # by type name, then value
+
+
+def test_a_span_that_cannot_encode_leaves_the_earlier_dump(tmp_path):
+    kernel = Kernel(lan(["a"]), config=KernelConfig(obs_enabled=True))
+    kernel.launch("a", tagger({"peers": {"b", "a"}}), Briefcase())
+    kernel.run()
+    path = tmp_path / "trace.jsonl"
+    kernel.dump_trace(str(path))
+    before = path.read_bytes()
+    kernel.launch("a", tagger({("a", 2): "a tuple key has no JSON form"}), Briefcase())
+    kernel.run()
+    with pytest.raises(TypeError):
+        kernel.dump_trace(str(path))
+    assert path.read_bytes() == before
+
+
 # -- event log: log lines in the record ring ---------------------------------
 
 

@@ -162,6 +162,16 @@ TEST_ONLY_DEFS = [
     "TcpTransport.connection_count",     # the channel cache that beats rsh (§6)
     "Topology.can_communicate",          # path() without the NoRouteError
     "Transport.pending_outbox_messages", # what the fabric holds between flushes
+    "admit_authorized",                  # a guardian policy: named principals only (§4)
+    "admit_rate_limited",                # a guardian policy: requests per window (§4)
+    "broker_state",                      # BrokerState(cabinet) under the §4 broker's name
+    "code_from_source",                  # a CODE element carrying source, not a name (§2)
+    "make_gossip_behaviour",             # brokers pushing their tables to peers (§4)
+    "make_guardian_behaviour",           # the guardian in front of a secret agent (§4)
+    "merged_load_table",                 # every broker's load table, merged across shards
+    "random_topology",                   # the connected random graph diffusion floods
+    "resolve_behaviour",                 # a behaviour name against the default registry
+    "unpack_briefcase",                  # pack_briefcase's inverse, by its wire name
 ]
 
 

@@ -27,8 +27,10 @@ the whole package: ``len(__all__)`` summed over ``repro`` and every package
 under it (``kernel_public`` counts one class only).  ``test_only_defs``
 counts the public top-level functions and class methods under ``src/repro``
 whose name appears in no ``.py`` file outside ``tests/`` except on its own
-``def`` line: code only the tests call (a word match, so a name shared with
-anything else outside ``tests/`` is not counted).  Methods of ``_``-prefixed
+``def`` line and in ``import`` statements and ``__all__`` lists (naming a
+function there re-exports it, nobody calls it): code only the tests call (a
+word match, so a name shared with anything else outside ``tests/`` is not
+counted).  Methods of ``_``-prefixed
 classes are not counted: they are internal, and a method such a class
 defines for a protocol (a file object's ``readinto`` for ``pickle``) is
 called by the standard library, not by name.
@@ -106,11 +108,33 @@ def test_only_defs() -> list:
         parts = path.relative_to(ROOT).parts
         if parts[0] in ("tests", ".git") or "__pycache__" in parts:
             continue
-        for lineno, line in enumerate(lines_of(path), 1):
+        text = path.read_text(encoding="utf-8")
+        exports = reexport_lines(ast.parse(text))
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if lineno in exports:
+                continue
             for word in names.intersection(re.findall(r"[A-Za-z_]\w*", line)):
                 seen[word].add((path, lineno))
     return sorted(qualified for name, qualified, path, lineno in defs
                   if seen[name] <= {(path, lineno)})
+
+
+def reexport_lines(tree: ast.Module) -> set:
+    """The line numbers of every ``import`` statement and ``__all__``
+    assignment in *tree*, continuation lines included."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                or any(isinstance(target, ast.Name) and target.id == "__all__"
+                       for target in targets)):
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return lines
 
 
 def cold_start() -> str:
