@@ -7,7 +7,9 @@ recipient of those funds."  A :class:`Wallet` is a thin view over a folder
 the ECU records, selects coins for a payment, and writes the remainder back.
 It writes only through the API the two containers share (``put`` appends,
 ``add(..., replace=True)`` rewrites), so a wallet in a durable cabinet — a
-vendor's till — journals every deposit and withdrawal.
+vendor's till — journals every deposit and withdrawal.  Reading writes
+nothing: an absent folder reads as an empty wallet, and only a deposit
+creates it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,11 @@ class Wallet:
     # -- reading ------------------------------------------------------------------
 
     def _folder(self) -> Folder:
-        return self._holder.folder(self._folder_name, create=True)
+        """The wallet's folder for reading; an absent one reads as empty and
+        is not created (only a deposit creates it)."""
+        if not self._holder.has(self._folder_name):
+            return Folder(self._folder_name)
+        return self._holder.folder(self._folder_name)
 
     def ecus(self) -> List[ECU]:
         """Every ECU currently in the wallet."""

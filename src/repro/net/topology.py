@@ -15,11 +15,13 @@ raise :class:`UnknownSiteError`; a down endpoint, endpoints in different
 partition groups, or no chain of up sites raise :class:`NoRouteError` — the
 endpoint and partition checks run on every call, cached route or not.  The
 search is a bidirectional Dijkstra owned by this module (no graph library):
-it settles two half-radius balls instead of one full one, so a miss on a
-2,000-site fabric touches about 5% of the sites.  Routes are memoised per
-``(source, destination)`` in ``_route_cache``; ``add_site``, ``add_link``,
-``mark_down``, ``mark_up``, ``set_partition`` and ``heal_partition`` clear
-it, nothing else does.  Equal-latency alternatives are resolved by
+it settles two half-radius balls instead of one full one, and it never
+pushes a stub (a site with one link) that is not an endpoint, since no
+simple route passes through one — so a host-to-host miss on a 2,000-host
+switched fabric settles its two ends and a few switches.  Routes are
+memoised per ``(source, destination)`` in ``_route_cache``; ``add_site``,
+``add_link``, ``mark_down``, ``mark_up``, ``set_partition`` and
+``heal_partition`` clear it, nothing else does.  Equal-latency alternatives are resolved by
 construction order alone — heap ties fall to an insertion counter and
 neighbours are scanned in the order their links were added — so a route
 never depends on string hashing or on any library's convention.
@@ -205,7 +207,11 @@ class Topology:
         entries are ``(distance, counter, site)``: equal distances pop in
         push order, and neighbours are pushed in link-insertion order, so
         which of several equal-latency routes wins is fixed by how the
-        topology was built.  Callers have checked that both ends are up.
+        topology was built.  A stub — a peer whose one link leads back to
+        the site being expanded — is never pushed unless it is *a* or *b*:
+        it cannot be an interior site of a simple route, so skipping it
+        keeps every route and saves settling, say, a switch's other hosts.
+        Callers have checked that both ends are up.
         """
         links, down = self._links, self._down
         # Each is a (from a, from b) pair, indexed by the side being expanded.
@@ -238,6 +244,8 @@ class Topology:
             for peer, spec in links[site].items():
                 if peer in down or peer in done:
                     continue
+                if len(links[peer]) == 1 and peer != a and peer != b:
+                    continue  # a stub: its one link leads back here
                 length = distance + spec.latency
                 if peer not in near or length < near[peer]:
                     near[peer] = length
@@ -254,8 +262,8 @@ class Topology:
         """(transfer seconds, hop count, worst loss rate) for a message of *size_bytes*.
 
         The route itself is memoised per (source, destination): transports
-        call this once per message, and above a few hundred sites the
-        per-message shortest-path search is the simulation's real hot path.
+        call this once per message, and a miss costs a search (on a
+        switched fabric, one that settles a few switches).
         Only the route (its link specs) is cached; the per-link cost sum is
         re-evaluated per call in exactly the pre-cache order, so cached and
         uncached calls produce bit-identical transfer times.
@@ -379,6 +387,8 @@ def switched_fabric(host_names: Sequence[str], hosts_per_switch: int = 50,
     ``hosts_per_switch`` to a rack, each host links to its rack switch, and
     the switches form a small full mesh.  Same-rack traffic costs
     ``2 * host_latency``; cross-rack traffic adds one ``trunk_latency``.
+    Every host is a stub (one link, to its switch), so a host-to-host route
+    search settles the two hosts and switches only, never another host.
 
     The switch nodes (``sw00``, ``sw01``, ...) are ordinary topology sites —
     a kernel will create (agent-less) sites for them — so callers that

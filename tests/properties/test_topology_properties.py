@@ -1,9 +1,10 @@
 """Property-based tests for the routing contract of repro.net.topology.
 
-The oracle is a Floyd–Warshall pass written here, over the same inputs the
-topology was given — no graph library on either side.  Latencies are small
-multiples of 2**-10, so float sums are exact in any order and equal-latency
-alternatives are the common case, not the rare one.
+The oracles are written here — a Floyd–Warshall pass over the inputs the
+topology was given, and an enumeration of every simple path — with no graph
+library on either side.  Latencies are small multiples of 2**-10 (zero
+included in the stub topologies), so float sums are exact in any order and
+equal-latency alternatives are the common case, not the rare one.
 """
 
 from __future__ import annotations
@@ -147,3 +148,69 @@ def test_routes_match_a_floyd_warshall_oracle_through_mutations(script):
     for op in mutations:
         model.apply(topo, op)            # … which every mutation must clear
         check_every_pair(topo, model)
+
+
+@st.composite
+def stubbed_topologies(draw):
+    """A small core with one-link sites (stubs) hung off it, some down.
+
+    Latencies are 0, 1 or 2 × 2**-10, so zero-latency links and
+    equal-latency ties are common; a partition may split the sites.
+    """
+    n_core = draw(st.integers(1, 6))
+    n_stub = draw(st.integers(0, 6))
+    latency = st.integers(0, 2).map(lambda k: k / 1024)
+    core = [f"c{i}" for i in range(n_core)]
+    topo = Topology()
+    for name in core:
+        topo.add_site(name)
+    if n_core > 1:
+        pairs = [(a, b) for i, a in enumerate(core) for b in core[i + 1:]]
+        for a, b in draw(st.lists(st.sampled_from(pairs), unique=True)):
+            topo.add_link(a, b, LinkSpec(latency=draw(latency)))
+    for i in range(n_stub):
+        topo.add_link(f"h{i}", draw(st.sampled_from(core)), LinkSpec(latency=draw(latency)))
+    names = topo.sites()
+    for name in draw(st.lists(st.sampled_from(names), max_size=3, unique=True)):
+        topo.mark_down(name)
+    if draw(st.booleans()):
+        groups = draw(st.lists(st.integers(0, 2), min_size=len(names), max_size=len(names)))
+        topo.set_partition([[name for name, g in zip(names, groups) if g == wanted]
+                            for wanted in (0, 1)])
+    return topo
+
+
+def cheapest_simple_path(topo: Topology, a: str, b: str):
+    """Brute force: the least latency over every simple path of up sites, or None."""
+    if topo.is_down(a) or topo.is_down(b) or topo.partitioned(a, b):
+        return None
+    best = math.inf
+
+    def walk(site, cost, seen):
+        nonlocal best
+        if site == b:
+            best = min(best, cost)
+            return
+        for peer in topo.neighbors(site):
+            if peer not in seen and not topo.is_down(peer):
+                walk(peer, cost + topo.link(site, peer).latency, seen | {peer})
+
+    walk(a, 0.0, {a})
+    return None if math.isinf(best) else best
+
+
+@given(stubbed_topologies())
+@settings(max_examples=200)
+def test_routes_are_cheapest_skip_stubs_and_repeat(topo):
+    for a in topo.sites():
+        for b in topo.sites():
+            want = cheapest_simple_path(topo, a, b)
+            if want is None:
+                with pytest.raises(NoRouteError):
+                    topo.path(a, b)
+                continue
+            route = topo.path(a, b)
+            assert route[0] == a and route[-1] == b
+            assert sum(topo.link(u, v).latency for u, v in zip(route, route[1:])) == want
+            assert all(len(topo.neighbors(hop)) > 1 for hop in route[1:-1])
+            assert topo.path(a, b) == route

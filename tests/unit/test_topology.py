@@ -158,6 +158,28 @@ class TestRouting:
         assert topo.path("h0017", "h1983") == ["h0017", "sw00", "sw39", "h1983"]
         assert 0 < len(pops) < len(topo) // 10
 
+    def test_a_host_to_host_search_settles_switches_not_hosts(self, monkeypatch):
+        # A host has one link, so no route passes through one: a search
+        # pushes no host but its own two ends, and pops at most the switches
+        # from each side plus the ends.  Searching host by host popped ~194.
+        hosts = [f"h{i:04d}" for i in range(2000)]
+        topo = switched_fabric(hosts, hosts_per_switch=100)
+        switches = len(topo) - len(hosts)
+        heappop = topology_module.heappop
+        pops = []
+
+        def counting_pop(heap):
+            pops.append(1)
+            return heappop(heap)
+
+        monkeypatch.setattr(topology_module, "heappop", counting_pop)
+        for a, b in (("h0000", "h0099"), ("h0000", "h0100"), ("h0517", "h1983"),
+                     ("h1999", "h0042"), ("h1234", "h1235")):
+            pops.clear()
+            route = topo.path(a, b)
+            assert route[0] == a and route[-1] == b and len(route) in (3, 4)
+            assert len(pops) <= 2 * switches + 4, (a, b, len(pops))
+
 
 class TestFailuresAndPartitions:
     def test_down_site_breaks_routes(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cash import ECUS_FOLDER, Mint, Wallet
-from repro.core import Briefcase
+from repro.core import Briefcase, FileCabinet
 from repro.core.errors import InsufficientFundsError
 
 
@@ -20,6 +20,26 @@ class TestWallet:
         assert wallet.balance() == 0
         assert wallet.ecus() == []
         assert len(wallet) == 0
+
+    def test_reading_a_cabinet_wallet_creates_and_journals_nothing(self):
+        seen = []
+        till = FileCabinet("till")
+        till.attach_store(seen.append)
+        wallet = Wallet(till)
+        assert (wallet.balance(), wallet.ecus(), len(wallet)) == (0, [], 0)
+        assert seen == [] and not till.has(ECUS_FOLDER)
+
+    def test_reading_a_briefcase_wallet_leaves_the_briefcase_as_it_was(self):
+        briefcase = Briefcase()
+        briefcase.set("OTHER", "x")
+        names, size = briefcase.names(), briefcase.wire_size()
+        assert Wallet(briefcase).balance() == 0
+        assert (briefcase.names(), briefcase.wire_size()) == (names, size)
+
+    def test_a_deposit_creates_the_folder(self, mint):
+        till = FileCabinet("till")
+        Wallet(till).deposit([mint.issue(5)])
+        assert till.has(ECUS_FOLDER) and Wallet(till).balance() == 5
 
     def test_deposit_and_balance(self, mint):
         wallet = Wallet(Briefcase())

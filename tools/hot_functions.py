@@ -8,6 +8,7 @@
     python3 tools/hot_functions.py churn --mem
     python3 tools/hot_functions.py churn --calls
     python3 tools/hot_functions.py churn_shards2 --rss
+    python3 tools/hot_functions.py churn --setup
 
 The ledger's per-layer table says which *layer* a run's time is in; this
 says which functions, so that finding the next hot spot needs no ad-hoc
@@ -65,6 +66,20 @@ imports included, and move with the host's allocator and Python build.  A
 launcher script that execs the interpreter (a version-manager shim) leaves
 the children it reaped in ``children_mb``: a few MiB on one-engine workloads.
 
+With ``--setup`` it decomposes the ledger's ``setup_s`` instead of the
+region: in a fresh interpreter it times what ``ledger_rep.py`` times (the
+imports of ``repro`` and the ledger modules, then ``build()``) and prints
+one line, ``modules`` being the ``repro`` modules loaded by then::
+
+    SETUP churn import_s=0.131 build_s=0.068 modules=75
+
+then profiles the same imports and build in a second fresh interpreter and
+lists its top functions by self time, as the default mode does.  Where
+``PYTHONDONTWRITEBYTECODE=1`` is set and the tree holds no ``__pycache__/``,
+most of the import is source compile (one run: ``compile`` was about 0.1 s of
+a 0.15 s import, over 46 calls), so ``setup_s`` shrinks with the source lines
+on the import path.
+
 It only reads ``benchmarks/ledger/ledger_workloads.py``
 (``WORKLOADS[name].generate/build/drive`` and ``FULL``/``QUICK``), needs no
 ``PYTHONPATH``, and except for ``--rss`` covers this process only (not
@@ -81,7 +96,9 @@ import pathlib
 import pstats
 import re
 import resource
+import subprocess
 import sys
+import tempfile
 import time
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -299,6 +316,58 @@ def rss_report(name: str, workload, inputs) -> None:
     print(f"RSS {name} self_mb={self_kib / 1024:.1f} children_mb={children_kib / 1024:.1f}")
 
 
+def setup_region(name: str, seed: int, quick: bool, profile_path: str = "") -> None:
+    """ledger_rep.py's ``setup_s`` region, run in a fresh interpreter.
+
+    Prints its timings as one ``import_s build_s modules`` line, or with
+    *profile_path* runs it under cProfile and writes the stats there.
+    """
+    import hashlib, json  # noqa: E401,F401 -- what ledger_rep.py imports before its timer
+    profiler = cProfile.Profile() if profile_path else None
+    if profiler is not None:
+        profiler.enable()
+    started = time.perf_counter()
+    import repro  # noqa: F401
+    import ledger_layers  # noqa: F401
+    import ledger_workloads
+    import_s = time.perf_counter() - started
+    if profiler is not None:
+        profiler.disable()  # generating the inputs is outside setup_s
+    workload = ledger_workloads.WORKLOADS[name]
+    inputs = workload.generate(seed, ledger_workloads.QUICK if quick else ledger_workloads.FULL)
+    if profiler is not None:
+        profiler.enable()
+    started = time.perf_counter()
+    kernel = workload.build(inputs)
+    build_s = time.perf_counter() - started
+    if profiler is not None:
+        profiler.disable()
+        profiler.dump_stats(profile_path)
+    modules = sum(module == "repro" or module.startswith("repro.") for module in sys.modules)
+    kernel.close()
+    if profiler is None:
+        print(import_s, build_s, modules)
+
+
+def setup_report(name: str, seed: int, quick: bool, top: int, callers) -> None:
+    """Time, then profile, ``setup_s``'s region, each in a fresh interpreter."""
+    def run(profile_path: str = "") -> str:
+        here = pathlib.Path(__file__).resolve()
+        paths = [str(here.parent), str(REPO / "benchmarks" / "ledger"), str(REPO / "src")]
+        code = (f"import sys; sys.path[:0] = {paths!r}; import {here.stem} as tool; "
+                f"tool.setup_region({name!r}, {seed}, {quick}, {profile_path!r})")
+        return subprocess.run([sys.executable, "-c", code], check=True,
+                              stdout=subprocess.PIPE, text=True).stdout
+
+    import_s, build_s, modules = run().split()
+    print(f"SETUP {name} import_s={float(import_s):.3f} build_s={float(build_s):.3f} "
+          f"modules={modules}")
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "setup.prof")
+        run(path)
+        report(pstats.Stats(path), top, callers)
+
+
 def main(argv=None) -> int:
     sys.path[:0] = [str(REPO / "benchmarks" / "ledger"), str(REPO / "src")]
     import ledger_workloads
@@ -323,9 +392,16 @@ def main(argv=None) -> int:
     parser.add_argument("--rss", action="store_true",
                         help="no profiler: peak resident sets of this process and "
                              "of its largest child (a shard worker): one RSS line")
+    parser.add_argument("--setup", action="store_true",
+                        help="the ledger's setup_s region (imports + build) in fresh "
+                             "interpreters: one SETUP line, then its top functions")
     parser.add_argument("--quick", action="store_true",
                         help="the ledger's tiny self-test populations")
     args = parser.parse_args(argv)
+    if args.setup:
+        setup_report(args.workload, args.seed, args.quick,
+                     20 if args.top is None else args.top, args.callers)
+        return 0
     workload = ledger_workloads.WORKLOADS[args.workload]
     inputs = workload.generate(
         args.seed, ledger_workloads.QUICK if args.quick else ledger_workloads.FULL)
