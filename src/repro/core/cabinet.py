@@ -74,7 +74,8 @@ class FileCabinet:
         The hook sees every change to a folder, because folders change only
         through the cabinet API: ``put`` appends, ``add(..., replace=True)``
         rewrites a whole folder, ``deposit`` merges, ``remove`` drops (and
-        ``folder(..., create=True)`` creates).  A :class:`Folder` got from
+        ``folder(..., create=True)`` creates) — one notice each, a ``put``
+        that creates its folder included.  A :class:`Folder` got from
         :meth:`folder` is for reading; editing it in place bypasses the
         hook and the element index.
         """
@@ -144,7 +145,10 @@ class FileCabinet:
 
     def put(self, folder_name: str, element: Any) -> None:
         """Push *element* into *folder_name*, creating the folder if needed."""
-        folder = self.folder(folder_name, create=True)
+        folder = self._folders.get(folder_name)
+        if folder is None:
+            folder = self._folders[folder_name] = Folder(folder_name)
+            self._forget(folder_name)
         folder.push(element)
         index = self._index.get(folder_name)
         if index is not None:

@@ -126,6 +126,18 @@ class TestRewrite:
         assert not cabinet.contains_element("letters", {"id": 1})
         assert cabinet.contains_element("letters", {"id": 2})
 
+    def test_every_put_gives_exactly_one_notice(self):
+        seen = []
+        cabinet = FileCabinet("spool")
+        cabinet.attach_store(seen.append)
+        cabinet.put("letters", {"id": 1})         # creates the folder
+        assert seen == ["letters"]
+        cabinet.put("letters", {"id": 2})
+        cabinet.remove("letters")
+        cabinet.put("letters", {"id": 3})         # creates it again
+        assert seen == ["letters"] * 4
+        assert cabinet.elements("letters") == [{"id": 3}]
+
     def test_a_rewrite_notifies_the_store_hook(self):
         seen = []
         cabinet = FileCabinet("spool")
