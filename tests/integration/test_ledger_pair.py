@@ -4,7 +4,8 @@ One tree on both sides at the ledger's ``--quick`` populations: the pair
 runs, every end-to-end metric is summarised per side, the trajectory row is
 written, and no fingerprint input moved.  The ``CALLS`` line the row carries
 is exact: it repeats over runs and hash seeds.  ``hot_functions.py --rss``
-reads both processes a ``churn_shards2`` memory claim can be in.
+reads both processes a ``churn_shards2`` memory claim can be in, and
+``--setup`` splits ``setup_s`` into its imports and build.
 """
 
 from __future__ import annotations
@@ -81,6 +82,20 @@ def test_rss_line_reads_the_coordinator_and_its_largest_worker():
     assert match, line
     # A reaped shard worker is a whole interpreter with repro imported.
     assert float(match[1]) > 8 and float(match[2]) > 8, line
+
+
+def test_setup_line_splits_setup_s_and_the_profile_leaves_out_the_inputs():
+    done = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "hot_functions.py"), "churn", "--quick",
+         "--setup", "--top", "1000"], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    first, *profiled = done.stdout.strip().splitlines()
+    match = re.fullmatch(r"SETUP churn import_s=(\d+\.\d{3}) build_s=(\d+\.\d{3}) "
+                         r"modules=(\d+)", first)
+    assert match and float(match[1]) > 0 and float(match[2]) > 0 and int(match[3]) > 10, first
+    listed = "\n".join(profiled)
+    assert "ledger_workloads.py" in listed and "(build)" in listed, listed
+    assert "(generate)" not in listed, listed
 
 
 def test_moved_keys_are_the_fingerprint_inputs_that_differ():

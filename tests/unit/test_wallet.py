@@ -36,11 +36,6 @@ class TestWallet:
         assert Wallet(briefcase).balance() == 0
         assert (briefcase.names(), briefcase.wire_size()) == (names, size)
 
-    def test_a_deposit_creates_the_folder(self, mint):
-        till = FileCabinet("till")
-        Wallet(till).deposit([mint.issue(5)])
-        assert till.has(ECUS_FOLDER) and Wallet(till).balance() == 5
-
     def test_deposit_and_balance(self, mint):
         wallet = Wallet(Briefcase())
         wallet.deposit(mint.issue_many([5, 10]))
