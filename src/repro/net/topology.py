@@ -21,10 +21,10 @@ simple route passes through one — so a host-to-host miss on a 2,000-host
 switched fabric settles its two ends and a few switches.  Routes are
 memoised per ``(source, destination)`` in ``_route_cache``; ``add_site``,
 ``add_link``, ``mark_down``, ``mark_up``, ``set_partition`` and
-``heal_partition`` clear it, nothing else does.  Equal-latency alternatives are resolved by
-construction order alone — heap ties fall to an insertion counter and
-neighbours are scanned in the order their links were added — so a route
-never depends on string hashing or on any library's convention.
+``heal_partition`` clear it, nothing else does.  Equal-latency alternatives
+are resolved by construction order alone — heap ties fall to an insertion
+counter and neighbours are scanned in the order their links were added — so
+a route never depends on string hashing or on any library's convention.
 """
 
 from __future__ import annotations

@@ -71,14 +71,15 @@ region: in a fresh interpreter it times what ``ledger_rep.py`` times (the
 imports of ``repro`` and the ledger modules, then ``build()``) and prints
 one line, ``modules`` being the ``repro`` modules loaded by then::
 
-    SETUP churn import_s=0.131 build_s=0.068 modules=75
+    SETUP churn import_s=0.107 build_s=0.028 modules=50
 
-then profiles the same imports and build in a second fresh interpreter and
-lists its top functions by self time, as the default mode does.  Where
-``PYTHONDONTWRITEBYTECODE=1`` is set and the tree holds no ``__pycache__/``,
-most of the import is source compile (one run: ``compile`` was about 0.1 s of
-a 0.15 s import, over 46 calls), so ``setup_s`` shrinks with the source lines
-on the import path.
+then profiles the same imports and build (not the input generation between
+them) in a second fresh interpreter and lists its top functions by self time,
+as the default mode does.  Where ``PYTHONDONTWRITEBYTECODE=1`` is set and the
+tree holds no ``__pycache__/``, most of the import is source compile (on a
+2-core host, CPython 3.11: ``builtins.compile`` took 0.08-0.1 s over 52 calls
+against a 0.1-0.13 s import), so ``setup_s`` shrinks with the source lines on
+the import path.
 
 It only reads ``benchmarks/ledger/ledger_workloads.py``
 (``WORKLOADS[name].generate/build/drive`` and ``FULL``/``QUICK``), needs no
