@@ -83,8 +83,9 @@ the import path.
 
 It only reads ``benchmarks/ledger/ledger_workloads.py``
 (``WORKLOADS[name].generate/build/drive`` and ``FULL``/``QUICK``), needs no
-``PYTHONPATH``, and except for ``--rss`` covers this process only (not
-``churn_shards2``'s workers).  Profiled times are 2-3x untraced ones and
+``PYTHONPATH``, and except for ``--rss`` and ``--setup`` (which runs in
+fresh interpreters) covers this process only (not ``churn_shards2``'s
+workers).  Profiled times are 2-3x untraced ones and
 under-weigh C code; measure a change with the ledger, not with this.
 """
 
