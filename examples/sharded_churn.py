@@ -10,12 +10,8 @@ latencies — advances every shard only as far as its neighbours cannot
 affect, and the mail router hands cross-shard folders over at send time.
 ``KernelConfig(shard_backend=...)`` chooses where the per-round shard
 bursts execute: serially (``"inproc"``, the default, used below) or on
-spawned worker processes (``"process"``).  This example stays on
-``inproc``: its behaviours are functions defined in this file, and a
-spawn worker can only unpickle a function whose module it can import by
-name, which a script loaded from a file path (as ``tests/`` loads every
-example) is not.  Behaviours meant for ``process`` live in an importable
-module, as the test suite's ``tests/scenarios.py`` couriers do.
+worker processes forked from this one (``"process"``).  This example
+stays on ``inproc``, which every platform has.
 
 The example runs a churn of courier agents whose report destinations sit
 on *other* shards, then shows the two properties that matter:

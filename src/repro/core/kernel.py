@@ -102,7 +102,7 @@ class KernelConfig:
     shard_placement: Optional[Dict[str, int]] = None
     #: where each synchronisation round's shard bursts execute, one of
     #: :data:`SHARD_BACKENDS`: "inproc" (serial, the default) or "process"
-    #: (long-lived spawn workers — real multi-core parallelism; see
+    #: (long-lived forked workers — real multi-core parallelism; see
     #: :mod:`repro.shard.backend`).  Inert at shards=1.
     shard_backend: str = "inproc"
     #: causal tracing (repro.obs): off by default — every instrumentation
@@ -122,7 +122,7 @@ class KernelConfig:
         The :class:`Kernel` facade calls this once, before it builds any
         engine (engines and shard workers trust the config they are
         handed), so a mis-set knob fails naming its field before a process
-        worker spawns.
+        worker starts.
         """
         for name in ("shards", "max_agent_steps", "flow_target_batch",
                      "obs_ring", "rng_seed"):

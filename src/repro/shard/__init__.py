@@ -19,7 +19,7 @@ and routed to its owner by the coordinator between rounds.
 
 ``KernelConfig(shard_backend=...)`` selects where each round's bursts
 execute (:mod:`repro.shard.backend`): ``inproc`` (serial, the default) or
-``process`` (long-lived spawn workers, real multi-core parallelism).  Both
+``process`` (long-lived forked workers, real multi-core parallelism).  Both
 are property-tested to produce identical simulation results.
 
 ``shards=1`` (the default) never imports this package, let alone builds

@@ -12,9 +12,10 @@ rounds — and the backend decides only *where* each ``run_to`` executes:
     baseline the process backend is property-tested against.
 
 ``process``
-    Across a pipe, in one long-lived spawn worker per shard
-    (:class:`~repro.shard.procworker.ProcessBackend`): the same calls,
-    pickled; facade views are served from per-run state digests.
+    Across a pipe, in one long-lived worker per shard, forked from the
+    coordinator (:class:`~repro.shard.procworker.ProcessBackend`): the
+    same calls, pickled; facade views are served from per-run state
+    digests.
 
 Budget semantics are part of the contract: ``run(max_events)`` consumes
 one *global* budget in shard order, so the coordinator runs a budgeted
@@ -27,6 +28,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 # The valid ``KernelConfig.shard_backend`` values live beside that field.
+from repro.core.errors import KernelError
 from repro.core.kernel import SHARD_BACKENDS as BACKENDS
 from repro.core.timing import default_timer
 
@@ -87,7 +89,7 @@ def build_engines(topology, config, transport, install_system_agents,
 
     ``inproc`` gets real :class:`~repro.core.engine.Engine` objects
     sharing *topology* and the live *placement* map; ``process`` gets one
-    :class:`~repro.shard.procworker.ProcessEngineProxy` per spawned worker,
+    :class:`~repro.shard.procworker.ProcessEngineProxy` per forked worker,
     each worker holding copies.
     """
     if config.shard_backend == "process":
@@ -103,7 +105,24 @@ def build_engines(topology, config, transport, install_system_agents,
     return engines, InprocBackend()
 
 
-# -- process-backend availability probe ----------------------------------------
+# -- the workers' start method and its availability probe ----------------------
+
+def worker_context():
+    """The ``multiprocessing`` context shard workers start in: ``fork``.
+
+    A forked worker inherits the coordinator's imported modules and
+    behaviour registry, so it builds its engine without importing anything.
+    Raises :class:`KernelError` on a platform without ``fork``.
+    """
+    import multiprocessing
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        raise KernelError(
+            "shard_backend='process' forks its shard workers, and this "
+            "platform has no fork start method; use shard_backend='inproc'"
+        ) from None
+
 
 _PROCESS_PROBE: Optional[bool] = None
 
@@ -114,17 +133,16 @@ def _probe_child(conn) -> None:  # pragma: no cover - runs in the child
 
 
 def process_backend_available() -> bool:
-    """True when spawn-context multiprocessing round-trips on this host.
+    """True when a worker forked by :func:`worker_context` round-trips a pipe.
 
-    Sandboxes and exotic platforms sometimes lack working process spawn or
-    pipe semantics; tests and benchmarks gate their process arms on this
+    Sandboxes and exotic platforms sometimes lack ``fork`` or working pipe
+    semantics; tests and benchmarks gate their process arms on this
     (cached) one-shot probe rather than failing mid-run.
     """
     global _PROCESS_PROBE
     if _PROCESS_PROBE is None:
         try:
-            import multiprocessing
-            ctx = multiprocessing.get_context("spawn")
+            ctx = worker_context()
             parent, child = ctx.Pipe()
             proc = ctx.Process(target=_probe_child, args=(child,), daemon=True)
             proc.start()

@@ -1,4 +1,4 @@
-"""The process shard backend: one long-lived spawn worker per shard.
+"""The process shard backend: one long-lived forked worker per shard.
 
 This is the backend that turns the parallel-host *model* (events over the
 slowest shard's busy time) into real wall-clock parallelism on multi-core
@@ -66,13 +66,18 @@ Views lag mid-run by design and refresh when ``run()`` returns, so the
 agents a ``crash_site`` between runs kills show in ``counters()`` only
 after the next ``run()``; an in-process engine shows them at once.
 
-Known limits (all raise a clear ``KernelError``): behaviours must be
-picklable or registered in importable modules (the worker re-imports the
-registry's modules; ``__main__``-only behaviours cannot rehydrate),
-coordinator-side event scheduling on ``kernel.loop`` is unavailable, and
-so are ``on_site_added``/``on_site_recovered`` subscriptions and
-worker-side site state (``residents()``, ``cabinet()``, ``kernel.store()``
-under a durable policy).  One does not raise: a worker's
+Workers start with the ``fork`` method only: a forked worker inherits the
+coordinator's imported modules and its default behaviour registry, so it
+builds its engine from its :class:`WorkerSpec` at once, and a behaviour
+registered anywhere before ``Kernel(...)`` (a script's ``__main__``
+included) runs there.  A platform without ``fork`` has no process backend.
+
+Known limits (all raise a clear ``KernelError``): a behaviour that crosses
+the pipe after start-up (a ``launch`` argument, not a registered name) must
+pickle, coordinator-side event scheduling on ``kernel.loop`` is
+unavailable, and so are ``on_site_added``/``on_site_recovered``
+subscriptions and worker-side site state (``residents()``, ``cabinet()``,
+``kernel.store()`` under a durable policy).  One does not raise: a worker's
 copy of the topology never learns that a site another worker hosts crashed
 (``peer_down``/``peer_up`` reach its transport only), so traffic to that
 site still crosses the boundary as a handoff where an in-process engine
@@ -84,16 +89,13 @@ The fix needs a recovery notice sent through the handoff path.
 from __future__ import annotations
 
 import contextlib
-import importlib
-import importlib.machinery
-import multiprocessing
 import pickle
-import sys
 import traceback
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.engine import ENGINE_PROTOCOL, Engine
 from repro.core.errors import KernelError
@@ -103,10 +105,9 @@ from repro.core.site import Site
 from repro.core.timing import default_timer
 from repro.net.stats import NetworkStats
 from repro.obs import RingSink
-from repro.shard.backend import ShardBackend
+from repro.shard.backend import ShardBackend, worker_context
 
-__all__ = ["ProcessBackend", "ProcessEngineProxy", "WorkerSpec",
-           "preload_module_names", "worker_main"]
+__all__ = ["ProcessBackend", "ProcessEngineProxy", "WorkerSpec", "worker_main"]
 
 
 # ==============================================================================
@@ -115,12 +116,7 @@ __all__ = ["ProcessBackend", "ProcessEngineProxy", "WorkerSpec",
 
 @dataclass
 class WorkerSpec:
-    """Everything a spawn worker needs to rebuild its shard engine.
-
-    Must pickle cleanly — :meth:`ProcessBackend.spawn` probes that before
-    starting anything, so a bad config fails fast with a useful error instead of a cryptic
-    mid-spawn traceback.
-    """
+    """Everything a forked worker needs to build its shard engine."""
 
     shard_id: int
     topology: Any
@@ -128,40 +124,6 @@ class WorkerSpec:
     config: Any
     install_system_agents: bool
     placement: Dict[str, int]
-    #: modules imported before the engine is built, so behaviours that are
-    #: registered at import time exist in the worker's default registry
-    preload_modules: Tuple[str, ...] = field(default_factory=tuple)
-
-
-def _spawn_importable(module: str) -> bool:
-    """Whether a freshly spawned interpreter could import ``module``.
-
-    Bypasses ``sys.modules`` on purpose: modules loaded from explicit file
-    paths (a test importing an example script by location) are present in
-    this process but unreachable by name in a child, so shipping them as
-    preloads would crash worker startup.
-    """
-    top = module.split(".")[0]
-    if top in sys.builtin_module_names:
-        return True
-    try:
-        return importlib.machinery.PathFinder().find_spec(top) is not None
-    except (ImportError, ValueError):
-        return False
-
-
-def preload_module_names(registry) -> Tuple[str, ...]:
-    """The defining modules of every registered behaviour that a spawned
-    worker could re-import (minus ``__main__`` and path-loaded ad-hoc
-    modules — behaviours from those cannot cross the process boundary,
-    and launching one in a worker raises unknown-behaviour there)."""
-    modules = set()
-    for name in registry:
-        behaviour = registry.resolve(name)
-        module = getattr(behaviour, "__module__", None)
-        if module and module != "__main__" and _spawn_importable(module):
-            modules.add(module)
-    return tuple(sorted(modules))
 
 
 class _Aborted(Exception):
@@ -236,15 +198,13 @@ class _FrameStream:
 
 
 # ==============================================================================
-# worker side (runs in the spawned child)
+# worker side (runs in the forked child)
 # ==============================================================================
 
 class _Worker:
     """The command loop around one shard engine (child process)."""
 
     def __init__(self, stream: _FrameStream, spec: WorkerSpec):
-        for module in spec.preload_modules:
-            importlib.import_module(module)
         self.stream = stream
         self.engine = Engine(
             spec.topology, spec.config, spec.transport,
@@ -331,8 +291,17 @@ def _portable(error: Exception):
     return error
 
 
+#: the coordinator's end of every worker pipe in this process
+_COORDINATOR_ENDS: "weakref.WeakSet" = weakref.WeakSet()
+
+
 def worker_main(conn, spec: WorkerSpec) -> None:  # pragma: no cover - child
-    """Entry point of a spawned shard worker."""
+    """Entry point of a forked shard worker."""
+    # Fork copied every coordinator end open in the parent, this worker's
+    # own included.  A worker holding one would never read EOF from a dead
+    # coordinator, and would keep another worker from reading it.
+    for end in list(_COORDINATOR_ENDS):
+        end.close()
     stream = _FrameStream(conn)
     worker = None
     try:
@@ -479,11 +448,7 @@ class _WorkerHandle:
             # with a command still unread in the pipe.  Either way it is
             # exiting: join it so the exit code is real, not None.
             self.process.join(timeout=5)
-            cause = "" if self.replied else (
-                " before its first reply; a spawn worker re-imports the "
-                "parent's __main__ module, so a script must build a "
-                "process-sharded Kernel under `if __name__ == "
-                "\"__main__\":`")
+            cause = "" if self.replied else " before its first reply"
             raise KernelError(
                 f"shard {self.shard_id} worker died "
                 f"(exitcode={self.process.exitcode}){cause}") from None
@@ -602,7 +567,7 @@ def _collect_each(collect, items) -> list:
 
 
 class ProcessBackend(ShardBackend):
-    """Runs each shard's bursts across a pipe, in its own spawn worker."""
+    """Runs each shard's bursts across a pipe, in its own forked worker."""
 
     name = "process"
 
@@ -612,10 +577,11 @@ class ProcessBackend(ShardBackend):
         self._handles: List[_WorkerHandle] = []
         self.proxies: List[ProcessEngineProxy] = []
         self._closed = False
-        ctx = multiprocessing.get_context("spawn")
+        ctx = worker_context()
         try:
             for spec in specs:
                 parent_conn, child_conn = ctx.Pipe()
+                _COORDINATOR_ENDS.add(parent_conn)
                 process = ctx.Process(
                     target=worker_main, args=(child_conn, spec),
                     name=f"repro-shard-{spec.shard_id}", daemon=True)
@@ -636,29 +602,20 @@ class ProcessBackend(ShardBackend):
     @classmethod
     def spawn(cls, topology, config, transport, install_system_agents,
               registry, placement) -> "ProcessBackend":
-        """One worker per shard, each rebuilding its engine from a spec."""
+        """One worker per shard, each building its engine from a spec."""
         if registry is not default_registry():
             raise KernelError(
-                "shard_backend='process' rebuilds behaviours from the "
-                "process-wide default registry in each worker; a custom "
-                "registry instance cannot cross the process boundary (use "
+                "shard_backend='process' workers resolve behaviours in the "
+                "process-wide default registry they inherit; a custom "
+                "registry instance is not passed to them (use "
                 "shard_backend='inproc' or register behaviours in the "
                 "default registry)")
-        try:
-            pickle.dumps((config, transport, topology))
-        except Exception as error:
-            raise KernelError(
-                "shard_backend='process' ships the topology, config and "
-                f"transport to spawn workers, but pickling failed: {error} "
-                "(pass the transport by name, keep LinkSpec-based "
-                "topologies, and avoid closures in the config)") from None
         transport_name = (transport if isinstance(transport, str)
                           else getattr(transport, "name", transport.__name__))
-        preload = preload_module_names(registry)
         return cls([WorkerSpec(
             shard_id=shard_id, topology=topology, transport=transport,
             config=config, install_system_agents=install_system_agents,
-            placement=placement, preload_modules=preload)
+            placement=placement)
             for shard_id in range(config.shards)], transport_name)
 
     # -- round execution --------------------------------------------------------

@@ -35,9 +35,9 @@ def ring_kernel() -> Kernel:
 
 @pytest.fixture(params=BACKENDS)
 def backend(request) -> str:
-    """Each shard backend by name; ``process`` skips where spawn does not work."""
+    """Each shard backend by name; ``process`` skips where workers cannot fork."""
     if request.param == "process" and not process_backend_available():
-        pytest.skip("multiprocessing spawn does not work on this host")
+        pytest.skip("cannot fork shard workers on this host")
     return request.param
 
 

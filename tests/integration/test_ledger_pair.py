@@ -26,6 +26,10 @@ REPO = pathlib.Path(repro.__file__).resolve().parents[2]
 TOOL = REPO / "tools" / "ledger_pair.py"
 METRICS = ("setup_s", "units_per_s", "cpu_us_per_unit", "peak_rss_mb", "sim_makespan_s")
 
+pytestmark = pytest.mark.one_engine(
+    reason="drives tools/*.py in subprocesses, which the 2xinproc patch of "
+           "Kernel.__init__ never reaches: a second run would repeat the first")
+
 
 def test_one_tree_on_both_sides_moves_no_key(tmp_path):
     trajectory = tmp_path / "BENCH_ledger.json"
@@ -72,7 +76,7 @@ def test_rss_line_reads_the_coordinator_and_its_largest_worker():
     from repro.shard import process_backend_available
 
     if not process_backend_available():
-        pytest.skip("multiprocessing spawn does not work on this host")
+        pytest.skip("cannot fork shard workers on this host")
     done = subprocess.run(
         [sys.executable, str(REPO / "tools" / "hot_functions.py"), "churn_shards2",
          "--quick", "--rss"], capture_output=True, text=True, timeout=120)
@@ -80,7 +84,7 @@ def test_rss_line_reads_the_coordinator_and_its_largest_worker():
     line = done.stdout.strip().splitlines()[-1]
     match = re.fullmatch(r"RSS churn_shards2 self_mb=(\d+\.\d) children_mb=(\d+\.\d)", line)
     assert match, line
-    # A reaped shard worker is a whole interpreter with repro imported.
+    # A reaped shard worker is a fork of the coordinator, repro imported.
     assert float(match[1]) > 8 and float(match[2]) > 8, line
 
 

@@ -6,8 +6,8 @@ event-order counters — so a traced workload yields the *identical* span
 tree whether the shards execute serially (``inproc``) or in worker
 processes whose spans return via state digests.  Wall clocks and process
 boundaries must never leak into a trace.  The process cases are fixed
-examples, not hypothesis-driven: each run spawns real workers, which can
-only resolve registry-backed behaviours.
+examples, not hypothesis-driven: each run forks real workers, and a jump
+resolves its behaviour through the registry there.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from repro.net import lan
 from repro.obs.report import build_trees
 from repro.shard import process_backend_available
 
-needs_spawn = pytest.mark.skipif(not process_backend_available(),
-                                 reason="multiprocessing spawn does not work on this host")
+needs_fork = pytest.mark.skipif(not process_backend_available(),
+                                reason="cannot fork shard workers on this host")
 
 
 def obs_collector(ctx, bc):
@@ -46,7 +46,7 @@ def obs_fanin(ctx, bc):
 
 
 # Registered (not shipped as source): jumps resolve the same behaviour on
-# every backend, and process workers re-import this module on spawn.
+# every backend, forked process workers included.
 register_behaviour("obs_collector", obs_collector, replace=True)
 register_behaviour("obs_fanin", obs_fanin, replace=True)
 
@@ -85,7 +85,7 @@ def tree_shapes(spans):
             for trace_id, roots in build_trees(agent_spans(spans)).items()}
 
 
-@needs_spawn
+@needs_fork
 def test_sampling_decision_is_backend_invariant():
     """A partial sample keeps the *same subset* of traces on any backend."""
     for sample in (0.0, 0.3, 0.7):
@@ -102,7 +102,7 @@ def test_traced_run_is_deterministic_across_repeats(seed):
     assert agent_spans(first) == agent_spans(second)
 
 
-@needs_spawn
+@needs_fork
 def test_process_backend_yields_identical_span_trees():
     """Digest-mirrored worker spans rebuild the same tree the serial loop
     records, on a rear-guarded itinerary and on a fan-in churn."""

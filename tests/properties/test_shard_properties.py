@@ -115,16 +115,15 @@ def test_process_backend_matches_inproc():
     same simulation as the serial loop, down to every number the ledger
     fingerprints.
 
-    Not hypothesis-driven (each example spawns real processes) and built
-    on the behaviours ``tests/scenarios.py`` registers — spawn children
-    re-import the registry's modules, so test-local closures cannot cross.
+    Not hypothesis-driven: each example forks real processes.  Built on
+    the behaviours ``tests/scenarios.py`` registers.
     """
     import pytest
 
     from repro.shard import process_backend_available
 
     if not process_backend_available():
-        pytest.skip("multiprocessing spawn does not work on this host")
+        pytest.skip("cannot fork shard workers on this host")
     for seed in (3, 41):
         reference = fingerprint_inputs("inproc", seed)
         assert fingerprint_inputs("process", seed) == reference, seed

@@ -2,9 +2,8 @@
 
 Each takes keyword arguments, runs, and returns the kernel (read its
 ``stats``, ``counters()`` and cabinets) plus the few numbers the kernel does
-not hold.  The behaviours are module-level so process-shard workers can
-preload them: a spawned child inherits the test run's ``sys.path``, which
-holds ``tests/``, so this module imports there as ``scenarios`` too.
+not hold.  The behaviours are registered at import, so the process-shard
+workers forked from a test run hold them too.
 
 * **data gathering** (paper section 1): a mobile agent filters at every data
   site and carries the relevant records home, or a client pulls every raw

@@ -836,7 +836,7 @@ class TestKernelContextManager:
     def test_sharded_kernel_context_manager_closes_backend(self):
         from repro.shard import process_backend_available
         if not process_backend_available():
-            pytest.skip("multiprocessing spawn unavailable")
+            pytest.skip("cannot fork shard workers on this host")
         config = KernelConfig(rng_seed=5, shards=2, shard_backend="process")
         with Kernel(lan(["a", "b", "c", "d"]), config=config) as kernel:
             kernel.launch("a", "courier")

@@ -222,7 +222,7 @@ def ended(request):
     """One agent per ending on a two-engine kernel of each backend:
     ``(ledger entries by ending, whether every instance still held has shed)``."""
     if request.param == "process" and not process_backend_available():
-        pytest.skip("multiprocessing spawn unavailable")
+        pytest.skip("cannot fork shard workers on this host")
     kernel = Kernel(lan(["a", "b", "c"]), transport="tcp", config=KernelConfig(
         rng_seed=7, shards=2, shard_backend=request.param, max_agent_steps=20))
     ids = {}

@@ -332,7 +332,7 @@ def test_kernel_traces_one_migration_end_to_end():
 
 
 @pytest.mark.skipif(not process_backend_available(),
-                    reason="multiprocessing spawn does not work on this host")
+                    reason="cannot fork shard workers on this host")
 def test_dump_trace_writes_what_process_workers_recorded(tmp_path):
     # The spans reach the coordinator in the workers' state digests; the
     # file holds exactly the merged stream trace_spans() reads.

@@ -401,7 +401,7 @@ class TestBudgetStop:
 
 class TestFacadeSurface:
     @pytest.mark.skipif(not process_backend_available(),
-                        reason="multiprocessing spawn unavailable")
+                        reason="cannot fork shard workers on this host")
     def test_shard_summary_surfaces_coordination_ledger(self):
         kernel, _events = sharded_churn(n_sites=8, n_agents=16, wave_size=8, shards=4,
                                         seed=11, backend="process")
@@ -528,35 +528,20 @@ class TestWorkerHandle:
             handle.recv()
         coordinator.close()
 
-    def test_a_worker_dead_at_bootstrap_fails_the_kernel_constructor(self, tmp_path):
-        """A script without a ``__main__`` guard: each spawn worker re-runs
-        it, cannot start a process while bootstrapping, and exits.  The
-        parent's ``Kernel(...)`` raises, naming the worker, its real exit
-        code and the likely cause, instead of returning a kernel whose
-        first call fails."""
+    def test_a_worker_dead_before_its_first_reply_fails_the_kernel_constructor(
+            self, monkeypatch):
+        """``Kernel(...)`` raises, naming the shard and its real exit code,
+        instead of returning a kernel whose first call fails.  The forked
+        worker inherits the patched ``Engine``."""
         import os
-        import subprocess
-        import sys
 
-        import repro
+        from repro.shard import procworker
         if not process_backend_available():
-            pytest.skip("multiprocessing spawn does not work on this host")
-        script = tmp_path / "unguarded.py"
-        script.write_text(
-            "from repro.core import Kernel, KernelConfig\n"
-            "from repro.net import lan\n"
-            "kernel = Kernel(lan(['a', 'b', 'c', 'd']), config=KernelConfig(\n"
-            "    shards=2, shard_backend='process'))\n"
-            "print('constructed')\n"
-            "kernel.close()\n", encoding="utf-8")
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode != 0
-        assert "constructed" not in done.stdout
-        assert re.search(r"KernelError: shard \d worker died \(exitcode=1\) "
-                         r"before its first reply.*__main__", done.stderr), done.stderr
+            pytest.skip("cannot fork shard workers on this host")
+        monkeypatch.setattr(procworker, "Engine", lambda *args, **kwargs: os._exit(3))
+        with pytest.raises(KernelError, match=r"^shard 0 worker died \(exitcode=3\) "
+                                              r"before its first reply$"):
+            sharded_kernel("process", site_count=4, shards=2)
 
 
 # ---------------------------------------------------------------------------
@@ -607,14 +592,14 @@ def couriers_to_a_crashed_peer(backend):
 
 
 @pytest.mark.skipif(not process_backend_available(),
-                    reason="multiprocessing spawn unavailable")
+                    reason="cannot fork shard workers on this host")
 def test_couriers_to_a_crashed_peer_count_alike_on_both_backends():
     assert (couriers_to_a_crashed_peer("process")[0]
             == couriers_to_a_crashed_peer("inproc")[0])
 
 
 @pytest.mark.skipif(not process_backend_available(),
-                    reason="multiprocessing spawn unavailable")
+                    reason="cannot fork shard workers on this host")
 @pytest.mark.xfail(strict=True, reason=(
     "a process worker's topology never learns that a site another worker "
     "hosts crashed, so traffic to it is handed off instead of dropped at "
@@ -714,7 +699,7 @@ def ledger_script(backend, retention, shards=2, read=ledger_reads, durable=None)
 
 
 @pytest.mark.skipif(not process_backend_available(),
-                    reason="multiprocessing spawn unavailable")
+                    reason="cannot fork shard workers on this host")
 @pytest.mark.parametrize("retention", [None, 3])
 def test_ledger_reads_match_across_backends(retention):
     process = ledger_script("process", retention)
@@ -833,11 +818,11 @@ def test_an_engine_error_keeps_its_type_and_message(backend, case):
 
 
 # ---------------------------------------------------------------------------
-# process backend odds and ends (gated on spawn availability)
+# process backend odds and ends (gated on fork availability)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.skipif(not process_backend_available(),
-                    reason="multiprocessing spawn unavailable")
+                    reason="cannot fork shard workers on this host")
 class TestProcessFacade:
     def test_crash_and_recover_cross_worker(self):
         kernel, names = sharded_kernel("process", site_count=6, shards=3)
@@ -874,24 +859,46 @@ class TestProcessFacade:
             kernel.on_site_added(lambda name: None)
         kernel.close()
 
-    def test_preload_skips_path_loaded_modules(self):
-        """A behaviour registered by a module loaded from an explicit file
-        path (a test importing an example script) must not be shipped as a
-        worker preload — the spawn child cannot import it by name and every
-        process-backend kernel in the session would fail at startup."""
-        from repro.core.registry import BehaviourRegistry
-        from repro.shard.procworker import preload_module_names
+    def test_behaviours_from_a_scripts_main_and_a_path_loaded_module_run(self, tmp_path):
+        """A forked worker holds whatever the coordinator registered before
+        ``Kernel(...)``: a behaviour defined in an unguarded script's
+        ``__main__`` and one from a module loaded by file path run there."""
+        import os
+        import subprocess
+        import sys
 
-        def stray(ctx, bc):
-            yield ctx.sleep(0)
-
-        stray.__module__ = "example_loaded_from_a_file_path"
-        registry = BehaviourRegistry()
-        registry.register("stray", stray)
-        registry.register("sink", report_sink)
-        modules = preload_module_names(registry)
-        assert "example_loaded_from_a_file_path" not in modules
-        assert "scenarios" in modules
+        import repro
+        module = tmp_path / "loaded_by_path.py"
+        module.write_text(
+            "from repro.core import register_behaviour\n"
+            "def there(ctx, bc):\n"
+            "    yield ctx.sleep(0.01)\n"
+            "    return 'path:' + ctx.site_name\n"
+            "register_behaviour('from_path', there)\n", encoding="utf-8")
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import importlib.util\n"
+            "from repro.core import Kernel, KernelConfig, register_behaviour\n"
+            "from repro.net import lan\n"
+            "def here(ctx, bc):\n"
+            "    yield ctx.sleep(0.01)\n"
+            "    return 'main:' + ctx.site_name\n"
+            "register_behaviour('from_main', here)\n"
+            f"spec = importlib.util.spec_from_file_location('loaded_by_path', {str(module)!r})\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            "kernel = Kernel(lan(['a', 'b', 'c', 'd']), config=KernelConfig(\n"
+            "    shards=2, shard_backend='process',\n"
+            "    shard_placement={'a': 0, 'b': 0, 'c': 1, 'd': 1}))\n"
+            "ids = [kernel.launch('a', 'from_main'), kernel.launch('c', 'from_path')]\n"
+            "kernel.run()\n"
+            "print([kernel.result_of(agent_id) for agent_id in ids])\n"
+            "kernel.close()\n", encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "['main:a', 'path:c']", done.stdout
 
     def test_digest_fed_ring_keeps_the_configured_bound(self):
         """``obs_ring`` bounds what the coordinator retains per engine too:
