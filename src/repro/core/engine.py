@@ -65,6 +65,11 @@ __all__ = ["ENGINE_PROTOCOL", "Engine", "LedgerQueries"]
 
 #: simulated seconds charged per behaviour step (one yield)
 STEP_COST = 0.0005
+#: an agent exceeding this many steps is killed as a runaway (section 3
+#: motivates limiting runaway agents; the step budget is the kernel-side
+#: safety net, electronic cash is the economic one).  Read on every step,
+#: so a test may patch it before ``Kernel(...)``
+MAX_AGENT_STEPS = 1_000_000
 #: extra simulated seconds of setting up a meet (argument marshalling,
 #: dispatch); an arriving agent pays it to meet its contact
 MEET_OVERHEAD = 0.001
@@ -300,7 +305,7 @@ class Engine(LedgerQueries):
             self.transport.boundary = ShardBoundary(self)
         #: this engine's one bounded record ring: log lines, and spans
         #: when obs_enabled (``event_log`` and ``trace_spans`` read it)
-        self.ring = RingSink(self.config.obs_ring)
+        self.ring = RingSink()
         #: this engine's tracer (repro.obs) — disabled unless obs_enabled
         self.obs = self._make_tracer()
         self.transport.obs = self.obs
@@ -331,7 +336,7 @@ class Engine(LedgerQueries):
 
         #: the lifecycle ledger: registration, indexes, records (the
         #: kernel's agent-facing API delegates here)
-        self.table = AgentTable(self.config.retention)
+        self.table = AgentTable()
         #: memo for _best_effort_code: deriving a CODE element per
         #: launch/meet/arrival re-ran registry reverse lookups (and raised
         #: exceptions for unregistered callables) on every hot-path call.
@@ -909,7 +914,7 @@ class Engine(LedgerQueries):
             self._fail(instance, failure)
             return
         instance.steps += 1
-        if instance.steps > self.config.max_agent_steps:
+        if instance.steps > MAX_AGENT_STEPS:
             self._kill(instance, reason="runaway agent exceeded step budget")
             self._release_meet_parent_on_abnormal_end(
                 instance, MeetError(f"met agent {instance.name!r} was killed as a runaway"))

@@ -55,21 +55,15 @@ class KernelConfig:
 
     The engine's fixed per-operation costs are constants, not knobs:
     ``repro.core.engine.STEP_COST``, ``MEET_OVERHEAD``, ``SPAWN_OVERHEAD``
-    and ``TRANSMIT_OVERHEAD``.  No knob names a trace file either: a trace
-    reaches disk when ``kernel.dump_trace(path)`` is called.
+    and ``TRANSMIT_OVERHEAD``; so are its limits, the runaway step budget
+    ``repro.core.engine.MAX_AGENT_STEPS`` and the record-ring capacity
+    ``repro.obs.sinks.RING_CAPACITY``.  The lifecycle ledger keeps every
+    record.  No knob names a trace file either: a trace reaches disk when
+    ``kernel.dump_trace(path)`` is called.
     """
 
-    #: an agent exceeding this many steps is killed as a runaway (section 3
-    #: motivates limiting runaway agents; the step budget is the kernel-side
-    #: safety net, electronic cash is the economic one)
-    max_agent_steps: int = 1_000_000
     #: seed for every random stream derived by the kernel
     rng_seed: int = 42
-    #: how many terminal-agent records the lifecycle ledger keeps: None
-    #: keeps every one, N the most recent N (see
-    #: :mod:`repro.core.lifecycle`).  Each engine bounds its own table, so
-    #: N is *per engine*
-    retention: Optional[int] = None
     #: delivery-fabric flush window in simulated seconds; 0 disables
     #: batching and preserves one-wire-message-per-folder behaviour
     delivery_batch_window: float = 0.0
@@ -111,10 +105,6 @@ class KernelConfig:
     #: fraction of traces recorded, decided per trace id by a
     #: deterministic CRC-32 hash (1.0 = everything, 0.0 = guard cost only)
     obs_sample: float = 1.0
-    #: capacity of each engine's record ring: its log lines
-    #: (``kernel.event_log``) and, with obs_enabled, its spans share it,
-    #: and past it the oldest record of either kind is dropped
-    obs_ring: int = 265_536
 
     def validate(self) -> None:
         """Check every type, range and cross-field rule; raises :class:`KernelError`.
@@ -124,8 +114,7 @@ class KernelConfig:
         handed), so a mis-set knob fails naming its field before a process
         worker starts.
         """
-        for name in ("shards", "max_agent_steps", "flow_target_batch",
-                     "obs_ring", "rng_seed"):
+        for name in ("shards", "flow_target_batch", "rng_seed"):
             # A float would be truncated (or raise a bare TypeError deep in
             # an engine), and a bool would pass as 0 or 1.
             value = getattr(self, name)
@@ -141,14 +130,6 @@ class KernelConfig:
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not value >= 0 or not math.isfinite(value)):
                 raise KernelError(f"{name} must be >= 0 and finite, got {value!r}")
-        if self.max_agent_steps < 1:
-            # 0 would kill every agent on its first step as a "runaway".
-            raise KernelError(f"max_agent_steps must be >= 1, got "
-                              f"{self.max_agent_steps}")
-        if self.retention is not None and (
-                type(self.retention) is not int or self.retention < 0):
-            raise KernelError(f"retention must be None or an int >= 0, got "
-                              f"{self.retention!r}")
         if self.durability not in DURABILITY:
             raise KernelError(f"unknown durability {self.durability!r}; "
                               f"expected one of {DURABILITY}")
@@ -176,8 +157,6 @@ class KernelConfig:
         if self.obs_sample > 1.0:
             raise KernelError(f"obs_sample must be in [0.0, 1.0], got "
                               f"{self.obs_sample}")
-        if self.obs_ring < 1:
-            raise KernelError(f"obs_ring must be >= 1, got {self.obs_ring}")
         if self.delivery_batch_window == 0 and (
                 self.flow_window_min > 0 or self.flow_window_max > 0):
             # The window is the fabric's master switch: with the fabric
@@ -298,7 +277,6 @@ class Kernel(LedgerQueries):
             self.obs = Tracer.disabled()
             if self.config.obs_enabled:
                 self.obs = Tracer(clock=self._coordinator,
-                                  sink=RingSink(self.config.obs_ring),
                                   sample=self.config.obs_sample)
                 self._coordinator.obs = self.obs
         self._engines: Tuple[Engine, ...] = tuple(engines)

@@ -16,10 +16,9 @@ forever, and name lookups scanned the whole history.  The
   frames a failure's traceback holds) and replaces the instance with a
   compact :class:`AgentRecord` — the one form of a finished agent on every
   engine and shard backend;
-* **retention** — ``KernelConfig.retention`` bounds how many records stay:
-  ``None`` keeps every one, ``N`` evicts all but the most recent N terminal
-  agents of each engine, so the ledger itself stays bounded (an evicted id
-  reads as unknown, ``UnknownAgentError``; the counters stay exact);
+* **retention** — the table keeps every record, so every id an engine
+  minted stays queryable and ``counters()["retained"]`` equals
+  ``launched``; a compact record is what a finished life costs;
 * **indexes** — a name index makes ``agents_named`` O(instances with that
   name) instead of O(all agents ever), and the state counters back the
   kernel's ``counters()`` snapshot without any scan.
@@ -30,8 +29,7 @@ The kernel's public API (``agents``, ``agent``, ``agents_named``,
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.core.agent import AgentInstance, AgentState
 
@@ -103,26 +101,18 @@ class AgentTable:
     resident-index handshake.
     """
 
-    def __init__(self, retention: Optional[int] = None):
-        #: how many terminal records to keep (None: every one); checked by
-        #: ``KernelConfig.validate``
-        self.retention = retention
+    def __init__(self):
         #: agent id -> live instance or terminal record (insertion ordered)
         self.entries: Dict[str, LedgerEntry] = {}
         #: name -> {agent id -> entry}; inner dicts keep insertion order so
         #: ``named()`` returns instances in launch order, like the old scan
         self._by_name: Dict[str, Dict[str, LedgerEntry]] = {}
-        #: terminal agent ids in retirement order, the eviction queue of a
-        #: bounded retention (left empty when every record is kept)
-        self.terminal_order: Deque[str] = deque()
 
         # O(1) state counters (the kernel ledger the experiments read).
         self.launched = 0
         self.completed = 0
         self.failed = 0
         self.killed = 0
-        #: terminal entries dropped from the ledger entirely
-        self.evicted = 0
 
     # -- registration / retirement -------------------------------------------------
 
@@ -135,7 +125,7 @@ class AgentTable:
             site.add_resident(instance)
 
     def retire(self, instance: AgentInstance, site: Optional["Site"]) -> None:
-        """Process a terminal instance: unindex, count, shed, archive, bound.
+        """Process a terminal instance: unindex, count, shed, archive.
 
         Every terminal path (finish, fail, kill) must come through here
         exactly once; callers guard with ``instance.finished`` before
@@ -164,32 +154,15 @@ class AgentTable:
         record = AgentRecord(instance)
         self.entries[agent_id] = record
         self._by_name[instance.name][agent_id] = record
-        if self.retention is not None:
-            terminal_order = self.terminal_order
-            terminal_order.append(agent_id)
-            while len(terminal_order) > self.retention:
-                self._discard(terminal_order.popleft())
-                self.evicted += 1
 
-    def _discard(self, agent_id: str) -> None:
-        name = self.entries.pop(agent_id).name
-        named = self._by_name[name]
-        del named[agent_id]
-        if not named:
-            del self._by_name[name]
-
-    def absorb(self, rows: Sequence[tuple], evicted: Sequence[str],
-               counters: Dict[str, int]) -> None:
+    def absorb(self, rows: Sequence[tuple], counters: Dict[str, int]) -> None:
         """Apply one shard worker's digest of its own table.
 
-        Drops the *evicted* ids, enters a record per shipped
-        :meth:`AgentRecord.row` (new or changed since the last digest) and
-        takes the worker table's int attributes, so the counters and
-        ``len`` read here are the worker's.
+        Enters a record per shipped :meth:`AgentRecord.row` (new or changed
+        since the last digest) and takes the worker table's int attributes,
+        so the counters and ``len`` read here are the worker's.
         """
         entries = self.entries
-        for agent_id in evicted:
-            self._discard(agent_id)
         for row in rows:
             record = AgentRecord(row)
             entries[record.agent_id] = record
@@ -199,11 +172,11 @@ class AgentTable:
     # -- lookups -------------------------------------------------------------------
 
     def get(self, agent_id: str) -> Optional[LedgerEntry]:
-        """The entry for *agent_id*, or None if unknown or evicted."""
+        """The entry for *agent_id*, or None if unknown."""
         return self.entries.get(agent_id)
 
     def named(self, name: str) -> List[LedgerEntry]:
-        """Every retained entry launched under *name*, in launch order (O(matches))."""
+        """Every entry launched under *name*, in launch order (O(matches))."""
         named = self._by_name.get(name)
         return list(named.values()) if named else []
 
@@ -233,13 +206,11 @@ class AgentTable:
             "completed": self.completed,
             "failed": self.failed,
             "killed": self.killed,
-            "evicted": self.evicted,
             "retained": len(self.entries),
         }
 
     def __repr__(self) -> str:
-        return (f"AgentTable(retention={self.retention!r}, "
-                f"retained={len(self.entries)}, launched={self.launched}, "
+        return (f"AgentTable(retained={len(self.entries)}, launched={self.launched}, "
                 f"terminal={self.terminal})")
 
 
@@ -285,7 +256,7 @@ class MergedAgentTable:
         return any(agent_id in part for part in self._parts)
 
     def __getattr__(self, name: str) -> int:
-        if name in ("launched", "completed", "failed", "killed", "evicted"):
+        if name in ("launched", "completed", "failed", "killed"):
             return sum(getattr(part, name) for part in self._parts)
         raise AttributeError(f"{type(self).__name__} has no attribute {name!r}")
 

@@ -404,29 +404,25 @@ class StatsView:
 
     # -- merged container fields ------------------------------------------------
 
-    @property
-    def flush_causes(self) -> Dict[str, int]:
+    def _summed(self, field: str) -> Dict[str, int]:
+        """The parts' *field* dicts summed key by key."""
         merged: Dict[str, int] = defaultdict(int)
         for part in self._parts:
-            for cause, count in part.flush_causes.items():
-                merged[cause] += count
+            for key, value in getattr(part, field).items():
+                merged[key] += value
         return dict(merged)
+
+    @property
+    def flush_causes(self) -> Dict[str, int]:
+        return self._summed("flush_causes")
 
     @property
     def per_kind(self) -> Dict[str, int]:
-        merged: Dict[str, int] = defaultdict(int)
-        for part in self._parts:
-            for kind, count in part.per_kind.items():
-                merged[kind] += count
-        return dict(merged)
+        return self._summed("per_kind")
 
     @property
     def per_kind_bytes(self) -> Dict[str, int]:
-        merged: Dict[str, int] = defaultdict(int)
-        for part in self._parts:
-            for kind, size in part.per_kind_bytes.items():
-                merged[kind] += size
-        return dict(merged)
+        return self._summed("per_kind_bytes")
 
     @property
     def per_link(self) -> Dict[Tuple[str, str], LinkStats]:

@@ -18,6 +18,11 @@ from typing import Any, Dict, List, Tuple
 
 __all__ = ["RingSink"]
 
+#: records a ring holds before it drops its oldest: each engine's log lines
+#: (``kernel.event_log``) and, with tracing on, its spans share it.  Read
+#: when a ring is built, so a test may patch it before ``Kernel(...)``.
+RING_CAPACITY = 265_536
+
 
 class RingSink:
     """An engine's one bounded record ring (drop-oldest).
@@ -30,8 +35,8 @@ class RingSink:
 
     __slots__ = ("capacity", "_records", "total")
 
-    def __init__(self, capacity: int = 65536):
-        self.capacity = max(1, int(capacity))
+    def __init__(self):
+        self.capacity = RING_CAPACITY
         self._records: deque = deque(maxlen=self.capacity)
         #: records ever emitted (absolute; never decreases)
         self.total = 0

@@ -54,10 +54,10 @@ refreshes, in place, the classes an engine keeps.  A digest carries:
 
 * the engine's :class:`~repro.net.stats.NetworkStats` whole (the four
   event counters ``counters()`` reports among its fields);
-* ``"table": (rows, evicted, counters)`` for :meth:`AgentTable.absorb
+* ``"table": (rows, counters)`` for :meth:`AgentTable.absorb
   <repro.core.lifecycle.AgentTable.absorb>`: a record row per entry new or
-  changed since the last digest, the ids evicted since, and the worker
-  table's int attributes;
+  changed since the last digest (the table keeps every entry, so none
+  ever leaves), and the worker table's int attributes;
 * per-site ``(alive, residents, undeliverable, load, capacity)``;
 * the ring's records since the last digest.
 
@@ -233,10 +233,6 @@ class _Worker:
             if self._sent_markers.get(agent_id, ()) != marker:  # (): never shipped
                 new_rows.append(AgentRecord.row(entry))
                 self._sent_markers[agent_id] = marker
-        evicted = [agent_id for agent_id in self._sent_markers
-                   if agent_id not in table.entries]
-        for agent_id in evicted:
-            del self._sent_markers[agent_id]
         counters = {key: value for key, value in vars(table).items()
                     if type(value) is int}
         sites = {name: (site.alive, site.resident_count(), site.undeliverable,
@@ -248,7 +244,7 @@ class _Worker:
         return {
             # The live object: it pickles whole, defaultdicts and sketch RNG too.
             "stats": engine.stats,
-            "table": (new_rows, evicted, counters),
+            "table": (new_rows, counters),
             "sites": sites,
             "ring": new_records,
         }
@@ -480,7 +476,7 @@ class ProcessEngineProxy:
         #: the facade's topology: the sites' ``alive`` reads it
         self.topology = spec.topology
         self._durable = spec.config.durability != "none"
-        self.table = AgentTable(spec.config.retention)
+        self.table = AgentTable()
         self.sites: Dict[str, SiteMirror] = {
             name: self._site_mirror(name)
             for name, owner in sorted(spec.placement.items())
@@ -490,7 +486,7 @@ class ProcessEngineProxy:
         self.transport = SimpleNamespace(name=transport_name)
         #: with the table: the classes an engine keeps (same bounds), so the
         #: facade's merged views read process shards like in-process engines
-        self.ring = RingSink(spec.config.obs_ring)
+        self.ring = RingSink()
 
     # -- the protocol, forwarded ------------------------------------------------
 

@@ -19,22 +19,16 @@ own module.
   section 2, "file cabinets support the same operations as briefcases").
 * :class:`BaseTestTransport`: the rsh, TCP and Horus transports (section 6),
   on their own and behind the delivery fabric.
-* :class:`BaseTestRetention`: the lifecycle ledger under any ``retention``.
 """
 
 from __future__ import annotations
 
-import gc
 import random
-import traceback
-import weakref
 
 import pytest
 
 from repro.core import Briefcase, Folder, Kernel, KernelConfig
-from repro.core.agent import AgentInstance
-from repro.core.errors import MissingFolderError, TransportError, UnknownAgentError
-from repro.core.lifecycle import AgentRecord
+from repro.core.errors import MissingFolderError, TransportError
 from repro.net import lan
 from repro.net.message import Message, MessageKind
 from repro.net.simclock import EventLoop
@@ -415,125 +409,3 @@ class BaseTestTransport:
         kernel.run()
         assert kernel.counters()["undeliverable"] == 3
         assert kernel.site("b").undeliverable == 3
-
-
-# ---------------------------------------------------------------------------
-# ledger retention
-# ---------------------------------------------------------------------------
-
-def worker(ctx, bc):
-    """Sleeps ``WORK`` seconds (0.01 by default), returns ``N`` or its site."""
-    yield ctx.sleep(float(bc.get("WORK", 0.01)))
-    return bc.get("N", ctx.site_name)
-
-
-def broken(ctx, bc):
-    yield ctx.sleep(0)
-    raise RuntimeError("boom")
-
-
-def ledger_kernel(retention=None, **config_kwargs):
-    """A 3-site TCP kernel whose ledger keeps *retention* finished agents."""
-    return Kernel(lan(["a", "b", "c"]), transport="tcp",
-                  config=KernelConfig(rng_seed=7, retention=retention, **config_kwargs))
-
-
-def _numbered(number):
-    briefcase = Briefcase()
-    briefcase.set("N", number)
-    return briefcase
-
-
-class BaseTestRetention:
-    """What the lifecycle ledger owes under any retention.
-
-    Counters stay exact.  The ledger keeps records of the most recent
-    ``min(N, terminal)`` finished agents, and every finished agent when N is
-    ``None``.  An evicted id raises :class:`UnknownAgentError`, and the name
-    index holds exactly what the ledger holds.
-
-    Fixture: ``retention``, the ``KernelConfig.retention`` under test.
-    """
-
-    @pytest.fixture
-    def kernel(self, retention):
-        return ledger_kernel(retention)
-
-    @pytest.fixture
-    def kept(self, retention):
-        """How many of *terminal* finished agents the ledger keeps."""
-        return lambda terminal: terminal if retention is None else min(retention, terminal)
-
-    def test_counters_stay_exact_and_the_ledger_bounded(self, kernel, kept):
-        for index in range(6):
-            kernel.launch("abc"[index % 3], worker)
-        for _ in range(2):
-            kernel.launch("a", broken)
-        kernel.run()
-        counters = kernel.counters()
-        assert (counters["launched"], counters["completed"], counters["failed"],
-                counters["killed"]) == (8, 6, 2, 0)
-        assert (counters["retained"], counters["evicted"]) == (kept(8), 8 - kept(8))
-        assert len(kernel.agents) == kept(8)
-
-    def test_the_most_recent_finished_agents_are_kept(self, kernel, kept):
-        ids = [kernel.launch("a", worker, _numbered(number)) for number in range(10)]
-        kernel.run()
-        evicted = 10 - kept(10)
-        for number, agent_id in enumerate(ids):
-            if number >= evicted:
-                assert type(kernel.agent(agent_id)) is AgentRecord
-                assert kernel.result_of(agent_id) == number
-                continue
-            with pytest.raises(UnknownAgentError):
-                kernel.agent(agent_id)
-            with pytest.raises(UnknownAgentError):
-                kernel.result_of(agent_id)
-
-    def test_the_name_index_holds_what_the_ledger_holds(self, kernel, kept):
-        for index in range(10):
-            kernel.launch("abc"[index % 3], worker,
-                          name="even" if index % 2 == 0 else "odd")
-        kernel.run()
-        for name in ("even", "odd", "missing"):
-            indexed = [entry.agent_id for entry in kernel.agents_named(name)]
-            scanned = [entry.agent_id for entry in kernel.agents.values()
-                       if entry.name == name]
-            assert indexed == scanned
-        assert len(kernel.agents_named("even")) + len(kernel.agents_named("odd")) == kept(10)
-
-    def test_an_entry_is_a_record_exactly_when_its_agent_finished(self, kernel, kept):
-        for step in range(4):
-            for index in range(3):
-                briefcase = Briefcase()
-                briefcase.set("WORK", 0.01 + 0.02 * index)
-                kernel.launch("abc"[index], worker if index else broken, briefcase)
-            kernel.run(until=0.03 * (step + 1))     # some terminal, some still live
-            entries = list(kernel.table.entries.values())
-            assert [type(entry) for entry in entries] == [
-                AgentRecord if entry.finished else AgentInstance for entry in entries]
-            assert sum(entry.finished for entry in entries) == kept(kernel.table.terminal)
-
-    def test_a_failure_keeps_its_error_not_its_frame_locals(self, kernel, kept):
-        held = []
-
-        class Ballast:
-            pass
-
-        def fails_holding(ctx, bc):
-            ballast = Ballast()
-            held.append(weakref.ref(ballast))
-            yield ctx.sleep(0)
-            raise RuntimeError("boom")
-
-        agent_id = kernel.launch("a", fails_holding)
-        kernel.run()
-        gc.collect()
-        assert held[0]() is None
-        if not kept(1):                 # retention=0 keeps no record to read
-            return
-        error = kernel.agent(agent_id).error
-        assert repr(error) == "RuntimeError('boom')"
-        shown = "".join(traceback.format_exception(type(error), error,
-                                                   error.__traceback__))
-        assert "in fails_holding" in shown and 'raise RuntimeError("boom")' in shown

@@ -13,9 +13,9 @@ def napper(ctx, briefcase):
     return "rested"
 
 
-def traced_run(path, agents, **config):
+def traced_run(path, agents):
     """Run *agents* nappers on a traced kernel and dump it to *path*; its spans."""
-    kernel = Kernel(lan(["a", "b"]), config=KernelConfig(obs_enabled=True, **config))
+    kernel = Kernel(lan(["a", "b"]), config=KernelConfig(obs_enabled=True))
     for index in range(agents):
         kernel.launch("ab"[index % 2], napper)
     kernel.run()
@@ -61,12 +61,13 @@ def test_an_untraced_kernel_dumps_an_empty_trace_over_an_old_one(tmp_path):
     assert load_trace(path) == []
 
 
-def test_a_trace_file_is_bounded_by_obs_ring(tmp_path):
-    # The file holds what the rings kept: past obs_ring, the oldest records
-    # are gone from the trace and from its dump alike.
+def test_a_trace_file_is_bounded_by_obs_ring(tmp_path, monkeypatch):
+    # The file holds what the rings kept: past the ring capacity, the oldest
+    # records are gone from the trace and from its dump alike.
     whole = traced_run(str(tmp_path / "whole.jsonl"), agents=6)
     path = str(tmp_path / "bounded.jsonl")
-    bounded = traced_run(path, agents=6, obs_ring=4)
+    monkeypatch.setattr("repro.obs.sinks.RING_CAPACITY", 4)
+    bounded = traced_run(path, agents=6)
     assert 0 < len(bounded) < len(whole)
     assert all(span in whole for span in bounded)
     assert load_trace(path) == bounded

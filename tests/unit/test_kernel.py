@@ -81,12 +81,8 @@ class TestConstruction:
             Kernel(lan(["a", "b"]), config=config)
 
     @pytest.mark.parametrize("knob, value", [
-        ("retention", "keep-al"), ("retention", "keep-counts:x"),
-        ("retention", -1), ("retention", True), ("retention", 2.5),
         ("durability", "wal"), ("durability", None),
-        ("max_agent_steps", 0), ("max_agent_steps", -5),
-        ("max_agent_steps", 2.5), ("flow_target_batch", 2.5),
-        ("obs_ring", 10.5), ("obs_ring", True), ("rng_seed", "x"),
+        ("flow_target_batch", 2.5), ("rng_seed", "x"),
         ("store_commit_window", math.nan), ("store_commit_window", math.inf),
         ("store_commit_window", "0.1"), ("delivery_batch_window", math.nan),
         ("delivery_batch_window", -1.0), ("flow_window_min", -1.0),
@@ -98,8 +94,7 @@ class TestConstruction:
         # These used to surface as a ValueError or TypeError from inside an
         # engine (after process workers had spawned), as a value silently
         # truncated or accepted (obs_sample True, shard_placement "1"), as
-        # every agent killed as a "runaway" (max_agent_steps 0), as "an
-        # event in the past" mid-run (a NaN delay) or as a clock run to
+        # "an event in the past" mid-run (a NaN delay) or as a clock run to
         # infinity (store_commit_window inf).
         workers = set(multiprocessing.active_children())
         config = KernelConfig(shards=2, shard_backend=backend, **{knob: value})
@@ -418,8 +413,9 @@ class TestSyscalls:
         assert slept >= 0.25 and served == "served"
         assert kernel.counters()["meets"] == 1
 
-    def test_runaway_agent_is_killed(self):
-        kernel = Kernel(lan(["a"]), config=KernelConfig(max_agent_steps=50, rng_seed=1))
+    def test_runaway_agent_is_killed(self, monkeypatch):
+        monkeypatch.setattr("repro.core.engine.MAX_AGENT_STEPS", 50)
+        kernel = Kernel(lan(["a"]), config=KernelConfig(rng_seed=1))
 
         def runaway(ctx, bc):
             while True:

@@ -358,9 +358,10 @@ class TestGeneratorCleanup:
         assert kernel.agent(agent_id).state == AgentState.KILLED
         assert instance.generator is None
 
-    def test_runaway_kill_runs_finally_blocks(self):
+    def test_runaway_kill_runs_finally_blocks(self, monkeypatch):
+        monkeypatch.setattr("repro.core.engine.MAX_AGENT_STEPS", 5)
         kernel = Kernel(lan(["a", "b"]), transport="tcp",
-                        config=KernelConfig(rng_seed=5, max_agent_steps=5))
+                        config=KernelConfig(rng_seed=5))
         cleaned = []
 
         def runaway(ctx, bc):

@@ -1,22 +1,47 @@
-"""Unit tests for the lifecycle ledger: AgentTable, records, retention, indexes.
+"""Unit tests for the lifecycle ledger: AgentTable, records, indexes.
 
-The retention contract (``tests/contracts.py::BaseTestRetention``) runs here
-on ``retention=None`` and ``retention=N``.  Also holds the regression test
-for ``Kernel.launch`` accepting a negative delay (it used to silently
-schedule into the past while ``launch_many`` raised).
+Also holds the regression test for ``Kernel.launch`` accepting a negative
+delay (it used to silently schedule into the past while ``launch_many``
+raised).
 """
 
 from __future__ import annotations
 
+import gc
+import traceback
+import weakref
+
 import pytest
 
-from contracts import BaseTestRetention, broken, ledger_kernel, worker
 from repro.core import Briefcase, Kernel, KernelConfig
-from repro.core.agent import AgentState
+from repro.core.agent import AgentInstance, AgentState
 from repro.core.errors import KernelError
 from repro.core.lifecycle import AgentRecord, AgentTable
 from repro.net import lan
 from repro.shard import process_backend_available
+
+
+def worker(ctx, bc):
+    """Sleeps ``WORK`` seconds (0.01 by default), returns ``N`` or its site."""
+    yield ctx.sleep(float(bc.get("WORK", 0.01)))
+    return bc.get("N", ctx.site_name)
+
+
+def broken(ctx, bc):
+    yield ctx.sleep(0)
+    raise RuntimeError("boom")
+
+
+def ledger_kernel(**config_kwargs):
+    """A 3-site TCP kernel."""
+    return Kernel(lan(["a", "b", "c"]), transport="tcp",
+                  config=KernelConfig(rng_seed=7, **config_kwargs))
+
+
+def _numbered(number):
+    briefcase = Briefcase()
+    briefcase.set("N", number)
+    return briefcase
 
 
 class TestRecords:
@@ -71,34 +96,77 @@ class TestRecords:
                     if record.site_name == "a"]) == 2
 
 
-class TestRetainEverything(BaseTestRetention):
+class TestRetainEverything:
+    """The ledger keeps a record of every agent, the counters stay exact,
+    and the name index holds exactly what the ledger holds."""
+
     @pytest.fixture
-    def retention(self):
-        return None
+    def kernel(self):
+        return ledger_kernel()
 
+    def test_counters_stay_exact_and_the_ledger_keeps_every_agent(self, kernel):
+        for index in range(6):
+            kernel.launch("abc"[index % 3], worker)
+        for _ in range(2):
+            kernel.launch("a", broken)
+        kernel.run()
+        counters = kernel.counters()
+        assert (counters["launched"], counters["completed"], counters["failed"],
+                counters["killed"], counters["retained"]) == (8, 6, 2, 0, 8)
+        assert len(kernel.agents) == 8
 
-class TestRetainTheLastN(BaseTestRetention):
-    @pytest.fixture(params=[3, 0])
-    def retention(self, request):
-        return request.param
+    def test_every_finished_agent_is_kept(self, kernel):
+        ids = [kernel.launch("a", worker, _numbered(number)) for number in range(10)]
+        kernel.run()
+        for number, agent_id in enumerate(ids):
+            assert type(kernel.agent(agent_id)) is AgentRecord
+            assert kernel.result_of(agent_id) == number
 
+    def test_the_name_index_holds_what_the_ledger_holds(self, kernel):
+        for index in range(10):
+            kernel.launch("abc"[index % 3], worker,
+                          name="even" if index % 2 == 0 else "odd")
+        kernel.run()
+        for name in ("even", "odd", "missing"):
+            indexed = [entry.agent_id for entry in kernel.agents_named(name)]
+            scanned = [entry.agent_id for entry in kernel.agents.values()
+                       if entry.name == name]
+            assert indexed == scanned
+        assert len(kernel.agents_named("even")) + len(kernel.agents_named("odd")) == 10
 
-class TestKeepCounts:
-    @pytest.mark.xfail(strict=True, reason=(
-        "retention=N is enforced per engine: each engine's table keeps N "
-        "terminal agents, so two engines retain up to 2N and counters() "
-        "depends on the shard count"))
-    def test_keep_counts_ledger_does_not_depend_on_the_shard_count(self):
-        def counters(shards):
-            kernel = Kernel(lan([f"s{index}" for index in range(6)]), transport="tcp",
-                            config=KernelConfig(rng_seed=7, shards=shards,
-                                                retention=3))
-            for index in range(24):
-                kernel.launch(f"s{index % 6}", worker)
-            kernel.run()
-            return kernel.counters()
+    def test_an_entry_is_a_record_exactly_when_its_agent_finished(self, kernel):
+        for step in range(4):
+            for index in range(3):
+                briefcase = Briefcase()
+                briefcase.set("WORK", 0.01 + 0.02 * index)
+                kernel.launch("abc"[index], worker if index else broken, briefcase)
+            kernel.run(until=0.03 * (step + 1))     # some terminal, some still live
+            entries = list(kernel.table.entries.values())
+            assert [type(entry) for entry in entries] == [
+                AgentRecord if entry.finished else AgentInstance for entry in entries]
+            assert sum(entry.finished for entry in entries) == kernel.table.terminal
 
-        assert counters(1) == counters(2)
+    def test_a_failure_keeps_its_error_not_its_frame_locals(self, kernel):
+        held = []
+
+        class Ballast:
+            pass
+
+        def fails_holding(ctx, bc):
+            ballast = Ballast()
+            held.append(weakref.ref(ballast))
+            yield ctx.sleep(0)
+            raise RuntimeError("boom")
+
+        agent_id = kernel.launch("a", fails_holding)
+        kernel.run()
+        gc.collect()
+        assert held[0]() is None
+        error = kernel.agent(agent_id).error
+        assert repr(error) == "RuntimeError('boom')"
+        shown = "".join(traceback.format_exception(type(error), error,
+                                                   error.__traceback__))
+        assert "in fails_holding" in shown and 'raise RuntimeError("boom")' in shown
 
 
 class TestNameIndex:
@@ -185,8 +253,8 @@ class TestTableUnit:
         kernel.run()
         assert kernel.site("a").residents() == []
 
-    def test_repr_mentions_retention(self):
-        assert "retention=3" in repr(AgentTable(3))
+    def test_repr_reads_the_counts(self):
+        assert repr(AgentTable()) == "AgentTable(retained=0, launched=0, terminal=0)"
 
 
 def _child(ctx, bc):
@@ -223,21 +291,25 @@ def ended(request):
     ``(ledger entries by ending, whether every instance still held has shed)``."""
     if request.param == "process" and not process_backend_available():
         pytest.skip("cannot fork shard workers on this host")
-    kernel = Kernel(lan(["a", "b", "c"]), transport="tcp", config=KernelConfig(
-        rng_seed=7, shards=2, shard_backend=request.param, max_agent_steps=20))
-    ids = {}
-    for how, (site, _state, _result) in ENDINGS.items():
-        briefcase = Briefcase()
-        briefcase.set("HOW", how)
-        briefcase.set("BALLAST", b"\0" * 256)
-        ids[how] = kernel.launch(site, _ends_by, briefcase, name=f"ends-{how}")
-    # An in-process caller can hold an instance past its end (a process
-    # shard's live entries are records built from digests).
-    held = ([kernel.agent(agent_id) for agent_id in ids.values()]
-            if request.param == "inproc" else [])
-    kernel.run(until=0.1)
-    kernel.crash_site("c")
-    kernel.run()
+    # The step budget is read on every step, in the coordinator and in the
+    # workers forked while the patch holds.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.core.engine.MAX_AGENT_STEPS", 20)
+        kernel = Kernel(lan(["a", "b", "c"]), transport="tcp", config=KernelConfig(
+            rng_seed=7, shards=2, shard_backend=request.param))
+        ids = {}
+        for how, (site, _state, _result) in ENDINGS.items():
+            briefcase = Briefcase()
+            briefcase.set("HOW", how)
+            briefcase.set("BALLAST", b"\0" * 256)
+            ids[how] = kernel.launch(site, _ends_by, briefcase, name=f"ends-{how}")
+        # An in-process caller can hold an instance past its end (a process
+        # shard's live entries are records built from digests).
+        held = ([kernel.agent(agent_id) for agent_id in ids.values()]
+                if request.param == "inproc" else [])
+        kernel.run(until=0.1)
+        kernel.crash_site("c")
+        kernel.run()
     entries = {how: kernel.agent(agent_id) for how, agent_id in ids.items()}
     shed = all(getattr(instance, slot) is None for instance in held
                for slot in ("briefcase", "behaviour", "code_element", "generator"))
@@ -256,8 +328,8 @@ class TestRetirementSheds:
         assert entry.finished and entry.state == state
         assert entry.result == result
         assert (entry.error is None) == (state == AgentState.DONE)
-        if how == "runaway":
-            assert "step budget" in str(entry.error)
+        if how == "runaway":        # killed on the first step past the patched budget
+            assert "step budget" in str(entry.error) and entry.steps == 21
         assert entry.visited == (site,)
         assert type(entry) is AgentRecord and entry.name == f"ends-{how}"
 

@@ -218,17 +218,17 @@ class TestBuildMailKernel:
         # A seed next to a full config would be silently ignored.
         with pytest.raises(ValueError):
             MailSystem.build(["a", "b"], seed=7,
-                             config=KernelConfig(max_agent_steps=500_000))
+                             config=KernelConfig(flow_target_batch=16))
 
     def test_build_seed_reaches_the_kernel(self):
         mail = MailSystem.build(["a", "b"], seed=99)
         assert mail.kernel.config.rng_seed == 99
 
     def test_build_leaves_the_callers_config_as_it_was(self):
-        config = KernelConfig(rng_seed=5, max_agent_steps=500_000)
+        config = KernelConfig(rng_seed=5, flow_target_batch=16)
         before = dataclasses.asdict(config)
         mail = MailSystem.build(["a", "b"], config=config)
-        assert mail.kernel.config.max_agent_steps == 500_000
+        assert mail.kernel.config.flow_target_batch == 16
         mail.send("dag", "a", "fred", "b", "hello", "body")
         mail.kernel.run(until=30.0)
         assert mail.delivered_count() == 1

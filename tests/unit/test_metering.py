@@ -133,13 +133,14 @@ class TestTollCollection:
         assert toll_revenue(kernel) == 5
         assert kernel.counters()["killed"] == 0       # stopped by its wallet, not by the kernel
 
-    def test_step_budget_alone_does_not_contain_a_hopping_runaway(self):
+    def test_step_budget_alone_does_not_contain_a_hopping_runaway(self, monkeypatch):
         """Why the paper reaches for cash: every hop starts a fresh instance
         with a fresh step budget, so the kernel's per-agent limit never
         trips and the unmetered runaway spreads until the operator (here:
         the event cap) pulls the plug — far past what 5 ECUs bought above."""
+        monkeypatch.setattr("repro.core.engine.MAX_AGENT_STEPS", 400)
         kernel = Kernel(lan([f"s{i}" for i in range(4)]), transport="tcp",
-                        config=KernelConfig(rng_seed=2, max_agent_steps=400))
+                        config=KernelConfig(rng_seed=2))
         kernel.launch("s0", "metered_runaway", Briefcase())
         kernel.run(max_events=10_000)
         assert kernel.counters()["killed"] == 0

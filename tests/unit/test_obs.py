@@ -13,6 +13,7 @@ import pytest
 from repro.core import Briefcase, Kernel, KernelConfig
 from repro.net import lan
 from repro.obs import RingSink, Tracer, infra_trace_id, span_id
+from repro.obs.sinks import RING_CAPACITY
 from repro.obs.report import (breakdown, build_trees, format_timeline, hop_timeline,
                               load_trace, main, percentile, trace_ids, write_trace)
 from repro.shard import process_backend_available
@@ -79,9 +80,10 @@ def test_sampling_is_deterministic_and_roughly_proportional():
 # -- sinks ------------------------------------------------------------------
 
 
-def test_ring_sink_bounds_and_since():
+def test_ring_sink_bounds_and_since(monkeypatch):
     # Log lines and spans share one ring, in the order they were emitted.
-    ring = RingSink(capacity=4)
+    monkeypatch.setattr("repro.obs.sinks.RING_CAPACITY", 4)
+    ring = RingSink()
     for i in range(3):
         ring.emit((float(i), f"a{i}", "site", "msg"))
         ring.emit({"span_id": f"s{i}"})
@@ -197,12 +199,21 @@ def test_a_span_that_cannot_encode_leaves_the_earlier_dump(tmp_path):
 # -- event log: log lines in the record ring ---------------------------------
 
 
-def test_obs_ring_bounds_the_kernel_event_log():
-    kernel = Kernel(lan(["a"]), config=KernelConfig(obs_ring=2))
+def test_obs_ring_bounds_the_kernel_event_log(monkeypatch):
+    monkeypatch.setattr("repro.obs.sinks.RING_CAPACITY", 2)
+    kernel = Kernel(lan(["a"]))
     for i in range(4):
         kernel.log_event("agent", "a", f"line {i}")
     assert [line[3] for line in kernel.event_log] == ["line 2", "line 3"]
     assert kernel.ring.total == 4
+    kernel.close()
+
+
+def test_a_tracer_sink_holds_what_an_engine_ring_holds():
+    # One capacity for every ring: a tracer built without a sink used to get
+    # a quarter of an engine's.
+    kernel = Kernel(lan(["a"]))
+    assert Tracer().sink.capacity == kernel.engines[0].ring.capacity == RING_CAPACITY
     kernel.close()
 
 

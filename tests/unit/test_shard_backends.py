@@ -138,11 +138,11 @@ class TestEngineProtocol:
             return worker.engine.launch("a", life, briefcase, name="life")
 
         def digest_into_mirror():
-            new_rows, evicted, counters = worker.cmd_digest()["table"]
+            new_rows, counters = worker.cmd_digest()["table"]
             assert all(type(row) is tuple for row in new_rows)
-            mirror.absorb(new_rows, evicted, counters)
+            mirror.absorb(new_rows, counters)
             assert mirror.state_counts() == table.state_counts()
-            return [row[0] for row in new_rows], evicted
+            return [row[0] for row in new_rows]
 
         def rows(table):
             return {agent_id: AgentRecord.row(entry)
@@ -150,28 +150,29 @@ class TestEngineProtocol:
 
         worker = _Worker(None, WorkerSpec(
             shard_id=0, topology=lan(["a", "b"]), transport="tcp",
-            config=KernelConfig(retention=2),
+            config=KernelConfig(),
             install_system_agents=False, placement={"a": 0, "b": 1}))
-        mirror = AgentTable(2)
+        mirror = AgentTable()
         table = worker.engine.table
         sleeper, first = launch(10.0), launch(0.01)
         worker.engine.run_to(1.0)
-        assert digest_into_mirror() == ([sleeper, first], [])
+        assert digest_into_mirror() == [sleeper, first]
         # A terminal entry cannot change again: an id is all the worker keeps.
         assert worker._sent_markers == {sleeper: ("waiting", 1, "a"), first: None}
         assert len(mirror) == 2 and rows(mirror) == rows(table)
         assert [entry.agent_id for entry in mirror.named("life")] == [sleeper, first]
-        assert digest_into_mirror() == ([], [])                  # nothing changed
+        assert digest_into_mirror() == []                        # nothing changed
         later = [launch(0.01) for _ in range(3)]
-        worker.engine.run_to(2.0)                                # evicts first and later[0]
-        assert digest_into_mirror() == (later[1:], [first])
-        assert rows(mirror) == rows(table) and len(mirror) == len(table) == 3
+        worker.engine.run_to(2.0)
+        assert digest_into_mirror() == later
+        assert rows(mirror) == rows(table) and len(mirror) == len(table) == 5
         worker.engine.run_to(20.0)                               # the sleeper ends
-        assert digest_into_mirror() == ([sleeper], [later[1]])
-        assert worker._sent_markers == {sleeper: None, later[2]: None}
-        assert rows(mirror) == rows(table) and later[1] not in mirror
+        assert digest_into_mirror() == [sleeper]
+        assert worker._sent_markers == dict.fromkeys([sleeper, first, *later])
+        assert rows(mirror) == rows(table)
         assert ([entry.agent_id for entry in mirror.named("life")]
-                == [entry.agent_id for entry in table.named("life")] == [sleeper, later[2]])
+                == [entry.agent_id for entry in table.named("life")]
+                == [sleeper, first, *later])
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +549,13 @@ class TestWorkerHandle:
 # crash and recovery, inproc vs process
 # ---------------------------------------------------------------------------
 
-def crash_kernel(backend, durability, shards=2, **config):
+def crash_kernel(backend, durability, shards=2):
     """Four sites, "d" alone on shard 0 and "a".."c" on shard 1 (at shards=2)."""
     placement = {"a": 1, "b": 1, "c": 1, "d": 0} if shards == 2 else None
     kernel = Kernel(lan(["a", "b", "c", "d"], latency=0.002), transport="tcp",
                     config=KernelConfig(rng_seed=7, shards=shards, shard_backend=backend,
                                         shard_placement=placement,
-                                        durability=durability, **config))
+                                        durability=durability))
     kernel.install_agent(None, SINK_NAME, report_sink)
     return kernel
 
@@ -672,12 +673,12 @@ def ledger_reads(kernel):
     }
 
 
-def ledger_script(backend, retention, shards=2, read=ledger_reads, durable=None):
+def ledger_script(backend, shards=2, read=ledger_reads, durable=None):
     """*read* (by default :func:`ledger_reads`) mid-flight, then after "c"
     crashes and recovers and a final ``run()``: couriers and an itinerant
     cross the shards, one agent fails, one dies in the crash.  A *durable*
     cabinet is journaled everywhere."""
-    kernel = crash_kernel(backend, "wal-group-commit", shards, retention=retention)
+    kernel = crash_kernel(backend, "wal-group-commit", shards)
     if durable is not None:
         kernel.make_durable(durable)
     for site, peer in (("d", "c"), ("a", "d"), ("b", "c")):
@@ -700,24 +701,22 @@ def ledger_script(backend, retention, shards=2, read=ledger_reads, durable=None)
 
 @pytest.mark.skipif(not process_backend_available(),
                     reason="cannot fork shard workers on this host")
-@pytest.mark.parametrize("retention", [None, 3])
-def test_ledger_reads_match_across_backends(retention):
-    process = ledger_script("process", retention)
-    assert process == ledger_script("inproc", retention)
+def test_ledger_reads_match_across_backends():
+    process = ledger_script("process")
+    assert process == ledger_script("inproc")
     mid_flight, final = process
     assert mid_flight["counts"]["active"] > 0
     assert final["counts"]["killed"] == 1 and final["counts"]["failed"] == 1
     # One engine: a finished agent has the same form, and the script's own
     # agents the same rows but for their ids (minted per engine).
-    for reads, alone in zip(process, ledger_script("inproc", retention, shards=1)):
+    for reads, alone in zip(process, ledger_script("inproc", shards=1)):
         assert reads["finished"] == alone["finished"] == {
             (AgentRecord, ("agent_id", "error", "finished", "finished_at", "name",
                            "ok", "parent_id", "result", "row", "site_name",
                            "started_at", "state", "steps", "visited"))}
-        if retention is None:       # a bound is per engine: it evicts per shard count
-            for name in ("itinerant", "doomed"):
-                assert ([row[1:7] + row[8:] for row in reads["named"][name]]
-                        == [row[1:7] + row[8:] for row in alone["named"][name]])
+        for name in ("itinerant", "doomed"):
+            assert ([row[1:7] + row[8:] for row in reads["named"][name]]
+                    == [row[1:7] + row[8:] for row in alone["named"][name]])
 
 
 #: the kernel events ``counters()`` reports beside the agent-state counts
@@ -744,9 +743,9 @@ def test_every_counter_has_one_home(backend):
     """The four event counters live in ``NetworkStats`` on every engine and
     backend, and ``store_summary()`` is the snapshot's durability keys plus
     the policy, equal on one engine and on two."""
-    alone = ledger_script("inproc", None, shards=1, read=counter_reads,
+    alone = ledger_script("inproc", shards=1, read=counter_reads,
                           durable=MAIL_CABINET)
-    sharded = ledger_script(backend, None, read=counter_reads, durable=MAIL_CABINET)
+    sharded = ledger_script(backend, read=counter_reads, durable=MAIL_CABINET)
     for reads in (*alone, *sharded):
         for name, (in_stats, in_counters, summed) in reads["events"].items():
             assert in_stats == in_counters == summed, name
@@ -900,10 +899,13 @@ class TestProcessFacade:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "['main:a', 'path:c']", done.stdout
 
-    def test_digest_fed_ring_keeps_the_configured_bound(self):
-        """``obs_ring`` bounds what the coordinator retains per engine too:
-        after repeated runs it holds what the in-process engines hold, log
-        lines and spans alike, not everything the digests ever shipped."""
+    def test_digest_fed_ring_keeps_the_configured_bound(self, monkeypatch):
+        """The ring capacity bounds what the coordinator retains per engine
+        too: after repeated runs it holds what the in-process engines hold,
+        log lines and spans alike, not everything the digests ever shipped.
+        The patched capacity reaches the forked workers' rings as well."""
+        monkeypatch.setattr("repro.obs.sinks.RING_CAPACITY", 7)
+
         def retained(backend):
             names = [f"s{i}" for i in range(4)]
             kernel = Kernel(lan(names, latency=0.002), transport="tcp",
@@ -911,7 +913,7 @@ class TestProcessFacade:
                                 rng_seed=7, shards=2, shard_backend=backend,
                                 shard_placement={"s0": 0, "s1": 0,
                                                  "s2": 1, "s3": 1},
-                                obs_ring=7, obs_enabled=True))
+                                obs_enabled=True))
             kernel.install_agent(None, SINK_NAME, report_sink)
             for round_number in range(10):
                 site = names[round_number % len(names)]

@@ -101,4 +101,4 @@ class TestBuildKernel:
         kernel = build_stormcast_kernel(params)
         assert dataclasses.asdict(params) == before
         assert kernel.config.durability == "wal-group-commit"
-        assert kernel.config.retention is None
+        assert kernel.config.rng_seed == params.seed

@@ -2,9 +2,9 @@
 """Print the size numbers ROADMAP aim 2 tracks, as one line.
 
     SIZE src_lines=... core_lines=... config_fields=... kernel_public=...
-         shards_branches=... test_only_defs=... bench_files=... import_modules=...
-         third_party=... test_lines=... example_lines=... package_public=...
-         (same line)
+         shards_branches=... test_only_defs=... test_only_knobs=... bench_files=...
+         import_modules=... third_party=... test_lines=... example_lines=...
+         package_public=... (same line)
 
 ``src_lines`` is ``wc -l`` over ``src/repro/**/*.py``; ``core_lines`` the
 part of it in the kernel facade, the engine and the shard package
@@ -33,9 +33,12 @@ word match, so a name shared with anything else outside ``tests/`` is not
 counted).  Methods of ``_``-prefixed
 classes are not counted: they are internal, and a method such a class
 defines for a protocol (a file object's ``readinto`` for ``pickle``) is
-called by the standard library, not by name.
+called by the standard library, not by name.  ``test_only_knobs`` counts
+the ``KernelConfig`` fields that no ``.py`` file outside ``tests/`` sets,
+as a call keyword or a dict key (any call's keyword of that name counts):
+a knob only tests turn wants to be a constant a test patches.
 ``tests/unit/test_package_surface.py`` pins the qualified names that
-``test_only_defs()`` returns.  CI prints the line after tier-1; CHANGES.md
+``test_only_defs()`` returns and the fields ``test_only_knobs()`` returns.  CI prints the line after tier-1; CHANGES.md
 records parent -> change for each change.
 """
 
@@ -104,10 +107,7 @@ def test_only_defs() -> list:
     names = {name for name, _, _, _ in defs}
     #: name -> the (file, line) places outside tests/ that mention it
     seen = collections.defaultdict(set)
-    for path in ROOT.rglob("*.py"):
-        parts = path.relative_to(ROOT).parts
-        if parts[0] in ("tests", ".git") or "__pycache__" in parts:
-            continue
+    for path in outside_tests():
         text = path.read_text(encoding="utf-8")
         exports = reexport_lines(ast.parse(text))
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -117,6 +117,28 @@ def test_only_defs() -> list:
                 seen[word].add((path, lineno))
     return sorted(qualified for name, qualified, path, lineno in defs
                   if seen[name] <= {(path, lineno)})
+
+
+def test_only_knobs() -> list:
+    """The ``KernelConfig`` fields no ``.py`` file outside ``tests/`` sets,
+    as a call keyword or a dict key, sorted."""
+    fields = {field.name for field in dataclasses.fields(KernelConfig)}
+    set_outside = set()
+    for path in outside_tests():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.keyword):
+                set_outside.add(node.arg)
+            elif isinstance(node, ast.Dict):
+                set_outside.update(key.value for key in node.keys
+                                   if isinstance(key, ast.Constant))
+    return sorted(fields - set_outside)
+
+
+def outside_tests() -> list:
+    """Every ``.py`` file of the repo outside ``tests/`` (and ``.git``)."""
+    return [path for path in ROOT.rglob("*.py")
+            if path.relative_to(ROOT).parts[0] not in ("tests", ".git")
+            and "__pycache__" not in path.parts]
 
 
 def reexport_lines(tree: ast.Module) -> set:
@@ -157,6 +179,7 @@ if __name__ == "__main__":
           f"kernel_public={sum(not name.startswith('_') for name in dir(Kernel))}",
           f"shards_branches={sum('_shards is' in line or 'distributed' in line for line in core)}",
           f"test_only_defs={len(test_only_defs())}",
+          f"test_only_knobs={len(test_only_knobs())}",
           f"bench_files={len(stray)}",
           cold_start(),
           f"test_lines={sum(len(lines_of(path)) for path in (ROOT / 'tests').rglob('*.py'))}",
