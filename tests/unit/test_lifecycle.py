@@ -32,10 +32,9 @@ def broken(ctx, bc):
     raise RuntimeError("boom")
 
 
-def ledger_kernel(**config_kwargs):
+def ledger_kernel():
     """A 3-site TCP kernel."""
-    return Kernel(lan(["a", "b", "c"]), transport="tcp",
-                  config=KernelConfig(rng_seed=7, **config_kwargs))
+    return Kernel(lan(["a", "b", "c"]), transport="tcp", config=KernelConfig(rng_seed=7))
 
 
 def _numbered(number):
