@@ -426,6 +426,25 @@ class TestSyscalls:
         assert kernel.agent(agent_id).state == AgentState.KILLED
         assert kernel.counters()["killed"] == 1
 
+    def test_the_step_budget_is_read_on_each_step(self, strategy, monkeypatch):
+        # A budget lowered mid-run binds the agents already running: the
+        # engine reads the constant on every step, not once at construction.
+        kernel = Kernel(lan(["a", "b"]), config=KernelConfig(rng_seed=1))
+
+        def runaway(ctx, bc):
+            while True:
+                yield ctx.sleep(0.001)
+
+        agent_id = kernel.launch("b", runaway)
+        kernel.run(until=0.05)
+        assert kernel.agent(agent_id).state == AgentState.WAITING
+        taken = kernel.agent(agent_id).steps
+        monkeypatch.setattr("repro.core.engine.MAX_AGENT_STEPS", taken + 10)
+        kernel.run(until=1.0)
+        record = kernel.agent(agent_id)
+        assert (record.state, record.steps) == (AgentState.KILLED, taken + 11)
+        assert kernel.counters()["killed"] == 1
+
 
 class TestMeetSemantics:
     def test_meet_returns_callee_value_and_briefcase(self, kernel):

@@ -43,6 +43,7 @@ def _numbered(number):
     return briefcase
 
 
+@pytest.mark.usefixtures("strategy")
 class TestRecords:
     def test_a_finished_agent_is_a_compact_record(self):
         kernel = ledger_kernel()
@@ -95,6 +96,7 @@ class TestRecords:
                     if record.site_name == "a"]) == 2
 
 
+@pytest.mark.usefixtures("strategy")
 class TestRetainEverything:
     """The ledger keeps a record of every agent, the counters stay exact,
     and the name index holds exactly what the ledger holds."""
@@ -168,6 +170,29 @@ class TestRetainEverything:
         assert "in fails_holding" in shown and 'raise RuntimeError("boom")' in shown
 
 
+class TestShardCount:
+    def test_the_ledger_does_not_depend_on_the_shard_count(self, backend):
+        # Every engine keeps every record, so two engines hold what one does
+        # (a per-engine bound on finished records once made them differ).
+        def ledger(shards):
+            with Kernel(lan([f"s{index}" for index in range(6)]), transport="tcp",
+                        config=KernelConfig(rng_seed=7, shards=shards,
+                                            shard_backend=backend)) as kernel:
+                for index in range(24):
+                    kernel.launch(f"s{index % 6}", worker if index % 5 else broken,
+                                  _numbered(index), name=f"n{index % 4}")
+                kernel.run()
+                rows = sorted((entry.name, entry.site_name, entry.state,
+                               entry.result, entry.visited)
+                              for entry in kernel.agents.values())
+                return kernel.counters(), rows
+
+        counters, rows = ledger(1)
+        assert (counters["launched"], counters["retained"], counters["failed"]) == (24, 24, 5)
+        assert ledger(2) == (counters, rows)
+
+
+@pytest.mark.usefixtures("strategy")
 class TestNameIndex:
     def test_meet_callees_and_spawns_are_indexed(self):
         kernel = ledger_kernel()
@@ -240,6 +265,7 @@ class TestTableUnit:
             done = kernel.agent(agent_id)
             assert (done.state, done.finished) == (AgentState.DONE, True)
 
+    @pytest.mark.usefixtures("strategy")
     def test_site_handshake_keeps_resident_index_exact(self):
         kernel = ledger_kernel()
 

@@ -246,6 +246,27 @@ class TestStatsView:
         assert view.flush_causes == {"window": 1, "partition": 1}
         assert view.mean_latency() == pytest.approx(0.020)
 
+    @pytest.mark.parametrize("field", ["flush_causes", "per_kind", "per_kind_bytes"])
+    def test_a_counted_field_sums_the_parts_key_by_key(self, field):
+        left, right = self._parts()
+        merged = getattr(StatsView([left, right]), field)
+        keys = set(getattr(left, field)) | set(getattr(right, field))
+        assert merged == {key: getattr(left, field).get(key, 0)
+                          + getattr(right, field).get(key, 0) for key in keys}
+        assert len(keys) == 2 and all(merged.values())
+
+    @pytest.mark.parametrize("field", ["flush_causes", "per_kind", "per_kind_bytes"])
+    def test_a_counted_field_is_a_fresh_dict_the_parts_never_see(self, field):
+        left, right = self._parts()
+        before = dict(getattr(left, field)), dict(getattr(right, field))
+        view = StatsView([left, right])
+        merged = getattr(view, field)
+        merged.clear()
+        merged["FORGED"] = 1
+        assert (dict(getattr(left, field)), dict(getattr(right, field))) == before
+        assert "FORGED" not in getattr(view, field)
+        assert type(getattr(view, field)) is dict
+
     def test_snapshot_matches_network_stats_shape(self):
         view = StatsView(list(self._parts()))
         snapshot = view.snapshot()

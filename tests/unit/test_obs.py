@@ -209,11 +209,13 @@ def test_obs_ring_bounds_the_kernel_event_log(monkeypatch):
     kernel.close()
 
 
-def test_a_tracer_sink_holds_what_an_engine_ring_holds():
+def test_a_tracer_sink_holds_what_an_engine_ring_holds(strategy):
     # One capacity for every ring: a tracer built without a sink used to get
     # a quarter of an engine's.
-    kernel = Kernel(lan(["a"]))
-    assert Tracer().sink.capacity == kernel.engines[0].ring.capacity == RING_CAPACITY
+    kernel = Kernel(lan(["a", "b"]))
+    assert len(kernel.engines) == strategy
+    assert {Tracer().sink.capacity} | {engine.ring.capacity
+                                       for engine in kernel.engines} == {RING_CAPACITY}
     kernel.close()
 
 

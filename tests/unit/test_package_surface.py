@@ -203,6 +203,24 @@ def test_test_only_knobs_are_exactly_the_listed_ones(size_report):
     assert size_report.test_only_knobs() == TEST_ONLY_KNOBS
 
 
+@pytest.mark.parametrize("path, text, test_only", [
+    ("tools/run.py", "KernelConfig(obs_sample=0.5)\n", False),       # a call keyword
+    ("benchmarks/arm.py", "ARM = {'obs_sample': 0.5}\n", False),      # a dict key
+    ("tests/unit/test_x.py", "KernelConfig(obs_sample=0.5)\n", True),
+    ("src/repro/core/kernel.py", "class KernelConfig:\n    obs_sample: float = 1.0\n",
+     True),                                                             # its declaration
+    ("src/repro/obs/x.py", "rate = config.obs_sample\n", True),         # a read
+], ids=["call-keyword", "dict-key", "in-tests", "declaration", "read"])
+def test_a_knob_is_test_only_until_code_outside_tests_sets_it(
+        size_report, tmp_path, monkeypatch, path, text, test_only):
+    (tmp_path / path).parent.mkdir(parents=True)
+    (tmp_path / path).write_text(text, encoding="utf-8")
+    monkeypatch.setattr(size_report, "ROOT", tmp_path)
+    knobs = size_report.test_only_knobs()
+    assert ("obs_sample" in knobs) is test_only
+    assert len(knobs) == len(KERNEL_CONFIG_FIELDS) - (not test_only)
+
+
 #: every public name on the ``Kernel`` facade, sorted.  ``tools/size_report.py``
 #: counts them as ``kernel_public``: a new name means editing this list.
 KERNEL_PUBLIC_NAMES = [

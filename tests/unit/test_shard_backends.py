@@ -701,9 +701,10 @@ def ledger_script(backend, shards=2, read=ledger_reads, durable=None):
 
 @pytest.mark.skipif(not process_backend_available(),
                     reason="cannot fork shard workers on this host")
-def test_ledger_reads_match_across_backends():
-    process = ledger_script("process")
-    assert process == ledger_script("inproc")
+@pytest.mark.parametrize("shards", [2, 4])
+def test_ledger_reads_match_across_backends(shards):
+    process = ledger_script("process", shards)
+    assert process == ledger_script("inproc", shards)
     mid_flight, final = process
     assert mid_flight["counts"]["active"] > 0
     assert final["counts"]["killed"] == 1 and final["counts"]["failed"] == 1
