@@ -4,13 +4,13 @@ An *agent* in TACOMA is just code plus a briefcase; at runtime the kernel
 wraps that in an :class:`AgentInstance`, which holds what the agent was
 started from (behaviour, CODE element, briefcase, place), owns the
 behaviour generator, and keeps the bookkeeping the experiments read (steps
-executed, sites visited, result, failure cause).  The engine is their only
+executed, result, failure cause).  The engine is their only
 producer, so no separate "specification" object precedes an instance.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.briefcase import Briefcase
 
@@ -42,12 +42,12 @@ class AgentInstance:
     ledger when collecting results, and through ``ctx`` while running.
 
     A ``__slots__`` class: high-population workloads keep hundreds of
-    thousands of these alive at once, so an instance is one object: the
-    ``visited`` list exists only once somebody reads it.  Retirement
+    thousands of these alive at once, so an instance is one object whose
+    bookkeeping lives in slots.  Retirement
     (:meth:`~repro.core.lifecycle.AgentTable.retire`) sets ``briefcase``,
     ``behaviour`` and ``code_element`` to None and replaces the instance in
     the ledger with a compact :class:`~repro.core.lifecycle.AgentRecord`
-    (id, state, result, error, itinerary): a finished agent keeps its
+    (id, site, state, result, error, timing): a finished agent keeps its
     record, not its luggage; a waiting meet caller is handed the briefcase
     before that.  Records duck-type the read-only surface below
     (``state``, ``result``, ``finished``, ``ok``, ...).  The spawn and meet
@@ -65,7 +65,7 @@ class AgentInstance:
     __slots__ = ("agent_id", "behaviour", "code_element", "launch_name", "name",
                  "site_name", "briefcase", "state", "system", "parent_id",
                  "meet_parent", "meet_ended", "generator", "result", "error",
-                 "steps", "started_at", "finished_at", "finished", "_visited")
+                 "steps", "started_at", "finished_at", "finished")
 
     def __init__(self, agent_id: str, behaviour: Callable, site_name: str,
                  briefcase: Optional[Briefcase] = None, name: Optional[str] = None,
@@ -97,15 +97,6 @@ class AgentInstance:
         self.steps = 0
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        self._visited: Optional[List[str]] = None
-
-    @property
-    def visited(self) -> List[str]:
-        """Every site this logical agent has executed at (itinerary trace)."""
-        visited = self._visited
-        if visited is None:
-            visited = self._visited = [self.site_name]
-        return visited
 
     # -- state helpers -----------------------------------------------------------
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from operator import itemgetter
 from types import GeneratorType, MappingProxyType
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping,
@@ -1164,6 +1165,9 @@ class Engine(LedgerQueries):
             self.log_event("kernel", site.name,
                            f"arrival for unknown contact {contact!r} dropped")
             return
+        # Every arrival of a contact names its life with one shared string,
+        # not the copy each message decoded.
+        contact = sys.intern(contact)
         behaviour, is_system = site.resolve(contact)
         if self.obs.active and message.trace is not None:
             self._obs_record_arrival(site, message, briefcase)

@@ -19,9 +19,10 @@ forever, and name lookups scanned the whole history.  The
 * **retention** — the table keeps every record, so every id an engine
   minted stays queryable and ``counters()["retained"]`` equals
   ``launched``; a compact record is what a finished life costs;
-* **indexes** — a name index makes ``agents_named`` O(instances with that
-  name) instead of O(all agents ever), and the state counters back the
-  kernel's ``counters()`` snapshot without any scan.
+* **indexes** — a name index (name -> agent ids in launch order) makes
+  ``agents_named`` O(instances with that name) instead of O(all agents
+  ever), and the state counters back the kernel's ``counters()`` snapshot
+  without any scan.
 
 The kernel's public API (``agents``, ``agent``, ``agents_named``,
 ``result_of``, ``counters``) delegates here.
@@ -29,6 +30,7 @@ The kernel's public API (``agents``, ``agent``, ``agents_named``,
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.core.agent import AgentInstance, AgentState
@@ -40,10 +42,11 @@ __all__ = ["AgentRecord", "AgentTable", "MergedAgentTable"]
 
 
 class AgentRecord:
-    """Compact read-only view of an agent: identity, state, result and trace.
+    """Compact read-only view of an agent: identity, state, result and timing.
 
     Keeps only what result-collection and post-mortem queries read: identity,
-    state, result/error, timing and the itinerary trace.  The ledger archives
+    the site it ran at, state, result/error, steps and timing (ten fields; a
+    jump starts a new agent, so one life runs at one site).  The ledger archives
     every terminal agent as a record; the meet and system bookkeeping, the
     launch name and the generator of the instance it replaces stay behind.
     A process shard's coordinator also builds records for agents still
@@ -55,23 +58,20 @@ class AgentRecord:
     """
 
     __slots__ = ("agent_id", "name", "site_name", "state", "result", "error",
-                 "steps", "parent_id", "started_at", "finished_at", "visited")
+                 "steps", "parent_id", "started_at", "finished_at")
 
     def __init__(self, source: Union[AgentInstance, tuple]):
         """From a terminal instance, or a :meth:`row` (what a shard worker ships)."""
         (self.agent_id, self.name, self.site_name, self.state, self.result,
-         self.error, self.steps, self.parent_id, self.started_at, self.finished_at,
-         self.visited) = source if type(source) is tuple else self.row(source)
+         self.error, self.steps, self.parent_id, self.started_at,
+         self.finished_at) = source if type(source) is tuple else self.row(source)
 
     @staticmethod
     def row(entry: "LedgerEntry") -> tuple:
         """The fields a record of *entry* holds, in ``__slots__`` order."""
-        # An instance's list is read where it lies: do not build it to copy it.
-        visited = entry.visited if isinstance(entry, AgentRecord) else entry._visited
         return (entry.agent_id, entry.name, entry.site_name, entry.state,
                 entry.result, entry.error, entry.steps, entry.parent_id,
-                entry.started_at, entry.finished_at,
-                (entry.site_name,) if visited is None else tuple(visited))
+                entry.started_at, entry.finished_at)
 
     @property
     def finished(self) -> bool:
@@ -96,7 +96,8 @@ class AgentTable:
     """The agent lifecycle ledger: registration, indexes, records.
 
     One per kernel.  The table owns the entry dict the kernel's ``agents``
-    property exposes, the name index behind ``agents_named``, the launch /
+    property exposes, the name index behind ``agents_named`` (ids, not
+    entries: retirement swaps an entry in ``entries`` only), the launch /
     terminal state counters behind ``counters()``, and the per-site
     resident-index handshake.
     """
@@ -104,9 +105,8 @@ class AgentTable:
     def __init__(self):
         #: agent id -> live instance or terminal record (insertion ordered)
         self.entries: Dict[str, LedgerEntry] = {}
-        #: name -> {agent id -> entry}; inner dicts keep insertion order so
-        #: ``named()`` returns instances in launch order, like the old scan
-        self._by_name: Dict[str, Dict[str, LedgerEntry]] = {}
+        #: name -> the ids launched under it, in launch order
+        self._by_name: Dict[str, List[str]] = defaultdict(list)
 
         # O(1) state counters (the kernel ledger the experiments read).
         self.launched = 0
@@ -119,7 +119,7 @@ class AgentTable:
     def register(self, instance: AgentInstance, site: Optional["Site"]) -> None:
         """Enter a new instance into the ledger and its site's resident index."""
         self.entries[instance.agent_id] = instance
-        self._by_name.setdefault(instance.name, {})[instance.agent_id] = instance
+        self._by_name[instance.name].append(instance.agent_id)
         self.launched += 1
         if site is not None:
             site.add_resident(instance)
@@ -151,9 +151,7 @@ class AgentTable:
         if error is not None and error.__traceback__ is not None:
             import traceback  # a raised failure's cost: not on the import path
             traceback.clear_frames(error.__traceback__)
-        record = AgentRecord(instance)
-        self.entries[agent_id] = record
-        self._by_name[instance.name][agent_id] = record
+        self.entries[agent_id] = AgentRecord(instance)
 
     def absorb(self, rows: Sequence[tuple], counters: Dict[str, int]) -> None:
         """Apply one shard worker's digest of its own table.
@@ -165,8 +163,9 @@ class AgentTable:
         entries = self.entries
         for row in rows:
             record = AgentRecord(row)
+            if record.agent_id not in entries:
+                self._by_name[record.name].append(record.agent_id)
             entries[record.agent_id] = record
-            self._by_name.setdefault(record.name, {})[record.agent_id] = record
         vars(self).update(counters)
 
     # -- lookups -------------------------------------------------------------------
@@ -177,8 +176,8 @@ class AgentTable:
 
     def named(self, name: str) -> List[LedgerEntry]:
         """Every entry launched under *name*, in launch order (O(matches))."""
-        named = self._by_name.get(name)
-        return list(named.values()) if named else []
+        entries = self.entries
+        return [entries[agent_id] for agent_id in self._by_name.get(name, ())]
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -53,6 +53,8 @@ def test_one_tree_on_both_sides_moves_no_key(tmp_path):
     assert entry["calls"].startswith("CALLS churn calls_per_unit=")
     assert entry["host_ref_us"] > 0 and entry["parent_host_ref_us"] > 0
     assert "  host_ref_us parent " in done.stdout, done.stdout
+    assert all(f"compiled {side} {REPO} in " in done.stdout
+               for side in ("parent", "change")), done.stdout
 
 
 @pytest.mark.parametrize("workload", ["churn", "ft_durable"])
@@ -102,10 +104,30 @@ def test_setup_line_splits_setup_s_and_the_profile_leaves_out_the_inputs():
     assert "(generate)" not in listed, listed
 
 
-def test_moved_keys_are_the_fingerprint_inputs_that_differ():
+def load_tool():
     spec = importlib.util.spec_from_file_location("ledger_pair", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_a_repetition_of_a_compiled_tree_compiles_nothing(tmp_path):
+    # The compile step writes every module a repetition imports, the tree's
+    # and the standard library's, so a repetition allowed to write bytecode
+    # adds none: it read its sources from bytecode only.
+    tool = load_tool()
+    assert tool.compile_tree(REPO, tmp_path, ["churn"], 7) > 0
+    written = set(tmp_path.rglob("*.pyc"))
+    assert any(path.name.startswith("engine.") for path in written)
+    assert any(path.parent.name == "json" for path in written)     # the stdlib's
+    env = tool.tree_env(REPO, tmp_path)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    tool.run_rep(REPO, "churn", 7, True, env)
+    assert set(tmp_path.rglob("*.pyc")) == written
+
+
+def test_moved_keys_are_the_fingerprint_inputs_that_differ():
+    tool = load_tool()
     parent = {"events": 9, "counters": {"archived": 0, "launched": 3},
               "counts": {"bytes_sent": 10, "latency_p50": 0.5}}
     change = {"events": 9, "counters": {"archived": 3, "launched": 3},

@@ -71,9 +71,6 @@ class TestAgentInstance:
         assert instance.state == AgentState.KILLED
         assert "site crash" in str(instance.error)
 
-    def test_visited_starts_with_launch_site(self):
-        assert self.make().visited == ["alpha"]
-
     def test_meet_parent_tracking(self):
         parent = self.make()
         child = AgentInstance("agent-child", noop, "alpha",

@@ -56,7 +56,8 @@ class TestRecords:
         assert type(record) is AgentRecord
         assert record.finished and record.ok
         assert kernel.result_of(agent_id) == 42
-        assert (record.name, record.visited) == ("kept", ("a",))
+        assert (record.name, record.site_name) == ("kept", "a")
+        assert len(AgentRecord.__slots__) == 10
         # The expensive state is genuinely gone from the ledger entry.
         assert not hasattr(record, "briefcase")
         assert not hasattr(record, "behaviour")
@@ -183,7 +184,7 @@ class TestShardCount:
                                   _numbered(index), name=f"n{index % 4}")
                 kernel.run()
                 rows = sorted((entry.name, entry.site_name, entry.state,
-                               entry.result, entry.visited)
+                               entry.result, entry.steps)
                               for entry in kernel.agents.values())
                 return kernel.counters(), rows
 
@@ -215,6 +216,32 @@ class TestNameIndex:
         assert len(kernel.agents_named("helper")) == 1
 
 
+class TestNameIndexAcrossRuns:
+    @pytest.mark.parametrize("shards, backend", [(1, "inproc"), (2, "inproc"), (2, "process")],
+                             ids=["one-engine", "2xinproc", "process"])
+    def test_each_agent_is_named_once_in_launch_order(self, shards, backend):
+        # A process shard's digest re-ships the row of an agent that changed
+        # since the last one: the name index must not list it twice.
+        if backend == "process" and not process_backend_available():
+            pytest.skip("cannot fork shard workers on this host")
+        with Kernel(lan(["a", "b", "c"]), transport="tcp", config=KernelConfig(
+                rng_seed=7, shards=shards, shard_backend=backend)) as kernel:
+            launched = []
+            for horizon in (0.05, 0.15, None):
+                for index in range(6):
+                    briefcase = Briefcase()
+                    briefcase.set("WORK", 0.02 * (index + 1))
+                    launched.append(kernel.launch("a", worker, briefcase, name="paced"))
+                kernel.launch("b", worker, name="other")
+                kernel.run(until=horizon)
+                named = kernel.agents_named("paced")
+                assert [entry.agent_id for entry in named] == launched
+                if horizon is not None:     # some finished, some still running
+                    assert {entry.finished for entry in named} == {True, False}
+            assert all(entry.finished for entry in named)
+            assert len(kernel.agents_named("other")) == 3
+
+
 class TestTableUnit:
     def test_state_counts_snapshot(self):
         kernel = ledger_kernel()
@@ -235,17 +262,17 @@ class TestTableUnit:
         done = kernel.agent(kernel.launch("a", worker, briefcase, name="rowed"))
         kernel.run()
         row = AgentRecord.row(done)
-        assert len(row) == len(AgentRecord.__slots__) and done._visited is None
+        assert len(row) == len(AgentRecord.__slots__) == 10
         for record in (AgentRecord(done), AgentRecord(row)):
             assert AgentRecord.row(record) == row
             assert [getattr(record, slot) for slot in AgentRecord.__slots__] == list(row)
-        assert (row[1], row[3], row[4], row[-1]) == ("rowed", AgentState.DONE, [1, 2], ("a",))
+        assert (row[1], row[2], row[3], row[4]) == ("rowed", "a", AgentState.DONE, [1, 2])
 
     @pytest.mark.parametrize("state, finished", [
         ("created", False), ("running", False), ("waiting", False),
         ("done", True), ("failed", True), ("killed", True)])
     def test_a_record_is_finished_exactly_when_its_state_is_terminal(self, state, finished):
-        row = ("agent-1", "n", "a", state, None, None, 0, None, 0.0, None, ("a",))
+        row = ("agent-1", "n", "a", state, None, None, 0, None, 0.0, None)
         assert AgentRecord(row).finished is finished
 
     def test_a_live_agent_does_not_read_as_finished_on_any_backend(self, backend):
@@ -355,7 +382,7 @@ class TestRetirementSheds:
         assert (entry.error is None) == (state == AgentState.DONE)
         if how == "runaway":        # killed on the first step past the patched budget
             assert "step budget" in str(entry.error) and entry.steps == 21
-        assert entry.visited == (site,)
+        assert entry.site_name == site
         assert type(entry) is AgentRecord and entry.name == f"ends-{how}"
 
     def test_a_meet_caller_gets_the_briefcase_the_callee_finished_with(self):

@@ -714,7 +714,7 @@ def test_ledger_reads_match_across_backends(shards):
         assert reads["finished"] == alone["finished"] == {
             (AgentRecord, ("agent_id", "error", "finished", "finished_at", "name",
                            "ok", "parent_id", "result", "row", "site_name",
-                           "started_at", "state", "steps", "visited"))}
+                           "started_at", "state", "steps"))}
         for name in ("itinerant", "doomed"):
             assert ([row[1:7] + row[8:] for row in reads["named"][name]]
                     == [row[1:7] + row[8:] for row in alone["named"][name]])

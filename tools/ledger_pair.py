@@ -8,10 +8,16 @@
         --pr 26 --append BENCH_ledger.json
 
 PARENT and CHANGE are two checkouts of this repository (say, a ``git clone``
-of the parent commit beside the working tree).  Pair *i* runs one repetition
-of ``benchmarks/ledger/ledger_rep.py`` from each tree, each in a fresh
-interpreter as ``benchmarks/ledger/run.py`` does, the parent first in odd
-pairs and the change first in even ones, so a slow spell of a shared host
+of the parent commit beside the working tree).  Before the first pair each
+tree is compiled once into its own ``PYTHONPYCACHEPREFIX`` under a temporary
+directory (``compileall`` of its ``src`` and ``benchmarks/ledger``, timed and
+printed, then one ``--quick`` repetition per workload, which writes the
+bytecode of the standard-library modules a repetition imports), so every
+measured repetition loads bytecode: neither ``setup_s`` nor ``peak_rss_mb``
+carries the compiler reading a tree's source text.  Pair *i* runs one
+repetition of ``benchmarks/ledger/ledger_rep.py`` from each tree, each in a
+fresh interpreter as ``benchmarks/ledger/run.py`` does, the parent first in
+odd pairs and the change first in even ones, so a slow spell of a shared host
 lands on both sides.  It prints every pair's five end-to-end metrics (those
 ``BENCHMARK.json`` lists), parent -> change; then per side their median
 [q1, q3] and in how many pairs the change was better; then each side's
@@ -43,6 +49,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -58,11 +65,33 @@ ON_TREE = ("import pathlib, sys; sys.path.insert(0, sys.argv.pop(1)); import hot
            "hot_functions.REPO = pathlib.Path(sys.argv.pop(1)); sys.exit(hot_functions.main())")
 
 
-def run_rep(tree: pathlib.Path, workload: str, seed: int, quick: bool) -> dict:
+def tree_env(tree: pathlib.Path, prefix: pathlib.Path) -> dict:
+    """The environment a repetition from *tree* runs in, bytecode under *prefix*."""
+    return dict(os.environ, PYTHONHASHSEED="0", PYTHONPYCACHEPREFIX=str(prefix),
+                PYTHONPATH=os.pathsep.join(
+                    [str(tree / "benchmarks" / "ledger"), str(tree / "src")]
+                    + [p for p in (os.environ.get("PYTHONPATH"),) if p]))
+
+
+def compile_tree(tree: pathlib.Path, prefix: pathlib.Path, workloads: list,
+                 seed: int) -> float:
+    """Write under *prefix* the bytecode of every module a repetition from
+    *tree* imports; the seconds compiling the tree's own sources took."""
+    env = tree_env(tree, prefix)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "compileall", "-q",
+                    str(tree / "src"), str(tree / "benchmarks" / "ledger")],
+                   env=env, stdout=subprocess.DEVNULL, check=True)
+    seconds = time.perf_counter() - start
+    for workload in workloads:      # the standard library's share, written on import
+        run_rep(tree, workload, seed, True, env)
+    return seconds
+
+
+def run_rep(tree: pathlib.Path, workload: str, seed: int, quick: bool, env: dict) -> dict:
     """One ledger repetition from *tree*, in a fresh interpreter: its JSON."""
     ledger = tree / "benchmarks" / "ledger"
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(
-        [str(ledger), str(tree / "src")] + [p for p in (os.environ.get("PYTHONPATH"),) if p]))
     # Its own session, so a hung repetition's shard workers die with it.
     child = subprocess.Popen(
         [sys.executable, str(ledger / "ledger_rep.py"), "--workload", workload,
@@ -127,7 +156,8 @@ def moved_keys(parent: dict, change: dict) -> list:
             if before.get(key) != after.get(key)]
 
 
-def compare(trees: dict, workload: str, seed: int, pairs: int, quick: bool) -> dict:
+def compare(trees: dict, envs: dict, workload: str, seed: int, pairs: int,
+            quick: bool) -> dict:
     """Run and print *pairs* alternated pairs; the trajectory entry for them."""
     print(f"== {workload} seed={seed} pairs={pairs}{'  [--quick: NOT comparable]' * quick}"
           f"  parent={trees['parent']}  change={trees['change']}")
@@ -137,7 +167,7 @@ def compare(trees: dict, workload: str, seed: int, pairs: int, quick: bool) -> d
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         for side in order:
             refs[side].append(host_ref_us())
-            reps[side].append(run_rep(trees[side], workload, seed, quick))
+            reps[side].append(run_rep(trees[side], workload, seed, quick, envs[side]))
         parent, change = (end_to_end(reps[side][-1]) for side in ("parent", "change"))
         print(f"  pair {index + 1:2d} (first: {order[0]}) " + "  ".join(
             f"{metric} {parent[metric]:.5g}->{change[metric]:.5g}" for metric in END_TO_END))
@@ -258,8 +288,16 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    measured = {workload: compare(trees, workload, args.seed, args.pairs, args.quick)
-                for workload in args.workload}
+    with tempfile.TemporaryDirectory(prefix="ledger_pair-") as scratch:
+        envs = {}
+        for side, tree in trees.items():
+            prefix = pathlib.Path(scratch) / side
+            seconds = compile_tree(tree, prefix, args.workload, args.seed)
+            print(f"compiled {side} {tree} in {seconds:.3f} s (bytecode under {prefix})")
+            envs[side] = tree_env(tree, prefix)
+        measured = {workload: compare(trees, envs, workload, args.seed, args.pairs,
+                                      args.quick)
+                    for workload in args.workload}
     if args.append is not None:
         append(args.append, args.pr, trees, args.seed, measured, args.quick)
     return 0
