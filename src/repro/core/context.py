@@ -228,16 +228,11 @@ class AgentContext:
         (``ag_py`` by default, which pops the CODE folder and runs it), and
         the CODE folder carries this agent's own code so a fresh copy starts
         at the destination.  The *current* instance keeps running at the
-        current site after the meet with rexec returns.
-
-        The meet evaluates to a :class:`~repro.core.syscalls.MeetResult`
-        whose ``value`` is true once the transfer was handed to the network.
-        When *host* is down or cut off the transfer is refused and ``value``
-        is falsy: nothing runs at *host*, and an agent that then returns
-        finishes as ``done`` with its briefcase gone, since retirement sheds
-        it.  A caller whose briefcase carries state must check
-        ``result.value`` and wait, retry or fail instead of returning (the
-        mail letter retries from where it stands).
+        current site after the meet with rexec returns.  When *host* is down
+        or cut off the transfer is refused and the meet's ``value`` is falsy:
+        an agent that then returns finishes as ``done`` and its briefcase is
+        gone, so one that carries state must check ``result.value`` and wait,
+        retry or fail (the mail letter retries from where it stands).
         """
         code_element = self._instance.code_element
         if code_element is not None:

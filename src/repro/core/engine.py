@@ -1165,8 +1165,7 @@ class Engine(LedgerQueries):
             self.log_event("kernel", site.name,
                            f"arrival for unknown contact {contact!r} dropped")
             return
-        # Every arrival of a contact names its life with one shared string,
-        # not the copy each message decoded.
+        # One shared name per contact, not the copy each message decoded.
         contact = sys.intern(contact)
         behaviour, is_system = site.resolve(contact)
         if self.obs.active and message.trace is not None:

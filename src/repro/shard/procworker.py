@@ -55,11 +55,9 @@ refreshes, in place, the classes an engine keeps.  A digest carries:
 * the engine's :class:`~repro.net.stats.NetworkStats` whole (the four
   event counters ``counters()`` reports among its fields);
 * ``"table": (rows, counters)`` for :meth:`AgentTable.absorb
-  <repro.core.lifecycle.AgentTable.absorb>`: a record row (the ten fields of
-  an :class:`~repro.core.lifecycle.AgentRecord`, a plain tuple) per entry
-  new or changed since the last digest (the table keeps every entry, so none
-  ever leaves; ``absorb`` indexes an id by name on its first row only), and
-  the worker table's int attributes;
+  <repro.core.lifecycle.AgentTable.absorb>`: a record's ten-field row per
+  entry new or changed since the last digest (no entry ever leaves a table;
+  an id is name-indexed on its first row), and the table's int attributes;
 * per-site ``(alive, residents, undeliverable, load, capacity)``;
 * the ring's records since the last digest.
 
