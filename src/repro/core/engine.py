@@ -94,9 +94,8 @@ TRANSPORTS = {
 ENGINE_PROTOCOL = (
     # control
     "launch", "launch_many", "install_agent", "make_durable", "log_event",
-    "add_site", "site_assigned", "crash_site", "recover_site", "peer_down",
-    "peer_up", "partition", "heal_partition", "on_site_added",
-    "on_site_recovered",
+    "crash_site", "recover_site", "peer_down", "peer_up", "partition",
+    "heal_partition", "on_site_recovered",
     # time
     "run_to", "advance_clock",
 )
@@ -109,27 +108,6 @@ def _check_start_delay(delay: float) -> None:
     would push the clock to infinity."""
     if not 0 <= delay < math.inf:
         raise KernelError(f"launch delay must be >= 0 and finite, got {delay!r}")
-
-
-def resolve_links(links: Sequence) -> List[tuple]:
-    """``add_site`` links as ``(peer, LinkSpec-or-None)`` pairs."""
-    return [link if isinstance(link, tuple) else (link, None) for link in links]
-
-
-def record_site(topology: Topology, placement: Optional[Dict[str, int]],
-                name: str, links: Sequence, owner: int) -> None:
-    """Enter a late-joining site into a placement map and a topology.
-
-    Idempotent, so the facade applies it to its own copies and to every
-    engine alike, whether or not they share those objects.  *placement* is
-    None on an engine that is the whole simulation.
-    """
-    if placement is not None:
-        placement[name] = owner
-    if not topology.has_site(name):
-        topology.add_site(name)
-    for peer, spec in resolve_links(links):
-        topology.add_link(name, peer, spec)
 
 
 class LedgerQueries:
@@ -273,10 +251,10 @@ class Engine(LedgerQueries):
     install_system_agents, registry:
         As on :class:`~repro.core.kernel.Kernel`.
     shard_id, placement:
-        With *placement* (site name -> engine id, the facade's live map)
-        this engine is number *shard_id* of several: it hosts only the
-        sites placed on it, and mail for any other site is spooled to
-        ``outbound`` instead of being scheduled here.  Without it the
+        With *placement* (site name -> engine id, fixed when the kernel
+        is built) this engine is number *shard_id* of several: it hosts
+        only the sites placed on it, and mail for any other site is
+        spooled to ``outbound`` instead of being scheduled here.  Without it the
         engine is the whole simulation and owns every site.
     """
 
@@ -318,10 +296,6 @@ class Engine(LedgerQueries):
         self._obs_trace_seq = 0
 
         self.sites: Dict[str, Site] = {}
-        #: callbacks fired (with the site name) when a site joins late via
-        #: :meth:`add_site`; extensions like the Horus guard-group wiring
-        #: use this so late sites are not invisible to them
-        self._site_added_hooks: List[Callable[[str], None]] = []
         #: callbacks fired (with the site name) once a recovery completes
         #: and the site accepts traffic again (checkpoint revival uses this)
         self._site_recovered_hooks: List[Callable[[str], None]] = []
@@ -346,8 +320,6 @@ class Engine(LedgerQueries):
         self._code_cache: Dict[Any, Optional[dict]] = {}
         self._code_cache_version = self.registry.version
 
-        #: remembered so late-joined sites (add_site) match the population
-        self._install_system_agents = install_system_agents
         if install_system_agents:
             from repro.sysagents import install_standard_agents
             for site in self.sites.values():
@@ -400,53 +372,6 @@ class Engine(LedgerQueries):
     # ------------------------------------------------------------------
     # sites, durable stores
     # ------------------------------------------------------------------
-
-    def add_site(self, name: str, links: Sequence = (),
-                 install_system_agents: Optional[bool] = None) -> None:
-        """Host a new site on this *running* engine (late join).
-
-        *links* lists the peers to connect the new site to — plain site
-        names (default link parameters) or ``(peer, LinkSpec)`` pairs.  The
-        site gets a transport endpoint, the standard system agents (by
-        default matching whether the engine was constructed with them, so
-        a late site never differs from the founding population), and every
-        ``on_site_added`` subscriber is notified, so extensions that
-        enumerated the sites at install time (e.g. the Horus guard group)
-        can wire the newcomer in.  Returns nothing (the new
-        :class:`Site` is ``engine.sites[name]``): a worker process could
-        not ship it back.
-        """
-        if name in self.sites:
-            raise KernelError(f"site {name!r} already exists")
-        links = resolve_links(links)
-        for peer, _ in links:
-            # Validate before touching the topology: a bad entry must not
-            # leave a half-registered node behind.  Checked against the
-            # topology (not the local site dict) because an engine hosts
-            # only its own sites but may link to any site.
-            if not self.topology.has_site(peer):
-                raise UnknownSiteError(f"cannot link new site {name!r} to "
-                                       f"unknown site {peer!r}")
-        self.site_assigned(name, links, self.shard_id)
-        site = Site(name)
-        self.sites[name] = site
-        self.transport.register_endpoint(name, self._make_site_handler(name))
-        self._attach_store(site)
-        if (self._install_system_agents if install_system_agents is None
-                else install_system_agents):
-            from repro.sysagents import install_standard_agents
-            install_standard_agents(site)
-        self.log_event("kernel", name, "site added")
-        for hook in list(self._site_added_hooks):
-            hook(name)
-
-    def site_assigned(self, name: str, links: Sequence, owner: int) -> None:
-        """Learn that engine *owner* hosts the new site *name* (idempotent)."""
-        record_site(self.topology, self.placement, name, links, owner)
-
-    def on_site_added(self, callback: Callable[[str], None]) -> None:
-        """Subscribe *callback* to sites this engine comes to host (see :meth:`add_site`)."""
-        self._site_added_hooks.append(callback)
 
     def on_site_recovered(self, callback: Callable[[str], None]) -> None:
         """Subscribe *callback* to completed site recoveries.

@@ -32,11 +32,10 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
 from repro.core.briefcase import Briefcase
-from repro.core.engine import Engine, LedgerQueries, record_site, resolve_links
+from repro.core.engine import Engine, LedgerQueries
 from repro.core.errors import KernelError, UnknownSiteError
 from repro.core.lifecycle import MergedAgentTable
 from repro.core.registry import BehaviourRegistry, default_registry
-from repro.core.site import Site
 from repro.net.stats import StatsView
 from repro.net.topology import Topology, lan
 from repro.obs import RingSink, Tracer
@@ -248,11 +247,8 @@ class Kernel(LedgerQueries):
         self._closed = False
         #: the ShardSet coordinating several engines; one engine needs none
         self._coordinator = None
-        #: called when a late site or link may have shortened a path
-        #: between engines (the coordinator's lookahead must be rebuilt)
-        self._topology_grew: Callable[[], None] = lambda: None
         if self.config.shards == 1:
-            #: site name -> id of the engine hosting it (live: add_site grows it)
+            #: site name -> id of the engine hosting it, fixed for the kernel's life
             self._placement: Dict[str, int] = dict.fromkeys(self.topology.sites(), 0)
             engines = [Engine(self.topology, self.config, transport,
                               install_system_agents, self.registry)]
@@ -268,7 +264,6 @@ class Kernel(LedgerQueries):
                 self.registry, self._placement)
             clock_sync = ClockSync(self.topology, self._placement,
                                    shards=self.config.shards)
-            self._topology_grew = clock_sync.invalidate
             self._coordinator = ShardSet(
                 [Shard(shard_id, engine) for shard_id, engine in enumerate(engines)],
                 clock_sync, backend=backend)
@@ -367,62 +362,6 @@ class Kernel(LedgerQueries):
     # ------------------------------------------------------------------
     # sites
     # ------------------------------------------------------------------
-
-    def add_site(self, name: str, links: Sequence = (),
-                 install_system_agents: Optional[bool] = None) -> Site:
-        """Register a new site with a *running* kernel (late join).
-
-        *links* lists the peers to connect the new site to — plain site
-        names (default link parameters) or ``(peer, LinkSpec)`` pairs.  The
-        site is placed (``config.shard_placement`` override, else the
-        stable hash) and its engine hosts it: a transport endpoint, the
-        standard system agents (by default matching whether the kernel was
-        constructed with them, so a late site never differs from the
-        founding population), and a call to every ``on_site_added``
-        subscriber, so extensions that enumerated the sites at install
-        time (e.g. the Horus guard group) can wire the newcomer in.  Every
-        other engine learns the placement and the new links.
-        """
-        self._check_open()
-        if name in self._placement:
-            raise KernelError(f"site {name!r} already exists")
-        owner = (self.config.shard_placement or {}).get(name)
-        if owner is None and self.config.shards == 1:
-            owner = 0
-        elif owner is None:
-            from repro.shard import default_shard_of
-            owner = default_shard_of(name, self.config.shards)
-        owner = int(owner)
-        if not 0 <= owner < self.config.shards:
-            raise KernelError(f"shard_placement[{name!r}] = {owner} is "
-                              f"outside [0, {self.config.shards})")
-        links = resolve_links(links)
-        for peer, _ in links:
-            # Checked here too so the error is the same UnknownSiteError
-            # when the owning engine sits behind a pipe.
-            if not self.topology.has_site(peer):
-                raise UnknownSiteError(f"cannot link new site {name!r} to "
-                                       f"unknown site {peer!r}")
-        self._engines[owner].add_site(
-            name, links=links, install_system_agents=install_system_agents)
-        for shard_id, engine in enumerate(self._engines):
-            if shard_id != owner:
-                engine.site_assigned(name, links, owner)
-        # The facade's own copies: the very objects in-process engines
-        # just updated, separate ones when the engines are elsewhere.
-        record_site(self.topology, self._placement, name, links, owner)
-        self._topology_grew()
-        return self.sites[name]
-
-    def on_site_added(self, callback: Callable[[str], None]) -> None:
-        """Subscribe *callback* to late site registrations (see :meth:`add_site`).
-
-        Each engine fires for the sites it hosts, so subscribing the
-        callback everywhere keeps the contract: one call per added site,
-        whichever engine it landed on.
-        """
-        for engine in self._engines:
-            engine.on_site_added(callback)
 
     def on_site_recovered(self, callback: Callable[[str], None]) -> None:
         """Subscribe *callback* to completed site recoveries.

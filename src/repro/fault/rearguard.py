@@ -124,9 +124,8 @@ def install_horus_guard_detection(kernel, group_name: str = GUARD_GROUP) -> None
     communication and fault-tolerance").  A site group containing every site
     is created; whenever a member drops out of the view, every surviving
     site records a suspicion ``{"site": ..., "at": ...}`` that view-assisted
-    rear guards react to immediately.  Sites registered after installation
-    (via :meth:`Kernel.add_site`) are joined to the group automatically;
-    calling this twice for the same group is a no-op.
+    rear guards react to immediately.  Calling this twice for the same
+    group is a no-op.
     """
     from repro.net.horus import HorusTransport
 
@@ -164,24 +163,15 @@ def install_horus_guard_detection(kernel, group_name: str = GUARD_GROUP) -> None
                 cabinet.put(SUSPICIONS_FOLDER, {"site": victim, "at": kernel.now})
             # Keep a replace-style record of who is currently outside the
             # group; guards consult this rather than the append-only log.
-            # Membership is read live from the kernel, not from a site list
-            # captured at install time, so late-registered sites are judged
-            # against current reality.
             cabinet.add(Folder("group_down", [sorted(set(kernel.site_names()) - current)]),
                         replace=True)
 
         return observer
 
-    def wire_site(site_name: str) -> None:
+    for site_name in kernel.site_names():
         if site_name not in transport.group_view(group_name).members:
             transport.join(group_name, site_name)
         transport.subscribe_views(group_name, make_observer(site_name))
-
-    for site_name in kernel.site_names():
-        wire_site(site_name)
-    # Sites registered after installation (Kernel.add_site) join the guard
-    # group and get their own observer instead of staying invisible.
-    kernel.on_site_added(wire_site)
     installed_groups.add(group_name)
 
 

@@ -142,7 +142,7 @@ def install_checkpoint_recovery(kernel) -> None:
     """Wire checkpoint revival into *kernel* (idempotent).
 
     Installs the release agents, opts the fault-tolerance cabinets into
-    durability everywhere (including sites registered later), and
+    durability at every site, and
     subscribes the revival sweep to ``on_site_recovered``.  Under policy
     "none" the durability opt-ins are no-ops and recoveries restore
     nothing, so revival never fires — the legacy behaviour.
@@ -152,7 +152,4 @@ def install_checkpoint_recovery(kernel) -> None:
     if getattr(kernel, "_checkpoint_recovery_installed", False):
         return
     kernel._checkpoint_recovery_installed = True
-    kernel.on_site_added(
-        lambda site_name: [kernel.make_durable(name, sites=[site_name])
-                           for name in durable_ft_cabinets()])
     kernel.on_site_recovered(lambda site_name: revive_checkpoints(kernel, site_name))

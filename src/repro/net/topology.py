@@ -98,10 +98,6 @@ class Topology:
         """All site names, in the order they were added."""
         return list(self._links)
 
-    def has_site(self, name: str) -> bool:
-        """True if *name* is a site in this topology."""
-        return name in self._links
-
     def neighbors(self, name: str) -> List[str]:
         """Sites directly linked to *name*."""
         self._check(name)

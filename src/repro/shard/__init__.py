@@ -30,7 +30,7 @@ coordinate and runs its loop directly.
 from repro.shard.backend import (BACKENDS, InprocBackend, ShardBackend,
                                  build_engines, process_backend_available)
 from repro.shard.clocksync import MIN_LOOKAHEAD, ClockSync
-from repro.shard.placement import default_shard_of, resolve_placement
+from repro.shard.placement import resolve_placement
 from repro.shard.procworker import ProcessBackend, WorkerSpec
 from repro.shard.router import ShardBoundary
 from repro.shard.shardset import Shard, ShardSet
@@ -41,5 +41,5 @@ __all__ = [
     "ClockSync", "MIN_LOOKAHEAD", "ShardBoundary",
     "ProcessBackend", "WorkerSpec",
     "Shard", "ShardSet",
-    "default_shard_of", "resolve_placement",
+    "resolve_placement",
 ]

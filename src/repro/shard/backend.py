@@ -88,7 +88,7 @@ def build_engines(topology, config, transport, install_system_agents,
     """``(engines, backend)`` for a sharded kernel, per ``config.shard_backend``.
 
     ``inproc`` gets real :class:`~repro.core.engine.Engine` objects
-    sharing *topology* and the live *placement* map; ``process`` gets one
+    sharing *topology* and the *placement* map; ``process`` gets one
     :class:`~repro.shard.procworker.ProcessEngineProxy` per forked worker,
     each worker holding copies.
     """

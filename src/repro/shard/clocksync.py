@@ -48,35 +48,20 @@ class ClockSync:
     def __init__(self, topology: Topology, placement: Mapping[str, int],
                  shards: int, min_lookahead: float = MIN_LOOKAHEAD):
         self._topology = topology
-        #: site name -> shard id: the kernel facade's live map (late sites
-        #: appear in it), which the coordinator also routes handoffs by
+        #: site name -> shard id, fixed when the kernel is built; the
+        #: coordinator routes handoffs by the same map
         self.placement = placement
         self._shards = shards
         self.min_lookahead = float(min_lookahead)
-        self._dirty = True
         self._dist: List[List[float]] = []
         self._roundtrip: List[float] = []
-        #: how many times the matrix has actually been recomputed; the
-        #: dirty-flag contract is that N topology edits between rounds cost
-        #: exactly one rebuild, and tests pin that via this counter
+        #: how many times the matrix has been computed: once, lazily, at
+        #: the first horizon grant — the sites and links are fixed for the
+        #: kernel's life, and crashes and partitions only *remove* routes,
+        #: so the healthy-network lookahead stays a valid lower bound
         self.rebuilds = 0
 
     # -- lookahead matrix -------------------------------------------------------
-
-    def invalidate(self) -> None:
-        """Mark the matrix stale (a site or link was added).
-
-        Crashes and partitions never invalidate: they only *remove* routes,
-        so the existing lookahead stays a valid lower bound.  New sites and
-        links can create shorter paths, which must shrink the lookahead
-        before the next horizon is granted.
-
-        Any number of invalidations between rounds coalesce into a single
-        :meth:`rebuild` at the next horizon grant.  The rebuild only ever
-        runs on the coordinator between rounds, which is what keeps horizon
-        computation read-only while bursts execute.
-        """
-        self._dirty = True
 
     def rebuild(self) -> None:
         """Recompute the shard-level lookahead distances from the topology.
@@ -89,7 +74,7 @@ class ClockSync:
         for single-site shards it equals the old all-pairs-over-sites
         computation exactly.  Cost: O(E + S^3) instead of all-pairs
         shortest paths over the whole site graph — the difference between
-        a per-edit blip and a multi-second stall on the 2k-site fabric.
+        a blip and a multi-second stall on the 2k-site fabric.
         """
         placement = self.placement
         size = self._shards
@@ -125,12 +110,11 @@ class ClockSync:
             min((dist[i][j] + dist[j][i]
                  for j in range(size) if j != i), default=math.inf)
             for i in range(size)]
-        self._dirty = False
         self.rebuilds += 1
 
     def lookahead(self, origin: int, target: int) -> float:
         """The influence bound from shard *origin* to shard *target*."""
-        if self._dirty:
+        if not self._dist:
             self.rebuild()
         return self._dist[origin][target]
 
@@ -144,7 +128,7 @@ class ClockSync:
         the shard's queue is empty).  A returned horizon of None means
         "unconstrained" — no other shard can ever influence this one.
         """
-        if self._dirty:
+        if not self._dist:
             self.rebuild()
         horizons: Dict[int, Optional[float]] = {}
         for i in range(self._shards):
@@ -164,4 +148,4 @@ class ClockSync:
         return horizons
 
     def __repr__(self) -> str:
-        return f"ClockSync(shards={self._shards}, dirty={self._dirty})"
+        return f"ClockSync(shards={self._shards}, built={bool(self._dist)})"

@@ -13,23 +13,19 @@ from __future__ import annotations
 import zlib
 from typing import Dict, Iterable, Mapping, Optional
 
-__all__ = ["default_shard_of", "resolve_placement"]
-
-
-def default_shard_of(site_name: str, shards: int) -> int:
-    """The hash-based home shard of *site_name* (stable across processes)."""
-    return zlib.crc32(site_name.encode("utf-8")) % shards
+__all__ = ["resolve_placement"]
 
 
 def resolve_placement(site_names: Iterable[str], shards: int,
                       explicit: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
     """Map every site to a shard id in ``[0, shards)``.
 
-    *explicit* entries win over the hash; a shard left with no sites is fine
-    (it simply idles).  The entries are trusted: ``KernelConfig.validate``
-    and the ``Kernel`` constructor refuse an id outside ``[0, shards)`` and
-    an unknown site on any shard count.
+    A site's home shard is the CRC-32 of its name modulo *shards* (stable
+    across processes); *explicit* entries win over the hash.  A shard left
+    with no sites is fine (it simply idles).  The entries are trusted:
+    ``KernelConfig.validate`` and the ``Kernel`` constructor refuse an id
+    outside ``[0, shards)`` and an unknown site on any shard count.
     """
     overrides = explicit or {}
     return {name: overrides[name] if name in overrides
-            else default_shard_of(name, shards) for name in site_names}
+            else zlib.crc32(name.encode("utf-8")) % shards for name in site_names}

@@ -12,7 +12,7 @@ command in / one reply out, strictly alternating per worker):
 
 * coordinator -> worker: ``("call", method, args, kwargs)`` for any
   protocol method — ``run_to(horizon, budget, handoffs)`` each round,
-  ``launch``/``crash_site``/``add_site``/... between rounds — plus
+  ``launch``/``crash_site``/``partition``/... between rounds — plus
   ``("digest",)`` (state mirroring) and ``("stop",)``.
 * worker -> coordinator: first, once its engine is built, a ready
   ``("ok", (None, now, next_event_time, 0.0))`` (or the startup error);
@@ -75,8 +75,8 @@ included) runs there.  A platform without ``fork`` has no process backend.
 Known limits (all raise a clear ``KernelError``): a behaviour that crosses
 the pipe after start-up (a ``launch`` argument, not a registered name) must
 pickle, coordinator-side event scheduling on ``kernel.loop`` is
-unavailable, and so are ``on_site_added``/``on_site_recovered``
-subscriptions and worker-side site state (``residents()``, ``cabinet()``,
+unavailable, and so are ``on_site_recovered`` subscriptions and
+worker-side site state (``residents()``, ``cabinet()``,
 ``kernel.store()`` under a durable policy).  One does not raise: a worker's
 copy of the topology never learns that a site another worker hosts crashed
 (``peer_down``/``peer_up`` reach its transport only), so traffic to that
@@ -478,7 +478,7 @@ class ProcessEngineProxy:
         self._durable = spec.config.durability != "none"
         self.table = AgentTable()
         self.sites: Dict[str, SiteMirror] = {
-            name: self._site_mirror(name)
+            name: SiteMirror(name, self.topology, self._durable)
             for name, owner in sorted(spec.placement.items())
             if owner == spec.shard_id}
         self.stores: Dict[str, Any] = {}
@@ -510,19 +510,12 @@ class ProcessEngineProxy:
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}")
 
-    def _site_mirror(self, name: str) -> SiteMirror:
-        return SiteMirror(name, self.topology, self._durable)
-
-    def add_site(self, name, links=(), install_system_agents=None) -> None:
-        self._call("add_site", name, links, install_system_agents)
-        self.sites[name] = self._site_mirror(name)
-
     def _no_subscription(self, callback):
         raise KernelError(
-            "on_site_added/on_site_recovered subscriptions cannot cross the "
+            "on_site_recovered subscriptions cannot cross the "
             "process boundary; use shard_backend='inproc'")
 
-    on_site_added = on_site_recovered = _no_subscription
+    on_site_recovered = _no_subscription
 
     # -- digest application -----------------------------------------------------
 

@@ -96,8 +96,7 @@ def sender(ctx, briefcase):
     return sent.value
 
 
-kernel = Kernel(lan(["a", "b"]))
-kernel.add_site("c", links=["a"])
+kernel = Kernel(lan(["a", "b", "c"]))
 kernel.install_agent(None, "sink", sink)
 agent = kernel.launch("a", sender)
 kernel.run()
@@ -110,7 +109,7 @@ print(sorted(name for name in sys.modules
 @pytest.mark.one_engine(reason="the kernel is built in a fresh interpreter, "
                                "which the strategy patch does not reach")
 def test_a_one_engine_kernel_imports_no_shard_code():
-    # Validating the config, placing a late site and couriering a folder
+    # Validating the config, placing the sites and couriering a folder
     # need nothing from repro.shard; importing it (and multiprocessing,
     # socket, selectors behind it) would land in every one-engine setup.
     assert run_fresh(ONE_ENGINE_COURIER, hash_seed="0") == "[]\n"

@@ -114,6 +114,60 @@ class TestConstruction:
         assert set(multiprocessing.active_children()) <= workers
 
 
+class TestConfigValidation:
+    def test_flow_knobs_without_a_window_are_rejected(self):
+        # Flow bounds size per-pair windows of a fabric that must be on
+        # for any outbox to exist.
+        from repro.net import lan
+        for knobs in ({"flow_window_min": 0.05},
+                      {"flow_window_max": 1.0},
+                      {"flow_window_min": 0.05, "flow_window_max": 1.0}):
+            with pytest.raises(KernelError):
+                Kernel(lan(["a", "b"]), config=KernelConfig(**knobs))
+        # With the fabric on they are accepted and reach the transport.
+        kernel = Kernel(lan(["a", "b"]), config=KernelConfig(
+            delivery_batch_window=0.1, flow_window_min=0.05,
+            flow_window_max=1.0, flow_target_batch=4))
+        assert kernel.transport.flow.adaptive
+        assert kernel.transport.flow.window_min == 0.05
+        assert kernel.transport.flow.window_max == 1.0
+        assert kernel.transport.flow.target_batch == 4
+
+    def test_inverted_flow_window_bounds_are_rejected(self):
+        from repro.net import lan
+        with pytest.raises(KernelError):
+            Kernel(lan(["a", "b"]), config=KernelConfig(
+                delivery_batch_window=0.1, flow_window_min=2.0,
+                flow_window_max=1.0))
+
+    def test_flow_floor_without_a_ceiling_is_rejected(self):
+        # flow_window_min alone is silently inert (adaptive mode keys on
+        # flow_window_max > 0): refuse it instead of ignoring it.
+        from repro.net import lan
+        with pytest.raises(KernelError):
+            Kernel(lan(["a", "b"]), config=KernelConfig(
+                delivery_batch_window=0.1, flow_window_min=0.05))
+
+    def test_flow_tuning_typos_are_caught_even_with_the_fabric_off(self):
+        # target_batch is validated unconditionally — a typo must not lie
+        # dormant until someone later enables the window.
+        from repro.net import lan
+        with pytest.raises(KernelError):
+            Kernel(lan(["a", "b"]), config=KernelConfig(flow_target_batch=0))
+
+    def test_negative_flow_bounds_are_rejected(self):
+        # Refused by validate(), naming the field, before any engine exists.
+        from repro.net import lan
+        with pytest.raises(KernelError, match="flow_window_min"):
+            Kernel(lan(["a", "b"]), config=KernelConfig(
+                delivery_batch_window=0.1, flow_window_min=-0.5))
+        with pytest.raises(KernelError, match="flow_window_max"):
+            Kernel(lan(["a", "b"]), config=KernelConfig(
+                delivery_batch_window=0.1, flow_window_max=-1.0))
+        with pytest.raises(KernelError, match="delivery_batch_window"):
+            Kernel(lan(["a", "b"]), config=KernelConfig(delivery_batch_window=-1.0))
+
+
 class TestLaunchingAndResults:
     @pytest.mark.parametrize("delay", [-1.0, math.nan, math.inf])
     def test_a_refused_launch_delay_leaves_no_agent(self, strategy, delay):
@@ -639,109 +693,6 @@ class TestFailureInjection:
         assert any("hello log" in entry[3] for entry in kernel.event_log)
 
 
-class TestLateSiteRegistration:
-    def test_add_site_is_fully_wired(self, kernel):
-        site = kernel.add_site("d", links=["a", ("b", None)])
-        assert "d" in kernel.site_names()
-        assert kernel.topology.has_site("d")
-        assert site.is_installed("rexec")           # system agents installed
-
-        # Agents can launch there and traffic routes over the new links.
-        from repro.core.registry import register_behaviour
-
-        def hopper(ctx, bc):
-            if ctx.site_name == "d":
-                yield ctx.sleep(0)
-                return "arrived"
-            yield ctx.jump(bc, "d")
-            return "moved"
-
-        register_behaviour("late_site_hopper", hopper, replace=True)
-        kernel.launch("a", "late_site_hopper", Briefcase())
-        kernel.run()
-        assert kernel.counters()["arrivals"] == 1
-        assert any(agent.site_name == "d" for agent in kernel.agents.values())
-
-    def test_add_site_rejects_duplicates_and_unknown_peers(self, kernel):
-        with pytest.raises(KernelError):
-            kernel.add_site("a")
-        with pytest.raises(UnknownSiteError):
-            kernel.add_site("d", links=["nope"])
-        assert "d" not in kernel.site_names()       # nothing half-registered
-
-    def test_on_site_added_hooks_fire(self, kernel):
-        seen = []
-        kernel.on_site_added(seen.append)
-        kernel.add_site("d", links=["a"])
-        kernel.add_site("e", links=["d"])
-        assert seen == ["d", "e"]
-
-    def test_late_site_without_system_agents(self, kernel):
-        site = kernel.add_site("bare", links=["a"], install_system_agents=False)
-        assert not site.is_installed("rexec")
-
-    def test_late_site_inherits_the_construction_population(self):
-        from repro.net import lan
-        bare_kernel = Kernel(lan(["a", "b"]), install_system_agents=False)
-        # No explicit override: the late site matches the founding sites
-        # (no system agents), not add_site's own historical default.
-        site = bare_kernel.add_site("c", links=["a"])
-        assert not site.is_installed("rexec")
-        assert site.is_installed("rexec") == bare_kernel.site("a").is_installed("rexec")
-
-    def test_flow_knobs_without_a_window_are_rejected(self):
-        # Flow bounds size per-pair windows of a fabric that must be on
-        # for any outbox to exist.
-        from repro.net import lan
-        for knobs in ({"flow_window_min": 0.05},
-                      {"flow_window_max": 1.0},
-                      {"flow_window_min": 0.05, "flow_window_max": 1.0}):
-            with pytest.raises(KernelError):
-                Kernel(lan(["a", "b"]), config=KernelConfig(**knobs))
-        # With the fabric on they are accepted and reach the transport.
-        kernel = Kernel(lan(["a", "b"]), config=KernelConfig(
-            delivery_batch_window=0.1, flow_window_min=0.05,
-            flow_window_max=1.0, flow_target_batch=4))
-        assert kernel.transport.flow.adaptive
-        assert kernel.transport.flow.window_min == 0.05
-        assert kernel.transport.flow.window_max == 1.0
-        assert kernel.transport.flow.target_batch == 4
-
-    def test_inverted_flow_window_bounds_are_rejected(self):
-        from repro.net import lan
-        with pytest.raises(KernelError):
-            Kernel(lan(["a", "b"]), config=KernelConfig(
-                delivery_batch_window=0.1, flow_window_min=2.0,
-                flow_window_max=1.0))
-
-    def test_flow_floor_without_a_ceiling_is_rejected(self):
-        # flow_window_min alone is silently inert (adaptive mode keys on
-        # flow_window_max > 0): refuse it instead of ignoring it.
-        from repro.net import lan
-        with pytest.raises(KernelError):
-            Kernel(lan(["a", "b"]), config=KernelConfig(
-                delivery_batch_window=0.1, flow_window_min=0.05))
-
-    def test_flow_tuning_typos_are_caught_even_with_the_fabric_off(self):
-        # target_batch is validated unconditionally — a typo must not lie
-        # dormant until someone later enables the window.
-        from repro.net import lan
-        with pytest.raises(KernelError):
-            Kernel(lan(["a", "b"]), config=KernelConfig(flow_target_batch=0))
-
-    def test_negative_flow_bounds_are_rejected(self):
-        # Refused by validate(), naming the field, before any engine exists.
-        from repro.net import lan
-        with pytest.raises(KernelError, match="flow_window_min"):
-            Kernel(lan(["a", "b"]), config=KernelConfig(
-                delivery_batch_window=0.1, flow_window_min=-0.5))
-        with pytest.raises(KernelError, match="flow_window_max"):
-            Kernel(lan(["a", "b"]), config=KernelConfig(
-                delivery_batch_window=0.1, flow_window_max=-1.0))
-        with pytest.raises(KernelError, match="delivery_batch_window"):
-            Kernel(lan(["a", "b"]), config=KernelConfig(delivery_batch_window=-1.0))
-
-
 class TestShardedRunSemantics:
     """run(until=...) / run(max_events=...) keep their meaning under shards."""
 
@@ -878,7 +829,6 @@ class TestKernelContextManager:
                      lambda: kernel.launch("a", "courier"),
                      lambda: kernel.launch_many([("a", "courier")]),
                      lambda: kernel.install_agent("a", "noop", _noop_behaviour),
-                     lambda: kernel.add_site("e", links=["a"]),
                      lambda: kernel.crash_site("a"),
                      lambda: kernel.recover_site("a"),
                      lambda: kernel.partition([["a"], ["b", "c", "d"]]),

@@ -224,12 +224,12 @@ def test_a_knob_is_test_only_until_code_outside_tests_sets_it(
 #: every public name on the ``Kernel`` facade, sorted.  ``tools/size_report.py``
 #: counts them as ``kernel_public``: a new name means editing this list.
 KERNEL_PUBLIC_NAMES = [
-    "add_site", "agent", "agents", "agents_named", "close", "counters",
-    "crash_site", "dump_trace", "engines", "event_log", "heal_partition",
-    "install_agent", "launch", "launch_many", "log_event", "make_durable",
-    "now", "on_site_added", "on_site_recovered", "partition", "recover_site",
-    "result_of", "run", "shard_summary", "site", "site_load", "site_names",
-    "store", "store_summary", "trace_spans",
+    "agent", "agents", "agents_named", "close", "counters", "crash_site",
+    "dump_trace", "engines", "event_log", "heal_partition", "install_agent",
+    "launch", "launch_many", "log_event", "make_durable", "now",
+    "on_site_recovered", "partition", "recover_site", "result_of", "run",
+    "shard_summary", "site", "site_load", "site_names", "store",
+    "store_summary", "trace_spans",
 ]
 
 

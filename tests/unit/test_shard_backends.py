@@ -3,7 +3,7 @@
 Covers backend resolution, the engine protocol and the single handoff path
 (spooled at send, routed by the coordinator, scheduled by the owner), the
 ShardSet's fake-timer cost attribution (busy vs sync vs overhead — the
-PR 6 busy-time fix), the ClockSync dirty-flag coalescing contract, budget
+PR 6 busy-time fix), ClockSync's one lazy lookahead build, budget
 semantics across backends, the facade's ``shard_summary``/``close``
 surface, every agent-ledger read compared across backends, and the
 serialisation plumbing the process backend rides on (stats pickling,
@@ -12,7 +12,9 @@ topology route caching).
 
 from __future__ import annotations
 
+import ast
 import functools
+import pathlib
 import pickle
 import re
 
@@ -28,7 +30,7 @@ from repro.net.message import Message, MessageKind
 from repro.net.stats import NetworkStats, StatsView
 from repro.net.topology import LinkSpec, NoRouteError, switched_fabric
 from repro.shard import (BACKENDS, ClockSync, InprocBackend, Shard, ShardSet,
-                         process_backend_available)
+                         process_backend_available, resolve_placement)
 from repro.store.sitestore import SiteStore
 from scenarios import (BAD_SLEEPER_NAME, COURIER_NAME, MAIL_CABINET, QUITTER_NAME,
                        SINK_NAME, UNPICKLABLE_RESULT_NAME, courier_briefcase,
@@ -87,10 +89,39 @@ class _RecordingHandle:
         return (None, 0.0, None, 0.0)
 
 
+#: a receiver that is an engine in ``core/kernel.py`` and ``shard/*.py``:
+#: ``engine``, ``shard.engine``, ``self._engines[i]``, ``self._owner(site)``
+#: or the ``owner`` it returned
+ENGINE_RECEIVER = re.compile(r"engine|_owner\(|^owner$")
+
+
+def protocol_calls_on_engines():
+    """The method names the facade and the shard package call on an engine,
+    directly or as the name a process proxy's ``post`` sends."""
+    import repro
+    package = pathlib.Path(repro.__file__).parent
+    called = set()
+    for path in [package / "core" / "kernel.py", *sorted((package / "shard").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and ENGINE_RECEIVER.search(ast.unparse(node.func.value))):
+                continue
+            called.add(node.func.attr)
+            if (node.func.attr == "post" and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                called.add(node.args[0].value)
+    return called
+
+
 class TestEngineProtocol:
     def test_every_protocol_name_is_an_engine_method(self):
         for name in ENGINE_PROTOCOL:
             assert callable(getattr(Engine, name)), name
+
+    def test_every_protocol_name_is_called_on_an_engine(self):
+        # Each name is one every backend must forward, mirror and test: the
+        # protocol must not keep one after its last caller goes.
+        assert set(ENGINE_PROTOCOL) - protocol_calls_on_engines() == set()
 
     def test_process_proxy_forwards_exactly_the_protocol(self):
         from repro.shard.procworker import ProcessEngineProxy, WorkerSpec
@@ -100,7 +131,7 @@ class TestEngineProtocol:
         handle = _RecordingHandle()
         proxy = ProcessEngineProxy(handle, spec, "tcp")
         assert set(proxy.sites) == {"a"}
-        callbacks = ("on_site_added", "on_site_recovered")
+        callbacks = ("on_site_recovered",)
         for name in ENGINE_PROTOCOL:
             if name in callbacks:  # a callable cannot cross the pipe
                 with pytest.raises(KernelError, match="process boundary"):
@@ -343,11 +374,13 @@ class TestCostAttribution:
 
 
 # ---------------------------------------------------------------------------
-# ClockSync dirty-flag coalescing
+# ClockSync: one lazy lookahead build
 # ---------------------------------------------------------------------------
 
 class TestClockSyncDirtyFlag:
     def test_repeated_invalidations_cost_one_rebuild(self):
+        # The sites and links are fixed when the kernel is built, so the
+        # matrix is computed once, at the first query, and never again.
         topology = lan(["a", "b", "c", "d"], latency=0.01)
         clock_sync = ClockSync(topology, {"a": 0, "b": 1, "c": 0, "d": 1},
                                shards=2)
@@ -355,27 +388,9 @@ class TestClockSyncDirtyFlag:
         clock_sync.lookahead(0, 1)
         assert clock_sync.rebuilds == 1  # lazy first build
         for _ in range(5):
-            clock_sync.invalidate()  # five topology edits between rounds...
-        clock_sync.horizons({0: 0.0, 1: 0.0})
-        assert clock_sync.rebuilds == 2  # ...coalesce into one recompute
-        clock_sync.horizons({0: 0.0, 1: 0.0})
-        clock_sync.lookahead(1, 0)
-        assert clock_sync.rebuilds == 2  # clean matrix is never rebuilt
-
-    def test_facade_add_sites_coalesce_rebuilds(self):
-        kernel, names = sharded_kernel("inproc")
-        sync = kernel._coordinator.clock_sync
-        kernel.launch(names[0], "courier")
-        kernel.run()  # horizons computed: first lazy rebuild happens here
-        before = sync.rebuilds
-        assert before >= 1
-        for index in range(3):
-            kernel.add_site(f"late{index}", links=[names[0]])
-        assert sync.rebuilds == before  # invalidated, not yet rebuilt
-        kernel.launch(names[1], "courier")
-        kernel.run()
-        assert sync.rebuilds == before + 1
-        kernel.close()
+            clock_sync.horizons({0: 0.0, 1: 0.0})
+            clock_sync.lookahead(1, 0)
+        assert clock_sync.rebuilds == 1
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +584,47 @@ def test_facade_topology_follows_a_durable_recovery(backend):
     assert kernel.site("c").alive and not kernel.topology.is_down("c")
     kernel.crash_site("c")
     assert kernel.topology.is_down("c")
+    kernel.close()
+
+
+@pytest.mark.parametrize("shards, backend", [
+    (1, "inproc"), (2, "inproc"), (2, "process"),
+], ids=["one-engine", "2xinproc", "process"], indirect=["backend"])
+def test_one_placement_and_one_lookahead_build_for_a_kernels_life(shards, backend):
+    # A kernel's sites are fixed when it is built: crashes, recoveries,
+    # partitions and heals move no site to another engine and never make
+    # the coordinator recompute its lookahead matrix.
+    names = [f"s{i}" for i in range(6)]
+    kernel = Kernel(lan(names, latency=0.002), transport="tcp",
+                    config=KernelConfig(rng_seed=7, shards=shards,
+                                        shard_backend=backend))
+    kernel.install_agent(None, SINK_NAME, report_sink)
+
+    def wave():
+        kernel.launch_many([
+            (name, COURIER_NAME, courier_briefcase(names[(index + 3) % len(names)],
+                                                   work=0.01, payload_bytes=16))
+            for index, name in enumerate(names)])
+        kernel.run()
+
+    wave()
+    kernel.crash_site("s1")
+    wave()
+    kernel.recover_site("s1")
+    wave()
+    kernel.partition([names[:3], names[3:]])
+    wave()
+    kernel.heal_partition()
+    wave()
+    assert kernel.counters()["completed"] > 0
+    placement = resolve_placement(kernel.topology.sites(), shards)
+    for name in kernel.topology.sites():
+        hosts = [engine.shard_id for engine in kernel.engines if name in engine.sites]
+        assert hosts == [placement[name]], name
+    assert sorted(kernel.sites) == sorted(kernel.topology.sites())
+    if shards > 1:
+        assert kernel.stats.shard_handoffs > 0
+        assert kernel._coordinator.clock_sync.rebuilds == 1
     kernel.close()
 
 
@@ -856,7 +912,7 @@ class TestProcessFacade:
     def test_site_callbacks_refused(self):
         kernel, _names = sharded_kernel("process", site_count=4, shards=2)
         with pytest.raises(KernelError, match="process boundary"):
-            kernel.on_site_added(lambda name: None)
+            kernel.on_site_recovered(lambda name: None)
         kernel.close()
 
     def test_behaviours_from_a_scripts_main_and_a_path_loaded_module_run(self, tmp_path):

@@ -539,14 +539,3 @@ class TestSnapshotCompaction:
         kernel.recover_site("a")
         kernel.run(until=5.0)
         assert kernel.site("a").cabinet("m").elements("pre") == ["existing"]
-
-
-class TestLateSites:
-    def test_add_site_gets_a_store(self):
-        kernel = make_kernel()
-        kernel.add_site("late", links=["a"])
-        assert kernel.store("late") is not None
-        kernel.make_durable("m", sites=["late"])
-        kernel.site("late").cabinet("m").put("f", 1)
-        kernel.run(until=1.0)
-        assert "f" in kernel.store("late").durable_state()["m"]

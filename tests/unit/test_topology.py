@@ -17,8 +17,7 @@ class TestTopologyBasics:
         topo = Topology()
         topo.add_site("a")
         assert "a" in topo
-        assert topo.has_site("a")
-        assert not topo.has_site("b")
+        assert "b" not in topo
         assert len(topo) == 1
 
     def test_add_link_and_neighbors(self):
