@@ -53,6 +53,19 @@ class TestHorusGuardDetection:
             suspects = [record["site"] for record in cabinet.elements(SUSPICIONS_FOLDER)]
             assert suspects.count("s2") == 1, name
 
+    def test_every_founding_site_sees_exactly_the_crashed_member_down(self):
+        # The group is the sites fixed at construction: each survivor's
+        # group_down names the crashed site and no stale member.
+        kernel, names = make_horus_kernel()
+        install_horus_guard_detection(kernel)
+        kernel.loop.schedule(0.5, lambda: kernel.crash_site("s2"))
+        kernel.run(until=2.0)
+        for name in names:
+            if name == "s2":
+                continue
+            cabinet = kernel.site(name).cabinet(REARGUARD_CABINET)
+            assert list(cabinet.get("group_down") or []) == ["s2"], name
+
     def test_observers_do_not_share_membership_baselines(self):
         # Each site's observer must diff against its own last-seen view; a
         # shared baseline set let one site's update stand in for all.

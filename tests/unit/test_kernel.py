@@ -693,6 +693,57 @@ class TestFailureInjection:
         assert any("hello log" in entry[3] for entry in kernel.event_log)
 
 
+def fixed_site_hopper(ctx, bc):
+    """Jump from the launch site to DEST and mark the arrival there."""
+    if ctx.site_name == bc.get("DEST"):
+        ctx.cabinet("visits").put("arrived", ctx.site_name)
+        yield ctx.sleep(0)
+        return "arrived"
+    yield ctx.jump(bc, bc.get("DEST"))
+    return "moved"
+
+
+class TestFixedSites:
+    """A kernel's sites are the topology's sites when ``Kernel(...)`` returns."""
+
+    def test_every_construction_site_is_wired_and_reachable(self, strategy):
+        from repro.core.registry import register_behaviour
+        from repro.net import lan
+        kernel = Kernel(lan(["a", "b", "c", "d"]), transport="tcp",
+                        config=KernelConfig(rng_seed=3))
+        assert kernel.site_names() == kernel.topology.sites()
+        register_behaviour("fixed_site_hopper", fixed_site_hopper, replace=True)
+        for dest in ("b", "c", "d"):
+            briefcase = Briefcase()
+            briefcase.set("DEST", dest)
+            kernel.launch("a", "fixed_site_hopper", briefcase)
+        kernel.run()
+        assert kernel.counters()["arrivals"] == 3
+        for dest in ("b", "c", "d"):
+            assert kernel.site(dest).cabinet("visits").get("arrived") == dest
+
+    def test_a_site_added_to_the_topology_later_is_not_placed(self, strategy):
+        # The placement map is fixed at construction: a site the topology
+        # gains afterwards belongs to no engine, so the kernel refuses it
+        # instead of half-registering it.
+        from repro.net import lan
+        kernel = Kernel(lan(["a", "b"]), transport="tcp")
+        kernel.topology.add_link("late", "a")
+        assert "late" not in kernel.sites
+        with pytest.raises(UnknownSiteError):
+            kernel.site("late")
+        with pytest.raises(UnknownSiteError):
+            kernel.launch("late", _noop_behaviour)
+        assert kernel.counters()["launched"] == 0
+
+    def test_skipping_system_agents_holds_on_every_site(self, strategy):
+        from repro.net import lan
+        kernel = Kernel(lan(["a", "b", "c"]), install_system_agents=False)
+        for name in kernel.site_names():
+            assert not kernel.site(name).is_installed("rexec"), name
+            assert not kernel.site(name).is_installed("ag_py"), name
+
+
 class TestShardedRunSemantics:
     """run(until=...) / run(max_events=...) keep their meaning under shards."""
 

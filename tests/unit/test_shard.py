@@ -337,6 +337,30 @@ class TestFacadeLifecycle:
         assert at < 1.0 and accepted
         assert run(2, placement={"a": 1, "b": 1, "c": 0}) == (at, accepted)
 
+    def test_every_site_lands_on_its_shard_and_is_reachable(self):
+        kernel, names = sharded_kernel()
+        placement = resolve_placement(names, 4)
+        for name in names:
+            assert name in kernel.engines[placement[name]].sites, name
+            source = next(other for other in names
+                          if placement[other] != placement[name])
+            briefcase = Briefcase()
+            briefcase.set("PEER", name)
+            kernel.launch(source, courier, briefcase)
+        kernel.run()
+        for name in names:
+            assert kernel.site(name).cabinet("mail").elements("received"), name
+
+    def test_explicit_placement_pins_a_site_at_construction(self):
+        kernel, names = sharded_kernel(placement={"s0": 3, "s1": 3})
+        assert {"s0", "s1"} <= set(kernel.engines[3].sites)
+        briefcase = Briefcase()
+        briefcase.set("PEER", "s0")
+        kernel.launch("s1", courier, briefcase)
+        kernel.run()
+        assert kernel.site("s0").cabinet("mail").elements("received")
+        assert kernel.stats.shard_handoffs == 0   # both ends on engine 3
+
 
 def traced_report(ctx, briefcase):
     """Transmit one report folder to PEER's sink contact on this agent's

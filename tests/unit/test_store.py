@@ -539,3 +539,13 @@ class TestSnapshotCompaction:
         kernel.recover_site("a")
         kernel.run(until=5.0)
         assert kernel.site("a").cabinet("m").elements("pre") == ["existing"]
+
+
+class TestConstructionSites:
+    def test_every_construction_site_gets_a_store(self):
+        kernel = make_kernel()
+        assert sorted(kernel.stores) == sorted(kernel.topology.sites())
+        kernel.make_durable("m", sites=["c"])
+        kernel.site("c").cabinet("m").put("f", 1)
+        kernel.run(until=1.0)
+        assert "f" in kernel.store("c").durable_state()["m"]
