@@ -20,15 +20,14 @@ from repro.core.agent import AgentInstance, AgentState
 from repro.core.briefcase import (CODE_FOLDER, CONTACT_FOLDER, HOST_FOLDER, SITES_FOLDER,
                                   Briefcase)
 from repro.core.cabinet import FileCabinet
-from repro.core.codec import (attach_code, behaviour_from_code, code_for, code_from_source,
-                              pack_briefcase, unpack_briefcase, wire_size_of)
+from repro.core.codec import (behaviour_from_code, code_for, code_from_source, pack_briefcase,
+                              unpack_briefcase, wire_size_of)
 from repro.core.context import AgentContext
 from repro.core.engine import Engine
 from repro.core.folder import Folder
 from repro.core.kernel import Kernel, KernelConfig
 from repro.core.lifecycle import AgentRecord, AgentTable
-from repro.core.registry import (BehaviourRegistry, default_registry, register_behaviour,
-                                 resolve_behaviour)
+from repro.core.registry import BehaviourRegistry, default_registry, register_behaviour
 from repro.core.site import Site
 from repro.core.syscalls import (EndMeet, Meet, MeetResult, Sleep, Spawn, Terminate,
                                  Transmit)
@@ -41,8 +40,8 @@ __all__ = [
     "CODE_FOLDER", "HOST_FOLDER", "CONTACT_FOLDER", "SITES_FOLDER",
     "AgentInstance", "AgentState", "AgentContext",
     "Meet", "MeetResult", "EndMeet", "Sleep", "Spawn", "Transmit", "Terminate",
-    "BehaviourRegistry", "default_registry", "register_behaviour", "resolve_behaviour",
-    "code_for", "code_from_source", "attach_code", "behaviour_from_code",
+    "BehaviourRegistry", "default_registry", "register_behaviour",
+    "code_for", "code_from_source", "behaviour_from_code",
     "pack_briefcase", "unpack_briefcase", "wire_size_of",
     "Site", "Kernel", "KernelConfig", "Engine",
     "AgentTable", "AgentRecord",

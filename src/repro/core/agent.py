@@ -10,7 +10,7 @@ producer, so no separate "specification" object precedes an instance.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 from repro.core.briefcase import Briefcase
 
@@ -45,7 +45,7 @@ class AgentInstance:
     thousands of these alive at once, so an instance is one object whose
     bookkeeping lives in slots.  Retirement
     (:meth:`~repro.core.lifecycle.AgentTable.retire`) sets ``briefcase``,
-    ``behaviour`` and ``code_element`` to None and replaces the instance in
+    ``behaviour`` and ``code`` to None and replaces the instance in
     the ledger with a compact :class:`~repro.core.lifecycle.AgentRecord`
     (id, site, state, result, error, timing): a finished agent keeps its
     record, not its luggage; a waiting meet caller is handed the briefcase
@@ -54,26 +54,28 @@ class AgentInstance:
     edges live on the other end: a child's ``parent_id``, a callee's
     ``meet_parent``.
 
-    ``code_element`` is the shippable description of ``behaviour`` (see
-    :mod:`repro.core.codec`), which ``ctx.jump`` re-attaches to the briefcase
-    when the agent moves; ``launch_name`` is the name the agent was started
+    ``code`` is the reference the agent was started from — the behaviour
+    name or callable given to launch or spawn, the name met or contacted, or
+    the CODE element ``ag_py`` built it from — which ``ctx.jump`` describes
+    (:func:`~repro.core.codec.code_element_of`) when the agent moves, and
+    nothing else reads; ``launch_name`` is the name the agent was started
     under, or None when ``name`` had to fall back to the agent id.  The
     engine that creates the instance mints ``agent_id`` from its own
     counter.
     """
 
-    __slots__ = ("agent_id", "behaviour", "code_element", "launch_name", "name",
+    __slots__ = ("agent_id", "behaviour", "code", "launch_name", "name",
                  "site_name", "briefcase", "state", "system", "parent_id",
                  "meet_parent", "meet_ended", "generator", "result", "error",
                  "steps", "started_at", "finished_at", "finished")
 
     def __init__(self, agent_id: str, behaviour: Callable, site_name: str,
                  briefcase: Optional[Briefcase] = None, name: Optional[str] = None,
-                 code_element: Optional[Dict[str, Any]] = None, system: bool = False,
+                 code: Any = None, system: bool = False,
                  parent_id: Optional[str] = None, meet_parent: Optional[str] = None):
         self.agent_id = agent_id
         self.behaviour = behaviour
-        self.code_element = code_element
+        self.code = code
         self.launch_name = name
         self.name = name or self.agent_id
         self.site_name = site_name

@@ -33,15 +33,14 @@ from __future__ import annotations
 import pickle
 from typing import Any, Callable, Dict, Optional
 
-from repro.core.briefcase import CODE_FOLDER, Briefcase
+from repro.core.briefcase import Briefcase
 from repro.core.errors import (CodecError, CodeCompilationError, TacomaError,
                                UnknownBehaviourError)
 from repro.core.registry import BehaviourRegistry, default_registry
 
 __all__ = [
     "code_for", "code_from_source", "behaviour_from_code", "code_element_of",
-    "pack_briefcase", "unpack_briefcase", "receive_briefcase", "attach_code",
-    "wire_size_of",
+    "pack_briefcase", "unpack_briefcase", "receive_briefcase", "wire_size_of",
 ]
 
 
@@ -63,12 +62,16 @@ def code_from_source(source: str, entry: str = "agent_main") -> Dict[str, str]:
 
 def code_element_of(behaviour: Any,
                     registry: Optional[BehaviourRegistry] = None) -> Dict[str, str]:
-    """Best-effort CODE element for *behaviour*.
+    """The CODE element describing *behaviour*, a fresh dict.
 
     Accepts a behaviour name, an already-built CODE element, or a callable
-    that is registered in *registry* (default registry if omitted).
+    that is registered in *registry* (default registry if omitted); a
+    callable registered under no name raises :class:`UnknownBehaviourError`.
+    ``ctx.jump`` calls this once per jump on the reference the agent was
+    started from.
     """
-    registry = registry or default_registry()
+    if registry is None:
+        registry = default_registry()
     if isinstance(behaviour, str):
         return code_for(behaviour)
     if isinstance(behaviour, dict) and "kind" in behaviour:
@@ -89,11 +92,22 @@ def behaviour_from_code(code_element: Dict[str, Any],
     ``registered`` elements are looked up in the registry; ``source``
     elements are compiled in a fresh namespace that already has the standard
     builtins — matching a fresh Tcl interpreter evaluating shipped script.
+    Anything else — an element that is not a mapping, a ``registered`` one
+    without a name — raises :class:`CodecError`.
     """
-    registry = registry or default_registry()
-    kind = code_element.get("kind")
+    if registry is None:
+        registry = default_registry()
+    try:
+        kind = code_element.get("kind")
+    except AttributeError:
+        raise CodecError(f"a CODE element is a mapping, not {code_element!r}") from None
     if kind == "registered":
-        return registry.resolve(code_element["name"])
+        try:
+            name = code_element["name"]
+        except KeyError:
+            raise CodecError(f"registered CODE element without a name: {code_element!r}") \
+                from None
+        return registry.resolve(name)
     if kind == "source":
         source = code_element.get("source", "")
         entry = code_element.get("entry", "agent_main")
@@ -111,18 +125,6 @@ def behaviour_from_code(code_element: Dict[str, Any],
                 f"shipped source does not define a callable entry point {entry!r}")
         return behaviour
     raise CodecError(f"unknown CODE element kind {kind!r}")
-
-
-def attach_code(briefcase: Briefcase, behaviour: Any,
-                registry: Optional[BehaviourRegistry] = None) -> Briefcase:
-    """Ensure *briefcase* carries a CODE folder describing *behaviour*.
-
-    Existing CODE contents are replaced — an agent re-shipping itself always
-    wants exactly one element on top of CODE.
-    """
-    element = code_element_of(behaviour, registry)
-    briefcase.set(CODE_FOLDER, element)
-    return briefcase
 
 
 # ---------------------------------------------------------------------------

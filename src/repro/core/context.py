@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.core.briefcase import CONTACT_FOLDER, HOST_FOLDER, Briefcase
 from repro.core.cabinet import FileCabinet
-from repro.core.codec import attach_code
+from repro.core.codec import code_element_of
 from repro.core.folder import Folder
 from repro.core.syscalls import EndMeet, Meet, Sleep, Spawn, Terminate, Transmit
 from repro.obs import TRACE_ID_FOLDER, TRACE_PARENT_FOLDER
@@ -233,13 +233,15 @@ class AgentContext:
         an agent that then returns finishes as ``done`` and its briefcase is
         gone, so one that carries state must check ``result.value`` and wait,
         retry or fail (the mail letter retries from where it stands).
+
+        The CODE element is described here, from the reference the agent was
+        started from (``instance.code``: a name, a CODE element, or a
+        callable), and replaces whatever CODE the briefcase held.  A callable
+        registered under no name — never registered, or its name since
+        rebound — raises :class:`~repro.core.errors.UnknownBehaviourError`
+        and nothing is shipped.
         """
-        code_element = self._instance.code_element
-        if code_element is not None:
-            briefcase.set("CODE", code_element)
-        elif not briefcase.has("CODE"):
-            # Last resort: try to derive a code element from the behaviour.
-            attach_code(briefcase, self._instance.behaviour, self._kernel.registry)
+        briefcase.set("CODE", code_element_of(self._instance.code, self._kernel.registry))
         briefcase.set(HOST_FOLDER, host)
         briefcase.set(CONTACT_FOLDER, contact)
         return Meet("rexec", briefcase)

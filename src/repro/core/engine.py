@@ -36,7 +36,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping,
 
 from repro.core.agent import AgentInstance, AgentState
 from repro.core.briefcase import Briefcase
-from repro.core.codec import code_element_of, receive_briefcase, wire_size_of
+from repro.core.codec import receive_briefcase, wire_size_of
 from repro.core.context import AgentContext
 from repro.core.errors import (KernelError, MeetError, SyscallError, UnknownAgentError,
                                UnknownSiteError)
@@ -270,7 +270,7 @@ class Engine(LedgerQueries):
         self.placement = placement
         self.loop = EventLoop()
         self.stats = NetworkStats()
-        self.registry = registry or default_registry()
+        self.registry = registry if registry is not None else default_registry()
         #: engine *s* of N numbers its agents s+1, s+1+N, ...: ids are
         #: unique cluster-wide and the same on every shard backend
         self._agent_ids = map("agent-{:06d}".format,
@@ -312,13 +312,6 @@ class Engine(LedgerQueries):
         #: the lifecycle ledger: registration, indexes, records (the
         #: kernel's agent-facing API delegates here)
         self.table = AgentTable()
-        #: memo for _best_effort_code: deriving a CODE element per
-        #: launch/meet/arrival re-ran registry reverse lookups (and raised
-        #: exceptions for unregistered callables) on every hot-path call.
-        #: Cleared whenever the registry mutates, and size-capped so a
-        #: kernel launching unique closures cannot pin them forever.
-        self._code_cache: Dict[Any, Optional[dict]] = {}
-        self._code_cache_version = self.registry.version
 
         if install_system_agents:
             from repro.sysagents import install_standard_agents
@@ -492,8 +485,7 @@ class Engine(LedgerQueries):
         instance = AgentInstance(
             next(self._agent_ids), resolved, site_name, briefcase,
             name or (behaviour if isinstance(behaviour, str) else None),
-            self._best_effort_code(behaviour, resolved),
-            system or resolved_system)
+            behaviour, system or resolved_system)
         if self.obs.active:
             self._obs_trace_launch(instance.briefcase, site_name)
         self._register(instance)
@@ -522,7 +514,7 @@ class Engine(LedgerQueries):
                 next(self._agent_ids), resolved, site_name,
                 request[2] if len(request) > 2 else None,
                 behaviour if isinstance(behaviour, str) else None,
-                self._best_effort_code(behaviour, resolved), resolved_system))
+                behaviour, resolved_system))
         for instance in instances:
             if self.obs.active:
                 self._obs_trace_launch(instance.briefcase, instance.site_name)
@@ -546,46 +538,6 @@ class Engine(LedgerQueries):
                 f"behaviour {behaviour!r} is neither installed at {site.name!r} "
                 f"nor registered")
         raise KernelError(f"cannot launch {behaviour!r}: expected a name or a callable")
-
-    _CODE_UNSET = object()
-    #: _code_cache entries keep strong references to behaviour callables, so
-    #: the cache is cleared rather than allowed to grow past this.
-    _CODE_CACHE_MAX = 4096
-
-    def _best_effort_code(self, original: Any, resolved: Callable) -> Optional[dict]:
-        """Derive (and memoise) the CODE element for a behaviour reference.
-
-        Launch/meet/arrival all pass through here, so the derivation —
-        registry reverse lookup, or a raised-and-swallowed exception for
-        unregistered callables — is cached per (original, resolved) pair.
-        Any registry mutation (register, replace, unregister) bumps the
-        registry version and flushes the memo, so cached elements can never
-        name a behaviour the registry has since rebound.  Every instance of a
-        pair holds the *same* element, read-only (``ctx.jump`` only encodes it).
-        """
-        if self._code_cache_version != self.registry.version:
-            self._code_cache.clear()
-            self._code_cache_version = self.registry.version
-        key: Any = (original, resolved)
-        try:
-            cached = self._code_cache.get(key, self._CODE_UNSET)
-        except TypeError:  # unhashable reference (e.g. a raw CODE dict)
-            key = None
-        else:
-            if cached is not self._CODE_UNSET:
-                return cached
-        element: Optional[dict] = None
-        for candidate in (original, resolved):
-            try:
-                element = code_element_of(candidate, self.registry)
-                break
-            except Exception:
-                continue
-        if key is not None:
-            if len(self._code_cache) >= self._CODE_CACHE_MAX:
-                self._code_cache.clear()
-            self._code_cache[key] = element
-        return element
 
     def _register(self, instance: AgentInstance) -> None:
         """Enter a new instance into the lifecycle ledger + site index."""
@@ -880,8 +832,7 @@ class Engine(LedgerQueries):
             return
         callee = AgentInstance(
             next(self._agent_ids), behaviour, site.name, request.briefcase,
-            request.agent_name, self._best_effort_code(request.agent_name, behaviour),
-            is_system,
+            request.agent_name, request.agent_name, is_system,
             parent_id=caller.agent_id, meet_parent=caller.agent_id)
         self._register(callee)
         caller.mark_waiting()
@@ -904,23 +855,17 @@ class Engine(LedgerQueries):
 
     def _do_spawn(self, parent: AgentInstance, request: Spawn) -> None:
         site = self.sites[parent.site_name]
-        behaviour: Callable
-        is_system = False
-        if callable(request.behaviour):
-            behaviour = request.behaviour
-        else:
-            try:
-                behaviour, is_system = self._resolve_behaviour(site, request.behaviour)
-            except (UnknownAgentError, KernelError) as error:
-                self._throw_back(parent, error)
-                return
-        code_element = getattr(request, "code_element", None) or \
-            self._best_effort_code(request.behaviour, behaviour)
+        try:
+            behaviour, is_system = self._resolve_behaviour(site, request.behaviour)
+        except KernelError as error:
+            self._throw_back(parent, error)
+            return
         child = AgentInstance(
             next(self._agent_ids), behaviour, site.name, request.briefcase,
             request.name or (request.behaviour
                              if isinstance(request.behaviour, str) else None),
-            code_element, is_system, parent_id=parent.agent_id)
+            request.code_element or request.behaviour, is_system,
+            parent_id=parent.agent_id)
         self._register(child)
         self.loop.schedule_many((
             (SPAWN_OVERHEAD, self._start,
@@ -1096,8 +1041,7 @@ class Engine(LedgerQueries):
         if self.obs.active and message.trace is not None:
             self._obs_record_arrival(site, message, briefcase)
         instance = AgentInstance(next(self._agent_ids), behaviour, site.name,
-                                 briefcase, contact,
-                                 self._best_effort_code(contact, behaviour), is_system)
+                                 briefcase, contact, contact, is_system)
         self._register(instance)
         self.stats.arrivals += 1
         self.loop.schedule(MEET_OVERHEAD, self._start,

@@ -243,7 +243,7 @@ class Kernel(LedgerQueries):
         unknown = sorted(set(self.config.shard_placement or ()) - set(self.topology.sites()))
         if unknown:
             raise UnknownSiteError(f"shard_placement names unknown sites: {unknown}")
-        self.registry = registry or default_registry()
+        self.registry = registry if registry is not None else default_registry()
         self._closed = False
         #: the ShardSet coordinating several engines; one engine needs none
         self._coordinator = None

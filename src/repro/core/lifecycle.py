@@ -146,7 +146,7 @@ class AgentTable:
         # the one place every end passes.  A failure's traceback would pin
         # the behaviour's finished frame and its locals, the briefcase among
         # them; the still executing frames it starts from are skipped.
-        instance.briefcase = instance.behaviour = instance.code_element = None
+        instance.briefcase = instance.behaviour = instance.code = None
         error = instance.error
         if error is not None and error.__traceback__ is not None:
             import traceback  # a raised failure's cost: not on the import path

@@ -17,26 +17,20 @@ from typing import Callable, Dict, Iterator, Optional
 
 from repro.core.errors import UnknownBehaviourError
 
-__all__ = ["BehaviourRegistry", "default_registry", "register_behaviour", "resolve_behaviour"]
+__all__ = ["BehaviourRegistry", "default_registry", "register_behaviour"]
 
 
 class BehaviourRegistry:
-    """A mapping from well-known behaviour names to callables."""
+    """A mapping from well-known behaviour names to callables.
+
+    The reverse direction, :meth:`name_of`, is read only when an agent
+    started from a callable jumps (``ctx.jump`` describes its code then), so
+    it is a scan rather than a second index kept in step with every
+    registration.
+    """
 
     def __init__(self) -> None:
         self._behaviours: Dict[str, Callable] = {}
-        #: reverse index (behaviour id -> name) so :meth:`name_of` — which the
-        #: kernel consults on every launch/meet/arrival to derive CODE
-        #: elements — is O(1) instead of a scan over every registration.
-        self._names_by_id: Dict[int, str] = {}
-        #: bumped on every mutation; callers caching derived data (the
-        #: kernel's CODE-element memo) invalidate against this.
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Monotonic mutation counter (register/unregister both bump it)."""
-        return self._version
 
     def register(self, name: str, behaviour: Optional[Callable] = None,
                  replace: bool = False) -> Callable:
@@ -53,14 +47,7 @@ class BehaviourRegistry:
         if name in self._behaviours and not replace and self._behaviours[name] is not behaviour:
             raise UnknownBehaviourError(
                 f"behaviour name {name!r} is already registered to a different callable")
-        previous = self._behaviours.get(name)
-        if previous is not None and self._names_by_id.get(id(previous)) == name:
-            del self._names_by_id[id(previous)]
         self._behaviours[name] = behaviour
-        # First registration wins the reverse lookup (matching the historical
-        # scan order when one callable is registered under several names).
-        self._names_by_id.setdefault(id(behaviour), name)
-        self._version += 1
         return behaviour
 
     def resolve(self, name: str) -> Callable:
@@ -71,25 +58,15 @@ class BehaviourRegistry:
             raise UnknownBehaviourError(f"no behaviour registered under {name!r}") from None
 
     def name_of(self, behaviour: Callable) -> Optional[str]:
-        """Reverse lookup: the name *behaviour* is registered under, if any."""
-        name = self._names_by_id.get(id(behaviour))
-        if name is not None and self._behaviours.get(name) is behaviour:
-            return name
-        # Slow path: the reverse index only records one name per callable;
-        # fall back to the scan when that entry went stale (e.g. replaced).
+        """Reverse lookup: the first name *behaviour* is registered under, if any."""
         for name, registered in self._behaviours.items():
             if registered is behaviour:
-                self._names_by_id[id(behaviour)] = name
                 return name
         return None
 
     def unregister(self, name: str) -> None:
-        """Remove a registration (mostly for tests)."""
-        behaviour = self._behaviours.pop(name, None)
-        if behaviour is not None:
-            self._version += 1
-            if self._names_by_id.get(id(behaviour)) == name:
-                del self._names_by_id[id(behaviour)]
+        """Remove a registration (silent for a name that has none)."""
+        self._behaviours.pop(name, None)
 
     def __contains__(self, name: str) -> bool:
         return name in self._behaviours
@@ -117,8 +94,3 @@ def register_behaviour(name: str, behaviour: Optional[Callable] = None,
                        replace: bool = False) -> Callable:
     """Register a behaviour in the default registry (usable as a decorator)."""
     return _DEFAULT.register(name, behaviour, replace=replace)
-
-
-def resolve_behaviour(name: str) -> Callable:
-    """Resolve a behaviour name against the default registry."""
-    return _DEFAULT.resolve(name)

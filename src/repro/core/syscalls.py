@@ -90,8 +90,9 @@ class Spawn(Syscall):
     behaviour: Any
     briefcase: Briefcase = field(default_factory=Briefcase)
     name: Optional[str] = None
-    #: explicit shippable code element for the spawned agent; ``ag_py`` uses
-    #: this to hand a source-shipped agent its own code so it can jump again
+    #: the CODE element the child was built from, which its jumps re-ship
+    #: instead of describing ``behaviour``: ``ag_py`` passes the element it
+    #: popped, so a source-built agent (a callable no registry names) moves on
     code_element: Optional[dict] = None
 
 

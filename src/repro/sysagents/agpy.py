@@ -13,6 +13,7 @@ from repro.core.briefcase import CODE_FOLDER, Briefcase
 from repro.core.codec import behaviour_from_code
 from repro.core.context import AgentContext
 from repro.core.errors import CodecError, MissingFolderError
+from repro.core.syscalls import Spawn
 
 __all__ = ["ag_py_behaviour"]
 
@@ -44,7 +45,8 @@ def ag_py_behaviour(ctx: AgentContext, briefcase: Briefcase):
         ctx.log(f"ag_py: code rejected: {exc}")
         return None
 
-    agent_id = yield ctx.spawn(behaviour, briefcase)
+    # The child re-ships the element it was built from when it jumps.
+    agent_id = yield Spawn(behaviour, briefcase, code_element=code_element)
     # Hand back the new agent's id to whoever met us (rexec's caller, or the
     # kernel arrival path, which ignores it).
     yield ctx.end_meet(agent_id)

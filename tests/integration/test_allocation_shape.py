@@ -220,14 +220,14 @@ def test_a_queried_cabinet_folder_answers_correctly_across_crash_and_recovery():
 
 
 def retained_payload_bytes(kernel: Kernel) -> int:
-    """Bytes of every distinct folder name, stored element and CODE element
+    """Bytes of every distinct folder name, stored element and code reference
     the ledger's entries still reference (an object shared is counted once;
     a record holds none of them)."""
     held = {}
     for entry in kernel.agents.values():
-        code_element = getattr(entry, "code_element", None)
-        if code_element is not None:
-            held[id(code_element)] = code_element
+        code = getattr(entry, "code", None)
+        if code is not None:
+            held[id(code)] = code
         briefcase = getattr(entry, "briefcase", None)
         for name, elements in (briefcase.stored_items()
                                if briefcase is not None else ()):
@@ -241,8 +241,7 @@ def report_of(briefcase: Briefcase):
                 if name == "REPORT")
 
 
-@pytest.mark.one_engine(reason="reads kernel.loop.pending (engine 0's loop) "
-                        "and the code cache of one engine")
+@pytest.mark.one_engine(reason="reads kernel.loop.pending (engine 0's loop)")
 def test_a_delivery_moves_its_elements_and_a_name_has_one_code_element():
     handed_back, delivered = [], []
 
@@ -263,18 +262,18 @@ def test_a_delivery_moves_its_elements_and_a_name_has_one_code_element():
     kernel.run()
     lives_before = kernel.counters()["launched"]
     launch_couriers(kernel, 200)             # every PEER is another site: all cross the wire
-    # One CODE element per launch name, not a dict per life: read off the
-    # running agents (a finished one holds none), at every half millisecond.
+    # A life started by name holds that name as its code, no CODE dict (a
+    # jump describes it): read off the running agents (a finished one holds
+    # none), at every half millisecond.
     codes = collections.defaultdict(set)
     horizon = 0.0
     while kernel.loop.pending:
         horizon += 0.0005
         kernel.run(until=horizon)
         for name in ("courier-life", "courier", "sink"):
-            codes[name].update(id(agent.code_element) for agent in kernel.agents_named(name)
+            codes[name].update(agent.code for agent in kernel.agents_named(name)
                                if not agent.finished)
-    assert all(len(ids) == 1 and id(None) not in ids for ids in codes.values())
-    assert len(codes) == 3
+    assert codes == {name: {name} for name in ("courier-life", "courier", "sink")}
     lives = kernel.counters()["launched"] - lives_before
     assert kernel.counters()["arrivals"] == 200 + len(SITES) and lives == 600
 

@@ -96,6 +96,40 @@ def agent_main(ctx, bc):
     assert lan_kernel.site("gamma").cabinet("results").get("VISITED") == "gamma"
 
 
+def test_source_shipped_agent_jumps_on_with_its_own_source(lan_kernel: Kernel):
+    """ag_py hands the agent it starts the source it popped, so the agent
+    re-ships that source at every jump, not only at the first."""
+    source = """
+def agent_main(ctx, bc):
+    trail = bc.folder("TRAIL", create=True)
+    trail.push(ctx.site_name)
+    ctx.cabinet("hops").put("TRAIL", list(trail.elements()))
+    itinerary = bc.folder("ITINERARY")
+    if itinerary:
+        yield ctx.jump(bc, itinerary.dequeue())
+    return ctx.site_name
+"""
+
+    def launcher(ctx, bc):
+        payload = Briefcase()
+        payload.set("CODE", code_from_source(source))
+        for site in ("beta", "gamma"):
+            payload.put("ITINERARY", site)
+        payload.set("HOST", "alpha")
+        payload.set("CONTACT", "ag_py")
+        result = yield ctx.meet("rexec", payload)
+        return result.value
+
+    agent_id = lan_kernel.launch("delta", launcher)
+    lan_kernel.run()
+    assert lan_kernel.result_of(agent_id) is True
+    hops = ["alpha", "beta", "gamma"]
+    for index, site in enumerate(hops):
+        assert lan_kernel.site(site).cabinet("hops").get("TRAIL") == hops[:index + 1]
+        assert not lan_kernel.site(site).has_cabinet("_errors")
+    assert lan_kernel.stats.migrations == 3
+
+
 def test_courier_delivers_folder_without_meeting(lan_kernel: Kernel):
     received = {}
 

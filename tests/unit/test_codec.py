@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Briefcase, Folder
-from repro.core.codec import (attach_code, behaviour_from_code, code_element_of, code_for,
+from repro.core.codec import (behaviour_from_code, code_element_of, code_for,
                               code_from_source, pack_briefcase, unpack_briefcase,
                               wire_size_of)
 from repro.core.errors import CodecError, CodeCompilationError, UnknownBehaviourError
@@ -96,20 +96,6 @@ def agent_main(ctx, bc):
     def test_unknown_kind_raises(self):
         with pytest.raises(CodecError):
             behaviour_from_code({"kind": "quantum"})
-
-
-class TestAttachCode:
-    def test_attach_code_sets_code_folder(self, registry):
-        briefcase = Briefcase()
-        attach_code(briefcase, "sample", registry)
-        assert briefcase.get("CODE") == {"kind": "registered", "name": "sample"}
-
-    def test_attach_code_replaces_existing(self, registry):
-        briefcase = Briefcase()
-        briefcase.put("CODE", {"kind": "registered", "name": "old"})
-        attach_code(briefcase, "sample", registry)
-        assert len(briefcase.folder("CODE")) == 1
-        assert briefcase.get("CODE")["name"] == "sample"
 
 
 class TestBriefcaseWireFormat:

@@ -1,7 +1,7 @@
 """Regression and behaviour tests for the kernel hot-path overhaul.
 
-Covers the per-site resident index, the batched launch path, the memoised
-CODE-element derivation, and the bundled bugfixes: the undeliverable-message
+Covers the per-site resident index, the batched launch path, the CODE
+element described at the jump and nowhere else, and the bundled bugfixes: the undeliverable-message
 ledger, generator ``finally:`` execution on every terminal path, and the
 consistency of the index under crash/recover sequences; and how the engine
 routes an arrival by its kind.
@@ -13,9 +13,10 @@ import pytest
 
 from repro.core import Briefcase, Folder, Kernel, KernelConfig
 from repro.core.agent import AgentState
-from repro.core.codec import pack_briefcase
+from repro.core.codec import code_element_of, pack_briefcase
 from repro.core.engine import Engine
-from repro.core.registry import register_behaviour
+from repro.core.errors import UnknownBehaviourError
+from repro.core.registry import default_registry, register_behaviour
 from repro.net import lan
 from repro.net.message import Message, MessageKind
 
@@ -147,51 +148,87 @@ class TestResidentIndex:
         _assert_index_matches_scan(kernel)
 
 
-class TestCodeElementMemo:
-    def test_registered_behaviour_is_memoised_and_shared(self, engine):
-        def roamer(ctx, bc):
-            yield ctx.sleep(0)
+def _roamer(marks):
+    """A behaviour that files where it runs and jumps once, to ``b``."""
+    def roamer(ctx, bc):
+        marks.append(ctx.site_name)
+        if ctx.site_name == "a":
+            yield ctx.jump(bc, "b")
+        return ctx.site_name
+    return roamer
 
-        register_behaviour("hotpath_roamer", roamer, replace=True)
-        first = engine._best_effort_code("hotpath_roamer", roamer)
-        assert first == {"kind": "registered", "name": "hotpath_roamer"}
-        # One element per (reference, behaviour), read-only by contract: every
-        # life launched under the name holds it, none owns a dict of its own.
-        assert engine._best_effort_code("hotpath_roamer", roamer) is first
-        ids = engine.launch_many([("a", "hotpath_roamer"), ("b", "hotpath_roamer")])
-        assert all(engine.table.get(agent_id).code_element is first for agent_id in ids)
 
-    def test_unregistered_miss_is_invalidated_by_registration(self, engine):
-        def local_only(ctx, bc):
-            yield ctx.sleep(0)
+class TestCodeIsDescribedAtTheJump:
+    """An instance holds the reference it was started from; ``ctx.jump``
+    derives the CODE element from it, once per jump, and nothing else does."""
 
-        assert engine._best_effort_code(local_only, local_only) is None
-        register_behaviour("hotpath_late", local_only, replace=True)
-        element = engine._best_effort_code(local_only, local_only)
-        assert element == {"kind": "registered", "name": "hotpath_late"}
+    def test_a_callable_registered_after_launch_ships_its_name(self, kernel):
+        marks = []
+        roamer = _roamer(marks)
+        agent_id = kernel.launch("a", roamer)
+        register_behaviour("hotpath_late", roamer)
+        try:
+            kernel.run()
+        finally:
+            default_registry().unregister("hotpath_late")
+        assert kernel.result_of(agent_id) == "a"
+        assert marks == ["a", "b"] and kernel.stats.migrations == 1
 
-    def test_replace_registration_invalidates_stale_entries(self, engine):
-        def original(ctx, bc):
-            yield ctx.sleep(0)
+    def test_a_callable_whose_name_was_rebound_cannot_jump(self, kernel):
+        marks, impostor_marks = [], []
+        roamer = _roamer(marks)
+        register_behaviour("hotpath_swap", roamer)
+        try:
+            agent_id = kernel.launch("a", roamer)
+            # The name now runs another callable: shipping it would start
+            # the impostor at the destination, so the jump refuses instead.
+            register_behaviour("hotpath_swap", _roamer(impostor_marks), replace=True)
+            kernel.run()
+        finally:
+            default_registry().unregister("hotpath_swap")
+        record = kernel.agent(agent_id)
+        assert record.state == AgentState.FAILED
+        assert isinstance(record.error, UnknownBehaviourError)
+        assert marks == ["a"] and impostor_marks == []
+        assert kernel.stats.migrations == 0 and kernel.counters()["arrivals"] == 0
 
-        def replacement(ctx, bc):
-            yield ctx.sleep(0)
+    def test_only_a_jump_describes_code_and_once_per_jump(self, kernel, monkeypatch):
+        calls = []
 
-        register_behaviour("hotpath_swap", original, replace=True)
-        assert engine._best_effort_code(original, original) == \
-            {"kind": "registered", "name": "hotpath_swap"}
-        # Rebinding the name (registry size unchanged) must not leave a
-        # cached element shipping 'original' under a name that now resolves
-        # to 'replacement' at the destination.
-        register_behaviour("hotpath_swap", replacement, replace=True)
-        assert engine._best_effort_code(original, original) is None
-        assert engine._best_effort_code(replacement, replacement) == \
-            {"kind": "registered", "name": "hotpath_swap"}
+        def counting(behaviour, registry=None):
+            calls.append(behaviour)
+            return code_element_of(behaviour, registry)
 
-    def test_cache_is_size_capped(self, engine):
-        for index in range(engine._CODE_CACHE_MAX + 10):
-            engine._best_effort_code(f"no-such-behaviour-{index}", None)
-        assert len(engine._code_cache) <= engine._CODE_CACHE_MAX
+        monkeypatch.setattr("repro.core.codec.code_element_of", counting)
+        monkeypatch.setattr("repro.core.context.code_element_of", counting)
+
+        def service(ctx, bc):
+            yield ctx.end_meet("served")
+
+        def visitor(ctx, bc):
+            itinerary = bc.folder("ITINERARY", create=True)
+            if itinerary:
+                yield ctx.jump(bc, itinerary.dequeue())
+            result = yield ctx.meet("service", Briefcase())
+            return result.value
+
+        kernel.install_agent("c", "service", service)
+        register_behaviour("hotpath_visitor", visitor)
+        try:
+            itinerary = Briefcase()
+            for site in ("b", "c"):
+                itinerary.put("ITINERARY", site)
+            kernel.launch_many([("a", "hotpath_visitor", itinerary),
+                                ("b", "hotpath_visitor")])
+            kernel.run()
+        finally:
+            default_registry().unregister("hotpath_visitor")
+        counters = kernel.counters()
+        assert counters["arrivals"] == kernel.stats.migrations == 2
+        assert counters["launched"] > 2 + 2 * 2   # + rexec, ag_py and the meets
+        # The launched life holds its name; the one ag_py started at b, the
+        # element it was built from.
+        assert calls == ["hotpath_visitor", {"kind": "registered", "name": "hotpath_visitor"}]
 
 
 class TestUndeliverableLedger:

@@ -364,7 +364,7 @@ def ended(request):
         kernel.run()
     entries = {how: kernel.agent(agent_id) for how, agent_id in ids.items()}
     shed = all(getattr(instance, slot) is None for instance in held
-               for slot in ("briefcase", "behaviour", "code_element", "generator"))
+               for slot in ("briefcase", "behaviour", "code", "generator"))
     assert kernel.counters()["launched"] == 2 * len(ENDINGS)     # each with a child
     kernel.close()
     return entries, shed

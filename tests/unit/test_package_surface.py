@@ -157,6 +157,8 @@ def test_a_retired_knob_is_refused_not_ignored(knob):
 #: with why it stays.  ``tools/size_report.py`` counts them as
 #: ``test_only_defs``: a new one means editing this list.
 TEST_ONLY_DEFS = [
+    "BehaviourRegistry.unregister",      # register's inverse: tests undo a registration
+                                         # in the process-wide registry
     "FileCabinet.withdraw",              # deposit's inverse: the briefcase operations (§2)
     "MailSystem.delivery_log",           # reads the log folder the letter agents write
     "Mint.retired_value",                # the audit total of the retired-ECU table (§3)
@@ -173,7 +175,6 @@ TEST_ONLY_DEFS = [
     "make_guardian_behaviour",           # the guardian in front of a secret agent (§4)
     "merged_load_table",                 # every broker's load table, merged across shards
     "random_topology",                   # the connected random graph diffusion floods
-    "resolve_behaviour",                 # a behaviour name against the default registry
     "unpack_briefcase",                  # pack_briefcase's inverse, by its wire name
 ]
 

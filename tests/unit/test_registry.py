@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import UnknownBehaviourError
-from repro.core.registry import (BehaviourRegistry, default_registry, register_behaviour,
-                                 resolve_behaviour)
+from repro.core.registry import BehaviourRegistry, default_registry, register_behaviour
 
 
 def behaviour_a(ctx, bc):
@@ -82,8 +81,17 @@ class TestDefaultRegistry:
 
     def test_module_level_helpers_use_default_registry(self):
         register_behaviour("test_registry_helper", behaviour_a, replace=True)
-        assert resolve_behaviour("test_registry_helper") is behaviour_a
+        assert default_registry().resolve("test_registry_helper") is behaviour_a
         default_registry().unregister("test_registry_helper")
+
+    def test_a_kernel_keeps_an_empty_private_registry(self):
+        # An empty registry is falsy (it has a length): it must still be used.
+        from repro.core import Kernel
+        from repro.net import lan
+        registry = BehaviourRegistry()
+        kernel = Kernel(lan(["a", "b"]), registry=registry)
+        assert kernel.registry is registry
+        assert all(engine.registry is registry for engine in kernel.engines)
 
     def test_standard_agents_are_pre_registered(self):
         # Importing repro.sysagents registers the well-known names.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Briefcase, Folder, Kernel, KernelConfig
+from repro.core import AgentState, Briefcase, Folder, Kernel, KernelConfig
 from repro.core.codec import code_for, code_from_source
 from repro.net import lan
 from repro.sysagents import STANDARD_AGENTS, install_standard_agents
@@ -208,6 +208,18 @@ def agent_main(ctx, bc):
 
         assert run_client(kernel, client) is None
         assert kernel.site("a").cabinet("_errors").elements("ag_py")
+
+    @pytest.mark.parametrize("element", ["hello", 42, ["x"], {"kind": "registered"}],
+                             ids=["str", "int", "list", "registered-without-name"])
+    def test_malformed_code_element_is_filed_not_crashed_on(self, kernel, element):
+        briefcase = Briefcase()
+        briefcase.set("CODE", element)
+        agent_id = kernel.launch("a", "ag_py", briefcase)
+        kernel.run()
+        record = kernel.agent(agent_id)
+        assert (record.state, record.result) == (AgentState.DONE, None)
+        errors = kernel.site("a").cabinet("_errors").elements("ag_py")
+        assert len(errors) == 1 and "code rejected" in errors[0]
 
 
 class TestCourier:
