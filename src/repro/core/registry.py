@@ -54,7 +54,7 @@ class BehaviourRegistry:
         """Return the behaviour registered under *name*."""
         try:
             return self._behaviours[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: a shipped name that is not hashable
             raise UnknownBehaviourError(f"no behaviour registered under {name!r}") from None
 
     def name_of(self, behaviour: Callable) -> Optional[str]:

@@ -209,8 +209,10 @@ def agent_main(ctx, bc):
         assert run_client(kernel, client) is None
         assert kernel.site("a").cabinet("_errors").elements("ag_py")
 
-    @pytest.mark.parametrize("element", ["hello", 42, ["x"], {"kind": "registered"}],
-                             ids=["str", "int", "list", "registered-without-name"])
+    @pytest.mark.parametrize("element", ["hello", 42, ["x"], {"kind": "registered"},
+                                         {"kind": "registered", "name": ["x"]}],
+                             ids=["str", "int", "list", "registered-without-name",
+                                  "registered-unhashable-name"])
     def test_malformed_code_element_is_filed_not_crashed_on(self, kernel, element):
         briefcase = Briefcase()
         briefcase.set("CODE", element)
