@@ -20,8 +20,7 @@ from repro.core.agent import AgentInstance, AgentState
 from repro.core.briefcase import (CODE_FOLDER, CONTACT_FOLDER, HOST_FOLDER, SITES_FOLDER,
                                   Briefcase)
 from repro.core.cabinet import FileCabinet
-from repro.core.codec import (behaviour_from_code, code_for, code_from_source, pack_briefcase,
-                              unpack_briefcase, wire_size_of)
+from repro.core.codec import behaviour_from_code, code_for, code_from_source, wire_size_of
 from repro.core.context import AgentContext
 from repro.core.engine import Engine
 from repro.core.folder import Folder
@@ -42,7 +41,7 @@ __all__ = [
     "Meet", "MeetResult", "EndMeet", "Sleep", "Spawn", "Transmit", "Terminate",
     "BehaviourRegistry", "default_registry", "register_behaviour",
     "code_for", "code_from_source", "behaviour_from_code",
-    "pack_briefcase", "unpack_briefcase", "wire_size_of",
+    "wire_size_of",
     "Site", "Kernel", "KernelConfig", "Engine",
     "AgentTable", "AgentRecord",
 ]

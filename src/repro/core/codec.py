@@ -19,18 +19,15 @@ Two CODE representations are supported:
     evaluating shipped script text, and the demonstration of the
     "different machine language" property.
 
-Inside a process nothing is serialised to move a briefcase: a message carries
+Nothing is serialised to move a briefcase: a message carries
 :meth:`~repro.core.briefcase.Briefcase.snapshot` (the sender's stored elements,
-shared) and :func:`receive_briefcase` builds the receiver's own from it.
-:func:`pack_briefcase` — one flat pickle of ``(version, [(folder name, stored
-elements), ...])`` — carries a payload that has to be ``bytes``, which
-``receive_briefcase`` takes too.  Either way the network is charged the
-briefcase's size model, never a carrier's length.
+shared) and :func:`receive_briefcase` builds the receiver's own from it.  A
+process shard pickles the snapshot together with its message.  The network is
+charged the briefcase's size model, never a carrier's length.
 """
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Callable, Dict, Optional
 
 from repro.core.briefcase import Briefcase
@@ -40,7 +37,7 @@ from repro.core.registry import BehaviourRegistry, default_registry
 
 __all__ = [
     "code_for", "code_from_source", "behaviour_from_code", "code_element_of",
-    "pack_briefcase", "unpack_briefcase", "receive_briefcase", "wire_size_of",
+    "receive_briefcase", "wire_size_of",
 ]
 
 
@@ -128,43 +125,19 @@ def behaviour_from_code(code_element: Dict[str, Any],
 
 
 # ---------------------------------------------------------------------------
-# Briefcase wire format
+# Carried briefcases
 # ---------------------------------------------------------------------------
 
-_WIRE_VERSION = 2
-
-
-def pack_briefcase(briefcase: Briefcase) -> bytes:
-    """Serialise a briefcase for transmission between sites."""
-    try:
-        return pickle.dumps((_WIRE_VERSION, briefcase.stored_items()),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        raise CodecError(f"briefcase could not be serialised: {exc}") from exc
-
-
-def unpack_briefcase(payload: bytes) -> Briefcase:
-    """Rebuild a briefcase from :func:`pack_briefcase` output."""
-    return receive_briefcase(payload)
-
-
 def receive_briefcase(carried: Any) -> Briefcase:
-    """The receiver's own briefcase from what a message *carried* — a
-    :meth:`~Briefcase.snapshot` (one may be delivered twice: only elements are
-    shared) or packed ``bytes`` — validated: names, duplicates, element types."""
-    if isinstance(carried, Briefcase):
-        items = carried.stored_items()
-    else:
-        try:
-            wrapper = pickle.loads(carried)
-        except Exception as exc:
-            raise CodecError(f"briefcase payload could not be decoded: {exc}") from exc
-        if (type(wrapper) is not tuple or len(wrapper) != 2
-                or wrapper[0] != _WIRE_VERSION):
-            raise CodecError("briefcase payload has an unknown wire version")
-        items = wrapper[1]
+    """The receiver's own briefcase from the :meth:`~Briefcase.snapshot` a
+    message *carried* (one may be delivered twice: only elements are shared),
+    validated: names, duplicates, element types.  Anything but a briefcase
+    raises :class:`CodecError`."""
+    if type(carried) is not Briefcase:
+        raise CodecError(
+            f"carried briefcase is a {type(carried).__name__}, not a Briefcase")
     try:
-        return Briefcase.from_stored_items(items)
+        return Briefcase.from_stored_items(carried.stored_items())
     except (TacomaError, TypeError, ValueError) as exc:
         raise CodecError(f"briefcase payload is malformed: {exc}") from exc
 

@@ -107,16 +107,15 @@ class AgentContext:
         """Sites directly linked to the current site."""
         return self._kernel.topology.neighbors(self._site.name)
 
-    def site_load(self, site_name: Optional[str] = None) -> float:
-        """Current load metric of a site (defaults to the local site)."""
-        return self._kernel.site_load(site_name or self._site.name)
+    def site_load(self) -> float:
+        """Current load metric of the local site."""
+        site = self._site
+        return site.load_metric(site.resident_count())
 
-    def resident_count(self, site_name: Optional[str] = None) -> int:
-        """How many active agents are resident at a site (O(1), via the
-        kernel's per-site index; defaults to the local site)."""
-        if site_name is None:
-            return self._site.resident_count()
-        return self._kernel.site(site_name).resident_count()
+    def resident_count(self) -> int:
+        """How many active agents are resident at the local site (O(1), via
+        the kernel's per-site index)."""
+        return self._site.resident_count()
 
     # -- local storage -------------------------------------------------------------
 

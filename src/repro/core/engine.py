@@ -794,8 +794,8 @@ class Engine(LedgerQueries):
         instance.steps += 1
         if instance.steps > MAX_AGENT_STEPS:
             self._kill(instance, reason="runaway agent exceeded step budget")
-            self._release_meet_parent_on_abnormal_end(
-                instance, MeetError(f"met agent {instance.name!r} was killed as a runaway"))
+            self._release_meet_parent(
+                instance, error=MeetError(f"met agent {instance.name!r} was killed as a runaway"))
             return
         self._dispatch(instance, request)
 
@@ -883,6 +883,11 @@ class Engine(LedgerQueries):
             self._throw_back(sender, SyscallError(
                 f"transmit to unknown site {request.destination!r}"))
             return
+        if request.kind == MessageKind.BATCH:
+            # The fabric's own envelope: the arrival rule would unbatch it.
+            self._throw_back(sender, SyscallError(
+                f"transmit of kind {MessageKind.BATCH!r} is the fabric's envelope"))
+            return
         message = Message(
             source=sender.site_name,
             destination=request.destination,
@@ -937,32 +942,27 @@ class Engine(LedgerQueries):
             self._obs_end_run(instance, "failed")
         self._retire(instance)
         self.log_event(instance.agent_id, instance.site_name, f"failed: {error!r}")
-        self._release_meet_parent_on_abnormal_end(
-            instance, MeetError(f"met agent {instance.name!r} failed: {error!r}"))
+        self._release_meet_parent(
+            instance, error=MeetError(f"met agent {instance.name!r} failed: {error!r}"))
 
-    def _release_meet_parent(self, callee: AgentInstance, value: Any) -> None:
-        """Resume the agent blocked on this callee's meet, if any."""
+    def _release_meet_parent(self, callee: AgentInstance, value: Any = None,
+                             error: Optional[Exception] = None) -> None:
+        """Resume the agent blocked on this callee's meet, if any: with the
+        callee's briefcase and *value*, or with *error* raised at its meet."""
         if callee.meet_ended or callee.meet_parent is None:
             return
         callee.meet_ended = True
         parent = self.table.get(callee.meet_parent)
         if parent is None or parent.finished:
+            return
+        if error is not None:
+            self.loop.schedule(STEP_COST, self._resume,
+                               ("meet-error", parent.agent_id), (parent, None, error))
             return
         result = MeetResult(value=value, briefcase=callee.briefcase,
                             agent_id=callee.agent_id)
         self.loop.schedule(STEP_COST, self._resume,
                            ("meet-return", parent.agent_id), (parent, result))
-
-    def _release_meet_parent_on_abnormal_end(self, callee: AgentInstance,
-                                             error: Exception) -> None:
-        if callee.meet_ended or callee.meet_parent is None:
-            return
-        callee.meet_ended = True
-        parent = self.table.get(callee.meet_parent)
-        if parent is None or parent.finished:
-            return
-        self.loop.schedule(STEP_COST, self._resume,
-                           ("meet-error", parent.agent_id), (parent, None, error))
 
     # ------------------------------------------------------------------
     # network arrivals
@@ -991,32 +991,16 @@ class Engine(LedgerQueries):
             return
         if message.kind == MessageKind.BATCH:
             # Delivery-fabric envelope: unbatch and fan each coalesced
-            # message out through the normal per-kind path (folder
-            # deliveries to their contacts, status reports likewise).
+            # message out to its own contact.
             delivered_at = message.delivered_at
             for sub in message.payload.get("messages", ()):
                 sub.delivered_at = delivered_at
                 sub.hops = message.hops
                 self._on_message(site_name, sub)
             return
-        payload = message.payload
-        if message.kind in (MessageKind.AGENT_TRANSFER, MessageKind.FOLDER_DELIVERY,
-                            MessageKind.FT_RELEASE, MessageKind.FT_RELAUNCH):
-            # Rear-guard traffic is contact-addressed exactly like folder
-            # deliveries: releases execute the release agent, relaunches
-            # re-animate the snapshot through its CONTACT (normally ag_py).
-            self._accept_agent_transfer(site, message)
-            return
-        if (message.kind == MessageKind.STATUS and isinstance(payload, dict)
-                and "contact" in payload and "briefcase" in payload):
-            # Contact-addressed status traffic (monitor load reports routed
-            # through the courier) executes its contact like a folder
-            # delivery instead of rotting in the message cabinet.
-            self._accept_agent_transfer(site, message)
-            return
-        # Default path for control/status/data traffic: deposit into the
-        # site's message cabinet so agents can poll it.
-        site.cabinet("_messages").put(message.kind, message.payload)
+        # Every other message is contact-addressed: it starts its contact or
+        # is counted undeliverable.
+        self._accept_agent_transfer(site, message)
 
     def _accept_agent_transfer(self, site: Site, message: Message) -> None:
         payload = message.payload

@@ -2,34 +2,34 @@
 
 The TACOMA prototype's third transport was "Tcl/Horus, a version of Tcl
 that uses Horus [vRHB94] to support group communication and
-fault-tolerance."  Horus provides *process groups* with membership views
-and virtually synchronous reliable multicast: every surviving member sees
-the same sequence of views, and a message multicast in view ``V`` is
-delivered only to members of ``V`` that survive into the next view.
+fault-tolerance."  Horus provides *process groups* with virtually
+synchronous membership views: every surviving member sees the same sequence
+of views.
 
 The reproduction implements the subset TACOMA consumed:
 
 * point-to-point messaging (so :class:`HorusTransport` is a drop-in
   :class:`~repro.net.transport.Transport` and ``rexec`` can use it);
 * named process groups with join/leave;
-* reliable FIFO multicast within the current view;
-* failure detection that removes crashed members and installs a new view at
-  every surviving member after a bounded detection delay;
-* view-change notifications delivered to group members through the same
-  per-site handler used for normal messages (kind ``GROUP``).
+* failure detection that removes crashed members and installs a new view
+  after a bounded detection delay;
+* view-change notifications to the callbacks :meth:`subscribe_views`
+  registers.
 
-The fault-tolerance layer (:mod:`repro.fault`) can subscribe to view
-changes instead of running its own ping-based detector.
+Nothing reaches a site except a message to an agent there, so views go to
+subscribers, never through a site's message handler.  The fault-tolerance
+layer (:mod:`repro.fault`) subscribes to view changes instead of running its
+own ping-based detector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.core.errors import GroupError, NotMemberError
 from repro.flow import CostModel
-from repro.net.message import Message, MessageKind
+from repro.net.message import Message
 from repro.net.transport import Transport
 
 __all__ = ["GroupView", "ProcessGroup", "HorusTransport"]
@@ -54,8 +54,6 @@ class ProcessGroup:
     name: str
     members: List[str] = field(default_factory=list)
     view_id: int = 0
-    #: multicast sequence number, for FIFO ordering bookkeeping
-    next_seqno: int = 0
 
     def view(self) -> GroupView:
         """The current view."""
@@ -94,8 +92,6 @@ class HorusTransport(Transport):
         self._channels: set = set()
         self._groups: Dict[str, ProcessGroup] = {}
         self._observers: Dict[str, List[ViewObserver]] = {}
-        #: delivered multicast count per group, visible to benchmarks
-        self.multicasts_delivered: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # point-to-point transport behaviour
@@ -152,58 +148,6 @@ class HorusTransport(Transport):
         self._observers.setdefault(name, []).append(observer)
 
     # ------------------------------------------------------------------
-    # multicast
-    # ------------------------------------------------------------------
-
-    def multicast(self, name: str, source: str, payload: dict,
-                  declared_size: Optional[int] = None,
-                  kind: str = MessageKind.GROUP) -> int:
-        """Reliably multicast *payload* to every member of the group's current view.
-
-        Returns the number of copies handed to the network.  The source must
-        be a member (Horus' sender-in-group model).  Delivery to the sender
-        itself is included — TACOMA agents use self-delivery for ordering.
-        """
-        group = self._group(name)
-        if source not in group.members:
-            raise NotMemberError(f"{source!r} is not a member of group {name!r}")
-        seqno = group.next_seqno
-        group.next_seqno += 1
-        view = group.view()
-        copies = 0
-        for member in view.members:
-            message = Message(
-                source=source,
-                destination=member,
-                kind=kind,
-                payload={
-                    "group": name,
-                    "event": "mcast",
-                    "view_id": view.view_id,
-                    "seqno": seqno,
-                    "body": payload,
-                },
-                declared_size=declared_size,
-            )
-            if member == source:
-                # Local delivery: no wire cost beyond protocol processing.
-                self.loop.schedule(self.ESTABLISHED_SETUP,
-                                   lambda msg=message: self._deliver_local(msg),
-                                   label=f"horus-self-{name}")
-            else:
-                self.send(message)
-            copies += 1
-        self.multicasts_delivered[name] = self.multicasts_delivered.get(name, 0) + copies
-        return copies
-
-    def _deliver_local(self, message: Message) -> None:
-        handler = self._handlers.get(message.destination)
-        if handler is None or self.topology.is_down(message.destination):
-            return
-        message.delivered_at = self.loop.now
-        handler(message)
-
-    # ------------------------------------------------------------------
     # failure handling -> view changes
     # ------------------------------------------------------------------
 
@@ -249,18 +193,6 @@ class HorusTransport(Transport):
     def _install_view(self, group: ProcessGroup) -> GroupView:
         group.view_id += 1
         view = group.view()
-        # Notify members through their message handlers ...
-        for member in view.members:
-            message = Message(
-                source=member, destination=member, kind=MessageKind.GROUP,
-                payload={"group": group.name, "event": "view",
-                         "view_id": view.view_id, "members": list(view.members)},
-                declared_size=32 * max(1, len(view.members)),
-            )
-            self.loop.schedule(self.ESTABLISHED_SETUP,
-                               lambda msg=message: self._deliver_local(msg),
-                               label=f"horus-view-{group.name}")
-        # ... and any registered observers (used by repro.fault).
         for observer in self._observers.get(group.name, []):
             self.loop.schedule(0.0, lambda obs=observer, v=view: obs(v),
                                label=f"horus-observer-{group.name}")

@@ -1,7 +1,7 @@
 """Wire messages exchanged between sites.
 
-Transports move :class:`Message` objects.  The payload is an opaque dict
-(typically control fields plus the briefcase being moved); the size model
+Transports move :class:`Message` objects.  The payload is a dict naming the
+contact to run at the destination and the briefcase it gets; the size model
 used for latency/bandwidth accounting lives here so every transport charges
 the same way.
 """
@@ -19,20 +19,22 @@ _message_ids = itertools.count(1)
 
 
 class MessageKind:
-    """Symbolic message kinds used across the system."""
+    """Symbolic message kinds used across the system.
+
+    Every message is addressed to an agent at its destination (its payload
+    names a contact) except :data:`BATCH`, the fabric's envelope, which the
+    destination unbatches.  A kind labels traffic for the statistics and
+    decides whether the fabric may coalesce it; it never changes where a
+    message goes.
+    """
 
     AGENT_TRANSFER = "agent-transfer"     # rexec shipping an agent
     FOLDER_DELIVERY = "folder-delivery"   # courier delivering a folder
-    CONTROL = "control"                   # pings, acks
-    GROUP = "group"                       # Horus multicast / view traffic
     STATUS = "status"                     # monitor -> broker load reports
-    DATA = "data"                         # raw data (client-server baseline)
     BATCH = "batch"                       # delivery-fabric envelope of coalesced messages
     FT_RELEASE = "ft-release"             # rear-guard release notices (batchable)
     FT_RELAUNCH = "ft-relaunch"           # rear-guard snapshot relaunch (batchable transfer)
 
-    ALL = (AGENT_TRANSFER, FOLDER_DELIVERY, CONTROL, GROUP, STATUS, DATA, BATCH,
-           FT_RELEASE, FT_RELAUNCH)
     #: kinds that move an agent (or an agent snapshot) between sites; a
     #: delivered message of one of these counts as a migration
     MIGRATION_KINDS = (AGENT_TRANSFER, FT_RELAUNCH)
@@ -45,8 +47,8 @@ class Message:
     source: str
     destination: str
     kind: str
-    #: contact-addressed kinds carry ``{"contact": name, "briefcase": b}``: the
-    #: sender's ``Briefcase.snapshot()`` (or, out of process, ``pack_briefcase`` bytes)
+    #: ``{"contact": name, "briefcase": b}``, *b* the sender's
+    #: ``Briefcase.snapshot()``; a ``BATCH`` envelope carries ``{"messages": [...]}``
     payload: Dict[str, Any] = field(default_factory=dict)
     #: explicit payload size in bytes; when None the size is estimated from
     #: the payload via :meth:`size_bytes`.
@@ -76,8 +78,7 @@ class Message:
         if self.declared_size is not None:
             size = self.HEADER_BYTES + int(self.declared_size)
         else:
-            # Estimate by pickling the payload; control payloads are tiny
-            # dicts so the estimate is stable and cheap.
+            # Estimate by pickling the payload.
             try:
                 body = len(pickle.dumps(self.payload, protocol=pickle.HIGHEST_PROTOCOL))
             except Exception:

@@ -154,7 +154,7 @@ class NetworkStats:
     bytes_delivered: int = 0
     migrations: int = 0
     migration_bytes: int = 0
-    #: wire messages that were delivery-fabric batch envelopes
+    #: delivered wire messages that were delivery-fabric batch envelopes
     batches: int = 0
     #: logical messages coalesced into those envelopes
     batched_messages: int = 0
@@ -247,7 +247,7 @@ class NetworkStats:
         self.migration_bytes += size
 
     def record_batch(self, coalesced: int, header_bytes_saved: int) -> None:
-        """Count one delivery-fabric envelope coalescing *coalesced* messages."""
+        """Count one delivered fabric envelope coalescing *coalesced* messages."""
         self.batches += 1
         self.batched_messages += coalesced
         self.header_bytes_saved += header_bytes_saved

@@ -281,11 +281,7 @@ class Transport(abc.ABC):
                 source=outbox.source, destination=outbox.destination,
                 attrs={"cause": cause, "messages": len(messages),
                        "bytes": body, "delivered": event is not None})
-        if event is not None:
-            self.stats.record_batch(
-                len(messages),
-                (len(messages) - 1) * Message.HEADER_BYTES)
-        else:
+        if event is None:
             # send() recorded one drop for the envelope; the other coalesced
             # messages are lost with it, and the loss ledger counts logical
             # messages (matching _drop_outbox).
@@ -399,9 +395,14 @@ class Transport(abc.ABC):
         if message.kind in MessageKind.MIGRATION_KINDS:
             self.stats.record_migration(size)
         elif message.kind == MessageKind.BATCH:
-            # Migration accounting is per agent snapshot, not per envelope:
-            # a coalesced relaunch still counts as one migration.
-            for sub in message.payload.get("messages", ()):
+            # A batch is counted when it is delivered, as a message is, so
+            # delivered - batches + batched_messages counts the logical
+            # messages that arrived.  Migration accounting is per agent
+            # snapshot, not per envelope: a coalesced relaunch still counts
+            # as one migration.
+            subs = message.payload.get("messages", ())
+            self.stats.record_batch(len(subs), (len(subs) - 1) * Message.HEADER_BYTES)
+            for sub in subs:
                 if sub.kind in MessageKind.MIGRATION_KINDS:
                     self.stats.record_migration(sub.size_bytes())
         handler(message)

@@ -15,6 +15,11 @@ The courier expects in its briefcase:
   ``folder-delivery``; monitors use ``status`` for load reports, and the
   fault-tolerance layer ships release notices as ``ft-release`` so guard
   bookkeeping coalesces in the delivery fabric like any other payload.
+  The kind labels traffic for the statistics and decides whether the fabric
+  may coalesce it; every kind reaches CONTACT the same way.  ``batch``, the
+  fabric's own envelope, is refused: the transmit raises
+  :class:`~repro.core.errors.SyscallError`, so the courier fails and its
+  caller's meet raises :class:`~repro.core.errors.MeetError`.
 
 Only the payload folder travels — the courier builds a minimal delivery
 briefcase rather than shipping everything it was handed, which is exactly
@@ -63,13 +68,6 @@ def courier_behaviour(ctx: AgentContext, briefcase: Briefcase):
         return True
 
     kind = briefcase.get("KIND", MessageKind.FOLDER_DELIVERY)
-    if kind not in (MessageKind.FOLDER_DELIVERY, MessageKind.STATUS,
-                    MessageKind.FT_RELEASE):
-        # Only contact-addressed payload kinds reach their contact at the
-        # destination; anything else would silently strand the folder.
-        ctx.log(f"courier: unsupported delivery kind {kind!r}")
-        yield ctx.end_meet(False)
-        return False
     # With the delivery fabric enabled, "accepted" means the folder was
     # queued in the per-destination outbox (or handed to the wire); either
     # way it has left this agent's hands.

@@ -338,11 +338,15 @@ class BaseTestTransport:
 
     def test_non_batchable_kinds_bypass_the_fabric(self, transport_cls):
         kernel = fabric_kernel(transport_cls, window=0.5)
-        transmit_n(kernel, 3, kind=MessageKind.CONTROL)
+        install_receiver(kernel)
+        transmit_n(kernel, 3, kind="control")
         kernel.run(until=0.01)
-        # Control traffic is on the wire immediately, no window wait.
+        # A kind outside BATCHABLE_KINDS is on the wire immediately, no
+        # window wait, and still reaches its contact.
         assert kernel.stats.messages_sent == 3
         assert kernel.transport.pending_outbox_messages() == 0
+        kernel.run()
+        assert kernel.counters()["arrivals"] == 3
 
     def test_window_zero_means_fabric_off(self, transport_cls):
         kernel = fabric_kernel(transport_cls, window=0.0)

@@ -74,6 +74,8 @@ class TestTransportsEndToEnd:
         transport = kernel.transport
         assert isinstance(transport, HorusTransport)
         transport.create_group("workers", ["a", "b", "c", "d"])
+        views = []
+        transport.subscribe_views("workers", views.append)
 
         def worker(ctx, bc):
             yield ctx.sleep(1.0)
@@ -87,9 +89,8 @@ class TestTransportsEndToEnd:
         view = transport.group_view("workers")
         assert "c" not in view.members
         assert set(view.members) == {"a", "b", "d"}
-        # The surviving member's multicast reaches exactly the survivors.
-        copies = transport.multicast("workers", "a", {"checkpoint": 1})
-        assert copies == 3
+        # Subscribers saw exactly one view change: the survivors.
+        assert [set(view.members) for view in views] == [{"a", "b", "d"}]
 
     def test_kernel_counters_are_consistent_across_transports(self):
         for transport in TRANSPORTS:

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import Briefcase, Folder
-from repro.core.codec import (pack_briefcase, receive_briefcase, unpack_briefcase,
-                              wire_size_of)
+from repro.core.codec import receive_briefcase, wire_size_of
 from repro.core.errors import (BriefcaseError, FolderError, MissingFolderError,
                                TacomaError)
 
@@ -38,8 +37,8 @@ def briefcases(draw, max_folders=6):
 
 
 @given(briefcases())
-def test_pack_unpack_round_trip(briefcase):
-    assert unpack_briefcase(pack_briefcase(briefcase)) == briefcase
+def test_receive_of_a_snapshot_round_trips(briefcase):
+    assert receive_briefcase(briefcase.snapshot()) == briefcase
 
 
 @given(briefcases())
@@ -159,9 +158,6 @@ class EagerBriefcase:
     def wire_size(self):
         return 32 + sum(folder.wire_size() for folder in self.folders.values())
 
-    def pack(self):
-        return pickle.dumps((2, self.stored_items()), protocol=pickle.HIGHEST_PROTOCOL)
-
     def to_wire(self):
         return {"folders": [folder.to_wire() for folder in self.folders.values()]}
 
@@ -263,19 +259,19 @@ class InlineEagerEquivalence(RuleBasedStateMachine):
         self.pairs[1 - slot] = self.both(slot, lambda bc: bc.copy())
 
     @rule(slot=slots)
-    def ship_packed(self, slot):
+    def ship_pickled(self, slot):
+        # A process shard's handoff: the snapshot is pickled with its message.
         mine, theirs = self.pairs[slot]
-        shipped = pickle.loads(theirs.pack())[1]
+        shipped = pickle.loads(pickle.dumps(theirs.stored_items()))
         self.pairs[slot] = [
-            unpack_briefcase(pack_briefcase(mine)),
+            receive_briefcase(pickle.loads(pickle.dumps(mine.snapshot()))),
             EagerBriefcase([Folder.from_stored(name, elements)
                             for name, elements in shipped])]
 
     @rule(slot=slots)
     def ship_as_snapshot(self, slot):
-        # The in-engine wire.  It moves the very same stored objects, which a
-        # later pack can tell from equal ones (pickle memoises by identity),
-        # so the oracle's counterpart is its copy, not its pack -> unpack.
+        # The in-engine wire: it moves the very same stored objects, so the
+        # oracle's counterpart is its copy.
         mine, theirs = self.pairs[slot]
         self.pairs[slot] = [receive_briefcase(mine.snapshot()), theirs.copy()]
 
@@ -296,7 +292,6 @@ class InlineEagerEquivalence(RuleBasedStateMachine):
             assert len(mine) == len(theirs.folders)
             assert mine.stored_items() == theirs.stored_items()
             assert mine.wire_size() == theirs.wire_size() == wire_size_of(mine)
-            assert pack_briefcase(mine) == theirs.pack()
             assert mine.to_wire() == theirs.to_wire()
         (a, eager_a), (b, eager_b) = self.pairs
         assert (a == b) == (eager_a.folders == eager_b.folders)
@@ -316,7 +311,7 @@ def test_a_folder_gets_its_object_on_first_touch_and_keeps_it():
     briefcase.set("HOST", "tromso")
     briefcase.put("SEQ", 1)
     assert all(type(slot) is bytes for slot in briefcase._folders.values())
-    assert unpack_briefcase(pack_briefcase(briefcase))._folders == briefcase._folders
+    assert receive_briefcase(briefcase.snapshot())._folders == briefcase._folders
     briefcase.get("HOST"), briefcase.has("SEQ"), briefcase.wire_size(), briefcase.copy()
     assert all(type(slot) is bytes for slot in briefcase._folders.values())
     handle = briefcase.folder("HOST")
@@ -346,7 +341,7 @@ def test_a_briefcase_in_both_forms_survives_pickle():
     assert {type(slot) for slot in briefcase._folders.values()} == {bytes, Folder}
     clone = pickle.loads(pickle.dumps(briefcase))
     assert clone == briefcase and clone.names() == briefcase.names()
-    assert pack_briefcase(clone) == pack_briefcase(briefcase)
+    assert clone.stored_items() == briefcase.stored_items()
     clone.put("HOST", "cornell")
     assert briefcase.get("HOST") == "tromso"
 
@@ -357,7 +352,8 @@ def test_a_briefcase_in_both_forms_survives_pickle():
 #
 # A message carries Briefcase.snapshot() and the arrival builds the receiver's
 # briefcase with receive_briefcase: three independent briefcases over one copy
-# of the stored bits.  pack -> unpack, which used to be that wire, is the oracle.
+# of the stored bits.  A briefcase rebuilt from a pickle of the stored items,
+# which shares nothing with the sender, is the oracle.
 
 @st.composite
 def briefcases_in_every_form(draw):
@@ -394,7 +390,7 @@ def mutate(draw, briefcase):
 
 @given(briefcases_in_every_form(), st.data())
 def test_receive_of_a_snapshot_is_unpack_of_a_pack_over_the_same_elements(sender, data):
-    oracle = unpack_briefcase(pack_briefcase(sender))
+    oracle = Briefcase.from_stored_items(pickle.loads(pickle.dumps(sender.stored_items())))
     before = oracle.stored_items()
     carried = sender.snapshot()
     receiver, again = receive_briefcase(carried), receive_briefcase(carried)
@@ -409,7 +405,7 @@ def test_receive_of_a_snapshot_is_unpack_of_a_pack_over_the_same_elements(sender
                 sender.stored_items(), theirs):
             assert their_name is name
             assert all(a is b for a, b in zip(elements, their_elements))
-    # A one-element folder is received inline, as unpack leaves it.
+    # A one-element folder is received inline, as the oracle holds it.
     assert ({name for name, slot in receiver._folders.items() if type(slot) is bytes}
             == {name for name, slot in oracle._folders.items() if type(slot) is bytes})
     # And nothing else is shared: an edit to any party is invisible to the rest.

@@ -65,32 +65,3 @@ def test_view_ids_strictly_increase_and_members_stay_consistent(ops):
     final_members = set(transport.group_view("g").members)
     assert final_members.isdisjoint(set(SITES) - alive)
 
-
-@given(operations)
-@settings(max_examples=40, deadline=None)
-def test_multicast_copies_match_current_view_size(ops):
-    transport, loop, topology = build_transport()
-    transport.create_group("g", SITES[:3])
-    loop.run()
-    alive = set(SITES)
-
-    for op, site in ops:
-        current = set(transport.group_view("g").members)
-        if op == "join" and site in alive and site not in current:
-            transport.join("g", site)
-        elif op == "leave" and site in current and len(current) > 1:
-            transport.leave("g", site)
-        elif op == "crash" and site in alive and len(current - {site}) >= 1:
-            topology.mark_down(site)
-            transport.on_site_down(site)
-            alive.discard(site)
-        loop.run()
-
-        view = transport.group_view("g")
-        members = list(view.members)
-        if members:
-            sender = members[0]
-            if sender in alive:
-                copies = transport.multicast("g", sender, {"tick": 1})
-                assert copies == len(members)
-        loop.run()

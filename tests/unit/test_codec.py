@@ -1,13 +1,14 @@
-"""Unit tests for repro.core.codec: code shipping and briefcase wire format."""
+"""Unit tests for repro.core.codec: code shipping and the carried briefcase."""
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
 from repro.core import Briefcase, Folder
 from repro.core.codec import (behaviour_from_code, code_element_of, code_for,
-                              code_from_source, pack_briefcase, unpack_briefcase,
-                              wire_size_of)
+                              code_from_source, receive_briefcase, wire_size_of)
 from repro.core.errors import CodecError, CodeCompilationError, UnknownBehaviourError
 from repro.core.registry import BehaviourRegistry
 
@@ -98,59 +99,49 @@ def agent_main(ctx, bc):
             behaviour_from_code({"kind": "quantum"})
 
 
+def _snapshot_over(folders):
+    """A carried snapshot whose folders hold *folders* (name -> stored slot)
+    unchecked, as only a faulty sender could build one."""
+    carried = Briefcase()
+    for name, elements in folders.items():
+        if type(elements) is bytes:
+            carried._folders[name] = elements
+        else:
+            carried._folders[name] = folder = Folder(name)
+            folder._elements = elements
+    return carried
+
+
 class TestBriefcaseWireFormat:
-    def test_pack_unpack_round_trip(self):
+    def test_receive_of_a_snapshot_round_trips(self):
         briefcase = Briefcase([Folder("A", [b"raw", "text", {"x": [1, 2]}]),
                                Folder("B", [])])
-        rebuilt = unpack_briefcase(pack_briefcase(briefcase))
-        assert rebuilt == briefcase
+        assert receive_briefcase(briefcase.snapshot()) == briefcase
 
-    def test_unpack_garbage_raises(self):
+    @pytest.mark.parametrize("carried", [
+        _snapshot_over({"A": ["not-bytes"]}),        # a str element
+        _snapshot_over({"A": [b"R-ok", 7]}),         # one bad element among good ones
+        _snapshot_over({"A": [bytearray(b"R")]}),    # a mutable buffer, alone
+        _snapshot_over({"": b"R-ok"}),               # the folder-name check still runs
+        _snapshot_over({7: b"R-ok"}),                # a name that is not a str
+        pickle.dumps(Briefcase([Folder("A", [b"R"])]).stored_items()),  # bytes
+        {"folders": []},                             # the to_wire dict, not a briefcase
+        None,
+    ], ids=["str-element", "bad-among-good", "bytearray", "empty-name", "int-name",
+            "bytes", "wire-dict", "none"])
+    def test_receive_refuses_a_malformed_snapshot_or_a_non_briefcase(self, carried):
         with pytest.raises(CodecError):
-            unpack_briefcase(b"not a pickled briefcase")
-
-    def test_unpack_wrong_version_raises(self):
-        import pickle
-        payload = pickle.dumps({"version": 999, "briefcase": Briefcase().to_wire()})
-        with pytest.raises(CodecError):
-            unpack_briefcase(payload)
-
-    def test_unpack_previous_flat_or_dict_layouts_are_a_version_error(self):
-        import pickle
-        for wrapper in ((1, []), {"version": 2, "briefcase": {"folders": []}},
-                        (2,), [2, []]):
-            with pytest.raises(CodecError):
-                unpack_briefcase(pickle.dumps(wrapper))
-
-    def test_unpack_truncated_payload_raises(self):
-        payload = pack_briefcase(Briefcase([Folder("A", [b"x" * 64, "text"])]))
-        for cut in (1, len(payload) // 2, len(payload) - 1):
-            with pytest.raises(CodecError):
-                unpack_briefcase(payload[:cut])
-
-    @pytest.mark.parametrize("folders", [
-        [("A", ["not-bytes"])],          # a str element
-        [("A", [b"R-ok", 7])],           # one bad element among good ones
-        [("A", (b"R-ok",))],             # elements not a list
-        [("", [b"R-ok"])],               # the folder-name check still runs
-        [("A", [b"R-1"]), ("A", [b"R-2"])],  # duplicate folder names
-        [("A",)],                        # malformed entry
-        7,                               # not a folder list at all
-    ])
-    def test_unpack_validates_what_it_rebuilds(self, folders):
-        import pickle
-        with pytest.raises(CodecError):
-            unpack_briefcase(pickle.dumps((2, folders)))
+            receive_briefcase(carried)
 
     def test_smuggled_non_bytes_element_is_caught_on_arrival(self):
         briefcase = Briefcase([Folder("A", [b"fine"])])
         briefcase.folder("A")._elements.append("smuggled past push()")
         with pytest.raises(CodecError):
-            unpack_briefcase(pack_briefcase(briefcase))
+            receive_briefcase(briefcase.snapshot())
 
-    def test_unpacked_folders_do_not_share_element_lists(self):
+    def test_received_folders_do_not_share_element_lists(self):
         briefcase = Briefcase([Folder("A", [b"one"])])
-        rebuilt = unpack_briefcase(pack_briefcase(briefcase))
+        rebuilt = receive_briefcase(briefcase.snapshot())
         rebuilt.put("A", b"two")
         assert len(briefcase.folder("A")) == 1 and len(rebuilt.folder("A")) == 2
 
@@ -167,7 +158,7 @@ class TestBriefcaseWireFormat:
         # The modelled bytes are the bandwidth experiments' currency: pinned
         # as literals so a codec speed-up cannot move them by one byte.
         assert briefcase.wire_size() == wire_size_of(briefcase) == expected
-        assert unpack_briefcase(pack_briefcase(briefcase)).wire_size() == expected
+        assert receive_briefcase(briefcase.snapshot()).wire_size() == expected
 
     def test_wire_size_matches_briefcase_model(self):
         briefcase = Briefcase([Folder("A", ["x" * 100])])

@@ -80,19 +80,37 @@ class TestMalformedRequests:
         assert kernel.stats.messages_sent == 0
 
     def test_unsupported_delivery_kind_is_refused(self, kernel):
-        # A KIND folder outside {folder-delivery, status} would strand the
-        # payload at the destination (no contact execution); the courier
-        # refuses it up front instead of reporting a phantom success.
+        # Only ``batch``, the fabric's own envelope, is refused: the transmit
+        # raises SyscallError in the courier, so the client's meet fails with
+        # MeetError and nothing is sent.  Every other kind reaches its contact.
+        from repro.core.errors import MeetError
         from repro.net.message import MessageKind
-        for bad_kind in (MessageKind.BATCH, MessageKind.CONTROL, "my-app-data"):
+        received = install_receiver(kernel)
+
+        def request(kind):
             request = Briefcase()
             request.set(HOST_FOLDER, "b")
             request.set(CONTACT_FOLDER, "receiver")
             request.set("PAYLOAD_NAME", "DOC")
-            request.set("KIND", bad_kind)
+            request.set("KIND", kind)
             request.add(Folder("DOC", ["page"]))
-            assert run_courier_request(kernel, request) is False
+            return request
+
+        def client(ctx, bc):
+            try:
+                yield ctx.meet("courier", request(MessageKind.BATCH))
+            except MeetError as error:
+                return str(error)
+            return "met"
+
+        agent_id = kernel.launch("a", client)
+        kernel.run()
+        assert "SyscallError" in kernel.result_of(agent_id)
         assert kernel.stats.messages_sent == 0
+        for kind in ("control", "my-app-data"):
+            assert run_courier_request(kernel, request(kind)) is True
+        assert received == ["DOC", "DOC"]
+        assert dict(kernel.stats.per_kind) == {"control": 1, "my-app-data": 1}
 
     def test_refusal_is_logged(self, kernel):
         request = Briefcase()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from contracts import fabric_kernel, install_receiver, transmit_n
 from repro.core import Briefcase
+from repro.core.errors import SyscallError
 from repro.net.message import Message, MessageKind
 from scenarios import load_example
 
@@ -27,6 +28,40 @@ def transmit_spaced(kernel, n, gap, destination="b",
         return "done"
 
     return kernel.launch(source, sender, system=True)
+
+
+class TestEveryKindMeetsItsContact:
+    """A message's kind never decides where it goes: every kind a sender may
+    transmit starts its contact; the fabric's own envelope is refused."""
+
+    def test_a_control_transmit_runs_its_contact(self, strategy):
+        kernel = fabric_kernel(window=0.05)
+        install_receiver(kernel)
+        sender = transmit_n(kernel, 2, kind="control")
+        kernel.run()
+        assert kernel.result_of(sender) == [True, True]
+        assert kernel.counters()["arrivals"] == 2
+        assert kernel.counters()["undeliverable"] == 0
+        assert len(kernel.site("b").cabinet("received").elements("payloads")) == 2
+        assert not kernel.site("b").has_cabinet("_messages")
+
+    def test_a_batch_transmit_is_refused_in_the_sender(self, strategy):
+        def sender(ctx, bc):
+            payload = Briefcase()
+            payload.set("X", 0)
+            try:
+                yield ctx.transmit("b", "receiver", payload, kind=MessageKind.BATCH)
+            except SyscallError as error:
+                return str(error)
+            return "sent"
+
+        kernel = fabric_kernel(window=0.05)
+        install_receiver(kernel)
+        agent_id = kernel.launch("a", sender, system=True)
+        kernel.run()
+        assert "batch" in kernel.result_of(agent_id)
+        assert kernel.stats.messages_sent == kernel.stats.transmits == 0
+        assert kernel.counters()["arrivals"] == kernel.counters()["undeliverable"] == 0
 
 
 class TestFailureSemantics:
@@ -99,7 +134,7 @@ class TestFailureSemantics:
 
 class TestMessageSizeCache:
     def test_size_is_computed_once(self):
-        message = Message(source="a", destination="b", kind=MessageKind.DATA,
+        message = Message(source="a", destination="b", kind=MessageKind.FOLDER_DELIVERY,
                           payload={"k": "x" * 1000})
         first = message.size_bytes()
         # Payload mutation after the first size query does not change the
@@ -108,7 +143,7 @@ class TestMessageSizeCache:
         assert message.size_bytes() == first
 
     def test_declared_size_still_takes_precedence(self):
-        message = Message(source="a", destination="b", kind=MessageKind.DATA,
+        message = Message(source="a", destination="b", kind=MessageKind.FOLDER_DELIVERY,
                           payload={"big": "x" * 10_000}, declared_size=100)
         assert message.size_bytes() == Message.HEADER_BYTES + 100
         assert message.body_bytes() == 100
@@ -136,7 +171,7 @@ class TestTheWindowIsTheOnlyTrigger:
         transmit_spaced(kernel, 2, gap=0.15)
         kernel.run(until=0.25)
         assert kernel.transport.pending_outbox_messages() == 0
-        assert (kernel.stats.messages_sent, kernel.stats.batches) == (1, 1)
+        assert kernel.stats.messages_sent == kernel.stats.per_kind[MessageKind.BATCH] == 1
 
     def test_a_stream_ships_one_batch_per_window(self):
         kernel = fabric_kernel(window=0.25)

@@ -88,56 +88,6 @@ class TestGroupManagement:
             (2, ("a", "b")), (3, ("a", "b", "c"))]
 
 
-class TestMulticast:
-    def test_multicast_reaches_every_member(self, horus):
-        transport, loop, _ = horus
-        received = {name: [] for name in ("a", "b", "c")}
-        for name in received:
-            transport.register_endpoint(name, received[name].append)
-        transport.create_group("g", ["a", "b", "c"])
-        loop.run()
-        copies = transport.multicast("g", "a", {"text": "storm warning"})
-        loop.run()
-        assert copies == 3
-        mcasts = {name: [msg for msg in messages
-                         if msg.payload.get("event") == "mcast"]
-                  for name, messages in received.items()}
-        assert all(len(messages) == 1 for messages in mcasts.values())
-        assert mcasts["b"][0].payload["body"] == {"text": "storm warning"}
-
-    def test_multicast_excludes_non_members(self, horus):
-        transport, loop, _ = horus
-        received = []
-        transport.register_endpoint("d", received.append)
-        transport.create_group("g", ["a", "b"])
-        transport.register_endpoint("a", lambda m: None)
-        transport.register_endpoint("b", lambda m: None)
-        loop.run()
-        transport.multicast("g", "a", {"x": 1})
-        loop.run()
-        assert all(message.payload.get("event") != "mcast" for message in received)
-
-    def test_sender_must_be_member(self, horus):
-        transport, _, _ = horus
-        transport.create_group("g", ["a", "b"])
-        with pytest.raises(NotMemberError):
-            transport.multicast("g", "d", {"x": 1})
-
-    def test_multicast_sequence_numbers_increase(self, horus):
-        transport, loop, _ = horus
-        received = []
-        transport.register_endpoint("a", received.append)
-        transport.create_group("g", ["a"])
-        loop.run()
-        transport.multicast("g", "a", {"n": 1})
-        transport.multicast("g", "a", {"n": 2})
-        loop.run()
-        seqnos = [message.payload["seqno"] for message in received
-                  if message.payload.get("event") == "mcast"]
-        assert seqnos == sorted(seqnos)
-        assert len(set(seqnos)) == len(seqnos)
-
-
 class TestFailureHandling:
     def test_crash_removes_member_after_detection_delay(self, horus):
         transport, loop, topology = horus
@@ -186,21 +136,21 @@ class TestFailureHandling:
         assert observed
         assert "c" not in observed[-1].members
 
-    def test_members_receive_view_messages(self, horus):
+    def test_views_reach_subscribers_not_site_handlers(self, horus):
         transport, loop, _ = horus
-        received = []
+        received, observed = [], []
         transport.register_endpoint("a", received.append)
         transport.create_group("g", ["a"])
+        transport.subscribe_views("g", observed.append)
         transport.join("g", "b")
         loop.run()
-        views = [message for message in received
-                 if message.kind == MessageKind.GROUP and message.payload["event"] == "view"]
-        assert len(views) >= 2
+        assert [view.members for view in observed] == [("a", "b")]
+        assert received == []
 
     def test_crash_drops_point_to_point_channels(self, horus):
         transport, _, _ = horus
         from repro.net.message import Message
-        message = Message(source="a", destination="b", kind=MessageKind.CONTROL)
+        message = Message(source="a", destination="b", kind=MessageKind.AGENT_TRANSFER)
         assert transport.setup_delay(message) == HorusTransport.CONNECT_SETUP
         assert transport.setup_delay(message) == HorusTransport.ESTABLISHED_SETUP
         transport.on_site_down("b")

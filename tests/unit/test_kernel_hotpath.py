@@ -3,8 +3,8 @@
 Covers the per-site resident index, the batched launch path, the CODE
 element described at the jump and nowhere else, and the bundled bugfixes: the undeliverable-message
 ledger, generator ``finally:`` execution on every terminal path, and the
-consistency of the index under crash/recover sequences; and how the engine
-routes an arrival by its kind.
+consistency of the index under crash/recover sequences; and the engine's
+one arrival rule.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import Briefcase, Folder, Kernel, KernelConfig
 from repro.core.agent import AgentState
-from repro.core.codec import code_element_of, pack_briefcase
+from repro.core.codec import code_element_of
 from repro.core.engine import Engine
 from repro.core.errors import UnknownBehaviourError
 from repro.core.registry import default_registry, register_behaviour
@@ -260,16 +260,17 @@ class TestUndeliverableLedger:
 
     def test_malformed_briefcase_payloads_are_counted_not_raised(self, engine):
         import pickle
-        good = pack_briefcase(Briefcase([Folder("X", [1])]))
+        malformed = Briefcase([Folder("X", [1, 2])]).snapshot()
+        malformed.folder("X")._elements.append("not-bytes")   # past push()'s check
         bad_payloads = [
-            pickle.dumps((2, [("X", ["not-bytes"])])),   # non-bytes element
-            pickle.dumps((999, [])),                     # wrong wire version
-            good[:len(good) // 2],                       # truncated in flight
+            malformed,                                    # non-bytes element
+            pickle.dumps(Briefcase([Folder("X", [1])]).stored_items()),  # bytes
+            {"folders": []},                              # not a briefcase
         ]
-        for raw in bad_payloads:
+        for carried in bad_payloads:
             engine._on_message("b", Message(
                 source="a", destination="b", kind=MessageKind.AGENT_TRANSFER,
-                payload={"contact": "ag_py", "briefcase": raw}))
+                payload={"contact": "ag_py", "briefcase": carried}))
         assert engine.counters()["undeliverable"] == engine.site("b").undeliverable == 3
         assert engine.counters()["arrivals"] == 0 and engine.counters()["launched"] == 0
 
@@ -313,14 +314,13 @@ def _to_b(kind, payload):
 def _addressed(contact, value):
     """A contact-addressed payload carrying one folder ``X`` = [value]."""
     return {"contact": contact,
-            "briefcase": pack_briefcase(Briefcase([Folder("X", [value])]))}
+            "briefcase": Briefcase([Folder("X", [value])]).snapshot()}
 
 
 class TestArrivalRouting:
-    """The engine routes every arrival by its kind alone: contact-addressed
-    traffic runs its contact, anything else waits in the site's
-    ``_messages`` cabinet, and a batch envelope routes each message it
-    carries."""
+    """The engine has one arrival rule: a batch envelope fans out, and every
+    other message, whatever its kind, starts the contact it names or is
+    counted undeliverable."""
 
     @pytest.fixture
     def seen(self, engine):
@@ -333,34 +333,34 @@ class TestArrivalRouting:
         engine.install_agent("b", "listener", listener)
         return seen
 
-    def test_status_without_a_contact_waits_in_the_message_cabinet(self, engine):
+    def test_a_message_without_a_contact_is_undeliverable(self, engine):
         engine._on_message("b", _to_b(MessageKind.STATUS, {"load": 0.5}))
-        assert engine.site("b").cabinet("_messages").elements(MessageKind.STATUS) == [
-            {"load": 0.5}]
-        assert engine.counters()["arrivals"] == 0
+        counters = engine.counters()
+        assert counters["undeliverable"] == engine.site("b").undeliverable == 1
+        assert counters["arrivals"] == 0
+        assert not engine.site("b").has_cabinet("_messages")
 
-    def test_contact_addressed_status_runs_its_contact(self, engine, seen):
-        engine._on_message("b", _to_b(MessageKind.STATUS, _addressed("listener", 7)))
+    @pytest.mark.parametrize("kind", [MessageKind.STATUS, MessageKind.FOLDER_DELIVERY,
+                                      "control", "my-app-data"])
+    def test_every_contact_addressed_kind_runs_its_contact(self, engine, seen, kind):
+        engine._on_message("b", _to_b(kind, _addressed("listener", 7)))
         engine.run_to()
         assert seen == [7]
         assert engine.counters()["arrivals"] == 1
-        assert engine.site("b").cabinet("_messages").elements(MessageKind.STATUS) == []
 
-    def test_a_batch_routes_each_message_by_its_own_kind(self, engine, seen):
+    def test_a_batch_sends_each_message_to_its_own_contact(self, engine, seen):
         envelope = _to_b(MessageKind.BATCH, {"messages": [
-            _to_b(MessageKind.DATA, {"n": 1}),
+            _to_b("control", _addressed("listener", 1)),
             _to_b(MessageKind.FOLDER_DELIVERY, _addressed("listener", 2)),
             _to_b(MessageKind.STATUS, {"n": 3})]})
         envelope.delivered_at, envelope.hops = 0.25, 2
         engine._on_message("b", envelope)
         engine.run_to()
-        messages = engine.site("b").cabinet("_messages")
-        assert messages.elements(MessageKind.DATA) == [{"n": 1}]
-        assert messages.elements(MessageKind.STATUS) == [{"n": 3}]
-        assert seen == [2]
+        assert seen == [1, 2]
         assert [(sub.delivered_at, sub.hops) for sub in envelope.payload["messages"]] == [
             (0.25, 2)] * 3
-        assert engine.counters()["arrivals"] == 1
+        assert engine.counters()["arrivals"] == 2
+        assert engine.counters()["undeliverable"] == 1
 
     def test_a_batch_to_a_crashed_site_loses_every_message_it_carries(self, engine):
         engine.site("b").mark_crashed()

@@ -10,14 +10,14 @@ from repro.net.stats import LatencySketch, LinkStats, NetworkStats, StatsView
 
 class TestMessage:
     def test_declared_size_takes_precedence(self):
-        message = Message(source="a", destination="b", kind=MessageKind.DATA,
+        message = Message(source="a", destination="b", kind=MessageKind.FOLDER_DELIVERY,
                           payload={"big": "x" * 10_000}, declared_size=100)
         assert message.size_bytes() == Message.HEADER_BYTES + 100
 
     def test_estimated_size_from_payload(self):
-        small = Message(source="a", destination="b", kind=MessageKind.CONTROL,
+        small = Message(source="a", destination="b", kind=MessageKind.STATUS,
                         payload={"k": 1})
-        large = Message(source="a", destination="b", kind=MessageKind.CONTROL,
+        large = Message(source="a", destination="b", kind=MessageKind.STATUS,
                         payload={"k": "x" * 5000})
         assert large.size_bytes() > small.size_bytes()
         assert small.size_bytes() > Message.HEADER_BYTES
@@ -43,19 +43,22 @@ class TestMessage:
         assert sized(pickle.loads(pickle.dumps(briefcase.snapshot()))) == size
 
     def test_message_ids_are_unique(self):
-        a = Message(source="a", destination="b", kind=MessageKind.DATA)
-        b = Message(source="a", destination="b", kind=MessageKind.DATA)
+        a = Message(source="a", destination="b", kind=MessageKind.FOLDER_DELIVERY)
+        b = Message(source="a", destination="b", kind=MessageKind.FOLDER_DELIVERY)
         assert a.message_id != b.message_id
 
     def test_kinds_catalogue(self):
-        assert MessageKind.AGENT_TRANSFER in MessageKind.ALL
-        assert len(set(MessageKind.ALL)) == len(MessageKind.ALL)
+        kinds = [value for name, value in vars(MessageKind).items()
+                 if name.isupper() and isinstance(value, str)]
+        assert MessageKind.AGENT_TRANSFER in kinds
+        assert len(set(kinds)) == len(kinds)
+        assert set(MessageKind.MIGRATION_KINDS) <= set(kinds)
 
 
 class TestNetworkStats:
     def test_record_send_and_delivery(self):
         stats = NetworkStats()
-        stats.record_send("a", "b", MessageKind.DATA, 100)
+        stats.record_send("a", "b", MessageKind.FOLDER_DELIVERY, 100)
         stats.record_delivery(100, latency=0.05)
         assert stats.messages_sent == 1
         assert stats.messages_delivered == 1
@@ -66,16 +69,16 @@ class TestNetworkStats:
 
     def test_per_kind_accounting(self):
         stats = NetworkStats()
-        stats.record_send("a", "b", MessageKind.DATA, 100)
+        stats.record_send("a", "b", MessageKind.FOLDER_DELIVERY, 100)
         stats.record_send("a", "b", MessageKind.AGENT_TRANSFER, 300)
-        assert stats.per_kind[MessageKind.DATA] == 1
+        assert stats.per_kind[MessageKind.FOLDER_DELIVERY] == 1
         assert stats.bytes_for_kind(MessageKind.AGENT_TRANSFER) == 300
         assert stats.bytes_for_kind("never-sent") == 0
 
     def test_per_link_accounting(self):
         stats = NetworkStats()
-        stats.record_send("a", "b", MessageKind.DATA, 10)
-        stats.record_send("a", "b", MessageKind.DATA, 20)
+        stats.record_send("a", "b", MessageKind.FOLDER_DELIVERY, 10)
+        stats.record_send("a", "b", MessageKind.FOLDER_DELIVERY, 20)
         stats.record_drop("a", "b")
         link = stats.per_link[("a", "b")]
         assert isinstance(link, LinkStats)
@@ -85,8 +88,8 @@ class TestNetworkStats:
 
     def test_delivery_ratio_with_drops(self):
         stats = NetworkStats()
-        stats.record_send("a", "b", MessageKind.DATA, 10)
-        stats.record_send("a", "b", MessageKind.DATA, 10)
+        stats.record_send("a", "b", MessageKind.FOLDER_DELIVERY, 10)
+        stats.record_send("a", "b", MessageKind.FOLDER_DELIVERY, 10)
         stats.record_delivery(10, 0.01)
         stats.record_drop("a", "b")
         assert stats.delivery_ratio() == pytest.approx(0.5)
@@ -106,7 +109,7 @@ class TestNetworkStats:
 
     def test_snapshot_keys(self):
         stats = NetworkStats()
-        stats.record_send("a", "b", MessageKind.DATA, 10)
+        stats.record_send("a", "b", MessageKind.FOLDER_DELIVERY, 10)
         snapshot = stats.snapshot()
         for key in ("messages_sent", "bytes_sent", "migrations", "delivery_ratio",
                     "mean_latency", "flush_causes", "flow_pairs", "flow_windows",
@@ -164,24 +167,24 @@ class TestNetworkStats:
         # per-kind defaultdicts, so a caller mutating the snapshot (or
         # iterating while traffic arrived) corrupted the counters.
         stats = NetworkStats()
-        stats.record_send("a", "b", MessageKind.DATA, 10)
+        stats.record_send("a", "b", MessageKind.FOLDER_DELIVERY, 10)
         stats.record_delivery(10, 0.02)
         stats.flush_causes["window"] += 1
         stats.record_flow("a", "b", window=0.05, message_rate=1.0,
                           bytes_rate=10.0)
         snapshot = stats.snapshot()
-        snapshot["per_kind"][MessageKind.DATA] = 999
+        snapshot["per_kind"][MessageKind.FOLDER_DELIVERY] = 999
         snapshot["per_kind"]["FORGED"] = 1
         snapshot["per_kind_bytes"].clear()
         snapshot["flush_causes"]["window"] = 999
         snapshot["flow_windows"]["a->b"]["window"] = 999.0
-        assert stats.per_kind[MessageKind.DATA] == 1
+        assert stats.per_kind[MessageKind.FOLDER_DELIVERY] == 1
         assert "FORGED" not in stats.per_kind
-        assert stats.per_kind_bytes[MessageKind.DATA] > 0
+        assert stats.per_kind_bytes[MessageKind.FOLDER_DELIVERY] > 0
         assert stats.flush_causes["window"] == 1
         assert stats.flow_windows[("a", "b")]["window"] == 0.05
         fresh = stats.snapshot()
-        assert fresh["per_kind"] == {MessageKind.DATA: 1}
+        assert fresh["per_kind"] == {MessageKind.FOLDER_DELIVERY: 1}
         assert fresh["flush_causes"] == {"window": 1}
 
 
@@ -226,11 +229,11 @@ class TestStatsView:
 
     def _parts(self):
         left, right = NetworkStats(), NetworkStats()
-        left.record_send("a", "b", MessageKind.DATA, 100)
+        left.record_send("a", "b", MessageKind.FOLDER_DELIVERY, 100)
         left.record_delivery(100, 0.010)
         left.flush_causes["window"] += 1
         right.record_send("c", "d", MessageKind.STATUS, 50)
-        right.record_send("c", "b", MessageKind.DATA, 70)
+        right.record_send("c", "b", MessageKind.FOLDER_DELIVERY, 70)
         right.record_delivery(50, 0.030)
         right.flush_causes["partition"] += 1
         right.record_shard_handoff(70)
@@ -242,7 +245,7 @@ class TestStatsView:
         assert view.messages_sent == 3
         assert view.bytes_sent == left.bytes_sent + right.bytes_sent
         assert view.shard_handoffs == 1
-        assert view.per_kind == {MessageKind.DATA: 2, MessageKind.STATUS: 1}
+        assert view.per_kind == {MessageKind.FOLDER_DELIVERY: 2, MessageKind.STATUS: 1}
         assert view.flush_causes == {"window": 1, "partition": 1}
         assert view.mean_latency() == pytest.approx(0.020)
 
@@ -273,7 +276,7 @@ class TestStatsView:
         reference = NetworkStats().snapshot()
         assert set(snapshot) == set(reference)
         assert snapshot["messages_sent"] == 3
-        assert snapshot["per_kind"] == {MessageKind.DATA: 2, MessageKind.STATUS: 1}
+        assert snapshot["per_kind"] == {MessageKind.FOLDER_DELIVERY: 2, MessageKind.STATUS: 1}
 
     def test_merged_percentiles_weigh_every_part_by_its_count(self):
         # Both parts' reservoirs are full, so the merged sample must split

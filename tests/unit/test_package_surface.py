@@ -175,7 +175,6 @@ TEST_ONLY_DEFS = [
     "make_guardian_behaviour",           # the guardian in front of a secret agent (§4)
     "merged_load_table",                 # every broker's load table, merged across shards
     "random_topology",                   # the connected random graph diffusion floods
-    "unpack_briefcase",                  # pack_briefcase's inverse, by its wire name
 ]
 
 

@@ -225,19 +225,35 @@ def two_engine_set(timer=default_timer, latency=0.5):
 
 
 def _status(message_id):
+    """A status report to the ``inbox`` contact at b, carrying ``ID``."""
+    carried = Briefcase()
+    carried.set("ID", message_id)
     message = Message(source="a", destination="b", kind=MessageKind.STATUS,
-                      payload={"id": message_id})
+                      payload={"contact": "inbox", "briefcase": carried.snapshot()})
     message.sent_at = 0.0
     return message
 
 
 class TestInboxRouter:
+    def two_engines(self):
+        """:func:`two_engine_set` with an ``inbox`` contact at b that records
+        the ``ID`` of every report it is started with."""
+        self.seen = []
+
+        def inbox(ctx, bc):
+            self.seen.append(bc.get("ID"))
+            yield ctx.sleep(0)
+
+        shard_set, engines = two_engine_set()
+        engines[1].install_agent("b", "inbox", inbox)
+        return shard_set, engines
+
     def dispatch(self, engine, message_id, delay):
         return engine.transport.boundary.dispatch(_status(message_id), delay)
 
     def delivered(self, engine):
-        return [payload["id"] for payload
-                in engine.site("b").cabinet("_messages").elements(MessageKind.STATUS)]
+        assert engine.counters()["undeliverable"] == 0
+        return self.seen
 
     def test_dispatch_parks_in_owner_inbox(self):
         shard_set, engines = two_engine_set()
@@ -290,7 +306,7 @@ class TestInboxRouter:
                            for a, b in zip(elements, kept_elements))
 
     def test_drain_schedules_on_owner_loop(self):
-        shard_set, engines = two_engine_set()
+        shard_set, engines = self.two_engines()
         self.dispatch(engines[0], "m1", delay=0.5)
         shard_set._route(engines[0].run_to(0.0)[1])
         handoffs = shard_set._take(shard_set.shards[1])
@@ -303,7 +319,7 @@ class TestInboxRouter:
     def test_same_timestamp_handoffs_drain_in_dispatch_order(self):
         # The deterministic total order: (arrival, origin, send order); an
         # earlier arrival sent later still goes first.
-        shard_set, engines = two_engine_set()
+        shard_set, engines = self.two_engines()
         for index in range(4):
             self.dispatch(engines[0], f"m{index}", delay=0.25)
         self.dispatch(engines[0], "early", delay=0.125)
@@ -312,7 +328,7 @@ class TestInboxRouter:
         assert self.delivered(engines[1]) == ["early", "m0", "m1", "m2", "m3"]
 
     def test_late_arrival_clamped_and_counted(self):
-        shard_set, engines = two_engine_set()
+        shard_set, engines = self.two_engines()
         self.dispatch(engines[0], "late", delay=0.1)
         shard_set._route(engines[0].run_to(0.0)[1])
         engines[1].advance_clock(5.0)  # owner's round already passed
@@ -322,10 +338,11 @@ class TestInboxRouter:
         assert engines[1].loop.next_event_time() == pytest.approx(5.0)
 
     def test_coordinator_carries_mail_between_rounds(self):
-        shard_set, engines = two_engine_set()
+        shard_set, engines = self.two_engines()
         engines[0].loop.schedule_at(
             0.1, lambda: self.dispatch(engines[0], "m1", delay=0.5))
-        assert shard_set.run() == 2  # the send, then the delivery
+        # The send, the delivery, then the inbox's start and its one step.
+        assert shard_set.run() == 4
         assert self.delivered(engines[1]) == ["m1"]
         assert shard_set.handoffs_drained == 1
         assert all(not shard.pending for shard in shard_set.shards)

@@ -35,7 +35,7 @@ class TestRshCostModel:
         transport, _, _, _ = make_transport(RshTransport)
         agent = transport.setup_delay(agent_message())
         control = transport.setup_delay(Message(source="a", destination="b",
-                                                 kind=MessageKind.CONTROL))
+                                                 kind=MessageKind.STATUS))
         assert agent > control
 
     def test_setup_never_cached(self):
