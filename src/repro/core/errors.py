@@ -104,14 +104,6 @@ class TransportError(NetworkError):
     """A transport could not deliver a message."""
 
 
-class GroupError(NetworkError):
-    """A Horus group-communication operation failed."""
-
-
-class NotMemberError(GroupError):
-    """The calling endpoint is not a member of the group it addressed."""
-
-
 # ---------------------------------------------------------------------------
 # Electronic cash errors
 # ---------------------------------------------------------------------------

@@ -18,10 +18,12 @@ failure schedules and compares completion rates and duplicate completions;
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.briefcase import Briefcase
 from repro.core.context import AgentContext, wait_until_durable
+from repro.core.errors import FaultToleranceError
 from repro.core.kernel import Kernel
 from repro.core.registry import register_behaviour
 from repro.fault.rearguard import (REARGUARD_CABINET, RELEASE_AGENT_NAME, guard_snapshot,
@@ -218,10 +220,7 @@ def ft_visitor_behaviour(ctx: AgentContext, briefcase: Briefcase):
         jump = ctx.jump(briefcase, next_site)
         yield ctx.spawn(rear_guard_behaviour,
                         guard_snapshot(ft_id, next_seq, briefcase, per_hop,
-                                       max_relaunches,
-                                       view_assisted=bool(briefcase.get("VIEW_ASSISTED",
-                                                                        False)),
-                                       ack_aware=True),
+                                       max_relaunches, ack_aware=True),
                         name=f"rear-guard-{ft_id}-{next_seq}")
         if briefcase.get("DURABLE_CHECKPOINT") and ctx.store is not None:
             # Checkpointed guards: file the guard's exact snapshot in the
@@ -341,16 +340,13 @@ register_behaviour(PLAIN_VISITOR_NAME, plain_visitor_behaviour, replace=True)
 
 def _build_briefcase(ft_id: str, itinerary: Sequence[str], per_hop: float,
                      max_relaunches: int, work_seconds: float,
-                     task: Optional[str], view_assisted: bool = False,
-                     durable_checkpoints: bool = False) -> Briefcase:
+                     task: Optional[str], durable_checkpoints: bool = False) -> Briefcase:
     briefcase = Briefcase()
     briefcase.set("FT_ID", ft_id)
     briefcase.set("SEQ", 0)
     briefcase.set("PER_HOP", per_hop)
     briefcase.set("MAX_RELAUNCHES", max_relaunches)
     briefcase.set("WORK_SECONDS", work_seconds)
-    if view_assisted:
-        briefcase.set("VIEW_ASSISTED", True)
     if durable_checkpoints:
         briefcase.set("DURABLE_CHECKPOINT", True)
     if task is not None:
@@ -365,29 +361,32 @@ def launch_ft_computation(kernel: Kernel, origin: str, itinerary: Sequence[str],
                           ft_id: Optional[str] = None, per_hop: float = 0.5,
                           max_relaunches: int = 2, work_seconds: float = 0.01,
                           task: Optional[str] = None, delay: float = 0.0,
-                          view_assisted: bool = False,
                           durable_checkpoints: bool = False) -> str:
     """Launch a rear-guard-protected computation; returns its computation id.
 
     The itinerary lists the sites to visit *after* the origin; the last
     entry is the delivery site where the completion record lands.  The
     release-recording agent is installed everywhere as a side effect
-    (idempotent).  With ``view_assisted`` the guards additionally react to
-    Horus view changes (call
-    :func:`repro.fault.install_horus_guard_detection` first).  With
-    ``durable_checkpoints`` the visitor files each hop's guard snapshot in
-    the site's durable store before jumping and checkpoint revival is
-    wired in (:func:`repro.fault.recovery.install_checkpoint_recovery`) —
-    meaningful only when the kernel runs with a durability policy other
-    than "none".
+    (idempotent).  Each guard presumes its hop lost ``max(0.5, 6 * per_hop)``
+    simulated seconds after it ships (see
+    :func:`repro.fault.rearguard.rear_guard_behaviour`), so ``per_hop`` must
+    be positive and finite: anything else raises
+    :class:`~repro.core.errors.FaultToleranceError` before anything is
+    launched.  With ``durable_checkpoints`` the visitor files each hop's
+    guard snapshot in the site's durable store before jumping and checkpoint
+    revival is wired in
+    (:func:`repro.fault.recovery.install_checkpoint_recovery`) — meaningful
+    only when the kernel runs with a durability policy other than "none".
     """
+    if not (per_hop > 0 and math.isfinite(per_hop)):
+        raise FaultToleranceError(f"per_hop must be positive and finite, not {per_hop!r}")
     install_fault_agents(kernel)
     if durable_checkpoints:
         from repro.fault.recovery import install_checkpoint_recovery
         install_checkpoint_recovery(kernel)
     ft_id = ft_id or f"ft-{next(_computation_ids):05d}"
     briefcase = _build_briefcase(ft_id, itinerary, per_hop, max_relaunches,
-                                 work_seconds, task, view_assisted=view_assisted,
+                                 work_seconds, task,
                                  durable_checkpoints=durable_checkpoints)
     if kernel.obs.active:
         # Name the trace after the computation: one grep-able id ties the

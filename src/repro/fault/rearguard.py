@@ -18,7 +18,9 @@ travelling agent — one-behind chaining:
 * a guard whose deadline expires without a release presumes the protected
   agent vanished (site crash, lost transfer) and re-ships the snapshot —
   to the original target if it is reachable again, otherwise skipping ahead
-  along the itinerary;
+  along the itinerary.  The timeout is the one failure detector, on every
+  transport: it over-suspects rather than under-suspects (a slow agent may
+  be relaunched needlessly), and the deduplication below absorbs the twin;
 * duplicate arrivals (a slow agent plus its relaunched twin) are absorbed
   by per-site done-markers and by deduplication at the delivery site, so a
   computation completes *exactly once* even though relaunching is
@@ -38,17 +40,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.briefcase import Briefcase
 from repro.core.context import AgentContext
-from repro.core.errors import FaultToleranceError
 from repro.core.folder import Folder
 from repro.core.registry import register_behaviour
-from repro.fault.detector import TimeoutDetector
 from repro.net.message import MessageKind
 
 __all__ = [
-    "REAR_GUARD_NAME", "RELEASE_AGENT_NAME", "REARGUARD_CABINET",
-    "SUSPICIONS_FOLDER", "GUARD_GROUP", "CHECKPOINTS_FOLDER",
+    "REAR_GUARD_NAME", "RELEASE_AGENT_NAME", "REARGUARD_CABINET", "CHECKPOINTS_FOLDER",
     "rear_guard_behaviour", "release_agent_behaviour",
-    "guard_snapshot", "install_fault_agents", "install_horus_guard_detection",
+    "guard_snapshot", "install_fault_agents",
     "pending_guards", "make_release_folder", "make_relaunch_ack_folder",
     "prune_released_checkpoints",
 ]
@@ -66,10 +65,6 @@ REARGUARD_CABINET = "rearguard"
 _GUARD = "GUARD"
 _GUARD_SHIPMENT = "GUARD_SHIPMENT"
 
-#: folder (in the rearguard cabinet) where Horus view-change suspicions land
-SUSPICIONS_FOLDER = "suspicions"
-#: default group name used by install_horus_guard_detection
-GUARD_GROUP = "ft_sites"
 #: folder (in the rearguard cabinet) holding durable briefcase checkpoints
 #: (written by the ft visitor, revived by repro.fault.recovery, pruned here
 #: as releases retire them)
@@ -79,18 +74,14 @@ CHECKPOINTS_FOLDER = "checkpoints"
 def guard_snapshot(ft_id: str, protects_seq: int,
                    shipped_briefcase: Union[Briefcase, dict],
                    per_hop_time: float, max_relaunches: int = 2,
-                   view_assisted: bool = False, ack_aware: bool = False) -> Briefcase:
+                   ack_aware: bool = False) -> Briefcase:
     """Build the briefcase a rear guard is spawned with.
 
     ``shipped_briefcase`` is the exact briefcase being sent for hop
     *protects_seq* (or its ``to_wire()`` form, as a durable checkpoint
     holds it); the guard keeps its stored elements, the same ``bytes``
     objects, so a relaunch re-creates that hop byte-for-byte without
-    pickling anything.  With ``view_assisted`` the guard also watches
-    the local Horus suspicion folder (see
-    :func:`install_horus_guard_detection`) and relaunches as soon as the
-    protected hop's destination drops out of the site group, instead of
-    waiting for its timeout to expire.  With ``ack_aware`` the relaunched
+    pickling anything.  With ``ack_aware`` the relaunched
     twin is expected to acknowledge its landing (the ft visitor does), and
     a shipment that stays un-acked is re-sent without consuming the
     relaunch budget; leave it False for payloads that never ack, so the
@@ -102,7 +93,7 @@ def guard_snapshot(ft_id: str, protects_seq: int,
               for folder in shipped_briefcase["folders"]])
     guard = Briefcase()
     guard.set(_GUARD, (ft_id, int(protects_seq), float(per_hop_time), int(max_relaunches),
-                       bool(view_assisted), bool(ack_aware),
+                       bool(ack_aware),
                        [(name, len(elements)) for name, elements in items]))
     guard.add(Folder.from_stored(
         _GUARD_SHIPMENT, [element for _, elements in items for element in elements]))
@@ -114,73 +105,6 @@ def _shipment(guard: Briefcase) -> Briefcase:
     stored = iter(guard.folder(_GUARD_SHIPMENT).raw_elements())
     return Briefcase.from_stored_items((name, list(itertools.islice(stored, count)))
                                        for name, count in guard.get(_GUARD)[-1])
-
-
-def install_horus_guard_detection(kernel, group_name: str = GUARD_GROUP) -> None:
-    """Feed Horus view changes into every site's rearguard suspicion folder.
-
-    Requires the kernel to run on the :class:`~repro.net.horus.HorusTransport`
-    (the paper's third rexec implementation, whose whole point was "group
-    communication and fault-tolerance").  A site group containing every site
-    is created; whenever a member drops out of the view, every surviving
-    site records a suspicion ``{"site": ..., "at": ...}`` that view-assisted
-    rear guards react to immediately.  Calling this twice for the same
-    group is a no-op.
-    """
-    from repro.net.horus import HorusTransport
-
-    transport = kernel.transport
-    if not isinstance(transport, HorusTransport):
-        raise FaultToleranceError(
-            "Horus-assisted guard detection needs the 'horus' transport; "
-            f"the kernel is running on {transport.name!r}")
-    installed_groups = getattr(kernel, "_horus_guard_groups", None)
-    if installed_groups is None:
-        installed_groups = set()
-        kernel._horus_guard_groups = installed_groups
-    if group_name in installed_groups and transport.has_group(group_name):
-        # Already wired: a second install must not subscribe duplicate
-        # observers (which doubled every suspicion record).
-        return
-    if not transport.has_group(group_name):
-        transport.create_group(group_name, kernel.site_names())
-
-    def make_observer(site_name: str):
-        # Each observer diffs against its *own* copy of the last view it
-        # saw; handing every observer the same set object let one site's
-        # bookkeeping stand in for another's.
-        previous = {"members": set(transport.group_view(group_name).members)}
-
-        def observer(view) -> None:
-            current = set(view.members)
-            lost = previous["members"] - current
-            previous["members"] = current
-            site = kernel.sites.get(site_name)
-            if site is None or not site.alive:
-                return
-            cabinet = site.cabinet(REARGUARD_CABINET)
-            for victim in lost:
-                cabinet.put(SUSPICIONS_FOLDER, {"site": victim, "at": kernel.now})
-            # Keep a replace-style record of who is currently outside the
-            # group; guards consult this rather than the append-only log.
-            cabinet.add(Folder("group_down", [sorted(set(kernel.site_names()) - current)]),
-                        replace=True)
-
-        return observer
-
-    for site_name in kernel.site_names():
-        if site_name not in transport.group_view(group_name).members:
-            transport.join(group_name, site_name)
-        transport.subscribe_views(group_name, make_observer(site_name))
-    installed_groups.add(group_name)
-
-
-def _currently_out_of_group(cabinet, site_name: Optional[str]) -> bool:
-    """Is *site_name* currently outside the guard group (per the last view seen here)?"""
-    if site_name is None:
-        return False
-    down = cabinet.get("group_down")
-    return isinstance(down, list) and site_name in down
 
 
 def release_agent_behaviour(ctx: AgentContext, briefcase: Briefcase):
@@ -324,6 +248,11 @@ def prune_released_checkpoints(cabinet) -> int:
 def rear_guard_behaviour(ctx: AgentContext, briefcase: Briefcase):
     """The rear guard proper: poll for a release, relaunch on timeout.
 
+    The protected hop is presumed lost at the first poll at or after
+    ``start + max(0.5, 6 * per_hop)`` (two hops' time, three times over,
+    never under half a second); the guard polls every
+    ``max(0.125, per_hop / 2)``, and each shipment restarts the deadline.
+
     Outcome (returned and recorded in the local rearguard cabinet under
     ``guard_outcomes``): ``"released"``, ``"relaunched"`` (at least one
     relaunch happened before release), or ``"gave-up"`` after exhausting the
@@ -338,37 +267,25 @@ def rear_guard_behaviour(ctx: AgentContext, briefcase: Briefcase):
     network's fault, not evidence the computation keeps dying.  Re-sends
     are bounded separately and recorded under ``relaunch_retries``.
     """
-    (ft_id, protects_seq, per_hop, max_relaunches, view_assisted,
+    (ft_id, protects_seq, per_hop, max_relaunches,
      ack_aware) = briefcase.get(_GUARD)[:-1]   # the layout is re-read per relaunch
-    #: where the protected hop was headed — only a view-assisted guard asks
-    protected_target = _shipment(briefcase).get("TARGET_SITE") if view_assisted else None
 
     cabinet = ctx.cabinet(REARGUARD_CABINET)
-    detector = TimeoutDetector(per_hop_time=per_hop, remaining_hops=2)
-    guard_started = ctx.now
-    deadline = detector.deadline_from(guard_started)
+    timeout = max(0.5, per_hop * 2 * 3.0)
+    poll = max(0.5 / 4.0, per_hop / 2.0)
+    deadline = ctx.now + timeout
     relaunches = 0
     resends = 0
     #: bound on budget-free re-sends of lost-unacked shipments
     max_resends = max(2, max_relaunches)
     #: ship time of the last accepted shipment still lacking a landing ack
     awaiting_since: Optional[float] = None
-    #: a view-change trigger fires at most once; afterwards only the timeout applies
-    acted_on_view = False
     outcome = "released"
 
     while True:
         if _released(cabinet, ft_id, protects_seq):
             break
-        presumed_lost = ctx.now >= deadline
-        if not presumed_lost and view_assisted and not acted_on_view:
-            # The protected hop's destination has dropped out of the site
-            # group: treat that as immediate evidence of loss instead of
-            # waiting out the conservative timeout.
-            if _currently_out_of_group(cabinet, protected_target):
-                presumed_lost = True
-                acted_on_view = True
-        if presumed_lost:
+        if ctx.now >= deadline:
             if awaiting_since is not None and _relaunch_acked(
                     cabinet, ft_id, protects_seq, awaiting_since):
                 # The twin landed (the envelope survived); continued silence
@@ -393,8 +310,8 @@ def rear_guard_behaviour(ctx: AgentContext, briefcase: Briefcase):
                                            "accepted": bool(sent)})
             outcome = "relaunched"
             awaiting_since = ctx.now if sent else None
-            deadline = detector.deadline_from(ctx.now)
-        yield ctx.sleep(detector.poll_interval())
+            deadline = ctx.now + timeout
+        yield ctx.sleep(poll)
 
     cabinet.put("guard_outcomes", {"ft_id": ft_id, "protects_seq": protects_seq,
                                    "outcome": outcome, "relaunches": relaunches,

@@ -8,7 +8,7 @@ swapping in a real network would not change the agent-facing API.
 """
 
 from repro.net.failures import FailureSchedule, RandomCrasher
-from repro.net.horus import GroupView, HorusTransport, ProcessGroup
+from repro.net.horus import HorusTransport
 from repro.net.message import Message, MessageKind
 from repro.net.rsh import RshTransport
 from repro.net.simclock import Event, EventLoop, SimClock
@@ -25,6 +25,6 @@ __all__ = [
     "LinkSpec", "Topology", "lan", "two_clusters", "ring", "star", "random_topology",
     "switched_fabric",
     "Transport", "RshTransport", "TcpTransport",
-    "HorusTransport", "ProcessGroup", "GroupView",
+    "HorusTransport",
     "FailureSchedule", "RandomCrasher",
 ]

@@ -5,7 +5,8 @@ remote host."  The dominant characteristic is a large fixed cost per
 migration: every agent transfer forks a remote shell and starts a fresh
 interpreter, and nothing is cached between transfers.  The reproduction
 models that as a large, slightly noisy setup delay charged to every
-message, largest for agent transfers.
+message, largest for the kinds that ship an agent (a transfer or a rear
+guard's relaunch).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class RshTransport(Transport):
 
     name = "rsh"
 
-    #: seconds to fork rsh + start a remote interpreter for an agent transfer
+    #: seconds to fork rsh + start a remote interpreter for a shipped agent
     AGENT_SETUP = 0.250
     #: seconds of per-message overhead for anything else (still spawns rsh)
     MESSAGE_SETUP = 0.120
@@ -35,6 +36,6 @@ class RshTransport(Transport):
     MESSAGE_COSTS = CostModel(sync=MESSAGE_SETUP, jitter=JITTER)
 
     def setup_delay(self, message: Message) -> float:
-        model = self.AGENT_COSTS if message.kind == MessageKind.AGENT_TRANSFER \
+        model = self.AGENT_COSTS if message.kind in MessageKind.MIGRATION_KINDS \
             else self.MESSAGE_COSTS
         return model.cost(items=0, syncs=1, rng=self.rng)

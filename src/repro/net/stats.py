@@ -242,7 +242,7 @@ class NetworkStats:
         link.drops += 1
 
     def record_migration(self, size: int) -> None:
-        """Count one agent migration (an AGENT_TRANSFER that was delivered)."""
+        """Count one agent migration (a delivered message of a ``MIGRATION_KINDS`` kind)."""
         self.migrations += 1
         self.migration_bytes += size
 

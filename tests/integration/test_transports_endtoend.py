@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Briefcase, Kernel, KernelConfig
-from repro.net import FailureSchedule, HorusTransport, lan
+from repro.fault import completions, launch_ft_computation
+from repro.net import FailureSchedule, lan
 from scenarios import itinerary
 
 
@@ -68,29 +69,38 @@ class TestTransportsEndToEnd:
         # so the mean per-hop time drops below the 2-hop (all-cold) tour.
         assert repeat < first
 
-    def test_horus_group_survives_member_crash_during_agent_workload(self):
-        kernel = Kernel(lan(["a", "b", "c", "d"]), transport="horus",
-                        config=KernelConfig(rng_seed=9))
-        transport = kernel.transport
-        assert isinstance(transport, HorusTransport)
-        transport.create_group("workers", ["a", "b", "c", "d"])
-        views = []
-        transport.subscribe_views("workers", views.append)
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_guarded_computation_survives_a_mid_itinerary_crash(self, transport):
+        """The rear guard's timeout notices the vanished agent on every
+        transport: the site crashes while the agent works there, the guard
+        behind it relaunches past the dead site, and the computation
+        completes exactly once."""
+        names = [f"s{i}" for i in range(5)]
+        kernel = Kernel(lan(names), transport=transport, config=KernelConfig(rng_seed=9))
+        # Two seconds of work per site: s2 is down mid-hop on every transport.
+        ft_id = launch_ft_computation(kernel, "s0", names[1:], per_hop=1.0,
+                                      work_seconds=2.0)
+        FailureSchedule().crash("s2", at=5.5).recover("s2", at=100.0).install(kernel)
+        kernel.run(until=200.0)
+        [record] = completions(kernel, "s4", ft_id)
+        assert record["relaunched"] is True
+        assert record["skipped"] == ["s2"]
+        assert [entry["site"] for entry in record["results"]] == ["s0", "s1", "s3", "s4"]
 
-        def worker(ctx, bc):
-            yield ctx.sleep(1.0)
-            return "ok"
-
-        for site in ("a", "b", "c", "d"):
-            kernel.launch(site, worker)
-        FailureSchedule().crash("c", at=0.4).install(kernel)
-        kernel.run()
-
-        view = transport.group_view("workers")
-        assert "c" not in view.members
-        assert set(view.members) == {"a", "b", "d"}
-        # Subscribers saw exactly one view change: the survivors.
-        assert [set(view.members) for view in views] == [{"a", "b", "d"}]
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_guarded_computation_without_a_crash_is_never_relaunched(self, transport):
+        """A guard's timeout leaves a healthy computation alone on every
+        transport, rsh's heavy per-hop setup included: it completes exactly
+        once, in itinerary order, with no relaunch."""
+        names = [f"s{i}" for i in range(5)]
+        kernel = Kernel(lan(names), transport=transport, config=KernelConfig(rng_seed=9))
+        ft_id = launch_ft_computation(kernel, "s0", names[1:], per_hop=1.0,
+                                      work_seconds=2.0)
+        kernel.run(until=200.0)
+        [record] = completions(kernel, "s4", ft_id)
+        assert record["relaunched"] is False
+        assert record["skipped"] == []
+        assert [entry["site"] for entry in record["results"]] == names
 
     def test_kernel_counters_are_consistent_across_transports(self):
         for transport in TRANSPORTS:

@@ -10,21 +10,14 @@ cabinet holds what the writer wrote.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.apps.mail import MAILBOX_CABINET, mailbox_behaviour
 from repro.apps.stormcast import (READINGS_FOLDER, SENSOR_CABINET, WeatherGenerator,
                                   populate_sensor_site)
 from repro.cash import Mint, Wallet
-from repro.core import Briefcase, FileCabinet, Kernel, KernelConfig
-from repro.fault import REARGUARD_CABINET, install_horus_guard_detection
-from repro.fault.detector import subscribe_horus_suspicions
-from repro.net import lan, ring
-from repro.net.horus import HorusTransport
-from repro.net.simclock import EventLoop
-from repro.net.stats import NetworkStats
+from repro.core import Briefcase, FileCabinet, Kernel
+from repro.net import lan
 from repro.scheduling import BrokerState, admit_rate_limited, make_guardian_behaviour
 
 
@@ -49,16 +42,6 @@ def run_behaviour(behaviour, cabinet: FileCabinet, briefcase: Briefcase) -> None
         pass
 
 
-def rearguard_group_down(watch):
-    kernel = Kernel(ring(["s0", "s1", "s2"]), transport="horus",
-                    config=KernelConfig(rng_seed=3))
-    install_horus_guard_detection(kernel)
-    cabinet = watch(kernel.site("s0").cabinet(REARGUARD_CABINET), "group_down")
-    kernel.crash_site("s2")
-    kernel.run(until=1.0)
-    assert cabinet.get("group_down") == ["s2"]
-
-
 def mailbox_delete(watch):
     cabinet = watch(FileCabinet(MAILBOX_CABINET), "user:fred")
     cabinet.put("user:fred", {"letter_id": "L1", "to_user": "fred"})
@@ -68,31 +51,6 @@ def mailbox_delete(watch):
     request.set("LETTER_ID", "L1")
     run_behaviour(mailbox_behaviour, cabinet, request)
     assert cabinet.elements("user:fred") == []
-
-
-def make_horus():
-    loop = EventLoop()
-    transport = HorusTransport(loop, lan(["a", "b", "c"]), NetworkStats(),
-                               rng=random.Random(0))
-    transport.create_group("guards", ["a", "b"])
-    return transport, loop
-
-
-def detector_baseline(watch):
-    transport, _ = make_horus()
-    cabinet = watch(FileCabinet("watch"), "last_members")
-    subscribe_horus_suspicions(transport, "guards", cabinet)
-    assert sorted(cabinet.get("last_members")) == ["a", "b"]
-
-
-def detector_view_change(watch):
-    transport, loop = make_horus()
-    cabinet = FileCabinet("watch")
-    subscribe_horus_suspicions(transport, "guards", cabinet)
-    watch(cabinet, "last_members")
-    transport.join("guards", "c")
-    loop.run()
-    assert sorted(cabinet.get("last_members")) == ["a", "b", "c"]
 
 
 def broker_table(watch):
@@ -141,9 +99,8 @@ def wallet_withdrawal(watch):
     assert Wallet(cabinet).balance() == 5
 
 
-WRITERS = [rearguard_group_down, mailbox_delete, detector_baseline, detector_view_change,
-           broker_table, guardian_rate_bucket, guardian_pending, stormcast_readings,
-           wallet_deposit, wallet_withdrawal]
+WRITERS = [mailbox_delete, broker_table, guardian_rate_bucket, guardian_pending,
+           stormcast_readings, wallet_deposit, wallet_withdrawal]
 
 
 @pytest.mark.parametrize("writer", WRITERS, ids=lambda writer: writer.__name__)

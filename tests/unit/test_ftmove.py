@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Kernel, KernelConfig
-from repro.fault import (RESULTS_CABINET, completions, fan_out_ids, launch_ft_computation,
+from repro.core.errors import FaultToleranceError
+from repro.fault import (RELEASE_AGENT_NAME, RESULTS_CABINET, completions, fan_out_ids, launch_ft_computation,
                          launch_plain_computation, pending_guards)
 from repro.net import FailureSchedule, lan, ring
 
@@ -140,6 +141,20 @@ class TestUnderFailures:
         kernel.run(until=120.0)
         assert len(completions(kernel, names[-1], first)) == 1
         assert len(completions(kernel, "s0", second)) == 1
+
+
+class TestUnguardable:
+    @pytest.mark.parametrize("per_hop", [0.0, -1.0, float("inf"), float("nan")],
+                             ids=["zero", "negative", "inf", "nan"])
+    def test_a_per_hop_no_guard_can_time_is_refused_before_anything_launches(
+            self, per_hop):
+        # A guard's deadline is a multiple of per_hop: without a positive,
+        # finite one, every guard would fail and the computation run unguarded.
+        kernel, names = make_kernel(sites=3)
+        with pytest.raises(FaultToleranceError, match="per_hop"):
+            launch_ft_computation(kernel, "s0", names[1:], per_hop=per_hop)
+        assert kernel.counters()["launched"] == 0
+        assert not kernel.site("s0").is_installed(RELEASE_AGENT_NAME)
 
 
 class TestReleasesOnTheFabric:

@@ -157,9 +157,19 @@ def test_a_retired_knob_is_refused_not_ignored(knob):
 #: with why it stays.  ``tools/size_report.py`` counts them as
 #: ``test_only_defs``: a new one means editing this list.
 TEST_ONLY_DEFS = [
+    "AgentContext.is_system_agent",      # an agent asks whether it runs privileged (§2)
+    "AuditFinding.clean",                # the audit's verdict: no violation found (§3)
     "BehaviourRegistry.unregister",      # register's inverse: tests undo a registration
                                          # in the process-wide registry
+    "Briefcase.take",                    # pop a folder's top: a briefcase operation (§2)
+    "ClockSync.lookahead",               # one shard pair's bound; the rounds read the table
+    "EventLoop.step",                    # exactly one event: run() one event at a time
+    "FileCabinet.move_cost",             # why cabinets stay put while briefcases move (§2)
     "FileCabinet.withdraw",              # deposit's inverse: the briefcase operations (§2)
+    "Folder.front",                      # the oldest element, as peek() is the newest
+    "LedgerQueries.agents",              # a Kernel read: the agent table
+    "LedgerQueries.event_log",           # a Kernel read: the ring's log lines
+    "LedgerQueries.result_of",           # a Kernel read: one agent's return value
     "MailSystem.delivery_log",           # reads the log folder the letter agents write
     "Mint.retired_value",                # the audit total of the retired-ECU table (§3)
     "RateEstimator.mean_bytes",          # the second EWMA, beside the rate windows use
@@ -171,6 +181,8 @@ TEST_ONLY_DEFS = [
     "admit_rate_limited",                # a guardian policy: requests per window (§4)
     "broker_state",                      # BrokerState(cabinet) under the §4 broker's name
     "code_from_source",                  # a CODE element carrying source, not a name (§2)
+    "fan_out_ids",                       # per-branch ids for a cloning computation (§5)
+    "gossip_convergence",                # how far apart the gossiped load tables are (§4)
     "make_gossip_behaviour",             # brokers pushing their tables to peers (§4)
     "make_guardian_behaviour",           # the guardian in front of a secret agent (§4)
     "merged_load_table",                 # every broker's load table, merged across shards
@@ -189,6 +201,27 @@ def size_report():
 
 def test_test_only_definitions_are_exactly_the_listed_ones(size_report):
     assert size_report.test_only_defs() == TEST_ONLY_DEFS == sorted(TEST_ONLY_DEFS)
+
+
+@pytest.mark.parametrize("text, test_only", [
+    ("def helper():\n    \"\"\"Unlike merged_load_table, this merges nothing.\"\"\"\n",
+     True),                                                             # a docstring
+    ("# merged_load_table would do here\n", True),                     # a comment
+    ("from repro.scheduling import merged_load_table\n"
+     "__all__ = ['merged_load_table']\n", True),                       # a re-export
+    ("tables = merged_load_table(kernel)\n", False),                   # a call
+    ("reader = scheduling.merged_load_table\n", False),                # an attribute
+    ("getattr(scheduling, 'merged_load_table')\n", False),             # a name string
+    ("print(f'{merged_load_table(kernel)}')\n", False),                # an f-string
+], ids=["docstring", "comment", "re-export", "call", "attribute", "name-string",
+        "f-string"])
+def test_a_def_is_test_only_until_code_outside_tests_uses_it(
+        size_report, tmp_path, monkeypatch, text, test_only):
+    path = tmp_path / "tools" / "x.py"
+    path.parent.mkdir(parents=True)
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(size_report, "outside_tests", lambda: [path])
+    assert ("merged_load_table" in size_report.test_only_defs()) is test_only
 
 
 #: the ``KernelConfig`` fields no code outside ``tests/`` sets, sorted, each

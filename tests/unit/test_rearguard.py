@@ -8,6 +8,8 @@ import pytest
 
 from repro.core import Briefcase, FileCabinet, Folder, Kernel, KernelConfig
 from repro.core.codec import code_for
+from repro.core.engine import STEP_COST
+from repro.fault import rearguard
 from repro.fault.rearguard import (CHECKPOINTS_FOLDER, REARGUARD_CABINET, RELEASE_AGENT_NAME,
                                    _relaunch_acked, _released, guard_snapshot,
                                    install_fault_agents, make_release_folder, pending_guards,
@@ -192,6 +194,49 @@ class TestRearGuard:
         relaunches = kernel.site("a").cabinet(REARGUARD_CABINET).elements("relaunches")
         assert relaunches and relaunches[0]["accepted"] is True
         assert kernel.result_of(guard_id) in ("relaunched", "gave-up")
+
+    @pytest.mark.parametrize("per_hop", [0.05, 0.1, 0.4])
+    def test_first_relaunch_is_at_the_first_poll_past_the_timeout(
+            self, kernel, monkeypatch, per_hop):
+        # The timeout is max(0.5, 6 * per_hop) after the guard starts; the
+        # guard notices it at its next poll, and only then.
+        polls, relaunched_at = [], []
+        released, relaunch = rearguard._released, rearguard._relaunch
+
+        def polled(*args):
+            polls.append(kernel.now)
+            return released(*args)
+
+        def recorded(ctx, guard):
+            relaunched_at.append(ctx.now)
+            return (yield from relaunch(ctx, guard))
+
+        monkeypatch.setattr(rearguard, "_released", polled)
+        monkeypatch.setattr(rearguard, "_relaunch", recorded)
+        spawn_guard(kernel, protects_seq=1, per_hop=per_hop, max_relaunches=1)
+        kernel.run(until=30.0)
+        deadline = polls[0] + max(0.5, 6 * per_hop)
+        first_due = next(at for at in polls if at >= deadline)
+        assert relaunched_at[0] == first_due
+        assert polls[polls.index(first_due) - 1] < deadline
+
+    @pytest.mark.parametrize("per_hop", [0.05, 0.1, 0.4])
+    def test_polls_are_spaced_by_the_poll_interval(self, kernel, monkeypatch, per_hop):
+        # Until it gives up at its timeout, an unreleased guard sleeps
+        # max(0.125, per_hop / 2) between polls (each sleep is one step).
+        polls = []
+        released = rearguard._released
+
+        def polled(*args):
+            polls.append(kernel.now)
+            return released(*args)
+
+        monkeypatch.setattr(rearguard, "_released", polled)
+        spawn_guard(kernel, protects_seq=1, per_hop=per_hop, max_relaunches=0)
+        kernel.run(until=5.0)
+        gaps = [later - earlier for earlier, later in zip(polls, polls[1:])]
+        assert len(gaps) >= 2
+        assert gaps == pytest.approx([max(0.125, per_hop / 2) + STEP_COST] * len(gaps))
 
     def test_guard_gives_up_after_max_relaunches(self, kernel):
         guard_id = spawn_guard(kernel, protects_seq=1, per_hop=0.05, max_relaunches=2)

@@ -26,11 +26,14 @@ top-level packages among them that came from a ``site-packages`` /
 the whole package: ``len(__all__)`` summed over ``repro`` and every package
 under it (``kernel_public`` counts one class only).  ``test_only_defs``
 counts the public top-level functions and class methods under ``src/repro``
-whose name appears in no ``.py`` file outside ``tests/`` except on its own
-``def`` line and in ``import`` statements and ``__all__`` lists (naming a
-function there re-exports it, nobody calls it): code only the tests call (a
-word match, so a name shared with anything else outside ``tests/`` is not
-counted).  Methods of ``_``-prefixed
+whose name no ``.py`` file outside ``tests/`` uses as code: an ``ast.Name``
+id, an ``ast.Attribute`` attr, or an identifier-shaped string constant (a
+registry key, a ``getattr`` name), an f-string's expressions included;
+``import`` statements and ``__all__`` lists do not count (naming a function
+there re-exports it, nobody calls it), nor does prose (a docstring or a
+comment naming a function does not call it).  That is code only the tests
+call; a name shared with anything else used outside ``tests/`` is not
+counted.  Methods of ``_``-prefixed
 classes are not counted: they are internal, and a method such a class
 defines for a protocol (a file object's ``readinto`` for ``pickle``) is
 called by the standard library, not by name.  ``test_only_knobs`` counts
@@ -43,12 +46,10 @@ records parent -> change for each change.
 """
 
 import ast
-import collections
 import dataclasses
 import importlib
 import pathlib
 import pkgutil
-import re
 import subprocess
 import sys
 
@@ -100,23 +101,14 @@ def test_only_defs() -> list:
                 members, prefix = node.body, f"{node.name}."
             else:
                 members, prefix = [node], ""
-            defs += [(member.name, prefix + member.name, path, member.lineno)
+            defs += [(member.name, prefix + member.name)
                      for member in members
                      if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
                      and not member.name.startswith("_")]
-    names = {name for name, _, _, _ in defs}
-    #: name -> the (file, line) places outside tests/ that mention it
-    seen = collections.defaultdict(set)
+    used = set()
     for path in outside_tests():
-        text = path.read_text(encoding="utf-8")
-        exports = reexport_lines(ast.parse(text))
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if lineno in exports:
-                continue
-            for word in names.intersection(re.findall(r"[A-Za-z_]\w*", line)):
-                seen[word].add((path, lineno))
-    return sorted(qualified for name, qualified, path, lineno in defs
-                  if seen[name] <= {(path, lineno)})
+        used |= code_names(ast.parse(path.read_text(encoding="utf-8")))
+    return sorted(qualified for name, qualified in defs if name not in used)
 
 
 def test_only_knobs() -> list:
@@ -141,22 +133,36 @@ def outside_tests() -> list:
             and "__pycache__" not in path.parts]
 
 
-def reexport_lines(tree: ast.Module) -> set:
-    """The line numbers of every ``import`` statement and ``__all__``
-    assignment in *tree*, continuation lines included."""
-    lines = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        else:
-            targets = []
-        if (isinstance(node, (ast.Import, ast.ImportFrom))
-                or any(isinstance(target, ast.Name) and target.id == "__all__"
-                       for target in targets)):
-            lines.update(range(node.lineno, node.end_lineno + 1))
-    return lines
+def code_names(tree: ast.Module) -> set:
+    """The identifiers *tree* uses as code: every ``ast.Name`` id, ``ast.Attribute``
+    attr and identifier-shaped string constant, outside ``import`` statements
+    and ``__all__`` assignments."""
+    used, pending = set(), [tree]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or assigns_all(node):
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            used.add(node.value)
+        pending.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def assigns_all(node: ast.AST) -> bool:
+    """Whether *node* assigns or extends ``__all__``."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(isinstance(target, ast.Name) and target.id == "__all__"
+               for target in targets)
 
 
 def cold_start() -> str:
