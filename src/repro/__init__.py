@@ -8,7 +8,7 @@ The package layout mirrors the paper:
   durable store (adaptive batch windows, bytes-proportional pricing);
 * :mod:`repro.sysagents` — ``ag_py``, ``rexec``, courier, diffusion (sections 2, 6);
 * :mod:`repro.cash` — electronic cash, validation, audits (section 3);
-* :mod:`repro.scheduling` — brokers, monitors, tickets, protected agents (section 4);
+* :mod:`repro.scheduling` — brokers, monitors, gossip, protected agents (section 4);
 * :mod:`repro.fault` — rear guards and fault-tolerant moves (section 5);
 * :mod:`repro.apps` — StormCast and the agent-based mail system (section 6).
 """

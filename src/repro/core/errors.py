@@ -132,10 +132,6 @@ class NoProviderError(SchedulingError):
     """No service provider is registered for the requested service."""
 
 
-class TicketError(SchedulingError):
-    """A ticket was missing, expired, or forged."""
-
-
 # ---------------------------------------------------------------------------
 # Fault-tolerance errors
 # ---------------------------------------------------------------------------

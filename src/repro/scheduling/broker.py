@@ -23,8 +23,7 @@ The meet protocol (all through the briefcase):
     ``SERVICE``: return every known provider in the ``PROVIDERS`` folder.
 ``OP = "acquire"``
     ``SERVICE``: pick one provider according to the broker's policy and
-    return it in ``PROVIDER`` (plus a ``TICKET`` when a ticket agent is
-    installed locally).  The assignment is counted in the ledger.
+    return it in ``PROVIDER``.  The assignment is counted in the ledger.
 ``OP = "sync"``
     ``LOADS`` and ``PROVIDERS`` folders from another broker: merge gossiped
     state (newest report per site wins).  See :mod:`repro.scheduling.routing`.
@@ -202,13 +201,8 @@ def merged_load_table(kernel, broker_sites: Sequence[str]) -> Dict[str, LoadEsti
 
 
 def make_broker_behaviour(policy: str = "least-loaded",
-                          policy_instance: Optional[Policy] = None,
-                          ticket_agent: Optional[str] = None) -> Callable:
+                          policy_instance: Optional[Policy] = None) -> Callable:
     """Build a broker behaviour using the named assignment *policy*.
-
-    ``ticket_agent`` optionally names a locally installed ticket-issuing
-    agent (see :mod:`repro.scheduling.ticket`); when set, every successful
-    ``acquire`` also returns a ticket for the chosen provider.
 
     Round-robin state deliberately lives in the policy *object* (shared by
     every meet at a site because the same behaviour closure is installed),
@@ -289,15 +283,6 @@ def make_broker_behaviour(policy: str = "least-loaded",
                 "agent_name": chosen.agent_name, "capacity": chosen.capacity,
                 "price": chosen.price,
             })
-            if ticket_agent is not None:
-                ticket_request = Briefcase()
-                ticket_request.set("OP", "issue")
-                ticket_request.set("SERVICE", service)
-                ticket_request.set("HOLDER", briefcase.get("CLIENT", "anonymous"))
-                ticket_request.set("PROVIDER_SITE", chosen.site)
-                result = yield ctx.meet(ticket_agent, ticket_request)
-                if result is not None and ticket_request.has("TICKET"):
-                    briefcase.set("TICKET", ticket_request.get("TICKET"))
             yield ctx.end_meet(briefcase.get("PROVIDER"))
             return briefcase.get("PROVIDER")
 

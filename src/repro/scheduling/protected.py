@@ -13,8 +13,9 @@ therefore, can themselves store agents and sets of folders."
 The guardian below implements exactly that: a request is a whole briefcase
 (and optionally the requester's CODE) stored *inside a folder* in the
 guardian's cabinet.  The protected agent's real installed name is a secret
-held only by the guardian closure; admission policies decide which queued
-requests are forwarded.
+held only by the guardian closure; the protected agent's policy, a plain
+function of the request record, decides which requests are forwarded and
+which stay queued.
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ from repro.core.briefcase import Briefcase
 from repro.core.context import AgentContext
 from repro.core.folder import Folder
 
-__all__ = [
-    "make_guardian_behaviour", "AdmissionPolicy",
-    "admit_all", "admit_authorized", "admit_rate_limited",
-    "GUARDIAN_CABINET",
-]
+__all__ = ["make_guardian_behaviour", "AdmissionPolicy", "admit_all", "GUARDIAN_CABINET"]
 
 #: cabinet the guardian queues requests and decisions in
 GUARDIAN_CABINET = "guardian"
@@ -41,38 +38,6 @@ AdmissionPolicy = Callable[[AgentContext, dict], bool]
 def admit_all(ctx: AgentContext, request: dict) -> bool:
     """Forward every request (the trivially permissive policy)."""
     return True
-
-
-def admit_authorized(authorized: set) -> AdmissionPolicy:
-    """Forward only requests from principals named in *authorized*."""
-
-    def policy(ctx: AgentContext, request: dict) -> bool:
-        return request.get("requester") in authorized
-
-    return policy
-
-
-def admit_rate_limited(max_per_window: int, window: float = 1.0) -> AdmissionPolicy:
-    """Forward at most *max_per_window* requests per *window* simulated seconds.
-
-    The counter lives in the guardian's cabinet, so the limit is enforced
-    across meets (each meet is a fresh behaviour instance).
-    """
-
-    def policy(ctx: AgentContext, request: dict) -> bool:
-        cabinet = ctx.cabinet(GUARDIAN_CABINET)
-        bucket = cabinet.get("rate_bucket") or {"window_start": ctx.now, "count": 0}
-        if ctx.now - bucket["window_start"] >= window:
-            bucket = {"window_start": ctx.now, "count": 0}
-        if bucket["count"] >= max_per_window:
-            admitted = False
-        else:
-            bucket["count"] += 1
-            admitted = True
-        cabinet.add(Folder("rate_bucket", [bucket]), replace=True)
-        return admitted
-
-    return policy
 
 
 def make_guardian_behaviour(protected_agent_name: str,

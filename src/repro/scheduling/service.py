@@ -7,16 +7,16 @@ These are the pieces ``tests/integration/test_scheduling_endtoend.py`` and
   Each request costs ``work / capacity`` simulated seconds, so slow sites
   really are slower, which is what makes load-aware policies win.
 * :func:`scheduled_client_behaviour` — a mobile client that consults a
-  broker, travels to the assigned provider's site, presents its ticket (if
-  any), has the work done, and returns home with the result.
-* :func:`install_scheduling` — wires brokers, monitors, ticket agents and
-  providers into a kernel in one call; returns the handles benchmarks need.
+  broker, travels to the assigned provider's site, has the work done, and
+  returns home with the result.
+* :func:`install_scheduling` — wires brokers, monitors and providers into a
+  kernel in one call; returns the handles tests and the example read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.core.briefcase import Briefcase
 from repro.core.context import AgentContext
@@ -24,7 +24,6 @@ from repro.core.kernel import Kernel
 from repro.core.registry import register_behaviour
 from repro.scheduling.broker import BROKER_AGENT_NAME, make_broker_behaviour
 from repro.scheduling.monitor import make_monitor_behaviour
-from repro.scheduling.ticket import TICKET_AGENT_NAME, TicketIssuer, make_ticket_behaviour
 
 __all__ = [
     "make_compute_service_behaviour", "scheduled_client_behaviour",
@@ -41,37 +40,14 @@ CLIENT_BEHAVIOUR_NAME = "scheduled_client"
 SERVICE_CABINET = "service"
 
 
-def make_compute_service_behaviour(work_seconds: float = 0.05,
-                                   issuer: Optional[TicketIssuer] = None,
-                                   require_ticket: bool = False) -> Callable:
+def make_compute_service_behaviour(work_seconds: float = 0.05) -> Callable:
     """Build a compute-service provider behaviour.
 
     Each met request costs ``work_seconds / site.capacity`` simulated
-    seconds of busy time.  When *require_ticket* is set the provider
-    redeems the caller's ticket through *issuer* first and refuses work
-    without a valid one (the administrator-control point of section 4).
+    seconds of busy time.
     """
 
     def compute_behaviour(ctx: AgentContext, briefcase: Briefcase):
-        cabinet = ctx.cabinet(SERVICE_CABINET)
-
-        if require_ticket:
-            ticket_record = briefcase.get("TICKET")
-            ok = False
-            if ticket_record is not None and issuer is not None:
-                from repro.core.errors import TicketError
-                from repro.scheduling.ticket import Ticket
-                try:
-                    ticket = Ticket.from_wire(ticket_record)
-                    ok = issuer.redeem(ticket, ctx.now, expected_site=ctx.site_name)
-                except TicketError:
-                    ok = False
-            if not ok:
-                cabinet.put("refused", {"client": briefcase.get("CLIENT"), "at": ctx.now})
-                briefcase.set("ERROR", "ticket missing or invalid")
-                yield ctx.end_meet(None)
-                return None
-
         # Service time models contention: the more agents currently active at
         # this site, the longer each request takes, normalised by capacity.
         # ``site_load`` is exactly (active agents + background) / capacity.
@@ -86,7 +62,7 @@ def make_compute_service_behaviour(work_seconds: float = 0.05,
             "finished_at": ctx.now,
             "busy": busy,
         }
-        cabinet.put("jobs", job)
+        ctx.cabinet(SERVICE_CABINET).put("jobs", job)
         briefcase.set("RESULT", {"site": ctx.site_name, "busy": busy,
                                  "finished_at": ctx.now})
         yield ctx.end_meet(briefcase.get("RESULT"))
@@ -139,8 +115,6 @@ def scheduled_client_behaviour(ctx: AgentContext, briefcase: Briefcase):
                 return "travelling-home"
         else:
             briefcase.set("PROVIDER", provider)
-            if acquire.has("TICKET"):
-                briefcase.set("TICKET", acquire.get("TICKET"))
             briefcase.set("PHASE", "execute")
             if provider["site"] != ctx.site_name:
                 yield ctx.jump(briefcase, provider["site"])
@@ -151,8 +125,6 @@ def scheduled_client_behaviour(ctx: AgentContext, briefcase: Briefcase):
         request = Briefcase()
         request.set("CLIENT", briefcase.get("CLIENT", "anonymous"))
         request.set("REQUEST", briefcase.get("REQUEST"))
-        if briefcase.has("TICKET"):
-            request.set("TICKET", briefcase.get("TICKET"))
         result = yield ctx.meet(provider["agent_name"], request)
         outcome = {
             "status": "served" if result is not None and result.value is not None
@@ -182,12 +154,11 @@ register_behaviour(CLIENT_BEHAVIOUR_NAME, scheduled_client_behaviour, replace=Tr
 
 @dataclass
 class SchedulingDeployment:
-    """Handles returned by :func:`install_scheduling` for benchmarks and tests."""
+    """Handles returned by :func:`install_scheduling` for tests and the example."""
 
     kernel: Kernel
     broker_sites: List[str]
     provider_sites: List[str]
-    issuer: Optional[TicketIssuer] = None
     monitor_agent_ids: List[str] = field(default_factory=list)
 
     def provider_job_counts(self) -> Dict[str, int]:
@@ -209,39 +180,28 @@ class SchedulingDeployment:
 def install_scheduling(kernel: Kernel, broker_sites: Sequence[str],
                        provider_specs: Sequence[dict],
                        policy: str = "least-loaded",
-                       with_tickets: bool = False,
                        monitor_interval: float = 0.5,
                        monitor_rounds: int = 10,
                        work_seconds: float = 0.05) -> SchedulingDeployment:
-    """Install brokers, ticket agents, monitors and providers into *kernel*.
+    """Install brokers, monitors and providers into *kernel*.
 
     ``provider_specs`` is a list of dicts: ``{"site": ..., "capacity": ...}``
     (capacity also updates ``Site.capacity`` so the load metric and the
     service time both reflect it).  Every provider is registered at every
     broker.  Returns a :class:`SchedulingDeployment`.
     """
-    issuer = TicketIssuer() if with_tickets else None
-
-    broker_behaviour = make_broker_behaviour(
-        policy=policy, ticket_agent=TICKET_AGENT_NAME if with_tickets else None)
+    broker_behaviour = make_broker_behaviour(policy=policy)
     for broker_site in broker_sites:
         kernel.install_agent(broker_site, BROKER_AGENT_NAME, broker_behaviour, replace=True)
-        if with_tickets:
-            kernel.install_agent(broker_site, TICKET_AGENT_NAME,
-                                 make_ticket_behaviour(issuer), replace=True)
 
     provider_sites: List[str] = []
-    service_behaviour = make_compute_service_behaviour(
-        work_seconds=work_seconds, issuer=issuer, require_ticket=with_tickets)
+    service_behaviour = make_compute_service_behaviour(work_seconds=work_seconds)
     for spec in provider_specs:
         site_name = spec["site"]
         capacity = float(spec.get("capacity", 1.0))
         provider_sites.append(site_name)
         kernel.site(site_name).capacity = capacity
         kernel.install_agent(site_name, SERVICE_AGENT_NAME, service_behaviour, replace=True)
-        if with_tickets:
-            kernel.install_agent(site_name, TICKET_AGENT_NAME,
-                                 make_ticket_behaviour(issuer), replace=True)
         # Register the provider with every broker by launching a one-shot
         # registration agent at the broker site (ordinary agents do the
         # plumbing — there is no out-of-band configuration channel).
@@ -262,7 +222,7 @@ def install_scheduling(kernel: Kernel, broker_sites: Sequence[str],
                                          name=f"monitor-{site_name}"))
 
     return SchedulingDeployment(kernel=kernel, broker_sites=list(broker_sites),
-                                provider_sites=provider_sites, issuer=issuer,
+                                provider_sites=provider_sites,
                                 monitor_agent_ids=monitor_ids)
 
 

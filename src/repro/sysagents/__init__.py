@@ -1,11 +1,12 @@
 """System agents: the services every TACOMA site provides (paper sections 2 and 6).
 
 "A collection of system agents provides a variety of support functions."
-:func:`install_standard_agents` puts the basic four — ``ag_py``, ``rexec``,
-the courier and the diffusion agent — on a site; the kernel calls it for
-every site unless told otherwise.  Higher-level system agents (electronic
-cash validation, brokers, monitors, rear guards) live in their own
-subpackages and are installed by the workloads that need them.
+:func:`install_standard_agents` puts the five of ``STANDARD_AGENTS`` on a
+site — ``ag_py``, ``rexec``, the courier, the diffusion agent and the naive
+flood it is measured against; the kernel calls it for every site unless
+told otherwise.  Higher-level system agents (electronic cash validation,
+brokers, monitors, rear guards) live in their own subpackages and are
+installed by the workloads that need them.
 """
 
 from repro.core.registry import register_behaviour
@@ -15,11 +16,10 @@ from repro.sysagents.courier import courier_behaviour
 from repro.sysagents.diffusion import (DIFFUSION_CABINET, VISITED_FOLDER,
                                        diffusion_behaviour, naive_flood_behaviour)
 from repro.sysagents.rexec import rexec_behaviour
-from repro.sysagents.shell import shell_behaviour
 
 __all__ = [
     "ag_py_behaviour", "rexec_behaviour", "courier_behaviour",
-    "diffusion_behaviour", "naive_flood_behaviour", "shell_behaviour",
+    "diffusion_behaviour", "naive_flood_behaviour",
     "install_standard_agents", "STANDARD_AGENTS",
     "DIFFUSION_CABINET", "VISITED_FOLDER",
 ]
@@ -31,7 +31,6 @@ STANDARD_AGENTS = {
     "courier": (courier_behaviour, True),
     "diffusion": (diffusion_behaviour, False),
     "naive_flood": (naive_flood_behaviour, False),
-    "shell": (shell_behaviour, False),
 }
 
 # Register the standard behaviours under their well-known names so CODE

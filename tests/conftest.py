@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import settings
@@ -31,6 +34,15 @@ def ring_kernel() -> Kernel:
     """A 6-site ring kernel (used by itinerary and fault-tolerance tests)."""
     return Kernel(ring([f"s{i}" for i in range(6)]), transport="tcp",
                   config=KernelConfig(rng_seed=11))
+
+
+@pytest.fixture(scope="session")
+def size_report_run() -> subprocess.CompletedProcess:
+    """One run of ``tools/size_report.py --reach`` for the whole session: it
+    runs every example and ledger workload under a profile hook (seconds)."""
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "size_report.py"
+    return subprocess.run([sys.executable, str(tool), "--reach"], capture_output=True,
+                          text=True, timeout=300)
 
 
 @pytest.fixture(params=BACKENDS)

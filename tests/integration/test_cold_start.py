@@ -15,7 +15,6 @@ import pytest
 import repro
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-SIZE_REPORT = os.path.join(os.path.dirname(SRC), "tools", "size_report.py")
 
 
 def run_fresh(script: str, hash_seed: str) -> str:
@@ -26,16 +25,15 @@ def run_fresh(script: str, hash_seed: str) -> str:
     return done.stdout
 
 
-def test_importing_the_kernel_packages_loads_nothing_third_party():
+def test_importing_the_kernel_packages_loads_nothing_third_party(size_report_run):
     # A site pays its imports before its first meet, and so does every shard
     # worker; the kernel packages need the standard library only.  The size
     # report counts, in a fresh interpreter, what importing them loads; this
     # is the guard that keeps a graph or array library from creeping back in,
     # whether or not one happens to be installed where the tests run.
-    report = subprocess.run([sys.executable, SIZE_REPORT], capture_output=True, text=True,
-                            timeout=60)
+    report = size_report_run
     assert report.returncode == 0, report.stderr
-    numbers = dict(field.split("=") for field in report.stdout.split()[1:])
+    numbers = dict(field.split("=") for field in report.stdout.splitlines()[-1].split()[1:])
     assert numbers["third_party"] == "0", report.stdout
     assert int(numbers["import_modules"]) > 0
     # Same tool, same line: performance is measured in benchmarks/ledger/

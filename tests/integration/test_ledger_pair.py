@@ -2,7 +2,9 @@
 
 One tree on both sides at the ledger's ``--quick`` populations: the pair
 runs, every end-to-end metric is summarised per side, the trajectory row is
-written, and no fingerprint input moved.  The ``CALLS`` line the row carries
+written, and no fingerprint input moved.  That tree is a ``git clone`` of
+``HEAD``, because ``--append`` refuses a tree with uncommitted source edits,
+which the working tree under test may have.  The ``CALLS`` line the row carries
 is exact: it repeats over runs and hash seeds.  ``hot_functions.py --rss``
 reads both processes a ``churn_shards2`` memory claim can be in, and
 ``--setup`` splits ``setup_s`` into its imports and build.
@@ -31,10 +33,19 @@ pytestmark = pytest.mark.one_engine(
            "Kernel.__init__ never reaches: a second run would repeat the first")
 
 
-def test_one_tree_on_both_sides_moves_no_key(tmp_path):
+@pytest.fixture
+def clone(tmp_path) -> pathlib.Path:
+    """A ``git clone`` of this repository's ``HEAD``: every tracked file committed."""
+    tree = tmp_path / "tree"
+    subprocess.run(["git", "clone", "--quiet", str(REPO), str(tree)], check=True,
+                   capture_output=True, timeout=60)
+    return tree
+
+
+def test_one_tree_on_both_sides_moves_no_key(tmp_path, clone):
     trajectory = tmp_path / "BENCH_ledger.json"
     done = subprocess.run(
-        [sys.executable, str(TOOL), str(REPO), str(REPO), "--workload", "churn",
+        [sys.executable, str(TOOL), str(clone), str(clone), "--workload", "churn",
          "--quick", "--pairs", "1", "--pr", "0", "--append", str(trajectory)],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -42,6 +53,7 @@ def test_one_tree_on_both_sides_moves_no_key(tmp_path):
     assert all(f"  {metric} " in done.stdout for metric in METRICS), done.stdout
     (row,) = json.loads(trajectory.read_text())
     assert (row["pr"], row["source"], row["seeds"]) == (0, "ledger_pair", [7])
+    assert (row["sha"], row["dirty"]) == (row["parent_sha"], False)
     assert row["size"].startswith("SIZE src_lines=")
     entry = row["workloads"]["churn"]["7"]
     assert entry["moved_keys"] == [] and entry["fingerprint"] == entry["parent_fingerprint"]
@@ -53,8 +65,27 @@ def test_one_tree_on_both_sides_moves_no_key(tmp_path):
     assert entry["calls"].startswith("CALLS churn calls_per_unit=")
     assert entry["host_ref_us"] > 0 and entry["parent_host_ref_us"] > 0
     assert "  host_ref_us parent " in done.stdout, done.stdout
-    assert all(f"compiled {side} {REPO} in " in done.stdout
+    assert all(f"compiled {side} {clone} in " in done.stdout
                for side in ("parent", "change")), done.stdout
+
+
+def test_append_refuses_a_tree_with_uncommitted_source_edits(tmp_path, clone):
+    # A row names its trees by SHA; an edited src/ file is a tree no SHA
+    # names, so nothing is run and nothing is written.  An edited record is
+    # not code: it alone does not stop the row (the dirty flag says so).
+    trajectory = tmp_path / "BENCH_ledger.json"
+    with open(clone / "CHANGES.md", "a", encoding="utf-8") as handle:
+        handle.write("a record edit\n")
+    with open(clone / "src" / "repro" / "core" / "kernel.py", "a", encoding="utf-8") as handle:
+        handle.write("# an uncommitted edit\n")
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(clone), str(clone), "--workload", "churn",
+         "--quick", "--pairs", "1", "--pr", "0", "--append", str(trajectory)],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode != 0
+    assert "--append refused" in done.stderr
+    assert "src/repro/core/kernel.py" in done.stderr and "CHANGES.md" not in done.stderr
+    assert "compiled" not in done.stdout and not trajectory.exists()
 
 
 @pytest.mark.parametrize("workload", ["churn", "ft_durable"])

@@ -15,7 +15,9 @@ workers forked from a test run hold them too.
 * **courier fan-in**: every sender couriers its reports to one hub;
 * **sharded churn**: couriers whose reports cross shard boundaries;
 * **failing agents**: behaviours that make a burst, a worker or a reply fail,
-  for the error paths of the shard backends.
+  for the error paths of the shard backends;
+* **a contact that leaves a trace**: what a test ships or meets when it must
+  see that the shipped agent really ran where it was sent.
 """
 
 from __future__ import annotations
@@ -128,6 +130,31 @@ def unpicklable_result(ctx, briefcase: Briefcase):
 register_behaviour(BAD_SLEEPER_NAME, bad_sleeper, replace=True)
 register_behaviour(QUITTER_NAME, quitter, replace=True)
 register_behaviour(UNPICKLABLE_RESULT_NAME, unpicklable_result, replace=True)
+
+
+# ---------------------------------------------------------------------------
+# a contact that leaves a trace
+# ---------------------------------------------------------------------------
+
+#: registered name of the contact that files one record each time it runs
+RECORDER_NAME = "arrival_recorder"
+#: the cabinet it files in, folder "arrivals"
+RECORDER_CABINET = "recorder"
+
+
+def arrival_recorder(ctx, briefcase: Briefcase):
+    """Contact: file where and when it ran in the recorder cabinet."""
+    ctx.cabinet(RECORDER_CABINET).put("arrivals", {"site": ctx.site_name, "at": ctx.now})
+    yield ctx.sleep(0)
+    return ctx.site_name
+
+
+register_behaviour(RECORDER_NAME, arrival_recorder, replace=True)
+
+
+def recorded_arrivals(kernel: Kernel, site: str) -> List[dict]:
+    """What the recorder filed at *site*, oldest first."""
+    return kernel.site(site).cabinet(RECORDER_CABINET).elements("arrivals")
 
 
 # ---------------------------------------------------------------------------

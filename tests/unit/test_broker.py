@@ -163,27 +163,6 @@ class TestBrokerOperations:
         assert value is None
         assert "unknown broker operation" in briefcase.get("ERROR")
 
-    def test_acquire_with_ticket_agent_attaches_ticket(self):
-        from repro.scheduling import TICKET_AGENT_NAME, TicketIssuer, make_ticket_behaviour
-        kernel = Kernel(lan(["brokerage", "s1"]), transport="tcp",
-                        config=KernelConfig(rng_seed=8))
-        issuer = TicketIssuer()
-        kernel.install_agent("brokerage", TICKET_AGENT_NAME, make_ticket_behaviour(issuer),
-                             replace=True)
-        kernel.install_agent("brokerage", BROKER_AGENT_NAME,
-                             make_broker_behaviour(ticket_agent=TICKET_AGENT_NAME),
-                             replace=True)
-        register(kernel, "s1")
-        request = Briefcase()
-        request.set("OP", "acquire")
-        request.set("SERVICE", "compute")
-        request.set("CLIENT", "alice")
-        provider, briefcase = meet_broker(kernel, request)
-        assert provider["site"] == "s1"
-        ticket = briefcase.get("TICKET")
-        assert ticket is not None and ticket["holder"] == "alice"
-        assert issuer.issued == 1
-
 
 class TestBrokerState:
     def test_provider_rows_are_replaced_by_key(self, kernel):

@@ -18,7 +18,7 @@ from repro.apps.stormcast import (READINGS_FOLDER, SENSOR_CABINET, WeatherGenera
 from repro.cash import Mint, Wallet
 from repro.core import Briefcase, FileCabinet, Kernel
 from repro.net import lan
-from repro.scheduling import BrokerState, admit_rate_limited, make_guardian_behaviour
+from repro.scheduling import BrokerState, make_guardian_behaviour
 
 
 class StubContext:
@@ -60,13 +60,6 @@ def broker_table(watch):
     assert state.assignments() == {"a": 1}
 
 
-def guardian_rate_bucket(watch):
-    cabinet = watch(FileCabinet("guardian"), "rate_bucket",
-                    seed={"window_start": 0.0, "count": 0})
-    assert admit_rate_limited(2)(StubContext(cabinet), {}) is True
-    assert cabinet.get("rate_bucket")["count"] == 1
-
-
 def guardian_pending(watch):
     cabinet = watch(FileCabinet("guardian"), "pending")
     guardian = make_guardian_behaviour("secret", policy=lambda ctx, request: False)
@@ -99,7 +92,7 @@ def wallet_withdrawal(watch):
     assert Wallet(cabinet).balance() == 5
 
 
-WRITERS = [mailbox_delete, broker_table, guardian_rate_bucket, guardian_pending,
+WRITERS = [mailbox_delete, broker_table, guardian_pending,
            stormcast_readings, wallet_deposit, wallet_withdrawal]
 
 

@@ -8,6 +8,7 @@ from repro.core import Briefcase, Kernel, KernelConfig
 from repro.core.briefcase import CODE_FOLDER, CONTACT_FOLDER, HOST_FOLDER
 from repro.core.syscalls import EndMeet, Meet, Sleep, Spawn, Terminate, Transmit
 from repro.net import lan
+from scenarios import RECORDER_NAME, arrival_recorder, recorded_arrivals
 
 
 @pytest.fixture
@@ -182,12 +183,15 @@ class TestJumpIdiom:
         def probe(ctx, bc):
             yield ctx.sleep(0)
             travel = Briefcase()
-            ctx.jump(travel, "c", contact="shell")
-            return travel.get(CONTACT_FOLDER)
+            result = yield ctx.jump(travel, "c", contact=RECORDER_NAME)
+            return travel.get(CONTACT_FOLDER), result.value
 
         from repro.core.registry import register_behaviour
         register_behaviour("ctx_probe2", probe, replace=True)
-        assert run_probe(kernel, "ctx_probe2") == "shell"
+        kernel.install_agent("c", RECORDER_NAME, arrival_recorder)
+        assert run_probe(kernel, "ctx_probe2") == (RECORDER_NAME, True)
+        # The contact named, not ag_py, was started at c.
+        assert [record["site"] for record in recorded_arrivals(kernel, "c")] == ["c"]
 
     def test_send_folder_builds_courier_meet(self, kernel):
         from repro.core import Folder

@@ -14,6 +14,7 @@ from repro.core.errors import (KernelError, MeetError, SyscallError, UnknownAgen
                                UnknownSiteError)
 from repro.core.syscalls import Meet, Sleep, Syscall, Terminate
 from repro.net import RshTransport, TcpTransport, lan
+from scenarios import RECORDER_NAME, recorded_arrivals
 
 
 @pytest.fixture
@@ -664,14 +665,19 @@ class TestFailureInjection:
             request = Briefcase()
             request.set("HOST", "b")
             request.set("CONTACT", "ag_py")
-            request.set("CODE", code_for("shell"))
+            request.set("CODE", code_for(RECORDER_NAME))
             result = yield ctx.meet("rexec", request)
             return result.value
 
         agent_id = kernel.launch("a", mover)
         kernel.run()
         assert kernel.result_of(agent_id) is False
+        assert recorded_arrivals(kernel, "b") == []
         kernel.heal_partition()
+        agent_id = kernel.launch("a", mover)
+        kernel.run()
+        assert kernel.result_of(agent_id) is True
+        assert [record["site"] for record in recorded_arrivals(kernel, "b")] == ["b"]
 
     def test_site_load_counts_active_agents(self, kernel):
         def sleeper(ctx, bc):

@@ -8,7 +8,9 @@ from repro.cash import Mint, Wallet
 from repro.cash.metering import (TOLL_CABINET, UNMETERED_REXEC, fund_briefcase,
                                  install_metering, make_metered_rexec, toll_revenue)
 from repro.core import Briefcase, Kernel, KernelConfig, register_behaviour
+from repro.core.codec import code_for
 from repro.net import lan
+from scenarios import RECORDER_NAME, recorded_arrivals
 
 
 def hopper(ctx, bc):
@@ -159,13 +161,14 @@ class TestTollCollection:
         def local_mover(ctx, bc):
             request = Briefcase()
             request.set("HOST", ctx.site_name)
-            request.set("CONTACT", "shell")
+            request.set("CODE", code_for(RECORDER_NAME))
             result = yield ctx.meet("rexec", request)
             return result.value
 
         agent_id = kernel.launch("s0", local_mover)
         kernel.run()
         assert kernel.result_of(agent_id) is True
+        assert [record["site"] for record in recorded_arrivals(kernel, "s0")] == ["s0"]
         assert toll_revenue(kernel) == 0
 
     def test_toll_of_zero_behaves_like_unmetered(self):

@@ -1,4 +1,10 @@
-"""Unit tests for broker-mediated access to protected agents."""
+"""Unit tests for broker-mediated access to protected agents (paper section 4).
+
+The guardian is the only way to meet the protected agent, whose name it
+keeps secret; each request is queued, with its briefcase, in a folder of the
+guardian's cabinet, and the protected agent's policy (a plain function of
+the request record, written inline here) decides which are forwarded.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +12,12 @@ import pytest
 
 from repro.core import Briefcase, Kernel, KernelConfig
 from repro.net import lan
-from repro.scheduling.protected import (GUARDIAN_CABINET, admit_all, admit_authorized,
-                                        admit_rate_limited, make_guardian_behaviour)
+from repro.scheduling.protected import GUARDIAN_CABINET, admit_all, make_guardian_behaviour
+
+
+def alice_only(ctx, request):
+    """An inline admission policy: forward alice's requests only."""
+    return request["requester"] == "alice"
 
 
 def protected_service(ctx, bc):
@@ -56,36 +66,20 @@ class TestAdmissionPolicies:
         assert response.get("DOUBLED") == 42
         assert kernel.site("fort").cabinet("protected").get("met_by") == "alice"
 
-    def test_admit_authorized_allows_listed_principals(self, kernel):
-        kernel.install_agent(
-            "fort", "guardian",
-            make_guardian_behaviour("secret_service_xyzzy",
-                                    admit_authorized({"alice"})),
-            replace=True)
-        granted, _ = request_via_guardian(kernel, requester="alice")
-        assert granted is True
-
-    def test_admit_authorized_queues_strangers(self, kernel):
-        kernel.install_agent(
-            "fort", "guardian",
-            make_guardian_behaviour("secret_service_xyzzy",
-                                    admit_authorized({"alice"})),
-            replace=True)
+    def test_a_refused_request_waits_in_the_pending_folder(self, kernel):
+        kernel.install_agent("fort", "guardian",
+                             make_guardian_behaviour("secret_service_xyzzy", alice_only),
+                             replace=True)
+        assert request_via_guardian(kernel, requester="alice")[0] is True
         granted, outer = request_via_guardian(kernel, requester="mallory")
         assert granted is False
         assert outer.get("QUEUED_POSITION") == 1
         pending = kernel.site("fort").cabinet(GUARDIAN_CABINET).elements("pending")
         assert len(pending) == 1
         assert pending[0]["requester"] == "mallory"
-
-    def test_rate_limit_queues_excess_requests(self, kernel):
-        kernel.install_agent(
-            "fort", "guardian",
-            make_guardian_behaviour("secret_service_xyzzy",
-                                    admit_rate_limited(max_per_window=2, window=100.0)),
-            replace=True)
-        outcomes = [request_via_guardian(kernel, requester=f"user{i}")[0] for i in range(4)]
-        assert outcomes == [True, True, False, False]
+        # The queued request holds mallory's whole briefcase, unopened.
+        assert Briefcase.from_wire(pending[0]["briefcase"]).get("CALLER") == "mallory"
+        assert kernel.site("fort").cabinet("protected").get("met_by") == "alice"
 
     def test_request_records_are_always_kept(self, kernel):
         kernel.install_agent("fort", "guardian",
@@ -115,7 +109,7 @@ class TestQueueAndDrain:
     def test_drain_keeps_requests_the_policy_still_refuses(self, kernel):
         kernel.install_agent(
             "fort", "guardian",
-            make_guardian_behaviour("secret_service_xyzzy", admit_authorized({"nobody"}),
+            make_guardian_behaviour("secret_service_xyzzy", alice_only,
                                     queue_by_default=True),
             replace=True)
         request_via_guardian(kernel, requester="mallory")

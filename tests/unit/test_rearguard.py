@@ -19,6 +19,7 @@ from repro.fault.ftmove import completions, launch_ft_computation
 from repro.fault.recovery import record_checkpoint
 from repro.net import FailureSchedule, lan
 from repro.sysagents.rexec import rexec_behaviour
+from scenarios import RECORDER_NAME, recorded_arrivals
 
 
 @pytest.fixture
@@ -29,11 +30,11 @@ def kernel():
 
 
 def make_snapshot(target="b", ft_id="ft-1"):
-    """A minimal shippable snapshot: runs the shell agent at the target."""
+    """A minimal shippable snapshot: runs the arrival recorder at the target."""
     shipment = Briefcase()
     shipment.set("FT_ID", ft_id)
     shipment.set("TARGET_SITE", target)
-    shipment.set("CODE", code_for("shell"))
+    shipment.set("CODE", code_for(RECORDER_NAME))
     shipment.folder("ITINERARY", create=True).enqueue("c")
     return shipment
 
@@ -189,10 +190,11 @@ class TestRearGuard:
         guard_id = spawn_guard(kernel, protects_seq=1, per_hop=0.1, max_relaunches=1)
         kernel.run(until=30.0)
         # The guard relaunched the snapshot: an agent transfer went to b and
-        # the shell agent there was started by ag_py.
+        # the recorder there was started by ag_py.
         assert kernel.stats.migrations >= 1
         relaunches = kernel.site("a").cabinet(REARGUARD_CABINET).elements("relaunches")
         assert relaunches and relaunches[0]["accepted"] is True
+        assert [record["site"] for record in recorded_arrivals(kernel, "b")] == ["b"]
         assert kernel.result_of(guard_id) in ("relaunched", "gave-up")
 
     @pytest.mark.parametrize("per_hop", [0.05, 0.1, 0.4])
@@ -255,8 +257,7 @@ class TestRearGuard:
         relaunches = kernel.site("a").cabinet(REARGUARD_CABINET).elements("relaunches")
         assert relaunches and relaunches[0]["accepted"] is True
         assert kernel.counters()["arrivals"] == 1
-        assert any(agent.site_name == "c"                   # the shell ran at c
-                   for agent in kernel.agents.values())
+        assert [record["site"] for record in recorded_arrivals(kernel, "c")] == ["c"]
         assert kernel.result_of(guard_id) in ("relaunched", "gave-up")
 
     def test_relaunch_with_everything_down_is_not_accepted(self, kernel):

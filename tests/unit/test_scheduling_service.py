@@ -6,8 +6,8 @@ import pytest
 
 from repro.core import Briefcase, Kernel, KernelConfig
 from repro.net import lan
-from repro.scheduling import (CLIENT_BEHAVIOUR_NAME, SERVICE_AGENT_NAME, TicketIssuer,
-                              install_scheduling, make_compute_service_behaviour)
+from repro.scheduling import (CLIENT_BEHAVIOUR_NAME, SERVICE_AGENT_NAME, install_scheduling,
+                              make_compute_service_behaviour)
 from repro.scheduling.monitor import make_monitor_behaviour
 from repro.scheduling.routing import gossip_convergence, make_gossip_behaviour
 from repro.scheduling.broker import BROKER_CABINET, BrokerState
@@ -61,45 +61,6 @@ class TestComputeService:
         kernel.run()
         jobs = kernel.site("s1").cabinet("service").elements("jobs")
         assert len(jobs) == 1 and jobs[0]["client"] == "tester"
-
-    def test_ticket_required_refuses_unticketed_requests(self):
-        kernel = make_kernel()
-        issuer = TicketIssuer()
-        kernel.install_agent(
-            "s1", SERVICE_AGENT_NAME,
-            make_compute_service_behaviour(work_seconds=0.01, issuer=issuer,
-                                           require_ticket=True),
-            replace=True)
-
-        def client(ctx, bc):
-            result = yield ctx.meet(SERVICE_AGENT_NAME, Briefcase())
-            return result.value
-
-        agent_id = kernel.launch("s1", client)
-        kernel.run()
-        assert kernel.result_of(agent_id) is None
-        assert kernel.site("s1").cabinet("service").elements("refused")
-
-    def test_ticket_required_accepts_valid_ticket(self):
-        kernel = make_kernel()
-        issuer = TicketIssuer()
-        kernel.install_agent(
-            "s1", SERVICE_AGENT_NAME,
-            make_compute_service_behaviour(work_seconds=0.01, issuer=issuer,
-                                           require_ticket=True),
-            replace=True)
-
-        def client(ctx, bc):
-            ticket = issuer.issue("compute", "alice", "s1", now=ctx.now)
-            request = Briefcase()
-            request.set("TICKET", ticket.to_wire())
-            result = yield ctx.meet(SERVICE_AGENT_NAME, request)
-            return result.value
-
-        agent_id = kernel.launch("s1", client)
-        kernel.run()
-        assert kernel.result_of(agent_id) is not None
-        assert issuer.redeemed == 1
 
 
 class TestMonitorAndGossip:
@@ -186,20 +147,6 @@ class TestDeployment:
         assert all(outcome["status"] == "served" for outcome in outcomes)
         jobs = deployment.provider_job_counts()
         assert sum(jobs.values()) == 6
-
-    def test_deployment_with_tickets_issues_and_redeems(self):
-        kernel = make_kernel()
-        deployment = install_scheduling(
-            kernel, ["brokerage"],
-            [{"site": "s1", "capacity": 1.0}],
-            policy="round-robin", with_tickets=True, monitor_rounds=2, work_seconds=0.01)
-        kernel.run(until=0.5)
-        launch_client(kernel, 0, delay=0.5)
-        kernel.run()
-        outcomes = deployment.client_outcomes(["home"])
-        assert outcomes and outcomes[0]["status"] == "served"
-        assert deployment.issuer.issued >= 1
-        assert deployment.issuer.redeemed >= 1
 
     def test_client_with_no_provider_reports_gracefully(self):
         kernel = make_kernel()

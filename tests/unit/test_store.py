@@ -8,10 +8,12 @@ import pytest
 
 from contracts import BaseTestFolderContainer
 from repro.core import Kernel, KernelConfig
+from repro.core.codec import code_for
 from repro.core.errors import CabinetError, KernelError, StoreError
 from repro.net import lan
 from repro.store import WriteAheadLog
 from repro.store.policy import StoreCosts
+from scenarios import RECORDER_NAME, recorded_arrivals
 
 
 def make_kernel(policy="wal-group-commit", costs=None, **knobs):
@@ -210,7 +212,7 @@ class TestCrashRecovery:
         def sender(ctx, bc):
             bc.set("HOST", "a")
             bc.set("CONTACT", "ag_py")
-            bc.set("CODE", {"kind": "behaviour", "name": "shell"})
+            bc.set("CODE", code_for(RECORDER_NAME))
             result = yield ctx.meet("rexec", bc)
             return result.value
 
@@ -221,6 +223,10 @@ class TestCrashRecovery:
         assert dropped_before > 0              # the transfer did not get in
         kernel.run(until=10.0)
         assert kernel.site("a").alive
+        assert recorded_arrivals(kernel, "a") == []
+        kernel.launch("b", sender, Briefcase())
+        kernel.run(until=12.0)                 # replay done: the same transfer gets in
+        assert [record["site"] for record in recorded_arrivals(kernel, "a")] == ["a"]
 
     def test_crash_during_recovery_aborts_and_recovers_later(self):
         kernel = make_kernel(store_commit_window=0.1,

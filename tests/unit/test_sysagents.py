@@ -1,4 +1,4 @@
-"""Unit tests for the standard system agents: rexec, ag_py, courier, shell."""
+"""Unit tests for the standard system agents: rexec, ag_py, courier."""
 
 from __future__ import annotations
 
@@ -6,8 +6,10 @@ import pytest
 
 from repro.core import AgentState, Briefcase, Folder, Kernel, KernelConfig
 from repro.core.codec import code_for, code_from_source
+from repro.core.errors import MeetError
 from repro.net import lan
 from repro.sysagents import STANDARD_AGENTS, install_standard_agents
+from scenarios import RECORDER_NAME, recorded_arrivals
 
 
 @pytest.fixture
@@ -23,8 +25,20 @@ def run_client(kernel, behaviour, site="a"):
 
 class TestInstallation:
     def test_standard_agents_table(self):
-        for name in ("ag_py", "rexec", "courier", "diffusion", "shell"):
-            assert name in STANDARD_AGENTS
+        assert sorted(STANDARD_AGENTS) == ["ag_py", "courier", "diffusion", "naive_flood",
+                                           "rexec"]
+
+    def test_the_retired_shell_is_met_nowhere(self, kernel):
+        def client(ctx, bc):
+            try:
+                yield ctx.meet("shell", Briefcase())
+            except MeetError as error:
+                return str(error)
+
+        agent_ids = [kernel.launch(site, client) for site in kernel.site_names()]
+        kernel.run()
+        for agent_id in agent_ids:
+            assert "no agent installed under 'shell'" in kernel.result_of(agent_id)
 
     def test_install_standard_agents_is_idempotent(self, kernel):
         site = kernel.site("a")
@@ -79,13 +93,14 @@ class TestRexec:
             request.set("HOST", "b")
             request.set("CONTACT", "ag_py")
             request.set("KIND", "priority")         # app-defined folder
-            request.set("CODE", code_for("shell"))
+            request.set("CODE", code_for(RECORDER_NAME))
             result = yield ctx.meet("rexec", request)
             return (result.value, request.has("KIND"))
 
         value, kind_kept = run_client(kernel, client)
         assert value is True
         assert kind_kept is True
+        assert len(recorded_arrivals(kernel, "b")) == 1
         assert kernel.stats.per_kind[MessageKind.AGENT_TRANSFER] == 1
         assert kernel.stats.per_kind.get(MessageKind.FT_RELAUNCH, 0) == 0
 
@@ -97,13 +112,14 @@ class TestRexec:
             request.set("HOST", "b")
             request.set("CONTACT", "ag_py")
             request.set("KIND", MessageKind.FT_RELAUNCH)
-            request.set("CODE", code_for("shell"))
+            request.set("CODE", code_for(RECORDER_NAME))
             result = yield ctx.meet("rexec", request)
             return (result.value, request.has("KIND"))
 
         value, kind_kept = run_client(kernel, client)
         assert value is True
         assert kind_kept is False                  # consumed per shipment
+        assert len(recorded_arrivals(kernel, "b")) == 1
         assert kernel.stats.per_kind[MessageKind.FT_RELAUNCH] == 1
 
     def test_transfer_to_down_site_ends_meet_with_false(self, kernel):
@@ -113,12 +129,15 @@ class TestRexec:
             request = Briefcase()
             request.set("HOST", "b")
             request.set("CONTACT", "ag_py")
-            request.set("CODE", code_for("shell"))
+            request.set("CODE", code_for(RECORDER_NAME))
             result = yield ctx.meet("rexec", request)
             return result.value
 
         assert run_client(kernel, client) is False
         assert kernel.counters()["undeliverable"] == 0     # refused at the source, never sent
+        kernel.recover_site("b")
+        assert run_client(kernel, client) is True
+        assert len(recorded_arrivals(kernel, "b")) == 1    # the one that was sent
 
     def test_successful_transfer_starts_contact_at_destination(self, kernel):
         def remote_task(ctx, bc):
@@ -302,42 +321,3 @@ class TestCourier:
         assert run_client(kernel, client) is True
         assert "SECRET" not in seen_folders["names"]
         assert "DOC" in seen_folders["names"]
-
-
-class TestShell:
-    def test_executes_command_sequence(self, kernel):
-        def client(ctx, bc):
-            request = Briefcase()
-            commands = request.folder("COMMANDS", create=True)
-            commands.enqueue({"op": "put", "cabinet": "store", "folder": "X", "value": 41})
-            commands.enqueue({"op": "get", "cabinet": "store", "folder": "X"})
-            commands.enqueue({"op": "list", "cabinet": "store"})
-            commands.enqueue({"op": "load"})
-            result = yield ctx.meet("shell", request)
-            return (result.value, request.folder("RESULTS").elements())
-
-        executed, results = run_client(kernel, client)
-        assert executed == 4
-        assert results[0] == {"folder": "X", "value": 41}
-        assert results[1]["folders"] == ["X"]
-        assert results[2]["site"] == "a"
-
-    def test_unknown_and_malformed_commands_are_reported(self, kernel):
-        def client(ctx, bc):
-            request = Briefcase()
-            commands = request.folder("COMMANDS", create=True)
-            commands.enqueue({"op": "fly"})
-            commands.enqueue("not even a dict")
-            result = yield ctx.meet("shell", request)
-            return (result.value, request.folder("RESULTS").elements())
-
-        executed, results = run_client(kernel, client)
-        assert executed == 0
-        assert all("error" in entry for entry in results)
-
-    def test_no_commands_is_a_noop(self, kernel):
-        def client(ctx, bc):
-            result = yield ctx.meet("shell", Briefcase())
-            return result.value
-
-        assert run_client(kernel, client) == 0

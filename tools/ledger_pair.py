@@ -37,7 +37,11 @@ sides' ``host_ref_us``, the fingerprint, the change tree's ``ALLOC`` and ``RETAI
 (``--calls``, counted for each tree by the change tree's copy of the tool, so
 a parent older than the flag is measured too); the row also carries its
 ``SIZE`` line (``tools/size_report.py``).  Appending to a PR that already
-has a row merges into it.  Needs no ``PYTHONPATH``.
+has a row merges into it.  A row must name a tree a replay can rebuild from
+its SHA, so ``--append`` refuses, before any repetition runs, a change tree
+with uncommitted edits to tracked files under ``SOURCE_DIRS`` (commit the
+change first; edits to records such as ``CHANGES.md`` or the trajectory
+itself do not count).  Needs no ``PYTHONPATH``.
 """
 
 import argparse
@@ -61,6 +65,9 @@ REP_TIMEOUT_S = 100
 HOST_REF_LOOPS = 200_000
 #: ``python3 -c`` program: run TOOLS/hot_functions.py over the sources of TREE
 #: (its two leading arguments) with the remaining arguments
+#: the tracked directories whose uncommitted edits make ``--append`` refuse:
+#: what the measured code is built from
+SOURCE_DIRS = ("src/", "benchmarks/ledger/")
 ON_TREE = ("import pathlib, sys; sys.path.insert(0, sys.argv.pop(1)); import hot_functions; "
            "hot_functions.REPO = pathlib.Path(sys.argv.pop(1)); sys.exit(hot_functions.main())")
 
@@ -213,15 +220,25 @@ def last_line(tree: pathlib.Path, *args: str) -> str:
     return done.stdout.strip().splitlines()[-1]
 
 
+def git(tree: pathlib.Path, *args: str) -> str:
+    try:
+        return subprocess.run(["git", "-C", str(tree), *args], capture_output=True,
+                              text=True).stdout.strip()
+    except OSError:  # no git on this host: the row says so with a null SHA
+        return ""
+
+
 def git_state(tree: pathlib.Path) -> dict:
-    def git(*args):
-        try:
-            return subprocess.run(["git", "-C", str(tree), *args], capture_output=True,
-                                  text=True).stdout.strip()
-        except OSError:  # no git on this host: the row says so with a null SHA
-            return ""
-    return {"sha": git("rev-parse", "HEAD") or None,
-            "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+    return {"sha": git(tree, "rev-parse", "HEAD") or None,
+            "dirty": bool(git(tree, "status", "--porcelain", "--untracked-files=no"))}
+
+
+def source_edits(tree: pathlib.Path) -> list:
+    """The tracked paths under ``SOURCE_DIRS`` that *tree* has edited and not
+    committed (porcelain paths are relative to the repository root)."""
+    return [line[3:] for line in git(tree, "status", "--porcelain",
+                                     "--untracked-files=no").splitlines()
+            if line[3:].startswith(SOURCE_DIRS)]
 
 
 def dumps(value, indent: str = "") -> str:
@@ -288,6 +305,12 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    edits = source_edits(trees["change"]) if args.append is not None else []
+    if edits:
+        print(f"--append refused: {trees['change']} has uncommitted edits to "
+              f"{', '.join(edits)}; no SHA names that tree, so commit it first",
+              file=sys.stderr)
+        return 1
     with tempfile.TemporaryDirectory(prefix="ledger_pair-") as scratch:
         envs = {}
         for side, tree in trees.items():

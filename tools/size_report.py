@@ -2,9 +2,12 @@
 """Print the size numbers ROADMAP aim 2 tracks, as one line.
 
     SIZE src_lines=... core_lines=... config_fields=... kernel_public=...
-         shards_branches=... test_only_defs=... test_only_knobs=... bench_files=...
-         import_modules=... third_party=... test_lines=... example_lines=...
-         package_public=... (same line)
+         shards_branches=... test_only_defs=... test_only_knobs=...
+         unreached_lines=... bench_files=... import_modules=... third_party=...
+         test_lines=... example_lines=... package_public=... (same line)
+
+    python3 tools/size_report.py --reach   # first every unreached block of
+                                           # 20 lines or more, then the line
 
 ``src_lines`` is ``wc -l`` over ``src/repro/**/*.py``; ``core_lines`` the
 part of it in the kernel facade, the engine and the shard package
@@ -40,11 +43,23 @@ called by the standard library, not by name.  ``test_only_knobs`` counts
 the ``KernelConfig`` fields that no ``.py`` file outside ``tests/`` sets,
 as a call keyword or a dict key (any call's keyword of that name counts):
 a knob only tests turn wants to be a constant a test patches.
+``unreached_lines`` counts the lines of the top-level functions and methods
+of ``src/repro`` (a decorated one from its first decorator) that nothing but
+the tests enters: a ``sys.setprofile`` hook in a fresh interpreter records
+every code object entered while each ``examples/*.py`` script runs as
+``__main__`` and each ledger workload runs ``generate``, ``build``, ``drive``
+and ``check`` at its ``QUICK`` sizes; a block is reached when its own code
+object was entered.  ``shard/procworker.py`` is left out (the tool says so
+on standard error): it runs in forked shard workers, which the hook does not
+follow.  ``--reach`` first lists the unreached blocks of ``REACH_LISTED``
+lines or more, one ``UNREACHED`` line each; the ``SIZE`` line stays last.
 ``tests/unit/test_package_surface.py`` pins the qualified names that
-``test_only_defs()`` returns and the fields ``test_only_knobs()`` returns.  CI prints the line after tier-1; CHANGES.md
+``test_only_defs()`` returns, the fields ``test_only_knobs()`` returns and
+the blocks ``--reach`` lists.  CI prints the line after tier-1; CHANGES.md
 records parent -> change for each change.
 """
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -58,6 +73,10 @@ SRC = ROOT / "src"
 #: the engine and its coordination: what ``core_lines`` counts
 CORE_FILES = [SRC / "repro" / "core" / "kernel.py", SRC / "repro" / "core" / "engine.py",
               *sorted((SRC / "repro" / "shard").glob("*.py"))]
+#: run by forked shard workers, which a profile hook does not follow
+UNCOUNTED = SRC / "repro" / "shard" / "procworker.py"
+#: ``--reach`` lists the unreached blocks of at least this many lines
+REACH_LISTED = 20
 sys.path.insert(0, str(SRC))
 
 import repro  # noqa: E402
@@ -74,6 +93,40 @@ installed = {name.split(".")[0] for name in added
              if any(part in (getattr(sys.modules[name], "__file__", None) or "")
                     for part in ("site-packages", "dist-packages"))}
 print(f"import_modules={len(added)} third_party={len(installed)}")
+"""
+
+#: run every example as ``__main__`` and every ledger workload at its QUICK
+#: sizes (the ledger's default seed, 7) under a profile hook, then print the
+#: first line and the file of every ``src/repro`` code object entered, one
+#: per line
+REACH = """
+import contextlib, io, pathlib, runpy, sys
+root = pathlib.Path(sys.argv[1])
+sys.path[:0] = [str(root / "src"), str(root / "benchmarks" / "ledger")]
+entered = set()
+
+def hook(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+sys.setprofile(hook)
+with contextlib.redirect_stdout(io.StringIO()):
+    for script in sorted((root / "examples").glob("*.py")):
+        runpy.run_path(str(script), run_name="__main__")
+    import ledger_workloads
+    for workload in ledger_workloads.WORKLOADS.values():
+        inputs = workload.generate(7, ledger_workloads.QUICK)
+        kernel = workload.build(inputs)
+        try:
+            workload.drive(kernel, inputs)
+            workload.check(kernel, inputs)
+        finally:
+            kernel.close()
+sys.setprofile(None)
+src = str(root / "src" / "repro")
+for code in entered:
+    if code.co_filename.startswith(src):
+        print(code.co_firstlineno, code.co_filename)
 """
 
 
@@ -165,6 +218,42 @@ def assigns_all(node: ast.AST) -> bool:
                for target in targets)
 
 
+def blocks(path: pathlib.Path) -> list:
+    """``(first, last, qualified name)`` of every top-level function and every
+    method of a top-level class in *path*; a decorated one starts at its first
+    decorator."""
+    module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+    module = module[:-len(".__init__")] if module.endswith(".__init__") else module
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        members, prefix = ((node.body, f"{node.name}.") if isinstance(node, ast.ClassDef)
+                           else ([node], ""))
+        found += [(min([member.lineno] + [deco.lineno for deco in member.decorator_list]),
+                   member.end_lineno, f"{module}.{prefix}{member.name}")
+                  for member in members
+                  if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return found
+
+
+def unreached_blocks() -> list:
+    """``(lines, "path:first", qualified name)`` of every block of ``src/repro``
+    (``UNCOUNTED`` left out) that no example and no ledger workload enters,
+    in file and line order."""
+    done = subprocess.run([sys.executable, "-c", REACH, str(ROOT)], check=True,
+                          capture_output=True, text=True)
+    entered = {tuple(line.split(" ", 1)) for line in done.stdout.splitlines()}
+    unreached = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if path == UNCOUNTED:
+            continue
+        for first, last, name in blocks(path):
+            # a code object's first line is its first decorator's, else its def's
+            if (str(first), str(path)) not in entered:
+                unreached.append((last - first + 1,
+                                  f"{path.relative_to(ROOT)}:{first}", name))
+    return unreached
+
+
 def cold_start() -> str:
     """The two cold-start numbers, counted in a fresh interpreter."""
     return subprocess.run([sys.executable, "-c", COLD_START, str(SRC)], check=True,
@@ -172,6 +261,17 @@ def cold_start() -> str:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--reach", action="store_true",
+                        help=f"first list the unreached blocks of {REACH_LISTED} lines or more")
+    args = parser.parse_args()
+    print(f"unreached_lines leaves out {UNCOUNTED.relative_to(ROOT)}: forked shard "
+          "workers run it, and the profile hook does not follow a fork", file=sys.stderr)
+    unreached = unreached_blocks()
+    if args.reach:
+        for lines, where, name in unreached:
+            if lines >= REACH_LISTED:
+                print(f"UNREACHED {lines} {where} {name}")
     sources = sorted((SRC / "repro").rglob("*.py"))
     core = [line for path in sources if path.parent.name == "core"
             for line in lines_of(path)]
@@ -186,6 +286,7 @@ if __name__ == "__main__":
           f"shards_branches={sum('_shards is' in line or 'distributed' in line for line in core)}",
           f"test_only_defs={len(test_only_defs())}",
           f"test_only_knobs={len(test_only_knobs())}",
+          f"unreached_lines={sum(lines for lines, _, _ in unreached)}",
           f"bench_files={len(stray)}",
           cold_start(),
           f"test_lines={sum(len(lines_of(path)) for path in (ROOT / 'tests').rglob('*.py'))}",
