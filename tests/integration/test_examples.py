@@ -39,3 +39,8 @@ def test_example_catalogue_matches_directory():
     """Every shipped example is exercised above (no silently untested scripts)."""
     on_disk = sorted(name for name in os.listdir(EXAMPLES_DIR) if name.endswith(".py"))
     assert on_disk == sorted(EXAMPLES)
+
+
+def test_load_balancing_guardian_admits_one_requester_and_queues_the_other():
+    outcomes = load_example("load_balancing.py").meet_through_guardian()
+    assert outcomes == {"alice": (True, "served alice's job"), "mallory": (False, 1)}

@@ -88,6 +88,24 @@ def test_append_refuses_a_tree_with_uncommitted_source_edits(tmp_path, clone):
     assert "compiled" not in done.stdout and not trajectory.exists()
 
 
+def test_only_tracked_source_edits_block_an_append(clone):
+    # An edited record leaves the measured code as its SHA names it (the row
+    # only says dirty); a tracked edit under src/ or benchmarks/ledger/ does
+    # not, and each one is named.
+    tool = load_tool()
+    assert tool.source_edits(clone) == []
+    for record in ("CHANGES.md", "ROADMAP.md", "docs/architecture.md"):
+        with open(clone / record, "a", encoding="utf-8") as handle:
+            handle.write("a record edit\n")
+    assert tool.source_edits(clone) == []
+    assert tool.git_state(clone)["dirty"] is True
+    sources = ["benchmarks/ledger/ledger_workloads.py", "src/repro/core/kernel.py"]
+    for source in sources:
+        with open(clone / source, "a", encoding="utf-8") as handle:
+            handle.write("# an uncommitted edit\n")
+    assert sorted(tool.source_edits(clone)) == sources
+
+
 @pytest.mark.parametrize("workload", ["churn", "ft_durable"])
 def test_calls_per_unit_repeats_across_runs_and_hash_seeds(workload):
     def calls(hash_seed):

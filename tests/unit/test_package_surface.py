@@ -393,6 +393,37 @@ def test_unreached_blocks_are_exactly_the_listed_ones(size_report_run):
     assert done.stdout.splitlines()[-1].startswith("SIZE src_lines=")
 
 
+
+def test_a_block_is_a_top_level_def_or_method_from_its_first_decorator(
+        size_report, tmp_path, monkeypatch):
+    # The profile hook sees a code object's first line, which for a
+    # decorated def is its first decorator's; nested defs are inside a block.
+    path = tmp_path / "repro" / "x.py"
+    path.parent.mkdir()
+    path.write_text("import functools\n"                     # 1
+                    "\n"
+                    "@functools.lru_cache()\n"               # 3
+                    "@staticmethod\n"
+                    "def cached():\n"
+                    "    def inner():\n"
+                    "        return 1\n"
+                    "    return inner\n"                     # 8
+                    "\n"
+                    "class Box:\n"                           # 10
+                    "    size = 1\n"
+                    "\n"
+                    "    @property\n"                        # 13
+                    "    def area(self):\n"
+                    "        return self.size\n"             # 15
+                    "\n"
+                    "    def grow(self):\n"                  # 17
+                    "        self.size += 1\n",              # 18
+                    encoding="utf-8")
+    monkeypatch.setattr(size_report, "SRC", tmp_path)
+    assert size_report.blocks(path) == [(3, 8, "repro.x.cached"), (13, 15, "repro.x.Box.area"),
+                                        (17, 18, "repro.x.Box.grow")]
+
+
 @pytest.mark.parametrize("name", UNREACHED_BLOCKS)
 def test_an_unreached_block_is_held_by_a_claim_row_or_an_open_item(name):
     holder = UNREACHED_BLOCKS[name]

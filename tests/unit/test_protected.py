@@ -81,6 +81,25 @@ class TestAdmissionPolicies:
         assert Briefcase.from_wire(pending[0]["briefcase"]).get("CALLER") == "mallory"
         assert kernel.site("fort").cabinet("protected").get("met_by") == "alice"
 
+    def test_a_policy_may_keep_state_across_requests(self, kernel):
+        # The policy is asked once per request, in arrival order, with the
+        # record the guardian filed: here, one meeting per requester.
+        met = set()
+
+        def once_each(ctx, request):
+            first = request["requester"] not in met
+            met.add(request["requester"])
+            return first
+
+        kernel.install_agent("fort", "guardian",
+                             make_guardian_behaviour("secret_service_xyzzy", once_each),
+                             replace=True)
+        outcomes = [request_via_guardian(kernel, requester=name)[0]
+                    for name in ("alice", "bob", "alice")]
+        assert outcomes == [True, True, False]
+        pending = kernel.site("fort").cabinet(GUARDIAN_CABINET).elements("pending")
+        assert [entry["requester"] for entry in pending] == ["alice"]
+
     def test_request_records_are_always_kept(self, kernel):
         kernel.install_agent("fort", "guardian",
                              make_guardian_behaviour("secret_service_xyzzy"), replace=True)
@@ -116,6 +135,25 @@ class TestQueueAndDrain:
         forwarded, _ = request_via_guardian(kernel, op="drain")
         assert forwarded == 0
         assert len(kernel.site("fort").cabinet(GUARDIAN_CABINET).elements("pending")) == 1
+
+    def test_drain_forwards_what_a_changed_policy_now_admits(self, kernel):
+        gate = {"open": False}
+        kernel.install_agent(
+            "fort", "guardian",
+            make_guardian_behaviour("secret_service_xyzzy", lambda ctx, request: gate["open"]),
+            replace=True)
+        granted, _ = request_via_guardian(kernel, requester="mallory")
+        assert granted is False
+        assert kernel.site("fort").cabinet("protected").get("met_by") is None
+
+        gate["open"] = True
+        forwarded, _ = request_via_guardian(kernel, op="drain")
+        assert forwarded == 1
+        # The protected agent met the briefcase mallory queued, not the drainer's.
+        assert kernel.site("fort").cabinet("protected").get("met_by") == "mallory"
+        cabinet = kernel.site("fort").cabinet(GUARDIAN_CABINET)
+        assert cabinet.elements("pending") == []
+        assert [entry["requester"] for entry in cabinet.elements("forwarded")] == ["mallory"]
 
     def test_protected_name_never_appears_in_responses(self, kernel):
         """The whole point: the requester never learns the protected agent's name."""
