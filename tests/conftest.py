@@ -38,10 +38,10 @@ def ring_kernel() -> Kernel:
 
 @pytest.fixture(scope="session")
 def size_report_run() -> subprocess.CompletedProcess:
-    """One run of ``tools/size_report.py --reach`` for the whole session: it
+    """One run of ``tools/size_report.py`` for the whole session: it
     runs every example and ledger workload under a profile hook (seconds)."""
     tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "size_report.py"
-    return subprocess.run([sys.executable, str(tool), "--reach"], capture_output=True,
+    return subprocess.run([sys.executable, str(tool)], capture_output=True,
                           text=True, timeout=300)
 
 

@@ -69,13 +69,11 @@ def test_one_tree_on_both_sides_moves_no_key(tmp_path, clone):
                for side in ("parent", "change")), done.stdout
 
 
-def test_append_refuses_a_tree_with_uncommitted_source_edits(tmp_path, clone):
+def test_append_refuses_a_tree_whose_one_edit_is_a_src_file(tmp_path, clone):
     # A row names its trees by SHA; an edited src/ file is a tree no SHA
-    # names, so nothing is run and nothing is written.  An edited record is
-    # not code: it alone does not stop the row (the dirty flag says so).
+    # names, so nothing is run and nothing is written.  One unstaged edit,
+    # and nothing else, is the commonest such tree.
     trajectory = tmp_path / "BENCH_ledger.json"
-    with open(clone / "CHANGES.md", "a", encoding="utf-8") as handle:
-        handle.write("a record edit\n")
     with open(clone / "src" / "repro" / "core" / "kernel.py", "a", encoding="utf-8") as handle:
         handle.write("# an uncommitted edit\n")
     done = subprocess.run(
@@ -84,14 +82,14 @@ def test_append_refuses_a_tree_with_uncommitted_source_edits(tmp_path, clone):
         capture_output=True, text=True, timeout=120)
     assert done.returncode != 0
     assert "--append refused" in done.stderr
-    assert "src/repro/core/kernel.py" in done.stderr and "CHANGES.md" not in done.stderr
+    assert "src/repro/core/kernel.py" in done.stderr, done.stderr
     assert "compiled" not in done.stdout and not trajectory.exists()
 
 
 def test_only_tracked_source_edits_block_an_append(clone):
     # An edited record leaves the measured code as its SHA names it (the row
-    # only says dirty); a tracked edit under src/ or benchmarks/ledger/ does
-    # not, and each one is named.
+    # only says dirty); a tracked edit under src/ or benchmarks/ledger/,
+    # staged or not, does not, and each one is named.
     tool = load_tool()
     assert tool.source_edits(clone) == []
     for record in ("CHANGES.md", "ROADMAP.md", "docs/architecture.md"):
@@ -103,6 +101,7 @@ def test_only_tracked_source_edits_block_an_append(clone):
     for source in sources:
         with open(clone / source, "a", encoding="utf-8") as handle:
             handle.write("# an uncommitted edit\n")
+    subprocess.run(["git", "-C", str(clone), "add", sources[0]], check=True, timeout=60)
     assert sorted(tool.source_edits(clone)) == sources
 
 

@@ -365,10 +365,10 @@ def collected_ids() -> list:
 
 
 #: the unreached blocks of 20 lines or more, qualified, in file order: code
-#: no example and no ledger workload enters (``tools/size_report.py
-#: --reach``), each with what holds it, the claim row (its section and words
-#: of its claim) whose tier-1 tests reach it or the open ROADMAP item that
-#: decides it.  A block no row and no item holds goes.
+#: no example and no ledger workload enters (``tools/size_report.py``'s
+#: ``UNREACHED`` lines), each with what holds it, the claim row (its section
+#: and words of its claim) whose tier-1 tests reach it or the open ROADMAP
+#: item that decides it.  A block no row and no item holds goes.
 UNREACHED_BLOCKS = {
     "repro.net.topology.random_topology":
         "§2: site-local visit records bound the flooding population",
@@ -391,7 +391,6 @@ def test_unreached_blocks_are_exactly_the_listed_ones(size_report_run):
               if line.startswith("UNREACHED ")]
     assert listed == list(UNREACHED_BLOCKS), done.stdout
     assert done.stdout.splitlines()[-1].startswith("SIZE src_lines=")
-
 
 
 def test_a_block_is_a_top_level_def_or_method_from_its_first_decorator(

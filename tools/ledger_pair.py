@@ -63,11 +63,11 @@ END_TO_END = {metric["name"]: metric["better"] for metric in
 REP_TIMEOUT_S = 100
 #: iterations of the loop ``host_ref_us`` times
 HOST_REF_LOOPS = 200_000
-#: ``python3 -c`` program: run TOOLS/hot_functions.py over the sources of TREE
-#: (its two leading arguments) with the remaining arguments
 #: the tracked directories whose uncommitted edits make ``--append`` refuse:
 #: what the measured code is built from
 SOURCE_DIRS = ("src/", "benchmarks/ledger/")
+#: ``python3 -c`` program: run TOOLS/hot_functions.py over the sources of TREE
+#: (its two leading arguments) with the remaining arguments
 ON_TREE = ("import pathlib, sys; sys.path.insert(0, sys.argv.pop(1)); import hot_functions; "
            "hot_functions.REPO = pathlib.Path(sys.argv.pop(1)); sys.exit(hot_functions.main())")
 
@@ -235,10 +235,9 @@ def git_state(tree: pathlib.Path) -> dict:
 
 def source_edits(tree: pathlib.Path) -> list:
     """The tracked paths under ``SOURCE_DIRS`` that *tree* has edited and not
-    committed (porcelain paths are relative to the repository root)."""
-    return [line[3:] for line in git(tree, "status", "--porcelain",
-                                     "--untracked-files=no").splitlines()
-            if line[3:].startswith(SOURCE_DIRS)]
+    committed, staged or not, relative to the repository root."""
+    return git(tree, "diff", "--name-only", "--no-renames", "HEAD", "--",
+               *SOURCE_DIRS).splitlines()
 
 
 def dumps(value, indent: str = "") -> str:

@@ -1,13 +1,11 @@
 #!/usr/bin/env python3
-"""Print the size numbers ROADMAP aim 2 tracks, as one line.
+"""Print the size numbers ROADMAP aim 2 tracks, as one last line.
 
+    UNREACHED lines path:first qualified.name   (one per block; see below)
     SIZE src_lines=... core_lines=... config_fields=... kernel_public=...
          shards_branches=... test_only_defs=... test_only_knobs=...
          unreached_lines=... bench_files=... import_modules=... third_party=...
          test_lines=... example_lines=... package_public=... (same line)
-
-    python3 tools/size_report.py --reach   # first every unreached block of
-                                           # 20 lines or more, then the line
 
 ``src_lines`` is ``wc -l`` over ``src/repro/**/*.py``; ``core_lines`` the
 part of it in the kernel facade, the engine and the shard package
@@ -51,15 +49,14 @@ every code object entered while each ``examples/*.py`` script runs as
 and ``check`` at its ``QUICK`` sizes; a block is reached when its own code
 object was entered.  ``shard/procworker.py`` is left out (the tool says so
 on standard error): it runs in forked shard workers, which the hook does not
-follow.  ``--reach`` first lists the unreached blocks of ``REACH_LISTED``
-lines or more, one ``UNREACHED`` line each; the ``SIZE`` line stays last.
+follow.  The tool first lists the unreached blocks of ``REACH_LISTED``
+lines or more, one ``UNREACHED`` line each; the ``SIZE`` line comes last.
 ``tests/unit/test_package_surface.py`` pins the qualified names that
 ``test_only_defs()`` returns, the fields ``test_only_knobs()`` returns and
-the blocks ``--reach`` lists.  CI prints the line after tier-1; CHANGES.md
-records parent -> change for each change.
+the blocks the ``UNREACHED`` lines list.  CI prints the lines after tier-1;
+CHANGES.md records parent -> change for each change.
 """
 
-import argparse
 import ast
 import dataclasses
 import importlib
@@ -75,7 +72,7 @@ CORE_FILES = [SRC / "repro" / "core" / "kernel.py", SRC / "repro" / "core" / "en
               *sorted((SRC / "repro" / "shard").glob("*.py"))]
 #: run by forked shard workers, which a profile hook does not follow
 UNCOUNTED = SRC / "repro" / "shard" / "procworker.py"
-#: ``--reach`` lists the unreached blocks of at least this many lines
+#: the tool lists the unreached blocks of at least this many lines
 REACH_LISTED = 20
 sys.path.insert(0, str(SRC))
 
@@ -261,17 +258,12 @@ def cold_start() -> str:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--reach", action="store_true",
-                        help=f"first list the unreached blocks of {REACH_LISTED} lines or more")
-    args = parser.parse_args()
     print(f"unreached_lines leaves out {UNCOUNTED.relative_to(ROOT)}: forked shard "
           "workers run it, and the profile hook does not follow a fork", file=sys.stderr)
     unreached = unreached_blocks()
-    if args.reach:
-        for lines, where, name in unreached:
-            if lines >= REACH_LISTED:
-                print(f"UNREACHED {lines} {where} {name}")
+    for lines, where, name in unreached:
+        if lines >= REACH_LISTED:
+            print(f"UNREACHED {lines} {where} {name}")
     sources = sorted((SRC / "repro").rglob("*.py"))
     core = [line for path in sources if path.parent.name == "core"
             for line in lines_of(path)]
