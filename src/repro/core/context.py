@@ -193,7 +193,7 @@ class AgentContext:
 
     def meet(self, agent_name: str, briefcase: Optional[Briefcase] = None) -> Meet:
         """Meet the agent installed under *agent_name* at this site."""
-        return Meet(agent_name, briefcase if briefcase is not None else Briefcase())
+        return Meet(agent_name, briefcase)
 
     def end_meet(self, value: Any = None) -> EndMeet:
         """Terminate the current meet, letting the caller resume."""
@@ -206,7 +206,7 @@ class AgentContext:
     def spawn(self, behaviour: Any, briefcase: Optional[Briefcase] = None,
               name: Optional[str] = None) -> Spawn:
         """Start a new top-level agent at this site."""
-        return Spawn(behaviour, briefcase if briefcase is not None else Briefcase(), name)
+        return Spawn(behaviour, briefcase, name)
 
     def terminate(self, result: Any = None) -> Terminate:
         """Finish this agent immediately."""

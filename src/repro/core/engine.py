@@ -56,11 +56,10 @@ from repro.net.topology import Topology
 from repro.net.transport import Transport
 from repro.obs import (TRACE_ID_FOLDER, TRACE_PARENT_FOLDER, RingSink, Tracer,
                        infra_trace_id)
-from repro.store.policy import StoreCosts
-from repro.store.sitestore import SiteStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.core.kernel import KernelConfig
+    from repro.store.sitestore import SiteStore
 
 __all__ = ["ENGINE_PROTOCOL", "Engine", "LedgerQueries"]
 
@@ -353,9 +352,10 @@ class Engine(LedgerQueries):
                              rng=random.Random(config.rng_seed + 1), flow=flow)
 
     def _attach_store(self, site: Site) -> None:
-        """Build and attach the site's durable store (no-op for policy "none")."""
+        """Build and attach the site's durable store (policy "none": no store, no import)."""
         if self.config.durability == "none":
             return
+        from repro.store import SiteStore, StoreCosts
         costs = StoreCosts(commit_window=self.config.store_commit_window)
         store = SiteStore(site, self.loop, self.config.durability, costs, self.stats,
                           log_event=self.log_event, obs=self.obs)

@@ -39,13 +39,15 @@ from repro.core.registry import BehaviourRegistry, default_registry
 from repro.net.stats import StatsView
 from repro.net.topology import Topology, lan
 from repro.obs import RingSink, Tracer
-from repro.store.sitestore import DURABILITY
 
 __all__ = ["Kernel", "KernelConfig"]
 
 #: the valid ``KernelConfig.shard_backend`` values (``repro.shard.BACKENDS``
 #: is this tuple), named here so checking a config imports no shard code
 SHARD_BACKENDS = ("inproc", "process")
+#: the valid ``KernelConfig.durability`` policies, "none" (no store at all) first;
+#: ``repro.store.sitestore`` reads them here, so checking a config loads no store
+DURABILITY = ("none", "flush-on-demand", "wal-group-commit")
 
 
 @dataclass

@@ -13,10 +13,10 @@ agents in :mod:`repro.sysagents` and friends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.core.briefcase import Briefcase
+from repro.core.record import Record
 
 __all__ = [
     "Syscall", "Meet", "EndMeet", "Sleep", "Spawn", "Transmit", "Terminate",
@@ -24,13 +24,12 @@ __all__ = [
 ]
 
 
-class Syscall:
+class Syscall(Record):
     """Marker base class for everything an agent may yield to the kernel."""
 
     __slots__ = ()
 
 
-@dataclass
 class Meet(Syscall):
     """Execute the agent installed under *agent_name* at the current site.
 
@@ -43,23 +42,27 @@ class Meet(Syscall):
     into the same briefcase.
     """
 
-    agent_name: str
-    briefcase: Briefcase = field(default_factory=Briefcase)
+    __slots__ = _fields = ("agent_name", "briefcase")
+
+    def __init__(self, agent_name: str, briefcase: Optional[Briefcase] = None):
+        self.agent_name = agent_name
+        self.briefcase = Briefcase() if briefcase is None else briefcase
 
 
-@dataclass
-class MeetResult:
+class MeetResult(Record):
     """What a ``yield Meet(...)`` evaluates to in the caller."""
 
-    #: value passed to EndMeet (or returned) by the callee
-    value: Any
-    #: the briefcase that was passed in (callee may have modified it)
-    briefcase: Briefcase
-    #: id of the callee agent instance (it may still be running)
-    agent_id: str
+    __slots__ = _fields = ("value", "briefcase", "agent_id")
+
+    def __init__(self, value: Any, briefcase: Briefcase, agent_id: str):
+        #: value passed to EndMeet (or returned) by the callee
+        self.value = value
+        #: the briefcase that was passed in (callee may have modified it)
+        self.briefcase = briefcase
+        #: id of the callee agent instance (it may still be running)
+        self.agent_id = agent_id
 
 
-@dataclass
 class EndMeet(Syscall):
     """Terminate the current meet, resuming the caller.
 
@@ -68,17 +71,21 @@ class EndMeet(Syscall):
     concurrently with A."  Yielding ``EndMeet`` outside a meet is a no-op.
     """
 
-    value: Any = None
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Any = None):
+        self.value = value
 
 
-@dataclass
 class Sleep(Syscall):
     """Suspend the agent for *duration* simulated seconds."""
 
-    duration: float = 0.0
+    __slots__ = _fields = ("duration",)
+
+    def __init__(self, duration: float = 0.0):
+        self.duration = duration
 
 
-@dataclass
 class Spawn(Syscall):
     """Start a new top-level agent at the current site.
 
@@ -87,16 +94,19 @@ class Spawn(Syscall):
     is deliberately impossible here: that is what meeting ``rexec`` is for.
     """
 
-    behaviour: Any
-    briefcase: Briefcase = field(default_factory=Briefcase)
-    name: Optional[str] = None
-    #: the CODE element the child was built from, which its jumps re-ship
-    #: instead of describing ``behaviour``: ``ag_py`` passes the element it
-    #: popped, so a source-built agent (a callable no registry names) moves on
-    code_element: Optional[dict] = None
+    __slots__ = _fields = ("behaviour", "briefcase", "name", "code_element")
+
+    def __init__(self, behaviour: Any, briefcase: Optional[Briefcase] = None,
+                 name: Optional[str] = None, code_element: Optional[dict] = None):
+        self.behaviour = behaviour
+        self.briefcase = Briefcase() if briefcase is None else briefcase
+        self.name = name
+        #: the CODE element the child was built from, which its jumps re-ship
+        #: instead of describing ``behaviour``: ``ag_py`` passes the element it
+        #: popped, so a source-built agent (a callable no registry names) moves on
+        self.code_element = code_element
 
 
-@dataclass
 class Transmit(Syscall):
     """Hand a briefcase to the network (system agents only).
 
@@ -110,13 +120,16 @@ class Transmit(Syscall):
     the courier, exactly as in the paper.  The kernel enforces this.
     """
 
-    destination: str
-    contact: str
-    briefcase: Briefcase
-    kind: str = "agent-transfer"
+    __slots__ = _fields = ("destination", "contact", "briefcase", "kind")
+
+    def __init__(self, destination: str, contact: str, briefcase: Briefcase,
+                 kind: str = "agent-transfer"):
+        self.destination = destination
+        self.contact = contact
+        self.briefcase = briefcase
+        self.kind = kind
 
 
-@dataclass
 class Terminate(Syscall):
     """Finish the agent immediately with the given result.
 
@@ -124,4 +137,7 @@ class Terminate(Syscall):
     helper sub-generators via ``yield``.
     """
 
-    result: Any = None
+    __slots__ = _fields = ("result",)
+
+    def __init__(self, result: Any = None):
+        self.result = result

@@ -12,30 +12,42 @@ instead of re-deriving it inline.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
+
+from repro.core.record import Record
 
 __all__ = ["CostModel"]
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(Record):
     """A linear price for using a scarce resource.
 
     ``cost = base * items + per_byte * size_bytes + sync * syncs``, plus an
     optional uniform jitter fraction (the rsh transport's noisy fork).
     All terms default to zero so a model names only the costs its resource
-    actually has.
+    actually has.  Immutable and hashable: assigning an attribute raises
+    :class:`AttributeError`.
     """
 
-    #: seconds charged per item (one message, one redo record)
-    base: float = 0.0
-    #: seconds charged per payload byte moved
-    per_byte: float = 0.0
-    #: seconds charged per synchronisation point (fsync, handshake, fork)
-    sync: float = 0.0
-    #: uniform noise fraction applied to the priced total (0 = deterministic)
-    jitter: float = 0.0
+    __slots__ = _fields = ("base", "per_byte", "sync", "jitter")
+
+    def __init__(self, base: float = 0.0, per_byte: float = 0.0, sync: float = 0.0,
+                 jitter: float = 0.0):
+        # Seconds per item (one message, one redo record), per payload byte
+        # and per sync point (fsync, handshake, fork); noise fraction (0 = none).
+        for name, value in zip(self._fields, (base, per_byte, sync, jitter)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"a CostModel is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return CostModel, self._values()
 
     def cost(self, items: int = 1, size_bytes: int = 0, syncs: int = 1,
              rng: Optional[random.Random] = None) -> float:

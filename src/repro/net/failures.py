@@ -10,8 +10,9 @@ sites at random times, which is what the rear-guard sweeps use.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import List, Optional, Protocol, Sequence
+
+from repro.core.record import Record
 
 __all__ = ["FailureAction", "FailureSchedule", "RandomCrasher"]
 
@@ -30,18 +31,20 @@ class _KernelLike(Protocol):
     def site_names(self) -> List[str]: ...
 
 
-@dataclass
-class FailureAction:
+class FailureAction(Record):
     """One scheduled failure event."""
 
-    at: float
-    kind: str                      # "crash" | "recover" | "partition" | "heal"
-    site: Optional[str] = None
-    groups: Optional[Sequence[Sequence[str]]] = None
+    __slots__ = _fields = ("at", "kind", "site", "groups")
+
+    def __init__(self, at: float, kind: str, site: Optional[str] = None,
+                 groups: Optional[Sequence[Sequence[str]]] = None):
+        self.at = at
+        self.kind = kind           # "crash" | "recover" | "partition" | "heal"
+        self.site = site
+        self.groups = groups
 
 
-@dataclass
-class FailureSchedule:
+class FailureSchedule(Record):
     """A declarative failure schedule applied to a kernel.
 
     Example::
@@ -54,7 +57,10 @@ class FailureSchedule:
         schedule.install(kernel)
     """
 
-    actions: List[FailureAction] = field(default_factory=list)
+    __slots__ = _fields = ("actions",)
+
+    def __init__(self, actions: Optional[List[FailureAction]] = None):
+        self.actions = [] if actions is None else actions
 
     def crash(self, site: str, at: float) -> "FailureSchedule":
         """Crash *site* at simulated time *at*."""

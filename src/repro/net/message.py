@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import pickle
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
+
+from repro.core.record import Record
 
 __all__ = ["Message", "MessageKind"]
 
@@ -40,33 +41,40 @@ class MessageKind:
     MIGRATION_KINDS = (AGENT_TRANSFER, FT_RELAUNCH)
 
 
-@dataclass
-class Message:
+class Message(Record):
     """One message on the simulated wire."""
 
-    source: str
-    destination: str
-    kind: str
-    #: ``{"contact": name, "briefcase": b}``, *b* the sender's
-    #: ``Briefcase.snapshot()``; a ``BATCH`` envelope carries ``{"messages": [...]}``
-    payload: Dict[str, Any] = field(default_factory=dict)
-    #: explicit payload size in bytes; when None the size is estimated from
-    #: the payload via :meth:`size_bytes`.
-    declared_size: Optional[int] = None
-    message_id: int = field(default_factory=lambda: next(_message_ids))
-    sent_at: float = 0.0
-    delivered_at: Optional[float] = None
-    hops: int = 1
-    #: causal trace context ``(trace_id, parent_span_id)`` attached when the
-    #: sender's kernel traces the carried briefcase (repro.obs).  Rides the
-    #: message through batching envelopes and pickled process handoffs; the
-    #: destination kernel records the network-leg span from it.
-    trace: Optional[tuple] = field(default=None, repr=False, compare=False)
-    #: memoised result of :meth:`size_bytes` — the payload is immutable once
-    #: the message is handed to a transport, and send/deliver accounting used
-    #: to re-pickle the payload on every call
-    _size_cache: Optional[int] = field(default=None, init=False, repr=False,
-                                       compare=False)
+    _fields = ("source", "destination", "kind", "payload", "declared_size",
+               "message_id", "sent_at", "delivered_at", "hops")
+    __slots__ = _fields + ("trace", "_size_cache")
+
+    def __init__(self, source: str, destination: str, kind: str,
+                 payload: Optional[Dict[str, Any]] = None,
+                 declared_size: Optional[int] = None, message_id: Optional[int] = None,
+                 sent_at: float = 0.0, delivered_at: Optional[float] = None,
+                 hops: int = 1, trace: Optional[tuple] = None):
+        self.source = source
+        self.destination = destination
+        self.kind = kind
+        #: ``{"contact": name, "briefcase": b}``, *b* the sender's
+        #: ``Briefcase.snapshot()``; a ``BATCH`` envelope carries ``{"messages": [...]}``
+        self.payload = {} if payload is None else payload
+        #: explicit payload size in bytes; when None the size is estimated from
+        #: the payload via :meth:`size_bytes`.
+        self.declared_size = declared_size
+        self.message_id = next(_message_ids) if message_id is None else message_id
+        self.sent_at = sent_at
+        self.delivered_at = delivered_at
+        self.hops = hops
+        #: causal trace context ``(trace_id, parent_span_id)`` attached when the
+        #: sender's kernel traces the carried briefcase (repro.obs).  Rides the
+        #: message through batching envelopes and pickled process handoffs; the
+        #: destination kernel records the network-leg span from it.
+        self.trace = trace
+        #: memoised result of :meth:`size_bytes` — the payload is immutable once
+        #: the message is handed to a transport, and send/deliver accounting used
+        #: to re-pickle the payload on every call
+        self._size_cache: Optional[int] = None
 
     #: fixed per-message framing charged by the size model (headers, routing)
     HEADER_BYTES = 64

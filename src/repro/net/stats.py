@@ -11,22 +11,24 @@ the coordinator copies it into its mirror in place.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.core.record import Record
 
 __all__ = ["NetworkStats", "LinkStats", "StatsView", "LatencySketch"]
 
 
-@dataclass
-class LinkStats:
+class LinkStats(Record):
     """Per-link counters."""
 
-    messages: int = 0
-    bytes: int = 0
-    drops: int = 0
+    __slots__ = _fields = ("messages", "bytes", "drops")
+
+    def __init__(self, messages: int = 0, bytes: int = 0, drops: int = 0):
+        self.messages = messages
+        self.bytes = bytes
+        self.drops = drops
 
 
 def _thin(values: List[float], keep: int) -> List[float]:
@@ -131,91 +133,92 @@ class LatencySketch:
                 f"sample={len(self._sample)}/{self.capacity})")
 
 
-@dataclass
 class NetworkStats:
     """Aggregate counters for everything that crossed the simulated network,
-    and for the kernel events the agent ledger does not see."""
+    and for the kernel events the agent ledger does not see (no
+    ``__slots__``: a process shard's mirror copies a worker's ``vars()``)."""
 
-    # Kernel event counters: ``counters()`` reports them beside the agent
-    # ledger's state counts; ``snapshot()`` leaves them out.
-    #: meets begun
-    meets: int = 0
-    #: briefcases handed to a transport
-    transmits: int = 0
-    #: agents re-animated from the network
-    arrivals: int = 0
-    #: messages that reached a site no agent could take them at
-    undeliverable: int = 0
+    def __init__(self) -> None:
+        # Kernel event counters: ``counters()`` reports them beside the agent
+        # ledger's state counts; ``snapshot()`` leaves them out.
+        #: meets begun
+        self.meets = 0
+        #: briefcases handed to a transport
+        self.transmits = 0
+        #: agents re-animated from the network
+        self.arrivals = 0
+        #: messages that reached a site no agent could take them at
+        self.undeliverable = 0
 
-    messages_sent: int = 0
-    messages_delivered: int = 0
-    messages_dropped: int = 0
-    bytes_sent: int = 0
-    bytes_delivered: int = 0
-    migrations: int = 0
-    migration_bytes: int = 0
-    #: delivered wire messages that were delivery-fabric batch envelopes
-    batches: int = 0
-    #: logical messages coalesced into those envelopes
-    batched_messages: int = 0
-    #: header bytes the fabric avoided (one envelope header replaces N)
-    header_bytes_saved: int = 0
-    #: delivery-fabric outbox flushes by trigger: "window" (flush timer) or
-    #: "partition" (the pair was severed)
-    flush_causes: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    #: latest flow-control telemetry per (source, destination) pair when the
-    #: fabric runs adaptive windows: current window, EWMA message/byte rates
-    flow_windows: Dict[Tuple[str, str], Dict[str, float]] = field(default_factory=dict)
-    per_kind: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    per_kind_bytes: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    per_link: Dict[Tuple[str, str], LinkStats] = field(default_factory=dict)
-    #: bounded delivery-latency store: exact streaming count/sum/min/max plus
-    #: a reservoir sample for percentiles (was an unbounded ``List[float]``)
-    latencies: LatencySketch = field(default_factory=LatencySketch)
+        self.messages_sent = 0
+        self.messages_delivered = 0
+        self.messages_dropped = 0
+        self.bytes_sent = 0
+        self.bytes_delivered = 0
+        self.migrations = 0
+        self.migration_bytes = 0
+        #: delivered wire messages that were delivery-fabric batch envelopes
+        self.batches = 0
+        #: logical messages coalesced into those envelopes
+        self.batched_messages = 0
+        #: header bytes the fabric avoided (one envelope header replaces N)
+        self.header_bytes_saved = 0
+        #: delivery-fabric outbox flushes by trigger: "window" (flush timer) or
+        #: "partition" (the pair was severed)
+        self.flush_causes: Dict[str, int] = defaultdict(int)
+        #: latest flow-control telemetry per (source, destination) pair when the
+        #: fabric runs adaptive windows: current window, EWMA message/byte rates
+        self.flow_windows: Dict[Tuple[str, str], Dict[str, float]] = {}
+        self.per_kind: Dict[str, int] = defaultdict(int)
+        self.per_kind_bytes: Dict[str, int] = defaultdict(int)
+        self.per_link: Dict[Tuple[str, str], LinkStats] = {}
+        #: bounded delivery-latency store: exact streaming count/sum/min/max plus
+        #: a reservoir sample for percentiles (was an unbounded ``List[float]``)
+        self.latencies = LatencySketch()
 
-    # Durable-store counters (repro.store): the durability cost model and
-    # the crash/recovery ledger ``store_summary()`` reports.
-    #: cabinet mutations journaled by durable site stores
-    wal_appends: int = 0
-    #: group commits / explicit flushes (each pays one fsync)
-    wal_commits: int = 0
-    #: redo records made durable across those commits
-    wal_records_committed: int = 0
-    #: payload bytes those redo records carried (the bytes-proportional
-    #: term of the WAL cost model charges for exactly these)
-    wal_bytes_committed: int = 0
-    #: group commits triggered early by a pending durability barrier
-    #: (checkpoint piggybacking) instead of the full commit window
-    wal_barrier_piggybacks: int = 0
-    #: WAL compactions folding redo records into base snapshot images
-    store_snapshots: int = 0
-    #: redo records those compactions absorbed into the base images
-    wal_records_folded: int = 0
-    #: completed site recoveries (snapshot + WAL replay)
-    recoveries: int = 0
-    #: total simulated seconds sites spent replaying before accepting traffic
-    recovery_seconds: float = 0.0
-    #: durable folders rebuilt by those recoveries
-    durable_folders_restored: int = 0
-    #: durable folders a recovery failed to rebuild (an invariant breach:
-    #: committed state must never be lost — this stays 0 unless a durable
-    #: cabinet's image could not be restored)
-    durable_folders_lost: int = 0
-    #: un-flushed folders discarded by crashes ("state lost" events)
-    state_lost_folders: int = 0
-    #: un-committed WAL records discarded by crashes
-    state_lost_records: int = 0
+        # Durable-store counters (repro.store): the durability cost model and
+        # the crash/recovery ledger ``store_summary()`` reports.
+        #: cabinet mutations journaled by durable site stores
+        self.wal_appends = 0
+        #: group commits / explicit flushes (each pays one fsync)
+        self.wal_commits = 0
+        #: redo records made durable across those commits
+        self.wal_records_committed = 0
+        #: payload bytes those redo records carried (the bytes-proportional
+        #: term of the WAL cost model charges for exactly these)
+        self.wal_bytes_committed = 0
+        #: group commits triggered early by a pending durability barrier
+        #: (checkpoint piggybacking) instead of the full commit window
+        self.wal_barrier_piggybacks = 0
+        #: WAL compactions folding redo records into base snapshot images
+        self.store_snapshots = 0
+        #: redo records those compactions absorbed into the base images
+        self.wal_records_folded = 0
+        #: completed site recoveries (snapshot + WAL replay)
+        self.recoveries = 0
+        #: total simulated seconds sites spent replaying before accepting traffic
+        self.recovery_seconds = 0.0
+        #: durable folders rebuilt by those recoveries
+        self.durable_folders_restored = 0
+        #: durable folders a recovery failed to rebuild (an invariant breach:
+        #: committed state must never be lost — this stays 0 unless a durable
+        #: cabinet's image could not be restored)
+        self.durable_folders_lost = 0
+        #: un-flushed folders discarded by crashes ("state lost" events)
+        self.state_lost_folders = 0
+        #: un-committed WAL records discarded by crashes
+        self.state_lost_records = 0
 
-    # Shard-boundary counters (repro.shard): cross-shard traffic handed from
-    # one shard's transport to another shard's event loop.
-    #: messages handed across a shard boundary
-    shard_handoffs: int = 0
-    #: wire bytes those handoffs carried
-    shard_handoff_bytes: int = 0
-    #: handoffs whose computed arrival fell behind the destination shard's
-    #: clock and were clamped to "now": the conservative sync never grants a
-    #: horizon past the latency bound, so this conservation check stays 0
-    shard_late_arrivals: int = 0
+        # Shard-boundary counters (repro.shard): cross-shard traffic handed from
+        # one shard's transport to another shard's event loop.
+        #: messages handed across a shard boundary
+        self.shard_handoffs = 0
+        #: wire bytes those handoffs carried
+        self.shard_handoff_bytes = 0
+        #: handoffs whose computed arrival fell behind the destination shard's
+        #: clock and were clamped to "now": the conservative sync never grants a
+        #: horizon past the latency bound, so this conservation check stays 0
+        self.shard_late_arrivals = 0
 
     # -- recording -----------------------------------------------------------
 
@@ -378,9 +381,7 @@ class NetworkStats:
 #: is not one of the container fields merged structurally by StatsView).
 _MERGED_CONTAINER_FIELDS = ("flush_causes", "flow_windows", "per_kind",
                             "per_kind_bytes", "per_link", "latencies")
-_SCALAR_STAT_FIELDS = frozenset(
-    spec.name for spec in dataclasses.fields(NetworkStats)
-    if spec.name not in _MERGED_CONTAINER_FIELDS)
+_SCALAR_STAT_FIELDS = frozenset(vars(NetworkStats())).difference(_MERGED_CONTAINER_FIELDS)
 
 
 class StatsView:

@@ -30,23 +30,26 @@ a route never depends on string hashing or on any library's convention.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import NoRouteError, UnknownSiteError
+from repro.core.record import Record
 
 __all__ = ["LinkSpec", "Topology", "lan", "two_clusters", "random_topology", "ring",
            "star", "switched_fabric"]
 
 
-@dataclass
-class LinkSpec:
-    """Latency/bandwidth parameters of one link."""
+class LinkSpec(Record):
+    """Latency/bandwidth parameters of one link (no ``__slots__``: ``vars()`` reads them)."""
 
-    latency: float = 0.002           # 2 ms default LAN latency
-    bandwidth: float = 1_250_000.0   # 10 Mbit/s in bytes per second
-    loss_rate: float = 0.0           # probability a message on this link is lost
+    _fields = ("latency", "bandwidth", "loss_rate")
+
+    def __init__(self, latency: float = 0.002, bandwidth: float = 1_250_000.0,
+                 loss_rate: float = 0.0):
+        self.latency = latency           # 2 ms default LAN latency
+        self.bandwidth = bandwidth       # 10 Mbit/s in bytes per second
+        self.loss_rate = loss_rate       # probability a message on this link is lost
 
 
 class Topology:

@@ -106,7 +106,7 @@ def scheduled_client_behaviour(ctx: AgentContext, briefcase: Briefcase):
         acquire.set("SERVICE", service)
         acquire.set("CLIENT", briefcase.get("CLIENT", "anonymous"))
         result = yield ctx.meet(BROKER_AGENT_NAME, acquire)
-        provider = result.value if result is not None else None
+        provider = result.value
         if provider is None:
             briefcase.set("OUTCOME", {"status": "no-provider", "at": ctx.now})
             briefcase.set("PHASE", "home")
@@ -127,10 +127,9 @@ def scheduled_client_behaviour(ctx: AgentContext, briefcase: Briefcase):
         request.set("REQUEST", briefcase.get("REQUEST"))
         result = yield ctx.meet(provider["agent_name"], request)
         outcome = {
-            "status": "served" if result is not None and result.value is not None
-            else "refused",
+            "status": "refused" if result.value is None else "served",
             "provider_site": provider["site"],
-            "result": result.value if result is not None else None,
+            "result": result.value,
             "finished_at": ctx.now,
         }
         briefcase.set("OUTCOME", outcome)
@@ -229,4 +228,4 @@ def install_scheduling(kernel: Kernel, broker_sites: Sequence[str],
 def _registration_behaviour(ctx: AgentContext, briefcase: Briefcase):
     """One-shot agent that registers a provider with the local broker."""
     result = yield ctx.meet(BROKER_AGENT_NAME, briefcase)
-    return result.value if result is not None else None
+    return result.value

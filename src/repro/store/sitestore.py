@@ -4,7 +4,7 @@ One :class:`SiteStore` sits beside each :class:`~repro.core.site.Site`
 when the kernel runs with a durable policy.  Cabinets opt in through
 :meth:`make_durable`; their mutations (routed through the cabinet API)
 mark folders dirty, and ``KernelConfig.durability`` — one of
-:data:`DURABILITY` — decides when dirty state becomes durable:
+:data:`~repro.core.kernel.DURABILITY` — decides when dirty state becomes durable:
 
 * ``none`` — the legacy model: no store is built at all and cabinets
   survive crashes for free, kept as the explicit baseline experiments
@@ -41,6 +41,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import StoreError
+from repro.core.kernel import DURABILITY
 from repro.store.policy import StoreCosts
 from repro.store.snapshot import (CabinetImage, capture_cabinet, capture_folder,
                                   image_folder_count, restore_cabinet)
@@ -51,9 +52,6 @@ if TYPE_CHECKING:  # a runtime import cycles back through repro.core.engine
 
 __all__ = ["DURABILITY", "SiteStore"]
 
-#: the durability policies ``KernelConfig.durability`` names; the first,
-#: "none", builds no store at all
-DURABILITY = ("none", "flush-on-demand", "wal-group-commit")
 
 #: a captured folder state awaiting (or part of) a commit
 Capture = Tuple[str, str, Optional[Tuple[bytes, ...]]]

@@ -111,3 +111,65 @@ def test_a_one_engine_kernel_imports_no_shard_code():
     # need nothing from repro.shard; importing it (and multiprocessing,
     # socket, selectors behind it) would land in every one-engine setup.
     assert run_fresh(ONE_ENGINE_COURIER, hash_seed="0") == "[]\n"
+
+
+NONE_DURABILITY_START = """
+import dataclasses, sys
+
+import repro
+from repro.core import Kernel, KernelConfig
+from repro.net import lan
+
+kernel = Kernel(lan(["a", "b"]), config=KernelConfig(durability="none"))
+print(sorted(name for name in sys.modules if name.startswith("repro.store")))
+print(sorted(f"{name}.{value.__qualname__}"
+             for name, module in list(sys.modules.items())
+             if name == "repro" or name.startswith("repro.")
+             for value in vars(module).values()
+             if isinstance(value, type) and value.__module__ == name
+             and dataclasses.is_dataclass(value)))
+"""
+
+
+@pytest.mark.one_engine(reason="the kernel is built in a fresh interpreter, "
+                               "which the strategy patch does not reach")
+def test_a_kernel_without_durability_loads_no_store_and_builds_one_dataclass():
+    # What a short run pays before its first event: the store's modules load
+    # with the first durable site, and the records on the import path are
+    # plain classes, so no dataclass decorator generates code but
+    # KernelConfig's (size_report, conftest and test_store read its fields).
+    assert run_fresh(NONE_DURABILITY_START, hash_seed="0") == \
+        "[]\n['repro.core.kernel.KernelConfig']\n"
+
+
+DURABLE_RECOVERY = """
+import sys
+
+from repro.core import Kernel, KernelConfig
+from repro.net import lan
+
+print("repro.store" in sys.modules)
+for shards in (1, 2):
+    config = KernelConfig(durability="wal-group-commit", shards=shards,
+                          shard_placement={"a": 0, "b": shards - 1})
+    kernel = Kernel(lan(["a", "b"]), config=config)
+    kernel.make_durable("m", sites=["a"])
+    kernel.site("a").cabinet("m").put("LOG", "kept")
+    kernel.run()                            # past the group-commit window
+    kernel.crash_site("a")
+    kernel.recover_site("a")
+    kernel.run()
+    summary = kernel.store_summary()
+    print(shards, "repro.store" in sys.modules, kernel.site("a").cabinet("m").elements("LOG"),
+          summary["recoveries"], summary["durable_folders_restored"])
+"""
+
+
+@pytest.mark.one_engine(reason="the kernels are built in a fresh interpreter, "
+                               "which the strategy patch does not reach")
+def test_the_first_durable_site_loads_the_store_and_recovery_holds():
+    # On one engine and on two in-process engines, a wal-group-commit kernel
+    # loads repro.store as it builds its stores, and a committed folder
+    # survives a crash and recovery of its site.
+    assert run_fresh(DURABLE_RECOVERY, hash_seed="0") == \
+        "False\n1 True ['kept'] 1 1\n2 True ['kept'] 1 1\n"

@@ -138,15 +138,19 @@ def test_rss_line_reads_the_coordinator_and_its_largest_worker():
     assert float(match[1]) > 8 and float(match[2]) > 8, line
 
 
-def test_setup_line_splits_setup_s_and_the_profile_leaves_out_the_inputs():
+def test_setup_line_splits_setup_s_and_the_profile_leaves_out_the_inputs(tmp_path):
+    # No bytecode to read or write (an empty cache prefix), as in the
+    # ledger's repetitions: the timed imports compile every repro module.
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(tmp_path))
     done = subprocess.run(
         [sys.executable, str(REPO / "tools" / "hot_functions.py"), "churn", "--quick",
-         "--setup", "--top", "1000"], capture_output=True, text=True, timeout=120)
+         "--setup", "--top", "1000"], capture_output=True, text=True, timeout=120, env=env)
     assert done.returncode == 0, done.stderr
     first, *profiled = done.stdout.strip().splitlines()
     match = re.fullmatch(r"SETUP churn import_s=(\d+\.\d{3}) build_s=(\d+\.\d{3}) "
-                         r"modules=(\d+)", first)
+                         r"modules=(\d+) compiled=(\d+)", first)
     assert match and float(match[1]) > 0 and float(match[2]) > 0 and int(match[3]) > 10, first
+    assert int(match[4]) >= int(match[3]), first
     listed = "\n".join(profiled)
     assert "ledger_workloads.py" in listed and "(build)" in listed, listed
     assert "(generate)" not in listed, listed

@@ -162,3 +162,22 @@ class TestDeployment:
         install_scheduling(kernel, ["brokerage"],
                            [{"site": "s1", "capacity": 7.5}], monitor_rounds=1)
         assert kernel.site("s1").capacity == 7.5
+
+    def test_a_provider_ending_its_meet_with_none_files_refused(self):
+        # A meet always resumes its caller with a MeetResult; a user-written
+        # provider that ends the meet with no value is the one way to the
+        # client's "refused" outcome (the shipped provider always answers).
+        kernel = make_kernel()
+        install_scheduling(kernel, ["brokerage"], [{"site": "s1"}], monitor_rounds=2)
+
+        def declining(ctx, bc):
+            yield ctx.end_meet(None)
+            return "declined"
+
+        kernel.install_agent("s1", SERVICE_AGENT_NAME, declining, replace=True)
+        kernel.run(until=0.5)
+        launch_client(kernel, 0, delay=0.5)
+        kernel.run()
+        outcomes = kernel.site("home").cabinet("results").elements("outcomes")
+        assert [(outcome["status"], outcome["result"], outcome["provider_site"])
+                for outcome in outcomes] == [("refused", None, "s1")]

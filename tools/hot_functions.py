@@ -69,9 +69,13 @@ the children it reaped in ``children_mb``: a few MiB on one-engine workloads.
 With ``--setup`` it decomposes the ledger's ``setup_s`` instead of the
 region: in a fresh interpreter it times what ``ledger_rep.py`` times (the
 imports of ``repro`` and the ledger modules, then ``build()``) and prints
-one line, ``modules`` being the ``repro`` modules loaded by then::
+one line, ``modules`` being the ``repro`` modules loaded by then and
+``compiled`` the modules those imports and ``build()`` compiled from source
+(0 where every one had bytecode; where ``PYTHONDONTWRITEBYTECODE=1`` is set
+and the tree holds no ``__pycache__/``, as in the ledger's repetitions, it is
+every module imported, the standard library's included)::
 
-    SETUP churn import_s=0.107 build_s=0.028 modules=50
+    SETUP churn import_s=0.107 build_s=0.028 modules=50 compiled=52
 
 then profiles the same imports and build (not the input generation between
 them) in a second fresh interpreter and lists its top functions by self time,
@@ -321,13 +325,24 @@ def rss_report(name: str, workload, inputs) -> None:
 def setup_region(name: str, seed: int, quick: bool, profile_path: str = "") -> None:
     """ledger_rep.py's ``setup_s`` region, run in a fresh interpreter.
 
-    Prints its timings as one ``import_s build_s modules`` line, or with
-    *profile_path* runs it under cProfile and writes the stats there.
+    Prints its timings as one ``import_s build_s modules compiled`` line, or
+    with *profile_path* runs it under cProfile and writes the stats there.
     """
     import hashlib, json  # noqa: E401,F401 -- what ledger_rep.py imports before its timer
+    from importlib.machinery import SourceFileLoader
+    compiled = []
     profiler = cProfile.Profile() if profile_path else None
     if profiler is not None:
         profiler.enable()
+    else:
+        # A loader compiles a module's source only when no usable bytecode
+        # exists; count those calls (the wrapper is one Python frame each).
+        source_to_code = SourceFileLoader.source_to_code
+
+        def counted(loader, data, path, *args, **kwargs):
+            compiled.append(path)
+            return source_to_code(loader, data, path, *args, **kwargs)
+        SourceFileLoader.source_to_code = counted
     started = time.perf_counter()
     import repro  # noqa: F401
     import ledger_layers  # noqa: F401
@@ -336,7 +351,9 @@ def setup_region(name: str, seed: int, quick: bool, profile_path: str = "") -> N
     if profiler is not None:
         profiler.disable()  # generating the inputs is outside setup_s
     workload = ledger_workloads.WORKLOADS[name]
+    untimed = len(compiled)
     inputs = workload.generate(seed, ledger_workloads.QUICK if quick else ledger_workloads.FULL)
+    untimed = len(compiled) - untimed
     if profiler is not None:
         profiler.enable()
     started = time.perf_counter()
@@ -348,7 +365,7 @@ def setup_region(name: str, seed: int, quick: bool, profile_path: str = "") -> N
     modules = sum(module == "repro" or module.startswith("repro.") for module in sys.modules)
     kernel.close()
     if profiler is None:
-        print(import_s, build_s, modules)
+        print(import_s, build_s, modules, len(compiled) - untimed)
 
 
 def setup_report(name: str, seed: int, quick: bool, top: int, callers) -> None:
@@ -361,9 +378,9 @@ def setup_report(name: str, seed: int, quick: bool, top: int, callers) -> None:
         return subprocess.run([sys.executable, "-c", code], check=True,
                               stdout=subprocess.PIPE, text=True).stdout
 
-    import_s, build_s, modules = run().split()
+    import_s, build_s, modules, compiled = run().split()
     print(f"SETUP {name} import_s={float(import_s):.3f} build_s={float(build_s):.3f} "
-          f"modules={modules}")
+          f"modules={modules} compiled={compiled}")
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "setup.prof")
         run(path)
