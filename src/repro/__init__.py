@@ -3,7 +3,7 @@
 The package layout mirrors the paper:
 
 * :mod:`repro.core` — folders, briefcases, file cabinets, ``meet``, the kernel (section 2);
-* :mod:`repro.net` — the simulated network, the rsh/TCP/Horus transports (section 6);
+* :mod:`repro.net` — the simulated network, one transport priced as rsh, TCP or Horus (section 6);
 * :mod:`repro.flow` — flow control and cost models shared by the network and the
   durable store (adaptive batch windows, bytes-proportional pricing);
 * :mod:`repro.sysagents` — ``ag_py``, ``rexec``, courier, diffusion (sections 2, 6);
@@ -14,8 +14,7 @@ The package layout mirrors the paper:
 """
 
 from repro.core import Briefcase, FileCabinet, Folder, Kernel, KernelConfig
-from repro.net import (HorusTransport, RshTransport, TcpTransport, Topology, lan,
-                       random_topology, ring, star, two_clusters)
+from repro.net import Topology, lan, random_topology, ring, star, two_clusters
 
 __version__ = "1.0.0"
 
@@ -23,5 +22,4 @@ __all__ = [
     "__version__",
     "Folder", "Briefcase", "FileCabinet", "Kernel", "KernelConfig",
     "Topology", "lan", "two_clusters", "ring", "star", "random_topology",
-    "RshTransport", "TcpTransport", "HorusTransport",
 ]

@@ -82,7 +82,7 @@ def letter_agent_behaviour(ctx: AgentContext, briefcase: Briefcase):
             shipment = briefcase.copy()
             move = ctx.jump(shipment, destination)
             result = yield move
-            if result is not None and result.value:
+            if result.value:
                 return "forwarded"
             retries += 1
             briefcase.set("RETRIES", retries)
@@ -101,7 +101,7 @@ def letter_agent_behaviour(ctx: AgentContext, briefcase: Briefcase):
     delivery_folder = delivery.folder("LETTER", create=True)
     delivery_folder.push(letter)
     result = yield ctx.meet(MAILBOX_AGENT_NAME, delivery)
-    filed = result.value if result is not None else 0
+    filed = result.value
 
     ctx.cabinet(MAILBOX_CABINET).put(
         "outcomes", {"status": "delivered" if filed else "mailbox-refused",

@@ -150,4 +150,4 @@ def _announce_behaviour(ctx, briefcase):
     local_copy["delivered_at"] = ctx.now
     delivery.folder("LETTER", create=True).push(local_copy)
     result = yield ctx.meet(MAILBOX_AGENT_NAME, delivery)
-    return result.value if result is not None else 0
+    return result.value

@@ -129,7 +129,7 @@ def _baseline_client_behaviour(ctx: AgentContext, briefcase: Briefcase):
         "sites_responded": len(set(cabinet.elements("responded"))),
         "sites_requested": len(sensor_sites),
         "raw_records_received": len(cabinet.elements("raw")),
-        "predictions": result.value if result is not None else 0,
+        "predictions": result.value,
         "alerts": analysis.get("ALERT_COUNT", 0),
         "polls": polls,
         "completed_at": ctx.now,

@@ -71,7 +71,7 @@ def collector_behaviour(ctx: AgentContext, briefcase: Briefcase):
     while itinerary:
         next_site = itinerary.dequeue()
         result = yield ctx.jump(briefcase.copy(), next_site)
-        if result is not None and result.value:
+        if result.value:
             return "moved"
         briefcase.folder("VISIT_LOG", create=True).push(
             {"site": next_site, "raw": 0, "kept": 0, "at": ctx.now, "skipped": True})
@@ -86,7 +86,7 @@ def collector_behaviour(ctx: AgentContext, briefcase: Briefcase):
     summary = {
         "observations": len(observations),
         "visits": briefcase.folder("VISIT_LOG", create=True).elements(),
-        "predictions": result.value if result is not None else 0,
+        "predictions": result.value,
         "alerts": briefcase.get("ALERT_COUNT", 0),
         "completed_at": ctx.now,
     }

@@ -80,7 +80,7 @@ def make_metered_rexec(toll: int = 1,
             # Local "moves" are free, exactly like the unmetered rexec.
             result = yield ctx.meet(contact, briefcase)
             yield ctx.end_meet(True)
-            return result.value if result is not None else True
+            return result.value
 
         if toll > 0:
             wallet = Wallet(briefcase, ECUS_FOLDER)

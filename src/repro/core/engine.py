@@ -32,7 +32,7 @@ import sys
 from operator import itemgetter
 from types import GeneratorType, MappingProxyType
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple, Union)
+                    Optional, Sequence, Tuple)
 
 from repro.core.agent import AgentInstance, AgentState
 from repro.core.briefcase import Briefcase
@@ -46,14 +46,11 @@ from repro.core.site import Site
 from repro.core.syscalls import EndMeet, Meet, MeetResult, Sleep, Spawn, Syscall, Terminate, Transmit
 from repro.core.timing import PAST_EPSILON
 from repro.flow import FlowController
-from repro.net.horus import HorusTransport
 from repro.net.message import Message, MessageKind
-from repro.net.rsh import RshTransport
 from repro.net.simclock import EventLoop
 from repro.net.stats import NetworkStats
-from repro.net.tcp import TcpTransport
 from repro.net.topology import Topology
-from repro.net.transport import Transport
+from repro.net.transport import PRICES, Transport
 from repro.obs import (TRACE_ID_FOLDER, TRACE_PARENT_FOLDER, RingSink, Tracer,
                        infra_trace_id)
 
@@ -78,13 +75,6 @@ SPAWN_OVERHEAD = 0.001
 #: simulated seconds charged for handing a briefcase to the transport
 TRANSMIT_OVERHEAD = 0.0005
 
-#: the transports selectable by name (paper section 6's three rexec variants)
-TRANSPORTS = {
-    "rsh": RshTransport,
-    "tcp": TcpTransport,
-    "horus": HorusTransport,
-}
-
 #: The engine protocol: every method the Kernel facade calls on an engine,
 #: hence every method a shard worker's command loop accepts and a
 #: ProcessEngineProxy forwards.  Besides these an engine is read through
@@ -93,7 +83,7 @@ TRANSPORTS = {
 ENGINE_PROTOCOL = (
     # control
     "launch", "launch_many", "install_agent", "make_durable", "log_event",
-    "crash_site", "recover_site", "peer_down", "peer_up", "partition",
+    "crash_site", "recover_site", "peer_down", "partition",
     "heal_partition", "on_site_recovered",
     # time
     "run_to", "advance_clock",
@@ -245,8 +235,8 @@ class Engine(LedgerQueries):
         Cost/limit knobs, already validated (:meth:`KernelConfig.validate`
         is the facade's job, once, not every engine's).
     transport:
-        ``"rsh"``, ``"tcp"``, ``"horus"`` or a Transport subclass; the
-        engine builds its one transport from it.
+        A :data:`~repro.net.transport.PRICES` name (``"rsh"``, ``"tcp"``
+        or ``"horus"``); the engine builds its one transport from it.
     install_system_agents, registry:
         As on :class:`~repro.core.kernel.Kernel`.
     shard_id, placement:
@@ -258,7 +248,7 @@ class Engine(LedgerQueries):
     """
 
     def __init__(self, topology: Topology, config: "KernelConfig",
-                 transport: Union[str, type] = "tcp",
+                 transport: str = "tcp",
                  install_system_agents: bool = True,
                  registry: Optional[BehaviourRegistry] = None,
                  shard_id: int = 0,
@@ -328,28 +318,19 @@ class Engine(LedgerQueries):
             return Tracer.disabled()
         return Tracer(clock=self.loop, sink=self.ring, sample=self.config.obs_sample)
 
-    def _make_transport(self, transport: Union[str, type]) -> Transport:
+    def _make_transport(self, transport: str) -> Transport:
         """This engine's one transport, built on its loop, stats and
         topology, with the fabric settings of its config."""
-        if isinstance(transport, str):
-            try:
-                transport_cls = TRANSPORTS[transport]
-            except KeyError:
-                raise KernelError(f"unknown transport {transport!r}; "
-                                  f"choose from {sorted(TRANSPORTS)}") from None
-        elif isinstance(transport, type) and issubclass(transport, Transport):
-            transport_cls = transport
-        else:
-            # An instance would stay bound to the loop, stats and topology
-            # of whatever built it.
+        if not isinstance(transport, str) or transport not in PRICES:
+            # A built transport would stay bound to the loop, stats and
+            # topology of whatever built it.
             raise KernelError(f"cannot build a transport from {transport!r}; "
-                              f"pass a transport name {sorted(TRANSPORTS)} "
-                              f"or a Transport subclass")
+                              f"choose a name from {sorted(PRICES)}")
         config = self.config
         flow = FlowController(config.delivery_batch_window, config.flow_window_min,
                               config.flow_window_max, config.flow_target_batch)
-        return transport_cls(self.loop, self.topology, self.stats,
-                             rng=random.Random(config.rng_seed + 1), flow=flow)
+        return Transport(transport, self.loop, self.topology, self.stats,
+                         rng=random.Random(config.rng_seed + 1), flow=flow)
 
     def _attach_store(self, site: Site) -> None:
         """Build and attach the site's durable store (policy "none": no store, no import)."""
@@ -652,10 +633,6 @@ class Engine(LedgerQueries):
         """
         self.transport.on_site_down(name)
 
-    def peer_up(self, name: str) -> None:
-        """A site hosted on another engine is recovering."""
-        self.transport.on_site_up(name)
-
     def recover_site(self, name: str) -> bool:
         """Recover a crashed site hosted here (semantics:
         :meth:`Kernel.recover_site <repro.core.kernel.Kernel.recover_site>`).
@@ -671,7 +648,6 @@ class Engine(LedgerQueries):
         if store is None:
             site.mark_recovered()
             self.topology.mark_up(name)
-            self.transport.on_site_up(name)
             self.log_event("kernel", name, "site recovered")
             if self.obs.active:
                 self.obs.record(infra_trace_id("site", name), "recovery",
@@ -704,7 +680,6 @@ class Engine(LedgerQueries):
         restored = store.complete_recovery()
         site.mark_recovered()
         self.topology.mark_up(name)
-        self.transport.on_site_up(name)
         self.log_event("kernel", name,
                        f"site recovered: {restored} durable folders restored")
         if self.obs.active:

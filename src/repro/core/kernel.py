@@ -221,9 +221,10 @@ class Kernel(LedgerQueries):
         The site graph.  Defaults to a 3-site LAN, which is enough for the
         quickstart example.
     transport:
-        ``"rsh"``, ``"tcp"``, ``"horus"`` or a Transport subclass: each
-        engine builds its own transport from it and the config's fabric
-        knobs.  An already-built transport is refused (``KernelError``).
+        A :data:`~repro.net.transport.PRICES` name (``"rsh"``, ``"tcp"``
+        or ``"horus"``): each engine builds its own transport from it and
+        the config's fabric knobs.  Anything else, an already-built
+        transport included, is refused (``KernelError``).
     config:
         Cost/limit knobs (:class:`KernelConfig`), validated here.
     install_system_agents:
@@ -235,7 +236,7 @@ class Kernel(LedgerQueries):
     """
 
     def __init__(self, topology: Optional[Topology] = None,
-                 transport: Union[str, type] = "tcp",
+                 transport: str = "tcp",
                  config: Optional[KernelConfig] = None,
                  install_system_agents: bool = True,
                  registry: Optional[BehaviourRegistry] = None):
@@ -516,9 +517,6 @@ class Kernel(LedgerQueries):
         owner = self._owner(name)
         if owner.recover_site(name):
             self.topology.mark_up(name)
-        for engine in self._engines:
-            if engine is not owner:
-                engine.peer_up(name)
 
     def partition(self, groups: Sequence[Iterable[str]]) -> None:
         """Partition the network into the given site groups.

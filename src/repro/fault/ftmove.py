@@ -64,7 +64,7 @@ def _do_local_work(ctx: AgentContext, briefcase: Briefcase, seq: int):
         work.set("SEQ", seq)
         outcome = yield ctx.meet(task, work)
         results.push({"site": ctx.site_name, "seq": seq,
-                      "value": outcome.value if outcome is not None else None,
+                      "value": outcome.value,
                       "at": ctx.now})
     else:
         value = ctx.cabinet("data").get("VALUE")
@@ -253,7 +253,7 @@ def ft_visitor_behaviour(ctx: AgentContext, briefcase: Briefcase):
         result = yield jump
         if hop_span is not None:
             ctx.obs.finish(hop_span, status="moved", next_site=next_site)
-        if result is not None and result.value:
+        if result.value:
             # The transfer was handed to the network: a twin arriving here
             # later is redundant and may be absorbed.  Crash before this
             # point and the marker stays un-departed, so a twin re-executes

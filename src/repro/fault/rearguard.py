@@ -368,7 +368,7 @@ def _relaunch(ctx: AgentContext, guard: Briefcase):
         # posting to an unroutable pair bypasses the outbox.
         shipment.set("KIND", MessageKind.FT_RELAUNCH)
         result = yield ctx.meet("rexec", shipment)
-        if result is not None and result.value:
+        if result.value:
             return True
     return False
 

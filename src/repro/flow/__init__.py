@@ -9,8 +9,9 @@ is the shared layer all of them now consume:
 
 * :class:`CostModel` — one linear price for using a scarce resource:
   a per-item base latency, a bytes-proportional term, and a per-sync cost
-  (an fsync, a connection handshake, an rsh fork).  The transports price
-  ``setup_delay`` with it and the WAL prices group commits with it, so
+  (an fsync, a connection handshake, an rsh fork).  The transport's price
+  rows (``repro.net.transport.PRICES``) are made of it and the WAL prices
+  group commits with it, so
   "what does a byte cost" has exactly one definition per resource.
 * :class:`RateEstimator` — an EWMA estimator of per-destination message
   and byte arrival rates, fed from live outbox traffic.  Its smoothing

@@ -6,7 +6,8 @@ written), how many payload bytes moved, and how many synchronisation
 points were paid (fsyncs, connection handshakes, rsh forks).
 :class:`CostModel` captures exactly that, so the WAL's group commit and a
 transport's ``setup_delay`` price their resource with the same arithmetic
-instead of re-deriving it inline.
+instead of re-deriving it inline.  Each row of
+:data:`repro.net.transport.PRICES` is one or two of these models.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class CostModel(Record):
     """A linear price for using a scarce resource.
 
     ``cost = base * items + per_byte * size_bytes + sync * syncs``, plus an
-    optional uniform jitter fraction (the rsh transport's noisy fork).
+    optional uniform jitter fraction (the noisy fork of rsh's price row).
     All terms default to zero so a model names only the costs its resource
     actually has.  Immutable and hashable: assigning an attribute raises
     :class:`AttributeError`.

@@ -34,25 +34,26 @@ ships soon) and trickle pairs wide ones (``window_max`` bounds how long
 they wait).  Per-pair window/rate telemetry is published through
 ``NetworkStats.flow_windows``.
 
-Concrete transports: :class:`~repro.net.rsh.RshTransport`,
-:class:`~repro.net.tcp.TcpTransport` and
-:class:`~repro.net.horus.HorusTransport`.
+The three ``rexec`` implementations differ to ``rexec`` only in price, so
+they are rows of one table, :data:`PRICES`, and a :class:`Transport` is
+built from a row's name.  ``rsh`` forks a remote shell for every transfer;
+``tcp`` and ``horus`` cache one channel per pair of sites and pay their
+connect cost only on first contact (and again after either end crashed).
 """
 
 from __future__ import annotations
 
-import abc
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import NoRouteError, SiteDownError, TransportError
-from repro.flow import FlowController
+from repro.flow import CostModel, FlowController
 from repro.net.message import Message, MessageKind
 from repro.net.simclock import Event, EventLoop
 from repro.net.stats import NetworkStats
 from repro.net.topology import Topology
 
-__all__ = ["Transport", "Outbox", "DeliveryHandler", "BATCHABLE_KINDS"]
+__all__ = ["Transport", "Outbox", "DeliveryHandler", "BATCHABLE_KINDS", "PRICES"]
 
 #: a site-side callback invoked with each delivered message
 DeliveryHandler = Callable[[Message], None]
@@ -98,23 +99,40 @@ class Outbox:
                 f"{len(self.messages)} pending)")
 
 
-class Transport(abc.ABC):
-    """Base class for all transports.
+#: paper section 6's three rexec implementations as prices: name ->
+#: (message cost, agent cost or None, cached).  The agent cost, when there
+#: is one, prices the kinds that ship an agent (``MIGRATION_KINDS``).  A
+#: cached transport pays a cost's sync term only on a pair with no open
+#: channel; an uncached one pays it on every message.
+PRICES: Dict[str, Tuple[CostModel, Optional[CostModel], bool]] = {
+    # UNIX rsh: every message forks a remote shell and starts a fresh
+    # interpreter (a noisy sync), dearest when it ships an agent
+    "rsh": (CostModel(sync=0.120, jitter=0.10), CostModel(sync=0.250, jitter=0.10),
+            False),
+    # Tcl/TCP: a handshake on first contact, a small per-message overhead
+    # on the established connection
+    "tcp": (CostModel(base=0.002, sync=0.040 - 0.002), None, True),
+    # Tcl/Horus: a cheaper channel establishment, a dearer protocol stack
+    # per message
+    "horus": (CostModel(base=0.004, sync=0.030 - 0.004), None, True),
+}
 
-    Subclasses customise :meth:`setup_delay` (per-message connection /
-    process start-up cost) and may override :meth:`on_site_down` to drop
-    cached state (e.g. TCP connections) — overrides must call
-    ``super().on_site_down`` so the delivery fabric's pending outboxes are
-    dropped too.
-    """
 
-    #: human-readable transport name, used in benchmark output
-    name = "abstract"
+class Transport:
+    """The network path between sites, priced by one :data:`PRICES` row."""
 
-    def __init__(self, loop: EventLoop, topology: Topology,
+    def __init__(self, name: str, loop: EventLoop, topology: Topology,
                  stats: Optional[NetworkStats] = None,
                  rng: Optional[random.Random] = None,
                  flow: Optional[FlowController] = None):
+        #: the transport's name, its row in PRICES
+        self.name = name
+        self._message_costs, agent_costs, self._cached = PRICES[name]
+        self._agent_costs = agent_costs if agent_costs is not None else self._message_costs
+        #: the unordered site pairs with an open channel (cached rows only)
+        self._connections: Set[Tuple[str, str]] = set()
+        #: how many times each pair had to (re)connect, by unordered pair
+        self.connects: Dict[Tuple[str, str], int] = {}
         self.loop = loop
         self.topology = topology
         self.stats = stats if stats is not None else NetworkStats()
@@ -140,11 +158,23 @@ class Transport(abc.ABC):
         """Attach the per-site delivery handler (the kernel does this per site)."""
         self._handlers[site_name] = handler
 
-    # -- the cost knob each transport provides -----------------------------------
+    # -- the price of a message --------------------------------------------------
 
-    @abc.abstractmethod
     def setup_delay(self, message: Message) -> float:
-        """Per-message setup cost in seconds (process start, connection, ...)."""
+        """Per-message setup cost in seconds (a fork, or a connect on a
+        pair with no open channel, plus any per-message overhead)."""
+        model = self._agent_costs if message.kind in MessageKind.MIGRATION_KINDS \
+            else self._message_costs
+        syncs = 1
+        if self._cached:
+            source, destination = message.source, message.destination
+            pair = (source, destination) if source <= destination else (destination, source)
+            if pair in self._connections:
+                syncs = 0
+            else:
+                self._connections.add(pair)
+                self.connects[pair] = self.connects.get(pair, 0) + 1
+        return model.cost(items=1, syncs=syncs, rng=self.rng)
 
     @property
     def batch_window(self) -> float:
@@ -158,21 +188,19 @@ class Transport(abc.ABC):
     def on_site_down(self, site_name: str) -> None:
         """Hook invoked by the kernel when a site crashes.
 
-        The base implementation drops every pending outbox that touches the
-        crashed site (messages still queued at a crashed source die with it;
-        messages bound for a crashed destination are counted as drops) and
-        resets the flow-control state of those pairs — the observed rates
-        described traffic that died with the crash, so a recovered site
-        starts from the seed window, with no stale flush events.
-        Subclasses overriding this must call ``super().on_site_down``.
+        Drops every pending outbox that touches the crashed site (messages
+        still queued at a crashed source die with it; messages bound for a
+        crashed destination are counted as drops), closes the site's
+        channels, and resets the flow-control state of its pairs — the
+        observed rates described traffic that died with the crash, so a
+        recovered site starts from the seed window, with no stale flush
+        events.
         """
         for key in [key for key in self._outboxes if site_name in key]:
             self._drop_outbox(key)
+        self._connections = {pair for pair in self._connections if site_name not in pair}
         self.flow.reset_site(site_name)
         self.stats.reset_flow_for_site(site_name)
-
-    def on_site_up(self, site_name: str) -> None:
-        """Hook invoked by the kernel when a site recovers."""
 
     # -- the delivery fabric -----------------------------------------------------
 
@@ -421,4 +449,4 @@ class Transport(abc.ABC):
                 self.stats.record_drop(sub.source, sub.destination)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(endpoints={len(self._handlers)})"
+        return f"Transport({self.name!r}, endpoints={len(self._handlers)})"

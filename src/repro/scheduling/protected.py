@@ -100,7 +100,7 @@ def make_guardian_behaviour(protected_agent_name: str,
             result = yield ctx.meet(protected_agent_name, inner)
             briefcase.set("GRANTED", True)
             briefcase.set("RESPONSE", inner.to_wire())
-            briefcase.set("RESULT", result.value if result is not None else None)
+            briefcase.set("RESULT", result.value)
             cabinet.put("forwarded", request)
             yield ctx.end_meet(True)
             return True

@@ -52,7 +52,7 @@ def make_gossip_behaviour(peer_broker_sites: Sequence[str], interval: float = 1.
         if providers is not None:
             sync.set("PROVIDERS_TABLE", providers)
         result = yield ctx.meet(broker_agent, sync)
-        return result.value if result is not None else 0
+        return result.value
 
     # The clone must be resolvable by name at the destination, so register it
     # lazily under a stable name derived from the broker agent.

@@ -79,7 +79,7 @@ unavailable, and so are ``on_site_recovered`` subscriptions and
 worker-side site state (``residents()``, ``cabinet()``,
 ``kernel.store()`` under a durable policy).  One does not raise: a worker's
 copy of the topology never learns that a site another worker hosts crashed
-(``peer_down``/``peer_up`` reach its transport only), so traffic to that
+(``peer_down`` reaches its transport only), so traffic to that
 site still crosses the boundary as a handoff where an in-process engine
 drops it at send.  ``shard_handoffs``, ``shard_handoff_bytes`` and
 ``shard_late_arrivals`` then differ from ``inproc``; ``counters()`` do not.
@@ -120,7 +120,7 @@ class WorkerSpec:
 
     shard_id: int
     topology: Any
-    transport: Any  # a transport name or class (the worker's engine refuses the rest)
+    transport: str
     config: Any
     install_system_agents: bool
     placement: Dict[str, int]
@@ -467,8 +467,7 @@ class ProcessEngineProxy:
     worker replies and per-run digests.
     """
 
-    def __init__(self, handle: _WorkerHandle, spec: WorkerSpec,
-                 transport_name: str):
+    def __init__(self, handle: _WorkerHandle, spec: WorkerSpec):
         self.handle = handle
         self.shard_id = spec.shard_id
         self.loop = MirrorLoop(spec.shard_id)
@@ -483,7 +482,7 @@ class ProcessEngineProxy:
             if owner == spec.shard_id}
         self.stores: Dict[str, Any] = {}
         #: what ``kernel.transport`` introspection sees; sends live worker-side
-        self.transport = SimpleNamespace(name=transport_name)
+        self.transport = SimpleNamespace(name=spec.transport)
         #: with the table: the classes an engine keeps (same bounds), so the
         #: facade's merged views read process shards like in-process engines
         self.ring = RingSink()
@@ -560,8 +559,7 @@ class ProcessBackend(ShardBackend):
 
     name = "process"
 
-    def __init__(self, specs: Sequence[WorkerSpec], transport_name: str,
-                 timer=default_timer):
+    def __init__(self, specs: Sequence[WorkerSpec], timer=default_timer):
         super().__init__(timer)
         self._handles: List[_WorkerHandle] = []
         self.proxies: List[ProcessEngineProxy] = []
@@ -579,7 +577,7 @@ class ProcessBackend(ShardBackend):
                 handle = _WorkerHandle(spec.shard_id, parent_conn, process)
                 self._handles.append(handle)
                 self.proxies.append(
-                    ProcessEngineProxy(handle, spec, transport_name))
+                    ProcessEngineProxy(handle, spec))
             # Every worker starts at once; wait for each one's handshake so
             # a worker that cannot start fails the Kernel(...) call itself.
             for proxy in self.proxies:
@@ -599,13 +597,11 @@ class ProcessBackend(ShardBackend):
                 "registry instance is not passed to them (use "
                 "shard_backend='inproc' or register behaviours in the "
                 "default registry)")
-        transport_name = (transport if isinstance(transport, str)
-                          else getattr(transport, "name", transport.__name__))
         return cls([WorkerSpec(
             shard_id=shard_id, topology=topology, transport=transport,
             config=config, install_system_agents=install_system_agents,
             placement=placement)
-            for shard_id in range(config.shards)], transport_name)
+            for shard_id in range(config.shards)])
 
     # -- round execution --------------------------------------------------------
 

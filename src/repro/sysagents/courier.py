@@ -63,8 +63,8 @@ def courier_behaviour(ctx: AgentContext, briefcase: Briefcase):
         ctx.propagate_trace(delivery)
 
     if host == ctx.site_name:
-        result = yield ctx.meet(contact, delivery)
-        yield ctx.end_meet(result is not None)
+        yield ctx.meet(contact, delivery)
+        yield ctx.end_meet(True)
         return True
 
     kind = briefcase.get("KIND", MessageKind.FOLDER_DELIVERY)

@@ -46,7 +46,7 @@ def rexec_behaviour(ctx: AgentContext, briefcase: Briefcase):
         # contact agent; no network traffic is generated.
         result = yield ctx.meet(contact, briefcase)
         yield ctx.end_meet(True)
-        return result.value if result is not None else True
+        return result.value
 
     accepted = yield ctx.transmit(host, contact, briefcase, kind=kind)
     if not accepted:

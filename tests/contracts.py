@@ -6,14 +6,14 @@ An implementation runs the whole contract by subclassing it in its own test
 module.  The subclass holds fixtures only, and the fixtures each contract
 needs are named in its docstring::
 
-    class TestTcpTransport(BaseTestTransport):
-        @pytest.fixture
-        def transport_cls(self):
-            return TcpTransport
+    class TestTransport(BaseTestTransport):
+        @pytest.fixture(params=["rsh", "tcp", "horus"])
+        def transport_name(self, request):
+            return request.param
 
 A behaviour one implementation alone has (a cabinet's element index, the
-TCP connection cache, the ring's ``since``) stays in that implementation's
-own module.
+channel cache of the cached transport rows, the ring's ``since``) stays in
+that implementation's own module.
 
 * :class:`BaseTestFolderContainer`: briefcases and file cabinets (paper
   section 2, "file cabinets support the same operations as briefcases").
@@ -34,7 +34,7 @@ from repro.net.message import Message, MessageKind
 from repro.net.simclock import EventLoop
 from repro.net.stats import NetworkStats
 from repro.net.topology import LinkSpec, Topology
-from repro.net.transport import BATCHABLE_KINDS
+from repro.net.transport import BATCHABLE_KINDS, Transport
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +158,13 @@ class BaseTestFolderContainer:
 # transports
 # ---------------------------------------------------------------------------
 
-def make_transport(transport_cls, topology=None, seed=0):
-    """A bare transport over a 3-site LAN (or *topology*) and its loop and stats."""
+def make_transport(name, topology=None, seed=0):
+    """A bare transport *name* over a 3-site LAN (or *topology*) and its
+    loop and stats."""
     loop = EventLoop()
     topology = topology or lan(["a", "b", "c"])
     stats = NetworkStats()
-    transport = transport_cls(loop, topology, stats, rng=random.Random(seed))
+    transport = Transport(name, loop, topology, stats, rng=random.Random(seed))
     return transport, loop, topology, stats
 
 
@@ -212,13 +213,13 @@ class BaseTestTransport:
     """What every transport owes: delivery, loss and drop accounting, and
     the delivery fabric's batch envelopes and byte accounting on top of it.
 
-    Fixture: ``transport_cls``, the :class:`~repro.net.transport.Transport`
-    subclass under test.  Setup costs differ between transports; nothing
-    here depends on them.
+    Fixture: ``transport_name``, the :data:`~repro.net.transport.PRICES`
+    row under test.  Setup costs differ between rows; nothing here depends
+    on them.
     """
 
-    def test_message_is_delivered_to_registered_handler(self, transport_cls):
-        transport, loop, _, stats = make_transport(transport_cls)
+    def test_message_is_delivered_to_registered_handler(self, transport_name):
+        transport, loop, _, stats = make_transport(transport_name)
         received = []
         transport.register_endpoint("b", received.append)
         event = transport.send(agent_message())
@@ -229,30 +230,30 @@ class BaseTestTransport:
         assert stats.messages_delivered == 1
         assert stats.migrations == 1   # agent transfers count as migrations
 
-    def test_unknown_source_raises(self, transport_cls):
-        transport, _, _, _ = make_transport(transport_cls)
+    def test_unknown_source_raises(self, transport_name):
+        transport, _, _, _ = make_transport(transport_name)
         with pytest.raises(TransportError):
             transport.send(agent_message(source="ghost"))
 
-    def test_unknown_destination_raises(self, transport_cls):
-        transport, _, _, _ = make_transport(transport_cls)
+    def test_unknown_destination_raises(self, transport_name):
+        transport, _, _, _ = make_transport(transport_name)
         with pytest.raises(TransportError):
             transport.send(agent_message(destination="ghost"))
 
-    def test_send_from_down_site_is_dropped(self, transport_cls):
-        transport, _, topology, stats = make_transport(transport_cls)
+    def test_send_from_down_site_is_dropped(self, transport_name):
+        transport, _, topology, stats = make_transport(transport_name)
         topology.mark_down("a")
         assert transport.send(agent_message()) is None
         assert stats.messages_dropped == 1
 
-    def test_send_to_down_site_is_dropped(self, transport_cls):
-        transport, _, topology, stats = make_transport(transport_cls)
+    def test_send_to_down_site_is_dropped(self, transport_name):
+        transport, _, topology, stats = make_transport(transport_name)
         topology.mark_down("b")
         assert transport.send(agent_message()) is None
         assert stats.messages_dropped == 1
 
-    def test_destination_crash_while_in_flight_drops(self, transport_cls):
-        transport, loop, topology, stats = make_transport(transport_cls)
+    def test_destination_crash_while_in_flight_drops(self, transport_name):
+        transport, loop, topology, stats = make_transport(transport_name)
         received = []
         transport.register_endpoint("b", received.append)
         transport.send(agent_message())
@@ -261,8 +262,8 @@ class BaseTestTransport:
         assert received == []
         assert stats.messages_dropped == 1
 
-    def test_partition_in_flight_drops(self, transport_cls):
-        transport, loop, topology, _ = make_transport(transport_cls)
+    def test_partition_in_flight_drops(self, transport_name):
+        transport, loop, topology, _ = make_transport(transport_name)
         received = []
         transport.register_endpoint("b", received.append)
         transport.send(agent_message())
@@ -270,26 +271,26 @@ class BaseTestTransport:
         loop.run()
         assert received == []
 
-    def test_unregistered_destination_counts_as_drop(self, transport_cls):
-        transport, loop, _, stats = make_transport(transport_cls)
+    def test_unregistered_destination_counts_as_drop(self, transport_name):
+        transport, loop, _, stats = make_transport(transport_name)
         transport.send(agent_message())
         loop.run()
         assert stats.messages_dropped == 1
 
-    def test_lossy_link_drops_randomly(self, transport_cls):
+    def test_lossy_link_drops_randomly(self, transport_name):
         topology = Topology()
         topology.add_site("a")
         topology.add_site("b")
         topology.add_link("a", "b", LinkSpec(loss_rate=1.0))
-        transport, _, _, stats = make_transport(transport_cls, topology=topology)
+        transport, _, _, stats = make_transport(transport_name, topology=topology)
         transport.register_endpoint("b", lambda message: None)
         assert transport.send(agent_message()) is None
         assert stats.messages_dropped == 1
 
     # -- behind the delivery fabric: batch envelopes ----------------------------
 
-    def test_same_destination_messages_coalesce_into_one_wire_message(self, transport_cls):
-        kernel = fabric_kernel(transport_cls, window=0.1)
+    def test_same_destination_messages_coalesce_into_one_wire_message(self, transport_name):
+        kernel = fabric_kernel(transport_name, window=0.1)
         install_receiver(kernel)
         sender = transmit_n(kernel, 4)
         kernel.run()
@@ -300,15 +301,15 @@ class BaseTestTransport:
         assert kernel.counters()["arrivals"] == 4          # every folder reached its contact
         assert kernel.counters()["undeliverable"] == 0
 
-    def test_batch_saves_header_bytes(self, transport_cls):
-        kernel = fabric_kernel(transport_cls, window=0.1)
+    def test_batch_saves_header_bytes(self, transport_name):
+        kernel = fabric_kernel(transport_name, window=0.1)
         install_receiver(kernel)
         transmit_n(kernel, 3)
         kernel.run()
         assert kernel.stats.header_bytes_saved == 2 * Message.HEADER_BYTES
 
-    def test_distinct_destinations_use_distinct_outboxes(self, transport_cls):
-        kernel = fabric_kernel(transport_cls, window=0.1)
+    def test_distinct_destinations_use_distinct_outboxes(self, transport_name):
+        kernel = fabric_kernel(transport_name, window=0.1)
         install_receiver(kernel, site="b")
         install_receiver(kernel, site="c")
 
@@ -326,8 +327,8 @@ class BaseTestTransport:
         assert kernel.stats.batches == 2
         assert kernel.counters()["arrivals"] == 4
 
-    def test_single_message_window_ships_unwrapped(self, transport_cls):
-        kernel = fabric_kernel(transport_cls, window=0.05)
+    def test_single_message_window_ships_unwrapped(self, transport_name):
+        kernel = fabric_kernel(transport_name, window=0.05)
         install_receiver(kernel)
         transmit_n(kernel, 1)
         kernel.run()
@@ -336,8 +337,8 @@ class BaseTestTransport:
         assert kernel.stats.per_kind[MessageKind.FOLDER_DELIVERY] == 1
         assert kernel.counters()["arrivals"] == 1
 
-    def test_non_batchable_kinds_bypass_the_fabric(self, transport_cls):
-        kernel = fabric_kernel(transport_cls, window=0.5)
+    def test_non_batchable_kinds_bypass_the_fabric(self, transport_name):
+        kernel = fabric_kernel(transport_name, window=0.5)
         install_receiver(kernel)
         transmit_n(kernel, 3, kind="control")
         kernel.run(until=0.01)
@@ -348,8 +349,8 @@ class BaseTestTransport:
         kernel.run()
         assert kernel.counters()["arrivals"] == 3
 
-    def test_window_zero_means_fabric_off(self, transport_cls):
-        kernel = fabric_kernel(transport_cls, window=0.0)
+    def test_window_zero_means_fabric_off(self, transport_name):
+        kernel = fabric_kernel(transport_name, window=0.0)
         install_receiver(kernel)
         transmit_n(kernel, 4)
         kernel.run()
@@ -357,15 +358,15 @@ class BaseTestTransport:
         assert kernel.stats.batches == 0
         assert kernel.counters()["arrivals"] == 4
 
-    def test_agent_transfers_are_never_batched(self, transport_cls):
+    def test_agent_transfers_are_never_batched(self, transport_name):
         assert MessageKind.AGENT_TRANSFER not in BATCHABLE_KINDS
-        kernel = fabric_kernel(transport_cls, window=0.5)
+        kernel = fabric_kernel(transport_name, window=0.5)
         transmit_n(kernel, 2, kind=MessageKind.AGENT_TRANSFER, contact="ag_py")
         kernel.run(until=0.01)
         assert kernel.stats.messages_sent == 2
 
-    def test_status_reports_batch_and_reach_their_contact(self, transport_cls):
-        kernel = fabric_kernel(transport_cls, window=0.1)
+    def test_status_reports_batch_and_reach_their_contact(self, transport_name):
+        kernel = fabric_kernel(transport_name, window=0.1)
         install_receiver(kernel)
         sender = transmit_n(kernel, 3, kind=MessageKind.STATUS)
         kernel.run()
@@ -377,9 +378,9 @@ class BaseTestTransport:
 
     # -- behind the delivery fabric: byte and loss accounting -------------------
 
-    def test_batch_declared_size_is_sum_of_bodies_plus_one_header(self, transport_cls):
-        batched = fabric_kernel(transport_cls, window=0.1)
-        unbatched = fabric_kernel(transport_cls, window=0.0)
+    def test_batch_declared_size_is_sum_of_bodies_plus_one_header(self, transport_name):
+        batched = fabric_kernel(transport_name, window=0.1)
+        unbatched = fabric_kernel(transport_name, window=0.0)
         for kernel in (batched, unbatched):
             install_receiver(kernel)
             transmit_n(kernel, 3)
@@ -390,8 +391,8 @@ class BaseTestTransport:
         assert batched.stats.bytes_sent == \
             unbatched.stats.bytes_sent - 2 * Message.HEADER_BYTES
 
-    def test_in_flight_batch_loss_counts_every_coalesced_message(self, transport_cls):
-        kernel = fabric_kernel(transport_cls, window=0.01)
+    def test_in_flight_batch_loss_counts_every_coalesced_message(self, transport_name):
+        kernel = fabric_kernel(transport_name, window=0.01)
         install_receiver(kernel)
         transmit_n(kernel, 3)
         kernel.run(until=0.015)    # batch flushed and on the wire
@@ -402,8 +403,8 @@ class BaseTestTransport:
         assert kernel.stats.messages_dropped == dropped_before + 3
         assert kernel.counters()["arrivals"] == 0
 
-    def test_batch_to_kernel_dead_site_counts_every_coalesced_message(self, transport_cls):
-        kernel = fabric_kernel(transport_cls, window=0.1)
+    def test_batch_to_kernel_dead_site_counts_every_coalesced_message(self, transport_name):
+        kernel = fabric_kernel(transport_name, window=0.1)
         install_receiver(kernel)
         transmit_n(kernel, 3)
         kernel.run(until=0.05)

@@ -34,6 +34,16 @@ class TestTransportsEndToEnd:
         assert makespan["rsh"] > makespan["horus"]
         assert hop_time["rsh"] > 2 * hop_time["tcp"]
 
+    @pytest.mark.one_engine(reason="pins one engine's clock: two engines draw "
+                                   "rsh's jitter from two random streams")
+    @pytest.mark.parametrize("transport, makespan", [
+        ("rsh", 2.7493322230081283), ("tcp", 0.509736), ("horus", 0.42173600000000006)])
+    def test_the_section_6_makespans_hold_to_the_last_bit(self, transport, makespan):
+        """The prices and rsh's jitter draws reproduce these clocks exactly:
+        a price, a rounding or a random draw that moves shows here."""
+        kernel, _ = itinerary(transport=transport, hops=10, payload_bytes=1024, seed=3)
+        assert kernel.now == makespan
+
     def test_rsh_penalty_does_not_amortise_with_hop_count(self):
         """A fresh remote interpreter per transfer is paid at every hop: the
         gap to the cached-connection transports is as wide at 16 hops as at 2."""

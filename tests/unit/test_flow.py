@@ -31,16 +31,16 @@ class TestCostModel:
         assert model.cost(items=1, syncs=0) == pytest.approx(0.1)
 
     def test_transport_constants_are_cost_models(self):
-        # The shared layer is really consumed: the transports' setup prices
+        # The shared layer is really consumed: the transports' price rows
         # decompose into base/sync terms that reproduce the historic values.
-        from repro.net.rsh import RshTransport
-        from repro.net.tcp import TcpTransport
-        assert TcpTransport.SETUP_COSTS.cost(items=1, syncs=1) == pytest.approx(
-            TcpTransport.CONNECT_SETUP)
-        assert TcpTransport.SETUP_COSTS.cost(items=1, syncs=0) == pytest.approx(
-            TcpTransport.ESTABLISHED_SETUP)
-        assert RshTransport.MESSAGE_COSTS.cost(items=0, syncs=1) == pytest.approx(
-            RshTransport.MESSAGE_SETUP)
+        from repro.net.transport import PRICES
+        tcp, tcp_agent, _ = PRICES["tcp"]
+        assert tcp_agent is None
+        assert tcp.cost(items=1, syncs=1) == pytest.approx(0.040)
+        assert tcp.cost(items=1, syncs=0) == pytest.approx(0.002)
+        rsh, rsh_agent, _ = PRICES["rsh"]
+        assert rsh.cost(items=1, syncs=1) == pytest.approx(0.120)
+        assert rsh_agent.cost(items=1, syncs=1) == pytest.approx(0.250)
 
     def test_store_costs_build_the_wal_model(self):
         from repro.store import StoreCosts

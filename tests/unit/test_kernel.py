@@ -13,7 +13,7 @@ from repro.core.engine import SPAWN_OVERHEAD, STEP_COST, TRANSMIT_OVERHEAD
 from repro.core.errors import (KernelError, MeetError, SyscallError, UnknownAgentError,
                                UnknownSiteError)
 from repro.core.syscalls import Meet, Sleep, Syscall, Terminate
-from repro.net import RshTransport, TcpTransport, lan
+from repro.net import EventLoop, Transport, lan
 from scenarios import RECORDER_NAME, recorded_arrivals
 
 
@@ -31,16 +31,19 @@ class TestConstruction:
     def test_transport_by_name(self):
         assert Kernel(lan(["a", "b"]), transport="rsh").transport.name == "rsh"
 
-    def test_transport_by_class(self):
-        assert isinstance(Kernel(lan(["a", "b"]), transport=RshTransport).transport,
-                          RshTransport)
+    @pytest.mark.parametrize("transport", [
+        Transport, Transport("tcp", EventLoop(), lan(["a", "b"])), "udp"],
+        ids=["class", "instance", "unknown-name"])
+    def test_anything_but_a_transport_name_is_refused(self, transport):
+        with pytest.raises(KernelError, match=r"\['horus', 'rsh', 'tcp'\]"):
+            Kernel(lan(["a", "b"]), transport=transport)
 
     def test_a_built_transport_is_refused(self, strategy):
         # A transport built for another kernel stays bound to that kernel's
         # loop, stats and topology: an agent's jump would queue there.
         donor = Kernel(lan(["a", "b"]))
-        with pytest.raises(KernelError, match="pass a transport name .* or a "
-                                              "Transport subclass"):
+        with pytest.raises(KernelError, match="choose a name from "
+                                              r"\['horus', 'rsh', 'tcp'\]"):
             Kernel(lan(["a", "b"]), transport=donor.transport)
 
     @pytest.mark.parametrize("placement, error", [

@@ -173,7 +173,6 @@ TEST_ONLY_DEFS = [
     "Mint.retired_value",                # the audit total of the retired-ECU table (§3)
     "RateEstimator.mean_bytes",          # the second EWMA, beside the rate windows use
     "SiteStore.dirty_count",             # folders waiting for the next group commit
-    "TcpTransport.connection_count",     # the channel cache that beats rsh (§6)
     "Topology.can_communicate",          # path() without the NoRouteError
     "Transport.pending_outbox_messages", # what the fabric holds between flushes
     "broker_state",                      # BrokerState(cabinet) under the §4 broker's name
@@ -301,7 +300,8 @@ def test_a_retired_counter_is_gone():
 #: table), the WAL's per-folder record (the log keeps last-wins states), the
 #: ticket agent and the shell agent (no paper claim held either) and two
 #: guardian admission policies (a policy is the protected agent's own
-#: function, written where the guardian is built).
+#: function, written where the guardian is built), and the three transport
+#: classes (rsh, TCP and Horus are rows of ``repro.net.transport.PRICES``).
 RETIRED_EXPORTS = [
     *(("repro.core", name) for name in (
         "RetentionPolicy", "KeepAll", "KeepResults", "KeepCounts", "make_retention")),
@@ -314,6 +314,8 @@ RETIRED_EXPORTS = [
         "admit_authorized", "admit_rate_limited")),
     ("repro.core.errors", "TicketError"),
     *(("repro.sysagents", name) for name in ("shell", "shell_behaviour")),
+    *((package, name) for package in ("repro", "repro.net")
+      for name in ("RshTransport", "TcpTransport", "HorusTransport")),
 ]
 
 

@@ -148,17 +148,22 @@ def test_a_failed_start_leaves_no_worker_running(monkeypatch):
 @needs_fork
 def test_nothing_the_workers_are_built_from_needs_to_pickle():
     """The spec reaches a forked worker as memory, not as a pickle: a
-    transport class local to a function (which pickle cannot name) works."""
-    from repro.net.tcp import TcpTransport
+    topology class local to a function (which pickle cannot name) works."""
+    from repro.net.topology import Topology
 
-    class LocalTcp(TcpTransport):
-        name = "local-tcp"
+    class LocalTopology(Topology):
+        pass
 
+    topology = LocalTopology()
+    for name in ("a", "b", "c", "d"):
+        topology.add_site(name)
+    for a, b in (("a", "b"), ("b", "c"), ("c", "d")):
+        topology.add_link(a, b)
     with pytest.raises((pickle.PicklingError, AttributeError)):
-        pickle.dumps(LocalTcp)
-    kernel = Kernel(lan(["a", "b", "c", "d"]), transport=LocalTcp,
-                    config=KernelConfig(shards=2, shard_backend="process"))
-    assert kernel.transport.name == "local-tcp"
+        pickle.dumps(topology)
+    kernel = Kernel(topology, config=KernelConfig(shards=2, shard_backend="process"))
+    assert kernel.site_names() == ["a", "b", "c", "d"]
+    kernel.run()
     kernel.close()
 
 

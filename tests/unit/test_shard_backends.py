@@ -129,7 +129,7 @@ class TestEngineProtocol:
                           config=KernelConfig(), install_system_agents=True,
                           placement={"a": 0, "b": 1})
         handle = _RecordingHandle()
-        proxy = ProcessEngineProxy(handle, spec, "tcp")
+        proxy = ProcessEngineProxy(handle, spec)
         assert set(proxy.sites) == {"a"}
         callbacks = ("on_site_recovered",)
         for name in ENGINE_PROTOCOL:
