@@ -17,10 +17,11 @@ travelling agent — one-behind chaining:
   computation move two sites past them and can retire);
 * a guard whose deadline expires without a release presumes the protected
   agent vanished (site crash, lost transfer) and re-ships the snapshot —
-  to the original target if it is reachable again, otherwise skipping ahead
-  along the itinerary.  The timeout is the one failure detector, on every
-  transport: it over-suspects rather than under-suspects (a slow agent may
-  be relaunched needlessly), and the deduplication below absorbs the twin;
+  to where its last accepted shipment went (the original target at first),
+  skipping ahead along the itinerary past refusals; a skip sticks.  The
+  timeout is the one failure detector, on every transport: it
+  over-suspects rather than under-suspects (a slow agent may be relaunched
+  needlessly), and the deduplication below absorbs the twin;
 * duplicate arrivals (a slow agent plus its relaunched twin) are absorbed
   by per-site done-markers and by deduplication at the delivery site, so a
   computation completes *exactly once* even though relaunching is
@@ -262,8 +263,8 @@ def rear_guard_behaviour(ctx: AgentContext, briefcase: Briefcase):
     "accepted" shipment only means queued-in-outbox, so the guard watches
     ``relaunch_acks`` for the twin's landing acknowledgement.  A shipment
     that stays un-acked by the next timeout was lost in flight or at flush
-    time (e.g. a partition dropped the batch) — the guard then *re-sends*
-    without consuming its relaunch budget, since the loss was the
+    time (e.g. a partition dropped the batch) — the guard then *re-sends*,
+    to where the lost one went, without consuming its relaunch budget, since the loss was the
     network's fault, not evidence the computation keeps dying.  Re-sends
     are bounded separately and recorded under ``relaunch_retries``.
     """
@@ -280,6 +281,8 @@ def rear_guard_behaviour(ctx: AgentContext, briefcase: Briefcase):
     max_resends = max(2, max_relaunches)
     #: ship time of the last accepted shipment still lacking a landing ack
     awaiting_since: Optional[float] = None
+    #: candidate index the last accepted shipment went to: a skip sticks
+    shipped_to = 0
     outcome = "released"
 
     while True:
@@ -297,19 +300,21 @@ def rear_guard_behaviour(ctx: AgentContext, briefcase: Briefcase):
             if not retry and relaunches >= max_relaunches:
                 outcome = "gave-up"
                 break
-            sent = yield from _relaunch(ctx, briefcase)
+            sent = yield from _relaunch(ctx, briefcase, shipped_to)
+            if sent is not None:
+                shipped_to = sent
             if retry:
                 resends += 1
                 cabinet.put("relaunch_retries", {
                     "ft_id": ft_id, "protects_seq": protects_seq,
-                    "retry": resends, "at": ctx.now, "accepted": bool(sent)})
+                    "retry": resends, "at": ctx.now, "accepted": sent is not None})
             else:
                 relaunches += 1
                 cabinet.put("relaunches", {"ft_id": ft_id, "protects_seq": protects_seq,
                                            "attempt": relaunches, "at": ctx.now,
-                                           "accepted": bool(sent)})
+                                           "accepted": sent is not None})
             outcome = "relaunched"
-            awaiting_since = ctx.now if sent else None
+            awaiting_since = ctx.now if sent is not None else None
             deadline = ctx.now + timeout
         yield ctx.sleep(poll)
 
@@ -319,14 +324,19 @@ def rear_guard_behaviour(ctx: AgentContext, briefcase: Briefcase):
     return outcome
 
 
-def _relaunch(ctx: AgentContext, guard: Briefcase):
+def _relaunch(ctx: AgentContext, guard: Briefcase, start: int):
     """Re-ship the guarded briefcase; skip ahead if the target is unreachable.
 
     The snapshot carries ``TARGET_SITE`` (the hop it was shipped for) and
-    ``ITINERARY`` (the hops after that).  The guard tries the original
-    target first; every refusal (site down, no route at send time) makes it
-    skip to the next itinerary entry, recording the skip so the relaunched
-    agent knows which hops were abandoned.
+    ``ITINERARY`` (the hops after that); together they are the candidates.
+    The guard tries candidate *start* first -- the one its previous accepted
+    shipment went to, the original target before any -- and every refusal
+    (site down, no route at send time) makes it skip to the next one,
+    recording the skips so the relaunched agent knows which hops were
+    abandoned.  A skip is never undone: a twin of a skipped-ahead shipment
+    lands where the hop already ran, and that site's done-marker absorbs it,
+    whereas the skipped site, back up, would run the rest again.  Returns
+    the index of the candidate that accepted, or None if every one refused.
     """
     snapshot = _shipment(guard)
     candidates: List[str] = []
@@ -337,10 +347,11 @@ def _relaunch(ctx: AgentContext, guard: Briefcase):
         candidates.extend(list(snapshot.folder("ITINERARY").elements()))
 
     attempt_order = list(dict.fromkeys(candidates))  # preserve order, drop dupes
-    for index, candidate in enumerate(attempt_order):
+    for index in range(start, len(attempt_order)):
+        candidate = attempt_order[index]
         # Every attempt edits and ships its own briefcase; the first takes
         # the one the candidates were read from.
-        shipment = snapshot if index == 0 else _shipment(guard)
+        shipment = snapshot if index == start else _shipment(guard)
         if candidate != target:
             # Rebuild the itinerary without the hops we are skipping over.
             remaining = attempt_order[index + 1:]
@@ -369,8 +380,8 @@ def _relaunch(ctx: AgentContext, guard: Briefcase):
         shipment.set("KIND", MessageKind.FT_RELAUNCH)
         result = yield ctx.meet("rexec", shipment)
         if result.value:
-            return True
-    return False
+            return index
+    return None
 
 
 def install_fault_agents(kernel) -> None:

@@ -385,6 +385,32 @@ class TestTwinAbsorption:
         executions = [message for _at, _agent, _site, message in kernel.event_log
                       if message.startswith(f"hop-exec {ft_id} ")]
         assert len(executions) == len(set(executions)), executions
+
+    @pytest.mark.parametrize("policy", ["none", "wal-group-commit"])
+    def test_a_skip_ahead_relaunch_does_not_restart_the_chain(self, policy):
+        """s2 and s4 go down before the computation reaches them: the guard
+        at s1 skips s2 and its twin runs hop 2 at s3.  s2 is back up at the
+        guard's later timeouts, but a skip sticks -- the next relaunch goes
+        to s3 again, where the hop already ran and departed, and is
+        absorbed.  No hop executes twice (re-shipping to s2 ran hops 2-4 a
+        second time there)."""
+        sites = ["h", "s1", "s2", "s3", "s4", "d"]
+        kernel = Kernel(lan(sites), transport="tcp",
+                        config=KernelConfig(rng_seed=5, durability=policy,
+                                            store_commit_window=0.05))
+        ft_id = launch_ft_computation(kernel, "h", sites[1:], per_hop=0.5,
+                                      work_seconds=0.25, max_relaunches=4,
+                                      durable_checkpoints=True)
+        (FailureSchedule().crash("s2", at=0.2).crash("s4", at=0.2)
+         .recover("s2", at=6.2).recover("s4", at=6.2).install(kernel))
+        kernel.run(until=60.0)
+        records = completions(kernel, "d", ft_id)
+        assert [record["skipped"] for record in records] == [["s2"]]
+        executions = [message for _at, _agent, _site, message in kernel.event_log
+                      if message.startswith(f"hop-exec {ft_id} ")]
+        assert len(executions) == 5
+        assert len(set(executions)) == 5, executions
+
     def test_released_checkpoints_are_pruned_after_completion(self):
         """Durable checkpoints must not accumulate forever: once the
         computation's releases retire a hop, its checkpoint is dropped."""

@@ -6,8 +6,9 @@ written, and no fingerprint input moved.  That tree is a ``git clone`` of
 ``HEAD``, because ``--append`` refuses a tree with uncommitted source edits,
 which the working tree under test may have.  The ``CALLS`` line the row carries
 is exact: it repeats over runs and hash seeds.  ``hot_functions.py --rss``
-reads both processes a ``churn_shards2`` memory claim can be in, and
-``--setup`` splits ``setup_s`` into its imports and build.
+reads both processes a ``churn_shards2`` memory claim can be in,
+``--setup`` splits ``setup_s`` into its imports and build, and ``--hops``
+counts the hops the region ran.
 """
 
 from __future__ import annotations
@@ -154,6 +155,19 @@ def test_setup_line_splits_setup_s_and_the_profile_leaves_out_the_inputs(tmp_pat
     listed = "\n".join(profiled)
     assert "ledger_workloads.py" in listed and "(build)" in listed, listed
     assert "(generate)" not in listed, listed
+
+
+def test_hops_line_counts_the_hop_executions_of_the_region():
+    done = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "hot_functions.py"), "ft_durable", "--quick",
+         "--hops"], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    line = done.stdout.strip().splitlines()[-1]
+    match = re.fullmatch(r"HOPS ft_durable executed_per_unit=(\d+\.\d\d) "
+                         r"distinct_per_unit=(\d+\.\d\d) repeats_without_crash=(\d+)", line)
+    assert match, line
+    # Every computation runs at least its home and delivery hops.
+    assert float(match[1]) >= float(match[2]) >= 2, line
 
 
 def load_tool():

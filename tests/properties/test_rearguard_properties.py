@@ -5,6 +5,9 @@ crashes, and whenever it crashes during the run, a rear-guard-protected
 computation whose origin and delivery sites stay up completes **exactly
 once** — never zero times, never twice.
 
+And what relaunching costs: on crash-only schedules a hop runs again only
+after a crash of a site that ran it or an earlier hop of the computation.
+
 And the read side of the ``rearguard`` cabinet: the incrementally folded
 release/ack marks and the byte-level checkpoint pruner agree with a full
 scan of the stored elements after any interleaving of cabinet operations.
@@ -12,7 +15,9 @@ scan of the stored elements after any interleaving of cabinet operations.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import math
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Briefcase, FileCabinet, Folder, Kernel, KernelConfig
@@ -20,7 +25,7 @@ from repro.fault import (CHECKPOINTS_FOLDER, REARGUARD_CABINET, completions,
                          launch_ft_computation, prune_released_checkpoints)
 from repro.fault.rearguard import _relaunch_acked, _released
 from repro.fault.recovery import record_checkpoint
-from repro.net import FailureSchedule, ring
+from repro.net import FailureSchedule, lan, ring
 from repro.store.snapshot import capture_cabinet, restore_cabinet
 
 SITES = [f"s{i}" for i in range(6)]
@@ -48,6 +53,62 @@ def test_single_intermediate_crash_still_completes_exactly_once(victim, crash_at
     visited = [entry["site"] for entry in records[0]["results"]]
     assert visited[0] == SITES[0]
     assert visited[-1] == SITES[-1]
+
+
+def unexplained_repeats(event_log, ft_id):
+    """Repeated ``hop-exec`` lines of *ft_id* that no earlier crash accounts for.
+
+    A repeat of hop N is accounted for once a site that ran hop N, or an
+    earlier one, has crashed since: the crash took that site's done-markers
+    (a twin runs the hop there again) or its place in the chain (a twin that
+    skips the crashed site counts one hop fewer, so every hop after it is a
+    repeat).  A guard revived from a durable checkpoint is such a case: its
+    site ran the hop before the one it protects, then crashed.
+    """
+    lowest_run = {}             # site -> the lowest hop it ran
+    lowest_lost = math.inf      # the lowest hop run at a site that crashed since
+    ran, unexplained = set(), []
+    for at, _agent, site, message in event_log:
+        if message.startswith("site crashed"):
+            lowest_lost = min(lowest_lost, lowest_run.get(site, math.inf))
+        elif message.startswith(f"hop-exec {ft_id} seq="):
+            seq = int(message.rsplit("=", 1)[1])
+            if seq in ran and lowest_lost > seq:
+                unexplained.append((at, site, seq))
+            ran.add(seq)
+            lowest_run[site] = min(seq, lowest_run.get(site, math.inf))
+    return unexplained
+
+
+LINE = ["h", "s1", "s2", "s3", "s4", "d"]
+#: (site, crash time, recovery delay): the guard timeout at per_hop=0.5 is 3 s
+crash_specs = st.tuples(st.sampled_from(LINE[1:-1]), st.floats(min_value=0.0, max_value=4.0),
+                        st.floats(min_value=3.5, max_value=10.0))
+
+
+@given(crashes=st.lists(crash_specs, min_size=1, max_size=2, unique_by=lambda spec: spec[0]),
+       policy=st.sampled_from(["none", "wal-group-commit"]),
+       seed=st.integers(min_value=0, max_value=10_000))
+# Two sites down before the computation reaches them: the first relaunch
+# skips s2, and a relaunch back to s2 once it is up ran hops 2-4 again.
+@example(crashes=[("s2", 0.2, 6.0), ("s4", 0.2, 6.0)], policy="none", seed=5)
+@settings(max_examples=12, deadline=None)
+def test_a_hop_runs_twice_only_after_a_crash_behind_it(crashes, policy, seed):
+    # Partitions are left out: with a timeout detector they can fork a
+    # chain with no site forgetting anything.
+    kernel = Kernel(lan(LINE), transport="tcp",
+                    config=KernelConfig(rng_seed=seed, durability=policy,
+                                        store_commit_window=0.05))
+    ft_id = launch_ft_computation(kernel, LINE[0], LINE[1:], per_hop=0.5,
+                                  work_seconds=0.25, max_relaunches=4,
+                                  durable_checkpoints=True)
+    schedule = FailureSchedule()
+    for site, crash_at, delay in crashes:
+        schedule.crash(site, at=crash_at).recover(site, at=crash_at + delay)
+    schedule.install(kernel)
+    kernel.run(until=60.0)
+    assert len(completions(kernel, LINE[-1], ft_id)) <= 1
+    assert unexplained_repeats(kernel.event_log, ft_id) == []
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,6 @@ TEST_ONLY_DEFS = [
     "FileCabinet.withdraw",              # deposit's inverse: the briefcase operations (§2)
     "Folder.front",                      # the oldest element, as peek() is the newest
     "LedgerQueries.agents",              # a Kernel read: the agent table
-    "LedgerQueries.event_log",           # a Kernel read: the ring's log lines
     "MailSystem.delivery_log",           # reads the log folder the letter agents write
     "Mint.retired_value",                # the audit total of the retired-ECU table (§3)
     "RateEstimator.mean_bytes",          # the second EWMA, beside the rate windows use

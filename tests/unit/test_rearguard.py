@@ -209,9 +209,9 @@ class TestRearGuard:
             polls.append(kernel.now)
             return released(*args)
 
-        def recorded(ctx, guard):
+        def recorded(ctx, guard, *args):
             relaunched_at.append(ctx.now)
-            return (yield from relaunch(ctx, guard))
+            return (yield from relaunch(ctx, guard, *args))
 
         monkeypatch.setattr(rearguard, "_released", polled)
         monkeypatch.setattr(rearguard, "_relaunch", recorded)
@@ -259,6 +259,19 @@ class TestRearGuard:
         assert kernel.counters()["arrivals"] == 1
         assert [record["site"] for record in recorded_arrivals(kernel, "c")] == ["c"]
         assert kernel.result_of(guard_id) in ("relaunched", "gave-up")
+
+    def test_a_relaunch_follows_the_skip(self, kernel):
+        # b is down at the first relaunch, so it skips to c; b is back up at
+        # the second, which still goes to c -- a skip is never undone.
+        kernel.crash_site("b")
+        FailureSchedule().recover("b", at=1.0).install(kernel)
+        spawn_guard(kernel, per_hop=0.1, max_relaunches=2)
+        kernel.run(until=30.0)
+        relaunches = kernel.site("a").cabinet(REARGUARD_CABINET).elements("relaunches")
+        assert [record["accepted"] for record in relaunches] == [True, True]
+        assert relaunches[1]["at"] > 1.0
+        assert recorded_arrivals(kernel, "b") == []
+        assert [record["site"] for record in recorded_arrivals(kernel, "c")] == ["c", "c"]
 
     def test_relaunch_with_everything_down_is_not_accepted(self, kernel):
         kernel.crash_site("b")
