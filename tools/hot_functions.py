@@ -91,8 +91,9 @@ rear-guarded work it did from the kernel's event log: every ``hop-exec``
 line is one execution of a computation's hop, so executions past the
 distinct ``(ft_id, seq)`` pairs are work done again.  A repeat is expected
 after a crash of the site that ran the hop before (its done-markers died
-with it); ``repeats_without_crash`` counts the others, work a relaunch
-redid for no loss::
+with it); ``repeats_without_crash`` counts the others, such as a relaunch
+to a site the computation had skipped, which runs the rest of the
+itinerary again there::
 
     HOPS ft_durable executed_per_unit=15.16 distinct_per_unit=15.00 repeats_without_crash=0
 
